@@ -13,8 +13,9 @@ per-node rows and re-finalises the totals — results are identical for any
 worker count, including 1.
 
 The trace is shipped to workers by ``fork`` inheritance (no per-task
-serialization of the columns); on platforms without ``fork`` the shards run
-sequentially in-process, slower but still byte-identical.
+serialization of the columns), together with its memoised index and routing
+plan; on platforms without ``fork`` the shards run sequentially in-process,
+slower but still byte-identical.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ import time as time_module
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.results import ClusterResult
-from repro.cluster.vector import VectorClusterSimulation, _ClusterPlan
+from repro.cluster.vector import VectorClusterSimulation
 from repro.errors import ClusterError
 from repro.obs.recorder import ObsConfig, merge_payloads
 from repro.workload.compiled import CompiledTrace
 
-#: ``(trace, cluster_kwargs, plan)`` stashed before the pool forks; workers
-#: inherit it through copy-on-write instead of unpickling the columns (and
-#: the precomputed routing plan) per shard.
-_SHARD_CONTEXT: Optional[Tuple[CompiledTrace, dict, Optional[_ClusterPlan]]] = None
+#: ``(trace, cluster_kwargs)`` stashed before the pool forks; workers inherit
+#: it through copy-on-write instead of unpickling the columns (and the index
+#: and routing plan memoised on the trace) per shard.
+_SHARD_CONTEXT: Optional[Tuple[CompiledTrace, dict]] = None
 
 
 def partition_nodes(num_nodes: int, workers: int) -> List[Tuple[int, ...]]:
@@ -52,11 +53,8 @@ def partition_nodes(num_nodes: int, workers: int) -> List[Tuple[int, ...]]:
 
 def _replay_shard(owned: Tuple[int, ...]) -> ClusterResult:
     """Worker body: replay the stashed trace for one node partition."""
-    trace, cluster_kwargs, plan = _SHARD_CONTEXT
-    simulation = VectorClusterSimulation(trace, owned_nodes=owned, **cluster_kwargs)
-    if plan is not None:
-        simulation._shared_plan = plan
-    return simulation.run()
+    trace, cluster_kwargs = _SHARD_CONTEXT
+    return VectorClusterSimulation(trace, owned_nodes=owned, **cluster_kwargs).run()
 
 
 def replay_cluster_parallel(
@@ -132,12 +130,14 @@ def replay_cluster_parallel(
         )
 
     partitions = partition_nodes(num_nodes, workers)
-    # Route the whole trace once in the parent; forked shards inherit the
-    # plan copy-on-write instead of recomputing it per worker.  On the
-    # scalar-fallback path (plan is None) workers route as they stream.
+    # Index and route the trace in the parent (a no-op when an earlier replay
+    # of this trace on this fleet shape already did); forked shards inherit
+    # both copy-on-write instead of recomputing them per worker.  On the
+    # scalar-fallback path workers route as they stream.
     planner = VectorClusterSimulation(trace, **cluster_kwargs)
-    plan = planner.build_plan() if planner.vector_eligible() else None
-    _SHARD_CONTEXT = (trace, cluster_kwargs, plan)
+    if planner.vector_eligible():
+        planner.build_plan()
+    _SHARD_CONTEXT = (trace, cluster_kwargs)
     try:
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")

@@ -52,52 +52,48 @@ from repro.cluster.scenarios import Scenario
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.errors import ClusterError, ConfigurationError, WorkloadError
 from repro.sim.vector import (
-    _EMPTY_INDEX,
     _VECTOR_POLICIES,
     _HostState,
     _ReplayContext,
     _SpanTally,
-    _TraceColumns,
     _apply_span_writes,
     _flush_tally,
-    _group_by_key,
     _kernel_reactive,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
 )
 from repro.sketch.exact import ExactEWTracker
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, Span, SpanCursor, TraceIndex
 
 
 class _ClusterPlan:
-    """Trace-wide precomputation shared by every shard of a parallel replay.
+    """Trace-wide routing shared by every replay of a trace on one fleet shape.
 
-    Everything here is a pure function of the compiled trace and the cluster
-    *configuration* (ring placement, replication, read policy) — no node
-    state — so a parent process can build it once and let forked workers
-    inherit it copy-on-write instead of each re-deriving it.
+    A pure function of the compiled trace and the cluster *configuration*
+    (ring placement, replication, read policy) — no node state — so it is
+    built once, memoised on the trace's index under that configuration, and
+    reused by every policy's replay; forked shards inherit it copy-on-write.
 
     Attributes:
-        columns: Per-key write columns (:class:`_TraceColumns`).
-        read_node: Per-request serving node index (``-1`` for writes),
-            aligned with the trace arrays.  Encodes the exact scalar routing:
-            primary, static hash choice, or per-key round-robin rank.
-        replicas: Key id -> replica node indices (primary first) for every
-            key that occurs in the trace.
+        routes: Key id -> ``(replicas, read_slot)`` for every key that occurs
+            in the trace: the replica node indices (primary first) and the
+            index into them of the node serving all the key's reads (the
+            primary, or the static hash choice), or ``-1`` when reads rotate
+            round-robin by per-key read rank.
+        round_robin: Key name -> the read router's end-of-run counter (the
+            key's read count) under round-robin; empty otherwise.
     """
 
-    __slots__ = ("columns", "read_node", "replicas")
+    __slots__ = ("routes", "round_robin")
 
     def __init__(
         self,
-        columns: _TraceColumns,
-        read_node: np.ndarray,
-        replicas: Dict[int, Tuple[int, ...]],
+        routes: Dict[int, Tuple[Tuple[int, ...], int]],
+        round_robin: Dict[str, int],
     ) -> None:
-        self.columns = columns
-        self.read_node = read_node
-        self.replicas = replicas
+        self.routes = routes
+        self.round_robin = round_robin
 
 
 class VectorClusterSimulation(ClusterSimulation):
@@ -199,74 +195,55 @@ class VectorClusterSimulation(ClusterSimulation):
     # Trace-wide routing plan
     # ------------------------------------------------------------------ #
     def build_plan(self) -> _ClusterPlan:
-        """Precompute the write columns and the per-read serving node.
+        """The routing plan of this trace on this fleet shape, built once.
 
         Routing is a pure function of the static ring, the replication
         config, and the read stream — independent of any node's cache state —
-        so the whole trace routes in a few array operations instead of a
-        Python call per request.  Round-robin advances the read router's
-        per-key counters to their end-of-run values here (the vector path
-        never consults them mid-run; there are no checkpoints without a
-        store).  A parallel replay builds the plan once in the parent and
-        shares it with every forked shard.
+        so one pass over the trace's *keys* routes every request: a key's
+        reads all go to one replica (primary / hash) or rotate by read rank
+        (round-robin), which the span replay takes as strided slices of the
+        key's read column.  The plan is memoised on the trace's index, so
+        every replay of the trace on the same fleet shape (each policy, each
+        forked shard) shares it.
         """
-        trace = self.trace
-        columns = _TraceColumns(trace)
+        index = self.trace.index()
+        shape = (
+            tuple(node.node_id for node in self._node_list),
+            self.ring.vnodes,
+            self._factor,
+            self.replication.read_policy,
+        )
+        plan = index.plans.get(shape)
+        if plan is None:
+            plan = index.plans[shape] = self._route_keys(index)
+        return plan
+
+    def _route_keys(self, index: TraceIndex) -> _ClusterPlan:
         node_index = {
-            node.node_id: index for index, node in enumerate(self._node_list)
+            node.node_id: position for position, node in enumerate(self._node_list)
         }
-        replicas: Dict[int, Tuple[int, ...]] = {}
-        factor = self._factor
-        names = trace.key_names
-        read_policy = self.replication.read_policy
-        hash_reads = not self._read_primary and factor > 1 and read_policy == "hash"
-        hash_choice: Dict[int, int] = {}
-        for key_id in np.unique(trace.key_ids).tolist():
+        names = self.trace.key_names
+        hash_reads = self.replication.read_policy == "hash"
+        routes: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        round_robin: Dict[str, int] = {}
+        read_counts = np.diff(index.read_offsets)
+        occurring = np.flatnonzero(read_counts + np.diff(index.write_offsets))
+        for key_id, reads in zip(occurring.tolist(), read_counts[occurring].tolist()):
             name = names[key_id]
-            route = self._route_map.get(name)
-            if route is None:
-                route = self._route(name, factor)
-            replicas[key_id] = tuple(node_index[node_id] for node_id in route)
-            if hash_reads:
-                hash_choice[key_id] = replicas[key_id][
-                    stable_fingerprint(name + "#read") % len(route)
-                ]
-        read_node = np.full(len(trace), -1, dtype=np.int64)
-        read_positions = np.flatnonzero(trace.is_read)
-        if read_positions.size:
-            key_ids = trace.key_ids[read_positions]
-            if self._read_primary or factor == 1:
-                primary_of = np.full(len(names), -1, dtype=np.int64)
-                for key_id, nodes in replicas.items():
-                    primary_of[key_id] = nodes[0]
-                read_node[read_positions] = primary_of[key_ids]
+            replicas = tuple(
+                node_index[node_id] for node_id in self._route(name, self._factor)
+            )
+            if self._read_primary or len(replicas) == 1:
+                read_slot = 0
             elif hash_reads:
-                choice_of = np.full(len(names), -1, dtype=np.int64)
-                for key_id, node_idx in hash_choice.items():
-                    choice_of[key_id] = node_idx
-                read_node[read_positions] = choice_of[key_ids]
+                read_slot = stable_fingerprint(name + "#read") % len(replicas)
             else:
-                # Round-robin: a read's replica slot is its global per-key
-                # read rank mod the replica count (counters start at zero).
-                replica_table = np.full((len(names), factor), -1, dtype=np.int64)
-                for key_id, nodes in replicas.items():
-                    replica_table[key_id, : len(nodes)] = nodes
-                order = np.argsort(key_ids, kind="stable")
-                sorted_keys = key_ids[order]
-                boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-                starts = np.concatenate(([0], boundaries))
-                counts = np.diff(np.append(starts, sorted_keys.size))
-                ranks = np.arange(sorted_keys.size) - np.repeat(starts, counts)
-                read_node[read_positions[order]] = replica_table[
-                    sorted_keys, ranks % factor
-                ]
-                # The scalar router bumped the counter once per routed read.
-                counter = self.router._round_robin
-                for key_id, count in zip(
-                    sorted_keys[starts].tolist(), counts.tolist()
-                ):
-                    counter[names[key_id]] = int(count)
-        return _ClusterPlan(columns, read_node, replicas)
+                read_slot = -1
+                if reads:
+                    # The scalar router bumps the counter once per routed read.
+                    round_robin[name] = reads
+            routes[key_id] = (replicas, read_slot)
+        return _ClusterPlan(routes, round_robin)
 
     # ------------------------------------------------------------------ #
     # Span replay
@@ -277,15 +254,19 @@ class VectorClusterSimulation(ClusterSimulation):
         if total == 0:
             return
         times = trace.times
-        if times.size > 1 and bool(np.any(np.diff(times) < 0)):
+        index = trace.index()
+        if not index.time_ordered:
             # Same contract as the scalar loop's inlined ordering check.
             raise WorkloadError("request stream is not sorted by time")
-        plan: Optional[_ClusterPlan] = getattr(self, "_shared_plan", None)
-        if plan is None:
-            plan = self.build_plan()
+        plan = self.build_plan()
+        # The vector path never consults the read router mid-run (there are
+        # no checkpoints without a store); leave it where the scalar loop
+        # would.
+        self.router._round_robin.update(plan.round_robin)
         node0 = self._node_list[0]
         self._ctx = _ReplayContext(
-            columns=plan.columns,
+            trace=trace,
+            index=index,
             datastore=self.datastore,
             bound=self.staleness_bound,
             ttl=node0._ttl_value,
@@ -313,27 +294,20 @@ class VectorClusterSimulation(ClusterSimulation):
             owned_ids is None or node.node_id in owned_ids
             for node in self._node_list
         ]
-        self._replicas = plan.replicas
-        self._read_node = plan.read_node
-        self._num_keys = len(trace.key_names)
-        # A shard only groups and kernels what it owns: reads routed to an
-        # owned node, and write streams of keys with an owned replica.  The
-        # shared state (datastore versions via _apply_span_writes, router
-        # counters via the plan, background flushes) still advances globally.
-        self._owned_read_mask: Optional[np.ndarray] = None
-        self._owned_key_mask: Optional[np.ndarray] = None
+        self._routes = plan.routes
+        # A shard only kernels what it owns: keys with an owned replica (a
+        # key's reads are served by its replicas).  The shared state
+        # (datastore versions via _apply_span_writes, router counters via the
+        # plan, background flushes) still advances globally.
+        self._owned_keys: Optional[np.ndarray] = None
         if owned_ids is not None:
-            owned_lookup = np.array(self._owned_flags, dtype=np.bool_)
-            mask = np.zeros(total, dtype=np.bool_)
-            routed = plan.read_node >= 0
-            mask[routed] = owned_lookup[plan.read_node[routed]]
-            self._owned_read_mask = mask
-            key_owned = np.zeros(self._num_keys, dtype=np.bool_)
-            for key_id, nodes in plan.replicas.items():
-                key_owned[key_id] = any(
-                    self._owned_flags[node_idx] for node_idx in nodes
+            owned_keys = np.zeros(len(trace.key_names), dtype=np.bool_)
+            for key_id, (replicas, _) in plan.routes.items():
+                owned_keys[key_id] = any(
+                    self._owned_flags[node_idx] for node_idx in replicas
                 )
-            self._owned_key_mask = key_owned
+            self._owned_keys = owned_keys
+        cursor = SpanCursor(index)
         obs = self.obs
         if node0._reacts:
             start = 0
@@ -346,7 +320,7 @@ class VectorClusterSimulation(ClusterSimulation):
                         span_start = float(times[start])
                         if span_start >= obs.next_boundary:
                             obs.roll(span_start)
-                    self._replay_reactive_span(start, end)
+                    self._replay_reactive_span(cursor.advance(end))
                     start = end
                     if start >= total:
                         break
@@ -354,130 +328,78 @@ class VectorClusterSimulation(ClusterSimulation):
                 # due background work exactly where the scalar loop would.
                 self._advance_background(float(times[start]))
         else:
-            self._replay_ttl_trace()
+            self._replay_ttl_trace(cursor.advance(total))
         self.clock.advance_to(float(times[-1]))
 
-    def _group_reads_by_node_key(
-        self, read_positions: np.ndarray
-    ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Group routed reads by ``(node, key)`` in one composite sort.
+    def _routed_groups(
+        self, span: Span, tallies: List[_SpanTally]
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """Route one span: yield ``(node_index, key_id, reads, writes)``.
 
-        Yields ``(node_index, key_id, positions)`` with positions ascending
-        (the sort is stable over an ascending input).
+        One group per owned replica of every span key that the replica
+        serves reads of or receives writes for — a (node, key) with both
+        reaches its kernel in ONE group (the miss/buffer/estimator
+        interleaving is per (node, key)).  Also counts each key's span
+        writes on its primary's tally: only the primary counts the write in
+        its result, like ``observe_write(owner=True)``.
         """
-        if read_positions.size == 0:
-            return
-        num_keys = self._num_keys
-        composite = (
-            self._read_node[read_positions] * num_keys
-            + self.trace.key_ids[read_positions]
-        )
-        order = np.argsort(composite, kind="stable")
-        sorted_comp = composite[order]
-        boundaries = np.flatnonzero(sorted_comp[1:] != sorted_comp[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        bounds = np.append(boundaries, sorted_comp.size)
-        sorted_positions = read_positions[order]
-        for index in range(starts.size):
-            lo = int(starts[index])
-            comp = int(sorted_comp[lo])
-            yield comp // num_keys, comp % num_keys, sorted_positions[
-                lo : int(bounds[index])
-            ]
+        if self._owned_keys is not None:
+            mine = self._owned_keys[span[0]]
+            span = tuple(column[mine] for column in span)
+        index = self._ctx.index
+        read_pos, write_pos, read_base = index.read_pos, index.write_pos, index.read_offsets
+        routes, owned = self._routes, self._owned_flags
+        for key_id, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
+            replicas, read_slot = routes[key_id]
+            writes = write_pos[w_lo:w_hi]
+            if w_hi > w_lo and owned[replicas[0]]:
+                tallies[replicas[0]].writes += w_hi - w_lo
+            if read_slot < 0:
+                # Round-robin: a read's replica slot is its global per-key
+                # read rank mod the replica count (counters start at zero),
+                # so each replica's reads are a stride of the key's run.
+                rank = r_lo - int(read_base[key_id])
+            for slot, node_idx in enumerate(replicas):
+                if not owned[node_idx]:
+                    continue
+                if read_slot < 0:
+                    first = r_lo + (slot - rank) % len(replicas)
+                    reads = read_pos[first : r_hi : len(replicas)]
+                else:
+                    reads = read_pos[r_lo : r_hi if slot == read_slot else r_lo]
+                if reads.size or w_hi > w_lo:
+                    yield node_idx, key_id, reads, writes
 
-    def _replay_reactive_span(self, start: int, end: int) -> None:
+    def _replay_reactive_span(self, span: Span) -> None:
         ctx = self._ctx
-        trace = ctx.trace
-        span_is_read = trace.is_read[start:end]
-        write_positions = np.flatnonzero(~span_is_read) + start
-        _apply_span_writes(ctx, write_positions)
-        if self._owned_read_mask is None:
-            read_positions = np.flatnonzero(span_is_read) + start
-        else:
-            read_positions = (
-                np.flatnonzero(span_is_read & self._owned_read_mask[start:end])
-                + start
-            )
-        kernel_writes = write_positions
-        if self._owned_key_mask is not None:
-            kernel_writes = write_positions[
-                self._owned_key_mask[trace.key_ids[write_positions]]
-            ]
-        hosts, owned = self._hosts, self._owned_flags
+        _apply_span_writes(ctx, span)
+        hosts = self._hosts
         tallies = [_SpanTally() for _ in hosts]
-        # Route first: a (node, key) with both routed reads and replicated
-        # writes must reach its kernel in ONE call (the miss/buffer/estimator
-        # interleaving is per (node, key) group).
-        pending: List[Dict[int, np.ndarray]] = [{} for _ in hosts]
-        for node_idx, key_id, sub in self._group_reads_by_node_key(read_positions):
-            pending[node_idx][key_id] = sub
-        names = trace.key_names
-        for key_id, writes in _group_by_key(trace, kernel_writes):
-            replicas = self._replicas[key_id]
-            if owned[replicas[0]]:
-                # Only the primary counts the write in its result, like
-                # ``observe_write(owner=True)``.
-                tallies[replicas[0]].writes += int(writes.size)
-            name = names[key_id]
-            for node_idx in replicas:
-                if owned[node_idx]:
-                    _kernel_reactive(
-                        ctx,
-                        hosts[node_idx],
-                        tallies[node_idx],
-                        key_id,
-                        name,
-                        pending[node_idx].pop(key_id, _EMPTY_INDEX),
-                        writes,
-                    )
-        for node_idx, leftovers in enumerate(pending):
-            if not owned[node_idx]:
-                continue
-            for key_id, reads in leftovers.items():
-                _kernel_reactive(
-                    ctx,
-                    hosts[node_idx],
-                    tallies[node_idx],
-                    key_id,
-                    names[key_id],
-                    reads,
-                    _EMPTY_INDEX,
-                )
-            _flush_tally(ctx, hosts[node_idx], tallies[node_idx])
+        names = ctx.trace.key_names
+        for node_idx, key_id, reads, writes in self._routed_groups(span, tallies):
+            _kernel_reactive(
+                ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], reads, writes
+            )
+        self._flush_owned(tallies)
 
-    def _replay_ttl_trace(self) -> None:
+    def _replay_ttl_trace(self, span: Span) -> None:
         # A non-reacting fleet's interval flushes are no-ops (nothing is ever
         # buffered, there is no detector and no tier on this path), so the
         # whole trace is a single span per (node, key).
         ctx = self._ctx
-        trace = ctx.trace
-        write_positions = np.flatnonzero(~trace.is_read)
-        _apply_span_writes(ctx, write_positions)
-        if self._owned_read_mask is None:
-            read_positions = np.flatnonzero(trace.is_read)
-        else:
-            read_positions = np.flatnonzero(trace.is_read & self._owned_read_mask)
-        if self._owned_key_mask is not None:
-            write_positions = write_positions[
-                self._owned_key_mask[trace.key_ids[write_positions]]
-            ]
-        hosts, owned = self._hosts, self._owned_flags
+        _apply_span_writes(ctx, span)
+        hosts = self._hosts
         tallies = [_SpanTally() for _ in hosts]
-        names = trace.key_names
-        for key_id, writes in _group_by_key(trace, write_positions):
-            primary = self._replicas[key_id][0]
-            if owned[primary]:
-                tallies[primary].writes += int(writes.size)
-        expiry = self._node_list[0]._ttl_expiry
-        for node_idx, key_id, sub in self._group_reads_by_node_key(read_positions):
-            if expiry:
-                _kernel_ttl_expiry(
-                    ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], sub
-                )
-            else:
-                _kernel_ttl_polling(
-                    ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], sub
-                )
+        names = ctx.trace.key_names
+        kernel = (
+            _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
+        )
+        for node_idx, key_id, reads, _ in self._routed_groups(span, tallies):
+            if reads.size:
+                kernel(ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], reads)
+        self._flush_owned(tallies)
+
+    def _flush_owned(self, tallies: List[_SpanTally]) -> None:
         for node_idx, tally in enumerate(tallies):
-            if owned[node_idx]:
-                _flush_tally(ctx, hosts[node_idx], tally)
+            if self._owned_flags[node_idx]:
+                _flush_tally(self._ctx, self._hosts[node_idx], tally)

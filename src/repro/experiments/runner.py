@@ -4,7 +4,10 @@ Each :class:`~repro.experiments.spec.RunCell` is an independent simulation, so
 a grid parallelises trivially across a :mod:`multiprocessing` pool.  Workers
 regenerate their cell's workload from its deterministic seed and *stream* it
 into the simulator, so even very long traces never materialize — per-worker
-memory stays constant regardless of trace length.
+memory stays constant regardless of trace length.  Vector-engine cells
+compile the workload instead, and the cells of a grid that replay the same
+trace (every policy and staleness bound of one workload) are dispatched
+together so they share one compile and one trace index.
 
 Results come back as plain dictionaries (cell coordinates merged with the
 :meth:`~repro.sim.results.SimulationResult.as_dict` counters), sorted by cell
@@ -20,7 +23,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.backend.channel import Channel
 from repro.cluster import (
@@ -37,9 +40,13 @@ from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
-from repro.workload.compiled import compile_workload
+from repro.workload.base import Workload
+from repro.workload.compiled import CompiledTrace, compile_workload
 
 _LOG = logging.getLogger(__name__)
+
+#: Compiled traces of one batch of cells, by :func:`_trace_key`.
+_Traces = Dict[Tuple[Any, ...], CompiledTrace]
 
 
 @contextmanager
@@ -57,16 +64,34 @@ def _cell_store(cell: RunCell) -> Iterator[Optional[StoreConfig]]:
         yield StoreConfig(root=root, snapshot_interval=cell.snapshot_interval)
 
 
-def run_cell(cell: RunCell) -> Dict[str, Any]:
+def _trace_key(cell: RunCell) -> Tuple[Any, ...]:
+    """Cells equal here replay the same request stream."""
+    return (cell.workload, cell.workload_params, cell.seed, cell.duration)
+
+
+def _compiled(cell: RunCell, workload: Workload, traces: _Traces) -> CompiledTrace:
+    key = _trace_key(cell)
+    trace = traces.get(key)
+    if trace is None:
+        trace = traces[key] = compile_workload(workload, cell.duration)
+    return trace
+
+
+def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
     """Execute one grid cell and return its flattened result row.
 
     Cells with ``num_nodes`` set run a :class:`ClusterSimulation`; the rest
     run the single-cache :class:`Simulation`.  The workload streams straight
     from its generator into the simulator; channels are seeded from the cell
-    seed so loss and jitter are reproducible as well.
+    seed so loss and jitter are reproducible as well.  ``traces`` carries the
+    compiled traces of the vector-engine cells run before this one in the
+    same batch, so cells replaying one trace compile and index it once; the
+    row does not depend on it.
     """
+    if traces is None:
+        traces = {}
     if cell.num_nodes is not None:
-        return _run_cluster_cell(cell)
+        return _run_cluster_cell(cell, traces)
     workload = make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
     policy = make_policy(cell.policy)
     costs = make_cost_model(cell.cost_preset, dict(cell.cost_params))
@@ -96,9 +121,7 @@ def run_cell(cell: RunCell) -> Dict[str, Any]:
             # capacity-bounded or persistent cells) through the inherited
             # scalar loop, so every cell stays byte-identical to a scalar
             # sweep of the same grid.
-            simulation = VectorSimulation(
-                compile_workload(workload, cell.duration), **shared
-            )
+            simulation = VectorSimulation(_compiled(cell, workload, traces), **shared)
         else:
             simulation = Simulation(
                 workload=workload.iter_requests(cell.duration), **shared
@@ -147,7 +170,7 @@ def _attach_slo(cell: RunCell, row: Dict[str, Any]) -> None:
     row["slo"] = evaluate_slo(row["obs"], json.loads(cell.slo_rules))
 
 
-def _run_cluster_cell(cell: RunCell) -> Dict[str, Any]:
+def _run_cluster_cell(cell: RunCell, traces: _Traces) -> Dict[str, Any]:
     """Execute one cluster grid cell (sharded fleet simulation)."""
     workload = make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
     costs = make_cost_model(cell.cost_preset, dict(cell.cost_params))
@@ -195,7 +218,7 @@ def _run_cluster_cell(cell: RunCell) -> Dict[str, Any]:
             # columnar fleet engine cannot replay (scenarios, lossy
             # channels, tiers, persistence) — rows stay byte-identical.
             cluster = VectorClusterSimulation(
-                compile_workload(workload, cell.duration), **shared
+                _compiled(cell, workload, traces), **shared
             )
         else:
             cluster = ClusterSimulation(
@@ -205,6 +228,33 @@ def _run_cluster_cell(cell: RunCell) -> Dict[str, Any]:
         row.update(cluster.run().as_dict())
     _attach_slo(cell, row)
     return row
+
+
+def _batches(cells: List[RunCell], processes: int) -> List[List[RunCell]]:
+    """Split a grid into tasks whose cells share their compiled trace.
+
+    The vector-engine cells replaying one trace are dealt round-robin into
+    up to ``processes`` batches — one compile and one index per batch, and a
+    grid with fewer traces than workers still occupies every worker.  Scalar
+    cells stream their workload, so each is its own task.
+    """
+    groups: Dict[Tuple[Any, ...], List[RunCell]] = {}
+    singles: List[List[RunCell]] = []
+    for cell in cells:
+        if cell.engine == "vector":
+            groups.setdefault(_trace_key(cell), []).append(cell)
+        else:
+            singles.append([cell])
+    return [
+        group[offset::processes]
+        for group in groups.values()
+        for offset in range(min(processes, len(group)))
+    ] + singles
+
+
+def _run_batch(cells: List[RunCell]) -> List[Dict[str, Any]]:
+    traces: _Traces = {}
+    return [run_cell(cell, traces) for cell in cells]
 
 
 def run_experiment(
@@ -226,12 +276,15 @@ def run_experiment(
     cells = spec.expand()
     if processes is None:
         processes = min(os.cpu_count() or 1, len(cells))
+    processes = max(processes, 1)
     _LOG.debug("experiment '%s': %d cells on %d process(es)",
-               spec.name, len(cells), max(processes, 1))
-    if processes <= 1 or len(cells) <= 1:
-        rows = [run_cell(cell) for cell in cells]
+               spec.name, len(cells), processes)
+    batches = _batches(cells, processes)
+    if processes == 1 or len(cells) <= 1:
+        results = [_run_batch(batch) for batch in batches]
     else:
         with multiprocessing.Pool(processes=processes) as pool:
-            rows = pool.map(run_cell, cells, chunksize=1)
+            results = pool.map(_run_batch, batches, chunksize=1)
+    rows = [row for batch_rows in results for row in batch_rows]
     rows.sort(key=lambda row: row["cell_id"])
     return rows

@@ -323,6 +323,49 @@ def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
+def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
+    """Trace index build plus a 30-span slicing walk (no kernels).
+
+    The policy-independent share of a columnar replay: what the first
+    replay of a compiled trace pays once (the key-major index) and what
+    every replay pays per span to take its per-key read/write slices.
+    Builds the index directly so no repeat is served from the trace's memo.
+    """
+    from repro.workload.compiled import SpanCursor, TraceIndex, compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    requests = _scaled(100_000, scale)
+    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
+    trace = compile_workload(workload, requests / (100.0 * 500))
+    ends = [len(trace) * span // 30 for span in range(1, 31)]
+    index_bytes = 0
+
+    def build_and_walk() -> None:
+        nonlocal index_bytes
+        index = TraceIndex(
+            trace.times, trace.key_ids, trace.is_read, trace.value_sizes, len(trace.key_names)
+        )
+        index_bytes = index.nbytes
+        cursor = SpanCursor(index)
+        read_pos, write_pos = index.read_pos, index.write_pos
+        sliced = 0
+        for end in ends:
+            for _, r_lo, r_hi, w_lo, w_hi in zip(
+                *(column.tolist() for column in cursor.advance(end))
+            ):
+                sliced += read_pos[r_lo:r_hi].size + write_pos[w_lo:w_hi].size
+        if sliced != len(trace):
+            raise AssertionError(f"span slices cover {sliced} of {len(trace)} requests")
+
+    timing = time_callable(build_and_walk)
+    return {
+        "ops": len(trace),
+        "ops_per_sec": len(trace) / timing["best_seconds"],
+        "index_bytes_per_request": index_bytes / max(len(trace), 1),
+        **timing,
+    }
+
+
 def bench_shard_merge(scale: float = 1.0) -> Dict[str, Any]:
     """Deterministic merge of per-shard cluster results.
 
@@ -421,6 +464,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "replay-single": bench_replay_single,
     "replay-cluster": bench_replay_cluster,
     "vector-kernels": bench_vector_kernels,
+    "trace-index": bench_trace_index,
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,
     "obs-enabled": bench_obs_enabled,

@@ -34,6 +34,12 @@ Why byte-identity is achievable at all:
   serve cost and the per-miss cost are constants; accumulating ``n`` of them
   left-to-right gives the same float regardless of which keys they came from.
   Varying-order sums (TTL poll charges) are replayed in global stream order.
+* **Per-key span groups are slices, not sorts.**  A stable key sort of the
+  whole trace, restricted to a span's position range, *is* the stable key
+  sort of that span, so the trace's memoised
+  :class:`~repro.workload.compiled.TraceIndex` — built by the first replay,
+  shared by every later one — hands each span its per-key read and write
+  positions as views of two key-major columns.
 
 When a configuration falls outside the vectorizable envelope (capacity-bounded
 caches, per-size cost breakdowns, lossy or delayed channels, persistence,
@@ -45,7 +51,7 @@ construction, just slower.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import ConfigurationError, WorkloadError
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, Span, SpanCursor, TraceIndex
 
 #: Policy classes with a vectorized kernel.  Exact types only: a subclass may
 #: override hooks in ways the kernels would not reproduce.
@@ -71,50 +77,12 @@ _VECTOR_POLICIES = (
     TTLPollingPolicy,
 )
 
-_EMPTY_INDEX = np.empty(0, dtype=np.int64)
-
-
-class _TraceColumns:
-    """Per-key write columns precomputed once from a compiled trace.
-
-    For each key: the stream positions, commit times, and value sizes of its
-    writes, in stream order.  Every positional/temporal version query the
-    kernels make (miss versions, staleness windows, poll refreshes) is a
-    ``searchsorted`` against these arrays.
-    """
-
-    __slots__ = ("trace", "_pos", "_times", "_vsz", "_bounds")
-
-    def __init__(self, trace: CompiledTrace) -> None:
-        self.trace = trace
-        write_idx = np.flatnonzero(~trace.is_read)
-        write_keys = trace.key_ids[write_idx]
-        order = np.argsort(write_keys, kind="stable")
-        self._pos = write_idx[order]
-        self._times = trace.times[self._pos]
-        self._vsz = trace.value_sizes[self._pos]
-        unique, starts = np.unique(write_keys[order], return_index=True)
-        ends = np.append(starts[1:], write_keys.size)
-        self._bounds: Dict[int, Tuple[int, int]] = {
-            int(key): (int(start), int(end))
-            for key, start, end in zip(unique.tolist(), starts.tolist(), ends.tolist())
-        }
-
-    def writes_of(self, key_id: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(times, positions, value_sizes)`` of the key's writes."""
-        bounds = self._bounds.get(key_id)
-        if bounds is None:
-            return _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX
-        start, end = bounds
-        return self._times[start:end], self._pos[start:end], self._vsz[start:end]
-
-
 class _ReplayContext:
     """Everything the per-key kernels need, resolved once per run."""
 
     __slots__ = (
         "trace",
-        "columns",
+        "index",
         "datastore",
         "bound",
         "ttl",
@@ -125,15 +93,16 @@ class _ReplayContext:
 
     def __init__(
         self,
-        columns: _TraceColumns,
+        trace: CompiledTrace,
+        index: TraceIndex,
         datastore: DataStore,
         bound: float,
         ttl: float,
         serve_const: float,
         miss_const: float,
     ) -> None:
-        self.trace = columns.trace
-        self.columns = columns
+        self.trace = trace
+        self.index = index
         self.datastore = datastore
         self.bound = bound
         self.ttl = ttl
@@ -219,60 +188,41 @@ class _SpanTally:
         self.poll_events: List[Tuple[int, int]] = []
 
 
-def _group_by_key(
-    trace: CompiledTrace, positions: np.ndarray
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Group stream ``positions`` by key, yielding ascending position arrays.
-
-    Positions within each group stay ascending (the key sort is stable).
-    """
-    if positions.size == 0:
-        return
-    keys = trace.key_ids[positions]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    bounds = np.append(boundaries, sorted_keys.size)
-    sorted_positions = positions[order]
-    for index in range(starts.size):
-        lo = int(starts[index])
-        yield int(sorted_keys[lo]), sorted_positions[lo : int(bounds[index])]
-
-
-def _apply_span_writes(ctx: _ReplayContext, write_positions: np.ndarray) -> None:
+def _apply_span_writes(ctx: _ReplayContext, span: Span) -> int:
     """Commit a span's writes to the datastore, byte-identical to the scalar loop.
 
     Histories are created in first-write order (the scalar engine's dict
     insertion order); per-key write times extend in stream order and the
-    history's value size ends at the key's last span write.
+    history's value size ends at the key's last span write.  Returns the
+    number of writes committed.
     """
-    if write_positions.size == 0:
-        return
-    trace = ctx.trace
-    keys = trace.key_ids[write_positions]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    bounds = np.append(boundaries, sorted_keys.size)
-    sorted_positions = write_positions[order]
-    times = trace.times[sorted_positions]
-    value_sizes = trace.value_sizes[sorted_positions]
+    keys, _, _, write_lo, write_hi = span
+    written = write_hi > write_lo
+    keys, write_lo, write_hi = keys[written], write_lo[written], write_hi[written]
+    if keys.size == 0:
+        return 0
+    index = ctx.index
     histories = ctx.datastore._histories
-    names = trace.key_names
+    names = ctx.trace.key_names
     # New histories must be created in first-write order, not key-id order.
-    creation_order = np.argsort(sorted_positions[starts], kind="stable")
-    for index in creation_order.tolist():
-        name = names[int(sorted_keys[int(starts[index])])]
+    creation_order = np.argsort(index.write_pos[write_lo], kind="stable")
+    for key_id in keys[creation_order].tolist():
+        name = names[key_id]
         if name not in histories:
             histories[name] = KeyHistory(key=name, value_size=ctx.default_value_size)
-    for index in range(starts.size):
-        lo, hi = int(starts[index]), int(bounds[index])
-        history = histories[names[int(sorted_keys[lo])]]
-        history.write_times.extend(times[lo:hi].tolist())
-        history.value_size = int(value_sizes[hi - 1])
-    ctx.datastore.total_writes += int(write_positions.size)
+    write_times = index.write_times
+    for key_id, lo, hi, value_size in zip(
+        keys.tolist(),
+        write_lo.tolist(),
+        write_hi.tolist(),
+        index.write_value_sizes[write_hi - 1].tolist(),
+    ):
+        history = histories[names[key_id]]
+        history.write_times.extend(write_times[lo:hi].tolist())
+        history.value_size = value_size
+    total = int((write_hi - write_lo).sum())
+    ctx.datastore.total_writes += total
+    return total
 
 
 def _miss_version(
@@ -284,7 +234,7 @@ def _miss_version(
     version is the count of the key's writes with smaller position and the
     value size is the latest such write's (or the backend default).
     """
-    _, write_pos, write_vsz = ctx.columns.writes_of(key_id)
+    _, write_pos, write_vsz = ctx.index.writes_of(key_id)
     version = int(write_pos.searchsorted(position, side="left"))
     if version:
         return version, int(write_vsz[version - 1])
@@ -358,7 +308,7 @@ def _kernel_reactive(
             horizons = read_times - ctx.bound
             candidates = horizons > as_of
             if candidates.any():
-                key_write_times, _, _ = ctx.columns.writes_of(key_id)
+                key_write_times, _, _ = ctx.index.writes_of(key_id)
                 stale_writes = key_write_times.searchsorted(
                     horizons[candidates], side="right"
                 ) - key_write_times.searchsorted(as_of, side="right")
@@ -535,7 +485,7 @@ def _kernel_ttl_polling(
         entry.last_poll_accounted = last_poll
         if last_poll > entry.as_of:
             entry.as_of = last_poll
-        key_write_times, key_write_pos, _ = ctx.columns.writes_of(key_id)
+        key_write_times, key_write_pos, _ = ctx.index.writes_of(key_id)
         # version_at(last_poll) over the writes applied before the settling
         # read: both constraints are prefixes of the same sorted column, so
         # the visible version is the shorter prefix.
@@ -703,12 +653,13 @@ class VectorSimulation(Simulation):
         if total == 0:
             return
         times = trace.times
-        if times.size > 1 and bool(np.any(np.diff(times) < 0)):
+        index = trace.index()
+        if not index.time_ordered:
             # Same contract as the scalar loop's inlined ordering check.
             raise WorkloadError("request stream is not sorted by time")
-        columns = _TraceColumns(trace)
         ctx = _ReplayContext(
-            columns=columns,
+            trace=trace,
+            index=index,
             datastore=self.datastore,
             bound=self.staleness_bound,
             ttl=self._ttl_value,
@@ -727,6 +678,7 @@ class VectorSimulation(Simulation):
             discard_on_miss_fill=self.discard_buffer_on_miss_fill,
         )
         obs = self.obs
+        cursor = SpanCursor(index)
         if self.policy.reacts_to_writes:
             start = 0
             while start < total:
@@ -738,7 +690,7 @@ class VectorSimulation(Simulation):
                         span_start = float(times[start])
                         if span_start >= obs.next_boundary:
                             obs.roll(span_start)
-                    self._replay_reactive_span(ctx, host, start, end)
+                    self._replay_reactive_span(ctx, host, cursor.advance(end))
                     start = end
                     if start >= total:
                         break
@@ -746,42 +698,39 @@ class VectorSimulation(Simulation):
                 # due background work exactly where the scalar loop would.
                 self._advance_background_work(float(times[start]))
         else:
-            self._replay_ttl_trace(ctx, host)
+            self._replay_ttl_trace(ctx, host, cursor.advance(total))
         self.clock.advance_to(float(times[-1]))
 
     def _replay_reactive_span(
-        self, ctx: _ReplayContext, host: _HostState, start: int, end: int
+        self, ctx: _ReplayContext, host: _HostState, span: Span
     ) -> None:
-        trace = ctx.trace
-        span_is_read = trace.is_read[start:end]
-        write_positions = np.flatnonzero(~span_is_read) + start
-        read_positions = np.flatnonzero(span_is_read) + start
-        _apply_span_writes(ctx, write_positions)
         tally = _SpanTally()
-        tally.writes = int(write_positions.size)
-        names = trace.key_names
-        span_writes = dict(_group_by_key(trace, write_positions))
-        for key_id, reads in _group_by_key(trace, read_positions):
-            writes = span_writes.pop(key_id, _EMPTY_INDEX)
-            _kernel_reactive(ctx, host, tally, key_id, names[key_id], reads, writes)
-        for key_id, writes in span_writes.items():
-            _kernel_reactive(ctx, host, tally, key_id, names[key_id], _EMPTY_INDEX, writes)
+        tally.writes = _apply_span_writes(ctx, span)
+        names = ctx.trace.key_names
+        read_pos, write_pos = ctx.index.read_pos, ctx.index.write_pos
+        for key_id, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
+            _kernel_reactive(
+                ctx,
+                host,
+                tally,
+                key_id,
+                names[key_id],
+                read_pos[r_lo:r_hi],
+                write_pos[w_lo:w_hi],
+            )
         _flush_tally(ctx, host, tally)
 
-    def _replay_ttl_trace(self, ctx: _ReplayContext, host: _HostState) -> None:
+    def _replay_ttl_trace(
+        self, ctx: _ReplayContext, host: _HostState, span: Span
+    ) -> None:
         # A non-reacting policy has no flush boundaries and (here) no store,
         # so the whole trace is a single span.
-        trace = ctx.trace
-        write_positions = np.flatnonzero(~trace.is_read)
-        read_positions = np.flatnonzero(trace.is_read)
-        _apply_span_writes(ctx, write_positions)
         tally = _SpanTally()
-        tally.writes = int(write_positions.size)
-        names = trace.key_names
-        expiry = self._ttl_expiry
-        for key_id, reads in _group_by_key(trace, read_positions):
-            if expiry:
-                _kernel_ttl_expiry(ctx, host, tally, key_id, names[key_id], reads)
-            else:
-                _kernel_ttl_polling(ctx, host, tally, key_id, names[key_id], reads)
+        tally.writes = _apply_span_writes(ctx, span)
+        names = ctx.trace.key_names
+        read_pos = ctx.index.read_pos
+        kernel = _kernel_ttl_expiry if self._ttl_expiry else _kernel_ttl_polling
+        for key_id, r_lo, r_hi, _, _ in zip(*(column.tolist() for column in span)):
+            if r_hi > r_lo:
+                kernel(ctx, host, tally, key_id, names[key_id], read_pos[r_lo:r_hi])
         _flush_tally(ctx, host, tally)

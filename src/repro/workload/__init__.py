@@ -19,7 +19,7 @@ from repro.workload.base import (
     merge_streams,
 )
 from repro.workload.zipf import ZipfSampler
-from repro.workload.compiled import CompiledTrace, compile_workload
+from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.meta import MetaWorkload
@@ -34,6 +34,7 @@ __all__ = [
     "PoissonMixWorkload",
     "PoissonZipfWorkload",
     "Request",
+    "TraceIndex",
     "TraceWorkload",
     "TwitterWorkload",
     "Workload",

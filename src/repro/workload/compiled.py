@@ -19,11 +19,12 @@ to compile but identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from dataclasses import dataclass, field
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import WorkloadError
 from repro.workload.base import (
     STREAM_CHUNK_SIZE,
     OpType,
@@ -36,9 +37,168 @@ from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 
 
+class TraceIndex:
+    """Per-key layout of one compiled trace: built once, replayed many times.
+
+    Everything here is a pure function of the trace columns — no policy, no
+    staleness bound, no cache state — so every replay of the same trace
+    (each policy of a comparison, each cell of a sweep, each shard of a
+    parallel fleet replay) shares one index instead of re-sorting its spans.
+
+    One stable argsort of the key ids lays the stream positions out
+    key-major; within a key they stay ascending.  A stable key sort
+    restricted to any position range ``[start, end)`` is therefore a
+    contiguous *slice* of each key's run, which is what :class:`SpanCursor`
+    hands the span kernels: views, never sorted copies.
+
+    The index holds arrays only — never the trace — so it cannot keep its
+    owner alive, and it lives exactly as long as the trace object does.
+
+    Attributes:
+        time_ordered: Whether the arrival times are ascending (the engines'
+            ordering check, computed once).
+        read_pos: Stream positions of the reads, key-major.
+        read_offsets: ``read_pos[read_offsets[k]:read_offsets[k + 1]]`` are
+            key ``k``'s reads (``int64``, length ``num_keys + 1``).
+        write_pos: Stream positions of the writes, key-major.
+        write_offsets: Per-key bounds into the three write columns.
+        write_times: Commit time of each write, aligned with ``write_pos``.
+        write_value_sizes: Value size of each write, aligned with
+            ``write_pos``.
+        plans: Memo for trace-wide artefacts that depend on configuration
+            but not on replay state (the fleet routing plan), keyed by that
+            configuration.
+    """
+
+    __slots__ = (
+        "key_ids",
+        "is_read",
+        "time_ordered",
+        "read_pos",
+        "read_offsets",
+        "write_pos",
+        "write_offsets",
+        "write_times",
+        "write_value_sizes",
+        "plans",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        key_ids: np.ndarray,
+        is_read: np.ndarray,
+        value_sizes: np.ndarray,
+        num_keys: int,
+    ) -> None:
+        if key_ids.size and not 0 <= int(key_ids.min()) <= int(key_ids.max()) < num_keys:
+            raise WorkloadError(
+                f"compiled trace has key ids outside its {num_keys}-name key table"
+            )
+        self.key_ids = key_ids
+        self.is_read = is_read
+        self.time_ordered = not bool((times[1:] < times[:-1]).any())
+        # Narrow ids sort by radix (16-bit and below) instead of by merging.
+        order = np.argsort(key_ids.astype(np.min_scalar_type(num_keys)), kind="stable")
+        if key_ids.size <= np.iinfo(np.uint32).max:
+            order = order.astype(np.uint32)
+        reads_first = is_read[order]
+        self.read_pos = order[reads_first]
+        self.write_pos = order[~reads_first]
+        self.read_offsets = _offsets(key_ids[is_read], num_keys)
+        self.write_offsets = _offsets(key_ids[~is_read], num_keys)
+        self.write_times = times[self.write_pos]
+        self.write_value_sizes = value_sizes[self.write_pos]
+        self.plans: Dict[Hashable, Any] = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the index adds on top of the trace columns."""
+        return sum(
+            column.nbytes
+            for column in (
+                self.read_pos,
+                self.read_offsets,
+                self.write_pos,
+                self.write_offsets,
+                self.write_times,
+                self.write_value_sizes,
+            )
+        )
+
+    def writes_of(self, key_id: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(times, positions, value_sizes)`` of the key's writes.
+
+        In stream order.  Every positional/temporal version query the span
+        kernels make (miss versions, staleness windows, poll refreshes) is a
+        ``searchsorted`` against these slices.
+        """
+        start, end = self.write_offsets[key_id], self.write_offsets[key_id + 1]
+        return (
+            self.write_times[start:end],
+            self.write_pos[start:end],
+            self.write_value_sizes[start:end],
+        )
+
+
+def _offsets(key_ids: np.ndarray, num_keys: int) -> np.ndarray:
+    offsets = np.zeros(num_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_ids, minlength=num_keys), out=offsets[1:])
+    return offsets
+
+
+#: One span of a :class:`SpanCursor` walk: ``(keys, read_lo, read_hi, write_lo,
+#: write_hi)`` — the ids of the keys that occur in the span, ascending, and for
+#: each the bounds of its span reads in ``read_pos`` and of its span writes in
+#: the write columns.
+Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class SpanCursor:
+    """One replay's walk over a :class:`TraceIndex`, span by span.
+
+    Holds the per-key read/write cursors into the key-major columns.  Spans
+    are consecutive position ranges, so advancing to ``end`` moves each
+    active key's cursor by its request count in the span (one ``bincount``),
+    and the key's span requests are the slice between the old and the new
+    cursor.
+    """
+
+    __slots__ = ("_index", "_position", "_reads", "_writes")
+
+    def __init__(self, index: TraceIndex) -> None:
+        self._index = index
+        self._position = 0
+        self._reads = index.read_offsets[:-1].copy()
+        self._writes = index.write_offsets[:-1].copy()
+
+    def advance(self, end: int) -> Span:
+        """Consume stream positions up to ``end`` and return them as a span."""
+        index = self._index
+        keys = index.key_ids[self._position : end]
+        is_read = index.is_read[self._position : end]
+        self._position = end
+        num_keys = self._reads.size
+        read_counts = np.bincount(keys[is_read], minlength=num_keys)
+        write_counts = np.bincount(keys[~is_read], minlength=num_keys)
+        active = np.flatnonzero(read_counts + write_counts)
+        read_lo = self._reads[active]
+        read_hi = read_lo + read_counts[active]
+        write_lo = self._writes[active]
+        write_hi = write_lo + write_counts[active]
+        self._reads[active] = read_hi
+        self._writes[active] = write_hi
+        return active, read_lo, read_hi, write_lo, write_hi
+
+
 @dataclass(slots=True)
 class CompiledTrace:
     """A request stream as parallel columnar arrays.
+
+    Compile once and reuse the object when comparing policies: the first
+    vectorized replay builds the trace's :class:`TraceIndex` (see
+    :meth:`index`) and every later replay of the same object shares it.
 
     Attributes:
         times: Arrival times, ascending (``float64``).
@@ -57,9 +217,47 @@ class CompiledTrace:
     key_sizes: np.ndarray
     value_sizes: np.ndarray
     key_names: List[str]
+    _index: Optional[TraceIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    def __reduce__(self):
+        # The memoised index is derived state: never pickled or copied.
+        return (
+            CompiledTrace,
+            (
+                self.times,
+                self.key_ids,
+                self.is_read,
+                self.key_sizes,
+                self.value_sizes,
+                self.key_names,
+            ),
+        )
+
+    def index(self) -> TraceIndex:
+        """The trace's :class:`TraceIndex`, built on first use and memoised.
+
+        Building it freezes the five columns (``writeable=False``): the
+        index is derived from them, so a later in-place edit would leave it
+        stale.  Scalar replays (including the vector engines' scalar
+        fallback) never call this.
+
+        Raises:
+            WorkloadError: If a key id falls outside :attr:`key_names`.
+        """
+        if self._index is None:
+            self._index = TraceIndex(
+                self.times, self.key_ids, self.is_read, self.value_sizes, len(self.key_names)
+            )
+            for column in (
+                self.times, self.key_ids, self.is_read, self.key_sizes, self.value_sizes
+            ):
+                column.flags.writeable = False
+        return self._index
 
     @property
     def num_requests(self) -> int:

@@ -115,6 +115,53 @@ def test_vector_cluster_replay_matches_scalar_fleet() -> None:
         assert_identical(scalar, vector)
 
 
+def test_memoised_round_robin_plan_leaves_every_router_where_the_scalar_loop_does() -> None:
+    """One trace, one plan, many replays: the plan is memoised on the trace,
+    so the read router's end-of-run counters must travel with it."""
+    kwargs = dict(
+        policy="invalidate",
+        num_nodes=4,
+        replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+        staleness_bound=1.0,
+        duration=DURATION,
+        workload_name="parcheck",
+        seed=9,
+    )
+    scalar = ClusterSimulation(workload=make_workload().iter_requests(DURATION), **kwargs)
+    expected = scalar.run().as_dict()
+    assert scalar.router._round_robin
+    trace = compile_workload(make_workload(), DURATION)
+    for _ in range(2):
+        simulation = VectorClusterSimulation(trace, **kwargs)
+        assert_identical(expected, simulation.run().as_dict())
+        assert simulation.used_vector_path
+        assert simulation.router._round_robin == scalar.router._round_robin
+    assert len(trace.index().plans) == 1
+    parallel = replay_cluster_parallel(trace, workers=2, **kwargs)
+    assert_identical(expected, parallel.as_dict())
+    assert len(trace.index().plans) == 1
+
+
+def test_scalar_fallback_fleet_replays_never_index_the_trace() -> None:
+    kwargs = dict(
+        policy="invalidate",
+        num_nodes=4,
+        replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+        scenario=make_scenario("node-failure"),
+        tier=TierConfig(l1_capacity=16),
+        staleness_bound=0.5,
+        duration=DURATION,
+        seed=9,
+    )
+    trace = compile_workload(make_workload(), DURATION)
+    simulation = VectorClusterSimulation(trace, **kwargs)
+    simulation.run()
+    assert not simulation.used_vector_path
+    kwargs["scenario"] = make_scenario("node-failure")
+    replay_cluster_parallel(trace, workers=2, **kwargs)
+    assert trace._index is None
+
+
 def test_vector_cluster_requires_a_compiled_trace() -> None:
     with pytest.raises(ConfigurationError):
         VectorClusterSimulation(

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 
 import pytest
 
+import repro.experiments.runner as runner
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ExperimentSpec,
@@ -64,6 +66,86 @@ def test_parallel_and_serial_runs_are_identical() -> None:
     for row in serial:
         assert row["reads"] + row["writes"] > 0
         assert row["normalized_freshness_cost"] >= 0.0
+
+
+def mixed_spec(engine: str) -> ExperimentSpec:
+    """Two workloads x single/cluster cells x two policies: eight cells."""
+    return small_spec(
+        workloads=[
+            WorkloadSpec.of("poisson", {"num_keys": 15, "rate_per_key": 6.0}),
+            WorkloadSpec.of("twitter", {"num_keys": 20, "total_rate": 80.0}),
+        ],
+        staleness_bounds=[0.5],
+        num_nodes=[None, 2],
+        engine=engine,
+    )
+
+
+def test_rows_are_identical_for_any_process_count_and_engine() -> None:
+    reference = None
+    for engine in ("scalar", "vector"):
+        for processes in (0, 1, 2, 3):
+            rows = run_experiment(mixed_spec(engine), processes=processes)
+            assert [row["cell_id"] for row in rows] == list(range(8))
+            for row in rows:
+                assert row.pop("engine") == engine
+            dumped = json.dumps(rows, sort_keys=True)
+            if reference is None:
+                reference = dumped
+            assert dumped == reference, (engine, processes)
+
+
+def counting_compiles(monkeypatch, log_path):
+    """Log ``pid workload`` per ``compile_workload`` call, pool workers included
+    (they are forked, so they inherit the patched name)."""
+    compile_workload = runner.compile_workload
+
+    def counted(workload, duration):
+        with open(log_path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {workload.name}\n")
+        return compile_workload(workload, duration)
+
+    monkeypatch.setattr(runner, "compile_workload", counted)
+
+    def calls():
+        with open(log_path, encoding="utf-8") as handle:
+            return [tuple(line.split()) for line in handle]
+
+    return calls
+
+
+def test_serial_sweep_compiles_each_distinct_trace_once(monkeypatch, tmp_path) -> None:
+    calls = counting_compiles(monkeypatch, tmp_path / "compiles.log")
+    rows = run_experiment(mixed_spec("vector"), processes=1)
+    assert len(rows) == 8
+    assert sorted(name for _, name in calls()) == ["poisson", "twitter"]
+
+
+def test_scalar_sweep_compiles_nothing(monkeypatch, tmp_path) -> None:
+    log = tmp_path / "compiles.log"
+    log.touch()
+    calls = counting_compiles(monkeypatch, log)
+    run_experiment(mixed_spec("scalar"), processes=2)
+    assert calls() == []
+
+
+def test_one_trace_grid_still_occupies_every_worker(monkeypatch, tmp_path) -> None:
+    """Sharing a trace must not serialise the grid: a one-workload sweep is
+    dealt across all workers, and each compiles the trace exactly once."""
+    calls = counting_compiles(monkeypatch, tmp_path / "compiles.log")
+    spec = small_spec(
+        policies=["invalidate", "update", "adaptive"],
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 200, "rate_per_key": 50.0})],
+        staleness_bounds=[0.25, 0.5, 1.0, 2.0],
+        duration=4.0,
+        engine="vector",
+    )
+    assert spec.num_cells == 12
+    rows = run_experiment(spec, processes=3)
+    assert [row["cell_id"] for row in rows] == list(range(12))
+    pids = [pid for pid, _ in calls()]
+    assert len(pids) == len(set(pids)) == 3
+    assert str(os.getpid()) not in pids
 
 
 def test_same_workload_cells_replay_identical_traces() -> None:

@@ -84,6 +84,7 @@ def test_perf_cli_list_and_run_and_json(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     for name in MICROBENCHES:
         assert name in out
+    assert out.index("vector-kernels") < out.index("trace-index") < out.index("shard-merge")
 
     target = tmp_path / "PERF.json"
     assert main(["perf", "--only", "request-alloc", "--scale", "0.01",

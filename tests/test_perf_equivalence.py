@@ -2,8 +2,8 @@
 
 Each test keeps a deliberately naive reference implementation (the pre-PR-5
 code shape) next to the optimized one and asserts byte-identical output:
-request streams, ring routing, fingerprints, sketch counts, and the inlined
-TTL poll arithmetic.
+request streams, ring routing, fingerprints, sketch counts, the inlined TTL
+poll arithmetic, and the trace index's span slices.
 """
 
 from __future__ import annotations
@@ -15,8 +15,13 @@ from bisect import bisect_right, insort
 import numpy as np
 import pytest
 
+from repro.backend.datastore import DataStore
 from repro.cluster.hashring import ConsistentHashRing
+from repro.cluster.vector import VectorClusterSimulation
 from repro.core.ttl import TTLPollingPolicy
+from repro.errors import WorkloadError
+from repro.experiments.registry import make_policy
+from repro.sim.vector import VectorSimulation, _apply_span_writes, _ReplayContext
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import (
     DEFAULT_FINGERPRINT_CACHE_SIZE,
@@ -27,6 +32,7 @@ from repro.sketch.hashing import (
     stable_fingerprint,
 )
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
+from repro.workload.compiled import CompiledTrace, SpanCursor
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
@@ -331,3 +337,157 @@ def test_inlined_poll_arithmetic_matches_policy_methods() -> None:
                     assert anchor + k_now * ttl == policy.last_poll_at_or_before(
                         anchor, now_f
                     )
+
+
+# --------------------------------------------------------------------- #
+# Trace index span slices vs the per-span stable argsort
+# --------------------------------------------------------------------- #
+
+def naive_group_by_key(key_ids: np.ndarray, positions: np.ndarray):
+    """The pre-index grouping: one stable argsort of the span's key ids."""
+    if positions.size == 0:
+        return {}
+    keys = key_ids[positions]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    bounds = np.append(boundaries, sorted_keys.size)
+    sorted_positions = positions[order]
+    return {
+        int(sorted_keys[lo]): sorted_positions[lo:hi].tolist()
+        for lo, hi in zip(starts.tolist(), bounds.tolist())
+    }
+
+
+def naive_span(trace: CompiledTrace, start: int, end: int):
+    """``(groups, creation)`` of one span, the way the engines used to derive it.
+
+    ``groups`` is the ``(key, reads, writes)`` sequence in ascending key
+    order; ``creation`` lists the written keys in first-write order, the
+    order the datastore histories must be created in.
+    """
+    is_read = trace.is_read[start:end]
+    reads = naive_group_by_key(trace.key_ids, np.flatnonzero(is_read) + start)
+    writes = naive_group_by_key(trace.key_ids, np.flatnonzero(~is_read) + start)
+    groups = [
+        (key, reads.get(key, []), writes.get(key, []))
+        for key in sorted(set(reads) | set(writes))
+    ]
+    creation = sorted(writes, key=lambda key: writes[key][0])
+    return groups, creation
+
+
+def random_trace(
+    seed: int, requests: int, num_keys: int, read_ratio: float = 0.7, ties: bool = False
+) -> CompiledTrace:
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.random(requests) * 10.0)
+    if ties:
+        # Quantised arrivals: runs of equal timestamps, some across any cut.
+        times = np.floor(times * 4.0) / 4.0
+    return CompiledTrace(
+        times=times,
+        key_ids=rng.integers(0, num_keys, size=requests),
+        is_read=rng.random(requests) < read_ratio,
+        key_sizes=np.full(requests, 16, dtype=np.int64),
+        value_sizes=rng.integers(8, 512, size=requests),
+        key_names=[f"key-{index:06d}" for index in range(num_keys)],
+    )
+
+
+def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
+    """Walk ``trace`` span by span; every slice must equal the naive grouping."""
+    index = trace.index()
+    cursor = SpanCursor(index)
+    datastore = DataStore()
+    ctx = _ReplayContext(trace, index, datastore, 1.0, 1.0, 1.0, 1.0)
+    expected_histories = []
+    start = 0
+    for end in cuts:
+        span = cursor.advance(end)
+        got = [
+            (key, index.read_pos[r_lo:r_hi].tolist(), index.write_pos[w_lo:w_hi].tolist())
+            for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span))
+        ]
+        groups, creation = naive_span(trace, start, end)
+        assert got == groups, (start, end)
+        _apply_span_writes(ctx, span)
+        for key in creation:
+            name = trace.key_names[key]
+            if name not in expected_histories:
+                expected_histories.append(name)
+        assert list(datastore._histories) == expected_histories, (start, end)
+        start = end
+    writes = np.flatnonzero(~trace.is_read)
+    assert datastore.total_writes == writes.size
+    for key, positions in naive_group_by_key(trace.key_ids, writes).items():
+        history = datastore._histories[trace.key_names[key]]
+        assert history.write_times == trace.times[positions].tolist()
+        assert history.value_size == int(trace.value_sizes[positions[-1]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_index_span_slices_match_per_span_stable_sort(seed: int) -> None:
+    """Random cuts, with timestamp ties running across span boundaries."""
+    trace = random_trace(seed, requests=3_000, num_keys=40, ties=True)
+    rng = np.random.default_rng(100 + seed)
+    cuts = sorted(set(rng.integers(1, len(trace), size=25).tolist())) + [len(trace)]
+    tied_cuts = [
+        cut for cut in cuts[:-1] if trace.times[cut - 1] == trace.times[cut]
+    ]
+    assert tied_cuts, "no span boundary falls inside a run of equal timestamps"
+    assert_spans_match_reference(trace, cuts)
+
+
+def test_index_handles_wide_key_tables_and_one_sided_keys() -> None:
+    """> 65 535 names takes the wider sort dtype; keys with only reads or
+    only writes get an empty slice on the other side."""
+    trace = random_trace(3, requests=5_000, num_keys=70_000, read_ratio=0.5)
+    # Pin one key to reads only and one to writes only.
+    trace.is_read[trace.key_ids == trace.key_ids[0]] = True
+    trace.is_read[trace.key_ids == trace.key_ids[1]] = False
+    assert trace.key_ids[0] != trace.key_ids[1]
+    assert trace.key_ids.max() > np.iinfo(np.uint16).max
+    assert_spans_match_reference(trace, [1_000, 1_001, 4_000, len(trace)])
+    index = trace.index()
+    read_only, write_only = int(trace.key_ids[0]), int(trace.key_ids[1])
+    assert index.writes_of(read_only)[1].size == 0
+    assert index.read_offsets[write_only] == index.read_offsets[write_only + 1]
+    assert index.writes_of(write_only)[1].size > 0
+
+
+def test_index_one_request_spans_and_the_empty_trace() -> None:
+    trace = random_trace(4, requests=60, num_keys=5)
+    assert_spans_match_reference(trace, range(1, len(trace) + 1))
+    empty = random_trace(5, requests=0, num_keys=3)
+    index = empty.index()
+    assert index.time_ordered
+    assert index.read_pos.size == index.write_pos.size == 0
+    assert [column.size for column in SpanCursor(index).advance(0)] == [0] * 5
+    result = VectorSimulation(
+        empty, policy=make_policy("invalidate"), staleness_bound=1.0, duration=1.0
+    ).run()
+    assert result.reads == result.writes == 0
+
+
+def test_index_rejects_key_ids_outside_the_key_table() -> None:
+    trace = random_trace(6, requests=50, num_keys=4)
+    trace.key_ids[7] = 4
+    with pytest.raises(WorkloadError, match="key table"):
+        trace.index()
+
+
+def test_unsorted_trace_is_refused_on_every_run_of_both_vector_engines() -> None:
+    """The ordering verdict is memoised with the index, not skipped by it."""
+    trace = random_trace(7, requests=200, num_keys=6)
+    trace.times[[20, 120]] = trace.times[[120, 20]]
+    for _ in range(2):
+        with pytest.raises(WorkloadError, match="not sorted"):
+            VectorSimulation(
+                trace, policy=make_policy("update"), staleness_bound=1.0, duration=10.0
+            ).run()
+        with pytest.raises(WorkloadError, match="not sorted"):
+            VectorClusterSimulation(
+                trace, policy="update", num_nodes=2, staleness_bound=1.0, duration=10.0
+            ).run()

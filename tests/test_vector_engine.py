@@ -7,7 +7,10 @@ serialised row must match the scalar engine exactly.  These tests compare
 (which would leak into exported artifacts) fail too.
 """
 
+import gc
 import json
+import pickle
+import weakref
 
 import pytest
 
@@ -165,6 +168,7 @@ def test_ineligible_configs_fall_back_to_the_scalar_loop() -> None:
     )
     vector = simulation.run()
     assert not simulation.used_vector_path
+    assert trace._index is None, "a scalar-fallback run must not index the trace"
     assert_identical(scalar.as_dict(), vector.as_dict())
 
 
@@ -184,6 +188,60 @@ def test_compiled_trace_reports_length_and_columns() -> None:
     )
     assert isinstance(trace, CompiledTrace)
     assert len(trace) == trace.times.size == trace.key_ids.size == trace.is_read.size
+
+
+# --------------------------------------------------------------------- #
+# The memoised trace index
+# --------------------------------------------------------------------- #
+
+def replay(trace: CompiledTrace, policy: str = "invalidate") -> dict:
+    return VectorSimulation(
+        trace, policy=make_policy(policy), staleness_bound=1.0, duration=DURATION
+    ).run().as_dict()
+
+
+def test_index_is_built_once_and_shared_by_every_replay_of_the_trace() -> None:
+    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
+    trace = compile_workload(workload, DURATION)
+    assert trace._index is None
+    first = replay(trace)
+    index = trace._index
+    assert index is not None and trace.index() is index
+    assert replay(trace) == first == replay(compile_workload(workload, DURATION))
+    replay(trace, "ttl-polling")
+    assert trace._index is index
+
+
+def test_indexed_trace_is_frozen_and_the_memo_stays_out_of_eq_repr_and_pickle() -> None:
+    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
+    trace = compile_workload(workload, DURATION)
+    pickled_size = len(pickle.dumps(trace))
+    plain_repr = repr(trace)
+    trace.index()
+    # The index is derived from the columns: an in-place edit would leave
+    # it stale, so indexing freezes them.
+    for column in (trace.times, trace.key_ids, trace.is_read, trace.key_sizes, trace.value_sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    assert len(pickle.dumps(trace)) == pickled_size
+    assert repr(trace) == plain_repr
+    clone = pickle.loads(pickle.dumps(trace))
+    assert clone._index is None
+    assert replay(clone) == replay(trace)
+
+
+def test_index_dies_with_its_trace_without_the_cycle_collector() -> None:
+    """The index holds arrays only, never the trace: no reference cycle."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5), DURATION)
+    replay(trace)
+    index_ref = weakref.ref(trace.index())
+    gc.collect()  # the finished simulation is cyclic garbage that holds the trace
+    gc.disable()
+    try:
+        del trace
+        assert index_ref() is None
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------- #
