@@ -4,12 +4,13 @@
 :class:`~repro.sim.vector.VectorSimulation`: it consumes a
 :class:`~repro.workload.compiled.CompiledTrace`, routes each span's reads to
 replicas with the exact scalar routing rules (primary / hash / round-robin,
-including the per-key round-robin counters), and replays each **(node, key)**
-subsequence through the same per-key kernels the single-cache engine uses —
-every node's cache, buffer, tracker, and estimator are real objects, and all
-simulation *events* (interval flushes, freshness message fan-out, delivery,
-finalisation) run through the unmodified scalar :class:`CacheNode` machinery
-between spans.
+including the per-key round-robin counters), and hands each **node** its share
+of the span — one group of columns, cut from the span with masks and stride
+arithmetic — for one call of the same span kernel the single-cache engine
+uses.  Every node's cache, buffer, tracker, and estimator are real objects,
+and all simulation *events* (interval flushes, freshness message fan-out,
+delivery, finalisation) run through the unmodified scalar :class:`CacheNode`
+machinery between spans.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared
@@ -53,12 +54,13 @@ from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.errors import ClusterError, ConfigurationError, WorkloadError
 from repro.sim.vector import (
     _VECTOR_POLICIES,
+    Groups,
     _HostState,
     _ReplayContext,
     _SpanTally,
     _apply_span_writes,
     _flush_tally,
-    _kernel_reactive,
+    _kernel_reactive_span,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
 )
@@ -76,23 +78,29 @@ class _ClusterPlan:
     reused by every policy's replay; forked shards inherit it copy-on-write.
 
     Attributes:
-        routes: Key id -> ``(replicas, read_slot)`` for every key that occurs
-            in the trace: the replica node indices (primary first) and the
-            index into them of the node serving all the key's reads (the
-            primary, or the static hash choice), or ``-1`` when reads rotate
-            round-robin by per-key read rank.
+        replicas: ``num_keys x replicas`` matrix of node indices, primary
+            first; rows of keys that never occur in the trace hold ``-1``.
+        read_slot: Per key, the column of ``replicas`` serving all the key's
+            reads (the primary, or the static hash choice); unused when
+            reads rotate.
+        rotates: Whether reads rotate round-robin over a key's replicas by
+            per-key read rank.
         round_robin: Key name -> the read router's end-of-run counter (the
             key's read count) under round-robin; empty otherwise.
     """
 
-    __slots__ = ("routes", "round_robin")
+    __slots__ = ("replicas", "read_slot", "rotates", "round_robin")
 
     def __init__(
         self,
-        routes: Dict[int, Tuple[Tuple[int, ...], int]],
+        replicas: np.ndarray,
+        read_slot: np.ndarray,
+        rotates: bool,
         round_robin: Dict[str, int],
     ) -> None:
-        self.routes = routes
+        self.replicas = replicas
+        self.read_slot = read_slot
+        self.rotates = rotates
         self.round_robin = round_robin
 
 
@@ -201,7 +209,7 @@ class VectorClusterSimulation(ClusterSimulation):
         config, and the read stream — independent of any node's cache state —
         so one pass over the trace's *keys* routes every request: a key's
         reads all go to one replica (primary / hash) or rotate by read rank
-        (round-robin), which the span replay takes as strided slices of the
+        (round-robin), which the span replay takes as strided runs of the
         key's read column.  The plan is memoised on the trace's index, so
         every replay of the trace on the same fleet shape (each policy, each
         forked shard) shares it.
@@ -223,27 +231,25 @@ class VectorClusterSimulation(ClusterSimulation):
             node.node_id: position for position, node in enumerate(self._node_list)
         }
         names = self.trace.key_names
-        hash_reads = self.replication.read_policy == "hash"
-        routes: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        width = min(self._factor, len(self._node_list))
+        rotates = width > 1 and self.replication.read_policy == "round-robin"
+        hash_reads = width > 1 and self.replication.read_policy == "hash"
+        replicas = np.full((len(names), width), -1, dtype=np.int64)
+        read_slot = np.zeros(len(names), dtype=np.int64)
         round_robin: Dict[str, int] = {}
         read_counts = np.diff(index.read_offsets)
         occurring = np.flatnonzero(read_counts + np.diff(index.write_offsets))
         for key_id, reads in zip(occurring.tolist(), read_counts[occurring].tolist()):
             name = names[key_id]
-            replicas = tuple(
+            replicas[key_id] = [
                 node_index[node_id] for node_id in self._route(name, self._factor)
-            )
-            if self._read_primary or len(replicas) == 1:
-                read_slot = 0
-            elif hash_reads:
-                read_slot = stable_fingerprint(name + "#read") % len(replicas)
-            else:
-                read_slot = -1
-                if reads:
-                    # The scalar router bumps the counter once per routed read.
-                    round_robin[name] = reads
-            routes[key_id] = (replicas, read_slot)
-        return _ClusterPlan(routes, round_robin)
+            ]
+            if hash_reads:
+                read_slot[key_id] = stable_fingerprint(name + "#read") % width
+            elif rotates and reads:
+                # The scalar router bumps the counter once per routed read.
+                round_robin[name] = reads
+        return _ClusterPlan(replicas, read_slot, rotates, round_robin)
 
     # ------------------------------------------------------------------ #
     # Span replay
@@ -290,23 +296,19 @@ class VectorClusterSimulation(ClusterSimulation):
             for node in self._node_list
         ]
         owned_ids = self._owned_ids
-        self._owned_flags = [
-            owned_ids is None or node.node_id in owned_ids
-            for node in self._node_list
+        self._owned = [
+            node_idx
+            for node_idx, node in enumerate(self._node_list)
+            if owned_ids is None or node.node_id in owned_ids
         ]
-        self._routes = plan.routes
+        self._plan = plan
         # A shard only kernels what it owns: keys with an owned replica (a
         # key's reads are served by its replicas).  The shared state
         # (datastore versions via _apply_span_writes, router counters via the
         # plan, background flushes) still advances globally.
         self._owned_keys: Optional[np.ndarray] = None
         if owned_ids is not None:
-            owned_keys = np.zeros(len(trace.key_names), dtype=np.bool_)
-            for key_id, (replicas, _) in plan.routes.items():
-                owned_keys[key_id] = any(
-                    self._owned_flags[node_idx] for node_idx in replicas
-                )
-            self._owned_keys = owned_keys
+            self._owned_keys = np.isin(plan.replicas, self._owned).any(axis=1)
         cursor = SpanCursor(index)
         obs = self.obs
         if node0._reacts:
@@ -331,55 +333,63 @@ class VectorClusterSimulation(ClusterSimulation):
             self._replay_ttl_trace(cursor.advance(total))
         self.clock.advance_to(float(times[-1]))
 
-    def _routed_groups(
+    def _node_groups(
         self, span: Span, tallies: List[_SpanTally]
-    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Route one span: yield ``(node_index, key_id, reads, writes)``.
+    ) -> Iterator[Tuple[int, Groups]]:
+        """Route one span: yield each owned node's ``(node_index, groups)``.
 
-        One group per owned replica of every span key that the replica
-        serves reads of or receives writes for — a (node, key) with both
-        reaches its kernel in ONE group (the miss/buffer/estimator
-        interleaving is per (node, key)).  Also counts each key's span
-        writes on its primary's tally: only the primary counts the write in
-        its result, like ``observe_write(owner=True)``.
+        A node's groups are the span keys it is a replica of and serves
+        reads of or receives writes for — a (node, key) with both is ONE
+        group (the miss/buffer/estimator interleaving is per (node, key)).
+        Under round-robin a read's replica column is its global per-key read
+        rank mod the replica count (counters start at zero), so each
+        replica's reads are a stride of the key's run.  Also counts each
+        key's span writes on its primary's tally: only the primary counts
+        the write in its result, like ``observe_write(owner=True)``.
         """
         if self._owned_keys is not None:
             mine = self._owned_keys[span[0]]
             span = tuple(column[mine] for column in span)
-        index = self._ctx.index
-        read_pos, write_pos, read_base = index.read_pos, index.write_pos, index.read_offsets
-        routes, owned = self._routes, self._owned_flags
-        for key_id, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
-            replicas, read_slot = routes[key_id]
-            writes = write_pos[w_lo:w_hi]
-            if w_hi > w_lo and owned[replicas[0]]:
-                tallies[replicas[0]].writes += w_hi - w_lo
-            if read_slot < 0:
-                # Round-robin: a read's replica slot is its global per-key
-                # read rank mod the replica count (counters start at zero),
-                # so each replica's reads are a stride of the key's run.
-                rank = r_lo - int(read_base[key_id])
-            for slot, node_idx in enumerate(replicas):
-                if not owned[node_idx]:
-                    continue
-                if read_slot < 0:
-                    first = r_lo + (slot - rank) % len(replicas)
-                    reads = read_pos[first : r_hi : len(replicas)]
-                else:
-                    reads = read_pos[r_lo : r_hi if slot == read_slot else r_lo]
-                if reads.size or w_hi > w_lo:
-                    yield node_idx, key_id, reads, writes
+        keys, read_lo, read_hi, write_lo, write_hi = span
+        plan = self._plan
+        replicas = plan.replicas[keys]
+        num_writes = write_hi - write_lo
+        width = replicas.shape[1]
+        if plan.rotates:
+            stride = width
+            rank = read_lo - self._ctx.index.read_offsets[keys]
+        else:
+            stride = 1
+            num_reads = read_hi - read_lo
+            read_slot = plan.read_slot[keys]
+        for node_idx in self._owned:
+            holds = replicas == node_idx
+            tallies[node_idx].writes += int(num_writes[holds[:, 0]].sum())
+            slot = holds.argmax(axis=1)
+            if plan.rotates:
+                first = read_lo + (slot - rank) % width
+                count = (read_hi - first + (width - 1)) // width
+            else:
+                first = read_lo
+                count = np.where(slot == read_slot, num_reads, 0)
+            mine = (holds.any(axis=1) & ((count > 0) | (num_writes > 0))).nonzero()[0]
+            if mine.size:
+                yield node_idx, (
+                    keys[mine],
+                    first[mine],
+                    count[mine],
+                    stride,
+                    write_lo[mine],
+                    write_hi[mine],
+                )
 
     def _replay_reactive_span(self, span: Span) -> None:
         ctx = self._ctx
         _apply_span_writes(ctx, span)
         hosts = self._hosts
         tallies = [_SpanTally() for _ in hosts]
-        names = ctx.trace.key_names
-        for node_idx, key_id, reads, writes in self._routed_groups(span, tallies):
-            _kernel_reactive(
-                ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], reads, writes
-            )
+        for node_idx, groups in self._node_groups(span, tallies):
+            _kernel_reactive_span(ctx, hosts[node_idx], tallies[node_idx], groups)
         self._flush_owned(tallies)
 
     def _replay_ttl_trace(self, span: Span) -> None:
@@ -391,15 +401,24 @@ class VectorClusterSimulation(ClusterSimulation):
         hosts = self._hosts
         tallies = [_SpanTally() for _ in hosts]
         names = ctx.trace.key_names
+        read_pos = ctx.index.read_pos
         kernel = (
             _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
         )
-        for node_idx, key_id, reads, _ in self._routed_groups(span, tallies):
-            if reads.size:
-                kernel(ctx, hosts[node_idx], tallies[node_idx], key_id, names[key_id], reads)
+        for node_idx, (keys, first, count, stride, _, _) in self._node_groups(span, tallies):
+            host, tally = hosts[node_idx], tallies[node_idx]
+            for key_id, lo, reads in zip(keys.tolist(), first.tolist(), count.tolist()):
+                if reads:
+                    kernel(
+                        ctx,
+                        host,
+                        tally,
+                        key_id,
+                        names[key_id],
+                        read_pos[lo : lo + reads * stride : stride],
+                    )
         self._flush_owned(tallies)
 
     def _flush_owned(self, tallies: List[_SpanTally]) -> None:
-        for node_idx, tally in enumerate(tallies):
-            if self._owned_flags[node_idx]:
-                _flush_tally(self._ctx, self._hosts[node_idx], tally)
+        for node_idx in self._owned:
+            _flush_tally(self._ctx, self._hosts[node_idx], tallies[node_idx])

@@ -287,6 +287,32 @@ def bench_replay_cluster(scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
+def _kernel_trace(scale: float):
+    """The 500-key trace of the kernel benchmarks: ``(workload, duration, trace)``."""
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    requests = _scaled(100_000, scale)
+    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
+    duration = requests / (100.0 * 500)
+    return workload, duration, compile_workload(workload, duration)
+
+
+def _replay_invalidate(workload, duration: float, trace, bound: float) -> None:
+    from repro.experiments.registry import make_policy
+    from repro.sim.vector import VectorSimulation
+
+    # A simulation instance is single-shot; construction is cheap next to
+    # the replay itself.
+    VectorSimulation(
+        trace,
+        policy=make_policy("invalidate"),
+        staleness_bound=bound,
+        duration=duration,
+        workload_name=workload.name,
+    ).run()
+
+
 def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
     """Columnar replay of a precompiled trace (kernels only, no compile).
 
@@ -294,31 +320,66 @@ def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
     through :class:`~repro.sim.vector.VectorSimulation` — the isolated cost
     of the span/kernel machinery that ``bench`` folds into ``wall_seconds``.
     """
-    from repro.experiments.registry import make_policy
-    from repro.sim.vector import VectorSimulation
-    from repro.workload.compiled import compile_workload
-    from repro.workload.poisson import PoissonZipfWorkload
-
-    requests = _scaled(100_000, scale)
-    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
-    duration = requests / (100.0 * 500)
-    trace = compile_workload(workload, duration)
-
-    def replay() -> None:
-        # A simulation instance is single-shot; construction is cheap next
-        # to the replay itself.
-        VectorSimulation(
-            trace,
-            policy=make_policy("invalidate"),
-            staleness_bound=1.0,
-            duration=duration,
-            workload_name=workload.name,
-        ).run()
-
-    timing = time_callable(replay)
+    workload, duration, trace = _kernel_trace(scale)
+    timing = time_callable(lambda: _replay_invalidate(workload, duration, trace, 1.0))
     return {
         "ops": len(trace),
         "ops_per_sec": len(trace) / timing["best_seconds"],
+        **timing,
+    }
+
+
+def non_empty_spans(times: Any, bound: float) -> int:
+    """Spans of a reactive replay: flush intervals holding at least one request.
+
+    Walks the same accumulated boundaries ``bound, bound + bound, ...`` as the
+    engines' interval flush.
+    """
+    import numpy as np
+
+    spans, start, boundary = 0, 0, bound
+    while start < times.size:
+        end = int(np.searchsorted(times, boundary, side="left"))
+        spans += end > start
+        start = end
+        boundary += bound
+    return spans
+
+
+def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
+    """The ``vector-kernels`` trace replayed at a tight bound (``T = 0.01``).
+
+    A hundred times as many spans, each of about one request per key: the
+    regime where per-span cost, not per-request cost, decides the speed.
+    ``kernel_calls`` is counted on an extra untimed replay and must equal
+    ``spans`` — one reactive kernel call per span, whatever the key count.
+    """
+    from repro.sim import vector
+
+    bound = 0.01
+    workload, duration, trace = _kernel_trace(scale)
+    timing = time_callable(lambda: _replay_invalidate(workload, duration, trace, bound))
+
+    kernel = vector._kernel_reactive_span
+    calls = key_spans = 0
+
+    def counted(ctx: Any, host: Any, tally: Any, groups: Any) -> None:
+        nonlocal calls, key_spans
+        calls += 1
+        key_spans += int(groups[0].size)
+        kernel(ctx, host, tally, groups)
+
+    vector._kernel_reactive_span = counted
+    try:
+        _replay_invalidate(workload, duration, trace, bound)
+    finally:
+        vector._kernel_reactive_span = kernel
+    return {
+        "ops": len(trace),
+        "ops_per_sec": len(trace) / timing["best_seconds"],
+        "key_spans_per_sec": key_spans / timing["best_seconds"],
+        "spans": non_empty_spans(trace.times, bound),
+        "kernel_calls": calls,
         **timing,
     }
 
@@ -464,6 +525,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "replay-single": bench_replay_single,
     "replay-cluster": bench_replay_cluster,
     "vector-kernels": bench_vector_kernels,
+    "span-kernel-tight": bench_span_kernel_tight,
     "trace-index": bench_trace_index,
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,

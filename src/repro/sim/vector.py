@@ -5,11 +5,21 @@ overhead per request.  For the policies the paper sweeps most, almost nothing
 *happens* per request: between two simulation events (interval flushes,
 message deliveries) a key's entry changes state at most once, so the hit/miss
 classification, the staleness check, and the cost accumulation over a whole
-span of requests collapse into a handful of numpy operations per (key, span).
+span of requests follow from each key's *endpoints* in the span — how many
+reads, the first and the last one, the first and the last write.
 
 :class:`VectorSimulation` exploits exactly that.  It consumes a
-:class:`~repro.workload.compiled.CompiledTrace` and replays the spans between
-flush boundaries with per-key kernels, while every simulation *event* — the
+:class:`~repro.workload.compiled.CompiledTrace` and replays each span between
+flush boundaries with **one kernel call**: the write-reactive kernel gathers
+every key's endpoints with a fixed number of numpy operations over the span's
+key columns and leaves only the unavoidable object work (an entry lookup and
+hit bump per key, an entry fill per miss, a buffered write per written key)
+to a Python loop over plain columns.  The cost of a replay is therefore
+O(requests) of numpy, plus O(keys touched) of object work and a fixed charge
+per span — not O(keys x spans) kernel calls, which is what made a tight
+staleness bound (many short spans) the slow case.  The TTL policies never
+react to writes, have no flush boundaries, and keep a per-key kernel that
+runs once per key per *trace*.  Every simulation *event* — the
 interval flush, policy decisions, message sends and deliveries, finalisation —
 runs through the unmodified scalar machinery inherited from
 :class:`Simulation`, against real :class:`Cache` / :class:`DataStore` /
@@ -39,7 +49,13 @@ Why byte-identity is achievable at all:
   sort of that span, so the trace's memoised
   :class:`~repro.workload.compiled.TraceIndex` — built by the first replay,
   shared by every later one — hands each span its per-key read and write
-  positions as views of two key-major columns.
+  positions as bounds into two key-major columns.
+* **A write's place among the reads is arithmetic.**  The index stores, per
+  write, where in the key-major read column the key's next read sits, so how
+  many of a span's writes precede a key's first read (the version a miss
+  fetches, the buffered writes a miss fill discards) or fall between two of
+  its reads (the runs the E[W] estimator folds) is computed for all keys of a
+  span from the span's writes alone, never from its reads.
 
 When a configuration falls outside the vectorizable envelope (capacity-bounded
 caches, per-size cost breakdowns, lossy or delayed channels, persistence,
@@ -78,7 +94,7 @@ _VECTOR_POLICIES = (
 )
 
 class _ReplayContext:
-    """Everything the per-key kernels need, resolved once per run."""
+    """Everything the kernels need, resolved once per run."""
 
     __slots__ = (
         "trace",
@@ -184,7 +200,7 @@ class _SpanTally:
         self.buffered_writes = 0
         self.new_fills: List[Tuple[int, CacheEntry]] = []
         self.buffer_entries: List[Tuple[int, BufferedWrite]] = []
-        self.estimator_ops: List[Tuple[int, str, np.ndarray, np.ndarray]] = []
+        self.estimator_ops: List[Tuple[int, str, int, int, int, int, int]] = []
         self.poll_events: List[Tuple[int, int]] = []
 
 
@@ -242,128 +258,289 @@ def _miss_version(
 
 
 def _fold_estimator(
-    estimator: ExactEWTracker, name: str, reads: np.ndarray, writes: np.ndarray
+    estimator: ExactEWTracker,
+    name: str,
+    reads: int,
+    writes: int,
+    before_first: int,
+    before_last: int,
+    runs_closed: int,
 ) -> None:
     """Fold one key's span of interleaved observations into the E[W] counters.
 
     Closed form of replaying ``observe_read`` / ``observe_write`` in stream
     order: each read closes the run of writes since the previous read, the
-    first run absorbing the carried ``writes_since_read``.
+    first run absorbing the carried ``writes_since_read``.  Of the span's
+    ``writes``, ``before_first`` precede the first read and ``before_last``
+    the last one; ``runs_closed`` later reads close a non-empty run.
     """
     counters = estimator._counters_for(name)
-    if reads.size == 0:
-        counters.writes_since_read += int(writes.size)
+    if reads == 0:
+        counters.writes_since_read += writes
         return
-    if writes.size:
-        before = np.searchsorted(writes, reads, side="left")
-        total_closed = int(before[-1])
-    else:
-        before = None
-        total_closed = 0
     carry = counters.writes_since_read
+    counters.sample_sum += before_last + carry
     if estimator.count_zero_runs:
-        counters.sample_sum += total_closed + carry
-        counters.sample_count += int(reads.size)
+        counters.sample_count += reads
     else:
-        if before is None:
-            runs_closed = 0
-            first_run = carry
-        else:
-            per_read = np.diff(before, prepend=0)
-            runs_closed = int(np.count_nonzero(per_read[1:]))
-            first_run = int(per_read[0]) + carry
-        counters.sample_sum += total_closed + carry
-        counters.sample_count += runs_closed + (1 if first_run > 0 else 0)
-    counters.writes_since_read = int(writes.size) - total_closed
+        counters.sample_count += runs_closed + (1 if before_first + carry > 0 else 0)
+    counters.writes_since_read = writes - before_last
 
 
-def _kernel_reactive(
-    ctx: _ReplayContext,
-    host: _HostState,
-    tally: _SpanTally,
-    key_id: int,
-    name: str,
-    reads: np.ndarray,
-    writes: np.ndarray,
-) -> None:
-    """One key's span under a write-reactive policy (invalidate/update/adaptive).
+#: One host's share of a span, as columns: ``(keys, first, count, stride,
+#: write_lo, write_hi)``.  Group ``g`` is key ``keys[g]``; its reads are
+#: ``read_pos[first[g] + j * stride]`` for ``j < count[g]`` and its writes the
+#: slice ``[write_lo[g], write_hi[g])`` of the write columns.  Every group has
+#: at least one read or one write.
+Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]
 
-    Within a span no messages arrive and nothing expires, so the key's entry
-    changes state at most once: the first read of an absent/invalid entry
-    misses and re-fetches, after which every read is a hit.  A key valid at
-    span start serves only hits, with the staleness-violation candidates
-    checked in bulk.
+
+def _write_runs(
+    index: TraceIndex,
+    first: np.ndarray,
+    count: np.ndarray,
+    stride: int,
+    write_lo: np.ndarray,
+    num_writes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each group's span writes fall among its span reads.
+
+    For groups that have both: the number of writes before the first read,
+    the number before the last read, and the number of reads after the first
+    that have a write since the previous read.  A write's rank among the
+    group's reads is arithmetic on ``write_read_rank``, so this touches the
+    span's writes once and no read at all.
     """
-    trace = ctx.trace
-    miss_position = -1
-    if reads.size:
-        tally.reads += int(reads.size)
-        entry = host.entries.get(name)
-        if entry is not None and entry.state is EntryState.VALID:
-            hits = int(reads.size)
-            tally.hits += hits
-            entry.hits += hits
-            as_of = entry.as_of
-            read_times = trace.times[reads]
-            horizons = read_times - ctx.bound
-            candidates = horizons > as_of
-            if candidates.any():
-                key_write_times, _, _ = ctx.index.writes_of(key_id)
-                stale_writes = key_write_times.searchsorted(
-                    horizons[candidates], side="right"
-                ) - key_write_times.searchsorted(as_of, side="right")
-                tally.violations += int(np.count_nonzero(stale_writes))
+    starts = np.cumsum(num_writes) - num_writes
+    group = np.repeat(np.arange(num_writes.size), num_writes)
+    flat = np.arange(group.size) + (write_lo - starts)[group]
+    rank = index.write_read_rank[flat].astype(np.int64)
+    rank = (rank - first[group] + (stride - 1)) // stride
+    reads = count[group]
+    np.clip(rank, 0, reads, out=rank)
+    groups = num_writes.size
+    before_first = np.bincount(group[rank == 0], minlength=groups)
+    before_last = num_writes - np.bincount(group[rank == reads], minlength=groups)
+    # Ranks ascend within a group, so each distinct rank strictly between the
+    # ends is one later read closing a non-empty run.
+    opens = np.ones(group.size, dtype=np.bool_)
+    opens[1:] = (rank[1:] != rank[:-1]) | (group[1:] != group[:-1])
+    opens &= (rank > 0) & (rank < reads)
+    runs_closed = np.bincount(group[opens], minlength=groups)
+    return before_first, before_last, runs_closed
+
+
+def _kernel_reactive_span(
+    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
+) -> None:
+    """One host's whole span under a write-reactive policy.
+
+    Within a span no messages arrive and nothing expires, so a key's entry
+    changes state at most once: the first read of an absent/invalid entry
+    misses and re-fetches, after which every read is a hit; a key valid at
+    span start serves only hits.  Everything the span does to a key therefore
+    follows from *endpoints* — read count, first and last read, first and
+    last surviving write — which are gathered for all keys at once; only the
+    object work (entry lookup and hit bump, entry fill, buffered write) runs
+    per key, over plain Python columns.
+    """
+    keys, first, count, stride, write_lo, write_hi = groups
+    index, trace = ctx.index, ctx.trace
+    times = trace.times
+    names = list(map(trace.key_names.__getitem__, keys.tolist()))
+    num_writes = write_hi - write_lo
+    reading = count.nonzero()[0]
+    writing = num_writes.nonzero()[0]
+    read_first = first[reading]
+    read_count = count[reading]
+    last_horizon = times[index.read_pos[read_first + (read_count - 1) * stride]] - ctx.bound
+
+    missed: List[int] = []
+    missed_entries: List[Optional[CacheEntry]] = []
+    late: List[int] = []
+    late_as_of: List[float] = []
+    late_horizon: List[float] = []
+    lookup = host.entries.get
+    valid = EntryState.VALID
+    for g, reads, horizon in zip(
+        reading.tolist(), read_count.tolist(), last_horizon.tolist()
+    ):
+        entry = lookup(names[g])
+        if entry is not None and entry.state is valid:
+            entry.hits += reads
+            if horizon > entry.as_of:
+                late.append(g)
+                late_as_of.append(entry.as_of)
+                late_horizon.append(horizon)
         else:
-            miss_position = int(reads[0])
-            miss_time = float(trace.times[miss_position])
-            version, value_size = _miss_version(ctx, key_id, miss_position)
+            missed.append(g)
+            missed_entries.append(entry)
+    total_reads = int(read_count.sum())
+    tally.reads += total_reads
+    tally.hits += total_reads - len(missed)
+    if late:
+        _count_violations(
+            ctx, tally, groups, np.array(late), np.array(late_as_of), np.array(late_horizon)
+        )
+
+    # Writes relative to reads, for the groups where it matters: a miss
+    # fetches the version as of its position, and the estimator folds runs.
+    before_first, before_last, runs_closed = np.zeros((3, keys.size), dtype=np.int64)
+    miss = np.array(missed, dtype=np.int64)
+    mixed = miss if host.estimator is None else reading
+    mixed = mixed[num_writes[mixed] > 0]
+    if mixed.size:
+        before_first[mixed], before_last[mixed], runs_closed[mixed] = _write_runs(
+            index, first[mixed], count[mixed], stride, write_lo[mixed], num_writes[mixed]
+        )
+
+    if missed:
+        position = index.read_pos[first[miss]]
+        # Exactly the writes preceding the read in stream order are visible:
+        # the key's pre-span writes plus the span writes before the miss.
+        visible = write_lo[miss] + before_first[miss]
+        version = visible - index.write_offsets[keys[miss]]
+        value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
+        written = version.nonzero()[0]
+        value_size[written] = index.write_value_sizes[visible[written] - 1]
+        mark_refetched = host.tracker.mark_refetched
+        new_fills = tally.new_fills
+        cold = 0
+        for g, entry, miss_position, miss_time, key_size, miss_version, size, reads in zip(
+            missed,
+            missed_entries,
+            position.tolist(),
+            times[position].tolist(),
+            trace.key_sizes[position].tolist(),
+            version.tolist(),
+            value_size.tolist(),
+            count[miss].tolist(),
+        ):
+            name = names[g]
             if entry is None:
-                tally.cold_misses += 1
                 entry = CacheEntry(
                     key=name,
-                    version=version,
+                    version=miss_version,
                     as_of=miss_time,
                     fetched_at=miss_time,
-                    key_size=int(trace.key_sizes[miss_position]),
-                    value_size=value_size,
+                    key_size=key_size,
+                    value_size=size,
                     last_poll_accounted=miss_time,
                 )
-                tally.new_fills.append((miss_position, entry))
+                new_fills.append((miss_position, entry))
+                cold += 1
             else:
-                tally.stale_misses += 1
-                entry.refresh(version=version, time=miss_time, value_size=value_size)
+                entry.refresh(version=miss_version, time=miss_time, value_size=size)
                 entry.last_poll_accounted = miss_time
-            hits = int(reads.size) - 1
-            tally.hits += hits
-            entry.hits += hits
-            host.tracker.mark_refetched(name)
-    if writes.size and host.reacts:
-        tally.buffered_writes += int(writes.size)
-        if miss_position >= 0 and host.discard_on_miss_fill:
-            surviving = writes[writes > miss_position]
-        else:
-            surviving = writes
-        if surviving.size:
-            first = int(surviving[0])
-            last = int(surviving[-1])
-            tally.buffer_entries.append(
+            entry.hits += reads - 1
+            mark_refetched(name)
+        tally.cold_misses += cold
+        tally.stale_misses += len(missed) - cold
+
+    if host.reacts and writing.size:
+        tally.buffered_writes += int(num_writes.sum())
+        start = write_lo
+        if missed and host.discard_on_miss_fill:
+            # A miss fill drops what the key had buffered before it.
+            start = write_lo.copy()
+            start[miss] += before_first[miss]
+        start = start[writing]
+        surviving = start < write_hi[writing]
+        buffered, start = writing[surviving], start[surviving]
+        last = write_hi[buffered] - 1
+        first_write = index.write_pos[start]
+        buffer_entries = tally.buffer_entries
+        for g, position, first_time, last_time, writes, key_size, size in zip(
+            buffered.tolist(),
+            first_write.tolist(),
+            index.write_times[start].tolist(),
+            index.write_times[last].tolist(),
+            (last - start + 1).tolist(),
+            trace.key_sizes[first_write].tolist(),
+            index.write_value_sizes[last].tolist(),
+        ):
+            buffer_entries.append(
                 (
-                    first,
+                    position,
                     BufferedWrite(
-                        key=name,
-                        first_write_time=float(trace.times[first]),
-                        last_write_time=float(trace.times[last]),
-                        write_count=int(surviving.size),
-                        key_size=int(trace.key_sizes[first]),
-                        value_size=int(trace.value_sizes[last]),
+                        key=names[g],
+                        first_write_time=first_time,
+                        last_write_time=last_time,
+                        write_count=writes,
+                        key_size=key_size,
+                        value_size=size,
                     ),
                 )
             )
-    if host.estimator is not None and (reads.size or writes.size):
-        first_obs = int(reads[0]) if reads.size else int(writes[0])
-        if writes.size and (not reads.size or int(writes[0]) < first_obs):
-            first_obs = int(writes[0])
-        tally.estimator_ops.append((first_obs, name, reads, writes))
+
+    if host.estimator is not None:
+        # Counter rows are created in order of each key's first observation:
+        # its first read or write, whichever comes first in the stream.
+        # (The position columns may be unsigned: the sentinel for "no read"
+        # goes into a signed array they are then copied into.)
+        first_seen = np.full(keys.size, len(trace), dtype=np.int64)
+        first_seen[reading] = index.read_pos[read_first]
+        first_seen[writing] = np.minimum(
+            first_seen[writing], index.write_pos[write_lo[writing]]
+        )
+        tally.estimator_ops.extend(
+            zip(
+                first_seen.tolist(),
+                names,
+                count.tolist(),
+                num_writes.tolist(),
+                before_first.tolist(),
+                before_last.tolist(),
+                runs_closed.tolist(),
+            )
+        )
+
+
+def _count_violations(
+    ctx: _ReplayContext,
+    tally: _SpanTally,
+    groups: Groups,
+    late: np.ndarray,
+    as_of: np.ndarray,
+    horizon: np.ndarray,
+) -> None:
+    """Staleness violations among hits on entries older than the bound.
+
+    ``late`` are the groups served from a valid entry whose last read's
+    ``horizon`` ``t - T`` lies past the entry's ``as_of``.  A hit violates the
+    bound when the key was written in ``(as_of, t - T]``; that needs the
+    key's last write before the span to be newer than the entry (or, at a
+    float-rounding edge, its first span write to reach back to the horizon),
+    which with ideal channels it never is — only groups passing that check
+    pay for the per-read count.
+    """
+    keys, first, count, stride, write_lo, _ = groups
+    index = ctx.index
+    write_times = index.write_times
+    if write_times.size == 0:
+        return
+    lo = write_lo[late]
+    key_ids = keys[late]
+    # Clamped gathers: the bound checks mask what a clamp made up.
+    suspect = (lo > index.write_offsets[key_ids]) & (
+        write_times[np.maximum(lo, 1) - 1] > as_of
+    )
+    suspect |= (lo < index.write_offsets[key_ids + 1]) & (
+        write_times[np.minimum(lo, write_times.size - 1)] <= horizon
+    )
+    if not suspect.any():
+        return
+    for g, key_id, entry_as_of in zip(
+        late[suspect].tolist(), key_ids[suspect].tolist(), as_of[suspect].tolist()
+    ):
+        reads = index.read_pos[first[g] : first[g] + count[g] * stride : stride]
+        horizons = ctx.trace.times[reads] - ctx.bound
+        candidates = horizons > entry_as_of
+        key_write_times, _, _ = index.writes_of(key_id)
+        stale_writes = key_write_times.searchsorted(
+            horizons[candidates], side="right"
+        ) - key_write_times.searchsorted(entry_as_of, side="right")
+        tally.violations += int(np.count_nonzero(stale_writes))
 
 
 def _kernel_ttl_expiry(
@@ -550,8 +727,8 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         # the scalar engine's dict order.
         tally.estimator_ops.sort(key=lambda item: item[0])
         estimator = host.estimator
-        for _, name, reads, writes in tally.estimator_ops:
-            _fold_estimator(estimator, name, reads, writes)
+        for _, *observed in tally.estimator_ops:
+            _fold_estimator(estimator, *observed)
     if tally.poll_events:
         # Poll charges are the one varying-order float sum: replay them in
         # global stream order against a running accumulator (the per-entry
@@ -706,18 +883,10 @@ class VectorSimulation(Simulation):
     ) -> None:
         tally = _SpanTally()
         tally.writes = _apply_span_writes(ctx, span)
-        names = ctx.trace.key_names
-        read_pos, write_pos = ctx.index.read_pos, ctx.index.write_pos
-        for key_id, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
-            _kernel_reactive(
-                ctx,
-                host,
-                tally,
-                key_id,
-                names[key_id],
-                read_pos[r_lo:r_hi],
-                write_pos[w_lo:w_hi],
-            )
+        keys, read_lo, read_hi, write_lo, write_hi = span
+        _kernel_reactive_span(
+            ctx, host, tally, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)
+        )
         _flush_tally(ctx, host, tally)
 
     def _replay_ttl_trace(

@@ -65,6 +65,11 @@ class TraceIndex:
         write_times: Commit time of each write, aligned with ``write_pos``.
         write_value_sizes: Value size of each write, aligned with
             ``write_pos``.
+        write_read_rank: For each write, aligned with ``write_pos``, the
+            index into ``read_pos`` of the same key's first later read (the
+            key's read bound when none follows): ``read_pos[i]`` precedes
+            the write in the stream exactly when ``i`` is below it, so a
+            write's rank among any run of the key's reads is arithmetic.
         plans: Memo for trace-wide artefacts that depend on configuration
             but not on replay state (the fleet routing plan), keyed by that
             configuration.
@@ -80,6 +85,7 @@ class TraceIndex:
         "write_offsets",
         "write_times",
         "write_value_sizes",
+        "write_read_rank",
         "plans",
         "__weakref__",
     )
@@ -105,7 +111,13 @@ class TraceIndex:
             order = order.astype(np.uint32)
         reads_first = is_read[order]
         self.read_pos = order[reads_first]
-        self.write_pos = order[~reads_first]
+        # Key-major slot of each write: slot minus write index counts the
+        # reads laid out before it.
+        write_slots = np.flatnonzero(~reads_first)
+        self.write_pos = order[write_slots]
+        self.write_read_rank = (write_slots - np.arange(write_slots.size)).astype(
+            order.dtype
+        )
         self.read_offsets = _offsets(key_ids[is_read], num_keys)
         self.write_offsets = _offsets(key_ids[~is_read], num_keys)
         self.write_times = times[self.write_pos]
@@ -124,6 +136,7 @@ class TraceIndex:
                 self.write_offsets,
                 self.write_times,
                 self.write_value_sizes,
+                self.write_read_rank,
             )
         )
 

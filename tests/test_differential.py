@@ -18,6 +18,12 @@ paste rebuilds the failing cell.
 
 The default run covers the first :data:`FAST_CONFIGS` draws to keep tier-1
 fast; ``pytest --run-slow`` sweeps all :data:`TOTAL_CONFIGS`.
+
+A second, separately seeded block draws **tight-bound** configurations —
+the regime the paper argues for, where a run is hundreds of spans of a few
+requests each: every config is inside the vector envelope, so all three
+pipelines run the span kernels, across all five kernel policies and every
+read-routing policy.
 """
 
 import json
@@ -28,6 +34,7 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulation,
+    ReplicationConfig,
     VectorClusterSimulation,
     make_scenario,
     replay_cluster_parallel,
@@ -50,6 +57,15 @@ FAST_CONFIGS = 12
 POLICIES = ("ttl-expiry", "invalidate", "update", "adaptive")
 BOUNDS = (0.25, 0.5, 1.0, 2.0)
 DURATION = 3.0
+
+# The tight-bound block draws from its own stream, so adding to it never
+# shifts a draw of the block above.
+TIGHT_SEED = 0x71647
+TIGHT_TOTAL = 10
+TIGHT_FAST = 3
+TIGHT_POLICIES = ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive")
+TIGHT_BOUNDS = (0.01, 0.02, 0.05, 0.1)
+READ_POLICIES = ("primary", "hash", "round-robin")
 
 
 def draw_config(index: int) -> Dict[str, Any]:
@@ -112,12 +128,42 @@ def draw_config(index: int) -> Dict[str, Any]:
     return config
 
 
+def draw_tight_config(index: int) -> Dict[str, Any]:
+    """The ``index``-th tight-bound configuration: steady state, ideal
+    channels, no tier — inside the vector envelope by construction."""
+    rng = random.Random(TIGHT_SEED + index)
+    num_nodes = rng.randint(1, 4)
+    return {
+        "index": index,
+        "workload_keys": rng.randint(40, 80),
+        "workload_rate": rng.choice((10.0, 15.0, 20.0)),
+        "workload_seed": rng.randint(0, 2**16),
+        # Cycle, so that ten draws cover every policy and every bound twice
+        # over whatever the stream says.
+        "policy": TIGHT_POLICIES[index % len(TIGHT_POLICIES)],
+        "bound": TIGHT_BOUNDS[(index // 2) % len(TIGHT_BOUNDS)],
+        "num_nodes": num_nodes,
+        "replication": rng.randint(1, min(2, num_nodes)),
+        "read_policy": READ_POLICIES[index % len(READ_POLICIES)],
+        "seed": rng.randint(0, 2**16),
+        "l1_capacity": 0,
+        "tier_mode": "write-through",
+        "channel": None,
+        "scenario": None,
+        "zones": 1,
+        "chaos": None,
+        "concurrency": None,
+    }
+
+
 def build_kwargs(config: Dict[str, Any]) -> Dict[str, Any]:
     """Shared engine kwargs for one drawn configuration."""
     return dict(
         policy=config["policy"],
         num_nodes=config["num_nodes"],
-        replication=config["replication"],
+        replication=ReplicationConfig(
+            factor=config["replication"], read_policy=config.get("read_policy", "primary")
+        ),
         staleness_bound=config["bound"],
         duration=DURATION,
         workload_name="diffcheck",
@@ -143,13 +189,16 @@ def make_workload(config: Dict[str, Any]) -> PoissonZipfWorkload:
     )
 
 
-def run_engines(config: Dict[str, Any]) -> Dict[str, str]:
+def run_engines(config: Dict[str, Any], expect_vector_path: bool = False) -> Dict[str, str]:
     """Replay one config on every pipeline; rows as canonical JSON."""
     scalar = ClusterSimulation(
         workload=make_workload(config).iter_requests(DURATION), **build_kwargs(config)
     ).run()
     trace = compile_workload(make_workload(config), DURATION)
-    vector = VectorClusterSimulation(trace, **build_kwargs(config)).run()
+    simulation = VectorClusterSimulation(trace, **build_kwargs(config))
+    vector = simulation.run()
+    if expect_vector_path:
+        assert simulation.used_vector_path, config
     # The shared fetch queue couples shards, so concurrent configs replay
     # shard-parallel with a single worker (the multi-worker refusal is
     # pinned in test_concurrency).
@@ -162,14 +211,15 @@ def run_engines(config: Dict[str, Any]) -> Dict[str, str]:
     }
 
 
-def assert_engines_identical(index: int) -> None:
-    config = draw_config(index)
-    rows = run_engines(config)
+def assert_engines_identical(index: int, tight: bool = False) -> None:
+    draw = draw_tight_config if tight else draw_config
+    config = draw(index)
+    rows = run_engines(config, expect_vector_path=tight)
     reference_name, reference = next(iter(rows.items()))
     for name, row in rows.items():
         assert row == reference, (
             f"{name} diverged from {reference_name}.\n"
-            f"Reproducer (draw_config({index})):\n"
+            f"Reproducer ({draw.__name__}({index})):\n"
             f"{json.dumps(config, indent=2, sort_keys=True)}"
         )
 
@@ -202,3 +252,29 @@ def test_differential_fast(index: int) -> None:
 @pytest.mark.parametrize("index", range(FAST_CONFIGS, TOTAL_CONFIGS))
 def test_differential_full_sweep(index: int) -> None:
     assert_engines_identical(index)
+
+
+def test_tight_generator_is_deterministic_and_covers_its_space() -> None:
+    configs = [draw_tight_config(index) for index in range(TIGHT_TOTAL)]
+    assert configs == [draw_tight_config(index) for index in range(TIGHT_TOTAL)]
+    assert {config["policy"] for config in configs} == set(TIGHT_POLICIES)
+    assert {config["bound"] for config in configs} == set(TIGHT_BOUNDS)
+    assert {config["read_policy"] for config in configs} == set(READ_POLICIES)
+    assert {config["replication"] for config in configs} == {1, 2}
+    # Rotating reads only rotate with a second replica to rotate over.
+    assert {"hash", "round-robin"} <= {
+        config["read_policy"] for config in configs if config["replication"] == 2
+    }
+    fast = configs[:TIGHT_FAST]
+    assert {"invalidate", "ttl-polling"} <= {config["policy"] for config in fast}
+
+
+@pytest.mark.parametrize("index", range(TIGHT_FAST))
+def test_differential_tight_bound_fast(index: int) -> None:
+    assert_engines_identical(index, tight=True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("index", range(TIGHT_FAST, TIGHT_TOTAL))
+def test_differential_tight_bound_full_sweep(index: int) -> None:
+    assert_engines_identical(index, tight=True)

@@ -73,6 +73,10 @@ def test_run_perf_runs_selected_benches_and_rejects_unknown() -> None:
 def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     record = run_perf(scale=0.002)
     assert [row["name"] for row in record["results"]] == list(MICROBENCHES)
+    tight = next(row for row in record["results"] if row["name"] == "span-kernel-tight")
+    # Counted, not timed: one reactive kernel call per span.
+    assert tight["kernel_calls"] == tight["spans"] > 0
+    assert tight["key_spans_per_sec"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -84,7 +88,12 @@ def test_perf_cli_list_and_run_and_json(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     for name in MICROBENCHES:
         assert name in out
-    assert out.index("vector-kernels") < out.index("trace-index") < out.index("shard-merge")
+    assert (
+        out.index("vector-kernels")
+        < out.index("span-kernel-tight")
+        < out.index("trace-index")
+        < out.index("shard-merge")
+    )
 
     target = tmp_path / "PERF.json"
     assert main(["perf", "--only", "request-alloc", "--scale", "0.01",

@@ -3,25 +3,43 @@
 Each test keeps a deliberately naive reference implementation (the pre-PR-5
 code shape) next to the optimized one and asserts byte-identical output:
 request streams, ring routing, fingerprints, sketch counts, the inlined TTL
-poll arithmetic, and the trace index's span slices.
+poll arithmetic, the trace index's span slices, and the span-batched reactive
+kernel against the per-key kernel it replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import resource
 from bisect import bisect_right, insort
 
 import numpy as np
 import pytest
 
+from repro.backend.buffer import BufferedWrite
 from repro.backend.datastore import DataStore
+from repro.cache.entry import CacheEntry, EntryState
+from repro.cluster import ReplicationConfig
+from repro.cluster import vector as cluster_vector
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.vector import VectorClusterSimulation
 from repro.core.ttl import TTLPollingPolicy
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
-from repro.sim.vector import VectorSimulation, _apply_span_writes, _ReplayContext
+from repro.sim import vector as sim_vector
+from repro.sim.simulation import Simulation
+from repro.sim.vector import (
+    VectorSimulation,
+    _apply_span_writes,
+    _flush_tally,
+    _HostState,
+    _kernel_reactive_span,
+    _miss_version,
+    _ReplayContext,
+    _SpanTally,
+)
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import (
     DEFAULT_FINGERPRINT_CACHE_SIZE,
@@ -32,7 +50,7 @@ from repro.sketch.hashing import (
     stable_fingerprint,
 )
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
-from repro.workload.compiled import CompiledTrace, SpanCursor
+from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
@@ -491,3 +509,479 @@ def test_unsorted_trace_is_refused_on_every_run_of_both_vector_engines() -> None
             VectorClusterSimulation(
                 trace, policy="update", num_nodes=2, staleness_bound=1.0, duration=10.0
             ).run()
+
+
+# --------------------------------------------------------------------- #
+# Span-batched reactive kernel vs the per-key kernel it replaced
+# --------------------------------------------------------------------- #
+
+def reference_fold_estimator(estimator, name, reads, writes) -> None:
+    """The per-key estimator fold, on the key's position arrays."""
+    counters = estimator._counters_for(name)
+    if reads.size == 0:
+        counters.writes_since_read += int(writes.size)
+        return
+    if writes.size:
+        before = np.searchsorted(writes, reads, side="left")
+        total_closed = int(before[-1])
+    else:
+        before = None
+        total_closed = 0
+    carry = counters.writes_since_read
+    if estimator.count_zero_runs:
+        counters.sample_sum += total_closed + carry
+        counters.sample_count += int(reads.size)
+    else:
+        if before is None:
+            runs_closed = 0
+            first_run = carry
+        else:
+            per_read = np.diff(before, prepend=0)
+            runs_closed = int(np.count_nonzero(per_read[1:]))
+            first_run = int(per_read[0]) + carry
+        counters.sample_sum += total_closed + carry
+        counters.sample_count += runs_closed + (1 if first_run > 0 else 0)
+    counters.writes_since_read = int(writes.size) - total_closed
+
+
+def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> None:
+    """The per-(key, span) kernel: one call per key, on its position slices.
+
+    ``tally.estimator_ops`` collects ``(first_obs, name, reads, writes)`` for
+    :func:`reference_flush` to fold.
+    """
+    trace = ctx.trace
+    miss_position = -1
+    if reads.size:
+        tally.reads += int(reads.size)
+        entry = host.entries.get(name)
+        if entry is not None and entry.state is EntryState.VALID:
+            hits = int(reads.size)
+            tally.hits += hits
+            entry.hits += hits
+            as_of = entry.as_of
+            read_times = trace.times[reads]
+            horizons = read_times - ctx.bound
+            candidates = horizons > as_of
+            if candidates.any():
+                key_write_times, _, _ = ctx.index.writes_of(key_id)
+                stale_writes = key_write_times.searchsorted(
+                    horizons[candidates], side="right"
+                ) - key_write_times.searchsorted(as_of, side="right")
+                tally.violations += int(np.count_nonzero(stale_writes))
+        else:
+            miss_position = int(reads[0])
+            miss_time = float(trace.times[miss_position])
+            version, value_size = _miss_version(ctx, key_id, miss_position)
+            if entry is None:
+                tally.cold_misses += 1
+                entry = CacheEntry(
+                    key=name,
+                    version=version,
+                    as_of=miss_time,
+                    fetched_at=miss_time,
+                    key_size=int(trace.key_sizes[miss_position]),
+                    value_size=value_size,
+                    last_poll_accounted=miss_time,
+                )
+                tally.new_fills.append((miss_position, entry))
+            else:
+                tally.stale_misses += 1
+                entry.refresh(version=version, time=miss_time, value_size=value_size)
+                entry.last_poll_accounted = miss_time
+            hits = int(reads.size) - 1
+            tally.hits += hits
+            entry.hits += hits
+            host.tracker.mark_refetched(name)
+    if writes.size and host.reacts:
+        tally.buffered_writes += int(writes.size)
+        if miss_position >= 0 and host.discard_on_miss_fill:
+            surviving = writes[writes > miss_position]
+        else:
+            surviving = writes
+        if surviving.size:
+            first = int(surviving[0])
+            last = int(surviving[-1])
+            tally.buffer_entries.append(
+                (
+                    first,
+                    BufferedWrite(
+                        key=name,
+                        first_write_time=float(trace.times[first]),
+                        last_write_time=float(trace.times[last]),
+                        write_count=int(surviving.size),
+                        key_size=int(trace.key_sizes[first]),
+                        value_size=int(trace.value_sizes[last]),
+                    ),
+                )
+            )
+    if host.estimator is not None and (reads.size or writes.size):
+        first_obs = int(reads[0]) if reads.size else int(writes[0])
+        if writes.size and (not reads.size or int(writes[0]) < first_obs):
+            first_obs = int(writes[0])
+        tally.estimator_ops.append((first_obs, name, reads, writes))
+
+
+def reference_flush(ctx, host, tally) -> None:
+    ops, tally.estimator_ops = tally.estimator_ops, []
+    _flush_tally(ctx, host, tally)
+    for _, name, reads, writes in sorted(ops, key=lambda op: op[0]):
+        reference_fold_estimator(host.estimator, name, reads, writes)
+
+
+def counted_estimator_op(first_obs, name, reads, writes):
+    """A reference estimator op as the counts the span kernel records."""
+    reads, writes = reads.tolist(), writes.tolist()
+    if not reads:
+        return (first_obs, name, 0, len(writes), 0, 0, 0)
+    runs_closed = sum(
+        any(earlier < write < later for write in writes)
+        for earlier, later in zip(reads, reads[1:])
+    )
+    return (
+        first_obs,
+        name,
+        len(reads),
+        len(writes),
+        sum(write < reads[0] for write in writes),
+        sum(write < reads[-1] for write in writes),
+        runs_closed,
+    )
+
+
+TALLY_COUNTERS = (
+    "reads", "hits", "stale_misses", "cold_misses", "violations", "expirations",
+    "writes", "buffered_writes",
+)
+
+
+def tally_state(tally, reference: bool = False):
+    """A tally as plain data, effects in the position order the flush uses."""
+    ops = tally.estimator_ops
+    if reference:
+        ops = [counted_estimator_op(*op) for op in ops]
+    return {
+        "counters": {name: getattr(tally, name) for name in TALLY_COUNTERS},
+        "new_fills": sorted(
+            (position, dataclasses.asdict(entry)) for position, entry in tally.new_fills
+        ),
+        "buffer_entries": sorted(
+            (position, dataclasses.asdict(write)) for position, write in tally.buffer_entries
+        ),
+        "estimator_ops": sorted(ops),
+        "poll_events": sorted(tally.poll_events),
+    }
+
+
+def host_state(host):
+    """Everything a span leaves behind on a host, dict orders included."""
+    estimator = host.estimator
+    return {
+        "entries": [(key, dataclasses.asdict(entry)) for key, entry in host.entries.items()],
+        "stats": dataclasses.asdict(host.cache.stats),
+        "pending": [
+            (key, dataclasses.asdict(write)) for key, write in host.buffer._pending.items()
+        ],
+        "total_buffered": host.buffer.total_buffered,
+        "invalidated": list(host.tracker._invalidated.items()),
+        "counters": None if estimator is None else [
+            (key, dataclasses.asdict(counters))
+            for key, counters in estimator._counters.items()
+        ],
+        "result": json.dumps(host.result.as_dict(), sort_keys=True),
+    }
+
+
+def make_kernel_host(trace, policy, bound, discard, count_zero_runs):
+    """A replay context and a fresh single-cache host, the way ``_run_spans``
+    wires them."""
+    simulation = VectorSimulation(
+        trace,
+        policy=make_policy(policy),
+        staleness_bound=bound,
+        duration=float(trace.times[-1]) if len(trace) else 1.0,
+        discard_buffer_on_miss_fill=discard,
+    )
+    estimator = simulation.policy.estimator if policy == "adaptive" else None
+    if estimator is not None:
+        estimator.count_zero_runs = count_zero_runs
+    ctx = _ReplayContext(trace, trace.index(), simulation.datastore, bound, bound, 1.0, 3.0)
+    host = _HostState(
+        result=simulation.result,
+        cache=simulation.cache,
+        buffer=simulation.buffer,
+        tracker=simulation.tracker,
+        estimator=estimator,
+        reacts=True,
+        discard_on_miss_fill=discard,
+    )
+    return ctx, host
+
+
+def disturb(host, rng, now: float) -> None:
+    """Stand in for the background work between two spans: drain the buffer,
+    then invalidate some cached entries and refresh others, leaving the rest
+    with an ``as_of`` that falls ever further behind the key's writes."""
+    host.buffer.drain()
+    for name, entry in host.entries.items():
+        draw = rng.random()
+        if draw < 0.3:
+            entry.mark_invalidated()
+            host.tracker.mark_invalidated(name, now)
+        elif draw < 0.5:
+            entry.refresh(version=entry.version + 1, time=now)
+
+
+def assert_span_kernel_matches_reference(
+    trace, cuts, policy="adaptive", bound=0.5, discard=True, count_zero_runs=False, seed=0
+):
+    """Walk ``trace`` over ``cuts`` on two identical hosts, one per kernel.
+
+    After every span the tallies and, once flushed, the hosts must be equal.
+    Returns what the walk exercised, so callers can insist on their case.
+    """
+    ctx_new, host_new = make_kernel_host(trace, policy, bound, discard, count_zero_runs)
+    ctx_ref, host_ref = make_kernel_host(trace, policy, bound, discard, count_zero_runs)
+    index = trace.index()
+    cursor = SpanCursor(index)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    seen = {"violations": 0, "straddled_misses": 0, "stale_misses": 0, "key_spans": 0}
+    for end in cuts:
+        span = cursor.advance(end)
+        keys, read_lo, read_hi, write_lo, write_hi = span
+        new, ref = _SpanTally(), _SpanTally()
+        new.writes = _apply_span_writes(ctx_new, span)
+        ref.writes = _apply_span_writes(ctx_ref, span)
+        _kernel_reactive_span(
+            ctx_new, host_new, new, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)
+        )
+        for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
+            reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
+            missing = host_ref.entries.get(trace.key_names[key])
+            missing = missing is None or missing.state is not EntryState.VALID
+            if missing and reads.size and writes.size and writes[0] < reads[0] < writes[-1]:
+                seen["straddled_misses"] += 1
+            reference_kernel_reactive(
+                ctx_ref, host_ref, ref, key, trace.key_names[key], reads, writes
+            )
+        assert tally_state(new) == tally_state(ref, reference=True), end
+        seen["violations"] += ref.violations
+        seen["stale_misses"] += ref.stale_misses
+        seen["key_spans"] += keys.size
+        _flush_tally(ctx_new, host_new, new)
+        reference_flush(ctx_ref, host_ref, ref)
+        assert host_state(host_new) == host_state(host_ref), end
+        now = float(trace.times[end - 1])
+        disturb(host_new, rng_new, now)
+        disturb(host_ref, rng_ref, now)
+    return seen
+
+
+def random_cuts(trace, seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    return sorted(set(rng.integers(1, len(trace), size=count).tolist())) + [len(trace)]
+
+
+@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
+@pytest.mark.parametrize("discard", [True, False])
+def test_span_kernel_matches_per_key_reference(policy: str, discard: bool) -> None:
+    """Seeded traces, arbitrary cuts: misses with span writes on both sides of
+    the first read, stale misses, and entries old enough to violate the bound
+    (so the exact per-read fallback runs) all occur and all match."""
+    for seed in (0, 1):
+        trace = random_trace(20 + seed, requests=4_000, num_keys=30, read_ratio=0.6)
+        seen = assert_span_kernel_matches_reference(
+            trace, random_cuts(trace, 200 + seed, 20), policy, discard=discard, seed=seed
+        )
+        assert seen["straddled_misses"] > 0
+        assert seen["stale_misses"] > 0
+        assert seen["violations"] > 0
+
+
+@pytest.mark.parametrize("count_zero_runs", [True, False])
+def test_span_kernel_estimator_counts_match_with_and_without_zero_runs(
+    count_zero_runs: bool,
+) -> None:
+    trace = random_trace(30, requests=3_000, num_keys=12, read_ratio=0.5)
+    assert_span_kernel_matches_reference(
+        trace, random_cuts(trace, 300, 12), "adaptive", count_zero_runs=count_zero_runs
+    )
+
+
+def test_span_kernel_matches_with_timestamp_ties_across_span_cuts() -> None:
+    trace = random_trace(31, requests=3_000, num_keys=40, ties=True)
+    cuts = random_cuts(trace, 301, 25)
+    assert any(trace.times[cut - 1] == trace.times[cut] for cut in cuts[:-1])
+    assert_span_kernel_matches_reference(trace, cuts, "adaptive", bound=0.25)
+
+
+def test_span_kernel_matches_on_one_request_spans_and_one_sided_keys() -> None:
+    """Every span a single request; one key only ever read, one only written."""
+    trace = random_trace(32, requests=120, num_keys=6, read_ratio=0.5)
+    trace.is_read[trace.key_ids == 0] = True
+    trace.is_read[trace.key_ids == 1] = False
+    seen = assert_span_kernel_matches_reference(
+        trace, range(1, len(trace) + 1), "adaptive"
+    )
+    assert seen["key_spans"] == len(trace)
+    index = trace.index()
+    assert index.write_offsets[0] == index.write_offsets[1]
+    assert index.read_offsets[1] == index.read_offsets[2]
+
+
+def naive_node_reads(simulation, key: int, read_lo: int, read_hi: int):
+    """Per node index, the reads of ``key`` in ``read_pos[read_lo:read_hi]``
+    it serves — routed one read at a time, the way the scalar router does."""
+    plan, index = simulation._plan, simulation._ctx.index
+    replicas = plan.replicas[key].tolist()
+    served = {node: [] for node in replicas}
+    for slot in range(read_lo, read_hi):
+        if plan.rotates:
+            column = (slot - int(index.read_offsets[key])) % len(replicas)
+        else:
+            column = int(plan.read_slot[key])
+        served[replicas[column]].append(int(index.read_pos[slot]))
+    return served
+
+
+class ReferenceClusterSimulation(VectorClusterSimulation):
+    """The fleet engine with per-read routing and the per-key kernel."""
+
+    def _replay_reactive_span(self, span) -> None:
+        ctx, index = self._ctx, self._ctx.index
+        _apply_span_writes(ctx, span)
+        tallies = [_SpanTally() for _ in self._hosts]
+        names = ctx.trace.key_names
+        for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
+            writes = index.write_pos[w_lo:w_hi]
+            primary = int(self._plan.replicas[key, 0])
+            if primary in self._owned:
+                tallies[primary].writes += int(writes.size)
+            for node, reads in naive_node_reads(self, key, r_lo, r_hi).items():
+                if node in self._owned and (reads or writes.size):
+                    reference_kernel_reactive(
+                        ctx,
+                        self._hosts[node],
+                        tallies[node],
+                        key,
+                        names[key],
+                        np.array(reads, dtype=np.int64),
+                        writes,
+                    )
+        self.span_tallies.append(
+            [tally_state(tallies[node], reference=True) for node in self._owned]
+        )
+        for node in self._owned:
+            reference_flush(ctx, self._hosts[node], tallies[node])
+
+
+@pytest.mark.parametrize("policy", ["invalidate", "adaptive"])
+@pytest.mark.parametrize(
+    "factor, read_policy, owned",
+    [
+        (2, "round-robin", None),
+        (3, "round-robin", None),
+        (3, "round-robin", (0, 2)),
+        (2, "hash", (1,)),
+        (2, "primary", (0, 3)),
+        (1, "primary", None),
+    ],
+)
+def test_fleet_span_routing_matches_per_read_routing(
+    monkeypatch, policy: str, factor: int, read_policy: str, owned
+) -> None:
+    """Strided round-robin runs carry each key's read rank from span to span;
+    a shard kernels only the nodes it owns."""
+    workload = PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9)
+    trace = compile_workload(workload, 4.0)
+    fleet = dict(
+        policy=policy,
+        num_nodes=4,
+        replication=ReplicationConfig(factor=factor, read_policy=read_policy),
+        staleness_bound=0.5,
+        duration=4.0,
+        owned_nodes=owned,
+    )
+    recorded = []
+    flush_tally = cluster_vector._flush_tally
+
+    def recording_flush(ctx, host, tally):
+        recorded[-1].append(tally_state(tally))
+        flush_tally(ctx, host, tally)
+
+    span_replay = VectorClusterSimulation._replay_reactive_span
+
+    def recording_span_replay(self, span):
+        recorded.append([])
+        span_replay(self, span)
+
+    reference = ReferenceClusterSimulation(trace, **fleet)
+    reference.span_tallies = []
+    expected = reference.run()
+    monkeypatch.setattr(cluster_vector, "_flush_tally", recording_flush)
+    monkeypatch.setattr(
+        VectorClusterSimulation, "_replay_reactive_span", recording_span_replay
+    )
+    simulation = VectorClusterSimulation(trace, **fleet)
+    result = simulation.run()
+    assert simulation.used_vector_path and reference.used_vector_path
+    assert recorded == reference.span_tallies
+    assert len(recorded) == 8 and len(recorded[0]) == len(owned or range(4))
+    assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
+        expected.as_dict(), sort_keys=True
+    )
+    for host, reference_host in zip(simulation._hosts, reference._hosts):
+        assert host_state(host) == host_state(reference_host)
+    if read_policy == "round-robin":
+        carried = simulation._ctx.index.read_offsets
+        assert simulation.router._round_robin == {
+            trace.key_names[key]: int(carried[key + 1] - carried[key])
+            for key in range(len(trace.key_names))
+            if carried[key + 1] > carried[key]
+        }
+
+
+def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypatch) -> None:
+    """A hand-built valid entry whose ``as_of`` predates an earlier-span write.
+
+    The tracker already lists the key as invalidated, so the interval flush
+    suppresses the invalidate and the stale copy keeps serving: the read one
+    span later is older than the bound allows, the vectorised precheck lets
+    it through, and the per-read count must agree with the scalar loop.
+    """
+    name = "key-000000"
+    trace = CompiledTrace(
+        times=np.array([0.1, 0.4, 1.2, 1.3, 2.6]),
+        key_ids=np.array([0, 1, 0, 1, 0]),
+        is_read=np.array([False, True, True, True, True]),
+        key_sizes=np.full(5, 16, dtype=np.int64),
+        value_sizes=np.full(5, 64, dtype=np.int64),
+        key_names=[name, "key-000001"],
+    )
+
+    def prepared(simulation):
+        simulation.cache._entries[name] = CacheEntry(
+            key=name, version=0, as_of=0.0, fetched_at=0.0
+        )
+        simulation.tracker.mark_invalidated(name, 0.0)
+        return simulation
+
+    config = dict(policy=make_policy("invalidate"), staleness_bound=1.0, duration=3.0)
+    scalar = prepared(Simulation(trace.iter_requests(), **config)).run()
+    calls = []
+    count_violations = sim_vector._count_violations
+
+    def counted(ctx, tally, *late):
+        before = tally.violations
+        count_violations(ctx, tally, *late)
+        calls.append(tally.violations - before)
+
+    monkeypatch.setattr(sim_vector, "_count_violations", counted)
+    simulation = prepared(VectorSimulation(trace, **config))
+    vector = simulation.run()
+    assert simulation.used_vector_path
+    assert scalar.staleness_violations == vector.staleness_violations == 2
+    assert calls == [1, 1]
+    assert json.dumps(scalar.as_dict(), sort_keys=True) == json.dumps(
+        vector.as_dict(), sort_keys=True
+    )

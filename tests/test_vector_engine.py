@@ -12,14 +12,26 @@ import json
 import pickle
 import weakref
 
+import numpy as np
 import pytest
 
+from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
 from repro.errors import ConfigurationError
 from repro.experiments.bench import bench_policy
 from repro.experiments.registry import make_policy
+from repro.cluster import replay_cluster_parallel
+from repro.cluster import vector as cluster_vector
+from repro.perf.perf import non_empty_spans
+from repro.sim import vector as sim_vector
 from repro.sim.simulation import Simulation
-from repro.sim.vector import VectorSimulation
-from repro.workload.compiled import CompiledTrace, compile_workload
+from repro.sim.vector import (
+    VectorSimulation,
+    _HostState,
+    _kernel_reactive_span,
+    _ReplayContext,
+    _SpanTally,
+)
+from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
@@ -242,6 +254,151 @@ def test_index_dies_with_its_trace_without_the_cycle_collector() -> None:
         assert index_ref() is None
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------- #
+# Span kernel: unsigned position columns and empty columns
+# --------------------------------------------------------------------- #
+
+def hand_trace(ops: str, keys) -> CompiledTrace:
+    """``ops`` is one ``r``/``w`` per request, ``keys`` the key id of each."""
+    count = len(ops)
+    return CompiledTrace(
+        times=np.arange(count, dtype=np.float64) / 10.0,
+        key_ids=np.asarray(keys, dtype=np.int64),
+        is_read=np.array([op == "r" for op in ops], dtype=np.bool_),
+        key_sizes=np.full(count, 16, dtype=np.int64),
+        value_sizes=np.full(count, 64, dtype=np.int64),
+        key_names=[f"key-{key}" for key in range(max(keys) + 1)],
+    )
+
+
+def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
+    simulation = VectorSimulation(
+        trace, policy=make_policy(policy), staleness_bound=100.0, duration=100.0
+    )
+    ctx = _ReplayContext(trace, trace.index(), simulation.datastore, 100.0, 100.0, 1.0, 1.0)
+    host = _HostState(
+        result=simulation.result,
+        cache=simulation.cache,
+        buffer=simulation.buffer,
+        tracker=simulation.tracker,
+        estimator=simulation.policy.estimator if policy == "adaptive" else None,
+        reacts=True,
+        discard_on_miss_fill=True,
+    )
+    return ctx, host
+
+
+def whole_trace_groups(trace: CompiledTrace):
+    keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
+    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
+
+
+def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
+    """``read_pos``/``write_pos`` are uint32: a ``-1`` mixed into a gather of
+    them wraps to 4 294 967 295 and would sort a write-only key's first
+    observation (and its counter row) after everything else."""
+    #              0    1    2    3    4    5
+    trace = hand_trace("wrrwrw", [2, 0, 1, 1, 1, 0])
+    index = trace.index()
+    assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
+    ctx, host = kernel_host(trace)
+    tally = _SpanTally()
+    _kernel_reactive_span(ctx, host, tally, whole_trace_groups(trace))
+    assert sorted(tally.estimator_ops) == [
+        (0, "key-2", 0, 1, 0, 0, 0),  # write-only: first seen at its write
+        (1, "key-0", 1, 1, 0, 0, 0),
+        (2, "key-1", 2, 1, 0, 1, 1),
+    ]
+    assert sorted(position for position, _ in tally.new_fills) == [1, 2]
+    assert sorted(position for position, _ in tally.buffer_entries) == [0, 3, 5]
+    for value in (tally.reads, tally.hits, tally.cold_misses, tally.buffered_writes):
+        assert type(value) is int
+
+
+def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
+    """A round-robin replica that serves none of a key's span reads gets a
+    ``first`` past the key's run — past the column, for the last key."""
+    trace = hand_trace("rrw", [0, 0, 0])
+    index = trace.index()
+    ctx, host = kernel_host(trace, "invalidate")
+    tally = _SpanTally()
+    groups = (
+        np.array([0]),
+        np.array([index.read_pos.size + 1]),
+        np.array([0]),
+        2,
+        np.array([0]),
+        np.array([1]),
+    )
+    _kernel_reactive_span(ctx, host, tally, groups)
+    assert (tally.reads, tally.buffered_writes, tally.new_fills) == (0, 1, [])
+    [(position, buffered)] = tally.buffer_entries
+    assert (position, buffered.write_count, buffered.first_write_time) == (2, 1, 0.2)
+
+
+@pytest.mark.parametrize("ops", ["rrrrrrrr", "wwwwwwww"], ids=["read-only", "write-only"])
+@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
+def test_one_sided_traces_replay_identically_on_every_engine(ops: str, policy: str) -> None:
+    """No writes at all leaves the write columns empty; no reads at all, the
+    read columns — every endpoint gather must tolerate both."""
+    trace = hand_trace(ops * 4, [0, 1, 2, 0, 1, 2, 3, 0] * 4)
+    index = trace.index()
+    assert (index.write_pos.size == 0) if ops[0] == "r" else (index.read_pos.size == 0)
+    config = dict(staleness_bound=0.5, duration=4.0)
+    scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config).run()
+    simulation = VectorSimulation(trace, policy=make_policy(policy), **config)
+    assert_identical(scalar.as_dict(), simulation.run().as_dict())
+    assert simulation.used_vector_path
+    fleet = dict(
+        policy=policy,
+        num_nodes=3,
+        replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+        **config,
+    )
+    fleet_scalar = ClusterSimulation(trace.iter_requests(), **fleet).run()
+    fleet_simulation = VectorClusterSimulation(trace, **fleet)
+    assert_identical(fleet_scalar.as_dict(), fleet_simulation.run().as_dict())
+    assert fleet_simulation.used_vector_path
+
+
+@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
+def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: str) -> None:
+    """The cost model, counted: a reactive replay calls the span kernel once
+    per non-empty span (and node), however many keys the span touches."""
+    log = tmp_path / "kernel_calls.log"
+    log.touch()
+    kernel = sim_vector._kernel_reactive_span
+
+    def counted(ctx, host, tally, groups):
+        # A file, so that forked shard workers are counted too.
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{groups[0].size}\n")
+        kernel(ctx, host, tally, groups)
+
+    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
+    monkeypatch.setattr(cluster_vector, "_kernel_reactive_span", counted)
+
+    def calls_of(replay) -> int:
+        log.write_text("")
+        replay()
+        return len(log.read_text().split())
+
+    bound, duration = 0.05, 2.0
+    trace = compile_workload(
+        PoissonZipfWorkload(num_keys=120, rate_per_key=40.0, seed=2), duration
+    )
+    spans = non_empty_spans(trace.times, bound)
+    assert spans == 40
+    fleet = dict(policy=policy, num_nodes=3, staleness_bound=bound, duration=duration)
+    assert calls_of(
+        VectorSimulation(
+            trace, policy=make_policy(policy), staleness_bound=bound, duration=duration
+        ).run
+    ) == spans
+    assert calls_of(VectorClusterSimulation(trace, **fleet).run) == 3 * spans
+    assert calls_of(lambda: replay_cluster_parallel(trace, workers=2, **fleet)) == 3 * spans
 
 
 # --------------------------------------------------------------------- #
