@@ -12,8 +12,8 @@ The pieces:
   virtual nodes and minimal-movement rebalance,
 * :class:`~repro.cluster.replication.ReplicationConfig` — replica count and
   replica-read routing,
-* :class:`~repro.cluster.node.CacheNode` — one shard: cache + per-shard
-  policy + backend-side buffer/tracker + its own channel,
+* :class:`~repro.sim.node.CacheNode` — one shard: cache + per-shard policy +
+  buffer/tracker + channel (the core the single-cache simulator also drives),
 * :class:`~repro.cluster.hotkey.HotKeyDetector` — sketch-driven online hot
   key detection that can switch hot keys to a different policy per shard,
 * :class:`~repro.cluster.scenarios.Scenario` — deterministic failure /
@@ -51,7 +51,6 @@ or from the command line via ``python -m repro cluster``.
 from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
-from repro.cluster.node import CacheNode
 from repro.cluster.parallel import partition_nodes, replay_cluster_parallel
 from repro.cluster.replication import ReplicaRouter, ReplicationConfig
 from repro.cluster.results import ClusterResult, NodeResult
@@ -67,6 +66,7 @@ from repro.cluster.scenarios import (
     make_scenario,
 )
 from repro.cluster.vector import VectorClusterSimulation
+from repro.sim.node import CacheNode
 
 __all__ = [
     "CacheNode",

@@ -1,7 +1,7 @@
 """The sharded multi-node cluster simulation.
 
 :class:`ClusterSimulation` routes one time-ordered request stream across a
-fleet of :class:`~repro.cluster.node.CacheNode` shards in front of the shared
+fleet of :class:`~repro.sim.node.CacheNode` shards in front of the shared
 versioned datastore:
 
 * keys are placed with consistent hashing
@@ -35,16 +35,16 @@ from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import as_concurrency
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
-from repro.cluster.node import CacheNode
 from repro.cluster.replication import ReplicaRouter, ReplicationConfig
-from repro.cluster.results import ClusterResult
+from repro.cluster.results import ClusterResult, NodeResult
 from repro.cluster.scenarios import Scenario, ScenarioEvent
 from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy
 from repro.errors import ClusterError, ConfigurationError, StoreError, WorkloadError
-from repro.obs.recorder import as_recorder
+from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
 from repro.resilience.chaos import as_chaos_plan
 from repro.sim.clock import SimulationClock
+from repro.sim.node import CacheNode
 from repro.store.recovery import (
     RecoveryReport,
     load_checkpoint,
@@ -112,8 +112,9 @@ class ClusterSimulation:
         workload_name: Label recorded in the result.
         vnodes: Virtual nodes per physical node on the hash ring.
         seed: Root seed for per-node channels and detectors.
-        discard_buffer_on_miss_fill / final_flush: Same semantics as the
-            single-cache simulator, applied per node.
+        discard_buffer_on_miss_fill / final_flush: As in the single-cache
+            :class:`~repro.sim.simulation.Simulation` (the same node code
+            receives them), applied per node.
         store: Optional persistence config (:class:`~repro.store.StoreConfig`).
             When given, backend writes are journaled to a write-ahead log and
             the datastore plus every reachable node's volatile state are
@@ -314,6 +315,12 @@ class ClusterSimulation:
                 staleness_bound=self.staleness_bound,
                 costs=self.costs,
                 datastore=self.datastore,
+                result=NodeResult(
+                    node_id=node_id,
+                    policy_name=node_policy.name,
+                    workload_name=workload_name,
+                    staleness_bound=self.staleness_bound,
+                ),
                 cache_capacity=cache_capacity,
                 eviction=eviction_factory() if eviction_factory is not None else None,
                 channel=node_channel,
@@ -325,8 +332,6 @@ class ClusterSimulation:
                 tier=self.tier,
                 tier_seed=node_seed ^ 0x1F123BB5,
             )
-            node.result.workload_name = workload_name
-            node.result.staleness_bound = self.staleness_bound
             if self.backend is not None:
                 node.attach_concurrency(self.concurrency, self.backend, node_seed)
             self._nodes[node_id] = node
@@ -595,8 +600,8 @@ class ClusterSimulation:
             while event_index < num_events and events[event_index].time <= self._resume_from:
                 event_index += 1
 
-        # The fleet replay hot loop mirrors the single-cache one: the
-        # time-ordering check is inlined, the identity request transform of
+        # The fleet replay hot loop is shaped like the single-cache driver's:
+        # the time-ordering check is inlined, the identity request transform of
         # the base scenario is skipped, the next scenario event time is a
         # hoisted float compare, and background work only runs when a flush
         # or snapshot is due (or a freshness message is in flight somewhere).
@@ -678,23 +683,8 @@ class ClusterSimulation:
             scenario=self.scenario.name,
         )
 
-    def _obs_process_read(self, request: Request) -> None:
-        obs = self.obs
-        time = request.time
-        if time >= obs.next_boundary:
-            obs.roll(time)
-        token = obs.read_begin()
-        self._process_read(request)
-        obs.read_end(time, request.key, token)
-
-    def _obs_process_write(self, request: Request) -> None:
-        obs = self.obs
-        time = request.time
-        if time >= obs.next_boundary:
-            obs.roll(time)
-        span = obs.write_begin()
-        self._process_write(request)
-        obs.write_end(time, request.key, span)
+    _obs_process_read = obs_process_read
+    _obs_process_write = obs_process_write
 
     # ------------------------------------------------------------------ #
     # Internals

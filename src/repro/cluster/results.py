@@ -1,6 +1,6 @@
 """Per-node and fleet-level cluster results.
 
-Each :class:`~repro.cluster.node.CacheNode` accumulates a :class:`NodeResult`
+Each :class:`~repro.sim.node.CacheNode` accumulates a :class:`NodeResult`
 — the standard single-cache counters plus the cluster-only ones (failed
 fetches while unreachable, hot-key policy switches, membership churn).  At the
 end of a run :class:`ClusterResult` aggregates them into fleet totals using

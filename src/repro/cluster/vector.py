@@ -9,8 +9,8 @@ of the span — one group of columns, cut from the span with masks and stride
 arithmetic — for one call of the same span kernel the single-cache engine
 uses.  Every node's cache, buffer, tracker, and estimator are real objects,
 and all simulation *events* (interval flushes, freshness message fan-out,
-delivery, finalisation) run through the unmodified scalar :class:`CacheNode`
-machinery between spans.
+delivery, finalisation) run through the unmodified scalar
+:class:`~repro.sim.node.CacheNode` machinery between spans.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared
@@ -50,10 +50,8 @@ import numpy as np
 from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
-from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.errors import ClusterError, ConfigurationError, WorkloadError
 from repro.sim.vector import (
-    _VECTOR_POLICIES,
     Groups,
     _HostState,
     _ReplayContext,
@@ -63,10 +61,11 @@ from repro.sim.vector import (
     _kernel_reactive_span,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
+    _node_vector_eligible,
+    _replay_in_spans,
 )
-from repro.sketch.exact import ExactEWTracker
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import CompiledTrace, Span, SpanCursor, TraceIndex
+from repro.workload.compiled import CompiledTrace, Span, TraceIndex
 
 
 class _ClusterPlan:
@@ -128,12 +127,13 @@ class VectorClusterSimulation(ClusterSimulation):
     def vector_eligible(self) -> bool:
         """Whether this configuration can take the vectorized path.
 
-        The fleet envelope is the single-cache one applied to every node —
-        one of the six kernel policies (adaptive on the exact tracker, TTLs
-        within the bound), unbounded caches and trackers, fixed cost preset,
-        ideal channels — plus the cluster-only constraints: steady state
-        (no scenario), no persistence, no tier, and no hot-key detection.
-        Everything else falls back to the scalar fleet loop.
+        The fleet envelope is the per-cache one applied to every node
+        (:func:`~repro.sim.vector._node_vector_eligible` — a kernel policy,
+        unbounded caches and trackers, ideal channels, no tier, no hot-key
+        detection) plus the driver-level checks made here: steady state (no
+        scenario, no chaos), no persistence or history retention, instant
+        fetches, fixed cost preset.  Everything else falls back to the
+        scalar fleet loop.
         """
         if type(self.scenario) is not Scenario:
             return False
@@ -153,29 +153,7 @@ class VectorClusterSimulation(ClusterSimulation):
             return False
         if self.datastore.retention is not None:
             return False
-        policy = self._node_list[0].policy
-        policy_type = type(policy)
-        if policy_type not in _VECTOR_POLICIES:
-            return False
-        if policy_type in (AdaptivePolicy, CacheStateAdaptivePolicy):
-            if type(policy.estimator) is not ExactEWTracker:
-                return False
-        if policy.ttl_mode is not None:
-            ttl = policy._ttl_override
-            if ttl is not None and ttl > self.staleness_bound:
-                return False
-        for node in self._node_list:
-            if node.detector is not None or node.hot_policy is not None:
-                return False
-            if node.l1 is not None:
-                return False
-            if not node.channel.is_ideal:
-                return False
-            if node.cache.capacity is not None:
-                return False
-            if node.tracker.capacity is not None:
-                return False
-        return True
+        return all(_node_vector_eligible(node) for node in self._node_list)
 
     def run(self, stop_at: Optional[float] = None) -> ClusterResult:
         """Replay the trace; vectorized when eligible, scalar otherwise."""
@@ -256,10 +234,8 @@ class VectorClusterSimulation(ClusterSimulation):
     # ------------------------------------------------------------------ #
     def _run_spans(self) -> None:
         trace = self.trace
-        total = len(trace)
-        if total == 0:
+        if len(trace) == 0:
             return
-        times = trace.times
         index = trace.index()
         if not index.time_ordered:
             # Same contract as the scalar loop's inlined ordering check.
@@ -270,31 +246,8 @@ class VectorClusterSimulation(ClusterSimulation):
         # would.
         self.router._round_robin.update(plan.round_robin)
         node0 = self._node_list[0]
-        self._ctx = _ReplayContext(
-            trace=trace,
-            index=index,
-            datastore=self.datastore,
-            bound=self.staleness_bound,
-            ttl=node0._ttl_value,
-            serve_const=node0._serve_cost_const,
-            miss_const=node0._miss_cost_const,
-        )
-        self._hosts = [
-            _HostState(
-                result=node.result,
-                cache=node.cache,
-                buffer=node.buffer,
-                tracker=node.tracker,
-                estimator=(
-                    node.policy.estimator
-                    if isinstance(node.policy, AdaptivePolicy)
-                    else None
-                ),
-                reacts=node._reacts,
-                discard_on_miss_fill=node.discard_buffer_on_miss_fill,
-            )
-            for node in self._node_list
-        ]
+        self._ctx = _ReplayContext.for_node(trace, index, node0)
+        self._hosts = [_HostState.of(node) for node in self._node_list]
         owned_ids = self._owned_ids
         self._owned = [
             node_idx
@@ -309,29 +262,7 @@ class VectorClusterSimulation(ClusterSimulation):
         self._owned_keys: Optional[np.ndarray] = None
         if owned_ids is not None:
             self._owned_keys = np.isin(plan.replicas, self._owned).any(axis=1)
-        cursor = SpanCursor(index)
-        obs = self.obs
-        if node0._reacts:
-            start = 0
-            while start < total:
-                end = int(np.searchsorted(times, self._next_flush, side="left"))
-                if end > start:
-                    if obs is not None:
-                        # Kernel stats fold into the window containing the
-                        # span's first request (span-granularity attribution).
-                        span_start = float(times[start])
-                        if span_start >= obs.next_boundary:
-                            obs.roll(span_start)
-                    self._replay_reactive_span(cursor.advance(end))
-                    start = end
-                    if start >= total:
-                        break
-                # The next request is at or past the flush boundary: run the
-                # due background work exactly where the scalar loop would.
-                self._advance_background(float(times[start]))
-        else:
-            self._replay_ttl_trace(cursor.advance(total))
-        self.clock.advance_to(float(times[-1]))
+        _replay_in_spans(self, node0._reacts, self._advance_background)
 
     def _node_groups(
         self, span: Span, tallies: List[_SpanTally]

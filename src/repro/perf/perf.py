@@ -500,9 +500,10 @@ def _obs_replay(scale: float, obs: Any) -> Dict[str, Any]:
 def bench_obs_disabled(scale: float = 1.0) -> Dict[str, Any]:
     """Replay with telemetry off — the zero-cost claim under a clock.
 
-    ``obs=None`` binds the raw ``_process_read``/``_process_write`` methods
-    at the top of ``run()``, so this must be indistinguishable from a build
-    without the hooks; compare against ``replay-single`` and ``obs-enabled``.
+    ``obs=None`` binds the raw callables (the node's ``handle_read``, the
+    driver's ``_process_write``) at the top of ``run()``, so this must be
+    indistinguishable from a build without the hooks; compare against
+    ``replay-single`` and ``obs-enabled``.
     """
     return _obs_replay(scale, None)
 

@@ -1,26 +1,51 @@
-"""A single cache node in the fleet.
+"""The cache-aside state machine: one cache in front of the backend.
 
-A :class:`CacheNode` owns one shard's worth of the system: its own cache and
-eviction state, its own freshness-policy instance (so per-shard ``E[W]``
-estimators see only the shard's traffic), its own backend-side write buffer
-and invalidation tracker, and its own :class:`~repro.backend.channel.Channel`
-to the shared versioned datastore.  The read path, lazy TTL accounting, and
-flush-time message accounting deliberately mirror
-:class:`repro.sim.simulation.Simulation` operation-for-operation: a one-node
-cluster with replication 1 produces byte-identical aggregate counters to the
-single-cache simulator, which is the equivalence the tests pin down.
+A :class:`CacheNode` is the single implementation of the paper's Figure 1
+loop and its §3 freshness policies.  It owns one cache and its eviction
+state, one freshness-policy instance (so ``E[W]`` estimators see only this
+cache's traffic), the backend-side write buffer and invalidation tracker for
+that cache, and the :class:`~repro.backend.channel.Channel` freshness
+messages travel over from the versioned datastore:
 
-On top of the single-cache behaviour a node adds the cluster concerns:
-reachability (a failed-but-undetected node keeps serving its cache but can
-neither re-fetch nor receive freshness messages), purge-on-departure, and the
-per-shard hot-key detector that can route flush decisions to a different
-policy for hot keys.
+* reads are served from the cache; a miss fetches the object from the backend
+  and populates the cache,
+* writes go straight to the backend, bypassing the cache, and
+* the policy keeps cached data within the staleness bound ``T`` — either with
+  per-object TTL timers (TTL-expiry / TTL-polling) or by reacting to writes
+  at interval boundaries (invalidate / update / adaptive / optimal, Figure 4).
+
+Cost accounting follows §2.1: the freshness cost :math:`C_F` accumulates the
+cost of every message or re-fetch performed *to keep data fresh* (TTL polls,
+invalidates, updates, and the misses caused by stale data); the staleness cost
+:math:`C_S` counts the misses that occurred because a cached object could not
+be returned due to staleness.  Misses on objects that were never cached (or
+were evicted) count toward the miss ratio but toward neither cost, matching
+the paper's definitions.
+
+TTL timers are accounted lazily rather than simulated as events: an expiry
+only matters when the next read arrives, and the number of polls an entry has
+performed is a pure function of elapsed time, so both can be settled when the
+entry is next touched, evicted, or when the run ends.  This keeps the run time
+proportional to the number of requests even for very small staleness bounds.
+
+Both drivers run this one core: :class:`repro.sim.simulation.Simulation`
+drives exactly one node, :class:`repro.cluster.cluster.ClusterSimulation`
+routes a stream across many, so a one-node fleet and the single cache agree
+by construction.  The node does not know which driver it is under: it
+accumulates into the ``result`` object it was handed (each driver's rows keep
+their schema) and acts on the time-ordered calls it receives.
+
+On top of that loop a node carries the fleet concerns, each inert unless a
+driver switches it on: reachability (a failed-but-undetected node keeps
+serving its cache but can neither re-fetch nor receive freshness messages),
+purge-on-departure, the optional L1 tier, and the per-shard hot-key detector
+that can route flush decisions to a different policy for hot keys.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.backend.buffer import WriteBuffer
 from repro.backend.channel import Channel
@@ -34,38 +59,48 @@ from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import ConcurrencyConfig
 from repro.concurrency.coordinator import FetchCoordinator
 from repro.errors import ClusterError
-from repro.cluster.hotkey import HotKeyDetector
-from repro.cluster.results import NodeResult
 from repro.core.cost_model import CostModel
-from repro.core.policy import Action, FreshnessPolicy, PolicyContext
+from repro.core.policy import Action, FreshnessPolicy, FutureIndex, PolicyContext
 from repro.core.ttl import TTLPollingPolicy, account_entry_polls
 from repro.obs.metrics import Histogram
 from repro.sim.events import PendingDelivery
+from repro.sim.results import SimulationResult
 from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
 from repro.workload.base import OpType, Request
 
 
 class CacheNode:
-    """One shard: cache + policy + backend-side buffer/tracker + channel.
+    """One cache: cache + policy + backend-side buffer/tracker + channel.
 
     Args:
         node_id: Stable identifier (also the node's hash-ring identity).
-        policy: This shard's freshness-policy instance (not shared).
-        staleness_bound: The bound ``T`` shared by the whole fleet.
-        costs: The fleet's cost model.
-        datastore: The shared versioned backend store.
-        cache_capacity: Per-node object capacity (``None`` = unbounded).
-        eviction: Per-node eviction policy instance.
-        channel: Backend-to-node message channel (never ``None`` in a
-            cluster, so scenarios can impose outages; an ideal channel is
-            instantaneous and lossless).
-        tracker_capacity: Capacity of this node's invalidated-key tracker.
+        policy: This cache's freshness-policy instance (not shared).
+        staleness_bound: The bound ``T`` in seconds that cached data must
+            satisfy (also the TTL duration and the write-batching interval).
+        costs: Cost model supplying ``c_m``, ``c_i``, ``c_u``.
+        datastore: The versioned backend store (shared across a fleet).
+        result: The counters this node accumulates into — a
+            :class:`~repro.sim.results.SimulationResult` under the
+            single-cache driver, a :class:`~repro.cluster.results.NodeResult`
+            in a fleet.  The fleet-only counters are only touched by the
+            feature that owns them (unreachability, churn, detector, L1), so
+            the plain result suffices where none of those is switched on.
+        cache_capacity: Object capacity (``None`` = unbounded).
+        eviction: Eviction policy instance (default LRU).
+        channel: Backend-to-cache message channel; ``None`` means ideal
+            (instantaneous and lossless).  The node always holds a channel
+            object so scenarios can impose outages on it.
+        tracker_capacity: Capacity of this node's invalidated-key tracker
+            (``None`` = exact tracking).
         hot_policy: Optional policy instance applied to keys the detector
             currently flags hot on this shard.
-        detector: Optional per-shard hot-key detector.
-        discard_buffer_on_miss_fill: Same semantics as the single-cache
-            simulator, applied to this node's buffer.
+        detector: Optional per-shard hot-key detector
+            (:class:`~repro.cluster.hotkey.HotKeyDetector`).
+        discard_buffer_on_miss_fill: Whether the backend drops a buffered
+            write for a key once a miss has re-fetched that key within the
+            same interval (the backend served that miss, so it knows the
+            cache is fresh again).
         pending_registry: Optional cluster-owned set of node ids with
             messages in flight; lets the cluster skip the per-request
             delivery sweep when nothing is pending anywhere in the fleet.
@@ -74,6 +109,9 @@ class CacheNode:
             configs (``l1_capacity=0``) leave the node single-tier and
             byte-identical to a node built without one.
         tier_seed: Seed for the L1 admission sketch's hash family.
+        future: Per-key future request index for clairvoyant policies
+            (``policy.needs_future``, i.e. the ``optimal`` baseline); only a
+            driver that has materialized the whole stream can supply one.
     """
 
     def __init__(
@@ -83,16 +121,18 @@ class CacheNode:
         staleness_bound: float,
         costs: CostModel,
         datastore: DataStore,
+        result: SimulationResult,
         cache_capacity: Optional[int] = None,
         eviction: Optional[EvictionPolicy] = None,
         channel: Optional[Channel] = None,
         tracker_capacity: Optional[int] = None,
         hot_policy: Optional[FreshnessPolicy] = None,
-        detector: Optional[HotKeyDetector] = None,
+        detector: Optional[Any] = None,
         discard_buffer_on_miss_fill: bool = True,
         pending_registry: Optional[set] = None,
         tier: Optional[TierConfig] = None,
         tier_seed: int = 0,
+        future: Optional[FutureIndex] = None,
     ) -> None:
         self.node_id = node_id
         self.policy = policy
@@ -107,7 +147,7 @@ class CacheNode:
         self.cache = Cache(capacity=cache_capacity, eviction=eviction, on_evict=self._on_evict)
         self.buffer = WriteBuffer()
         self.tracker = InvalidationTracker(capacity=tracker_capacity)
-        self.result = NodeResult(node_id=node_id, policy_name=policy.name)
+        self.result = result
         #: The per-node L1 in front of ``cache`` (``None`` = single-tier).
         self.l1: Optional[L1Tier] = (
             L1Tier(
@@ -136,19 +176,19 @@ class CacheNode:
         #: Whether the node is currently on the hash ring.
         self.in_ring = True
 
-        self._bind_policies()
+        self._bind_policies(future)
 
     # ------------------------------------------------------------------ #
     # Policy plumbing
     # ------------------------------------------------------------------ #
-    def _bind_policies(self) -> None:
+    def _bind_policies(self, future: Optional[FutureIndex]) -> None:
         context = PolicyContext(
             costs=self.costs,
             staleness_bound=self.staleness_bound,
             cache=self.cache,
             datastore=self.datastore,
             tracker=self.tracker,
-            future=None,
+            future=future,
         )
         self.policy.bind(context)
         if self.hot_policy is not None:
@@ -208,9 +248,11 @@ class CacheNode:
     def observe_write(self, request: Request, owner: bool) -> None:
         """Record a backend write for which this node holds a replica.
 
-        Only the primary (``owner``) counts the write in its result so that
-        fleet totals count each workload request exactly once; every replica
-        observes it (estimators, detector) and dirties its buffer.
+        The driver has already committed the write to the datastore (writes
+        bypass the cache).  Only the primary (``owner``) counts the write in
+        its result so that fleet totals count each workload request exactly
+        once; every replica observes it (estimators, detector) and dirties
+        its buffer.
         """
         key, time = request.key, request.time
         if owner:
@@ -228,7 +270,7 @@ class CacheNode:
             )
 
     def handle_read(self, request: Request) -> None:
-        """Serve one read routed to this node (mirrors the single-cache path).
+        """Serve one read under the instant-fetch model.
 
         With a tier configured, the L1 is consulted first: a valid L1 hit
         serves immediately (charged ``l1_hit``); everything else falls
@@ -300,6 +342,8 @@ class CacheNode:
         self._fill_after_fetch(request, version, backend_value_size)
         self.tracker.mark_refetched(key)
         if self.discard_buffer_on_miss_fill and self._reacts:
+            # The backend just served this key's latest value; any write
+            # buffered earlier in the interval no longer needs a message.
             self.buffer.discard(key)
 
     def _fill_after_fetch(self, request: Request, version: int, value_size: int) -> None:
@@ -345,9 +389,9 @@ class CacheNode:
     ) -> None:
         """Enable the in-flight fetch model on this node.
 
-        The cluster calls this once per node after construction, passing the
-        *shared* backend server (all nodes queue on the same fetch slots) and
-        the node's derived seed (each node draws its own service-time and
+        The driver calls this once per node after construction, passing the
+        backend server (in a fleet all nodes queue on the same fetch slots)
+        and the node's seed (each node draws its own service-time and
         early-expiry streams).  Binding works by instance-attribute
         shadowing: the concurrent variants of ``handle_read`` /
         ``observe_write`` / ``flush`` / ``finalize`` /
@@ -367,11 +411,15 @@ class CacheNode:
     def _handle_read_concurrent(self, request: Request) -> None:
         """The routed read path under the in-flight fetch model.
 
-        Mirrors :meth:`handle_read` op-for-op on the hit/degraded/unreachable
+        Follows :meth:`handle_read` op-for-op on the hit/degraded/unreachable
         paths (which all observe zero latency: they never touch the backend),
-        while misses issue a fetch on the shared backend — classified and
-        charged at issue time — whose fill lands at its completion time.
-        Every read records exactly one latency sample.
+        while misses *issue* a fetch on the backend server — classified and
+        charged at issue time, when the backend snapshot is taken — whose
+        fill lands at its completion time.  Stampede policies decide whether
+        concurrent misses on the same key coalesce, serve the resident stale
+        copy, or wait.  Every read records exactly one latency sample.  Kept
+        apart from the plain handler on purpose: merging the two would put a
+        concurrency branch on every instant-fetch read.
         """
         result = self.result
         datastore = self.datastore
@@ -491,12 +539,16 @@ class CacheNode:
     def _apply_fetch_completions(self, until: float) -> None:
         """Land fills for every fetch completing at or before ``until``.
 
-        Same semantics as the single-cache engine: the fill carries the
-        backend snapshot taken at issue time (``as_of`` is the issue
-        instant), the tracker learns about the refetch unconditionally, and
-        the buffered-write discard only applies when the fetched version is
-        still the backend's latest.  Fills route through
-        :meth:`_fill_after_fetch` so write-back tiers install into the L1.
+        The fill carries the backend snapshot taken at issue time, so the
+        entry's ``as_of`` is the issue instant.  The tracker learns about the
+        refetch unconditionally (as in the instant-fetch path — the backend
+        must re-invalidate on the *next* write, or a fill racing an
+        invalidate would suppress every future invalidate while the cache
+        holds stale data).  The buffered-write discard, however, only applies
+        when the fetched version is still the backend's latest: a write that
+        raced the fetch still needs its freshness message.  Fills route
+        through :meth:`_fill_after_fetch` so write-back tiers install into
+        the L1.
         """
         discard = self.discard_buffer_on_miss_fill and self._reacts
         datastore = self.datastore
@@ -524,8 +576,7 @@ class CacheNode:
         """Drain completions due by the flush instant, then flush normally.
 
         Completions land first on ties so a flush decision observes every
-        fill that landed at or before its instant (the same tie rule as the
-        single-cache engine).
+        fill that landed at or before its instant.
         """
         if self.fetches.next_done <= flush_time:
             self._apply_fetch_completions(flush_time)
@@ -555,7 +606,12 @@ class CacheNode:
     # Interval flush and message delivery
     # ------------------------------------------------------------------ #
     def flush(self, flush_time: float) -> None:
-        """Decide and send one freshness message per dirty key on this shard."""
+        """Act on every key written during the interval ending at ``flush_time``.
+
+        One freshness decision per dirty key; actions dispatch through the
+        handler table built at bind time (``None`` marks the do-nothing
+        action, which only counts).
+        """
         if self.l1 is not None:
             # Write-back flush first: the L2 sees the L1's dirty entries at
             # the same instant the freshness decisions for the interval land.
@@ -593,6 +649,8 @@ class CacheNode:
 
     def _send_invalidate(self, key: str, key_size: int, time: float) -> None:
         if self.tracker.is_invalidated(key):
+            # The backend already invalidated this key and the cache has not
+            # re-fetched it since, so a second invalidate is redundant (§3.1).
             self.result.suppressed_invalidates += 1
             return
         self.result.invalidates_sent += 1
@@ -612,6 +670,8 @@ class CacheNode:
         value_size = self.datastore.value_size(key)
         self.result.updates_sent += 1
         self.result.freshness_cost += self.costs.update_cost(key_size, value_size)
+        # An update carries the latest value, so even a previously invalidated
+        # cached copy becomes valid again once it is applied.
         self.tracker.mark_refetched(key)
         message = UpdateMessage(
             key=key,
@@ -625,6 +685,7 @@ class CacheNode:
         self._transmit(message)
 
     def _transmit(self, message: Message) -> None:
+        """Push a message through the channel (an ideal one applies it now)."""
         record = self.channel.send(message)
         if not record.delivered:
             self.result.messages_dropped += 1
@@ -672,11 +733,10 @@ class CacheNode:
                 self.l1.apply_invalidate(message.key, time)
 
     # ------------------------------------------------------------------ #
-    # Lazy TTL accounting (same scheme as the single-cache simulator)
+    # Lazy TTL accounting
     # ------------------------------------------------------------------ #
     def _settle_ttl_state(self, key: str, now: float) -> None:
-        if self.policy.ttl_mode is None:
-            return
+        """Settle lazy TTL expiry or polling costs for ``key`` before a lookup."""
         entry = self._l2_peek(key)
         if entry is not None:
             if self._ttl_expiry:
@@ -709,6 +769,7 @@ class CacheNode:
                 entry.version = version
 
     def _on_evict(self, entry: CacheEntry, time: float) -> None:
+        """Settle outstanding polling costs when an entry is evicted."""
         if self.policy.ttl_mode == "polling":
             self.account_polls(entry, time)
             if self.l1 is not None:

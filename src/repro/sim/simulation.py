@@ -1,28 +1,17 @@
-"""The cache-aside simulation loop.
+"""The single-cache driver over the cache-aside core.
 
-The simulator replays a time-ordered request stream (Figure 1 of the paper):
-
-* reads are served from the cache; a miss fetches the object from the backend
-  and populates the cache,
-* writes go straight to the backend, bypassing the cache, and
-* the configured freshness policy keeps cached data within the staleness
-  bound ``T`` — either with per-object TTL timers (TTL-expiry / TTL-polling)
-  or by reacting to writes at interval boundaries (invalidate / update /
-  adaptive / optimal, Figure 4).
-
-Cost accounting follows §2.1: the freshness cost :math:`C_F` accumulates the
-cost of every message or re-fetch performed *to keep data fresh* (TTL polls,
-invalidates, updates, and the misses caused by stale data); the staleness cost
-:math:`C_S` counts the misses that occurred because a cached object could not
-be returned due to staleness.  Misses on objects that were never cached (or
-were evicted) count toward the miss ratio but toward neither cost, matching
-the paper's definitions.
-
-TTL timers are accounted lazily rather than simulated as events: an expiry
-only matters when the next read arrives, and the number of polls an entry has
-performed is a pure function of elapsed time, so both can be settled when the
-entry is next touched, evicted, or when the run ends.  This keeps the run time
-proportional to the number of requests even for very small staleness bounds.
+The cache-aside loop of the paper's Figure 1 — reads served from the cache,
+misses filled from the backend, writes bypassing the cache, and a freshness
+policy holding cached data within the staleness bound ``T`` — lives in
+exactly one place: :class:`~repro.sim.node.CacheNode`, where the cost
+accounting of §2.1 and the lazy TTL settlement are documented.
+:class:`Simulation` is the thin driver that replays a time-ordered request
+stream against *one* such node.  It owns what is not per-cache: the backend
+datastore (and its optional write-ahead log and snapshots), the clock, the
+stream loop with its ordering check, the interval-flush / snapshot schedule,
+and the recorder's begin and finish.  Every read, write observation, flush,
+message delivery, TTL settle, fetch completion and the final settlement is
+handed to the node, which is the same code a fleet's shards run.
 """
 
 from __future__ import annotations
@@ -30,25 +19,17 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.backend.buffer import WriteBuffer
 from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
-from repro.backend.invalidation_tracker import InvalidationTracker
-from repro.backend.messages import InvalidateMessage, UpdateMessage
-from repro.cache.cache import Cache
-from repro.cache.entry import CacheEntry, EntryState
 from repro.cache.eviction import EvictionPolicy
 from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import as_concurrency
-from repro.concurrency.coordinator import FetchCoordinator
 from repro.core.cost_model import CostModel
-from repro.core.policy import Action, FreshnessPolicy, FutureIndex, PolicyContext
-from repro.core.ttl import TTLPollingPolicy, account_entry_polls
+from repro.core.policy import FreshnessPolicy, FutureIndex
 from repro.errors import ConfigurationError, WorkloadError
-from repro.obs.metrics import Histogram
-from repro.obs.recorder import as_recorder
+from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
 from repro.sim.clock import SimulationClock
-from repro.sim.events import PendingDelivery
+from repro.sim.node import CacheNode
 from repro.sim.results import SimulationResult
 from repro.store.runtime import StoreRuntime
 from repro.store.snapshot import StoreConfig
@@ -149,18 +130,13 @@ class Simulation:
             self._stream = workload
         self.staleness_bound = float(staleness_bound)
         self.costs = costs if costs is not None else CostModel()
-        self.channel = channel
         self.workload_name = workload_name
-        self.discard_buffer_on_miss_fill = discard_buffer_on_miss_fill
         self.final_flush = final_flush
 
         if duration is None:
             # For a streaming workload the horizon is unknown up front; it is
             # finalized from the clock (the last request time) after replay.
-            if self.requests is not None:
-                duration = self.requests[-1].time if self.requests else 0.0
-            else:
-                duration = 0.0
+            duration = self.requests[-1].time if self.requests else 0.0
         self.duration = float(duration)
 
         self.obs = as_recorder(obs)
@@ -171,9 +147,6 @@ class Simulation:
             self._store.attach(self.datastore)
             if self.obs is not None:
                 self._store.attach_obs(self.obs)
-        self.cache = Cache(capacity=cache_capacity, eviction=eviction, on_evict=self._on_evict)
-        self.buffer = WriteBuffer()
-        self.tracker = InvalidationTracker(capacity=tracker_capacity)
         self.clock = SimulationClock()
         self.result = SimulationResult(
             policy_name=policy.name,
@@ -181,25 +154,46 @@ class Simulation:
             staleness_bound=self.staleness_bound,
             duration=self.duration,
         )
-        self._pending_deliveries: List[PendingDelivery] = []
-        self._next_flush = self.staleness_bound
-        self._next_due = math.inf
-        self._has_run = False
+        #: Non-empty exactly while the node has freshness messages in flight,
+        #: so the loop only sweeps deliveries when there is one to find.
+        self._pending: set = set()
+        #: The cache-aside core; this driver's one node.
+        self.node = CacheNode(
+            node_id="cache",
+            policy=policy,
+            staleness_bound=self.staleness_bound,
+            costs=self.costs,
+            datastore=self.datastore,
+            result=self.result,
+            cache_capacity=cache_capacity,
+            eviction=eviction,
+            channel=channel,
+            tracker_capacity=tracker_capacity,
+            discard_buffer_on_miss_fill=discard_buffer_on_miss_fill,
+            pending_registry=self._pending,
+            future=(
+                FutureIndex.from_requests(self.requests)
+                if self.requests is not None
+                else None
+            ),
+        )
+        self.cache = self.node.cache
+        self.buffer = self.node.buffer
+        self.tracker = self.node.tracker
 
         # Concurrent-fetch model (None keeps the instant-fetch hot path).
         self.concurrency = as_concurrency(concurrency)
-        self._fetches: Optional[FetchCoordinator] = None
-        self._latency: Optional[Histogram] = None
         self.backend_server: Optional[BackendServer] = None
         if self.concurrency is not None:
             self.backend_server = BackendServer(self.concurrency.capacity)
-            self._fetches = FetchCoordinator(
+            self.node.attach_concurrency(
                 self.concurrency, self.backend_server, self.concurrency.seed
             )
-            self._latency = Histogram("read_latency")
-            # Share the live bucket dict so windowed telemetry can diff
-            # per-window latency without copying on the hot path.
-            self.result.latency_buckets = self._latency.counts
+
+        # Only write-reactive policies flush; a TTL policy's next flush is never.
+        self._next_flush = self.staleness_bound if self.node.reacts_to_writes else math.inf
+        self._refresh_next_due()
+        self._has_run = False
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -211,25 +205,13 @@ class Simulation:
         :func:`~repro.workload.base.ensure_sorted` is inlined (one float
         compare per request instead of an extra generator frame), background
         work is only entered when a flush/snapshot is actually due or a
-        delivery is in flight, and the read/write dispatch avoids the
-        ``is_write`` property call.  Replay semantics are unchanged — the
-        pinned equivalence tests hold byte-for-byte.
+        delivery is in flight, the read/write dispatch avoids the
+        ``is_write`` property call, and the clock — which only finalisation
+        reads — is advanced once after the loop rather than per request.
         """
         if self._has_run:
             raise ConfigurationError("a Simulation instance can only be run once")
         self._has_run = True
-        self._bind_policy()
-        if self._fetches is not None:
-            # The concurrent model shadows the read path and background
-            # advance with instance attributes; with concurrency off these
-            # attributes never exist and every caller (including the obs
-            # wrappers and _finalize) resolves the plain class methods —
-            # byte-identical to previous releases.
-            self._process_read = self._process_read_concurrent
-            self._process_write = self._process_write_concurrent
-            self._advance_background_work = self._advance_background_concurrent
-        self._refresh_next_due()
-        clock = self.clock
         # Observability binds wrapper methods *instead of* the plain ones:
         # with obs disabled this loop is byte-for-byte the plain hot path.
         if self.obs is not None:
@@ -240,6 +222,7 @@ class Simulation:
             process_read = self._process_read
             process_write = self._process_write
         advance_background = self._advance_background_work
+        pending = self._pending
         write_op = OpType.WRITE
         previous = float("-inf")
         for index, request in enumerate(self._stream):
@@ -250,13 +233,14 @@ class Simulation:
                     f"{time} < {previous}"
                 )
             previous = time
-            if self._pending_deliveries or time >= self._next_due:
+            if pending or time >= self._next_due:
                 advance_background(time)
-            clock.advance_to(time)
             if request.op is write_op:
                 process_write(request)
             else:
                 process_read(request)
+        if previous > self.clock.now:
+            self.clock.advance_to(previous)
         self._finalize()
         return self.result
 
@@ -273,466 +257,52 @@ class Simulation:
             nodes=1,
         )
 
-    def _obs_process_read(self, request: Request) -> None:
-        obs = self.obs
-        time = request.time
-        if time >= obs.next_boundary:
-            obs.roll(time)
-        token = obs.read_begin()
-        self._process_read(request)
-        obs.read_end(time, request.key, token)
-
-    def _obs_process_write(self, request: Request) -> None:
-        obs = self.obs
-        time = request.time
-        if time >= obs.next_boundary:
-            obs.roll(time)
-        span = obs.write_begin()
-        self._process_write(request)
-        obs.write_end(time, request.key, span)
-
-    # ------------------------------------------------------------------ #
-    # Setup
-    # ------------------------------------------------------------------ #
-    def _bind_policy(self) -> None:
-        future = (
-            FutureIndex.from_requests(self.requests)
-            if self.policy.needs_future and self.requests is not None
-            else None
-        )
-        context = PolicyContext(
-            costs=self.costs,
-            staleness_bound=self.staleness_bound,
-            cache=self.cache,
-            datastore=self.datastore,
-            tracker=self.tracker,
-            future=future,
-        )
-        self.policy.bind(context)
-        # Hot-path precomputation: observation hooks that are base-class
-        # no-ops are skipped entirely, the fixed-preset serve cost (which
-        # ignores its size arguments) collapses to a constant, and flush
-        # actions dispatch through a handler table.
-        policy_cls = type(self.policy)
-        self._observe_read = (
-            self.policy.observe_read
-            if policy_cls.observe_read is not FreshnessPolicy.observe_read
-            else None
-        )
-        self._observe_write = (
-            self.policy.observe_write
-            if policy_cls.observe_write is not FreshnessPolicy.observe_write
-            else None
-        )
-        self._settles_ttl = self.policy.ttl_mode is not None
-        self._ttl_expiry = self.policy.ttl_mode == "expiry"
-        # TTL duration is fixed once bound (explicit override or the run's
-        # staleness bound), so resolve the property once.
-        self._ttl_value = (
-            self.policy.ttl if self.policy.ttl_mode is not None else math.inf
-        )
-        self._poll_ttl = (
-            self._ttl_value if isinstance(self.policy, TTLPollingPolicy) else None
-        )
-        self._serve_cost_const = (
-            self.costs.serve_cost() if self.costs.breakdown is None else None
-        )
-        self._miss_cost_const = (
-            self.costs.miss_cost() if self.costs.breakdown is None else None
-        )
-        self._cache_peek = self.cache.raw_getter()
-        self._action_handlers = {
-            Action.NOTHING: None,
-            Action.INVALIDATE: self._send_invalidate,
-            Action.UPDATE: self._send_update,
-        }
-
-    def _refresh_next_due(self) -> None:
-        """Recompute the earliest time background work must run."""
-        next_flush = self._next_flush if self.policy.reacts_to_writes else math.inf
-        next_snapshot = self._store.next_snapshot if self._store else math.inf
-        self._next_due = next_flush if next_flush <= next_snapshot else next_snapshot
-
-    # ------------------------------------------------------------------ #
-    # Background work: interval flushes and delayed message delivery
-    # ------------------------------------------------------------------ #
-    def _advance_background_work(self, until: float) -> None:
-        """Run interval flushes, snapshots, and deliveries due before ``until``.
-
-        Flushes and snapshots are interleaved in time order (flush first on a
-        tie, so a snapshot observes the flushed state of its instant).
-        """
-        reacts = self.policy.reacts_to_writes
-        while True:
-            next_flush = self._next_flush if reacts else math.inf
-            next_snapshot = self._store.next_snapshot if self._store else math.inf
-            if min(next_flush, next_snapshot) > until:
-                break
-            if next_flush <= next_snapshot:
-                self._deliver_messages(next_flush)
-                self._flush(next_flush)
-                self._next_flush += self.staleness_bound
-            else:
-                self._store.checkpoint(next_snapshot, self.datastore)
-        self._refresh_next_due()
-        self._deliver_messages(until)
-
-    def _flush(self, flush_time: float) -> None:
-        """Act on every key written during the interval ending at ``flush_time``.
-
-        Actions dispatch through the handler table built at bind time
-        (``None`` marks the do-nothing action, which only counts).
-        """
-        handlers = self._action_handlers
-        decide = self.policy.decide
-        for buffered in self.buffer.drain():
-            handler = handlers[decide(buffered.key, flush_time)]
-            if handler is None:
-                self.result.decisions_nothing += 1
-            else:
-                handler(buffered.key, buffered.key_size, flush_time)
-
-    def _send_invalidate(self, key: str, key_size: int, time: float) -> None:
-        if self.tracker.is_invalidated(key):
-            # The backend already invalidated this key and the cache has not
-            # re-fetched it since, so a second invalidate is redundant (§3.1).
-            self.result.suppressed_invalidates += 1
-            return
-        self.result.invalidates_sent += 1
-        self.result.freshness_cost += self.costs.invalidate_cost(key_size)
-        self.tracker.mark_invalidated(key, time)
-        message = InvalidateMessage(
-            key=key, sent_at=time, key_size=key_size, version=self.datastore.latest_version(key)
-        )
-        if self.datastore.journal is not None:
-            self.datastore.journal.log_message("invalidate", key, time, message.version)
-        self._transmit(message)
-
-    def _send_update(self, key: str, key_size: int, time: float) -> None:
-        value_size = self.datastore.value_size(key)
-        self.result.updates_sent += 1
-        self.result.freshness_cost += self.costs.update_cost(key_size, value_size)
-        # An update carries the latest value, so even a previously invalidated
-        # cached copy becomes valid again once it is applied.
-        self.tracker.mark_refetched(key)
-        message = UpdateMessage(
-            key=key,
-            sent_at=time,
-            key_size=key_size,
-            value_size=value_size,
-            version=self.datastore.latest_version(key),
-        )
-        if self.datastore.journal is not None:
-            self.datastore.journal.log_message("update", key, time, message.version)
-        self._transmit(message)
-
-    def _transmit(self, message) -> None:
-        """Push a message through the channel (or apply it immediately)."""
-        if self.channel is None:
-            self._apply_message(message, message.sent_at)
-            return
-        record = self.channel.send(message)
-        if not record.delivered:
-            self.result.messages_dropped += 1
-            return
-        if record.deliver_at <= message.sent_at:
-            self._apply_message(message, message.sent_at)
-        else:
-            self._pending_deliveries.append(
-                PendingDelivery(message=message, deliver_at=record.deliver_at)
-            )
-
-    def _deliver_messages(self, until: float) -> None:
-        """Apply in-flight messages whose delivery time has arrived."""
-        if not self._pending_deliveries:
-            return
-        remaining: List[PendingDelivery] = []
-        for pending in self._pending_deliveries:
-            if pending.deliver_at <= until:
-                self._apply_message(pending.message, pending.deliver_at)
-            else:
-                remaining.append(pending)
-        self._pending_deliveries = remaining
-
-    def _apply_message(self, message, time: float) -> None:
-        """Apply a delivered freshness message to the cache."""
-        if isinstance(message, UpdateMessage):
-            applied = self.cache.apply_update(
-                message.key, version=message.version, time=time, value_size=message.value_size
-            )
-            if not applied:
-                self.result.updates_wasted += 1
-        else:
-            self.cache.apply_invalidate(message.key, time)
+    _obs_process_read = obs_process_read
+    _obs_process_write = obs_process_write
 
     # ------------------------------------------------------------------ #
     # Request processing
     # ------------------------------------------------------------------ #
+    @property
+    def _process_read(self):
+        """The node's read handler (the concurrent one once attached) *is*
+        this driver's: ``run()`` resolves it once, so the hot path gains no
+        frame over calling the node directly."""
+        return self.node.handle_read
+
     def _process_write(self, request: Request) -> None:
-        key, time = request.key, request.time
-        self.result.writes += 1
-        self.datastore.write(key, time, request.value_size)
-        if self._observe_write is not None:
-            self._observe_write(key, time)
-        if self.policy.reacts_to_writes:
-            self.buffer.record_write(
-                key,
-                time,
-                key_size=request.key_size,
-                value_size=request.value_size,
-            )
-
-    def _process_read(self, request: Request) -> None:
-        # Loop-local aliasing: each of these attribute chains would otherwise
-        # be re-resolved per request, and reads dominate the stream.
-        result = self.result
-        datastore = self.datastore
-        key, time, key_size = request.key, request.time, request.key_size
-
-        result.reads += 1
-        if self._observe_read is not None:
-            self._observe_read(key, time)
-        serve = self._serve_cost_const
-        if serve is None:
-            serve = self.costs.serve_cost(key_size, datastore.value_size(key))
-        result.useful_work += serve
-
-        if self._settles_ttl:
-            self._settle_ttl_state(key, time)
-        entry, outcome = self.cache.lookup(key, time)
-        if outcome == "hit":
-            result.hits += 1
-            bound = self.staleness_bound
-            # ``is_fresh`` is trivially true when the entry's view is within
-            # the bound; the precheck skips the call on that common case.
-            if time - bound > entry.as_of and not datastore.is_fresh(
-                key, entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-            return
-
-        version, backend_value_size = datastore.read(key, time)
-        if outcome == "stale_miss":
-            result.stale_misses += 1
-            result.stale_refetches += 1
-            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
-        else:
-            result.cold_misses += 1
-            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        self.cache.fill(
-            key,
-            version=version,
-            time=time,
-            key_size=key_size,
-            value_size=backend_value_size,
-        )
-        self.tracker.mark_refetched(key)
-        if self.discard_buffer_on_miss_fill and self.policy.reacts_to_writes:
-            # The backend just served this key's latest value; any write
-            # buffered earlier in the interval no longer needs a message.
-            self.buffer.discard(key)
+        """Commit a write to the backend, then let the node observe it."""
+        self.datastore.write(request.key, request.time, request.value_size)
+        self.node.observe_write(request, True)
 
     # ------------------------------------------------------------------ #
-    # Concurrent-fetch request processing (bound only when enabled)
+    # Background work: interval flushes, snapshots, message delivery
     # ------------------------------------------------------------------ #
-    def _process_read_concurrent(self, request: Request) -> None:
-        """The read path under the in-flight fetch model.
+    def _refresh_next_due(self) -> None:
+        """Recompute the earliest time background work must run."""
+        next_snapshot = self._store.next_snapshot if self._store else math.inf
+        self._next_due = min(self._next_flush, next_snapshot)
 
-        Mirrors :meth:`_process_read` op-for-op on the hit path, but misses
-        *issue* a backend fetch (classified and charged at issue time, when
-        the backend snapshot is taken) whose fill lands at its completion
-        time.  Stampede policies decide whether concurrent misses on the
-        same key coalesce, serve the resident stale copy, or wait.
+    def _advance_background_work(self, until: float) -> None:
+        """Run interval flushes, snapshots, and deliveries due before ``until``.
+
+        Flushes and snapshots are interleaved in time order (flush first on a
+        tie, so a snapshot observes the flushed state of its instant).  At a
+        flush instant the node applies the deliveries due by then, then (under
+        the in-flight fetch model) the fetch completions due by then, then
+        flushes.
         """
-        result = self.result
-        datastore = self.datastore
-        fetches = self._fetches
-        key, time, key_size = request.key, request.time, request.key_size
-
-        if fetches.next_done <= time:
-            self._apply_fetch_completions(time)
-
-        result.reads += 1
-        if self._observe_read is not None:
-            self._observe_read(key, time)
-        serve = self._serve_cost_const
-        if serve is None:
-            serve = self.costs.serve_cost(key_size, datastore.value_size(key))
-        result.useful_work += serve
-
-        if self._settles_ttl:
-            self._settle_ttl_state(key, time)
-        entry, outcome = self.cache.lookup(key, time)
-        bound = self.staleness_bound
-        latency = self._latency
-        if outcome == "hit":
-            result.hits += 1
-            if time - bound > entry.as_of and not datastore.is_fresh(
-                key, entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-            latency.observe(0.0)
-            if (
-                fetches.early_expiry
-                and fetches.lookup(key) is None
-                and fetches.should_refresh_early(time, entry.as_of, bound)
-            ):
-                self._issue_refresh(key, time, key_size)
-                result.early_refreshes += 1
-            return
-
-        stale_entry = entry if outcome == "stale_miss" else None
-        in_flight = fetches.lookup(key) if fetches.coalesces else None
-        if in_flight is not None:
-            # Follower: ride the in-flight fetch instead of dogpiling the
-            # backend.  The miss is still classified (the cache did miss)
-            # but no fetch cost is charged — the leader already paid it.
-            result.coalesced_reads += 1
-            if outcome == "stale_miss":
-                result.stale_misses += 1
-            else:
-                result.cold_misses += 1
-            if fetches.followers_serve_stale and stale_entry is not None:
-                result.stale_serves += 1
-                latency.observe(0.0)
-                if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                    key, stale_entry.as_of, time, bound
-                ):
-                    result.staleness_violations += 1
-            else:
-                latency.observe(in_flight.done - time)
-            return
-
-        # Leader: read the backend snapshot now, charge the miss now, and
-        # let the fill land when the fetch completes.
-        version, backend_value_size = datastore.read(key, time)
-        if outcome == "stale_miss":
-            result.stale_misses += 1
-            result.stale_refetches += 1
-            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
-        else:
-            result.cold_misses += 1
-            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        fetch = fetches.issue(key, time, version, backend_value_size, key_size)
-        result.backend_fetches += 1
-        if fetches.leader_serves_stale and stale_entry is not None:
-            result.stale_serves += 1
-            latency.observe(0.0)
-            if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                key, stale_entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-        else:
-            latency.observe(fetch.done - time)
-
-    def _process_write_concurrent(self, request: Request) -> None:
-        """Drain due fetch completions, then run the plain write path."""
-        if self._fetches.next_done <= request.time:
-            self._apply_fetch_completions(request.time)
-        Simulation._process_write(self, request)
-
-    def _issue_refresh(self, key: str, time: float, key_size: int) -> None:
-        """Background refresh (early expiry): freshness work, not a miss."""
-        version, value_size = self.datastore.read(key, time)
-        self.result.freshness_cost += self.costs.miss_cost(key_size, value_size)
-        self.result.backend_fetches += 1
-        self._fetches.issue(key, time, version, value_size, key_size)
-
-    def _apply_fetch_completions(self, until: float) -> None:
-        """Land fills for every fetch completing at or before ``until``.
-
-        The fill carries the backend snapshot taken at issue time, so the
-        entry's ``as_of`` is the issue instant.  The tracker learns about the
-        refetch unconditionally (as in the instant-fetch path — the backend
-        must re-invalidate on the *next* write, or a fill racing an
-        invalidate would suppress every future invalidate while the cache
-        holds stale data).  The buffered-write discard, however, only applies
-        when the fetched version is still the backend's latest: a write that
-        raced the fetch still needs its freshness message.
-        """
-        discard = self.discard_buffer_on_miss_fill and self.policy.reacts_to_writes
-        datastore = self.datastore
-        for fetch in self._fetches.drain(until):
-            key = fetch.key
-            self.cache.fill(
-                key,
-                version=fetch.version,
-                time=fetch.issued_at,
-                key_size=fetch.key_size,
-                value_size=fetch.value_size,
-            )
-            self.tracker.mark_refetched(key)
-            if discard and datastore.latest_version(key) == fetch.version:
-                self.buffer.discard(key)
-
-    def _advance_background_concurrent(self, until: float) -> None:
-        """Background advance with fetch completions interleaved in time order.
-
-        Same flush/snapshot schedule as :meth:`_advance_background_work`,
-        with completions applied first on ties so a flush decision observes
-        every fill that landed at or before its instant.
-        """
-        reacts = self.policy.reacts_to_writes
-        fetches = self._fetches
-        while True:
-            next_flush = self._next_flush if reacts else math.inf
-            next_snapshot = self._store.next_snapshot if self._store else math.inf
-            next_done = fetches.next_done
-            if min(next_flush, next_snapshot, next_done) > until:
-                break
-            if next_done <= next_flush and next_done <= next_snapshot:
-                self._apply_fetch_completions(next_done)
-            elif next_flush <= next_snapshot:
-                self._deliver_messages(next_flush)
-                self._flush(next_flush)
+        node = self.node
+        while self._next_due <= until:
+            due = self._next_due
+            if due == self._next_flush:
+                node.deliver_until(due)
+                node.flush(due)
                 self._next_flush += self.staleness_bound
             else:
-                self._store.checkpoint(next_snapshot, self.datastore)
-        self._refresh_next_due()
-        self._deliver_messages(until)
-        self._apply_fetch_completions(until)
-
-    # ------------------------------------------------------------------ #
-    # Lazy TTL accounting
-    # ------------------------------------------------------------------ #
-    def _settle_ttl_state(self, key: str, now: float) -> None:
-        """Settle lazy TTL expiry or polling costs for ``key`` before a lookup."""
-        if self.policy.ttl_mode is None:
-            return
-        entry = self._cache_peek(key)
-        if entry is None:
-            return
-        if self._ttl_expiry:
-            # Inlined ``policy.is_expired`` against the TTL resolved at bind
-            # time (the duration is constant for the whole run).
-            if entry.state is EntryState.VALID and now >= entry.fetched_at + self._ttl_value:
-                self.cache.expire(key)
-        else:
-            self._account_polls(entry, now)
-
-    def _account_polls(self, entry: CacheEntry, now: float) -> None:
-        """Charge the polls an entry performed since the last accounting point.
-
-        Delegates the poll arithmetic to
-        :func:`~repro.core.ttl.account_entry_polls` (the shared, bind-time-TTL
-        twin of the policy methods), then refreshes the entry's backend
-        version as of the last charged poll.
-        """
-        ttl = self._poll_ttl
-        if ttl is None:
-            return
-        last_poll = account_entry_polls(
-            entry, now, ttl, self.result, self.costs, self._miss_cost_const
-        )
-        if last_poll is not None:
-            version = self.datastore.version_at(entry.key, last_poll)
-            if version > entry.version:
-                entry.version = version
-
-    def _on_evict(self, entry: CacheEntry, time: float) -> None:
-        """Settle outstanding polling costs when an entry is evicted."""
-        if self.policy.ttl_mode == "polling":
-            self._account_polls(entry, time)
+                self._store.checkpoint(due, self.datastore)
+            self._refresh_next_due()
+        node.deliver_until(until)
 
     # ------------------------------------------------------------------ #
     # Finalisation
@@ -741,12 +311,7 @@ class Simulation:
         end_time = max(self.duration, self.clock.now)
         self.clock.advance_to(end_time)
         self._advance_background_work(end_time)
-        if self.policy.reacts_to_writes and self.final_flush and len(self.buffer):
-            self._flush(end_time)
-        self._deliver_messages(end_time)
-        if self.policy.ttl_mode == "polling":
-            for entry in list(self.cache.entries()):
-                self._account_polls(entry, end_time)
+        self.node.finalize(end_time, self.final_flush)
         if self._store is not None:
             self._store.checkpoint(end_time, self.datastore)
             stats = self._store.stats()
@@ -755,11 +320,6 @@ class Simulation:
             self.result.wal_flushes = stats["wal_flushes"]
             self.result.snapshots_taken = stats["snapshots"]
             self._store.close()
-        self.result.duration = end_time
-        self.result.cache_stats = self.cache.stats.as_dict()
-        if self._latency is not None:
-            self.result.latency_count = self._latency.count
-            self.result.latency_sum = self._latency.sum
         if self.obs is not None:
             self.obs.finish(end_time)
 

@@ -21,8 +21,8 @@ staleness bound (many short spans) the slow case.  The TTL policies never
 react to writes, have no flush boundaries, and keep a per-key kernel that
 runs once per key per *trace*.  Every simulation *event* — the
 interval flush, policy decisions, message sends and deliveries, finalisation —
-runs through the unmodified scalar machinery inherited from
-:class:`Simulation`, against real :class:`Cache` / :class:`DataStore` /
+runs through the unmodified scalar machinery of :class:`Simulation` and its
+:class:`~repro.sim.node.CacheNode`, against real :class:`Cache` / :class:`DataStore` /
 :class:`WriteBuffer` objects that the kernels keep in sync at span ends.  The
 result is byte-for-byte identical to the scalar engine: same counters, same
 float accumulation order, same dict insertion orders, same
@@ -78,6 +78,7 @@ from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import ConfigurationError, WorkloadError
+from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
 from repro.workload.compiled import CompiledTrace, Span, SpanCursor, TraceIndex
@@ -92,6 +93,34 @@ _VECTOR_POLICIES = (
     TTLExpiryPolicy,
     TTLPollingPolicy,
 )
+
+
+def _node_vector_eligible(node: CacheNode) -> bool:
+    """The per-cache half of the vectorizable envelope.
+
+    One of the six kernel policies (the adaptive ones on the exact tracker,
+    TTL overrides within the staleness bound), an unbounded cache and
+    tracker, an ideal channel, and none of the fleet add-ons the kernels do
+    not model (hot-key detection, hot policy, L1 tier).  Both engines ask
+    this of every node they drive and add only their driver-level checks.
+    """
+    policy = node.policy
+    policy_type = type(policy)
+    if policy_type not in _VECTOR_POLICIES:
+        return False
+    if policy_type in (AdaptivePolicy, CacheStateAdaptivePolicy):
+        if type(policy.estimator) is not ExactEWTracker:
+            return False
+    if policy.ttl_mode is not None:
+        ttl = policy._ttl_override
+        if ttl is not None and ttl > node.staleness_bound:
+            return False
+    if node.detector is not None or node.hot_policy is not None or node.l1 is not None:
+        return False
+    if node.cache.capacity is not None or node.tracker.capacity is not None:
+        return False
+    return node.channel.is_ideal
+
 
 class _ReplayContext:
     """Everything the kernels need, resolved once per run."""
@@ -125,6 +154,22 @@ class _ReplayContext:
         self.serve_const = serve_const
         self.miss_const = miss_const
         self.default_value_size = datastore.default_value_size
+
+    @classmethod
+    def for_node(
+        cls, trace: CompiledTrace, index: TraceIndex, node: CacheNode
+    ) -> "_ReplayContext":
+        """The context of a replay whose caches are configured like ``node``
+        (bound, TTL and cost constants are per-run: any node of a fleet will do)."""
+        return cls(
+            trace=trace,
+            index=index,
+            datastore=node.datastore,
+            bound=node.staleness_bound,
+            ttl=node._ttl_value,
+            serve_const=node._serve_cost_const,
+            miss_const=node._miss_cost_const,
+        )
 
 
 class _HostState:
@@ -163,6 +208,20 @@ class _HostState:
         self.estimator = estimator
         self.reacts = reacts
         self.discard_on_miss_fill = discard_on_miss_fill
+
+    @classmethod
+    def of(cls, node: CacheNode) -> "_HostState":
+        """The kernels' view of ``node`` (any node inside the envelope)."""
+        policy = node.policy
+        return cls(
+            result=node.result,
+            cache=node.cache,
+            buffer=node.buffer,
+            tracker=node.tracker,
+            estimator=policy.estimator if isinstance(policy, AdaptivePolicy) else None,
+            reacts=node._reacts,
+            discard_on_miss_fill=node.discard_buffer_on_miss_fill,
+        )
 
 
 class _SpanTally:
@@ -744,6 +803,43 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         result.freshness_cost = freshness
 
 
+def _replay_in_spans(engine, reacts: bool, advance_background) -> None:
+    """Replay ``engine.trace`` span by span, cut where its next flush falls.
+
+    The loop both columnar engines share.  The engine supplies the two span
+    replays (``_replay_reactive_span(span)`` / ``_replay_ttl_trace(span)``),
+    its scalar background advance to run at each boundary, and the driver
+    state every replay has: ``trace``, ``obs``, ``clock``, the live
+    ``_next_flush``.  A non-reacting policy has no flush boundaries, so its
+    whole trace is one span.
+    """
+    times = engine.trace.times
+    total = len(times)
+    obs = engine.obs
+    cursor = SpanCursor(engine.trace.index())
+    if reacts:
+        start = 0
+        while start < total:
+            end = int(np.searchsorted(times, engine._next_flush, side="left"))
+            if end > start:
+                if obs is not None:
+                    # Kernel stats fold into the window containing the
+                    # span's first request (span-granularity attribution).
+                    span_start = float(times[start])
+                    if span_start >= obs.next_boundary:
+                        obs.roll(span_start)
+                engine._replay_reactive_span(cursor.advance(end))
+                start = end
+                if start >= total:
+                    break
+            # The next request is at or past the flush boundary: run the
+            # due background work exactly where the scalar loop would.
+            advance_background(float(times[start]))
+    else:
+        engine._replay_ttl_trace(cursor.advance(total))
+    engine.clock.advance_to(float(times[-1]))
+
+
 class VectorSimulation(Simulation):
     """Drop-in :class:`Simulation` that replays a compiled trace in spans.
 
@@ -768,32 +864,15 @@ class VectorSimulation(Simulation):
     def vector_eligible(self) -> bool:
         """Whether this configuration can take the vectorized path.
 
-        The envelope covers the paper's main sweeps: unbounded cache and
-        tracker, fixed cost preset, ideal (or no) channel, no persistence or
-        history retention, and one of the six kernel policies — with the
-        adaptive policies on the exact tracker and TTLs within the staleness
-        bound.  Everything else falls back to the scalar engine.
+        The envelope covers the paper's main sweeps: the per-cache half
+        (:func:`_node_vector_eligible` — a kernel policy, unbounded cache and
+        tracker, ideal or no channel) plus the driver-level one checked here:
+        fixed cost preset, no persistence or history retention, instant
+        fetches.  Everything else falls back to the scalar engine.
         """
-        policy = self.policy
-        policy_type = type(policy)
-        if policy_type not in _VECTOR_POLICIES:
-            return False
-        if policy_type in (AdaptivePolicy, CacheStateAdaptivePolicy):
-            if type(policy.estimator) is not ExactEWTracker:
-                return False
-        if policy.needs_future:
-            return False
-        if policy.ttl_mode is not None:
-            ttl = policy._ttl_override
-            if ttl is not None and ttl > self.staleness_bound:
-                return False
-        if self.cache.capacity is not None:
+        if not _node_vector_eligible(self.node):
             return False
         if self.costs.breakdown is not None:
-            return False
-        if self.channel is not None and not self.channel.is_ideal:
-            return False
-        if self.tracker.capacity is not None:
             return False
         if self.datastore.retention is not None:
             return False
@@ -813,8 +892,6 @@ class VectorSimulation(Simulation):
             raise ConfigurationError("a Simulation instance can only be run once")
         self._has_run = True
         self.used_vector_path = True
-        self._bind_policy()
-        self._refresh_next_due()
         if self.obs is not None:
             self._obs_begin("vector")
         self._run_spans()
@@ -826,61 +903,18 @@ class VectorSimulation(Simulation):
     # ------------------------------------------------------------------ #
     def _run_spans(self) -> None:
         trace = self.trace
-        total = len(trace)
-        if total == 0:
+        if len(trace) == 0:
             return
-        times = trace.times
         index = trace.index()
         if not index.time_ordered:
             # Same contract as the scalar loop's inlined ordering check.
             raise WorkloadError("request stream is not sorted by time")
-        ctx = _ReplayContext(
-            trace=trace,
-            index=index,
-            datastore=self.datastore,
-            bound=self.staleness_bound,
-            ttl=self._ttl_value,
-            serve_const=self._serve_cost_const,
-            miss_const=self._miss_cost_const,
-        )
-        host = _HostState(
-            result=self.result,
-            cache=self.cache,
-            buffer=self.buffer,
-            tracker=self.tracker,
-            estimator=(
-                self.policy.estimator if isinstance(self.policy, AdaptivePolicy) else None
-            ),
-            reacts=self.policy.reacts_to_writes,
-            discard_on_miss_fill=self.discard_buffer_on_miss_fill,
-        )
-        obs = self.obs
-        cursor = SpanCursor(index)
-        if self.policy.reacts_to_writes:
-            start = 0
-            while start < total:
-                end = int(np.searchsorted(times, self._next_flush, side="left"))
-                if end > start:
-                    if obs is not None:
-                        # Kernel stats fold into the window containing the
-                        # span's first request (span-granularity attribution).
-                        span_start = float(times[start])
-                        if span_start >= obs.next_boundary:
-                            obs.roll(span_start)
-                    self._replay_reactive_span(ctx, host, cursor.advance(end))
-                    start = end
-                    if start >= total:
-                        break
-                # The next request is at or past the flush boundary: run the
-                # due background work exactly where the scalar loop would.
-                self._advance_background_work(float(times[start]))
-        else:
-            self._replay_ttl_trace(ctx, host, cursor.advance(total))
-        self.clock.advance_to(float(times[-1]))
+        self._ctx = _ReplayContext.for_node(trace, index, self.node)
+        self._host = _HostState.of(self.node)
+        _replay_in_spans(self, self._host.reacts, self._advance_background_work)
 
-    def _replay_reactive_span(
-        self, ctx: _ReplayContext, host: _HostState, span: Span
-    ) -> None:
+    def _replay_reactive_span(self, span: Span) -> None:
+        ctx, host = self._ctx, self._host
         tally = _SpanTally()
         tally.writes = _apply_span_writes(ctx, span)
         keys, read_lo, read_hi, write_lo, write_hi = span
@@ -889,16 +923,13 @@ class VectorSimulation(Simulation):
         )
         _flush_tally(ctx, host, tally)
 
-    def _replay_ttl_trace(
-        self, ctx: _ReplayContext, host: _HostState, span: Span
-    ) -> None:
-        # A non-reacting policy has no flush boundaries and (here) no store,
-        # so the whole trace is a single span.
+    def _replay_ttl_trace(self, span: Span) -> None:
+        ctx, host = self._ctx, self._host
         tally = _SpanTally()
         tally.writes = _apply_span_writes(ctx, span)
         names = ctx.trace.key_names
         read_pos = ctx.index.read_pos
-        kernel = _kernel_ttl_expiry if self._ttl_expiry else _kernel_ttl_polling
+        kernel = _kernel_ttl_expiry if self.node._ttl_expiry else _kernel_ttl_polling
         for key_id, r_lo, r_hi, _, _ in zip(*(column.tolist() for column in span)):
             if r_hi > r_lo:
                 kernel(ctx, host, tally, key_id, names[key_id], read_pos[r_lo:r_hi])

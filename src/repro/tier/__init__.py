@@ -1,7 +1,7 @@
 """repro.tier — the two-level (L1/L2) cache hierarchy.
 
 Every real fleet fronts its shared cache tier with a small in-process L1;
-this package gives each :class:`~repro.cluster.node.CacheNode` one, so the
+this package gives each :class:`~repro.sim.node.CacheNode` one, so the
 staleness/cost trade-offs of tiering — the paper's core tension, now with two
 places data can go stale — become measurable:
 

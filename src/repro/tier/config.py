@@ -1,6 +1,6 @@
 """Configuration of the two-level (L1/L2) cache hierarchy.
 
-A :class:`TierConfig` turns a :class:`~repro.cluster.node.CacheNode` into a
+A :class:`TierConfig` turns a :class:`~repro.sim.node.CacheNode` into a
 tiered node: a small, fast, per-node L1 sits in front of the node's existing
 cache, which becomes the L2 (the sharded, replicated fleet tier).  The config
 is declarative and picklable — names and numbers only — so it can ride inside

@@ -1,7 +1,7 @@
 """The per-node L1: a small, fast cache in front of the sharded L2.
 
 :class:`L1Tier` owns the L1 cache, the admission policy, and the write-back
-bookkeeping of one :class:`~repro.cluster.node.CacheNode`.  The node drives it
+bookkeeping of one :class:`~repro.sim.node.CacheNode`.  The node drives it
 from the same read/flush/message paths that drive the L2, so the two tiers
 stay in lockstep with the single-tier accounting:
 
@@ -23,7 +23,7 @@ stay in lockstep with the single-tier accounting:
 The L1 stores *copies* of L2 entries, never shared objects: the staleness risk
 of an extra tier is real only if each tier holds its own view of the data.
 
-Example — a standalone tier (normally a :class:`~repro.cluster.node.CacheNode`
+Example — a standalone tier (normally a :class:`~repro.sim.node.CacheNode`
 builds one):
 
     >>> from repro.cluster.results import NodeResult
@@ -109,7 +109,7 @@ class L1Tier:
         self.cache = Cache(
             capacity=config.l1_capacity,
             eviction=LRUEviction(),
-            on_evict=self._on_evict,
+            on_evict=self._on_l1_evict,
         )
         #: Keys fetched into the L1 that the L2 has not seen yet (write-back).
         self.dirty: Set[str] = set()
@@ -309,7 +309,7 @@ class L1Tier:
             self.dirty.clear()
         self.admission.end_interval()
 
-    def _on_evict(self, entry: CacheEntry, time: float) -> None:
+    def _on_l1_evict(self, entry: CacheEntry, time: float) -> None:
         """Capacity eviction: demote dirty entries to the L2, drop the rest.
 
         During an L2 outage a dirty victim cannot cross the partition: it is

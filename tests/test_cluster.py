@@ -35,7 +35,7 @@ def run_cluster(policy: str = "adaptive", **overrides):
 
 @pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"])
 def test_one_node_cluster_matches_single_cache_simulation(policy: str) -> None:
-    """The per-node path mirrors the single-cache simulator exactly."""
+    """Both drivers run the same CacheNode; a one-node fleet is the single cache."""
     simulation = Simulation(
         workload=workload().iter_requests(6.0),
         policy=make_policy(policy),

@@ -131,6 +131,7 @@ def test_disabled_leaves_scalar_engine_untouched() -> None:
     # No shadowed handlers: the concurrent path binds instance attributes,
     # so with the model off the instance dict must not carry any.
     assert not any(name.startswith("_process") for name in vars(simulation))
+    assert "handle_read" not in vars(simulation.node)
     assert result.as_dict() == run_single(config=None)
     assert result.backend_fetches == 0
     assert result.latency_count == 0

@@ -24,6 +24,15 @@ the regime the paper argues for, where a run is hundreds of spans of a few
 requests each: every config is inside the vector envelope, so all three
 pipelines run the span kernels, across all five kernel policies and every
 read-routing policy.
+
+A third, separately seeded block draws **single-cache** configurations — one
+node, no scenario, tier or chaos — and replays each on the one-node
+:class:`ClusterSimulation`, on :class:`Simulation` and on
+:class:`VectorSimulation`, the single cache seeded like node 0 of the fleet.
+Both drivers run the same :class:`~repro.sim.node.CacheNode`; what this
+block pins is that they *drive* it identically (the order deliveries, fetch
+completions and flushes land in), including the concurrency x non-ideal
+channel corner where two hand-kept copies once disagreed.
 """
 
 import json
@@ -32,6 +41,7 @@ from typing import Any, Dict, Optional
 
 import pytest
 
+from repro.backend.channel import Channel
 from repro.cluster import (
     ClusterSimulation,
     ReplicationConfig,
@@ -44,8 +54,11 @@ from repro.concurrency.config import (
     STAMPEDE_POLICIES,
     ConcurrencyConfig,
 )
+from repro.cluster.cluster import _NODE_SEED_STRIDE
+from repro.experiments.registry import make_policy
 from repro.experiments.spec import ChannelSpec
 from repro.resilience import ChaosSpec
+from repro.sim import Simulation, VectorSimulation
 from repro.tier.config import TierConfig
 from repro.workload.compiled import compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -66,6 +79,18 @@ TIGHT_FAST = 3
 TIGHT_POLICIES = ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive")
 TIGHT_BOUNDS = (0.01, 0.02, 0.05, 0.1)
 READ_POLICIES = ("primary", "hash", "round-robin")
+
+# The single-cache block, on its own stream for the same reason.  The seed
+# is picked so that the tier-1 prefix holds a draw (index 4) on which the two
+# hand-kept copies of the state machine disagreed before they became one;
+# draws 14 and 18 of the full sweep are two more.
+SINGLE_SEED = 0x51C0E0
+SINGLE_TOTAL = 30
+SINGLE_FAST = 6
+SINGLE_BOUNDS = (0.05, 0.1, 0.25, 0.5, 1.0)
+# Longer than DURATION: a delivery and a completion falling due in the same
+# gap is a rare coincidence per flush, so the block buys itself more flushes.
+SINGLE_DURATION = 12.0
 
 
 def draw_config(index: int) -> Dict[str, Any]:
@@ -156,6 +181,43 @@ def draw_tight_config(index: int) -> Dict[str, Any]:
     }
 
 
+def draw_single_config(index: int) -> Dict[str, Any]:
+    """The ``index``-th single-cache configuration: one node, steady state,
+    no tier or chaos; capacity, tracker, channel and concurrency drawn."""
+    rng = random.Random(SINGLE_SEED + index)
+    config: Dict[str, Any] = {
+        "index": index,
+        "workload_keys": rng.randint(40, 80),
+        "workload_rate": rng.choice((10.0, 15.0, 20.0)),
+        "workload_seed": rng.randint(0, 2**16),
+        # Cycle, so a handful of draws already covers every policy.
+        "policy": TIGHT_POLICIES[index % len(TIGHT_POLICIES)],
+        # Down to tight bounds: every flush is a batch of messages, and the
+        # more of them are in flight the more often a delivery and a fetch
+        # completion fall due between the same two requests.
+        "bound": rng.choice(SINGLE_BOUNDS),
+        "seed": rng.randint(0, 2**16),
+        "cache_capacity": rng.choice((None, 10, 20, 40)),
+        "tracker_capacity": rng.choice((None, None, 8)),
+        "channel": None,
+        "concurrency": None,
+    }
+    if rng.random() < 0.6:
+        config["channel"] = {
+            "loss_probability": rng.choice((0.0, 0.05, 0.1)),
+            "delay": rng.choice((0.02, 0.05, 0.1)),
+            "jitter": rng.choice((0.0, 0.02)),
+        }
+    if rng.random() < 0.6:
+        config["concurrency"] = {
+            "service_time": rng.choice(SERVICE_TIME_DISTRIBUTIONS),
+            "mean": rng.choice((0.02, 0.05, 0.1)),
+            "capacity": rng.randint(1, 4),
+            "policy": rng.choice(STAMPEDE_POLICIES),
+        }
+    return config
+
+
 def build_kwargs(config: Dict[str, Any]) -> Dict[str, Any]:
     """Shared engine kwargs for one drawn configuration."""
     return dict(
@@ -209,6 +271,64 @@ def run_engines(config: Dict[str, Any], expect_vector_path: bool = False) -> Dic
         "vector": json.dumps(vector.as_dict(), sort_keys=True),
         f"parallel[workers={workers}]": json.dumps(parallel.as_dict(), sort_keys=True),
     }
+
+
+def run_single_cache_engines(config: Dict[str, Any]) -> Dict[str, str]:
+    """Replay one single-cache config on the one-node fleet and on both
+    single-cache engines; flat rows as canonical JSON."""
+    shared = dict(
+        staleness_bound=config["bound"],
+        duration=SINGLE_DURATION,
+        workload_name="diffcheck",
+        cache_capacity=config["cache_capacity"],
+        tracker_capacity=config["tracker_capacity"],
+    )
+    fleet = ClusterSimulation(
+        workload=make_workload(config).iter_requests(SINGLE_DURATION),
+        policy=config["policy"],
+        num_nodes=1,
+        seed=config["seed"],
+        channel=ChannelSpec(**config["channel"]) if config["channel"] else None,
+        concurrency=(
+            ConcurrencyConfig(**config["concurrency"]) if config["concurrency"] else None
+        ),
+        **shared,
+    ).run()
+    # Node 0 of a fleet draws its channel and its fetch stream from this seed.
+    node_seed = (config["seed"] + _NODE_SEED_STRIDE) % 2**32
+
+    def single_kwargs() -> Dict[str, Any]:
+        return dict(
+            policy=make_policy(config["policy"]),
+            channel=Channel(seed=node_seed, **config["channel"]) if config["channel"] else None,
+            concurrency=(
+                ConcurrencyConfig(seed=node_seed, **config["concurrency"])
+                if config["concurrency"]
+                else None
+            ),
+            **shared,
+        )
+
+    scalar = Simulation(make_workload(config).iter_requests(SINGLE_DURATION), **single_kwargs()).run()
+    trace = compile_workload(make_workload(config), SINGLE_DURATION)
+    vector = VectorSimulation(trace, **single_kwargs()).run()
+    return {
+        "cluster[num_nodes=1].totals": json.dumps(fleet.totals.as_dict(), sort_keys=True),
+        "Simulation": json.dumps(scalar.as_dict(), sort_keys=True),
+        "VectorSimulation": json.dumps(vector.as_dict(), sort_keys=True),
+    }
+
+
+def assert_single_cache_identical(index: int) -> None:
+    config = draw_single_config(index)
+    rows = run_single_cache_engines(config)
+    reference_name, reference = next(iter(rows.items()))
+    for name, row in rows.items():
+        assert row == reference, (
+            f"{name} diverged from {reference_name}.\n"
+            f"Reproducer (draw_single_config({index})):\n"
+            f"{json.dumps(config, indent=2, sort_keys=True)}"
+        )
 
 
 def assert_engines_identical(index: int, tight: bool = False) -> None:
@@ -278,3 +398,45 @@ def test_differential_tight_bound_fast(index: int) -> None:
 @pytest.mark.parametrize("index", range(TIGHT_FAST, TIGHT_TOTAL))
 def test_differential_tight_bound_full_sweep(index: int) -> None:
     assert_engines_identical(index, tight=True)
+
+
+def _non_ideal(config: Dict[str, Any]) -> bool:
+    return config["channel"] is not None
+
+
+def test_single_generator_is_deterministic_and_covers_its_space() -> None:
+    configs = [draw_single_config(index) for index in range(SINGLE_TOTAL)]
+    assert configs == [draw_single_config(index) for index in range(SINGLE_TOTAL)]
+    assert {config["policy"] for config in configs} == set(TIGHT_POLICIES)
+    # The corner the two hand-kept copies disagreed in must be drawn, in the
+    # tier-1 prefix too — under a write-reactive policy, where it bites.
+    for block in (configs, configs[:SINGLE_FAST]):
+        assert any(
+            config["concurrency"] and _non_ideal(config)
+            and config["policy"] in ("invalidate", "update", "adaptive")
+            for config in block
+        )
+    assert any(config["concurrency"] and not _non_ideal(config) for config in configs)
+    assert any(_non_ideal(config) and not config["concurrency"] for config in configs)
+    assert any(not _non_ideal(config) and not config["concurrency"] for config in configs)
+    assert any(config["cache_capacity"] for config in configs)
+    assert any(config["tracker_capacity"] for config in configs)
+    assert any(
+        config["channel"] and config["channel"]["loss_probability"] > 0 for config in configs
+    )
+    assert any(config["channel"] and config["channel"]["jitter"] > 0 for config in configs)
+    assert any(config["policy"] == "ttl-polling" and config["concurrency"] for config in configs)
+    assert {config["concurrency"]["policy"] for config in configs if config["concurrency"]} == set(
+        STAMPEDE_POLICIES
+    )
+
+
+@pytest.mark.parametrize("index", range(SINGLE_FAST))
+def test_differential_single_cache_fast(index: int) -> None:
+    assert_single_cache_identical(index)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("index", range(SINGLE_FAST, SINGLE_TOTAL))
+def test_differential_single_cache_full_sweep(index: int) -> None:
+    assert_single_cache_identical(index)
