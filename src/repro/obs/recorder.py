@@ -23,6 +23,7 @@ replay loops bind *instead of* the plain ones, never in addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, merge_metric_dicts
@@ -67,6 +68,10 @@ _RESULT_FIELDS = (
 # Fields sampled from each host's Cache.stats (the L2 cache).
 _CACHE_FIELDS = ("evictions", "expirations")
 WINDOW_FIELDS: Tuple[str, ...] = _RESULT_FIELDS + _CACHE_FIELDS
+
+
+# Stands in for a host result without a cost field: it costs nothing.
+_NO_COST = SimpleNamespace(freshness_cost=0, cold_miss_cost=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,6 +155,7 @@ class ObsRecorder:
         "next_boundary",
         "_window_index",
         "_hosts",
+        "_cost_sources",
         "_last",
         "_last_latency",
         "_span_countdown",
@@ -166,6 +172,7 @@ class ObsRecorder:
         self.next_boundary = self.config.window
         self._window_index = 0
         self._hosts: Tuple[Tuple[str, Any, Any], ...] = ()
+        self._cost_sources: Tuple[Tuple[Any, Any], ...] = ()
         self._last: Dict[str, Dict[str, float]] = {}
         self._last_latency: Dict[str, Dict[int, int]] = {}
         # Countdown of 1 samples the very first request, then every N-th.
@@ -189,6 +196,15 @@ class ObsRecorder:
         merged traces carry each global event once.
         """
         self._hosts = tuple(hosts)
+        # Where `_cost_now` reads each host's two cost fields: the result
+        # itself, or `_NO_COST` for a field the result does not carry.
+        self._cost_sources = tuple(
+            (
+                result if hasattr(result, "freshness_cost") else _NO_COST,
+                result if hasattr(result, "cold_miss_cost") else _NO_COST,
+            )
+            for _, result, _ in self._hosts
+        )
         self.record_global = record_global
         self._last = {node_id: self._snapshot(result, stats) for node_id, result, stats in self._hosts}
         self._last_latency = {
@@ -325,8 +341,8 @@ class ObsRecorder:
 
     def _cost_now(self) -> float:
         total = 0.0
-        for _, result, _ in self._hosts:
-            total += getattr(result, "freshness_cost", 0) + getattr(result, "cold_miss_cost", 0)
+        for fresh, cold in self._cost_sources:
+            total += fresh.freshness_cost + cold.cold_miss_cost
         return total
 
     def _span_snapshot(self) -> Optional[List[Tuple[str, float, Dict[str, float]]]]:

@@ -515,6 +515,87 @@ def bench_obs_enabled(scale: float = 1.0) -> Dict[str, Any]:
     return _obs_replay(scale, ObsConfig(window=1.0))
 
 
+def _wal_records(scale: float) -> List[Any]:
+    """``(kind, fields)`` pairs in the mix the journal emits.
+
+    Every write is one record, every other one sends an invalidate, and a
+    read delta precedes every fourth.
+    """
+    from repro.store.format import KIND_MESSAGE, KIND_READS, KIND_WRITE
+
+    count = _scaled(60_000, scale)
+    records: List[Any] = []
+    index = 0
+    while len(records) < count:
+        key, time_ = f"key-{index % 1000:06d}", index * 0.001
+        if index % 4 == 0:
+            records.append((KIND_READS, {"n": 1 + index % 7}))
+        records.append((KIND_WRITE, {"key": key, "t": time_, "vs": 128}))
+        if index % 2 == 0:
+            records.append((KIND_MESSAGE, {"mk": "invalidate", "key": key, "t": time_, "v": index}))
+        index += 1
+    return records
+
+
+def _wal_bench(scale: float, timed: str) -> Dict[str, Any]:
+    """Append the journal mix to a fresh WAL, replay it; time one of the two."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.core.cost_model import CostModel
+    from repro.store.wal import WriteAheadLog
+
+    records = _wal_records(scale)
+    with tempfile.TemporaryDirectory(prefix="repro-perf-wal-") as root:
+        path = Path(root) / "wal.log"
+        wal: Any = None
+
+        def append_all() -> None:
+            nonlocal wal
+            path.unlink(missing_ok=True)
+            wal = WriteAheadLog(path, costs=CostModel())
+            append = wal.append
+            for kind, fields in records:
+                append(kind, fields)
+            wal.close()
+
+        def replay_all() -> None:
+            replayed = sum(1 for _ in wal.replay())
+            if replayed != len(records):
+                raise AssertionError(f"replayed {replayed} of {len(records)} records")
+
+        if timed == "append":
+            timing = time_callable(append_all)
+        else:
+            append_all()
+            timing = time_callable(replay_all)
+        return {
+            "ops": len(records),
+            "ops_per_sec": len(records) / timing["best_seconds"],
+            "bytes_per_record": wal.stats.bytes_written / len(records),
+            **timing,
+        }
+
+
+def bench_wal_append(scale: float = 1.0) -> Dict[str, Any]:
+    """Records/s through ``WriteAheadLog.append`` (staging, framing, commit).
+
+    The journal's three kinds in the journal's mix, group-committed every 64
+    records and charged to a cost model, open to close — what one durable
+    backend write costs the replay loop.
+    """
+    return _wal_bench(scale, "append")
+
+
+def bench_wal_replay(scale: float = 1.0) -> Dict[str, Any]:
+    """Records/s through ``WriteAheadLog.replay`` (verify, chunked decode).
+
+    Reads back the log ``wal-append`` writes — the cost of recovery, of
+    ``store inspect`` and of the scan that reopens an existing log.
+    """
+    return _wal_bench(scale, "replay")
+
+
 #: Registry of component benchmarks, in report order.
 MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "fingerprint": bench_fingerprint,
@@ -531,6 +612,8 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,
     "obs-enabled": bench_obs_enabled,
+    "wal-append": bench_wal_append,
+    "wal-replay": bench_wal_replay,
 }
 
 

@@ -1,11 +1,17 @@
 """The append-only write-ahead log and the datastore journal built on it.
 
-:class:`WriteAheadLog` is the durability primitive: records are appended to
-an in-memory batch and made durable in groups of ``flush_every`` (an
-fsync-style group commit).  Every append and every flush is charged to the
-:class:`~repro.core.cost_model.CostModel`, so persistence shows up in the
-same cost units as freshness messages — the overhead a deployment would
-actually pay for crash safety.
+:class:`WriteAheadLog` is the durability primitive, and it works a group
+commit at a time.  ``append`` assigns the LSN, stages a snapshot of the
+record's values and counts it; the flush that ends the group (every
+``flush_every`` appends, and at ``Journal.sync``, ``compact`` and ``close``)
+renders, checksums and frames the whole batch in one pass, charges every
+record and then the commit to the
+:class:`~repro.core.cost_model.CostModel`, and hands the file one ``write``.
+So persistence shows up in the same cost units as freshness messages — the
+overhead a deployment would actually pay for crash safety — and
+``stats.appends`` and ``last_lsn`` move at the append while
+``stats.bytes_written``, ``stats.flushes`` and ``stats.persistence_cost`` move
+at the commit, which is also when a record becomes visible to ``replay``.
 
 :class:`Journal` is the thin adapter the simulators attach to a
 :class:`~repro.backend.datastore.DataStore`: it logs every backend write as
@@ -29,9 +35,12 @@ from repro.store.format import (
     KIND_READS,
     KIND_WRITE,
     MAGIC,
+    Staged,
     WalScan,
     encode_record,
+    frame_batch,
     scan_wal,
+    stage_record,
 )
 
 
@@ -39,8 +48,10 @@ from repro.store.format import (
 class WalStats:
     """Counters describing one WAL's lifetime activity.
 
-    ``bytes_written`` counts appended record bytes (a monotone total that
+    ``bytes_written`` counts committed record bytes (a monotone total that
     compaction does not roll back), so it doubles as the log-growth metric.
+    It, ``flushes`` and ``persistence_cost`` advance at each group commit;
+    ``appends`` advances with every append.
     """
 
     appends: int = 0
@@ -62,15 +73,15 @@ class WalStats:
 
 
 class WriteAheadLog:
-    """Append-only, checksummed record log with batched group commit.
+    """Append-only, checksummed record log with staged group commit.
 
     Args:
         path: Log file location.  An existing file is opened for append and
             scanned once so LSNs continue where the previous process stopped.
         flush_every: Records per group commit; ``1`` makes every append
             durable immediately.
-        costs: Cost model charged per append and per flush (``None`` skips
-            cost accounting).
+        costs: Cost model charged per record and per flush, both at the
+            flush (``None`` skips cost accounting).
         fsync: Whether to actually ``os.fsync`` on flush.  Defaults off — the
             simulator models durability cost through the cost model, and the
             OS-level sync only matters when the host itself may lose power.
@@ -90,8 +101,7 @@ class WriteAheadLog:
         self.costs = costs
         self.fsync = fsync
         self.stats = WalStats()
-        self._batch: List[bytes] = []
-        self._batch_bytes = 0
+        self._staged: List[Staged] = []
         self._last_lsn = 0
         self._records_in_file = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -120,36 +130,47 @@ class WriteAheadLog:
     # Writing
     # ------------------------------------------------------------------ #
     def append(self, kind: str, fields: Dict[str, Any]) -> int:
-        """Append one record and return its LSN (durable after the next flush)."""
-        self._last_lsn += 1
-        payload = dict(fields)
-        payload["lsn"] = self._last_lsn
-        payload["k"] = kind
-        record = encode_record(payload)
-        self._batch.append(record)
-        self._batch_bytes += len(record)
+        """Stage one record and return its LSN (durable after the next flush).
+
+        ``fields`` is snapshotted: changing it once ``append`` has returned
+        does not change the record.
+        """
+        if self._handle.closed:
+            raise StoreError(f"{self.path}: append to a closed write-ahead log")
+        self._last_lsn = lsn = self._last_lsn + 1
+        staged = self._staged
+        staged.append(stage_record(lsn, kind, fields))
         self.stats.appends += 1
-        if self.costs is not None:
-            self.stats.persistence_cost += self.costs.wal_append_cost(len(record))
-        if len(self._batch) >= self.flush_every:
+        if len(staged) >= self.flush_every:
             self.flush()
-        return self._last_lsn
+        return lsn
 
     def flush(self) -> None:
-        """Group-commit the batched records (no-op when nothing is pending)."""
-        if not self._batch:
+        """Group-commit the staged records (no-op when nothing is pending)."""
+        if self._handle.closed:
+            raise StoreError(f"{self.path}: flush of a closed write-ahead log")
+        if not self._staged:
             return
-        self._handle.write(b"".join(self._batch))
+        records = frame_batch(self._staged)
+        data = b"".join(records)
+        self._handle.write(data)
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self.stats.flushes += 1
-        self.stats.bytes_written += self._batch_bytes
-        self._records_in_file += len(self._batch)
-        if self.costs is not None:
-            self.stats.persistence_cost += self.costs.wal_flush_cost()
-        self._batch.clear()
-        self._batch_bytes = 0
+        self._staged.clear()
+        stats = self.stats
+        stats.flushes += 1
+        stats.bytes_written += len(data)
+        self._records_in_file += len(records)
+        costs = self.costs
+        if costs is not None:
+            # One addition per record, then the commit: the same float sum an
+            # append-by-append charge arrives at, to the last bit.
+            cost = stats.persistence_cost
+            append_cost = costs.wal_append_cost
+            for record in records:
+                cost += append_cost(len(record))
+            stats.persistence_cost = cost + costs.wal_flush_cost()
 
     # ------------------------------------------------------------------ #
     # Reading and compaction
@@ -158,7 +179,7 @@ class WriteAheadLog:
         """Yield durable records with ``lsn > after_lsn`` in log order.
 
         Only flushed records are visible — replay reads the file, not the
-        in-memory batch, matching what a crashed process would recover.
+        staged batch, matching what a crashed process would recover.
         """
         for record in scan_wal(self.path, scan):
             if int(record.get("lsn", 0)) > after_lsn:
@@ -200,7 +221,9 @@ class WriteAheadLog:
         return dropped
 
     def close(self) -> None:
-        """Flush any pending batch and close the file handle."""
+        """Flush any staged records and close the file handle (idempotent)."""
+        if self._handle.closed:
+            return
         self.flush()
         self._handle.close()
 

@@ -79,6 +79,17 @@ def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     assert tight["key_spans_per_sec"] > 0
 
 
+def test_wal_microbenches_report_rate_and_record_size() -> None:
+    record = run_perf(names=["wal-append", "wal-replay"], scale=0.02)
+    append, replay = record["results"]
+    assert append["ops"] == replay["ops"] == 1200
+    for row in (append, replay):
+        assert row["ops_per_sec"] > 0
+        # Frame header plus the smallest payload the journal writes.
+        assert row["bytes_per_record"] > 8 + len('{"k":"r","lsn":1,"n":1}')
+    assert append["bytes_per_record"] == replay["bytes_per_record"]
+
+
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
