@@ -40,7 +40,7 @@ from repro.cluster.results import ClusterResult, NodeResult
 from repro.cluster.scenarios import Scenario, ScenarioEvent
 from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy
-from repro.errors import ClusterError, ConfigurationError, StoreError, WorkloadError
+from repro.errors import ClusterError, ConfigurationError, StoreError
 from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
 from repro.resilience.chaos import as_chaos_plan
 from repro.sim.clock import SimulationClock
@@ -61,7 +61,7 @@ from repro.store.snapshot import (
     serialize_node_stub,
 )
 from repro.tier.config import TierConfig
-from repro.workload.base import OpType, Request
+from repro.workload.base import Request, iter_chunks
 
 PolicyLike = Union[str, Callable[[], FreshnessPolicy]]
 
@@ -601,10 +601,11 @@ class ClusterSimulation:
                 event_index += 1
 
         # The fleet replay hot loop is shaped like the single-cache driver's:
-        # the time-ordering check is inlined, the identity request transform of
-        # the base scenario is skipped, the next scenario event time is a
-        # hoisted float compare, and background work only runs when a flush
-        # or snapshot is due (or a freshness message is in flight somewhere).
+        # it walks the stream's column chunks (``iter_chunks`` checks the time
+        # order), the identity key transform of the base scenario is skipped,
+        # the next scenario event time is a hoisted float compare, and
+        # background work only runs when a flush or snapshot is due (or a
+        # freshness message is in flight somewhere).
         next_event_time = events[event_index].time if event_index < num_events else math.inf
         transform = (
             self.scenario.transform_request
@@ -624,35 +625,30 @@ class ClusterSimulation:
             process_write = self._process_write
         advance_background = self._advance_background
         pending_nodes = self._pending_nodes
-        write_op = OpType.WRITE
         resume_from = self._resume_from
-        previous = float("-inf")
-        for index, request in enumerate(self._stream):
-            time = request.time
-            if time < previous:
-                raise WorkloadError(
-                    f"request stream is not sorted by time at index {index}: "
-                    f"{time} < {previous}"
-                )
-            previous = time
-            if resume_from is not None and time <= resume_from:
-                continue
-            if stop_at is not None and time > stop_at:
-                return self._interrupt(stop_at, events, event_index)
-            while time >= next_event_time:
-                event_index = self._apply_event(events, event_index)
-                next_event_time = (
-                    events[event_index].time if event_index < num_events else math.inf
-                )
-            if transform is not None:
-                request = transform(request)
-            if pending_nodes or time >= self._next_due:
-                advance_background(time)
-            clock.advance_to(time)
-            if request.op is write_op:
-                process_write(request)
-            else:
-                process_read(request)
+        next_due = self._next_due
+        for chunk in iter_chunks(self._stream):
+            for time, key, is_read, key_size, value_size in zip(*chunk):
+                if resume_from is not None and time <= resume_from:
+                    continue
+                if stop_at is not None and time > stop_at:
+                    return self._interrupt(stop_at, events, event_index)
+                while time >= next_event_time:
+                    event_index = self._apply_event(events, event_index)
+                    next_event_time = (
+                        events[event_index].time if event_index < num_events else math.inf
+                    )
+                    next_due = self._next_due
+                if transform is not None:
+                    key = transform(time, key, key_size, value_size)
+                if pending_nodes or time >= next_due:
+                    advance_background(time)
+                    next_due = self._next_due
+                clock.advance_to(time)
+                if is_read:
+                    process_read(time, key, key_size, value_size)
+                else:
+                    process_write(time, key, key_size, value_size)
 
         if stop_at is not None:
             # The stream ran dry before the kill point: checkpoint there.
@@ -894,9 +890,8 @@ class ClusterSimulation:
             )
         return report
 
-    def _process_write(self, request: Request) -> None:
-        key = request.key
-        self.datastore.write(key, request.time, request.value_size)
+    def _process_write(self, time: float, key: str, key_size: int, value_size: int) -> None:
+        self.datastore.write(key, time, value_size)
         replicas = self._route_map.get(key)
         if replicas is None:
             replicas = self._route(key, self._factor)
@@ -905,11 +900,10 @@ class ClusterSimulation:
         owner = True
         for node_id in replicas:
             if owned is None or node_id in owned:
-                nodes[node_id].observe_write(request, owner=owner)
+                nodes[node_id].observe_write(time, key, key_size, value_size, owner)
             owner = False
 
-    def _process_read(self, request: Request) -> None:
-        key = request.key
+    def _process_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
         replicas = self._route_map.get(key)
         if replicas is None:
             replicas = self._route(key, self._factor)
@@ -922,7 +916,7 @@ class ClusterSimulation:
             node_id = self.router.choose_read_node(key, replicas)
         owned = self._owned_ids
         if owned is None or node_id in owned:
-            self._nodes[node_id].handle_read(request)
+            self._nodes[node_id].handle_read(time, key, key_size, value_size)
 
     def _finalize(self, events: List[ScenarioEvent], event_index: int) -> ClusterResult:
         end_time = max(self.duration, self.clock.now)

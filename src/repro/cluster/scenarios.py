@@ -54,13 +54,12 @@ Two scenarios target the in-flight fetch model (:mod:`repro.concurrency`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.entry import EntryState
 from repro.errors import ClusterError
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.base import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import ClusterSimulation
@@ -155,9 +154,13 @@ class Scenario:
         """
         return {}
 
-    def transform_request(self, request: Request) -> Request:
-        """Optionally rewrite a request before routing (default: identity)."""
-        return request
+    def transform_request(self, time: float, key: str, key_size: int, value_size: int) -> str:
+        """Return the key a request is routed under (default: its own).
+
+        Only the key can be rewritten: the arrival time fixes the request's
+        place in the stream and the sizes belong to the object.
+        """
+        return key
 
     def describe(self) -> Dict[str, Any]:
         """Scenario coordinates recorded next to the results."""
@@ -325,13 +328,13 @@ class FlashCrowdScenario(Scenario):
 
         return [ScenarioEvent(time=self.shift_at, label="shift", apply=note)]
 
-    def transform_request(self, request: Request) -> Request:
-        if request.time < self.shift_at:
-            return request
-        fingerprint = stable_fingerprint(request.key + "#crowd")
+    def transform_request(self, time: float, key: str, key_size: int, value_size: int) -> str:
+        if time < self.shift_at:
+            return key
+        fingerprint = stable_fingerprint(key + "#crowd")
         if (fingerprint & 0xFFFFFFFF) >= self._threshold:
-            return request
-        return replace(request, key=f"flash-{fingerprint % self.hot_keys}")
+            return key
+        return f"flash-{fingerprint % self.hot_keys}"
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -110,7 +110,7 @@ class VectorClusterSimulation(ClusterSimulation):
     :class:`~repro.workload.compiled.CompiledTrace` instead of a request
     iterable.  ``run()`` picks the vectorized path when the configuration is
     inside the vectorizable envelope (see :meth:`vector_eligible`) and
-    otherwise replays the decompiled stream through the inherited scalar
+    otherwise replays the trace's column chunks through the inherited scalar
     loop — either way the results are byte-identical to the scalar engine.
     """
 
@@ -121,7 +121,7 @@ class VectorClusterSimulation(ClusterSimulation):
                 "compile_workload(workload, duration) first"
             )
         self.trace = trace
-        super().__init__(trace.iter_requests(), *args, **kwargs)
+        super().__init__(trace, *args, **kwargs)
         self.used_vector_path = False
 
     def vector_eligible(self) -> bool:

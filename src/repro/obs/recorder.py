@@ -117,30 +117,32 @@ def as_recorder(obs: Any) -> Optional["ObsRecorder"]:
     raise TypeError(f"obs must be an ObsConfig, ObsRecorder, or None, got {type(obs).__name__}")
 
 
-def obs_process_read(driver: Any, request: Any) -> None:
+def obs_process_read(
+    driver: Any, time: float, key: str, key_size: int, value_size: int
+) -> None:
     """A replay driver's ``_process_read`` with the recorder wrapped around it.
 
     Both drivers bind this one definition as ``_obs_process_read``, *instead
     of* the plain handler and only when a recorder is attached.
     """
     obs = driver.obs
-    time = request.time
     if time >= obs.next_boundary:
         obs.roll(time)
     token = obs.read_begin()
-    driver._process_read(request)
-    obs.read_end(time, request.key, token)
+    driver._process_read(time, key, key_size, value_size)
+    obs.read_end(time, key, token)
 
 
-def obs_process_write(driver: Any, request: Any) -> None:
+def obs_process_write(
+    driver: Any, time: float, key: str, key_size: int, value_size: int
+) -> None:
     """The write twin of :func:`obs_process_read` (``_obs_process_write``)."""
     obs = driver.obs
-    time = request.time
     if time >= obs.next_boundary:
         obs.roll(time)
     span = obs.write_begin()
-    driver._process_write(request)
-    obs.write_end(time, request.key, span)
+    driver._process_write(time, key, key_size, value_size)
+    obs.write_end(time, key, span)
 
 
 class ObsRecorder:

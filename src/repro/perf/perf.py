@@ -515,6 +515,57 @@ def bench_obs_enabled(scale: float = 1.0) -> Dict[str, Any]:
     return _obs_replay(scale, ObsConfig(window=1.0))
 
 
+def bench_scalar_feed(scale: float = 1.0) -> Dict[str, Any]:
+    """Requests/s through ``Simulation`` for each input shape of the chunk feed.
+
+    The same Poisson/Zipf trace replayed under ``invalidate`` three ways: the
+    lazy stream of ``iter_requests`` (its chunks are taken as drawn;
+    generation is inside the timed region, as it is for a user), a
+    precompiled ``CompiledTrace`` (column slices), and a pre-built ``Request``
+    list (the batching adapter).  ``ops_per_sec`` is the stream's; the gap
+    between the list and the compiled figure is what the adapter costs.
+    """
+    from repro.experiments.registry import make_policy
+    from repro.sim.simulation import Simulation
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    requests = _scaled(100_000, scale)
+    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
+    duration = requests / (100.0 * 500)
+    trace = compile_workload(workload, duration)
+    as_list = list(trace)
+    shapes = {
+        "stream": lambda: workload.iter_requests(duration),
+        "compiled": lambda: trace,
+        "list": lambda: as_list,
+    }
+    # The shapes take turns within each round, so a host that changes speed
+    # between rounds slows all three alike.
+    runs: Dict[str, List[float]] = {shape: [] for shape in shapes}
+    for _ in range(5):
+        for shape, source in shapes.items():
+            simulation = Simulation(
+                workload=source(),
+                policy=make_policy("invalidate"),
+                staleness_bound=1.0,
+                duration=duration,
+                workload_name=workload.name,
+            )
+            with Timer() as timer:
+                simulation.run()
+            runs[shape].append(timer.seconds)
+    best = {shape: min(seconds) for shape, seconds in runs.items()}
+    return {
+        "ops": len(trace),
+        "ops_per_sec": len(trace) / best["stream"],
+        "compiled_ops_per_sec": len(trace) / best["compiled"],
+        "list_ops_per_sec": len(trace) / best["list"],
+        "best_seconds": best["stream"],
+        "mean_seconds": sum(runs["stream"]) / len(runs["stream"]),
+    }
+
+
 def _wal_records(scale: float) -> List[Any]:
     """``(kind, fields)`` pairs in the mix the journal emits.
 
@@ -612,6 +663,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,
     "obs-enabled": bench_obs_enabled,
+    "scalar-feed": bench_scalar_feed,
     "wal-append": bench_wal_append,
     "wal-replay": bench_wal_replay,
 }

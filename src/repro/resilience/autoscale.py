@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cluster.scenarios import FlashCrowdScenario, Scenario, ScenarioEvent
 from repro.errors import ClusterError
-from repro.workload.base import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import ClusterSimulation
@@ -183,10 +182,10 @@ class AutoscaleScenario(Scenario):
 
         return [ScenarioEvent(time=0.0, label="autoscale-standby", apply=standby)]
 
-    def transform_request(self, request: Request) -> Request:
+    def transform_request(self, time: float, key: str, key_size: int, value_size: int) -> str:
         if self._flash is not None:
-            return self._flash.transform_request(request)
-        return request
+            return self._flash.transform_request(time, key, key_size, value_size)
+        return key
 
     def on_interval(self, cluster: "ClusterSimulation", time: float) -> None:
         interval = self.staleness_bound

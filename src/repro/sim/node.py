@@ -33,7 +33,9 @@ drives exactly one node, :class:`repro.cluster.cluster.ClusterSimulation`
 routes a stream across many, so a one-node fleet and the single cache agree
 by construction.  The node does not know which driver it is under: it
 accumulates into the ``result`` object it was handed (each driver's rows keep
-their schema) and acts on the time-ordered calls it receives.
+their schema) and acts on the time-ordered calls it receives.  A request
+reaches it as scalars — ``(time, key, key_size, value_size)`` — straight from
+the drivers' column chunks; no request object exists on this path.
 
 On top of that loop a node carries the fleet concerns, each inert unless a
 driver switches it on: reachability (a failed-but-undetected node keeps
@@ -67,7 +69,6 @@ from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
-from repro.workload.base import OpType, Request
 
 
 class CacheNode:
@@ -245,7 +246,9 @@ class CacheNode:
     # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
-    def observe_write(self, request: Request, owner: bool) -> None:
+    def observe_write(
+        self, time: float, key: str, key_size: int, value_size: int, owner: bool
+    ) -> None:
         """Record a backend write for which this node holds a replica.
 
         The driver has already committed the write to the datastore (writes
@@ -254,7 +257,6 @@ class CacheNode:
         once; every replica observes it (estimators, detector) and dirties
         its buffer.
         """
-        key, time = request.key, request.time
         if owner:
             self.result.writes += 1
         if self.detector is not None:
@@ -262,15 +264,13 @@ class CacheNode:
         for observe in self._write_observers:
             observe(key, time)
         if self._reacts:
-            self.buffer.record_write(
-                key,
-                time,
-                key_size=request.key_size,
-                value_size=request.value_size,
-            )
+            self.buffer.record_write(key, time, key_size=key_size, value_size=value_size)
 
-    def handle_read(self, request: Request) -> None:
+    def handle_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
         """Serve one read under the instant-fetch model.
+
+        ``value_size`` is the request's; a read learns the object's size from
+        the backend, so it goes unused (reads and writes share one call shape).
 
         With a tier configured, the L1 is consulted first: a valid L1 hit
         serves immediately (charged ``l1_hit``); everything else falls
@@ -283,7 +283,6 @@ class CacheNode:
         result = self.result
         datastore = self.datastore
         l1 = self.l1
-        key, time, key_size = request.key, request.time, request.key_size
 
         result.reads += 1
         if self.detector is not None:
@@ -297,14 +296,14 @@ class CacheNode:
 
         if l1 is not None and l1.outage:
             # The shared tier is partitioned away: the L1 is all there is.
-            if not l1.serve_degraded(request, datastore, self.staleness_bound):
+            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
                 result.failed_fetches += 1
                 result.cold_misses += 1
             return
 
         if self._settles_ttl:
             self._settle_ttl_state(key, time)
-        if l1 is not None and l1.serve(request, datastore, self.staleness_bound):
+        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
             return
         entry, outcome = self.cache.lookup(key, time)
         if outcome == "hit":
@@ -339,15 +338,17 @@ class CacheNode:
         else:
             result.cold_misses += 1
             result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        self._fill_after_fetch(request, version, backend_value_size)
+        self._fill_after_fetch(time, key, key_size, version, backend_value_size)
         self.tracker.mark_refetched(key)
         if self.discard_buffer_on_miss_fill and self._reacts:
             # The backend just served this key's latest value; any write
             # buffered earlier in the interval no longer needs a message.
             self.buffer.discard(key)
 
-    def _fill_after_fetch(self, request: Request, version: int, value_size: int) -> None:
-        """Install a backend fetch into the hierarchy.
+    def _fill_after_fetch(
+        self, time: float, key: str, key_size: int, version: int, value_size: int
+    ) -> None:
+        """Install a backend fetch of ``key``, taken at ``time``, into the hierarchy.
 
         Single-tier and write-through nodes fill the L2 exactly as before
         (write-through additionally offers the entry to the L1); write-back
@@ -360,20 +361,13 @@ class CacheNode:
                 if self.policy.ttl_mode == "expiry"
                 else None
             )
-            if self.l1.fill_write_back(request, version, value_size, headroom):
+            if self.l1.fill_write_back(time, key, key_size, version, value_size, headroom):
                 return
         entry = self.cache.fill(
-            request.key,
-            version=version,
-            time=request.time,
-            key_size=request.key_size,
-            value_size=value_size,
+            key, version=version, time=time, key_size=key_size, value_size=value_size
         )
         if self.l1 is not None and not self.l1.write_back:
-            self.l1.offer(
-                entry, request.time, self._ttl_headroom(entry, request.time),
-                promotion=False,
-            )
+            self.l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=False)
 
     def _ttl_headroom(self, entry: CacheEntry, now: float) -> Optional[float]:
         """Seconds before ``entry``'s expiry timer fires (``None``: no timer)."""
@@ -408,7 +402,9 @@ class CacheNode:
         self.finalize = self._finalize_concurrent
         self.lose_volatile_state = self._lose_volatile_state_concurrent
 
-    def _handle_read_concurrent(self, request: Request) -> None:
+    def _handle_read_concurrent(
+        self, time: float, key: str, key_size: int, value_size: int
+    ) -> None:
         """The routed read path under the in-flight fetch model.
 
         Follows :meth:`handle_read` op-for-op on the hit/degraded/unreachable
@@ -426,7 +422,6 @@ class CacheNode:
         l1 = self.l1
         fetches = self.fetches
         latency = self.latency
-        key, time, key_size = request.key, request.time, request.key_size
 
         if fetches.next_done <= time:
             self._apply_fetch_completions(time)
@@ -442,7 +437,7 @@ class CacheNode:
         result.useful_work += serve
 
         if l1 is not None and l1.outage:
-            if not l1.serve_degraded(request, datastore, self.staleness_bound):
+            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
                 result.failed_fetches += 1
                 result.cold_misses += 1
             latency.observe(0.0)
@@ -450,7 +445,7 @@ class CacheNode:
 
         if self._settles_ttl:
             self._settle_ttl_state(key, time)
-        if l1 is not None and l1.serve(request, datastore, self.staleness_bound):
+        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
             latency.observe(0.0)
             return
         entry, outcome = self.cache.lookup(key, time)
@@ -554,23 +549,20 @@ class CacheNode:
         datastore = self.datastore
         for fetch in self.fetches.drain(until):
             key = fetch.key
-            fill = Request(
-                time=fetch.issued_at,
-                key=key,
-                op=OpType.READ,
-                key_size=fetch.key_size,
-                value_size=fetch.value_size,
+            self._fill_after_fetch(
+                fetch.issued_at, key, fetch.key_size, fetch.version, fetch.value_size
             )
-            self._fill_after_fetch(fill, fetch.version, fetch.value_size)
             self.tracker.mark_refetched(key)
             if discard and datastore.latest_version(key) == fetch.version:
                 self.buffer.discard(key)
 
-    def _observe_write_concurrent(self, request: Request, owner: bool) -> None:
+    def _observe_write_concurrent(
+        self, time: float, key: str, key_size: int, value_size: int, owner: bool
+    ) -> None:
         """Drain due fetch completions, then run the plain write observer."""
-        if self.fetches.next_done <= request.time:
-            self._apply_fetch_completions(request.time)
-        CacheNode.observe_write(self, request, owner)
+        if self.fetches.next_done <= time:
+            self._apply_fetch_completions(time)
+        CacheNode.observe_write(self, time, key, key_size, value_size, owner)
 
     def _flush_concurrent(self, flush_time: float) -> None:
         """Drain completions due by the flush instant, then flush normally.

@@ -8,7 +8,7 @@ accounting of §2.1 and the lazy TTL settlement are documented.
 :class:`Simulation` is the thin driver that replays a time-ordered request
 stream against *one* such node.  It owns what is not per-cache: the backend
 datastore (and its optional write-ahead log and snapshots), the clock, the
-stream loop with its ordering check, the interval-flush / snapshot schedule,
+loop over the stream's column chunks, the interval-flush / snapshot schedule,
 and the recorder's begin and finish.  Every read, write observation, flush,
 message delivery, TTL settle, fetch completion and the final settlement is
 handed to the node, which is the same code a fleet's shards run.
@@ -26,25 +26,28 @@ from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import as_concurrency
 from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy, FutureIndex
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
 from repro.sim.clock import SimulationClock
 from repro.sim.node import CacheNode
 from repro.sim.results import SimulationResult
 from repro.store.runtime import StoreRuntime
 from repro.store.snapshot import StoreConfig
-from repro.workload.base import OpType, Request
+from repro.workload.base import Request, iter_chunks
 
 
 class Simulation:
     """Replay a request stream under a freshness policy and account its costs.
 
-    The workload may be any iterable — a list, a lazily streaming generator
-    from :meth:`~repro.workload.base.Workload.iter_requests`, or a trace file
-    reader.  The stream is consumed incrementally and is **not** copied, so
-    replaying tens of millions of requests runs in constant memory.  The one
-    exception is a clairvoyant policy (``policy.needs_future``): it requires
-    the full future request index, so the stream is materialized up front.
+    The workload may be any iterable of requests — a list, the lazy stream of
+    :meth:`~repro.workload.base.Workload.iter_requests`, a trace file reader,
+    a :class:`~repro.workload.compiled.CompiledTrace`.  It is replayed a
+    column chunk at a time (:func:`~repro.workload.base.iter_chunks`): column
+    sources hand their chunks over as they are, anything else is batched, and
+    only one chunk is ever buffered, so replaying tens of millions of requests
+    runs in constant memory.  The one exception is a clairvoyant policy
+    (``policy.needs_future``): it requires the full future request index, so
+    the stream is materialized up front.
 
     Args:
         workload: Time-ordered request stream to replay.  Ordering is
@@ -201,13 +204,13 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Replay the whole request stream and return the accumulated result.
 
-        The loop is the single-cache hot path: the time-ordering check of
-        :func:`~repro.workload.base.ensure_sorted` is inlined (one float
-        compare per request instead of an extra generator frame), background
-        work is only entered when a flush/snapshot is actually due or a
-        delivery is in flight, the read/write dispatch avoids the
-        ``is_write`` property call, and the clock — which only finalisation
-        reads — is advanced once after the loop rather than per request.
+        The loop is the single-cache hot path, and the only one: it walks the
+        chunks of :func:`~repro.workload.base.iter_chunks` (which also checks
+        the time order) and hands each row to the handlers as scalars, so no
+        request object is built or unpacked here.  Background work is only
+        entered when a flush/snapshot is actually due or a delivery is in
+        flight, and the clock — which only finalisation reads — is advanced
+        once after the loop rather than per request.
         """
         if self._has_run:
             raise ConfigurationError("a Simulation instance can only be run once")
@@ -223,24 +226,20 @@ class Simulation:
             process_write = self._process_write
         advance_background = self._advance_background_work
         pending = self._pending
-        write_op = OpType.WRITE
-        previous = float("-inf")
-        for index, request in enumerate(self._stream):
-            time = request.time
-            if time < previous:
-                raise WorkloadError(
-                    f"request stream is not sorted by time at index {index}: "
-                    f"{time} < {previous}"
-                )
-            previous = time
-            if pending or time >= self._next_due:
-                advance_background(time)
-            if request.op is write_op:
-                process_write(request)
-            else:
-                process_read(request)
-        if previous > self.clock.now:
-            self.clock.advance_to(previous)
+        last = self.clock.now
+        next_due = self._next_due
+        for chunk in iter_chunks(self._stream):
+            for time, key, is_read, key_size, value_size in zip(*chunk):
+                if pending or time >= next_due:
+                    advance_background(time)
+                    next_due = self._next_due
+                if is_read:
+                    process_read(time, key, key_size, value_size)
+                else:
+                    process_write(time, key, key_size, value_size)
+            last = chunk[0][-1]
+        if last > self.clock.now:
+            self.clock.advance_to(last)
         self._finalize()
         return self.result
 
@@ -270,10 +269,10 @@ class Simulation:
         frame over calling the node directly."""
         return self.node.handle_read
 
-    def _process_write(self, request: Request) -> None:
+    def _process_write(self, time: float, key: str, key_size: int, value_size: int) -> None:
         """Commit a write to the backend, then let the node observe it."""
-        self.datastore.write(request.key, request.time, request.value_size)
-        self.node.observe_write(request, True)
+        self.datastore.write(key, time, value_size)
+        self.node.observe_write(time, key, key_size, value_size, True)
 
     # ------------------------------------------------------------------ #
     # Background work: interval flushes, snapshots, message delivery

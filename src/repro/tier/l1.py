@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.results import NodeResult
     from repro.core.cost_model import CostModel
     from repro.core.policy import FreshnessPolicy
-    from repro.workload.base import Request
 
 #: Callback a node installs to receive demoted (dirty, evicted) L1 entries.
 DemoteSink = Callable[[CacheEntry, float], None]
@@ -162,25 +161,27 @@ class L1Tier:
             else:
                 account_polls(entry, now)
 
-    def serve(self, request: "Request", datastore: "DataStore", staleness_bound: float) -> bool:
+    def serve(
+        self, time: float, key: str, key_size: int, datastore: "DataStore", staleness_bound: float
+    ) -> bool:
         """Serve one read from the L1 if it holds a valid entry.
 
         Returns ``True`` when the read was served (a fleet-level hit, charged
         ``l1_hit``); ``False`` lets the node fall through to its L2 path.
         """
-        entry, outcome = self.cache.lookup(request.key, request.time)
+        entry, outcome = self.cache.lookup(key, time)
         if outcome != "hit":
             return False
         result = self.result
         result.hits += 1
         result.l1_hits += 1
-        result.tier_cost += self.costs.l1_hit_cost(request.key_size)
-        if not datastore.is_fresh(request.key, entry.as_of, request.time, staleness_bound):
+        result.tier_cost += self.costs.l1_hit_cost(key_size)
+        if not datastore.is_fresh(key, entry.as_of, time, staleness_bound):
             result.staleness_violations += 1
         return True
 
     def serve_degraded(
-        self, request: "Request", datastore: "DataStore", staleness_bound: float
+        self, time: float, key: str, key_size: int, datastore: "DataStore", staleness_bound: float
     ) -> bool:
         """Serve one read during an L2 outage — availability over freshness.
 
@@ -190,15 +191,15 @@ class L1Tier:
         fails (counted by the caller), because the shared tier that would
         normally absorb the miss is partitioned away.
         """
-        entry, outcome = self.cache.lookup(request.key, request.time)
+        entry, outcome = self.cache.lookup(key, time)
         if outcome == "cold_miss":
             return False
         result = self.result
         result.hits += 1
         result.l1_hits += 1
         result.l1_served_degraded += 1
-        result.tier_cost += self.costs.l1_hit_cost(request.key_size)
-        if not datastore.is_fresh(request.key, entry.as_of, request.time, staleness_bound):
+        result.tier_cost += self.costs.l1_hit_cost(key_size)
+        if not datastore.is_fresh(key, entry.as_of, time, staleness_bound):
             result.staleness_violations += 1
         return True
 
@@ -249,7 +250,9 @@ class L1Tier:
 
     def fill_write_back(
         self,
-        request: "Request",
+        time: float,
+        key: str,
+        key_size: int,
         version: int,
         value_size: int,
         ttl_headroom: Optional[float],
@@ -260,7 +263,6 @@ class L1Tier:
         next write-back flush).  When admission refuses, the caller falls
         back to the write-through install so the fetch is not wasted.
         """
-        key = request.key
         self.admission.observe(key)
         if not self.admission.admit(key, value_size, ttl_headroom):
             self.result.l1_admission_rejects += 1
@@ -268,16 +270,16 @@ class L1Tier:
         entry = CacheEntry(
             key=key,
             version=version,
-            as_of=request.time,
-            fetched_at=request.time,
-            key_size=request.key_size,
+            as_of=time,
+            fetched_at=time,
+            key_size=key_size,
             value_size=value_size,
-            last_poll_accounted=request.time,
+            last_poll_accounted=time,
         )
-        self.cache.restore_entry(entry, request.time)
+        self.cache.restore_entry(entry, time)
         self.dirty.add(key)
         self.result.l1_insertions += 1
-        self.result.tier_cost += self.costs.l1_insert_cost(request.key_size, value_size)
+        self.result.tier_cost += self.costs.l1_insert_cost(key_size, value_size)
         return True
 
     # ------------------------------------------------------------------ #

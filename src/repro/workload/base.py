@@ -1,13 +1,23 @@
 """Core request and workload abstractions.
 
-A workload is a finite, time-ordered stream of :class:`Request` objects.  The
-simulator (:mod:`repro.sim`) replays the stream against a cache-aside cache
-and a backend data store, so every generator in this package must produce
-requests sorted by ``time``.
+A workload is a finite, time-ordered stream of requests.  The simulator
+(:mod:`repro.sim`) replays the stream against a cache-aside cache and a
+backend data store, so every generator in this package must produce requests
+sorted by ``time``.
 
-The streaming contract: :meth:`Workload.iter_requests` is the primitive every
-generator implements — it yields requests lazily, in time order, so a trace of
-tens of millions of requests can be replayed in constant memory.
+The primitive is the **column chunk**: a run of consecutive requests as five
+parallel columns (times, keys, is_read, key_sizes, value_sizes).  The native
+generators draw their randomness :data:`STREAM_CHUNK_SIZE` requests at a time
+and hand the drawn arrays on as :data:`Columns`; a :class:`ChunkStream` turns
+them into Python lists, :data:`CHUNK_ROWS` rows at a time, and serves those
+either as lazy :class:`Request` objects (what :meth:`Workload.iter_requests`
+promises every caller) or, to a replay driver, as the :data:`Chunk` lists
+themselves — no object per request.  :func:`iter_chunks` is the drivers' one
+entry point: it takes the chunks of a column source and batches any other
+request iterable (lists, CSV traces, merged or third-party generators) into
+the same shape.  Either way only one drawn chunk is buffered, so a trace of
+tens of millions of requests replays in constant memory.
+
 :meth:`Workload.generate` is a thin materializing wrapper kept for callers
 that genuinely need the whole stream at once (e.g. the clairvoyant optimal
 policy, or persisting a trace to disk).
@@ -18,10 +28,13 @@ from __future__ import annotations
 import heapq
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, List, Sequence
+from itertools import islice
+from operator import attrgetter, le
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -29,6 +42,22 @@ from repro.errors import WorkloadError
 #: Large enough to amortise numpy call overhead, small enough that a pipeline
 #: of several generators stays well under a megabyte of buffered requests.
 STREAM_CHUNK_SIZE = 16384
+
+#: Rows per chunk handed to a replay driver.  Much smaller than a drawn chunk
+#: on purpose: only this many boxed floats and ints exist at a time (peak RSS
+#: stays flat), and the object adapter, which reads every request of a batch
+#: once per column, still finds the batch in cache on the later passes
+#: (measured ~8 % of a list replay against STREAM_CHUNK_SIZE-row batches).
+#: The per-chunk overhead is a few nanoseconds a row.
+CHUNK_ROWS = 1024
+
+#: One chunk as a generator draws it: ``(times, key_ids, is_read, key_sizes,
+#: value_sizes)`` arrays of equal length, keys as indices into a name table.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: One chunk as a driver replays it: the same five columns as Python lists of
+#: up to :data:`CHUNK_ROWS` rows, keys resolved to their names.
+Chunk = Tuple[List[float], List[str], List[bool], List[int], List[int]]
 
 
 class OpType(Enum):
@@ -147,48 +176,174 @@ def merge_streams(streams: Sequence[Iterable[Request]]) -> Iterator[Request]:
     return heapq.merge(*streams, key=attrgetter("time"))
 
 
-def check_sorted(requests: Sequence[Request]) -> None:
-    """Raise :class:`WorkloadError` if ``requests`` is not time-ordered."""
-    previous = float("-inf")
-    for index, request in enumerate(requests):
-        if request.time < previous:
-            raise WorkloadError(
-                f"request stream is not sorted by time at index {index}: "
-                f"{request.time} < {previous}"
-            )
-        previous = request.time
+def constant_column(value: int, count: int) -> np.ndarray:
+    """``count`` times ``value`` as an int64 column that stores it once.
+
+    A read-only broadcast view: a generator whose sizes never vary hands it
+    out per chunk for free, and concatenating the views allocates only the
+    final column.
+    """
+    return np.broadcast_to(np.int64(value), (count,))
+
+
+def _not_sorted(index: int, time: float, previous: float) -> WorkloadError:
+    return WorkloadError(
+        f"request stream is not sorted by time at index {index}: {time} < {previous}"
+    )
 
 
 def ensure_sorted(requests: Iterable[Request]) -> Iterator[Request]:
     """Yield ``requests`` unchanged, raising on the first ordering violation.
 
-    The streaming counterpart of :func:`check_sorted`: wrap a lazily produced
-    stream to validate time-ordering as it is consumed, without materializing.
+    Wrap a lazily produced stream to validate time-ordering as it is
+    consumed, without materializing.  A NaN time compares false with
+    everything, so the test is ``not time >= previous``: NaN is refused
+    instead of silently resetting the order.
 
     Raises:
         WorkloadError: As soon as a request arrives out of order.
     """
-    previous = float("-inf")
+    previous = -math.inf
     for index, request in enumerate(requests):
-        if request.time < previous:
-            raise WorkloadError(
-                f"request stream is not sorted by time at index {index}: "
-                f"{request.time} < {previous}"
-            )
-        previous = request.time
+        time = request.time
+        if not time >= previous:
+            raise _not_sorted(index, time, previous)
+        previous = time
         yield request
 
 
-@dataclass(slots=True)
-class RequestLog:
-    """A mutable accumulator used by generators while building a stream."""
+def check_sorted(requests: Iterable[Request]) -> None:
+    """Raise :class:`WorkloadError` if ``requests`` is not time-ordered."""
+    for _ in ensure_sorted(requests):
+        pass
 
-    requests: List[Request] = field(default_factory=list)
 
-    def add(self, request: Request) -> None:
-        """Append a request to the log."""
-        self.requests.append(request)
+class ChunkStream:
+    """The request stream of a column source: objects or chunks, one cursor.
 
-    def sorted(self) -> List[Request]:
-        """Return the accumulated requests sorted by time."""
-        return sorted(self.requests, key=lambda request: request.time)
+    Iterating yields lazy :class:`Request` objects, which is all an ordinary
+    caller of :meth:`Workload.iter_requests` sees.  A replay driver calls
+    :meth:`chunks` instead and gets whatever has not been read yet as
+    :data:`Chunk` lists.  Both views advance the same cursor, so a stream
+    that was partly consumed with ``next()`` hands a driver exactly its
+    remainder.  Time-ordering is checked on each chunk's array as it is
+    drawn, for both views.
+
+    Args:
+        columns: The :data:`Columns` of the stream, in order.
+        names: Key-id -> key-name table the ``key_ids`` columns index.
+    """
+
+    __slots__ = ("_chunks", "_rows", "_objects")
+
+    def __init__(self, columns: Iterable[Columns], names: Sequence[str]) -> None:
+        self._chunks = self._listed(columns, names)
+        #: The unread rows of the chunk being served as objects.
+        self._rows: Iterator[tuple] = iter(())
+        self._objects: Iterator[Request] | None = None
+
+    @staticmethod
+    def _listed(columns: Iterable[Columns], names: Sequence[str]) -> Iterator[Chunk]:
+        # One C-level conversion per column and chunk instead of boxed numpy
+        # scalar conversions per request (the object table turns the name
+        # lookup into one too); the time order is checked on the whole drawn
+        # array first.
+        table = np.array(names, dtype=object)
+        previous = -math.inf
+        emitted = 0
+        for times, key_ids, is_read, key_sizes, value_sizes in columns:
+            if not times.size:
+                continue
+            if not (times[0] >= previous and (times[1:] >= times[:-1]).all()):
+                before = np.concatenate(([previous], times[:-1]))
+                offset = int(np.flatnonzero(~(times >= before))[0])
+                raise _not_sorted(
+                    emitted + offset, float(times[offset]), float(before[offset])
+                )
+            previous = times[-1]
+            emitted += times.size
+            for start in range(0, times.size, CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                yield (
+                    times[rows].tolist(),
+                    table[key_ids[rows]].tolist(),
+                    is_read[rows].tolist(),
+                    key_sizes[rows].tolist(),
+                    value_sizes[rows].tolist(),
+                )
+
+    def __iter__(self) -> Iterator[Request]:
+        # The generator itself, not ``self``: ``for`` and ``list()`` then
+        # resume it directly instead of going through ``__next__``.
+        if self._objects is None:
+            self._objects = self._generate()
+        return self._objects
+
+    def __next__(self) -> Request:
+        return next(self.__iter__())
+
+    def _generate(self) -> Iterator[Request]:
+        read_op, write_op, request = OpType.READ, OpType.WRITE, Request
+        for chunk in self._chunks:
+            self._rows = rows = zip(*chunk)
+            for time, key, is_read, key_size, value_size in rows:
+                yield request(time, key, read_op if is_read else write_op, key_size, value_size)
+
+    def chunks(self) -> Iterator[Chunk]:
+        """Yield everything not read yet, a chunk at a time."""
+        while True:
+            # What is left of a chunk that was being read as objects goes
+            # first; looked up each turn, so the two views can alternate.
+            rest = list(self._rows)
+            if rest:
+                yield tuple(map(list, zip(*rest)))
+                continue
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                return
+            yield chunk
+
+
+def _batched(requests: Iterable[Request]) -> Iterator[Chunk]:
+    """Batch a stream of request objects into chunks (the drivers' adapter)."""
+    iterator = iter(requests)
+    write_op = OpType.WRITE
+    previous = -math.inf
+    emitted = 0
+    while True:
+        batch = list(islice(iterator, CHUNK_ROWS))
+        if not batch:
+            return
+        times = [request.time for request in batch]
+        # ``le`` over adjacent pairs runs in C; only a batch that fails it is
+        # walked in Python, to name the offending index.
+        if not (times[0] >= previous and all(map(le, times, islice(times, 1, None)))):
+            for offset, time in enumerate(times):
+                if not time >= previous:
+                    raise _not_sorted(emitted + offset, time, previous)
+                previous = time
+        previous = times[-1]
+        emitted += len(batch)
+        yield (
+            times,
+            [request.key for request in batch],
+            [request.op is not write_op for request in batch],
+            [request.key_size for request in batch],
+            [request.value_size for request in batch],
+        )
+
+
+def iter_chunks(source: Iterable[Request]) -> Iterator[Chunk]:
+    """The replay drivers' feed: ``source`` as time-ordered :data:`Chunk` lists.
+
+    A column source (a :class:`ChunkStream`, a
+    :class:`~repro.workload.compiled.CompiledTrace`) hands out its own
+    chunks; any other iterable of :class:`Request` objects is batched,
+    :data:`CHUNK_ROWS` at a time.  No chunk is empty.
+
+    Raises:
+        WorkloadError: While iterating, at the first request that is out of
+            time order (or whose time is NaN).
+    """
+    chunks = getattr(source, "chunks", None)
+    return chunks() if chunks is not None else _batched(source)

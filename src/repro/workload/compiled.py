@@ -1,20 +1,18 @@
 """Columnar trace compilation: request streams as parallel numpy arrays.
 
-The scalar replay path materializes one :class:`~repro.workload.base.Request`
-object per request — fine for streaming, but object construction and
-per-request attribute access dominate the replay wall clock long before any
-policy arithmetic does.  The vectorized engine (``repro.sim.vector``) instead
-consumes a :class:`CompiledTrace`: the same stream laid out as parallel
-arrays (timestamps, key ids, op flags, sizes) plus a key-id -> key-name
-table.
+A :class:`CompiledTrace` is a whole stream laid out as parallel arrays
+(timestamps, key ids, op flags, sizes) plus a key-id -> key-name table.  The
+vectorized engine (``repro.sim.vector``) replays it in spans; the scalar
+drivers take it :data:`~repro.workload.base.STREAM_CHUNK_SIZE` rows at a
+time through :meth:`CompiledTrace.chunks`, without building a request object.
 
-Compilation is draw-for-draw identical to the generators: the native
-compilers below replicate each workload's pinned per-chunk RNG sequence
-(exponential gaps, Zipf ranks, read coin flips, ... — the exact order the
-equivalence tests pin), so ``compile_workload(w, d).iter_requests()`` yields
-a stream byte-identical to ``w.iter_requests(d)``.  Workloads without a
-native compiler fall back to batching their object stream, which is slower
-to compile but identical by construction.
+The native generators' primitive is their chunk generator
+(``iter_columns``), and a compiled Poisson or Twitter trace is nothing but
+its chunks concatenated — the draw loop is not repeated here — so
+``compile_workload(w, d).iter_requests()`` yields a stream byte-identical to
+``w.iter_requests(d)`` by construction.  Workloads without a chunk generator
+fall back to batching their object stream, which is slower to compile but
+just as identical.
 """
 
 from __future__ import annotations
@@ -27,6 +25,9 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.workload.base import (
     STREAM_CHUNK_SIZE,
+    Chunk,
+    ChunkStream,
+    Columns,
     OpType,
     Request,
     Workload,
@@ -104,7 +105,8 @@ class TraceIndex:
             )
         self.key_ids = key_ids
         self.is_read = is_read
-        self.time_ordered = not bool((times[1:] < times[:-1]).any())
+        # ``>=`` so that a NaN time, which compares false, counts as disorder.
+        self.time_ordered = bool((times[1:] >= times[:-1]).all())
         # Narrow ids sort by radix (16-bit and below) instead of by merging.
         order = np.argsort(key_ids.astype(np.min_scalar_type(num_keys)), kind="stable")
         if key_ids.size <= np.iinfo(np.uint32).max:
@@ -277,113 +279,36 @@ class CompiledTrace:
         """Number of requests in the trace."""
         return int(self.times.size)
 
-    def iter_requests(self) -> Iterator[Request]:
+    def _slices(self) -> Iterator[Columns]:
+        columns = (self.times, self.key_ids, self.is_read, self.key_sizes, self.value_sizes)
+        for start in range(0, len(self), STREAM_CHUNK_SIZE):
+            yield tuple(column[start : start + STREAM_CHUNK_SIZE] for column in columns)
+
+    def iter_requests(self) -> ChunkStream:
         """Decompile back into the scalar :class:`Request` stream.
 
         The yielded stream is byte-identical to the generator stream the
         trace was compiled from: same floats, same interned key strings,
-        same op objects.  Used by the scalar-fallback path of the vectorized
-        engine and by the equivalence tests.
+        same op objects.
         """
-        read_op, write_op, request = OpType.READ, OpType.WRITE, Request
-        names = self.key_names
-        total = int(self.times.size)
-        for start in range(0, total, STREAM_CHUNK_SIZE):
-            stop = min(start + STREAM_CHUNK_SIZE, total)
-            for time, key_id, is_r, key_size, value_size in zip(
-                self.times[start:stop].tolist(),
-                self.key_ids[start:stop].tolist(),
-                self.is_read[start:stop].tolist(),
-                self.key_sizes[start:stop].tolist(),
-                self.value_sizes[start:stop].tolist(),
-            ):
-                yield request(
-                    time,
-                    names[key_id],
-                    read_op if is_r else write_op,
-                    key_size,
-                    value_size,
-                )
+        return ChunkStream(self._slices(), self.key_names)
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter(self.iter_requests())
+
+    def chunks(self) -> Iterator[Chunk]:
+        """The trace as :data:`~repro.workload.base.Chunk` lists, column
+        slices converted once per chunk (what the scalar drivers replay)."""
+        return self.iter_requests().chunks()
 
 
-def _concatenate(parts: List[np.ndarray], dtype: type) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate(parts)
-
-
-def _compile_poisson(workload: PoissonZipfWorkload, duration: float) -> CompiledTrace:
-    """Native compiler replicating :meth:`PoissonZipfWorkload._iter_requests`."""
-    rng = np.random.default_rng(workload.seed)
-    mean_gap = 1.0 / (workload.rate_per_key * workload.num_keys)
-    sampler = workload._sampler
-    time_parts: List[np.ndarray] = []
-    rank_parts: List[np.ndarray] = []
-    read_parts: List[np.ndarray] = []
-    now = 0.0
-    while now < duration:
-        gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
-        times = now + np.cumsum(gaps)
-        now = float(times[-1])
-        ranks = sampler.sample_using(rng, STREAM_CHUNK_SIZE)
-        is_read = rng.random(STREAM_CHUNK_SIZE) < workload.read_ratio
-        if now >= duration:
-            keep = int(np.searchsorted(times, duration, side="left"))
-            times, ranks, is_read = times[:keep], ranks[:keep], is_read[:keep]
-        time_parts.append(times)
-        rank_parts.append(ranks)
-        read_parts.append(is_read)
-    times = _concatenate(time_parts, np.float64)
-    count = times.size
+def _compile_native(
+    workload: PoissonZipfWorkload | TwitterWorkload, duration: float
+) -> CompiledTrace:
+    """Concatenate the chunks of a native generator's ``iter_columns``."""
+    columns = zip(*workload.iter_columns(duration))
     return CompiledTrace(
-        times=times,
-        key_ids=_concatenate(rank_parts, np.int64),
-        is_read=_concatenate(read_parts, np.bool_),
-        key_sizes=np.full(count, workload.key_size, dtype=np.int64),
-        value_sizes=np.full(count, workload.value_size, dtype=np.int64),
-        key_names=[workload.key_name(rank) for rank in range(workload.num_keys)],
-    )
-
-
-def _compile_twitter(workload: TwitterWorkload, duration: float) -> CompiledTrace:
-    """Native compiler replicating :meth:`TwitterWorkload._iter_requests`."""
-    rng = np.random.default_rng(workload.seed)
-    peak_rate = workload.total_rate * (1.0 + workload.diurnal_amplitude)
-    mean_gap = 1.0 / peak_rate
-    time_parts: List[np.ndarray] = []
-    rank_parts: List[np.ndarray] = []
-    read_parts: List[np.ndarray] = []
-    size_parts: List[np.ndarray] = []
-    now = 0.0
-    while now < duration:
-        gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
-        candidate = now + np.cumsum(gaps)
-        now = float(candidate[-1])
-        envelope = 1.0 + workload.diurnal_amplitude * np.sin(
-            2.0 * np.pi * candidate / workload.diurnal_period
-        )
-        accept = rng.random(STREAM_CHUNK_SIZE) < (workload.total_rate * envelope) / peak_rate
-        if now >= duration:
-            accept &= candidate < duration
-        times = candidate[accept]
-        count = times.size
-        ranks = workload._sampler.sample_using(rng, count)
-        is_read = rng.random(count) < workload._read_probabilities(ranks)
-        value_sizes = np.maximum(
-            8, rng.lognormal(mean=np.log(workload.value_size), sigma=0.6, size=count)
-        ).astype(np.int64)
-        time_parts.append(times)
-        rank_parts.append(ranks)
-        read_parts.append(is_read)
-        size_parts.append(value_sizes)
-    times = _concatenate(time_parts, np.float64)
-    return CompiledTrace(
-        times=times,
-        key_ids=_concatenate(rank_parts, np.int64),
-        is_read=_concatenate(read_parts, np.bool_),
-        key_sizes=np.full(times.size, workload.key_size, dtype=np.int64),
-        value_sizes=_concatenate(size_parts, np.int64),
-        key_names=[workload.key_name(rank) for rank in range(workload.num_keys)],
+        *(np.concatenate(parts) for parts in columns), key_names=list(workload.key_names())
     )
 
 
@@ -396,8 +321,8 @@ def _compile_mix(workload: PoissonMixWorkload, duration: float) -> CompiledTrace
     stream is listed first, so it wins timestamp ties).
     """
     read_heavy, write_heavy = workload.components
-    first = _compile_poisson(read_heavy, duration)
-    second = _compile_poisson(write_heavy, duration)
+    first = _compile_native(read_heavy, duration)
+    second = _compile_native(write_heavy, duration)
     offset = len(first.key_names)
     times = np.concatenate([first.times, second.times])
     order = np.argsort(times, kind="stable")
@@ -448,23 +373,21 @@ def _compile_generic(workload: Workload, duration: float) -> CompiledTrace:
 def compile_workload(workload: Workload, duration: float) -> CompiledTrace:
     """Compile a workload's request stream into columnar arrays.
 
-    Dispatches to a native draw-for-draw compiler when the workload type has
-    one (the synthetic Poisson, mixture, and Twitter generators), otherwise
-    batches the scalar stream.  Either way the result decompiles to a stream
-    byte-identical to ``workload.iter_requests(duration)``.
+    Concatenates the generator's own chunks when the workload type has a
+    chunk generator (the synthetic Poisson, mixture, and Twitter generators),
+    otherwise batches the scalar stream.  Either way the result decompiles to
+    a stream byte-identical to ``workload.iter_requests(duration)``.
 
     Raises:
         WorkloadError: If ``duration`` is not positive and finite.
     """
     duration = validate_duration(duration)
     # Exact-type dispatch: a subclass may override ``iter_requests`` in ways
-    # the native compilers would not reproduce, so only the known generator
-    # classes take the fast path.
+    # its inherited chunk generator would not reproduce, so only the known
+    # generator classes take the fast path.
     workload_type = type(workload)
-    if workload_type is PoissonZipfWorkload:
-        return _compile_poisson(workload, duration)
-    if workload_type is TwitterWorkload:
-        return _compile_twitter(workload, duration)
+    if workload_type in (PoissonZipfWorkload, TwitterWorkload):
+        return _compile_native(workload, duration)
     if workload_type is PoissonMixWorkload:
         return _compile_mix(workload, duration)
     return _compile_generic(workload, duration)

@@ -9,7 +9,9 @@ per-key arrival rates follow a Zipf distribution across the key population
 Generation is incremental: arrivals are drawn as exponential inter-arrival
 gaps in vectorised chunks, so iterating a multi-hour trace holds only one
 chunk (:data:`~repro.workload.base.STREAM_CHUNK_SIZE` requests) in memory at
-a time.
+a time.  The draw loop exists once, as the column generator
+:meth:`PoissonZipfWorkload.iter_columns`; the object stream and the compiled
+trace are both made from its chunks.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.workload.base import (
     STREAM_CHUNK_SIZE,
-    OpType,
+    ChunkStream,
+    Columns,
     Request,
     Workload,
+    constant_column,
     validate_duration,
 )
 from repro.workload.zipf import ZipfSampler
@@ -87,13 +91,17 @@ class PoissonZipfWorkload(Workload):
         self.key_prefix = key_prefix
         self.seed = seed
         self._sampler = ZipfSampler(num_keys=num_keys, exponent=zipf_exponent, seed=seed)
-        # Lazily filled rank -> key-name table: each name is formatted once
-        # per workload instead of once per request on the streaming hot path.
-        self._key_names: List[str | None] = [None] * self.num_keys
+        self._key_names: List[str] | None = None
 
     def key_name(self, rank: int) -> str:
         """Return the key name for a popularity rank (0 is the hottest key)."""
         return f"{self.key_prefix}-{rank:06d}"
+
+    def key_names(self) -> List[str]:
+        """The rank -> key-name table, formatted once per workload."""
+        if self._key_names is None:
+            self._key_names = [self.key_name(rank) for rank in range(self.num_keys)]
+        return self._key_names
 
     def key_profiles(self) -> List[PoissonKeyProfile]:
         """Return the per-key arrival rate and read ratio.
@@ -115,21 +123,18 @@ class PoissonZipfWorkload(Workload):
         twice yields identical streams.  The duration is validated eagerly
         (here, not at first ``next()``), so a bad value fails at the call site.
         """
-        return self._iter_requests(validate_duration(duration))
+        return ChunkStream(self.iter_columns(validate_duration(duration)), self.key_names())
 
-    def _iter_requests(self, duration: float) -> Iterator[Request]:
-        # The per-chunk draw sequence (exponential gaps, Zipf ranks, read
-        # coin flips — in that order, always STREAM_CHUNK_SIZE wide) is pinned
-        # by the equivalence tests: optimizations below only change how the
-        # drawn chunk is turned into Request objects, never what is drawn.
+    def iter_columns(self, duration: float) -> Iterator[Columns]:
+        """Draw the stream a chunk at a time (key ids are popularity ranks).
+
+        The per-chunk draw sequence (exponential gaps, Zipf ranks, read coin
+        flips — in that order, always STREAM_CHUNK_SIZE wide) is pinned by
+        the equivalence tests; this is its only copy.
+        """
         rng = np.random.default_rng(self.seed)
         mean_gap = 1.0 / (self.rate_per_key * self.num_keys)
         sampler = self._sampler
-        names = self._key_names
-        key_name = self.key_name
-        key_size = self.key_size
-        value_size = self.value_size
-        read_op, write_op, request = OpType.READ, OpType.WRITE, Request
         now = 0.0
         while now < duration:
             gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
@@ -142,10 +147,10 @@ class PoissonZipfWorkload(Workload):
                 # subset is exactly the prefix before ``duration``.
                 keep = int(np.searchsorted(times, duration, side="left"))
                 times, ranks, is_read = times[:keep], ranks[:keep], is_read[:keep]
-            # One C-level conversion per chunk instead of three boxed numpy
-            # scalar conversions per request.
-            for time, rank, is_r in zip(times.tolist(), ranks.tolist(), is_read.tolist()):
-                name = names[rank]
-                if name is None:
-                    name = names[rank] = key_name(rank)
-                yield request(time, name, read_op if is_r else write_op, key_size, value_size)
+            yield (
+                times,
+                ranks,
+                is_read,
+                constant_column(self.key_size, times.size),
+                constant_column(self.value_size, times.size),
+            )

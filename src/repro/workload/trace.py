@@ -13,6 +13,7 @@ multi-gigabyte trace replays in constant memory.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence
 
@@ -40,7 +41,9 @@ def write_trace(requests: Iterable[Request], path: str | Path) -> int:
         for request in requests:
             writer.writerow(
                 [
-                    f"{request.time:.9f}",
+                    # repr round-trips the float exactly; a fixed number of
+                    # decimals would replay to different arrival times.
+                    repr(float(request.time)),
                     request.key,
                     request.op.value,
                     request.key_size,
@@ -59,7 +62,8 @@ def iter_trace(path: str | Path) -> Iterator[Request]:
 
     Raises:
         WorkloadError: If the file is missing, has an unexpected header,
-            contains malformed rows, or is not sorted by time.
+            contains malformed rows (a non-finite or negative time and a
+            negative size included), or is not sorted by time.
     """
     path = Path(path)
     if not path.exists():
@@ -95,6 +99,16 @@ def iter_trace(path: str | Path) -> Iterator[Request]:
                 raise WorkloadError(
                     f"malformed row at {path}:{line_number}: {row!r}"
                 ) from exc
+            if not (
+                math.isfinite(request.time)
+                and request.time >= 0.0
+                and request.key_size >= 0
+                and request.value_size >= 0
+            ):
+                raise WorkloadError(
+                    f"malformed row at {path}:{line_number}: time must be finite "
+                    f"and non-negative, sizes non-negative, got {row!r}"
+                )
             if request.time < previous:
                 raise WorkloadError(
                     f"trace is not sorted by time at {path}:{line_number}: "

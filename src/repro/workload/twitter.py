@@ -23,9 +23,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.workload.base import (
     STREAM_CHUNK_SIZE,
-    OpType,
+    ChunkStream,
+    Columns,
     Request,
     Workload,
+    constant_column,
     validate_duration,
 )
 from repro.workload.zipf import ZipfSampler
@@ -95,13 +97,17 @@ class TwitterWorkload(Workload):
         self.value_size = int(value_size)
         self.seed = seed
         self._sampler = ZipfSampler(num_keys=num_keys, exponent=zipf_exponent, seed=seed)
-        # Lazily filled rank -> key-name table (one format per key, not one
-        # per request), mirroring :class:`~repro.workload.poisson.PoissonZipfWorkload`.
-        self._key_names: list[str | None] = [None] * self.num_keys
+        self._key_names: list[str] | None = None
 
     def key_name(self, rank: int) -> str:
         """Return the key name for a popularity rank (0 is the hottest key)."""
         return f"tw-{rank:06d}"
+
+    def key_names(self) -> list[str]:
+        """The rank -> key-name table, formatted once per workload."""
+        if self._key_names is None:
+            self._key_names = [self.key_name(rank) for rank in range(self.num_keys)]
+        return self._key_names
 
     @property
     def _write_heavy_stride(self) -> int | None:
@@ -137,19 +143,18 @@ class TwitterWorkload(Workload):
         comes from a per-call generator, so iteration is repeatable.  The
         duration is validated eagerly, so a bad value fails at the call site.
         """
-        return self._iter_requests(validate_duration(duration))
+        return ChunkStream(self.iter_columns(validate_duration(duration)), self.key_names())
 
-    def _iter_requests(self, duration: float) -> Iterator[Request]:
-        # The draw sequence (gaps, accept flips, ranks, read flips, value
-        # sizes — in that order) is pinned by the equivalence tests; the
-        # optimizations below only change Request materialization.
+    def iter_columns(self, duration: float) -> Iterator[Columns]:
+        """Draw the stream a chunk at a time (key ids are popularity ranks).
+
+        The draw sequence (gaps, accept flips, ranks, read flips, value
+        sizes — in that order) is pinned by the equivalence tests; this is
+        its only copy.
+        """
         rng = np.random.default_rng(self.seed)
         peak_rate = self.total_rate * (1.0 + self.diurnal_amplitude)
         mean_gap = 1.0 / peak_rate
-        names = self._key_names
-        key_name = self.key_name
-        key_size = self.key_size
-        read_op, write_op, request = OpType.READ, OpType.WRITE, Request
         now = 0.0
         while now < duration:
             gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
@@ -168,10 +173,10 @@ class TwitterWorkload(Workload):
             value_sizes = np.maximum(
                 8, rng.lognormal(mean=np.log(self.value_size), sigma=0.6, size=count)
             ).astype(np.int64)
-            for time, rank, is_r, size in zip(
-                times.tolist(), ranks.tolist(), is_read.tolist(), value_sizes.tolist()
-            ):
-                name = names[rank]
-                if name is None:
-                    name = names[rank] = key_name(rank)
-                yield request(time, name, read_op if is_r else write_op, key_size, size)
+            yield (
+                times,
+                ranks,
+                is_read,
+                constant_column(self.key_size, count),
+                value_sizes,
+            )

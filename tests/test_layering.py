@@ -9,8 +9,13 @@ module-level import of ``repro.cluster`` from anywhere in ``repro.sim`` is an
 import cycle, and a function-level one is the same back-edge hidden from the
 interpreter until the call.  This test scans the source text and pins both
 at **zero**.
+
+The core is also object-free: a request reaches :mod:`repro.sim.node` and
+:mod:`repro.tier.l1` as scalars taken from a column chunk, so neither module
+may import, name or construct :class:`~repro.workload.base.Request`.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -64,3 +69,44 @@ def test_audit_scans_the_core_and_would_catch_a_back_edge() -> None:
         "from repro.clustering import something",
     ):
         assert not any(re.search(pattern, line) for pattern in BACK_EDGE_PATTERNS), line
+
+
+#: Modules on the per-request path that must never see a request object.
+OBJECT_FREE = ("src/repro/sim/node.py", "src/repro/tier/l1.py")
+
+
+def request_references(source: str) -> "list[int]":
+    """Lines of ``source`` whose code (not prose) refers to ``Request``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A quoted annotation ("Request") is code too; docstrings are prose.
+            names = [node.value] if node.value.isidentifier() else []
+        else:
+            continue
+        if "Request" in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_hot_path_neither_imports_nor_constructs_request() -> None:
+    for relative in OBJECT_FREE:
+        found = request_references((REPO_ROOT / relative).read_text())
+        assert found == [], f"{relative} refers to Request on lines {found}"
+
+
+def test_request_audit_would_catch_every_spelling() -> None:
+    for snippet in (
+        "from repro.workload.base import OpType, Request",
+        "import repro.workload.base\nfill = repro.workload.base.Request(0.0, 'k', None)",
+        "def serve(self, request: 'Request') -> bool: ...",
+        "if TYPE_CHECKING:\n    from repro.workload.base import Request",
+    ):
+        assert request_references(snippet), snippet
+    assert not request_references('"""Docs may mention a Request."""\nrequests = 0')

@@ -342,9 +342,9 @@ class TestZeroCostDisabled:
         calls = {"read": 0}
         original = Simulation._obs_process_read
 
-        def counting(self, request):
+        def counting(self, *request):
             calls["read"] += 1
-            return original(self, request)
+            return original(self, *request)
 
         monkeypatch.setattr(Simulation, "_obs_process_read", counting)
         assert _single(obs=None).run().reads > 0
