@@ -63,6 +63,7 @@ from repro.sim.vector import (
     _kernel_ttl_polling,
     _node_vector_eligible,
     _replay_in_spans,
+    _ttl_resolvable,
 )
 from repro.sketch.hashing import stable_fingerprint
 from repro.workload.compiled import CompiledTrace, Span, TraceIndex
@@ -131,9 +132,10 @@ class VectorClusterSimulation(ClusterSimulation):
         (:func:`~repro.sim.vector._node_vector_eligible` — a kernel policy,
         unbounded caches and trackers, ideal channels, no tier, no hot-key
         detection) plus the driver-level checks made here: steady state (no
-        scenario, no chaos), no persistence or history retention, instant
-        fetches, fixed cost preset.  Everything else falls back to the
-        scalar fleet loop.
+        scenario, no chaos), a TTL the trace's clock resolves
+        (:func:`~repro.sim.vector._ttl_resolvable`), no persistence or
+        history retention, instant fetches, fixed cost preset.  Everything
+        else falls back to the scalar fleet loop.
         """
         if type(self.scenario) is not Scenario:
             return False
@@ -152,6 +154,9 @@ class VectorClusterSimulation(ClusterSimulation):
         if self.costs.breakdown is not None:
             return False
         if self.datastore.retention is not None:
+            return False
+        # Every node runs the same policy configuration: one TTL to check.
+        if not _ttl_resolvable(self._node_list[0], self.trace):
             return False
         return all(_node_vector_eligible(node) for node in self._node_list)
 
@@ -326,28 +331,17 @@ class VectorClusterSimulation(ClusterSimulation):
     def _replay_ttl_trace(self, span: Span) -> None:
         # A non-reacting fleet's interval flushes are no-ops (nothing is ever
         # buffered, there is no detector and no tier on this path), so the
-        # whole trace is a single span per (node, key).
+        # whole trace is a single span: one kernel call per owned node, on
+        # the same routed groups a reactive span gets.
         ctx = self._ctx
         _apply_span_writes(ctx, span)
         hosts = self._hosts
         tallies = [_SpanTally() for _ in hosts]
-        names = ctx.trace.key_names
-        read_pos = ctx.index.read_pos
         kernel = (
             _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
         )
-        for node_idx, (keys, first, count, stride, _, _) in self._node_groups(span, tallies):
-            host, tally = hosts[node_idx], tallies[node_idx]
-            for key_id, lo, reads in zip(keys.tolist(), first.tolist(), count.tolist()):
-                if reads:
-                    kernel(
-                        ctx,
-                        host,
-                        tally,
-                        key_id,
-                        names[key_id],
-                        read_pos[lo : lo + reads * stride : stride],
-                    )
+        for node_idx, groups in self._node_groups(span, tallies):
+            kernel(ctx, hosts[node_idx], tallies[node_idx], groups)
         self._flush_owned(tallies)
 
     def _flush_owned(self, tallies: List[_SpanTally]) -> None:

@@ -298,7 +298,9 @@ def _kernel_trace(scale: float):
     return workload, duration, compile_workload(workload, duration)
 
 
-def _replay_invalidate(workload, duration: float, trace, bound: float) -> None:
+def _replay_vector(
+    workload, duration: float, trace, bound: float, policy: str = "invalidate"
+) -> None:
     from repro.experiments.registry import make_policy
     from repro.sim.vector import VectorSimulation
 
@@ -306,7 +308,7 @@ def _replay_invalidate(workload, duration: float, trace, bound: float) -> None:
     # the replay itself.
     VectorSimulation(
         trace,
-        policy=make_policy("invalidate"),
+        policy=make_policy(policy),
         staleness_bound=bound,
         duration=duration,
         workload_name=workload.name,
@@ -321,7 +323,7 @@ def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
     of the span/kernel machinery that ``bench`` folds into ``wall_seconds``.
     """
     workload, duration, trace = _kernel_trace(scale)
-    timing = time_callable(lambda: _replay_invalidate(workload, duration, trace, 1.0))
+    timing = time_callable(lambda: _replay_vector(workload, duration, trace, 1.0))
     return {
         "ops": len(trace),
         "ops_per_sec": len(trace) / timing["best_seconds"],
@@ -358,7 +360,7 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
 
     bound = 0.01
     workload, duration, trace = _kernel_trace(scale)
-    timing = time_callable(lambda: _replay_invalidate(workload, duration, trace, bound))
+    timing = time_callable(lambda: _replay_vector(workload, duration, trace, bound))
 
     kernel = vector._kernel_reactive_span
     calls = key_spans = 0
@@ -371,7 +373,7 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
 
     vector._kernel_reactive_span = counted
     try:
-        _replay_invalidate(workload, duration, trace, bound)
+        _replay_vector(workload, duration, trace, bound)
     finally:
         vector._kernel_reactive_span = kernel
     return {
@@ -381,6 +383,50 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
         "spans": non_empty_spans(trace.times, bound),
         "kernel_calls": calls,
         **timing,
+    }
+
+
+def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
+    """The ``vector-kernels`` trace replayed under the two TTL baselines.
+
+    ``ops_per_sec`` is the TTL-polling replay (a closed form over every read
+    row), ``expiry_ops_per_sec`` the TTL-expiry one (a bisection per key and
+    epoch).  ``kernel_calls`` and ``charging_reads`` are counted on an extra
+    untimed polling replay: one kernel call per host per trace, whatever the
+    key count, and the reads that settle at least one poll — the rows the
+    flush sorts and folds.
+    """
+    from repro.sim import vector
+
+    workload, duration, trace = _kernel_trace(scale)
+    polling = time_callable(
+        lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling")
+    )
+    expiry = time_callable(
+        lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-expiry")
+    )
+
+    kernel = vector._kernel_ttl_polling
+    calls = charging_reads = 0
+
+    def counted(ctx: Any, host: Any, tally: Any, groups: Any) -> None:
+        nonlocal calls, charging_reads
+        kernel(ctx, host, tally, groups)
+        calls += 1
+        charging_reads += int(tally.poll_counts.size)
+
+    vector._kernel_ttl_polling = counted
+    try:
+        _replay_vector(workload, duration, trace, 1.0, "ttl-polling")
+    finally:
+        vector._kernel_ttl_polling = kernel
+    return {
+        "ops": len(trace),
+        "ops_per_sec": len(trace) / polling["best_seconds"],
+        "expiry_ops_per_sec": len(trace) / expiry["best_seconds"],
+        "kernel_calls": calls,
+        "charging_reads": charging_reads,
+        **polling,
     }
 
 
@@ -659,6 +705,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "replay-cluster": bench_replay_cluster,
     "vector-kernels": bench_vector_kernels,
     "span-kernel-tight": bench_span_kernel_tight,
+    "ttl-kernels": bench_ttl_kernels,
     "trace-index": bench_trace_index,
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,

@@ -145,7 +145,15 @@ class CacheNode:
         self.channel = channel if channel is not None else Channel()
         self.discard_buffer_on_miss_fill = discard_buffer_on_miss_fill
 
-        self.cache = Cache(capacity=cache_capacity, eviction=eviction, on_evict=self._on_evict)
+        # Only a bounded cache evicts.  An unbounded one is not handed the
+        # callback, a bound method that would tie the node into a reference
+        # cycle and keep it — datastore histories and all — alive past its run
+        # until the cycle collector's next full pass.
+        self.cache = Cache(
+            capacity=cache_capacity,
+            eviction=eviction,
+            on_evict=self._on_evict if cache_capacity is not None else None,
+        )
         self.buffer = WriteBuffer()
         self.tracker = InvalidationTracker(capacity=tracker_capacity)
         self.result = result
@@ -230,10 +238,13 @@ class CacheNode:
             self.costs.miss_cost() if self.costs.breakdown is None else None
         )
         self._l2_peek = self.cache.raw_getter()
+        # Plain functions, called with the node: bound methods stored on the
+        # node itself would be the same reference cycle the cache callback is.
+        node_type = type(self)
         self._action_handlers = {
             Action.NOTHING: None,
-            Action.INVALIDATE: self._send_invalidate,
-            Action.UPDATE: self._send_update,
+            Action.INVALIDATE: node_type._send_invalidate,
+            Action.UPDATE: node_type._send_update,
         }
 
     @property
@@ -615,7 +626,7 @@ class CacheNode:
             if handler is None:
                 self.result.decisions_nothing += 1
             else:
-                handler(buffered.key, buffered.key_size, flush_time)
+                handler(self, buffered.key, buffered.key_size, flush_time)
         if self.detector is not None:
             # Sample the interval's hot-key pressure before the decay clock
             # advances, so the result (and obs windows) carries the same

@@ -18,8 +18,10 @@ to a Python loop over plain columns.  The cost of a replay is therefore
 O(requests) of numpy, plus O(keys touched) of object work and a fixed charge
 per span — not O(keys x spans) kernel calls, which is what made a tight
 staleness bound (many short spans) the slow case.  The TTL policies never
-react to writes, have no flush boundaries, and keep a per-key kernel that
-runs once per key per *trace*.  Every simulation *event* — the
+react to writes and have no flush boundaries, so their whole trace is one
+span and one kernel call per host: TTL-polling is a closed form over the
+host's read rows, taken a fixed block of rows at a time, and TTL-expiry
+bisects every key's next epoch at once.  Every simulation *event* — the
 interval flush, policy decisions, message sends and deliveries, finalisation —
 runs through the unmodified scalar machinery of :class:`Simulation` and its
 :class:`~repro.sim.node.CacheNode`, against real :class:`Cache` / :class:`DataStore` /
@@ -59,7 +61,8 @@ Why byte-identity is achievable at all:
 
 When a configuration falls outside the vectorizable envelope (capacity-bounded
 caches, per-size cost breakdowns, lossy or delayed channels, persistence,
-clairvoyant policies, TTLs above the bound, ...) ``run()`` transparently falls
+clairvoyant policies, TTLs above the bound or below the resolution of the
+trace's clock, ...) ``run()`` transparently falls
 back to the scalar engine over the decompiled stream — identical by
 construction, just slower.
 """
@@ -120,6 +123,24 @@ def _node_vector_eligible(node: CacheNode) -> bool:
     if node.cache.capacity is not None or node.tracker.capacity is not None:
         return False
     return node.channel.is_ideal
+
+
+def _ttl_resolvable(node: CacheNode, trace: CompiledTrace) -> bool:
+    """Whether the trace's clock resolves the node's TTL timer.
+
+    The TTL kernels need ``fetched_at + ttl`` to move past ``fetched_at`` and
+    a poll count ``(t - anchor) / ttl`` to fit an integer column with room to
+    spare, everywhere on the trace: the TTL must span a few float spacings at
+    the trace's last timestamp and divide it fewer than ``2**50`` times.
+    Inside that envelope the accounted poll count never overtakes the seen
+    one, which is what the polling kernel's closed form rests on; outside it
+    the scalar loop's Python floats and unbounded ints are the reference.
+    A policy without a TTL timer has nothing to resolve.
+    """
+    if node.policy.ttl_mode is None or len(trace) == 0:
+        return True
+    ttl, end = node._ttl_value, trace.times[-1]
+    return bool(ttl >= 4 * np.spacing(end) and end / ttl < 2**50)
 
 
 class _ReplayContext:
@@ -224,6 +245,12 @@ class _HostState:
         )
 
 
+#: The poll columns of a tally no polling kernel has written to (every
+#: reactive span's): shared, never mutated.
+_NO_POLLS = np.empty(0, dtype=np.int64)
+_NO_POLLS.flags.writeable = False
+
+
 class _SpanTally:
     """Deferred per-span effects for one host.
 
@@ -245,7 +272,8 @@ class _SpanTally:
         "new_fills",
         "buffer_entries",
         "estimator_ops",
-        "poll_events",
+        "poll_positions",
+        "poll_counts",
     )
 
     def __init__(self) -> None:
@@ -260,7 +288,9 @@ class _SpanTally:
         self.new_fills: List[Tuple[int, CacheEntry]] = []
         self.buffer_entries: List[Tuple[int, BufferedWrite]] = []
         self.estimator_ops: List[Tuple[int, str, int, int, int, int, int]] = []
-        self.poll_events: List[Tuple[int, int]] = []
+        # TTL-polling charges, as two aligned columns: the stream position
+        # of each read that settles polls, and how many it settles.
+        self.poll_positions = self.poll_counts = _NO_POLLS
 
 
 def _apply_span_writes(ctx: _ReplayContext, span: Span) -> int:
@@ -298,22 +328,6 @@ def _apply_span_writes(ctx: _ReplayContext, span: Span) -> int:
     total = int((write_hi - write_lo).sum())
     ctx.datastore.total_writes += total
     return total
-
-
-def _miss_version(
-    ctx: _ReplayContext, key_id: int, position: int
-) -> Tuple[int, int]:
-    """Version and value size a backend read at stream ``position`` returns.
-
-    Exactly the writes preceding the read in stream order are visible, so the
-    version is the count of the key's writes with smaller position and the
-    value size is the latest such write's (or the backend default).
-    """
-    _, write_pos, write_vsz = ctx.index.writes_of(key_id)
-    version = int(write_pos.searchsorted(position, side="left"))
-    if version:
-        return version, int(write_vsz[version - 1])
-    return 0, ctx.default_value_size
 
 
 def _fold_estimator(
@@ -602,135 +616,281 @@ def _count_violations(
         tally.violations += int(np.count_nonzero(stale_writes))
 
 
-def _kernel_ttl_expiry(
-    ctx: _ReplayContext,
-    host: _HostState,
-    tally: _SpanTally,
-    key_id: int,
-    name: str,
-    reads: np.ndarray,
-) -> None:
-    """One key's whole trace under TTL-expiry (the policy never reacts).
+#: Read rows the TTL-polling kernel settles at a time.  It makes about a
+#: dozen 8-byte temporaries per row, so a block holds them near 2 MiB however
+#: many reads the trace — or one hot key — has; the block-size note in
+#: docs/guides/performance.md has the peak RSS measured with and without it.
+_TTL_BLOCK_ROWS = 16_384
 
-    The entry's life is a sequence of epochs: a fill anchors a timer, the
-    first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
-    ``ttl <= bound`` no hit can violate the staleness bound, so the walk only
-    needs the epoch boundaries — ``O(epochs)`` searchsorted jumps.
+
+#: Keys the TTL-expiry kernel steps together.  A batched step finds every
+#: live key's next epoch with a few hundred numpy calls (~0.3 ms) however few
+#: keys are live; a scalar ``searchsorted`` on one key costs ~2 µs, so below
+#: about this many live keys the per-key walk is the cheaper way to finish —
+#: and the only bearable one for a hot key with tens of thousands of epochs.
+_TTL_EXPIRY_BATCH = 128
+
+
+def _bisect_groups(value_at, lo, hi, needle, right: bool = False) -> np.ndarray:
+    """Segmented bisection: one binary search per group, all groups at once.
+
+    Group ``g`` owns an ascending run of values; ``value_at(groups, ranks)``
+    gathers element ``ranks[i]`` of group ``groups[i]``.  Returns, per group,
+    the first rank in ``[lo[g], hi[g])`` whose value is at or above
+    ``needle[g]`` (above it when ``right``), or ``hi[g]`` when there is none:
+    ``searchsorted`` for every group in ``O(log(longest run))`` numpy steps.
     """
-    trace = ctx.trace
-    read_times = trace.times[reads]
-    first_position = int(reads[0])
-    fetch_time = float(read_times[0])
-    last_fill_position = first_position
-    ttl = ctx.ttl
-    refetches = 0
-    cursor = 0
-    total = int(reads.size)
-    while True:
-        cursor = int(read_times.searchsorted(fetch_time + ttl, side="left"))
-        if cursor >= total:
-            break
-        refetches += 1
-        fetch_time = float(read_times[cursor])
-        last_fill_position = int(reads[cursor])
-    version, value_size = _miss_version(ctx, key_id, last_fill_position)
-    entry = CacheEntry(
-        key=name,
-        version=version,
-        as_of=fetch_time,
-        fetched_at=fetch_time,
-        key_size=int(trace.key_sizes[first_position]),
-        value_size=value_size,
-        last_poll_accounted=fetch_time,
+    lo, hi = lo.copy(), hi.copy()
+    pending = np.flatnonzero(lo < hi)
+    while pending.size:
+        low, high = lo[pending], hi[pending]
+        middle = (low + high) >> 1
+        value = value_at(pending, middle)
+        below = value <= needle[pending] if right else value < needle[pending]
+        low = np.where(below, middle + 1, low)
+        high = np.where(below, high, middle)
+        lo[pending], hi[pending] = low, high
+        pending = pending[low < high]
+    return lo
+
+
+def _versions_before(
+    ctx: _ReplayContext, keys: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """Per key, how many of its writes precede stream position ``positions[g]``.
+
+    Exactly those writes are visible to a backend read at that position, so
+    this is the version the read returns.
+    """
+    index = ctx.index
+    write_lo = index.write_offsets[keys]
+    return _bisect_groups(
+        lambda groups, rank: index.write_pos[write_lo[groups] + rank],
+        np.zeros(keys.size, dtype=np.int64),
+        index.write_offsets[keys + 1] - write_lo,
+        positions,
     )
-    hits = total - 1 - refetches
-    entry.hits = hits
-    tally.new_fills.append((first_position, entry))
-    tally.reads += total
-    tally.cold_misses += 1
-    tally.stale_misses += refetches
-    tally.expirations += refetches
-    tally.hits += hits
+
+
+def _backend_reads(
+    ctx: _ReplayContext, keys: np.ndarray, positions: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Version and value size a backend read of each key returns, the read
+    of ``keys[g]`` sitting at stream position ``positions[g]``: the value
+    size is the latest visible write's, or the backend default."""
+    index = ctx.index
+    version = _versions_before(ctx, keys, positions)
+    value_size = np.full(keys.size, ctx.default_value_size, dtype=np.int64)
+    written = version.nonzero()[0]
+    value_size[written] = index.write_value_sizes[
+        index.write_offsets[keys[written]] + version[written] - 1
+    ]
+    return version, value_size
+
+
+def _fill_cold(
+    ctx: _ReplayContext,
+    tally: _SpanTally,
+    keys: np.ndarray,
+    position: np.ndarray,
+    *state: np.ndarray,
+) -> None:
+    """Record each key's cold fill at stream ``position`` as the entry its
+    whole trace leaves behind: ``state`` is the ``(version, value_size,
+    as_of, fetched_at, last_poll_accounted, hits)`` columns of those entries.
+
+    A TTL host starts the trace empty and never drops an entry, so every key
+    it reads is filled cold exactly once, wherever its later fetches fall.
+    """
+    names = ctx.trace.key_names
+    new_fills = tally.new_fills
+    for key_id, cold, key_size, version, size, as_of, fetched_at, accounted, hits in zip(
+        keys.tolist(),
+        position.tolist(),
+        ctx.trace.key_sizes[position].tolist(),
+        *(column.tolist() for column in state),
+    ):
+        new_fills.append(
+            (
+                cold,
+                CacheEntry(
+                    key=names[key_id],
+                    version=version,
+                    as_of=as_of,
+                    fetched_at=fetched_at,
+                    key_size=key_size,
+                    value_size=size,
+                    last_poll_accounted=accounted,
+                    hits=hits,
+                ),
+            )
+        )
+    tally.cold_misses += int(keys.size)
+
+
+def _kernel_ttl_expiry(
+    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
+) -> None:
+    """One host's whole trace under TTL-expiry (the policy never reacts).
+
+    An entry's life is a sequence of epochs: a fill anchors a timer, the
+    first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
+    ``ttl <= bound`` no hit can violate the staleness bound, so only the
+    epoch boundaries matter, and every key's next one is bisected out of its
+    read run at once: ``O(keys x epochs x log reads)``, no pass over the
+    reads.  The search starts after the current fill, so it advances even
+    where ``fetched_at + ttl`` rounds back to ``fetched_at``.  Keys leave the
+    batch as their runs end; the last :data:`_TTL_EXPIRY_BATCH` of them —
+    typically the hot keys, with the most epochs — finish one at a time.
+    """
+    keys, first, count, stride, _, _ = groups
+    reading = count.nonzero()[0]
+    if reading.size == 0:
+        return
+    keys, first, count = keys[reading], first[reading], count[reading]
+    times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
+    cold_position = read_pos[first]
+    fill = np.zeros(keys.size, dtype=np.int64)  # rank of the latest fetch in the run
+    fetch_time = times[cold_position]
+    refetches = np.zeros(keys.size, dtype=np.int64)
+    live = np.arange(keys.size)
+    while live.size >= _TTL_EXPIRY_BATCH:
+        run = first[live]
+        expired = _bisect_groups(
+            lambda groups, rank: times[read_pos[run[groups] + rank * stride]],
+            fill[live] + 1,
+            count[live],
+            fetch_time[live] + ttl,
+        )
+        refetched = expired < count[live]
+        live, expired = live[refetched], expired[refetched]
+        fill[live] = expired
+        fetch_time[live] = times[read_pos[first[live] + expired * stride]]
+        refetches[live] += 1
+    # The keys still live are too few to share a step's fixed cost, and each
+    # is a chain of epochs that has to be walked in order: one scalar
+    # ``searchsorted`` per epoch on the key's own read times.
+    for group in live.tolist():
+        run_times = times[read_pos[first[group] : first[group] + count[group] * stride : stride]]
+        rank, fetched, epochs = int(fill[group]), fetch_time[group], 0
+        while True:
+            expired = max(int(run_times.searchsorted(fetched + ttl, side="left")), rank + 1)
+            if expired >= run_times.size:
+                break
+            rank, fetched, epochs = expired, run_times[expired], epochs + 1
+        fill[group], fetch_time[group] = rank, fetched
+        refetches[group] += epochs
+    hits = count - 1 - refetches
+    version, value_size = _backend_reads(ctx, keys, read_pos[first + fill * stride])
+    _fill_cold(
+        ctx, tally, keys, cold_position,
+        version, value_size, fetch_time, fetch_time, fetch_time, hits,
+    )
+    expirations = int(refetches.sum())
+    tally.reads += int(count.sum())
+    tally.hits += int(hits.sum())
+    tally.stale_misses += expirations
+    tally.expirations += expirations
 
 
 def _kernel_ttl_polling(
-    ctx: _ReplayContext,
-    host: _HostState,
-    tally: _SpanTally,
-    key_id: int,
-    name: str,
-    reads: np.ndarray,
+    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
 ) -> None:
-    """One key's whole trace under TTL-polling (the policy never reacts).
+    """One host's whole trace under TTL-polling (the policy never reacts).
 
-    The cold fill anchors the poll timer; every later read settles the polls
-    since the last accounting point with the scalar engine's exact integer
-    arithmetic.  The walk below jumps straight between reads that charge a
-    positive number of polls, recomputing the accounting baseline with the
-    same float expressions as :func:`repro.core.ttl.account_entry_polls` (the
-    baseline is *not* always the previous poll count — float rounding of
-    ``anchor + k * ttl`` can land it one lower, and the walk reproduces that).
+    A key's cold fill anchors its poll timer at ``a``; every later read
+    settles the polls since the last accounting point with the scalar
+    engine's exact arithmetic (:func:`repro.core.ttl.account_entry_polls`).
+    A read at ``t`` has seen ``k = int((t - a) / ttl)`` polls, and once it
+    settles them the accounting point is ``a + k * ttl``, which the next read
+    counts back as ``s = int(((a + k * ttl) - a) / ttl)`` — *not* always
+    ``k``: float rounding can land it one lower, and the closed form
+    reproduces that.  ``k`` never decreases along a key's reads and
+    ``s <= k`` for a TTL the trace's clock resolves (:func:`_ttl_resolvable`),
+    so a read that settles nothing leaves ``s`` where the previous read's
+    ``k`` puts it, and read ``i`` charges ``k[i] - s[i - 1]`` polls whether or
+    not read ``i - 1`` charged any.  That is a fixed number of float64 column
+    operations per read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.
     """
-    trace = ctx.trace
-    first_position = int(reads[0])
-    anchor = float(trace.times[first_position])
-    version, value_size = _miss_version(ctx, key_id, first_position)
-    entry = CacheEntry(
-        key=name,
-        version=version,
-        as_of=anchor,
-        fetched_at=anchor,
-        key_size=int(trace.key_sizes[first_position]),
-        value_size=value_size,
-        last_poll_accounted=anchor,
-    )
-    hits = int(reads.size) - 1
-    entry.hits = hits
-    tally.new_fills.append((first_position, entry))
-    tally.reads += int(reads.size)
-    tally.cold_misses += 1
-    tally.hits += hits
-    if reads.size < 2:
+    keys, first, count, stride, _, _ = groups
+    reading = count.nonzero()[0]
+    if reading.size == 0:
         return
-    ttl = ctx.ttl
-    read_times = trace.times[reads]
-    poll_counts = ((read_times - anchor) / ttl).astype(np.int64)
-    baseline = 0
-    cursor = 1  # the fill read itself never settles (no entry existed yet)
-    total = int(reads.size)
-    last_position = -1
-    last_poll = anchor
-    events = tally.poll_events
-    while True:
-        jump = int(poll_counts.searchsorted(baseline, side="right"))
-        cursor = jump if jump > cursor else cursor
-        if cursor >= total:
-            break
-        k_now = int(poll_counts[cursor])
-        polls = k_now - baseline
-        if polls > 0:
-            last_poll = anchor + k_now * ttl
-            last_position = int(reads[cursor])
-            events.append((last_position, polls))
-            baseline = int((last_poll - anchor) / ttl) if last_poll > anchor else 0
-        cursor += 1
-    if last_position >= 0:
-        # Only the key's *final* settled state is observable between spans —
-        # polls refresh the entry monotonically, so collapse the per-event
-        # entry updates of the scalar engine into the last one.
-        entry.last_poll_accounted = last_poll
-        if last_poll > entry.as_of:
-            entry.as_of = last_poll
-        key_write_times, key_write_pos, _ = ctx.index.writes_of(key_id)
-        # version_at(last_poll) over the writes applied before the settling
-        # read: both constraints are prefixes of the same sorted column, so
-        # the visible version is the shorter prefix.
-        refreshed = min(
-            int(key_write_times.searchsorted(last_poll, side="right")),
-            int(key_write_pos.searchsorted(last_position, side="left")),
+    keys, first, count = keys[reading], first[reading], count[reading]
+    times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
+    cold_position = read_pos[first]
+    anchor = times[cold_position]
+    # The host's reads as one table of rows, group after group: row ``r`` of
+    # group ``g`` is the read ``read_pos[slot[g] + r * stride]``.
+    ends = np.cumsum(count)
+    starts = ends - count
+    slot = first - starts * stride
+    # Each key's last charging read: how many polls it had seen, and where it
+    # sits in the stream.  A key that never charges stays at its fill.
+    settled_polls = np.zeros(keys.size, dtype=np.int64)
+    settled_position = cold_position.copy()
+    positions: List[np.ndarray] = []
+    charges: List[np.ndarray] = []
+    total = int(ends[-1])
+    carried = 0  # ``s`` of the row before the block
+    for lo in range(0, total, _TTL_BLOCK_ROWS):
+        hi = min(lo + _TTL_BLOCK_ROWS, total)
+        # The groups with a row in the block, and how many each has there.
+        head, tail = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+        members = slice(head, tail + 1)
+        group = np.repeat(
+            np.arange(head, tail + 1),
+            np.minimum(ends[members], hi) - np.maximum(starts[members], lo),
         )
-        if refreshed > entry.version:
-            entry.version = refreshed
+        position = read_pos[slot[group] + np.arange(lo, hi) * stride]
+        base = anchor[group]
+        seen = ((times[position] - base) / ttl).astype(np.int64)
+        # ``account_entry_polls`` guards the division with ``accounted >
+        # anchor``; the only other case here is equality, which divides to 0.
+        counted = (((base + seen * ttl) - base) / ttl).astype(np.int64)
+        charge = seen.copy()
+        charge[1:] -= counted[:-1]
+        charge[0] -= carried
+        carried = counted[-1]
+        # The fill read itself never settles (no entry existed yet).
+        fills = starts[members]
+        charge[fills[fills >= lo] - lo] = 0
+        charging = charge.nonzero()[0]
+        if charging.size:
+            owner = group[charging]
+            final = np.append(owner[1:] != owner[:-1], True)
+            settled_polls[owner[final]] = seen[charging[final]]
+            settled_position[owner[final]] = position[charging[final]]
+            positions.append(position[charging])
+            charges.append(charge[charging])
+    if positions:
+        tally.poll_positions = np.concatenate(positions)
+        tally.poll_counts = np.concatenate(charges)
+    # Only a key's *final* settled state is observable after the trace: polls
+    # refresh the entry monotonically, so the scalar engine's per-read entry
+    # updates collapse into the last one.
+    last_poll = anchor + settled_polls * ttl
+    version, value_size = _backend_reads(ctx, keys, cold_position)
+    # version_at(last_poll) over the writes applied before the settling read:
+    # both constraints are prefixes of the key's writes, so the refreshed
+    # version is the shorter prefix (for a key that never charged, no longer
+    # than the fill's).
+    write_lo = ctx.index.write_offsets[keys]
+    polled_version = _bisect_groups(
+        lambda groups, rank: ctx.index.write_times[write_lo[groups] + rank],
+        np.zeros(keys.size, dtype=np.int64),
+        _versions_before(ctx, keys, settled_position),
+        last_poll,
+        right=True,
+    )
+    hits = count - 1
+    _fill_cold(
+        ctx, tally, keys, cold_position,
+        np.maximum(version, polled_version), value_size,
+        np.maximum(anchor, last_poll), anchor, last_poll, hits,
+    )
+    tally.reads += total
+    tally.hits += int(hits.sum())
 
 
 def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> None:
@@ -788,19 +948,17 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         estimator = host.estimator
         for _, *observed in tally.estimator_ops:
             _fold_estimator(estimator, *observed)
-    if tally.poll_events:
-        # Poll charges are the one varying-order float sum: replay them in
-        # global stream order against a running accumulator (the per-entry
-        # state those charges refresh was already settled by the kernel).
-        tally.poll_events.sort()
-        freshness = result.freshness_cost
-        miss_const = ctx.miss_const
-        polls_total = 0
-        for _, polls in tally.poll_events:
-            polls_total += polls
-            freshness += polls * miss_const
-        result.polls += polls_total
-        result.freshness_cost = freshness
+    if tally.poll_counts.size:
+        # Poll charges are the one varying-order float sum: fold them in
+        # global stream order onto the running accumulator.  ``cumsum`` adds
+        # strictly left to right, so seeding its first addend gives the float
+        # the scalar engine's one-by-one ``+=`` does (the per-entry state
+        # those charges refresh was already settled by the kernel).
+        order = np.argsort(tally.poll_positions, kind="stable")
+        charge = tally.poll_counts[order] * ctx.miss_const
+        charge[0] += result.freshness_cost
+        result.freshness_cost = float(np.cumsum(charge, out=charge)[-1])
+        result.polls += int(tally.poll_counts.sum())
 
 
 def _replay_in_spans(engine, reacts: bool, advance_background) -> None:
@@ -867,10 +1025,13 @@ class VectorSimulation(Simulation):
         The envelope covers the paper's main sweeps: the per-cache half
         (:func:`_node_vector_eligible` — a kernel policy, unbounded cache and
         tracker, ideal or no channel) plus the driver-level one checked here:
-        fixed cost preset, no persistence or history retention, instant
-        fetches.  Everything else falls back to the scalar engine.
+        a TTL the trace's clock resolves (:func:`_ttl_resolvable`), fixed cost
+        preset, no persistence or history retention, instant fetches.
+        Everything else falls back to the scalar engine.
         """
         if not _node_vector_eligible(self.node):
+            return False
+        if not _ttl_resolvable(self.node, self.trace):
             return False
         if self.costs.breakdown is not None:
             return False
@@ -927,10 +1088,7 @@ class VectorSimulation(Simulation):
         ctx, host = self._ctx, self._host
         tally = _SpanTally()
         tally.writes = _apply_span_writes(ctx, span)
-        names = ctx.trace.key_names
-        read_pos = ctx.index.read_pos
+        keys, read_lo, read_hi, write_lo, write_hi = span
         kernel = _kernel_ttl_expiry if self.node._ttl_expiry else _kernel_ttl_polling
-        for key_id, r_lo, r_hi, _, _ in zip(*(column.tolist() for column in span)):
-            if r_hi > r_lo:
-                kernel(ctx, host, tally, key_id, names[key_id], read_pos[r_lo:r_hi])
+        kernel(ctx, host, tally, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi))
         _flush_tally(ctx, host, tally)

@@ -77,6 +77,19 @@ def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     # Counted, not timed: one reactive kernel call per span.
     assert tight["kernel_calls"] == tight["spans"] > 0
     assert tight["key_spans_per_sec"] > 0
+    ttl = next(row for row in record["results"] if row["name"] == "ttl-kernels")
+    # One TTL kernel call per host per trace, however many keys it reads.
+    assert ttl["kernel_calls"] == 1
+    assert ttl["ops_per_sec"] > 0 and ttl["expiry_ops_per_sec"] > 0
+
+
+def test_ttl_kernels_microbench_counts_charging_reads() -> None:
+    """A 2 s trace at ``T = 1 s``: every key that lives past its first poll
+    charges, and a read charges at most once."""
+    [row] = run_perf(names=["ttl-kernels"], scale=1.0)["results"]
+    assert row["kernel_calls"] == 1
+    assert 500 < row["charging_reads"] < row["ops"]
+    assert row["ops_per_sec"] > 0 and row["expiry_ops_per_sec"] > 0
 
 
 def test_wal_microbenches_report_rate_and_record_size() -> None:
@@ -102,6 +115,7 @@ def test_perf_cli_list_and_run_and_json(tmp_path, capsys) -> None:
     assert (
         out.index("vector-kernels")
         < out.index("span-kernel-tight")
+        < out.index("ttl-kernels")
         < out.index("trace-index")
         < out.index("shard-merge")
     )

@@ -4,7 +4,7 @@ Each test keeps a deliberately naive reference implementation (the pre-PR-5
 code shape) next to the optimized one and asserts byte-identical output:
 request streams, ring routing, fingerprints, sketch counts, the inlined TTL
 poll arithmetic, the trace index's span slices, and the span-batched reactive
-kernel against the per-key kernel it replaced.
+and host-batched TTL kernels against the per-key kernels they replaced.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import pytest
 from repro.backend.buffer import BufferedWrite
 from repro.backend.datastore import DataStore
 from repro.cache.entry import CacheEntry, EntryState
-from repro.cluster import ReplicationConfig
+from repro.cluster import ReplicationConfig, replay_cluster_parallel
 from repro.cluster import vector as cluster_vector
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.vector import VectorClusterSimulation
-from repro.core.ttl import TTLPollingPolicy
+from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, account_entry_polls
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
 from repro.sim import vector as sim_vector
@@ -36,9 +36,11 @@ from repro.sim.vector import (
     _flush_tally,
     _HostState,
     _kernel_reactive_span,
-    _miss_version,
+    _kernel_ttl_expiry,
+    _kernel_ttl_polling,
     _ReplayContext,
     _SpanTally,
+    _ttl_resolvable,
 )
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import (
@@ -544,6 +546,31 @@ def reference_fold_estimator(estimator, name, reads, writes) -> None:
     counters.writes_since_read = int(writes.size) - total_closed
 
 
+def _miss_version(ctx, key_id: int, position: int):
+    """Version and value size a backend read at stream ``position`` returns.
+
+    Exactly the writes preceding the read in stream order are visible, so the
+    version is the count of the key's writes with smaller position and the
+    value size is the latest such write's (or the backend default).
+    """
+    _, write_pos, write_vsz = ctx.index.writes_of(key_id)
+    version = int(write_pos.searchsorted(position, side="left"))
+    if version:
+        return version, int(write_vsz[version - 1])
+    return 0, ctx.default_value_size
+
+
+class ReferenceTally(_SpanTally):
+    """A tally for the per-key kernels: poll charges as the ``(position,
+    polls)`` tuple list they appended to, folded by :func:`reference_flush`."""
+
+    __slots__ = ("poll_events",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.poll_events = []
+
+
 def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> None:
     """The per-(key, span) kernel: one call per key, on its position slices.
 
@@ -627,6 +654,19 @@ def reference_flush(ctx, host, tally) -> None:
     _flush_tally(ctx, host, tally)
     for _, name, reads, writes in sorted(ops, key=lambda op: op[0]):
         reference_fold_estimator(host.estimator, name, reads, writes)
+    if tally.poll_events:
+        # The tuple fold: poll charges replayed one by one, in global stream
+        # order, against a running accumulator.
+        result = host.result
+        tally.poll_events.sort()
+        freshness = result.freshness_cost
+        miss_const = ctx.miss_const
+        polls_total = 0
+        for _, polls in tally.poll_events:
+            polls_total += polls
+            freshness += polls * miss_const
+        result.polls += polls_total
+        result.freshness_cost = freshness
 
 
 def counted_estimator_op(first_obs, name, reads, writes):
@@ -669,7 +709,11 @@ def tally_state(tally, reference: bool = False):
             (position, dataclasses.asdict(write)) for position, write in tally.buffer_entries
         ),
         "estimator_ops": sorted(ops),
-        "poll_events": sorted(tally.poll_events),
+        "poll_events": sorted(
+            tally.poll_events
+            if reference
+            else zip(tally.poll_positions.tolist(), tally.poll_counts.tolist())
+        ),
     }
 
 
@@ -749,7 +793,7 @@ def assert_span_kernel_matches_reference(
     for end in cuts:
         span = cursor.advance(end)
         keys, read_lo, read_hi, write_lo, write_hi = span
-        new, ref = _SpanTally(), _SpanTally()
+        new, ref = _SpanTally(), ReferenceTally()
         new.writes = _apply_span_writes(ctx_new, span)
         ref.writes = _apply_span_writes(ctx_ref, span)
         _kernel_reactive_span(
@@ -850,7 +894,7 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
     def _replay_reactive_span(self, span) -> None:
         ctx, index = self._ctx, self._ctx.index
         _apply_span_writes(ctx, span)
-        tallies = [_SpanTally() for _ in self._hosts]
+        tallies = [ReferenceTally() for _ in self._hosts]
         names = ctx.trace.key_names
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             writes = index.write_pos[w_lo:w_hi]
@@ -868,11 +912,41 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                         np.array(reads, dtype=np.int64),
                         writes,
                     )
+        self._record_and_flush(tallies)
+
+    def _replay_ttl_trace(self, span) -> None:
+        """The per-(node, key) walk: one kernel call per key a node reads."""
+        ctx = self._ctx
+        _apply_span_writes(ctx, span)
+        hosts = self._hosts
+        tallies = [ReferenceTally() for _ in hosts]
+        names = ctx.trace.key_names
+        read_pos = ctx.index.read_pos
+        kernel = (
+            reference_kernel_ttl_expiry
+            if self._node_list[0]._ttl_expiry
+            else reference_kernel_ttl_polling
+        )
+        for node_idx, (keys, first, count, stride, _, _) in self._node_groups(span, tallies):
+            host, tally = hosts[node_idx], tallies[node_idx]
+            for key_id, lo, reads in zip(keys.tolist(), first.tolist(), count.tolist()):
+                if reads:
+                    kernel(
+                        ctx,
+                        host,
+                        tally,
+                        key_id,
+                        names[key_id],
+                        read_pos[lo : lo + reads * stride : stride],
+                    )
+        self._record_and_flush(tallies)
+
+    def _record_and_flush(self, tallies) -> None:
         self.span_tallies.append(
             [tally_state(tallies[node], reference=True) for node in self._owned]
         )
         for node in self._owned:
-            reference_flush(ctx, self._hosts[node], tallies[node])
+            reference_flush(self._ctx, self._hosts[node], tallies[node])
 
 
 @pytest.mark.parametrize("policy", ["invalidate", "adaptive"])
@@ -941,6 +1015,65 @@ def test_fleet_span_routing_matches_per_read_routing(
         }
 
 
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+@pytest.mark.parametrize(
+    "factor, read_policy, owned",
+    [
+        (2, "round-robin", None),
+        (2, "round-robin", (0, 2)),
+        (2, "round-robin", (1,)),
+        (2, "hash", (1, 2)),
+        (1, "primary", None),
+    ],
+)
+def test_fleet_ttl_replay_matches_per_node_key_reference(
+    monkeypatch, policy: str, factor: int, read_policy: str, owned
+) -> None:
+    """One batched kernel call per owned node against one per-key call per
+    (node, key): under RF = 2 round-robin each replica's reads are a stride-2
+    run of the key's reads, and a shard kernels only the nodes it owns."""
+    workload = PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9)
+    trace = compile_workload(workload, 4.0)
+    fleet = dict(
+        policy=policy,
+        num_nodes=3,
+        replication=ReplicationConfig(factor=factor, read_policy=read_policy),
+        staleness_bound=0.5,
+        duration=4.0,
+    )
+    reference = ReferenceClusterSimulation(trace, owned_nodes=owned, **fleet)
+    reference.span_tallies = []
+    expected = reference.run()
+    recorded = []
+    flush_tally = cluster_vector._flush_tally
+
+    def recording_flush(ctx, host, tally):
+        recorded.append(tally_state(tally))
+        flush_tally(ctx, host, tally)
+
+    monkeypatch.setattr(cluster_vector, "_flush_tally", recording_flush)
+    simulation = VectorClusterSimulation(trace, owned_nodes=owned, **fleet)
+    result = simulation.run()
+    assert simulation.used_vector_path and reference.used_vector_path
+    assert [recorded] == reference.span_tallies
+    assert len(recorded) == len(owned or range(3))
+    if policy == "ttl-polling":
+        assert all(tally["poll_events"] for tally in recorded)
+    else:
+        assert all(tally["counters"]["expirations"] for tally in recorded)
+    assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
+        expected.as_dict(), sort_keys=True
+    )
+    for host, reference_host in zip(simulation._hosts, reference._hosts):
+        assert host_state(host) == host_state(reference_host)
+    if owned is None:
+        # The shards of a parallel replay add up to the same rows.
+        parallel = replay_cluster_parallel(trace, workers=2, **fleet)
+        assert json.dumps(parallel.as_dict(), sort_keys=True) == json.dumps(
+            expected.as_dict(), sort_keys=True
+        )
+
+
 def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypatch) -> None:
     """A hand-built valid entry whose ``as_of`` predates an earlier-span write.
 
@@ -985,3 +1118,407 @@ def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypat
     assert json.dumps(scalar.as_dict(), sort_keys=True) == json.dumps(
         vector.as_dict(), sort_keys=True
     )
+
+
+# --------------------------------------------------------------------- #
+# Host-batched TTL kernels vs the per-key kernels they replaced
+# --------------------------------------------------------------------- #
+
+def reference_kernel_ttl_expiry(
+    ctx: _ReplayContext,
+    host: _HostState,
+    tally: _SpanTally,
+    key_id: int,
+    name: str,
+    reads: np.ndarray,
+) -> None:
+    """One key's whole trace under TTL-expiry (the policy never reacts).
+
+    The entry's life is a sequence of epochs: a fill anchors a timer, the
+    first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
+    ``ttl <= bound`` no hit can violate the staleness bound, so the walk only
+    needs the epoch boundaries — ``O(epochs)`` searchsorted jumps.
+    """
+    trace = ctx.trace
+    read_times = trace.times[reads]
+    first_position = int(reads[0])
+    fetch_time = float(read_times[0])
+    last_fill_position = first_position
+    ttl = ctx.ttl
+    refetches = 0
+    cursor = 0
+    total = int(reads.size)
+    while True:
+        cursor = int(read_times.searchsorted(fetch_time + ttl, side="left"))
+        if cursor >= total:
+            break
+        refetches += 1
+        fetch_time = float(read_times[cursor])
+        last_fill_position = int(reads[cursor])
+    version, value_size = _miss_version(ctx, key_id, last_fill_position)
+    entry = CacheEntry(
+        key=name,
+        version=version,
+        as_of=fetch_time,
+        fetched_at=fetch_time,
+        key_size=int(trace.key_sizes[first_position]),
+        value_size=value_size,
+        last_poll_accounted=fetch_time,
+    )
+    hits = total - 1 - refetches
+    entry.hits = hits
+    tally.new_fills.append((first_position, entry))
+    tally.reads += total
+    tally.cold_misses += 1
+    tally.stale_misses += refetches
+    tally.expirations += refetches
+    tally.hits += hits
+
+
+def reference_kernel_ttl_polling(
+    ctx: _ReplayContext,
+    host: _HostState,
+    tally: _SpanTally,
+    key_id: int,
+    name: str,
+    reads: np.ndarray,
+) -> None:
+    """One key's whole trace under TTL-polling (the policy never reacts).
+
+    The cold fill anchors the poll timer; every later read settles the polls
+    since the last accounting point with the scalar engine's exact integer
+    arithmetic.  The walk below jumps straight between reads that charge a
+    positive number of polls, recomputing the accounting baseline with the
+    same float expressions as :func:`repro.core.ttl.account_entry_polls` (the
+    baseline is *not* always the previous poll count — float rounding of
+    ``anchor + k * ttl`` can land it one lower, and the walk reproduces that).
+    """
+    trace = ctx.trace
+    first_position = int(reads[0])
+    anchor = float(trace.times[first_position])
+    version, value_size = _miss_version(ctx, key_id, first_position)
+    entry = CacheEntry(
+        key=name,
+        version=version,
+        as_of=anchor,
+        fetched_at=anchor,
+        key_size=int(trace.key_sizes[first_position]),
+        value_size=value_size,
+        last_poll_accounted=anchor,
+    )
+    hits = int(reads.size) - 1
+    entry.hits = hits
+    tally.new_fills.append((first_position, entry))
+    tally.reads += int(reads.size)
+    tally.cold_misses += 1
+    tally.hits += hits
+    if reads.size < 2:
+        return
+    ttl = ctx.ttl
+    read_times = trace.times[reads]
+    poll_counts = ((read_times - anchor) / ttl).astype(np.int64)
+    baseline = 0
+    cursor = 1  # the fill read itself never settles (no entry existed yet)
+    total = int(reads.size)
+    last_position = -1
+    last_poll = anchor
+    events = tally.poll_events
+    while True:
+        jump = int(poll_counts.searchsorted(baseline, side="right"))
+        cursor = jump if jump > cursor else cursor
+        if cursor >= total:
+            break
+        k_now = int(poll_counts[cursor])
+        polls = k_now - baseline
+        if polls > 0:
+            last_poll = anchor + k_now * ttl
+            last_position = int(reads[cursor])
+            events.append((last_position, polls))
+            baseline = int((last_poll - anchor) / ttl) if last_poll > anchor else 0
+        cursor += 1
+    if last_position >= 0:
+        # Only the key's *final* settled state is observable between spans —
+        # polls refresh the entry monotonically, so collapse the per-event
+        # entry updates of the scalar engine into the last one.
+        entry.last_poll_accounted = last_poll
+        if last_poll > entry.as_of:
+            entry.as_of = last_poll
+        key_write_times, key_write_pos, _ = ctx.index.writes_of(key_id)
+        # version_at(last_poll) over the writes applied before the settling
+        # read: both constraints are prefixes of the same sorted column, so
+        # the visible version is the shorter prefix.
+        refreshed = min(
+            int(key_write_times.searchsorted(last_poll, side="right")),
+            int(key_write_pos.searchsorted(last_position, side="left")),
+        )
+        if refreshed > entry.version:
+            entry.version = refreshed
+
+
+def whole_trace_groups(trace):
+    """The single cache's groups for a TTL replay: every key, all its reads."""
+    keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
+    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
+
+
+def make_ttl_host(trace, policy_class, ttl, bound=1.0):
+    """A replay context and a fresh single-cache TTL host, wired the way
+    ``_run_spans`` wires them, with the trace's writes already committed."""
+    simulation = VectorSimulation(
+        trace,
+        policy=policy_class(ttl=ttl),
+        staleness_bound=bound,
+        duration=float(trace.times[-1]),
+    )
+    assert simulation.vector_eligible()
+    ctx = _ReplayContext.for_node(trace, trace.index(), simulation.node)
+    _apply_span_writes(ctx, SpanCursor(ctx.index).advance(len(trace)))
+    return ctx, _HostState.of(simulation.node)
+
+
+def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
+    """Replay ``trace`` on two identical hosts per TTL policy: one call of the
+    batched kernel against one per-key kernel call per read key.
+
+    The tallies — counters, ``new_fills`` with their entries, poll positions
+    and counts — and, once flushed, the hosts (entry fields, dict order,
+    ``polls``, ``freshness_cost``) must be equal.  Returns the polling
+    tally's poll events and the expiry tally's refetch count, so callers can
+    insist their case occurred.
+    """
+    index = trace.index()
+    groups = whole_trace_groups(trace)
+    keys, read_lo, read_count = groups[:3]
+    seen = {}
+    # Expiry steps its keys together until fewer than a batch are live and
+    # walks the rest one by one: all together, a hand-over on the way, and
+    # (at the shipped constant, for traces this small) all one by one.
+    for policy_class, batched, per_key, expiry_batch in (
+        (TTLExpiryPolicy, _kernel_ttl_expiry, reference_kernel_ttl_expiry, 1),
+        (TTLExpiryPolicy, _kernel_ttl_expiry, reference_kernel_ttl_expiry, 6),
+        (TTLExpiryPolicy, _kernel_ttl_expiry, reference_kernel_ttl_expiry, None),
+        (TTLPollingPolicy, _kernel_ttl_polling, reference_kernel_ttl_polling, None),
+    ):
+        ctx_new, host_new = make_ttl_host(trace, policy_class, ttl, bound)
+        ctx_ref, host_ref = make_ttl_host(trace, policy_class, ttl, bound)
+        new, ref = _SpanTally(), ReferenceTally()
+        with pytest.MonkeyPatch.context() as patch:
+            if expiry_batch is not None:
+                patch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
+            batched(ctx_new, host_new, new, groups)
+        for key, lo, reads in zip(keys.tolist(), read_lo.tolist(), read_count.tolist()):
+            if reads:
+                per_key(
+                    ctx_ref, host_ref, ref, key, trace.key_names[key],
+                    index.read_pos[lo : lo + reads],
+                )
+        assert tally_state(new) == tally_state(ref, reference=True), policy_class.name
+        for value in (new.reads, new.hits, new.cold_misses, new.stale_misses, new.expirations):
+            assert type(value) is int
+        seen[policy_class.name] = (ref.stale_misses, sorted(ref.poll_events))
+        _flush_tally(ctx_new, host_new, new)
+        reference_flush(ctx_ref, host_ref, ref)
+        assert host_state(host_new) == host_state(host_ref), policy_class.name
+        assert host_new.result.polls == host_ref.result.polls
+        assert host_new.result.freshness_cost == host_ref.result.freshness_cost
+        assert type(host_new.result.freshness_cost) is float
+    return seen["ttl-expiry"][0], seen["ttl-polling"][1]
+
+
+@pytest.mark.parametrize("ttl", [None, 0.3], ids=["ttl=bound", "ttl=0.3"])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        PoissonZipfWorkload(num_keys=60, rate_per_key=25.0, read_ratio=0.8, seed=17),
+        TwitterWorkload(num_keys=80, total_rate=1200.0, seed=17),
+    ],
+    ids=["poisson", "twitter"],
+)
+def test_batched_ttl_kernels_match_per_key_reference(workload, ttl) -> None:
+    """Seeded traces, the TTL at the bound and overridden below it (0.3 of
+    1.0): refetches, re-charged polls and polled versions all occur."""
+    trace = compile_workload(workload, 6.0)
+    refetches, poll_events = assert_ttl_kernels_match_reference(trace, ttl)
+    assert refetches > len(trace.key_names)
+    assert len(poll_events) > len(trace.key_names)
+    # The float-baseline quirk: reads between two polls that charge again.
+    assert sum(polls for _, polls in poll_events) > len(poll_events) // 2
+
+
+def test_batched_ttl_kernels_match_with_duplicate_timestamps() -> None:
+    """Runs of equal arrival times: a read tied with its key's fill settles
+    nothing, and an expiry deadline met by a tie re-fetches at its first read."""
+    trace = random_trace(40, requests=4_000, num_keys=25, ties=True)
+    assert np.count_nonzero(np.diff(trace.times) == 0) > 1_000
+    refetches, poll_events = assert_ttl_kernels_match_reference(trace, ttl=0.5)
+    assert refetches and poll_events
+
+
+def test_batched_ttl_kernels_match_on_single_read_and_write_only_keys() -> None:
+    trace = random_trace(41, requests=600, num_keys=12, read_ratio=0.5)
+    trace.is_read[trace.key_ids == 0] = False  # write-only: no entry at all
+    single = np.flatnonzero(trace.key_ids == 1)
+    trace.is_read[single] = False
+    trace.is_read[single[len(single) // 2]] = True  # one read, writes around it
+    trace.is_read[trace.key_ids == 2] = True  # read-only: version 0 for ever
+    assert_ttl_kernels_match_reference(trace, ttl=0.7)
+    index = trace.index()
+    assert np.diff(index.read_offsets)[:2].tolist() == [0, 1]
+    assert index.write_offsets[2] == index.write_offsets[3]
+    ctx, host = make_ttl_host(trace, TTLPollingPolicy, 0.7)
+    tally = _SpanTally()
+    _kernel_ttl_polling(ctx, host, tally, whole_trace_groups(trace))
+    filled = {entry.key: entry for _, entry in tally.new_fills}
+    assert "key-000000" not in filled
+    assert filled["key-000001"].hits == 0 and filled["key-000001"].version > 0
+    assert filled["key-000002"].version == 0
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_batched_polling_kernel_is_blind_to_its_row_block(monkeypatch, block: int) -> None:
+    """Groups straddle block edges (a block of 7 rows is shorter than every
+    key's run, one of 64 than the hot keys'): the carried accounting point
+    crosses them unchanged."""
+    monkeypatch.setattr(sim_vector, "_TTL_BLOCK_ROWS", block)
+    trace = compile_workload(
+        PoissonZipfWorkload(num_keys=30, rate_per_key=30.0, read_ratio=0.85, seed=5), 5.0
+    )
+    runs = np.diff(trace.index().read_offsets)
+    assert (runs.min() if block == 7 else runs.max()) > block
+    _, poll_events = assert_ttl_kernels_match_reference(trace)
+    assert poll_events
+    tied = random_trace(42, requests=2_000, num_keys=9, ties=True)
+    assert_ttl_kernels_match_reference(tied, ttl=0.25)
+
+
+def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
+    monkeypatch, wall_clock_limit
+) -> None:
+    """``fetched_at + ttl == fetched_at``: the envelope keeps such a run off
+    the vector path, but the kernel itself must still terminate — its search
+    starts after the current fill — with what the scalar engine counts: a
+    read past its key's fill time is an expiry."""
+    trace = random_trace(45, requests=400, num_keys=6, ties=True)
+    policy = TTLExpiryPolicy(ttl=1e-19)
+    scalar = Simulation(
+        trace.iter_requests(), policy=policy, staleness_bound=1.0, duration=10.0
+    ).run()
+    ctx, host = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
+    ctx.ttl = 1e-19
+    for expiry_batch in (1, 128):  # stepped together / walked one by one
+        monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
+        tally = _SpanTally()
+        with wall_clock_limit(5.0):
+            _kernel_ttl_expiry(ctx, host, tally, whole_trace_groups(trace))
+        # (Reads tied with a fill at t = 0, where 1e-19 does resolve, still hit.)
+        assert (tally.hits, tally.stale_misses) == (scalar.hits, scalar.stale_misses)
+        assert tally.expirations == tally.stale_misses > 0.9 * tally.reads
+
+
+def test_cumsum_poll_fold_is_the_scalar_left_fold() -> None:
+    """``_flush_tally`` folds the charges with a seeded ``cumsum``; it has to
+    produce the float a one-by-one ``+=`` does, on top of a running total."""
+    rng = np.random.default_rng(8)
+    trace = random_trace(43, requests=10, num_keys=2)
+    ctx, host = make_ttl_host(trace, TTLPollingPolicy, None)
+    ctx.miss_const = 2.7
+    host.result.freshness_cost = expected = 0.1 + 0.2
+    tally = _SpanTally()
+    tally.poll_positions = rng.permutation(5_000)
+    tally.poll_counts = rng.integers(1, 9, size=5_000)
+    for polls in tally.poll_counts[np.argsort(tally.poll_positions)].tolist():
+        expected += polls * 2.7
+    _flush_tally(ctx, host, tally)
+    assert host.result.freshness_cost == expected
+    assert host.result.polls == int(tally.poll_counts.sum())
+
+
+def scalar_poll_walk(anchor: float, ttl: float, read_times, miss_const: float):
+    """``account_entry_polls`` on one entry, read by read: the scalar engine."""
+    entry = CacheEntry(
+        key="k", version=0, as_of=anchor, fetched_at=anchor, last_poll_accounted=anchor
+    )
+
+    class Sink:
+        polls = 0
+        freshness_cost = 0.0
+
+    charges = []
+    slipped = 0  # charges whose accounting point counts back one poll short
+    for rank, now in enumerate(read_times):
+        before = Sink.polls
+        account_entry_polls(entry, now, ttl, Sink, None, miss_const)
+        if Sink.polls != before:
+            charges.append((rank, Sink.polls - before))
+            slipped += int((entry.last_poll_accounted - anchor) / ttl) < int(
+                (now - anchor) / ttl
+            )
+    return charges, entry.last_poll_accounted, entry.as_of, slipped
+
+
+def test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_edge() -> None:
+    """2 000 seeded (anchor, ttl) pairs, the TTLs log-uniform from the edge of
+    :func:`_ttl_resolvable` upwards: the closed form's charges, accounting
+    point and ``as_of`` equal ``account_entry_polls`` walked read by read,
+    and past the edge the engine takes the scalar path instead."""
+    rng = np.random.default_rng(2024)
+    anchors_per_ttl, reads_per_anchor = 50, 12
+    slipped = 0
+    for case in range(40):
+        end = float(10.0 ** rng.uniform(-2, 4))
+        edge = max(4 * np.spacing(end), end / 2.0**50 * (1 + 1e-9))
+        # A quarter of the TTLs sit within a factor 4 of the edge.
+        ttl = float(edge * 10.0 ** rng.uniform(0, 0.6 if case % 4 == 0 else 14))
+        times = np.sort(rng.random(anchors_per_ttl * reads_per_anchor - 1) * end)
+        times = np.append(times, end)
+        key_ids = rng.integers(0, anchors_per_ttl, size=times.size)
+        trace = CompiledTrace(
+            times=times,
+            key_ids=key_ids,
+            is_read=np.ones(times.size, dtype=np.bool_),
+            key_sizes=np.full(times.size, 16, dtype=np.int64),
+            value_sizes=np.full(times.size, 64, dtype=np.int64),
+            key_names=[f"key-{index:06d}" for index in range(anchors_per_ttl)],
+        )
+        ctx, host = make_ttl_host(trace, TTLPollingPolicy, ttl, bound=max(ttl, 1.0))
+        index = trace.index()
+        groups = whole_trace_groups(trace)
+        tally = _SpanTally()
+        _kernel_ttl_polling(ctx, host, tally, groups)
+        got = dict(zip(tally.poll_positions.tolist(), tally.poll_counts.tolist()))
+        entries = {entry.key: entry for _, entry in tally.new_fills}
+        for key, lo, reads in zip(*(column.tolist() for column in groups[:3])):
+            positions = index.read_pos[lo : lo + reads]
+            read_times = times[positions].tolist()
+            charges, accounted, as_of, slips = scalar_poll_walk(
+                read_times[0], ttl, read_times, ctx.miss_const
+            )
+            entry = entries[trace.key_names[key]]
+            assert [
+                (rank, got[position])
+                for rank, position in enumerate(positions.tolist())
+                if position in got
+            ] == charges, (end, ttl, key)
+            assert (entry.last_poll_accounted, entry.as_of) == (accounted, as_of)
+            slipped += slips
+    # The float-baseline quirk the closed form has to reproduce is common.
+    assert slipped > 1_000
+
+
+@pytest.mark.parametrize("policy_class", [TTLExpiryPolicy, TTLPollingPolicy])
+def test_ttl_resolvability_edge_is_where_the_helper_says(policy_class) -> None:
+    trace = random_trace(44, requests=200, num_keys=5)
+    end = float(trace.times[-1])
+
+    def eligible(ttl: float) -> bool:
+        simulation = VectorSimulation(
+            trace, policy=policy_class(ttl=ttl), staleness_bound=1.0, duration=10.0
+        )
+        assert simulation.vector_eligible() == _ttl_resolvable(simulation.node, trace)
+        return simulation.vector_eligible()
+
+    assert eligible(1.0) and eligible(1e-9)
+    assert eligible(max(4 * np.spacing(end), end / 2.0**50 * 1.001))
+    assert not eligible(3.9 * np.spacing(end))
+    assert not eligible(end / 2.0**50 * 0.999)
+    assert not eligible(1e-19)

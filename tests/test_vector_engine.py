@@ -10,12 +10,14 @@ serialised row must match the scalar engine exactly.  These tests compare
 import gc
 import json
 import pickle
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
+from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.bench import bench_policy
 from repro.experiments.registry import make_policy
@@ -184,6 +186,53 @@ def test_ineligible_configs_fall_back_to_the_scalar_loop() -> None:
     assert_identical(scalar.as_dict(), vector.as_dict())
 
 
+@pytest.mark.parametrize(
+    "policy_class, symptom",
+    [(TTLExpiryPolicy, "stale_misses"), (TTLPollingPolicy, "polls")],
+    ids=["ttl-expiry", "ttl-polling"],
+)
+def test_a_ttl_below_the_clock_resolution_takes_the_scalar_path(
+    wall_clock_limit, policy_class, symptom: str
+) -> None:
+    """Failure model: a TTL of 1e-19 s on a 2 s trace.  ``fetched_at + ttl``
+    rounds back to ``fetched_at``, so an expiry search that may return its
+    own fill never advances (the vector path used to spin here for ever),
+    and the poll count ``(t - anchor) / ttl`` ~ 1e19 overflows an int64
+    column where the scalar loop's Python ints do not (the vector path used
+    to report 387255411173196247040 polls for the scalar 387255411173196244192).
+    Recovery: the envelope refuses the TTL, the run takes the scalar
+    fallback in bounded time, and its rows are the scalar engine's."""
+    workload = PoissonZipfWorkload(num_keys=20, rate_per_key=50, read_ratio=0.9, seed=3)
+    trace = compile_workload(workload, 2.0)
+    config = dict(staleness_bound=1.0, duration=2.0)
+    fleet = dict(
+        policy=lambda: policy_class(ttl=1e-19),  # a factory: one policy per node
+        num_nodes=3,
+        replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+        **config,
+    )
+    scalar = Simulation(
+        workload.iter_requests(2.0), policy=policy_class(ttl=1e-19), **config
+    ).run()
+    fleet_scalar = ClusterSimulation(workload.iter_requests(2.0), **fleet).run()
+    with warnings.catch_warnings(), wall_clock_limit(5.0):
+        warnings.simplefilter("error")  # an overflowing cast warns
+        simulation = VectorSimulation(trace, policy=policy_class(ttl=1e-19), **config)
+        result = simulation.run()
+        fleet_simulation = VectorClusterSimulation(trace, **fleet)
+        fleet_result = fleet_simulation.run()
+    assert not simulation.used_vector_path and not fleet_simulation.used_vector_path
+    assert_identical(scalar.as_dict(), result.as_dict())
+    assert_identical(fleet_scalar.as_dict(), fleet_result.as_dict())
+    assert getattr(result, symptom) == {
+        "stale_misses": 1774, "polls": 387255411173196244192
+    }[symptom]
+    # The same trace with a TTL its clock resolves stays on the vector path.
+    resolvable = VectorSimulation(trace, policy=policy_class(ttl=1e-9), **config)
+    resolvable.run()
+    assert resolvable.used_vector_path
+
+
 def test_vector_simulation_requires_a_compiled_trace() -> None:
     workload = PoissonZipfWorkload(num_keys=10, rate_per_key=10.0, seed=0)
     with pytest.raises(ConfigurationError):
@@ -247,11 +296,41 @@ def test_index_dies_with_its_trace_without_the_cycle_collector() -> None:
     trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5), DURATION)
     replay(trace)
     index_ref = weakref.ref(trace.index())
-    gc.collect()  # the finished simulation is cyclic garbage that holds the trace
     gc.disable()
     try:
         del trace
         assert index_ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("policy", ["ttl-polling", "invalidate", "adaptive"])
+def test_a_finished_replay_is_freed_without_the_cycle_collector(policy: str) -> None:
+    """A dropped simulation frees its nodes — cache entries, datastore
+    histories — by reference count.  A cycle through a node (a bound method
+    of its own stored on it or on its cache) would leave megabytes per replay
+    waiting for the collector's next full pass, and how soon that comes
+    depends on how many container objects the next replays happen to make."""
+    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
+    trace = compile_workload(workload, DURATION)
+    config = dict(staleness_bound=1.0, duration=DURATION)
+    single = lambda: dict(policy=make_policy(policy), **config)  # a policy per run
+    fleet = dict(policy=policy, num_nodes=3, **config)
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (
+            lambda: Simulation(workload.iter_requests(DURATION), **single()),
+            lambda: VectorSimulation(trace, **single()),
+            lambda: ClusterSimulation(workload.iter_requests(DURATION), **fleet),
+            lambda: VectorClusterSimulation(trace, **fleet),
+        ):
+            simulation = build()
+            simulation.run()
+            node = getattr(simulation, "node", None) or simulation._node_list[0]
+            alive = [weakref.ref(node), weakref.ref(node.datastore), weakref.ref(simulation)]
+            del simulation, node
+            assert [ref() for ref in alive] == [None, None, None]
     finally:
         gc.enable()
 
@@ -363,22 +442,30 @@ def test_one_sided_traces_replay_identically_on_every_engine(ops: str, policy: s
     assert fleet_simulation.used_vector_path
 
 
-@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
+@pytest.mark.parametrize(
+    "policy", ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
+)
 def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: str) -> None:
     """The cost model, counted: a reactive replay calls the span kernel once
-    per non-empty span (and node), however many keys the span touches."""
+    per non-empty span (and node), however many keys the span touches; a TTL
+    replay has no flush boundaries, so its whole trace is one span — one
+    kernel call per host, each node kernelled by the shard that owns it."""
     log = tmp_path / "kernel_calls.log"
     log.touch()
-    kernel = sim_vector._kernel_reactive_span
 
-    def counted(ctx, host, tally, groups):
-        # A file, so that forked shard workers are counted too.
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{groups[0].size}\n")
-        kernel(ctx, host, tally, groups)
+    def counted(kernel):
+        def counting(ctx, host, tally, groups):
+            # A file, so that forked shard workers are counted too.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{groups[0].size}\n")
+            kernel(ctx, host, tally, groups)
 
-    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
-    monkeypatch.setattr(cluster_vector, "_kernel_reactive_span", counted)
+        return counting
+
+    for name in ("_kernel_reactive_span", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
+        kernel = counted(getattr(sim_vector, name))
+        monkeypatch.setattr(sim_vector, name, kernel)
+        monkeypatch.setattr(cluster_vector, name, kernel)
 
     def calls_of(replay) -> int:
         log.write_text("")
@@ -391,6 +478,8 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     )
     spans = non_empty_spans(trace.times, bound)
     assert spans == 40
+    if policy.startswith("ttl-"):
+        spans = 1
     fleet = dict(policy=policy, num_nodes=3, staleness_bound=bound, duration=duration)
     assert calls_of(
         VectorSimulation(
