@@ -8,7 +8,7 @@ Usage::
 
 The canonical run is a fixed single-cache cell (poisson / invalidate /
 bound 1.0 / duration 20 / obs window 2.0) replayed with telemetry on.
-Unlike the throughput gate in ``check_bench.py``, nothing here is
+Unlike the throughput gate of ``benchmarks/compare.py``, nothing here is
 machine-dependent: the recorder samples *simulated* time only, so the
 payload is bit-for-bit reproducible on any machine and the gate is exact
 JSON equality.  On drift, the window-aligned regression report from
@@ -18,7 +18,7 @@ raw mismatch fails the check.
 
 ``--update`` rewrites the baseline from a fresh run — do this deliberately
 when a PR intentionally changes replay behaviour or the payload schema, and
-commit the result like ``BENCH_BASELINE.json``.
+commit the result.
 
 Exit status: 0 when the fresh payload matches the baseline exactly, 1 on
 drift, 2 on a malformed or missing baseline.

@@ -34,8 +34,10 @@ points are re-exported here so that downstream users can write::
     result = sim.run()
     print(result.normalized_freshness_cost, result.normalized_staleness_cost)
 
-Grids and benchmarks are also available from the command line via
-``python -m repro`` (``run``, ``sweep``, and ``bench`` subcommands).
+Single runs, grids and the component microbenchmarks are also available from
+the command line via ``python -m repro`` (``run``, ``sweep``, ``cluster``,
+``tier``, ``perf``, ``store`` and ``obs`` subcommands); end-to-end replay
+throughput is measured by ``benchmarks/run.py``.
 """
 
 from repro.core.cost_model import CostBreakdown, CostModel
@@ -70,7 +72,6 @@ from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import make_scenario
 from repro.experiments.spec import ChannelSpec, ExperimentSpec, ScenarioSpec, WorkloadSpec
 from repro.experiments.runner import run_experiment
-from repro.experiments.bench import run_bench
 from repro.obs.analyze import detect_anomalies, diff_payloads
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ObsConfig, ObsRecorder
@@ -85,7 +86,7 @@ from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
 from repro.tier.admission import AdmissionPolicy, make_admission
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Action",
@@ -127,7 +128,6 @@ __all__ = [
     "make_scenario",
     "recover_datastore",
     "render_report",
-    "run_bench",
     "run_experiment",
     "storage_saving",
     "warm_state",

@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Eight subcommands drive the experiment layer:
+Seven subcommands drive the experiment layer:
 
 * ``run``     — one streamed simulation (workload x policy x bound), JSON out.
 * ``sweep``   — a full experiment grid executed across worker processes.
@@ -9,11 +9,6 @@ Eight subcommands drive the experiment layer:
 * ``tier``    — a tiered-fleet sweep: every node fronted by a small L1
   (``--l1-capacity`` / ``--tier-mode`` axes, admission policies, and the
   ``l2-outage`` / ``cold-l1`` scenarios).
-* ``bench``   — replay-throughput benchmark emitting a ``BENCH_*.json``
-  record (single-cache by default, cluster mode via ``--nodes``, tiered
-  mode via ``--tier``, WAL append/replay throughput via ``--store``),
-  with per-phase generation/replay timings; ``scripts/check_bench.py``
-  compares a fresh record against the committed ``BENCH_BASELINE.json``.
 * ``perf``    — component microbenchmarks of the hot paths (fingerprint,
   ring routing, request allocation, generation, sketches, cache ops, small
   replays), with ``--profile NAME`` for a cProfile table.
@@ -53,8 +48,6 @@ Examples::
         write-through,write-back --policies invalidate --bounds 0.5 --csv tier.csv
     python -m repro tier --nodes 4 --l1-capacity 128 --scenario l2-outage \
         --policies invalidate --bounds 0.5 --duration 20
-    python -m repro bench --requests 500000 --store --output-dir .
-    python -m repro bench --requests 500000 --nodes 8 --tier --l1-capacity 256
     python -m repro perf --only fingerprint,replay-single --json PERF.json
     python -m repro store snapshot --dir run-store --duration 12 \
         --snapshot-interval 2 --kill-at 6
@@ -86,19 +79,16 @@ from repro.cluster.replication import READ_POLICIES
 from repro.cluster.scenarios import SCENARIO_FACTORIES
 from repro.errors import ClusterError, ConfigurationError, ReproError
 from repro.experiments import (
-    BENCH_ENGINES,
-    DEFAULT_BENCH_POLICIES,
     ExperimentSpec,
     ScenarioSpec,
     WorkloadSpec,
-    run_bench,
     run_experiment,
     write_results_csv,
     write_results_json,
 )
 from repro.experiments.registry import POLICY_FACTORIES, WORKLOAD_FACTORIES, make_workload
 from repro.experiments.runner import run_cell
-from repro.experiments.spec import ChannelSpec, RunCell, stable_cell_seed
+from repro.experiments.spec import ENGINES, ChannelSpec, RunCell, stable_cell_seed
 from repro.store import (
     StoreConfig,
     WalScan,
@@ -135,7 +125,7 @@ def _capacity(text: str) -> Optional[int]:
 
 
 def _positive_float(text: str) -> float:
-    """Argparse type for durations/bounds that must be positive and finite."""
+    """Argparse type for durations/bounds/scales that must be positive and finite."""
     try:
         value = float(text)
     except ValueError as exc:
@@ -470,59 +460,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             json.dump(record, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    tier = None
-    if args.tier:
-        if args.nodes <= 0:
-            raise SystemExit("--tier benchmarks the tiered fleet path: pass --nodes too")
-        tier = TierConfig(
-            l1_capacity=args.l1_capacity, mode=args.tier_mode, admission="always"
-        )
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.workers > 1 and args.nodes <= 0:
-        raise SystemExit("--workers > 1 shards a cluster replay: pass --nodes too")
-    if args.workers > 1 and args.engine != "vector":
-        raise SystemExit(
-            "--workers > 1 is a vector-engine feature: pass --engine vector"
-        )
-    record = run_bench(
-        policies=_csv_list(args.policies),
-        num_requests=args.requests,
-        num_keys=args.keys,
-        staleness_bound=args.bound,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        label=args.label,
-        num_nodes=args.nodes if args.nodes > 0 else None,
-        replication=args.replication,
-        store=args.store,
-        tier=tier,
-        engine=args.engine,
-        workers=args.workers,
-    )
-    for result in record["results"]:
-        print(
-            f"{result['policy']:>12}: {result['requests_per_sec']:>12,.0f} req/s "
-            f"({result['requests']} requests in {result['wall_seconds']:.2f}s)"
-        )
-        if "l1_hit_share" in result:
-            print(
-                f"{'':>12}  L1 share {result['l1_hit_share']:.1%} "
-                f"({result['l1_hits']} L1 hits, tier cost {result['tier_cost']:.1f})"
-            )
-    if "store" in record:
-        store = record["store"]
-        print(
-            f"{'wal':>12}: {store['append_per_sec']:>12,.0f} appends/s, "
-            f"{store['replay_per_sec']:>12,.0f} replays/s "
-            f"({store['bytes_written']} bytes, {store['flushes']} flushes)"
-        )
-    print(f"peak RSS: {record['peak_rss_kib']} KiB")
-    print(f"wrote {record['path']}")
     return 0
 
 
@@ -963,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--snapshot-interval", type=_positive_float, default=None,
                        help="snapshot cadence for --persist cells (default: final only)")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--engine", default="scalar", choices=BENCH_ENGINES,
+    sweep.add_argument("--engine", default="scalar", choices=ENGINES,
                        help="replay engine for every cell: streamed scalar or "
                             "compiled columnar (byte-identical rows)")
     sweep.add_argument("--cost-preset", default="fixed",
@@ -1089,41 +1026,12 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--list", action="store_true", help="list benchmark names and exit")
     perf.add_argument("--only", default=None,
                       help="comma-separated benchmark names (default: all)")
-    perf.add_argument("--scale", type=float, default=1.0,
+    perf.add_argument("--scale", type=_positive_float, default=1.0,
                       help="multiplier on every benchmark's operation count")
     perf.add_argument("--profile", metavar="NAME", default=None,
                       help="run one benchmark under cProfile and print the table")
     perf.add_argument("--json", help="write the perf record JSON here")
     perf.set_defaults(func=_cmd_perf)
-
-    bench = subparsers.add_parser("bench", help="measure streaming replay throughput")
-    bench.add_argument("--policies", default=",".join(DEFAULT_BENCH_POLICIES))
-    bench.add_argument("--requests", type=int, default=200_000)
-    bench.add_argument("--keys", type=int, default=1000)
-    bench.add_argument("--bound", type=float, default=1.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--nodes", type=int, default=0,
-                       help="bench the cluster replay path with this many nodes (0 = single cache)")
-    bench.add_argument("--replication", type=int, default=1,
-                       help="replication factor for --nodes mode")
-    bench.add_argument("--store", action="store_true",
-                       help="also measure WAL append + replay throughput")
-    bench.add_argument("--tier", action="store_true",
-                       help="front every node with an L1 (tiered replay path; "
-                            "requires --nodes)")
-    bench.add_argument("--l1-capacity", type=int, default=256,
-                       help="L1 objects per node for --tier mode")
-    bench.add_argument("--tier-mode", default="write-through", choices=TIER_MODES,
-                       help="tier fill mode for --tier mode")
-    bench.add_argument("--engine", default="scalar", choices=BENCH_ENGINES,
-                       help="replay engine: the streamed scalar pipeline or the "
-                            "columnar vector one (byte-identical results)")
-    bench.add_argument("--workers", type=int, default=1,
-                       help="shard-parallel worker processes for --engine vector "
-                            "cluster benches (requires --nodes)")
-    bench.add_argument("--output-dir", default=".")
-    bench.add_argument("--label", default=None, help="suffix for the BENCH_<label>.json record")
-    bench.set_defaults(func=_cmd_bench)
 
     store = subparsers.add_parser(
         "store", help="durable persistence: snapshot / recover / inspect"

@@ -4,8 +4,7 @@ This is the layer that regenerates the paper's figures and tables at scale.
 An :class:`ExperimentSpec` declares the evaluation grid (policy x workload x
 staleness bound x capacity x channel), :func:`run_experiment` fans its cells
 out over a process pool with deterministic per-cell seeding, and the export
-helpers persist the rows as JSON or CSV.  :func:`run_bench` measures the
-streaming pipeline's raw replay throughput.
+helpers persist the rows as JSON or CSV.
 
 Typical usage::
 
@@ -23,12 +22,6 @@ Typical usage::
     write_results_csv(rows, "figure5.csv")
 """
 
-from repro.experiments.bench import (
-    BENCH_ENGINES,
-    DEFAULT_BENCH_POLICIES,
-    bench_policy,
-    run_bench,
-)
 from repro.experiments.export import write_results_csv, write_results_json
 from repro.experiments.registry import (
     COST_PRESETS,
@@ -51,19 +44,15 @@ from repro.experiments.spec import (
 __all__ = [
     "COST_PRESETS",
     "ChannelSpec",
-    "BENCH_ENGINES",
-    "DEFAULT_BENCH_POLICIES",
     "ExperimentSpec",
     "POLICY_FACTORIES",
     "RunCell",
     "ScenarioSpec",
     "WORKLOAD_FACTORIES",
     "WorkloadSpec",
-    "bench_policy",
     "make_cost_model",
     "make_policy",
     "make_workload",
-    "run_bench",
     "run_cell",
     "run_experiment",
     "stable_cell_seed",

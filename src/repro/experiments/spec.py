@@ -30,6 +30,9 @@ from repro.concurrency.config import (
 from repro.errors import ConfigurationError
 from repro.resilience.chaos import ChaosSpec
 
+#: The replay engines a spec (and ``sweep --engine``) can name.
+ENGINES = ("scalar", "vector")
+
 
 @dataclass(frozen=True, slots=True)
 class ChannelSpec:
@@ -356,9 +359,9 @@ class ExperimentSpec:
             raise ConfigurationError("an experiment needs at least one staleness bound")
         if self.duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if self.engine not in ("scalar", "vector"):
+        if self.engine not in ENGINES:
             raise ConfigurationError(
-                f"engine must be 'scalar' or 'vector', got {self.engine!r}"
+                f"engine must be {' or '.join(map(repr, ENGINES))}, got {self.engine!r}"
             )
         if self.obs_window is not None and self.obs_window <= 0:
             raise ConfigurationError(

@@ -1,16 +1,14 @@
 """Performance measurement: microbenchmarks, timers, and profile hooks.
 
 The ``repro.perf`` package makes replay throughput a first-class, observable
-metric.  It complements ``python -m repro bench`` (end-to-end throughput,
-regression-gated against the committed ``BENCH_BASELINE.json`` by
-``scripts/check_bench.py``) with per-component microbenchmarks driven by
-``python -m repro perf``, so a regression is attributable to the layer that
-caused it.
+metric.  It complements ``benchmarks/run.py`` + ``benchmarks/compare.py``
+(calibrated end-to-end throughput, and the parent-vs-change gate) with
+per-component microbenchmarks driven by ``python -m repro perf``, so a
+regression is attributable to the layer that caused it.
 """
 
 from repro.perf.perf import (
     MICROBENCHES,
-    PhaseTimer,
     Timer,
     profile_call,
     run_perf,
@@ -19,7 +17,6 @@ from repro.perf.perf import (
 
 __all__ = [
     "MICROBENCHES",
-    "PhaseTimer",
     "Timer",
     "profile_call",
     "run_perf",

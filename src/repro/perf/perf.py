@@ -1,10 +1,11 @@
 """Microbenchmark harness for the replay hot paths.
 
-``python -m repro bench`` measures the end product (full replay throughput);
-this module measures the *components* that replay is made of — fingerprinting,
-ring routing, request allocation, workload generation, sketch updates, cache
-operations, and small end-to-end replays — so a regression in any one layer
-is attributable before it drowns in an aggregate number.
+``benchmarks/run.py`` measures the end product (calibrated, digest-checked
+replay throughput, and the gate); this module measures the *components* that
+replay is made of — fingerprinting, ring routing, request allocation, workload
+generation, sketch updates, cache operations, and small end-to-end replays —
+so a regression in any one layer is attributable before it drowns in an
+aggregate number.
 
 Three building blocks:
 
@@ -26,7 +27,6 @@ import platform
 import pstats
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
@@ -53,46 +53,6 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.seconds = time.perf_counter() - self.started
-
-
-@dataclass(slots=True)
-class PhaseTimer:
-    """Accumulates named wall-clock phases (generation vs replay, etc.).
-
-    Example:
-
-        >>> phases = PhaseTimer()
-        >>> with phases.phase("work"):
-        ...     _ = sum(range(1000))
-        >>> list(phases.seconds) == ["work"]
-        True
-    """
-
-    seconds: Dict[str, float] = field(default_factory=dict)
-
-    def phase(self, name: str) -> "_Phase":
-        """Return a context manager adding its elapsed time to ``name``."""
-        return _Phase(self, name)
-
-    def add(self, name: str, elapsed: float) -> None:
-        """Accumulate ``elapsed`` seconds into phase ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-
-
-class _Phase:
-    __slots__ = ("_timer", "_name", "_started")
-
-    def __init__(self, timer: PhaseTimer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_Phase":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._timer.add(self._name, time.perf_counter() - self._started)
 
 
 def time_callable(fn: Callable[[], Any], repeats: int = 3) -> Dict[str, float]:
@@ -259,32 +219,46 @@ def bench_cache_ops(scale: float = 1.0) -> Dict[str, Any]:
     return {"ops": ops, "ops_per_sec": ops / timing["best_seconds"], **timing}
 
 
-def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
-    """End-to-end single-cache replay (generation + simulation)."""
-    from repro.experiments.bench import bench_policy
+def _streamed_replay(
+    scale: float, obs: Any = None, num_nodes: Optional[int] = None
+) -> Dict[str, Any]:
+    """Streamed ``invalidate`` replay, generation included (shared harness).
+
+    One cache by default, a ``num_nodes`` fleet (routing + fan-out) otherwise.
+    """
+    from repro.cluster.cluster import ClusterSimulation
+    from repro.experiments.registry import make_policy
+    from repro.sim.simulation import Simulation
+    from repro.workload.poisson import PoissonZipfWorkload
 
     requests = _scaled(50_000, scale)
-    row = bench_policy("invalidate", num_requests=requests, num_keys=500)
-    return {
-        "ops": row["requests"],
-        "ops_per_sec": row["requests_per_sec"],
-        "best_seconds": row["wall_seconds"],
-        "mean_seconds": row["wall_seconds"],
-    }
+    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
+    duration = requests / (100.0 * 500)
+    settings = dict(
+        staleness_bound=1.0, duration=duration, workload_name=workload.name, obs=obs
+    )
+
+    def replay() -> None:
+        stream = workload.iter_requests(duration)
+        if num_nodes is None:
+            Simulation(workload=stream, policy=make_policy("invalidate"), **settings).run()
+        else:
+            ClusterSimulation(
+                workload=stream, policy="invalidate", num_nodes=num_nodes, **settings
+            ).run()
+
+    timing = time_callable(replay)
+    return {"ops": requests, "ops_per_sec": requests / timing["best_seconds"], **timing}
+
+
+def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
+    """End-to-end single-cache replay (generation + simulation)."""
+    return _streamed_replay(scale)
 
 
 def bench_replay_cluster(scale: float = 1.0) -> Dict[str, Any]:
     """End-to-end 3-node cluster replay (routing + fan-out included)."""
-    from repro.experiments.bench import bench_policy
-
-    requests = _scaled(50_000, scale)
-    row = bench_policy("invalidate", num_requests=requests, num_keys=500, num_nodes=3)
-    return {
-        "ops": row["requests"],
-        "ops_per_sec": row["requests_per_sec"],
-        "best_seconds": row["wall_seconds"],
-        "mean_seconds": row["wall_seconds"],
-    }
+    return _streamed_replay(scale, num_nodes=3)
 
 
 def _kernel_trace(scale: float):
@@ -320,7 +294,7 @@ def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
 
     Compiles the trace once outside the timed region, then replays it
     through :class:`~repro.sim.vector.VectorSimulation` — the isolated cost
-    of the span/kernel machinery that ``bench`` folds into ``wall_seconds``.
+    of the span/kernel machinery inside an end-to-end vector replay.
     """
     workload, duration, trace = _kernel_trace(scale)
     timing = time_callable(lambda: _replay_vector(workload, duration, trace, 1.0))
@@ -519,46 +493,22 @@ def bench_shard_merge(scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
-def _obs_replay(scale: float, obs: Any) -> Dict[str, Any]:
-    """Single-cache replay with the given obs setting (shared harness)."""
-    from repro.experiments.registry import make_policy
-    from repro.sim.simulation import Simulation
-    from repro.workload.poisson import PoissonZipfWorkload
-
-    requests = _scaled(50_000, scale)
-    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
-    duration = requests / (100.0 * 500)
-
-    def replay() -> None:
-        Simulation(
-            workload=workload.iter_requests(duration),
-            policy=make_policy("invalidate"),
-            staleness_bound=1.0,
-            duration=duration,
-            workload_name=workload.name,
-            obs=obs,
-        ).run()
-
-    timing = time_callable(replay)
-    return {"ops": requests, "ops_per_sec": requests / timing["best_seconds"], **timing}
-
-
 def bench_obs_disabled(scale: float = 1.0) -> Dict[str, Any]:
     """Replay with telemetry off — the zero-cost claim under a clock.
 
     ``obs=None`` binds the raw callables (the node's ``handle_read``, the
     driver's ``_process_write``) at the top of ``run()``, so this must be
-    indistinguishable from a build without the hooks; compare against
-    ``replay-single`` and ``obs-enabled``.
+    indistinguishable from a build without the hooks: it is ``replay-single``
+    under the name that pairs with ``obs-enabled``.
     """
-    return _obs_replay(scale, None)
+    return bench_replay_single(scale)
 
 
 def bench_obs_enabled(scale: float = 1.0) -> Dict[str, Any]:
     """Replay with a live recorder (1s windows, sampled spans) — the paid cost."""
     from repro.obs.recorder import ObsConfig
 
-    return _obs_replay(scale, ObsConfig(window=1.0))
+    return _streamed_replay(scale, obs=ObsConfig(window=1.0))
 
 
 def bench_scalar_feed(scale: float = 1.0) -> Dict[str, Any]:

@@ -18,16 +18,12 @@ def test_help_lists_every_subcommand(capsys) -> None:
     listing = re.search(r"\{([a-z,-]+)\}", out)
     assert listing is not None, f"no subcommand listing in --help output:\n{out}"
     subcommands = set(listing.group(1).split(","))
-    assert subcommands == {
-        "run",
-        "sweep",
-        "bench",
-        "perf",
-        "cluster",
-        "store",
-        "tier",
-        "obs",
-    }
+    assert subcommands == {"run", "sweep", "cluster", "tier", "perf", "store", "obs"}
+    # The removed ``bench`` subcommand has no alias: argparse refuses it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_version_flag_prints_the_package_version(capsys) -> None:
@@ -52,6 +48,9 @@ def test_negative_duration_exits_non_zero(capsys) -> None:
         ["sweep", "--duration=-5"],
         ["cluster", "--duration=0"],
         ["store", "snapshot", "--dir", "x", "--duration=-1"],
+        ["perf", "--only", "fingerprint", "--scale=nan"],
+        ["perf", "--only", "fingerprint", "--scale=-1"],
+        ["perf", "--only", "fingerprint", "--scale=0"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -187,54 +186,6 @@ def test_tier_scenario_from_the_command_line(tmp_path, capsys) -> None:
     assert row["l1_served_degraded"] > 0
 
 
-def test_bench_tier_mode_records_l1_share(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "invalidate",
-            "--requests", "3000",
-            "--keys", "100",
-            "--nodes", "2",
-            "--tier",
-            "--l1-capacity", "32",
-            "--output-dir", str(tmp_path),
-            "--label", "tier",
-        ]
-    )
-    assert exit_code == 0
-    record = json.loads((tmp_path / "BENCH_tier.json").read_text())
-    assert record["config"]["tier"]["l1_capacity"] == 32
-    (result,) = record["results"]
-    assert result["l1_hits"] > 0
-    assert 0 < result["l1_hit_share"] <= 1
-
-
-def test_bench_tier_requires_nodes(capsys) -> None:
-    with pytest.raises(SystemExit):
-        main(["bench", "--tier", "--requests", "100"])
-
-
-def test_cluster_bench_mode_writes_record(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "invalidate,adaptive",
-            "--requests", "3000",
-            "--keys", "100",
-            "--nodes", "4",
-            "--replication", "2",
-            "--output-dir", str(tmp_path),
-            "--label", "cluster",
-        ]
-    )
-    assert exit_code == 0
-    record = json.loads((tmp_path / "BENCH_cluster.json").read_text())
-    assert record["config"]["num_nodes"] == 4
-    for result in record["results"]:
-        assert result["num_nodes"] == 4
-        assert result["requests_per_sec"] > 0
-
-
 def test_store_snapshot_crash_recover_resume_verify(tmp_path, capsys) -> None:
     """The CI smoke path: run -> crash -> recover -> resume -> verify."""
     store_dir = tmp_path / "store"
@@ -289,27 +240,6 @@ def test_store_recover_verify_requires_resume(tmp_path) -> None:
         main(["store", "recover", "--dir", str(tmp_path), "--verify"])
 
 
-def test_bench_store_reports_wal_throughput(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "invalidate",
-            "--requests", "3000",
-            "--keys", "100",
-            "--store",
-            "--output-dir", str(tmp_path),
-            "--label", "wal",
-        ]
-    )
-    assert exit_code == 0
-    record = json.loads((tmp_path / "BENCH_wal.json").read_text())
-    assert record["store"]["records"] == 3000
-    assert record["store"]["append_per_sec"] > 0
-    assert record["store"]["replay_per_sec"] > 0
-    assert record["store"]["replayed"] == 3000
-    assert record["store"]["bytes_written"] > 0
-
-
 def test_sweep_persist_adds_store_counters_to_rows(tmp_path, capsys) -> None:
     json_path = tmp_path / "sweep.json"
     exit_code = main(
@@ -331,85 +261,6 @@ def test_sweep_persist_adds_store_counters_to_rows(tmp_path, capsys) -> None:
     assert row["persistence"] is True
     assert row["wal_appends"] > 0
     assert row["store"]["snapshots"] > 0
-
-
-def test_bench_emits_bench_json_for_three_plus_policies(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "ttl-expiry,invalidate,update,adaptive",
-            "--requests", "3000",
-            "--keys", "100",
-            "--output-dir", str(tmp_path),
-            "--label", "test",
-        ]
-    )
-    assert exit_code == 0
-    records = list(tmp_path.glob("BENCH_*.json"))
-    assert len(records) == 1
-    record = json.loads(records[0].read_text())
-    assert len(record["results"]) >= 3
-    for result in record["results"]:
-        assert result["requests_per_sec"] > 0
-        assert result["requests"] > 0
-    assert record["peak_rss_kib"] > 0
-
-
-def test_bench_vector_engine_writes_engine_tagged_record(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "invalidate",
-            "--requests", "3000",
-            "--keys", "100",
-            "--engine", "vector",
-            "--output-dir", str(tmp_path),
-            "--label", "vec",
-        ]
-    )
-    assert exit_code == 0
-    record = json.loads((tmp_path / "BENCH_vec.json").read_text())
-    assert record["config"]["engine"] == "vector"
-    row = record["results"][0]
-    assert row["engine"] == "vector"
-    assert row["merge_seconds"] == 0.0
-    assert row["requests_per_sec"] > 0
-
-
-def test_bench_parallel_cluster_records_workers(tmp_path, capsys) -> None:
-    exit_code = main(
-        [
-            "bench",
-            "--policies", "invalidate",
-            "--requests", "3000",
-            "--keys", "100",
-            "--nodes", "3",
-            "--engine", "vector",
-            "--workers", "2",
-            "--output-dir", str(tmp_path),
-            "--label", "par",
-        ]
-    )
-    assert exit_code == 0
-    record = json.loads((tmp_path / "BENCH_par.json").read_text())
-    assert record["config"]["workers"] == 2
-    assert record["results"][0]["workers"] == 2
-
-
-def test_bench_engine_and_worker_flag_error_paths(capsys) -> None:
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--engine", "numpy"])
-    assert excinfo.value.code != 0
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--workers", "2", "--requests", "100"])
-    assert excinfo.value.code != 0
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--workers", "2", "--nodes", "3", "--requests", "100"])
-    assert excinfo.value.code != 0
-    assert "--engine vector" in str(excinfo.value.code)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--workers", "0", "--requests", "100"])
-    assert excinfo.value.code != 0
 
 
 def test_sweep_vector_engine_rows_match_scalar_rows(tmp_path, capsys) -> None:

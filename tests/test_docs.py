@@ -1,5 +1,6 @@
 """The documentation site and the public-API docstring contract."""
 
+import argparse
 import importlib
 import inspect
 import re
@@ -73,9 +74,34 @@ def test_scenario_catalog_documents_every_registered_scenario() -> None:
     assert catalog.count("python -m repro") >= len(SCENARIO_FACTORIES)
 
 
+def _cli_subcommands() -> set[str]:
+    from repro.__main__ import build_parser
+
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return set(subparsers.choices)
+
+
 def test_cli_subcommands_are_documented_in_readme() -> None:
     readme = (ROOT / "README.md").read_text()
-    for subcommand in ("run", "sweep", "cluster", "tier", "bench", "store", "obs"):
+    for subcommand in _cli_subcommands():
         assert re.search(rf"python -m repro {subcommand}\b", readme), (
             f"README does not show `python -m repro {subcommand}`"
+        )
+
+
+def test_documented_cli_invocations_name_real_subcommands() -> None:
+    """The other direction: no page shows a subcommand the parser refuses."""
+    pages = [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    # The changelog is history: it may name what a later PR removed.
+    pages += [page for page in DOCS.rglob("*.md") if page.name != "changelog.md"]
+    subcommands = _cli_subcommands()
+    for page in pages:
+        shown = set(re.findall(r"python -m repro\s+([a-z][\w-]*)", page.read_text()))
+        assert shown <= subcommands, (
+            f"{page.relative_to(ROOT)} shows unknown subcommand(s) "
+            f"{sorted(shown - subcommands)}"
         )

@@ -181,3 +181,7 @@ def test_spec_validation() -> None:
         small_spec(staleness_bounds=[])
     with pytest.raises(ConfigurationError):
         small_spec(duration=0.0)
+    with pytest.raises(
+        ConfigurationError, match=r"engine must be 'scalar' or 'vector', got 'numpy'"
+    ):
+        small_spec(engine="numpy")

@@ -6,12 +6,10 @@ every engine and worker count — and disabled mode binds the plain hot path,
 so a run without ``obs=`` pays nothing.
 """
 
-import importlib.util
 import json
 import math
 import re
 import time
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,6 @@ from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.parallel import replay_cluster_parallel
 from repro.cluster.scenarios import SCENARIO_FACTORIES
 from repro.errors import ClusterError, ConfigurationError
-from repro.experiments.bench import BENCH_PHASES, bench_policy, phase_timings
 from repro.experiments.registry import make_policy
 from repro.experiments.runner import run_cell
 from repro.experiments.spec import ExperimentSpec, RunCell
@@ -769,61 +766,6 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["obs", "summary", "--dir", str(tmp_path / "nope")])
-
-
-# --------------------------------------------------------------------- #
-# Bench phase schema (shared with scripts/check_bench.py)
-# --------------------------------------------------------------------- #
-
-def _load_check_bench():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "check_bench.py"
-    spec = importlib.util.spec_from_file_location("check_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchPhases:
-    def test_schema_is_pinned(self) -> None:
-        assert BENCH_PHASES == (
-            "wall_seconds",
-            "generation_seconds",
-            "merge_seconds",
-            "replay_seconds",
-        )
-
-    def test_phase_timings_route_through_the_registry(self) -> None:
-        timings = phase_timings(1.0, 0.3, 0.1)
-        assert set(timings) == set(BENCH_PHASES)
-        assert timings["replay_seconds"] == pytest.approx(0.6)
-        assert phase_timings(1.0, 0.9, 0.5)["replay_seconds"] == 0.0
-
-    def test_bench_rows_carry_every_phase(self) -> None:
-        row = bench_policy("invalidate", num_requests=2000, num_keys=100)
-        for phase in BENCH_PHASES:
-            assert row[phase] >= 0.0
-        assert row["wall_seconds"] >= row["replay_seconds"]
-
-    def test_check_bench_refuses_rows_missing_a_phase(self) -> None:
-        check_bench = _load_check_bench()
-        record = {
-            "kind": "repro-bench",
-            "config": {"engine": "scalar", "workers": 1},
-            "results": [
-                {
-                    "policy": "invalidate",
-                    "requests_per_sec": 1.0,
-                    **{phase: 0.1 for phase in BENCH_PHASES},
-                }
-            ],
-        }
-        assert check_bench.bench_entries(record)
-        del record["results"][0]["replay_seconds"]
-        with pytest.raises(ValueError, match="replay_seconds"):
-            check_bench.bench_entries(record)
-        record["results"][0]["replay_seconds"] = -0.5
-        with pytest.raises(ValueError, match="replay_seconds"):
-            check_bench.bench_entries(record)
 
 
 class TestPerfMicrobenches:

@@ -19,7 +19,6 @@ import pytest
 from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.bench import bench_policy
 from repro.experiments.registry import make_policy
 from repro.cluster import replay_cluster_parallel
 from repro.cluster import vector as cluster_vector
@@ -488,32 +487,3 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     ) == spans
     assert calls_of(VectorClusterSimulation(trace, **fleet).run) == 3 * spans
     assert calls_of(lambda: replay_cluster_parallel(trace, workers=2, **fleet)) == 3 * spans
-
-
-# --------------------------------------------------------------------- #
-# Bench layer engine plumbing
-# --------------------------------------------------------------------- #
-
-def test_bench_policy_vector_rows_match_scalar_results() -> None:
-    scalar = bench_policy("invalidate", num_requests=20_000, num_keys=300)
-    vector = bench_policy(
-        "invalidate", num_requests=20_000, num_keys=300, engine="vector"
-    )
-    for key in ("requests", "hit_ratio", "normalized_freshness_cost",
-                "normalized_staleness_cost"):
-        assert repr(scalar[key]) == repr(vector[key])
-    assert scalar["engine"] == "scalar" and vector["engine"] == "vector"
-    assert "merge_seconds" in vector and vector["merge_seconds"] == 0.0
-
-
-def test_bench_policy_rejects_bad_engine_and_worker_combos() -> None:
-    with pytest.raises(ConfigurationError, match="engine"):
-        bench_policy("invalidate", num_requests=1000, engine="numpy")
-    with pytest.raises(ConfigurationError, match="workers"):
-        bench_policy("invalidate", num_requests=1000, workers=0)
-    with pytest.raises(ConfigurationError, match="num_nodes"):
-        bench_policy("invalidate", num_requests=1000, engine="vector", workers=2)
-    with pytest.raises(ConfigurationError, match="vector"):
-        bench_policy(
-            "invalidate", num_requests=1000, num_nodes=3, engine="scalar", workers=2
-        )
