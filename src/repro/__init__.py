@@ -7,9 +7,9 @@ The package is organised around the pipeline the paper's evaluation uses:
 policy x workload x staleness-bound grids, runs them across worker processes,
 and exports the rows that regenerate the paper's figures and tables — with
 the closed-form counterpart in ``model``, the ``E[W]`` sketches in
-``sketch``, online bottleneck detection in ``bottleneck``, the sharded
-multi-node fleet simulation (consistent hashing, replicated invalidation,
-failure scenarios, hot-key detection) in ``cluster``, the two-level L1/L2
+``sketch``, the sharded multi-node fleet simulation (consistent hashing,
+replicated invalidation, failure scenarios, hot-key detection) in
+``cluster``, the two-level L1/L2
 cache hierarchy (admission, promotion, write-through/write-back, degraded
 serving) in ``tier``, the durable persistence layer (write-ahead log,
 snapshots, crash recovery, warm node rejoin) in ``store``, and time-resolved
@@ -60,10 +60,6 @@ from repro.sketch.exact import ExactEWTracker
 from repro.sketch.countmin import CountMinEWSketch, CountMinSketch
 from repro.sketch.topk import TopKEWSketch
 from repro.sketch.memory import estimator_memory_bytes, storage_saving
-from repro.bottleneck.detector import Bottleneck, BottleneckDetector
-from repro.bottleneck.probes import ResourceProbe, UtilizationSnapshot
-from repro.bottleneck.procfs import SyntheticProcFS
-from repro.bottleneck.costs import cost_model_for_bottleneck
 from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
@@ -86,15 +82,13 @@ from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
 from repro.tier.admission import AdmissionPolicy, make_admission
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Action",
     "AdaptivePolicy",
     "AdmissionPolicy",
     "AutoscaleScenario",
-    "Bottleneck",
-    "BottleneckDetector",
     "ChannelSpec",
     "ChaosPlan",
     "ChaosSpec",
@@ -119,7 +113,6 @@ __all__ = [
     "TierConfig",
     "WorkloadSpec",
     "WriteAheadLog",
-    "cost_model_for_bottleneck",
     "detect_anomalies",
     "diff_payloads",
     "estimator_memory_bytes",
@@ -151,13 +144,10 @@ __all__ = [
     "PoissonMixWorkload",
     "PoissonZipfWorkload",
     "Request",
-    "ResourceProbe",
     "Simulation",
     "SimulationResult",
-    "SyntheticProcFS",
     "TTLExpiryPolicy",
     "TTLPollingPolicy",
     "TopKEWSketch",
     "TwitterWorkload",
-    "UtilizationSnapshot",
 ]

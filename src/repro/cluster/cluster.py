@@ -42,7 +42,7 @@ from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy
 from repro.errors import ClusterError, ConfigurationError, StoreError
 from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
-from repro.resilience.chaos import as_chaos_plan
+from repro.resilience.chaos import ChaosPlan, as_chaos_plan
 from repro.sim.clock import SimulationClock
 from repro.sim.node import CacheNode
 from repro.store.recovery import (
@@ -83,6 +83,116 @@ def _resolve_policy_factory(policy: PolicyLike) -> Callable[[], FreshnessPolicy]
             "needs its own policy state"
         )
     return policy
+
+
+#: Why a fleet configuration is refused, rule by rule in the order
+#: :func:`check_fleet` asks them, as the templates it fills in.  "What runs
+#: where" in docs/guides/performance.md lists them verbatim.
+FLEET_REFUSALS: Dict[str, str] = {
+    "zones": (
+        "zones ({zones}) exceeds fleet size ({num_nodes}): every zone needs at least one node, "
+        "so the smallest fleet with {zones} zones has {zones} nodes"
+    ),
+    "replication": "replication factor {replication} exceeds fleet size {num_nodes}",
+    "clairvoyant": (
+        "clairvoyant policy {policy!r} is not supported in cluster mode: it needs the future "
+        "request index, which a fleet does not build"
+    ),
+    "duration": "scenarios need an explicit duration to resolve their timelines",
+    "chaos-concurrency": (
+        "chaos plans drawing slow-node faults exercise the in-flight fetch model: pass "
+        "concurrency=ConcurrencyConfig(...) or drop 'slow-node' from ChaosSpec.kinds"
+    ),
+    "scenario-tier": (
+        "scenario {scenario!r} exercises the L1 tier: pass tier=TierConfig(l1_capacity=...) "
+        "with a positive capacity"
+    ),
+    "scenario-store": (
+        "scenario {scenario!r} needs a configured store (pass store=StoreConfig(...))"
+    ),
+    # A warm restore can only use snapshots that exist before the failure;
+    # with no cadence the scenario would silently run cold.
+    "scenario-snapshots": (
+        "scenario {scenario!r} restores nodes from periodic snapshots: "
+        "set StoreConfig.snapshot_interval"
+    ),
+    "scenario-concurrency": (
+        "scenario {scenario!r} exercises the in-flight fetch model: "
+        "pass concurrency=ConcurrencyConfig(...)"
+    ),
+    "scenario-zones": (
+        "scenario {scenario!r} needs at least {min_zones} zones (failure domains); "
+        "the fleet was built with zones={zones}"
+    ),
+    "shard-scenario": (
+        "scenario {scenario!r} decides membership from fleet-global signals, which an "
+        "ownership-masked shard cannot observe: it is incompatible with owned_nodes and "
+        "workers > 1 (run with workers=1)"
+    ),
+    "shard-store": (
+        "a checkpoint must capture the whole fleet in one process: a store is incompatible "
+        "with owned_nodes and workers > 1 (run with workers=1)"
+    ),
+    "shard-concurrency": (
+        "concurrency couples every node through one shared backend fetch queue, so shards cannot "
+        "replay independently: it is incompatible with owned_nodes and workers > 1 (run with "
+        "workers=1)"
+    ),
+}
+
+
+def check_fleet(
+    *,
+    num_nodes: int,
+    replication: int,
+    zones: int,
+    policies: Iterable[FreshnessPolicy],
+    scenario: Scenario,
+    chaos: Optional[ChaosPlan],
+    staleness_bound: float,
+    duration: Optional[float],
+    tier: bool,
+    store: bool,
+    snapshots: bool,
+    concurrency: bool,
+    sharded: bool = False,
+) -> None:
+    """Refuse a fleet configuration that cannot run, before anything runs.
+
+    The one statement of the rule.  :class:`ClusterSimulation` asks it at
+    construction, ``sharded`` when built with ``owned_nodes`` (which is how
+    :func:`~repro.cluster.parallel.replay_cluster_parallel` asks it, of the
+    planner it builds before it forks); :class:`~repro.experiments.spec.ExperimentSpec`
+    asks it of every fleet combination on its axes.  ``tier`` / ``store`` /
+    ``snapshots`` (a snapshot cadence) / ``concurrency`` say what the fleet
+    runs with; ``duration`` is ``None`` when the caller gave none.  Raises
+    :class:`~repro.errors.ClusterError` with the first :data:`FLEET_REFUSALS`
+    reason that holds, then binds ``scenario`` to the run so that its own
+    range and timeline refusals surface here too.
+    """
+    clairvoyant = next((policy.name for policy in policies if policy.needs_future), None)
+    holds = {
+        "zones": zones > num_nodes,
+        "replication": replication > num_nodes,
+        "clairvoyant": clairvoyant is not None,
+        "duration": duration is None and (type(scenario) is not Scenario or chaos is not None),
+        "chaos-concurrency": chaos is not None and chaos.needs_concurrency and not concurrency,
+        "scenario-tier": scenario.requires_tier and not tier,
+        "scenario-store": scenario.requires_persistence and not store,
+        "scenario-snapshots": scenario.requires_persistence and not snapshots,
+        "scenario-concurrency": scenario.requires_concurrency and not concurrency,
+        "scenario-zones": scenario.min_zones > zones,
+        # Shards advance the shared timeline alone, each in its own process.
+        "shard-scenario": sharded and scenario.requires_full_fleet,
+        "shard-store": sharded and store,
+        "shard-concurrency": sharded and concurrency,
+    }
+    facts = dict(num_nodes=num_nodes, replication=replication, zones=zones, policy=clairvoyant)
+    facts.update(scenario=scenario.name, min_zones=scenario.min_zones)
+    for rule, template in FLEET_REFUSALS.items():
+        if holds[rule]:
+            raise ClusterError(template.format(**facts))
+    scenario.bind(duration or 0.0, staleness_bound, num_nodes)
 
 
 class ClusterSimulation:
@@ -146,9 +256,8 @@ class ClusterSimulation:
             byte-identical to the same rows of a full run; non-owned rows are
             meaningless and discarded by the shard merge.  This is the
             substrate for shard-parallel replay
-            (:func:`repro.cluster.parallel.replay_cluster_parallel`).
-            Incompatible with ``store`` (a checkpoint must capture the whole
-            fleet).
+            (:func:`repro.cluster.parallel.replay_cluster_parallel`); what a
+            shard cannot replay is refused by :func:`check_fleet`.
         concurrency: Optional in-flight fetch model
             (:class:`~repro.concurrency.ConcurrencyConfig`).  When given,
             every node's miss fetches occupy slots on one *shared*
@@ -156,8 +265,7 @@ class ClusterSimulation:
             for the same backend), each node runs its own per-node in-flight
             table and stampede policy, and per-read latency lands in the
             node results.  ``None`` (default) keeps the instant-fetch model
-            byte-identical.  Incompatible with ``owned_nodes`` (the shared
-            fetch queue couples shards) and with ``run(stop_at=...)`` /
+            byte-identical.  Incompatible with ``run(stop_at=...)`` /
             :meth:`restore_from_store` (in-flight fetches are volatile state
             a checkpoint does not capture).
         zones: Number of failure domains: node ``i`` is labeled
@@ -169,9 +277,7 @@ class ClusterSimulation:
             (:class:`~repro.resilience.ChaosSpec` or a prepared
             :class:`~repro.resilience.ChaosPlan`).  Its timed faults (delay,
             drop, slow-node, crash) merge with the scenario's events, so
-            chaos composes with any scenario.  Slow-node faults require the
-            in-flight fetch model; the vector planner falls back to the
-            scalar loop whenever a plan is present.
+            chaos composes with any scenario.
     """
 
     def __init__(
@@ -207,11 +313,6 @@ class ClusterSimulation:
             raise ClusterError(f"num_nodes must be >= 1, got {num_nodes}")
         if zones < 1:
             raise ClusterError(f"zones must be >= 1, got {zones}")
-        if zones > num_nodes:
-            raise ClusterError(
-                f"zones ({zones}) exceeds fleet size ({num_nodes}); every "
-                "zone needs at least one node"
-            )
         if staleness_bound <= 0:
             raise ConfigurationError(
                 f"staleness_bound must be positive, got {staleness_bound}"
@@ -220,10 +321,6 @@ class ClusterSimulation:
             replication = ReplicationConfig()
         elif isinstance(replication, int):
             replication = ReplicationConfig(factor=replication)
-        if replication.factor > num_nodes:
-            raise ClusterError(
-                f"replication factor {replication.factor} exceeds fleet size {num_nodes}"
-            )
 
         # A zero-capacity tier IS the single-tier fleet: normalising it to
         # ``None`` here is what pins the l1_capacity=0 equivalence.
@@ -236,28 +333,36 @@ class ClusterSimulation:
         self.workload_name = workload_name
         self.final_flush = final_flush
         self.duration = float(duration) if duration is not None else 0.0
-        self._explicit_duration = duration is not None
         self._stream: Iterable[Request] = workload
         self.seed = int(seed)
 
         policy_factory = _resolve_policy_factory(policy)
         probe = policy_factory()
-        if probe.needs_future:
-            raise ClusterError(
-                f"clairvoyant policy {probe.name!r} is not supported in cluster mode"
-            )
         self.policy_name = probe.name
-
         hot_factory: Optional[Callable[[], FreshnessPolicy]] = None
         if hotkey is not None and hotkey.hot_policy is not None:
             hot_factory = _resolve_policy_factory(hotkey.hot_policy)
-            hot_probe = hot_factory()
-            if hot_probe.needs_future:
-                raise ClusterError(
-                    f"clairvoyant policy {hot_probe.name!r} cannot be the hot-key "
-                    "policy: it needs the future request index, which cluster "
-                    "mode does not build"
-                )
+        self.scenario = scenario if scenario is not None else Scenario()
+        self.zones = int(zones)
+        self.concurrency = as_concurrency(concurrency)
+        self.chaos = as_chaos_plan(chaos)
+        # Every refusal comes before the first side effect (the store opens
+        # its log below) and long before the first request.
+        check_fleet(
+            num_nodes=num_nodes,
+            replication=replication.factor,
+            zones=self.zones,
+            policies=[probe] + ([hot_factory()] if hot_factory is not None else []),
+            scenario=self.scenario,
+            chaos=self.chaos,
+            staleness_bound=self.staleness_bound,
+            duration=duration,
+            tier=self.tier is not None,
+            store=store is not None,
+            snapshots=store is not None and store.snapshot_interval is not None,
+            concurrency=self.concurrency is not None,
+            sharded=owned_nodes is not None,
+        )
 
         self.datastore = DataStore(retention=history_retention)
         self._store: Optional[StoreRuntime] = None
@@ -267,17 +372,6 @@ class ClusterSimulation:
         self.clock = SimulationClock()
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.router = ReplicaRouter(replication)
-        self.scenario = scenario if scenario is not None else Scenario()
-        self.zones = int(zones)
-
-        self.concurrency = as_concurrency(concurrency)
-        self.chaos = as_chaos_plan(chaos)
-        if self.chaos is not None and self.chaos.needs_concurrency and self.concurrency is None:
-            raise ClusterError(
-                "chaos plans drawing slow-node faults exercise the in-flight "
-                "fetch model: pass concurrency=ConcurrencyConfig(...) or drop "
-                "'slow-node' from ChaosSpec.kinds"
-            )
         #: The fleet-shared backend fetch server (``None`` when the
         #: instant-fetch model is in effect).
         self.backend: Optional[BackendServer] = None
@@ -343,23 +437,6 @@ class ClusterSimulation:
         self._owned_ids: Optional[frozenset[str]] = None
         self._flush_nodes: List[CacheNode] = self._node_list
         if owned_nodes is not None:
-            if self.scenario.requires_full_fleet:
-                raise ClusterError(
-                    f"scenario {self.scenario.name!r} decides membership from "
-                    "fleet-global signals, which an ownership-masked shard "
-                    "cannot observe; it is incompatible with owned_nodes"
-                )
-            if store is not None:
-                raise ClusterError(
-                    "owned_nodes is incompatible with a store: a checkpoint "
-                    "must capture the whole fleet"
-                )
-            if self.concurrency is not None:
-                raise ClusterError(
-                    "owned_nodes is incompatible with concurrency: every "
-                    "node queues on one shared backend fetch server, so "
-                    "shards cannot replay independently"
-                )
             indices = sorted(set(int(index) for index in owned_nodes))
             if not indices:
                 raise ClusterError("owned_nodes must name at least one node")
@@ -536,43 +613,8 @@ class ClusterSimulation:
                 "fetches are volatile state a checkpoint does not capture"
             )
 
-        # Scenarios and chaos plans need a concrete horizon for their
-        # relative defaults.
-        if not self._explicit_duration and (
-            type(self.scenario) is not Scenario or self.chaos is not None
-        ):
-            raise ClusterError(
-                "scenarios need an explicit duration to resolve their timelines"
-            )
-        if self.scenario.requires_tier and self.tier is None:
-            raise ClusterError(
-                f"scenario {self.scenario.name!r} exercises the L1 tier: pass "
-                "tier=TierConfig(l1_capacity=...) with a positive capacity"
-            )
-        if self.scenario.requires_persistence:
-            if self._store is None:
-                raise ClusterError(
-                    f"scenario {self.scenario.name!r} needs a configured store "
-                    "(pass store=StoreConfig(...))"
-                )
-            if self._store.config.snapshot_interval is None:
-                # A warm restore can only use snapshots that exist before the
-                # failure; with no cadence the scenario would silently run cold.
-                raise ClusterError(
-                    f"scenario {self.scenario.name!r} restores nodes from "
-                    "periodic snapshots: set StoreConfig.snapshot_interval"
-                )
-        if self.scenario.requires_concurrency and self.concurrency is None:
-            raise ClusterError(
-                f"scenario {self.scenario.name!r} exercises the in-flight "
-                "fetch model: pass concurrency=ConcurrencyConfig(...)"
-            )
-        if self.scenario.min_zones > self.zones:
-            raise ClusterError(
-                f"scenario {self.scenario.name!r} needs at least "
-                f"{self.scenario.min_zones} zones; the fleet was built with "
-                f"zones={self.zones}"
-            )
+        # check_fleet() accepted this binding at construction; a scenario
+        # object shared with another fleet may have been re-bound since.
         self.scenario.bind(
             duration=self.duration,
             staleness_bound=self.staleness_bound,

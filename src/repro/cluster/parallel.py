@@ -75,9 +75,8 @@ def replay_cluster_parallel(
         **cluster_kwargs: Forwarded to :class:`VectorClusterSimulation` /
             :class:`~repro.cluster.cluster.ClusterSimulation` — ``policy``
             must be a registry *name* (worker processes cannot be handed live
-            policy objects), and ``store`` and ``concurrency`` are refused
-            for ``workers > 1`` (a checkpoint must capture the whole fleet
-            in one process; the shared backend fetch queue couples shards).
+            policy objects); what ``workers > 1`` cannot replay is refused by
+            :func:`~repro.cluster.cluster.check_fleet` before anything forks.
 
     Returns:
         The merged :class:`~repro.cluster.results.ClusterResult`,
@@ -98,25 +97,6 @@ def replay_cluster_parallel(
         if timings is not None:
             timings["merge_seconds"] = 0.0
         return result
-    if cluster_kwargs.get("store") is not None:
-        raise ClusterError(
-            "persistence needs the whole fleet in one process: "
-            "a store is incompatible with workers > 1"
-        )
-    if cluster_kwargs.get("concurrency") is not None:
-        raise ClusterError(
-            "concurrency couples every node through one shared backend fetch "
-            "queue, so shards cannot replay independently: it is incompatible "
-            "with workers > 1 (run with workers=1)"
-        )
-    scenario = cluster_kwargs.get("scenario")
-    if scenario is not None and getattr(scenario, "requires_full_fleet", False):
-        raise ClusterError(
-            f"scenario {getattr(scenario, 'name', type(scenario).__name__)!r} "
-            "reads fleet-global signals (dynamic membership), so an "
-            "ownership-masked shard would diverge: it is incompatible with "
-            "workers > 1 (run with workers=1)"
-        )
     if not isinstance(cluster_kwargs.get("policy"), str):
         raise ClusterError(
             "parallel replay ships the policy to workers by registry name; "
@@ -130,11 +110,13 @@ def replay_cluster_parallel(
         )
 
     partitions = partition_nodes(num_nodes, workers)
-    # Index and route the trace in the parent (a no-op when an earlier replay
-    # of this trace on this fleet shape already did); forked shards inherit
-    # both copy-on-write instead of recomputing them per worker.  On the
+    # The planner is shard 0's twin, so building it asks check_fleet() what
+    # every worker's construction would: what shards cannot replay is refused
+    # here, in the parent, before anything forks.  It then indexes and routes
+    # the trace (a no-op when an earlier replay of this trace on this fleet
+    # shape already did); forked shards inherit both copy-on-write.  On the
     # scalar-fallback path workers route as they stream.
-    planner = VectorClusterSimulation(trace, **cluster_kwargs)
+    planner = VectorClusterSimulation(trace, owned_nodes=partitions[0], **cluster_kwargs)
     if planner.vector_eligible():
         planner.build_plan()
     _SHARD_CONTEXT = (trace, cluster_kwargs)

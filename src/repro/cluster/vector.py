@@ -35,10 +35,10 @@ but only performs cache work for its nodes, so its owned
 run's and :func:`~repro.cluster.parallel.replay_cluster_parallel` can merge
 per-shard rows into one result.
 
-Configurations outside the vectorizable envelope (scenarios, lossy or delayed
-channels, tiers, capacity bounds, persistence, hot-key detection, per-size
-cost breakdowns) transparently fall back to the scalar cluster loop over the
-decompiled stream — identical by construction, just slower.
+Configurations outside the vectorizable envelope — a row of
+:data:`FLEET_ENVELOPE` holds for them — transparently fall back to the scalar
+cluster loop over the trace's column chunks — identical by construction, just
+slower — and ``fallback_reason`` names the row.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
 from repro.errors import ClusterError, ConfigurationError, WorkloadError
 from repro.sim.vector import (
+    ENVELOPE,
+    EnvelopeRow,
     Groups,
     _HostState,
     _ReplayContext,
@@ -61,12 +63,32 @@ from repro.sim.vector import (
     _kernel_reactive_span,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
-    _node_vector_eligible,
     _replay_in_spans,
-    _ttl_resolvable,
+    envelope_exit,
 )
 from repro.sketch.hashing import stable_fingerprint
 from repro.workload.compiled import CompiledTrace, Span, TraceIndex
+
+
+#: The fleet engine's envelope: the rows only a fleet can trip, asked before
+#: the ones it shares with the single cache (:data:`repro.sim.vector.ENVELOPE`).
+FLEET_ENVELOPE: Tuple[EnvelopeRow, ...] = (
+    EnvelopeRow(
+        "scenario", "fleet",
+        "a scenario scripts membership and traffic changes; the kernels assume steady state",
+        lambda engine, stop_at: type(engine.scenario) is not Scenario,
+    ),
+    EnvelopeRow(
+        "chaos", "fleet",
+        "a fault plan mutates channels and nodes mid-run; the kernels assume a static, ideal fleet",
+        lambda engine, stop_at: engine.chaos is not None,
+    ),
+    EnvelopeRow(
+        "stop-at", "fleet",
+        "a kill point checkpoints and stops mid-trace; the kernels replay whole spans to the end",
+        lambda engine, stop_at: stop_at is not None,
+    ),
+) + ENVELOPE
 
 
 class _ClusterPlan:
@@ -124,55 +146,29 @@ class VectorClusterSimulation(ClusterSimulation):
         self.trace = trace
         super().__init__(trace, *args, **kwargs)
         self.used_vector_path = False
+        self._fallback_reason: Optional[str] = None
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Name of the :data:`FLEET_ENVELOPE` row that put ``run()`` on the
+        scalar path; ``None`` when the vector path ran (and before ``run()``)."""
+        return self._fallback_reason
 
     def vector_eligible(self) -> bool:
-        """Whether this configuration can take the vectorized path.
-
-        The fleet envelope is the per-cache one applied to every node
-        (:func:`~repro.sim.vector._node_vector_eligible` — a kernel policy,
-        unbounded caches and trackers, ideal channels, no tier, no hot-key
-        detection) plus the driver-level checks made here: steady state (no
-        scenario, no chaos), a TTL the trace's clock resolves
-        (:func:`~repro.sim.vector._ttl_resolvable`), no persistence or
-        history retention, instant fetches, fixed cost preset.  Everything
-        else falls back to the scalar fleet loop.
-        """
-        if type(self.scenario) is not Scenario:
-            return False
-        if self.chaos is not None:
-            # Fault plans mutate channels and nodes mid-run; the columnar
-            # kernels assume a static, ideal fleet.  Scalar fallback.
-            return False
-        if self._store is not None:
-            return False
-        if self.concurrency is not None:
-            # In-flight fetches serialize fills through a time-ordered queue;
-            # the columnar kernels assume instant fills.  Scalar fallback.
-            return False
-        if self.tier is not None:
-            return False
-        if self.costs.breakdown is not None:
-            return False
-        if self.datastore.retention is not None:
-            return False
-        # Every node runs the same policy configuration: one TTL to check.
-        if not _ttl_resolvable(self._node_list[0], self.trace):
-            return False
-        return all(_node_vector_eligible(node) for node in self._node_list)
+        """Whether no :data:`FLEET_ENVELOPE` row holds for this configuration
+        (see "What runs where" in docs/guides/performance.md)."""
+        return envelope_exit(FLEET_ENVELOPE, self, self._node_list) is None
 
     def run(self, stop_at: Optional[float] = None) -> ClusterResult:
-        """Replay the trace; vectorized when eligible, scalar otherwise."""
-        if stop_at is not None or not self.vector_eligible():
+        """Replay the trace; vectorized inside the envelope, scalar otherwise."""
+        row = envelope_exit(FLEET_ENVELOPE, self, self._node_list, stop_at)
+        if row is not None:
+            self._fallback_reason = row.name
             return super().run(stop_at)
         if self._has_run:
             raise ClusterError("a ClusterSimulation instance can only be run once")
         self._has_run = True
         self.used_vector_path = True
-        self.scenario.bind(
-            duration=self.duration,
-            staleness_bound=self.staleness_bound,
-            num_nodes=len(self._node_list),
-        )
         self._refresh_next_due()
         if self.obs is not None:
             self._obs_begin("vector")

@@ -27,10 +27,6 @@ class SketchError(ReproError):
     """Raised when a sketch is queried or updated incorrectly."""
 
 
-class BottleneckError(ReproError):
-    """Raised when bottleneck probes cannot produce a measurement."""
-
-
 class ClusterError(ReproError):
     """Raised when a cluster simulation is misconfigured or driven badly."""
 

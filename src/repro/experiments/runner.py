@@ -117,10 +117,8 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
             concurrency=_cell_concurrency(cell),
         )
         if cell.engine == "vector":
-            # The vector simulation replays ineligible configurations (e.g.
-            # capacity-bounded or persistent cells) through the inherited
-            # scalar loop, so every cell stays byte-identical to a scalar
-            # sweep of the same grid.
+            # Outside the vector envelope the engine replays through the
+            # inherited scalar loop: rows equal a scalar sweep's either way.
             simulation = VectorSimulation(_compiled(cell, workload, traces), **shared)
         else:
             simulation = Simulation(
@@ -214,9 +212,7 @@ def _run_cluster_cell(cell: RunCell, traces: _Traces) -> Dict[str, Any]:
             chaos=cell.chaos,
         )
         if cell.engine == "vector":
-            # Falls back to the scalar routing loop for configurations the
-            # columnar fleet engine cannot replay (scenarios, lossy
-            # channels, tiers, persistence) — rows stay byte-identical.
+            # Same fallback, on the fleet engine's envelope.
             cluster = VectorClusterSimulation(
                 _compiled(cell, workload, traces), **shared
             )

@@ -27,7 +27,7 @@ from repro.concurrency.config import (
     STAMPEDE_POLICIES,
     ConcurrencyConfig,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ClusterError, ConfigurationError
 from repro.resilience.chaos import ChaosSpec
 
 #: The replay engines a spec (and ``sweep --engine``) can name.
@@ -309,7 +309,7 @@ class ExperimentSpec:
         zones: Failure-domain count for cluster cells (not an axis): nodes
             are labeled round-robin over ``zones`` domains on the ring.
             Labels never affect placement, so ``zones=1`` is byte-identical
-            to not setting it; ``zone-outage`` cells need ``zones >= 2``.
+            to not setting it; correlated-failure scenarios need ``>= 2``.
         chaos: Seeded fault plan (:class:`~repro.resilience.chaos.ChaosSpec`)
             injected into every cluster cell alongside its scenario (not an
             axis; ``None`` disables injection).
@@ -385,28 +385,7 @@ class ExperimentSpec:
         for factor in self.replications:
             if factor < 1:
                 raise ConfigurationError(f"replication factors must be >= 1, got {factor}")
-        # Cross-check the cluster axes up front: a bad combination would
-        # otherwise only surface inside a worker mid-sweep, losing every
-        # already-computed row.
         cluster_sizes = [nodes for nodes in self.num_nodes if nodes is not None]
-        if cluster_sizes:
-            smallest, largest_factor = min(cluster_sizes), max(self.replications)
-            if largest_factor > smallest:
-                raise ConfigurationError(
-                    f"replication factor {largest_factor} exceeds the smallest "
-                    f"fleet size {smallest} on the num_nodes axis"
-                )
-            # Clairvoyant policies cannot run in cluster mode (no future
-            # index is built); reject them before the sweep starts.
-            from repro.experiments.registry import make_policy
-
-            hot_policies = [self.hot_policy] if self.hot_policy is not None else []
-            for policy in list(self.policies) + hot_policies:
-                if make_policy(policy).needs_future:
-                    raise ConfigurationError(
-                        f"clairvoyant policy {policy!r} is not supported in "
-                        "cluster cells (num_nodes axis)"
-                    )
         wants_cluster_features = self.hot_policy is not None or any(
             scenario not in (None, "none", "") for scenario in self.scenarios
         )
@@ -469,17 +448,6 @@ class ExperimentSpec:
                 "tier_modes only takes effect with a positive l1_capacities "
                 f"axis (got l1_capacities={list(self.l1_capacities)})"
             )
-        tier_scenarios = [
-            scenario
-            for scenario in self.normalized_scenarios()
-            if scenario is not None and scenario.name in ("l2-outage", "cold-l1")
-        ]
-        if tier_scenarios and (not wants_tier or any(c == 0 for c in self.l1_capacities)):
-            raise ConfigurationError(
-                f"scenario {tier_scenarios[0].name!r} exercises the L1 tier; "
-                "every l1_capacities entry must be positive (got "
-                f"{list(self.l1_capacities)})"
-            )
         # Concurrency axes: validate entries eagerly, and require a
         # non-``None`` concurrency entry before crossing the stampede-policy
         # or service-time axes (they parameterize the fetch model; labeling
@@ -511,50 +479,8 @@ class ExperimentSpec:
                 "in-flight fetch model; add a ConcurrencyConfig entry to the "
                 "concurrency axis"
             )
-        # Scenarios that restore nodes from durable snapshots (warm rejoin,
-        # warm kill-at-t) need every cell to run with a store; surface the
-        # mismatch here rather than inside a worker mid-sweep.
-        for scenario in self.normalized_scenarios():
-            if scenario is None:
-                continue
-            from repro.cluster.scenarios import make_scenario
-            from repro.errors import ClusterError
-
-            try:
-                materialized = make_scenario(scenario.name, scenario.params_dict())
-            except ClusterError as exc:
-                raise ConfigurationError(str(exc)) from exc
-            if materialized.requires_persistence:
-                if not all(self.persistence):
-                    raise ConfigurationError(
-                        f"scenario {scenario.name!r} restores nodes from durable "
-                        "snapshots; every persistence entry must be True (got "
-                        f"{list(self.persistence)})"
-                    )
-                if any(interval is None for interval in self.snapshot_intervals):
-                    raise ConfigurationError(
-                        f"scenario {scenario.name!r} restores nodes from "
-                        "periodic snapshots; every snapshot_intervals entry "
-                        f"must be set (got {list(self.snapshot_intervals)})"
-                    )
-            if materialized.requires_concurrency and any(
-                entry is None for entry in self.concurrency
-            ):
-                raise ConfigurationError(
-                    f"scenario {materialized.name!r} exercises the in-flight "
-                    "fetch model; every concurrency entry must be a "
-                    "ConcurrencyConfig (the axis has instant-fetch entries)"
-                )
-            if materialized.min_zones > self.zones:
-                raise ConfigurationError(
-                    f"scenario {materialized.name!r} needs at least "
-                    f"{materialized.min_zones} failure domains; set "
-                    f"zones >= {materialized.min_zones} (got {self.zones})"
-                )
         # Resilience coordinates: zones label the ring's failure domains and
-        # chaos injects a seeded fault plan — both are cluster-only, and a
-        # slow-node-capable plan needs the in-flight fetch model to have any
-        # service time to degrade.
+        # chaos injects a seeded fault plan — both are cluster-only.
         if self.zones < 1:
             raise ConfigurationError(f"zones must be >= 1, got {self.zones}")
         wants_resilience = self.zones > 1 or self.chaos is not None
@@ -563,24 +489,54 @@ class ExperimentSpec:
                 "zones and chaos only apply to cluster cells; every num_nodes "
                 f"entry must be an integer fleet size (got {list(self.num_nodes)})"
             )
-        if cluster_sizes and self.zones > min(cluster_sizes):
+        if self.chaos is not None and not isinstance(self.chaos, ChaosSpec):
             raise ConfigurationError(
-                f"zones ({self.zones}) exceeds the smallest fleet size "
-                f"({min(cluster_sizes)}) on the num_nodes axis"
+                f"chaos must be a ChaosSpec, got {type(self.chaos).__name__}"
             )
-        if self.chaos is not None:
-            if not isinstance(self.chaos, ChaosSpec):
+        if cluster_sizes:
+            self._check_fleet_combinations(sorted(set(cluster_sizes)))
+
+    def _check_fleet_combinations(self, fleet_sizes: List[int]) -> None:
+        """Ask :func:`~repro.cluster.cluster.check_fleet` about every distinct
+        fleet combination on the axes, smallest fleet first: a cell no fleet
+        can run would otherwise only surface inside a worker mid-sweep, losing
+        every already-computed row."""
+        from repro.cluster.cluster import check_fleet
+        from repro.cluster.scenarios import Scenario, make_scenario
+        from repro.experiments.registry import make_policy
+        from repro.resilience.chaos import as_chaos_plan
+
+        names = [*self.policies, *([self.hot_policy] if self.hot_policy else [])]
+        policies = [make_policy(name) for name in names]
+        chaos = as_chaos_plan(self.chaos)
+        axes = {
+            "num_nodes": fleet_sizes,
+            "replication": self.replications,
+            "staleness_bound": [float(bound) for bound in self.staleness_bounds],
+            "store": [bool(persistent) for persistent in self.persistence],
+            "snapshots": [interval is not None for interval in self.snapshot_intervals],
+            "tier": [capacity > 0 for capacity in self.l1_capacities],
+            "concurrency": [entry is not None for entry in self.concurrency],
+        }
+        for spec in self.normalized_scenarios():
+            fleet: Dict[str, Any] = {}
+            try:
+                scenario = make_scenario(spec.name, spec.params_dict()) if spec else Scenario()
+                for values in itertools.product(*map(dict.fromkeys, axes.values())):
+                    fleet = dict(zip(axes, values))
+                    check_fleet(
+                        zones=self.zones,
+                        policies=policies,
+                        scenario=scenario,
+                        chaos=chaos,
+                        duration=float(self.duration),
+                        **fleet,
+                    )
+            except ClusterError as exc:
+                cell = "".join(f", {key}={value}" for key, value in fleet.items())
                 raise ConfigurationError(
-                    f"chaos must be a ChaosSpec, got {type(self.chaos).__name__}"
-                )
-            if "slow-node" in self.chaos.kinds and any(
-                entry is None for entry in self.concurrency
-            ):
-                raise ConfigurationError(
-                    "a chaos plan with 'slow-node' faults degrades backend "
-                    "service times; every concurrency entry must be a "
-                    "ConcurrencyConfig (the axis has instant-fetch entries)"
-                )
+                    f"{exc} (cluster cells with scenario={spec.name if spec else 'none'}{cell})"
+                ) from exc
 
     def normalized_workloads(self) -> List[WorkloadSpec]:
         """Return the workload axis with bare names promoted to specs."""

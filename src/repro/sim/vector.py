@@ -59,18 +59,16 @@ Why byte-identity is achievable at all:
   its reads (the runs the E[W] estimator folds) is computed for all keys of a
   span from the span's writes alone, never from its reads.
 
-When a configuration falls outside the vectorizable envelope (capacity-bounded
-caches, per-size cost breakdowns, lossy or delayed channels, persistence,
-clairvoyant policies, TTLs above the bound or below the resolution of the
-trace's clock, ...) ``run()`` transparently falls
-back to the scalar engine over the decompiled stream — identical by
-construction, just slower.
+When a configuration falls outside the vectorizable envelope — a row of
+:data:`ENVELOPE` holds for it — ``run()`` transparently falls back to the
+scalar engine over the trace's column chunks — identical by construction,
+just slower — and names the row in ``fallback_reason``.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,33 +96,6 @@ _VECTOR_POLICIES = (
 )
 
 
-def _node_vector_eligible(node: CacheNode) -> bool:
-    """The per-cache half of the vectorizable envelope.
-
-    One of the six kernel policies (the adaptive ones on the exact tracker,
-    TTL overrides within the staleness bound), an unbounded cache and
-    tracker, an ideal channel, and none of the fleet add-ons the kernels do
-    not model (hot-key detection, hot policy, L1 tier).  Both engines ask
-    this of every node they drive and add only their driver-level checks.
-    """
-    policy = node.policy
-    policy_type = type(policy)
-    if policy_type not in _VECTOR_POLICIES:
-        return False
-    if policy_type in (AdaptivePolicy, CacheStateAdaptivePolicy):
-        if type(policy.estimator) is not ExactEWTracker:
-            return False
-    if policy.ttl_mode is not None:
-        ttl = policy._ttl_override
-        if ttl is not None and ttl > node.staleness_bound:
-            return False
-    if node.detector is not None or node.hot_policy is not None or node.l1 is not None:
-        return False
-    if node.cache.capacity is not None or node.tracker.capacity is not None:
-        return False
-    return node.channel.is_ideal
-
-
 def _ttl_resolvable(node: CacheNode, trace: CompiledTrace) -> bool:
     """Whether the trace's clock resolves the node's TTL timer.
 
@@ -141,6 +112,121 @@ def _ttl_resolvable(node: CacheNode, trace: CompiledTrace) -> bool:
         return True
     ttl, end = node._ttl_value, trace.times[-1]
     return bool(ttl >= 4 * np.spacing(end) and end / ttl < 2**50)
+
+
+class EnvelopeRow(NamedTuple):
+    """One way out of the vectorizable envelope: a configuration ``predicate``
+    holds for replays on the scalar path, with ``name`` as its
+    ``fallback_reason``.  :func:`envelope_exit` says what each ``scope`` of
+    predicate is asked of."""
+
+    name: str
+    scope: str
+    reason: str
+    predicate: Callable[..., bool]
+
+
+#: The envelope of both columnar engines and the only statement of it:
+#: ``vector_eligible()``, ``run()`` and the shard planner ask it through
+#: :func:`envelope_exit`, the fleet engine puts its own rows in front
+#: (``repro.cluster.vector.FLEET_ENVELOPE``), and "What runs where" in
+#: docs/guides/performance.md renders it.  Widening the envelope is deleting
+#: a row, next to the kernel that makes it unnecessary.
+ENVELOPE: Tuple[EnvelopeRow, ...] = (
+    EnvelopeRow(
+        "store", "driver",
+        "persistence journals every write and checkpoints node state; the kernels do neither",
+        lambda engine: engine._store is not None,
+    ),
+    EnvelopeRow(
+        "concurrency", "driver",
+        "in-flight fetches queue fills in time order; the kernels assume instant fills",
+        lambda engine: engine.concurrency is not None,
+    ),
+    EnvelopeRow(
+        "cost-breakdown", "driver",
+        "a per-size cost breakdown prices each request; the kernels fold one constant per read",
+        lambda engine: engine.costs.breakdown is not None,
+    ),
+    EnvelopeRow(
+        "history-retention", "driver",
+        "a retention window trims write history as time passes; the kernels pre-apply span writes",
+        lambda engine: engine.datastore.retention is not None,
+    ),
+    EnvelopeRow(
+        "policy", "node",
+        "no kernel for the policy class (exact types only: a subclass may override any hook)",
+        lambda node, trace: type(node.policy) not in _VECTOR_POLICIES,
+    ),
+    EnvelopeRow(
+        "estimator", "node",
+        "an adaptive policy on a sketch estimator; the kernels fold E[W] on the exact tracker",
+        lambda node, trace: isinstance(node.policy, AdaptivePolicy)
+        and type(node.policy.estimator) is not ExactEWTracker,
+    ),
+    EnvelopeRow(
+        "ttl-above-bound", "node",
+        "a TTL above the staleness bound lets hits violate it; the TTL kernels count no violations",
+        lambda node, trace: node.policy.ttl_mode is not None
+        and node._ttl_value > node.staleness_bound,
+    ),
+    EnvelopeRow(
+        "ttl-resolution", "node",
+        "a TTL below the resolution of the trace's clock: fetched_at + ttl rounds to fetched_at",
+        lambda node, trace: not _ttl_resolvable(node, trace),
+    ),
+    EnvelopeRow(
+        "hot-key", "node",
+        "hot-key detection switches a key's policy mid-run; the kernels run one policy per node",
+        lambda node, trace: node.detector is not None or node.hot_policy is not None,
+    ),
+    EnvelopeRow(
+        "l1-tier", "node",
+        "an L1's LRU and admission depend on request order; the kernels see span endpoints only",
+        lambda node, trace: node.l1 is not None,
+    ),
+    EnvelopeRow(
+        "bounded-cache", "node",
+        "a bounded cache evicts in request order; the kernels assume every fill stays",
+        lambda node, trace: node.cache.capacity is not None,
+    ),
+    EnvelopeRow(
+        "bounded-tracker", "node",
+        "a bounded invalidation tracker forgets keys; the kernels assume exact tracking",
+        lambda node, trace: node.tracker.capacity is not None,
+    ),
+    EnvelopeRow(
+        "channel", "node",
+        "a lossy or delayed channel lands messages mid-span; the kernels deliver at the flush",
+        lambda node, trace: not node.channel.is_ideal,
+    ),
+    EnvelopeRow(
+        "membership", "node",
+        "a node unreachable or off the ring at the start; the kernels assume a healthy fleet",
+        lambda node, trace: not (node.reachable and node.in_ring),
+    ),
+)
+
+
+def envelope_exit(
+    rows: Tuple[EnvelopeRow, ...],
+    engine,
+    nodes: Sequence[CacheNode],
+    stop_at: Optional[float] = None,
+) -> Optional[EnvelopeRow]:
+    """The first row of ``rows`` this replay trips; ``None`` inside the envelope.
+
+    A node row is asked of every node driven, a driver row of the engine, a
+    fleet row of the fleet engine and its ``run()`` argument.
+    """
+    asked = {
+        "node": [(node, engine.trace) for node in nodes],
+        "driver": [(engine,)],
+        "fleet": [(engine, stop_at)],
+    }
+    return next(
+        (row for row in rows if any(row.predicate(*of) for of in asked[row.scope])), None
+    )
 
 
 class _ReplayContext:
@@ -1018,36 +1104,24 @@ class VectorSimulation(Simulation):
         self.trace = trace
         super().__init__(trace, *args, **kwargs)
         self.used_vector_path = False
+        self._fallback_reason: Optional[str] = None
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Name of the :data:`ENVELOPE` row that put ``run()`` on the scalar
+        path; ``None`` when the vector path ran (and before ``run()``)."""
+        return self._fallback_reason
 
     def vector_eligible(self) -> bool:
-        """Whether this configuration can take the vectorized path.
-
-        The envelope covers the paper's main sweeps: the per-cache half
-        (:func:`_node_vector_eligible` — a kernel policy, unbounded cache and
-        tracker, ideal or no channel) plus the driver-level one checked here:
-        a TTL the trace's clock resolves (:func:`_ttl_resolvable`), fixed cost
-        preset, no persistence or history retention, instant fetches.
-        Everything else falls back to the scalar engine.
-        """
-        if not _node_vector_eligible(self.node):
-            return False
-        if not _ttl_resolvable(self.node, self.trace):
-            return False
-        if self.costs.breakdown is not None:
-            return False
-        if self.datastore.retention is not None:
-            return False
-        if self._store is not None:
-            return False
-        if self.concurrency is not None:
-            # In-flight fetches serialize fills through a time-ordered queue;
-            # the columnar kernels assume instant fills.  Scalar fallback.
-            return False
-        return True
+        """Whether no :data:`ENVELOPE` row holds for this configuration (see
+        "What runs where" in docs/guides/performance.md)."""
+        return envelope_exit(ENVELOPE, self, (self.node,)) is None
 
     def run(self):
-        """Replay the trace; vectorized when eligible, scalar otherwise."""
-        if not self.vector_eligible():
+        """Replay the trace; vectorized inside the envelope, scalar otherwise."""
+        row = envelope_exit(ENVELOPE, self, (self.node,))
+        if row is not None:
+            self._fallback_reason = row.name
             return super().run()
         if self._has_run:
             raise ConfigurationError("a Simulation instance can only be run once")

@@ -134,6 +134,30 @@ def test_cluster_sweep_runs_scenarios_and_exports(tmp_path, capsys) -> None:
     assert row["reads"] + row["writes"] > 0
 
 
+def test_cluster_sweep_refuses_an_unrunnable_cell_before_the_sweep_starts(monkeypatch) -> None:
+    """node_index=5 fits the 8-node cells and not the 2-node ones: the sweep
+    used to replay the former, then lose its rows to the latter's error."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("repro.__main__.run_experiment", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "cluster",
+                "--nodes", "8,2",
+                "--scenario", "node-failure",
+                "--scenario-param", "node_index=5",
+                "--policies", "invalidate",
+                "--bounds", "0.5",
+                "--duration", "6.0",
+                "--processes", "1",
+            ]
+        )
+    assert str(excinfo.value.code).startswith("node_index 5 out of range for 2 nodes")
+
+
 def test_tier_sweep_sweeps_l1_capacities_and_modes(tmp_path, capsys) -> None:
     json_path = tmp_path / "tier.json"
     exit_code = main(

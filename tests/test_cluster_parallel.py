@@ -9,6 +9,7 @@ filtered scalar loop.
 """
 
 import json
+import re
 
 import pytest
 
@@ -20,7 +21,13 @@ from repro.cluster import (
     partition_nodes,
     replay_cluster_parallel,
 )
+from repro.cluster import parallel as parallel_module
+from repro.cluster.cluster import FLEET_REFUSALS
+from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import ClusterError, ConfigurationError
+from repro.experiments.spec import ExperimentSpec, ScenarioSpec
+from repro.resilience import ChaosSpec
+from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.compiled import compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -292,6 +299,107 @@ def test_owned_nodes_validation_on_the_cluster_simulation(tmp_path) -> None:
         build(owned_nodes=(-1,))
     with pytest.raises(ClusterError, match="whole fleet"):
         build(owned_nodes=(0,), store=StoreConfig(root=str(tmp_path)))
+
+
+def _warm_kill(as_spec: bool):
+    params = {"mode": "warm"}
+    return ScenarioSpec.of("kill-at-t", params) if as_spec else make_scenario("kill-at-t", params)
+
+
+#: rule -> (fleet arguments tripping that rule, the same cell on the spec's
+#: axes or None where no spec can express it).  Stateful values are built
+#: per call: ``fleet(root)`` gets a scratch store directory.
+REFUSAL_WALK = {
+    "zones": (lambda root: dict(zones=4), dict(zones=4)),
+    "replication": (lambda root: dict(replication=4), dict(replications=[4])),
+    "clairvoyant": (lambda root: dict(policy="optimal"), dict(policies=["optimal"])),
+    # A spec always has a duration.
+    "duration": (lambda root: dict(duration=None, chaos=ChaosSpec(seed=1, kinds=("delay",))), None),
+    "chaos-concurrency": (
+        lambda root: dict(chaos=ChaosSpec(seed=1, kinds=("slow-node",))),
+        dict(chaos=ChaosSpec(seed=1, kinds=("slow-node",))),
+    ),
+    "scenario-tier": (
+        lambda root: dict(scenario=make_scenario("cold-l1")),
+        dict(scenarios=["cold-l1"]),
+    ),
+    "scenario-store": (
+        lambda root: dict(scenario=_warm_kill(False)),
+        dict(scenarios=[_warm_kill(True)]),
+    ),
+    "scenario-snapshots": (
+        lambda root: dict(scenario=_warm_kill(False), store=StoreConfig(root=root)),
+        dict(scenarios=[_warm_kill(True)], persistence=[True]),
+    ),
+    "scenario-concurrency": (
+        lambda root: dict(scenario=make_scenario("backend-saturation")),
+        dict(scenarios=["backend-saturation"]),
+    ),
+    "scenario-zones": (
+        lambda root: dict(scenario=make_scenario("zone-outage")),
+        dict(scenarios=["zone-outage"]),
+    ),
+    # Sharding is not on a spec's axes: its cells replay whole fleets.
+    "shard-scenario": (
+        lambda root: dict(scenario=make_scenario("autoscale", {"min_nodes": 1, "high_load": 50.0})),
+        None,
+    ),
+    "shard-store": (lambda root: dict(store=StoreConfig(root=root)), None),
+    "shard-concurrency": (lambda root: dict(concurrency=ConcurrencyConfig()), None),
+}
+
+
+def test_the_refusal_walk_covers_the_inventory() -> None:
+    assert set(REFUSAL_WALK) == set(FLEET_REFUSALS)
+
+
+@pytest.mark.parametrize("rule", list(REFUSAL_WALK))
+def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, monkeypatch) -> None:
+    """One rulebook: the fleet, the shard-parallel replay and the spec give
+    the reason in the same words — the fleet before a request is read, the
+    parallel replay before a worker exists, the spec before a cell runs."""
+    fleet, spec = REFUSAL_WALK[rule]
+
+    def arguments() -> dict:
+        base = dict(policy="invalidate", num_nodes=3, staleness_bound=1.0, duration=DURATION)
+        base.update(fleet(str(tmp_path / "store")))
+        return base
+
+    def untouched():
+        raise AssertionError("a refused fleet read its workload")
+        yield
+
+    sharded = dict(owned_nodes=(0,)) if rule.startswith("shard-") else {}
+    with pytest.raises(ClusterError) as refusal:
+        ClusterSimulation(untouched(), **arguments(), **sharded)
+    reason = str(refusal.value)
+    pattern = re.sub(r"\\\{\w+(!r)?\\\}", ".+", re.escape(FLEET_REFUSALS[rule]))
+    assert re.fullmatch(pattern, reason), (reason, FLEET_REFUSALS[rule])
+    assert not (tmp_path / "store").exists(), "refused after the store opened its log"
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a refused replay reached the worker pool")
+
+    monkeypatch.setattr(parallel_module.multiprocessing, "get_context", no_fork)
+    with pytest.raises(ClusterError) as parallel_refusal:
+        replay_cluster_parallel(
+            compile_workload(make_workload(), DURATION), workers=2, **arguments()
+        )
+    assert str(parallel_refusal.value) == reason
+
+    if spec is not None:
+        axes = dict(
+            name="refused",
+            policies=["invalidate"],
+            workloads=["poisson"],
+            staleness_bounds=[1.0],
+            num_nodes=[3],
+            duration=DURATION,
+        )
+        with pytest.raises(ConfigurationError) as spec_refusal:
+            ExperimentSpec(**{**axes, **spec})
+        assert str(spec_refusal.value).startswith(reason + " (cluster cells with ")
+        assert "num_nodes=3" in str(spec_refusal.value)
 
 
 def test_ownership_filtered_rows_match_the_full_run() -> None:

@@ -209,6 +209,53 @@ def test_spec_rejects_replication_exceeding_the_smallest_fleet() -> None:
         )
 
 
+@pytest.mark.parametrize(
+    "axes, complaint",
+    [
+        # Valid on the 8-node cells, out of range on the 2-node ones: used to
+        # validate, replay the 8-node cell and die in the 2-node cell.
+        (
+            dict(num_nodes=[8, 2], scenarios=[ScenarioSpec.of("node-failure", {"node_index": 5})]),
+            "node_index 5 out of range for 2 nodes",
+        ),
+        (
+            dict(num_nodes=[4], scenarios=[ScenarioSpec.of("partition", {"node_indices": [1, 6]})]),
+            "node index 6 out of range for 4 nodes",
+        ),
+        # The default detection lag is 4 bounds: fine at T=0.5, past the
+        # requested recovery at T=2.
+        (
+            dict(
+                num_nodes=[4],
+                staleness_bounds=[0.5, 2.0],
+                scenarios=[ScenarioSpec.of("node-failure", {"fail_at": 1.0, "recover_at": 6.0})],
+            ),
+            "recover_at must be after detect_at",
+        ),
+    ],
+    ids=["node_index", "node_indices", "recover_at"],
+)
+def test_spec_binds_every_scenario_to_every_fleet_it_will_run_on(axes, complaint) -> None:
+    """A cell that cannot run is refused with the grid, not found mid-sweep."""
+    from repro.errors import ConfigurationError
+
+    base = dict(
+        name="unbindable",
+        policies=["invalidate"],
+        workloads=["poisson"],
+        staleness_bounds=[0.5],
+        duration=12.0,
+    )
+    with pytest.raises(ConfigurationError) as refusal:
+        ExperimentSpec(**{**base, **axes})
+    message = str(refusal.value)
+    assert message.startswith(complaint + " (cluster cells with scenario=")
+    # ... naming the combination that cannot run, not the first one checked.
+    smallest = min(axes["num_nodes"])
+    assert f"num_nodes={smallest}," in message
+    assert f"staleness_bound={max(axes.get('staleness_bounds', [0.5]))}," in message
+
+
 def test_spec_rejects_cluster_features_on_single_cache_cells() -> None:
     from repro.errors import ConfigurationError
 

@@ -33,10 +33,17 @@ Both drivers run the same :class:`~repro.sim.node.CacheNode`; what this
 block pins is that they *drive* it identically (the order deliveries, fetch
 completions and flushes land in), including the concurrency x non-ideal
 channel corner where two hand-kept copies once disagreed.
+
+Every columnar replay also says which path it took: ``fallback_reason`` is
+``None`` exactly when the kernels ran and a row name of the envelope table
+otherwise.  ``--run-slow`` prints the histogram of those answers over the
+whole harness — the measured traffic quoted in "What runs where" of
+docs/guides/performance.md.
 """
 
 import json
 import random
+from collections import Counter
 from typing import Any, Dict, Optional
 
 import pytest
@@ -55,6 +62,7 @@ from repro.concurrency.config import (
     ConcurrencyConfig,
 )
 from repro.cluster.cluster import _NODE_SEED_STRIDE
+from repro.cluster.vector import FLEET_ENVELOPE
 from repro.experiments.registry import make_policy
 from repro.experiments.spec import ChannelSpec
 from repro.resilience import ChaosSpec
@@ -91,6 +99,30 @@ SINGLE_BOUNDS = (0.05, 0.1, 0.25, 0.5, 1.0)
 # Longer than DURATION: a delivery and a completion falling due in the same
 # gap is a rare coincidence per flush, so the block buys itself more flushes.
 SINGLE_DURATION = 12.0
+
+
+#: Path each columnar replay of the harness took: ``"vector"`` or the name of
+#: the envelope row that sent it to the scalar loop.
+PATHS: "Counter[str]" = Counter()
+
+
+def record_path(simulation) -> None:
+    reason = simulation.fallback_reason
+    assert (reason is None) == simulation.used_vector_path
+    assert reason is None or reason in {row.name for row in FLEET_ENVELOPE}
+    PATHS[reason or "vector"] += 1
+
+
+@pytest.fixture(scope="module", autouse=True)
+def path_histogram(request):
+    """After a ``--run-slow`` sweep, print which path every config took."""
+    yield
+    if request.config.getoption("--run-slow"):
+        capture = request.config.pluginmanager.get_plugin("capturemanager")
+        with capture.global_and_fixture_disabled():
+            print(f"\npath histogram, {sum(PATHS.values())} columnar replays:")
+            for path, count in PATHS.most_common():
+                print(f"  {path:<18}{count:>3}")
 
 
 def draw_config(index: int) -> Dict[str, Any]:
@@ -259,6 +291,7 @@ def run_engines(config: Dict[str, Any], expect_vector_path: bool = False) -> Dic
     trace = compile_workload(make_workload(config), DURATION)
     simulation = VectorClusterSimulation(trace, **build_kwargs(config))
     vector = simulation.run()
+    record_path(simulation)
     if expect_vector_path:
         assert simulation.used_vector_path, config
     # The shared fetch queue couples shards, so concurrent configs replay
@@ -311,7 +344,9 @@ def run_single_cache_engines(config: Dict[str, Any]) -> Dict[str, str]:
 
     scalar = Simulation(make_workload(config).iter_requests(SINGLE_DURATION), **single_kwargs()).run()
     trace = compile_workload(make_workload(config), SINGLE_DURATION)
-    vector = VectorSimulation(trace, **single_kwargs()).run()
+    simulation = VectorSimulation(trace, **single_kwargs())
+    vector = simulation.run()
+    record_path(simulation)
     return {
         "cluster[num_nodes=1].totals": json.dumps(fleet.totals.as_dict(), sort_keys=True),
         "Simulation": json.dumps(scalar.as_dict(), sort_keys=True),

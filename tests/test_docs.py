@@ -74,6 +74,20 @@ def test_scenario_catalog_documents_every_registered_scenario() -> None:
     assert catalog.count("python -m repro") >= len(SCENARIO_FACTORIES)
 
 
+def test_what_runs_where_is_the_envelope_and_the_refusal_inventory_verbatim() -> None:
+    """The guide's two tables are the code's two tables, row for row in order."""
+    from repro.cluster.cluster import FLEET_REFUSALS
+    from repro.cluster.vector import FLEET_ENVELOPE
+
+    guide = (DOCS / "guides" / "performance.md").read_text()
+    section = guide[guide.index("### What runs where"):guide.index("### What a replay costs")]
+    envelope = re.findall(r"^\| `([\w-]+)` \| (\w+) \| scalar \| (.+) \|$", section, re.MULTILINE)
+    assert envelope == [(row.name, row.scope, row.reason) for row in FLEET_ENVELOPE]
+    refusals = re.findall(r"^\| `([\w-]+)` \| ([^|]+) \|$", section, re.MULTILINE)
+    assert refusals == list(FLEET_REFUSALS.items())
+    assert "`fallback_reason`" in section
+
+
 def _cli_subcommands() -> set[str]:
     from repro.__main__ import build_parser
 
@@ -96,8 +110,7 @@ def test_cli_subcommands_are_documented_in_readme() -> None:
 def test_documented_cli_invocations_name_real_subcommands() -> None:
     """The other direction: no page shows a subcommand the parser refuses."""
     pages = [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
-    # The changelog is history: it may name what a later PR removed.
-    pages += [page for page in DOCS.rglob("*.md") if page.name != "changelog.md"]
+    pages += DOCS.rglob("*.md")
     subcommands = _cli_subcommands()
     for page in pages:
         shown = set(re.findall(r"python -m repro\s+([a-z][\w-]*)", page.read_text()))

@@ -13,6 +13,11 @@ at **zero**.
 The core is also object-free: a request reaches :mod:`repro.sim.node` and
 :mod:`repro.tier.l1` as scalars taken from a column chunk, so neither module
 may import, name or construct :class:`~repro.workload.base.Request`.
+
+And what runs where is stated once: the flags a scenario or a fault plan
+declares its needs with are read by :func:`repro.cluster.cluster.check_fleet`
+and by nothing else, and the vector envelope is the ``ENVELOPE`` table, not a
+function beside it.
 """
 
 import ast
@@ -110,3 +115,108 @@ def test_request_audit_would_catch_every_spelling() -> None:
     ):
         assert request_references(snippet), snippet
     assert not request_references('"""Docs may mention a Request."""\nrequests = 0')
+
+
+#: What a scenario (``requires_*``, ``min_zones``) or a fault plan
+#: (``needs_concurrency``) needs of the fleet it runs on.
+REQUIREMENT_FLAGS = frozenset(
+    {
+        "requires_tier",
+        "requires_persistence",
+        "requires_concurrency",
+        "requires_full_fleet",
+        "min_zones",
+        "needs_concurrency",
+    }
+)
+#: The one reader: (file, function).
+RULEBOOK = ("src/repro/cluster/cluster.py", "check_fleet")
+
+
+def rulebook_violations(source: str, relative: str = "") -> "list[str]":
+    """Requirement-flag reads outside the rulebook, and envelope copies.
+
+    A flag may be named by the class that declares it (anywhere in a class
+    body that defines one of the flags) and read inside the rulebook
+    function; any other attribute access or ``getattr`` / ``hasattr`` by
+    that name is a second statement of the rule.  So is a definition of, or
+    a reference to, ``_node_vector_eligible``.
+    """
+    found: "list[str]" = []
+
+    def visit(node: ast.AST, allowed: bool) -> None:
+        if isinstance(node, ast.ClassDef):
+            allowed = allowed or any(
+                isinstance(item, ast.FunctionDef) and item.name in REQUIREMENT_FLAGS
+                for item in node.body
+            )
+        elif isinstance(node, ast.FunctionDef):
+            allowed = allowed or (relative, node.name) == RULEBOOK
+            if node.name == "_node_vector_eligible":
+                found.append(f"{relative}:{node.lineno}: defines _node_vector_eligible")
+        elif isinstance(node, ast.Name) and node.id == "_node_vector_eligible":
+            found.append(f"{relative}:{node.lineno}: refers to _node_vector_eligible")
+        if not allowed:
+            name = None
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                name = node.args[1].value
+            if name in REQUIREMENT_FLAGS:
+                found.append(f"{relative}:{node.lineno}: reads {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_requirement_flags_are_read_by_the_rulebook_alone() -> None:
+    violations = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        violations += rulebook_violations(path.read_text(), relative)
+    assert violations == [], (
+        "what runs where is stated once, in check_fleet() and the ENVELOPE "
+        "table:\n" + "\n".join(violations)
+    )
+
+
+def test_rulebook_audit_scans_the_rulebook_and_would_catch_a_copy() -> None:
+    # Guard the audit itself: the function it exempts must exist and read the
+    # flags (a renamed rulebook would leave the exemption matching nothing
+    # and the flags unread), and each spelling of a copy must be caught.
+    relative, function = RULEBOOK
+    tree = ast.parse((REPO_ROOT / relative).read_text())
+    (rulebook,) = (
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    read = {node.attr for node in ast.walk(rulebook) if isinstance(node, ast.Attribute)}
+    assert REQUIREMENT_FLAGS <= read
+    for snippet in (
+        "def run(self):\n    if self.scenario.requires_tier and self.tier is None: raise E",
+        "if materialized.min_zones > self.zones: raise E",
+        "ok = getattr(scenario, 'requires_full_fleet', False)",
+        "class Planner:\n    def plan(self, chaos):\n        return chaos.needs_concurrency",
+        "def _node_vector_eligible(node): return True",
+        "eligible = all(_node_vector_eligible(node) for node in nodes)",
+    ):
+        assert rulebook_violations(snippet), snippet
+    for snippet in (
+        # The declaring class may name its own flags, and the rulebook reads them.
+        "class Warm(Scenario):\n    @property\n    def requires_persistence(self):\n"
+        "        return self.rejoin == 'warm' or super().requires_persistence",
+        '"""Prose may say requires_tier."""\nrequires = 0',
+    ):
+        assert not rulebook_violations(snippet), snippet
+    assert not rulebook_violations(
+        "def check_fleet(scenario):\n    return scenario.requires_tier", RULEBOOK[0]
+    )
+    assert rulebook_violations("def check_fleet(scenario):\n    return scenario.requires_tier")

@@ -8,30 +8,50 @@ serialised row must match the scalar engine exactly.  These tests compare
 """
 
 import gc
+import itertools
 import json
 import pickle
 import warnings
 import weakref
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
+from repro.backend.channel import Channel
+from repro.cluster import (
+    ClusterSimulation,
+    HotKeyConfig,
+    ReplicationConfig,
+    VectorClusterSimulation,
+    make_scenario,
+)
+from repro.cluster.vector import FLEET_ENVELOPE
+from repro.concurrency.config import ConcurrencyConfig
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
+from repro.core.write_reactive import AlwaysInvalidatePolicy
 from repro.errors import ConfigurationError
-from repro.experiments.registry import make_policy
+from repro.experiments.registry import make_cost_model, make_policy
+from repro.experiments.spec import ChannelSpec
 from repro.cluster import replay_cluster_parallel
 from repro.cluster import vector as cluster_vector
 from repro.perf.perf import non_empty_spans
+from repro.resilience import ChaosSpec
 from repro.sim import vector as sim_vector
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
+    ENVELOPE,
     VectorSimulation,
     _HostState,
     _kernel_reactive_span,
     _ReplayContext,
     _SpanTally,
+    envelope_exit,
 )
+from repro.sketch.countmin import CountMinEWSketch
+from repro.store.snapshot import StoreConfig
+from repro.tier.config import TierConfig
 from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -230,6 +250,162 @@ def test_a_ttl_below_the_clock_resolution_takes_the_scalar_path(
     resolvable = VectorSimulation(trace, policy=policy_class(ttl=1e-9), **config)
     resolvable.run()
     assert resolvable.used_vector_path
+
+
+# --------------------------------------------------------------------- #
+# The envelope, walked row by row
+# --------------------------------------------------------------------- #
+
+class _HookedInvalidate(AlwaysInvalidatePolicy):
+    """Not a kernel policy: the envelope takes exact types only."""
+
+
+class WalkCase(NamedTuple):
+    """One minimal configuration that trips one envelope row.
+
+    ``overrides(kind, scratch)`` returns what to change on the ``kind``
+    (``"single"`` / ``"fleet"``) base configuration, building anything
+    stateful afresh — it is called once per simulation; ``scratch()`` names a
+    new store directory.  ``prepare`` acts on the built simulation before it
+    runs, ``stop_at`` is the fleet ``run()`` argument, ``also`` the later
+    rows the configuration cannot avoid tripping as well.
+    """
+
+    row: str
+    overrides: Callable[[str, Callable[[], str]], dict]
+    kinds: Tuple[str, ...] = ("single", "fleet")
+    prepare: Callable = lambda simulation: None
+    stop_at: Optional[float] = None
+    also: Tuple[str, ...] = ()
+
+
+def _config(**overrides) -> Callable:
+    return lambda kind, scratch: overrides
+
+
+def _policy(factory: Callable) -> Callable:
+    """The single cache takes a policy object, the fleet one factory per node."""
+    return lambda kind, scratch: dict(policy=factory if kind == "fleet" else factory())
+
+
+FLEET = ("fleet",)
+ENVELOPE_WALK = {
+    "store": WalkCase("store", lambda kind, scratch: dict(store=StoreConfig(root=scratch()))),
+    "concurrency": WalkCase("concurrency", _config(concurrency=ConcurrencyConfig(mean=0.02))),
+    "cost-breakdown": WalkCase(
+        "cost-breakdown", lambda kind, scratch: dict(costs=make_cost_model("cpu"))
+    ),
+    "history-retention": WalkCase("history-retention", _config(history_retention=2.0)),
+    "policy": WalkCase("policy", _policy(_HookedInvalidate)),
+    "estimator": WalkCase(
+        "estimator", _policy(lambda: AdaptivePolicy(estimator=CountMinEWSketch()))
+    ),
+    "ttl-above-bound": WalkCase("ttl-above-bound", _policy(lambda: TTLExpiryPolicy(ttl=2.0))),
+    "ttl-resolution": WalkCase("ttl-resolution", _policy(lambda: TTLExpiryPolicy(ttl=1e-19))),
+    "hot-key": WalkCase("hot-key", _config(hotkey=HotKeyConfig(hot_policy="update")), FLEET),
+    "l1-tier": WalkCase("l1-tier", _config(tier=TierConfig(l1_capacity=16)), FLEET),
+    "bounded-cache": WalkCase("bounded-cache", _config(cache_capacity=16)),
+    "bounded-tracker": WalkCase("bounded-tracker", _config(tracker_capacity=8)),
+    "channel": WalkCase(
+        "channel",
+        lambda kind, scratch: dict(
+            channel=ChannelSpec(delay=0.05) if kind == "fleet" else Channel(delay=0.05, seed=1)
+        ),
+    ),
+    # The public membership calls, made before run(): the vector path used to
+    # replay all three as if the fleet were whole.
+    "membership/fail_node": WalkCase(
+        "membership", _config(), FLEET, lambda fleet: fleet.fail_node(0)
+    ),
+    "membership/remove_node": WalkCase(
+        "membership", _config(), FLEET, lambda fleet: fleet.remove_node(0, 0.0)
+    ),
+    "membership/deactivate_node": WalkCase(
+        "membership", _config(), FLEET, lambda fleet: fleet.deactivate_node(0)
+    ),
+    "scenario": WalkCase(
+        "scenario", lambda kind, scratch: dict(scenario=make_scenario("flash-crowd")), FLEET
+    ),
+    "chaos": WalkCase("chaos", _config(chaos=ChaosSpec(seed=1, kinds=("delay",))), FLEET),
+    # A kill point needs a store to crash into.
+    "stop-at": WalkCase(
+        "stop-at",
+        lambda kind, scratch: dict(store=StoreConfig(root=scratch(), snapshot_interval=1.0)),
+        FLEET,
+        stop_at=2.5,
+        also=("store",),
+    ),
+}
+
+
+def walk_engines(kind: str, overrides: Callable, tmp_path, prepare=lambda simulation: None):
+    """The scalar engine and the columnar one, built alike on one workload."""
+    workload = PoissonZipfWorkload(num_keys=60, rate_per_key=30.0, seed=7)
+    scratch = (str(tmp_path / f"store-{count}") for count in itertools.count()).__next__
+    engines = []
+    for columnar in (False, True):
+        config = dict(staleness_bound=1.0, duration=DURATION)
+        if kind == "fleet":
+            config.update(policy="invalidate", num_nodes=3)
+            engine = VectorClusterSimulation if columnar else ClusterSimulation
+        else:
+            config.update(policy=make_policy("invalidate"))
+            engine = VectorSimulation if columnar else Simulation
+        config.update(overrides(kind, scratch))
+        source = compile_workload if columnar else PoissonZipfWorkload.iter_requests
+        simulation = engine(source(workload, DURATION), **config)
+        prepare(simulation)
+        engines.append(simulation)
+    return engines
+
+
+def test_the_walk_has_a_case_for_every_envelope_row() -> None:
+    assert FLEET_ENVELOPE[-len(ENVELOPE):] == ENVELOPE
+    names = [row.name for row in FLEET_ENVELOPE]
+    assert len(set(names)) == len(names)
+    assert {row.scope for row in ENVELOPE} == {"driver", "node"}
+    assert {row.scope for row in FLEET_ENVELOPE[: -len(ENVELOPE)]} == {"fleet"}
+    assert {case.row for case in ENVELOPE_WALK.values()} == set(names)
+    # Every row the single cache can trip is walked on the single cache, too:
+    # detectors, tiers and ring membership are the fleet's to configure.
+    single = {case.row for case in ENVELOPE_WALK.values() if "single" in case.kinds}
+    assert single == {row.name for row in ENVELOPE} - {"hot-key", "l1-tier", "membership"}
+
+
+@pytest.mark.parametrize(
+    "case_id, kind",
+    [(case_id, kind) for case_id, case in ENVELOPE_WALK.items() for kind in case.kinds],
+)
+def test_every_envelope_row_replays_scalar_rows_under_its_own_name(
+    case_id: str, kind: str, tmp_path
+) -> None:
+    case = ENVELOPE_WALK[case_id]
+    scalar, columnar = walk_engines(kind, case.overrides, tmp_path, case.prepare)
+    rows, nodes = (
+        (FLEET_ENVELOPE, columnar.nodes()) if kind == "fleet" else (ENVELOPE, [columnar.node])
+    )
+    tripped = [row.name for row in rows if envelope_exit((row,), columnar, nodes, case.stop_at)]
+    assert tripped == [case.row, *case.also]
+    assert not columnar.vector_eligible()
+    assert columnar.fallback_reason is None, "set by run() only"
+    run_args = () if case.stop_at is None else (case.stop_at,)
+    expected = scalar.run(*run_args)
+    result = columnar.run(*run_args)
+    assert columnar.used_vector_path is False
+    assert columnar.fallback_reason == case.row
+    assert_identical(expected.as_dict(), result.as_dict())
+
+
+@pytest.mark.parametrize("kind", ["single", "fleet"])
+def test_inside_the_envelope_the_kernels_run_and_no_reason_is_given(kind: str, tmp_path) -> None:
+    scalar, columnar = walk_engines(kind, _config(), tmp_path)
+    assert columnar.vector_eligible()
+    result = columnar.run()
+    assert columnar.used_vector_path is True
+    assert columnar.fallback_reason is None
+    with pytest.raises(AttributeError):
+        columnar.fallback_reason = "store"
+    assert_identical(scalar.run().as_dict(), result.as_dict())
 
 
 def test_vector_simulation_requires_a_compiled_trace() -> None:
