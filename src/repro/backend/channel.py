@@ -5,12 +5,18 @@ open problem: a lost invalidate can leave a cached object stale forever.  The
 default channel is ideal (instantaneous, reliable) so the main experiments
 match the paper's simulation; the loss/delay knobs exist for the ablation
 benchmarks that demonstrate the open problem quantitatively.
+
+The channel never looks inside what it carries, so its one walk,
+:meth:`Channel.transit`, maps a send time to an arrival time (``None`` for a
+drop).  :meth:`Channel.send` wraps it for callers that hold a message and want
+a :class:`DeliveryRecord`; the interval flush calls ``transit`` directly, and
+not even that while the channel is :attr:`Channel.instant`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,12 +141,27 @@ class Channel:
             return self.loss_probability
         return 1.0 - (1.0 - self.loss_probability) * (1.0 - self._degraded_loss)
 
-    def send(self, message: Message) -> DeliveryRecord:
-        """Send one message, returning whether and when it is delivered."""
+    @property
+    def instant(self) -> bool:
+        """Whether a message sent now arrives now: ideal, not degraded, no outage.
+
+        :meth:`transit` would draw nothing and return ``sent_at``, so a
+        sender may skip the walk for a whole batch (counting ``sent`` and
+        ``delivered`` itself).  The vector envelope's ``channel`` row asks
+        the same property, so kernels and flush agree on "delivered now".
+        """
+        return not (self.outage or self.degraded) and self.is_ideal
+
+    def transit(self, sent_at: float) -> Optional[float]:
+        """Carry one message sent at ``sent_at``: its arrival time, ``None`` if dropped.
+
+        The loss / retry / jitter / degraded walk and its counters, with no
+        message or record object.
+        """
         self.sent += 1
         if self.outage:
             self.dropped += 1
-            return DeliveryRecord(message=message, delivered=False, deliver_at=float("inf"))
+            return None
         loss = self._effective_loss()
         retry_penalty = 0.0
         if loss > 0.0 and self._rng.random() < loss:
@@ -157,9 +178,7 @@ class Channel:
                     break
             if not recovered:
                 self.dropped += 1
-                return DeliveryRecord(
-                    message=message, delivered=False, deliver_at=float("inf")
-                )
+                return None
             self.recovered += 1
         extra = abs(float(self._rng.normal(0.0, self.jitter))) if self.jitter > 0 else 0.0
         if self.degraded:
@@ -167,15 +186,14 @@ class Channel:
             if self._degraded_jitter > 0:
                 extra += abs(float(self._rng.normal(0.0, self._degraded_jitter)))
         self.delivered += 1
-        return DeliveryRecord(
-            message=message,
-            delivered=True,
-            deliver_at=message.sent_at + self.delay + extra + retry_penalty,
-        )
+        return sent_at + self.delay + extra + retry_penalty
 
-    def send_batch(self, messages: List[Message]) -> List[DeliveryRecord]:
-        """Send a batch of messages, preserving input order of the records."""
-        return [self.send(message) for message in messages]
+    def send(self, message: Message) -> DeliveryRecord:
+        """Send one message, returning whether and when it is delivered."""
+        deliver_at = self.transit(message.sent_at)
+        if deliver_at is None:
+            return DeliveryRecord(message=message, delivered=False, deliver_at=float("inf"))
+        return DeliveryRecord(message=message, delivered=True, deliver_at=deliver_at)
 
     @property
     def loss_ratio(self) -> float:

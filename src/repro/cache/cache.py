@@ -181,9 +181,9 @@ class Cache:
             key was not cached or already invalid.
         """
         entry = self._entries.get(key)
-        if entry is None or not entry.is_valid:
+        if entry is None or entry.state is not EntryState.VALID:
             return False
-        entry.mark_invalidated()
+        entry.state = EntryState.INVALIDATED
         self.stats.invalidations += 1
         return True
 

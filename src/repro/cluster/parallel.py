@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time as time_module
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.results import ClusterResult
 from repro.cluster.vector import VectorClusterSimulation
@@ -30,7 +30,10 @@ from repro.errors import ClusterError
 from repro.obs.recorder import ObsConfig, merge_payloads
 from repro.workload.compiled import CompiledTrace
 
-#: ``(trace, cluster_kwargs)`` stashed before the pool forks; workers inherit
+if TYPE_CHECKING:  # pragma: no cover - annotation only; the import is not free
+    from multiprocessing.connection import Connection
+
+#: ``(trace, cluster_kwargs)`` stashed before the shards fork; workers inherit
 #: it through copy-on-write instead of unpickling the columns (and the index
 #: and routing plan memoised on the trace) per shard.
 _SHARD_CONTEXT: Optional[Tuple[CompiledTrace, dict]] = None
@@ -55,6 +58,54 @@ def _replay_shard(owned: Tuple[int, ...]) -> ClusterResult:
     """Worker body: replay the stashed trace for one node partition."""
     trace, cluster_kwargs = _SHARD_CONTEXT
     return VectorClusterSimulation(trace, owned_nodes=owned, **cluster_kwargs).run()
+
+
+def _shard_worker(sender: Connection, owned: Tuple[int, ...]) -> None:
+    """Child process body: send the shard's result, or what it raised, up the pipe."""
+    try:
+        outcome = _replay_shard(owned)
+    except Exception as error:  # re-raised by the parent, as its own type
+        outcome = error
+    sender.send(outcome)
+
+
+def _replay_shards_forked(partitions: Sequence[Tuple[int, ...]]) -> List[ClusterResult]:
+    """Fork one child per partition; their results, in partition order.
+
+    Only the child holds the write end of its one-way pipe, so one that dies
+    without answering (``SIGKILL``, the OOM killer) reads as end-of-file and
+    becomes a :class:`ClusterError`; a worker pool would replace it silently
+    and wait for ever.  No child outlives the call.
+    """
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for owned in partitions:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_shard_worker, args=(sender, owned))
+            child.start()
+            sender.close()
+            children.append((child, receiver, owned))
+        results = []
+        for child, receiver, owned in children:
+            try:
+                outcome = receiver.recv()
+            except EOFError:
+                child.join()
+                raise ClusterError(
+                    f"the shard worker replaying nodes {list(owned)} died without a "
+                    f"result (exit code {child.exitcode})"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
+        return results
+    finally:
+        for child, receiver, _ in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
 
 
 def replay_cluster_parallel(
@@ -122,9 +173,7 @@ def replay_cluster_parallel(
     _SHARD_CONTEXT = (trace, cluster_kwargs)
     try:
         if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=len(partitions)) as pool:
-                shard_results = pool.map(_replay_shard, partitions)
+            shard_results = _replay_shards_forked(partitions)
         else:  # pragma: no cover - platform without fork
             shard_results = [_replay_shard(owned) for owned in partitions]
     finally:

@@ -17,7 +17,7 @@ the per-object independence assumption costs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.core.decision import DecisionRule
 from repro.core.policy import Action, FreshnessPolicy, PolicyContext
@@ -106,6 +106,36 @@ class AdaptivePolicy(FreshnessPolicy):
             self.decisions_invalidate += 1
         return action
 
+    def decisions(self, keys: Sequence[str], time: float) -> Iterator[Action]:
+        """One rule per flush where one rule fits every key.
+
+        A flat cost preset ignores object sizes, so every key gets the same
+        rule: built once, each key costs an ``E[W]`` estimate and a
+        comparison.  Breakdown costs scale with each key's sizes and a
+        subclass that overrides :meth:`decide` or :meth:`_decision_rule_for`
+        may decide anything, so both keep the per-key default.
+        """
+        kind = type(self)
+        if (
+            not keys
+            or self.context.costs.breakdown is not None
+            or kind.decide is not AdaptivePolicy.decide
+            or kind._decision_rule_for is not AdaptivePolicy._decision_rule_for
+        ):
+            return super().decisions(keys, time)
+        return self._decisions_under(self._decision_rule_for(keys[0]), keys)
+
+    def _decisions_under(self, rule: DecisionRule, keys: Sequence[str]) -> Iterator[Action]:
+        from_ew = rule.from_ew
+        estimate = self.estimator.estimate
+        for key in keys:
+            action = from_ew(estimate(key))
+            if action is Action.UPDATE:
+                self.decisions_update += 1
+            else:
+                self.decisions_invalidate += 1
+            yield action
+
 
 class CacheStateAdaptivePolicy(AdaptivePolicy):
     """Adaptive policy that also knows which keys are currently cached.
@@ -121,9 +151,9 @@ class CacheStateAdaptivePolicy(AdaptivePolicy):
 
     def decide(self, key: str, time: float) -> Action:
         """Skip uncached keys, otherwise decide exactly like the base policy."""
-        if not self.context.cache.contains_valid(key):
-            # A key that is cached but already invalidated also needs no
-            # further message: the pending miss will re-fetch it.
-            if self.context.cache.peek(key) is None or not self.context.cache.peek(key).is_valid:
-                return Action.NOTHING
+        entry = self.context.cache.peek(key)
+        if entry is None or not entry.is_valid:
+            # A key that is cached but already invalidated (or expired) also
+            # needs no further message: the pending miss will re-fetch it.
+            return Action.NOTHING
         return super().decide(key, time)

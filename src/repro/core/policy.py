@@ -8,7 +8,9 @@ A freshness policy decides how cached data is kept within the staleness bound
 * **Write-reactive** (``reacts_to_writes`` set): writes are buffered at the
   backend and, at the end of every interval of length ``T``, the policy
   chooses an :class:`Action` per dirty key — send an update, send an
-  invalidate, or do nothing.
+  invalidate, or do nothing.  The flush takes them through
+  :meth:`FreshnessPolicy.decisions`: an iterator over ``decide`` unless the
+  policy has a cheaper way to produce the same actions.
 
 The simulator (:mod:`repro.sim.simulation`) binds the policy to a
 :class:`PolicyContext` carrying the cost model, the staleness bound, and the
@@ -22,7 +24,8 @@ from __future__ import annotations
 from abc import ABC
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.backend.datastore import DataStore
@@ -181,6 +184,18 @@ class FreshnessPolicy(ABC):
         time (the end of the interval during which the key was written).
         """
         return Action.NOTHING
+
+    def decisions(self, keys: Sequence[str], time: float) -> Iterator[Action]:
+        """The actions of one interval flush, one per dirty key of ``keys``.
+
+        The flush advances the iterator in lockstep with its sends: key
+        ``i``'s action is taken after key ``i - 1``'s message was sent and
+        applied.  The default is therefore lazy, so a :meth:`decide` that
+        reads what an earlier send changed (the tracker, another key's cache
+        entry) sees it; a policy whose decisions do not depend on the sends
+        may override this to hoist per-flush work out of the per-key call.
+        """
+        return map(self.decide, keys, repeat(time))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -23,26 +23,42 @@ Example:
 
 from __future__ import annotations
 
+from itertools import repeat
+from typing import Iterator, Sequence
+
 from repro.core.policy import Action, FreshnessPolicy
 
 
-class AlwaysInvalidatePolicy(FreshnessPolicy):
-    """Send an invalidate for every key written during the interval."""
+class _ConstantActionPolicy(FreshnessPolicy):
+    """A write-reactive policy that takes one fixed action for every dirty key."""
+
+    reacts_to_writes = True
+    #: The action :meth:`decide` returns, whatever the key.
+    action: Action
+
+    def decide(self, key: str, time: float) -> Action:
+        """Return the policy's one action."""
+        return self.action
+
+    def decisions(self, keys: Sequence[str], time: float) -> Iterator[Action]:
+        """The action once per dirty key, without a call per key (a subclass
+        that overrides :meth:`decide` keeps the per-key default)."""
+        if type(self).decide is not _ConstantActionPolicy.decide:
+            return super().decisions(keys, time)
+        return repeat(self.action, len(keys))
+
+
+class AlwaysInvalidatePolicy(_ConstantActionPolicy):
+    """Send an invalidate for every key written during the interval
+    (duplicate suppression happens in the backend)."""
 
     name = "invalidate"
-    reacts_to_writes = True
-
-    def decide(self, key: str, time: float) -> Action:
-        """Always invalidate (duplicate suppression happens in the backend)."""
-        return Action.INVALIDATE
+    action = Action.INVALIDATE
 
 
-class AlwaysUpdatePolicy(FreshnessPolicy):
-    """Send an update for every key written during the interval."""
+class AlwaysUpdatePolicy(_ConstantActionPolicy):
+    """Send an update, pushing the fresh value, for every key written during
+    the interval."""
 
     name = "update"
-    reacts_to_writes = True
-
-    def decide(self, key: str, time: float) -> Action:
-        """Always push the fresh value."""
-        return Action.UPDATE
+    action = Action.UPDATE

@@ -404,6 +404,98 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
+def _flush_run(policy: str, scale: float, **channel: Any) -> Any:
+    """``(seconds inside flush, dirty keys flushed, node)`` over 20 seeded intervals.
+
+    Only ``CacheNode.flush`` is timed; between flushes a seeded mix of writes
+    and reads dirties the buffer, feeds the estimator and re-fetches
+    invalidated copies, so every interval has something to decide.
+    """
+    import random
+
+    from repro.backend.channel import Channel
+    from repro.backend.datastore import DataStore
+    from repro.core.cost_model import CostModel
+    from repro.experiments.registry import make_policy
+    from repro.sim.node import CacheNode
+    from repro.sim.results import SimulationResult
+
+    keys = [f"perf-key-{index:06d}" for index in range(_scaled(2_000, scale))]
+    rng = random.Random(7)
+    datastore = DataStore()
+    node = CacheNode(
+        "perf", make_policy(policy), 1.0, CostModel(), datastore, SimulationResult(),
+        channel=Channel(seed=7, **channel),
+    )
+    seconds, decisions = 0.0, 0
+    for interval in range(1, 21):
+        for key in keys:
+            draw = rng.random()
+            if draw < 0.7:
+                datastore.write(key, interval - 0.5, 128)
+                node.observe_write(interval - 0.5, key, 16, 128, True)
+            if draw > 0.4:
+                node.handle_read(interval - 0.25, key, 16, 128)
+        decisions += len(node.buffer)
+        with Timer() as timer:
+            node.flush(float(interval))
+        seconds += timer.seconds
+    return seconds, decisions, node
+
+
+def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
+    """The interval flush alone: decisions per second over one node's dirty keys.
+
+    ``ops_per_sec`` is the ``update`` policy on an ideal channel (every dirty
+    key is charged, sent and applied); ``invalidate_ops_per_sec`` and
+    ``adaptive_ops_per_sec`` are the other reactive policies on the same mix,
+    ``lossy_ops_per_sec`` is ``update`` over a channel that loses one message
+    in ten and retries twice — the walk an instant channel skips.
+    ``messages`` and ``objects_built`` are counted on an extra untimed ideal
+    run: the sends, and the message / pending / record objects constructed
+    for them, which an instant channel never needs.
+    """
+    from contextlib import ExitStack
+    from unittest import mock
+
+    from repro.backend import channel
+    from repro.sim import node
+
+    def timed(policy: str, **link: Any) -> Any:
+        runs = [_flush_run(policy, scale, **link) for _ in range(3)]
+        seconds = [run[0] for run in runs]
+        return runs[0][1], min(seconds), sum(seconds) / len(seconds)
+
+    decisions, best, mean = timed("update")
+    rates = {
+        f"{name}_ops_per_sec": count / seconds
+        for name, (count, seconds, _) in (
+            ("invalidate", timed("invalidate")),
+            ("adaptive", timed("adaptive")),
+            ("lossy", timed("update", loss_probability=0.1, retries=2)),
+        )
+    }
+    built = [
+        (node, "InvalidateMessage"), (node, "UpdateMessage"), (node, "PendingDelivery"),
+        (channel, "DeliveryRecord"),
+    ]
+    with ExitStack() as stack:
+        counters = [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module, name in built
+        ]
+        sent = _flush_run("update", scale)[2].channel.sent
+    return {
+        "ops": decisions,
+        "ops_per_sec": decisions / best,
+        **rates,
+        "messages": sent,
+        "objects_built": sum(counter.call_count for counter in counters),
+        "best_seconds": best,
+        "mean_seconds": mean,
+    }
+
+
 def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     """Trace index build plus a 30-span slicing walk (no kernels).
 
@@ -656,6 +748,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "vector-kernels": bench_vector_kernels,
     "span-kernel-tight": bench_span_kernel_tight,
     "ttl-kernels": bench_ttl_kernels,
+    "flush": bench_flush,
     "trace-index": bench_trace_index,
     "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,

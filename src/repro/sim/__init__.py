@@ -8,14 +8,13 @@ regenerated.
 """
 
 from repro.sim.clock import SimulationClock
-from repro.sim.events import FlushEvent, PendingDelivery
+from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
 from repro.sim.runner import PolicyRun, compare_policies, sweep_staleness_bounds
 
 __all__ = [
-    "FlushEvent",
     "PendingDelivery",
     "PolicyRun",
     "Simulation",

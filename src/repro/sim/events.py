@@ -16,21 +16,12 @@ from typing import Any
 from repro.backend.messages import Message
 
 
-@dataclass(frozen=True, slots=True)
-class FlushEvent:
-    """An interval boundary at which buffered writes are acted upon."""
-
-    time: float
-    interval_index: int
-
-
 @dataclass(slots=True)
 class PendingDelivery:
     """A freshness message in flight on a delayed channel."""
 
     message: Message
     deliver_at: float
-    applied: bool = False
 
 
 @dataclass(order=True, slots=True)

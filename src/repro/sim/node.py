@@ -22,6 +22,13 @@ be returned due to staleness.  Misses on objects that were never cached (or
 were evicted) count toward the miss ratio but toward neither cost, matching
 the paper's definitions.
 
+The interval flush is one pass over the drained write buffer
+(:meth:`CacheNode.flush`): it takes the policy's actions for the whole
+interval as one lazy iterator, and a freshness message travels as scalars —
+charged, journaled, carried by :meth:`Channel.transit
+<repro.backend.channel.Channel.transit>` and applied to both tiers — with a
+message object built only for a delivery the channel defers.
+
 TTL timers are accounted lazily rather than simulated as events: an expiry
 only matters when the next read arrives, and the number of polls an entry has
 performed is a pure function of elapsed time, so both can be settled when the
@@ -47,13 +54,14 @@ that can route flush decisions to a different policy for hot keys.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Any, List, Optional
 
 from repro.backend.buffer import WriteBuffer
 from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
 from repro.backend.invalidation_tracker import InvalidationTracker
-from repro.backend.messages import InvalidateMessage, Message, UpdateMessage
+from repro.backend.messages import InvalidateMessage, UpdateMessage
 from repro.cache.cache import Cache
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cache.eviction import EvictionPolicy
@@ -204,9 +212,8 @@ class CacheNode:
             self.hot_policy.bind(context)
         # Hot-path precomputation (policies are fixed for the node's
         # lifetime): observation hooks that are base-class no-ops are never
-        # called, TTL settling is skipped for non-TTL policies, the
-        # fixed-preset serve cost collapses to a constant, and flush actions
-        # dispatch through a handler table.
+        # called, TTL settling is skipped for non-TTL policies, and the
+        # fixed-preset serve and miss costs collapse to constants.
         base_read = FreshnessPolicy.observe_read
         base_write = FreshnessPolicy.observe_write
         policies = [self.policy] + ([self.hot_policy] if self.hot_policy else [])
@@ -238,14 +245,6 @@ class CacheNode:
             self.costs.miss_cost() if self.costs.breakdown is None else None
         )
         self._l2_peek = self.cache.raw_getter()
-        # Plain functions, called with the node: bound methods stored on the
-        # node itself would be the same reference cycle the cache callback is.
-        node_type = type(self)
-        self._action_handlers = {
-            Action.NOTHING: None,
-            Action.INVALIDATE: node_type._send_invalidate,
-            Action.UPDATE: node_type._send_update,
-        }
 
     @property
     def reacts_to_writes(self) -> bool:
@@ -611,22 +610,94 @@ class CacheNode:
     def flush(self, flush_time: float) -> None:
         """Act on every key written during the interval ending at ``flush_time``.
 
-        One freshness decision per dirty key; actions dispatch through the
-        handler table built at bind time (``None`` marks the do-nothing
-        action, which only counts).
+        One pass over the drained buffer: per dirty key, take the policy's
+        action, charge the message, tell the tracker, journal it, carry it
+        over the channel and apply it.  The actions are the lazy iterator of
+        :meth:`FreshnessPolicy.decisions`, advanced in lockstep with the sends
+        (hot-key detection decides key by key through :meth:`_decide`).  A
+        message is scalars all the way: an object is built only for a
+        delivery the channel defers.
         """
         if self.l1 is not None:
             # Write-back flush first: the L2 sees the L1's dirty entries at
             # the same instant the freshness decisions for the interval land.
             self.l1.flush(flush_time)
-        handlers = self._action_handlers
-        decide = self._decide
-        for buffered in self.buffer.drain():
-            handler = handlers[decide(buffered.key, flush_time)]
-            if handler is None:
-                self.result.decisions_nothing += 1
+        drained = self.buffer.drain()
+        keys = [buffered.key for buffered in drained]
+        if self.detector is None and self.policy.reacts_to_writes:
+            actions = self.policy.decisions(keys, flush_time)
+        else:
+            actions = map(self._decide, keys, repeat(flush_time))
+        # Loop-local aliasing, as in the read path.
+        result = self.result
+        costs = self.costs
+        sized = costs.breakdown is not None
+        invalidate_cost = costs.invalidate_cost()
+        update_cost = costs.update_cost()
+        update_action, invalidate_action = Action.UPDATE, Action.INVALIDATE
+        is_invalidated = self.tracker.is_invalidated
+        mark_invalidated = self.tracker.mark_invalidated
+        mark_refetched = self.tracker.mark_refetched
+        latest_version = self.datastore.latest_version
+        value_size_of = self.datastore.value_size
+        journal = self.datastore.journal
+        apply = self._apply
+        # An instant channel delivers the whole batch at the flush: no walk,
+        # no draw, and the sends are counted after the loop.
+        transit = None if self.channel.instant else self.channel.transit
+        # An invalidate's version is read by the journal and by the record of
+        # a deferred delivery only; applying one needs the key alone.
+        versioned = journal is not None or transit is not None
+        carried = 0
+        for key, buffered, action in zip(keys, drained, actions, strict=True):
+            if action is update_action:
+                update = True
+                value_size = value_size_of(key)
+                result.updates_sent += 1
+                result.freshness_cost += (
+                    costs.update_cost(buffered.key_size, value_size) if sized else update_cost
+                )
+                # An update carries the latest value, so even a previously
+                # invalidated cached copy becomes valid again once applied.
+                mark_refetched(key)
+                version = latest_version(key)
+            elif action is invalidate_action:
+                if is_invalidated(key):
+                    # The backend already invalidated this key and the cache
+                    # has not re-fetched it since: a second one is redundant (§3.1).
+                    result.suppressed_invalidates += 1
+                    continue
+                update = False
+                value_size = 0
+                result.invalidates_sent += 1
+                result.freshness_cost += (
+                    costs.invalidate_cost(buffered.key_size) if sized else invalidate_cost
+                )
+                mark_invalidated(key, flush_time)
+                version = latest_version(key) if versioned else 0
             else:
-                handler(self, buffered.key, buffered.key_size, flush_time)
+                result.decisions_nothing += 1
+                continue
+            if journal is not None:
+                journal.log_message("update" if update else "invalidate", key, flush_time, version)
+            if transit is None:
+                carried += 1
+            else:
+                deliver_at = transit(flush_time)
+                if deliver_at is None:
+                    result.messages_dropped += 1
+                    continue
+                if deliver_at > flush_time:
+                    message_type = UpdateMessage if update else InvalidateMessage
+                    message = message_type(key, flush_time, buffered.key_size, value_size, version)
+                    self._pending.append(PendingDelivery(message, deliver_at))
+                    if self._pending_registry is not None:
+                        self._pending_registry.add(self.node_id)
+                    continue
+            apply(update, key, version, value_size, flush_time)
+        self.channel.sent += carried
+        self.channel.delivered += carried
+
         if self.detector is not None:
             # Sample the interval's hot-key pressure before the decay clock
             # advances, so the result (and obs windows) carries the same
@@ -650,56 +721,6 @@ class CacheNode:
             return Action.NOTHING
         return self.policy.decide(key, time)
 
-    def _send_invalidate(self, key: str, key_size: int, time: float) -> None:
-        if self.tracker.is_invalidated(key):
-            # The backend already invalidated this key and the cache has not
-            # re-fetched it since, so a second invalidate is redundant (§3.1).
-            self.result.suppressed_invalidates += 1
-            return
-        self.result.invalidates_sent += 1
-        self.result.freshness_cost += self.costs.invalidate_cost(key_size)
-        self.tracker.mark_invalidated(key, time)
-        message = InvalidateMessage(
-            key=key,
-            sent_at=time,
-            key_size=key_size,
-            version=self.datastore.latest_version(key),
-        )
-        if self.datastore.journal is not None:
-            self.datastore.journal.log_message("invalidate", key, time, message.version)
-        self._transmit(message)
-
-    def _send_update(self, key: str, key_size: int, time: float) -> None:
-        value_size = self.datastore.value_size(key)
-        self.result.updates_sent += 1
-        self.result.freshness_cost += self.costs.update_cost(key_size, value_size)
-        # An update carries the latest value, so even a previously invalidated
-        # cached copy becomes valid again once it is applied.
-        self.tracker.mark_refetched(key)
-        message = UpdateMessage(
-            key=key,
-            sent_at=time,
-            key_size=key_size,
-            value_size=value_size,
-            version=self.datastore.latest_version(key),
-        )
-        if self.datastore.journal is not None:
-            self.datastore.journal.log_message("update", key, time, message.version)
-        self._transmit(message)
-
-    def _transmit(self, message: Message) -> None:
-        """Push a message through the channel (an ideal one applies it now)."""
-        record = self.channel.send(message)
-        if not record.delivered:
-            self.result.messages_dropped += 1
-            return
-        if record.deliver_at <= message.sent_at:
-            self._apply_message(message, message.sent_at)
-        else:
-            self._pending.append(PendingDelivery(message=message, deliver_at=record.deliver_at))
-            if self._pending_registry is not None:
-                self._pending_registry.add(self.node_id)
-
     def deliver_until(self, until: float) -> None:
         """Apply in-flight messages whose delivery time has arrived."""
         if not self._pending:
@@ -707,33 +728,34 @@ class CacheNode:
         remaining: List[PendingDelivery] = []
         for pending in self._pending:
             if pending.deliver_at <= until:
-                self._apply_message(pending.message, pending.deliver_at)
+                message = pending.message
+                update = isinstance(message, UpdateMessage)
+                self._apply(
+                    update, message.key, message.version, message.value_size, pending.deliver_at
+                )
             else:
                 remaining.append(pending)
         self._pending = remaining
         if not remaining and self._pending_registry is not None:
             self._pending_registry.discard(self.node_id)
 
-    def _apply_message(self, message: Message, time: float) -> None:
-        """Apply one freshness message, fanning it out through both tiers."""
-        if isinstance(message, UpdateMessage):
-            applied = self.cache.apply_update(
-                message.key, version=message.version, time=time, value_size=message.value_size
-            )
-            if self.l1 is not None:
+    def _apply(
+        self, update: bool, key: str, version: int, value_size: int, time: float
+    ) -> None:
+        """Apply one arriving freshness message, fanning it out through both tiers."""
+        l1 = self.l1
+        if update:
+            applied = self.cache.apply_update(key, version, time, value_size)
+            if l1 is not None:
                 # An update that misses the L2 but refreshes the L1 copy
                 # (write-back fill, or L2 eviction) was not wasted.
-                l1_applied = self.l1.apply_update(
-                    message.key, version=message.version, time=time,
-                    value_size=message.value_size,
-                )
-                applied = applied or l1_applied
+                applied = l1.apply_update(key, version, time, value_size) or applied
             if not applied:
                 self.result.updates_wasted += 1
         else:
-            self.cache.apply_invalidate(message.key, time)
-            if self.l1 is not None:
-                self.l1.apply_invalidate(message.key, time)
+            self.cache.apply_invalidate(key, time)
+            if l1 is not None:
+                l1.apply_invalidate(key, time)
 
     # ------------------------------------------------------------------ #
     # Lazy TTL accounting

@@ -196,14 +196,15 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         lambda node, trace: node.tracker.capacity is not None,
     ),
     EnvelopeRow(
-        "channel", "node",
-        "a lossy or delayed channel lands messages mid-span; the kernels deliver at the flush",
-        lambda node, trace: not node.channel.is_ideal,
-    ),
-    EnvelopeRow(
         "membership", "node",
         "a node unreachable or off the ring at the start; the kernels assume a healthy fleet",
         lambda node, trace: not (node.reachable and node.in_ring),
+    ),
+    EnvelopeRow(
+        "channel", "node",
+        "a lossy, delayed, degraded or cut channel drops messages or lands them mid-span; "
+        "the kernels deliver at the flush",
+        lambda node, trace: not node.channel.instant,
     ),
 )
 

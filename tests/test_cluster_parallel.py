@@ -9,7 +9,11 @@ filtered scalar loop.
 """
 
 import json
+import multiprocessing
+import os
 import re
+import signal
+import time
 
 import pytest
 
@@ -458,3 +462,48 @@ def test_parallel_timings_report_merge_seconds() -> None:
         seed=9,
     )
     assert timings["merge_seconds"] == 0.0
+
+
+# --------------------------------------------------------------------- #
+# A shard worker that fails
+# --------------------------------------------------------------------- #
+
+REPLAY_SHARD = parallel_module._replay_shard
+
+
+def shard_killed_on_node_one(owned):
+    """Module-level stand-ins for ``_replay_shard``: forked workers inherit
+    the patch, and a worker pool could pickle them by name."""
+    if 1 in owned:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return REPLAY_SHARD(owned)
+
+
+def shard_refusing_node_zero(owned):
+    if 0 in owned:
+        raise ConfigurationError("shard says no")
+    return REPLAY_SHARD(owned)
+
+
+def run_three_shards():
+    return parallel_result("invalidate", workers=3, num_nodes=3)
+
+
+def test_a_killed_shard_worker_is_a_typed_error_not_a_hang(monkeypatch, wall_clock_limit) -> None:
+    """SIGKILL (or the OOM killer) gives the worker no chance to answer: a
+    worker pool replaced it silently and ``map`` waited for ever."""
+    monkeypatch.setattr(parallel_module, "_replay_shard", shard_killed_on_node_one)
+    started = time.perf_counter()
+    with wall_clock_limit(20.0), pytest.raises(ClusterError) as death:
+        run_three_shards()
+    assert time.perf_counter() - started < 10.0
+    assert "[1]" in str(death.value) and f"exit code {-signal.SIGKILL}" in str(death.value)
+    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
+    assert parallel_module._SHARD_CONTEXT is None
+
+
+def test_a_shard_workers_exception_is_raised_as_its_own_type(monkeypatch, wall_clock_limit) -> None:
+    monkeypatch.setattr(parallel_module, "_replay_shard", shard_refusing_node_zero)
+    with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="shard says no"):
+        run_three_shards()
+    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"

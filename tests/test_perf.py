@@ -51,6 +51,13 @@ def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     # One TTL kernel call per host per trace, however many keys it reads.
     assert ttl["kernel_calls"] == 1
     assert ttl["ops_per_sec"] > 0 and ttl["expiry_ops_per_sec"] > 0
+    flush = next(row for row in record["results"] if row["name"] == "flush")
+    # An ``update`` flush sends one message per dirty key, and an instant
+    # channel needs no message, pending or record object to carry them.
+    assert flush["messages"] == flush["ops"] > 0 and flush["objects_built"] == 0
+    assert all(
+        flush[f"{name}ops_per_sec"] > 0 for name in ("", "invalidate_", "adaptive_", "lossy_")
+    )
 
 
 def test_ttl_kernels_microbench_counts_charging_reads() -> None:

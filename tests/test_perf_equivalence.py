@@ -3,8 +3,9 @@
 Each test keeps a deliberately naive reference implementation (the pre-PR-5
 code shape) next to the optimized one and asserts byte-identical output:
 request streams, ring routing, fingerprints, sketch counts, the inlined TTL
-poll arithmetic, the trace index's span slices, and the span-batched reactive
-and host-batched TTL kernels against the per-key kernels they replaced.
+poll arithmetic, the trace index's span slices, the span-batched reactive and
+host-batched TTL kernels against the per-key kernels they replaced, and the
+batched interval flush against the per-message flush and channel it replaced.
 """
 
 from __future__ import annotations
@@ -18,17 +19,29 @@ from bisect import bisect_right, insort
 import numpy as np
 import pytest
 
+from repro.backend import channel as channel_module
 from repro.backend.buffer import BufferedWrite
+from repro.backend.channel import Channel, DeliveryRecord
 from repro.backend.datastore import DataStore
+from repro.backend.messages import InvalidateMessage, Message, UpdateMessage
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cluster import ReplicationConfig, replay_cluster_parallel
 from repro.cluster import vector as cluster_vector
 from repro.cluster.hashring import ConsistentHashRing
+from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
+from repro.cluster.results import NodeResult
 from repro.cluster.vector import VectorClusterSimulation
+from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
+from repro.core.cost_model import CostModel
+from repro.core.policy import Action, FreshnessPolicy
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, account_entry_polls
+from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
+from repro.sim import node as node_module
 from repro.sim import vector as sim_vector
+from repro.sim.events import PendingDelivery
+from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     VectorSimulation,
@@ -51,6 +64,8 @@ from repro.sketch.hashing import (
     set_fingerprint_cache_size,
     stable_fingerprint,
 )
+from repro.store.wal import Journal, WriteAheadLog, scan_wal
+from repro.tier.config import TierConfig
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
 from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -1522,3 +1537,379 @@ def test_ttl_resolvability_edge_is_where_the_helper_says(policy_class) -> None:
     assert not eligible(3.9 * np.spacing(end))
     assert not eligible(end / 2.0**50 * 0.999)
     assert not eligible(1e-19)
+
+
+# --------------------------------------------------------------------- #
+# The batched interval flush vs the per-message flush it replaced
+# --------------------------------------------------------------------- #
+
+class PerMessageChannel(Channel):
+    """The old ``Channel.send``: its own loss / retry / jitter walk, ending in
+    a ``DeliveryRecord`` per message (``transit`` is never called)."""
+
+    def send(self, message: Message) -> DeliveryRecord:
+        self.sent += 1
+        if self.outage:
+            self.dropped += 1
+            return DeliveryRecord(message=message, delivered=False, deliver_at=float("inf"))
+        loss = self._effective_loss()
+        retry_penalty = 0.0
+        if loss > 0.0 and self._rng.random() < loss:
+            recovered = False
+            for attempt in range(1, self.retries + 1):
+                self.retried += 1
+                retry_penalty += (
+                    self.retry_timeout + self.retry_backoff * 2 ** (attempt - 1)
+                )
+                if self._rng.random() >= loss:
+                    recovered = True
+                    break
+            if not recovered:
+                self.dropped += 1
+                return DeliveryRecord(
+                    message=message, delivered=False, deliver_at=float("inf")
+                )
+            self.recovered += 1
+        extra = abs(float(self._rng.normal(0.0, self.jitter))) if self.jitter > 0 else 0.0
+        if self.degraded:
+            extra += self._degraded_delay
+            if self._degraded_jitter > 0:
+                extra += abs(float(self._rng.normal(0.0, self._degraded_jitter)))
+        self.delivered += 1
+        return DeliveryRecord(
+            message=message,
+            delivered=True,
+            deliver_at=message.sent_at + self.delay + extra + retry_penalty,
+        )
+
+
+class PerMessageNode(CacheNode):
+    """The old flush: per dirty key one ``_decide``, a handler looked up by
+    action, a frozen message object, ``Channel.send``, a ``DeliveryRecord``,
+    ``_transmit`` and an ``isinstance`` in ``_apply_message``."""
+
+    def flush(self, flush_time: float) -> None:
+        if self.l1 is not None:
+            self.l1.flush(flush_time)
+        handlers = {
+            Action.NOTHING: None,
+            Action.INVALIDATE: self._send_invalidate,
+            Action.UPDATE: self._send_update,
+        }
+        decide = self._decide
+        for buffered in self.buffer.drain():
+            handler = handlers[decide(buffered.key, flush_time)]
+            if handler is None:
+                self.result.decisions_nothing += 1
+            else:
+                handler(buffered.key, buffered.key_size, flush_time)
+        if self.detector is not None:
+            self.result.hot_pressure += self.detector.pressure()
+            self.detector.end_interval()
+
+    def _decide(self, key: str, time: float) -> Action:
+        if self.detector is not None and self.detector.is_hot(key):
+            if self.hot_policy is not None:
+                self.result.hot_decisions += 1
+                return self.hot_policy.decide(key, time)
+        if not self.policy.reacts_to_writes:
+            return Action.NOTHING
+        return self.policy.decide(key, time)
+
+    def _send_invalidate(self, key: str, key_size: int, time: float) -> None:
+        if self.tracker.is_invalidated(key):
+            self.result.suppressed_invalidates += 1
+            return
+        self.result.invalidates_sent += 1
+        self.result.freshness_cost += self.costs.invalidate_cost(key_size)
+        self.tracker.mark_invalidated(key, time)
+        message = InvalidateMessage(
+            key=key,
+            sent_at=time,
+            key_size=key_size,
+            version=self.datastore.latest_version(key),
+        )
+        if self.datastore.journal is not None:
+            self.datastore.journal.log_message("invalidate", key, time, message.version)
+        self._transmit(message)
+
+    def _send_update(self, key: str, key_size: int, time: float) -> None:
+        value_size = self.datastore.value_size(key)
+        self.result.updates_sent += 1
+        self.result.freshness_cost += self.costs.update_cost(key_size, value_size)
+        self.tracker.mark_refetched(key)
+        message = UpdateMessage(
+            key=key,
+            sent_at=time,
+            key_size=key_size,
+            value_size=value_size,
+            version=self.datastore.latest_version(key),
+        )
+        if self.datastore.journal is not None:
+            self.datastore.journal.log_message("update", key, time, message.version)
+        self._transmit(message)
+
+    def _transmit(self, message: Message) -> None:
+        record = self.channel.send(message)
+        if not record.delivered:
+            self.result.messages_dropped += 1
+            return
+        if record.deliver_at <= message.sent_at:
+            self._apply_message(message, message.sent_at)
+        else:
+            self._pending.append(PendingDelivery(message=message, deliver_at=record.deliver_at))
+            if self._pending_registry is not None:
+                self._pending_registry.add(self.node_id)
+
+    def deliver_until(self, until: float) -> None:
+        if not self._pending:
+            return
+        remaining = []
+        for pending in self._pending:
+            if pending.deliver_at <= until:
+                self._apply_message(pending.message, pending.deliver_at)
+            else:
+                remaining.append(pending)
+        self._pending = remaining
+        if not remaining and self._pending_registry is not None:
+            self._pending_registry.discard(self.node_id)
+
+    def _apply_message(self, message: Message, time: float) -> None:
+        if isinstance(message, UpdateMessage):
+            applied = self.cache.apply_update(
+                message.key, version=message.version, time=time, value_size=message.value_size
+            )
+            if self.l1 is not None:
+                l1_applied = self.l1.apply_update(
+                    message.key, version=message.version, time=time,
+                    value_size=message.value_size,
+                )
+                applied = applied or l1_applied
+            if not applied:
+                self.result.updates_wasted += 1
+        else:
+            self.cache.apply_invalidate(message.key, time)
+            if self.l1 is not None:
+                self.l1.apply_invalidate(message.key, time)
+
+
+FLUSH_KEYS = [f"key-{index:02d}" for index in range(24)]
+FLUSH_INTERVALS = 6
+
+
+class NeighbourPolicy(FreshnessPolicy):
+    """A user policy whose decision reads what the *previous send of the same
+    flush* may have changed: the tracker, and another key's cache entry.  An
+    eager flush (all decisions first, then all sends) decides differently."""
+
+    name = "neighbour"
+    reacts_to_writes = True
+
+    def decide(self, key: str, time: float) -> Action:
+        neighbour = FLUSH_KEYS[FLUSH_KEYS.index(key) - 1]
+        if neighbour in self.context.tracker:
+            return Action.UPDATE
+        entry = self.context.cache.peek(neighbour)
+        if entry is not None and entry.is_valid and entry.as_of == time:
+            return Action.NOTHING
+        return Action.INVALIDATE
+
+
+FLUSH_POLICIES = {
+    "invalidate": AlwaysInvalidatePolicy,
+    "update": AlwaysUpdatePolicy,
+    "adaptive": AdaptivePolicy,
+    "adaptive+cs": CacheStateAdaptivePolicy,
+    "adaptive-slo": lambda: AdaptivePolicy(staleness_slo=0.3),
+    "user-subclass": NeighbourPolicy,
+}
+
+
+def _degrade_mid_run(channel: Channel, interval: int) -> None:
+    if interval == 2:
+        channel.set_degraded(loss=0.2, delay=0.1, jitter=0.2)
+    elif interval == 4:
+        channel.clear_degraded()
+
+
+def _cut_mid_run(channel: Channel, interval: int) -> None:
+    channel.outage = interval in (2, 3)
+
+
+#: name -> (constructor arguments, what happens to the channel as interval N starts)
+FLUSH_CHANNELS = {
+    "ideal": (dict(), None),
+    "loss+retries": (
+        dict(loss_probability=0.3, retries=2, retry_timeout=0.05, retry_backoff=0.02), None
+    ),
+    "delay+jitter": (dict(delay=0.2, jitter=0.3), None),
+    "outage": (dict(), _cut_mid_run),
+    "degraded": (dict(loss_probability=0.1), _degrade_mid_run),
+}
+
+#: name -> CacheNode arguments (built afresh per node)
+FLUSH_VARIANTS = {
+    "plain": lambda: dict(),
+    "bounded-tracker": lambda: dict(tracker_capacity=4),
+    "l1-write-through": lambda: dict(tier=TierConfig(l1_capacity=8, admission="always")),
+    "l1-write-back": lambda: dict(
+        tier=TierConfig(l1_capacity=8, mode="write-back", admission="always")
+    ),
+    "cost-breakdown": lambda: dict(costs=CostModel.cpu_bottleneck()),
+    "hot-key": lambda: dict(
+        detector=HotKeyDetector(HotKeyConfig(hot_fraction=0.08, min_observations=30)),
+        hot_policy=AlwaysUpdatePolicy(),
+    ),
+    "journal": lambda: dict(),
+}
+
+
+def flush_observables(node: CacheNode) -> dict:
+    """Everything a flush may touch, in the order the containers keep it."""
+
+    def entries(cache):
+        return [(entry.key, entry.state, entry.version, entry.as_of) for entry in cache.entries()]
+
+    channel = node.channel
+    return {
+        "result": dataclasses.asdict(node.result),
+        "cache": entries(node.cache),
+        "l1": None if node.l1 is None else (entries(node.l1.cache), sorted(node.l1.dirty)),
+        "tracker": (list(node.tracker._invalidated.items()), node.tracker.forgotten),
+        "buffer": len(node.buffer),
+        "pending": [
+            (type(pending.message).__name__, dataclasses.astuple(pending.message), pending.deliver_at)
+            for pending in node._pending
+        ],
+        "channel": (
+            channel.sent, channel.dropped, channel.delivered, channel.retried,
+            channel.recovered, channel._rng.bit_generator.state,
+        ),
+        "decisions": [
+            (getattr(policy, "decisions_update", None), getattr(policy, "decisions_invalidate", None))
+            for policy in (node.policy, node.hot_policy)
+            if policy is not None
+        ],
+    }
+
+
+def drive_flushes(node_class, channel_class, policy: str, channel: str, variant: str, log_path):
+    """Replay one seeded request mix against a node, flushing at every interval
+    boundary; the observable state after each flush and after ``finalize``."""
+    arguments, script = FLUSH_CHANNELS[channel]
+    datastore = DataStore()
+    journal = None
+    if variant == "journal":
+        journal = Journal(WriteAheadLog(log_path, flush_every=16))
+        datastore.attach_journal(journal)
+    config = dict(costs=CostModel(), channel=channel_class(seed=3, **arguments))
+    config.update(FLUSH_VARIANTS[variant]())
+    node = node_class(
+        "node-000", FLUSH_POLICIES[policy](), 1.0, datastore=datastore, result=NodeResult(), **config
+    )
+    rng = np.random.default_rng(11)
+    states = []
+    for interval in range(FLUSH_INTERVALS):
+        if script is not None:
+            script(node.channel, interval)
+        times = np.sort(rng.uniform(interval, interval + 1.0, size=90)).tolist()
+        # Skewed towards the low keys, so a few are hot and most intervals
+        # leave neighbouring keys dirty together.
+        picks = np.minimum(rng.geometric(0.12, size=90) - 1, len(FLUSH_KEYS) - 1).tolist()
+        for time, pick, is_read in zip(times, picks, (rng.random(90) < 0.6).tolist()):
+            key = FLUSH_KEYS[pick]
+            node.deliver_until(time)
+            if is_read:
+                node.handle_read(time, key, 16, 128)
+            else:
+                value_size = 64 + 8 * pick
+                datastore.write(key, time, value_size)
+                node.observe_write(time, key, 16, value_size, True)
+        node.deliver_until(interval + 1.0)
+        node.flush(interval + 1.0)
+        states.append(flush_observables(node))
+    node.finalize(FLUSH_INTERVALS + 0.5, True)
+    states.append(flush_observables(node))
+    if journal is not None:
+        journal.sync()
+        journal.wal.close()
+        states.append((list(scan_wal(log_path)), journal.messages_logged, journal.wal.stats.as_dict()))
+    return states
+
+
+@pytest.mark.parametrize("variant", list(FLUSH_VARIANTS))
+@pytest.mark.parametrize("channel", list(FLUSH_CHANNELS))
+@pytest.mark.parametrize("policy", list(FLUSH_POLICIES))
+def test_batched_flush_matches_the_per_message_flush(
+    policy: str, channel: str, variant: str, tmp_path
+) -> None:
+    reference = drive_flushes(
+        PerMessageNode, PerMessageChannel, policy, channel, variant, tmp_path / "reference.log"
+    )
+    batched = drive_flushes(CacheNode, Channel, policy, channel, variant, tmp_path / "batched.log")
+    for flush, (expected, got) in enumerate(zip(reference, batched)):
+        assert expected == got, f"diverged at flush {flush}"
+    assert len(reference) == len(batched)
+
+
+def test_the_flush_reference_drive_reaches_every_branch(tmp_path) -> None:
+    """The seeded mix is only a pin if it exercises what it claims to."""
+    def final(policy, channel, variant):
+        return drive_flushes(CacheNode, Channel, policy, channel, variant, tmp_path / "wal.log")
+
+    plain = final("adaptive", "ideal", "plain")[-1]
+    assert plain["decisions"][0][0] > 0 and plain["decisions"][0][1] > 0
+    assert plain["result"]["suppressed_invalidates"] > 0
+    assert final("update", "ideal", "plain")[-1]["result"]["updates_wasted"] > 0
+    assert final("adaptive+cs", "ideal", "plain")[-1]["result"]["decisions_nothing"] > 0
+    user = final("user-subclass", "ideal", "plain")[-1]["result"]
+    assert min(user["updates_sent"], user["invalidates_sent"], user["decisions_nothing"]) > 0
+    delayed = final("update", "delay+jitter", "plain")
+    assert any(state["pending"] for state in delayed[:-1])
+    lossy = final("invalidate", "loss+retries", "plain")[-1]
+    assert lossy["result"]["messages_dropped"] > 0 and lossy["channel"][3] > 0 < lossy["channel"][4]
+    assert final("invalidate", "outage", "plain")[-1]["result"]["messages_dropped"] > 0
+    assert final("invalidate", "ideal", "bounded-tracker")[-1]["tracker"][1] > 0
+    assert final("invalidate", "ideal", "hot-key")[-1]["result"]["hot_decisions"] > 0
+    assert final("update", "ideal", "l1-write-back")[-1]["result"]["l1_writebacks"] > 0
+    records, logged, _ = final("adaptive", "delay+jitter", "journal")[-1]
+    assert logged == sum(record["k"] == "m" for record in records) > 0
+
+
+def counted(cls, counts: dict):
+    """A subclass of ``cls`` that counts its constructions (``isinstance`` holds)."""
+
+    class Counted(cls):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs) -> None:
+            counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+            cls.__init__(self, *args, **kwargs)
+
+    return Counted
+
+
+@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
+def test_a_flush_builds_an_object_only_for_a_deferred_delivery(policy: str, monkeypatch) -> None:
+    counts: dict = {}
+    for cls in (InvalidateMessage, UpdateMessage, PendingDelivery):
+        monkeypatch.setattr(node_module, cls.__name__, counted(cls, counts))
+    monkeypatch.setattr(channel_module, "DeliveryRecord", counted(DeliveryRecord, counts))
+    workload = PoissonZipfWorkload(num_keys=60, rate_per_key=30.0, seed=7)
+
+    def replay(channel: Channel) -> Channel:
+        counts.clear()
+        Simulation(
+            workload.iter_requests(5.0), policy=make_policy(policy), staleness_bound=1.0,
+            duration=5.0, channel=channel,
+        ).run()
+        return channel
+
+    ideal = replay(Channel(seed=1))
+    assert ideal.sent == ideal.delivered > 0
+    assert counts == {}
+    delayed = replay(Channel(delay=0.2, seed=1))
+    assert delayed.delivered > 0
+    messages = counts.get("InvalidateMessage", 0) + counts.get("UpdateMessage", 0)
+    assert messages == counts["PendingDelivery"] == delayed.delivered
+    assert "DeliveryRecord" not in counts

@@ -3,9 +3,17 @@
 Fixed costs (c_m=1.0, c_i=0.1, c_u=0.6) make every expected total exact.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.backend.datastore import DataStore
+from repro.backend.invalidation_tracker import InvalidationTracker
+from repro.cache.cache import Cache
+from repro.cache.entry import EntryState
+from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.cost_model import CostModel
+from repro.core.policy import Action, PolicyContext
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.sim.simulation import Simulation
@@ -112,3 +120,91 @@ class TestUpdatePath:
         result = run([write(0.5)], AlwaysUpdatePolicy(), final_flush=False)
         assert result.updates_sent == 0
         assert result.freshness_cost == 0.0
+
+
+class TestFlushDecisions:
+    """``FreshnessPolicy.decisions``: the flush's actions, one per dirty key."""
+
+    @staticmethod
+    def bound(policy, **entry_states):
+        """``policy`` bound to a cache holding one entry per given state."""
+        cache = Cache()
+        for key, state in entry_states.items():
+            cache.fill(key, version=1, time=0.0).state = state
+        datastore = DataStore()
+        policy.bind(PolicyContext(costs(), 1.0, cache, datastore, InvalidationTracker()))
+        return policy
+
+    def test_cache_state_policy_skips_every_entry_a_miss_will_refetch(self) -> None:
+        policy = self.bound(
+            CacheStateAdaptivePolicy(),
+            valid=EntryState.VALID,
+            invalidated=EntryState.INVALIDATED,
+            expired=EntryState.EXPIRED,
+        )
+        decided = {
+            key: policy.decide(key, 1.0) for key in ("absent", "valid", "invalidated", "expired")
+        }
+        assert decided == {
+            "absent": Action.NOTHING,
+            "valid": Action.UPDATE,  # E[W] prior 1.0: 1.0 * c_u < c_i + c_m
+            "invalidated": Action.NOTHING,
+            "expired": Action.NOTHING,
+        }
+        assert (policy.decisions_update, policy.decisions_invalidate) == (1, 0)
+
+    def test_decisions_are_lazy_and_equal_decide_key_by_key(self) -> None:
+        keys = ["a", "b", "c", "a"]
+        for build in (AlwaysInvalidatePolicy, AlwaysUpdatePolicy, AdaptivePolicy,
+                      lambda: AdaptivePolicy(staleness_slo=0.0), CacheStateAdaptivePolicy):
+            batched = self.bound(build(), a=EntryState.VALID)
+            single = self.bound(build(), a=EntryState.VALID)
+            for policy in (batched, single):
+                for _ in range(3):
+                    policy.observe_write("b", 0.5)  # E[W] = 3 after the read: invalidate
+                policy.observe_read("b", 0.6)
+            actions = batched.decisions(keys, 1.0)
+            assert iter(actions) is actions, "an iterator, consumed in lockstep with the sends"
+            if isinstance(batched, AdaptivePolicy):
+                assert batched.decisions_update == batched.decisions_invalidate == 0
+            assert list(actions) == [single.decide(key, 1.0) for key in keys]
+            for counter in ("decisions_update", "decisions_invalidate"):
+                assert getattr(batched, counter, None) == getattr(single, counter, None)
+        assert list(self.bound(AdaptivePolicy()).decisions([], 1.0)) == []
+
+    def test_a_subclass_that_overrides_decide_is_asked_key_by_key(self) -> None:
+        class Contrary(AlwaysInvalidatePolicy):
+            def decide(self, key, time):
+                return Action.UPDATE if key == "b" else Action.NOTHING
+
+        class SizedRule(AdaptivePolicy):
+            def _decision_rule_for(self, key):
+                rule = AdaptivePolicy._decision_rule_for(self, key)
+                return replace(rule, update_cost=100.0) if key == "b" else rule
+
+        assert list(self.bound(Contrary()).decisions(["a", "b"], 1.0)) == [
+            Action.NOTHING, Action.UPDATE
+        ]
+        assert list(self.bound(SizedRule()).decisions(["a", "b"], 1.0)) == [
+            Action.UPDATE, Action.INVALIDATE
+        ]
+
+    def test_breakdown_costs_keep_a_rule_per_key(self) -> None:
+        """A breakdown prices each key by its own value size."""
+        policy = AdaptivePolicy()
+        cache, datastore = Cache(), DataStore()
+        sized = CostModel.network_bottleneck()
+        policy.bind(PolicyContext(sized, 1.0, cache, datastore, InvalidationTracker()))
+        datastore.write("small", 0.1, value_size=8)
+        datastore.write("large", 0.1, value_size=1 << 20)
+        for key in ("small", "large"):
+            for _ in range(2):
+                policy.observe_write(key, 0.2)
+            policy.observe_read(key, 0.3)
+        # E[W] = 2: two updates of a small value cost less than invalidate +
+        # miss, two of a large one cost more.
+        assert (
+            list(policy.decisions(["small", "large"], 1.0))
+            == [policy.decide("small", 1.0), policy.decide("large", 1.0)]
+            == [Action.UPDATE, Action.INVALIDATE]
+        )

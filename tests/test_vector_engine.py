@@ -288,6 +288,17 @@ def _policy(factory: Callable) -> Callable:
     return lambda kind, scratch: dict(policy=factory if kind == "fleet" else factory())
 
 
+def _seeded_channel(kind: str, scratch: Callable) -> dict:
+    """An ideal channel whose draws repeat (a fleet seeds its nodes' channels itself)."""
+    return {} if kind == "fleet" else dict(channel=Channel(seed=1))
+
+
+def _first_channel(simulation) -> Channel:
+    """The single cache's channel, or node 0's of a fleet."""
+    node = simulation.nodes()[0] if hasattr(simulation, "nodes") else simulation.node
+    return node.channel
+
+
 FLEET = ("fleet",)
 ENVELOPE_WALK = {
     "store": WalkCase("store", lambda kind, scratch: dict(store=StoreConfig(root=scratch()))),
@@ -312,10 +323,29 @@ ENVELOPE_WALK = {
             channel=ChannelSpec(delay=0.05) if kind == "fleet" else Channel(delay=0.05, seed=1)
         ),
     ),
+    # A channel changed through its public surface before run(): the row used
+    # to read the constructor's loss, delay and jitter only, and the vector
+    # path delivered every message of all three at the flush.
+    "channel/degraded-delay": WalkCase(
+        "channel",
+        _seeded_channel,
+        prepare=lambda simulation: _first_channel(simulation).set_degraded(delay=0.3),
+    ),
+    "channel/degraded-jitter": WalkCase(
+        "channel",
+        _seeded_channel,
+        prepare=lambda simulation: _first_channel(simulation).set_degraded(jitter=0.2),
+    ),
+    "channel/outage": WalkCase(
+        "channel",
+        _seeded_channel,
+        prepare=lambda simulation: setattr(_first_channel(simulation), "outage", True),
+    ),
     # The public membership calls, made before run(): the vector path used to
-    # replay all three as if the fleet were whole.
+    # replay all three as if the fleet were whole.  A failed node's link is
+    # cut as well.
     "membership/fail_node": WalkCase(
-        "membership", _config(), FLEET, lambda fleet: fleet.fail_node(0)
+        "membership", _config(), FLEET, lambda fleet: fleet.fail_node(0), also=("channel",)
     ),
     "membership/remove_node": WalkCase(
         "membership", _config(), FLEET, lambda fleet: fleet.remove_node(0, 0.0)
