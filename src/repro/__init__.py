@@ -82,7 +82,7 @@ from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
 from repro.tier.admission import AdmissionPolicy, make_admission
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Action",

@@ -9,8 +9,13 @@ Seven subcommands drive the experiment layer:
 * ``tier``    — a tiered-fleet sweep: every node fronted by a small L1
   (``--l1-capacity`` / ``--tier-mode`` axes, admission policies, and the
   ``l2-outage`` / ``cold-l1`` scenarios).
+
+  ``sweep``, ``cluster`` and ``tier`` are one command body over one flag
+  declaration: ``cluster`` / ``tier`` add the fleet flags to ``sweep``'s, so
+  ``--engine vector`` reaches the fleet kernels from all three, and an axis
+  flag given no entry (``--capacities ,``) is an error on all three.
 * ``perf``    — component microbenchmarks of the hot paths (fingerprint,
-  ring routing, request allocation, generation, sketches, cache ops, small
+  ring routing, generation, sketches, cache ops, the interval flush, small
   replays), with ``--profile NAME`` for a cProfile table.
 * ``store``   — the persistence layer: ``snapshot`` runs a journaled
   simulation (optionally killing it mid-run), ``recover`` rebuilds — and can
@@ -44,6 +49,8 @@ Examples::
         --workloads poisson,poisson-mix --bounds 0.1,1,10 --csv sweep.csv
     python -m repro cluster --nodes 8 --replication 2 --scenario node-failure \
         --policies invalidate,adaptive --bounds 0.5 --duration 20 --csv fleet.csv
+    python -m repro cluster --nodes 4 --policies invalidate,adaptive --bounds 0.5 \
+        --engine vector --json fleet-vector.json
     python -m repro tier --nodes 8 --l1-capacity 0,64,256 --tier-mode \
         write-through,write-back --policies invalidate --bounds 0.5 --csv tier.csv
     python -m repro tier --nodes 4 --l1-capacity 128 --scenario l2-outage \
@@ -236,11 +243,21 @@ def _build_spec(**kwargs: Any) -> ExperimentSpec:
         raise SystemExit(str(exc)) from exc
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_grid(args: argparse.Namespace) -> int:
+    """The one body of ``sweep``, ``cluster`` and ``tier``: flags to spec, run, export.
+
+    ``sweep`` declares the grid flags only; the fleet flags (and ``tier``'s
+    three) are read where their subcommand declares them.
+    """
+    fleet = args.command != "sweep"
     if args.snapshot_interval is not None and not args.persist:
         raise SystemExit("--snapshot-interval only takes effect together with --persist")
     params = _parse_params(args.param)
-    workloads = [WorkloadSpec.of(name, params) for name in _csv_list(args.workloads)]
+    concurrency, stampede_policies, service_times = _cli_concurrency(args)
+    obs_dir = args.obs_dir if fleet else None
+    obs_window = args.obs_window
+    if obs_dir is not None and obs_window is None:
+        obs_window = 1.0
     slo_rules = None
     if args.slo_rules is not None:
         from repro.obs.slo import load_rules
@@ -249,13 +266,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             slo_rules = load_rules(args.slo_rules)
         except (OSError, ValueError) as exc:
             raise SystemExit(str(exc)) from exc
-        if args.obs_window is None:
+        if obs_window is None:
             raise SystemExit("--slo-rules needs --obs-window (verdicts read the obs payload)")
-    concurrency, stampede_policies, service_times = _cli_concurrency(args)
-    spec = _build_spec(
+    axes: Dict[str, Any] = dict(
         name=args.name,
         policies=_csv_list(args.policies),
-        workloads=workloads,
+        workloads=[WorkloadSpec.of(name, params) for name in _csv_list(args.workloads)],
         staleness_bounds=[float(bound) for bound in _csv_list(args.bounds)],
         cache_capacities=[_capacity(cap) for cap in _csv_list(args.capacities)],
         persistence=[args.persist],
@@ -264,14 +280,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         cost_preset=args.cost_preset,
         engine=args.engine,
-        obs_window=args.obs_window,
+        obs_window=obs_window,
         slo_rules=slo_rules,
         concurrency=[concurrency],
         stampede_policies=stampede_policies,
         service_times=service_times,
     )
-    _LOG.info("sweep '%s': %d cells", spec.name, spec.num_cells)
+    if fleet:
+        axes.update(_fleet_axes(args))
+    if args.command == "tier":
+        axes.update(
+            l1_capacities=[int(capacity) for capacity in _csv_list(args.l1_capacity)],
+            tier_modes=_csv_list(args.tier_mode),
+            tier_admission=args.admission,
+        )
+    spec = _build_spec(**axes)
+    _LOG.info("%s '%s': %d cells", args.command, spec.name, spec.num_cells)
+    if obs_dir is not None and spec.num_cells != 1:
+        raise SystemExit(
+            f"--obs-dir records one run's telemetry but this sweep expands to "
+            f"{spec.num_cells} cells; narrow every axis to a single value"
+        )
     rows = run_experiment(spec, processes=args.processes)
+    if obs_dir is not None:
+        from repro.obs.export import write_run
+
+        written = write_run(rows[0].pop("obs"), obs_dir)
+        rows[0]["obs_dir"] = obs_dir
+        for path in written.values():
+            _LOG.info("wrote %s", path)
     wrote = False
     if args.json:
         write_results_json(rows, args.json, metadata={"spec": spec.name, "cells": len(rows)})
@@ -286,29 +323,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet_sweep(args: argparse.Namespace, kind: str) -> int:
-    """Shared body of the ``cluster`` and ``tier`` fleet sweeps."""
-    if args.snapshot_interval is not None and not args.persist:
-        raise SystemExit("--snapshot-interval only takes effect together with --persist")
+def _fleet_axes(args: argparse.Namespace) -> Dict[str, Any]:
+    """The spec fields the fleet flags of ``cluster`` / ``tier`` fill."""
     if args.hot_fraction is not None and args.hot_policy is None:
         raise SystemExit(
             "--hot-fraction only takes effect together with --hot-policy "
             "(hot-key detection feeds the per-shard policy switch)"
         )
-    params = _parse_params(args.param)
-    workloads = [WorkloadSpec.of(name, params) for name in _csv_list(args.workloads)]
     scenario_params = _parse_params(args.scenario_param)
-    scenario_names = _csv_list(args.scenarios)
-    real_scenarios = [name for name in scenario_names if name not in ("none", "")]
-    if scenario_params and len(real_scenarios) > 1:
+    scenarios: List[Optional[ScenarioSpec]] = [
+        None if name == "none" else ScenarioSpec.of(name, scenario_params)
+        for name in _csv_list(args.scenarios)
+    ]
+    if scenario_params and len(scenarios) - scenarios.count(None) > 1:
         raise SystemExit(
             "--scenario-param applies to every scenario; with several scenarios "
             "on the axis their constructors differ — sweep one scenario at a time"
         )
-    scenarios: List[Optional[ScenarioSpec]] = [
-        None if name in ("none", "") else ScenarioSpec.of(name, scenario_params)
-        for name in scenario_names
-    ]
     channel = None
     if (
         args.channel_loss > 0
@@ -340,33 +371,7 @@ def _run_fleet_sweep(args: argparse.Namespace, kind: str) -> int:
             )
         except ClusterError as exc:
             raise SystemExit(str(exc)) from exc
-    concurrency, stampede_policies, service_times = _cli_concurrency(args)
-    obs_window = args.obs_window
-    if args.obs_dir is not None and obs_window is None:
-        obs_window = 1.0
-    slo_rules = None
-    if args.slo_rules is not None:
-        from repro.obs.slo import load_rules
-
-        try:
-            slo_rules = load_rules(args.slo_rules)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc)) from exc
-        if obs_window is None:
-            raise SystemExit("--slo-rules needs --obs-window (verdicts read the obs payload)")
-    tier_axes: Dict[str, Any] = {}
-    if kind == "tier":
-        tier_axes = dict(
-            l1_capacities=[int(capacity) for capacity in _csv_list(args.l1_capacity)],
-            tier_modes=_csv_list(args.tier_mode),
-            tier_admission=args.admission,
-        )
-    spec = _build_spec(
-        name=args.name,
-        policies=_csv_list(args.policies),
-        workloads=workloads,
-        staleness_bounds=[float(bound) for bound in _csv_list(args.bounds)],
-        cache_capacities=[_capacity(cap) for cap in _csv_list(args.capacities)],
+    return dict(
         channels=[channel],
         num_nodes=[int(nodes) for nodes in _csv_list(args.nodes)],
         replications=[int(factor) for factor in _csv_list(args.replication)],
@@ -375,54 +380,9 @@ def _run_fleet_sweep(args: argparse.Namespace, kind: str) -> int:
         hot_policy=args.hot_policy,
         hot_fraction=args.hot_fraction if args.hot_fraction is not None else 0.02,
         vnodes=args.vnodes,
-        persistence=[args.persist],
-        snapshot_intervals=[args.snapshot_interval] if args.persist else [None],
-        duration=args.duration,
-        base_seed=args.seed,
-        cost_preset=args.cost_preset,
-        obs_window=obs_window,
-        slo_rules=slo_rules,
-        concurrency=[concurrency],
-        stampede_policies=stampede_policies,
-        service_times=service_times,
         zones=args.zones,
         chaos=chaos,
-        **tier_axes,
     )
-    _LOG.info("%s sweep '%s': %d cells", kind, spec.name, spec.num_cells)
-    if args.obs_dir is not None and spec.num_cells != 1:
-        raise SystemExit(
-            f"--obs-dir records one run's telemetry but this sweep expands to "
-            f"{spec.num_cells} cells; narrow every axis to a single value"
-        )
-    rows = run_experiment(spec, processes=args.processes)
-    if args.obs_dir is not None:
-        from repro.obs.export import write_run
-
-        written = write_run(rows[0].pop("obs"), args.obs_dir)
-        rows[0]["obs_dir"] = args.obs_dir
-        for path in written.values():
-            _LOG.info("wrote %s", path)
-    wrote = False
-    if args.json:
-        write_results_json(rows, args.json, metadata={"spec": spec.name, "cells": len(rows)})
-        print(f"wrote {args.json}")
-        wrote = True
-    if args.csv:
-        write_results_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
-        wrote = True
-    if not wrote:
-        print(json.dumps(rows, indent=2))
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    return _run_fleet_sweep(args, "cluster")
-
-
-def _cmd_tier(args: argparse.Namespace) -> int:
-    return _run_fleet_sweep(args, "tier")
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -887,42 +847,46 @@ def build_parser() -> argparse.ArgumentParser:
     add_concurrency_arguments(run, axis=False)
     run.set_defaults(func=_cmd_run)
 
-    sweep = subparsers.add_parser("sweep", help="run an experiment grid in parallel")
-    sweep.add_argument("--name", default="sweep")
-    sweep.add_argument("--policies", default="ttl-expiry,ttl-polling,invalidate,update,adaptive")
-    sweep.add_argument("--workloads", default="poisson")
-    sweep.add_argument("--bounds", default="0.1,1.0,10.0")
-    sweep.add_argument("--capacities", default="none")
-    sweep.add_argument("--duration", type=_positive_float, default=10.0)
-    sweep.add_argument("--persist", action="store_true",
-                       help="run every cell with a write-ahead log + snapshots "
-                            "(store counters join the rows)")
-    sweep.add_argument("--snapshot-interval", type=_positive_float, default=None,
-                       help="snapshot cadence for --persist cells (default: final only)")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--engine", default="scalar", choices=ENGINES,
-                       help="replay engine for every cell: streamed scalar or "
-                            "compiled columnar (byte-identical rows)")
-    sweep.add_argument("--cost-preset", default="fixed",
-                       choices=["fixed", "cpu", "network", "latency"])
-    sweep.add_argument("--processes", type=int, default=None,
-                       help="worker processes (default: one per CPU, 1 = serial)")
-    sweep.add_argument("--param", action="append", metavar="KEY=VALUE",
-                       help="workload constructor parameter applied to every workload")
-    sweep.add_argument("--obs-window", type=_positive_float, default=None,
-                       help="record windowed telemetry for every cell into the "
-                            "row's obs key (results stay byte-identical)")
-    sweep.add_argument("--slo-rules", default=None, metavar="FILE",
-                       help="evaluate these SLO rules against every cell's obs "
-                            "payload into the row's slo key (needs --obs-window)")
-    add_concurrency_arguments(sweep, axis=True)
-    sweep.add_argument("--json", help="write results JSON here")
-    sweep.add_argument("--csv", help="write results CSV here")
-    sweep.set_defaults(func=_cmd_sweep)
+    def add_grid_arguments(
+        grid: argparse.ArgumentParser, name: str, policies: str, bounds: str
+    ) -> None:
+        """The flags of every grid subcommand — all that ``sweep`` accepts —
+        declared once; the three defaults are the ones that differ per
+        subcommand."""
+        grid.add_argument("--name", default=name)
+        grid.add_argument("--policies", default=policies)
+        grid.add_argument("--workloads", default="poisson")
+        grid.add_argument("--bounds", default=bounds)
+        grid.add_argument("--capacities", default="none")
+        grid.add_argument("--duration", type=_positive_float, default=10.0)
+        grid.add_argument("--persist", action="store_true",
+                          help="run every cell with a write-ahead log + snapshots "
+                               "(store counters join the rows)")
+        grid.add_argument("--snapshot-interval", type=_positive_float, default=None,
+                          help="snapshot cadence for --persist cells (default: final only)")
+        grid.add_argument("--seed", type=int, default=0)
+        grid.add_argument("--engine", default="scalar", choices=ENGINES,
+                          help="replay engine for every cell: streamed scalar or "
+                               "compiled columnar (byte-identical rows)")
+        grid.add_argument("--cost-preset", default="fixed",
+                          choices=["fixed", "cpu", "network", "latency"])
+        grid.add_argument("--processes", type=int, default=None,
+                          help="worker processes (default: one per CPU, 1 = serial)")
+        grid.add_argument("--param", action="append", metavar="KEY=VALUE",
+                          help="workload constructor parameter applied to every workload")
+        grid.add_argument("--obs-window", type=_positive_float, default=None,
+                          help="record windowed telemetry for every cell into the "
+                               "row's obs key (results stay byte-identical)")
+        grid.add_argument("--slo-rules", default=None, metavar="FILE",
+                          help="evaluate these SLO rules against every cell's obs "
+                               "payload into the row's slo key (needs --obs-window)")
+        add_concurrency_arguments(grid, axis=True)
+        grid.add_argument("--json", help="write results JSON here")
+        grid.add_argument("--csv", help="write results CSV here")
+        grid.set_defaults(func=_cmd_grid)
 
-    def add_fleet_arguments(fleet: argparse.ArgumentParser, name_default: str) -> None:
-        """Arguments shared by the ``cluster`` and ``tier`` fleet sweeps."""
-        fleet.add_argument("--name", default=name_default)
+    def add_fleet_arguments(fleet: argparse.ArgumentParser) -> None:
+        """The flags ``cluster`` and ``tier`` add to the grid flags."""
         fleet.add_argument("--nodes", default="8",
                            help="fleet-size axis, comma separated (e.g. 4,8,16)")
         fleet.add_argument("--replication", default="1",
@@ -943,18 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(requires --hot-policy; default 0.02)")
         fleet.add_argument("--vnodes", type=int, default=64,
                            help="virtual nodes per physical node on the hash ring")
-        fleet.add_argument("--policies", default="invalidate,update,adaptive")
-        fleet.add_argument("--workloads", default="poisson")
-        fleet.add_argument("--bounds", default="1.0")
-        fleet.add_argument("--capacities", default="none")
-        fleet.add_argument("--duration", type=_positive_float, default=10.0)
-        fleet.add_argument("--persist", action="store_true",
-                           help="run every cell with a write-ahead log + snapshots")
-        fleet.add_argument("--snapshot-interval", type=_positive_float, default=None,
-                           help="snapshot cadence for --persist cells (default: final only)")
-        fleet.add_argument("--seed", type=int, default=0)
-        fleet.add_argument("--cost-preset", default="fixed",
-                           choices=["fixed", "cpu", "network", "latency"])
         fleet.add_argument("--channel-loss", type=float, default=0.0)
         fleet.add_argument("--channel-delay", type=float, default=0.0)
         fleet.add_argument("--channel-jitter", type=float, default=0.0)
@@ -983,33 +935,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="extra channel delay of delay faults (seconds)")
         fleet.add_argument("--chaos-slowdown", type=float, default=4.0,
                            help="service-time multiplier of slow-node faults")
-        fleet.add_argument("--processes", type=int, default=None,
-                           help="worker processes (default: one per CPU, 1 = serial)")
-        fleet.add_argument("--param", action="append", metavar="KEY=VALUE",
-                           help="workload constructor parameter applied to every workload")
-        add_concurrency_arguments(fleet, axis=True)
-        fleet.add_argument("--obs-window", type=_positive_float, default=None,
-                           help="record windowed telemetry for every cell into "
-                                "the row's obs key (results stay byte-identical)")
         fleet.add_argument("--obs-dir", default=None,
                            help="write the obs artifact set for a single-cell "
                                 "sweep into this directory (implies --obs-window 1.0)")
-        fleet.add_argument("--slo-rules", default=None, metavar="FILE",
-                           help="evaluate these SLO rules against every cell's "
-                                "obs payload into the row's slo key (needs --obs-window)")
-        fleet.add_argument("--json", help="write results JSON here")
-        fleet.add_argument("--csv", help="write results CSV here")
+
+    sweep = subparsers.add_parser("sweep", help="run an experiment grid in parallel")
+    add_grid_arguments(
+        sweep, "sweep", "ttl-expiry,ttl-polling,invalidate,update,adaptive", "0.1,1.0,10.0"
+    )
 
     cluster = subparsers.add_parser(
         "cluster", help="run a sharded multi-node fleet sweep"
     )
-    add_fleet_arguments(cluster, "cluster")
-    cluster.set_defaults(func=_cmd_cluster)
+    add_grid_arguments(cluster, "cluster", "invalidate,update,adaptive", "1.0")
+    add_fleet_arguments(cluster)
 
     tier = subparsers.add_parser(
         "tier", help="run a tiered (L1/L2) fleet sweep"
     )
-    add_fleet_arguments(tier, "tier")
+    add_grid_arguments(tier, "tier", "invalidate,update,adaptive", "1.0")
+    add_fleet_arguments(tier)
     tier.add_argument("--l1-capacity", default="256",
                       help="L1-capacity axis, comma separated (objects per node; "
                            "0 = single-tier baseline)")
@@ -1018,7 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                            + ", ".join(TIER_MODES))
     tier.add_argument("--admission", default="second-hit", choices=ADMISSION_POLICIES,
                       help="L1 admission policy (default: second-hit)")
-    tier.set_defaults(func=_cmd_tier)
 
     perf = subparsers.add_parser(
         "perf", help="microbenchmark the replay hot-path components"

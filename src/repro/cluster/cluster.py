@@ -211,10 +211,10 @@ class ClusterSimulation:
             :class:`~repro.cluster.replication.ReplicationConfig`.
         cache_capacity: Per-node cache capacity (``None`` = unbounded).
         eviction_factory: Zero-arg factory for per-node eviction policies.
-        channel: ``None`` for ideal per-node channels, or any object with
-            ``loss_probability`` / ``delay`` / ``jitter`` attributes (e.g.
-            :class:`~repro.experiments.spec.ChannelSpec`); each node's
-            channel is seeded deterministically from ``seed`` and its index.
+        channel: ``None`` for ideal per-node channels, or a
+            :class:`~repro.experiments.spec.ChannelSpec`; each node's channel
+            is built from it (:meth:`~repro.experiments.spec.ChannelSpec.build`)
+            with a seed derived from ``seed`` and the node's index.
         tracker_capacity: Per-node invalidated-key tracker capacity.
         scenario: Scenario script (``None`` = steady state).
         hotkey: Hot-key detection config (``None`` disables detection).
@@ -290,7 +290,7 @@ class ClusterSimulation:
         replication: Union[int, ReplicationConfig, None] = None,
         cache_capacity: Optional[int] = None,
         eviction_factory: Optional[Callable[[], EvictionPolicy]] = None,
-        channel: Optional[object] = None,
+        channel: Optional[Any] = None,
         tracker_capacity: Optional[int] = None,
         scenario: Optional[Scenario] = None,
         hotkey: Optional[HotKeyConfig] = None,
@@ -386,14 +386,8 @@ class ClusterSimulation:
         for index in range(num_nodes):
             node_id = f"node-{index:03d}"
             node_seed = (self.seed + _NODE_SEED_STRIDE * (index + 1)) % 2**32
-            node_channel = Channel(seed=node_seed) if channel is None else Channel(
-                loss_probability=channel.loss_probability,
-                delay=channel.delay,
-                jitter=channel.jitter,
-                seed=node_seed,
-                retries=getattr(channel, "retries", 0),
-                retry_timeout=getattr(channel, "retry_timeout", 0.0),
-                retry_backoff=getattr(channel, "retry_backoff", 0.0),
+            node_channel = (
+                channel.build(node_seed) if channel is not None else Channel(seed=node_seed)
             )
             detector = (
                 HotKeyDetector(hotkey, seed=node_seed ^ 0x5BF03635)

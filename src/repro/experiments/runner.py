@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.backend.channel import Channel
 from repro.cluster import (
     ClusterSimulation,
     HotKeyConfig,
@@ -80,150 +79,102 @@ def _compiled(cell: RunCell, workload: Workload, traces: _Traces) -> CompiledTra
 def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
     """Execute one grid cell and return its flattened result row.
 
-    Cells with ``num_nodes`` set run a :class:`ClusterSimulation`; the rest
-    run the single-cache :class:`Simulation`.  The workload streams straight
-    from its generator into the simulator; channels are seeded from the cell
-    seed so loss and jitter are reproducible as well.  ``traces`` carries the
-    compiled traces of the vector-engine cells run before this one in the
-    same batch, so cells replaying one trace compile and index it once; the
-    row does not depend on it.
+    The only place a :class:`RunCell` becomes a run.  Cells with ``num_nodes``
+    set run a fleet (:class:`ClusterSimulation`), the rest the single-cache
+    :class:`Simulation`; ``engine="vector"`` hands either one's columnar twin
+    the compiled trace instead of the request stream (outside the vector
+    envelope that twin replays through the inherited scalar loop, so rows
+    equal a scalar sweep's either way).  Everything else — workload, costs,
+    scratch store, obs, concurrency, row assembly, SLO verdict — is the same
+    for all four.  ``traces`` carries the compiled traces of the vector-engine
+    cells run before this one in the same batch, so cells replaying one trace
+    compile and index it once; the row does not depend on it.
     """
     if traces is None:
         traces = {}
-    if cell.num_nodes is not None:
-        return _run_cluster_cell(cell, traces)
+    fleet = cell.num_nodes is not None
     workload = make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
-    policy = make_policy(cell.policy)
-    costs = make_cost_model(cell.cost_preset, dict(cell.cost_params))
-    channel = None
-    if cell.channel is not None:
-        channel = Channel(
-            loss_probability=cell.channel.loss_probability,
-            delay=cell.channel.delay,
-            jitter=cell.channel.jitter,
-            seed=cell.seed,
-        )
     with _cell_store(cell) as store:
-        shared = dict(
-            policy=policy,
+        arguments = _fleet_arguments(cell) if fleet else _single_cache_arguments(cell)
+        arguments.update(
             staleness_bound=cell.staleness_bound,
-            costs=costs,
+            costs=make_cost_model(cell.cost_preset, dict(cell.cost_params)),
             cache_capacity=cell.cache_capacity,
-            channel=channel,
             duration=cell.duration,
             workload_name=workload.name,
             store=store,
-            obs=_cell_obs(cell),
-            concurrency=_cell_concurrency(cell),
+            obs=ObsConfig(window=cell.obs_window) if cell.obs_window is not None else None,
+            # Seeded here (not in the spec): the axis value stays hashable and
+            # seed-free for dedup, and every cell's service-time and XFetch
+            # streams derive from the same seed as its workload.
+            concurrency=(
+                replace(cell.concurrency, seed=cell.seed)
+                if cell.concurrency is not None
+                else None
+            ),
         )
+        # The engine classes and compile_workload are read from the module at
+        # call time: benchmarks/layers.py swaps them for tracing ones.
         if cell.engine == "vector":
-            # Outside the vector envelope the engine replays through the
-            # inherited scalar loop: rows equal a scalar sweep's either way.
-            simulation = VectorSimulation(_compiled(cell, workload, traces), **shared)
+            engine = VectorClusterSimulation if fleet else VectorSimulation
+            simulation = engine(_compiled(cell, workload, traces), **arguments)
         else:
-            simulation = Simulation(
-                workload=workload.iter_requests(cell.duration), **shared
-            )
+            engine = ClusterSimulation if fleet else Simulation
+            simulation = engine(workload.iter_requests(cell.duration), **arguments)
         row = dict(cell.describe())
         row.update(simulation.run().as_dict())
-        if store is not None:
-            row["store"] = simulation.store_stats()
-        if simulation.obs is not None:
-            row["obs"] = simulation.obs.payload()
-    _attach_slo(cell, row)
+        if not fleet:
+            # A fleet's result carries its store counters and obs payload itself.
+            if store is not None:
+                row["store"] = simulation.store_stats()
+            if simulation.obs is not None:
+                row["obs"] = simulation.obs.payload()
+    if cell.slo_rules is not None:
+        # Strictly post-hoc: the obs payload is read, never mutated, and the
+        # evaluation is deterministic, so verdicts are identical across any
+        # ``--processes`` split and leave the rest of the row untouched.
+        from repro.obs.slo import evaluate_slo
+
+        row["slo"] = evaluate_slo(row["obs"], json.loads(cell.slo_rules))
     return row
 
 
-def _cell_concurrency(cell: RunCell):
-    """The cell's concurrency config re-seeded from the cell seed.
-
-    Seeding here (not in the spec) keeps the axis value hashable and
-    seed-free for dedup while still giving every cell its own service-time
-    and XFetch streams, derived from the same seed as its workload.
-    """
-    if cell.concurrency is None:
-        return None
-    return replace(cell.concurrency, seed=cell.seed)
-
-
-def _cell_obs(cell: RunCell) -> Optional[ObsConfig]:
-    """Observability settings for a cell (``None`` keeps the zero-cost path)."""
-    if cell.obs_window is None:
-        return None
-    return ObsConfig(window=cell.obs_window)
-
-
-def _attach_slo(cell: RunCell, row: Dict[str, Any]) -> None:
-    """Evaluate the cell's SLO rules against its obs payload into ``row["slo"]``.
-
-    Strictly post-hoc: the simulation has already finished and the obs
-    payload is read, never mutated, so enabling SLO evaluation leaves result
-    rows and payloads byte-identical.  Evaluation is deterministic, which
-    makes the verdicts identical across any ``--processes`` split.
-    """
-    if cell.slo_rules is None:
-        return
-    from repro.obs.slo import evaluate_slo
-
-    row["slo"] = evaluate_slo(row["obs"], json.loads(cell.slo_rules))
-
-
-def _run_cluster_cell(cell: RunCell, traces: _Traces) -> Dict[str, Any]:
-    """Execute one cluster grid cell (sharded fleet simulation)."""
-    workload = make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
-    costs = make_cost_model(cell.cost_preset, dict(cell.cost_params))
-    scenario = (
-        make_scenario(cell.scenario.name, cell.scenario.params_dict())
-        if cell.scenario is not None
-        else None
+def _single_cache_arguments(cell: RunCell) -> Dict[str, Any]:
+    """What only :class:`Simulation` takes: a policy instance and a built channel."""
+    return dict(
+        policy=make_policy(cell.policy),
+        channel=cell.channel.build(cell.seed) if cell.channel is not None else None,
     )
-    hotkey = (
-        HotKeyConfig(hot_policy=cell.hot_policy, hot_fraction=cell.hot_fraction)
-        if cell.hot_policy is not None
-        else None
+
+
+def _fleet_arguments(cell: RunCell) -> Dict[str, Any]:
+    """What only :class:`ClusterSimulation` takes; it builds a policy and a
+    channel per node from the name and the spec."""
+    return dict(
+        policy=cell.policy,
+        channel=cell.channel,
+        seed=cell.seed,
+        num_nodes=cell.num_nodes,
+        replication=ReplicationConfig(factor=cell.replication, read_policy=cell.read_policy),
+        vnodes=cell.vnodes,
+        zones=cell.zones,
+        scenario=(
+            make_scenario(cell.scenario.name, cell.scenario.params_dict())
+            if cell.scenario is not None
+            else None
+        ),
+        hotkey=(
+            HotKeyConfig(hot_policy=cell.hot_policy, hot_fraction=cell.hot_fraction)
+            if cell.hot_policy is not None
+            else None
+        ),
+        # A zero-capacity config is normalised to "no tier" by the cluster, so
+        # l1_capacity=0 cells replay the single-tier path byte-for-byte.
+        tier=TierConfig(
+            l1_capacity=cell.l1_capacity, mode=cell.tier_mode, admission=cell.tier_admission
+        ),
+        chaos=cell.chaos,
     )
-    # A zero-capacity config is normalised to "no tier" by the cluster, so
-    # l1_capacity=0 cells replay the single-tier path byte-for-byte.
-    tier = TierConfig(
-        l1_capacity=cell.l1_capacity,
-        mode=cell.tier_mode,
-        admission=cell.tier_admission,
-    )
-    with _cell_store(cell) as store:
-        shared = dict(
-            policy=cell.policy,
-            num_nodes=cell.num_nodes,
-            staleness_bound=cell.staleness_bound,
-            costs=costs,
-            replication=ReplicationConfig(factor=cell.replication, read_policy=cell.read_policy),
-            cache_capacity=cell.cache_capacity,
-            channel=cell.channel,
-            scenario=scenario,
-            hotkey=hotkey,
-            duration=cell.duration,
-            workload_name=workload.name,
-            vnodes=cell.vnodes,
-            seed=cell.seed,
-            store=store,
-            tier=tier,
-            obs=_cell_obs(cell),
-            concurrency=_cell_concurrency(cell),
-            zones=cell.zones,
-            chaos=cell.chaos,
-        )
-        if cell.engine == "vector":
-            # Same fallback, on the fleet engine's envelope.
-            cluster = VectorClusterSimulation(
-                _compiled(cell, workload, traces), **shared
-            )
-        else:
-            cluster = ClusterSimulation(
-                workload=workload.iter_requests(cell.duration), **shared
-            )
-        row = dict(cell.describe())
-        row.update(cluster.run().as_dict())
-    _attach_slo(cell, row)
-    return row
 
 
 def _batches(cells: List[RunCell], processes: int) -> List[List[RunCell]]:

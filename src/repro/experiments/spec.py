@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.backend.channel import Channel
 from repro.concurrency.config import (
     SERVICE_TIME_DISTRIBUTIONS,
     STAMPEDE_POLICIES,
@@ -55,9 +57,34 @@ class ChannelSpec:
         """Flatten to primitives for serialisation."""
         return asdict(self)
 
+    def build(self, seed: int) -> Channel:
+        """The channel this record describes, every field applied.
+
+        The one place a spec becomes a :class:`Channel`: a single-cache cell
+        seeds it from the cell seed, a fleet from each node's seed.
+        """
+        return Channel(seed=seed, **self.as_dict())
+
 
 @dataclass(frozen=True, slots=True)
-class ScenarioSpec:
+class _NamedSpec:
+    """A registry name plus primitive parameters, sorted so equal specs compare equal."""
+
+    name: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+
+    @classmethod
+    def of(cls, name: str, params: Optional[Mapping[str, Any]] = None):
+        """Build a spec from a name and a parameter mapping."""
+        return cls(name=name, params=tuple(sorted((params or {}).items())))
+
+    def params_dict(self) -> Dict[str, Any]:
+        """Return the parameters as a plain dict."""
+        return dict(self.params)
+
+
+@dataclass(frozen=True, slots=True)
+class ScenarioSpec(_NamedSpec):
     """A cluster-scenario axis entry: registry name plus parameters.
 
     Kept declarative (a name and primitive parameters) so cells stay
@@ -66,40 +93,14 @@ class ScenarioSpec:
     :func:`repro.cluster.scenarios.make_scenario`.
     """
 
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def of(cls, name: str, params: Optional[Mapping[str, Any]] = None) -> "ScenarioSpec":
-        """Build a spec from a name and a parameter mapping."""
-        items = tuple(sorted((params or {}).items()))
-        return cls(name=name, params=items)
-
-    def params_dict(self) -> Dict[str, Any]:
-        """Return the parameters as a plain dict."""
-        return dict(self.params)
-
     def as_dict(self) -> Dict[str, Any]:
         """Flatten to primitives for serialisation."""
         return {"name": self.name, "params": dict(self.params)}
 
 
 @dataclass(frozen=True, slots=True)
-class WorkloadSpec:
+class WorkloadSpec(_NamedSpec):
     """A workload axis entry: registry name plus constructor parameters."""
-
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def of(cls, name: str, params: Optional[Mapping[str, Any]] = None) -> "WorkloadSpec":
-        """Build a spec from a name and a parameter mapping."""
-        items = tuple(sorted((params or {}).items()))
-        return cls(name=name, params=items)
-
-    def params_dict(self) -> Dict[str, Any]:
-        """Return the parameters as a plain dict."""
-        return dict(self.params)
 
     @property
     def label(self) -> str:
@@ -351,12 +352,13 @@ class ExperimentSpec:
     cost_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.policies:
-            raise ConfigurationError("an experiment needs at least one policy")
-        if not self.workloads:
-            raise ConfigurationError("an experiment needs at least one workload")
-        if not self.staleness_bounds:
-            raise ConfigurationError("an experiment needs at least one staleness bound")
+        # The one emptiness rule: an axis without entries is a zero-cell grid
+        # that would run nothing and report success.
+        for axis in AXES:
+            if not getattr(self, axis.field):
+                raise ConfigurationError(
+                    axis.empty or f"the {axis.field} axis needs at least one entry"
+                )
         if self.duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if self.engine not in ENGINES:
@@ -385,19 +387,6 @@ class ExperimentSpec:
         for factor in self.replications:
             if factor < 1:
                 raise ConfigurationError(f"replication factors must be >= 1, got {factor}")
-        cluster_sizes = [nodes for nodes in self.num_nodes if nodes is not None]
-        wants_cluster_features = self.hot_policy is not None or any(
-            scenario not in (None, "none", "") for scenario in self.scenarios
-        )
-        if wants_cluster_features and len(cluster_sizes) != len(self.num_nodes):
-            raise ConfigurationError(
-                "scenarios and hot_policy only apply to cluster cells; every "
-                "num_nodes entry must be an integer fleet size (got "
-                f"{list(self.num_nodes)}) or the single-cache rows would be "
-                "labeled with a scenario that never ran"
-            )
-        if not self.persistence:
-            raise ConfigurationError("the persistence axis needs at least one entry")
         for interval in self.snapshot_intervals:
             if interval is not None and interval <= 0:
                 raise ConfigurationError(
@@ -412,9 +401,10 @@ class ExperimentSpec:
                 "or the non-persistent rows would be labeled with a snapshot "
                 "cadence that never ran"
             )
-        # Tier axes: validate entries eagerly and keep them off single-cache
-        # cells (the plain Simulation has no L1 to run).
-        if not self.l1_capacities or not self.tier_modes:
+        # Tier axes: validate entries eagerly (tier_modes is not a grid factor
+        # of its own — it feeds the l1_capacities row — so the emptiness rule
+        # above does not reach it).
+        if not self.tier_modes:
             raise ConfigurationError(
                 "the l1_capacities and tier_modes axes each need at least one entry"
             )
@@ -436,13 +426,6 @@ class ExperimentSpec:
                 f"got {self.tier_admission!r}"
             )
         wants_tier = any(capacity > 0 for capacity in self.l1_capacities)
-        if wants_tier and len(cluster_sizes) != len(self.num_nodes):
-            raise ConfigurationError(
-                "the l1_capacities axis only applies to cluster cells; every "
-                "num_nodes entry must be an integer fleet size (got "
-                f"{list(self.num_nodes)}) or the single-cache rows would be "
-                "labeled with an L1 that never ran"
-            )
         if not wants_tier and tuple(self.tier_modes) != ("write-through",):
             raise ConfigurationError(
                 "tier_modes only takes effect with a positive l1_capacities "
@@ -452,8 +435,6 @@ class ExperimentSpec:
         # non-``None`` concurrency entry before crossing the stampede-policy
         # or service-time axes (they parameterize the fetch model; labeling
         # instant-fetch rows with a policy that never ran would be a lie).
-        if not self.concurrency:
-            raise ConfigurationError("the concurrency axis needs at least one entry")
         for entry in self.concurrency:
             if entry is not None and not isinstance(entry, ConcurrencyConfig):
                 raise ConfigurationError(
@@ -479,20 +460,34 @@ class ExperimentSpec:
                 "in-flight fetch model; add a ConcurrencyConfig entry to the "
                 "concurrency axis"
             )
-        # Resilience coordinates: zones label the ring's failure domains and
-        # chaos injects a seeded fault plan — both are cluster-only.
         if self.zones < 1:
             raise ConfigurationError(f"zones must be >= 1, got {self.zones}")
-        wants_resilience = self.zones > 1 or self.chaos is not None
-        if wants_resilience and len(cluster_sizes) != len(self.num_nodes):
-            raise ConfigurationError(
-                "zones and chaos only apply to cluster cells; every num_nodes "
-                f"entry must be an integer fleet size (got {list(self.num_nodes)})"
-            )
         if self.chaos is not None and not isinstance(self.chaos, ChaosSpec):
             raise ConfigurationError(
                 f"chaos must be a ChaosSpec, got {type(self.chaos).__name__}"
             )
+        # What only a fleet can run stays off single-cache cells (the plain
+        # Simulation has no ring, L1, zones or fault plan), in one check.
+        cluster_sizes = [nodes for nodes in self.num_nodes if nodes is not None]
+        cluster_only = (
+            (
+                self.hot_policy is not None or any(self.normalized_scenarios()),
+                "scenarios and hot_policy only apply",
+                " or the single-cache rows would be labeled with a scenario that never ran",
+            ),
+            (
+                wants_tier,
+                "the l1_capacities axis only applies",
+                " or the single-cache rows would be labeled with an L1 that never ran",
+            ),
+            (self.zones > 1 or self.chaos is not None, "zones and chaos only apply", ""),
+        )
+        for wanted, subject, consequence in cluster_only:
+            if wanted and None in self.num_nodes:
+                raise ConfigurationError(
+                    f"{subject} to cluster cells; every num_nodes entry must be an "
+                    f"integer fleet size (got {list(self.num_nodes)}){consequence}"
+                )
         if cluster_sizes:
             self._check_fleet_combinations(sorted(set(cluster_sizes)))
 
@@ -607,95 +602,110 @@ class ExperimentSpec:
     @property
     def num_cells(self) -> int:
         """Size of the expanded grid."""
-        return (
-            len(self.policies)
-            * len(self.workloads)
-            * len(self.staleness_bounds)
-            * len(self.cache_capacities)
-            * len(self.channels)
-            * len(self.num_nodes)
-            * len(self.replications)
-            * len(self.scenarios)
-            * len(self.persistence)
-            * len(self.snapshot_intervals)
-            * len(self.tier_combos())
-            * len(self.concurrency_combos())
-        )
+        return math.prod(len(axis.entries(self)) for axis in AXES)
 
     def expand(self) -> List[RunCell]:
-        """Expand the grid into concrete, deterministically-seeded cells."""
-        cost_params = tuple(sorted(self.cost_params.items()))
+        """Expand the grid into concrete, deterministically-seeded cells.
+
+        The cross product of :data:`AXES` in table order (the last row varies
+        fastest); everything that is not an axis is the same in every cell.
+        """
         slo_rules = None
         if self.slo_rules is not None:
             from repro.obs.slo import canonical_rules
 
             slo_rules = canonical_rules(self.slo_rules)
-        cells: List[RunCell] = []
-        grid = itertools.product(
-            self.normalized_workloads(),
-            self.staleness_bounds,
-            self.cache_capacities,
-            self.channels,
-            self.num_nodes,
-            self.replications,
-            self.normalized_scenarios(),
-            self.persistence,
-            self.snapshot_intervals,
-            self.tier_combos(),
-            self.concurrency_combos(),
-            self.policies,
+        constants: Dict[str, Any] = {name: getattr(self, name) for name in PASS_THROUGH}
+        constants.update(
+            experiment=self.name,
+            duration=float(self.duration),
+            cost_params=tuple(sorted(self.cost_params.items())),
+            obs_window=_optional_float(self.obs_window),
+            slo_rules=slo_rules,
         )
-        for cell_id, (
-            workload,
-            bound,
-            capacity,
-            channel,
-            nodes,
-            replication,
-            scenario,
-            persistence,
-            snapshot_interval,
-            (l1_capacity, tier_mode),
-            concurrency,
-            policy,
-        ) in enumerate(grid):
-            seed = stable_cell_seed(self.base_seed, workload.name, workload.params, self.duration)
-            cells.append(
-                RunCell(
-                    experiment=self.name,
-                    cell_id=cell_id,
-                    policy=policy,
-                    workload=workload.name,
-                    workload_params=workload.params,
-                    staleness_bound=float(bound),
-                    cache_capacity=capacity,
-                    channel=channel,
-                    duration=float(self.duration),
-                    seed=seed,
-                    cost_preset=self.cost_preset,
-                    cost_params=cost_params,
-                    num_nodes=nodes,
-                    replication=int(replication),
-                    read_policy=self.read_policy,
-                    scenario=scenario,
-                    hot_policy=self.hot_policy,
-                    hot_fraction=self.hot_fraction,
-                    vnodes=self.vnodes,
-                    persistence=bool(persistence),
-                    snapshot_interval=(
-                        float(snapshot_interval) if snapshot_interval is not None else None
-                    ),
-                    l1_capacity=int(l1_capacity),
-                    tier_mode=tier_mode,
-                    tier_admission=self.tier_admission,
-                    engine=self.engine,
-                    obs_window=(
-                        float(self.obs_window) if self.obs_window is not None else None
-                    ),
-                    slo_rules=slo_rules,
-                    concurrency=concurrency,
-                    zones=self.zones,
-                    chaos=self.chaos,
-                )
-            )
+        coordinates = [name for axis in AXES for name in axis.coordinates]
+        cells: List[RunCell] = []
+        for cell_id, entries in enumerate(
+            itertools.product(*(axis.entries(self) for axis in AXES))
+        ):
+            cell = dict(constants)
+            cell.update(zip(coordinates, itertools.chain.from_iterable(entries)))
+            cells.append(RunCell(cell_id=cell_id, **cell))
         return cells
+
+
+class Axis(NamedTuple):
+    """One factor of the grid, one row of :data:`AXES`."""
+
+    #: The :class:`ExperimentSpec` field holding the axis.
+    field: str
+    #: The :class:`RunCell` fields one entry fills.
+    coordinates: Tuple[str, ...]
+    #: The normalised entries the grid runs, one tuple of coordinate values each.
+    entries: Callable[[ExperimentSpec], Sequence[Tuple[Any, ...]]]
+    #: Wording of the emptiness error where it predates the shared rule.
+    empty: str = ""
+
+
+def _each(field: str, cast: Callable[[Any], Any] = lambda value: value) -> Callable:
+    """Entries of a one-coordinate axis: every field value, through ``cast``."""
+    return lambda spec: [(cast(value),) for value in getattr(spec, field)]
+
+
+def _optional_float(value: Optional[float]) -> Optional[float]:
+    return float(value) if value is not None else None
+
+
+#: The grid, in product order.  :meth:`ExperimentSpec.expand`,
+#: :attr:`ExperimentSpec.num_cells` and the emptiness rule all iterate this
+#: table: a new axis is a new row here (plus its spec field and cell
+#: coordinate), not an edit to any of them.
+AXES: Tuple[Axis, ...] = (
+    # The seed is workload-anchored (see the module docstring), so it is a
+    # coordinate of this row and of no other.
+    Axis(
+        "workloads",
+        ("workload", "workload_params", "seed"),
+        lambda spec: [
+            (w.name, w.params, stable_cell_seed(spec.base_seed, w.name, w.params, spec.duration))
+            for w in spec.normalized_workloads()
+        ],
+        "an experiment needs at least one workload",
+    ),
+    Axis(
+        "staleness_bounds",
+        ("staleness_bound",),
+        _each("staleness_bounds", float),
+        "an experiment needs at least one staleness bound",
+    ),
+    Axis("cache_capacities", ("cache_capacity",), _each("cache_capacities")),
+    Axis("channels", ("channel",), _each("channels")),
+    Axis("num_nodes", ("num_nodes",), _each("num_nodes")),
+    Axis("replications", ("replication",), _each("replications", int)),
+    Axis("scenarios", ("scenario",), lambda spec: [(s,) for s in spec.normalized_scenarios()]),
+    Axis("persistence", ("persistence",), _each("persistence", bool)),
+    Axis(
+        "snapshot_intervals", ("snapshot_interval",), _each("snapshot_intervals", _optional_float)
+    ),
+    Axis("l1_capacities", ("l1_capacity", "tier_mode"), ExperimentSpec.tier_combos),
+    Axis("concurrency", ("concurrency",), lambda spec: [(c,) for c in spec.concurrency_combos()]),
+    Axis(
+        "policies",
+        ("policy",),
+        _each("policies"),
+        "an experiment needs at least one policy",
+    ),
+)
+
+#: Spec fields that are not axes and reach every cell under the same name.
+PASS_THROUGH = (
+    "read_policy",
+    "hot_policy",
+    "hot_fraction",
+    "vnodes",
+    "tier_admission",
+    "engine",
+    "zones",
+    "chaos",
+    "cost_preset",
+)

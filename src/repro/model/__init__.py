@@ -18,7 +18,6 @@ from repro.model.analytical import (
     aggregate_normalized_costs,
     steady_state_invalidated_probability,
 )
-from repro.model.gap import expected_gap, gap_minimizing_k
 
 __all__ = [
     "InvalidationModel",
@@ -28,8 +27,6 @@ __all__ = [
     "TTLPollingModel",
     "UpdateModel",
     "aggregate_normalized_costs",
-    "expected_gap",
-    "gap_minimizing_k",
     "p_read",
     "p_write",
     "steady_state_invalidated_probability",

@@ -2,9 +2,9 @@
 
 ``benchmarks/run.py`` measures the end product (calibrated, digest-checked
 replay throughput, and the gate); this module measures the *components* that
-replay is made of — fingerprinting, ring routing, request allocation, workload
-generation, sketch updates, cache operations, and small end-to-end replays —
-so a regression in any one layer is attributable before it drowns in an
+replay is made of — fingerprinting, ring routing, workload generation,
+sketch updates, cache operations, and small end-to-end replays — so a
+regression in any one layer is attributable before it drowns in an
 aggregate number.
 
 Three building blocks:
@@ -134,21 +134,6 @@ def bench_hashring_route(scale: float = 1.0) -> Dict[str, Any]:
             route(key, 2)
 
     timing = time_callable(routed)
-    return {"ops": ops, "ops_per_sec": ops / timing["best_seconds"], **timing}
-
-
-def bench_request_alloc(scale: float = 1.0) -> Dict[str, Any]:
-    """Request object construction throughput (the per-request floor)."""
-    from repro.workload.base import OpType, Request
-
-    ops = _scaled(200_000, scale)
-    read = OpType.READ
-
-    def build() -> None:
-        for index in range(ops):
-            Request(float(index), "key-000001", read, 16, 128)
-
-    timing = time_callable(build)
     return {"ops": ops, "ops_per_sec": ops / timing["best_seconds"], **timing}
 
 
@@ -739,7 +724,6 @@ def bench_wal_replay(scale: float = 1.0) -> Dict[str, Any]:
 MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "fingerprint": bench_fingerprint,
     "hashring-route": bench_hashring_route,
-    "request-alloc": bench_request_alloc,
     "workload-generation": bench_workload_generation,
     "sketch-update": bench_sketch_update,
     "cache-ops": bench_cache_ops,

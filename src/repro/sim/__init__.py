@@ -12,15 +12,11 @@ from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
-from repro.sim.runner import PolicyRun, compare_policies, sweep_staleness_bounds
 
 __all__ = [
     "PendingDelivery",
-    "PolicyRun",
     "Simulation",
     "SimulationClock",
     "SimulationResult",
     "VectorSimulation",
-    "compare_policies",
-    "sweep_staleness_bounds",
 ]

@@ -25,7 +25,6 @@ from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.meta import MetaWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.trace import TraceWorkload, iter_trace, read_trace, write_trace
-from repro.workload.stats import WorkloadStats, characterize
 
 __all__ = [
     "CompiledTrace",
@@ -38,9 +37,7 @@ __all__ = [
     "TraceWorkload",
     "TwitterWorkload",
     "Workload",
-    "WorkloadStats",
     "ZipfSampler",
-    "characterize",
     "check_sorted",
     "compile_workload",
     "ensure_sorted",

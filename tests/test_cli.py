@@ -1,12 +1,13 @@
 """The ``python -m repro`` command-line interface."""
 
+import argparse
 import json
 import re
 
 import pytest
 
 import repro
-from repro.__main__ import main
+from repro.__main__ import _cmd_grid, build_parser, main
 
 
 def test_help_lists_every_subcommand(capsys) -> None:
@@ -313,3 +314,198 @@ def test_sweep_rejects_unknown_engine(capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--engine", "bogus"])
     assert excinfo.value.code != 0
+
+
+# --------------------------------------------------------------------- #
+# One grid front door: sweep / cluster / tier share a body and their flags
+# --------------------------------------------------------------------- #
+
+#: ``sweep``'s flags and defaults at PR 21, before the flags were regrouped.
+PARENT_SWEEP_FLAGS = {
+    "--backend-capacity": None,
+    "--bounds": "0.1,1.0,10.0",
+    "--capacities": "none",
+    "--concurrency": False,
+    "--cost-preset": "fixed",
+    "--csv": None,
+    "--duration": 10.0,
+    "--engine": "scalar",
+    "--json": None,
+    "--name": "sweep",
+    "--obs-window": None,
+    "--param": None,
+    "--persist": False,
+    "--policies": "ttl-expiry,ttl-polling,invalidate,update,adaptive",
+    "--processes": None,
+    "--seed": 0,
+    "--service-mean": None,
+    "--service-time": None,
+    "--slo-rules": None,
+    "--snapshot-interval": None,
+    "--stampede-policy": None,
+    "--workloads": "poisson",
+}
+
+#: ``cluster``'s at PR 21 (no ``--engine`` there).
+PARENT_CLUSTER_FLAGS = {
+    "--backend-capacity": None,
+    "--bounds": "1.0",
+    "--capacities": "none",
+    "--channel-delay": 0.0,
+    "--channel-jitter": 0.0,
+    "--channel-loss": 0.0,
+    "--channel-retries": 0,
+    "--channel-retry-backoff": 0.0,
+    "--channel-retry-timeout": 0.0,
+    "--chaos-delay": 0.5,
+    "--chaos-faults": 4,
+    "--chaos-kinds": "delay,drop,slow-node,crash",
+    "--chaos-loss": 0.5,
+    "--chaos-seed": None,
+    "--chaos-slowdown": 4.0,
+    "--chaos-window": 0.1,
+    "--concurrency": False,
+    "--cost-preset": "fixed",
+    "--csv": None,
+    "--duration": 10.0,
+    "--hot-fraction": None,
+    "--hot-policy": None,
+    "--json": None,
+    "--name": "cluster",
+    "--nodes": "8",
+    "--obs-dir": None,
+    "--obs-window": None,
+    "--param": None,
+    "--persist": False,
+    "--policies": "invalidate,update,adaptive",
+    "--processes": None,
+    "--read-policy": "primary",
+    "--replication": "1",
+    "--scenario": "none",
+    "--scenario-param": None,
+    "--seed": 0,
+    "--service-mean": None,
+    "--service-time": None,
+    "--slo-rules": None,
+    "--snapshot-interval": None,
+    "--stampede-policy": None,
+    "--vnodes": 64,
+    "--workloads": "poisson",
+    "--zones": 1,
+}
+
+#: ``tier``'s: ``cluster``'s, its own name, and three flags of its own.
+PARENT_TIER_FLAGS = {
+    **PARENT_CLUSTER_FLAGS,
+    "--name": "tier",
+    "--admission": "second-hit",
+    "--l1-capacity": "256",
+    "--tier-mode": "write-through",
+}
+
+
+def _flags_of(subcommand: str) -> dict:
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        "/".join(action.option_strings): action.default
+        for action in subparsers.choices[subcommand]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_grid_subcommands_accept_what_they_did_plus_one_engine_flag() -> None:
+    """Declaring each flag once must not leak a default from one subcommand
+    into another, drop a flag, or add a new name."""
+    assert _flags_of("sweep") == PARENT_SWEEP_FLAGS
+    assert _flags_of("cluster") == {**PARENT_CLUSTER_FLAGS, "--engine": "scalar"}
+    assert _flags_of("tier") == {**PARENT_TIER_FLAGS, "--engine": "scalar"}
+    args = build_parser().parse_args(["tier"])
+    assert (args.name, args.policies, args.bounds) == ("tier", "invalidate,update,adaptive", "1.0")
+    assert {build_parser().parse_args([name]).func for name in ("sweep", "cluster", "tier")} == {
+        _cmd_grid
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, axis",
+    [
+        (["sweep", "--capacities", ","], "cache_capacities"),
+        (["cluster", "--nodes", ","], "num_nodes"),
+        (["cluster", "--replication", ","], "replications"),
+        (["tier", "--l1-capacity", ","], "l1_capacities"),
+    ],
+)
+def test_an_empty_axis_on_the_command_line_is_an_error_not_an_empty_result(
+    argv, axis, capsys
+) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == f"the {axis} axis needs at least one entry"
+    assert capsys.readouterr().out == ""
+    # The message that was already there keeps its wording.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--bounds", ","])
+    assert excinfo.value.code == "an experiment needs at least one staleness bound"
+
+
+@pytest.mark.parametrize("scenario", ["none", "node-failure"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--nodes", "3"],
+        ["tier", "--nodes", "3", "--l1-capacity", "0,64"],
+    ],
+    ids=["cluster", "tier"],
+)
+def test_fleet_subcommands_reach_the_vector_engine_with_identical_rows(
+    argv, scenario, tmp_path, capsys
+) -> None:
+    """``--engine`` lived on ``sweep`` only, so no command line reached the
+    fleet kernels.  A steady fleet runs them; ``node-failure`` (and a positive
+    L1) falls back to the scalar loop, so rows are equal by construction."""
+    argv = argv + [
+        "--scenario", scenario,
+        "--policies", "invalidate,adaptive",
+        "--bounds", "0.5",
+        "--duration", "4.0",
+        "--param", "num_keys=60",
+    ]
+    reference = None
+    for engine in (None, "scalar", "vector"):
+        for processes in ("1", "2"):
+            target = tmp_path / f"{engine}-{processes}.json"
+            flags = ["--processes", processes, "--json", str(target)]
+            assert main(argv + flags + (["--engine", engine] if engine else [])) == 0
+            rows = json.loads(target.read_text())["results"]
+            assert {row.pop("engine") for row in rows} == {engine or "scalar"}
+            if reference is None:
+                reference = rows
+            assert rows == reference, (engine, processes)
+    assert len(reference) == (2 if argv[0] == "cluster" else 4)
+    assert all(row["reads"] > 0 and row["num_nodes"] == 3 for row in reference)
+
+
+def test_cluster_engine_vector_runs_the_fleet_kernels(monkeypatch, capsys) -> None:
+    """Equal rows alone would also pass if the flag were ignored."""
+    import repro.experiments.runner as runner
+
+    reasons = []
+
+    class Spy(runner.VectorClusterSimulation):
+        def run(self, *args, **kwargs):
+            result = super().run(*args, **kwargs)
+            reasons.append((self.used_vector_path, self.fallback_reason))
+            return result
+
+    monkeypatch.setattr(runner, "VectorClusterSimulation", Spy)
+    argv = [
+        "cluster", "--nodes", "3", "--policies", "invalidate", "--bounds", "0.5",
+        "--duration", "3.0", "--param", "num_keys=40", "--processes", "1", "--engine", "vector",
+    ]
+    assert main(argv) == 0
+    assert main(argv + ["--scenario", "node-failure"]) == 0
+    assert reasons == [(True, None), (False, "scenario")]

@@ -29,7 +29,7 @@ from repro.cluster import parallel as parallel_module
 from repro.cluster.cluster import FLEET_REFUSALS
 from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import ClusterError, ConfigurationError
-from repro.experiments.spec import ExperimentSpec, ScenarioSpec
+from repro.experiments.spec import ChannelSpec, ExperimentSpec, ScenarioSpec
 from repro.resilience import ChaosSpec
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
@@ -217,12 +217,9 @@ def test_parallel_replay_identical_with_scenario_fallback() -> None:
 
 
 def test_parallel_replay_identical_with_lossy_channel() -> None:
-    class LossyChannel:
-        loss_probability = 0.15
-        delay = 0.05
-        jitter = 0.02
-
-    kwargs = dict(num_nodes=3, channel=LossyChannel())
+    kwargs = dict(
+        num_nodes=3, channel=ChannelSpec(loss_probability=0.15, delay=0.05, jitter=0.02)
+    )
     scalar = scalar_result("invalidate", **kwargs)
     assert_identical(scalar, parallel_result("invalidate", 2, **kwargs))
 

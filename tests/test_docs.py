@@ -4,6 +4,7 @@ import argparse
 import importlib
 import inspect
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,15 +89,27 @@ def test_what_runs_where_is_the_envelope_and_the_refusal_inventory_verbatim() ->
     assert "`fallback_reason`" in section
 
 
+def test_the_experiments_page_lists_the_axis_table_row_for_row() -> None:
+    from repro.experiments.spec import AXES
+
+    page = (DOCS / "api" / "experiments.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| .+ \| ((?:`\w+`(?:, )?)+) \|$", page, re.MULTILINE)
+    assert [(field, tuple(re.findall(r"\w+", cells))) for field, cells in rows] == [
+        (axis.field, axis.coordinates) for axis in AXES
+    ]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> "dict[str, argparse.ArgumentParser]":
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
 def _cli_subcommands() -> set[str]:
     from repro.__main__ import build_parser
 
-    (subparsers,) = (
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return set(subparsers.choices)
+    return set(_subparsers(build_parser()))
 
 
 def test_cli_subcommands_are_documented_in_readme() -> None:
@@ -107,14 +120,60 @@ def test_cli_subcommands_are_documented_in_readme() -> None:
         )
 
 
+def _documented_command_lines(text: str) -> "list[str]":
+    """Every ``python -m repro ...`` invocation of a page, as one line each.
+
+    Backslash continuations are joined; an inline code span runs to its
+    closing backtick (it may wrap), a code-block line to the first shell
+    operator or comment.
+    """
+    joined = re.sub(r"\\\n\s*", " ", text)
+    spans = re.findall(r"`python -m repro\s+([a-z][^`]*)`", joined)
+    lines = re.findall(r"(?<!`)python -m repro\s+([a-z].*)", joined)
+    return [" ".join(span.split()) for span in spans] + [
+        re.split(r"\s[|>#;&]", line, maxsplit=1)[0].strip() for line in lines
+    ]
+
+
+def _names_a_command(parser: argparse.ArgumentParser, argv: "list[str]") -> bool:
+    """``obs diff`` in running prose names a subcommand; it is not an invocation."""
+    for word in argv:
+        parser = _subparsers(parser).get(word)
+        if parser is None:
+            return False
+    return len(argv) > 1
+
+
 def test_documented_cli_invocations_name_real_subcommands() -> None:
-    """The other direction: no page shows a subcommand the parser refuses."""
+    """The other direction: no page shows a command line the parser refuses —
+    an unknown subcommand, a renamed flag, a value outside its choices.
+    Nothing is executed, so placeholder paths are fine."""
+    from repro.__main__ import build_parser
+
     pages = [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
     pages += DOCS.rglob("*.md")
     subcommands = _cli_subcommands()
+    parser = build_parser()
+    parsed = 0
     for page in pages:
-        shown = set(re.findall(r"python -m repro\s+([a-z][\w-]*)", page.read_text()))
+        text = page.read_text()
+        shown = set(re.findall(r"python -m repro\s+([a-z][\w-]*)", text))
         assert shown <= subcommands, (
             f"{page.relative_to(ROOT)} shows unknown subcommand(s) "
             f"{sorted(shown - subcommands)}"
         )
+        for line in _documented_command_lines(text):
+            argv = shlex.split(line)
+            # ``...`` / ``{a,b}`` / ``1|2`` abbreviate a family of command lines.
+            if any(re.search(r"\.\.\.|…|[{}|]", word) for word in argv):
+                continue
+            if _names_a_command(parser, argv):
+                continue
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:
+                raise AssertionError(
+                    f"{page.relative_to(ROOT)}: `python -m repro {line}` does not parse"
+                ) from exc
+            parsed += 1
+    assert parsed >= 50, parsed

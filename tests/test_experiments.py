@@ -1,15 +1,23 @@
 """Experiment orchestration: grid expansion, seeding, parallel runs, export."""
 
 import csv
+import dataclasses
+import itertools
 import json
 import os
+import random
 
 import pytest
 
 import repro.experiments.runner as runner
+import repro.experiments.spec as spec_module
+from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    ChannelSpec,
     ExperimentSpec,
+    RunCell,
+    ScenarioSpec,
     WorkloadSpec,
     make_policy,
     make_workload,
@@ -18,6 +26,7 @@ from repro.experiments import (
     write_results_csv,
     write_results_json,
 )
+from repro.experiments.spec import AXES, PASS_THROUGH, Axis
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -185,3 +194,352 @@ def test_spec_validation() -> None:
         ConfigurationError, match=r"engine must be 'scalar' or 'vector', got 'numpy'"
     ):
         small_spec(engine="numpy")
+
+
+# --------------------------------------------------------------------- #
+# One cell runner: the whole ChannelSpec reaches a single-cache cell too
+# --------------------------------------------------------------------- #
+
+def test_single_cache_cell_applies_the_whole_channel_spec(monkeypatch) -> None:
+    """``run_cell`` used to build the single cache's channel by hand and left
+    the three retry fields out: a stated failure model silently not applied."""
+    built = []
+
+    class Spy(runner.Simulation):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["channel"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "Simulation", Spy)
+
+    def dropped(channel: ChannelSpec) -> int:
+        (cell,) = small_spec(
+            policies=["invalidate"],
+            workloads=[WorkloadSpec.of("poisson", {"num_keys": 40, "rate_per_key": 8.0})],
+            staleness_bounds=[0.5],
+            channels=[channel],
+            duration=6.0,
+        ).expand()
+        assert cell.num_nodes is None
+        return runner.run_cell(cell)["messages_dropped"]
+
+    retrying = ChannelSpec(
+        loss_probability=0.4,
+        delay=0.01,
+        jitter=0.005,
+        retries=3,
+        retry_timeout=0.01,
+        retry_backoff=0.002,
+    )
+    assert 0 < dropped(retrying) < dropped(ChannelSpec(loss_probability=0.4))
+    for name, value in retrying.as_dict().items():
+        assert getattr(built[0], name) == value, name
+    assert len(retrying.as_dict()) == 6
+
+
+# --------------------------------------------------------------------- #
+# One axis table: the emptiness rule, a thirteenth axis, and the parent's
+# hand-written expansion kept here as the reference
+# --------------------------------------------------------------------- #
+
+AXIS_FIELDS = [
+    "workloads", "staleness_bounds", "cache_capacities", "channels", "num_nodes",
+    "replications", "scenarios", "persistence", "snapshot_intervals", "l1_capacities",
+    "concurrency", "policies",
+]
+
+#: The three emptiness messages that predate the shared rule.
+LEGACY_EMPTY = {
+    "policies": "an experiment needs at least one policy",
+    "workloads": "an experiment needs at least one workload",
+    "staleness_bounds": "an experiment needs at least one staleness bound",
+}
+
+
+def test_the_axis_table_lists_the_twelve_product_factors_in_order() -> None:
+    assert [axis.field for axis in AXES] == AXIS_FIELDS
+    cell_fields = {field.name for field in dataclasses.fields(RunCell)}
+    coordinates = [name for axis in AXES for name in axis.coordinates]
+    assert len(coordinates) == len(set(coordinates)) and set(coordinates) <= cell_fields
+    assert set(PASS_THROUGH) <= cell_fields - set(coordinates)
+
+
+@pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.field)
+def test_an_empty_axis_is_refused_whatever_the_axis(axis) -> None:
+    """Walks the table, so a future axis cannot forget the rule: an empty axis
+    used to expand to a zero-cell grid that ran nothing and exited 0."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        small_spec(**{axis.field: []})
+    expected = LEGACY_EMPTY.get(axis.field, f"the {axis.field} axis needs at least one entry")
+    assert str(excinfo.value) == expected
+
+
+def test_a_thirteenth_axis_is_one_appended_row(monkeypatch) -> None:
+    """No edit to ``expand`` or ``num_cells``: the row alone crosses the grid."""
+    spec = small_spec()
+    before = spec.expand()
+    row = Axis("policies", ("vnodes",), lambda _spec: [(16,), (32,), (64,)])
+    monkeypatch.setattr(spec_module, "AXES", (*AXES, row))
+    after = spec.expand()
+    assert spec.num_cells == len(after) == 3 * len(before)
+    assert after == [
+        dataclasses.replace(cell, cell_id=3 * cell.cell_id + offset, vnodes=vnodes)
+        for cell in before
+        for offset, vnodes in enumerate((16, 32, 64))
+    ]
+
+
+def reference_tier_combos(spec):
+    """PR 21's ``ExperimentSpec.tier_combos``, verbatim."""
+    combos = []
+    seen_zero = False
+    for capacity in spec.l1_capacities:
+        if capacity == 0:
+            if not seen_zero:
+                combos.append((0, "write-through"))
+                seen_zero = True
+        else:
+            combos.extend((int(capacity), mode) for mode in spec.tier_modes)
+    return combos
+
+
+def reference_concurrency_combos(spec):
+    """PR 21's ``ExperimentSpec.concurrency_combos``, verbatim."""
+    combos = []
+    seen: set = set()
+    for base in spec.concurrency:
+        if base is None:
+            if None not in seen:
+                combos.append(None)
+                seen.add(None)
+            continue
+        policies = tuple(spec.stampede_policies) or (base.policy,)
+        services = tuple(spec.service_times) or (base.service_time,)
+        for policy in policies:
+            for service in services:
+                combo = dataclasses.replace(base, policy=policy, service_time=service)
+                if combo not in seen:
+                    combos.append(combo)
+                    seen.add(combo)
+    return combos
+
+
+def reference_num_cells(spec) -> int:
+    """PR 21's ``ExperimentSpec.num_cells``, verbatim."""
+    return (
+        len(spec.policies)
+        * len(spec.workloads)
+        * len(spec.staleness_bounds)
+        * len(spec.cache_capacities)
+        * len(spec.channels)
+        * len(spec.num_nodes)
+        * len(spec.replications)
+        * len(spec.scenarios)
+        * len(spec.persistence)
+        * len(spec.snapshot_intervals)
+        * len(reference_tier_combos(spec))
+        * len(reference_concurrency_combos(spec))
+    )
+
+
+def reference_expand(spec):
+    """PR 21's ``ExperimentSpec.expand`` (with the two ``normalized_*`` helpers
+    it called inlined), verbatim: twelve nested factors, one hand-written
+    ``RunCell(...)`` call."""
+    workloads = [
+        workload if isinstance(workload, WorkloadSpec) else WorkloadSpec.of(workload)
+        for workload in spec.workloads
+    ]
+    scenarios = []
+    for scenario in spec.scenarios:
+        if scenario is None or isinstance(scenario, ScenarioSpec):
+            scenarios.append(scenario)
+        elif scenario in ("none", ""):
+            scenarios.append(None)
+        else:
+            scenarios.append(ScenarioSpec.of(scenario))
+    cost_params = tuple(sorted(spec.cost_params.items()))
+    slo_rules = None
+    if spec.slo_rules is not None:
+        from repro.obs.slo import canonical_rules
+
+        slo_rules = canonical_rules(spec.slo_rules)
+    cells = []
+    grid = itertools.product(
+        workloads,
+        spec.staleness_bounds,
+        spec.cache_capacities,
+        spec.channels,
+        spec.num_nodes,
+        spec.replications,
+        scenarios,
+        spec.persistence,
+        spec.snapshot_intervals,
+        reference_tier_combos(spec),
+        reference_concurrency_combos(spec),
+        spec.policies,
+    )
+    for cell_id, (
+        workload,
+        bound,
+        capacity,
+        channel,
+        nodes,
+        replication,
+        scenario,
+        persistence,
+        snapshot_interval,
+        (l1_capacity, tier_mode),
+        concurrency,
+        policy,
+    ) in enumerate(grid):
+        seed = stable_cell_seed(spec.base_seed, workload.name, workload.params, spec.duration)
+        cells.append(
+            RunCell(
+                experiment=spec.name,
+                cell_id=cell_id,
+                policy=policy,
+                workload=workload.name,
+                workload_params=workload.params,
+                staleness_bound=float(bound),
+                cache_capacity=capacity,
+                channel=channel,
+                duration=float(spec.duration),
+                seed=seed,
+                cost_preset=spec.cost_preset,
+                cost_params=cost_params,
+                num_nodes=nodes,
+                replication=int(replication),
+                read_policy=spec.read_policy,
+                scenario=scenario,
+                hot_policy=spec.hot_policy,
+                hot_fraction=spec.hot_fraction,
+                vnodes=spec.vnodes,
+                persistence=bool(persistence),
+                snapshot_interval=(
+                    float(snapshot_interval) if snapshot_interval is not None else None
+                ),
+                l1_capacity=int(l1_capacity),
+                tier_mode=tier_mode,
+                tier_admission=spec.tier_admission,
+                engine=spec.engine,
+                obs_window=(
+                    float(spec.obs_window) if spec.obs_window is not None else None
+                ),
+                slo_rules=slo_rules,
+                concurrency=concurrency,
+                zones=spec.zones,
+                chaos=spec.chaos,
+            )
+        )
+    return cells
+
+
+def draw_spec_arguments(rng: random.Random) -> dict:
+    """A random grid over all twelve factors and the four fields feeding them."""
+
+    def some(pool, most):
+        return [rng.choice(pool) for _ in range(rng.randint(1, most))]
+
+    fleet = rng.choice(["single", "fleet", "fleet", "mixed"])
+    num_nodes = {
+        "single": [None],
+        "fleet": some([2, 3, 4], 2),
+        "mixed": rng.choice([[None, 3], [2, None], [None, None, 4]]),
+    }[fleet]
+    all_fleet = fleet == "fleet"
+    persistence = rng.choice([[False], [True], [True, True], [False, True]])
+    l1_capacities = rng.choice(
+        [[0], [0, 16], [0, 0, 16], [16, 32], [16, 0]] if all_fleet else [[0]]
+    )
+    configs = [ConcurrencyConfig(), ConcurrencyConfig(policy="single-flight", capacity=2)]
+    concurrency = rng.choice(
+        [[None], [None, None], [configs[0]], [None, configs[1], None], configs, [configs[0]] * 2]
+    )
+    concurrent = any(entry is not None for entry in concurrency)
+    return dict(
+        name=f"draw-{rng.randrange(10)}",
+        policies=some(["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"], 3),
+        workloads=some(
+            [
+                "poisson",
+                "twitter",
+                WorkloadSpec.of("poisson", {"num_keys": 15, "rate_per_key": 6.0}),
+                WorkloadSpec.of("poisson-mix", {"num_keys": 10}),
+            ],
+            2,
+        ),
+        staleness_bounds=some([0.1, 0.5, 1, 2.0], 3),
+        cache_capacities=some([None, 8, 64], 2),
+        channels=some(
+            [None, ChannelSpec(loss_probability=0.1), ChannelSpec(delay=0.05, retries=2)], 2
+        ),
+        num_nodes=num_nodes,
+        replications=some([1, 2], 2),
+        scenarios=rng.choice(
+            [
+                [None],
+                [None, "node-failure"],
+                ["none", ScenarioSpec.of("node-failure", {"node_index": 1})],
+                ["node-failure", ScenarioSpec.of("flapping"), None],
+            ]
+            if all_fleet
+            else [[None], ["none", None]]
+        ),
+        read_policy=rng.choice(["primary", "round-robin"]),
+        hot_policy=rng.choice([None, "update"]) if all_fleet else None,
+        hot_fraction=rng.choice([0.02, 0.1]),
+        vnodes=rng.choice([16, 64]),
+        persistence=persistence,
+        snapshot_intervals=rng.choice([[None], [1], [None, 0.5]]) if all(persistence) else [None],
+        l1_capacities=l1_capacities,
+        tier_modes=(
+            rng.choice([["write-through"], ["write-through", "write-back"], ["write-back"]])
+            if any(l1_capacities)
+            else ["write-through"]
+        ),
+        tier_admission=rng.choice(["second-hit", "always"]),
+        engine=rng.choice(["scalar", "vector"]),
+        obs_window=rng.choice([None, 1]),
+        concurrency=concurrency,
+        stampede_policies=(
+            rng.choice([[], ["none", "single-flight"], ["single-flight"] * 2]) if concurrent else []
+        ),
+        service_times=(
+            rng.choice([[], ["deterministic", "exponential"]]) if concurrent else []
+        ),
+        zones=rng.choice([1, 2]) if all_fleet else 1,
+        duration=rng.choice([1, 2.0, 3.5]),
+        base_seed=rng.randrange(100),
+        cost_preset=rng.choice(["fixed", "cpu"]),
+        cost_params=rng.choice([{}, {"miss_cost": 2.0}]),
+    )
+
+
+def test_table_driven_expansion_equals_the_hand_written_one_on_random_specs() -> None:
+    """The same ``RunCell``s, ``==``, in the same order, on >= 200 seeded grids."""
+    rng = random.Random(22)
+    drawn = []
+    for _ in range(260):
+        arguments = draw_spec_arguments(rng)
+        try:
+            spec = ExperimentSpec(**arguments)
+        except ConfigurationError:
+            continue  # an unrunnable fleet combination (replication > nodes, ...)
+        drawn.append(arguments)
+        cells = spec.expand()
+        assert cells == reference_expand(spec), arguments
+        assert spec.num_cells == reference_num_cells(spec) == len(cells)
+        assert [cell.describe() for cell in cells] == [
+            cell.describe() for cell in reference_expand(spec)
+        ]
+    assert len(drawn) >= 200
+    # The corners the factors were drawn for were in fact drawn.
+    assert any(spec["concurrency"].count(None) > 1 for spec in drawn)
+    assert any(0 in spec["l1_capacities"] and len(spec["tier_modes"]) > 1 for spec in drawn)
+    assert any(None in spec["num_nodes"] and len(set(spec["num_nodes"])) > 1 for spec in drawn)
+    assert any(
+        {str, ScenarioSpec} <= {type(scenario) for scenario in spec["scenarios"]} for spec in drawn
+    )
+    assert any(spec["stampede_policies"] and spec["service_times"] for spec in drawn)
+    assert any(spec["hot_policy"] for spec in drawn)

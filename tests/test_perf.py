@@ -28,10 +28,10 @@ def test_profile_call_returns_a_stats_table() -> None:
 
 
 def test_run_perf_runs_selected_benches_and_rejects_unknown() -> None:
-    record = run_perf(names=["fingerprint", "request-alloc"], scale=0.01)
+    record = run_perf(names=["fingerprint", "hashring-route"], scale=0.01)
     assert record["kind"] == "repro-perf"
     names = [row["name"] for row in record["results"]]
-    assert names == ["fingerprint", "request-alloc"]
+    assert names == ["fingerprint", "hashring-route"]
     for row in record["results"]:
         assert row["ops_per_sec"] > 0
     with pytest.raises(KeyError):
@@ -98,22 +98,22 @@ def test_perf_cli_list_and_run_and_json(tmp_path, capsys) -> None:
     )
 
     target = tmp_path / "PERF.json"
-    assert main(["perf", "--only", "request-alloc", "--scale", "0.01",
+    assert main(["perf", "--only", "hashring-route", "--scale", "0.01",
                  "--json", str(target)]) == 0
     record = json.loads(target.read_text())
-    assert record["results"][0]["name"] == "request-alloc"
+    assert record["results"][0]["name"] == "hashring-route"
 
     with pytest.raises(SystemExit):
         main(["perf", "--only", "nope"])
 
 
 def test_perf_cli_profile_prints_table(capsys) -> None:
-    assert main(["perf", "--profile", "request-alloc", "--scale", "0.01"]) == 0
+    assert main(["perf", "--profile", "hashring-route", "--scale", "0.01"]) == 0
     assert "function calls" in capsys.readouterr().out
 
 
 def test_perf_cli_json_refused_with_profile_or_list() -> None:
     with pytest.raises(SystemExit):
-        main(["perf", "--profile", "request-alloc", "--json", "x.json"])
+        main(["perf", "--profile", "hashring-route", "--json", "x.json"])
     with pytest.raises(SystemExit):
         main(["perf", "--list", "--json", "x.json"])

@@ -7,7 +7,6 @@ from repro.core.optimal import OptimalPolicy
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import WorkloadError
-from repro.sim.runner import compare_policies
 from repro.sim.simulation import Simulation
 from repro.workload.base import OpType, Request
 from repro.workload.poisson import PoissonZipfWorkload
@@ -74,17 +73,3 @@ def test_out_of_order_stream_raises_workload_error() -> None:
     with pytest.raises(WorkloadError, match="not sorted"):
         simulation.run()
 
-
-def test_compare_policies_accepts_a_one_shot_stream() -> None:
-    runs = compare_policies(
-        WORKLOAD.iter_requests(DURATION),
-        {
-            "invalidate": AlwaysInvalidatePolicy,
-            "update": AlwaysUpdatePolicy,
-        },
-        staleness_bound=0.5,
-    )
-    assert len(runs) == 2
-    # Both policies must have replayed the identical trace even though the
-    # input iterator could only be consumed once.
-    assert runs[0].result.total_requests == runs[1].result.total_requests > 0
