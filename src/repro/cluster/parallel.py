@@ -2,20 +2,24 @@
 
 Because fleet nodes never message each other — they interact only through
 the shared datastore, the hash ring, and the deterministic read router — a
-cluster replay decomposes along *node* lines: each worker rebuilds the full
-fleet, streams the whole compiled trace, and advances every piece of shared
-state exactly like a full run (datastore writes, router counters, scenario
-events, ring membership), but performs cache work only for the nodes it owns
-(``ClusterSimulation(owned_nodes=...)``).  Each owned node's
-:class:`~repro.cluster.results.NodeResult` row is then byte-identical to the
-same row of a full single-process run, so the merge just reassembles the
-per-node rows and re-finalises the totals — results are identical for any
-worker count, including 1.
+cluster replay decomposes along *node* lines: each shard rebuilds the full
+fleet and advances the shared state exactly like a full run (datastore
+writes, router counters, scenario events, ring membership), but performs
+cache work only for the nodes it owns (``ClusterSimulation(owned_nodes=...)``).
+Each owned node's :class:`~repro.cluster.results.NodeResult` row is then
+byte-identical to the same row of a full single-process run, so the merge
+just reassembles the per-node rows and re-finalises the totals — results are
+identical for any worker count, including 1.
 
-The trace is shipped to workers by ``fork`` inheritance (no per-task
-serialization of the columns), together with its memoised index and routing
-plan; on platforms without ``fork`` the shards run sequentially in-process,
-slower but still byte-identical.
+On the vector path what the shards share is computed once, before they
+exist: the caller indexes and routes the trace and fills its span table with
+every cut of the replay (per-key slices, write batches, each node's groups
+and kernel prelude), so a shard only applies the write batches and runs its
+own nodes' kernels.  The trace and everything memoised on it reach the
+workers by ``fork`` inheritance (no per-task serialization), and the caller
+is a shard itself: ``workers=N`` forks ``N - 1`` children.  On platforms
+without ``fork`` the shards run sequentially in-process, slower but still
+byte-identical; on the scalar-fallback path every shard streams the trace.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only; the import is not free
     from multiprocessing.connection import Connection
 
 #: ``(trace, cluster_kwargs)`` stashed before the shards fork; workers inherit
-#: it through copy-on-write instead of unpickling the columns (and the index
-#: and routing plan memoised on the trace) per shard.
+#: it through copy-on-write instead of unpickling the columns (and the index,
+#: routing plan and span table memoised on the trace) per shard.
 _SHARD_CONTEXT: Optional[Tuple[CompiledTrace, dict]] = None
 
 
@@ -70,23 +74,27 @@ def _shard_worker(sender: Connection, owned: Tuple[int, ...]) -> None:
 
 
 def _replay_shards_forked(partitions: Sequence[Tuple[int, ...]]) -> List[ClusterResult]:
-    """Fork one child per partition; their results, in partition order.
+    """Replay partition 0 here and fork one child per other partition; the
+    results, in partition order.
 
-    Only the child holds the write end of its one-way pipe, so one that dies
-    without answering (``SIGKILL``, the OOM killer) reads as end-of-file and
-    becomes a :class:`ClusterError`; a worker pool would replace it silently
-    and wait for ever.  No child outlives the call.
+    The caller is a shard: it replays on the pages it has just warmed while
+    the children run, instead of sleeping in ``recv()`` next to one more
+    forked copy of itself.  Only the child holds the write end of its one-way
+    pipe, so one that dies without answering (``SIGKILL``, the OOM killer)
+    reads as end-of-file and becomes a :class:`ClusterError`; a worker pool
+    would replace it silently and wait for ever.  No child outlives the call,
+    whether it returns or the caller's own shard raises.
     """
     context = multiprocessing.get_context("fork")
     children = []
     try:
-        for owned in partitions:
+        for owned in partitions[1:]:
             receiver, sender = context.Pipe(duplex=False)
             child = context.Process(target=_shard_worker, args=(sender, owned))
             child.start()
             sender.close()
             children.append((child, receiver, owned))
-        results = []
+        results = [_replay_shard(partitions[0])]
         for child, receiver, owned in children:
             try:
                 outcome = receiver.recv()
@@ -164,12 +172,14 @@ def replay_cluster_parallel(
     # The planner is shard 0's twin, so building it asks check_fleet() what
     # every worker's construction would: what shards cannot replay is refused
     # here, in the parent, before anything forks.  It then indexes and routes
-    # the trace (a no-op when an earlier replay of this trace on this fleet
-    # shape already did); forked shards inherit both copy-on-write.  On the
-    # scalar-fallback path workers route as they stream.
+    # the trace and fills its span table with every cut this replay makes (a
+    # no-op when an earlier replay of this trace on this fleet shape already
+    # did), so the shared-state work is done once and the forked shards
+    # inherit it copy-on-write.  On the scalar-fallback path workers route
+    # as they stream.
     planner = VectorClusterSimulation(trace, owned_nodes=partitions[0], **cluster_kwargs)
     if planner.vector_eligible():
-        planner.build_plan()
+        planner.share_spans()
     _SHARD_CONTEXT = (trace, cluster_kwargs)
     try:
         if "fork" in multiprocessing.get_all_start_methods():

@@ -43,7 +43,7 @@ slower — and ``fallback_reason`` names the row.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,10 +64,12 @@ from repro.sim.vector import (
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _replay_in_spans,
+    _span_prelude,
+    _walk_spans,
     envelope_exit,
 )
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import CompiledTrace, Span, TraceIndex
+from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex
 
 
 #: The fleet engine's envelope: the rows only a fleet can trip, asked before
@@ -200,6 +202,7 @@ class VectorClusterSimulation(ClusterSimulation):
             self._factor,
             self.replication.read_policy,
         )
+        self._shape = shape
         plan = index.plans.get(shape)
         if plan is None:
             plan = index.plans[shape] = self._route_keys(index)
@@ -241,7 +244,7 @@ class VectorClusterSimulation(ClusterSimulation):
         if not index.time_ordered:
             # Same contract as the scalar loop's inlined ordering check.
             raise WorkloadError("request stream is not sorted by time")
-        plan = self.build_plan()
+        plan = self._plan = self.build_plan()
         # The vector path never consults the read router mid-run (there are
         # no checkpoints without a store); leave it where the scalar loop
         # would.
@@ -255,34 +258,52 @@ class VectorClusterSimulation(ClusterSimulation):
             for node_idx, node in enumerate(self._node_list)
             if owned_ids is None or node.node_id in owned_ids
         ]
-        self._plan = plan
-        # A shard only kernels what it owns: keys with an owned replica (a
-        # key's reads are served by its replicas).  The shared state
-        # (datastore versions via _apply_span_writes, router counters via the
-        # plan, background flushes) still advances globally.
-        self._owned_keys: Optional[np.ndarray] = None
-        if owned_ids is not None:
-            self._owned_keys = np.isin(plan.replicas, self._owned).any(axis=1)
         _replay_in_spans(self, node0._reacts, self._advance_background)
 
-    def _node_groups(
-        self, span: Span, tallies: List[_SpanTally]
-    ) -> Iterator[Tuple[int, Groups]]:
-        """Route one span: yield each owned node's ``(node_index, groups)``.
+    def share_spans(self) -> None:
+        """Fill the trace's span table with what this replay would ask of it.
+
+        Walks the replay's flush boundaries without replaying: every cut's
+        facts, every node's groups and (for a reacting policy) kernel
+        prelude.  A parallel replay calls it on its planner before forking,
+        so the shards inherit the table instead of each building it; the
+        walk spends the instance (it is not run afterwards).
+        """
+        trace = self.trace
+        if len(trace) == 0 or not trace.index().time_ordered:
+            return
+        self._plan = self.build_plan()
+        reacts = self._node_list[0]._reacts
+        ctx = self._ctx = _ReplayContext.for_node(trace, trace.index(), self._node_list[0])
+
+        def skip_flushes(until: float) -> None:
+            while self._next_flush <= until:
+                self._next_flush += self.staleness_bound
+
+        for facts in _walk_spans(self, reacts, skip_flushes):
+            for node_idx, (groups, _) in enumerate(self._node_groups(facts)):
+                if reacts and groups is not None:
+                    _span_prelude(ctx, facts, (self._shape, node_idx), groups)
+
+    def _node_groups(self, facts: SpanFacts) -> List[Tuple[Optional[Groups], int]]:
+        """Route one cut: ``(groups, primary_writes)`` per node, from the span table.
 
         A node's groups are the span keys it is a replica of and serves
-        reads of or receives writes for — a (node, key) with both is ONE
-        group (the miss/buffer/estimator interleaving is per (node, key)).
-        Under round-robin a read's replica column is its global per-key read
-        rank mod the replica count (counters start at zero), so each
-        replica's reads are a stride of the key's run.  Also counts each
-        key's span writes on its primary's tally: only the primary counts
-        the write in its result, like ``observe_write(owner=True)``.
+        reads of or receives writes for (``None`` when there are none) — a
+        (node, key) with both is ONE group (the miss/buffer/estimator
+        interleaving is per (node, key)).  Under round-robin a read's replica
+        column is its global per-key read rank mod the replica count
+        (counters start at zero), so each replica's reads are a stride of
+        the key's run.  ``primary_writes`` counts the span writes of the keys
+        the node is primary of: only the primary counts a write in its
+        result, like ``observe_write(owner=True)``.  Routing knows no policy
+        and no owner, so one entry per fleet shape serves every replay and
+        every shard.
         """
-        if self._owned_keys is not None:
-            mine = self._owned_keys[span[0]]
-            span = tuple(column[mine] for column in span)
-        keys, read_lo, read_hi, write_lo, write_hi = span
+        return self._ctx.index.routed(facts, self._shape, lambda: self._route_span(facts))
+
+    def _route_span(self, facts: SpanFacts) -> Tuple[List[Tuple[Optional[Groups], int]], int]:
+        keys, read_lo, read_hi, write_lo, write_hi = facts.columns
         plan = self._plan
         replicas = plan.replicas[keys]
         num_writes = write_hi - write_lo
@@ -294,9 +315,10 @@ class VectorClusterSimulation(ClusterSimulation):
             stride = 1
             num_reads = read_hi - read_lo
             read_slot = plan.read_slot[keys]
-        for node_idx in self._owned:
+        routed: List[Tuple[Optional[Groups], int]] = []
+        nbytes = 0
+        for node_idx in range(len(self._node_list)):
             holds = replicas == node_idx
-            tallies[node_idx].writes += int(num_writes[holds[:, 0]].sum())
             slot = holds.argmax(axis=1)
             if plan.rotates:
                 first = read_lo + (slot - rank) % width
@@ -305,41 +327,45 @@ class VectorClusterSimulation(ClusterSimulation):
                 first = read_lo
                 count = np.where(slot == read_slot, num_reads, 0)
             mine = (holds.any(axis=1) & ((count > 0) | (num_writes > 0))).nonzero()[0]
+            groups = None
             if mine.size:
-                yield node_idx, (
-                    keys[mine],
-                    first[mine],
-                    count[mine],
-                    stride,
-                    write_lo[mine],
-                    write_hi[mine],
-                )
+                groups = (keys[mine], first[mine], count[mine], stride, write_lo[mine], write_hi[mine])
+                nbytes += 5 * mine.nbytes
+            routed.append((groups, int(num_writes[holds[:, 0]].sum())))
+        return routed, nbytes
 
-    def _replay_reactive_span(self, span: Span) -> None:
+    def _replay_span(self, facts: SpanFacts, kernel) -> None:
+        """One cut on the owned nodes: ``kernel(node_idx, host, tally, groups)``
+        for each that has groups, after the shared datastore took the writes."""
         ctx = self._ctx
-        _apply_span_writes(ctx, span)
-        hosts = self._hosts
-        tallies = [_SpanTally() for _ in hosts]
-        for node_idx, groups in self._node_groups(span, tallies):
-            _kernel_reactive_span(ctx, hosts[node_idx], tallies[node_idx], groups)
-        self._flush_owned(tallies)
+        _apply_span_writes(ctx, facts)
+        routed = self._node_groups(facts)
+        for node_idx in self._owned:
+            groups, primary_writes = routed[node_idx]
+            host, tally = self._hosts[node_idx], _SpanTally()
+            tally.writes = primary_writes
+            if groups is not None:
+                kernel(node_idx, host, tally, groups)
+            _flush_tally(ctx, host, tally)
 
-    def _replay_ttl_trace(self, span: Span) -> None:
+    def _replay_reactive_span(self, facts: SpanFacts) -> None:
+        ctx, shape = self._ctx, self._shape
+        self._replay_span(
+            facts,
+            lambda node_idx, host, tally, groups: _kernel_reactive_span(
+                ctx, host, tally, _span_prelude(ctx, facts, (shape, node_idx), groups)
+            ),
+        )
+
+    def _replay_ttl_trace(self, facts: SpanFacts) -> None:
         # A non-reacting fleet's interval flushes are no-ops (nothing is ever
         # buffered, there is no detector and no tier on this path), so the
         # whole trace is a single span: one kernel call per owned node, on
         # the same routed groups a reactive span gets.
         ctx = self._ctx
-        _apply_span_writes(ctx, span)
-        hosts = self._hosts
-        tallies = [_SpanTally() for _ in hosts]
         kernel = (
             _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
         )
-        for node_idx, groups in self._node_groups(span, tallies):
-            kernel(ctx, hosts[node_idx], tallies[node_idx], groups)
-        self._flush_owned(tallies)
-
-    def _flush_owned(self, tallies: List[_SpanTally]) -> None:
-        for node_idx in self._owned:
-            _flush_tally(self._ctx, self._hosts[node_idx], tallies[node_idx])
+        self._replay_span(
+            facts, lambda node_idx, host, tally, groups: kernel(ctx, host, tally, groups)
+        )

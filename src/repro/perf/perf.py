@@ -324,11 +324,11 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     kernel = vector._kernel_reactive_span
     calls = key_spans = 0
 
-    def counted(ctx: Any, host: Any, tally: Any, groups: Any) -> None:
+    def counted(ctx: Any, host: Any, tally: Any, prelude: Any) -> None:
         nonlocal calls, key_spans
         calls += 1
-        key_spans += int(groups[0].size)
-        kernel(ctx, host, tally, groups)
+        key_spans += int(prelude.groups[0].size)
+        kernel(ctx, host, tally, prelude)
 
     vector._kernel_reactive_span = counted
     try:
@@ -482,12 +482,14 @@ def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
 
 
 def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
-    """Trace index build plus a 30-span slicing walk (no kernels).
+    """Trace index build plus a 30-span slicing walk (no kernels), cold and warm.
 
-    The policy-independent share of a columnar replay: what the first
-    replay of a compiled trace pays once (the key-major index) and what
-    every replay pays per span to take its per-key read/write slices.
-    Builds the index directly so no repeat is served from the trace's memo.
+    The policy-independent share of a columnar replay.  Cold is what the
+    first replay of a compiled trace pays once: the key-major index, and per
+    span the cut's facts (per-key read/write slices, write batch) that go
+    into the index's span table.  Warm is the same walk again on that index —
+    what every later replay pays, a table lookup per span.  Builds the index
+    directly so no repeat is served from the trace's memo.
     """
     from repro.workload.compiled import SpanCursor, TraceIndex, compile_workload
     from repro.workload.poisson import PoissonZipfWorkload
@@ -496,30 +498,37 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
     trace = compile_workload(workload, requests / (100.0 * 500))
     ends = [len(trace) * span // 30 for span in range(1, 31)]
-    index_bytes = 0
+    index = None
 
-    def build_and_walk() -> None:
-        nonlocal index_bytes
-        index = TraceIndex(
-            trace.times, trace.key_ids, trace.is_read, trace.value_sizes, len(trace.key_names)
-        )
-        index_bytes = index.nbytes
+    def walk() -> None:
         cursor = SpanCursor(index)
         read_pos, write_pos = index.read_pos, index.write_pos
-        sliced = 0
+        sliced = start = 0
         for end in ends:
-            for _, r_lo, r_hi, w_lo, w_hi in zip(
-                *(column.tolist() for column in cursor.advance(end))
-            ):
+            columns = index.span(start, end, cursor).columns
+            start = end
+            for _, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in columns)):
                 sliced += read_pos[r_lo:r_hi].size + write_pos[w_lo:w_hi].size
         if sliced != len(trace):
             raise AssertionError(f"span slices cover {sliced} of {len(trace)} requests")
 
+    def build_and_walk() -> None:
+        nonlocal index
+        index = TraceIndex(
+            trace.times, trace.key_ids, trace.is_read, trace.value_sizes, len(trace.key_names)
+        )
+        walk()
+
     timing = time_callable(build_and_walk)
+    warm = time_callable(walk)
+    cold_ops_per_sec = len(trace) / timing["best_seconds"]
     return {
         "ops": len(trace),
-        "ops_per_sec": len(trace) / timing["best_seconds"],
-        "index_bytes_per_request": index_bytes / max(len(trace), 1),
+        "ops_per_sec": cold_ops_per_sec,
+        "walk_cold_ops_per_sec": cold_ops_per_sec,
+        "walk_warm_ops_per_sec": len(trace) / warm["best_seconds"],
+        "index_bytes_per_request": index.nbytes / max(len(trace), 1),
+        "table_bytes_per_request": index.table_bytes / max(len(trace), 1),
         **timing,
     }
 

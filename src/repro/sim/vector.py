@@ -52,6 +52,13 @@ Why byte-identity is achievable at all:
   :class:`~repro.workload.compiled.TraceIndex` — built by the first replay,
   shared by every later one — hands each span its per-key read and write
   positions as bounds into two key-major columns.
+* **A span is a fact of the trace.**  Where a replay cuts depends on its
+  bound; what the cut holds — those bounds, the write batch the datastore
+  commits, each host's groups and the policy-independent prelude of the
+  reactive kernel (:class:`_SpanPrelude`) — depends on the trace and the two
+  cut positions only, so it lives in the index's span table
+  (:class:`~repro.workload.compiled.SpanFacts`), built by the first replay
+  that asks for the cut and read, never written, by all the others.
 * **A write's place among the reads is arithmetic.**  The index stores, per
   write, where in the key-major read column the key's next read sits, so how
   many of a span's writes precede a key's first read (the version a miss
@@ -68,7 +75,7 @@ just slower — and names the row in ``fallback_reason``.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +89,7 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
-from repro.workload.compiled import CompiledTrace, Span, SpanCursor, TraceIndex
+from repro.workload.compiled import CompiledTrace, SpanCursor, SpanFacts, TraceIndex
 
 #: Policy classes with a vectorized kernel.  Exact types only: a subclass may
 #: override hooks in ways the kernels would not reproduce.
@@ -380,41 +387,26 @@ class _SpanTally:
         self.poll_positions = self.poll_counts = _NO_POLLS
 
 
-def _apply_span_writes(ctx: _ReplayContext, span: Span) -> int:
+def _apply_span_writes(ctx: _ReplayContext, facts: SpanFacts) -> int:
     """Commit a span's writes to the datastore, byte-identical to the scalar loop.
 
-    Histories are created in first-write order (the scalar engine's dict
-    insertion order); per-key write times extend in stream order and the
-    history's value size ends at the key's last span write.  Returns the
-    number of writes committed.
+    The cut's write batch comes in first-write order (the scalar engine's
+    history insertion order); each history copies the key's span write times
+    out of the index's shared list and ends at the key's last span value
+    size.  Returns the number of writes committed.
     """
-    keys, _, _, write_lo, write_hi = span
-    written = write_hi > write_lo
-    keys, write_lo, write_hi = keys[written], write_lo[written], write_hi[written]
-    if keys.size == 0:
-        return 0
-    index = ctx.index
     histories = ctx.datastore._histories
     names = ctx.trace.key_names
-    # New histories must be created in first-write order, not key-id order.
-    creation_order = np.argsort(index.write_pos[write_lo], kind="stable")
-    for key_id in keys[creation_order].tolist():
+    write_times = ctx.index.write_time_list
+    for key_id, lo, hi, value_size in zip(*facts.writes):
         name = names[key_id]
-        if name not in histories:
-            histories[name] = KeyHistory(key=name, value_size=ctx.default_value_size)
-    write_times = index.write_times
-    for key_id, lo, hi, value_size in zip(
-        keys.tolist(),
-        write_lo.tolist(),
-        write_hi.tolist(),
-        index.write_value_sizes[write_hi - 1].tolist(),
-    ):
-        history = histories[names[key_id]]
-        history.write_times.extend(write_times[lo:hi].tolist())
+        history = histories.get(name)
+        if history is None:
+            history = histories[name] = KeyHistory(key=name, value_size=ctx.default_value_size)
+        history.write_times.extend(write_times[lo:hi])
         history.value_size = value_size
-    total = int((write_hi - write_lo).sum())
-    ctx.datastore.total_writes += total
-    return total
+    ctx.datastore.total_writes += facts.total_writes
+    return facts.total_writes
 
 
 def _fold_estimator(
@@ -490,8 +482,107 @@ def _write_runs(
     return before_first, before_last, runs_closed
 
 
+#: Table bytes charged per group of a :class:`_SpanPrelude`, fold columns and
+#: write runs included whether or not a replay has asked for them yet: eight
+#: 8-byte array slots, eleven list slots and a few boxed integers (measured:
+#: 150-220 bytes on the benchmark traces).
+_PRELUDE_GROUP_BYTES = 256
+
+
+class _SpanPrelude:
+    """The policy-independent half of :func:`_kernel_reactive_span`.
+
+    What one host's groups of one cut are under *any* write-reactive policy,
+    bound and cache state — built once per cut and host, memoised on the
+    cut's :class:`~repro.workload.compiled.SpanFacts`, shared by every
+    replay.  Arrays and lists are read, never written.
+
+    Attributes:
+        groups: The host's :data:`Groups`.
+        names: Key name of each group.
+        num_writes / writing / total_writes: Span writes per group, the
+            groups that have any, and their sum.
+        reading / read_counts / total_reads: The groups with span reads and
+            their read counts (lists), and the sum.
+        last_read: Time of each reading group's last span read.
+
+    The write runs and the estimator's fold rows are made by the first replay
+    that needs them (a miss on a key written in the span, an adaptive policy):
+    a span of a few requests per key mostly needs neither.
+    """
+
+    __slots__ = (
+        "groups", "names", "num_writes", "writing", "total_writes", "reading",
+        "read_counts", "total_reads", "last_read", "_write_runs", "_fold_columns",
+    )
+
+    def __init__(self, trace: CompiledTrace, index: TraceIndex, groups: Groups) -> None:
+        keys, first, count, stride, write_lo, write_hi = groups
+        self.groups = groups
+        self.names = list(map(trace.key_names.__getitem__, keys.tolist()))
+        self.num_writes = num_writes = write_hi - write_lo
+        self.writing = writing = num_writes.nonzero()[0]
+        self.total_writes = int(num_writes.sum())
+        reading = count.nonzero()[0]
+        read_first, read_count = first[reading], count[reading]
+        self.reading = reading.tolist()
+        self.read_counts = read_count.tolist()
+        self.total_reads = int(read_count.sum())
+        self.last_read = trace.times[index.read_pos[read_first + (read_count - 1) * stride]]
+        self._write_runs: Optional[np.ndarray] = None
+        self._fold_columns: Optional[Tuple[list, ...]] = None
+
+    def write_runs(self, index: TraceIndex) -> np.ndarray:
+        """``(before_first, before_last, runs_closed)``: :func:`_write_runs` of
+        every group that reads and writes, zero elsewhere.  A miss fetches
+        the version as of its position, and the estimator folds runs."""
+        if self._write_runs is None:
+            keys, first, count, stride, write_lo, _ = self.groups
+            num_writes = self.num_writes
+            runs = np.zeros((3, keys.size), dtype=np.int64)
+            mixed = (count * num_writes).nonzero()[0]
+            if mixed.size:
+                runs[:, mixed] = _write_runs(
+                    index, first[mixed], count[mixed], stride, write_lo[mixed], num_writes[mixed]
+                )
+            self._write_runs = runs
+        return self._write_runs
+
+    def fold_rows(self, index: TraceIndex) -> Iterator[Tuple[int, str, int, int, int, int, int]]:
+        """The :func:`_fold_estimator` rows of the span, sorted by first
+        observation: the order the scalar engine creates counter rows in."""
+        if self._fold_columns is None:
+            keys, first, count, _, write_lo, _ = self.groups
+            reading, writing = count.nonzero()[0], self.writing
+            # A group is first seen at its first read or write, whichever
+            # comes first in the stream.  (The position columns may be
+            # unsigned: the sentinel for "no read" goes into a signed array
+            # they are then copied into.)
+            first_seen = np.full(keys.size, index.key_ids.size, dtype=np.int64)
+            first_seen[reading] = index.read_pos[first[reading]]
+            first_seen[writing] = np.minimum(
+                first_seen[writing], index.write_pos[write_lo[writing]]
+            )
+            order = np.argsort(first_seen, kind="stable")
+            observed = (first_seen, count, self.num_writes, *self.write_runs(index))
+            seen, *observed = (column[order].tolist() for column in observed)
+            names = list(map(self.names.__getitem__, order.tolist()))
+            self._fold_columns = (seen, names, *observed)
+        return zip(*self._fold_columns)
+
+
+def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, key, groups: Groups) -> _SpanPrelude:
+    """The prelude of ``groups`` — the share of the cut of the host ``key``
+    names — from the span table."""
+    return ctx.index.routed(
+        facts,
+        key,
+        lambda: (_SpanPrelude(ctx.trace, ctx.index, groups), _PRELUDE_GROUP_BYTES * groups[0].size),
+    )
+
+
 def _kernel_reactive_span(
-    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
+    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, prelude: _SpanPrelude
 ) -> None:
     """One host's whole span under a write-reactive policy.
 
@@ -500,20 +591,15 @@ def _kernel_reactive_span(
     misses and re-fetches, after which every read is a hit; a key valid at
     span start serves only hits.  Everything the span does to a key therefore
     follows from *endpoints* — read count, first and last read, first and
-    last surviving write — which are gathered for all keys at once; only the
-    object work (entry lookup and hit bump, entry fill, buffered write) runs
+    last surviving write — which the cut's :class:`_SpanPrelude` holds for
+    all keys; what is left per replay is the part that depends on the cache:
+    the object work (entry lookup and hit bump, entry fill, buffered write)
     per key, over plain Python columns.
     """
-    keys, first, count, stride, write_lo, write_hi = groups
+    keys, first, count, stride, write_lo, write_hi = prelude.groups
     index, trace = ctx.index, ctx.trace
     times = trace.times
-    names = list(map(trace.key_names.__getitem__, keys.tolist()))
-    num_writes = write_hi - write_lo
-    reading = count.nonzero()[0]
-    writing = num_writes.nonzero()[0]
-    read_first = first[reading]
-    read_count = count[reading]
-    last_horizon = times[index.read_pos[read_first + (read_count - 1) * stride]] - ctx.bound
+    names = prelude.names
 
     missed: List[int] = []
     missed_entries: List[Optional[CacheEntry]] = []
@@ -523,7 +609,7 @@ def _kernel_reactive_span(
     lookup = host.entries.get
     valid = EntryState.VALID
     for g, reads, horizon in zip(
-        reading.tolist(), read_count.tolist(), last_horizon.tolist()
+        prelude.reading, prelude.read_counts, (prelude.last_read - ctx.bound).tolist()
     ):
         entry = lookup(names[g])
         if entry is not None and entry.state is valid:
@@ -535,30 +621,22 @@ def _kernel_reactive_span(
         else:
             missed.append(g)
             missed_entries.append(entry)
-    total_reads = int(read_count.sum())
-    tally.reads += total_reads
-    tally.hits += total_reads - len(missed)
+    tally.reads += prelude.total_reads
+    tally.hits += prelude.total_reads - len(missed)
     if late:
         _count_violations(
-            ctx, tally, groups, np.array(late), np.array(late_as_of), np.array(late_horizon)
-        )
-
-    # Writes relative to reads, for the groups where it matters: a miss
-    # fetches the version as of its position, and the estimator folds runs.
-    before_first, before_last, runs_closed = np.zeros((3, keys.size), dtype=np.int64)
-    miss = np.array(missed, dtype=np.int64)
-    mixed = miss if host.estimator is None else reading
-    mixed = mixed[num_writes[mixed] > 0]
-    if mixed.size:
-        before_first[mixed], before_last[mixed], runs_closed[mixed] = _write_runs(
-            index, first[mixed], count[mixed], stride, write_lo[mixed], num_writes[mixed]
+            ctx, tally, prelude.groups, np.array(late), np.array(late_as_of), np.array(late_horizon)
         )
 
     if missed:
+        miss = np.array(missed, dtype=np.int64)
         position = index.read_pos[first[miss]]
         # Exactly the writes preceding the read in stream order are visible:
         # the key's pre-span writes plus the span writes before the miss.
-        visible = write_lo[miss] + before_first[miss]
+        before_miss = (
+            prelude.write_runs(index)[0][miss] if prelude.num_writes[miss].any() else 0
+        )
+        visible = write_lo[miss] + before_miss
         version = visible - index.write_offsets[keys[miss]]
         value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
         written = version.nonzero()[0]
@@ -597,13 +675,14 @@ def _kernel_reactive_span(
         tally.cold_misses += cold
         tally.stale_misses += len(missed) - cold
 
+    writing = prelude.writing
     if host.reacts and writing.size:
-        tally.buffered_writes += int(num_writes.sum())
+        tally.buffered_writes += prelude.total_writes
         start = write_lo
         if missed and host.discard_on_miss_fill:
             # A miss fill drops what the key had buffered before it.
             start = write_lo.copy()
-            start[miss] += before_first[miss]
+            start[miss] += before_miss
         start = start[writing]
         surviving = start < write_hi[writing]
         buffered, start = writing[surviving], start[surviving]
@@ -634,26 +713,7 @@ def _kernel_reactive_span(
             )
 
     if host.estimator is not None:
-        # Counter rows are created in order of each key's first observation:
-        # its first read or write, whichever comes first in the stream.
-        # (The position columns may be unsigned: the sentinel for "no read"
-        # goes into a signed array they are then copied into.)
-        first_seen = np.full(keys.size, len(trace), dtype=np.int64)
-        first_seen[reading] = index.read_pos[read_first]
-        first_seen[writing] = np.minimum(
-            first_seen[writing], index.write_pos[write_lo[writing]]
-        )
-        tally.estimator_ops.extend(
-            zip(
-                first_seen.tolist(),
-                names,
-                count.tolist(),
-                num_writes.tolist(),
-                before_first.tolist(),
-                before_last.tolist(),
-                runs_closed.tolist(),
-            )
-        )
+        tally.estimator_ops.extend(prelude.fold_rows(index))
 
 
 def _count_violations(
@@ -1048,41 +1108,61 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         result.polls += int(tally.poll_counts.sum())
 
 
-def _replay_in_spans(engine, reacts: bool, advance_background) -> None:
-    """Replay ``engine.trace`` span by span, cut where its next flush falls.
+def _walk_spans(engine, reacts: bool, advance_background) -> Iterator[SpanFacts]:
+    """The cuts of a replay of ``engine.trace``, each where its next flush falls.
 
-    The loop both columnar engines share.  The engine supplies the two span
-    replays (``_replay_reactive_span(span)`` / ``_replay_ttl_trace(span)``),
-    its scalar background advance to run at each boundary, and the driver
-    state every replay has: ``trace``, ``obs``, ``clock``, the live
-    ``_next_flush``.  A non-reacting policy has no flush boundaries, so its
-    whole trace is one span.
+    Takes every cut's facts from the trace's span table — a cursor builds the
+    ones no earlier replay asked for — and between two cuts runs
+    ``advance_background`` (which moves the live ``engine._next_flush``)
+    exactly where the scalar loop would.  A non-reacting policy has no flush
+    boundaries, so its whole trace is one span.
     """
     times = engine.trace.times
     total = len(times)
+    index = engine.trace.index()
+    cursor = SpanCursor(index)
+    if not reacts:
+        yield index.span(0, total, cursor)
+        return
+    start = 0
+    while start < total:
+        end = int(np.searchsorted(times, engine._next_flush, side="left"))
+        if end > start:
+            yield index.span(start, end, cursor)
+            start = end
+            if start >= total:
+                break
+        # The next request is at or past the flush boundary: run the due
+        # background work exactly where the scalar loop would.
+        advance_background(float(times[start]))
+
+
+def _replay_in_spans(engine, reacts: bool, advance_background) -> None:
+    """Replay ``engine.trace`` span by span: the loop both columnar engines share.
+
+    The engine supplies the two span replays (``_replay_reactive_span(facts)``
+    / ``_replay_ttl_trace(facts)``), its scalar background advance to run at
+    each boundary, and the driver state every replay has: ``trace``, ``obs``,
+    ``clock``, the live ``_next_flush``.
+    """
+    times = engine.trace.times
     obs = engine.obs
-    cursor = SpanCursor(engine.trace.index())
-    if reacts:
-        start = 0
-        while start < total:
-            end = int(np.searchsorted(times, engine._next_flush, side="left"))
-            if end > start:
-                if obs is not None:
-                    # Kernel stats fold into the window containing the
-                    # span's first request (span-granularity attribution).
-                    span_start = float(times[start])
-                    if span_start >= obs.next_boundary:
-                        obs.roll(span_start)
-                engine._replay_reactive_span(cursor.advance(end))
-                start = end
-                if start >= total:
-                    break
-            # The next request is at or past the flush boundary: run the
-            # due background work exactly where the scalar loop would.
-            advance_background(float(times[start]))
-    else:
-        engine._replay_ttl_trace(cursor.advance(total))
+    replay = engine._replay_reactive_span if reacts else engine._replay_ttl_trace
+    for facts in _walk_spans(engine, reacts, advance_background):
+        if reacts and obs is not None:
+            # Kernel stats fold into the window containing the span's first
+            # request (span-granularity attribution).
+            span_start = float(times[facts.cut[0]])
+            if span_start >= obs.next_boundary:
+                obs.roll(span_start)
+        replay(facts)
     engine.clock.advance_to(float(times[-1]))
+
+
+def _cache_groups(facts: SpanFacts) -> Groups:
+    """The single cache's share of a cut: every key, all its reads."""
+    keys, read_lo, read_hi, write_lo, write_hi = facts.columns
+    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
 
 
 class VectorSimulation(Simulation):
@@ -1149,21 +1229,19 @@ class VectorSimulation(Simulation):
         self._host = _HostState.of(self.node)
         _replay_in_spans(self, self._host.reacts, self._advance_background_work)
 
-    def _replay_reactive_span(self, span: Span) -> None:
+    def _replay_reactive_span(self, facts: SpanFacts) -> None:
         ctx, host = self._ctx, self._host
         tally = _SpanTally()
-        tally.writes = _apply_span_writes(ctx, span)
-        keys, read_lo, read_hi, write_lo, write_hi = span
+        tally.writes = _apply_span_writes(ctx, facts)
         _kernel_reactive_span(
-            ctx, host, tally, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)
+            ctx, host, tally, _span_prelude(ctx, facts, None, _cache_groups(facts))
         )
         _flush_tally(ctx, host, tally)
 
-    def _replay_ttl_trace(self, span: Span) -> None:
+    def _replay_ttl_trace(self, facts: SpanFacts) -> None:
         ctx, host = self._ctx, self._host
         tally = _SpanTally()
-        tally.writes = _apply_span_writes(ctx, span)
-        keys, read_lo, read_hi, write_lo, write_hi = span
+        tally.writes = _apply_span_writes(ctx, facts)
         kernel = _kernel_ttl_expiry if self.node._ttl_expiry else _kernel_ttl_polling
-        kernel(ctx, host, tally, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi))
+        kernel(ctx, host, tally, _cache_groups(facts))
         _flush_tally(ctx, host, tally)

@@ -2,9 +2,13 @@
 
 A :class:`CompiledTrace` is a whole stream laid out as parallel arrays
 (timestamps, key ids, op flags, sizes) plus a key-id -> key-name table.  The
-vectorized engine (``repro.sim.vector``) replays it in spans; the scalar
-drivers take it :data:`~repro.workload.base.STREAM_CHUNK_SIZE` rows at a
-time through :meth:`CompiledTrace.chunks`, without building a request object.
+vectorized engine (``repro.sim.vector``) replays it in spans, and what a span
+is — its per-key slices, its write batch, each host's share — is a fact of
+the trace: the :class:`TraceIndex` keeps a bounded table of
+:class:`SpanFacts`, computed once per cut and shared by every replay.  The
+scalar drivers take the trace :data:`~repro.workload.base.STREAM_CHUNK_SIZE`
+rows at a time through :meth:`CompiledTrace.chunks`, without building a
+request object.
 
 The native generators' primitive is their chunk generator
 (``iter_columns``), and a compiled Poisson or Twitter trace is nothing but
@@ -18,7 +22,7 @@ just as identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +53,8 @@ class TraceIndex:
     One stable argsort of the key ids lays the stream positions out
     key-major; within a key they stay ascending.  A stable key sort
     restricted to any position range ``[start, end)`` is therefore a
-    contiguous *slice* of each key's run, which is what :class:`SpanCursor`
-    hands the span kernels: views, never sorted copies.
+    contiguous *slice* of each key's run, which is what :meth:`span` hands
+    the span kernels: bounds into the columns, never sorted copies.
 
     The index holds arrays only — never the trace — so it cannot keep its
     owner alive, and it lives exactly as long as the trace object does.
@@ -73,7 +77,14 @@ class TraceIndex:
             write's rank among any run of the key's reads is arithmetic.
         plans: Memo for trace-wide artefacts that depend on configuration
             but not on replay state (the fleet routing plan), keyed by that
-            configuration.
+            configuration: one entry per fleet shape.
+        write_time_list: ``write_times`` as Python floats, made with the
+            first cut and charged to the table: every replay's histories
+            copy slices of this one list instead of boxing the floats anew.
+        table: The span table — :meth:`span`'s memo of :class:`SpanFacts`,
+            keyed by cut ``(start, end)``, oldest first.
+        table_bytes: Bytes the table holds; never above ``table_cap``, the
+            bytes of the four trace columns the index is derived from.
     """
 
     __slots__ = (
@@ -88,6 +99,10 @@ class TraceIndex:
         "write_value_sizes",
         "write_read_rank",
         "plans",
+        "write_time_list",
+        "table",
+        "table_bytes",
+        "table_cap",
         "__weakref__",
     )
 
@@ -125,11 +140,15 @@ class TraceIndex:
         self.write_times = times[self.write_pos]
         self.write_value_sizes = value_sizes[self.write_pos]
         self.plans: Dict[Hashable, Any] = {}
+        self.write_time_list: Optional[List[float]] = None
+        self.table: Dict[Tuple[int, int], SpanFacts] = {}
+        self.table_bytes = 0
+        self.table_cap = sum(c.nbytes for c in (times, key_ids, is_read, value_sizes))
 
     @property
     def nbytes(self) -> int:
-        """Bytes the index adds on top of the trace columns."""
-        return sum(
+        """Bytes the index adds on top of the trace columns, span table included."""
+        return self.table_bytes + sum(
             column.nbytes
             for column in (
                 self.read_pos,
@@ -156,6 +175,46 @@ class TraceIndex:
             self.write_value_sizes[start:end],
         )
 
+    def span(self, start: int, end: int, cursor: Optional["SpanCursor"] = None) -> "SpanFacts":
+        """The facts of the cut ``[start, end)``, built once per cut.
+
+        A cut that is not in the table is built by ``cursor`` (a fresh one
+        when the caller walks none), which first catches up to ``start``.
+        The key is the cut itself, so whichever cuts a replay asks for — a
+        wrong guess of another replay's boundaries, an evicted entry — it
+        gets that cut's facts: the table saves time and never changes a row.
+        """
+        facts = self.table.get((start, end))
+        if facts is None:
+            if self.write_time_list is None:
+                self.write_time_list = self.write_times.tolist()
+                self.table_bytes += _WRITE_BYTES * self.write_times.size
+            cursor = cursor or SpanCursor(self)
+            cursor.seek(start)
+            facts = self.table[start, end] = SpanFacts(self, (start, end), cursor.advance(end))
+            self._charge(facts.nbytes)
+        return facts
+
+    def routed(self, facts: "SpanFacts", key: Hashable, build: Callable[[], Tuple[Any, int]]):
+        """``facts.routed[key]``, built on first use by ``build() -> (value,
+        nbytes)``: what a cut is under one configuration (a fleet shape's
+        per-node groups, a host's kernel prelude) but still under no policy,
+        bound or cache state."""
+        value = facts.routed.get(key)
+        if value is None:
+            value, nbytes = build()
+            facts.routed[key] = value
+            facts.nbytes += nbytes
+            if self.table.get(facts.cut) is facts:
+                self._charge(nbytes)
+        return value
+
+    def _charge(self, nbytes: int) -> None:
+        """Account ``nbytes`` more in the table; the oldest cuts make room."""
+        self.table_bytes += nbytes
+        while self.table_bytes > self.table_cap and self.table:
+            self.table_bytes -= self.table.pop(next(iter(self.table))).nbytes
+
 
 def _offsets(key_ids: np.ndarray, num_keys: int) -> np.ndarray:
     offsets = np.zeros(num_keys + 1, dtype=np.int64)
@@ -170,14 +229,68 @@ def _offsets(key_ids: np.ndarray, num_keys: int) -> np.ndarray:
 Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+#: Table bytes charged per write of the trace (a float and its slot in
+#: ``write_time_list``) and per written key of a cut (four boxed integers and
+#: their list slots).
+_WRITE_BYTES, _WRITTEN_KEY_BYTES = 32, 144
+
+
+class SpanFacts:
+    """What one cut ``[start, end)`` of a trace is, whoever replays it.
+
+    A pure function of the trace and the two cut positions, so every policy,
+    sweep cell and shard that replays the cut shares one object — read-only:
+    the columns are frozen, and replays copy out of the lists, never alias
+    them into their own state.  Holds no reference to the trace.
+
+    Attributes:
+        cut: ``(start, end)``.
+        columns: The cut's :data:`Span` columns.
+        writes: The cut's write batch as four aligned lists, one entry per
+            written key in first-write order (the order the scalar loop
+            creates histories in): ``(key_ids, write_lo, write_hi,
+            last_value_sizes)``; the key's span write times are
+            ``index.write_time_list[write_lo:write_hi]``.
+        total_writes: Number of writes in the cut.
+        routed: Memo filled through :meth:`TraceIndex.routed`.
+        nbytes: Table bytes charged for this cut.
+    """
+
+    __slots__ = ("cut", "columns", "writes", "total_writes", "routed", "nbytes")
+
+    def __init__(self, index: TraceIndex, cut: Tuple[int, int], columns: Span) -> None:
+        for column in columns:
+            column.flags.writeable = False
+        self.cut = cut
+        self.columns = columns
+        keys, _, _, write_lo, write_hi = columns
+        written = write_hi > write_lo
+        # First-write order, not key-id order.
+        written = written.nonzero()[0][
+            np.argsort(index.write_pos[write_lo[written]], kind="stable")
+        ]
+        self.writes = (
+            keys[written].tolist(),
+            write_lo[written].tolist(),
+            write_hi[written].tolist(),
+            index.write_value_sizes[write_hi[written] - 1].tolist(),
+        )
+        self.total_writes = int((write_hi - write_lo).sum())
+        self.routed: Dict[Hashable, Any] = {}
+        self.nbytes = (
+            sum(column.nbytes for column in columns) + _WRITTEN_KEY_BYTES * written.size
+        )
+
+
 class SpanCursor:
-    """One replay's walk over a :class:`TraceIndex`, span by span.
+    """The builder of cuts that are not in the span table yet.
 
     Holds the per-key read/write cursors into the key-major columns.  Spans
     are consecutive position ranges, so advancing to ``end`` moves each
     active key's cursor by its request count in the span (one ``bincount``),
     and the key's span requests are the slice between the old and the new
-    cursor.
+    cursor.  A replay served from the table leaves its cursor behind;
+    :meth:`seek` catches up in one step when a cut has to be built after all.
     """
 
     __slots__ = ("_index", "_position", "_reads", "_writes")
@@ -188,15 +301,27 @@ class SpanCursor:
         self._reads = index.read_offsets[:-1].copy()
         self._writes = index.write_offsets[:-1].copy()
 
+    def seek(self, start: int) -> None:
+        """Move to stream position ``start`` (restarting when it lies behind)."""
+        if start < self._position:
+            self.__init__(self._index)
+        if start > self._position:
+            self.advance(start)
+
     def advance(self, end: int) -> Span:
         """Consume stream positions up to ``end`` and return them as a span."""
         index = self._index
-        keys = index.key_ids[self._position : end]
-        is_read = index.is_read[self._position : end]
+        if self._position == 0 and end == index.key_ids.size:
+            # The whole trace: the index's own offsets, no pass over requests.
+            read_counts = np.diff(index.read_offsets)
+            write_counts = np.diff(index.write_offsets)
+        else:
+            keys = index.key_ids[self._position : end]
+            is_read = index.is_read[self._position : end]
+            num_keys = self._reads.size
+            read_counts = np.bincount(keys[is_read], minlength=num_keys)
+            write_counts = np.bincount(keys[~is_read], minlength=num_keys)
         self._position = end
-        num_keys = self._reads.size
-        read_counts = np.bincount(keys[is_read], minlength=num_keys)
-        write_counts = np.bincount(keys[~is_read], minlength=num_keys)
         active = np.flatnonzero(read_counts + write_counts)
         read_lo = self._reads[active]
         read_hi = read_lo + read_counts[active]
@@ -213,7 +338,8 @@ class CompiledTrace:
 
     Compile once and reuse the object when comparing policies: the first
     vectorized replay builds the trace's :class:`TraceIndex` (see
-    :meth:`index`) and every later replay of the same object shares it.
+    :meth:`index`) and every later replay of the same object shares it, the
+    span cuts it made included.
 
     Attributes:
         times: Arrival times, ascending (``float64``).

@@ -476,9 +476,21 @@ def shard_killed_on_node_one(owned):
     return REPLAY_SHARD(owned)
 
 
+def shard_reporting_pid(pids, owned):
+    trace, _ = parallel_module._SHARD_CONTEXT
+    pids.put((owned, {"pid": os.getpid(), "cuts": set(trace.index().table)}))
+    return REPLAY_SHARD(owned)
+
+
 def shard_refusing_node_zero(owned):
     if 0 in owned:
         raise ConfigurationError("shard says no")
+    return REPLAY_SHARD(owned)
+
+
+def shard_refusing_node_two(owned):
+    if 2 in owned:
+        raise ConfigurationError("forked shard says no")
     return REPLAY_SHARD(owned)
 
 
@@ -500,7 +512,35 @@ def test_a_killed_shard_worker_is_a_typed_error_not_a_hang(monkeypatch, wall_clo
 
 
 def test_a_shard_workers_exception_is_raised_as_its_own_type(monkeypatch, wall_clock_limit) -> None:
+    """Shard 0 is the caller's own: its exception must still terminate and
+    join the forked shards."""
     monkeypatch.setattr(parallel_module, "_replay_shard", shard_refusing_node_zero)
     with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="shard says no"):
         run_three_shards()
     assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
+
+
+def test_a_forked_shards_exception_crosses_the_pipe_as_its_own_type(
+    monkeypatch, wall_clock_limit
+) -> None:
+    monkeypatch.setattr(parallel_module, "_replay_shard", shard_refusing_node_two)
+    with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="forked shard says no"):
+        run_three_shards()
+    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
+
+
+def test_the_caller_replays_shard_zero_and_forks_the_rest(monkeypatch) -> None:
+    """``workers`` shards cost ``workers - 1`` forks: partition 0 runs on the
+    caller's warm pages, with every cut of the replay already in the table."""
+    pids = multiprocessing.get_context("fork").Queue()
+    monkeypatch.setattr(parallel_module, "_replay_shard", lambda owned: shard_reporting_pid(pids, owned))
+    trace = compile_workload(make_workload(), DURATION)
+    replay_cluster_parallel(
+        trace, workers=3, policy="invalidate", num_nodes=3, staleness_bound=1.0,
+        duration=DURATION, workload_name="parcheck", seed=9,
+    )
+    seen = dict(pids.get(timeout=10.0) for _ in range(3))
+    assert seen[(0,)]["pid"] == os.getpid()
+    assert len({report["pid"] for report in seen.values()}) == 3
+    cuts = set(trace.index().table)
+    assert cuts and all(report["cuts"] == cuts for report in seen.values())

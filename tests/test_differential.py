@@ -34,6 +34,13 @@ block pins is that they *drive* it identically (the order deliveries, fetch
 completions and flushes land in), including the concurrency x non-ideal
 channel corner where two hand-kept copies once disagreed.
 
+Draws come in pairs that share a workload: draw ``2k + 1`` of each block
+replays the compiled trace *object* draw ``2k`` left behind, under another
+policy, bound and fleet shape, with scalar fallbacks in between.  Whatever the
+first replays memoised on the trace (its index, routing plans, span table)
+is there for the later ones, so a fact that leaked one configuration's state
+into the next would show as a diverging row.
+
 Every columnar replay also says which path it took: ``fallback_reason`` is
 ``None`` exactly when the kernels ran and a row name of the envelope table
 otherwise.  ``--run-slow`` prints the histogram of those answers over the
@@ -44,7 +51,8 @@ docs/guides/performance.md.
 import json
 import random
 from collections import Counter
-from typing import Any, Dict, Optional
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional
 
 import pytest
 
@@ -68,7 +76,7 @@ from repro.experiments.spec import ChannelSpec
 from repro.resilience import ChaosSpec
 from repro.sim import Simulation, VectorSimulation
 from repro.tier.config import TierConfig
-from repro.workload.compiled import compile_workload
+from repro.workload.compiled import CompiledTrace, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 
 BASE_SEED = 0xD1FF
@@ -125,6 +133,29 @@ def path_histogram(request):
                 print(f"  {path:<18}{count:>3}")
 
 
+WORKLOAD_FIELDS = ("workload_keys", "workload_rate", "workload_seed")
+
+
+def paired(draw: Callable[[int], Dict[str, Any]]) -> Callable[[int], Dict[str, Any]]:
+    """Give every odd draw the workload of the even draw before it.
+
+    Every other axis keeps its own draw (the workload fields are still taken
+    from the stream), so the path histogram does not move; the even draws —
+    the ones the single-cache seed was picked for — keep their workload too.
+    """
+
+    def draw_pair_member(index: int) -> Dict[str, Any]:
+        config = draw(index)
+        if index % 2:
+            leader = draw(index - 1)
+            config.update({field: leader[field] for field in WORKLOAD_FIELDS})
+        return config
+
+    draw_pair_member.__name__ = draw.__name__
+    return draw_pair_member
+
+
+@paired
 def draw_config(index: int) -> Dict[str, Any]:
     """Deterministically draw the ``index``-th randomized configuration."""
     rng = random.Random(BASE_SEED + index)
@@ -185,6 +216,7 @@ def draw_config(index: int) -> Dict[str, Any]:
     return config
 
 
+@paired
 def draw_tight_config(index: int) -> Dict[str, Any]:
     """The ``index``-th tight-bound configuration: steady state, ideal
     channels, no tier — inside the vector envelope by construction."""
@@ -213,6 +245,7 @@ def draw_tight_config(index: int) -> Dict[str, Any]:
     }
 
 
+@paired
 def draw_single_config(index: int) -> Dict[str, Any]:
     """The ``index``-th single-cache configuration: one node, steady state,
     no tier or chaos; capacity, tracker, channel and concurrency drawn."""
@@ -283,12 +316,23 @@ def make_workload(config: Dict[str, Any]) -> PoissonZipfWorkload:
     )
 
 
+@lru_cache(maxsize=2)
+def _compiled(keys: int, rate: float, seed: int, duration: float) -> CompiledTrace:
+    return compile_workload(PoissonZipfWorkload(num_keys=keys, rate_per_key=rate, seed=seed), duration)
+
+
+def compiled_trace(config: Dict[str, Any], duration: float) -> CompiledTrace:
+    """The config's compiled trace: one object per ``(workload, seed,
+    duration)``, so the second draw of a pair replays the first one's."""
+    return _compiled(*(config[field] for field in WORKLOAD_FIELDS), duration)
+
+
 def run_engines(config: Dict[str, Any], expect_vector_path: bool = False) -> Dict[str, str]:
     """Replay one config on every pipeline; rows as canonical JSON."""
     scalar = ClusterSimulation(
         workload=make_workload(config).iter_requests(DURATION), **build_kwargs(config)
     ).run()
-    trace = compile_workload(make_workload(config), DURATION)
+    trace = compiled_trace(config, DURATION)
     simulation = VectorClusterSimulation(trace, **build_kwargs(config))
     vector = simulation.run()
     record_path(simulation)
@@ -343,7 +387,7 @@ def run_single_cache_engines(config: Dict[str, Any]) -> Dict[str, str]:
         )
 
     scalar = Simulation(make_workload(config).iter_requests(SINGLE_DURATION), **single_kwargs()).run()
-    trace = compile_workload(make_workload(config), SINGLE_DURATION)
+    trace = compiled_trace(config, SINGLE_DURATION)
     simulation = VectorSimulation(trace, **single_kwargs())
     vector = simulation.run()
     record_path(simulation)
@@ -396,6 +440,29 @@ def test_generator_is_deterministic_and_covers_the_space() -> None:
     assert any(config["channel"] for config in configs)
     assert any(config["l1_capacity"] for config in configs)
     assert any(config["num_nodes"] == 1 for config in configs)
+
+
+def test_paired_draws_replay_one_trace_object() -> None:
+    for draw, total, duration in (
+        (draw_config, TOTAL_CONFIGS, DURATION),
+        (draw_tight_config, TIGHT_TOTAL, DURATION),
+        (draw_single_config, SINGLE_TOTAL, SINGLE_DURATION),
+    ):
+        for index in range(0, total - 1, 2):
+            first, second = draw(index), draw(index + 1)
+            assert compiled_trace(first, duration) is compiled_trace(second, duration)
+            # Same stream, another configuration of it.
+            assert {k: v for k, v in first.items() if k not in WORKLOAD_FIELDS} != {
+                k: v for k, v in second.items() if k not in WORKLOAD_FIELDS
+            }
+    # What the first draw of a pair memoised on the trace, the second meets.
+    first, second = draw_tight_config(2), draw_tight_config(3)
+    trace = compiled_trace(first, DURATION)
+    VectorClusterSimulation(trace, **build_kwargs(first)).run()
+    index = trace.index()
+    assert index.table and len(index.plans) == 1
+    VectorClusterSimulation(trace, **build_kwargs(second)).run()
+    assert trace.index() is index and len(index.plans) == 2
 
 
 @pytest.mark.parametrize("index", range(FAST_CONFIGS))

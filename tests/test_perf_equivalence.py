@@ -52,6 +52,7 @@ from repro.sim.vector import (
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
+    _SpanPrelude,
     _SpanTally,
     _ttl_resolvable,
 )
@@ -67,7 +68,7 @@ from repro.sketch.hashing import (
 from repro.store.wal import Journal, WriteAheadLog, scan_wal
 from repro.tier.config import TierConfig
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
-from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
+from repro.workload.compiled import CompiledTrace, SpanCursor, TraceIndex, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
@@ -440,14 +441,15 @@ def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
     expected_histories = []
     start = 0
     for end in cuts:
-        span = cursor.advance(end)
+        facts = index.span(start, end, cursor)
+        span = facts.columns
         got = [
             (key, index.read_pos[r_lo:r_hi].tolist(), index.write_pos[w_lo:w_hi].tolist())
             for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span))
         ]
         groups, creation = naive_span(trace, start, end)
         assert got == groups, (start, end)
-        _apply_span_writes(ctx, span)
+        _apply_span_writes(ctx, facts)
         for key in creation:
             name = trace.key_names[key]
             if name not in expected_histories:
@@ -805,14 +807,20 @@ def assert_span_kernel_matches_reference(
     cursor = SpanCursor(index)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     seen = {"violations": 0, "straddled_misses": 0, "stale_misses": 0, "key_spans": 0}
+    start = 0
     for end in cuts:
-        span = cursor.advance(end)
+        facts = index.span(start, end, cursor)
+        start = end
+        span = facts.columns
         keys, read_lo, read_hi, write_lo, write_hi = span
         new, ref = _SpanTally(), ReferenceTally()
-        new.writes = _apply_span_writes(ctx_new, span)
-        ref.writes = _apply_span_writes(ctx_ref, span)
+        new.writes = _apply_span_writes(ctx_new, facts)
+        ref.writes = _apply_span_writes(ctx_ref, facts)
         _kernel_reactive_span(
-            ctx_new, host_new, new, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)
+            ctx_new,
+            host_new,
+            new,
+            _SpanPrelude(trace, index, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)),
         )
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
@@ -906,12 +914,12 @@ def naive_node_reads(simulation, key: int, read_lo: int, read_hi: int):
 class ReferenceClusterSimulation(VectorClusterSimulation):
     """The fleet engine with per-read routing and the per-key kernel."""
 
-    def _replay_reactive_span(self, span) -> None:
+    def _replay_reactive_span(self, facts) -> None:
         ctx, index = self._ctx, self._ctx.index
-        _apply_span_writes(ctx, span)
+        _apply_span_writes(ctx, facts)
         tallies = [ReferenceTally() for _ in self._hosts]
         names = ctx.trace.key_names
-        for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
+        for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in facts.columns)):
             writes = index.write_pos[w_lo:w_hi]
             primary = int(self._plan.replicas[key, 0])
             if primary in self._owned:
@@ -929,10 +937,10 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                     )
         self._record_and_flush(tallies)
 
-    def _replay_ttl_trace(self, span) -> None:
+    def _replay_ttl_trace(self, facts) -> None:
         """The per-(node, key) walk: one kernel call per key a node reads."""
         ctx = self._ctx
-        _apply_span_writes(ctx, span)
+        _apply_span_writes(ctx, facts)
         hosts = self._hosts
         tallies = [ReferenceTally() for _ in hosts]
         names = ctx.trace.key_names
@@ -942,8 +950,13 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
             if self._node_list[0]._ttl_expiry
             else reference_kernel_ttl_polling
         )
-        for node_idx, (keys, first, count, stride, _, _) in self._node_groups(span, tallies):
+        routed = self._node_groups(facts)
+        for node_idx in self._owned:
             host, tally = hosts[node_idx], tallies[node_idx]
+            groups, tally.writes = routed[node_idx]
+            if groups is None:
+                continue
+            keys, first, count, stride, _, _ = groups
             for key_id, lo, reads in zip(keys.tolist(), first.tolist(), count.tolist()):
                 if reads:
                     kernel(
@@ -1000,9 +1013,9 @@ def test_fleet_span_routing_matches_per_read_routing(
 
     span_replay = VectorClusterSimulation._replay_reactive_span
 
-    def recording_span_replay(self, span):
+    def recording_span_replay(self, facts):
         recorded.append([])
-        span_replay(self, span)
+        span_replay(self, facts)
 
     reference = ReferenceClusterSimulation(trace, **fleet)
     reference.span_tallies = []
@@ -1133,6 +1146,187 @@ def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypat
     assert json.dumps(scalar.as_dict(), sort_keys=True) == json.dumps(
         vector.as_dict(), sort_keys=True
     )
+
+
+# --------------------------------------------------------------------- #
+# Span table: a replay on a shared trace vs the same replay on a fresh one
+# --------------------------------------------------------------------- #
+
+TABLE_POLICIES = ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive")
+TABLE_BOUNDS = (0.1, 1.0)
+TABLE_SHAPES = ("single", "fleet-3", "fleet-4-rf2-rr", "workers-2")
+TABLE_DURATION = 4.0
+
+
+def table_workloads():
+    return [
+        PoissonZipfWorkload(num_keys=30, rate_per_key=300.0, read_ratio=0.85, seed=23),
+        TwitterWorkload(num_keys=30, total_rate=16000.0, seed=23),
+    ]
+
+
+def replay_leftovers(trace, policy: str, bound: float, shape: str):
+    """Replay ``trace`` on the vector path.  Returns everything the replay
+    leaves that a later reader could see — the row, every host's state in
+    dict order, the datastore's histories in creation order with their write
+    times — and the simulation (``None`` for a forked replay: only its row
+    comes back)."""
+    fleet = dict(policy=policy, staleness_bound=bound, duration=TABLE_DURATION, seed=5)
+    if shape == "workers-2":
+        row = replay_cluster_parallel(trace, workers=2, num_nodes=3, **fleet).as_dict()
+        return {"row": json.dumps(row, sort_keys=True)}, None
+    if shape == "single":
+        simulation = VectorSimulation(
+            trace, policy=make_policy(policy), staleness_bound=bound, duration=TABLE_DURATION
+        )
+        result = simulation.run()
+        hosts = [simulation._host]
+    else:
+        if shape == "fleet-3":
+            fleet.update(num_nodes=3)
+        else:
+            fleet.update(
+                num_nodes=4, replication=ReplicationConfig(factor=2, read_policy="round-robin")
+            )
+        simulation = VectorClusterSimulation(trace, **fleet)
+        result = simulation.run()
+        hosts = simulation._hosts
+    assert simulation.used_vector_path
+    return {
+        "row": json.dumps(result.as_dict(), sort_keys=True),
+        "hosts": [host_state(host) for host in hosts],
+        "histories": [
+            (name, list(history.write_times), history.value_size, history.pruned)
+            for name, history in simulation.datastore._histories.items()
+        ],
+        "datastore": (simulation.datastore.total_writes, simulation.datastore.total_reads),
+    }, simulation
+
+
+def leftovers(trace, policy, bound, shape):
+    return replay_leftovers(trace, policy, bound, shape)[0]
+
+
+@pytest.mark.parametrize("workload", table_workloads(), ids=["poisson", "twitter"])
+def test_replays_on_a_shared_trace_equal_replays_on_fresh_traces(workload, monkeypatch) -> None:
+    """Every policy x bound x shape, in three shuffled orders on ONE trace
+    object (so each replay finds whatever the ones before it left in the span
+    table, hits and evictions alike) and each once on its own fresh trace."""
+    span = TraceIndex.span
+    served = []  # every facts object a lookup returned, kept alive
+
+    def recording_span(self, start, end, cursor=None):
+        served.append(span(self, start, end, cursor))
+        return served[-1]
+
+    cells = [
+        (policy, bound, shape)
+        for policy in TABLE_POLICIES
+        for bound in TABLE_BOUNDS
+        for shape in TABLE_SHAPES
+    ]
+    fresh = {
+        cell: leftovers(compile_workload(workload, TABLE_DURATION), *cell) for cell in cells
+    }
+    # The fresh side is the scalar loop's, history creation order included.
+    for policy in ("ttl-expiry", "update"):
+        for bound in TABLE_BOUNDS:
+            scalar = Simulation(
+                workload.iter_requests(TABLE_DURATION), policy=make_policy(policy),
+                staleness_bound=bound, duration=TABLE_DURATION,
+            )
+            row = json.dumps(scalar.run().as_dict(), sort_keys=True)
+            assert fresh[policy, bound, "single"]["row"] == row
+            assert fresh[policy, bound, "single"]["histories"] == [
+                (name, history.write_times, history.value_size, history.pruned)
+                for name, history in scalar.datastore._histories.items()
+            ]
+    shared = compile_workload(workload, TABLE_DURATION)
+    monkeypatch.setattr(TraceIndex, "span", recording_span)
+    for order in range(3):
+        np.random.default_rng(order).shuffle(cells)
+        for cell in cells:
+            assert leftovers(shared, *cell) == fresh[cell], (order, cell)
+    index = shared.index()
+    built = set(served)
+    assert len(served) > 2 * len(built), "most lookups should have been hits"
+    assert len(built) > len({facts.cut for facts in built}), "no evicted cut was ever asked for again"
+    assert 0 < index.table_bytes <= index.table_cap
+    assert len(index.plans) == 2  # one per fleet shape: the table is not a plan
+
+
+def test_span_facts_are_read_only_and_never_aliased_into_a_replay() -> None:
+    workload = table_workloads()[0]
+    trace = compile_workload(workload, TABLE_DURATION)
+    expected = leftovers(compile_workload(workload, TABLE_DURATION), "invalidate", 1.0, "single")
+    first, simulation = replay_leftovers(trace, "invalidate", 1.0, "single")
+    assert first == expected
+    index = trace.index()
+    for facts in index.table.values():
+        for column in facts.columns:
+            if column.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+    # What a replay holds is its own: scribbling on it reaches no later replay.
+    shared_times = list(index.write_time_list)
+    for history in simulation.datastore._histories.values():
+        history.write_times.append(-1.0)
+        history.write_times.reverse()
+    for entry in simulation.cache._entries.values():
+        entry.version = -7
+    assert index.write_time_list == shared_times
+    assert leftovers(trace, "invalidate", 1.0, "single") == expected
+    assert leftovers(trace, "adaptive", 1.0, "single") == leftovers(
+        compile_workload(workload, TABLE_DURATION), "adaptive", 1.0, "single"
+    )
+
+
+def test_a_table_warmed_for_another_bound_changes_no_row() -> None:
+    """The key is the cut itself: cuts made for bound 0.3 that a replay at
+    1.0 does not make are never served to it."""
+    workload = table_workloads()[0]
+    trace = compile_workload(workload, TABLE_DURATION)
+    for shape in ("single", "fleet-3", "workers-2"):
+        leftovers(trace, "invalidate", 0.3, shape)
+    guessed, asked = (
+        (0, int(np.searchsorted(trace.times, bound))) for bound in (0.3, 1.0)
+    )
+    table = trace.index().table
+    assert guessed in table and asked not in table
+    for shape in TABLE_SHAPES:
+        for policy in ("update", "adaptive"):
+            assert leftovers(trace, policy, 1.0, shape) == leftovers(
+                compile_workload(workload, TABLE_DURATION), policy, 1.0, shape
+            ), (shape, policy)
+    assert asked in table
+
+
+def test_the_span_table_never_outgrows_the_trace_columns() -> None:
+    """Forty bounds on one trace: the oldest cuts make room, the accounting
+    stays exact, and a replay whose cuts were evicted is still the same replay."""
+    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=50.0, read_ratio=0.85, seed=29)
+    trace = compile_workload(workload, TABLE_DURATION)
+    column_bytes = sum(
+        column.nbytes
+        for column in (trace.times, trace.key_ids, trace.is_read, trace.key_sizes, trace.value_sizes)
+    )
+    bounds = np.linspace(0.2, 2.0, 40).tolist()
+    evicted = False
+    for bound in bounds:
+        leftovers(trace, "invalidate", bound, "single")
+        index = trace.index()
+        assert index.table_bytes <= index.table_cap <= column_bytes, bound
+        assert index.table_bytes == 32 * index.write_times.size + sum(
+            facts.nbytes for facts in index.table.values()
+        ), bound
+        assert index.nbytes >= index.table_bytes
+        evicted = evicted or (0, int(np.searchsorted(trace.times, bounds[0]))) not in index.table
+    assert evicted, "forty bounds fitted under the cap: the walk never evicted a cut"
+    for bound in (bounds[0], bounds[17], bounds[-1]):
+        for policy in ("update", "adaptive", "ttl-polling"):
+            assert leftovers(trace, policy, bound, "single") == leftovers(
+                compile_workload(workload, TABLE_DURATION), policy, bound, "single"
+            ), (bound, policy)
 
 
 # --------------------------------------------------------------------- #
@@ -1287,7 +1481,7 @@ def make_ttl_host(trace, policy_class, ttl, bound=1.0):
     )
     assert simulation.vector_eligible()
     ctx = _ReplayContext.for_node(trace, trace.index(), simulation.node)
-    _apply_span_writes(ctx, SpanCursor(ctx.index).advance(len(trace)))
+    _apply_span_writes(ctx, ctx.index.span(0, len(trace)))
     return ctx, _HostState.of(simulation.node)
 
 

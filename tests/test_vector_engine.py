@@ -46,6 +46,7 @@ from repro.sim.vector import (
     _HostState,
     _kernel_reactive_span,
     _ReplayContext,
+    _SpanPrelude,
     _SpanTally,
     envelope_exit,
 )
@@ -589,7 +590,7 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
     ctx, host = kernel_host(trace)
     tally = _SpanTally()
-    _kernel_reactive_span(ctx, host, tally, whole_trace_groups(trace))
+    _kernel_reactive_span(ctx, host, tally, _SpanPrelude(trace, index, whole_trace_groups(trace)))
     assert sorted(tally.estimator_ops) == [
         (0, "key-2", 0, 1, 0, 0, 0),  # write-only: first seen at its write
         (1, "key-0", 1, 1, 0, 0, 0),
@@ -616,7 +617,7 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
         np.array([0]),
         np.array([1]),
     )
-    _kernel_reactive_span(ctx, host, tally, groups)
+    _kernel_reactive_span(ctx, host, tally, _SpanPrelude(trace, index, groups))
     assert (tally.reads, tally.buffered_writes, tally.new_fills) == (0, 1, [])
     [(position, buffered)] = tally.buffer_entries
     assert (position, buffered.write_count, buffered.first_write_time) == (2, 1, 0.2)
@@ -662,7 +663,7 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
         def counting(ctx, host, tally, groups):
             # A file, so that forked shard workers are counted too.
             with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{groups[0].size}\n")
+                handle.write("call\n")
             kernel(ctx, host, tally, groups)
 
         return counting
