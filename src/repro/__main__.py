@@ -144,6 +144,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """Argparse type for ``--processes``: ``0`` and ``1`` both mean serial."""
+    value = int(text)  # a ValueError is argparse's own "invalid value" error
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return value
+
+
 def _cli_concurrency(
     args: argparse.Namespace,
 ) -> Tuple[Optional[ConcurrencyConfig], List[str], List[str]]:
@@ -870,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "compiled columnar (byte-identical rows)")
         grid.add_argument("--cost-preset", default="fixed",
                           choices=["fixed", "cpu", "network", "latency"])
-        grid.add_argument("--processes", type=int, default=None,
+        grid.add_argument("--processes", type=_worker_count, default=None,
                           help="worker processes (default: one per CPU, 1 = serial)")
         grid.add_argument("--param", action="append", metavar="KEY=VALUE",
                           help="workload constructor parameter applied to every workload")

@@ -15,32 +15,26 @@ On the vector path what the shards share is computed once, before they
 exist: the caller indexes and routes the trace and fills its span table with
 every cut of the replay (per-key slices, write batches, each node's groups
 and kernel prelude), so a shard only applies the write batches and runs its
-own nodes' kernels.  The trace and everything memoised on it reach the
-workers by ``fork`` inheritance (no per-task serialization), and the caller
-is a shard itself: ``workers=N`` forks ``N - 1`` children.  On platforms
-without ``fork`` the shards run sequentially in-process, slower but still
+own nodes' kernels.  :func:`repro.fanout.fork_each` then runs the shards: the
+trace and everything memoised on it reach the workers by ``fork`` inheritance
+(no per-task serialization), the caller is a shard itself (``workers=N`` forks
+``N - 1`` children), a shard that raises is re-raised as its own type and one
+that dies is a :class:`~repro.errors.ClusterError`.  On platforms without
+``fork`` the shards run sequentially in-process, slower but still
 byte-identical; on the scalar-fallback path every shard streams the trace.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time as time_module
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.results import ClusterResult
 from repro.cluster.vector import VectorClusterSimulation
 from repro.errors import ClusterError
+from repro.fanout import fork_each
 from repro.obs.recorder import ObsConfig, merge_payloads
 from repro.workload.compiled import CompiledTrace
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only; the import is not free
-    from multiprocessing.connection import Connection
-
-#: ``(trace, cluster_kwargs)`` stashed before the shards fork; workers inherit
-#: it through copy-on-write instead of unpickling the columns (and the index,
-#: routing plan and span table memoised on the trace) per shard.
-_SHARD_CONTEXT: Optional[Tuple[CompiledTrace, dict]] = None
 
 
 def partition_nodes(num_nodes: int, workers: int) -> List[Tuple[int, ...]]:
@@ -58,64 +52,6 @@ def partition_nodes(num_nodes: int, workers: int) -> List[Tuple[int, ...]]:
     return [tuple(range(shard, num_nodes, shards)) for shard in range(shards)]
 
 
-def _replay_shard(owned: Tuple[int, ...]) -> ClusterResult:
-    """Worker body: replay the stashed trace for one node partition."""
-    trace, cluster_kwargs = _SHARD_CONTEXT
-    return VectorClusterSimulation(trace, owned_nodes=owned, **cluster_kwargs).run()
-
-
-def _shard_worker(sender: Connection, owned: Tuple[int, ...]) -> None:
-    """Child process body: send the shard's result, or what it raised, up the pipe."""
-    try:
-        outcome = _replay_shard(owned)
-    except Exception as error:  # re-raised by the parent, as its own type
-        outcome = error
-    sender.send(outcome)
-
-
-def _replay_shards_forked(partitions: Sequence[Tuple[int, ...]]) -> List[ClusterResult]:
-    """Replay partition 0 here and fork one child per other partition; the
-    results, in partition order.
-
-    The caller is a shard: it replays on the pages it has just warmed while
-    the children run, instead of sleeping in ``recv()`` next to one more
-    forked copy of itself.  Only the child holds the write end of its one-way
-    pipe, so one that dies without answering (``SIGKILL``, the OOM killer)
-    reads as end-of-file and becomes a :class:`ClusterError`; a worker pool
-    would replace it silently and wait for ever.  No child outlives the call,
-    whether it returns or the caller's own shard raises.
-    """
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for owned in partitions[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_shard_worker, args=(sender, owned))
-            child.start()
-            sender.close()
-            children.append((child, receiver, owned))
-        results = [_replay_shard(partitions[0])]
-        for child, receiver, owned in children:
-            try:
-                outcome = receiver.recv()
-            except EOFError:
-                child.join()
-                raise ClusterError(
-                    f"the shard worker replaying nodes {list(owned)} died without a "
-                    f"result (exit code {child.exitcode})"
-                ) from None
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append(outcome)
-        return results
-    finally:
-        for child, receiver, _ in children:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
-
-
 def replay_cluster_parallel(
     trace: CompiledTrace,
     *,
@@ -127,8 +63,9 @@ def replay_cluster_parallel(
 
     Args:
         trace: The compiled request stream (shared by every shard).
-        workers: Worker process count; clamped to the fleet size.  ``1``
-            replays in-process with no partitioning overhead.
+        workers: Worker process count; clamped to the fleet size.  ``0`` or
+            ``1`` replays in-process with no partitioning overhead; a negative
+            count is a :class:`ClusterError`.
         timings: Optional dict that receives ``merge_seconds`` (the wall time
             of the deterministic shard merge; ``0.0`` when nothing merged).
         **cluster_kwargs: Forwarded to :class:`VectorClusterSimulation` /
@@ -141,7 +78,6 @@ def replay_cluster_parallel(
         The merged :class:`~repro.cluster.results.ClusterResult`,
         byte-identical for any worker count.
     """
-    global _SHARD_CONTEXT
     if "owned_nodes" in cluster_kwargs:
         raise ClusterError(
             "owned_nodes is managed by replay_cluster_parallel; pass workers=N"
@@ -149,6 +85,8 @@ def replay_cluster_parallel(
     num_nodes = int(cluster_kwargs.get("num_nodes", 0))
     if num_nodes < 1:
         raise ClusterError("replay_cluster_parallel needs num_nodes >= 1")
+    if workers < 0:
+        raise ClusterError(f"workers must be >= 0, got {workers}")
     workers = min(int(workers), num_nodes)
     if workers <= 1:
         simulation = VectorClusterSimulation(trace, **cluster_kwargs)
@@ -180,14 +118,16 @@ def replay_cluster_parallel(
     planner = VectorClusterSimulation(trace, owned_nodes=partitions[0], **cluster_kwargs)
     if planner.vector_eligible():
         planner.share_spans()
-    _SHARD_CONTEXT = (trace, cluster_kwargs)
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            shard_results = _replay_shards_forked(partitions)
-        else:  # pragma: no cover - platform without fork
-            shard_results = [_replay_shard(owned) for owned in partitions]
-    finally:
-        _SHARD_CONTEXT = None
+
+    def replay_shard(owned: Tuple[int, ...]) -> ClusterResult:
+        return VectorClusterSimulation(trace, owned_nodes=owned, **cluster_kwargs).run()
+
+    shard_results = fork_each(
+        replay_shard,
+        partitions,
+        lambda owned: f"the shard worker replaying nodes {list(owned)}",
+        ClusterError,
+    )
 
     merge_start = time_module.perf_counter()
     result = _merge_shard_results(partitions, shard_results)

@@ -10,10 +10,21 @@ single-cache rows share a schema and can be compared column-for-column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.sim.results import SimulationResult
+
+
+def _columns(result_type: type) -> List[Field]:
+    """The scalar fields a result class declares beyond the single-cache
+    schema, in declaration order: its own columns of a flattened row."""
+    shared = {column.name for column in fields(SimulationResult)}
+    return [
+        column
+        for column in fields(result_type)
+        if column.name not in shared and type(column.default) in (int, float, str)
+    ]
 
 
 @dataclass(slots=True)
@@ -73,29 +84,9 @@ class NodeResult(SimulationResult):
         # Explicit parent call: ``dataclass(slots=True)`` rebuilds the class,
         # which breaks zero-argument ``super()`` inside method bodies.
         row = SimulationResult.as_dict(self)
-        row.update(
-            node_id=self.node_id,
-            failed_fetches=self.failed_fetches,
-            hot_decisions=self.hot_decisions,
-            hot_keys_flagged=self.hot_keys_flagged,
-            hot_pressure=self.hot_pressure,
-            departures=self.departures,
-            joins=self.joins,
-            crashes=self.crashes,
-            warm_restored=self.warm_restored,
-            warm_invalidated=self.warm_invalidated,
-            l1_hits=self.l1_hits,
-            l1_insertions=self.l1_insertions,
-            l1_promotions=self.l1_promotions,
-            l1_evictions=self.l1_evictions,
-            l1_writebacks=self.l1_writebacks,
-            l1_demotions=self.l1_demotions,
-            l1_admission_rejects=self.l1_admission_rejects,
-            l1_served_degraded=self.l1_served_degraded,
-            l1_cold_restarts=self.l1_cold_restarts,
-            tier_cost=self.tier_cost,
-            l1_stats=dict(self.l1_stats),
-        )
+        for column in _columns(type(self)):
+            row[column.name] = getattr(self, column.name)
+        row["l1_stats"] = dict(self.l1_stats)
         return row
 
 
@@ -121,15 +112,13 @@ class ClusterResult:
     #: Per-node results, in stable node-id order.
     nodes: List[NodeResult] = field(default_factory=list)
 
-    # Fleet-only counters.
+    # Fleet-only counters; those a :class:`NodeResult` declares too are the
+    # sums of the per-node counters.  The declaration order is the row's.
     failed_fetches: int = 0
     rebalances: int = 0
     hot_decisions: int = 0
     hot_keys_flagged: int = 0
     hot_pressure: float = 0.0
-    crashes: int = 0
-    warm_restored: int = 0
-    warm_invalidated: int = 0
 
     # Elasticity outcome fields, owned by the autoscale scenario (zero for
     # every other run).  They measure the gap to the ideal-elasticity
@@ -147,6 +136,10 @@ class ClusterResult:
     #: Staleness violations accrued while the fleet was in breach of its
     #: scaling watermark (ideal baseline: 0).
     elasticity_staleness: int = 0
+
+    crashes: int = 0
+    warm_restored: int = 0
+    warm_invalidated: int = 0
 
     # Fleet-level tier counters (sums of the per-node L1 counters).
     l1_hits: int = 0
@@ -191,37 +184,19 @@ class ClusterResult:
             staleness_bound=self.staleness_bound,
             duration=self.duration,
         )
-        self.failed_fetches = 0
-        self.hot_decisions = 0
-        self.hot_keys_flagged = 0
-        self.hot_pressure = 0.0
-        self.crashes = 0
-        self.warm_restored = 0
-        self.warm_invalidated = 0
-        tier_counters = (
-            "l1_hits",
-            "l1_insertions",
-            "l1_promotions",
-            "l1_evictions",
-            "l1_writebacks",
-            "l1_demotions",
-            "l1_admission_rejects",
-            "l1_served_degraded",
-            "l1_cold_restarts",
-            "tier_cost",
-        )
-        for name in tier_counters:
-            setattr(self, name, 0.0 if name == "tier_cost" else 0)
+        # A fleet counter is a number this class and its nodes' class both declare.
+        node_type = type(self.nodes[0]) if self.nodes else NodeResult
+        per_node = {column.name for column in _columns(node_type)}
+        zeros = {
+            column.name: column.default
+            for column in _columns(type(self))
+            if column.name in per_node and type(column.default) is not str
+        }
+        for name, zero in zeros.items():
+            setattr(self, name, zero)
         for node in self.nodes:
             self.totals.accumulate(node)
-            self.failed_fetches += node.failed_fetches
-            self.hot_decisions += node.hot_decisions
-            self.hot_keys_flagged += node.hot_keys_flagged
-            self.hot_pressure += node.hot_pressure
-            self.crashes += node.crashes
-            self.warm_restored += node.warm_restored
-            self.warm_invalidated += node.warm_invalidated
-            for name in tier_counters:
+            for name in zeros:
                 setattr(self, name, getattr(self, name) + getattr(node, name))
 
     def as_dict(self) -> Dict[str, Any]:
@@ -232,39 +207,10 @@ class ClusterResult:
         cluster-only columns and the compact per-node breakdown ride along.
         """
         row = self.totals.as_dict()
-        row.update(
-            num_nodes=self.num_nodes,
-            replication=self.replication,
-            read_policy=self.read_policy,
-            scenario=self.scenario,
-            l1_capacity=self.l1_capacity,
-            tier_mode=self.tier_mode,
-            failed_fetches=self.failed_fetches,
-            rebalances=self.rebalances,
-            hot_decisions=self.hot_decisions,
-            hot_keys_flagged=self.hot_keys_flagged,
-            hot_pressure=self.hot_pressure,
-            scale_ups=self.scale_ups,
-            scale_downs=self.scale_downs,
-            elasticity_lag=self.elasticity_lag,
-            elasticity_cost=self.elasticity_cost,
-            elasticity_staleness=self.elasticity_staleness,
-            crashes=self.crashes,
-            warm_restored=self.warm_restored,
-            warm_invalidated=self.warm_invalidated,
-            l1_hits=self.l1_hits,
-            l1_insertions=self.l1_insertions,
-            l1_promotions=self.l1_promotions,
-            l1_evictions=self.l1_evictions,
-            l1_writebacks=self.l1_writebacks,
-            l1_demotions=self.l1_demotions,
-            l1_admission_rejects=self.l1_admission_rejects,
-            l1_served_degraded=self.l1_served_degraded,
-            l1_cold_restarts=self.l1_cold_restarts,
-            tier_cost=self.tier_cost,
-            load_imbalance=self.load_imbalance,
-            nodes=self.node_rows(),
-        )
+        for column in _columns(type(self)):
+            row[column.name] = getattr(self, column.name)
+        row["load_imbalance"] = self.load_imbalance
+        row["nodes"] = self.node_rows()
         if self.interrupted:
             row["interrupted"] = True
         if self.store is not None:

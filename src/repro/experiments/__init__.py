@@ -2,9 +2,9 @@
 
 This is the layer that regenerates the paper's figures and tables at scale.
 An :class:`ExperimentSpec` declares the evaluation grid (policy x workload x
-staleness bound x capacity x channel), :func:`run_experiment` fans its cells
-out over a process pool with deterministic per-cell seeding, and the export
-helpers persist the rows as JSON or CSV.
+staleness bound x capacity x channel), :func:`run_experiment` deals its cells
+across forked worker processes with deterministic per-cell seeding, and the
+export helpers persist the rows as JSON or CSV.
 
 Typical usage::
 

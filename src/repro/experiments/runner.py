@@ -1,13 +1,15 @@
 """Parallel execution of experiment grids.
 
 Each :class:`~repro.experiments.spec.RunCell` is an independent simulation, so
-a grid parallelises trivially across a :mod:`multiprocessing` pool.  Workers
-regenerate their cell's workload from its deterministic seed and *stream* it
+a grid parallelises trivially: :func:`repro.fanout.fork_each` deals its cells
+across worker processes, the caller being one of them.  A scalar-engine cell
+regenerates its workload from the cell's deterministic seed and *streams* it
 into the simulator, so even very long traces never materialize — per-worker
-memory stays constant regardless of trace length.  Vector-engine cells
-compile the workload instead, and the cells of a grid that replay the same
-trace (every policy and staleness bound of one workload) are dispatched
-together so they share one compile and one trace index.
+memory stays constant regardless of trace length.  Vector-engine cells replay
+a compiled trace instead: one with a cell for every worker (every policy and
+staleness bound of one workload share it) is compiled and indexed once by the
+caller, at most a worker count of them at a time, and the workers it then
+forks inherit it; one with fewer is compiled by each worker that replays it.
 
 Results come back as plain dictionaries (cell coordinates merged with the
 :meth:`~repro.sim.results.SimulationResult.as_dict` counters), sorted by cell
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 import tempfile
 from contextlib import contextmanager
@@ -32,8 +33,10 @@ from repro.cluster import (
     VectorClusterSimulation,
     make_scenario,
 )
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.registry import make_cost_model, make_policy, make_workload
 from repro.experiments.spec import ExperimentSpec, RunCell
+from repro.fanout import fork_each
 from repro.obs.recorder import ObsConfig
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
@@ -44,7 +47,7 @@ from repro.workload.compiled import CompiledTrace, compile_workload
 
 _LOG = logging.getLogger(__name__)
 
-#: Compiled traces of one batch of cells, by :func:`_trace_key`.
+#: Compiled traces of one round of cells, by :func:`_trace_key`.
 _Traces = Dict[Tuple[Any, ...], CompiledTrace]
 
 
@@ -68,6 +71,10 @@ def _trace_key(cell: RunCell) -> Tuple[Any, ...]:
     return (cell.workload, cell.workload_params, cell.seed, cell.duration)
 
 
+def _workload(cell: RunCell) -> Workload:
+    return make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
+
+
 def _compiled(cell: RunCell, workload: Workload, traces: _Traces) -> CompiledTrace:
     key = _trace_key(cell)
     trace = traces.get(key)
@@ -86,14 +93,14 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
     envelope that twin replays through the inherited scalar loop, so rows
     equal a scalar sweep's either way).  Everything else — workload, costs,
     scratch store, obs, concurrency, row assembly, SLO verdict — is the same
-    for all four.  ``traces`` carries the compiled traces of the vector-engine
-    cells run before this one in the same batch, so cells replaying one trace
-    compile and index it once; the row does not depend on it.
+    for all four.  ``traces`` carries the compiled traces of the round this
+    cell runs in, so cells replaying one trace share its compile and its
+    index; a trace missing from it is compiled here, and the row is the same.
     """
     if traces is None:
         traces = {}
     fleet = cell.num_nodes is not None
-    workload = make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
+    workload = _workload(cell)
     with _cell_store(cell) as store:
         arguments = _fleet_arguments(cell) if fleet else _single_cache_arguments(cell)
         arguments.update(
@@ -177,31 +184,64 @@ def _fleet_arguments(cell: RunCell) -> Dict[str, Any]:
     )
 
 
-def _batches(cells: List[RunCell], processes: int) -> List[List[RunCell]]:
-    """Split a grid into tasks whose cells share their compiled trace.
+def _shared(group: List[RunCell], workers: int) -> bool:
+    """Whether the caller compiles the group's trace, ahead of the fork: when
+    the deal hands every worker a cell of it.  With fewer cells, the workers
+    that get one compile it themselves, side by side rather than in a queue."""
+    return group[0].engine == "vector" and len(group) >= workers
 
-    The vector-engine cells replaying one trace are dealt round-robin into
-    up to ``processes`` batches — one compile and one index per batch, and a
-    grid with fewer traces than workers still occupies every worker.  Scalar
-    cells stream their workload, so each is its own task.
-    """
-    groups: Dict[Tuple[Any, ...], List[RunCell]] = {}
-    singles: List[List[RunCell]] = []
+
+def _rounds(cells: List[RunCell], workers: int) -> Iterator[List[List[RunCell]]]:
+    """The grid's cells, grouped by the compiled trace they replay (scalar-engine
+    cells stream their workload: one group with no trace to share), the groups
+    cut so that no round holds more than ``workers`` shared traces."""
+    groups: Dict[Optional[Tuple[Any, ...]], List[RunCell]] = {}
     for cell in cells:
-        if cell.engine == "vector":
-            groups.setdefault(_trace_key(cell), []).append(cell)
-        else:
-            singles.append([cell])
-    return [
-        group[offset::processes]
-        for group in groups.values()
-        for offset in range(min(processes, len(group)))
-    ] + singles
+        key = _trace_key(cell) if cell.engine == "vector" else None
+        groups.setdefault(key, []).append(cell)
+    batch: List[List[RunCell]] = []
+    for group in groups.values():
+        batch.append(group)
+        if sum(_shared(each, workers) for each in batch) == workers:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
-def _run_batch(cells: List[RunCell]) -> List[Dict[str, Any]]:
+def _run_round(groups: List[List[RunCell]], workers: int) -> List[Dict[str, Any]]:
+    """Run one round's cells on ``workers`` processes, the caller among them.
+
+    The shared traces are compiled and indexed once, here, before the fork:
+    every worker inherits all of them, so the cells are dealt across the
+    workers whatever they replay — a one-trace grid occupies every worker —
+    and the traces die with the round.
+    """
     traces: _Traces = {}
-    return [run_cell(cell, traces) for cell in cells]
+    for group in groups:
+        if _shared(group, workers):
+            _compiled(group[0], _workload(group[0]), traces).index()
+    cells = [cell for group in groups for cell in group]
+    results = fork_each(
+        lambda share: _run_cells(share, traces),
+        [cells[offset::workers] for offset in range(min(workers, len(cells)))],
+        lambda share: f"the sweep worker running cells {[cell.cell_id for cell in share]}",
+        SimulationError,
+    )
+    return [row for rows in results for row in rows]
+
+
+def _run_cells(cells: List[RunCell], shared: _Traces) -> List[Dict[str, Any]]:
+    """One worker's share of a round; a failing cell is named where it ran."""
+    rows = []
+    for cell in cells:
+        try:
+            # A copy: a trace the cell compiles for itself dies with the cell.
+            rows.append(run_cell(cell, dict(shared)))
+        except Exception:
+            _LOG.error("cell %d failed: %s", cell.cell_id, cell.describe())
+            raise
+    return rows
 
 
 def run_experiment(
@@ -212,9 +252,10 @@ def run_experiment(
 
     Args:
         spec: The experiment grid to expand and execute.
-        processes: Worker process count.  ``None`` picks ``min(cpu_count,
-            number of cells)``; ``0`` or ``1`` runs serially in-process
-            (useful for debugging and for platforms without ``fork``).
+        processes: Worker process count, the caller included.  ``None`` picks
+            ``min(cpu_count, number of cells)``; ``0`` or ``1`` runs serially
+            in-process (as does a platform without ``fork``); a negative
+            count is a :class:`~repro.errors.ConfigurationError`.
 
     Returns:
         One result row per cell, ordered by cell id regardless of the
@@ -223,15 +264,13 @@ def run_experiment(
     cells = spec.expand()
     if processes is None:
         processes = min(os.cpu_count() or 1, len(cells))
-    processes = max(processes, 1)
+    if processes < 0:
+        raise ConfigurationError(f"processes must be >= 0, got {processes}")
+    workers = max(processes, 1)
     _LOG.debug("experiment '%s': %d cells on %d process(es)",
-               spec.name, len(cells), processes)
-    batches = _batches(cells, processes)
-    if processes == 1 or len(cells) <= 1:
-        results = [_run_batch(batch) for batch in batches]
-    else:
-        with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(_run_batch, batches, chunksize=1)
-    rows = [row for batch_rows in results for row in batch_rows]
+               spec.name, len(cells), workers)
+    rows: List[Dict[str, Any]] = []
+    for groups in _rounds(cells, workers):
+        rows.extend(_run_round(groups, workers))
     rows.sort(key=lambda row: row["cell_id"])
     return rows

@@ -14,7 +14,7 @@ derives the two headline metrics of the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 from repro.obs.metrics import bucket_upper_bound
@@ -77,36 +77,9 @@ class SimulationResult:
     # Cache-level statistics snapshot (filled at the end of the run).
     cache_stats: Dict[str, float] = field(default_factory=dict)
 
-    #: Counter fields summed when accumulating results across shards.
-    ACCUMULATED_FIELDS = (
-        "reads",
-        "writes",
-        "hits",
-        "stale_misses",
-        "cold_misses",
-        "freshness_cost",
-        "cold_miss_cost",
-        "useful_work",
-        "invalidates_sent",
-        "updates_sent",
-        "updates_wasted",
-        "suppressed_invalidates",
-        "decisions_nothing",
-        "polls",
-        "stale_refetches",
-        "messages_dropped",
-        "staleness_violations",
-        "persistence_cost",
-        "wal_appends",
-        "wal_flushes",
-        "snapshots_taken",
-        "backend_fetches",
-        "coalesced_reads",
-        "stale_serves",
-        "early_refreshes",
-        "latency_count",
-        "latency_sum",
-    )
+    #: Counter fields summed when accumulating results across shards: every
+    #: numeric field but the run's coordinates (filled in below the class).
+    ACCUMULATED_FIELDS = ()
 
     def accumulate(self, other: "SimulationResult") -> None:
         """Add another result's counters into this one (fleet aggregation).
@@ -263,3 +236,10 @@ class SimulationResult:
             "read_latency_p999": self.read_latency_percentile(0.999),
             "read_latency_mean": self.read_latency_mean,
         }
+
+
+SimulationResult.ACCUMULATED_FIELDS = tuple(
+    counter.name
+    for counter in fields(SimulationResult)
+    if type(counter.default) in (int, float) and counter.name not in ("staleness_bound", "duration")
+)

@@ -59,6 +59,17 @@ def test_negative_duration_exits_non_zero(capsys) -> None:
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "cluster", "tier"])
+def test_a_negative_process_count_is_an_argparse_error_not_a_serial_run(command, capsys) -> None:
+    """``--processes -3`` used to run the grid on one process without a word."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--processes", "-3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --processes: expected a count >= 0, got '-3'" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_workload_and_missing_subcommand_exit_non_zero(capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--workload", "nope"])

@@ -30,6 +30,7 @@ from repro.cluster.cluster import FLEET_REFUSALS
 from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import ClusterError, ConfigurationError
 from repro.experiments.spec import ChannelSpec, ExperimentSpec, ScenarioSpec
+from repro.fanout import fork_each
 from repro.resilience import ChaosSpec
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
@@ -381,7 +382,7 @@ def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, mon
     def no_fork(*args, **kwargs):
         raise AssertionError("a refused replay reached the worker pool")
 
-    monkeypatch.setattr(parallel_module.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(parallel_module, "fork_each", no_fork)
     with pytest.raises(ClusterError) as parallel_refusal:
         replay_cluster_parallel(
             compile_workload(make_workload(), DURATION), workers=2, **arguments()
@@ -465,33 +466,33 @@ def test_parallel_timings_report_merge_seconds() -> None:
 # A shard worker that fails
 # --------------------------------------------------------------------- #
 
-REPLAY_SHARD = parallel_module._replay_shard
+def wrap_shard_body(monkeypatch, around) -> None:
+    """Run ``around(replay, owned)`` wherever a shard replays: the body
+    ``replay_cluster_parallel`` hands :func:`fork_each` is wrapped before the
+    fork, so the forked workers inherit the wrapper with it."""
+    monkeypatch.setattr(
+        parallel_module,
+        "fork_each",
+        lambda body, *rest: fork_each(lambda owned: around(body, owned), *rest),
+    )
 
 
-def shard_killed_on_node_one(owned):
-    """Module-level stand-ins for ``_replay_shard``: forked workers inherit
-    the patch, and a worker pool could pickle them by name."""
+def shard_killed_on_node_one(replay, owned):
     if 1 in owned:
         os.kill(os.getpid(), signal.SIGKILL)
-    return REPLAY_SHARD(owned)
+    return replay(owned)
 
 
-def shard_reporting_pid(pids, owned):
-    trace, _ = parallel_module._SHARD_CONTEXT
-    pids.put((owned, {"pid": os.getpid(), "cuts": set(trace.index().table)}))
-    return REPLAY_SHARD(owned)
-
-
-def shard_refusing_node_zero(owned):
+def shard_refusing_node_zero(replay, owned):
     if 0 in owned:
         raise ConfigurationError("shard says no")
-    return REPLAY_SHARD(owned)
+    return replay(owned)
 
 
-def shard_refusing_node_two(owned):
+def shard_refusing_node_two(replay, owned):
     if 2 in owned:
         raise ConfigurationError("forked shard says no")
-    return REPLAY_SHARD(owned)
+    return replay(owned)
 
 
 def run_three_shards():
@@ -501,20 +502,22 @@ def run_three_shards():
 def test_a_killed_shard_worker_is_a_typed_error_not_a_hang(monkeypatch, wall_clock_limit) -> None:
     """SIGKILL (or the OOM killer) gives the worker no chance to answer: a
     worker pool replaced it silently and ``map`` waited for ever."""
-    monkeypatch.setattr(parallel_module, "_replay_shard", shard_killed_on_node_one)
+    wrap_shard_body(monkeypatch, shard_killed_on_node_one)
     started = time.perf_counter()
     with wall_clock_limit(20.0), pytest.raises(ClusterError) as death:
         run_three_shards()
     assert time.perf_counter() - started < 10.0
-    assert "[1]" in str(death.value) and f"exit code {-signal.SIGKILL}" in str(death.value)
+    assert str(death.value) == (
+        "the shard worker replaying nodes [1] died without a result "
+        f"(exit code {-signal.SIGKILL})"
+    )
     assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
-    assert parallel_module._SHARD_CONTEXT is None
 
 
 def test_a_shard_workers_exception_is_raised_as_its_own_type(monkeypatch, wall_clock_limit) -> None:
     """Shard 0 is the caller's own: its exception must still terminate and
     join the forked shards."""
-    monkeypatch.setattr(parallel_module, "_replay_shard", shard_refusing_node_zero)
+    wrap_shard_body(monkeypatch, shard_refusing_node_zero)
     with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="shard says no"):
         run_three_shards()
     assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
@@ -523,7 +526,7 @@ def test_a_shard_workers_exception_is_raised_as_its_own_type(monkeypatch, wall_c
 def test_a_forked_shards_exception_crosses_the_pipe_as_its_own_type(
     monkeypatch, wall_clock_limit
 ) -> None:
-    monkeypatch.setattr(parallel_module, "_replay_shard", shard_refusing_node_two)
+    wrap_shard_body(monkeypatch, shard_refusing_node_two)
     with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="forked shard says no"):
         run_three_shards()
     assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
@@ -533,8 +536,13 @@ def test_the_caller_replays_shard_zero_and_forks_the_rest(monkeypatch) -> None:
     """``workers`` shards cost ``workers - 1`` forks: partition 0 runs on the
     caller's warm pages, with every cut of the replay already in the table."""
     pids = multiprocessing.get_context("fork").Queue()
-    monkeypatch.setattr(parallel_module, "_replay_shard", lambda owned: shard_reporting_pid(pids, owned))
     trace = compile_workload(make_workload(), DURATION)
+
+    def shard_reporting_pid(replay, owned):
+        pids.put((owned, {"pid": os.getpid(), "cuts": set(trace.index().table)}))
+        return replay(owned)
+
+    wrap_shard_body(monkeypatch, shard_reporting_pid)
     replay_cluster_parallel(
         trace, workers=3, policy="invalidate", num_nodes=3, staleness_bound=1.0,
         duration=DURATION, workload_name="parcheck", seed=9,
@@ -544,3 +552,24 @@ def test_the_caller_replays_shard_zero_and_forks_the_rest(monkeypatch) -> None:
     assert len({report["pid"] for report in seen.values()}) == 3
     cuts = set(trace.index().table)
     assert cuts and all(report["cuts"] == cuts for report in seen.values())
+
+
+def test_a_negative_worker_count_is_refused_not_replayed_in_process() -> None:
+    """``workers <= 1`` short-circuits before ``partition_nodes`` can object:
+    ``-3`` used to replay in-process without a word."""
+    with pytest.raises(ClusterError, match="workers must be >= 0, got -3"):
+        parallel_result("invalidate", workers=-3, num_nodes=3)
+    assert parallel_result("invalidate", workers=0, num_nodes=3) == parallel_result(
+        "invalidate", workers=1, num_nodes=3
+    )
+
+
+def test_no_share_or_one_never_forks() -> None:
+    """The helper's edge: nothing to run is an empty answer (not an
+    ``IndexError``), and a lone share is the caller's."""
+    def name_the_process(share):
+        return share, os.getpid()
+
+    assert fork_each(name_the_process, [], str, ClusterError) == []
+    assert fork_each(name_the_process, ["all"], str, ClusterError) == [("all", os.getpid())]
+    assert multiprocessing.active_children() == []

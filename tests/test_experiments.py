@@ -4,15 +4,18 @@ import csv
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
 import random
+import signal
+import time
 
 import pytest
 
 import repro.experiments.runner as runner
 import repro.experiments.spec as spec_module
 from repro.concurrency.config import ConcurrencyConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import (
     ChannelSpec,
     ExperimentSpec,
@@ -104,23 +107,50 @@ def test_rows_are_identical_for_any_process_count_and_engine() -> None:
             assert dumped == reference, (engine, processes)
 
 
+def event_log(log_path):
+    """``record(word)`` appends ``pid word`` to a file and ``events()`` reads
+    the pairs back, in order: a log forked workers can write to as well."""
+    log_path.touch()
+
+    def record(word) -> None:
+        with open(log_path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {word}\n")
+
+    def events():
+        with open(log_path, encoding="utf-8") as handle:
+            pairs = (line.rstrip("\n").split(" ", 1) for line in handle)
+            return [(int(pid), word) for pid, word in pairs]
+
+    return record, events
+
+
 def counting_compiles(monkeypatch, log_path):
-    """Log ``pid workload`` per ``compile_workload`` call, pool workers included
-    (they are forked, so they inherit the patched name)."""
+    """Log ``pid workload`` per ``compile_workload`` call, forked workers
+    included (they inherit the patched name)."""
     compile_workload = runner.compile_workload
+    record, events = event_log(log_path)
 
     def counted(workload, duration):
-        with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {workload.name}\n")
+        record(workload.name)
         return compile_workload(workload, duration)
 
     monkeypatch.setattr(runner, "compile_workload", counted)
+    return events
 
-    def calls():
-        with open(log_path, encoding="utf-8") as handle:
-            return [tuple(line.split()) for line in handle]
 
-    return calls
+def recording_cells(monkeypatch, log_path, before=lambda cell: None):
+    """Log ``pid cell_id`` per ``run_cell`` call — after ``before(cell)``,
+    which may kill the process or raise — forked workers included."""
+    run_cell = runner.run_cell
+    record, events = event_log(log_path)
+
+    def recorded(cell, traces=None):
+        before(cell)
+        record(cell.cell_id)
+        return run_cell(cell, traces)
+
+    monkeypatch.setattr(runner, "run_cell", recorded)
+    return events
 
 
 def test_serial_sweep_compiles_each_distinct_trace_once(monkeypatch, tmp_path) -> None:
@@ -131,17 +161,17 @@ def test_serial_sweep_compiles_each_distinct_trace_once(monkeypatch, tmp_path) -
 
 
 def test_scalar_sweep_compiles_nothing(monkeypatch, tmp_path) -> None:
-    log = tmp_path / "compiles.log"
-    log.touch()
-    calls = counting_compiles(monkeypatch, log)
+    calls = counting_compiles(monkeypatch, tmp_path / "compiles.log")
     run_experiment(mixed_spec("scalar"), processes=2)
     assert calls() == []
 
 
 def test_one_trace_grid_still_occupies_every_worker(monkeypatch, tmp_path) -> None:
     """Sharing a trace must not serialise the grid: a one-workload sweep is
-    dealt across all workers, and each compiles the trace exactly once."""
-    calls = counting_compiles(monkeypatch, tmp_path / "compiles.log")
+    dealt across all workers, the caller among them, and the trace they all
+    replay is compiled once — by the caller, before it forks."""
+    compiles = counting_compiles(monkeypatch, tmp_path / "compiles.log")
+    cells = recording_cells(monkeypatch, tmp_path / "cells.log")
     spec = small_spec(
         policies=["invalidate", "update", "adaptive"],
         workloads=[WorkloadSpec.of("poisson", {"num_keys": 200, "rate_per_key": 50.0})],
@@ -152,9 +182,154 @@ def test_one_trace_grid_still_occupies_every_worker(monkeypatch, tmp_path) -> No
     assert spec.num_cells == 12
     rows = run_experiment(spec, processes=3)
     assert [row["cell_id"] for row in rows] == list(range(12))
-    pids = [pid for pid, _ in calls()]
-    assert len(pids) == len(set(pids)) == 3
-    assert str(os.getpid()) not in pids
+    assert compiles() == [(os.getpid(), "poisson")]
+    ran = cells()
+    assert sorted(int(cell_id) for _, cell_id in ran) == list(range(12))
+    pids = {pid for pid, _ in ran}
+    assert len(pids) == 3 and os.getpid() in pids
+    assert all(sum(1 for pid, _ in ran if pid == worker) == 4 for worker in pids)
+
+
+def recording_rounds(monkeypatch, log_path):
+    """Log ``pid compile`` per compile and ``pid fork-N`` per fan-out of N shares."""
+    record, events = event_log(log_path)
+    compile_workload, fork_each = runner.compile_workload, runner.fork_each
+
+    def compiling(workload, duration):
+        record("compile")
+        return compile_workload(workload, duration)
+
+    def forking(body, shares, *rest):
+        record(f"fork-{len(shares)}")
+        return fork_each(body, shares, *rest)
+
+    monkeypatch.setattr(runner, "compile_workload", compiling)
+    monkeypatch.setattr(runner, "fork_each", forking)
+    return events
+
+
+def many_trace_spec(bounds):
+    return small_spec(
+        policies=["invalidate"],
+        workloads=[
+            WorkloadSpec.of("poisson", {"num_keys": keys, "rate_per_key": 6.0})
+            for keys in (10, 15, 20, 25)
+        ],
+        staleness_bounds=bounds,
+        engine="vector",
+    )
+
+
+def test_a_many_trace_grid_shares_a_worker_count_of_traces_at_a_time(monkeypatch, tmp_path) -> None:
+    """The twin: four traces of two cells each on two workers are two rounds
+    of two traces — never more compiled traces alive than workers."""
+    events = recording_rounds(monkeypatch, tmp_path / "rounds.log")
+    cells = recording_cells(monkeypatch, tmp_path / "cells.log")
+    spec = many_trace_spec([0.5, 1.0])
+    assert spec.num_cells == 8
+    rows = run_experiment(spec, processes=2)
+    me = os.getpid()
+    assert events() == [(me, "compile"), (me, "compile"), (me, "fork-2")] * 2
+    ran = cells()
+    assert [cell_id for pid, cell_id in ran if pid == me] == ["0", "2", "4", "6"]
+    assert sorted(cell_id for pid, cell_id in ran if pid != me) == ["1", "3", "5", "7"]
+    monkeypatch.undo()
+    assert rows == run_experiment(spec, processes=1)
+
+
+def test_traces_with_fewer_cells_than_workers_compile_side_by_side(monkeypatch, tmp_path) -> None:
+    """Four traces of one cell each on two workers: the caller compiling all
+    four ahead of the fork would queue what the workers can do at once (a
+    measured -40 % at this shape).  Each worker compiles the trace of the
+    cell it was dealt, keeps it for that cell alone, and there is one fork."""
+    events = recording_rounds(monkeypatch, tmp_path / "rounds.log")
+    run_cell = runner.run_cell
+    record, held = event_log(tmp_path / "held.log")
+
+    def holding(cell, traces=None):
+        record(f"{cell.cell_id} holds {len(traces)}")
+        return run_cell(cell, traces)
+
+    monkeypatch.setattr(runner, "run_cell", holding)
+    spec = many_trace_spec([0.5])
+    assert spec.num_cells == 4
+    rows = run_experiment(spec, processes=2)
+    me = os.getpid()
+    (worker,) = {pid for pid, _ in events()} - {me}
+    assert events()[0] == (me, "fork-2")
+    assert sorted(events()[1:]) == sorted([(me, "compile"), (worker, "compile")] * 2)
+    assert sorted(held()) == sorted(
+        [(me, "0 holds 0"), (worker, "1 holds 0"), (me, "2 holds 0"), (worker, "3 holds 0")]
+    )
+    monkeypatch.undo()
+    assert rows == run_experiment(spec, processes=1)
+
+
+# --------------------------------------------------------------------- #
+# The failure model: a worker may die or raise at any instant; the sweep
+# answers with a typed error in bounded time and reaps every sibling
+# --------------------------------------------------------------------- #
+
+def failing_sweep(monkeypatch, tmp_path, before, processes=2):
+    """Run ``small_spec()`` (cells 0, 2 on the caller and 1, 3 on the forked
+    worker when ``processes=2``) with ``before(cell)`` ahead of every cell.
+    Returns the ``_LOG.error`` lines as ``(pid, text)``, whoever wrote them."""
+    record, logged = event_log(tmp_path / "errors.log")
+    monkeypatch.setattr(runner._LOG, "error", lambda message, *args: record(message % args))
+    recording_cells(monkeypatch, tmp_path / "cells.log", before)
+    return lambda: run_experiment(small_spec(), processes=processes), logged
+
+
+def test_a_killed_sweep_worker_is_a_typed_error_not_a_hang(
+    monkeypatch, tmp_path, wall_clock_limit
+) -> None:
+    """``multiprocessing.Pool`` replaced a worker that died and ``map`` waited
+    for its lost task for ever."""
+    me = os.getpid()
+
+    def killed_in_cell_three(cell):
+        if cell.cell_id == 3 and os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    sweep, logged = failing_sweep(monkeypatch, tmp_path, killed_in_cell_three)
+    started = time.perf_counter()
+    with wall_clock_limit(20.0), pytest.raises(SimulationError) as death:
+        sweep()
+    assert time.perf_counter() - started < 10.0
+    assert str(death.value) == (
+        "the sweep worker running cells [1, 3] died without a result "
+        f"(exit code {-signal.SIGKILL})"
+    )
+    assert multiprocessing.active_children() == [], "a sweep worker outlived the sweep"
+    assert logged() == [], "SIGKILL leaves no time for a last word"
+
+
+@pytest.mark.parametrize(
+    "processes, cell_id, in_caller", [(2, 2, True), (2, 1, False), (1, 3, True)]
+)
+def test_a_failing_cell_is_named_where_it_ran_and_raised_as_its_own_type(
+    monkeypatch, tmp_path, wall_clock_limit, processes, cell_id, in_caller
+) -> None:
+    """The caller's own share, a forked share, a serial sweep: the exception
+    arrives as itself, the process that ran the cell names it in the log, and
+    no worker is left behind."""
+    def refusing(cell):
+        if cell.cell_id == cell_id:
+            raise ConfigurationError(f"cell {cell.cell_id} says no")
+
+    sweep, logged = failing_sweep(monkeypatch, tmp_path, refusing, processes)
+    with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match=f"cell {cell_id} says no"):
+        sweep()
+    assert multiprocessing.active_children() == [], "a sweep worker outlived the sweep"
+    ((pid, line),) = logged()
+    assert (pid == os.getpid()) == in_caller
+    cell = small_spec().expand()[cell_id]
+    assert line == f"cell {cell_id} failed: {cell.describe()}"
+
+
+def test_a_negative_process_count_is_refused_not_silently_serial() -> None:
+    with pytest.raises(ConfigurationError, match="processes must be >= 0, got -3"):
+        run_experiment(small_spec(), processes=-3)
 
 
 def test_same_workload_cells_replay_identical_traces() -> None:

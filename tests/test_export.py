@@ -1,9 +1,13 @@
-"""Round-trip tests for ``repro.experiments.export`` (CSV/JSON stability)."""
+"""Round-trip tests for ``repro.experiments.export`` (CSV/JSON stability), and
+the literal inventory of the result rows' key order it exports."""
 
 import csv
 import json
+from dataclasses import dataclass, fields
 
+from repro.cluster.results import ClusterResult, NodeResult
 from repro.experiments.export import write_results_csv, write_results_json
+from repro.sim.results import SimulationResult
 
 ROWS = [
     {
@@ -87,3 +91,135 @@ def test_json_with_no_rows_and_no_metadata(tmp_path) -> None:
     document = json.loads(path.read_text())
     assert document == {"metadata": {}, "results": []}
     assert path.read_text().endswith("\n")
+
+
+# --------------------------------------------------------------------- #
+# Row inventory: CSV column order and the benchmark's row digests follow the
+# key order of the three ``as_dict``s, so it is written out here, literally.
+# --------------------------------------------------------------------- #
+
+SIMULATION_KEYS = [
+    "policy", "workload", "staleness_bound", "duration", "reads", "writes", "hits",
+    "stale_misses", "cold_misses", "freshness_cost", "staleness_cost", "useful_work",
+    "normalized_freshness_cost", "normalized_staleness_cost", "miss_ratio", "hit_ratio",
+    "invalidates_sent", "updates_sent", "updates_wasted", "suppressed_invalidates",
+    "decisions_nothing", "polls", "stale_refetches", "messages_dropped", "staleness_violations",
+    "persistence_cost", "wal_appends", "wal_flushes", "snapshots_taken", "backend_fetches",
+    "coalesced_reads", "stale_serves", "early_refreshes", "read_latency_p50",
+    "read_latency_p99", "read_latency_p999", "read_latency_mean",
+]
+NODE_ONLY_KEYS = [
+    "node_id", "failed_fetches", "hot_decisions", "hot_keys_flagged", "hot_pressure",
+    "departures", "joins", "crashes", "warm_restored", "warm_invalidated", "l1_hits",
+    "l1_insertions", "l1_promotions", "l1_evictions", "l1_writebacks", "l1_demotions",
+    "l1_admission_rejects", "l1_served_degraded", "l1_cold_restarts", "tier_cost", "l1_stats",
+]
+FLEET_ONLY_KEYS = [
+    "num_nodes", "replication", "read_policy", "scenario", "l1_capacity", "tier_mode",
+    "failed_fetches", "rebalances", "hot_decisions", "hot_keys_flagged", "hot_pressure",
+    "scale_ups", "scale_downs", "elasticity_lag", "elasticity_cost", "elasticity_staleness",
+    "crashes", "warm_restored", "warm_invalidated", "l1_hits", "l1_insertions", "l1_promotions",
+    "l1_evictions", "l1_writebacks", "l1_demotions", "l1_admission_rejects",
+    "l1_served_degraded", "l1_cold_restarts", "tier_cost", "load_imbalance", "nodes",
+]
+NODE_ROW_KEYS = [
+    "node_id", "reads", "writes", "hits", "stale_misses", "cold_misses", "staleness_violations",
+    "failed_fetches", "messages_dropped", "invalidates_sent", "updates_sent", "hot_decisions",
+    "freshness_cost", "l1_hits", "l1_served_degraded", "tier_cost",
+]
+#: Summed into the fleet totals, shard by shard.
+ACCUMULATED = [
+    "reads", "writes", "hits", "stale_misses", "cold_misses", "freshness_cost", "cold_miss_cost",
+    "useful_work", "invalidates_sent", "updates_sent", "updates_wasted",
+    "suppressed_invalidates", "decisions_nothing", "polls", "stale_refetches",
+    "messages_dropped", "staleness_violations", "persistence_cost", "wal_appends",
+    "wal_flushes", "snapshots_taken", "backend_fetches", "coalesced_reads", "stale_serves",
+    "early_refreshes", "latency_count", "latency_sum",
+]
+
+
+def test_result_rows_keep_their_literal_key_order() -> None:
+    assert list(SimulationResult().as_dict()) == SIMULATION_KEYS
+    assert list(NodeResult().as_dict()) == SIMULATION_KEYS + NODE_ONLY_KEYS
+    fleet = ClusterResult(nodes=[NodeResult(node_id="node-000")])
+    fleet.finalize()
+    assert list(fleet.as_dict()) == SIMULATION_KEYS + FLEET_ONLY_KEYS
+    assert [list(row) for row in fleet.node_rows()] == [NODE_ROW_KEYS]
+    fleet.interrupted, fleet.store, fleet.obs = True, {"wal_appends": 0}, {"windows": {}}
+    assert list(fleet.as_dict()) == SIMULATION_KEYS + FLEET_ONLY_KEYS + [
+        "interrupted", "store", "obs"
+    ]
+    assert list(SimulationResult.ACCUMULATED_FIELDS) == ACCUMULATED
+
+
+#: Dataclass fields that reach a row under another name, nested, or not at all.
+RENAMED = {"policy_name": "policy", "workload_name": "workload"}
+NESTED = {
+    "nodes", "totals", "l1_stats", "store", "obs", "interrupted", "latency_buckets", "cache_stats",
+}
+#: Read through a derived column only (staleness cost, latency percentiles).
+NOT_A_COLUMN = {"cold_miss_cost", "latency_count", "latency_sum"}
+
+
+def test_every_result_field_is_a_column_nested_or_a_listed_exclusion() -> None:
+    """The row columns are derived from the fields' defaults: a new field whose
+    default is not a plain number or string (a factory, ``None``, a bool)
+    would silently drop out of the row and the fleet sums.  It has to pick."""
+    fleet = ClusterResult(nodes=[NodeResult()])
+    fleet.finalize()
+    for result in (SimulationResult(), NodeResult(), fleet):
+        row = result.as_dict()
+        unplaced = {
+            column.name
+            for column in fields(result)
+            if RENAMED.get(column.name, column.name) not in row and column.name not in NESTED
+        }
+        assert unplaced == (NOT_A_COLUMN if result is not fleet else set()), type(result).__name__
+
+
+def test_finalize_sums_every_node_counter_and_leaves_the_rest() -> None:
+    """Distinct primes per counter and node: a sum taken from the wrong field,
+    or a fleet-only field folded away, cannot cancel out."""
+    summed = [key for key in FLEET_ONLY_KEYS if key in NODE_ONLY_KEYS]
+    assert len(summed) == 17
+    nodes = [
+        NodeResult(**{name: 2 + index + 100 * node for index, name in enumerate(summed)})
+        for node in (1, 2, 3)
+    ]
+    fleet = ClusterResult(nodes=nodes, rebalances=7, scale_ups=5, elasticity_lag=1.5)
+    fleet.failed_fetches = fleet.l1_hits = 10**6  # what an earlier finalize left
+    fleet.finalize()
+    row = fleet.as_dict()
+    for index, name in enumerate(summed):
+        assert row[name] == 3 * (2 + index) + 600, name
+        assert type(row[name]) is type(getattr(NodeResult(), name)), name
+    assert (row["rebalances"], row["scale_ups"], row["elasticity_lag"]) == (7, 5, 1.5)
+
+
+@dataclass(slots=True)
+class ProbedNode(NodeResult):
+    probes: int = 0
+    probe_kind: str = "ping"
+
+
+@dataclass(slots=True)
+class ProbedFleet(ClusterResult):
+    probes: int = 0
+    probe_kind: str = "ping"
+
+
+def test_a_counter_declared_on_both_results_reaches_the_fleet_row_with_no_third_edit() -> None:
+    fleet = ProbedFleet(nodes=[ProbedNode(probes=3, l1_hits=1), ProbedNode(probes=4, l1_hits=2)])
+    fleet.finalize()
+    row = fleet.as_dict()
+    assert (row["probes"], row["l1_hits"]) == (7, 3)
+    assert row["probe_kind"] == "ping", "a shared label is a column, not a sum"
+    assert list(row) == (
+        SIMULATION_KEYS + FLEET_ONLY_KEYS[:-2] + ["probes", "probe_kind", "load_imbalance", "nodes"]
+    )
+    # Scalars first on both; the nested breakdowns stay last.
+    assert list(fleet.nodes[0].as_dict()) == (
+        SIMULATION_KEYS + NODE_ONLY_KEYS[:-1] + ["probes", "probe_kind", "l1_stats"]
+    )
+    fleet.finalize()
+    assert fleet.as_dict()["probes"] == 7, "finalize sums from zero each time"

@@ -18,6 +18,9 @@ And what runs where is stated once: the flags a scenario or a fault plan
 declares its needs with are read by :func:`repro.cluster.cluster.check_fleet`
 and by nothing else, and the vector envelope is the ``ENVELOPE`` table, not a
 function beside it.
+
+And there is one fan-out: :mod:`repro.fanout` is the only module of the
+package that imports :mod:`multiprocessing`, and nothing names a ``Pool``.
 """
 
 import ast
@@ -220,3 +223,65 @@ def test_rulebook_audit_scans_the_rulebook_and_would_catch_a_copy() -> None:
         "def check_fleet(scenario):\n    return scenario.requires_tier", RULEBOOK[0]
     )
     assert rulebook_violations("def check_fleet(scenario):\n    return scenario.requires_tier")
+
+
+#: The one module that may fork.
+FANOUT = "src/repro/fanout.py"
+
+
+def fanout_violations(source: str, relative: str = "") -> "list[str]":
+    """Imports of ``multiprocessing`` (any spelling, any depth, submodules
+    included) and any import, name or attribute called ``Pool``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules, names = [], []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in ("import_module", "__import__"):
+                modules = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [getattr(node, "id", None) or node.attr]
+        if any(str(module).split(".")[0] == "multiprocessing" for module in modules):
+            found.append(f"{relative}:{node.lineno}: imports multiprocessing")
+        if "Pool" in names:
+            found.append(f"{relative}:{node.lineno}: names Pool")
+    return found
+
+
+def test_one_module_imports_multiprocessing_and_none_names_pool() -> None:
+    violations = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        violations += fanout_violations(path.read_text(), relative)
+    assert [line.split(":")[0] for line in violations] == [FANOUT, FANOUT], (
+        "repro.fanout alone forks (its import and its annotation-only one):\n"
+        + "\n".join(violations)
+    )
+    assert not any("Pool" in line for line in violations)
+
+
+def test_fanout_audit_would_catch_every_spelling() -> None:
+    for snippet in (
+        "import multiprocessing",
+        "import multiprocessing.pool as mp",
+        "from multiprocessing import get_context",
+        "from multiprocessing.connection import Connection",
+        "def run():\n    import multiprocessing as mp\n    return mp",
+        "if TYPE_CHECKING:\n    from multiprocessing.connection import Connection",
+        "mp = importlib.import_module('multiprocessing')",
+        "from concurrent.futures import ProcessPoolExecutor as Pool\nPool()",
+        "with context.Pool(processes=2) as pool: pass",
+        "from multiprocessing.pool import Pool",
+    ):
+        assert fanout_violations(snippet), snippet
+    for snippet in (
+        '"""Prose may say multiprocessing.Pool."""\nworkers = 2',
+        "from repro.fanout import fork_each",
+        "import multiprocessing_like",
+    ):
+        assert not fanout_violations(snippet), snippet
