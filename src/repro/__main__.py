@@ -76,7 +76,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.log import configure_logging
-from repro.cluster import ClusterSimulation, ReplicationConfig
+from repro.cluster import ClusterSimulation
 from repro.concurrency.config import (
     SERVICE_TIME_DISTRIBUTIONS,
     STAMPEDE_POLICIES,
@@ -93,8 +93,8 @@ from repro.experiments import (
     write_results_csv,
     write_results_json,
 )
-from repro.experiments.registry import POLICY_FACTORIES, WORKLOAD_FACTORIES, make_workload
-from repro.experiments.runner import run_cell
+from repro.experiments.registry import POLICY_FACTORIES, WORKLOAD_FACTORIES
+from repro.experiments.runner import build_simulation, run_cell
 from repro.experiments.spec import ENGINES, ChannelSpec, RunCell, stable_cell_seed
 from repro.store import (
     StoreConfig,
@@ -104,7 +104,7 @@ from repro.store import (
     recover_datastore,
     scan_wal,
 )
-from repro.tier.config import ADMISSION_POLICIES, TIER_MODES, TierConfig
+from repro.tier.config import ADMISSION_POLICIES, TIER_MODES
 
 _LOG = logging.getLogger("repro.cli")
 
@@ -447,26 +447,26 @@ _RUN_CONFIG_NAME = "RUN.json"
 
 
 def _store_cluster(config: Dict[str, Any], store: StoreConfig) -> ClusterSimulation:
-    """Build the journaled cluster a ``store`` run config describes."""
-    workload = make_workload(
-        config["workload"], seed=config["cell_seed"], params=config["workload_params"]
-    )
-    return ClusterSimulation(
-        workload=workload.iter_requests(config["duration"]),
+    """Build the journaled cluster a ``store`` run config describes, through
+    the runner's one cell -> engine mapping."""
+    cell = RunCell(
+        experiment="store",
+        cell_id=0,
         policy=config["policy"],
-        num_nodes=config["nodes"],
+        workload=config["workload"],
+        workload_params=tuple(sorted(config["workload_params"].items())),
         staleness_bound=config["bound"],
-        replication=ReplicationConfig(factor=config["replication"]),
+        cache_capacity=None,
+        channel=None,
         duration=config["duration"],
-        workload_name=workload.name,
         seed=config["cell_seed"],
-        store=store,
+        num_nodes=config["nodes"],
+        replication=config["replication"],
         # Older RUN.json files predate the tier; they ran single-tier.
-        tier=TierConfig(
-            l1_capacity=config.get("l1_capacity", 0),
-            mode=config.get("tier_mode", "write-through"),
-        ),
+        l1_capacity=config.get("l1_capacity", 0),
+        tier_mode=config.get("tier_mode", "write-through"),
     )
+    return build_simulation(cell, store)
 
 
 def _cmd_store_snapshot(args: argparse.Namespace) -> int:

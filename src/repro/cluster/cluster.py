@@ -1,8 +1,10 @@
 """The sharded multi-node cluster simulation.
 
-:class:`ClusterSimulation` routes one time-ordered request stream across a
-fleet of :class:`~repro.sim.node.CacheNode` shards in front of the shared
-versioned datastore:
+:class:`ClusterSimulation` is the fleet case of the one replay driver
+(:class:`~repro.sim.driver.ReplayDriver`: request loop, due-work schedule,
+finalize).  It routes one time-ordered request stream across a fleet of
+:class:`~repro.sim.node.CacheNode` shards in front of the shared versioned
+datastore:
 
 * keys are placed with consistent hashing
   (:class:`~repro.cluster.hashring.ConsistentHashRing`); every key lives on
@@ -18,33 +20,35 @@ versioned datastore:
 * per-shard :class:`~repro.cluster.hotkey.HotKeyDetector` instances can
   switch hot keys to a different freshness policy on their shard.
 
-Everything is driven by the request clock with no hidden randomness beyond
-the seeded per-node channels, so a cluster cell replays byte-identically for
-a fixed seed no matter how many worker processes executed the grid.
+Nothing of this is a branch of the request loop: scenario and fault events
+join the driver's due work, a key transform wraps the read and write
+callables, and a kill point or a resume trims the stream.  Everything is
+driven by the request clock with no hidden randomness beyond the seeded
+per-node channels, so a cluster cell replays byte-identically for a fixed
+seed no matter how many worker processes executed the grid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from collections import deque
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
 from repro.cache.eviction import EvictionPolicy
-from repro.concurrency.backend import BackendServer
-from repro.concurrency.config import as_concurrency
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
 from repro.cluster.replication import ReplicaRouter, ReplicationConfig
 from repro.cluster.results import ClusterResult, NodeResult
-from repro.cluster.scenarios import Scenario, ScenarioEvent
+from repro.cluster.scenarios import Scenario
 from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy
-from repro.errors import ClusterError, ConfigurationError, StoreError
-from repro.obs.recorder import as_recorder, obs_process_read, obs_process_write
+from repro.errors import ClusterError, StoreError
 from repro.resilience.chaos import ChaosPlan, as_chaos_plan
-from repro.sim.clock import SimulationClock
+from repro.sim.driver import ReplayDriver
 from repro.sim.node import CacheNode
+from repro.sim.results import SimulationResult
 from repro.store.recovery import (
     RecoveryReport,
     load_checkpoint,
@@ -61,7 +65,7 @@ from repro.store.snapshot import (
     serialize_node_stub,
 )
 from repro.tier.config import TierConfig
-from repro.workload.base import Request, iter_chunks
+from repro.workload.base import Request
 
 PolicyLike = Union[str, Callable[[], FreshnessPolicy]]
 
@@ -195,7 +199,7 @@ def check_fleet(
     scenario.bind(duration or 0.0, staleness_bound, num_nodes)
 
 
-class ClusterSimulation:
+class ClusterSimulation(ReplayDriver):
     """Replay a request stream across a sharded, replicated cache fleet.
 
     Args:
@@ -205,7 +209,8 @@ class ClusterSimulation:
             factory (each node gets its own instance).  Clairvoyant policies
             (``needs_future``) are not supported in cluster mode.
         num_nodes: Fleet size.
-        staleness_bound: The bound ``T`` in seconds, fleet-wide.
+        staleness_bound: The bound ``T`` in seconds, fleet-wide; positive and
+            finite.
         costs: Cost model shared by every node.
         replication: Replication factor (int) or a full
             :class:`~repro.cluster.replication.ReplicationConfig`.
@@ -218,7 +223,8 @@ class ClusterSimulation:
         tracker_capacity: Per-node invalidated-key tracker capacity.
         scenario: Scenario script (``None`` = steady state).
         hotkey: Hot-key detection config (``None`` disables detection).
-        duration: Simulated horizon; defaults to the last request time.
+        duration: Simulated horizon (positive and finite); defaults to the
+            last request time.
         workload_name: Label recorded in the result.
         vnodes: Virtual nodes per physical node on the hash ring.
         seed: Root seed for per-node channels and detectors.
@@ -280,6 +286,9 @@ class ClusterSimulation:
             chaos composes with any scenario.
     """
 
+    _error = ClusterError
+    _name = "ClusterSimulation"
+
     def __init__(
         self,
         workload: Iterable[Request],
@@ -313,10 +322,14 @@ class ClusterSimulation:
             raise ClusterError(f"num_nodes must be >= 1, got {num_nodes}")
         if zones < 1:
             raise ClusterError(f"zones must be >= 1, got {zones}")
-        if staleness_bound <= 0:
-            raise ConfigurationError(
-                f"staleness_bound must be positive, got {staleness_bound}"
-            )
+        super().__init__(
+            staleness_bound=staleness_bound,
+            duration=duration,
+            costs=costs,
+            workload_name=workload_name,
+            final_flush=final_flush,
+            concurrency=concurrency,
+        )
         if replication is None:
             replication = ReplicationConfig()
         elif isinstance(replication, int):
@@ -327,12 +340,7 @@ class ClusterSimulation:
         if tier is not None and not tier.enabled:
             tier = None
         self.tier = tier
-        self.staleness_bound = float(staleness_bound)
-        self.costs = costs if costs is not None else CostModel()
         self.replication = replication
-        self.workload_name = workload_name
-        self.final_flush = final_flush
-        self.duration = float(duration) if duration is not None else 0.0
         self._stream: Iterable[Request] = workload
         self.seed = int(seed)
 
@@ -344,7 +352,6 @@ class ClusterSimulation:
             hot_factory = _resolve_policy_factory(hotkey.hot_policy)
         self.scenario = scenario if scenario is not None else Scenario()
         self.zones = int(zones)
-        self.concurrency = as_concurrency(concurrency)
         self.chaos = as_chaos_plan(chaos)
         # Every refusal comes before the first side effect (the store opens
         # its log below) and long before the first request.
@@ -364,72 +371,50 @@ class ClusterSimulation:
             sharded=owned_nodes is not None,
         )
 
-        self.datastore = DataStore(retention=history_retention)
-        self._store: Optional[StoreRuntime] = None
-        if store is not None:
-            self._store = StoreRuntime(store, self.costs)
-            self._store.attach(self.datastore)
-        self.clock = SimulationClock()
+        self._open(store, history_retention, obs)
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.router = ReplicaRouter(replication)
-        #: The fleet-shared backend fetch server (``None`` when the
-        #: instant-fetch model is in effect).
-        self.backend: Optional[BackendServer] = None
-        if self.concurrency is not None:
-            self.backend = BackendServer(self.concurrency.capacity)
-
-        self._nodes: dict[str, CacheNode] = {}
-        self._node_list: List[CacheNode] = []
-        #: Node ids with freshness messages in flight; empty with ideal
-        #: channels, which lets the per-request delivery sweep short-circuit.
-        self._pending_nodes: set[str] = set()
+        nodes: List[CacheNode] = []
         for index in range(num_nodes):
             node_id = f"node-{index:03d}"
             node_seed = (self.seed + _NODE_SEED_STRIDE * (index + 1)) % 2**32
-            node_channel = (
-                channel.build(node_seed) if channel is not None else Channel(seed=node_seed)
-            )
-            detector = (
-                HotKeyDetector(hotkey, seed=node_seed ^ 0x5BF03635)
-                if hotkey is not None
-                else None
-            )
             # The probe instance seeds node 0 so its construction is not
             # wasted; every other node gets a fresh instance.
             node_policy = probe if index == 0 else policy_factory()
-            node = CacheNode(
-                node_id=node_id,
-                policy=node_policy,
-                staleness_bound=self.staleness_bound,
-                costs=self.costs,
-                datastore=self.datastore,
-                result=NodeResult(
+            nodes.append(
+                self._node(
+                    node_seed,
                     node_id=node_id,
-                    policy_name=node_policy.name,
-                    workload_name=workload_name,
-                    staleness_bound=self.staleness_bound,
-                ),
-                cache_capacity=cache_capacity,
-                eviction=eviction_factory() if eviction_factory is not None else None,
-                channel=node_channel,
-                tracker_capacity=tracker_capacity,
-                hot_policy=hot_factory() if hot_factory is not None else None,
-                detector=detector,
-                discard_buffer_on_miss_fill=discard_buffer_on_miss_fill,
-                pending_registry=self._pending_nodes,
-                tier=self.tier,
-                tier_seed=node_seed ^ 0x1F123BB5,
+                    policy=node_policy,
+                    result=NodeResult(
+                        node_id=node_id,
+                        policy_name=node_policy.name,
+                        workload_name=workload_name,
+                        staleness_bound=self.staleness_bound,
+                    ),
+                    cache_capacity=cache_capacity,
+                    eviction=eviction_factory() if eviction_factory is not None else None,
+                    channel=(
+                        channel.build(node_seed) if channel is not None else Channel(seed=node_seed)
+                    ),
+                    tracker_capacity=tracker_capacity,
+                    hot_policy=hot_factory() if hot_factory is not None else None,
+                    detector=(
+                        HotKeyDetector(hotkey, seed=node_seed ^ 0x5BF03635)
+                        if hotkey is not None
+                        else None
+                    ),
+                    discard_buffer_on_miss_fill=discard_buffer_on_miss_fill,
+                    tier=self.tier,
+                    tier_seed=node_seed ^ 0x1F123BB5,
+                )
             )
-            if self.backend is not None:
-                node.attach_concurrency(self.concurrency, self.backend, node_seed)
-            self._nodes[node_id] = node
-            self._node_list.append(node)
             self.ring.add_node(
                 node_id, zone=f"zone-{index % self.zones}" if self.zones > 1 else None
             )
 
+        indices = None
         self._owned_ids: Optional[frozenset[str]] = None
-        self._flush_nodes: List[CacheNode] = self._node_list
         if owned_nodes is not None:
             indices = sorted(set(int(index) for index in owned_nodes))
             if not indices:
@@ -438,19 +423,10 @@ class ClusterSimulation:
                 raise ClusterError(
                     f"owned_nodes entries must be in [0, {num_nodes}), got {indices}"
                 )
-            self._flush_nodes = [self._node_list[index] for index in indices]
-            self._owned_ids = frozenset(node.node_id for node in self._flush_nodes)
+            self._owned_ids = frozenset(nodes[index].node_id for index in indices)
+        self._adopt(nodes, indices)
 
-        self.obs = as_recorder(obs)
-        if self.obs is not None and self._store is not None:
-            self._store.attach_obs(self.obs)
-
-        self._next_flush = self.staleness_bound
-        self._next_due = self.staleness_bound
-        self._interval_hook: Optional[Callable[["ClusterSimulation", float], None]] = None
-        self._has_run = False
         self._rebalances = 0
-        self._resume_from: Optional[float] = None
         self.event_log: List[tuple[float, str]] = []
         # Hot-path aliases: the ring, factor, and routing mode never change
         # after construction (membership changes mutate the ring in place).
@@ -487,8 +463,7 @@ class ClusterSimulation:
                 raise ClusterError("cannot remove the last node from the ring")
             self.ring.remove_node(node.node_id)
             self._rebalances += 1
-            if self.obs is not None and self.obs.record_global:
-                self.obs.event(time, "rebalance", action="remove", node=node.node_id)
+            self._event(time, "rebalance", action="remove", node=node.node_id)
         node.depart(time)
 
     def rejoin_node(self, index: int, warm: bool = False, time: Optional[float] = None) -> None:
@@ -500,20 +475,14 @@ class ClusterSimulation:
         (the node missed those invalidates), the rest come back valid.
         """
         node = self.node_at(index)
+        time = time if time is not None else self.clock.now
         if node.node_id not in self.ring:
             self.ring.add_node(node.node_id)
             self._rebalances += 1
-            if self.obs is not None and self.obs.record_global:
-                self.obs.event(
-                    time if time is not None else self.clock.now,
-                    "rebalance",
-                    action="add",
-                    node=node.node_id,
-                    warm=warm,
-                )
+            self._event(time, "rebalance", action="add", node=node.node_id, warm=warm)
         node.rejoin()
         if warm:
-            self._warm_restore(node, time if time is not None else self.clock.now)
+            self._warm_restore(node, time)
 
     def deactivate_node(self, index: int) -> None:
         """Park a node in standby: off the ring without a departure.
@@ -545,8 +514,7 @@ class ClusterSimulation:
             # against the same durable write history.
             self._store_or_raise().journal.sync()
             replayed, _ = recover_datastore(self._store.config.root)
-        if self.obs is not None and self.obs.record_global:
-            self.obs.event(time, "crash-restart", warm=warm)
+        self._event(time, "crash-restart", warm=warm)
         for node in self._node_list:
             node.crash(time)
             if warm:
@@ -596,9 +564,7 @@ class ClusterSimulation:
                 freshly constructed, identically configured cluster resumes
                 the run with identical counters.
         """
-        if self._has_run:
-            raise ClusterError("a ClusterSimulation instance can only be run once")
-        self._has_run = True
+        self._spend()
         if stop_at is not None and self._store is None:
             raise ClusterError("run(stop_at=...) needs a configured store to crash into")
         if stop_at is not None and self.concurrency is not None:
@@ -606,7 +572,13 @@ class ClusterSimulation:
                 "run(stop_at=...) is incompatible with concurrency: in-flight "
                 "fetches are volatile state a checkpoint does not capture"
             )
+        self._schedule()
+        self._start("scalar")
+        self._replay(self._stream, stop_at)
+        return self._finalize(stop_at)
 
+    def _schedule(self) -> None:
+        """Bind the scenario and the fault plan to the run and queue their events."""
         # check_fleet() accepted this binding at construction; a scenario
         # object shared with another fleet may have been re-bound since.
         self.scenario.bind(
@@ -619,152 +591,55 @@ class ClusterSimulation:
         if self.chaos is not None:
             self.chaos.bind(self.duration, len(self._node_list))
             scripted = scripted + self.chaos.events()
-        # Control-loop scenarios observe the fleet at flush cadence; the
-        # hook is bound only when overridden so plain scenarios keep the
-        # untouched background path.
+        # Events up to a resumed checkpoint were applied before the crash and
+        # their effects live in the restored state: skip, don't re-apply.
+        resumed = self._resume_from if self._resume_from is not None else -math.inf
+        scripted = [event for event in scripted if event.time > resumed]
+        self._events = deque(sorted(scripted, key=lambda event: event.time))
+        self._next_event = self._events[0].time if self._events else math.inf
+        # Control-loop scenarios observe the fleet at flush cadence, and a
+        # key transform wraps the read and write callables: each is bound
+        # only when the scenario overrides it, so plain runs pay nothing.
+        scenario_type = type(self.scenario)
         self._interval_hook = (
             self.scenario.on_interval
-            if type(self.scenario).on_interval is not Scenario.on_interval
+            if scenario_type.on_interval is not Scenario.on_interval
             else None
         )
-        events = sorted(scripted, key=lambda event: event.time)
-        event_index = 0
-        num_events = len(events)
-        if self._resume_from is not None:
-            # Events up to the checkpoint were applied before the crash and
-            # their effects live in the restored state; skip, don't re-apply.
-            while event_index < num_events and events[event_index].time <= self._resume_from:
-                event_index += 1
-
-        # The fleet replay hot loop is shaped like the single-cache driver's:
-        # it walks the stream's column chunks (``iter_chunks`` checks the time
-        # order), the identity key transform of the base scenario is skipped,
-        # the next scenario event time is a hoisted float compare, and
-        # background work only runs when a flush or snapshot is due (or a
-        # freshness message is in flight somewhere).
-        next_event_time = events[event_index].time if event_index < num_events else math.inf
-        transform = (
+        self._transform = (
             self.scenario.transform_request
-            if type(self.scenario).transform_request is not Scenario.transform_request
+            if scenario_type.transform_request is not Scenario.transform_request
             else None
         )
-        self._refresh_next_due()
-        clock = self.clock
-        # Observability binds wrapper methods *instead of* the plain ones:
-        # with obs disabled this loop is byte-for-byte the plain hot path.
-        if self.obs is not None:
-            self._obs_begin("scalar")
-            process_read = self._obs_process_read
-            process_write = self._obs_process_write
-        else:
-            process_read = self._process_read
-            process_write = self._process_write
-        advance_background = self._advance_background
-        pending_nodes = self._pending_nodes
-        resume_from = self._resume_from
-        next_due = self._next_due
-        for chunk in iter_chunks(self._stream):
-            for time, key, is_read, key_size, value_size in zip(*chunk):
-                if resume_from is not None and time <= resume_from:
-                    continue
-                if stop_at is not None and time > stop_at:
-                    return self._interrupt(stop_at, events, event_index)
-                while time >= next_event_time:
-                    event_index = self._apply_event(events, event_index)
-                    next_event_time = (
-                        events[event_index].time if event_index < num_events else math.inf
-                    )
-                    next_due = self._next_due
-                if transform is not None:
-                    key = transform(time, key, key_size, value_size)
-                if pending_nodes or time >= next_due:
-                    advance_background(time)
-                    next_due = self._next_due
-                clock.advance_to(time)
-                if is_read:
-                    process_read(time, key, key_size, value_size)
-                else:
-                    process_write(time, key, key_size, value_size)
 
-        if stop_at is not None:
-            # The stream ran dry before the kill point: checkpoint there.
-            return self._interrupt(stop_at, events, event_index)
-        return self._finalize(events, event_index)
-
-    # ------------------------------------------------------------------ #
-    # Observability wrappers (only ever bound when a recorder is attached)
-    # ------------------------------------------------------------------ #
-    def _obs_begin(self, engine: str) -> None:
-        obs = self.obs
-        hosts = [
-            (node.node_id, node.result, node.cache.stats) for node in self._flush_nodes
-        ]
-        # In shard-parallel replay every shard sees the same global events
-        # (scenario transitions, rebalances); only the shard owning node 0
-        # records them, so the merged trace carries each exactly once.
-        record_global = (
-            self._owned_ids is None or self._node_list[0].node_id in self._owned_ids
-        )
-        obs.attach(hosts, record_global=record_global)
-        obs.run_start(
-            self._resume_from if self._resume_from is not None else 0.0,
-            policy=self.policy_name,
-            workload=self.workload_name,
-            engine=engine,
-            nodes=len(self._node_list),
-            scenario=self.scenario.name,
+    def _handlers(self):
+        handlers, transform = super()._handlers(), self._transform
+        if transform is None:
+            return handlers
+        return tuple(
+            lambda time, key, key_size, value_size, handle=handle: handle(
+                time, transform(time, key, key_size, value_size), key_size, value_size
+            )
+            for handle in handlers
         )
 
-    _obs_process_read = obs_process_read
-    _obs_process_write = obs_process_write
+    def _run_meta(self) -> Dict[str, Any]:
+        return {"scenario": self.scenario.name}
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _apply_event(self, events: List[ScenarioEvent], index: int) -> int:
-        event = events[index]
-        self._advance_background(event.time)
+    def _apply_event(self) -> None:
+        """Apply the next scripted event, after the deliveries due by its time."""
+        event = self._events.popleft()
+        self._next_event = self._events[0].time if self._events else math.inf
+        self._deliver(event.time)
         self.clock.advance_to(event.time)
         event.apply(self, event.time)
         self.event_log.append((event.time, event.label))
+        self._event(event.time, "scenario", label=event.label, scenario=self.scenario.name)
+
+    def _event(self, time: float, kind: str, **fields: Any) -> None:
+        """Record a fleet-wide event (where the recorder ``record_global``)."""
         if self.obs is not None and self.obs.record_global:
-            self.obs.event(
-                event.time, "scenario", label=event.label, scenario=self.scenario.name
-            )
-        return index + 1
-
-    def _advance_background(self, until: float) -> None:
-        """Run flushes, snapshots, and deliveries due before ``until``.
-
-        Flushes and snapshots interleave in time order, flush first on a tie
-        so a snapshot observes the flushed state of its instant.
-        """
-        while True:
-            next_flush = self._next_flush
-            next_snapshot = self._store.next_snapshot if self._store else math.inf
-            if min(next_flush, next_snapshot) > until:
-                break
-            if next_flush <= next_snapshot:
-                for node in self._flush_nodes:
-                    node.deliver_until(next_flush)
-                    node.flush(next_flush)
-                self._next_flush += self.staleness_bound
-                if self._interval_hook is not None:
-                    self._interval_hook(self, next_flush)
-            else:
-                self._checkpoint(next_snapshot)
-        self._refresh_next_due()
-        # Per-request sweep: with ideal channels nothing is ever in flight,
-        # so this stays O(1) instead of O(num_nodes) per request.
-        if self._pending_nodes:
-            for node_id in sorted(self._pending_nodes):
-                self._nodes[node_id].deliver_until(until)
-
-    def _refresh_next_due(self) -> None:
-        """Recompute the earliest time background work must run."""
-        next_snapshot = self._store.next_snapshot if self._store else math.inf
-        next_flush = self._next_flush
-        self._next_due = next_flush if next_flush <= next_snapshot else next_snapshot
+            self.obs.event(time, kind, **fields)
 
     # ------------------------------------------------------------------ #
     # Persistence: checkpoint, crash, resume
@@ -798,49 +673,6 @@ class ClusterSimulation:
                 "router": dict(self.router._round_robin),
             },
         )
-
-    def _interrupt(
-        self, stop_at: float, events: List[ScenarioEvent], event_index: int
-    ) -> ClusterResult:
-        """Stop at the kill point: apply due events, checkpoint, report."""
-        while event_index < len(events) and events[event_index].time <= stop_at:
-            event_index = self._apply_event(events, event_index)
-        self._advance_background(stop_at)
-        self.clock.advance_to(stop_at)
-        self._checkpoint(stop_at)
-        self._store.close()
-        result = ClusterResult(
-            policy_name=self.policy_name,
-            workload_name=self.workload_name,
-            staleness_bound=self.staleness_bound,
-            duration=stop_at,
-            num_nodes=len(self._node_list),
-            replication=self.replication.factor,
-            read_policy=self.replication.read_policy,
-            scenario=self.scenario.name,
-            l1_capacity=self.tier.l1_capacity if self.tier is not None else 0,
-            tier_mode=self.tier.mode if self.tier is not None else "write-through",
-        )
-        result.nodes = [node.result for node in self._node_list]
-        result.rebalances = self._rebalances
-        result.interrupted = True
-        stats = self._store.stats()
-        result.store = stats
-        result.finalize()
-        for field_name, value in self.scenario.result_fields().items():
-            setattr(result, field_name, value)
-        # Same flat-row persistence counters a finished run reports.
-        result.totals.persistence_cost = stats["persistence_cost"]
-        result.totals.wal_appends = stats["wal_appends"]
-        result.totals.wal_flushes = stats["wal_flushes"]
-        result.totals.snapshots_taken = stats["snapshots"]
-        if self.obs is not None:
-            if self.obs.record_global:
-                self.obs.event(stop_at, "interrupted")
-            self.obs.add_totals(self.scenario.result_fields())
-            self.obs.finish(stop_at)
-            result.obs = self.obs.payload()
-        return result
 
     def restore_from_store(self) -> "RecoveryReport":
         """Resume from the last durable checkpoint in the configured store.
@@ -954,15 +786,9 @@ class ClusterSimulation:
         if owned is None or node_id in owned:
             self._nodes[node_id].handle_read(time, key, key_size, value_size)
 
-    def _finalize(self, events: List[ScenarioEvent], event_index: int) -> ClusterResult:
-        end_time = max(self.duration, self.clock.now)
-        while event_index < len(events) and events[event_index].time <= end_time:
-            event_index = self._apply_event(events, event_index)
-        self.clock.advance_to(end_time)
-        self._advance_background(end_time)
-        for node in self._flush_nodes:
-            node.finalize(end_time, self.final_flush)
-
+    def _result(
+        self, end_time: float, stats: Optional[Dict[str, Any]], interrupted: bool
+    ) -> Tuple[ClusterResult, SimulationResult]:
         result = ClusterResult(
             policy_name=self.policy_name,
             workload_name=self.workload_name,
@@ -977,27 +803,22 @@ class ClusterSimulation:
         )
         result.nodes = [node.result for node in self._node_list]
         result.rebalances = self._rebalances
-        if self._store is not None:
-            self._checkpoint(end_time)
-            self._store.close()
-            stats = self._store.stats()
-            result.store = stats
+        result.interrupted = interrupted
+        result.store = stats
         result.finalize()
         # Scenario-owned outcome fields (elasticity lag/cost/staleness) land
         # after the counter fold so finalize() cannot zero them.
-        for field_name, value in self.scenario.result_fields().items():
+        fields = self.scenario.result_fields()
+        for field_name, value in fields.items():
             setattr(result, field_name, value)
-        if self._store is not None:
-            result.totals.persistence_cost = stats["persistence_cost"]
-            result.totals.wal_appends = stats["wal_appends"]
-            result.totals.wal_flushes = stats["wal_flushes"]
-            result.totals.snapshots_taken = stats["snapshots"]
+        if interrupted:
+            self._event(end_time, "interrupted")
         if self.obs is not None:
-            self.obs.add_totals(self.scenario.result_fields())
-            self.obs.finish(end_time)
+            self.obs.add_totals(fields)
+        return result, result.totals
+
+    def _finalize(self, stop_at: Optional[float] = None) -> ClusterResult:
+        result = super()._finalize(stop_at)
+        if self.obs is not None:
             result.obs = self.obs.payload()
         return result
-
-    def store_stats(self) -> Optional[Dict[str, Any]]:
-        """Deterministic persistence counters (``None`` without a store)."""
-        return self._store.stats() if self._store is not None else None

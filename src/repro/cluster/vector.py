@@ -1,16 +1,18 @@
 """Vectorized (columnar) replay of a compiled trace across a cache fleet.
 
 :class:`VectorClusterSimulation` is the fleet twin of
-:class:`~repro.sim.vector.VectorSimulation`: it consumes a
-:class:`~repro.workload.compiled.CompiledTrace`, routes each span's reads to
-replicas with the exact scalar routing rules (primary / hash / round-robin,
-including the per-key round-robin counters), and hands each **node** its share
-of the span — one group of columns, cut from the span with masks and stride
-arithmetic — for one call of the same span kernel the single-cache engine
-uses.  Every node's cache, buffer, tracker, and estimator are real objects,
-and all simulation *events* (interval flushes, freshness message fan-out,
-delivery, finalisation) run through the unmodified scalar
-:class:`~repro.sim.node.CacheNode` machinery between spans.
+:class:`~repro.sim.vector.VectorSimulation`: the same span loop
+(:class:`~repro.sim.vector.SpanReplay`) over a
+:class:`~repro.workload.compiled.CompiledTrace`, plus routing.  This module
+routes each span's reads to replicas with the exact scalar routing rules
+(primary / hash / round-robin, including the per-key round-robin counters)
+and hands each **node** its share of the span — one group of columns, cut
+from the span with masks and stride arithmetic — for one call of the same
+span kernel the single cache uses.  Every node's cache, buffer, tracker, and
+estimator are real objects, and all simulation *events* (interval flushes,
+freshness message fan-out, delivery, finalisation) run through the one
+driver's due work and the unmodified :class:`~repro.sim.node.CacheNode`
+machinery between spans.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared
@@ -48,28 +50,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
-from repro.errors import ClusterError, ConfigurationError, WorkloadError
 from repro.sim.vector import (
     ENVELOPE,
     EnvelopeRow,
     Groups,
-    _HostState,
+    SpanReplay,
     _ReplayContext,
-    _SpanTally,
-    _apply_span_writes,
-    _flush_tally,
-    _kernel_reactive_span,
-    _kernel_ttl_expiry,
-    _kernel_ttl_polling,
-    _replay_in_spans,
     _span_prelude,
     _walk_spans,
-    envelope_exit,
 )
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex
+from repro.workload.compiled import SpanFacts, TraceIndex
 
 
 #: The fleet engine's envelope: the rows only a fleet can trip, asked before
@@ -128,57 +120,21 @@ class _ClusterPlan:
         self.round_robin = round_robin
 
 
-class VectorClusterSimulation(ClusterSimulation):
+class VectorClusterSimulation(SpanReplay, ClusterSimulation):
     """Drop-in :class:`ClusterSimulation` that replays a compiled trace in spans.
 
     Accepts the same configuration as :class:`ClusterSimulation` but takes a
     :class:`~repro.workload.compiled.CompiledTrace` instead of a request
-    iterable.  ``run()`` picks the vectorized path when the configuration is
-    inside the vectorizable envelope (see :meth:`vector_eligible`) and
-    otherwise replays the trace's column chunks through the inherited scalar
-    loop — either way the results are byte-identical to the scalar engine.
+    iterable.  ``run()`` (:class:`~repro.sim.vector.SpanReplay`) picks the
+    vectorized path when the configuration is inside the vectorizable
+    envelope (:data:`FLEET_ENVELOPE`) and otherwise replays the trace's column
+    chunks through the scalar fleet loop — either way the results are
+    byte-identical to the scalar engine.  What the fleet adds to the span
+    replay is routing: the trace-wide plan, each cut's per-node groups, and
+    the owned hosts a shard drives.
     """
 
-    def __init__(self, trace: CompiledTrace, *args, **kwargs) -> None:
-        if not isinstance(trace, CompiledTrace):
-            raise ConfigurationError(
-                "VectorClusterSimulation requires a CompiledTrace; use "
-                "compile_workload(workload, duration) first"
-            )
-        self.trace = trace
-        super().__init__(trace, *args, **kwargs)
-        self.used_vector_path = False
-        self._fallback_reason: Optional[str] = None
-
-    @property
-    def fallback_reason(self) -> Optional[str]:
-        """Name of the :data:`FLEET_ENVELOPE` row that put ``run()`` on the
-        scalar path; ``None`` when the vector path ran (and before ``run()``)."""
-        return self._fallback_reason
-
-    def vector_eligible(self) -> bool:
-        """Whether no :data:`FLEET_ENVELOPE` row holds for this configuration
-        (see "What runs where" in docs/guides/performance.md)."""
-        return envelope_exit(FLEET_ENVELOPE, self, self._node_list) is None
-
-    def run(self, stop_at: Optional[float] = None) -> ClusterResult:
-        """Replay the trace; vectorized inside the envelope, scalar otherwise."""
-        row = envelope_exit(FLEET_ENVELOPE, self, self._node_list, stop_at)
-        if row is not None:
-            self._fallback_reason = row.name
-            return super().run(stop_at)
-        if self._has_run:
-            raise ClusterError("a ClusterSimulation instance can only be run once")
-        self._has_run = True
-        self.used_vector_path = True
-        self._refresh_next_due()
-        if self.obs is not None:
-            self._obs_begin("vector")
-        self._run_spans()
-        # The scalar finaliser runs the trailing flush boundaries, node
-        # finalisation, and result aggregation (there are no scenario events
-        # on the vector path).
-        return self._finalize([], 0)
+    _envelope = FLEET_ENVELOPE
 
     # ------------------------------------------------------------------ #
     # Trace-wide routing plan
@@ -236,29 +192,12 @@ class VectorClusterSimulation(ClusterSimulation):
     # ------------------------------------------------------------------ #
     # Span replay
     # ------------------------------------------------------------------ #
-    def _run_spans(self) -> None:
-        trace = self.trace
-        if len(trace) == 0:
-            return
-        index = trace.index()
-        if not index.time_ordered:
-            # Same contract as the scalar loop's inlined ordering check.
-            raise WorkloadError("request stream is not sorted by time")
+    def _route_trace(self) -> None:
         plan = self._plan = self.build_plan()
         # The vector path never consults the read router mid-run (there are
         # no checkpoints without a store); leave it where the scalar loop
         # would.
         self.router._round_robin.update(plan.round_robin)
-        node0 = self._node_list[0]
-        self._ctx = _ReplayContext.for_node(trace, index, node0)
-        self._hosts = [_HostState.of(node) for node in self._node_list]
-        owned_ids = self._owned_ids
-        self._owned = [
-            node_idx
-            for node_idx, node in enumerate(self._node_list)
-            if owned_ids is None or node.node_id in owned_ids
-        ]
-        _replay_in_spans(self, node0._reacts, self._advance_background)
 
     def share_spans(self) -> None:
         """Fill the trace's span table with what this replay would ask of it.
@@ -333,39 +272,3 @@ class VectorClusterSimulation(ClusterSimulation):
                 nbytes += 5 * mine.nbytes
             routed.append((groups, int(num_writes[holds[:, 0]].sum())))
         return routed, nbytes
-
-    def _replay_span(self, facts: SpanFacts, kernel) -> None:
-        """One cut on the owned nodes: ``kernel(node_idx, host, tally, groups)``
-        for each that has groups, after the shared datastore took the writes."""
-        ctx = self._ctx
-        _apply_span_writes(ctx, facts)
-        routed = self._node_groups(facts)
-        for node_idx in self._owned:
-            groups, primary_writes = routed[node_idx]
-            host, tally = self._hosts[node_idx], _SpanTally()
-            tally.writes = primary_writes
-            if groups is not None:
-                kernel(node_idx, host, tally, groups)
-            _flush_tally(ctx, host, tally)
-
-    def _replay_reactive_span(self, facts: SpanFacts) -> None:
-        ctx, shape = self._ctx, self._shape
-        self._replay_span(
-            facts,
-            lambda node_idx, host, tally, groups: _kernel_reactive_span(
-                ctx, host, tally, _span_prelude(ctx, facts, (shape, node_idx), groups)
-            ),
-        )
-
-    def _replay_ttl_trace(self, facts: SpanFacts) -> None:
-        # A non-reacting fleet's interval flushes are no-ops (nothing is ever
-        # buffered, there is no detector and no tier on this path), so the
-        # whole trace is a single span: one kernel call per owned node, on
-        # the same routed groups a reactive span gets.
-        ctx = self._ctx
-        kernel = (
-            _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
-        )
-        self._replay_span(
-            facts, lambda node_idx, host, tally, groups: kernel(ctx, host, tally, groups)
-        )

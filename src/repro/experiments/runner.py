@@ -84,53 +84,16 @@ def _compiled(cell: RunCell, workload: Workload, traces: _Traces) -> CompiledTra
 
 
 def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
-    """Execute one grid cell and return its flattened result row.
-
-    The only place a :class:`RunCell` becomes a run.  Cells with ``num_nodes``
-    set run a fleet (:class:`ClusterSimulation`), the rest the single-cache
-    :class:`Simulation`; ``engine="vector"`` hands either one's columnar twin
-    the compiled trace instead of the request stream (outside the vector
-    envelope that twin replays through the inherited scalar loop, so rows
-    equal a scalar sweep's either way).  Everything else — workload, costs,
-    scratch store, obs, concurrency, row assembly, SLO verdict — is the same
-    for all four.  ``traces`` carries the compiled traces of the round this
-    cell runs in, so cells replaying one trace share its compile and its
-    index; a trace missing from it is compiled here, and the row is the same.
-    """
-    if traces is None:
-        traces = {}
-    fleet = cell.num_nodes is not None
-    workload = _workload(cell)
+    """Execute one grid cell on :func:`build_simulation`'s engine (with a
+    scratch store when it is persistent) and return its flattened result row.
+    ``traces`` carries the compiled traces of the round this cell runs in, so
+    cells replaying one trace share its compile and its index; a trace
+    missing from it is compiled here, and the row is the same."""
     with _cell_store(cell) as store:
-        arguments = _fleet_arguments(cell) if fleet else _single_cache_arguments(cell)
-        arguments.update(
-            staleness_bound=cell.staleness_bound,
-            costs=make_cost_model(cell.cost_preset, dict(cell.cost_params)),
-            cache_capacity=cell.cache_capacity,
-            duration=cell.duration,
-            workload_name=workload.name,
-            store=store,
-            obs=ObsConfig(window=cell.obs_window) if cell.obs_window is not None else None,
-            # Seeded here (not in the spec): the axis value stays hashable and
-            # seed-free for dedup, and every cell's service-time and XFetch
-            # streams derive from the same seed as its workload.
-            concurrency=(
-                replace(cell.concurrency, seed=cell.seed)
-                if cell.concurrency is not None
-                else None
-            ),
-        )
-        # The engine classes and compile_workload are read from the module at
-        # call time: benchmarks/layers.py swaps them for tracing ones.
-        if cell.engine == "vector":
-            engine = VectorClusterSimulation if fleet else VectorSimulation
-            simulation = engine(_compiled(cell, workload, traces), **arguments)
-        else:
-            engine = ClusterSimulation if fleet else Simulation
-            simulation = engine(workload.iter_requests(cell.duration), **arguments)
+        simulation = build_simulation(cell, store, traces)
         row = dict(cell.describe())
         row.update(simulation.run().as_dict())
-        if not fleet:
+        if cell.num_nodes is None:
             # A fleet's result carries its store counters and obs payload itself.
             if store is not None:
                 row["store"] = simulation.store_stats()
@@ -144,6 +107,41 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
 
         row["slo"] = evaluate_slo(row["obs"], json.loads(cell.slo_rules))
     return row
+
+
+def build_simulation(
+    cell: RunCell, store: Optional[StoreConfig] = None, traces: Optional[_Traces] = None
+):
+    """The engine that replays ``cell``, journaling into ``store``: the only
+    place a :class:`RunCell` becomes a run.  Cells with ``num_nodes`` set run
+    a fleet (:class:`ClusterSimulation`), the rest the single cache;
+    ``engine="vector"`` hands either one's columnar twin the compiled trace
+    (from ``traces`` when it holds it), whose rows equal a scalar sweep's."""
+    fleet = cell.num_nodes is not None
+    workload = _workload(cell)
+    arguments = _fleet_arguments(cell) if fleet else _single_cache_arguments(cell)
+    arguments.update(
+        staleness_bound=cell.staleness_bound,
+        costs=make_cost_model(cell.cost_preset, dict(cell.cost_params)),
+        cache_capacity=cell.cache_capacity,
+        duration=cell.duration,
+        workload_name=workload.name,
+        store=store,
+        obs=ObsConfig(window=cell.obs_window) if cell.obs_window is not None else None,
+        # Seeded here (not in the spec): the axis value stays hashable and
+        # seed-free for dedup, and every cell's service-time and XFetch
+        # streams derive from the same seed as its workload.
+        concurrency=(
+            replace(cell.concurrency, seed=cell.seed) if cell.concurrency is not None else None
+        ),
+    )
+    # The engine classes and compile_workload are read from the module at
+    # call time: benchmarks/layers.py swaps them for tracing ones.
+    if cell.engine == "vector":
+        engine = VectorClusterSimulation if fleet else VectorSimulation
+        return engine(_compiled(cell, workload, traces if traces is not None else {}), **arguments)
+    engine = ClusterSimulation if fleet else Simulation
+    return engine(workload.iter_requests(cell.duration), **arguments)
 
 
 def _single_cache_arguments(cell: RunCell) -> Dict[str, Any]:

@@ -31,6 +31,7 @@ from repro.concurrency.config import (
 )
 from repro.errors import ClusterError, ConfigurationError
 from repro.resilience.chaos import ChaosSpec
+from repro.sim.driver import positive_finite
 
 #: The replay engines a spec (and ``sweep --engine``) can name.
 ENGINES = ("scalar", "vector")
@@ -258,7 +259,8 @@ class ExperimentSpec:
         policies: Policy registry names to evaluate.
         workloads: Workload axis; entries are :class:`WorkloadSpec` or bare
             registry names (expanded with default parameters).
-        staleness_bounds: Staleness bounds ``T`` in seconds.
+        staleness_bounds: Staleness bounds ``T`` in seconds (each positive and
+            finite).
         cache_capacities: Cache capacity axis (``None`` = unbounded).
         channels: Channel axis (``None`` = ideal channel).
         num_nodes: Fleet-size axis; ``None`` entries are single-cache cells,
@@ -314,7 +316,8 @@ class ExperimentSpec:
         chaos: Seeded fault plan (:class:`~repro.resilience.chaos.ChaosSpec`)
             injected into every cluster cell alongside its scenario (not an
             axis; ``None`` disables injection).
-        duration: Trace duration in seconds, shared by every cell.
+        duration: Trace duration in seconds (positive and finite), shared by
+            every cell.
         base_seed: Root of the deterministic per-cell seeding.
         cost_preset: Cost-model preset name (see the registry).
         cost_params: Keyword overrides for the preset.
@@ -359,8 +362,10 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     axis.empty or f"the {axis.field} axis needs at least one entry"
                 )
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        # The drivers' rule, asked of every cell's bound and horizon up front.
+        positive_finite("duration", self.duration)
+        for bound in self.staleness_bounds:
+            positive_finite("staleness_bounds entries", bound)
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"engine must be {' or '.join(map(repr, ENGINES))}, got {self.engine!r}"

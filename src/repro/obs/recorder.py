@@ -122,8 +122,8 @@ def obs_process_read(
 ) -> None:
     """A replay driver's ``_process_read`` with the recorder wrapped around it.
 
-    Both drivers bind this one definition as ``_obs_process_read``, *instead
-    of* the plain handler and only when a recorder is attached.
+    The replay driver binds it as ``_obs_process_read``, *instead of* the
+    plain handler and only when a recorder is attached.
     """
     obs = driver.obs
     if time >= obs.next_boundary:

@@ -35,10 +35,13 @@ performed is a pure function of elapsed time, so both can be settled when the
 entry is next touched, evicted, or when the run ends.  This keeps the run time
 proportional to the number of requests even for very small staleness bounds.
 
-Both drivers run this one core: :class:`repro.sim.simulation.Simulation`
-drives exactly one node, :class:`repro.cluster.cluster.ClusterSimulation`
-routes a stream across many, so a one-node fleet and the single cache agree
-by construction.  The node does not know which driver it is under: it
+One driver runs this one core (:class:`repro.sim.driver.ReplayDriver`):
+:class:`repro.sim.simulation.Simulation` is its one-node case,
+:class:`repro.cluster.cluster.ClusterSimulation` routes a stream across many,
+so a one-node fleet and the single cache agree by construction.  Under the
+in-flight fetch model the driver builds :class:`ConcurrentCacheNode`, whose
+read, write, flush, crash and finalize paths are ordinary overrides.  The
+node does not know which driver it is under: it
 accumulates into the ``result`` object it was handed (each driver's rows keep
 their schema) and acts on the time-ordered calls it receives.  A request
 reaches it as scalars — ``(time, key, key_size, value_size)`` — straight from
@@ -180,11 +183,6 @@ class CacheNode:
         )
         self._pending: List[PendingDelivery] = []
         self._pending_registry = pending_registry
-
-        #: In-flight fetch state (``None`` until :meth:`attach_concurrency`;
-        #: the plain instant-fetch read path never consults either).
-        self.fetches: Optional[FetchCoordinator] = None
-        self.latency: Optional[Histogram] = None
 
         #: Whether the node can talk to the backend (fetches and freshness
         #: messages).  A failed-but-undetected node is unreachable yet still
@@ -384,225 +382,6 @@ class CacheNode:
         if self.policy.ttl_mode != "expiry":
             return None
         return self.policy.expiry_time(entry.fetched_at) - now
-
-    # ------------------------------------------------------------------ #
-    # Concurrent-fetch read path (bound only by attach_concurrency)
-    # ------------------------------------------------------------------ #
-    def attach_concurrency(
-        self, config: ConcurrencyConfig, server: BackendServer, seed: int
-    ) -> None:
-        """Enable the in-flight fetch model on this node.
-
-        The driver calls this once per node after construction, passing the
-        backend server (in a fleet all nodes queue on the same fetch slots)
-        and the node's seed (each node draws its own service-time and
-        early-expiry streams).  Binding works by instance-attribute
-        shadowing: the concurrent variants of ``handle_read`` /
-        ``observe_write`` / ``flush`` / ``finalize`` /
-        ``lose_volatile_state`` are installed as instance attributes, so an
-        unattached node resolves the plain class methods and stays
-        byte-identical to the instant-fetch engine.
-        """
-        self.fetches = FetchCoordinator(config, server, seed)
-        self.latency = Histogram("read_latency")
-        self.result.latency_buckets = self.latency.counts
-        self.handle_read = self._handle_read_concurrent
-        self.observe_write = self._observe_write_concurrent
-        self.flush = self._flush_concurrent
-        self.finalize = self._finalize_concurrent
-        self.lose_volatile_state = self._lose_volatile_state_concurrent
-
-    def _handle_read_concurrent(
-        self, time: float, key: str, key_size: int, value_size: int
-    ) -> None:
-        """The routed read path under the in-flight fetch model.
-
-        Follows :meth:`handle_read` op-for-op on the hit/degraded/unreachable
-        paths (which all observe zero latency: they never touch the backend),
-        while misses *issue* a fetch on the backend server — classified and
-        charged at issue time, when the backend snapshot is taken — whose
-        fill lands at its completion time.  Stampede policies decide whether
-        concurrent misses on the same key coalesce, serve the resident stale
-        copy, or wait.  Every read records exactly one latency sample.  Kept
-        apart from the plain handler on purpose: merging the two would put a
-        concurrency branch on every instant-fetch read.
-        """
-        result = self.result
-        datastore = self.datastore
-        l1 = self.l1
-        fetches = self.fetches
-        latency = self.latency
-
-        if fetches.next_done <= time:
-            self._apply_fetch_completions(time)
-
-        result.reads += 1
-        if self.detector is not None:
-            self.detector.observe(key)
-        for observe in self._read_observers:
-            observe(key, time)
-        serve = self._serve_cost_const
-        if serve is None:
-            serve = self.costs.serve_cost(key_size, datastore.value_size(key))
-        result.useful_work += serve
-
-        if l1 is not None and l1.outage:
-            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
-                result.failed_fetches += 1
-                result.cold_misses += 1
-            latency.observe(0.0)
-            return
-
-        if self._settles_ttl:
-            self._settle_ttl_state(key, time)
-        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
-            latency.observe(0.0)
-            return
-        entry, outcome = self.cache.lookup(key, time)
-        bound = self.staleness_bound
-        if outcome == "hit":
-            result.hits += 1
-            if time - bound > entry.as_of and not datastore.is_fresh(
-                key, entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-            if l1 is not None:
-                l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=True)
-            latency.observe(0.0)
-            if (
-                self.reachable
-                and fetches.early_expiry
-                and fetches.lookup(key) is None
-                and fetches.should_refresh_early(time, entry.as_of, bound)
-            ):
-                self._issue_refresh(key, time, key_size)
-                result.early_refreshes += 1
-            return
-
-        if not self.reachable:
-            # Same semantics as the plain path: the miss cannot be served and
-            # the error returns immediately (no backend wait to measure).
-            result.failed_fetches += 1
-            if outcome == "stale_miss":
-                result.stale_misses += 1
-            else:
-                result.cold_misses += 1
-            latency.observe(0.0)
-            return
-
-        stale_entry = entry if outcome == "stale_miss" else None
-        in_flight = fetches.lookup(key) if fetches.coalesces else None
-        if in_flight is not None:
-            # Follower: ride the in-flight fetch instead of dogpiling the
-            # backend.  The miss is still classified (the cache did miss)
-            # but no fetch cost is charged — the leader already paid it.
-            result.coalesced_reads += 1
-            if outcome == "stale_miss":
-                result.stale_misses += 1
-            else:
-                result.cold_misses += 1
-            if fetches.followers_serve_stale and stale_entry is not None:
-                result.stale_serves += 1
-                latency.observe(0.0)
-                if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                    key, stale_entry.as_of, time, bound
-                ):
-                    result.staleness_violations += 1
-            else:
-                latency.observe(in_flight.done - time)
-            return
-
-        # Leader: read the backend snapshot now, charge the miss now, and
-        # let the fill land when the fetch completes.
-        version, backend_value_size = datastore.read(key, time)
-        if outcome == "stale_miss":
-            result.stale_misses += 1
-            result.stale_refetches += 1
-            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
-        else:
-            result.cold_misses += 1
-            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        fetch = fetches.issue(key, time, version, backend_value_size, key_size)
-        result.backend_fetches += 1
-        if fetches.leader_serves_stale and stale_entry is not None:
-            result.stale_serves += 1
-            latency.observe(0.0)
-            if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                key, stale_entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-        else:
-            latency.observe(fetch.done - time)
-
-    def _issue_refresh(self, key: str, time: float, key_size: int) -> None:
-        """Background refresh (early expiry): freshness work, not a miss."""
-        version, value_size = self.datastore.read(key, time)
-        self.result.freshness_cost += self.costs.miss_cost(key_size, value_size)
-        self.result.backend_fetches += 1
-        self.fetches.issue(key, time, version, value_size, key_size)
-
-    def _apply_fetch_completions(self, until: float) -> None:
-        """Land fills for every fetch completing at or before ``until``.
-
-        The fill carries the backend snapshot taken at issue time, so the
-        entry's ``as_of`` is the issue instant.  The tracker learns about the
-        refetch unconditionally (as in the instant-fetch path — the backend
-        must re-invalidate on the *next* write, or a fill racing an
-        invalidate would suppress every future invalidate while the cache
-        holds stale data).  The buffered-write discard, however, only applies
-        when the fetched version is still the backend's latest: a write that
-        raced the fetch still needs its freshness message.  Fills route
-        through :meth:`_fill_after_fetch` so write-back tiers install into
-        the L1.
-        """
-        discard = self.discard_buffer_on_miss_fill and self._reacts
-        datastore = self.datastore
-        for fetch in self.fetches.drain(until):
-            key = fetch.key
-            self._fill_after_fetch(
-                fetch.issued_at, key, fetch.key_size, fetch.version, fetch.value_size
-            )
-            self.tracker.mark_refetched(key)
-            if discard and datastore.latest_version(key) == fetch.version:
-                self.buffer.discard(key)
-
-    def _observe_write_concurrent(
-        self, time: float, key: str, key_size: int, value_size: int, owner: bool
-    ) -> None:
-        """Drain due fetch completions, then run the plain write observer."""
-        if self.fetches.next_done <= time:
-            self._apply_fetch_completions(time)
-        CacheNode.observe_write(self, time, key, key_size, value_size, owner)
-
-    def _flush_concurrent(self, flush_time: float) -> None:
-        """Drain completions due by the flush instant, then flush normally.
-
-        Completions land first on ties so a flush decision observes every
-        fill that landed at or before its instant.
-        """
-        if self.fetches.next_done <= flush_time:
-            self._apply_fetch_completions(flush_time)
-        CacheNode.flush(self, flush_time)
-
-    def _lose_volatile_state_concurrent(self, time: float) -> None:
-        """Crash semantics under the fetch model: outstanding fetches die.
-
-        Completions already due land first (they arrived before the crash),
-        then the volatile state is dropped, and responses still in flight
-        are discarded on arrival — the restarted process has no record of
-        the requests that issued them.  The backend slots they occupy stay
-        busy: the work was already admitted.
-        """
-        self._apply_fetch_completions(time)
-        CacheNode.lose_volatile_state(self, time)
-        self.fetches.discard_pending()
-
-    def _finalize_concurrent(self, end_time: float, final_flush: bool) -> None:
-        """Land trailing completions and snapshot latency, then finalize."""
-        self._apply_fetch_completions(end_time)
-        self.result.latency_count = self.latency.count
-        self.result.latency_sum = self.latency.sum
-        CacheNode.finalize(self, end_time, final_flush)
 
     # ------------------------------------------------------------------ #
     # Interval flush and message delivery
@@ -1001,3 +780,212 @@ class CacheNode:
         self.result.cache_stats = self.cache.stats.as_dict()
         if self.l1 is not None:
             self.result.l1_stats = self.l1.cache.stats.as_dict()
+
+
+class ConcurrentCacheNode(CacheNode):
+    """A :class:`CacheNode` under the in-flight fetch model: misses occupy
+    ``server`` (in a fleet all nodes queue on one) for a service time drawn
+    from ``concurrency`` with the node's own ``seed``, and fills land at
+    completion.  The driver builds it instead of the plain node, so the
+    instant-fetch paths carry no concurrency branch."""
+
+    def __init__(
+        self,
+        *args: Any,
+        concurrency: ConcurrencyConfig,
+        server: BackendServer,
+        seed: int,
+        **kwargs: Any,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.fetches = FetchCoordinator(concurrency, server, seed)
+        self.latency = Histogram("read_latency")
+        self.result.latency_buckets = self.latency.counts
+
+    def handle_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
+        """Serve one read under the in-flight fetch model.
+
+        Follows :meth:`CacheNode.handle_read` op-for-op on the
+        hit/degraded/unreachable paths (zero latency: they never touch the
+        backend), while a miss *issues* a fetch — classified and charged at
+        issue time, when the backend snapshot is taken — whose fill lands at
+        completion.  The stampede policy decides whether concurrent misses
+        on one key coalesce, serve the stale copy, or wait.  Every read
+        records exactly one latency sample.
+        """
+        result = self.result
+        datastore = self.datastore
+        l1 = self.l1
+        fetches = self.fetches
+        latency = self.latency
+
+        if fetches.next_done <= time:
+            self._apply_fetch_completions(time)
+
+        result.reads += 1
+        if self.detector is not None:
+            self.detector.observe(key)
+        for observe in self._read_observers:
+            observe(key, time)
+        serve = self._serve_cost_const
+        if serve is None:
+            serve = self.costs.serve_cost(key_size, datastore.value_size(key))
+        result.useful_work += serve
+
+        if l1 is not None and l1.outage:
+            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
+                result.failed_fetches += 1
+                result.cold_misses += 1
+            latency.observe(0.0)
+            return
+
+        if self._settles_ttl:
+            self._settle_ttl_state(key, time)
+        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
+            latency.observe(0.0)
+            return
+        entry, outcome = self.cache.lookup(key, time)
+        bound = self.staleness_bound
+        if outcome == "hit":
+            result.hits += 1
+            if time - bound > entry.as_of and not datastore.is_fresh(
+                key, entry.as_of, time, bound
+            ):
+                result.staleness_violations += 1
+            if l1 is not None:
+                l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=True)
+            latency.observe(0.0)
+            if (
+                self.reachable
+                and fetches.early_expiry
+                and fetches.lookup(key) is None
+                and fetches.should_refresh_early(time, entry.as_of, bound)
+            ):
+                self._issue_refresh(key, time, key_size)
+                result.early_refreshes += 1
+            return
+
+        if not self.reachable:
+            # Same semantics as the plain path: the miss cannot be served and
+            # the error returns immediately (no backend wait to measure).
+            result.failed_fetches += 1
+            if outcome == "stale_miss":
+                result.stale_misses += 1
+            else:
+                result.cold_misses += 1
+            latency.observe(0.0)
+            return
+
+        stale_entry = entry if outcome == "stale_miss" else None
+        in_flight = fetches.lookup(key) if fetches.coalesces else None
+        if in_flight is not None:
+            # Follower: ride the in-flight fetch instead of dogpiling the
+            # backend.  The miss is still classified (the cache did miss)
+            # but no fetch cost is charged — the leader already paid it.
+            result.coalesced_reads += 1
+            if outcome == "stale_miss":
+                result.stale_misses += 1
+            else:
+                result.cold_misses += 1
+            if fetches.followers_serve_stale and stale_entry is not None:
+                result.stale_serves += 1
+                latency.observe(0.0)
+                if time - bound > stale_entry.as_of and not datastore.is_fresh(
+                    key, stale_entry.as_of, time, bound
+                ):
+                    result.staleness_violations += 1
+            else:
+                latency.observe(in_flight.done - time)
+            return
+
+        # Leader: read the backend snapshot now, charge the miss now, and
+        # let the fill land when the fetch completes.
+        version, backend_value_size = datastore.read(key, time)
+        if outcome == "stale_miss":
+            result.stale_misses += 1
+            result.stale_refetches += 1
+            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
+        else:
+            result.cold_misses += 1
+            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
+        fetch = fetches.issue(key, time, version, backend_value_size, key_size)
+        result.backend_fetches += 1
+        if fetches.leader_serves_stale and stale_entry is not None:
+            result.stale_serves += 1
+            latency.observe(0.0)
+            if time - bound > stale_entry.as_of and not datastore.is_fresh(
+                key, stale_entry.as_of, time, bound
+            ):
+                result.staleness_violations += 1
+        else:
+            latency.observe(fetch.done - time)
+
+    def _issue_refresh(self, key: str, time: float, key_size: int) -> None:
+        """Background refresh (early expiry): freshness work, not a miss."""
+        version, value_size = self.datastore.read(key, time)
+        self.result.freshness_cost += self.costs.miss_cost(key_size, value_size)
+        self.result.backend_fetches += 1
+        self.fetches.issue(key, time, version, value_size, key_size)
+
+    def _apply_fetch_completions(self, until: float) -> None:
+        """Land fills for every fetch completing at or before ``until``.
+
+        The fill carries the backend snapshot taken at issue time, so the
+        entry's ``as_of`` is the issue instant.  The tracker learns about the
+        refetch unconditionally (as in the instant-fetch path — the backend
+        must re-invalidate on the *next* write, or a fill racing an
+        invalidate would suppress every future invalidate while the cache
+        holds stale data).  The buffered-write discard, however, only applies
+        when the fetched version is still the backend's latest: a write that
+        raced the fetch still needs its freshness message.  Fills route
+        through :meth:`_fill_after_fetch` so write-back tiers install into
+        the L1.
+        """
+        discard = self.discard_buffer_on_miss_fill and self._reacts
+        datastore = self.datastore
+        for fetch in self.fetches.drain(until):
+            key = fetch.key
+            self._fill_after_fetch(
+                fetch.issued_at, key, fetch.key_size, fetch.version, fetch.value_size
+            )
+            self.tracker.mark_refetched(key)
+            if discard and datastore.latest_version(key) == fetch.version:
+                self.buffer.discard(key)
+
+    def observe_write(
+        self, time: float, key: str, key_size: int, value_size: int, owner: bool
+    ) -> None:
+        """Drain due fetch completions, then run the plain write observer."""
+        if self.fetches.next_done <= time:
+            self._apply_fetch_completions(time)
+        super().observe_write(time, key, key_size, value_size, owner)
+
+    def flush(self, flush_time: float) -> None:
+        """Drain completions due by the flush instant, then flush normally.
+
+        Completions land first on ties so a flush decision observes every
+        fill that landed at or before its instant.
+        """
+        if self.fetches.next_done <= flush_time:
+            self._apply_fetch_completions(flush_time)
+        super().flush(flush_time)
+
+    def lose_volatile_state(self, time: float) -> None:
+        """Crash semantics under the fetch model: outstanding fetches die.
+
+        Completions already due land first (they arrived before the crash),
+        then the volatile state is dropped, and responses still in flight
+        are discarded on arrival — the restarted process has no record of
+        the requests that issued them.  The backend slots they occupy stay
+        busy: the work was already admitted.
+        """
+        self._apply_fetch_completions(time)
+        super().lose_volatile_state(time)
+        self.fetches.discard_pending()
+
+    def finalize(self, end_time: float, final_flush: bool) -> None:
+        """Land trailing completions and snapshot latency, then finalize."""
+        self._apply_fetch_completions(end_time)
+        self.result.latency_count = self.latency.count
+        self.result.latency_sum = self.latency.sum
+        super().finalize(end_time, final_flush)

@@ -23,8 +23,9 @@ span and one kernel call per host: TTL-polling is a closed form over the
 host's read rows, taken a fixed block of rows at a time, and TTL-expiry
 bisects every key's next epoch at once.  Every simulation *event* — the
 interval flush, policy decisions, message sends and deliveries, finalisation —
-runs through the unmodified scalar machinery of :class:`Simulation` and its
-:class:`~repro.sim.node.CacheNode`, against real :class:`Cache` / :class:`DataStore` /
+runs through the one driver's unmodified due work and finalize
+(:class:`~repro.sim.driver.ReplayDriver`) and its
+:class:`~repro.sim.node.CacheNode` s, against real :class:`Cache` / :class:`DataStore` /
 :class:`WriteBuffer` objects that the kernels keep in sync at span ends.  The
 result is byte-for-byte identical to the scalar engine: same counters, same
 float accumulation order, same dict insertion orders, same
@@ -66,10 +67,15 @@ Why byte-identity is achievable at all:
   its reads (the runs the E[W] estimator folds) is computed for all keys of a
   span from the span's writes alone, never from its reads.
 
-When a configuration falls outside the vectorizable envelope — a row of
-:data:`ENVELOPE` holds for it — ``run()`` transparently falls back to the
-scalar engine over the trace's column chunks — identical by construction,
-just slower — and names the row in ``fallback_reason``.
+Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
+their scalar driver: it owns ``run()``, the span loop and the envelope
+members, :class:`VectorSimulation` is its one-host, unrouted case, and the
+fleet twin (:class:`~repro.cluster.vector.VectorClusterSimulation`) adds
+routed groups and owned hosts.  When a configuration falls outside the
+vectorizable envelope — a row of :data:`ENVELOPE` holds for it — ``run()``
+transparently falls back to the scalar driver's request loop over the trace's
+column chunks — identical by construction, just slower — and names the row in
+``fallback_reason``.
 """
 
 from __future__ import annotations
@@ -1137,49 +1143,26 @@ def _walk_spans(engine, reacts: bool, advance_background) -> Iterator[SpanFacts]
         advance_background(float(times[start]))
 
 
-def _replay_in_spans(engine, reacts: bool, advance_background) -> None:
-    """Replay ``engine.trace`` span by span: the loop both columnar engines share.
+class SpanReplay:
+    """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
-    The engine supplies the two span replays (``_replay_reactive_span(facts)``
-    / ``_replay_ttl_trace(facts)``), its scalar background advance to run at
-    each boundary, and the driver state every replay has: ``trace``, ``obs``,
-    ``clock``, the live ``_next_flush``.
+    Inside the engine's envelope (``_envelope``) each cut commits its writes
+    and runs one kernel per driven host, with the driver's due work at every
+    boundary and its finalize at the end; outside it the driver's own
+    ``run()`` replays.  The defaults are the single cache's (one host, the
+    whole cut, unrouted); the fleet supplies ``_route_trace`` /
+    ``_node_groups``.
     """
-    times = engine.trace.times
-    obs = engine.obs
-    replay = engine._replay_reactive_span if reacts else engine._replay_ttl_trace
-    for facts in _walk_spans(engine, reacts, advance_background):
-        if reacts and obs is not None:
-            # Kernel stats fold into the window containing the span's first
-            # request (span-granularity attribution).
-            span_start = float(times[facts.cut[0]])
-            if span_start >= obs.next_boundary:
-                obs.roll(span_start)
-        replay(facts)
-    engine.clock.advance_to(float(times[-1]))
 
-
-def _cache_groups(facts: SpanFacts) -> Groups:
-    """The single cache's share of a cut: every key, all its reads."""
-    keys, read_lo, read_hi, write_lo, write_hi = facts.columns
-    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
-
-
-class VectorSimulation(Simulation):
-    """Drop-in :class:`Simulation` that replays a compiled trace in spans.
-
-    Accepts the same configuration as :class:`Simulation` but takes a
-    :class:`~repro.workload.compiled.CompiledTrace` instead of a request
-    iterable.  ``run()`` picks the vectorized path when the configuration is
-    inside the vectorizable envelope (see :meth:`vector_eligible`) and
-    otherwise replays the trace's column chunks through the inherited scalar
-    loop — either way the results are byte-identical to the scalar engine.
-    """
+    _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
+    #: The fleet shape a host's kernel prelude is memoised under (``None``:
+    #: the single cache's, unrouted).
+    _shape = None
 
     def __init__(self, trace: CompiledTrace, *args, **kwargs) -> None:
         if not isinstance(trace, CompiledTrace):
             raise ConfigurationError(
-                "VectorSimulation requires a CompiledTrace; use "
+                f"{type(self).__name__} requires a CompiledTrace; use "
                 "compile_workload(workload, duration) first"
             )
         self.trace = trace
@@ -1189,59 +1172,103 @@ class VectorSimulation(Simulation):
 
     @property
     def fallback_reason(self) -> Optional[str]:
-        """Name of the :data:`ENVELOPE` row that put ``run()`` on the scalar
-        path; ``None`` when the vector path ran (and before ``run()``)."""
+        """Name of the envelope row that put ``run()`` on the scalar path;
+        ``None`` when the vector path ran (and before ``run()``)."""
         return self._fallback_reason
 
     def vector_eligible(self) -> bool:
-        """Whether no :data:`ENVELOPE` row holds for this configuration (see
+        """Whether no row of the envelope holds for this configuration (see
         "What runs where" in docs/guides/performance.md)."""
-        return envelope_exit(ENVELOPE, self, (self.node,)) is None
+        return envelope_exit(self._envelope, self, self._node_list) is None
 
-    def run(self):
+    def run(self, *args, **kwargs):
         """Replay the trace; vectorized inside the envelope, scalar otherwise."""
-        row = envelope_exit(ENVELOPE, self, (self.node,))
+        row = envelope_exit(self._envelope, self, self._node_list, *args, **kwargs)
         if row is not None:
             self._fallback_reason = row.name
-            return super().run()
-        if self._has_run:
-            raise ConfigurationError("a Simulation instance can only be run once")
-        self._has_run = True
+            return super().run(*args, **kwargs)
+        self._spend()
         self.used_vector_path = True
-        if self.obs is not None:
-            self._obs_begin("vector")
+        self._start("vector")
         self._run_spans()
-        self._finalize()
-        return self.result
+        return self._finalize()
 
-    # ------------------------------------------------------------------ #
-    # Span replay
-    # ------------------------------------------------------------------ #
     def _run_spans(self) -> None:
+        """Replay the trace span by span; the driver's due work runs at each
+        boundary, exactly where the scalar loop would run it."""
         trace = self.trace
         if len(trace) == 0:
             return
         index = trace.index()
         if not index.time_ordered:
-            # Same contract as the scalar loop's inlined ordering check.
+            # Same contract as the scalar loop's ordering check.
             raise WorkloadError("request stream is not sorted by time")
-        self._ctx = _ReplayContext.for_node(trace, index, self.node)
-        self._host = _HostState.of(self.node)
-        _replay_in_spans(self, self._host.reacts, self._advance_background_work)
+        self._route_trace()
+        node = self._node_list[0]
+        self._ctx = _ReplayContext.for_node(trace, index, node)
+        self._hosts = [_HostState.of(host) for host in self._node_list]
+        reacts = node._reacts
+        replay = self._replay_reactive_span if reacts else self._replay_ttl_trace
+        times, obs = trace.times, self.obs
+        for facts in _walk_spans(self, reacts, self._advance):
+            if reacts and obs is not None:
+                # Kernel stats fold into the window containing the span's
+                # first request (span-granularity attribution).
+                span_start = float(times[facts.cut[0]])
+                if span_start >= obs.next_boundary:
+                    obs.roll(span_start)
+            replay(facts)
+        self.clock.advance_to(float(times[-1]))
+
+    def _route_trace(self) -> None:
+        """Route the trace before the first span (the single cache: nothing to route)."""
+
+    def _node_groups(self, facts: SpanFacts) -> List[Tuple[Optional[Groups], int]]:
+        """``(groups, writes)`` per host of one cut: the single cache's
+        groups are every key with all its reads, and it counts every write."""
+        keys, read_lo, read_hi, write_lo, write_hi = facts.columns
+        return [((keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi), facts.total_writes)]
+
+    def _replay_span(self, facts: SpanFacts, kernel) -> None:
+        """One cut on the driven hosts: ``kernel(host_index, host, tally,
+        groups)`` for each that has groups, after the datastore took the writes."""
+        ctx = self._ctx
+        _apply_span_writes(ctx, facts)
+        routed = self._node_groups(facts)
+        for node_idx in self._owned:
+            groups, writes = routed[node_idx]
+            host, tally = self._hosts[node_idx], _SpanTally()
+            tally.writes = writes
+            if groups is not None:
+                kernel(node_idx, host, tally, groups)
+            _flush_tally(ctx, host, tally)
 
     def _replay_reactive_span(self, facts: SpanFacts) -> None:
-        ctx, host = self._ctx, self._host
-        tally = _SpanTally()
-        tally.writes = _apply_span_writes(ctx, facts)
-        _kernel_reactive_span(
-            ctx, host, tally, _span_prelude(ctx, facts, None, _cache_groups(facts))
+        ctx, shape = self._ctx, self._shape
+        self._replay_span(
+            facts,
+            lambda node_idx, host, tally, groups: _kernel_reactive_span(
+                ctx, host, tally, _span_prelude(ctx, facts, (shape, node_idx), groups)
+            ),
         )
-        _flush_tally(ctx, host, tally)
 
     def _replay_ttl_trace(self, facts: SpanFacts) -> None:
-        ctx, host = self._ctx, self._host
-        tally = _SpanTally()
-        tally.writes = _apply_span_writes(ctx, facts)
-        kernel = _kernel_ttl_expiry if self.node._ttl_expiry else _kernel_ttl_polling
-        kernel(ctx, host, tally, _cache_groups(facts))
-        _flush_tally(ctx, host, tally)
+        # The whole trace is one span (see _walk_spans): one call per host.
+        ctx = self._ctx
+        kernel = _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
+        self._replay_span(
+            facts, lambda node_idx, host, tally, groups: kernel(ctx, host, tally, groups)
+        )
+
+
+class VectorSimulation(SpanReplay, Simulation):
+    """Drop-in :class:`Simulation` that replays a compiled trace in spans.
+
+    Accepts the same configuration as :class:`Simulation` but takes a
+    :class:`~repro.workload.compiled.CompiledTrace` instead of a request
+    iterable.  ``run()`` picks the vectorized path when the configuration is
+    inside the vectorizable envelope (:data:`ENVELOPE`, see
+    :meth:`~SpanReplay.vector_eligible`) and otherwise replays the trace's
+    column chunks through the scalar loop — either way the results are
+    byte-identical to the scalar engine.
+    """

@@ -1,11 +1,10 @@
 """The persistence runtime a simulator embeds when a store is configured.
 
 :class:`StoreRuntime` bundles the WAL, the datastore journal, and the
-snapshot manager behind the two calls the replay loops need: a snapshot
-schedule (``next_snapshot`` / ``checkpoint``) interleaved with the interval
-flushes, and a ``stats()`` dict merged into result rows.  Keeping it out of
-the simulators proper means the single-cache and cluster loops share one
-persistence implementation.
+snapshot manager behind the two calls the replay driver
+(:class:`~repro.sim.driver.ReplayDriver`) needs: a snapshot schedule
+(``next_snapshot`` / ``checkpoint``) interleaved with the interval flushes,
+and a ``stats()`` dict merged into result rows.
 """
 
 from __future__ import annotations

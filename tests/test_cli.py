@@ -264,6 +264,32 @@ def test_store_snapshot_crash_recover_resume_verify(tmp_path, capsys) -> None:
     assert summary["snapshots"][-1]["keys"] > 0
 
 
+def test_store_recover_resumes_a_run_config_written_before_the_tier(tmp_path, capsys) -> None:
+    """A RUN.json from before the tier has no l1_capacity / tier_mode: it ran
+    single-tier, and resumes single-tier through the runner's cell mapping."""
+    store_dir = tmp_path / "store"
+    main(
+        [
+            "store", "snapshot",
+            "--dir", str(store_dir),
+            "--duration", "6.0",
+            "--snapshot-interval", "2.0",
+            "--kill-at", "3.0",
+            "--param", "num_keys=60",
+        ]
+    )
+    config_path = store_dir / "RUN.json"
+    config = json.loads(config_path.read_text())
+    assert (config.pop("l1_capacity"), config.pop("tier_mode")) == (0, "write-through")
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["store", "recover", "--dir", str(store_dir), "--resume", "--verify"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert output["verify"]["matches"] is True
+    assert output["result"]["l1_capacity"] == 0
+    assert output["result"]["tier_mode"] == "write-through"
+
+
 def test_store_snapshot_refuses_a_non_empty_directory(tmp_path, capsys) -> None:
     (tmp_path / "junk.txt").write_text("precious")
     with pytest.raises(SystemExit) as excinfo:

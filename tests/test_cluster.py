@@ -11,7 +11,9 @@ from repro.cluster import (
 )
 from repro.errors import ClusterError
 from repro.experiments.registry import make_policy
+from repro.obs.recorder import ObsConfig
 from repro.sim.simulation import Simulation
+from repro.store.snapshot import StoreConfig
 from repro.workload.poisson import PoissonZipfWorkload
 
 
@@ -46,6 +48,56 @@ def test_one_node_cluster_matches_single_cache_simulation(policy: str) -> None:
     single = simulation.run().as_dict()
     clustered = run_cluster(policy=policy, num_nodes=1).totals.as_dict()
     assert clustered == single
+
+
+POLICIES = ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
+
+#: What the one driver does beside the plain replay, each a path both the
+#: single cache and the fleet take: eviction, a forgetting tracker, history
+#: trimming, no trailing flush, keeping buffered writes a miss re-fetched,
+#: and a store with a snapshot cadence.
+ONE_NODE_CONFIGS = {
+    "capacity": lambda root: dict(cache_capacity=20),
+    "bounded-tracker": lambda root: dict(tracker_capacity=5),
+    "retention": lambda root: dict(history_retention=1.0),
+    "no-final-flush": lambda root: dict(final_flush=False),
+    "keep-buffer-on-miss-fill": lambda root: dict(discard_buffer_on_miss_fill=False),
+    "store": lambda root: dict(store=StoreConfig(str(root), snapshot_interval=1.0)),
+}
+
+
+def one_node_pair(tmp_path, policy: str, config=lambda root: {}):
+    """The single cache and a one-node fleet, each run with ``config(root)``."""
+    simulation = Simulation(
+        workload=workload().iter_requests(6.0),
+        policy=make_policy(policy),
+        staleness_bound=0.5,
+        duration=6.0,
+        workload_name="poisson",
+        **config(tmp_path / "single"),
+    )
+    simulation.run()
+    return simulation, run_cluster(policy=policy, num_nodes=1, **config(tmp_path / "fleet"))
+
+
+@pytest.mark.parametrize("config", sorted(ONE_NODE_CONFIGS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_node_cluster_matches_single_cache_under(tmp_path, policy: str, config: str) -> None:
+    """The same pin on every path the shared driver owns, store counters included."""
+    simulation, fleet = one_node_pair(tmp_path, policy, ONE_NODE_CONFIGS[config])
+    assert fleet.totals.as_dict() == simulation.result.as_dict()
+    assert fleet.store == simulation.store_stats()
+    assert config != "store" or fleet.store["snapshots"] == 6
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_node_cluster_obs_windows_match_single_cache_modulo_host_id(tmp_path, policy) -> None:
+    simulation, fleet = one_node_pair(
+        tmp_path, policy, lambda root: dict(obs=ObsConfig(window=1.0))
+    )
+    single = json.dumps(simulation.obs.payload()["windows"]).replace('"cache"', '"node-000"')
+    assert json.loads(single) == fleet.obs["windows"]
+    assert len(fleet.obs["windows"]["rows"]) == 6
 
 
 def test_fleet_totals_count_every_request_once_despite_replication() -> None:

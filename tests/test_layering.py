@@ -21,6 +21,11 @@ function beside it.
 
 And there is one fan-out: :mod:`repro.fanout` is the only module of the
 package that imports :mod:`multiprocessing`, and nothing names a ``Pool``.
+
+And there is one replay driver: :mod:`repro.sim.driver` is the only module
+that runs the request loop over ``iter_chunks``, schedules flushes beside
+snapshots, and puts the store's counters on a result; neither columnar
+engine defines its own ``run``.
 """
 
 import ast
@@ -285,3 +290,76 @@ def test_fanout_audit_would_catch_every_spelling() -> None:
         "import multiprocessing_like",
     ):
         assert not fanout_violations(snippet), snippet
+
+
+#: The one replay driver, and the two columnar engines that must not grow a
+#: ``run`` of their own.
+DRIVER = "src/repro/sim/driver.py"
+VECTOR_CLASSES = (
+    ("src/repro/sim/vector.py", "VectorSimulation"),
+    ("src/repro/cluster/vector.py", "VectorClusterSimulation"),
+)
+
+
+def driver_sites(source: str) -> "set[str]":
+    """Which of the driver's one-of-each ``source`` holds: a call of
+    ``iter_chunks`` (a request loop), calls of both a ``flush`` and a
+    ``checkpoint`` (a flush/snapshot schedule), and an assignment to
+    ``wal_appends`` (the store's counters put on a result)."""
+    called, assigned = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            assigned.add(node.attr)
+    sites = set()
+    if "iter_chunks" in called:
+        sites.add("request-loop")
+    if {"flush", "checkpoint"} <= called:
+        sites.add("schedule")
+    if "wal_appends" in assigned:
+        sites.add("store-counters")
+    return sites
+
+
+def methods_of(source: str, class_name: str) -> "set[str]":
+    """The methods ``class_name`` defines in ``source`` (KeyError: no such class)."""
+    (found,) = (
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    )
+    return {item.name for item in found.body if isinstance(item, ast.FunctionDef)}
+
+
+def test_one_request_loop_one_schedule_one_finalize() -> None:
+    found: "dict[str, list[str]]" = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        for site in driver_sites(path.read_text()):
+            found.setdefault(site, []).append(relative)
+    assert found == {site: [DRIVER] for site in ("request-loop", "schedule", "store-counters")}
+    for relative, name in VECTOR_CLASSES:
+        assert "run" not in methods_of((REPO_ROOT / relative).read_text(), name), name
+
+
+def test_driver_audit_would_catch_a_second_copy() -> None:
+    # The copies each scalar driver held before there was one driver.
+    for snippet, site in (
+        ("for chunk in iter_chunks(self._stream):\n    pass", "request-loop"),
+        (
+            "def _advance(self, until):\n    node.flush(until)\n"
+            "    self._store.checkpoint(until, self.datastore)",
+            "schedule",
+        ),
+        ("result.totals.wal_appends = stats['wal_appends']", "store-counters"),
+    ):
+        assert driver_sites(snippet) == {site}, snippet
+    for snippet in (
+        "from repro.workload.base import iter_chunks",
+        "node.flush(time)",
+        "appends = stats.wal_appends",
+        '"""Prose may say iter_chunks(stream) and checkpoint."""',
+    ):
+        assert driver_sites(snippet) == set(), snippet
+    twin = "class VectorSimulation(SpanReplay, Simulation):\n    def run(self):\n        pass"
+    assert methods_of(twin, "VectorSimulation") == {"run"}

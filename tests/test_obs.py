@@ -729,7 +729,7 @@ class TestCli:
             "--output", str(tmp_path / "row.json"),
         ]) == 0
         capsys.readouterr()
-        # The single-cache host node is "cache" (see Simulation._obs_begin).
+        # The single-cache host node is "cache" (see ReplayDriver._start).
         assert main([
             "obs", "tail", "--dir", str(obs_dir), "--node", "cache", "--limit", "0",
         ]) == 0

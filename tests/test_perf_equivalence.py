@@ -26,7 +26,6 @@ from repro.backend.datastore import DataStore
 from repro.backend.messages import InvalidateMessage, Message, UpdateMessage
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cluster import ReplicationConfig, replay_cluster_parallel
-from repro.cluster import vector as cluster_vector
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
 from repro.cluster.results import NodeResult
@@ -1005,7 +1004,7 @@ def test_fleet_span_routing_matches_per_read_routing(
         owned_nodes=owned,
     )
     recorded = []
-    flush_tally = cluster_vector._flush_tally
+    flush_tally = sim_vector._flush_tally
 
     def recording_flush(ctx, host, tally):
         recorded[-1].append(tally_state(tally))
@@ -1020,7 +1019,7 @@ def test_fleet_span_routing_matches_per_read_routing(
     reference = ReferenceClusterSimulation(trace, **fleet)
     reference.span_tallies = []
     expected = reference.run()
-    monkeypatch.setattr(cluster_vector, "_flush_tally", recording_flush)
+    monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
     monkeypatch.setattr(
         VectorClusterSimulation, "_replay_reactive_span", recording_span_replay
     )
@@ -1073,13 +1072,13 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
     reference.span_tallies = []
     expected = reference.run()
     recorded = []
-    flush_tally = cluster_vector._flush_tally
+    flush_tally = sim_vector._flush_tally
 
     def recording_flush(ctx, host, tally):
         recorded.append(tally_state(tally))
         flush_tally(ctx, host, tally)
 
-    monkeypatch.setattr(cluster_vector, "_flush_tally", recording_flush)
+    monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
     simulation = VectorClusterSimulation(trace, owned_nodes=owned, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
@@ -1180,7 +1179,7 @@ def replay_leftovers(trace, policy: str, bound: float, shape: str):
             trace, policy=make_policy(policy), staleness_bound=bound, duration=TABLE_DURATION
         )
         result = simulation.run()
-        hosts = [simulation._host]
+        hosts = simulation._hosts
     else:
         if shape == "fleet-3":
             fleet.update(num_nodes=3)

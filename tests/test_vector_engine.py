@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.registry import make_cost_model, make_policy
 from repro.experiments.spec import ChannelSpec
 from repro.cluster import replay_cluster_parallel
-from repro.cluster import vector as cluster_vector
 from repro.perf.perf import non_empty_spans
 from repro.resilience import ChaosSpec
 from repro.sim import vector as sim_vector
@@ -541,6 +540,40 @@ def test_a_finished_replay_is_freed_without_the_cycle_collector(policy: str) -> 
         gc.enable()
 
 
+def test_a_finished_concurrent_replay_is_freed_without_the_cycle_collector() -> None:
+    """Under the in-flight fetch model the driver builds a ConcurrentCacheNode,
+    whose concurrent paths are class overrides: no bound method of the node is
+    stored on the node, so it too dies by reference count (its handlers used
+    to be bound onto the instance, a cycle only the collector broke)."""
+    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
+    trace = compile_workload(workload, DURATION)
+    config = dict(
+        staleness_bound=1.0,
+        duration=DURATION,
+        concurrency=ConcurrencyConfig(mean=0.01, capacity=2, seed=3),
+    )
+    single = lambda: dict(policy=make_policy("invalidate"), **config)  # a policy per run
+    fleet = dict(policy="invalidate", num_nodes=3, **config)
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (
+            lambda: Simulation(workload.iter_requests(DURATION), **single()),
+            lambda: VectorSimulation(trace, **single()),
+            lambda: ClusterSimulation(workload.iter_requests(DURATION), **fleet),
+            lambda: VectorClusterSimulation(trace, **fleet),
+        ):
+            simulation = build()
+            simulation.run()
+            node = getattr(simulation, "node", None) or simulation._node_list[0]
+            assert node.result.latency_count > 0
+            alive = [weakref.ref(node), weakref.ref(node.datastore), weakref.ref(simulation)]
+            del simulation, node
+            assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------------------------- #
 # Span kernel: unsigned position columns and empty columns
 # --------------------------------------------------------------------- #
@@ -671,7 +704,6 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     for name in ("_kernel_reactive_span", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
         kernel = counted(getattr(sim_vector, name))
         monkeypatch.setattr(sim_vector, name, kernel)
-        monkeypatch.setattr(cluster_vector, name, kernel)
 
     def calls_of(replay) -> int:
         log.write_text("")
@@ -694,3 +726,17 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     ) == spans
     assert calls_of(VectorClusterSimulation(trace, **fleet).run) == 3 * spans
     assert calls_of(lambda: replay_cluster_parallel(trace, workers=2, **fleet)) == 3 * spans
+
+
+@pytest.mark.parametrize("bound", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "policy", ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
+)
+def test_vector_single_cache_matches_a_one_node_vector_fleet(policy: str, bound: float) -> None:
+    """One span loop: the single cache is the fleet's one-host, unrouted case."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9), 4.0)
+    config = dict(staleness_bound=bound, duration=4.0, workload_name="poisson")
+    single = VectorSimulation(trace, policy=make_policy(policy), **config)
+    fleet = VectorClusterSimulation(trace, policy=policy, num_nodes=1, **config)
+    assert_identical(single.run().as_dict(), fleet.run().totals.as_dict())
+    assert single.used_vector_path and fleet.used_vector_path
