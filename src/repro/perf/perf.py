@@ -138,7 +138,11 @@ def bench_hashring_route(scale: float = 1.0) -> Dict[str, Any]:
 
 
 def bench_workload_generation(scale: float = 1.0) -> Dict[str, Any]:
-    """Streamed Poisson/Zipf generation throughput (no replay attached)."""
+    """Streamed Poisson/Zipf generation throughput (no replay attached), the
+    same workload compiled into columns, and the Zipf sampler's counts for
+    one pass: ``draws`` and how many of them the CDF search resolved
+    (``searched``; the guide table answers the rest)."""
+    from repro.workload.compiled import compile_workload
     from repro.workload.poisson import PoissonZipfWorkload
 
     requests = _scaled(100_000, scale)
@@ -149,7 +153,18 @@ def bench_workload_generation(scale: float = 1.0) -> Dict[str, Any]:
         deque(workload.iter_requests(duration), maxlen=0)
 
     timing = time_callable(drain)
-    return {"ops": requests, "ops_per_sec": requests / timing["best_seconds"], **timing}
+    compile_timing = time_callable(lambda: compile_workload(workload, duration))
+    sampler = workload._sampler
+    draws, searched = sampler.draws, sampler.searched
+    drain()
+    return {
+        "ops": requests,
+        "ops_per_sec": requests / timing["best_seconds"],
+        "compile_ops_per_sec": requests / compile_timing["best_seconds"],
+        "draws": sampler.draws - draws,
+        "searched": sampler.searched - searched,
+        **timing,
+    }
 
 
 def bench_sketch_update(scale: float = 1.0) -> Dict[str, Any]:

@@ -80,7 +80,11 @@ column chunks — identical by construction, just slower — and names the row i
 
 from __future__ import annotations
 
+import math
+import sys
+from functools import reduce
 from itertools import repeat
+from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1046,6 +1050,68 @@ def _kernel_ttl_polling(
     tally.hits += int(hits.sum())
 
 
+#: Fewest additions :func:`_fold_constant` takes in closed form.  Measured on
+#: a 2-vCPU x86 container under CPython 3.11: the plain ``sum`` costs 0.2 µs
+#: plus 3.6 ns an addend (3.7 µs for 1 000), the closed form 1.1 µs inside
+#: one binade plus about 1.3 µs for each binade the sum climbs (7 µs for
+#: 1 000 addends from 0, 16 µs for 3 000).  They break even near 300 addends
+#: on a grown sum and near 5 000 on a sum that starts at 0; at 1 000 either
+#: costs a few µs, and the short spans of a tight bound stay on the loop.
+_FOLD_CLOSED_FORM_FROM = 1000
+
+#: ``sum`` of floats is a plain left fold up to Python 3.11; from 3.12 on it
+#: compensates (Neumaier), which the scalar engine's ``+=`` never does.
+_SUM_IS_PLAIN = sys.version_info < (3, 12)
+
+
+def _plain_fold(acc: float, c: float, n: int) -> float:
+    """``acc += c``, ``n`` times, one addition at a time."""
+    if _SUM_IS_PLAIN:
+        return sum(repeat(c, n), acc)
+    return reduce(add, repeat(c, n), acc)
+
+
+def _fold_constant(acc: float, c: float, n: int) -> float:
+    """``acc`` after ``n`` in-order additions of ``c``, bit for bit.
+
+    While the running sum stays below the next power of two its ulp ``u``
+    is fixed, so every addition rounds by the same step: ``c / u = q + f``
+    ulps rounds to ``q`` ulps, or ``q + 1`` when ``f > 1/2`` — exact integer
+    arithmetic on the sum's mantissa advances a whole binade at once, and
+    the addition that crosses into the next binade is a float addition.
+    A tie (``f == 1/2``) rounds to even, which is no constant step: it takes
+    the plain loop, like a short fold, a negative sum, an addend that is not
+    positive and anything not finite.
+    """
+    if n < _FOLD_CLOSED_FORM_FROM or not (0.0 <= acc < math.inf and 0.0 < c < math.inf):
+        return _plain_fold(acc, c, n)
+    while n and acc < math.inf:
+        ulp = math.ulp(acc)
+        mantissa = int(acc / ulp)
+        # Ulps from the sum to the top of its binade; a subnormal sum's grid
+        # runs on past that top (and 0's top is its own ulp), so it is only
+        # a safe place to stop.
+        room = (1 << mantissa.bit_length()) - mantissa
+        ulps = c / ulp  # exact: ``ulp`` is a power of two
+        if ulps >= room:
+            acc += c
+            n -= 1
+            continue
+        whole = int(ulps)
+        fraction = ulps - whole
+        if fraction == 0.5:
+            return _plain_fold(acc, c, n)
+        step = whole + (fraction > 0.5)
+        if not step:
+            return acc
+        # The additions whose exact sum stays below the top: ``k * step <
+        # room - whole``.
+        taken = min(n, -(-(room - whole) // step))
+        acc = (mantissa + taken * step) * ulp
+        n -= taken
+    return acc
+
+
 def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> None:
     """Apply a span's deferred effects to the host, in scalar-identical order."""
     result = host.result
@@ -1064,18 +1130,14 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
     stats.expirations += tally.expirations
     misses = tally.stale_misses + tally.cold_misses
     ctx.datastore.total_reads += misses
-    # Constant-cost accumulations: a left fold of n equal addends is
-    # float-identical to the scalar engine's n in-order additions.
-    if tally.reads:
-        result.useful_work = sum(repeat(ctx.serve_const, tally.reads), result.useful_work)
-    if tally.stale_misses:
-        result.freshness_cost = sum(
-            repeat(ctx.miss_const, tally.stale_misses), result.freshness_cost
-        )
-    if tally.cold_misses:
-        result.cold_miss_cost = sum(
-            repeat(ctx.miss_const, tally.cold_misses), result.cold_miss_cost
-        )
+    # Constant-cost accumulations: the scalar engine's n in-order additions.
+    result.useful_work = _fold_constant(result.useful_work, ctx.serve_const, tally.reads)
+    result.freshness_cost = _fold_constant(
+        result.freshness_cost, ctx.miss_const, tally.stale_misses
+    )
+    result.cold_miss_cost = _fold_constant(
+        result.cold_miss_cost, ctx.miss_const, tally.cold_misses
+    )
     if tally.new_fills:
         # Insert new entries in stream order of their cold fill: the scalar
         # engine's cache dict insertion order, which TTL-polling finalisation

@@ -180,8 +180,9 @@ def constant_column(value: int, count: int) -> np.ndarray:
     """``count`` times ``value`` as an int64 column that stores it once.
 
     A read-only broadcast view: a generator whose sizes never vary hands it
-    out per chunk for free, and concatenating the views allocates only the
-    final column.
+    out per chunk for free, and compiling the chunks joins the views into
+    one longer view of the same value, so no column is ever allocated (its
+    ``nbytes`` still counts every row).
     """
     return np.broadcast_to(np.int64(value), (count,))
 

@@ -35,6 +35,7 @@ from repro.workload.base import (
     OpType,
     Request,
     Workload,
+    constant_column,
     validate_duration,
 )
 from repro.workload.mixed import PoissonMixWorkload
@@ -433,9 +434,18 @@ def _compile_native(
 ) -> CompiledTrace:
     """Concatenate the chunks of a native generator's ``iter_columns``."""
     columns = zip(*workload.iter_columns(duration))
-    return CompiledTrace(
-        *(np.concatenate(parts) for parts in columns), key_names=list(workload.key_names())
-    )
+    return CompiledTrace(*map(_concatenate, columns), key_names=list(workload.key_names()))
+
+
+def _concatenate(parts: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """One column from its chunks; a column that every chunk hands out as one
+    :func:`~repro.workload.base.constant_column` stays one, storing its value
+    once (its ``nbytes`` still counts every row)."""
+    if all(part.strides == (0,) and part.dtype == np.int64 for part in parts):
+        values = {int(part[0]) for part in parts if part.size}
+        if len(values) == 1:
+            return constant_column(values.pop(), sum(part.size for part in parts))
+    return np.concatenate(parts)
 
 
 def _compile_mix(workload: PoissonMixWorkload, duration: float) -> CompiledTrace:
