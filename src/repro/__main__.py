@@ -517,7 +517,16 @@ def _load_run_config(root: Path) -> Dict[str, Any]:
             "so the run cannot be reconstructed (datastore-only recovery still "
             "works via 'store recover' without --resume)"
         )
-    return json.loads(path.read_text())
+    try:
+        config = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SystemExit(f"{path} is not a valid run config: {exc}") from None
+    if not isinstance(config, dict):
+        raise SystemExit(
+            f"{path} is not a valid run config: expected a JSON object, "
+            f"got a {type(config).__name__}"
+        )
+    return config
 
 
 def _cmd_store_recover(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ statistics.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.cache.entry import CacheEntry, EntryState
@@ -18,6 +19,18 @@ from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 
 EvictionCallback = Callable[[CacheEntry, float], None]
+
+
+def weak_callback(method: EvictionCallback) -> EvictionCallback:
+    """The bound ``method``, holding its object by weak reference.
+
+    An owner that hands one of its own bound methods to a cache it holds ties
+    itself into a reference cycle, and a cycle lives — with everything it
+    reaches — until the collector's next full pass.  Through a weak
+    reference the owner dies by reference count.
+    """
+    owner, function = weakref.ref(method.__self__), method.__func__
+    return lambda entry, time: function(owner(), entry, time)
 
 
 class Cache:

@@ -20,9 +20,9 @@ The pieces:
   flash-crowd / partition scripts,
 * :class:`~repro.cluster.cluster.ClusterSimulation` — the routing loop,
 * :class:`~repro.cluster.vector.VectorClusterSimulation` — the columnar
-  replay engine over a compiled trace (byte-identical, much faster),
-* :func:`~repro.cluster.parallel.replay_cluster_parallel` — shard-parallel
-  replay on worker processes with a deterministic merge, and
+  replay engine over a compiled trace (byte-identical, much faster; a fleet
+  replays in one process, :func:`~repro.cluster.vector.replay_cluster_parallel`
+  is its function-call spelling), and
 * :class:`~repro.cluster.results.ClusterResult` — per-node and fleet-level
   aggregation sharing the single-cache result schema.
 
@@ -51,7 +51,6 @@ or from the command line via ``python -m repro cluster``.
 from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
-from repro.cluster.parallel import partition_nodes, replay_cluster_parallel
 from repro.cluster.replication import ReplicaRouter, ReplicationConfig
 from repro.cluster.results import ClusterResult, NodeResult
 from repro.cluster.scenarios import (
@@ -65,7 +64,7 @@ from repro.cluster.scenarios import (
     Scenario,
     make_scenario,
 )
-from repro.cluster.vector import VectorClusterSimulation
+from repro.cluster.vector import VectorClusterSimulation, replay_cluster_parallel
 from repro.sim.node import CacheNode
 
 __all__ = [
@@ -88,6 +87,5 @@ __all__ = [
     "Scenario",
     "VectorClusterSimulation",
     "make_scenario",
-    "partition_nodes",
     "replay_cluster_parallel",
 ]

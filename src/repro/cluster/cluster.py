@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
@@ -128,20 +128,6 @@ FLEET_REFUSALS: Dict[str, str] = {
         "scenario {scenario!r} needs at least {min_zones} zones (failure domains); "
         "the fleet was built with zones={zones}"
     ),
-    "shard-scenario": (
-        "scenario {scenario!r} decides membership from fleet-global signals, which an "
-        "ownership-masked shard cannot observe: it is incompatible with owned_nodes and "
-        "workers > 1 (run with workers=1)"
-    ),
-    "shard-store": (
-        "a checkpoint must capture the whole fleet in one process: a store is incompatible "
-        "with owned_nodes and workers > 1 (run with workers=1)"
-    ),
-    "shard-concurrency": (
-        "concurrency couples every node through one shared backend fetch queue, so shards cannot "
-        "replay independently: it is incompatible with owned_nodes and workers > 1 (run with "
-        "workers=1)"
-    ),
 }
 
 
@@ -159,15 +145,12 @@ def check_fleet(
     store: bool,
     snapshots: bool,
     concurrency: bool,
-    sharded: bool = False,
 ) -> None:
     """Refuse a fleet configuration that cannot run, before anything runs.
 
     The one statement of the rule.  :class:`ClusterSimulation` asks it at
-    construction, ``sharded`` when built with ``owned_nodes`` (which is how
-    :func:`~repro.cluster.parallel.replay_cluster_parallel` asks it, of the
-    planner it builds before it forks); :class:`~repro.experiments.spec.ExperimentSpec`
-    asks it of every fleet combination on its axes.  ``tier`` / ``store`` /
+    construction; :class:`~repro.experiments.spec.ExperimentSpec` asks it of
+    every fleet combination on its axes.  ``tier`` / ``store`` /
     ``snapshots`` (a snapshot cadence) / ``concurrency`` say what the fleet
     runs with; ``duration`` is ``None`` when the caller gave none.  Raises
     :class:`~repro.errors.ClusterError` with the first :data:`FLEET_REFUSALS`
@@ -186,10 +169,6 @@ def check_fleet(
         "scenario-snapshots": scenario.requires_persistence and not snapshots,
         "scenario-concurrency": scenario.requires_concurrency and not concurrency,
         "scenario-zones": scenario.min_zones > zones,
-        # Shards advance the shared timeline alone, each in its own process.
-        "shard-scenario": sharded and scenario.requires_full_fleet,
-        "shard-store": sharded and store,
-        "shard-concurrency": sharded and concurrency,
     }
     facts = dict(num_nodes=num_nodes, replication=replication, zones=zones, policy=clairvoyant)
     facts.update(scenario=scenario.name, min_zones=scenario.min_zones)
@@ -245,25 +224,12 @@ class ClusterSimulation(ReplayDriver):
             to ``None`` and reproduces single-tier results byte-for-byte.
         obs: Optional observability settings (:class:`~repro.obs.ObsConfig`
             or a pre-built :class:`~repro.obs.ObsRecorder`).  The recorder
-            samples the owned nodes' counters per window, traces sampled
+            samples every node's counters per window, traces sampled
             request spans plus fleet events (scenario transitions,
             rebalances, snapshots, recovery), and exposes its payload on
             ``ClusterResult.obs``.  Results stay byte-identical with
             observability on or off; when ``None`` (default) the replay
             binds its plain hot path with zero overhead.
-        owned_nodes: Optional node indices this process replays *for*.  The
-            full fleet is still constructed and the shared state — datastore
-            writes, ring membership, scenario events, read-router counters —
-            advances identically to an unfiltered run, but only the owned
-            nodes perform cache work (reads, write observation, flushes,
-            finalize).  Because nodes never message each other (they interact
-            only through the shared datastore and ring) the owned nodes'
-            :class:`~repro.cluster.results.NodeResult` rows come out
-            byte-identical to the same rows of a full run; non-owned rows are
-            meaningless and discarded by the shard merge.  This is the
-            substrate for shard-parallel replay
-            (:func:`repro.cluster.parallel.replay_cluster_parallel`); what a
-            shard cannot replay is refused by :func:`check_fleet`.
         concurrency: Optional in-flight fetch model
             (:class:`~repro.concurrency.ConcurrencyConfig`).  When given,
             every node's miss fetches occupy slots on one *shared*
@@ -312,7 +278,6 @@ class ClusterSimulation(ReplayDriver):
         store: Optional[StoreConfig] = None,
         history_retention: Optional[float] = None,
         tier: Optional[TierConfig] = None,
-        owned_nodes: Optional[Sequence[int]] = None,
         obs: Optional[Any] = None,
         concurrency: Optional[Any] = None,
         zones: int = 1,
@@ -368,7 +333,6 @@ class ClusterSimulation(ReplayDriver):
             store=store is not None,
             snapshots=store is not None and store.snapshot_interval is not None,
             concurrency=self.concurrency is not None,
-            sharded=owned_nodes is not None,
         )
 
         self._open(store, history_retention, obs)
@@ -412,19 +376,7 @@ class ClusterSimulation(ReplayDriver):
             self.ring.add_node(
                 node_id, zone=f"zone-{index % self.zones}" if self.zones > 1 else None
             )
-
-        indices = None
-        self._owned_ids: Optional[frozenset[str]] = None
-        if owned_nodes is not None:
-            indices = sorted(set(int(index) for index in owned_nodes))
-            if not indices:
-                raise ClusterError("owned_nodes must name at least one node")
-            if indices[0] < 0 or indices[-1] >= num_nodes:
-                raise ClusterError(
-                    f"owned_nodes entries must be in [0, {num_nodes}), got {indices}"
-                )
-            self._owned_ids = frozenset(nodes[index].node_id for index in indices)
-        self._adopt(nodes, indices)
+        self._adopt(nodes)
 
         self._rebalances = 0
         self.event_log: List[tuple[float, str]] = []
@@ -637,8 +589,8 @@ class ClusterSimulation(ReplayDriver):
         self._event(event.time, "scenario", label=event.label, scenario=self.scenario.name)
 
     def _event(self, time: float, kind: str, **fields: Any) -> None:
-        """Record a fleet-wide event (where the recorder ``record_global``)."""
-        if self.obs is not None and self.obs.record_global:
+        """Record a fleet-wide event when a recorder is attached."""
+        if self.obs is not None:
             self.obs.event(time, kind, **fields)
 
     # ------------------------------------------------------------------ #
@@ -764,11 +716,9 @@ class ClusterSimulation(ReplayDriver):
         if replicas is None:
             replicas = self._route(key, self._factor)
         nodes = self._nodes
-        owned = self._owned_ids
         owner = True
         for node_id in replicas:
-            if owned is None or node_id in owned:
-                nodes[node_id].observe_write(time, key, key_size, value_size, owner)
+            nodes[node_id].observe_write(time, key, key_size, value_size, owner)
             owner = False
 
     def _process_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
@@ -779,12 +729,8 @@ class ClusterSimulation(ReplayDriver):
             # Primary-copy routing needs no router state; skip the call.
             node_id = replicas[0]
         else:
-            # The router counter advances for every read regardless of
-            # ownership so each shard sees the same routing sequence.
             node_id = self.router.choose_read_node(key, replicas)
-        owned = self._owned_ids
-        if owned is None or node_id in owned:
-            self._nodes[node_id].handle_read(time, key, key_size, value_size)
+        self._nodes[node_id].handle_read(time, key, key_size, value_size)
 
     def _result(
         self, end_time: float, stats: Optional[Dict[str, Any]], interrupted: bool

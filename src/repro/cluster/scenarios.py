@@ -100,17 +100,6 @@ class Scenario:
         return False
 
     @property
-    def requires_full_fleet(self) -> bool:
-        """Whether the scenario drives dynamic membership over the full fleet.
-
-        Scenarios that decide membership from *global* runtime signals (the
-        autoscaler) cannot be sharded: an ownership-masked shard sees only a
-        slice of the load, so its decisions would diverge from the full
-        fleet's.  Shard-parallel replay refuses such scenarios outright.
-        """
-        return False
-
-    @property
     def min_zones(self) -> int:
         """Minimum number of distinct zone labels the fleet must carry."""
         return 1

@@ -29,13 +29,13 @@ datastore, the hash ring, and the read router:
   accumulators (``DataStore.total_writes``/``total_reads``), so the order in
   which nodes' kernels run within a span is immaterial.
 
-The same argument is what makes **shard-parallel replay** sound: a worker
-that owns a subset of nodes (``owned_nodes``) advances all the shared state —
-datastore writes, router counters, ring membership — exactly like a full run
-but only performs cache work for its nodes, so its owned
-:class:`~repro.cluster.results.NodeResult` rows are byte-identical to a full
-run's and :func:`~repro.cluster.parallel.replay_cluster_parallel` can merge
-per-shard rows into one result.
+A fleet replays in one process.  Splitting its nodes over worker processes
+splits only the per-node kernels — every worker would still commit every
+write batch and walk the whole due-work schedule — so on two cores it cost
+1.5–2.3x the CPU and bought wall time only on traces ten times the
+benchmark's (docs/guides/performance.md, "One process per fleet").
+:func:`replay_cluster_parallel` keeps the entry point and its ``workers``
+argument for its callers.
 
 Configurations outside the vectorizable envelope — a row of
 :data:`FLEET_ENVELOPE` holds for them — transparently fall back to the scalar
@@ -50,18 +50,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.cluster import ClusterSimulation
+from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
-from repro.sim.vector import (
-    ENVELOPE,
-    EnvelopeRow,
-    Groups,
-    SpanReplay,
-    _ReplayContext,
-    _span_prelude,
-    _walk_spans,
-)
+from repro.errors import ClusterError
+from repro.sim.vector import ENVELOPE, EnvelopeRow, Groups, SpanReplay
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import SpanFacts, TraceIndex
+from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex
 
 
 #: The fleet engine's envelope: the rows only a fleet can trip, asked before
@@ -91,7 +85,7 @@ class _ClusterPlan:
     A pure function of the compiled trace and the cluster *configuration*
     (ring placement, replication, read policy) — no node state — so it is
     built once, memoised on the trace's index under that configuration, and
-    reused by every policy's replay; forked shards inherit it copy-on-write.
+    reused by every policy's replay.
 
     Attributes:
         replicas: ``num_keys x replicas`` matrix of node indices, primary
@@ -130,8 +124,7 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
     envelope (:data:`FLEET_ENVELOPE`) and otherwise replays the trace's column
     chunks through the scalar fleet loop — either way the results are
     byte-identical to the scalar engine.  What the fleet adds to the span
-    replay is routing: the trace-wide plan, each cut's per-node groups, and
-    the owned hosts a shard drives.
+    replay is routing: the trace-wide plan and each cut's per-node groups.
     """
 
     _envelope = FLEET_ENVELOPE
@@ -149,7 +142,7 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         (round-robin), which the span replay takes as strided runs of the
         key's read column.  The plan is memoised on the trace's index, so
         every replay of the trace on the same fleet shape (each policy, each
-        forked shard) shares it.
+        sweep cell) shares it.
         """
         index = self.trace.index()
         shape = (
@@ -199,31 +192,6 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         # would.
         self.router._round_robin.update(plan.round_robin)
 
-    def share_spans(self) -> None:
-        """Fill the trace's span table with what this replay would ask of it.
-
-        Walks the replay's flush boundaries without replaying: every cut's
-        facts, every node's groups and (for a reacting policy) kernel
-        prelude.  A parallel replay calls it on its planner before forking,
-        so the shards inherit the table instead of each building it; the
-        walk spends the instance (it is not run afterwards).
-        """
-        trace = self.trace
-        if len(trace) == 0 or not trace.index().time_ordered:
-            return
-        self._plan = self.build_plan()
-        reacts = self._node_list[0]._reacts
-        ctx = self._ctx = _ReplayContext.for_node(trace, trace.index(), self._node_list[0])
-
-        def skip_flushes(until: float) -> None:
-            while self._next_flush <= until:
-                self._next_flush += self.staleness_bound
-
-        for facts in _walk_spans(self, reacts, skip_flushes):
-            for node_idx, (groups, _) in enumerate(self._node_groups(facts)):
-                if reacts and groups is not None:
-                    _span_prelude(ctx, facts, (self._shape, node_idx), groups)
-
     def _node_groups(self, facts: SpanFacts) -> List[Tuple[Optional[Groups], int]]:
         """Route one cut: ``(groups, primary_writes)`` per node, from the span table.
 
@@ -235,9 +203,8 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         (counters start at zero), so each replica's reads are a stride of
         the key's run.  ``primary_writes`` counts the span writes of the keys
         the node is primary of: only the primary counts a write in its
-        result, like ``observe_write(owner=True)``.  Routing knows no policy
-        and no owner, so one entry per fleet shape serves every replay and
-        every shard.
+        result, like ``observe_write(owner=True)``.  Routing knows no policy,
+        so one entry per fleet shape serves every replay.
         """
         return self._ctx.index.routed(facts, self._shape, lambda: self._route_span(facts))
 
@@ -272,3 +239,32 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
                 nbytes += 5 * mine.nbytes
             routed.append((groups, int(num_writes[holds[:, 0]].sum())))
         return routed, nbytes
+
+
+def replay_cluster_parallel(
+    trace: CompiledTrace,
+    *,
+    workers: int = 1,
+    timings: Optional[Dict[str, float]] = None,
+    **cluster_kwargs,
+) -> ClusterResult:
+    """Replay a compiled trace across the fleet: ``VectorClusterSimulation(trace,
+    **cluster_kwargs).run()``.
+
+    ``workers`` is validated (a negative count is a :class:`ClusterError`)
+    and otherwise ignored: the fleet replays in this process whatever its
+    value.  Worker processes could split only the per-node kernels, about a
+    third of a replay, while each one repeated the write batches and the
+    due-work schedule, so two workers lost to one at the benchmark's size
+    and cost more CPU at every size measured (see the module docstring).
+    ``timings`` receives ``merge_seconds = 0.0``, as there is nothing to
+    merge.  ``num_nodes`` is required.
+    """
+    if int(cluster_kwargs.get("num_nodes", 0)) < 1:
+        raise ClusterError("replay_cluster_parallel needs num_nodes >= 1")
+    if workers < 0:
+        raise ClusterError(f"workers must be >= 0, got {workers}")
+    result = VectorClusterSimulation(trace, **cluster_kwargs).run()
+    if timings is not None:
+        timings["merge_seconds"] = 0.0
+    return result

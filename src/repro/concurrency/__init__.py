@@ -11,7 +11,7 @@ p50/p99/p999 percentiles via the :mod:`repro.obs` histogram machinery.
 Enable it by passing a :class:`ConcurrencyConfig` to the simulation, cluster,
 experiment grid, or CLI; the default (``None``) keeps every engine
 byte-identical to the classic instant-fetch model — that invariant is
-test-pinned across the scalar, vector, and shard-parallel pipelines.
+test-pinned across the scalar and vector pipelines and any worker count.
 """
 
 from repro.concurrency.backend import BackendServer

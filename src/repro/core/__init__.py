@@ -26,7 +26,6 @@ from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.optimal import OptimalPolicy
-from repro.core.slo import StalenessSLO
 
 __all__ = [
     "Action",
@@ -40,7 +39,6 @@ __all__ = [
     "FreshnessPolicy",
     "OptimalPolicy",
     "PolicyContext",
-    "StalenessSLO",
     "TTLExpiryPolicy",
     "TTLPollingPolicy",
     "decide_with_slo",

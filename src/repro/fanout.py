@@ -1,10 +1,10 @@
 """One fan-out: run a body over shares of work, one forked process per share.
 
-Both places that spread work over processes — the shards of a fleet replay
-(:mod:`repro.cluster.parallel`) and the cells of an experiment grid
-(:mod:`repro.experiments.runner`) — do it here, and this is the only module
-of the package that imports :mod:`multiprocessing`.  What the shares have in
-common (a compiled trace, its index, a routing plan) is built by the caller
+The one place that spreads work over processes — the cells of an experiment
+grid (:mod:`repro.experiments.runner`) — does it here, and this is the only
+module of the package that imports :mod:`multiprocessing`.  A fleet replay
+never forks: it runs in one process.  What the shares have in common (a
+compiled trace, its index, a routing plan) is built by the caller
 *before* the call and reaches the children by ``fork`` inheritance, the body
 and its closure included: nothing is pickled on the way in, only each share's
 result on the way out.

@@ -8,8 +8,8 @@ package adds the observability layer production cache operators reason from:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   log-bucketed percentile histograms with HDR-style **fixed** buckets, so
-  merging two histograms (e.g. across shard-parallel workers) is an exact
-  integer addition;
+  merging two histograms (e.g. a fleet's per-node latency buckets) is an
+  exact integer addition;
 * :class:`~repro.obs.recorder.ObsRecorder` — windowed time-series sampling
   of the run (hit rate, miss cost, staleness violations, per-node load, tier
   L1 share, channel drops per window) plus structured tracing: sampled
@@ -37,13 +37,7 @@ un-instrumented hot-path methods when no recorder is attached.
 
 from repro.obs.analyze import detect_anomalies, diff_payloads
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.recorder import (
-    WINDOW_FIELDS,
-    ObsConfig,
-    ObsRecorder,
-    as_recorder,
-    merge_payloads,
-)
+from repro.obs.recorder import WINDOW_FIELDS, ObsConfig, ObsRecorder, as_recorder
 from repro.obs.report import render_report
 from repro.obs.slo import canonical_rules, evaluate_slo, load_rules, validate_rules
 from repro.obs.trace import TraceBuffer
@@ -65,7 +59,6 @@ __all__ = [
     "diff_payloads",
     "evaluate_slo",
     "load_rules",
-    "merge_payloads",
     "render_report",
     "validate_rules",
 ]

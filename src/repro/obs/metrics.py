@@ -3,18 +3,18 @@
 The histogram uses an HDR-style *fixed* bucket layout: one bucket for exact
 zeros, ``SUB_BUCKETS`` linear sub-buckets per power-of-two octave across a
 fixed exponent range, and one overflow bucket.  Because the layout never
-depends on the observed data, merging two histograms — e.g. from
-shard-parallel workers — is an exact integer addition of bucket counts, and
-percentile estimates are identical whether samples were recorded in one
-process or merged from many.
+depends on the observed data, merging two histograms — e.g. the run-level
+latency buckets of a fleet's nodes — is an exact integer addition of bucket
+counts, and percentile estimates are identical whether samples were recorded
+in one histogram or merged from many.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_metric_dicts"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 # Fixed bucket geometry.  Octaves cover 2**-20 (~1e-6, sub-microsecond
 # timings) through 2**30 (~1e9, large cost totals); values outside land in
@@ -221,21 +221,3 @@ class MetricsRegistry:
         for name, payload in data.get("histograms", {}).items():
             registry._histograms[name] = Histogram.from_dict(name, payload)
         return registry
-
-
-def merge_metric_dicts(
-    base: Optional[Mapping[str, Any]], other: Optional[Mapping[str, Any]]
-) -> Dict[str, Any]:
-    """Merge two ``MetricsRegistry.as_dict`` payloads (exact, order-stable).
-
-    Counters and histogram buckets add; gauges take the ``other`` value when
-    present (last writer wins, matching single-process semantics).
-    """
-    merged = MetricsRegistry.from_dict(base or {})
-    for name, value in (other or {}).get("counters", {}).items():
-        merged.counter(name).value += value
-    for name, value in (other or {}).get("gauges", {}).items():
-        merged.gauge(name).set(value)
-    for name, payload in (other or {}).get("histograms", {}).items():
-        merged.histogram(name).merge(Histogram.from_dict(name, payload))
-    return merged.as_dict()

@@ -5,8 +5,7 @@ cache_stats)`` triples — and observes them by diffing their counters:
 
 * at every window boundary it snapshots each host and attributes the deltas
   since the previous snapshot to the window that just closed
-  (:class:`~repro.obs.windows.WindowSampler` keeps them per-node so
-  shard-parallel merges stay byte-identical);
+  (:class:`~repro.obs.windows.WindowSampler` keeps them per node);
 * for sampled requests (every ``span_every``-th, deterministic countdown —
   no RNG is ever consulted, so replay results cannot be perturbed) it diffs
   counters across the un-instrumented request handler to classify the
@@ -26,11 +25,11 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Histogram, MetricsRegistry, merge_metric_dicts
-from repro.obs.trace import TraceBuffer, merge_trace_records
-from repro.obs.windows import WindowSampler, merge_window_dicts
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.trace import TraceBuffer
+from repro.obs.windows import WindowSampler
 
-__all__ = ["ObsConfig", "ObsRecorder", "WINDOW_FIELDS", "as_recorder", "merge_payloads"]
+__all__ = ["ObsConfig", "ObsRecorder", "WINDOW_FIELDS", "as_recorder"]
 
 PAYLOAD_KIND = "repro-obs"
 PAYLOAD_VERSION = 1
@@ -76,7 +75,7 @@ _NO_COST = SimpleNamespace(freshness_cost=0, cold_miss_cost=0)
 
 @dataclass(frozen=True, slots=True)
 class ObsConfig:
-    """Picklable observability settings (safe to ship to forked workers).
+    """Picklable observability settings (safe to ship to sweep workers).
 
     ``window`` is the sampling window width in simulation seconds;
     ``span_every`` samples every N-th request as a span (0 disables spans);
@@ -153,7 +152,6 @@ class ObsRecorder:
         "registry",
         "windows",
         "trace",
-        "record_global",
         "next_boundary",
         "_window_index",
         "_hosts",
@@ -170,7 +168,6 @@ class ObsRecorder:
         self.registry = MetricsRegistry()
         self.windows = WindowSampler(self.config.window)
         self.trace = TraceBuffer(self.config.max_trace_records)
-        self.record_global = True
         self.next_boundary = self.config.window
         self._window_index = 0
         self._hosts: Tuple[Tuple[str, Any, Any], ...] = ()
@@ -184,18 +181,11 @@ class ObsRecorder:
 
     # -- attachment and lifecycle -------------------------------------------
 
-    def attach(
-        self,
-        hosts: Sequence[Tuple[str, Any, Any]],
-        record_global: bool = True,
-    ) -> None:
+    def attach(self, hosts: Sequence[Tuple[str, Any, Any]]) -> None:
         """Bind the hosts to observe: ``(node_id, result, cache_stats)`` triples.
 
         ``cache_stats`` may be ``None`` for hosts without a directly owned
-        cache.  ``record_global`` marks the recorder responsible for
-        fleet-wide events (scenario transitions, run start/end); in
-        shard-parallel replay only the shard owning node 0 sets it, so
-        merged traces carry each global event once.
+        cache.
         """
         self._hosts = tuple(hosts)
         # Where `_cost_now` reads each host's two cost fields: the result
@@ -207,7 +197,6 @@ class ObsRecorder:
             )
             for _, result, _ in self._hosts
         )
-        self.record_global = record_global
         self._last = {node_id: self._snapshot(result, stats) for node_id, result, stats in self._hosts}
         self._last_latency = {
             node_id: dict(getattr(result, "latency_buckets", None) or {})
@@ -216,8 +205,7 @@ class ObsRecorder:
 
     def run_start(self, time: float = 0.0, **meta: Any) -> None:
         self._meta.update(meta)
-        if self.record_global:
-            self.event(time, "run-start", **meta)
+        self.event(time, "run-start", **meta)
 
     def add_totals(self, extras: Mapping[str, Any]) -> None:
         """Fold scenario-owned result fields into the run totals.
@@ -245,7 +233,7 @@ class ObsRecorder:
             if not buckets:
                 continue
             # Fold each host's run-level latency buckets into one exported
-            # histogram; exact bucket addition, same as a shard merge.
+            # histogram: exact bucket addition.
             total = self.registry.histogram("read_latency")
             for index, count in buckets.items():
                 total.counts[index] = total.counts.get(index, 0) + count
@@ -255,8 +243,7 @@ class ObsRecorder:
         self._meta.update(meta)
         self._meta["end_time"] = end_time
         self._meta["totals"] = totals
-        if self.record_global:
-            self.event(end_time, "run-end")
+        self.event(end_time, "run-end")
 
     # -- windowed sampling ---------------------------------------------------
 
@@ -481,33 +468,3 @@ class ObsRecorder:
             "trace": list(self.trace.records),
             "trace_dropped": self.trace.dropped,
         }
-
-
-def merge_payloads(base: Mapping[str, Any], other: Mapping[str, Any]) -> Dict[str, Any]:
-    """Merge two recorder payloads from shards observing disjoint nodes.
-
-    Windows union (they stay per-node until export), histograms bucket-add,
-    counters add, traces interleave on a deterministic sort key.  ``meta``
-    comes from ``base`` (the globally-recording shard) with totals re-summed.
-    """
-    for field in ("kind", "version", "config"):
-        if base.get(field) != other.get(field):
-            raise ValueError(
-                f"cannot merge obs payloads with mismatched {field}: "
-                f"{base.get(field)!r} vs {other.get(field)!r}"
-            )
-    meta = dict(base.get("meta", {}))
-    totals = dict(meta.get("totals", {}))
-    for field, value in other.get("meta", {}).get("totals", {}).items():
-        totals[field] = totals.get(field, 0) + value
-    meta["totals"] = totals
-    return {
-        "kind": base.get("kind", PAYLOAD_KIND),
-        "version": base.get("version", PAYLOAD_VERSION),
-        "config": dict(base.get("config", {})),
-        "meta": meta,
-        "metrics": merge_metric_dicts(base.get("metrics"), other.get("metrics")),
-        "windows": merge_window_dicts(base.get("windows", {}), other.get("windows", {})),
-        "trace": merge_trace_records(base.get("trace", []), other.get("trace", [])),
-        "trace_dropped": base.get("trace_dropped", 0) + other.get("trace_dropped", 0),
-    }

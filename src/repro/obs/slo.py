@@ -186,17 +186,27 @@ def load_rules(path: str) -> List[Dict[str, Any]]:
     """Load and validate an SLO rules file.
 
     Accepts either a bare JSON list of rules or a wrapper object
-    ``{"kind": "repro-obs-slo-rules", "rules": [...]}``.
+    ``{"kind": "repro-obs-slo-rules", "rules": [...]}``.  Anything else —
+    text that is not JSON, another kind, an invalid rule — is a
+    :class:`ValueError` naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if isinstance(data, Mapping):
         if data.get("kind") not in (None, RULES_KIND):
             raise ValueError(
                 f"{path}: expected kind {RULES_KIND!r}, got {data.get('kind')!r}"
             )
         data = data.get("rules", [])
-    return validate_rules(data)
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a list of SLO rules, got a {type(data).__name__}")
+    try:
+        return validate_rules(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def canonical_rules(rules: Sequence[Mapping[str, Any]]) -> str:

@@ -8,19 +8,9 @@ instead of growing memory without bound on long replays.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
-__all__ = ["TraceBuffer", "merge_trace_records"]
-
-
-def _sort_key(record: Dict[str, Any]) -> tuple:
-    return (
-        record.get("time", 0.0),
-        record.get("type", ""),
-        record.get("kind", record.get("op", "")),
-        str(record.get("node", "")),
-        str(record.get("key", "")),
-    )
+__all__ = ["TraceBuffer"]
 
 
 class TraceBuffer:
@@ -43,17 +33,3 @@ class TraceBuffer:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def merge_trace_records(
-    base: Iterable[Dict[str, Any]], other: Iterable[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Merge two trace streams into one, ordered by (time, type, kind, ...).
-
-    The sort key is deterministic for any interleaving, so shard-parallel
-    workers tracing disjoint nodes merge into the same stream regardless of
-    worker count.
-    """
-    merged = list(base) + list(other)
-    merged.sort(key=_sort_key)
-    return merged

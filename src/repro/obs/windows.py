@@ -1,18 +1,16 @@
-"""Windowed time-series storage with deterministic parallel merges.
+"""Windowed time-series storage.
 
 The sampler stores, per time window, the *per-node* counter deltas observed
 in that window — never pre-summed fleet totals.  Fleet-level values are
 derived at export time by summing nodes in sorted ``node_id`` order, so the
-exported series is byte-identical whether the run executed in one process or
-was merged from shard-parallel workers (each worker contributes a disjoint
-set of nodes; a merge is a plain union).
+exported series does not depend on the order the nodes were sampled in.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
-__all__ = ["WindowSampler", "merge_window_dicts"]
+__all__ = ["WindowSampler"]
 
 
 class WindowSampler:
@@ -58,24 +56,6 @@ class WindowSampler:
                 }
             )
         return {"window": self.window, "rows": rows}
-
-
-def merge_window_dicts(
-    base: Mapping[str, Any], other: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Merge two ``WindowSampler.as_dict`` payloads (union of node maps)."""
-    if base.get("window") != other.get("window"):
-        raise ValueError(
-            f"cannot merge window series with different widths: "
-            f"{base.get('window')} vs {other.get('window')}"
-        )
-    sampler = WindowSampler(float(base["window"]))
-    for payload in (base, other):
-        for row in payload.get("rows", []):
-            index = int(row["index"])
-            for node_id, deltas in row.get("nodes", {}).items():
-                sampler.add(index, node_id, deltas)
-    return sampler.as_dict()
 
 
 def window_rows(payload: Mapping[str, Any], fields: tuple) -> List[Dict[str, Any]]:

@@ -548,52 +548,6 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
-def bench_shard_merge(scale: float = 1.0) -> Dict[str, Any]:
-    """Deterministic merge of per-shard cluster results.
-
-    Replays two node partitions of a 4-node fleet once (untimed), then
-    times :func:`~repro.cluster.parallel._merge_shard_results` — the serial
-    tail every parallel replay pays after its workers finish.  The merge is
-    idempotent (row reassignment plus a totals re-finalise), so re-merging
-    the same shard results is sound.
-    """
-    from repro.cluster.parallel import _merge_shard_results, partition_nodes
-    from repro.cluster.vector import VectorClusterSimulation
-    from repro.workload.compiled import compile_workload
-    from repro.workload.poisson import PoissonZipfWorkload
-
-    requests = _scaled(20_000, scale)
-    workload = PoissonZipfWorkload(num_keys=500, rate_per_key=100.0, seed=0)
-    duration = requests / (100.0 * 500)
-    trace = compile_workload(workload, duration)
-    partitions = partition_nodes(4, 2)
-    shard_results = [
-        VectorClusterSimulation(
-            trace,
-            owned_nodes=owned,
-            policy="invalidate",
-            num_nodes=4,
-            staleness_bound=1.0,
-            duration=duration,
-            workload_name=workload.name,
-            seed=0,
-        ).run()
-        for owned in partitions
-    ]
-    merges = _scaled(200, scale)
-
-    def merge() -> None:
-        for _ in range(merges):
-            _merge_shard_results(partitions, shard_results)
-
-    timing = time_callable(merge)
-    return {
-        "ops": merges,
-        "ops_per_sec": merges / timing["best_seconds"],
-        **timing,
-    }
-
-
 def bench_obs_disabled(scale: float = 1.0) -> Dict[str, Any]:
     """Replay with telemetry off — the zero-cost claim under a clock.
 
@@ -758,7 +712,6 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "ttl-kernels": bench_ttl_kernels,
     "flush": bench_flush,
     "trace-index": bench_trace_index,
-    "shard-merge": bench_shard_merge,
     "obs-disabled": bench_obs_disabled,
     "obs-enabled": bench_obs_enabled,
     "scalar-feed": bench_scalar_feed,

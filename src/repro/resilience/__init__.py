@@ -15,9 +15,7 @@ This package closes ROADMAP item 5 on top of the cluster substrate:
 
 Everything is a pure function of (workload, config, seed): fault plans draw
 from their own seeded stream, scenarios script timed events, and replays are
-byte-identical across engines and worker counts (shard-parallel replay
-refuses — rather than approximates — the one scenario that cannot shard,
-the autoscaler, whose decisions need the full fleet's signals).
+byte-identical across engines and worker counts.
 """
 
 from repro.resilience.autoscale import AutoscaleScenario

@@ -24,10 +24,8 @@ directly by three first-class result fields:
 * ``elasticity_staleness`` — staleness violations accrued during breach
   windows (the under-provisioned intervals the ideal fleet never has).
 
-The controller reads only fleet-global signals (total load, per-node
-pressure), so it *cannot* be sharded: an ownership-masked shard would see a
-slice of the load and scale differently.  ``requires_full_fleet`` makes
-shard-parallel replay refuse the scenario instead of approximating it.
+The controller reads fleet-global signals (total load, per-node pressure):
+every node's counters, which the one process replaying the fleet holds.
 """
 
 from __future__ import annotations
@@ -137,10 +135,6 @@ class AutoscaleScenario(Scenario):
     def requires_persistence(self) -> bool:
         return self.warm
 
-    @property
-    def requires_full_fleet(self) -> bool:
-        return True
-
     def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
         super().bind(duration, staleness_bound, num_nodes)
         if self.min_nodes > num_nodes:
@@ -171,7 +165,7 @@ class AutoscaleScenario(Scenario):
         def standby(cluster: "ClusterSimulation", time: float) -> None:
             for index in range(self.min_nodes, self.num_nodes):
                 cluster.deactivate_node(index)
-            if cluster.obs is not None and cluster.obs.record_global:
+            if cluster.obs is not None:
                 cluster.obs.event(
                     time,
                     "autoscale",
@@ -228,7 +222,7 @@ class AutoscaleScenario(Scenario):
             node_id = cluster.node_at(index).node_id
             cluster.rejoin_node(index, warm=self.warm, time=time)
             cluster.event_log.append((time, f"scale-up:{node_id}"))
-            if cluster.obs is not None and cluster.obs.record_global:
+            if cluster.obs is not None:
                 cluster.obs.event(
                     time, "autoscale", action="up", node=node_id,
                     rate=rate, pressure=pressure,
@@ -247,7 +241,7 @@ class AutoscaleScenario(Scenario):
             node_id = cluster.node_at(index).node_id
             cluster.remove_node(index, time)
             cluster.event_log.append((time, f"scale-down:{node_id}"))
-            if cluster.obs is not None and cluster.obs.record_global:
+            if cluster.obs is not None:
                 cluster.obs.event(
                     time, "autoscale", action="down", node=node_id, rate=rate
                 )

@@ -24,9 +24,7 @@ and the plan's events into one timed schedule.  Note that freshness traffic
 is batched at flush boundaries (every ``staleness_bound`` seconds), so a
 ``delay``/``drop`` window only affects messages when it spans a boundary —
 short windows between two flushes are no-ops by construction, exactly as a
-real blip between two propagation rounds would be.  Every fault is applied in
-every shard of a shard-parallel replay, so membership and channel state stay
-in lockstep and rows remain byte-identical.
+real blip between two propagation rounds would be.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ class ChaosPlan:
         """Draw the fault schedule against a concrete run.
 
         Re-binding re-draws from scratch (same seed, same faults), so the
-        same plan object can drive sequential shard replays.
+        same plan object can drive sequential replays.
         """
         spec = self.spec
         rng = random.Random((spec.seed ^ CHAOS_SEED_SALT) % 2**32)

@@ -18,8 +18,7 @@ availability:
 
 All three are pure timed-event scripts over seeded state, so they replay
 byte-identically on every engine (the vector planner falls back to the
-scalar loop for any scenario subclass) and at any shard-parallel worker
-count (events are applied in every shard).
+scalar loop for any scenario subclass) and at any sweep worker count.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.backend.datastore import DataStore
 from repro.concurrency.backend import BackendServer
@@ -139,12 +139,10 @@ class ReplayDriver:
             concurrency=self.concurrency, server=self.backend, seed=fetch_seed, **config
         )
 
-    def _adopt(self, nodes: List[CacheNode], owned: Optional[Sequence[int]] = None) -> None:
-        """Take ``nodes``; the ``owned`` indices (default: all) do cache work."""
+    def _adopt(self, nodes: List[CacheNode]) -> None:
+        """Take ``nodes``, in creation order and by id."""
         self._node_list = nodes
         self._nodes = {node.node_id: node for node in nodes}
-        self._owned = list(owned) if owned is not None else list(range(len(nodes)))
-        self._flush_nodes = [nodes[index] for index in self._owned]
 
     def _spend(self) -> None:
         """A driver replays once."""
@@ -157,11 +155,7 @@ class ReplayDriver:
         self._refresh_next_due()
         if self.obs is None:
             return
-        # Only the process replaying node 0 records fleet-wide events.
-        self.obs.attach(
-            [(node.node_id, node.result, node.cache.stats) for node in self._flush_nodes],
-            record_global=self._flush_nodes[0] is self._node_list[0],
-        )
+        self.obs.attach([(node.node_id, node.result, node.cache.stats) for node in self._node_list])
         self.obs.run_start(
             self._resume_from if self._resume_from is not None else 0.0,
             policy=self.policy_name,
@@ -222,14 +216,14 @@ class ReplayDriver:
         """Run the due work up to ``until``, in time order.
 
         On a tie the flush goes first (a snapshot observes the flushed state
-        of its instant) and an event last.  At a flush every driven node takes
-        its due deliveries and flushes, then the interval hook runs; at the
-        end the nodes with messages in flight take those due by ``until``.
+        of its instant) and an event last.  At a flush every node takes its
+        due deliveries and flushes, then the interval hook runs; at the end
+        the nodes with messages in flight take those due by ``until``.
         """
         while self._next_due <= until:
             due = self._next_due
             if due == self._next_flush:
-                for node in self._flush_nodes:
+                for node in self._node_list:
                     node.deliver_until(due)
                     node.flush(due)
                 self._next_flush += self.staleness_bound
@@ -256,17 +250,17 @@ class ReplayDriver:
         """End the run and return its result.
 
         Without ``stop_at`` the run ends at its horizon (the duration or the
-        last request, whichever is later) and the driven nodes settle; at a
-        kill point it ends there and the nodes keep what a crash leaves.
-        Either way the due work runs to the end, the store takes its last
-        checkpoint and closes, its counters land on the result, and the
-        recorder finishes.
+        last request, whichever is later) and the nodes settle; at a kill
+        point it ends there and the nodes keep what a crash leaves.  Either
+        way the due work runs to the end, the store takes its last checkpoint
+        and closes, its counters land on the result, and the recorder
+        finishes.
         """
         end_time = stop_at if stop_at is not None else max(self.duration, self.clock.now)
         self._advance(end_time)
         self.clock.advance_to(end_time)
         if stop_at is None:
-            for node in self._flush_nodes:
+            for node in self._node_list:
                 node.finalize(end_time, self.final_flush)
         stats = None
         if self._store is not None:

@@ -65,7 +65,7 @@ from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
 from repro.backend.invalidation_tracker import InvalidationTracker
 from repro.backend.messages import InvalidateMessage, UpdateMessage
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, weak_callback
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cache.eviction import EvictionPolicy
 from repro.concurrency.backend import BackendServer
@@ -156,14 +156,20 @@ class CacheNode:
         self.channel = channel if channel is not None else Channel()
         self.discard_buffer_on_miss_fill = discard_buffer_on_miss_fill
 
-        # Only a bounded cache evicts.  An unbounded one is not handed the
-        # callback, a bound method that would tie the node into a reference
-        # cycle and keep it — datastore histories and all — alive past its run
-        # until the cycle collector's next full pass.
+        # Evictions matter to a polling node alone: it settles the victim's
+        # polls.  The callbacks hold the node weakly, so that neither its
+        # cache nor its L1 ties it into a reference cycle that would keep it —
+        # datastore histories and all — alive past its run until the cycle
+        # collector's next full pass.
+        polling = policy.ttl_mode == "polling"
         self.cache = Cache(
             capacity=cache_capacity,
             eviction=eviction,
-            on_evict=self._on_evict if cache_capacity is not None else None,
+            on_evict=(
+                weak_callback(self._on_evict)
+                if polling and cache_capacity is not None
+                else None
+            ),
         )
         self.buffer = WriteBuffer()
         self.tracker = InvalidationTracker(capacity=tracker_capacity)
@@ -175,8 +181,8 @@ class CacheNode:
                 costs=costs,
                 result=self.result,
                 seed=tier_seed,
-                demote_sink=self._install_demoted,
-                victim_settler=self._settle_l1_victim,
+                demote_sink=self.cache.restore_entry,
+                victim_settler=weak_callback(self._settle_l1_victim) if polling else None,
             )
             if tier is not None and tier.enabled
             else None
@@ -573,20 +579,20 @@ class CacheNode:
                 entry.version = version
 
     def _on_evict(self, entry: CacheEntry, time: float) -> None:
-        """Settle outstanding polling costs when an entry is evicted."""
-        if self.policy.ttl_mode == "polling":
-            self.account_polls(entry, time)
-            if self.l1 is not None:
-                # The L1 copy piggybacked on this entry's polls; sync its
-                # accounting bookmark so the now-L1-only copy does not
-                # re-charge the window just settled.
-                l1_entry = self.l1.cache.peek(entry.key)
-                if l1_entry is not None:
-                    l1_entry.last_poll_accounted = max(
-                        l1_entry.last_poll_accounted, entry.last_poll_accounted
-                    )
-                    l1_entry.as_of = max(l1_entry.as_of, entry.as_of)
-                    l1_entry.version = max(l1_entry.version, entry.version)
+        """Settle outstanding polling costs when an entry is evicted (the
+        cache calls it on a polling node only)."""
+        self.account_polls(entry, time)
+        if self.l1 is not None:
+            # The L1 copy piggybacked on this entry's polls; sync its
+            # accounting bookmark so the now-L1-only copy does not
+            # re-charge the window just settled.
+            l1_entry = self.l1.cache.peek(entry.key)
+            if l1_entry is not None:
+                l1_entry.last_poll_accounted = max(
+                    l1_entry.last_poll_accounted, entry.last_poll_accounted
+                )
+                l1_entry.as_of = max(l1_entry.as_of, entry.as_of)
+                l1_entry.version = max(l1_entry.version, entry.version)
 
     # ------------------------------------------------------------------ #
     # Scenario hooks: failure, departure, rejoin
@@ -697,19 +703,16 @@ class CacheNode:
         self.l1.outage = active
         self.channel.outage = active
 
-    def _install_demoted(self, entry: CacheEntry, time: float) -> None:
-        """Install a dirty L1 entry into the L2 (write-back flush/demotion)."""
-        self.cache.restore_entry(entry, time)
-
     def _settle_l1_victim(self, entry: CacheEntry, time: float) -> None:
-        """Settle lazy polling costs on an L1 eviction victim.
+        """Settle lazy polling costs on an L1 eviction victim (a polling
+        node's L1 calls it).
 
         Only L1-only entries carry their own poll accounting (keys present
         in both tiers are accounted on the L2 copy), so only those are
         charged here — the polls they performed while L1-resident are real
         costs that must not vanish with the eviction.
         """
-        if self.policy.ttl_mode == "polling" and self.cache.peek(entry.key) is None:
+        if self.cache.peek(entry.key) is None:
             self.account_polls(entry, time)
 
     def _drop_pending(self) -> None:

@@ -71,7 +71,7 @@ Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
 their scalar driver: it owns ``run()``, the span loop and the envelope
 members, :class:`VectorSimulation` is its one-host, unrouted case, and the
 fleet twin (:class:`~repro.cluster.vector.VectorClusterSimulation`) adds
-routed groups and owned hosts.  When a configuration falls outside the
+routed groups, one per node.  When a configuration falls outside the
 vectorizable envelope — a row of :data:`ENVELOPE` holds for it — ``run()``
 transparently falls back to the scalar driver's request loop over the trace's
 column chunks — identical by construction, just slower — and names the row in
@@ -144,7 +144,7 @@ class EnvelopeRow(NamedTuple):
 
 
 #: The envelope of both columnar engines and the only statement of it:
-#: ``vector_eligible()``, ``run()`` and the shard planner ask it through
+#: ``vector_eligible()`` and ``run()`` ask it through
 #: :func:`envelope_exit`, the fleet engine puts its own rows in front
 #: (``repro.cluster.vector.FLEET_ENVELOPE``), and "What runs where" in
 #: docs/guides/performance.md renders it.  Widening the envelope is deleting
@@ -1176,14 +1176,14 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         result.polls += int(tally.poll_counts.sum())
 
 
-def _walk_spans(engine, reacts: bool, advance_background) -> Iterator[SpanFacts]:
+def _walk_spans(engine, reacts: bool) -> Iterator[SpanFacts]:
     """The cuts of a replay of ``engine.trace``, each where its next flush falls.
 
     Takes every cut's facts from the trace's span table — a cursor builds the
-    ones no earlier replay asked for — and between two cuts runs
-    ``advance_background`` (which moves the live ``engine._next_flush``)
-    exactly where the scalar loop would.  A non-reacting policy has no flush
-    boundaries, so its whole trace is one span.
+    ones no earlier replay asked for — and between two cuts runs the driver's
+    due work (which moves the live ``engine._next_flush``) exactly where the
+    scalar loop would.  A non-reacting policy has no flush boundaries, so its
+    whole trace is one span.
     """
     times = engine.trace.times
     total = len(times)
@@ -1202,14 +1202,14 @@ def _walk_spans(engine, reacts: bool, advance_background) -> Iterator[SpanFacts]
                 break
         # The next request is at or past the flush boundary: run the due
         # background work exactly where the scalar loop would.
-        advance_background(float(times[start]))
+        engine._advance(float(times[start]))
 
 
 class SpanReplay:
     """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
     Inside the engine's envelope (``_envelope``) each cut commits its writes
-    and runs one kernel per driven host, with the driver's due work at every
+    and runs one kernel per host, with the driver's due work at every
     boundary and its finalize at the end; outside it the driver's own
     ``run()`` replays.  The defaults are the single cache's (one host, the
     whole cut, unrouted); the fleet supplies ``_route_trace`` /
@@ -1272,7 +1272,7 @@ class SpanReplay:
         reacts = node._reacts
         replay = self._replay_reactive_span if reacts else self._replay_ttl_trace
         times, obs = trace.times, self.obs
-        for facts in _walk_spans(self, reacts, self._advance):
+        for facts in _walk_spans(self, reacts):
             if reacts and obs is not None:
                 # Kernel stats fold into the window containing the span's
                 # first request (span-granularity attribution).
@@ -1292,14 +1292,14 @@ class SpanReplay:
         return [((keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi), facts.total_writes)]
 
     def _replay_span(self, facts: SpanFacts, kernel) -> None:
-        """One cut on the driven hosts: ``kernel(host_index, host, tally,
-        groups)`` for each that has groups, after the datastore took the writes."""
+        """One cut on every host: ``kernel(host_index, host, tally, groups)``
+        for each that has groups, after the datastore took the writes."""
         ctx = self._ctx
         _apply_span_writes(ctx, facts)
-        routed = self._node_groups(facts)
-        for node_idx in self._owned:
-            groups, writes = routed[node_idx]
-            host, tally = self._hosts[node_idx], _SpanTally()
+        for node_idx, (host, (groups, writes)) in enumerate(
+            zip(self._hosts, self._node_groups(facts))
+        ):
+            tally = _SpanTally()
             tally.writes = writes
             if groups is not None:
                 kernel(node_idx, host, tally, groups)

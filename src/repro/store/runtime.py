@@ -114,10 +114,7 @@ class StoreRuntime:
         if obs is not None:
             seconds = time_module.perf_counter() - snap_started
             obs.observe_store("snapshot_seconds", seconds)
-            if obs.record_global:
-                obs.event(
-                    time, "snapshot", seq=self.manager.last_seq, wal_lsn=self.wal.last_lsn
-                )
+            obs.event(time, "snapshot", seq=self.manager.last_seq, wal_lsn=self.wal.last_lsn)
 
     # ------------------------------------------------------------------ #
     # Resume support

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Set
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, weak_callback
 from repro.cache.entry import CacheEntry
 from repro.cache.eviction import LRUEviction
 from repro.tier.admission import make_admission
@@ -85,11 +85,12 @@ class L1Tier:
             fleet aggregation and snapshots see one counter set per node.
         seed: Seed for the admission sketch's hash family (per-node).
         demote_sink: Called with ``(entry, time)`` when a *dirty* entry is
-            evicted from the L1 — the node installs it into its L2.
-        victim_settler: Called with every evicted entry before demotion; the
-            node uses it to settle lazily-accounted polling costs on victims
-            whose key no longer lives in the L2 (they carried their own poll
-            accounting, which must not vanish with them).
+            evicted from the L1 — the node's L2 cache installs it.
+        victim_settler: Called with every evicted entry before demotion; a
+            polling node uses it to settle lazily-accounted polling costs on
+            victims whose key no longer lives in the L2 (they carried their
+            own poll accounting, which must not vanish with them).  Neither
+            callback may hold the node strongly: the node holds the tier.
     """
 
     def __init__(
@@ -105,10 +106,12 @@ class L1Tier:
         self.costs = costs
         self.result = result
         self.admission = make_admission(config, seed=seed)
+        # Held weakly: the tier owns its cache, so a plain bound method would
+        # be a reference cycle.
         self.cache = Cache(
             capacity=config.l1_capacity,
             eviction=LRUEviction(),
-            on_evict=self._on_l1_evict,
+            on_evict=weak_callback(self._on_l1_evict),
         )
         #: Keys fetched into the L1 that the L2 has not seen yet (write-back).
         self.dirty: Set[str] = set()

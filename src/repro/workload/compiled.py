@@ -48,8 +48,8 @@ class TraceIndex:
 
     Everything here is a pure function of the trace columns — no policy, no
     staleness bound, no cache state — so every replay of the same trace
-    (each policy of a comparison, each cell of a sweep, each shard of a
-    parallel fleet replay) shares one index instead of re-sorting its spans.
+    (each policy of a comparison, each cell of a sweep) shares one index
+    instead of re-sorting its spans.
 
     One stable argsort of the key ids lays the stream positions out
     key-major; within a key they stay ascending.  A stable key sort
@@ -240,7 +240,7 @@ class SpanFacts:
     """What one cut ``[start, end)`` of a trace is, whoever replays it.
 
     A pure function of the trace and the two cut positions, so every policy,
-    sweep cell and shard that replays the cut shares one object — read-only:
+    and sweep cell that replays the cut shares one object — read-only:
     the columns are frozen, and replays copy out of the lists, never alias
     them into their own state.  Holds no reference to the trace.
 

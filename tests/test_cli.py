@@ -290,6 +290,25 @@ def test_store_recover_resumes_a_run_config_written_before_the_tier(tmp_path, ca
     assert output["result"]["tier_mode"] == "write-through"
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("not json at all\n", "Expecting value"),
+        ('{"workload": "poisson", "duration": 8.0, "snapsh', "Unterminated string"),
+        ('[{"workload": "poisson"}]\n', "expected a JSON object, got a list"),
+    ],
+    ids=["not-json", "truncated", "list"],
+)
+def test_store_recover_names_a_broken_run_config(tmp_path, text: str, reason: str) -> None:
+    """A hostile RUN.json is a one-line exit naming the file, not a traceback."""
+    (tmp_path / "RUN.json").write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["store", "recover", "--dir", str(tmp_path), "--resume"])
+    message = str(excinfo.value.code)
+    assert message.startswith(f"{tmp_path / 'RUN.json'} is not a valid run config: ")
+    assert reason in message and "\n" not in message
+
+
 def test_store_snapshot_refuses_a_non_empty_directory(tmp_path, capsys) -> None:
     (tmp_path / "junk.txt").write_text("precious")
     with pytest.raises(SystemExit) as excinfo:

@@ -1,19 +1,17 @@
-"""Shard-parallel cluster replay: byte-identity for any worker count.
+"""Fleet replay in one process: byte-identity for any worker count.
 
 ``replay_cluster_parallel`` must return the exact ``ClusterResult`` a
 single-process ``ClusterSimulation`` produces — same per-node rows, same
-fleet totals, same serialised floats — for any ``--workers`` value,
-including configurations the columnar engine cannot vectorize (scenarios,
-lossy channels, tiers), where each shard falls back to the ownership-
-filtered scalar loop.
+fleet totals, same serialised floats — for any ``workers`` value, including
+configurations the columnar engine cannot vectorize (scenarios, lossy
+channels, tiers), where it falls back to the scalar fleet loop.  ``workers``
+is validated and otherwise ignored: the replay never forks.
 """
 
 import json
 import multiprocessing
 import os
 import re
-import signal
-import time
 
 import pytest
 
@@ -22,16 +20,16 @@ from repro.cluster import (
     ReplicationConfig,
     VectorClusterSimulation,
     make_scenario,
-    partition_nodes,
     replay_cluster_parallel,
 )
-from repro.cluster import parallel as parallel_module
 from repro.cluster.cluster import FLEET_REFUSALS
 from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import ClusterError, ConfigurationError
+from repro.experiments.registry import make_policy
 from repro.experiments.spec import ChannelSpec, ExperimentSpec, ScenarioSpec
 from repro.fanout import fork_each
-from repro.resilience import ChaosSpec
+from repro.obs.recorder import ObsConfig, ObsRecorder
+from repro.resilience import AutoscaleScenario, ChaosSpec
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.compiled import compile_workload
@@ -75,30 +73,6 @@ def parallel_result(policy: str, workers: int, **kwargs) -> dict:
 def assert_identical(scalar: dict, parallel: dict) -> None:
     assert scalar == parallel
     assert json.dumps(scalar, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-
-
-# --------------------------------------------------------------------- #
-# Partitioning
-# --------------------------------------------------------------------- #
-
-def test_partition_nodes_strides_and_covers_every_node() -> None:
-    partitions = partition_nodes(7, 3)
-    assert partitions == [(0, 3, 6), (1, 4), (2, 5)]
-    covered = sorted(index for owned in partitions for index in owned)
-    assert covered == list(range(7))
-    # Shard 0 must own node 0: the merge uses its result as the template.
-    assert partitions[0][0] == 0
-
-
-def test_partition_nodes_clamps_workers_to_fleet_size() -> None:
-    assert partition_nodes(2, 8) == [(0,), (1,)]
-
-
-def test_partition_nodes_validates_inputs() -> None:
-    with pytest.raises(ClusterError):
-        partition_nodes(0, 2)
-    with pytest.raises(ClusterError):
-        partition_nodes(4, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -185,10 +159,44 @@ def test_vector_cluster_requires_a_compiled_trace() -> None:
 
 
 # --------------------------------------------------------------------- #
-# Shard-parallel identity
+# One process for any worker count
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+WORKER_COUNTS = (0, 1, 2, 8)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """A replay that forks fails the test instead."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fleet replay forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def canonical(result) -> str:
+    return json.dumps(result.as_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "policy", ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
+)
+def test_every_worker_count_replays_in_caller_forks_nothing(policy: str, no_fork) -> None:
+    trace = compile_workload(make_workload(), DURATION)
+    fleet = dict(
+        policy=policy, num_nodes=3, staleness_bound=1.0, duration=DURATION,
+        workload_name="parcheck", seed=9,
+    )
+    vector = VectorClusterSimulation(trace, **fleet)
+    expected = canonical(vector.run())
+    assert vector.used_vector_path
+    for workers in WORKER_COUNTS:
+        assert canonical(replay_cluster_parallel(trace, workers=workers, **fleet)) == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 4, 8])
 def test_parallel_replay_identical_for_any_worker_count(workers: int) -> None:
     kwargs = dict(num_nodes=4)
     scalar = scalar_result("invalidate", **kwargs)
@@ -207,7 +215,7 @@ def test_parallel_replay_identical_under_replication(read_policy: str) -> None:
 
 
 def test_parallel_replay_identical_with_scenario_fallback() -> None:
-    """Scenario runs are not vectorizable; shards replay the scalar loop."""
+    """Scenario runs are not vectorizable; they replay the scalar loop."""
     kwargs = dict(num_nodes=4)
     scalar = scalar_result("update", scenario=make_scenario("node-failure"), **kwargs)
     for workers in (1, 3):
@@ -231,77 +239,104 @@ def test_parallel_replay_identical_with_tiered_nodes() -> None:
     assert_identical(scalar, parallel_result("invalidate", 3, **kwargs))
 
 
-# --------------------------------------------------------------------- #
-# Refusals and ownership validation
-# --------------------------------------------------------------------- #
+#: name -> the fleet arguments of a configuration a split of the nodes over
+#: processes could not replay, built per call (``root`` is a fresh scratch
+#: directory): a controller reading the whole fleet's load, a checkpoint of
+#: the whole fleet, one fetch queue shared by every node, a policy factory
+#: (no registry name to ship), a live recorder.
+FLEET_WIDE = {
+    "autoscale": lambda root: dict(
+        scenario=AutoscaleScenario(min_nodes=1, high_load=50.0, low_load=10.0)
+    ),
+    "store": lambda root: dict(store=StoreConfig(root=root, snapshot_interval=1.0)),
+    "concurrency": lambda root: dict(concurrency=ConcurrencyConfig(mean=0.01, capacity=2)),
+    "policy-factory": lambda root: dict(policy=lambda: make_policy("adaptive")),
+    "obs-recorder": lambda root: dict(obs=ObsRecorder(ObsConfig(window=1.0))),
+}
 
-def test_parallel_replay_refuses_store_with_multiple_workers(tmp_path) -> None:
-    from repro.store.snapshot import StoreConfig
 
+@pytest.mark.parametrize("name", list(FLEET_WIDE))
+def test_fleet_wide_configs_replay_at_any_worker_count(
+    name: str, tmp_path, no_fork
+) -> None:
+    """What a split over worker processes used to refuse is the one process's
+    replay at every worker count."""
     trace = compile_workload(make_workload(), DURATION)
-    with pytest.raises(ClusterError, match="store"):
-        replay_cluster_parallel(
-            trace,
-            workers=2,
-            policy="invalidate",
-            num_nodes=2,
-            staleness_bound=1.0,
-            duration=DURATION,
-            store=StoreConfig(root=str(tmp_path)),
+    runs = iter(range(len(WORKER_COUNTS) + 1))
+
+    def fleet() -> dict:
+        base = dict(
+            policy="invalidate", num_nodes=3, staleness_bound=1.0, duration=DURATION,
+            workload_name="parcheck", seed=9,
         )
+        base.update(FLEET_WIDE[name](str(tmp_path / f"store-{next(runs)}")))
+        return base
+
+    expected = VectorClusterSimulation(trace, **fleet()).run()
+    for workers in WORKER_COUNTS:
+        assert canonical(replay_cluster_parallel(trace, workers=workers, **fleet())) == canonical(
+            expected
+        )
+    if name == "obs-recorder":
+        assert expected.obs["trace"], "the recorder observed the run"
 
 
-def test_parallel_replay_refuses_policy_objects_and_owned_nodes() -> None:
-    from repro.experiments.registry import make_policy
-
+def test_parallel_replay_runs_a_store_in_one_process(tmp_path, no_fork) -> None:
+    """A checkpoint covers the whole fleet, and the whole fleet is in the one
+    process: at every worker count the store's log is written in the caller
+    and the row is the single-process one."""
     trace = compile_workload(make_workload(), DURATION)
-    with pytest.raises(ClusterError, match="registry name"):
+
+    def fleet(root) -> dict:
+        return dict(
+            policy="invalidate", num_nodes=2, staleness_bound=1.0, duration=DURATION,
+            workload_name="parcheck", seed=9, store=StoreConfig(root=str(root)),
+        )
+
+    expected = canonical(VectorClusterSimulation(trace, **fleet(tmp_path / "one")).run())
+    for workers in WORKER_COUNTS:
+        root = tmp_path / f"workers-{workers}"
+        assert canonical(replay_cluster_parallel(trace, workers=workers, **fleet(root))) == expected
+        assert any(root.iterdir()), f"workers={workers}: the store wrote nothing"
+
+
+def test_a_policy_instance_or_no_fleet_size_is_refused_at_any_worker_count() -> None:
+    """Every node needs its own policy state, and a fleet needs a size."""
+    trace = compile_workload(make_workload(), DURATION)
+    for workers in WORKER_COUNTS:
+        with pytest.raises(ClusterError, match="not an instance"):
+            replay_cluster_parallel(
+                trace, workers=workers, policy=make_policy("invalidate"), num_nodes=2,
+                staleness_bound=1.0, duration=DURATION,
+            )
+        with pytest.raises(ClusterError, match="num_nodes"):
+            replay_cluster_parallel(trace, workers=workers, policy="invalidate", staleness_bound=1.0)
+
+
+def test_a_negative_worker_count_is_refused_not_replayed_in_process() -> None:
+    """``-3`` used to replay in-process without a word."""
+    with pytest.raises(ClusterError, match="workers must be >= 0, got -3"):
+        parallel_result("invalidate", workers=-3, num_nodes=3)
+    assert parallel_result("invalidate", workers=0, num_nodes=3) == parallel_result(
+        "invalidate", workers=1, num_nodes=3
+    )
+
+
+def test_parallel_timings_report_merge_seconds() -> None:
+    """Nothing merges: ``merge_seconds`` is zero for every worker count."""
+    trace = compile_workload(make_workload(), DURATION)
+    for workers in WORKER_COUNTS:
+        timings: dict = {}
         replay_cluster_parallel(
-            trace,
-            workers=2,
-            policy=make_policy("invalidate"),
-            num_nodes=2,
-            staleness_bound=1.0,
-            duration=DURATION,
+            trace, workers=workers, timings=timings, policy="invalidate", num_nodes=2,
+            staleness_bound=1.0, duration=DURATION, workload_name="parcheck", seed=9,
         )
-    with pytest.raises(ClusterError, match="owned_nodes"):
-        replay_cluster_parallel(
-            trace,
-            workers=2,
-            policy="invalidate",
-            num_nodes=2,
-            staleness_bound=1.0,
-            duration=DURATION,
-            owned_nodes=(0,),
-        )
-    with pytest.raises(ClusterError, match="num_nodes"):
-        replay_cluster_parallel(
-            trace, workers=2, policy="invalidate", staleness_bound=1.0
-        )
+        assert timings == {"merge_seconds": 0.0}
 
 
-def test_owned_nodes_validation_on_the_cluster_simulation(tmp_path) -> None:
-    from repro.store.snapshot import StoreConfig
-
-    def build(**kwargs):
-        return ClusterSimulation(
-            workload=make_workload().iter_requests(DURATION),
-            policy="invalidate",
-            num_nodes=3,
-            staleness_bound=1.0,
-            duration=DURATION,
-            **kwargs,
-        )
-
-    with pytest.raises(ClusterError, match="at least one"):
-        build(owned_nodes=())
-    with pytest.raises(ClusterError, match="must be in"):
-        build(owned_nodes=(0, 3))
-    with pytest.raises(ClusterError, match="must be in"):
-        build(owned_nodes=(-1,))
-    with pytest.raises(ClusterError, match="whole fleet"):
-        build(owned_nodes=(0,), store=StoreConfig(root=str(tmp_path)))
-
+# --------------------------------------------------------------------- #
+# Refusals
+# --------------------------------------------------------------------- #
 
 def _warm_kill(as_spec: bool):
     params = {"mode": "warm"}
@@ -341,13 +376,6 @@ REFUSAL_WALK = {
         lambda root: dict(scenario=make_scenario("zone-outage")),
         dict(scenarios=["zone-outage"]),
     ),
-    # Sharding is not on a spec's axes: its cells replay whole fleets.
-    "shard-scenario": (
-        lambda root: dict(scenario=make_scenario("autoscale", {"min_nodes": 1, "high_load": 50.0})),
-        None,
-    ),
-    "shard-store": (lambda root: dict(store=StoreConfig(root=root)), None),
-    "shard-concurrency": (lambda root: dict(concurrency=ConcurrencyConfig()), None),
 }
 
 
@@ -356,10 +384,10 @@ def test_the_refusal_walk_covers_the_inventory() -> None:
 
 
 @pytest.mark.parametrize("rule", list(REFUSAL_WALK))
-def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, monkeypatch) -> None:
-    """One rulebook: the fleet, the shard-parallel replay and the spec give
+def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, no_fork) -> None:
+    """One rulebook: the fleet, ``replay_cluster_parallel`` and the spec give
     the reason in the same words — the fleet before a request is read, the
-    parallel replay before a worker exists, the spec before a cell runs."""
+    spec before a cell runs."""
     fleet, spec = REFUSAL_WALK[rule]
 
     def arguments() -> dict:
@@ -371,18 +399,13 @@ def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, mon
         raise AssertionError("a refused fleet read its workload")
         yield
 
-    sharded = dict(owned_nodes=(0,)) if rule.startswith("shard-") else {}
     with pytest.raises(ClusterError) as refusal:
-        ClusterSimulation(untouched(), **arguments(), **sharded)
+        ClusterSimulation(untouched(), **arguments())
     reason = str(refusal.value)
     pattern = re.sub(r"\\\{\w+(!r)?\\\}", ".+", re.escape(FLEET_REFUSALS[rule]))
     assert re.fullmatch(pattern, reason), (reason, FLEET_REFUSALS[rule])
     assert not (tmp_path / "store").exists(), "refused after the store opened its log"
 
-    def no_fork(*args, **kwargs):
-        raise AssertionError("a refused replay reached the worker pool")
-
-    monkeypatch.setattr(parallel_module, "fork_each", no_fork)
     with pytest.raises(ClusterError) as parallel_refusal:
         replay_cluster_parallel(
             compile_workload(make_workload(), DURATION), workers=2, **arguments()
@@ -404,168 +427,8 @@ def test_every_entry_point_refuses_with_the_same_reason(rule: str, tmp_path, mon
         assert "num_nodes=3" in str(spec_refusal.value)
 
 
-def test_ownership_filtered_rows_match_the_full_run() -> None:
-    """An owned node's result row is byte-identical to the full fleet's."""
-    full = ClusterSimulation(
-        workload=make_workload().iter_requests(DURATION),
-        policy="adaptive",
-        num_nodes=3,
-        staleness_bound=1.0,
-        duration=DURATION,
-        workload_name="parcheck",
-        seed=9,
-    )
-    full_result = full.run()
-    shard = ClusterSimulation(
-        workload=make_workload().iter_requests(DURATION),
-        policy="adaptive",
-        num_nodes=3,
-        staleness_bound=1.0,
-        duration=DURATION,
-        workload_name="parcheck",
-        seed=9,
-        owned_nodes=(1,),
-    )
-    shard_result = shard.run()
-    assert json.dumps(full_result.nodes[1].as_dict(), sort_keys=True) == json.dumps(
-        shard_result.nodes[1].as_dict(), sort_keys=True
-    )
-
-
-def test_parallel_timings_report_merge_seconds() -> None:
-    trace = compile_workload(make_workload(), DURATION)
-    timings: dict = {}
-    replay_cluster_parallel(
-        trace,
-        workers=2,
-        timings=timings,
-        policy="invalidate",
-        num_nodes=2,
-        staleness_bound=1.0,
-        duration=DURATION,
-        workload_name="parcheck",
-        seed=9,
-    )
-    assert timings["merge_seconds"] >= 0.0
-    timings.clear()
-    replay_cluster_parallel(
-        trace,
-        workers=1,
-        timings=timings,
-        policy="invalidate",
-        num_nodes=2,
-        staleness_bound=1.0,
-        duration=DURATION,
-        workload_name="parcheck",
-        seed=9,
-    )
-    assert timings["merge_seconds"] == 0.0
-
-
-# --------------------------------------------------------------------- #
-# A shard worker that fails
-# --------------------------------------------------------------------- #
-
-def wrap_shard_body(monkeypatch, around) -> None:
-    """Run ``around(replay, owned)`` wherever a shard replays: the body
-    ``replay_cluster_parallel`` hands :func:`fork_each` is wrapped before the
-    fork, so the forked workers inherit the wrapper with it."""
-    monkeypatch.setattr(
-        parallel_module,
-        "fork_each",
-        lambda body, *rest: fork_each(lambda owned: around(body, owned), *rest),
-    )
-
-
-def shard_killed_on_node_one(replay, owned):
-    if 1 in owned:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return replay(owned)
-
-
-def shard_refusing_node_zero(replay, owned):
-    if 0 in owned:
-        raise ConfigurationError("shard says no")
-    return replay(owned)
-
-
-def shard_refusing_node_two(replay, owned):
-    if 2 in owned:
-        raise ConfigurationError("forked shard says no")
-    return replay(owned)
-
-
-def run_three_shards():
-    return parallel_result("invalidate", workers=3, num_nodes=3)
-
-
-def test_a_killed_shard_worker_is_a_typed_error_not_a_hang(monkeypatch, wall_clock_limit) -> None:
-    """SIGKILL (or the OOM killer) gives the worker no chance to answer: a
-    worker pool replaced it silently and ``map`` waited for ever."""
-    wrap_shard_body(monkeypatch, shard_killed_on_node_one)
-    started = time.perf_counter()
-    with wall_clock_limit(20.0), pytest.raises(ClusterError) as death:
-        run_three_shards()
-    assert time.perf_counter() - started < 10.0
-    assert str(death.value) == (
-        "the shard worker replaying nodes [1] died without a result "
-        f"(exit code {-signal.SIGKILL})"
-    )
-    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
-
-
-def test_a_shard_workers_exception_is_raised_as_its_own_type(monkeypatch, wall_clock_limit) -> None:
-    """Shard 0 is the caller's own: its exception must still terminate and
-    join the forked shards."""
-    wrap_shard_body(monkeypatch, shard_refusing_node_zero)
-    with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="shard says no"):
-        run_three_shards()
-    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
-
-
-def test_a_forked_shards_exception_crosses_the_pipe_as_its_own_type(
-    monkeypatch, wall_clock_limit
-) -> None:
-    wrap_shard_body(monkeypatch, shard_refusing_node_two)
-    with wall_clock_limit(20.0), pytest.raises(ConfigurationError, match="forked shard says no"):
-        run_three_shards()
-    assert multiprocessing.active_children() == [], "a shard worker outlived the replay"
-
-
-def test_the_caller_replays_shard_zero_and_forks_the_rest(monkeypatch) -> None:
-    """``workers`` shards cost ``workers - 1`` forks: partition 0 runs on the
-    caller's warm pages, with every cut of the replay already in the table."""
-    pids = multiprocessing.get_context("fork").Queue()
-    trace = compile_workload(make_workload(), DURATION)
-
-    def shard_reporting_pid(replay, owned):
-        pids.put((owned, {"pid": os.getpid(), "cuts": set(trace.index().table)}))
-        return replay(owned)
-
-    wrap_shard_body(monkeypatch, shard_reporting_pid)
-    replay_cluster_parallel(
-        trace, workers=3, policy="invalidate", num_nodes=3, staleness_bound=1.0,
-        duration=DURATION, workload_name="parcheck", seed=9,
-    )
-    seen = dict(pids.get(timeout=10.0) for _ in range(3))
-    assert seen[(0,)]["pid"] == os.getpid()
-    assert len({report["pid"] for report in seen.values()}) == 3
-    cuts = set(trace.index().table)
-    assert cuts and all(report["cuts"] == cuts for report in seen.values())
-
-
-def test_a_negative_worker_count_is_refused_not_replayed_in_process() -> None:
-    """``workers <= 1`` short-circuits before ``partition_nodes`` can object:
-    ``-3`` used to replay in-process without a word."""
-    with pytest.raises(ClusterError, match="workers must be >= 0, got -3"):
-        parallel_result("invalidate", workers=-3, num_nodes=3)
-    assert parallel_result("invalidate", workers=0, num_nodes=3) == parallel_result(
-        "invalidate", workers=1, num_nodes=3
-    )
-
-
 def test_no_share_or_one_never_forks() -> None:
-    """The helper's edge: nothing to run is an empty answer (not an
+    """The fan-out helper's edge: nothing to run is an empty answer (not an
     ``IndexError``), and a lone share is the caller's."""
     def name_the_process(share):
         return share, os.getpid()

@@ -4,15 +4,15 @@ Three families of pins:
 
 * **The off invariant** — ``concurrency=None`` (the default) must leave every
   pipeline byte-identical to the instant-fetch engine: same rows from the
-  scalar, vector, and shard-parallel paths, and no shadowed methods on the
+  scalar and vector paths at any worker count, and no shadowed methods on the
   instances (the concurrent handlers bind as *instance* attributes, so with
   the model off the plain class methods must resolve untouched).
 * **The physics** — misses occupy the backend, stampedes dogpile without a
   policy and coalesce with one, stale serves and early refreshes happen when
   (and only when) their policy is on, and every read records exactly one
   latency sample.
-* **The refusals** — combinations the model cannot replay honestly (shard
-  workers, checkpoints, mid-run stops) raise instead of approximating.
+* **The refusals** — combinations the model cannot replay honestly
+  (checkpoints, mid-run stops) raise instead of approximating.
 """
 
 import json
@@ -269,35 +269,25 @@ def test_results_report_latency_percentiles() -> None:
 # Refusals
 # --------------------------------------------------------------------- #
 
-def test_shard_parallel_refuses_concurrency() -> None:
+def test_parallel_replay_runs_concurrency_in_one_process() -> None:
+    """The shared fetch queue couples every node, and every node is in the
+    one process that replays the fleet: ``workers`` changes nothing."""
     trace = compile_workload(make_workload(), DURATION)
-    with pytest.raises(ClusterError, match="workers"):
-        replay_cluster_parallel(
+    expected = run_fleet(concurrency("single-flight"))
+    assert expected["backend_fetches"] > 0
+    for workers in (0, 1, 2, 8):
+        row = replay_cluster_parallel(
             trace,
-            workers=2,
+            workers=workers,
             policy="invalidate",
             num_nodes=4,
             staleness_bound=0.5,
             duration=DURATION,
             workload_name="conccheck",
             seed=23,
-            concurrency=concurrency(),
-        )
-
-
-def test_owned_nodes_refuses_concurrency() -> None:
-    with pytest.raises(ClusterError):
-        ClusterSimulation(
-            workload=make_workload().iter_requests(DURATION),
-            policy="invalidate",
-            num_nodes=4,
-            staleness_bound=0.5,
-            duration=DURATION,
-            workload_name="conccheck",
-            seed=23,
-            owned_nodes=(0, 1),
-            concurrency=concurrency(),
-        )
+            concurrency=concurrency("single-flight"),
+        ).as_dict()
+        assert json.dumps(row, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_stop_at_and_restore_refuse_concurrency(tmp_path) -> None:

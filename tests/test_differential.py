@@ -7,9 +7,8 @@ space, and every configuration is replayed on all three pipelines:
 * the streamed scalar :class:`ClusterSimulation`,
 * the columnar :class:`VectorClusterSimulation` (which falls back to the
   scalar loop for ineligible configs — the fallback is part of the contract),
-* shard-parallel :func:`replay_cluster_parallel` (``workers=1`` when the
-  config enables the in-flight fetch model, which refuses multi-worker
-  sharding by design).
+* :func:`replay_cluster_parallel` with up to three ``workers`` (validated
+  and ignored: the fleet replays in one process).
 
 The assertion is **byte-identity**: the full result row — fleet totals and
 every per-node row — serialized with ``json.dumps`` must match exactly.  On
@@ -338,10 +337,7 @@ def run_engines(config: Dict[str, Any], expect_vector_path: bool = False) -> Dic
     record_path(simulation)
     if expect_vector_path:
         assert simulation.used_vector_path, config
-    # The shared fetch queue couples shards, so concurrent configs replay
-    # shard-parallel with a single worker (the multi-worker refusal is
-    # pinned in test_concurrency).
-    workers = 1 if config["concurrency"] else min(3, config["num_nodes"])
+    workers = min(3, config["num_nodes"])
     parallel = replay_cluster_parallel(trace, workers=workers, **build_kwargs(config))
     return {
         "scalar": json.dumps(scalar.as_dict(), sort_keys=True),

@@ -13,7 +13,7 @@ has an exact contract:
   (median ``mean·ln2``, p99 ``mean·ln100``).
 * **Histogram merges** — bucket addition must be associative, commutative,
   and identical to observing every sample in one histogram, which is what
-  makes shard-merged percentiles byte-identical to single-process ones.
+  makes a fleet's percentiles, folded from its nodes' buckets, exact.
 """
 
 import math

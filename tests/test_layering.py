@@ -20,7 +20,9 @@ and by nothing else, and the vector envelope is the ``ENVELOPE`` table, not a
 function beside it.
 
 And there is one fan-out: :mod:`repro.fanout` is the only module of the
-package that imports :mod:`multiprocessing`, and nothing names a ``Pool``.
+package that imports :mod:`multiprocessing`, nothing names a ``Pool``, and
+the sweep runner is the only module that imports :mod:`repro.fanout` — a
+fleet replays in one process.
 
 And there is one replay driver: :mod:`repro.sim.driver` is the only module
 that runs the request loop over ``iter_chunks``, schedules flushes beside
@@ -132,7 +134,6 @@ REQUIREMENT_FLAGS = frozenset(
         "requires_tier",
         "requires_persistence",
         "requires_concurrency",
-        "requires_full_fleet",
         "min_zones",
         "needs_concurrency",
     }
@@ -211,7 +212,7 @@ def test_rulebook_audit_scans_the_rulebook_and_would_catch_a_copy() -> None:
     for snippet in (
         "def run(self):\n    if self.scenario.requires_tier and self.tier is None: raise E",
         "if materialized.min_zones > self.zones: raise E",
-        "ok = getattr(scenario, 'requires_full_fleet', False)",
+        "ok = getattr(scenario, 'requires_concurrency', False)",
         "class Planner:\n    def plan(self, chaos):\n        return chaos.needs_concurrency",
         "def _node_vector_eligible(node): return True",
         "eligible = all(_node_vector_eligible(node) for node in nodes)",
@@ -230,13 +231,15 @@ def test_rulebook_audit_scans_the_rulebook_and_would_catch_a_copy() -> None:
     assert rulebook_violations("def check_fleet(scenario):\n    return scenario.requires_tier")
 
 
-#: The one module that may fork.
+#: The one module that may fork, and the one module that may ask it to.
 FANOUT = "src/repro/fanout.py"
+FANOUT_CALLER = "src/repro/experiments/runner.py"
 
 
 def fanout_violations(source: str, relative: str = "") -> "list[str]":
-    """Imports of ``multiprocessing`` (any spelling, any depth, submodules
-    included) and any import, name or attribute called ``Pool``."""
+    """Imports of ``multiprocessing`` and of ``repro.fanout`` (any spelling,
+    any depth, submodules included) and any import, name or attribute called
+    ``Pool``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         modules, names = [], []
@@ -245,6 +248,8 @@ def fanout_violations(source: str, relative: str = "") -> "list[str]":
         elif isinstance(node, ast.ImportFrom):
             modules = [node.module or ""]
             names = [alias.name for alias in node.names]
+            if node.module == "repro":
+                modules += [f"repro.{name}" for name in names]
         elif isinstance(node, ast.Call):
             called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if called in ("import_module", "__import__"):
@@ -253,6 +258,8 @@ def fanout_violations(source: str, relative: str = "") -> "list[str]":
             names = [getattr(node, "id", None) or node.attr]
         if any(str(module).split(".")[0] == "multiprocessing" for module in modules):
             found.append(f"{relative}:{node.lineno}: imports multiprocessing")
+        if any(str(module).split(".")[:2] == ["repro", "fanout"] for module in modules):
+            found.append(f"{relative}:{node.lineno}: imports repro.fanout")
         if "Pool" in names:
             found.append(f"{relative}:{node.lineno}: names Pool")
     return found
@@ -263,8 +270,14 @@ def test_one_module_imports_multiprocessing_and_none_names_pool() -> None:
     for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
         relative = path.relative_to(REPO_ROOT).as_posix()
         violations += fanout_violations(path.read_text(), relative)
-    assert [line.split(":")[0] for line in violations] == [FANOUT, FANOUT], (
+    forks = [line for line in violations if line.endswith("imports multiprocessing")]
+    assert [line.split(":")[0] for line in forks] == [FANOUT, FANOUT], (
         "repro.fanout alone forks (its import and its annotation-only one):\n"
+        + "\n".join(violations)
+    )
+    callers = [line for line in violations if line.endswith("imports repro.fanout")]
+    assert [line.split(":")[0] for line in callers] == [FANOUT_CALLER], (
+        "the sweep runner alone fans out; a fleet replays in one process:\n"
         + "\n".join(violations)
     )
     assert not any("Pool" in line for line in violations)
@@ -285,9 +298,25 @@ def test_fanout_audit_would_catch_every_spelling() -> None:
     ):
         assert fanout_violations(snippet), snippet
     for snippet in (
-        '"""Prose may say multiprocessing.Pool."""\nworkers = 2',
         "from repro.fanout import fork_each",
+        "import repro.fanout",
+        "import repro.fanout as fan",
+        "from repro import fanout",
+        "from repro import obs, fanout as fan",
+        "def replay():\n    from repro.fanout import fork_each\n    return fork_each",
+        "if TYPE_CHECKING:\n    from repro.fanout import Share",
+        "fan = importlib.import_module('repro.fanout')",
+        "fan = __import__('repro.fanout')",
+    ):
+        assert [line.split(": ")[-1] for line in fanout_violations(snippet)] == [
+            "imports repro.fanout"
+        ], snippet
+    for snippet in (
+        '"""Prose may say multiprocessing.Pool and repro.fanout."""\nworkers = 2',
         "import multiprocessing_like",
+        "from repro.fanouts import fork_each",
+        "from repro import fan_out",
+        "from repro.experiments import runner",
     ):
         assert not fanout_violations(snippet), snippet
 

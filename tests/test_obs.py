@@ -14,9 +14,9 @@ import time
 import pytest
 
 from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.parallel import replay_cluster_parallel
+from repro.cluster.vector import replay_cluster_parallel
 from repro.cluster.scenarios import SCENARIO_FACTORIES
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.experiments.registry import make_policy
 from repro.experiments.runner import run_cell
 from repro.experiments.spec import ExperimentSpec, RunCell
@@ -28,22 +28,10 @@ from repro.obs.export import (
     summarize,
     write_run,
 )
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    bucket_index,
-    bucket_upper_bound,
-    merge_metric_dicts,
-)
-from repro.obs.recorder import (
-    WINDOW_FIELDS,
-    ObsConfig,
-    ObsRecorder,
-    as_recorder,
-    merge_payloads,
-)
-from repro.obs.trace import TraceBuffer, merge_trace_records
-from repro.obs.windows import WindowSampler, merge_window_dicts, window_rows
+from repro.obs.metrics import Histogram, MetricsRegistry, bucket_index, bucket_upper_bound
+from repro.obs.recorder import WINDOW_FIELDS, ObsConfig, ObsRecorder, as_recorder
+from repro.obs.trace import TraceBuffer
+from repro.obs.windows import WindowSampler, window_rows
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
 from repro.workload.compiled import compile_workload
@@ -179,16 +167,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1)
 
-    def test_merge_adds_counters_and_buckets(self) -> None:
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(5)
-        a.histogram("h").observe(1.0)
-        b.histogram("h").observe(1.0)
-        merged = merge_metric_dicts(a.as_dict(), b.as_dict())
-        assert merged["counters"]["c"] == 6
-        assert merged["histograms"]["h"]["count"] == 2
-
 
 # --------------------------------------------------------------------- #
 # Windows and traces
@@ -208,20 +186,6 @@ class TestWindows:
         assert list(row["node_load"]) == ["node-000", "node-001"]
         assert row["node_load"]["node-000"] == 12
 
-    def test_merge_requires_same_width(self) -> None:
-        with pytest.raises(ValueError):
-            merge_window_dicts(WindowSampler(1.0).as_dict(), WindowSampler(2.0).as_dict())
-
-    def test_merge_unions_disjoint_nodes(self) -> None:
-        a, b = WindowSampler(1.0), WindowSampler(1.0)
-        a.add(0, "node-000", {"reads": 1})
-        b.add(0, "node-001", {"reads": 2})
-        b.add(3, "node-001", {"reads": 4})
-        merged = merge_window_dicts(a.as_dict(), b.as_dict())
-        rows = window_rows(merged, WINDOW_FIELDS)
-        assert [row["index"] for row in rows] == [0, 3]
-        assert rows[0]["reads"] == 3
-
 
 class TestTrace:
     def test_buffer_bounds_and_counts_drops(self) -> None:
@@ -230,16 +194,6 @@ class TestTrace:
             buffer.append({"time": float(index)})
         assert len(buffer.records) == 2
         assert buffer.dropped == 3
-
-    def test_merge_sorts_deterministically(self) -> None:
-        a = [{"type": "event", "time": 2.0, "kind": "b"}]
-        b = [
-            {"type": "event", "time": 2.0, "kind": "a"},
-            {"type": "event", "time": 1.0, "kind": "z"},
-        ]
-        merged = merge_trace_records(a, b)
-        assert [record["time"] for record in merged] == [1.0, 2.0, 2.0]
-        assert merged[1]["kind"] == "a"
 
 
 # --------------------------------------------------------------------- #
@@ -445,6 +399,10 @@ class TestClusterScenario:
 
 
 class TestParallelMerge:
+    """``workers`` never splits a fleet's recorder: every worker count
+    replays the fleet in one process, so its payload is the one-worker
+    payload."""
+
     def test_merged_payload_byte_identical_to_single_worker(self) -> None:
         workload = _workload(seed=7)
         trace = compile_workload(workload, 30.0)
@@ -468,27 +426,24 @@ class TestParallelMerge:
             serial_row, sort_keys=True
         )
 
-    def test_workers_require_picklable_config(self) -> None:
+    def test_a_recorder_object_observes_at_any_worker_count(self) -> None:
         workload = _workload()
         trace = compile_workload(workload, 5.0)
-        with pytest.raises(ClusterError, match="ObsConfig"):
-            replay_cluster_parallel(
-                trace,
-                workers=2,
-                policy="invalidate",
-                num_nodes=3,
-                staleness_bound=1.0,
-                duration=5.0,
-                workload_name=workload.name,
-                seed=1,
-                obs=ObsRecorder(),
-            )
-
-    def test_merge_payloads_validates_config(self) -> None:
-        a = ObsRecorder(ObsConfig(window=1.0)).payload()
-        b = ObsRecorder(ObsConfig(window=2.0)).payload()
-        with pytest.raises(ValueError):
-            merge_payloads(a, b)
+        shared = dict(
+            policy="invalidate",
+            num_nodes=3,
+            staleness_bound=1.0,
+            duration=5.0,
+            workload_name=workload.name,
+            seed=1,
+        )
+        payloads = set()
+        for workers in (1, 2):
+            recorder = ObsRecorder(ObsConfig(window=1.0))
+            result = replay_cluster_parallel(trace, workers=workers, obs=recorder, **shared)
+            assert result.obs == recorder.payload()
+            payloads.add(json.dumps(result.obs, sort_keys=True))
+        assert len(payloads) == 1
 
 
 # --------------------------------------------------------------------- #

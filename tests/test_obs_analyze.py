@@ -360,6 +360,24 @@ class TestSloEngine:
         with pytest.raises(ValueError, match="expected kind"):
             load_rules(str(bad))
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("not json at all\n", "not valid JSON (Expecting value"),
+            ('[{"type": "staleness_rate_ceiling", "ma', "not valid JSON (Unterminated string"),
+            ('[["staleness_rate_ceiling", 1.0]]\n', "SLO rule #0 must be an object"),
+            ('{"kind": "repro-obs-slo-rules", "rules": {"max": 1.0}}\n', "expected a list"),
+        ],
+        ids=["not-json", "truncated", "list-for-rule", "object-for-list"],
+    )
+    def test_load_rules_names_the_file_it_cannot_read(self, tmp_path, text, reason) -> None:
+        path = tmp_path / "rules.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refusal:
+            load_rules(str(path))
+        assert str(refusal.value).startswith(f"{path}: ")
+        assert reason in str(refusal.value)
+
     def test_canonical_rules_is_stable(self) -> None:
         rules = [{"max": 1.0, "type": "staleness_rate_ceiling"}]
         reordered = [{"type": "staleness_rate_ceiling", "max": 1.0}]

@@ -94,7 +94,6 @@ def test_perf_cli_list_and_run_and_json(tmp_path, capsys) -> None:
         < out.index("span-kernel-tight")
         < out.index("ttl-kernels")
         < out.index("trace-index")
-        < out.index("shard-merge")
     )
 
     target = tmp_path / "PERF.json"

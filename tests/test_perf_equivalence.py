@@ -51,6 +51,7 @@ from repro.sim.vector import (
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
+    _span_prelude,
     _SpanPrelude,
     _SpanTally,
     _ttl_resolvable,
@@ -911,7 +912,17 @@ def naive_node_reads(simulation, key: int, read_lo: int, read_hi: int):
 
 
 class ReferenceClusterSimulation(VectorClusterSimulation):
-    """The fleet engine with per-read routing and the per-key kernel."""
+    """The fleet engine with per-read routing and the per-key kernel on the
+    ``referenced`` nodes (default: all of them), the production kernel on
+    the others.  Nodes are independent within a span, so any mix must give
+    the rows of the production engine."""
+
+    def __init__(self, trace, referenced=None, **fleet) -> None:
+        super().__init__(trace, **fleet)
+        self.referenced = (
+            tuple(range(fleet["num_nodes"])) if referenced is None else tuple(referenced)
+        )
+        self.span_tallies = []
 
     def _replay_reactive_span(self, facts) -> None:
         ctx, index = self._ctx, self._ctx.index
@@ -921,10 +932,10 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in facts.columns)):
             writes = index.write_pos[w_lo:w_hi]
             primary = int(self._plan.replicas[key, 0])
-            if primary in self._owned:
+            if primary in self.referenced:
                 tallies[primary].writes += int(writes.size)
             for node, reads in naive_node_reads(self, key, r_lo, r_hi).items():
-                if node in self._owned and (reads or writes.size):
+                if node in self.referenced and (reads or writes.size):
                     reference_kernel_reactive(
                         ctx,
                         self._hosts[node],
@@ -934,6 +945,12 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                         np.array(reads, dtype=np.int64),
                         writes,
                     )
+        self._kernel_the_others(
+            facts,
+            lambda node_idx, host, tally, groups: _kernel_reactive_span(
+                ctx, host, tally, _span_prelude(ctx, facts, (self._shape, node_idx), groups)
+            ),
+        )
         self._record_and_flush(tallies)
 
     def _replay_ttl_trace(self, facts) -> None:
@@ -944,13 +961,10 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         tallies = [ReferenceTally() for _ in hosts]
         names = ctx.trace.key_names
         read_pos = ctx.index.read_pos
-        kernel = (
-            reference_kernel_ttl_expiry
-            if self._node_list[0]._ttl_expiry
-            else reference_kernel_ttl_polling
-        )
+        expiry = self._node_list[0]._ttl_expiry
+        kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
         routed = self._node_groups(facts)
-        for node_idx in self._owned:
+        for node_idx in self.referenced:
             host, tally = hosts[node_idx], tallies[node_idx]
             groups, tally.writes = routed[node_idx]
             if groups is None:
@@ -966,13 +980,30 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                         names[key_id],
                         read_pos[lo : lo + reads * stride : stride],
                     )
+        production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
+        self._kernel_the_others(
+            facts, lambda node_idx, host, tally, groups: production(ctx, host, tally, groups)
+        )
         self._record_and_flush(tallies)
+
+    def _kernel_the_others(self, facts, kernel) -> None:
+        """The production span replay of every node the reference does not
+        replay, writes already applied."""
+        for node_idx, (host, (groups, writes)) in enumerate(
+            zip(self._hosts, self._node_groups(facts))
+        ):
+            if node_idx not in self.referenced:
+                tally = _SpanTally()
+                tally.writes = writes
+                if groups is not None:
+                    kernel(node_idx, host, tally, groups)
+                _flush_tally(self._ctx, host, tally)
 
     def _record_and_flush(self, tallies) -> None:
         self.span_tallies.append(
-            [tally_state(tallies[node], reference=True) for node in self._owned]
+            [tally_state(tallies[node], reference=True) for node in self.referenced]
         )
-        for node in self._owned:
+        for node in self.referenced:
             reference_flush(self._ctx, self._hosts[node], tallies[node])
 
 
@@ -992,7 +1023,8 @@ def test_fleet_span_routing_matches_per_read_routing(
     monkeypatch, policy: str, factor: int, read_policy: str, owned
 ) -> None:
     """Strided round-robin runs carry each key's read rank from span to span;
-    a shard kernels only the nodes it owns."""
+    the reference replays the ``owned`` nodes (``None``: all four) and the
+    production kernel the others, with the production engine's rows."""
     workload = PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9)
     trace = compile_workload(workload, 4.0)
     fleet = dict(
@@ -1001,7 +1033,6 @@ def test_fleet_span_routing_matches_per_read_routing(
         replication=ReplicationConfig(factor=factor, read_policy=read_policy),
         staleness_bound=0.5,
         duration=4.0,
-        owned_nodes=owned,
     )
     recorded = []
     flush_tally = sim_vector._flush_tally
@@ -1016,8 +1047,7 @@ def test_fleet_span_routing_matches_per_read_routing(
         recorded.append([])
         span_replay(self, facts)
 
-    reference = ReferenceClusterSimulation(trace, **fleet)
-    reference.span_tallies = []
+    reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
     monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
     monkeypatch.setattr(
@@ -1026,8 +1056,10 @@ def test_fleet_span_routing_matches_per_read_routing(
     simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
-    assert recorded == reference.span_tallies
-    assert len(recorded) == 8 and len(recorded[0]) == len(owned or range(4))
+    assert len(recorded) == 8 and len(recorded[0]) == 4
+    assert [
+        [span[node] for node in reference.referenced] for span in recorded
+    ] == reference.span_tallies
     assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
     )
@@ -1056,9 +1088,10 @@ def test_fleet_span_routing_matches_per_read_routing(
 def test_fleet_ttl_replay_matches_per_node_key_reference(
     monkeypatch, policy: str, factor: int, read_policy: str, owned
 ) -> None:
-    """One batched kernel call per owned node against one per-key call per
+    """One batched kernel call per node against one per-key call per
     (node, key): under RF = 2 round-robin each replica's reads are a stride-2
-    run of the key's reads, and a shard kernels only the nodes it owns."""
+    run of the key's reads.  The reference replays the ``owned`` nodes
+    (``None``: all three) and the production kernel the others."""
     workload = PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9)
     trace = compile_workload(workload, 4.0)
     fleet = dict(
@@ -1068,8 +1101,7 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
         staleness_bound=0.5,
         duration=4.0,
     )
-    reference = ReferenceClusterSimulation(trace, owned_nodes=owned, **fleet)
-    reference.span_tallies = []
+    reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
     recorded = []
     flush_tally = sim_vector._flush_tally
@@ -1079,11 +1111,11 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
         flush_tally(ctx, host, tally)
 
     monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
-    simulation = VectorClusterSimulation(trace, owned_nodes=owned, **fleet)
+    simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
-    assert [recorded] == reference.span_tallies
-    assert len(recorded) == len(owned or range(3))
+    assert len(recorded) == 3
+    assert [[recorded[node] for node in reference.referenced]] == reference.span_tallies
     if policy == "ttl-polling":
         assert all(tally["poll_events"] for tally in recorded)
     else:
@@ -1094,7 +1126,6 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
     for host, reference_host in zip(simulation._hosts, reference._hosts):
         assert host_state(host) == host_state(reference_host)
     if owned is None:
-        # The shards of a parallel replay add up to the same rows.
         parallel = replay_cluster_parallel(trace, workers=2, **fleet)
         assert json.dumps(parallel.as_dict(), sort_keys=True) == json.dumps(
             expected.as_dict(), sort_keys=True

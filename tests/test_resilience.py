@@ -13,8 +13,8 @@ Pins the PR's contract end to end:
   ideal-elasticity baseline (elastic strictly beats static under a flash
   crowd);
 * deterministic chaos plans: seeded draws, overlap composition, refusals;
-* byte-identity of every new scenario across all three engines, and the
-  refusal (not approximation) where sharding cannot work.
+* byte-identity of every new scenario across both engines and any worker
+  count.
 """
 
 import json
@@ -567,18 +567,28 @@ class TestAutoscale:
         with pytest.raises(ClusterError):
             AutoscaleScenario(min_nodes=1, high_load=5.0, action_cost=-1.0)
 
-    def test_shard_parallel_replay_refuses_the_autoscaler(self) -> None:
+    def test_parallel_replay_runs_the_autoscaler_in_one_process(self) -> None:
+        """The controller reads the whole fleet's load, and the whole fleet is
+        in the one process that replays it: ``workers`` changes nothing."""
         trace = compile_workload(fleet_workload(), 4.0)
-        with pytest.raises(ClusterError, match="workers"):
-            replay_cluster_parallel(
+        _, expected = run_cluster(
+            scenario=AutoscaleScenario(min_nodes=2, high_load=50.0), num_nodes=4, duration=4.0
+        )
+        assert expected.scale_ups > 0
+        for workers in (0, 1, 2, 8):
+            result = replay_cluster_parallel(
                 trace,
-                workers=2,
+                workers=workers,
                 policy="invalidate",
                 num_nodes=4,
                 staleness_bound=BOUND,
                 duration=4.0,
+                workload_name="resil",
                 seed=11,
                 scenario=AutoscaleScenario(min_nodes=2, high_load=50.0),
+            )
+            assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
+                expected.as_dict(), sort_keys=True
             )
 
     def test_elasticity_fields_fold_into_obs_totals(self) -> None:

@@ -10,6 +10,7 @@ serialised row must match the scalar engine exactly.  These tests compare
 import gc
 import itertools
 import json
+import os
 import pickle
 import warnings
 import weakref
@@ -509,35 +510,65 @@ def test_index_dies_with_its_trace_without_the_cycle_collector() -> None:
         gc.enable()
 
 
-@pytest.mark.parametrize("policy", ["ttl-polling", "invalidate", "adaptive"])
-def test_a_finished_replay_is_freed_without_the_cycle_collector(policy: str) -> None:
-    """A dropped simulation frees its nodes — cache entries, datastore
-    histories — by reference count.  A cycle through a node (a bound method
-    of its own stored on it or on its cache) would leave megabytes per replay
-    waiting for the collector's next full pass, and how soon that comes
-    depends on how many container objects the next replays happen to make."""
+#: Node shapes whose callbacks could tie a node into a cycle: a bounded
+#: cache (its eviction callback), an L1 tier (the tier's own eviction
+#: callback, its demotion sink and its victim settler), in either mode.
+NODE_SHAPES = {
+    "plain": {},
+    "bounded": dict(cache_capacity=6),
+    "write-through": dict(tier=TierConfig(l1_capacity=4)),
+    "write-back": dict(cache_capacity=6, tier=TierConfig(l1_capacity=4, mode="write-back")),
+}
+
+
+def assert_every_shape_is_freed(policy: str, check=lambda node: None, **config) -> None:
+    """Run every engine on every node shape and drop it: the node, its
+    datastore, its L1 and the simulation must die at once, with the cycle
+    collector off.  ``check(node)`` runs on each finished replay first."""
     workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
     trace = compile_workload(workload, DURATION)
-    config = dict(staleness_bound=1.0, duration=DURATION)
-    single = lambda: dict(policy=make_policy(policy), **config)  # a policy per run
-    fleet = dict(policy=policy, num_nodes=3, **config)
+    builds = []
+    for name, shape in NODE_SHAPES.items():
+        fleet = dict(policy=policy, num_nodes=3, **config, **shape)
+        builds += [
+            (name, lambda fleet=fleet: ClusterSimulation(workload.iter_requests(DURATION), **fleet)),
+            (name, lambda fleet=fleet: VectorClusterSimulation(trace, **fleet)),
+        ]
+        if "tier" not in shape:  # the single cache has no tier; a policy per run
+            single = lambda shape=shape: dict(policy=make_policy(policy), **config, **shape)
+            builds += [
+                (name, lambda single=single: Simulation(workload.iter_requests(DURATION), **single())),
+                (name, lambda single=single: VectorSimulation(trace, **single())),
+            ]
     gc.collect()
     gc.disable()
     try:
-        for build in (
-            lambda: Simulation(workload.iter_requests(DURATION), **single()),
-            lambda: VectorSimulation(trace, **single()),
-            lambda: ClusterSimulation(workload.iter_requests(DURATION), **fleet),
-            lambda: VectorClusterSimulation(trace, **fleet),
-        ):
+        for name, build in builds:
             simulation = build()
             simulation.run()
             node = getattr(simulation, "node", None) or simulation._node_list[0]
+            check(node)
+            if name != "plain":
+                l1_evictions = node.l1.cache.stats.evictions if node.l1 is not None else 0
+                assert node.cache.stats.evictions + l1_evictions > 0, name
             alive = [weakref.ref(node), weakref.ref(node.datastore), weakref.ref(simulation)]
+            if node.l1 is not None:
+                alive.append(weakref.ref(node.l1))
             del simulation, node
-            assert [ref() for ref in alive] == [None, None, None]
+            assert [ref() for ref in alive] == [None] * len(alive), name
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("policy", ["ttl-polling", "invalidate", "adaptive"])
+def test_a_finished_replay_is_freed_without_the_cycle_collector(policy: str) -> None:
+    """A dropped simulation frees its nodes — cache entries, datastore
+    histories — by reference count, bounded and tiered ones included.  A
+    cycle through a node (a bound method of its own stored on it, on its
+    cache or on its L1) would leave megabytes per replay waiting for the
+    collector's next full pass, and how soon that comes depends on how many
+    container objects the next replays happen to make."""
+    assert_every_shape_is_freed(policy, staleness_bound=1.0, duration=DURATION)
 
 
 def test_a_finished_concurrent_replay_is_freed_without_the_cycle_collector() -> None:
@@ -545,33 +576,17 @@ def test_a_finished_concurrent_replay_is_freed_without_the_cycle_collector() -> 
     whose concurrent paths are class overrides: no bound method of the node is
     stored on the node, so it too dies by reference count (its handlers used
     to be bound onto the instance, a cycle only the collector broke)."""
-    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=20.0, seed=5)
-    trace = compile_workload(workload, DURATION)
-    config = dict(
+
+    def fetched_with_latency(node) -> None:
+        assert node.result.latency_count > 0
+
+    assert_every_shape_is_freed(
+        "invalidate",
+        fetched_with_latency,
         staleness_bound=1.0,
         duration=DURATION,
         concurrency=ConcurrencyConfig(mean=0.01, capacity=2, seed=3),
     )
-    single = lambda: dict(policy=make_policy("invalidate"), **config)  # a policy per run
-    fleet = dict(policy="invalidate", num_nodes=3, **config)
-    gc.collect()
-    gc.disable()
-    try:
-        for build in (
-            lambda: Simulation(workload.iter_requests(DURATION), **single()),
-            lambda: VectorSimulation(trace, **single()),
-            lambda: ClusterSimulation(workload.iter_requests(DURATION), **fleet),
-            lambda: VectorClusterSimulation(trace, **fleet),
-        ):
-            simulation = build()
-            simulation.run()
-            node = getattr(simulation, "node", None) or simulation._node_list[0]
-            assert node.result.latency_count > 0
-            alive = [weakref.ref(node), weakref.ref(node.datastore), weakref.ref(simulation)]
-            del simulation, node
-            assert [ref() for ref in alive] == [None, None, None]
-    finally:
-        gc.enable()
 
 
 # --------------------------------------------------------------------- #
@@ -688,15 +703,16 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     """The cost model, counted: a reactive replay calls the span kernel once
     per non-empty span (and node), however many keys the span touches; a TTL
     replay has no flush boundaries, so its whole trace is one span — one
-    kernel call per host, each node kernelled by the shard that owns it."""
+    kernel call per host.  The one process replaying the fleet owns every
+    node, whatever ``workers`` says."""
     log = tmp_path / "kernel_calls.log"
     log.touch()
 
     def counted(kernel):
         def counting(ctx, host, tally, groups):
-            # A file, so that forked shard workers are counted too.
+            # A file, so that a call in any process would be counted.
             with open(log, "a", encoding="utf-8") as handle:
-                handle.write("call\n")
+                handle.write(f"{os.getpid()}\n")
             kernel(ctx, host, tally, groups)
 
         return counting
@@ -708,7 +724,9 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     def calls_of(replay) -> int:
         log.write_text("")
         replay()
-        return len(log.read_text().split())
+        pids = log.read_text().split()
+        assert set(pids) <= {str(os.getpid())}
+        return len(pids)
 
     bound, duration = 0.05, 2.0
     trace = compile_workload(
@@ -725,7 +743,8 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
         ).run
     ) == spans
     assert calls_of(VectorClusterSimulation(trace, **fleet).run) == 3 * spans
-    assert calls_of(lambda: replay_cluster_parallel(trace, workers=2, **fleet)) == 3 * spans
+    for workers in (2, 8):
+        assert calls_of(lambda: replay_cluster_parallel(trace, workers=workers, **fleet)) == 3 * spans
 
 
 @pytest.mark.parametrize("bound", [0.1, 0.5, 2.0])
