@@ -6,13 +6,16 @@
 :class:`~repro.workload.compiled.CompiledTrace`, plus routing.  This module
 routes each span's reads to replicas with the exact scalar routing rules
 (primary / hash / round-robin, including the per-key round-robin counters)
-and hands each **node** its share of the span — one group of columns, cut
-from the span with masks and stride arithmetic — for one call of the same
-span kernel the single cache uses.  Every node's cache, buffer, tracker, and
-estimator are real objects, and all simulation *events* (interval flushes,
-freshness message fan-out, delivery, finalisation) run through the one
-driver's due work and the unmodified :class:`~repro.sim.node.CacheNode`
-machinery between spans.
+into **one** table of groups per cut, ordered by (node, key) with per-node
+bounds — built with array operations over every (key, replica) pair at once
+and stride arithmetic — and hands it to **one** call of the same span kernel
+the single cache uses (the single cache is the one-node table).  The kernel
+does its numpy work once for the whole fleet and walks the table node
+segment by node segment only for the object work, into each node's own
+tally.  Every node's cache, buffer, tracker, and estimator are real objects,
+and all simulation *events* (interval flushes, freshness message fan-out,
+delivery, finalisation) run through the one driver's due work and the
+unmodified :class:`~repro.sim.node.CacheNode` machinery between spans.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared
@@ -26,8 +29,10 @@ datastore, the hash ring, and the read router:
   positional against the *global* write columns, and per-node tallies replay
   order-sensitive effects position-sorted;
 * the kernels only mutate node-local state plus two order-free global
-  accumulators (``DataStore.total_writes``/``total_reads``), so the order in
-  which nodes' kernels run within a span is immaterial.
+  accumulators (``DataStore.total_writes``/``total_reads``), so doing every
+  node's object work before any node's tally is folded changes nothing; the
+  tallies still fold node by node, so rows, dict orders and float
+  accumulation orders are each node's own.
 
 A fleet replays in one process.  Splitting its nodes over worker processes
 splits only the per-node kernels — every worker would still commit every
@@ -124,7 +129,7 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
     envelope (:data:`FLEET_ENVELOPE`) and otherwise replays the trace's column
     chunks through the scalar fleet loop — either way the results are
     byte-identical to the scalar engine.  What the fleet adds to the span
-    replay is routing: the trace-wide plan and each cut's per-node groups.
+    replay is routing: the trace-wide plan and each cut's table of groups.
     """
 
     _envelope = FLEET_ENVELOPE
@@ -192,53 +197,62 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         # would.
         self.router._round_robin.update(plan.round_robin)
 
-    def _node_groups(self, facts: SpanFacts) -> List[Tuple[Optional[Groups], int]]:
-        """Route one cut: ``(groups, primary_writes)`` per node, from the span table.
+    def _node_groups(self, facts: SpanFacts) -> Tuple[Groups, List[int]]:
+        """Route one cut: the fleet's :class:`~repro.sim.vector.Groups` and
+        each node's primary writes, from the span table.
 
         A node's groups are the span keys it is a replica of and serves
-        reads of or receives writes for (``None`` when there are none) — a
-        (node, key) with both is ONE group (the miss/buffer/estimator
-        interleaving is per (node, key)).  Under round-robin a read's replica
-        column is its global per-key read rank mod the replica count
-        (counters start at zero), so each replica's reads are a stride of
-        the key's run.  ``primary_writes`` counts the span writes of the keys
-        the node is primary of: only the primary counts a write in its
-        result, like ``observe_write(owner=True)``.  Routing knows no policy,
-        so one entry per fleet shape serves every replay.
+        reads of or receives writes for — a (node, key) with both is ONE
+        group (the miss/buffer/estimator interleaving is per (node, key)).
+        Under round-robin a read's replica column is its global per-key read
+        rank mod the replica count (counters start at zero), so each
+        replica's reads are a stride of the key's run.  A node counts the
+        span writes of the keys it is primary of: only the primary counts a
+        write in its result, like ``observe_write(owner=True)``.  Routing
+        knows no policy, so one entry per fleet shape serves every replay.
         """
         return self._ctx.index.routed(facts, self._shape, lambda: self._route_span(facts))
 
-    def _route_span(self, facts: SpanFacts) -> Tuple[List[Tuple[Optional[Groups], int]], int]:
+    def _route_span(self, facts: SpanFacts) -> Tuple[Tuple[Groups, List[int]], int]:
         keys, read_lo, read_hi, write_lo, write_hi = facts.columns
         plan = self._plan
+        nodes = len(self._node_list)
+        # Every (key, replica column) pair at once: a key's replicas are
+        # distinct nodes, so each pair is one candidate (node, key) group.
         replicas = plan.replicas[keys]
-        num_writes = write_hi - write_lo
         width = replicas.shape[1]
+        column = np.arange(width)
+        num_reads = read_hi - read_lo
+        num_writes = write_hi - write_lo
         if plan.rotates:
+            # A replica's first span read is ``offset`` reads into the key's run.
             stride = width
             rank = read_lo - self._ctx.index.read_offsets[keys]
+            offset = (column - rank[:, None]) % width
+            count = (num_reads[:, None] - offset + (width - 1)) // width
         else:
             stride = 1
-            num_reads = read_hi - read_lo
-            read_slot = plan.read_slot[keys]
-        routed: List[Tuple[Optional[Groups], int]] = []
-        nbytes = 0
-        for node_idx in range(len(self._node_list)):
-            holds = replicas == node_idx
-            slot = holds.argmax(axis=1)
-            if plan.rotates:
-                first = read_lo + (slot - rank) % width
-                count = (read_hi - first + (width - 1)) // width
-            else:
-                first = read_lo
-                count = np.where(slot == read_slot, num_reads, 0)
-            mine = (holds.any(axis=1) & ((count > 0) | (num_writes > 0))).nonzero()[0]
-            groups = None
-            if mine.size:
-                groups = (keys[mine], first[mine], count[mine], stride, write_lo[mine], write_hi[mine])
-                nbytes += 5 * mine.nbytes
-            routed.append((groups, int(num_writes[holds[:, 0]].sum())))
-        return routed, nbytes
+            count = np.where(column == plan.read_slot[keys][:, None], num_reads[:, None], 0)
+        pairs = ((count > 0) | (num_writes > 0)[:, None]).ravel().nonzero()[0]
+        node = replicas.ravel()[pairs]
+        # Key-major pairs, stably sorted by node: (node, key) order.
+        order = np.argsort(node.astype(np.min_scalar_type(nodes)), kind="stable")
+        row, column = np.divmod(pairs[order], width)
+        first = read_lo[row]
+        if plan.rotates:
+            first += offset[row, column]
+        bounds = [0, *np.cumsum(np.bincount(node, minlength=nodes)).tolist()]
+        groups = Groups(
+            keys[row],
+            first,
+            count[row, column],
+            stride,
+            write_lo[row],
+            write_hi[row],
+            bounds,
+        )
+        primary_writes = np.bincount(replicas[:, 0], weights=num_writes, minlength=nodes)
+        return (groups, primary_writes.astype(np.int64).tolist()), 5 * pairs.nbytes
 
 
 def replay_cluster_parallel(

@@ -273,20 +273,45 @@ def _kernel_trace(scale: float):
 
 
 def _replay_vector(
-    workload, duration: float, trace, bound: float, policy: str = "invalidate"
+    workload, duration: float, trace, bound: float, policy: str = "invalidate", nodes: int = 0
 ) -> None:
+    """One columnar replay of ``trace``: the single cache, or a ``nodes``-node fleet."""
+    from repro.cluster.vector import VectorClusterSimulation
     from repro.experiments.registry import make_policy
     from repro.sim.vector import VectorSimulation
 
     # A simulation instance is single-shot; construction is cheap next to
     # the replay itself.
-    VectorSimulation(
-        trace,
-        policy=make_policy(policy),
-        staleness_bound=bound,
-        duration=duration,
-        workload_name=workload.name,
-    ).run()
+    config = dict(staleness_bound=bound, duration=duration, workload_name=workload.name)
+    if nodes:
+        VectorClusterSimulation(trace, policy=policy, num_nodes=nodes, **config).run()
+    else:
+        VectorSimulation(trace, policy=make_policy(policy), **config).run()
+
+
+def _kernel_calls(
+    name: str, replay: Callable[[], Any], counts: Optional[Callable[[Any, Any], None]] = None
+) -> int:
+    """How many times ``replay()`` calls the kernel ``repro.sim.vector.<name>``;
+    ``counts(tallies, groups)`` runs after each call when given."""
+    from repro.sim import vector
+
+    kernel = getattr(vector, name)
+    calls = 0
+
+    def counted(ctx: Any, hosts: Any, tallies: Any, groups: Any) -> None:
+        nonlocal calls
+        calls += 1
+        kernel(ctx, hosts, tallies, groups)
+        if counts is not None:
+            counts(tallies, groups)
+
+    setattr(vector, name, counted)
+    try:
+        replay()
+    finally:
+        setattr(vector, name, kernel)
+    return calls
 
 
 def bench_vector_kernels(scale: float = 1.0) -> Dict[str, Any]:
@@ -329,33 +354,37 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     regime where per-span cost, not per-request cost, decides the speed.
     ``kernel_calls`` is counted on an extra untimed replay and must equal
     ``spans`` — one reactive kernel call per span, whatever the key count.
+    ``fleet_ops_per_sec`` replays the same trace on a 3-node fleet, and its
+    ``fleet_kernel_calls`` must equal ``spans`` too: one call per span,
+    whatever the node count.
     """
-    from repro.sim import vector
-
-    bound = 0.01
+    bound, nodes = 0.01, 3
     workload, duration, trace = _kernel_trace(scale)
     timing = time_callable(lambda: _replay_vector(workload, duration, trace, bound))
+    fleet = time_callable(lambda: _replay_vector(workload, duration, trace, bound, nodes=nodes))
+    key_spans = 0
 
-    kernel = vector._kernel_reactive_span
-    calls = key_spans = 0
+    def count_key_spans(tallies: Any, prelude: Any) -> None:
+        nonlocal key_spans
+        key_spans += int(prelude.groups.keys.size)
 
-    def counted(ctx: Any, host: Any, tally: Any, prelude: Any) -> None:
-        nonlocal calls, key_spans
-        calls += 1
-        key_spans += int(prelude.groups[0].size)
-        kernel(ctx, host, tally, prelude)
-
-    vector._kernel_reactive_span = counted
-    try:
-        _replay_vector(workload, duration, trace, bound)
-    finally:
-        vector._kernel_reactive_span = kernel
+    calls = _kernel_calls(
+        "_kernel_reactive_span",
+        lambda: _replay_vector(workload, duration, trace, bound),
+        count_key_spans,
+    )
+    fleet_calls = _kernel_calls(
+        "_kernel_reactive_span",
+        lambda: _replay_vector(workload, duration, trace, bound, nodes=nodes),
+    )
     return {
         "ops": len(trace),
         "ops_per_sec": len(trace) / timing["best_seconds"],
         "key_spans_per_sec": key_spans / timing["best_seconds"],
+        "fleet_ops_per_sec": len(trace) / fleet["best_seconds"],
         "spans": non_empty_spans(trace.times, bound),
         "kernel_calls": calls,
+        "fleet_kernel_calls": fleet_calls,
         **timing,
     }
 
@@ -366,12 +395,11 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     ``ops_per_sec`` is the TTL-polling replay (a closed form over every read
     row), ``expiry_ops_per_sec`` the TTL-expiry one (a bisection per key and
     epoch).  ``kernel_calls`` and ``charging_reads`` are counted on an extra
-    untimed polling replay: one kernel call per host per trace, whatever the
-    key count, and the reads that settle at least one poll — the rows the
-    flush sorts and folds.
+    untimed polling replay: one kernel call per trace, whatever the key
+    count, and the reads that settle at least one poll — the rows the flush
+    sorts and folds.  ``fleet_kernel_calls`` counts the same on a 3-node
+    fleet: one call for every node's keys.
     """
-    from repro.sim import vector
-
     workload, duration, trace = _kernel_trace(scale)
     polling = time_callable(
         lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling")
@@ -380,25 +408,27 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
         lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-expiry")
     )
 
-    kernel = vector._kernel_ttl_polling
-    calls = charging_reads = 0
+    charging_reads = 0
 
-    def counted(ctx: Any, host: Any, tally: Any, groups: Any) -> None:
-        nonlocal calls, charging_reads
-        kernel(ctx, host, tally, groups)
-        calls += 1
-        charging_reads += int(tally.poll_counts.size)
+    def count_charging_reads(tallies: Any, groups: Any) -> None:
+        nonlocal charging_reads
+        charging_reads += sum(int(tally.poll_counts.size) for tally in tallies)
 
-    vector._kernel_ttl_polling = counted
-    try:
-        _replay_vector(workload, duration, trace, 1.0, "ttl-polling")
-    finally:
-        vector._kernel_ttl_polling = kernel
+    calls = _kernel_calls(
+        "_kernel_ttl_polling",
+        lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling"),
+        count_charging_reads,
+    )
+    fleet_calls = _kernel_calls(
+        "_kernel_ttl_polling",
+        lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling", nodes=3),
+    )
     return {
         "ops": len(trace),
         "ops_per_sec": len(trace) / polling["best_seconds"],
         "expiry_ops_per_sec": len(trace) / expiry["best_seconds"],
         "kernel_calls": calls,
+        "fleet_kernel_calls": fleet_calls,
         "charging_reads": charging_reads,
         **polling,
     }

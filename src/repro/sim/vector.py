@@ -19,12 +19,15 @@ O(requests) of numpy, plus O(keys touched) of object work and a fixed charge
 per span — not O(keys x spans) kernel calls, which is what made a tight
 staleness bound (many short spans) the slow case.  The TTL policies never
 react to writes and have no flush boundaries, so their whole trace is one
-span and one kernel call per host: TTL-polling is a closed form over the
-host's read rows, taken a fixed block of rows at a time, and TTL-expiry
-bisects every key's next epoch at once.  Every simulation *event* — the
-interval flush, policy decisions, message sends and deliveries, finalisation —
-runs through the one driver's unmodified due work and finalize
-(:class:`~repro.sim.driver.ReplayDriver`) and its
+span and one kernel call: TTL-polling is a closed form over the read rows,
+taken a fixed block of rows at a time, and TTL-expiry bisects every key's
+next epoch at once.  A fleet's nodes share each call: a cut's groups are one
+table ordered by (host, key) (:class:`Groups`), every kernel does its numpy
+work once for all hosts and walks the table host segment by host segment
+only for the object work, into each host's own tally.  Every simulation
+*event* — the interval flush, policy decisions, message sends and
+deliveries, finalisation — runs through the one driver's unmodified due
+work and finalize (:class:`~repro.sim.driver.ReplayDriver`) and its
 :class:`~repro.sim.node.CacheNode` s, against real :class:`Cache` / :class:`DataStore` /
 :class:`WriteBuffer` objects that the kernels keep in sync at span ends.  The
 result is byte-for-byte identical to the scalar engine: same counters, same
@@ -55,7 +58,7 @@ Why byte-identity is achievable at all:
   positions as bounds into two key-major columns.
 * **A span is a fact of the trace.**  Where a replay cuts depends on its
   bound; what the cut holds — those bounds, the write batch the datastore
-  commits, each host's groups and the policy-independent prelude of the
+  commits, the hosts' groups and the policy-independent prelude of the
   reactive kernel (:class:`_SpanPrelude`) — depends on the trace and the two
   cut positions only, so it lives in the index's span table
   (:class:`~repro.workload.compiled.SpanFacts`), built by the first replay
@@ -71,19 +74,20 @@ Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
 their scalar driver: it owns ``run()``, the span loop and the envelope
 members, :class:`VectorSimulation` is its one-host, unrouted case, and the
 fleet twin (:class:`~repro.cluster.vector.VectorClusterSimulation`) adds
-routed groups, one per node.  When a configuration falls outside the
-vectorizable envelope — a row of :data:`ENVELOPE` holds for it — ``run()``
-transparently falls back to the scalar driver's request loop over the trace's
-column chunks — identical by construction, just slower — and names the row in
-``fallback_reason``.
+routing: each cut's groups of every node, in one table.  When a
+configuration falls outside the vectorizable envelope — a row of
+:data:`ENVELOPE` holds for it — ``run()`` transparently falls back to the
+scalar driver's request loop over the trace's column chunks — identical by
+construction, just slower — and names the row in ``fallback_reason``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -300,8 +304,8 @@ class _ReplayContext:
 class _HostState:
     """One cache's mutable replay state (the single cache, or one cluster node).
 
-    The kernels are written against this narrow view so the cluster engine can
-    reuse them per node; for :class:`VectorSimulation` there is exactly one.
+    The kernels take a list of these, one per host of the cut's
+    :class:`Groups`; for :class:`VectorSimulation` there is exactly one.
     """
 
     __slots__ = (
@@ -380,14 +384,14 @@ class _SpanTally:
         "poll_counts",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, writes: int = 0) -> None:
         self.reads = 0
         self.hits = 0
         self.stale_misses = 0
         self.cold_misses = 0
         self.violations = 0
         self.expirations = 0
-        self.writes = 0
+        self.writes = writes
         self.buffered_writes = 0
         self.new_fills: List[Tuple[int, CacheEntry]] = []
         self.buffer_entries: List[Tuple[int, BufferedWrite]] = []
@@ -449,12 +453,48 @@ def _fold_estimator(
     counters.writes_since_read = writes - before_last
 
 
-#: One host's share of a span, as columns: ``(keys, first, count, stride,
-#: write_lo, write_hi)``.  Group ``g`` is key ``keys[g]``; its reads are
-#: ``read_pos[first[g] + j * stride]`` for ``j < count[g]`` and its writes the
-#: slice ``[write_lo[g], write_hi[g])`` of the write columns.  Every group has
-#: at least one read or one write.
-Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]
+class Groups(NamedTuple):
+    """Every host's share of a span, as one table of columns ordered by (host, key).
+
+    Group ``g`` is key ``keys[g]`` on host ``host[g]``; its reads are
+    ``read_pos[first[g] + j * stride]`` for ``j < count[g]`` and its writes
+    the slice ``[write_lo[g], write_hi[g])`` of the write columns.  Host
+    ``h``'s groups are ``[bounds[h], bounds[h + 1])`` (a list of ints), keys
+    ascending; a host may have none.  Every group has at least one read or
+    one write.  The single cache is the one-host table, ``bounds == [0,
+    groups]``.
+    """
+
+    keys: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    stride: int
+    write_lo: np.ndarray
+    write_hi: np.ndarray
+    bounds: List[int]
+
+    @property
+    def host(self) -> np.ndarray:
+        """The host of each group, derived from :attr:`bounds` (few
+        replays ask: estimator folds and suspected staleness violations)."""
+        return np.repeat(np.arange(len(self.bounds) - 1), _lengths(self.bounds))
+
+
+def _segments(groups: List[int], bounds: List[int]) -> List[int]:
+    """Per-host bounds into ``groups``, an ascending list of group indices:
+    one bisection per host bound."""
+    return [bisect_left(groups, bound) for bound in bounds]
+
+
+def _lengths(segments: List[int]) -> List[int]:
+    """Per host, the length of its segment."""
+    return [hi - lo for lo, hi in zip(segments, segments[1:])]
+
+
+def _segment_sums(values: List[int], segments: List[int]) -> List[int]:
+    """Per host, the sum of its segment of ``values``."""
+    rows = iter(values)
+    return [sum(islice(rows, length)) for length in _lengths(segments)]
 
 
 def _write_runs(
@@ -502,18 +542,20 @@ _PRELUDE_GROUP_BYTES = 256
 class _SpanPrelude:
     """The policy-independent half of :func:`_kernel_reactive_span`.
 
-    What one host's groups of one cut are under *any* write-reactive policy,
-    bound and cache state — built once per cut and host, memoised on the
-    cut's :class:`~repro.workload.compiled.SpanFacts`, shared by every
+    What the hosts' groups of one cut are under *any* write-reactive policy,
+    bound and cache state — built once per cut and fleet shape, memoised on
+    the cut's :class:`~repro.workload.compiled.SpanFacts`, shared by every
     replay.  Arrays and lists are read, never written.
 
     Attributes:
-        groups: The host's :data:`Groups`.
+        groups: The hosts' :class:`Groups`.
         names: Key name of each group.
-        num_writes / writing / total_writes: Span writes per group, the
-            groups that have any, and their sum.
-        reading / read_counts / total_reads: The groups with span reads and
-            their read counts (lists), and the sum.
+        num_writes / writing: Span writes per group and the groups that
+            have any.
+        reading / read_counts: The groups with span reads and their read
+            counts (lists, host after host).
+        host_groups / host_reading / host_reads / host_writes: Per host, its
+            groups, its reading groups, its span reads and its span writes.
         last_read: Time of each reading group's last span read.
 
     The write runs and the estimator's fold rows are made by the first replay
@@ -522,22 +564,26 @@ class _SpanPrelude:
     """
 
     __slots__ = (
-        "groups", "names", "num_writes", "writing", "total_writes", "reading",
-        "read_counts", "total_reads", "last_read", "_write_runs", "_fold_columns",
+        "groups", "names", "num_writes", "writing", "reading", "read_counts",
+        "host_groups", "host_reading", "host_reads", "host_writes", "last_read",
+        "_write_runs", "_fold_columns",
     )
 
     def __init__(self, trace: CompiledTrace, index: TraceIndex, groups: Groups) -> None:
-        keys, first, count, stride, write_lo, write_hi = groups
+        keys, first, count, stride, write_lo, write_hi, bounds = groups
         self.groups = groups
         self.names = list(map(trace.key_names.__getitem__, keys.tolist()))
         self.num_writes = num_writes = write_hi - write_lo
-        self.writing = writing = num_writes.nonzero()[0]
-        self.total_writes = int(num_writes.sum())
+        self.writing = num_writes.nonzero()[0]
         reading = count.nonzero()[0]
         read_first, read_count = first[reading], count[reading]
         self.reading = reading.tolist()
         self.read_counts = read_count.tolist()
-        self.total_reads = int(read_count.sum())
+        segments = _segments(self.reading, bounds)
+        self.host_groups = _lengths(bounds)
+        self.host_reading = _lengths(segments)
+        self.host_reads = _segment_sums(self.read_counts, segments)
+        self.host_writes = _segment_sums(num_writes.tolist(), bounds)
         self.last_read = trace.times[index.read_pos[read_first + (read_count - 1) * stride]]
         self._write_runs: Optional[np.ndarray] = None
         self._fold_columns: Optional[Tuple[list, ...]] = None
@@ -547,7 +593,7 @@ class _SpanPrelude:
         every group that reads and writes, zero elsewhere.  A miss fetches
         the version as of its position, and the estimator folds runs."""
         if self._write_runs is None:
-            keys, first, count, stride, write_lo, _ = self.groups
+            keys, first, count, stride, write_lo, _, _ = self.groups
             num_writes = self.num_writes
             runs = np.zeros((3, keys.size), dtype=np.int64)
             mixed = (count * num_writes).nonzero()[0]
@@ -559,10 +605,11 @@ class _SpanPrelude:
         return self._write_runs
 
     def fold_rows(self, index: TraceIndex) -> Iterator[Tuple[int, str, int, int, int, int, int]]:
-        """The :func:`_fold_estimator` rows of the span, sorted by first
-        observation: the order the scalar engine creates counter rows in."""
+        """The :func:`_fold_estimator` rows of the span, one per group, host
+        after host and within a host sorted by first observation: the order
+        the scalar engine creates the host's counter rows in."""
         if self._fold_columns is None:
-            keys, first, count, _, write_lo, _ = self.groups
+            keys, first, count, _, write_lo, _, _ = self.groups
             reading, writing = count.nonzero()[0], self.writing
             # A group is first seen at its first read or write, whichever
             # comes first in the stream.  (The position columns may be
@@ -573,7 +620,7 @@ class _SpanPrelude:
             first_seen[writing] = np.minimum(
                 first_seen[writing], index.write_pos[write_lo[writing]]
             )
-            order = np.argsort(first_seen, kind="stable")
+            order = np.lexsort((first_seen, self.groups.host))
             observed = (first_seen, count, self.num_writes, *self.write_runs(index))
             seen, *observed = (column[order].tolist() for column in observed)
             names = list(map(self.names.__getitem__, order.tolist()))
@@ -581,20 +628,26 @@ class _SpanPrelude:
         return zip(*self._fold_columns)
 
 
-def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, key, groups: Groups) -> _SpanPrelude:
-    """The prelude of ``groups`` — the share of the cut of the host ``key``
-    names — from the span table."""
+def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, shape, groups: Groups) -> _SpanPrelude:
+    """The prelude of ``groups`` — the cut on the fleet ``shape`` — from the
+    span table."""
     return ctx.index.routed(
         facts,
-        key,
-        lambda: (_SpanPrelude(ctx.trace, ctx.index, groups), _PRELUDE_GROUP_BYTES * groups[0].size),
+        ("prelude", shape),
+        lambda: (
+            _SpanPrelude(ctx.trace, ctx.index, groups),
+            _PRELUDE_GROUP_BYTES * groups.keys.size,
+        ),
     )
 
 
 def _kernel_reactive_span(
-    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, prelude: _SpanPrelude
+    ctx: _ReplayContext,
+    hosts: Sequence[_HostState],
+    tallies: Sequence[_SpanTally],
+    prelude: _SpanPrelude,
 ) -> None:
-    """One host's whole span under a write-reactive policy.
+    """Every host's whole span under a write-reactive policy, in one call.
 
     Within a span no messages arrive and nothing expires, so a key's entry
     changes state at most once: the first read of an absent/invalid entry
@@ -602,40 +655,56 @@ def _kernel_reactive_span(
     span start serves only hits.  Everything the span does to a key therefore
     follows from *endpoints* — read count, first and last read, first and
     last surviving write — which the cut's :class:`_SpanPrelude` holds for
-    all keys; what is left per replay is the part that depends on the cache:
-    the object work (entry lookup and hit bump, entry fill, buffered write)
-    per key, over plain Python columns.
+    all keys of all hosts; what is left per replay is the part that depends
+    on the cache.  The numpy work runs once for the whole fleet; only the
+    object work (entry lookup and hit bump, entry fill, buffered write) walks
+    the plain Python columns host segment by segment, into ``hosts[h]`` and
+    ``tallies[h]``.  Every host of a replay runs one policy configuration,
+    so whether hosts react, discard on a miss fill or fold an estimator is
+    read off the first.
     """
-    keys, first, count, stride, write_lo, write_hi = prelude.groups
+    keys, first, count, stride, write_lo, write_hi, bounds = prelude.groups
     index, trace = ctx.index, ctx.trace
     times = trace.times
     names = prelude.names
+    config = hosts[0]
 
     missed: List[int] = []
     missed_entries: List[Optional[CacheEntry]] = []
+    host_missed: List[int] = []
     late: List[int] = []
     late_as_of: List[float] = []
     late_horizon: List[float] = []
-    lookup = host.entries.get
     valid = EntryState.VALID
-    for g, reads, horizon in zip(
-        prelude.reading, prelude.read_counts, (prelude.last_read - ctx.bound).tolist()
+    rows = zip(prelude.reading, prelude.read_counts, (prelude.last_read - ctx.bound).tolist())
+    for host, tally, reading, reads_total in zip(
+        hosts, tallies, prelude.host_reading, prelude.host_reads
     ):
-        entry = lookup(names[g])
-        if entry is not None and entry.state is valid:
-            entry.hits += reads
-            if horizon > entry.as_of:
-                late.append(g)
-                late_as_of.append(entry.as_of)
-                late_horizon.append(horizon)
-        else:
-            missed.append(g)
-            missed_entries.append(entry)
-    tally.reads += prelude.total_reads
-    tally.hits += prelude.total_reads - len(missed)
+        lookup = host.entries.get
+        missed_before = len(missed)
+        for g, reads, horizon in islice(rows, reading):
+            entry = lookup(names[g])
+            if entry is not None and entry.state is valid:
+                entry.hits += reads
+                if horizon > entry.as_of:
+                    late.append(g)
+                    late_as_of.append(entry.as_of)
+                    late_horizon.append(horizon)
+            else:
+                missed.append(g)
+                missed_entries.append(entry)
+        misses = len(missed) - missed_before
+        host_missed.append(misses)
+        tally.reads += reads_total
+        tally.hits += reads_total - misses
     if late:
         _count_violations(
-            ctx, tally, prelude.groups, np.array(late), np.array(late_as_of), np.array(late_horizon)
+            ctx,
+            tallies,
+            prelude.groups,
+            np.array(late),
+            np.array(late_as_of),
+            np.array(late_horizon),
         )
 
     if missed:
@@ -651,10 +720,7 @@ def _kernel_reactive_span(
         value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
         written = version.nonzero()[0]
         value_size[written] = index.write_value_sizes[visible[written] - 1]
-        mark_refetched = host.tracker.mark_refetched
-        new_fills = tally.new_fills
-        cold = 0
-        for g, entry, miss_position, miss_time, key_size, miss_version, size, reads in zip(
+        rows = zip(
             missed,
             missed_entries,
             position.tolist(),
@@ -663,33 +729,41 @@ def _kernel_reactive_span(
             version.tolist(),
             value_size.tolist(),
             count[miss].tolist(),
-        ):
-            name = names[g]
-            if entry is None:
-                entry = CacheEntry(
-                    key=name,
-                    version=miss_version,
-                    as_of=miss_time,
-                    fetched_at=miss_time,
-                    key_size=key_size,
-                    value_size=size,
-                    last_poll_accounted=miss_time,
-                )
-                new_fills.append((miss_position, entry))
-                cold += 1
-            else:
-                entry.refresh(version=miss_version, time=miss_time, value_size=size)
-                entry.last_poll_accounted = miss_time
-            entry.hits += reads - 1
-            mark_refetched(name)
-        tally.cold_misses += cold
-        tally.stale_misses += len(missed) - cold
+        )
+        for host, tally, misses in zip(hosts, tallies, host_missed):
+            if not misses:
+                continue
+            mark_refetched = host.tracker.mark_refetched
+            new_fills = tally.new_fills
+            cold = 0
+            for g, entry, miss_position, miss_time, key_size, miss_version, size, reads in islice(
+                rows, misses
+            ):
+                name = names[g]
+                if entry is None:
+                    entry = CacheEntry(
+                        key=name,
+                        version=miss_version,
+                        as_of=miss_time,
+                        fetched_at=miss_time,
+                        key_size=key_size,
+                        value_size=size,
+                        last_poll_accounted=miss_time,
+                    )
+                    new_fills.append((miss_position, entry))
+                    cold += 1
+                else:
+                    entry.refresh(version=miss_version, time=miss_time, value_size=size)
+                    entry.last_poll_accounted = miss_time
+                entry.hits += reads - 1
+                mark_refetched(name)
+            tally.cold_misses += cold
+            tally.stale_misses += misses - cold
 
     writing = prelude.writing
-    if host.reacts and writing.size:
-        tally.buffered_writes += prelude.total_writes
+    if config.reacts and writing.size:
         start = write_lo
-        if missed and host.discard_on_miss_fill:
+        if missed and config.discard_on_miss_fill:
             # A miss fill drops what the key had buffered before it.
             start = write_lo.copy()
             start[miss] += before_miss
@@ -698,37 +772,48 @@ def _kernel_reactive_span(
         buffered, start = writing[surviving], start[surviving]
         last = write_hi[buffered] - 1
         first_write = index.write_pos[start]
-        buffer_entries = tally.buffer_entries
-        for g, position, first_time, last_time, writes, key_size, size in zip(
-            buffered.tolist(),
+        buffered = buffered.tolist()
+        rows = zip(
+            buffered,
             first_write.tolist(),
             index.write_times[start].tolist(),
             index.write_times[last].tolist(),
             (last - start + 1).tolist(),
             trace.key_sizes[first_write].tolist(),
             index.write_value_sizes[last].tolist(),
+        )
+        host_buffered = _lengths(_segments(buffered, bounds))
+        for tally, span_writes, buffered_count in zip(
+            tallies, prelude.host_writes, host_buffered
         ):
-            buffer_entries.append(
-                (
-                    position,
-                    BufferedWrite(
-                        key=names[g],
-                        first_write_time=first_time,
-                        last_write_time=last_time,
-                        write_count=writes,
-                        key_size=key_size,
-                        value_size=size,
-                    ),
+            tally.buffered_writes += span_writes
+            buffer_entries = tally.buffer_entries
+            for g, position, first_time, last_time, writes, key_size, size in islice(
+                rows, buffered_count
+            ):
+                buffer_entries.append(
+                    (
+                        position,
+                        BufferedWrite(
+                            key=names[g],
+                            first_write_time=first_time,
+                            last_write_time=last_time,
+                            write_count=writes,
+                            key_size=key_size,
+                            value_size=size,
+                        ),
+                    )
                 )
-            )
 
-    if host.estimator is not None:
-        tally.estimator_ops.extend(prelude.fold_rows(index))
+    if config.estimator is not None:
+        rows = prelude.fold_rows(index)
+        for tally, groups in zip(tallies, prelude.host_groups):
+            tally.estimator_ops.extend(islice(rows, groups))
 
 
 def _count_violations(
     ctx: _ReplayContext,
-    tally: _SpanTally,
+    tallies: Sequence[_SpanTally],
     groups: Groups,
     late: np.ndarray,
     as_of: np.ndarray,
@@ -742,9 +827,9 @@ def _count_violations(
     key's last write before the span to be newer than the entry (or, at a
     float-rounding edge, its first span write to reach back to the horizon),
     which with ideal channels it never is — only groups passing that check
-    pay for the per-read count.
+    pay for the per-read count, into their own host's tally.
     """
-    keys, first, count, stride, write_lo, _ = groups
+    keys, first, count, stride, write_lo, _, _ = groups
     index = ctx.index
     write_times = index.write_times
     if write_times.size == 0:
@@ -760,8 +845,12 @@ def _count_violations(
     )
     if not suspect.any():
         return
-    for g, key_id, entry_as_of in zip(
-        late[suspect].tolist(), key_ids[suspect].tolist(), as_of[suspect].tolist()
+    late = late[suspect]
+    for g, host, key_id, entry_as_of in zip(
+        late.tolist(),
+        groups.host[late].tolist(),
+        key_ids[suspect].tolist(),
+        as_of[suspect].tolist(),
     ):
         reads = index.read_pos[first[g] : first[g] + count[g] * stride : stride]
         horizons = ctx.trace.times[reads] - ctx.bound
@@ -770,7 +859,7 @@ def _count_violations(
         stale_writes = key_write_times.searchsorted(
             horizons[candidates], side="right"
         ) - key_write_times.searchsorted(entry_as_of, side="right")
-        tally.violations += int(np.count_nonzero(stale_writes))
+        tallies[host].violations += int(np.count_nonzero(stale_writes))
 
 
 #: Read rows the TTL-polling kernel settles at a time.  It makes about a
@@ -847,63 +936,74 @@ def _backend_reads(
 
 def _fill_cold(
     ctx: _ReplayContext,
-    tally: _SpanTally,
+    tallies: Sequence[_SpanTally],
+    segments: List[int],
     keys: np.ndarray,
     position: np.ndarray,
     *state: np.ndarray,
 ) -> None:
     """Record each key's cold fill at stream ``position`` as the entry its
     whole trace leaves behind: ``state`` is the ``(version, value_size,
-    as_of, fetched_at, last_poll_accounted, hits)`` columns of those entries.
+    as_of, fetched_at, last_poll_accounted, hits)`` columns of those entries,
+    host ``h``'s in rows ``[segments[h], segments[h + 1])``.
 
     A TTL host starts the trace empty and never drops an entry, so every key
     it reads is filled cold exactly once, wherever its later fetches fall.
     """
     names = ctx.trace.key_names
-    new_fills = tally.new_fills
-    for key_id, cold, key_size, version, size, as_of, fetched_at, accounted, hits in zip(
+    rows = zip(
         keys.tolist(),
         position.tolist(),
         ctx.trace.key_sizes[position].tolist(),
         *(column.tolist() for column in state),
-    ):
-        new_fills.append(
-            (
-                cold,
-                CacheEntry(
-                    key=names[key_id],
-                    version=version,
-                    as_of=as_of,
-                    fetched_at=fetched_at,
-                    key_size=key_size,
-                    value_size=size,
-                    last_poll_accounted=accounted,
-                    hits=hits,
-                ),
+    )
+    for tally, fills in zip(tallies, _lengths(segments)):
+        new_fills = tally.new_fills
+        for key_id, cold, key_size, version, size, as_of, fetched_at, accounted, hits in islice(
+            rows, fills
+        ):
+            new_fills.append(
+                (
+                    cold,
+                    CacheEntry(
+                        key=names[key_id],
+                        version=version,
+                        as_of=as_of,
+                        fetched_at=fetched_at,
+                        key_size=key_size,
+                        value_size=size,
+                        last_poll_accounted=accounted,
+                        hits=hits,
+                    ),
+                )
             )
-        )
-    tally.cold_misses += int(keys.size)
+        tally.cold_misses += fills
 
 
 def _kernel_ttl_expiry(
-    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
+    ctx: _ReplayContext,
+    hosts: Sequence[_HostState],
+    tallies: Sequence[_SpanTally],
+    groups: Groups,
 ) -> None:
-    """One host's whole trace under TTL-expiry (the policy never reacts).
+    """Every host's whole trace under TTL-expiry (the policy never reacts).
 
     An entry's life is a sequence of epochs: a fill anchors a timer, the
     first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
     ``ttl <= bound`` no hit can violate the staleness bound, so only the
     epoch boundaries matter, and every key's next one is bisected out of its
-    read run at once: ``O(keys x epochs x log reads)``, no pass over the
-    reads.  The search starts after the current fill, so it advances even
-    where ``fetched_at + ttl`` rounds back to ``fetched_at``.  Keys leave the
-    batch as their runs end; the last :data:`_TTL_EXPIRY_BATCH` of them —
-    typically the hot keys, with the most epochs — finish one at a time.
+    read run at once, on every host: ``O(keys x epochs x log reads)``, no
+    pass over the reads.  The search starts after the current fill, so it
+    advances even where ``fetched_at + ttl`` rounds back to ``fetched_at``.
+    Keys leave the batch as their runs end; the last
+    :data:`_TTL_EXPIRY_BATCH` of them — typically the hot keys, with the
+    most epochs — finish one at a time.
     """
-    keys, first, count, stride, _, _ = groups
+    keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
+    segments = _segments(reading.tolist(), bounds)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
     cold_position = read_pos[first]
@@ -940,20 +1040,28 @@ def _kernel_ttl_expiry(
     hits = count - 1 - refetches
     version, value_size = _backend_reads(ctx, keys, read_pos[first + fill * stride])
     _fill_cold(
-        ctx, tally, keys, cold_position,
+        ctx, tallies, segments, keys, cold_position,
         version, value_size, fetch_time, fetch_time, fetch_time, hits,
     )
-    expirations = int(refetches.sum())
-    tally.reads += int(count.sum())
-    tally.hits += int(hits.sum())
-    tally.stale_misses += expirations
-    tally.expirations += expirations
+    for tally, reads, host_hits, expirations in zip(
+        tallies,
+        _segment_sums(count.tolist(), segments),
+        _segment_sums(hits.tolist(), segments),
+        _segment_sums(refetches.tolist(), segments),
+    ):
+        tally.reads += reads
+        tally.hits += host_hits
+        tally.stale_misses += expirations
+        tally.expirations += expirations
 
 
 def _kernel_ttl_polling(
-    ctx: _ReplayContext, host: _HostState, tally: _SpanTally, groups: Groups
+    ctx: _ReplayContext,
+    hosts: Sequence[_HostState],
+    tallies: Sequence[_SpanTally],
+    groups: Groups,
 ) -> None:
-    """One host's whole trace under TTL-polling (the policy never reacts).
+    """Every host's whole trace under TTL-polling (the policy never reacts).
 
     A key's cold fill anchors its poll timer at ``a``; every later read
     settles the polls since the last accounting point with the scalar
@@ -969,15 +1077,16 @@ def _kernel_ttl_polling(
     not read ``i - 1`` charged any.  That is a fixed number of float64 column
     operations per read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.
     """
-    keys, first, count, stride, _, _ = groups
+    keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
+    segments = _segments(reading.tolist(), bounds)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
     cold_position = read_pos[first]
     anchor = times[cold_position]
-    # The host's reads as one table of rows, group after group: row ``r`` of
+    # The hosts' reads as one table of rows, group after group: row ``r`` of
     # group ``g`` is the read ``read_pos[slot[g] + r * stride]``.
     ends = np.cumsum(count)
     starts = ends - count
@@ -988,6 +1097,10 @@ def _kernel_ttl_polling(
     settled_position = cold_position.copy()
     positions: List[np.ndarray] = []
     charges: List[np.ndarray] = []
+    # Rows run group after group, so each host's rows — and its charging
+    # rows — are one run: count the charging rows before each host's first.
+    host_rows = np.concatenate(([0], ends))[segments]
+    charged_before = np.zeros(host_rows.size, dtype=np.int64)
     total = int(ends[-1])
     carried = 0  # ``s`` of the row before the block
     for lo in range(0, total, _TTL_BLOCK_ROWS):
@@ -1020,9 +1133,14 @@ def _kernel_ttl_polling(
             settled_position[owner[final]] = position[charging[final]]
             positions.append(position[charging])
             charges.append(charge[charging])
+            charged_before += np.searchsorted(charging + lo, host_rows)
     if positions:
-        tally.poll_positions = np.concatenate(positions)
-        tally.poll_counts = np.concatenate(charges)
+        position, charge = np.concatenate(positions), np.concatenate(charges)
+        split = charged_before.tolist()
+        for tally, lo, hi in zip(tallies, split, split[1:]):
+            if hi > lo:
+                tally.poll_positions = position[lo:hi]
+                tally.poll_counts = charge[lo:hi]
     # Only a key's *final* settled state is observable after the trace: polls
     # refresh the entry monotonically, so the scalar engine's per-read entry
     # updates collapse into the last one.
@@ -1042,12 +1160,15 @@ def _kernel_ttl_polling(
     )
     hits = count - 1
     _fill_cold(
-        ctx, tally, keys, cold_position,
+        ctx, tallies, segments, keys, cold_position,
         np.maximum(version, polled_version), value_size,
         np.maximum(anchor, last_poll), anchor, last_poll, hits,
     )
-    tally.reads += total
-    tally.hits += int(hits.sum())
+    for tally, reads, host_hits in zip(
+        tallies, _segment_sums(count.tolist(), segments), _segment_sums(hits.tolist(), segments)
+    ):
+        tally.reads += reads
+        tally.hits += host_hits
 
 
 #: Fewest additions :func:`_fold_constant` takes in closed form.  Measured on
@@ -1209,15 +1330,15 @@ class SpanReplay:
     """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
     Inside the engine's envelope (``_envelope``) each cut commits its writes
-    and runs one kernel per host, with the driver's due work at every
-    boundary and its finalize at the end; outside it the driver's own
+    and runs one kernel call for every host, with the driver's due work at
+    every boundary and its finalize at the end; outside it the driver's own
     ``run()`` replays.  The defaults are the single cache's (one host, the
     whole cut, unrouted); the fleet supplies ``_route_trace`` /
     ``_node_groups``.
     """
 
     _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
-    #: The fleet shape a host's kernel prelude is memoised under (``None``:
+    #: The fleet shape a cut's kernel prelude is memoised under (``None``:
     #: the single cache's, unrouted).
     _shape = None
 
@@ -1285,42 +1406,40 @@ class SpanReplay:
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""
 
-    def _node_groups(self, facts: SpanFacts) -> List[Tuple[Optional[Groups], int]]:
-        """``(groups, writes)`` per host of one cut: the single cache's
-        groups are every key with all its reads, and it counts every write."""
+    def _node_groups(self, facts: SpanFacts) -> Tuple[Groups, List[int]]:
+        """The hosts' :class:`Groups` of one cut and the writes each counts:
+        the single cache's one host has every key with all its reads, and it
+        counts every write."""
         keys, read_lo, read_hi, write_lo, write_hi = facts.columns
-        return [((keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi), facts.total_writes)]
+        groups = Groups(keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi, [0, keys.size])
+        return groups, [facts.total_writes]
 
     def _replay_span(self, facts: SpanFacts, kernel) -> None:
-        """One cut on every host: ``kernel(host_index, host, tally, groups)``
-        for each that has groups, after the datastore took the writes."""
-        ctx = self._ctx
+        """One cut on every host: one ``kernel(hosts, tallies, groups)`` call
+        after the datastore took the writes, then each host's tally flushed
+        in host order."""
+        ctx, hosts = self._ctx, self._hosts
         _apply_span_writes(ctx, facts)
-        for node_idx, (host, (groups, writes)) in enumerate(
-            zip(self._hosts, self._node_groups(facts))
-        ):
-            tally = _SpanTally()
-            tally.writes = writes
-            if groups is not None:
-                kernel(node_idx, host, tally, groups)
+        groups, writes = self._node_groups(facts)
+        tallies = [_SpanTally(count) for count in writes]
+        kernel(hosts, tallies, groups)
+        for host, tally in zip(hosts, tallies):
             _flush_tally(ctx, host, tally)
 
     def _replay_reactive_span(self, facts: SpanFacts) -> None:
         ctx, shape = self._ctx, self._shape
         self._replay_span(
             facts,
-            lambda node_idx, host, tally, groups: _kernel_reactive_span(
-                ctx, host, tally, _span_prelude(ctx, facts, (shape, node_idx), groups)
+            lambda hosts, tallies, groups: _kernel_reactive_span(
+                ctx, hosts, tallies, _span_prelude(ctx, facts, shape, groups)
             ),
         )
 
     def _replay_ttl_trace(self, facts: SpanFacts) -> None:
-        # The whole trace is one span (see _walk_spans): one call per host.
+        # The whole trace is one span (see _walk_spans): one call in all.
         ctx = self._ctx
         kernel = _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
-        self._replay_span(
-            facts, lambda node_idx, host, tally, groups: kernel(ctx, host, tally, groups)
-        )
+        self._replay_span(facts, lambda hosts, tallies, groups: kernel(ctx, hosts, tallies, groups))
 
 
 class VectorSimulation(SpanReplay, Simulation):

@@ -333,6 +333,17 @@ class SpanCursor:
         return active, read_lo, read_hi, write_lo, write_hi
 
 
+#: What each column of a :class:`CompiledTrace` holds: ``(field, numpy kind,
+#: wording)``, in the order they are checked.
+_COLUMN_KINDS = (
+    ("times", np.floating, "float"),
+    ("key_ids", np.integer, "integer"),
+    ("is_read", np.bool_, "bool"),
+    ("key_sizes", np.integer, "integer"),
+    ("value_sizes", np.integer, "integer"),
+)
+
+
 @dataclass(slots=True)
 class CompiledTrace:
     """A request stream as parallel columnar arrays.
@@ -362,6 +373,37 @@ class CompiledTrace:
     _index: Optional[TraceIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        """Check the five columns' shapes and dtypes (O(1): no pass over the
+        rows, so a :func:`~repro.workload.base.constant_column` view passes).
+
+        Raises:
+            WorkloadError: Naming the first column that is not a 1-D array of
+                its kind, or whose length differs from ``times``.
+        """
+        rows = None
+        for name, kind, wording in _COLUMN_KINDS:
+            column = getattr(self, name)
+            if not (
+                isinstance(column, np.ndarray)
+                and column.ndim == 1
+                and np.issubdtype(column.dtype, kind)
+            ):
+                got = (
+                    f"{column.dtype} of shape {column.shape}"
+                    if isinstance(column, np.ndarray)
+                    else type(column).__name__
+                )
+                raise WorkloadError(
+                    f"compiled trace column {name} must be a 1-D {wording} array, got {got}"
+                )
+            if rows is None:
+                rows = column.size
+            elif column.size != rows:
+                raise WorkloadError(
+                    f"compiled trace column {name} has {column.size} rows, times has {rows}"
+                )
 
     def __len__(self) -> int:
         return int(self.times.size)

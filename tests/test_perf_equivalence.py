@@ -43,6 +43,7 @@ from repro.sim.events import PendingDelivery
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
+    Groups,
     VectorSimulation,
     _apply_span_writes,
     _flush_tally,
@@ -51,7 +52,6 @@ from repro.sim.vector import (
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
-    _span_prelude,
     _SpanPrelude,
     _SpanTally,
     _ttl_resolvable,
@@ -816,12 +816,16 @@ def assert_span_kernel_matches_reference(
         new, ref = _SpanTally(), ReferenceTally()
         new.writes = _apply_span_writes(ctx_new, facts)
         ref.writes = _apply_span_writes(ctx_ref, facts)
-        _kernel_reactive_span(
-            ctx_new,
-            host_new,
-            new,
-            _SpanPrelude(trace, index, (keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)),
+        groups = Groups(
+            keys,
+            read_lo,
+            read_hi - read_lo,
+            1,
+            write_lo,
+            write_hi,
+            [0, keys.size],
         )
+        _kernel_reactive_span(ctx_new, [host_new], [new], _SpanPrelude(trace, index, groups))
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
             missing = host_ref.entries.get(trace.key_names[key])
@@ -911,6 +915,25 @@ def naive_node_reads(simulation, key: int, read_lo: int, read_hi: int):
     return served
 
 
+def groups_of_hosts(groups: Groups, hosts) -> Groups:
+    """The rows of ``groups`` that belong to ``hosts`` (ascending), as the
+    table of those hosts alone."""
+    bounds = groups.bounds
+    rows = np.array(
+        [row for host in hosts for row in range(bounds[host], bounds[host + 1])], dtype=np.int64
+    )
+    sizes = [bounds[host + 1] - bounds[host] for host in hosts]
+    return Groups(
+        groups.keys[rows],
+        groups.first[rows],
+        groups.count[rows],
+        groups.stride,
+        groups.write_lo[rows],
+        groups.write_hi[rows],
+        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))).tolist(),
+    )
+
+
 class ReferenceClusterSimulation(VectorClusterSimulation):
     """The fleet engine with per-read routing and the per-key kernel on the
     ``referenced`` nodes (default: all of them), the production kernel on
@@ -947,8 +970,8 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                     )
         self._kernel_the_others(
             facts,
-            lambda node_idx, host, tally, groups: _kernel_reactive_span(
-                ctx, host, tally, _span_prelude(ctx, facts, (self._shape, node_idx), groups)
+            lambda hosts, tallies, groups: _kernel_reactive_span(
+                ctx, hosts, tallies, _SpanPrelude(ctx.trace, index, groups)
             ),
         )
         self._record_and_flush(tallies)
@@ -963,14 +986,15 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         read_pos = ctx.index.read_pos
         expiry = self._node_list[0]._ttl_expiry
         kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
-        routed = self._node_groups(facts)
+        groups, writes = self._node_groups(facts)
         for node_idx in self.referenced:
             host, tally = hosts[node_idx], tallies[node_idx]
-            groups, tally.writes = routed[node_idx]
-            if groups is None:
-                continue
-            keys, first, count, stride, _, _ = groups
-            for key_id, lo, reads in zip(keys.tolist(), first.tolist(), count.tolist()):
+            tally.writes = writes[node_idx]
+            mine = slice(*groups.bounds[node_idx : node_idx + 2])
+            stride = groups.stride
+            for key_id, lo, reads in zip(
+                groups.keys[mine].tolist(), groups.first[mine].tolist(), groups.count[mine].tolist()
+            ):
                 if reads:
                     kernel(
                         ctx,
@@ -982,22 +1006,22 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
                     )
         production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
         self._kernel_the_others(
-            facts, lambda node_idx, host, tally, groups: production(ctx, host, tally, groups)
+            facts, lambda hosts, tallies, groups: production(ctx, hosts, tallies, groups)
         )
         self._record_and_flush(tallies)
 
     def _kernel_the_others(self, facts, kernel) -> None:
         """The production span replay of every node the reference does not
-        replay, writes already applied."""
-        for node_idx, (host, (groups, writes)) in enumerate(
-            zip(self._hosts, self._node_groups(facts))
-        ):
-            if node_idx not in self.referenced:
-                tally = _SpanTally()
-                tally.writes = writes
-                if groups is not None:
-                    kernel(node_idx, host, tally, groups)
-                _flush_tally(self._ctx, host, tally)
+        replay — their groups in one kernel call — writes already applied."""
+        groups, writes = self._node_groups(facts)
+        others = [node for node in range(len(self._hosts)) if node not in self.referenced]
+        if not others:
+            return
+        hosts = [self._hosts[node] for node in others]
+        tallies = [_SpanTally(writes[node]) for node in others]
+        kernel(hosts, tallies, groups_of_hosts(groups, others))
+        for host, tally in zip(hosts, tallies):
+            _flush_tally(self._ctx, host, tally)
 
     def _record_and_flush(self, tallies) -> None:
         self.span_tallies.append(
@@ -1162,9 +1186,10 @@ def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypat
     calls = []
     count_violations = sim_vector._count_violations
 
-    def counted(ctx, tally, *late):
+    def counted(ctx, tallies, *late):
+        [tally] = tallies
         before = tally.violations
-        count_violations(ctx, tally, *late)
+        count_violations(ctx, tallies, *late)
         calls.append(tally.violations - before)
 
     monkeypatch.setattr(sim_vector, "_count_violations", counted)
@@ -1494,10 +1519,18 @@ def reference_kernel_ttl_polling(
             entry.version = refreshed
 
 
-def whole_trace_groups(trace):
+def whole_trace_groups(trace) -> Groups:
     """The single cache's groups for a TTL replay: every key, all its reads."""
     keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
-    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
+    return Groups(
+        keys,
+        read_lo,
+        read_hi - read_lo,
+        1,
+        write_lo,
+        write_hi,
+        [0, keys.size],
+    )
 
 
 def make_ttl_host(trace, policy_class, ttl, bound=1.0):
@@ -1544,7 +1577,7 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
         with pytest.MonkeyPatch.context() as patch:
             if expiry_batch is not None:
                 patch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
-            batched(ctx_new, host_new, new, groups)
+            batched(ctx_new, [host_new], [new], groups)
         for key, lo, reads in zip(keys.tolist(), read_lo.tolist(), read_count.tolist()):
             if reads:
                 per_key(
@@ -1606,7 +1639,7 @@ def test_batched_ttl_kernels_match_on_single_read_and_write_only_keys() -> None:
     assert index.write_offsets[2] == index.write_offsets[3]
     ctx, host = make_ttl_host(trace, TTLPollingPolicy, 0.7)
     tally = _SpanTally()
-    _kernel_ttl_polling(ctx, host, tally, whole_trace_groups(trace))
+    _kernel_ttl_polling(ctx, [host], [tally], whole_trace_groups(trace))
     filled = {entry.key: entry for _, entry in tally.new_fills}
     assert "key-000000" not in filled
     assert filled["key-000001"].hits == 0 and filled["key-000001"].version > 0
@@ -1648,7 +1681,7 @@ def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
         monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
         tally = _SpanTally()
         with wall_clock_limit(5.0):
-            _kernel_ttl_expiry(ctx, host, tally, whole_trace_groups(trace))
+            _kernel_ttl_expiry(ctx, [host], [tally], whole_trace_groups(trace))
         # (Reads tied with a fill at t = 0, where 1e-19 does resolve, still hit.)
         assert (tally.hits, tally.stale_misses) == (scalar.hits, scalar.stale_misses)
         assert tally.expirations == tally.stale_misses > 0.9 * tally.reads
@@ -1723,7 +1756,7 @@ def test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_e
         index = trace.index()
         groups = whole_trace_groups(trace)
         tally = _SpanTally()
-        _kernel_ttl_polling(ctx, host, tally, groups)
+        _kernel_ttl_polling(ctx, [host], [tally], groups)
         got = dict(zip(tally.poll_positions.tolist(), tally.poll_counts.tolist()))
         entries = {entry.key: entry for _, entry in tally.new_fills}
         for key, lo, reads in zip(*(column.tolist() for column in groups[:3])):

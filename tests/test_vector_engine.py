@@ -32,7 +32,7 @@ from repro.concurrency.config import ConcurrencyConfig
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments.registry import make_cost_model, make_policy
 from repro.experiments.spec import ChannelSpec
 from repro.cluster import replay_cluster_parallel
@@ -42,6 +42,7 @@ from repro.sim import vector as sim_vector
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     ENVELOPE,
+    Groups,
     VectorSimulation,
     _HostState,
     _kernel_reactive_span,
@@ -53,6 +54,7 @@ from repro.sim.vector import (
 from repro.sketch.countmin import CountMinEWSketch
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
+from repro.workload.base import constant_column
 from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -125,11 +127,58 @@ def test_generic_compiler_covers_unknown_workload_subclasses() -> None:
 
 def test_compile_workload_rejects_bad_durations() -> None:
     workload = PoissonZipfWorkload(num_keys=10, rate_per_key=10.0, seed=0)
-    from repro.errors import WorkloadError
-
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(WorkloadError):
             compile_workload(workload, bad)
+
+
+def four_request_columns(**replaced):
+    """A valid 4-request trace's columns (3 reads, 1 write), some replaced."""
+    columns = dict(
+        times=np.array([0.0, 0.5, 1.0, 1.5]),
+        key_ids=np.array([0, 1, 0, 1]),
+        is_read=np.array([True, False, True, True]),
+        key_sizes=np.full(4, 16, dtype=np.int64),
+        value_sizes=np.full(4, 64, dtype=np.int64),
+        key_names=["key-0", "key-1"],
+    )
+    columns.update(replaced)
+    return columns
+
+
+def test_compiled_trace_refuses_an_integer_is_read_column() -> None:
+    """A 0/1 ``is_read`` reads as 4 reads and 4 writes to a boolean mask's
+    users and as 3 reads and 1 write to the scalar feed."""
+    with pytest.raises(WorkloadError, match="column is_read must be a 1-D bool array"):
+        CompiledTrace(**four_request_columns(is_read=np.array([1, 0, 1, 1])))
+
+
+def test_compiled_trace_refuses_a_size_column_one_row_short() -> None:
+    with pytest.raises(WorkloadError, match="column value_sizes has 3 rows, times has 4"):
+        CompiledTrace(**four_request_columns(value_sizes=np.full(3, 64, dtype=np.int64)))
+
+
+def test_compiled_trace_refuses_a_key_column_one_row_too_long() -> None:
+    """The extra row used to replay truncated to the time column, unreported."""
+    with pytest.raises(WorkloadError, match="column key_ids has 5 rows, times has 4"):
+        CompiledTrace(**four_request_columns(key_ids=np.array([0, 1, 0, 1, 0])))
+
+
+def test_compiled_trace_refuses_float_key_ids() -> None:
+    """Float ids used to surface as numpy's TypeError from inside the index."""
+    with pytest.raises(WorkloadError, match="column key_ids must be a 1-D integer array"):
+        CompiledTrace(**four_request_columns(key_ids=np.array([0.0, 1.0, 0.0, 1.0])))
+
+
+def test_compiled_trace_checks_columns_without_reading_them() -> None:
+    """Shape and dtype only: a constant-column view, a two-dimensional times
+    array and a plain list are told apart without a pass over any rows."""
+    trace = CompiledTrace(**four_request_columns(key_sizes=constant_column(16, 4)))
+    assert trace.key_sizes.strides == (0,)
+    with pytest.raises(WorkloadError, match="column times must be a 1-D float array"):
+        CompiledTrace(**four_request_columns(times=np.zeros((2, 2))))
+    with pytest.raises(WorkloadError, match="got list"):
+        CompiledTrace(**four_request_columns(times=[0.0, 0.5, 1.0, 1.5]))
 
 
 # --------------------------------------------------------------------- #
@@ -623,9 +672,17 @@ def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
     return ctx, host
 
 
-def whole_trace_groups(trace: CompiledTrace):
+def whole_trace_groups(trace: CompiledTrace) -> Groups:
     keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
-    return keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi
+    return Groups(
+        keys,
+        read_lo,
+        read_hi - read_lo,
+        1,
+        write_lo,
+        write_hi,
+        [0, keys.size],
+    )
 
 
 def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
@@ -638,7 +695,9 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
     ctx, host = kernel_host(trace)
     tally = _SpanTally()
-    _kernel_reactive_span(ctx, host, tally, _SpanPrelude(trace, index, whole_trace_groups(trace)))
+    _kernel_reactive_span(
+        ctx, [host], [tally], _SpanPrelude(trace, index, whole_trace_groups(trace))
+    )
     assert sorted(tally.estimator_ops) == [
         (0, "key-2", 0, 1, 0, 0, 0),  # write-only: first seen at its write
         (1, "key-0", 1, 1, 0, 0, 0),
@@ -657,15 +716,16 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     index = trace.index()
     ctx, host = kernel_host(trace, "invalidate")
     tally = _SpanTally()
-    groups = (
+    groups = Groups(
         np.array([0]),
         np.array([index.read_pos.size + 1]),
         np.array([0]),
         2,
         np.array([0]),
         np.array([1]),
+        [0, 1],
     )
-    _kernel_reactive_span(ctx, host, tally, _SpanPrelude(trace, index, groups))
+    _kernel_reactive_span(ctx, [host], [tally], _SpanPrelude(trace, index, groups))
     assert (tally.reads, tally.buffered_writes, tally.new_fills) == (0, 1, [])
     [(position, buffered)] = tally.buffer_entries
     assert (position, buffered.write_count, buffered.first_write_time) == (2, 1, 0.2)
@@ -701,10 +761,11 @@ def test_one_sided_traces_replay_identically_on_every_engine(ops: str, policy: s
 )
 def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: str) -> None:
     """The cost model, counted: a reactive replay calls the span kernel once
-    per non-empty span (and node), however many keys the span touches; a TTL
-    replay has no flush boundaries, so its whole trace is one span — one
-    kernel call per host.  The one process replaying the fleet owns every
-    node, whatever ``workers`` says."""
+    per non-empty span, however many keys the span touches and however many
+    nodes share it (3 or 8, one replica or two); a TTL replay has no flush
+    boundaries, so its whole trace is one span — one kernel call in all.
+    The one process replaying the fleet owns every node, whatever
+    ``workers`` says."""
     log = tmp_path / "kernel_calls.log"
     log.touch()
 
@@ -742,9 +803,17 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
             trace, policy=make_policy(policy), staleness_bound=bound, duration=duration
         ).run
     ) == spans
-    assert calls_of(VectorClusterSimulation(trace, **fleet).run) == 3 * spans
+    assert calls_of(VectorClusterSimulation(trace, **fleet).run) == spans
     for workers in (2, 8):
-        assert calls_of(lambda: replay_cluster_parallel(trace, workers=workers, **fleet)) == 3 * spans
+        assert calls_of(lambda: replay_cluster_parallel(trace, workers=workers, **fleet)) == spans
+    wide = dict(
+        fleet,
+        num_nodes=8,
+        replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+    )
+    simulation = VectorClusterSimulation(trace, **wide)
+    assert calls_of(simulation.run) == spans
+    assert simulation.used_vector_path
 
 
 @pytest.mark.parametrize("bound", [0.1, 0.5, 2.0])
@@ -759,3 +828,41 @@ def test_vector_single_cache_matches_a_one_node_vector_fleet(policy: str, bound:
     fleet = VectorClusterSimulation(trace, policy=policy, num_nodes=1, **config)
     assert_identical(single.run().as_dict(), fleet.run().totals.as_dict())
     assert single.used_vector_path and fleet.used_vector_path
+
+
+#: One trace for every fleet shape below: compiled once, replayed ~90 times.
+FLEET_SHAPE_TRACE = compile_workload(
+    PoissonZipfWorkload(num_keys=60, rate_per_key=12.0, seed=21), 2.0
+)
+
+
+@pytest.mark.parametrize("bound", [0.05, 0.5])
+@pytest.mark.parametrize(
+    "policy", ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"]
+)
+@pytest.mark.parametrize(
+    "factor, read_policy",
+    [(1, "primary"), (2, "round-robin"), (3, "hash")],
+    ids=["rf1-primary", "rf2-round-robin", "rf3-hash"],
+)
+@pytest.mark.parametrize("nodes", [2, 3, 8])
+def test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet(
+    nodes: int, factor: int, read_policy: str, policy: str, bound: float
+) -> None:
+    """Every node's groups in one table per cut, every host's segment walked
+    in one kernel call: per-node rows, fleet totals and the fleet's own
+    counters equal the scalar :class:`ClusterSimulation`'s, for 2, 3 and 8
+    nodes and a replica set of one, two or three (a 2-node fleet replicates
+    "three" copies on its two nodes: a factor above the fleet is refused)."""
+    fleet = dict(
+        policy=policy,
+        num_nodes=nodes,
+        replication=ReplicationConfig(factor=min(factor, nodes), read_policy=read_policy),
+        staleness_bound=bound,
+        duration=2.0,
+        workload_name="poisson",
+    )
+    scalar = ClusterSimulation(FLEET_SHAPE_TRACE.iter_requests(), **fleet).run()
+    simulation = VectorClusterSimulation(FLEET_SHAPE_TRACE, **fleet)
+    assert_identical(scalar.as_dict(), simulation.run().as_dict())
+    assert simulation.used_vector_path
