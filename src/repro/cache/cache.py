@@ -11,7 +11,7 @@ statistics.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cache.eviction import EvictionPolicy, LRUEviction
@@ -40,13 +40,14 @@ class Cache:
         capacity: Maximum number of objects held at once.  ``None`` means
             unbounded (useful for experiments that want to isolate freshness
             effects from eviction effects, as the paper's model does).
-        eviction: Eviction policy instance; defaults to LRU.
+        eviction: Eviction policy instance; defaults to LRU.  Only a cache
+            with a capacity ever calls it.
         on_evict: Optional callback invoked with ``(entry, time)`` whenever an
             entry is evicted for capacity reasons.  The simulator uses this to
             finalise lazily-accounted polling costs.
     """
 
-    __slots__ = ("capacity", "eviction", "on_evict", "stats", "_entries", "_on_access")
+    __slots__ = ("capacity", "eviction", "recency", "on_evict", "stats", "_entries")
 
     def __init__(
         self,
@@ -58,12 +59,13 @@ class Cache:
             raise ConfigurationError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
         self.eviction = eviction if eviction is not None else LRUEviction()
+        #: The eviction policy the cache keeps informed — ``None`` without a
+        #: capacity.  An unbounded cache never chooses a victim, so nothing
+        #: could read the order the policy would keep: it is never called.
+        self.recency: Optional[EvictionPolicy] = self.eviction if capacity is not None else None
         self.on_evict = on_evict
         self.stats = CacheStats()
         self._entries: Dict[str, CacheEntry] = {}
-        # Hot-path alias: one bound-method resolution per lookup saved; the
-        # eviction policy never changes after construction.
-        self._on_access = self.eviction.on_access
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -108,9 +110,9 @@ class Cache:
         Returns:
             A ``(entry, outcome)`` pair where ``outcome`` is one of ``"hit"``,
             ``"stale_miss"`` (the object is cached but invalidated/expired),
-            or ``"cold_miss"`` (the object is not cached at all).  On a hit the
-            entry's recency is updated; on any outcome the statistics are
-            updated.
+            or ``"cold_miss"`` (the object is not cached at all).  A cached
+            entry's recency is updated (bounded caches only); on any outcome
+            the statistics are updated.
         """
         stats = self.stats
         stats.lookups += 1
@@ -121,11 +123,13 @@ class Cache:
         if entry.state is EntryState.VALID:
             entry.hits += 1
             stats.hits += 1
-            self._on_access(key)
-            return entry, "hit"
-        stats.stale_misses += 1
-        self._on_access(key)
-        return entry, "stale_miss"
+            outcome = "hit"
+        else:
+            stats.stale_misses += 1
+            outcome = "stale_miss"
+        if self.recency is not None:
+            self.recency.on_access(key)
+        return entry, outcome
 
     # ------------------------------------------------------------------ #
     # Fill / refresh path
@@ -148,7 +152,8 @@ class Cache:
         if entry is not None:
             entry.refresh(version=version, time=time, value_size=value_size)
             entry.last_poll_accounted = time
-            self.eviction.on_access(key)
+            if self.recency is not None:
+                self.recency.on_access(key)
             return entry
         self._make_room(time)
         entry = CacheEntry(
@@ -161,7 +166,8 @@ class Cache:
             last_poll_accounted=time,
         )
         self._entries[key] = entry
-        self.eviction.on_insert(key)
+        if self.recency is not None:
+            self.recency.on_insert(key)
         self.stats.insertions += 1
         return entry
 
@@ -224,22 +230,37 @@ class Cache:
         if existing is None:
             self._make_room(time)
         self._entries[entry.key] = entry
-        self.eviction.on_insert(entry.key)
+        if self.recency is not None:
+            self.recency.on_insert(entry.key)
         self.stats.insertions += 1
         return entry
+
+    def reorder(self, keys: List[str]) -> None:
+        """Make ``keys`` (victim first) the eviction order of a bounded cache.
+
+        Each key leaves the policy and re-enters it in turn, so an
+        order-keeping policy (LRU, FIFO) ends up holding exactly ``keys``:
+        how a restore rebuilds an order that differs from the entries'.
+        """
+        for key in keys:
+            self.recency.on_remove(key)
+            self.recency.on_insert(key)
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` from the cache entirely (no eviction callback)."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self.eviction.on_remove(key)
+        if self.recency is not None:
+            self.recency.on_remove(key)
         return True
 
     def clear(self) -> None:
         """Remove every entry (statistics are preserved)."""
-        for key in list(self._entries):
-            self.delete(key)
+        if self.recency is not None:
+            for key in self._entries:
+                self.recency.on_remove(key)
+        self._entries.clear()
 
     # ------------------------------------------------------------------ #
     # Internal helpers

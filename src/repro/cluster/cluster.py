@@ -636,10 +636,12 @@ class ClusterSimulation(ReplayDriver):
         freshly constructed cluster with the same configuration and workload,
         then :meth:`run`.  Returns the recovery report.
 
-        Exact-resume limits: policies whose flush decisions depend on
-        accumulated estimator state (``adaptive``) restart their estimators
-        cold; hot-key detectors are not snapshotted; and a node that was
-        fail-silent at the checkpoint (unreachable but still serving its
+        Exact-resume limits (the failure model is the recovery guide's
+        table): LFU and Clock eviction state comes back in the entries'
+        order and the sketch E[W] estimators come back cold (LRU / FIFO order
+        and the exact tracker are checkpointed); hot-key detectors are not
+        snapshotted; and a node that
+        was fail-silent at the checkpoint (unreachable but still serving its
         cache) is restored empty — its cache was volatile memory with no
         durable claim, so it died with the crash, whereas an uninterrupted
         run would have kept serving it.  Identical-counter resume therefore

@@ -71,7 +71,8 @@ class AdaptivePolicy(FreshnessPolicy):
         self.decisions_invalidate = 0
 
     # ------------------------------------------------------------------ #
-    # Observation
+    # Observation: plain forwards, so a cache node that sees them unchanged
+    # calls the estimator's methods itself (bound when the node is built).
     # ------------------------------------------------------------------ #
     def observe_read(self, key: str, time: float) -> None:
         """Feed the read into the E[W] estimator."""

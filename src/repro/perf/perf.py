@@ -251,9 +251,42 @@ def _streamed_replay(
     return {"ops": requests, "ops_per_sec": requests / timing["best_seconds"], **timing}
 
 
+def calls_per_request(scale: float = 1.0) -> Dict[str, float]:
+    """Function calls per request of the scalar replay loop, per built-in policy.
+
+    Python and built-in calls as cProfile counts them, while ``Simulation``
+    replays the ``steady-scalar`` benchmark's trace shape (1 000 keys at
+    100 req/s each, 90 % reads, bound 1 s; 2 s of it at scale 1).  The trace
+    is compiled first, so the feed costs no generator frames.  A count, not
+    a timing: every run of one interpreter gives the same numbers.  Summed
+    per code object, because ``pstats`` keys functions by file, line and
+    name, and every dataclass ``__init__`` is ``<string>:2``: merged there,
+    all but one of them drop out of its total.
+    """
+    from repro.experiments.registry import make_policy
+    from repro.sim.simulation import Simulation
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    duration = 2.0 * scale
+    workload = PoissonZipfWorkload(num_keys=1000, rate_per_key=100.0, read_ratio=0.9, seed=0)
+    trace = compile_workload(workload, duration)
+    counts = {}
+    for policy in ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"):
+        simulation = Simulation(
+            trace, policy=make_policy(policy), staleness_bound=1.0, duration=duration
+        )
+        profiler = cProfile.Profile()
+        profiler.runcall(simulation.run)
+        calls = sum(entry.callcount for entry in profiler.getstats())
+        counts[policy] = calls / len(trace)
+    return counts
+
+
 def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
-    """End-to-end single-cache replay (generation + simulation)."""
-    return _streamed_replay(scale)
+    """End-to-end single-cache replay (generation + simulation), plus the
+    loop's :func:`calls_per_request` for each built-in policy."""
+    return {**_streamed_replay(scale), "calls_per_request": calls_per_request(scale)}
 
 
 def bench_replay_cluster(scale: float = 1.0) -> Dict[str, Any]:
@@ -583,10 +616,10 @@ def bench_obs_disabled(scale: float = 1.0) -> Dict[str, Any]:
 
     ``obs=None`` binds the raw callables (the node's ``handle_read``, the
     driver's ``_process_write``) at the top of ``run()``, so this must be
-    indistinguishable from a build without the hooks: it is ``replay-single``
-    under the name that pairs with ``obs-enabled``.
+    indistinguishable from a build without the hooks: it is ``replay-single``'s
+    timed replay under the name that pairs with ``obs-enabled``.
     """
-    return bench_replay_single(scale)
+    return _streamed_replay(scale)
 
 
 def bench_obs_enabled(scale: float = 1.0) -> Dict[str, Any]:

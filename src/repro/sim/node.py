@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.backend.buffer import WriteBuffer
 from repro.backend.channel import Channel
@@ -72,6 +72,7 @@ from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import ConcurrencyConfig
 from repro.concurrency.coordinator import FetchCoordinator
 from repro.errors import ClusterError
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.cost_model import CostModel
 from repro.core.policy import Action, FreshnessPolicy, FutureIndex, PolicyContext
 from repro.core.ttl import TTLPollingPolicy, account_entry_polls
@@ -80,6 +81,43 @@ from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.tier.config import TierConfig
 from repro.tier.l1 import L1Tier
+
+_VALID, _EXPIRED = EntryState.VALID, EntryState.EXPIRED
+
+
+def _observers(
+    policies: Sequence[FreshnessPolicy], hook: str, detector: Optional[Any]
+) -> Tuple[Tuple[Callable[[str], None], ...], Optional[Callable[[str, float], None]]]:
+    """What sees each request of one kind: ``(by_key, timed)``.
+
+    ``by_key`` are ``(key)`` callables.  A base-class no-op is left out, and
+    a stock :class:`~repro.core.adaptive.AdaptivePolicy` hook only forwards
+    the key to its estimator, so the estimator's own method stands in for
+    it (no built-in policy reads the time).  ``timed`` is ``None`` unless
+    something needs more — the hot-key detector, or a policy with a hook of
+    its own — and then it is one ``(key, time)`` callable that calls all of
+    them, detector first and policies in order, with ``by_key`` empty.
+    """
+    base, stock = getattr(FreshnessPolicy, hook), getattr(AdaptivePolicy, hook)
+    kinds = [getattr(type(policy), hook) for policy in policies]
+    if detector is None and all(kind is base or kind is stock for kind in kinds):
+        by_key = tuple(
+            getattr(policy.estimator, hook)
+            for policy, kind in zip(policies, kinds)
+            if kind is stock
+        )
+        return by_key, None
+    observers = [
+        getattr(policy, hook) for policy, kind in zip(policies, kinds) if kind is not base
+    ]
+
+    def timed(key: str, time: float) -> None:
+        if detector is not None:
+            detector.observe(key)
+        for observe in observers:
+            observe(key, time)
+
+    return (), timed
 
 
 class CacheNode:
@@ -218,18 +256,12 @@ class CacheNode:
         # lifetime): observation hooks that are base-class no-ops are never
         # called, TTL settling is skipped for non-TTL policies, and the
         # fixed-preset serve and miss costs collapse to constants.
-        base_read = FreshnessPolicy.observe_read
-        base_write = FreshnessPolicy.observe_write
         policies = [self.policy] + ([self.hot_policy] if self.hot_policy else [])
-        self._read_observers = tuple(
-            policy.observe_read
-            for policy in policies
-            if type(policy).observe_read is not base_read
+        self._read_observers, self._timed_read = _observers(
+            policies, "observe_read", self.detector
         )
-        self._write_observers = tuple(
-            policy.observe_write
-            for policy in policies
-            if type(policy).observe_write is not base_write
+        self._write_observers, self._timed_write = _observers(
+            policies, "observe_write", self.detector
         )
         self._settles_ttl = self.policy.ttl_mode is not None
         self._ttl_expiry = self.policy.ttl_mode == "expiry"
@@ -249,6 +281,9 @@ class CacheNode:
             self.costs.miss_cost() if self.costs.breakdown is None else None
         )
         self._l2_peek = self.cache.raw_getter()
+        self._l2_stats = self.cache.stats
+        recency = self.cache.recency
+        self._l2_touch = recency.on_access if recency is not None else None
 
     @property
     def reacts_to_writes(self) -> bool:
@@ -273,10 +308,10 @@ class CacheNode:
         """
         if owner:
             self.result.writes += 1
-        if self.detector is not None:
-            self.detector.observe(key)
+        if self._timed_write is not None:
+            self._timed_write(key, time)
         for observe in self._write_observers:
-            observe(key, time)
+            observe(key)
         if self._reacts:
             self.buffer.record_write(key, time, key_size=key_size, value_size=value_size)
 
@@ -291,6 +326,12 @@ class CacheNode:
         through to the single-tier L2 path below, after which the key is
         offered back to the L1 through its admission policy.  During an L2
         outage the node serves degraded straight from the L1.
+
+        The L2 work is at most one probe: the entry it finds is the one whose
+        lazy TTL state is settled, the one the L1 settles against, and the
+        one the read is classified on — a hit, a stale miss (cached but
+        invalidated or expired) or a cold miss — with the cache's counters
+        moved in place.  Without TTL state to settle, an L1 hit needs none.
         """
         # Loop-local aliasing: reads dominate the routed stream, and every
         # one of these attribute chains would otherwise re-resolve per call.
@@ -299,10 +340,10 @@ class CacheNode:
         l1 = self.l1
 
         result.reads += 1
-        if self.detector is not None:
-            self.detector.observe(key)
+        if self._timed_read is not None:
+            self._timed_read(key, time)
         for observe in self._read_observers:
-            observe(key, time)
+            observe(key)
         serve = self._serve_cost_const
         if serve is None:
             serve = self.costs.serve_cost(key_size, datastore.value_size(key))
@@ -316,48 +357,105 @@ class CacheNode:
             return
 
         if self._settles_ttl:
-            self._settle_ttl_state(key, time)
-        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
-            return
-        entry, outcome = self.cache.lookup(key, time)
-        if outcome == "hit":
-            result.hits += 1
-            bound = self.staleness_bound
-            # ``is_fresh`` is trivially true when the entry's view is within
-            # the bound; the precheck skips the call on that common case.
-            if time - bound > entry.as_of and not datastore.is_fresh(
-                key, entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
+            # Lazy TTL state settles on the probed entry before anything reads
+            # it — the L1 too, whose copy settles against it.
+            entry = self._l2_peek(key)
+            if entry is not None:
+                if self._ttl_expiry:
+                    # Inlined ``policy.is_expired`` against the TTL resolved
+                    # at bind time (the duration is constant for the run).
+                    if entry.state is _VALID and time >= entry.fetched_at + self._ttl_value:
+                        entry.state = _EXPIRED
+                        self._l2_stats.expirations += 1
+                elif self._poll_ttl is not None:
+                    # Inlined :meth:`account_polls`.
+                    last_poll = account_entry_polls(
+                        entry, time, self._poll_ttl, result, self.costs, self._miss_cost_const
+                    )
+                    if last_poll is not None:
+                        version = datastore.version_at(key, last_poll)
+                        if version > entry.version:
+                            entry.version = version
             if l1 is not None:
-                l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=True)
-            return
+                l1.settle(key, time, self.policy, entry, self.account_polls)
+                if l1.serve(time, key, key_size, datastore, self.staleness_bound):
+                    return
+        else:
+            # Nothing to settle: the L2 is probed only when the L1 does not serve.
+            if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
+                return
+            entry = self._l2_peek(key)
+        stats = self._l2_stats
+        stats.lookups += 1
+        if entry is None:
+            stats.cold_misses += 1
+        else:
+            if self._l2_touch is not None:
+                self._l2_touch(key)
+            if entry.state is not _VALID:
+                stats.stale_misses += 1
+            else:
+                entry.hits += 1
+                stats.hits += 1
+                result.hits += 1
+                bound = self.staleness_bound
+                # ``is_fresh`` is trivially true when the entry's view is
+                # within the bound; the precheck skips the call on that
+                # common case.
+                if time - bound > entry.as_of and not datastore.is_fresh(
+                    key, entry.as_of, time, bound
+                ):
+                    result.staleness_violations += 1
+                if l1 is not None:
+                    l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=True)
+                return
 
         if not self.reachable:
             # The node cannot reach the backend: the miss cannot be served.
             # No cost is charged (no message was exchanged) and the cache is
             # not filled; the miss still counts against the hit ratio.
             result.failed_fetches += 1
-            if outcome == "stale_miss":
+            if entry is not None:
                 result.stale_misses += 1
             else:
                 result.cold_misses += 1
             return
+        self._miss(time, key, key_size, entry)
 
-        version, backend_value_size = datastore.read(key, time)
-        if outcome == "stale_miss":
-            result.stale_misses += 1
-            result.stale_refetches += 1
-            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
-        else:
-            result.cold_misses += 1
-            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        self._fill_after_fetch(time, key, key_size, version, backend_value_size)
+    def _miss(
+        self, time: float, key: str, key_size: int, stale: Optional[CacheEntry]
+    ) -> None:
+        """Serve a miss the node can fetch: fetch, charge and install the key.
+
+        ``stale`` is the entry a stale miss found (``None``: a cold miss).
+        """
+        version, value_size = self._fetch(time, key, key_size, stale)
+        self._fill_after_fetch(time, key, key_size, version, value_size)
         self.tracker.mark_refetched(key)
         if self.discard_buffer_on_miss_fill and self._reacts:
             # The backend just served this key's latest value; any write
             # buffered earlier in the interval no longer needs a message.
             self.buffer.discard(key)
+
+    def _fetch(
+        self, time: float, key: str, key_size: int, stale: Optional[CacheEntry]
+    ) -> Tuple[int, int]:
+        """Read ``key`` from the backend at ``time`` and charge the miss: a
+        stale one (``stale`` is the entry it found) as freshness cost, a cold
+        one apart.  Returns the ``(version, value_size)`` read."""
+        version, value_size = self.datastore.read(key, time)
+        result = self.result
+        miss = self._miss_cost_const
+        if miss is None:
+            miss = self.costs.miss_cost(key_size, value_size)
+        if stale is not None:
+            result.stale_misses += 1
+            result.stale_refetches += 1
+            result.freshness_cost += miss
+        else:
+            result.cold_misses += 1
+            result.cold_miss_cost += miss
+        return version, value_size
 
     def _fill_after_fetch(
         self, time: float, key: str, key_size: int, version: int, value_size: int
@@ -545,20 +643,6 @@ class CacheNode:
     # ------------------------------------------------------------------ #
     # Lazy TTL accounting
     # ------------------------------------------------------------------ #
-    def _settle_ttl_state(self, key: str, now: float) -> None:
-        """Settle lazy TTL expiry or polling costs for ``key`` before a lookup."""
-        entry = self._l2_peek(key)
-        if entry is not None:
-            if self._ttl_expiry:
-                # Inlined ``policy.is_expired`` against the TTL resolved at
-                # bind time (the duration is constant for the whole run).
-                if entry.state is EntryState.VALID and now >= entry.fetched_at + self._ttl_value:
-                    self.cache.expire(key)
-            else:
-                self.account_polls(entry, now)
-        if self.l1 is not None:
-            self.l1.settle(key, now, self.policy, entry, self.account_polls)
-
     def account_polls(self, entry: CacheEntry, now: float) -> None:
         """Charge the polls an entry performed since the last accounting point.
 
@@ -808,120 +892,73 @@ class ConcurrentCacheNode(CacheNode):
     def handle_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
         """Serve one read under the in-flight fetch model.
 
-        Follows :meth:`CacheNode.handle_read` op-for-op on the
-        hit/degraded/unreachable paths (zero latency: they never touch the
-        backend), while a miss *issues* a fetch — classified and charged at
-        issue time, when the backend snapshot is taken — whose fill lands at
-        completion.  The stampede policy decides whether concurrent misses
-        on one key coalesce, serve the stale copy, or wait.  Every read
-        records exactly one latency sample.
+        The plain read runs as it is — one probe, the same settling and
+        classification, the same hit, degraded and unreachable paths, none
+        of which touches the backend, so each records a zero latency — and
+        only a miss the node can fetch goes its own way (:meth:`_miss`).
+        Completions due by ``time`` land first, every read records exactly
+        one latency sample, and under early expiry an L2 hit may start a
+        background refresh.
         """
-        result = self.result
-        datastore = self.datastore
-        l1 = self.l1
         fetches = self.fetches
         latency = self.latency
-
         if fetches.next_done <= time:
             self._apply_fetch_completions(time)
-
-        result.reads += 1
-        if self.detector is not None:
-            self.detector.observe(key)
-        for observe in self._read_observers:
-            observe(key, time)
-        serve = self._serve_cost_const
-        if serve is None:
-            serve = self.costs.serve_cost(key_size, datastore.value_size(key))
-        result.useful_work += serve
-
-        if l1 is not None and l1.outage:
-            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
-                result.failed_fetches += 1
-                result.cold_misses += 1
+        samples = latency.count
+        hits = self._l2_stats.hits
+        # An early refresh reads the entry the hit found: look it up first
+        # (nothing moves it before the read's own probe), since an L1
+        # promotion may demote another key into a bounded L2 and evict it.
+        entry = self._l2_peek(key) if fetches.early_expiry else None
+        super().handle_read(time, key, key_size, value_size)
+        if latency.count == samples:
             latency.observe(0.0)
-            return
+        if (
+            entry is not None
+            and self._l2_stats.hits > hits
+            and self.reachable
+            and fetches.lookup(key) is None
+            and fetches.should_refresh_early(time, entry.as_of, self.staleness_bound)
+        ):
+            self._issue_refresh(key, time, key_size)
+            self.result.early_refreshes += 1
 
-        if self._settles_ttl:
-            self._settle_ttl_state(key, time)
-        if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
-            latency.observe(0.0)
-            return
-        entry, outcome = self.cache.lookup(key, time)
-        bound = self.staleness_bound
-        if outcome == "hit":
-            result.hits += 1
-            if time - bound > entry.as_of and not datastore.is_fresh(
-                key, entry.as_of, time, bound
-            ):
-                result.staleness_violations += 1
-            if l1 is not None:
-                l1.offer(entry, time, self._ttl_headroom(entry, time), promotion=True)
-            latency.observe(0.0)
-            if (
-                self.reachable
-                and fetches.early_expiry
-                and fetches.lookup(key) is None
-                and fetches.should_refresh_early(time, entry.as_of, bound)
-            ):
-                self._issue_refresh(key, time, key_size)
-                result.early_refreshes += 1
-            return
+    def _miss(
+        self, time: float, key: str, key_size: int, stale: Optional[CacheEntry]
+    ) -> None:
+        """A miss *issues* a fetch — classified and charged at issue time,
+        when the backend snapshot is taken — whose fill lands at completion.
 
-        if not self.reachable:
-            # Same semantics as the plain path: the miss cannot be served and
-            # the error returns immediately (no backend wait to measure).
-            result.failed_fetches += 1
-            if outcome == "stale_miss":
-                result.stale_misses += 1
-            else:
-                result.cold_misses += 1
-            latency.observe(0.0)
-            return
-
-        stale_entry = entry if outcome == "stale_miss" else None
+        The stampede policy decides whether concurrent misses on one key
+        coalesce (a follower rides the in-flight fetch uncharged: the leader
+        paid), serve the stale copy, or wait for the fetch.
+        """
+        result = self.result
+        fetches = self.fetches
         in_flight = fetches.lookup(key) if fetches.coalesces else None
         if in_flight is not None:
-            # Follower: ride the in-flight fetch instead of dogpiling the
-            # backend.  The miss is still classified (the cache did miss)
-            # but no fetch cost is charged — the leader already paid it.
             result.coalesced_reads += 1
-            if outcome == "stale_miss":
+            if stale is not None:
                 result.stale_misses += 1
             else:
                 result.cold_misses += 1
-            if fetches.followers_serve_stale and stale_entry is not None:
-                result.stale_serves += 1
-                latency.observe(0.0)
-                if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                    key, stale_entry.as_of, time, bound
-                ):
-                    result.staleness_violations += 1
-            else:
-                latency.observe(in_flight.done - time)
-            return
-
-        # Leader: read the backend snapshot now, charge the miss now, and
-        # let the fill land when the fetch completes.
-        version, backend_value_size = datastore.read(key, time)
-        if outcome == "stale_miss":
-            result.stale_misses += 1
-            result.stale_refetches += 1
-            result.freshness_cost += self.costs.miss_cost(key_size, backend_value_size)
+            serves_stale = fetches.followers_serve_stale
+            done = in_flight.done
         else:
-            result.cold_misses += 1
-            result.cold_miss_cost += self.costs.miss_cost(key_size, backend_value_size)
-        fetch = fetches.issue(key, time, version, backend_value_size, key_size)
-        result.backend_fetches += 1
-        if fetches.leader_serves_stale and stale_entry is not None:
+            version, value_size = self._fetch(time, key, key_size, stale)
+            done = fetches.issue(key, time, version, value_size, key_size).done
+            result.backend_fetches += 1
+            serves_stale = fetches.leader_serves_stale
+        if serves_stale and stale is not None:
             result.stale_serves += 1
-            latency.observe(0.0)
-            if time - bound > stale_entry.as_of and not datastore.is_fresh(
-                key, stale_entry.as_of, time, bound
+            self.latency.observe(0.0)
+            bound = self.staleness_bound
+            if time - bound > stale.as_of and not self.datastore.is_fresh(
+                key, stale.as_of, time, bound
             ):
                 result.staleness_violations += 1
         else:
-            latency.observe(fetch.done - time)
+            self.latency.observe(done - time)
 
     def _issue_refresh(self, key: str, time: float, key_size: int) -> None:
         """Background refresh (early expiry): freshness work, not a miss."""

@@ -14,7 +14,7 @@ storage grows linearly with the number of keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict, List
 
 from repro.sketch.base import EWEstimator
 
@@ -88,3 +88,16 @@ class ExactEWTracker(EWEstimator):
     def reset(self) -> None:
         """Forget all per-key counters."""
         self._counters.clear()
+
+    def state(self) -> List[List[Any]]:
+        """The counters as ``[key, C1, C2, C3]`` rows, in insertion order."""
+        return [
+            [key, counters.sample_sum, counters.sample_count, counters.writes_since_read]
+            for key, counters in self._counters.items()
+        ]
+
+    def load_state(self, rows: List[List[Any]]) -> None:
+        """Replace every counter with the rows of :meth:`state`, in their order."""
+        self._counters.clear()
+        for key, sample_sum, sample_count, writes_since_read in rows:
+            self._counters[key] = _KeyCounters(sample_sum, sample_count, writes_since_read)

@@ -30,6 +30,7 @@ from repro.backend.messages import InvalidateMessage, UpdateMessage
 from repro.cache.entry import CacheEntry, EntryState
 from repro.errors import StoreError
 from repro.sim.events import PendingDelivery
+from repro.sketch.exact import ExactEWTracker
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 
@@ -315,16 +316,32 @@ def serialize_node(node: Any) -> Dict[str, Any]:
     }
     if getattr(node, "l1", None) is not None:
         data["l1"] = serialize_l1(node.l1)
+    # Two optional fields, each written only where the state exists: the
+    # eviction order of a bounded cache whose policy is an ordered key list
+    # (it differs from the entries' order as soon as a hit moves a key), and
+    # the exact E[W] counters the adaptive policy decides on.
+    recency = node.cache.recency
+    order = recency.recency_order() if recency is not None else None
+    if order is not None:
+        data["eviction_order"] = order
+    estimator = getattr(node.policy, "estimator", None)
+    if isinstance(estimator, ExactEWTracker):
+        data["estimator"] = estimator.state()
     return data
 
 
 def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
     """Rebuild a node's volatile state in place (crash-resume path).
 
-    Cache entries are re-inserted in their serialized order, which restores
-    the cache contents exactly; eviction *recency* is approximated by that
-    order, so resume is exact for unbounded caches and insertion-order
-    eviction (FIFO), and a close approximation under LRU/LFU/Clock.
+    Cache entries are re-inserted in their serialized order — the cache's
+    own, so every later walk over the entries (poll settling, the next
+    snapshot) goes as it would have — and then a bounded cache's eviction
+    order is rebuilt from ``eviction_order``, victim first.  An adaptive
+    policy's exact E[W] tracker gets its counters back from ``estimator``.
+    Resume is therefore exact for unbounded caches, LRU and FIFO eviction,
+    and every policy on the exact tracker; what stays approximate (LFU and
+    Clock recency, sketch estimators) is listed in the recovery guide.  A
+    snapshot written before these fields existed restores as it always did.
 
     A stub record (``partial``, from :func:`serialize_node_stub`) restores
     only counters and flags: the node's volatile state died with the crash,
@@ -340,6 +357,10 @@ def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
     node.cache.clear()
     for entry_data in data["entries"]:
         node.cache.restore_entry(entry_from_dict(entry_data), time)
+    if "eviction_order" in data and node.cache.recency is not None:
+        node.cache.reorder(data["eviction_order"])
+    if "estimator" in data:
+        node.policy.estimator.load_state(data["estimator"])
     _restore_result(node.cache.stats, data["cache_stats"])
     node.buffer.drain()
     for item in data["buffer"]:

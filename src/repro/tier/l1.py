@@ -179,7 +179,11 @@ class L1Tier:
         result.hits += 1
         result.l1_hits += 1
         result.tier_cost += self.costs.l1_hit_cost(key_size)
-        if not datastore.is_fresh(key, entry.as_of, time, staleness_bound):
+        # ``is_fresh`` is trivially true when the entry's view is within the
+        # bound, as on the L2 path: the precheck skips the call there.
+        if time - staleness_bound > entry.as_of and not datastore.is_fresh(
+            key, entry.as_of, time, staleness_bound
+        ):
             result.staleness_violations += 1
         return True
 
@@ -202,7 +206,9 @@ class L1Tier:
         result.l1_hits += 1
         result.l1_served_degraded += 1
         result.tier_cost += self.costs.l1_hit_cost(key_size)
-        if not datastore.is_fresh(key, entry.as_of, time, staleness_bound):
+        if time - staleness_bound > entry.as_of and not datastore.is_fresh(
+            key, entry.as_of, time, staleness_bound
+        ):
             result.staleness_violations += 1
         return True
 

@@ -70,6 +70,17 @@ def test_ttl_kernels_microbench_counts_charging_reads() -> None:
     assert row["ops_per_sec"] > 0 and row["expiry_ops_per_sec"] > 0
 
 
+def test_replay_single_counts_calls_per_request_exactly() -> None:
+    """A count, not a timing: the same figures on every run, one per policy."""
+    from repro.perf.perf import calls_per_request
+
+    first, second = calls_per_request(0.01), calls_per_request(0.01)
+    assert first == second
+    assert list(first) == ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"]
+    # The estimator's fold is what a read under adaptive adds to invalidate's.
+    assert 0 < first["invalidate"] < first["adaptive"]
+
+
 def test_wal_microbenches_report_rate_and_record_size() -> None:
     record = run_perf(names=["wal-append", "wal-replay"], scale=0.02)
     append, replay = record["results"]
