@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -73,6 +73,13 @@ class LRUEviction(EvictionPolicy):
     def on_access(self, key: str) -> None:
         if key in self._order:
             self._order.move_to_end(key)
+
+    def toucher(self) -> Callable[[str], None]:
+        """Bound ``move_to_end`` of the live order: a hot-path
+        :meth:`on_access` for a key known to be tracked.  The order is
+        mutated in place for the policy's lifetime, so the alias never goes
+        stale."""
+        return self._order.move_to_end
 
     def on_remove(self, key: str) -> None:
         self._order.pop(key, None)

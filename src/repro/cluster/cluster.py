@@ -380,11 +380,10 @@ class ClusterSimulation(ReplayDriver):
 
         self._rebalances = 0
         self.event_log: List[tuple[float, str]] = []
-        # Hot-path aliases: the ring, factor, and routing mode never change
-        # after construction (membership changes mutate the ring in place).
+        # Hot-path aliases: the ring and factor never change after
+        # construction (membership changes mutate the ring in place).
         self._route = self.ring.route
         self._factor = self.replication.factor
-        self._read_primary = self.replication.read_policy == "primary"
         # Live key -> replicas map for this factor: cleared in place by the
         # ring on membership change, so the alias never goes stale.
         self._route_map = self.ring.route_cache_for(self._factor)
@@ -565,6 +564,15 @@ class ClusterSimulation(ReplayDriver):
         )
 
     def _handlers(self):
+        # The read policy is resolved once per run: routing and the node's
+        # read path are one call per read, wrapped by the recorder and the
+        # key transform alike.
+        self._process_read = self.router.bind(
+            self._route_map,
+            self._route,
+            self._factor,
+            {node.node_id: node.handle_read for node in self._node_list},
+        )
         handlers, transform = super()._handlers(), self._transform
         if transform is None:
             return handlers
@@ -690,9 +698,11 @@ class ClusterSimulation(ReplayDriver):
         self._next_flush = float(extra["next_flush"])
         self._rebalances = int(extra["rebalances"])
         self.event_log = [(when, label) for when, label in extra["event_log"]]
-        self.router._round_robin = {
-            key: int(count) for key, count in extra.get("router", {}).items()
-        }
+        # In place: a read callable bound before the restore holds this dict.
+        self.router._round_robin.clear()
+        self.router._round_robin.update(
+            (key, int(count)) for key, count in extra.get("router", {}).items()
+        )
         self.clock.advance_to(checkpoint.time)
         self._resume_from = checkpoint.time
         self._store.restore(
@@ -722,17 +732,6 @@ class ClusterSimulation(ReplayDriver):
         for node_id in replicas:
             nodes[node_id].observe_write(time, key, key_size, value_size, owner)
             owner = False
-
-    def _process_read(self, time: float, key: str, key_size: int, value_size: int) -> None:
-        replicas = self._route_map.get(key)
-        if replicas is None:
-            replicas = self._route(key, self._factor)
-        if self._read_primary or len(replicas) == 1:
-            # Primary-copy routing needs no router state; skip the call.
-            node_id = replicas[0]
-        else:
-            node_id = self.router.choose_read_node(key, replicas)
-        self._nodes[node_id].handle_read(time, key, key_size, value_size)
 
     def _result(
         self, end_time: float, stats: Optional[Dict[str, Any]], interrupted: bool

@@ -251,17 +251,30 @@ def _streamed_replay(
     return {"ops": requests, "ops_per_sec": requests / timing["best_seconds"], **timing}
 
 
-def calls_per_request(scale: float = 1.0) -> Dict[str, float]:
-    """Function calls per request of the scalar replay loop, per built-in policy.
+def _counted_calls(requests: int, replay: Callable[[str], Any]) -> Dict[str, float]:
+    """Function calls per request of ``replay(policy).run()``, per built-in policy.
 
-    Python and built-in calls as cProfile counts them, while ``Simulation``
-    replays the ``steady-scalar`` benchmark's trace shape (1 000 keys at
-    100 req/s each, 90 % reads, bound 1 s; 2 s of it at scale 1).  The trace
-    is compiled first, so the feed costs no generator frames.  A count, not
-    a timing: every run of one interpreter gives the same numbers.  Summed
-    per code object, because ``pstats`` keys functions by file, line and
-    name, and every dataclass ``__init__`` is ``<string>:2``: merged there,
-    all but one of them drop out of its total.
+    Python and built-in calls as cProfile counts them.  A count, not a
+    timing: every run of one interpreter gives the same numbers.  Summed per
+    code object, because ``pstats`` keys functions by file, line and name,
+    and every dataclass ``__init__`` is ``<string>:2``: merged there, all but
+    one of them drop out of its total.
+    """
+    counts = {}
+    for policy in ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"):
+        run = replay(policy).run
+        profiler = cProfile.Profile()
+        profiler.runcall(run)
+        counts[policy] = sum(entry.callcount for entry in profiler.getstats()) / requests
+    return counts
+
+
+def calls_per_request(scale: float = 1.0) -> Dict[str, float]:
+    """Calls per request of the single cache's scalar replay loop.
+
+    ``Simulation`` replays the ``steady-scalar`` benchmark's trace shape
+    (1 000 keys at 100 req/s each, 90 % reads, bound 1 s; 2 s of it at scale
+    1), compiled first, so the feed costs no generator frames.
     """
     from repro.experiments.registry import make_policy
     from repro.sim.simulation import Simulation
@@ -271,16 +284,50 @@ def calls_per_request(scale: float = 1.0) -> Dict[str, float]:
     duration = 2.0 * scale
     workload = PoissonZipfWorkload(num_keys=1000, rate_per_key=100.0, read_ratio=0.9, seed=0)
     trace = compile_workload(workload, duration)
-    counts = {}
-    for policy in ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"):
-        simulation = Simulation(
+    return _counted_calls(
+        len(trace),
+        lambda policy: Simulation(
             trace, policy=make_policy(policy), staleness_bound=1.0, duration=duration
+        ),
+    )
+
+
+def fleet_calls_per_request(scale: float = 1.0) -> Dict[str, float]:
+    """Calls per request of the fleet's scalar replay loop.
+
+    ``ClusterSimulation`` replays the ``fleet-scenario`` benchmark's shape: 8
+    nodes, factor 2 with round-robin reads, a 256-entry write-through
+    second-hit L1 per node and a ``node-failure`` scenario, bound 0.5 s over
+    30 s of 1 000 keys at 5 req/s each at scale 1 (the rate scales, so the
+    scenario's timeline stays inside the run).  Most reads are L1 hits.
+    """
+    from repro.cluster.cluster import ClusterSimulation
+    from repro.cluster.replication import ReplicationConfig
+    from repro.cluster.scenarios import make_scenario
+    from repro.tier.config import TierConfig
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    duration = 30.0
+    workload = PoissonZipfWorkload(num_keys=1000, rate_per_key=5.0 * scale, seed=0)
+    trace = compile_workload(workload, duration)
+
+    def replay(policy: str) -> ClusterSimulation:
+        return ClusterSimulation(
+            trace,
+            policy=policy,
+            num_nodes=8,
+            staleness_bound=0.5,
+            replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+            scenario=make_scenario("node-failure"),
+            tier=TierConfig(l1_capacity=256, mode="write-through", admission="second-hit"),
+            duration=duration,
         )
-        profiler = cProfile.Profile()
-        profiler.runcall(simulation.run)
-        calls = sum(entry.callcount for entry in profiler.getstats())
-        counts[policy] = calls / len(trace)
-    return counts
+
+    # Ring fingerprints are memoised process-wide: one replay outside the
+    # count warms the memo, so the count does not depend on what ran before.
+    replay("invalidate").run()
+    return _counted_calls(len(trace), replay)
 
 
 def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
@@ -290,8 +337,12 @@ def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
 
 
 def bench_replay_cluster(scale: float = 1.0) -> Dict[str, Any]:
-    """End-to-end 3-node cluster replay (routing + fan-out included)."""
-    return _streamed_replay(scale, num_nodes=3)
+    """End-to-end 3-node cluster replay (routing + fan-out included), plus
+    the fleet loop's :func:`fleet_calls_per_request` for each built-in policy."""
+    return {
+        **_streamed_replay(scale, num_nodes=3),
+        "calls_per_request": fleet_calls_per_request(scale),
+    }
 
 
 def _kernel_trace(scale: float):

@@ -284,6 +284,15 @@ class CacheNode:
         self._l2_stats = self.cache.stats
         recency = self.cache.recency
         self._l2_touch = recency.on_access if recency is not None else None
+        if self.l1 is not None:
+            # The L1 is a bounded LRU whose order holds every key of its map:
+            # a hit moves the key to the order's end directly.
+            self._l1_peek = self.l1.cache.raw_getter()
+            self._l1_stats = self.l1.cache.stats
+            self._l1_touch = self.l1.cache.eviction.toucher()
+            self._l1_hit_cost_const = (
+                self.costs.l1_hit_cost() if self.costs.breakdown is None else None
+            )
 
     @property
     def reacts_to_writes(self) -> bool:
@@ -325,13 +334,15 @@ class CacheNode:
         serves immediately (charged ``l1_hit``); everything else falls
         through to the single-tier L2 path below, after which the key is
         offered back to the L1 through its admission policy.  During an L2
-        outage the node serves degraded straight from the L1.
+        outage the node serves degraded straight from the L1: any copy
+        answers, valid or not, and a key the L1 lacks fails.
 
-        The L2 work is at most one probe: the entry it finds is the one whose
-        lazy TTL state is settled, the one the L1 settles against, and the
+        Each tier is probed at most once.  The L2 entry is the one whose lazy
+        TTL state is settled, the one the L1 copy settles against, and the
         one the read is classified on — a hit, a stale miss (cached but
-        invalidated or expired) or a cold miss — with the cache's counters
-        moved in place.  Without TTL state to settle, an L1 hit needs none.
+        invalidated or expired) or a cold miss.  The L1 copy is settled,
+        classified and served on its one probe the same way.  Both caches'
+        counters move in place.  Without TTL state to settle, an L1 hit needs no L2 probe.
         """
         # Loop-local aliasing: reads dominate the routed stream, and every
         # one of these attribute chains would otherwise re-resolve per call.
@@ -349,14 +360,10 @@ class CacheNode:
             serve = self.costs.serve_cost(key_size, datastore.value_size(key))
         result.useful_work += serve
 
-        if l1 is not None and l1.outage:
-            # The shared tier is partitioned away: the L1 is all there is.
-            if not l1.serve_degraded(time, key, key_size, datastore, self.staleness_bound):
-                result.failed_fetches += 1
-                result.cold_misses += 1
-            return
-
-        if self._settles_ttl:
+        # Nothing settles while the shared tier is partitioned away (an
+        # outage read ends in the L1 block).
+        ttl = self._settles_ttl
+        if ttl and (l1 is None or not l1.outage):
             # Lazy TTL state settles on the probed entry before anything reads
             # it — the L1 too, whose copy settles against it.
             entry = self._l2_peek(key)
@@ -376,14 +383,58 @@ class CacheNode:
                         version = datastore.version_at(key, last_poll)
                         if version > entry.version:
                             entry.version = version
-            if l1 is not None:
-                l1.settle(key, time, self.policy, entry, self.account_polls)
-                if l1.serve(time, key, key_size, datastore, self.staleness_bound):
+        if l1 is not None:
+            copy = self._l1_peek(key)
+            stats = self._l1_stats
+            stats.lookups += 1
+            if copy is None:
+                stats.cold_misses += 1
+                if l1.outage:
+                    result.failed_fetches += 1
+                    result.cold_misses += 1
                     return
-        else:
+            else:
+                if ttl and not l1.outage:
+                    if self._ttl_expiry:
+                        # Expiry timers fire on the L1 copy as on the L2's.
+                        if copy.state is _VALID and time >= copy.fetched_at + self._ttl_value:
+                            copy.state = _EXPIRED
+                            stats.expirations += 1
+                    elif entry is not None:
+                        # Polling: the copy piggybacks on the polls its L2
+                        # entry just accounted (one poll per node, not per tier).
+                        copy.as_of = max(copy.as_of, entry.as_of)
+                        copy.version = max(copy.version, entry.version)
+                        copy.last_poll_accounted = max(
+                            copy.last_poll_accounted, entry.last_poll_accounted
+                        )
+                    else:
+                        # An L1-only copy (write-back) polls, and is charged, itself.
+                        self.account_polls(copy, time)
+                self._l1_touch(key)
+                valid = copy.state is _VALID
+                if valid:
+                    copy.hits += 1
+                    stats.hits += 1
+                else:
+                    stats.stale_misses += 1
+                if valid or l1.outage:
+                    result.hits += 1
+                    result.l1_hits += 1
+                    if l1.outage:
+                        result.l1_served_degraded += 1
+                    cost = self._l1_hit_cost_const
+                    if cost is None:
+                        cost = self.costs.l1_hit_cost(key_size)
+                    result.tier_cost += cost
+                    bound = self.staleness_bound
+                    if time - bound > copy.as_of and not datastore.is_fresh(
+                        key, copy.as_of, time, bound
+                    ):
+                        result.staleness_violations += 1
+                    return
+        if not ttl:
             # Nothing to settle: the L2 is probed only when the L1 does not serve.
-            if l1 is not None and l1.serve(time, key, key_size, datastore, self.staleness_bound):
-                return
             entry = self._l2_peek(key)
         stats = self._l2_stats
         stats.lookups += 1

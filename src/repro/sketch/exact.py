@@ -57,13 +57,22 @@ class ExactEWTracker(EWEstimator):
             self._counters[key] = counters
         return counters
 
+    # The per-request observers inline that probe (one dict lookup, no
+    # frame); an unseen key is inserted at its first observation either way,
+    # so ``state()`` lists keys in first-seen order.
     def observe_write(self, key: str) -> None:
         """Record a write: extend the current run of writes (increment C3)."""
-        self._counters_for(key).writes_since_read += 1
+        counters = self._counters.get(key)
+        if counters is None:
+            self._counters[key] = _KeyCounters(writes_since_read=1)
+        else:
+            counters.writes_since_read += 1
 
     def observe_read(self, key: str) -> None:
         """Record a read: complete the current run (fold C3 into C1/C2)."""
-        counters = self._counters_for(key)
+        counters = self._counters.get(key)
+        if counters is None:
+            counters = self._counters[key] = _KeyCounters()
         if counters.writes_since_read > 0 or self.count_zero_runs:
             counters.sample_sum += counters.writes_since_read
             counters.sample_count += 1

@@ -5,10 +5,14 @@ bookkeeping of one :class:`~repro.sim.node.CacheNode`.  The node drives it
 from the same read/flush/message paths that drive the L2, so the two tiers
 stay in lockstep with the single-tier accounting:
 
-* **Reads** try the L1 first.  A valid L1 hit serves immediately and charges
-  only :meth:`~repro.core.cost_model.CostModel.l1_hit_cost`; anything else
-  falls through to the existing L2 path, after which the node *offers* the
-  key back to the L1 (admission-gated promotion).
+* **Reads** try the L1 first, in the node's own read path
+  (:meth:`~repro.sim.node.CacheNode.handle_read`): one probe of the L1's
+  entry map settles the copy's TTL state, classifies the read and moves the
+  L1's counters and LRU order in place.  A valid L1 hit serves immediately
+  and charges only :meth:`~repro.core.cost_model.CostModel.l1_hit_cost`;
+  anything else falls through to the L2 path, after which the node *offers*
+  the key back to the L1 (admission-gated promotion).  The tier itself has
+  no read method.
 * **Freshness messages fan out through both tiers**: every invalidate/update
   the node applies to its L2 is applied to the L1 as well, so an L1 never
   serves staler data than its L2 would.
@@ -16,9 +20,10 @@ stay in lockstep with the single-tier accounting:
   the L2 install: dirty entries are flushed down in batch at every interval
   flush and demoted on eviction, each charged
   :meth:`~repro.core.cost_model.CostModel.writeback_flush_cost`.
-* **Degraded serving** (the ``l2-outage`` scenario) answers reads straight
-  from the L1 — stale entries included — while the shared tier is partitioned
-  away; reads whose key is not in the L1 fail.
+* **Degraded serving** (the ``l2-outage`` scenario): while ``outage`` is
+  set, the node answers reads straight from the L1 — stale entries included,
+  on the same one probe — because the shared tier is partitioned away; reads
+  whose key is not in the L1 fail.
 
 The L1 stores *copies* of L2 entries, never shared objects: the staleness risk
 of an extra tier is real only if each tier holds its own view of the data.
@@ -48,10 +53,8 @@ from repro.tier.admission import make_admission
 from repro.tier.config import TierConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backend.datastore import DataStore
     from repro.cluster.results import NodeResult
     from repro.core.cost_model import CostModel
-    from repro.core.policy import FreshnessPolicy
 
 #: Callback a node installs to receive demoted (dirty, evicted) L1 entries.
 DemoteSink = Callable[[CacheEntry, float], None]
@@ -125,92 +128,6 @@ class L1Tier:
     def write_back(self) -> bool:
         """Whether fetches fill the L1 only (deferred L2 install)."""
         return self.config.mode == "write-back"
-
-    # ------------------------------------------------------------------ #
-    # Read path
-    # ------------------------------------------------------------------ #
-    def settle(
-        self,
-        key: str,
-        now: float,
-        policy: "FreshnessPolicy",
-        l2_entry: Optional[CacheEntry],
-        account_polls: Callable[[CacheEntry, float], None],
-    ) -> None:
-        """Settle the L1 entry's TTL state before a lookup.
-
-        Expiry timers fire on the L1 copy exactly as they would on the L2
-        copy.  In polling mode the L1 piggybacks on the polls its node
-        already accounts: when the L2 holds the key, the freshly settled L2
-        entry's ``as_of``/``version`` are mirrored onto the L1 copy (one poll
-        per node, not per tier); when the key lives only in the L1
-        (write-back before the flush), the L1 entry polls — and is charged —
-        itself via ``account_polls``.
-        """
-        entry = self.cache.peek(key)
-        if entry is None:
-            return
-        mode = policy.ttl_mode
-        if mode == "expiry":
-            if entry.is_valid and policy.is_expired(entry.fetched_at, now):
-                self.cache.expire(key)
-        elif mode == "polling":
-            if l2_entry is not None:
-                entry.as_of = max(entry.as_of, l2_entry.as_of)
-                entry.version = max(entry.version, l2_entry.version)
-                entry.last_poll_accounted = max(
-                    entry.last_poll_accounted, l2_entry.last_poll_accounted
-                )
-            else:
-                account_polls(entry, now)
-
-    def serve(
-        self, time: float, key: str, key_size: int, datastore: "DataStore", staleness_bound: float
-    ) -> bool:
-        """Serve one read from the L1 if it holds a valid entry.
-
-        Returns ``True`` when the read was served (a fleet-level hit, charged
-        ``l1_hit``); ``False`` lets the node fall through to its L2 path.
-        """
-        entry, outcome = self.cache.lookup(key, time)
-        if outcome != "hit":
-            return False
-        result = self.result
-        result.hits += 1
-        result.l1_hits += 1
-        result.tier_cost += self.costs.l1_hit_cost(key_size)
-        # ``is_fresh`` is trivially true when the entry's view is within the
-        # bound, as on the L2 path: the precheck skips the call there.
-        if time - staleness_bound > entry.as_of and not datastore.is_fresh(
-            key, entry.as_of, time, staleness_bound
-        ):
-            result.staleness_violations += 1
-        return True
-
-    def serve_degraded(
-        self, time: float, key: str, key_size: int, datastore: "DataStore", staleness_bound: float
-    ) -> bool:
-        """Serve one read during an L2 outage — availability over freshness.
-
-        Any L1 entry answers, valid or not (the alternative is failing the
-        read outright), with staleness violations accounted honestly.
-        Returns ``False`` when the key is not in the L1 at all: the read
-        fails (counted by the caller), because the shared tier that would
-        normally absorb the miss is partitioned away.
-        """
-        entry, outcome = self.cache.lookup(key, time)
-        if outcome == "cold_miss":
-            return False
-        result = self.result
-        result.hits += 1
-        result.l1_hits += 1
-        result.l1_served_degraded += 1
-        result.tier_cost += self.costs.l1_hit_cost(key_size)
-        if time - staleness_bound > entry.as_of and not datastore.is_fresh(
-            key, entry.as_of, time, staleness_bound
-        ):
-            result.staleness_violations += 1
-        return True
 
     # ------------------------------------------------------------------ #
     # Promotion / fill

@@ -81,6 +81,18 @@ def test_replay_single_counts_calls_per_request_exactly() -> None:
     assert 0 < first["invalidate"] < first["adaptive"]
 
 
+def test_replay_cluster_counts_calls_per_request_exactly() -> None:
+    """The fleet loop's count repeats exactly too, and routing plus fan-out
+    make a fleet request dearer than a single-cache one."""
+    from repro.perf.perf import calls_per_request, fleet_calls_per_request
+
+    first, second = fleet_calls_per_request(0.01), fleet_calls_per_request(0.01)
+    assert first == second
+    assert list(first) == ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"]
+    single = calls_per_request(0.01)
+    assert all(first[policy] > single[policy] for policy in first)
+
+
 def test_wal_microbenches_report_rate_and_record_size() -> None:
     record = run_perf(names=["wal-append", "wal-replay"], scale=0.02)
     append, replay = record["results"]

@@ -1,7 +1,8 @@
 """The scalar read path: one probe per read, and no recency without a capacity.
 
-``CacheNode.handle_read`` looks its key up in the L2 once; that entry is the
-one whose TTL state settles and the one the read is classified on.  These
+``CacheNode.handle_read`` looks its key up in each tier at most once; that
+entry is the one whose TTL state settles and the one the read is classified
+on.  These
 tests pin the shape of that path — how many Python frames a hit costs, which
 callables observe a read — and that an unbounded cache never calls its
 eviction policy on any engine, so none of them can depend on an order
@@ -18,6 +19,7 @@ from repro.backend.datastore import DataStore
 from repro.cache.cache import Cache
 from repro.cache.eviction import EvictionPolicy
 from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
+from repro.cluster.results import NodeResult
 from repro.concurrency.config import ConcurrencyConfig
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.cost_model import CostModel
@@ -138,19 +140,20 @@ def test_only_a_bounded_cache_keeps_an_eviction_order() -> None:
 # --------------------------------------------------------------------- #
 # Python frames per L2 hit
 # --------------------------------------------------------------------- #
-def frames_below_a_hit(policy_name: str) -> int:
-    """Python calls made below one ``handle_read`` that is an L2 hit.
+def frames_below_a_hit(policy_name: str, tier: Optional[TierConfig] = None) -> int:
+    """Python calls made below one ``handle_read`` that is an L2 hit — or,
+    with a ``tier`` that admits every fill, an L1 hit.
 
     The key is fetched at 0.1 s and read again at 0.2 s under a 1 s bound:
     no TTL has run out and no poll is due.
     """
     datastore = DataStore()
-    result = SimulationResult()
+    result = NodeResult()
     node = CacheNode(
-        "cache", make_policy(policy_name), 1.0, CostModel(), datastore, result
+        "cache", make_policy(policy_name), 1.0, CostModel(), datastore, result, tier=tier
     )
     node.handle_read(0.1, "k", 16, 128)
-    hits = result.hits
+    hits, l1_hits = result.hits, result.l1_hits
     handle_read = CacheNode.handle_read.__code__
     calls = 0
 
@@ -164,22 +167,37 @@ def frames_below_a_hit(policy_name: str) -> int:
         node.handle_read(0.2, "k", 16, 128)
     finally:
         sys.setprofile(None)
-    assert result.hits == hits + 1, "the probed read was not an L2 hit"
+    assert result.hits == hits + 1, "the probed read was not a hit"
+    assert result.l1_hits == l1_hits + (tier is not None), "the probed read missed the L1"
     return calls
 
 
-@pytest.mark.parametrize(
-    "policy, most",
-    [
-        ("invalidate", 0),
-        ("update", 0),
-        ("ttl-expiry", 0),
-        ("ttl-polling", 1),  # the shared poll arithmetic, with nothing to charge
-        ("adaptive", 2),  # the estimator's fold and its counter lookup
-    ],
-)
+FRAMES_BELOW_A_HIT = [
+    ("invalidate", 0),
+    ("update", 0),
+    ("ttl-expiry", 0),
+    ("ttl-polling", 1),  # the shared poll arithmetic, with nothing to charge
+    ("adaptive", 1),  # the estimator's fold (its counter probe is inline)
+]
+
+
+@pytest.mark.parametrize("policy, most", FRAMES_BELOW_A_HIT)
 def test_an_l2_hit_costs_at_most_this_many_python_frames(policy: str, most: int) -> None:
     assert frames_below_a_hit(policy) <= most
+
+
+@pytest.mark.parametrize("policy, most", FRAMES_BELOW_A_HIT)
+@pytest.mark.parametrize("mode", ["write-through", "write-back"])
+def test_an_l1_hit_costs_no_more_python_frames_than_an_l2_hit(
+    policy: str, most: int, mode: str
+) -> None:
+    """The L1 is probed, settled, classified and touched inline: an L1 hit
+    adds no frame to what an L2 hit of the same policy costs.  The one
+    exception is a write-back copy the L2 has not seen yet under polling: it
+    polls itself, through ``account_polls``."""
+    tier = TierConfig(l1_capacity=4, mode=mode, admission="always")
+    polls_itself = mode == "write-back" and policy == "ttl-polling"
+    assert frames_below_a_hit(policy, tier) <= most + polls_itself
 
 
 # --------------------------------------------------------------------- #

@@ -97,6 +97,26 @@ def feed(estimator, stream) -> None:
             estimator.observe_write(key)
 
 
+@pytest.mark.parametrize("count_zero_runs", [False, True])
+def test_exact_tracker_observers_fold_like_the_three_counter_rule(count_zero_runs) -> None:
+    """The observers probe the counter table inline; the reference walks the
+    paper's rule through ``_counters_for``.  Counters and their first-seen
+    order (what ``state()`` and snapshots carry) must agree."""
+    stream = read_write_stream(count=4_000)
+    exact = ExactEWTracker(count_zero_runs=count_zero_runs)
+    reference = ExactEWTracker(count_zero_runs=count_zero_runs)
+    feed(exact, stream)
+    for key, is_read in stream:
+        counters = reference._counters_for(key)
+        if not is_read:
+            counters.writes_since_read += 1
+        elif counters.writes_since_read > 0 or count_zero_runs:
+            counters.sample_sum += counters.writes_since_read
+            counters.sample_count += 1
+            counters.writes_since_read = 0
+    assert exact.state() == reference.state()
+
+
 def test_count_min_ew_tracks_exact_on_hot_keys() -> None:
     stream = read_write_stream()
     # With zero-length runs counted, the exact tracker computes the same

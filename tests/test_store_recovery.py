@@ -136,9 +136,12 @@ def test_recovered_cluster_finishes_with_identical_counters(tmp_path, num_nodes)
 RESUME_POLICIES = ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"]
 
 
-def resume_matches(tmp_path, policy, capacity, tier=None) -> bool:
-    """Kill a 3-node run (~2 k requests) at 6.0 s, resume it from its store,
-    and compare the whole row with an uninterrupted run's."""
+def resume(tmp_path, policy, capacity, tier=None):
+    """Kill a 3-node run (~2 k requests) at 6.0 s and resume it from its store:
+    ``(simulation, row)`` of the uninterrupted run and of the resumed one.
+
+    The restore brings the read router's counters back into the dict the
+    router already had, which a read callable bound before it would hold."""
 
     def build(root):
         workload = PoissonZipfWorkload(num_keys=80, rate_per_key=2.0, seed=11)
@@ -156,14 +159,23 @@ def resume_matches(tmp_path, policy, capacity, tier=None) -> bool:
             tier=tier,
         )
 
-    uninterrupted = build(tmp_path / "a").run()
+    def row(result) -> str:
+        return json.dumps(result.as_dict(), sort_keys=True)
+
+    uninterrupted = build(tmp_path / "a")
+    expected = row(uninterrupted.run())
     build(tmp_path / "b").run(stop_at=6.0)
     resumed = build(tmp_path / "b")
+    counters = resumed.router._round_robin
     resumed.restore_from_store()
-    final = resumed.run()
-    return json.dumps(final.as_dict(), sort_keys=True) == json.dumps(
-        uninterrupted.as_dict(), sort_keys=True
-    )
+    assert resumed.router._round_robin is counters
+    return (uninterrupted, expected), (resumed, row(resumed.run()))
+
+
+def resume_matches(tmp_path, policy, capacity, tier=None) -> bool:
+    """Whether the resumed run's whole row equals the uninterrupted run's."""
+    (_, expected), (_, row) = resume(tmp_path, policy, capacity, tier)
+    return row == expected
 
 
 @pytest.mark.parametrize("capacity", [10, 40, None])
@@ -180,6 +192,19 @@ def test_a_write_back_tier_over_a_bounded_l2_resumes_exactly(tmp_path, policy) -
     from repro.tier.config import TierConfig
 
     assert resume_matches(tmp_path, policy, 10, TierConfig(l1_capacity=6, mode="write-back"))
+
+
+@pytest.mark.parametrize("policy", RESUME_POLICIES)
+def test_a_write_through_tier_resumes_its_read_router_in_place(tmp_path, policy) -> None:
+    """Round-robin reads over a write-through L1: the resumed run ends with the
+    uninterrupted run's row and the same per-key read counters."""
+    from repro.tier.config import TierConfig
+
+    tier = TierConfig(l1_capacity=6, mode="write-through")
+    (whole, expected), (resumed, row) = resume(tmp_path, policy, None, tier)
+    assert row == expected
+    assert resumed.router._round_robin == whole.router._round_robin
+    assert whole.router._round_robin
 
 
 def test_snapshots_carry_eviction_order_and_counters_only_where_they_exist(tmp_path) -> None:
