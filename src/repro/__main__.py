@@ -14,9 +14,10 @@ Seven subcommands drive the experiment layer:
   declaration: ``cluster`` / ``tier`` add the fleet flags to ``sweep``'s, so
   ``--engine vector`` reaches the fleet kernels from all three, and an axis
   flag given no entry (``--capacities ,``) is an error on all three.
-* ``perf``    — component microbenchmarks of the hot paths (fingerprint,
-  ring routing, generation, sketches, cache ops, the interval flush, small
-  replays), with ``--profile NAME`` for a cProfile table.
+* ``perf``    — exact work counts of the hot paths (calls per request, kernel
+  calls per cut, objects built per flush, bytes per request and per WAL
+  record), with ``--profile NAME`` for a cProfile table.  How fast a replay
+  goes is ``benchmarks/run.py``'s measurement, not this one's.
 * ``store``   — the persistence layer: ``snapshot`` runs a journaled
   simulation (optionally killing it mid-run), ``recover`` rebuilds — and can
   resume and verify — from the durable state, ``inspect`` summarises a store
@@ -55,7 +56,7 @@ Examples::
         write-through,write-back --policies invalidate --bounds 0.5 --csv tier.csv
     python -m repro tier --nodes 4 --l1-capacity 128 --scenario l2-outage \
         --policies invalidate --bounds 0.5 --duration 20
-    python -m repro perf --only fingerprint,replay-single --json PERF.json
+    python -m repro perf --only replay-single,flush --json PERF.json
     python -m repro store snapshot --dir run-store --duration 12 \
         --snapshot-interval 2 --kill-at 6
     python -m repro store recover --dir run-store --resume --verify
@@ -419,10 +420,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise SystemExit(str(exc.args[0])) from exc
     for row in record["results"]:
-        print(
-            f"{row['name']:>20}: {row['ops_per_sec']:>14,.0f} ops/s "
-            f"({row['ops']} ops, best {row['best_seconds']:.3f}s)"
-        )
+        counts = {key: value for key, value in row.items() if key != "name"}
+        print(f"{row['name']:>20}: {json.dumps(counts)}")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(record, handle, indent=2)
@@ -982,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="L1 admission policy (default: second-hit)")
 
     perf = subparsers.add_parser(
-        "perf", help="microbenchmark the replay hot-path components"
+        "perf", help="count the work of the replay hot-path components"
     )
     perf.add_argument("--list", action="store_true", help="list benchmark names and exit")
     perf.add_argument("--only", default=None,

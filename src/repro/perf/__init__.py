@@ -1,24 +1,13 @@
-"""Performance measurement: microbenchmarks, timers, and profile hooks.
+"""Work counts: how much a replay's components do, not how fast.
 
-The ``repro.perf`` package makes replay throughput a first-class, observable
-metric.  It complements ``benchmarks/run.py`` + ``benchmarks/compare.py``
-(calibrated end-to-end throughput, and the parent-vs-change gate) with
-per-component microbenchmarks driven by ``python -m repro perf``, so a
-regression is attributable to the layer that caused it.
+The ``repro.perf`` package complements ``benchmarks/run.py`` +
+``benchmarks/compare.py`` (calibrated throughput, per layer with
+``--trace 1``, and the parent-vs-change gate) with exact counts driven by
+``python -m repro perf`` — calls per request, kernel calls per cut, objects
+built per flush — and a cProfile hook, so a layer that starts doing more
+work shows up as a number that repeats exactly.
 """
 
-from repro.perf.perf import (
-    MICROBENCHES,
-    Timer,
-    profile_call,
-    run_perf,
-    time_callable,
-)
+from repro.perf.perf import MICROBENCHES, profile_call, run_perf
 
-__all__ = [
-    "MICROBENCHES",
-    "Timer",
-    "profile_call",
-    "run_perf",
-    "time_callable",
-]
+__all__ = ["MICROBENCHES", "profile_call", "run_perf"]

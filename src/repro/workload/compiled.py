@@ -43,6 +43,18 @@ from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 
 
+def _check_key_ids(key_ids: np.ndarray, num_keys: int) -> None:
+    """Refuse key ids outside ``[0, num_keys)``: one pass over the column.
+
+    Raises:
+        WorkloadError: If any id is negative or not below ``num_keys``.
+    """
+    if key_ids.size and not 0 <= int(key_ids.min()) <= int(key_ids.max()) < num_keys:
+        raise WorkloadError(
+            f"compiled trace has key ids outside its {num_keys}-name key table"
+        )
+
+
 class TraceIndex:
     """Per-key layout of one compiled trace: built once, replayed many times.
 
@@ -115,10 +127,7 @@ class TraceIndex:
         value_sizes: np.ndarray,
         num_keys: int,
     ) -> None:
-        if key_ids.size and not 0 <= int(key_ids.min()) <= int(key_ids.max()) < num_keys:
-            raise WorkloadError(
-                f"compiled trace has key ids outside its {num_keys}-name key table"
-            )
+        _check_key_ids(key_ids, num_keys)
         self.key_ids = key_ids
         self.is_read = is_read
         # ``>=`` so that a NaN time, which compares false, counts as disorder.
@@ -459,7 +468,12 @@ class CompiledTrace:
         The yielded stream is byte-identical to the generator stream the
         trace was compiled from: same floats, same interned key strings,
         same op objects.
+
+        Raises:
+            WorkloadError: If a key id falls outside :attr:`key_names` (the
+                check :meth:`index` makes, so both engines refuse alike).
         """
+        _check_key_ids(self.key_ids, len(self.key_names))
         return ChunkStream(self._slices(), self.key_names)
 
     def __iter__(self) -> Iterator[Request]:

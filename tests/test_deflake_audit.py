@@ -7,10 +7,9 @@ created without a seed (``np.random.default_rng()`` with no argument, the
 module-level ``random.*`` functions, a bare ``random.Random()``).
 
 This test scans every source and test file and pins the current count of
-violations at **zero**.  Wall-clock use is legitimate only where wall time
-is the *measurement* — the ``repro.perf`` microbenchmarks, the bench
-harness's throughput timers — so those files are allowlisted explicitly;
-growing the allowlist is a reviewed decision, not an accident.
+violations at **zero**, with no allowlist: wall time is a measurement only
+in ``benchmarks/``, outside the scanned trees, and ``repro.perf`` reports
+counts, not clocks.
 """
 
 import re
@@ -18,12 +17,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCAN_ROOTS = ("src/repro", "tests")
-
-#: Files where wall-clock reads are the point (throughput measurement).
-#: Paths are repo-relative, matched by prefix.
-WALL_CLOCK_ALLOWLIST = (
-    "src/repro/perf/",
-)
 
 #: Pattern -> human explanation.  Each regex is written so it does not match
 #: its own (escaped) source text in this file.
@@ -49,8 +42,6 @@ def scan() -> "list[str]":
             if path.resolve() == self_path:
                 continue
             relative = path.relative_to(REPO_ROOT).as_posix()
-            if any(relative.startswith(prefix) for prefix in WALL_CLOCK_ALLOWLIST):
-                continue
             for number, line in enumerate(path.read_text().splitlines(), start=1):
                 for pattern, reason in VIOLATION_PATTERNS.items():
                     if re.search(pattern, line):

@@ -6,8 +6,9 @@ column slices, and everything else — lists, CSV traces, merged or foreign
 generators — goes through the batching adapter.  This module pins that the
 four shapes give byte-identical rows on every kind of configuration the
 scalar core serves, that disorder (NaN included) is refused the same way
-whatever the shape, and that a stream hands a driver exactly what has not
-been read from it yet.
+whatever the shape, that a compiled trace's key ids outside its name table
+are refused the same way by every engine, and that a stream hands a driver
+exactly what has not been read from it yet.
 """
 
 import json
@@ -18,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro.backend.channel import Channel
-from repro.cluster import ClusterSimulation, ReplicationConfig, make_scenario
+from repro.cluster import (
+    ClusterSimulation,
+    ReplicationConfig,
+    VectorClusterSimulation,
+    make_scenario,
+)
 from repro.concurrency.config import ConcurrencyConfig
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
@@ -238,6 +244,33 @@ def test_nan_time_is_refused_by_the_sorted_checks_and_the_vector_engine() -> Non
     assert vector.vector_eligible()
     with pytest.raises(WorkloadError, match="not sorted"):
         vector.run()
+
+
+ENGINES = {
+    "single": lambda trace: Simulation(trace, policy=make_policy("invalidate"), staleness_bound=1.0),
+    "fleet": lambda trace: ClusterSimulation(
+        trace, policy="invalidate", num_nodes=2, staleness_bound=1.0
+    ),
+    "vector": lambda trace: VectorSimulation(
+        trace, policy=make_policy("invalidate"), staleness_bound=1.0
+    ),
+    "vector-fleet": lambda trace: VectorClusterSimulation(
+        trace, policy="invalidate", num_nodes=2, staleness_bound=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key_id", [-1, 5])
+def test_key_ids_outside_the_key_table_are_refused_by_every_engine(engine, key_id) -> None:
+    # A negative id used to replay silently as ``key_names[-1]`` on the
+    # scalar engines, and a large one to raise a bare IndexError.
+    trace = as_trace(requests_at([0.0, 0.5]))
+    assert len(trace.key_names) == 2
+    trace.key_ids[1] = key_id
+    with pytest.raises(WorkloadError) as raised:
+        ENGINES[engine](trace).run()
+    assert str(raised.value) == "compiled trace has key ids outside its 2-name key table"
 
 
 HEADER = "time,key,op,key_size,value_size\n"
