@@ -47,7 +47,6 @@ from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.optimal import OptimalPolicy
 from repro.cache.cache import Cache
-from repro.cache.eviction import FIFOEviction, LFUEviction, LRUEviction
 from repro.backend.datastore import DataStore
 from repro.sim.simulation import Simulation
 from repro.sim.results import SimulationResult
@@ -134,10 +133,7 @@ __all__ = [
     "CountMinSketch",
     "DataStore",
     "ExactEWTracker",
-    "FIFOEviction",
     "FreshnessPolicy",
-    "LFUEviction",
-    "LRUEviction",
     "MetaWorkload",
     "OpType",
     "OptimalPolicy",

@@ -73,7 +73,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.log import configure_logging
@@ -130,6 +130,22 @@ def _csv_list(text: str) -> List[str]:
 
 def _capacity(text: str) -> Optional[int]:
     return None if text.lower() in ("none", "inf", "unbounded") else int(text)
+
+
+def _axis(entry: Callable[[str], Any], name: str) -> Callable[[str], List[Any]]:
+    """Argparse type for a comma-separated grid axis, each entry parsed by
+    ``entry``.  A list with no entry stays empty: the spec names the axis."""
+
+    def parse(text: str) -> List[Any]:
+        values = []
+        for item in _csv_list(text):
+            try:
+                values.append(entry(item))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid {name} entry: {item!r}") from None
+        return values
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -281,8 +297,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         name=args.name,
         policies=_csv_list(args.policies),
         workloads=[WorkloadSpec.of(name, params) for name in _csv_list(args.workloads)],
-        staleness_bounds=[float(bound) for bound in _csv_list(args.bounds)],
-        cache_capacities=[_capacity(cap) for cap in _csv_list(args.capacities)],
+        staleness_bounds=args.bounds,
+        cache_capacities=args.capacities,
         persistence=[args.persist],
         snapshot_intervals=[args.snapshot_interval] if args.persist else [None],
         duration=args.duration,
@@ -299,7 +315,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         axes.update(_fleet_axes(args))
     if args.command == "tier":
         axes.update(
-            l1_capacities=[int(capacity) for capacity in _csv_list(args.l1_capacity)],
+            l1_capacities=args.l1_capacity,
             tier_modes=_csv_list(args.tier_mode),
             tier_admission=args.admission,
         )
@@ -382,8 +398,8 @@ def _fleet_axes(args: argparse.Namespace) -> Dict[str, Any]:
             raise SystemExit(str(exc)) from exc
     return dict(
         channels=[channel],
-        num_nodes=[int(nodes) for nodes in _csv_list(args.nodes)],
-        replications=[int(factor) for factor in _csv_list(args.replication)],
+        num_nodes=args.nodes,
+        replications=args.replication,
         scenarios=scenarios,
         read_policy=args.read_policy,
         hot_policy=args.hot_policy,
@@ -872,8 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
         grid.add_argument("--name", default=name)
         grid.add_argument("--policies", default=policies)
         grid.add_argument("--workloads", default="poisson")
-        grid.add_argument("--bounds", default=bounds)
-        grid.add_argument("--capacities", default="none")
+        grid.add_argument("--bounds", type=_axis(float, "float"), default=bounds)
+        grid.add_argument("--capacities", type=_axis(_capacity, "capacity"), default="none")
         grid.add_argument("--duration", type=_positive_float, default=10.0)
         grid.add_argument("--persist", action="store_true",
                           help="run every cell with a write-ahead log + snapshots "
@@ -903,9 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fleet_arguments(fleet: argparse.ArgumentParser) -> None:
         """The flags ``cluster`` and ``tier`` add to the grid flags."""
-        fleet.add_argument("--nodes", default="8",
+        fleet.add_argument("--nodes", type=_axis(int, "int"), default="8",
                            help="fleet-size axis, comma separated (e.g. 4,8,16)")
-        fleet.add_argument("--replication", default="1",
+        fleet.add_argument("--replication", type=_axis(int, "int"), default="1",
                            help="replication-factor axis, comma separated")
         fleet.add_argument("--scenario", dest="scenarios", default="none",
                            help="scenario axis, comma separated: none, "
@@ -971,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_grid_arguments(tier, "tier", "invalidate,update,adaptive", "1.0")
     add_fleet_arguments(tier)
-    tier.add_argument("--l1-capacity", default="256",
+    tier.add_argument("--l1-capacity", type=_axis(int, "int"), default="256",
                       help="L1-capacity axis, comma separated (objects per node; "
                            "0 = single-tier baseline)")
     tier.add_argument("--tier-mode", default="write-through",

@@ -8,14 +8,6 @@ policies in :mod:`repro.core`.
 """
 
 from repro.cache.entry import CacheEntry, EntryState
-from repro.cache.eviction import (
-    ClockEviction,
-    EvictionPolicy,
-    FIFOEviction,
-    LFUEviction,
-    LRUEviction,
-    make_eviction_policy,
-)
 from repro.cache.cache import Cache
 from repro.cache.stats import CacheStats
 
@@ -23,11 +15,5 @@ __all__ = [
     "Cache",
     "CacheEntry",
     "CacheStats",
-    "ClockEviction",
     "EntryState",
-    "EvictionPolicy",
-    "FIFOEviction",
-    "LFUEviction",
-    "LRUEviction",
-    "make_eviction_policy",
 ]

@@ -1,8 +1,8 @@
 """The cache-aside cache.
 
 The cache stores :class:`~repro.cache.entry.CacheEntry` objects up to a fixed
-capacity (in number of objects), delegating victim selection to a pluggable
-eviction policy.  It deliberately knows nothing about freshness policies: the
+capacity (in number of objects), evicting the least-recently-used key when
+full.  It deliberately knows nothing about freshness policies: the
 simulator and the policies drive invalidation, expiry, updates, and re-fetches
 through the explicit methods below, and the cache merely records state and
 statistics.
@@ -11,10 +11,10 @@ statistics.
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.cache.entry import CacheEntry, EntryState
-from repro.cache.eviction import EvictionPolicy, LRUEviction
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 
@@ -34,35 +34,33 @@ def weak_callback(method: EvictionCallback) -> EvictionCallback:
 
 
 class Cache:
-    """A capacity-limited, cache-aside key-value cache.
+    """A capacity-limited, cache-aside key-value cache with LRU eviction.
 
     Args:
         capacity: Maximum number of objects held at once.  ``None`` means
             unbounded (useful for experiments that want to isolate freshness
             effects from eviction effects, as the paper's model does).
-        eviction: Eviction policy instance; defaults to LRU.  Only a cache
-            with a capacity ever calls it.
         on_evict: Optional callback invoked with ``(entry, time)`` whenever an
             entry is evicted for capacity reasons.  The simulator uses this to
             finalise lazily-accounted polling costs.
     """
 
-    __slots__ = ("capacity", "eviction", "recency", "on_evict", "stats", "_entries")
+    __slots__ = ("capacity", "recency", "on_evict", "stats", "_entries")
 
     def __init__(
         self,
         capacity: Optional[int] = None,
-        eviction: Optional[EvictionPolicy] = None,
         on_evict: Optional[EvictionCallback] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
-        self.eviction = eviction if eviction is not None else LRUEviction()
-        #: The eviction policy the cache keeps informed — ``None`` without a
-        #: capacity.  An unbounded cache never chooses a victim, so nothing
-        #: could read the order the policy would keep: it is never called.
-        self.recency: Optional[EvictionPolicy] = self.eviction if capacity is not None else None
+        #: The cached keys, least recently used (the next victim) first —
+        #: ``None`` without a capacity.  An unbounded cache never chooses a
+        #: victim, so nothing could read the order: it keeps none.
+        self.recency: Optional[OrderedDict[str, None]] = (
+            OrderedDict() if capacity is not None else None
+        )
         self.on_evict = on_evict
         self.stats = CacheStats()
         self._entries: Dict[str, CacheEntry] = {}
@@ -128,7 +126,7 @@ class Cache:
             stats.stale_misses += 1
             outcome = "stale_miss"
         if self.recency is not None:
-            self.recency.on_access(key)
+            self.recency.move_to_end(key)
         return entry, outcome
 
     # ------------------------------------------------------------------ #
@@ -153,7 +151,7 @@ class Cache:
             entry.refresh(version=version, time=time, value_size=value_size)
             entry.last_poll_accounted = time
             if self.recency is not None:
-                self.recency.on_access(key)
+                self.recency.move_to_end(key)
             return entry
         self._make_room(time)
         entry = CacheEntry(
@@ -167,7 +165,7 @@ class Cache:
         )
         self._entries[key] = entry
         if self.recency is not None:
-            self.recency.on_insert(key)
+            self.recency[key] = None
         self.stats.insertions += 1
         return entry
 
@@ -231,20 +229,22 @@ class Cache:
             self._make_room(time)
         self._entries[entry.key] = entry
         if self.recency is not None:
-            self.recency.on_insert(entry.key)
+            self.recency[entry.key] = None
+            self.recency.move_to_end(entry.key)
         self.stats.insertions += 1
         return entry
 
     def reorder(self, keys: List[str]) -> None:
         """Make ``keys`` (victim first) the eviction order of a bounded cache.
 
-        Each key leaves the policy and re-enters it in turn, so an
-        order-keeping policy (LRU, FIFO) ends up holding exactly ``keys``:
-        how a restore rebuilds an order that differs from the entries'.
+        Each key leaves the order and re-enters it at the end in turn, so the
+        order ends up holding exactly ``keys``: how a restore rebuilds an
+        order that differs from the entries'.
         """
+        recency = self.recency
         for key in keys:
-            self.recency.on_remove(key)
-            self.recency.on_insert(key)
+            recency.pop(key, None)
+            recency[key] = None
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` from the cache entirely (no eviction callback)."""
@@ -252,14 +252,13 @@ class Cache:
         if entry is None:
             return False
         if self.recency is not None:
-            self.recency.on_remove(key)
+            self.recency.pop(key, None)
         return True
 
     def clear(self) -> None:
         """Remove every entry (statistics are preserved)."""
         if self.recency is not None:
-            for key in self._entries:
-                self.recency.on_remove(key)
+            self.recency.clear()
         self._entries.clear()
 
     # ------------------------------------------------------------------ #
@@ -269,12 +268,10 @@ class Cache:
         """Evict victims until there is room for one more entry."""
         if self.capacity is None:
             return
+        recency = self.recency
         while len(self._entries) >= self.capacity:
-            victim = self.eviction.choose_victim()
-            if victim is None:  # pragma: no cover - defensive
-                return
+            victim, _ = recency.popitem(last=False)
             entry = self._entries.pop(victim)
-            self.eviction.on_remove(victim)
             self.stats.evictions += 1
             if self.on_evict is not None:
                 self.on_evict(entry, time)

@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.backend.channel import Channel
 from repro.backend.datastore import DataStore
-from repro.cache.eviction import EvictionPolicy
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
 from repro.cluster.replication import ReplicaRouter, ReplicationConfig
@@ -193,8 +192,8 @@ class ClusterSimulation(ReplayDriver):
         costs: Cost model shared by every node.
         replication: Replication factor (int) or a full
             :class:`~repro.cluster.replication.ReplicationConfig`.
-        cache_capacity: Per-node cache capacity (``None`` = unbounded).
-        eviction_factory: Zero-arg factory for per-node eviction policies.
+        cache_capacity: Per-node cache capacity (``None`` = unbounded); a
+            bounded cache evicts its least recently used key.
         channel: ``None`` for ideal per-node channels, or a
             :class:`~repro.experiments.spec.ChannelSpec`; each node's channel
             is built from it (:meth:`~repro.experiments.spec.ChannelSpec.build`)
@@ -207,9 +206,6 @@ class ClusterSimulation(ReplayDriver):
         workload_name: Label recorded in the result.
         vnodes: Virtual nodes per physical node on the hash ring.
         seed: Root seed for per-node channels and detectors.
-        discard_buffer_on_miss_fill / final_flush: As in the single-cache
-            :class:`~repro.sim.simulation.Simulation` (the same node code
-            receives them), applied per node.
         store: Optional persistence config (:class:`~repro.store.StoreConfig`).
             When given, backend writes are journaled to a write-ahead log and
             the datastore plus every reachable node's volatile state are
@@ -264,7 +260,6 @@ class ClusterSimulation(ReplayDriver):
         costs: Optional[CostModel] = None,
         replication: Union[int, ReplicationConfig, None] = None,
         cache_capacity: Optional[int] = None,
-        eviction_factory: Optional[Callable[[], EvictionPolicy]] = None,
         channel: Optional[Any] = None,
         tracker_capacity: Optional[int] = None,
         scenario: Optional[Scenario] = None,
@@ -273,8 +268,6 @@ class ClusterSimulation(ReplayDriver):
         workload_name: str = "",
         vnodes: int = 64,
         seed: int = 0,
-        discard_buffer_on_miss_fill: bool = True,
-        final_flush: bool = True,
         store: Optional[StoreConfig] = None,
         history_retention: Optional[float] = None,
         tier: Optional[TierConfig] = None,
@@ -292,7 +285,6 @@ class ClusterSimulation(ReplayDriver):
             duration=duration,
             costs=costs,
             workload_name=workload_name,
-            final_flush=final_flush,
             concurrency=concurrency,
         )
         if replication is None:
@@ -357,7 +349,6 @@ class ClusterSimulation(ReplayDriver):
                         staleness_bound=self.staleness_bound,
                     ),
                     cache_capacity=cache_capacity,
-                    eviction=eviction_factory() if eviction_factory is not None else None,
                     channel=(
                         channel.build(node_seed) if channel is not None else Channel(seed=node_seed)
                     ),
@@ -368,7 +359,6 @@ class ClusterSimulation(ReplayDriver):
                         if hotkey is not None
                         else None
                     ),
-                    discard_buffer_on_miss_fill=discard_buffer_on_miss_fill,
                     tier=self.tier,
                     tier_seed=node_seed ^ 0x1F123BB5,
                 )
@@ -645,14 +635,13 @@ class ClusterSimulation(ReplayDriver):
         then :meth:`run`.  Returns the recovery report.
 
         Exact-resume limits (the failure model is the recovery guide's
-        table): LFU and Clock eviction state comes back in the entries'
-        order and the sketch E[W] estimators come back cold (LRU / FIFO order
-        and the exact tracker are checkpointed); hot-key detectors are not
-        snapshotted; and a node that
-        was fail-silent at the checkpoint (unreachable but still serving its
-        cache) is restored empty — its cache was volatile memory with no
-        durable claim, so it died with the crash, whereas an uninterrupted
-        run would have kept serving it.  Identical-counter resume therefore
+        table): the sketch E[W] estimators come back cold (a bounded cache's
+        LRU order and the exact tracker are checkpointed); hot-key detectors
+        are not snapshotted; and a node that was fail-silent at the
+        checkpoint (unreachable but still serving its cache) is restored
+        empty — its cache was volatile memory with no durable claim, so it
+        died with the crash, whereas an uninterrupted run would have kept
+        serving it.  Identical-counter resume therefore
         holds for checkpoints taken outside fail-silent windows, which is
         what the tests pin.
         """

@@ -23,10 +23,6 @@ class WorkloadError(ReproError):
     """Raised when a workload generator or trace file is malformed."""
 
 
-class SketchError(ReproError):
-    """Raised when a sketch is queried or updated incorrectly."""
-
-
 class ClusterError(ReproError):
     """Raised when a cluster simulation is misconfigured or driven badly."""
 

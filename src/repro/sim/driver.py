@@ -83,7 +83,6 @@ class ReplayDriver:
         duration: Optional[float],
         costs: Optional[CostModel],
         workload_name: str,
-        final_flush: bool,
         concurrency: Optional[Any],
     ) -> None:
         self.staleness_bound = positive_finite("staleness_bound", staleness_bound)
@@ -91,7 +90,6 @@ class ReplayDriver:
         self.duration = positive_finite("duration", duration) if duration is not None else 0.0
         self.costs = costs if costs is not None else CostModel()
         self.workload_name = workload_name
-        self.final_flush = final_flush
         self.concurrency = as_concurrency(concurrency)
         #: The fetch server every node queues on (``None``: instant fetches).
         self.backend: Optional[BackendServer] = (
@@ -261,7 +259,7 @@ class ReplayDriver:
         self.clock.advance_to(end_time)
         if stop_at is None:
             for node in self._node_list:
-                node.finalize(end_time, self.final_flush)
+                node.finalize(end_time)
         stats = None
         if self._store is not None:
             self._checkpoint(end_time)

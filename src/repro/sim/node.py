@@ -67,7 +67,6 @@ from repro.backend.invalidation_tracker import InvalidationTracker
 from repro.backend.messages import InvalidateMessage, UpdateMessage
 from repro.cache.cache import Cache, weak_callback
 from repro.cache.entry import CacheEntry, EntryState
-from repro.cache.eviction import EvictionPolicy
 from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import ConcurrencyConfig
 from repro.concurrency.coordinator import FetchCoordinator
@@ -136,8 +135,8 @@ class CacheNode:
             in a fleet.  The fleet-only counters are only touched by the
             feature that owns them (unreachability, churn, detector, L1), so
             the plain result suffices where none of those is switched on.
-        cache_capacity: Object capacity (``None`` = unbounded).
-        eviction: Eviction policy instance (default LRU).
+        cache_capacity: Object capacity (``None`` = unbounded); a bounded
+            cache evicts its least recently used key.
         channel: Backend-to-cache message channel; ``None`` means ideal
             (instantaneous and lossless).  The node always holds a channel
             object so scenarios can impose outages on it.
@@ -147,10 +146,6 @@ class CacheNode:
             currently flags hot on this shard.
         detector: Optional per-shard hot-key detector
             (:class:`~repro.cluster.hotkey.HotKeyDetector`).
-        discard_buffer_on_miss_fill: Whether the backend drops a buffered
-            write for a key once a miss has re-fetched that key within the
-            same interval (the backend served that miss, so it knows the
-            cache is fresh again).
         pending_registry: Optional cluster-owned set of node ids with
             messages in flight; lets the cluster skip the per-request
             delivery sweep when nothing is pending anywhere in the fleet.
@@ -173,12 +168,10 @@ class CacheNode:
         datastore: DataStore,
         result: SimulationResult,
         cache_capacity: Optional[int] = None,
-        eviction: Optional[EvictionPolicy] = None,
         channel: Optional[Channel] = None,
         tracker_capacity: Optional[int] = None,
         hot_policy: Optional[FreshnessPolicy] = None,
         detector: Optional[Any] = None,
-        discard_buffer_on_miss_fill: bool = True,
         pending_registry: Optional[set] = None,
         tier: Optional[TierConfig] = None,
         tier_seed: int = 0,
@@ -192,7 +185,6 @@ class CacheNode:
         self.costs = costs
         self.datastore = datastore
         self.channel = channel if channel is not None else Channel()
-        self.discard_buffer_on_miss_fill = discard_buffer_on_miss_fill
 
         # Evictions matter to a polling node alone: it settles the victim's
         # polls.  The callbacks hold the node weakly, so that neither its
@@ -202,7 +194,6 @@ class CacheNode:
         polling = policy.ttl_mode == "polling"
         self.cache = Cache(
             capacity=cache_capacity,
-            eviction=eviction,
             on_evict=(
                 weak_callback(self._on_evict)
                 if polling and cache_capacity is not None
@@ -282,14 +273,14 @@ class CacheNode:
         )
         self._l2_peek = self.cache.raw_getter()
         self._l2_stats = self.cache.stats
+        # A bounded cache's LRU order holds every key of its map: a hit moves
+        # the key to the order's end directly.
         recency = self.cache.recency
-        self._l2_touch = recency.on_access if recency is not None else None
+        self._l2_touch = recency.move_to_end if recency is not None else None
         if self.l1 is not None:
-            # The L1 is a bounded LRU whose order holds every key of its map:
-            # a hit moves the key to the order's end directly.
             self._l1_peek = self.l1.cache.raw_getter()
             self._l1_stats = self.l1.cache.stats
-            self._l1_touch = self.l1.cache.eviction.toucher()
+            self._l1_touch = self.l1.cache.recency.move_to_end
             self._l1_hit_cost_const = (
                 self.costs.l1_hit_cost() if self.costs.breakdown is None else None
             )
@@ -483,7 +474,7 @@ class CacheNode:
         version, value_size = self._fetch(time, key, key_size, stale)
         self._fill_after_fetch(time, key, key_size, version, value_size)
         self.tracker.mark_refetched(key)
-        if self.discard_buffer_on_miss_fill and self._reacts:
+        if self._reacts:
             # The backend just served this key's latest value; any write
             # buffered earlier in the interval no longer needs a message.
             self.buffer.discard(key)
@@ -903,9 +894,9 @@ class CacheNode:
     # ------------------------------------------------------------------ #
     # End of run
     # ------------------------------------------------------------------ #
-    def finalize(self, end_time: float, final_flush: bool) -> None:
+    def finalize(self, end_time: float) -> None:
         """Settle trailing deliveries, flushes, and lazy polling costs."""
-        if self.reacts_to_writes and final_flush and len(self.buffer):
+        if self.reacts_to_writes and len(self.buffer):
             self.flush(end_time)
         self.deliver_until(end_time)
         if self.policy.ttl_mode == "polling":
@@ -1032,7 +1023,6 @@ class ConcurrentCacheNode(CacheNode):
         through :meth:`_fill_after_fetch` so write-back tiers install into
         the L1.
         """
-        discard = self.discard_buffer_on_miss_fill and self._reacts
         datastore = self.datastore
         for fetch in self.fetches.drain(until):
             key = fetch.key
@@ -1040,7 +1030,7 @@ class ConcurrentCacheNode(CacheNode):
                 fetch.issued_at, key, fetch.key_size, fetch.version, fetch.value_size
             )
             self.tracker.mark_refetched(key)
-            if discard and datastore.latest_version(key) == fetch.version:
+            if self._reacts and datastore.latest_version(key) == fetch.version:
                 self.buffer.discard(key)
 
     def observe_write(
@@ -1074,9 +1064,9 @@ class ConcurrentCacheNode(CacheNode):
         super().lose_volatile_state(time)
         self.fetches.discard_pending()
 
-    def finalize(self, end_time: float, final_flush: bool) -> None:
+    def finalize(self, end_time: float) -> None:
         """Land trailing completions and snapshot latency, then finalize."""
         self._apply_fetch_completions(end_time)
         self.result.latency_count = self.latency.count
         self.result.latency_sum = self.latency.sum
-        super().finalize(end_time, final_flush)
+        super().finalize(end_time)

@@ -18,7 +18,6 @@ import math
 from typing import Any, Iterable, List, Optional
 
 from repro.backend.channel import Channel
-from repro.cache.eviction import EvictionPolicy
 from repro.core.cost_model import CostModel
 from repro.core.policy import FreshnessPolicy, FutureIndex
 from repro.sim.driver import ReplayDriver
@@ -50,8 +49,7 @@ class Simulation(ReplayDriver):
             positive and finite.
         costs: Cost model supplying ``c_m``, ``c_i``, ``c_u``.
         cache_capacity: Maximum number of cached objects (``None`` =
-            unbounded).
-        eviction: Eviction policy for the cache (default LRU).
+            unbounded); a bounded cache evicts its least recently used key.
         channel: Backend-to-cache message channel; ``None`` means ideal
             (instantaneous and lossless).
         tracker_capacity: Capacity of the backend's invalidated-key tracker
@@ -59,13 +57,6 @@ class Simulation(ReplayDriver):
         duration: Simulated horizon ``T'`` (positive and finite); defaults
             to the time of the last request.
         workload_name: Label recorded in the result (for reports).
-        discard_buffer_on_miss_fill: Whether the backend drops a buffered
-            write for a key once a miss has re-fetched that key within the
-            same interval (the backend served that miss, so it knows the cache
-            is fresh again).
-        final_flush: Whether to flush the write buffer once more at the end of
-            the run, matching the closed-form model that charges every
-            interval containing a write.
         store: Optional persistence config (:class:`~repro.store.StoreConfig`).
             When given, every backend write is journaled to a write-ahead log
             and the datastore is snapshotted at ``snapshot_interval`` plus
@@ -98,13 +89,10 @@ class Simulation(ReplayDriver):
         staleness_bound: float,
         costs: Optional[CostModel] = None,
         cache_capacity: Optional[int] = None,
-        eviction: Optional[EvictionPolicy] = None,
         channel: Optional[Channel] = None,
         tracker_capacity: Optional[int] = None,
         duration: Optional[float] = None,
         workload_name: str = "",
-        discard_buffer_on_miss_fill: bool = True,
-        final_flush: bool = True,
         store: Optional[StoreConfig] = None,
         history_retention: Optional[float] = None,
         obs: Optional[Any] = None,
@@ -115,7 +103,6 @@ class Simulation(ReplayDriver):
             duration=duration,
             costs=costs,
             workload_name=workload_name,
-            final_flush=final_flush,
             concurrency=concurrency,
         )
         self.policy = policy
@@ -140,10 +127,8 @@ class Simulation(ReplayDriver):
             policy=policy,
             result=self.result,
             cache_capacity=cache_capacity,
-            eviction=eviction,
             channel=channel,
             tracker_capacity=tracker_capacity,
-            discard_buffer_on_miss_fill=discard_buffer_on_miss_fill,
             future=(
                 FutureIndex.from_requests(self.requests) if self.requests is not None else None
             ),

@@ -316,7 +316,6 @@ class _HostState:
         "tracker",
         "estimator",
         "reacts",
-        "discard_on_miss_fill",
     )
 
     def __init__(
@@ -327,7 +326,6 @@ class _HostState:
         tracker,
         estimator: Optional[ExactEWTracker],
         reacts: bool,
-        discard_on_miss_fill: bool,
     ) -> None:
         self.result = result
         self.cache = cache
@@ -336,7 +334,6 @@ class _HostState:
         self.tracker = tracker
         self.estimator = estimator
         self.reacts = reacts
-        self.discard_on_miss_fill = discard_on_miss_fill
 
     @classmethod
     def of(cls, node: CacheNode) -> "_HostState":
@@ -349,7 +346,6 @@ class _HostState:
             tracker=node.tracker,
             estimator=policy.estimator if isinstance(policy, AdaptivePolicy) else None,
             reacts=node._reacts,
-            discard_on_miss_fill=node.discard_buffer_on_miss_fill,
         )
 
 
@@ -660,8 +656,7 @@ def _kernel_reactive_span(
     object work (entry lookup and hit bump, entry fill, buffered write) walks
     the plain Python columns host segment by segment, into ``hosts[h]`` and
     ``tallies[h]``.  Every host of a replay runs one policy configuration,
-    so whether hosts react, discard on a miss fill or fold an estimator is
-    read off the first.
+    so whether hosts react or fold an estimator is read off the first.
     """
     keys, first, count, stride, write_lo, write_hi, bounds = prelude.groups
     index, trace = ctx.index, ctx.trace
@@ -763,7 +758,7 @@ def _kernel_reactive_span(
     writing = prelude.writing
     if config.reacts and writing.size:
         start = write_lo
-        if missed and config.discard_on_miss_fill:
+        if missed:
             # A miss fill drops what the key had buffered before it.
             start = write_lo.copy()
             start[miss] += before_miss

@@ -248,15 +248,9 @@ def serialize_l1(l1: Any) -> Dict[str, Any]:
     so restoring them in that order reproduces the eviction state — and
     hence every post-resume eviction decision — exactly.
     """
-    entries = {entry.key: entry for entry in l1.cache.entries()}
-    recency = l1.cache.eviction.recency_order()
-    ordered = (
-        [entries[key] for key in recency if key in entries]
-        if recency is not None
-        else list(entries.values())
-    )
+    peek = l1.cache.peek
     return {
-        "entries": [serialize_entry(entry) for entry in ordered],
+        "entries": [serialize_entry(peek(key)) for key in l1.cache.recency],
         "dirty": sorted(l1.dirty),
         "outage": l1.outage,
         "stats": _serialize_result(l1.cache.stats),
@@ -317,13 +311,11 @@ def serialize_node(node: Any) -> Dict[str, Any]:
     if getattr(node, "l1", None) is not None:
         data["l1"] = serialize_l1(node.l1)
     # Two optional fields, each written only where the state exists: the
-    # eviction order of a bounded cache whose policy is an ordered key list
-    # (it differs from the entries' order as soon as a hit moves a key), and
-    # the exact E[W] counters the adaptive policy decides on.
-    recency = node.cache.recency
-    order = recency.recency_order() if recency is not None else None
-    if order is not None:
-        data["eviction_order"] = order
+    # LRU order of a bounded cache (it differs from the entries' order as
+    # soon as a hit moves a key), and the exact E[W] counters the adaptive
+    # policy decides on.
+    if node.cache.recency is not None:
+        data["eviction_order"] = list(node.cache.recency)
     estimator = getattr(node.policy, "estimator", None)
     if isinstance(estimator, ExactEWTracker):
         data["estimator"] = estimator.state()
@@ -335,13 +327,13 @@ def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
 
     Cache entries are re-inserted in their serialized order — the cache's
     own, so every later walk over the entries (poll settling, the next
-    snapshot) goes as it would have — and then a bounded cache's eviction
-    order is rebuilt from ``eviction_order``, victim first.  An adaptive
-    policy's exact E[W] tracker gets its counters back from ``estimator``.
-    Resume is therefore exact for unbounded caches, LRU and FIFO eviction,
-    and every policy on the exact tracker; what stays approximate (LFU and
-    Clock recency, sketch estimators) is listed in the recovery guide.  A
-    snapshot written before these fields existed restores as it always did.
+    snapshot) goes as it would have — and then a bounded cache's LRU order
+    is rebuilt from ``eviction_order``, victim first.  An adaptive policy's
+    exact E[W] tracker gets its counters back from ``estimator``.  Resume is
+    therefore exact for unbounded and bounded caches and every policy on the
+    exact tracker; what stays approximate (sketch estimators) is listed in
+    the recovery guide.  A snapshot written before these fields existed
+    restores as it always did.
 
     A stub record (``partial``, from :func:`serialize_node_stub`) restores
     only counters and flags: the node's volatile state died with the crash,

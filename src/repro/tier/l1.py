@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Set
 
 from repro.cache.cache import Cache, weak_callback
 from repro.cache.entry import CacheEntry
-from repro.cache.eviction import LRUEviction
 from repro.tier.admission import make_admission
 from repro.tier.config import TierConfig
 
@@ -113,7 +112,6 @@ class L1Tier:
         # be a reference cycle.
         self.cache = Cache(
             capacity=config.l1_capacity,
-            eviction=LRUEviction(),
             on_evict=weak_callback(self._on_l1_evict),
         )
         #: Keys fetched into the L1 that the L2 has not seen yet (write-back).

@@ -16,8 +16,6 @@ the whole CDF would.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -158,9 +156,3 @@ class ZipfSampler:
         if total_rate < 0:
             raise ConfigurationError(f"total_rate must be >= 0, got {total_rate}")
         return self._probabilities * total_rate
-
-
-def zipf_probabilities(num_keys: int, exponent: float) -> Sequence[float]:
-    """Return the bounded-Zipf probability vector without building a sampler."""
-    sampler = ZipfSampler(num_keys=num_keys, exponent=exponent, seed=0)
-    return sampler.probabilities.tolist()

@@ -480,7 +480,7 @@ def test_grid_subcommands_accept_what_they_did_plus_one_engine_flag() -> None:
     assert _flags_of("cluster") == {**PARENT_CLUSTER_FLAGS, "--engine": "scalar"}
     assert _flags_of("tier") == {**PARENT_TIER_FLAGS, "--engine": "scalar"}
     args = build_parser().parse_args(["tier"])
-    assert (args.name, args.policies, args.bounds) == ("tier", "invalidate,update,adaptive", "1.0")
+    assert (args.name, args.policies, args.bounds) == ("tier", "invalidate,update,adaptive", [1.0])
     assert {build_parser().parse_args([name]).func for name in ("sweep", "cluster", "tier")} == {
         _cmd_grid
     }
@@ -506,6 +506,25 @@ def test_an_empty_axis_on_the_command_line_is_an_error_not_an_empty_result(
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--bounds", ","])
     assert excinfo.value.code == "an experiment needs at least one staleness bound"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--capacities", "abc"], "--capacities"),
+        (["sweep", "--bounds", "x"], "--bounds"),
+        (["cluster", "--nodes", "x"], "--nodes"),
+        (["cluster", "--replication", "4,x"], "--replication"),
+        (["tier", "--l1-capacity", "x"], "--l1-capacity"),
+    ],
+)
+def test_a_non_numeric_axis_entry_is_an_argparse_error_not_a_traceback(
+    argv, flag, capsys
+) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: argument {flag}: invalid " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["none", "node-failure"])

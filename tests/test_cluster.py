@@ -54,14 +54,11 @@ POLICIES = ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
 
 #: What the one driver does beside the plain replay, each a path both the
 #: single cache and the fleet take: eviction, a forgetting tracker, history
-#: trimming, no trailing flush, keeping buffered writes a miss re-fetched,
-#: and a store with a snapshot cadence.
+#: trimming and a store with a snapshot cadence.
 ONE_NODE_CONFIGS = {
     "capacity": lambda root: dict(cache_capacity=20),
     "bounded-tracker": lambda root: dict(tracker_capacity=5),
     "retention": lambda root: dict(history_retention=1.0),
-    "no-final-flush": lambda root: dict(final_flush=False),
-    "keep-buffer-on-miss-fill": lambda root: dict(discard_buffer_on_miss_fill=False),
     "store": lambda root: dict(store=StoreConfig(str(root), snapshot_interval=1.0)),
 }
 

@@ -449,6 +449,24 @@ def test_an_empty_axis_is_refused_whatever_the_axis(axis) -> None:
     assert str(excinfo.value) == expected
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(cache_capacities=[None, 0]), "capacity must be >= 1 or None, got 0"),
+        (dict(cache_capacities=[-3]), "capacity must be >= 1 or None, got -3"),
+        (dict(vnodes=0), "vnodes must be >= 1, got 0"),
+        (dict(hot_fraction=0.0), r"hot_fraction must be in \(0, 1\], got 0.0"),
+    ],
+)
+def test_a_pass_through_value_its_component_refuses_is_refused_by_the_spec(
+    overrides, message
+) -> None:
+    """The spec refuses it when built, in the component's words, instead of
+    the first worker that builds a cell failing mid-sweep."""
+    with pytest.raises(ConfigurationError, match=message):
+        small_spec(**overrides)
+
+
 def test_a_thirteenth_axis_is_one_appended_row(monkeypatch) -> None:
     """No edit to ``expand`` or ``num_cells``: the row alone crosses the grid."""
     spec = small_spec()

@@ -179,7 +179,7 @@ def fleet_state(simulation) -> str:
                         [e.key, e.hits, e.state.value, e.version, e.as_of, e.last_poll_accounted]
                         for e in cache.entries()
                     ],
-                    cache.eviction.recency_order(),
+                    list(cache.recency),
                 ]
                 for cache in tiers
             ]

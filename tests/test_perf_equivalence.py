@@ -639,7 +639,7 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
             host.tracker.mark_refetched(name)
     if writes.size and host.reacts:
         tally.buffered_writes += int(writes.size)
-        if miss_position >= 0 and host.discard_on_miss_fill:
+        if miss_position >= 0:
             surviving = writes[writes > miss_position]
         else:
             surviving = writes
@@ -753,7 +753,7 @@ def host_state(host):
     }
 
 
-def make_kernel_host(trace, policy, bound, discard, count_zero_runs):
+def make_kernel_host(trace, policy, bound, count_zero_runs):
     """A replay context and a fresh single-cache host, the way ``_run_spans``
     wires them."""
     simulation = VectorSimulation(
@@ -761,7 +761,6 @@ def make_kernel_host(trace, policy, bound, discard, count_zero_runs):
         policy=make_policy(policy),
         staleness_bound=bound,
         duration=float(trace.times[-1]) if len(trace) else 1.0,
-        discard_buffer_on_miss_fill=discard,
     )
     estimator = simulation.policy.estimator if policy == "adaptive" else None
     if estimator is not None:
@@ -774,7 +773,6 @@ def make_kernel_host(trace, policy, bound, discard, count_zero_runs):
         tracker=simulation.tracker,
         estimator=estimator,
         reacts=True,
-        discard_on_miss_fill=discard,
     )
     return ctx, host
 
@@ -794,15 +792,15 @@ def disturb(host, rng, now: float) -> None:
 
 
 def assert_span_kernel_matches_reference(
-    trace, cuts, policy="adaptive", bound=0.5, discard=True, count_zero_runs=False, seed=0
+    trace, cuts, policy="adaptive", bound=0.5, count_zero_runs=False, seed=0
 ):
     """Walk ``trace`` over ``cuts`` on two identical hosts, one per kernel.
 
     After every span the tallies and, once flushed, the hosts must be equal.
     Returns what the walk exercised, so callers can insist on their case.
     """
-    ctx_new, host_new = make_kernel_host(trace, policy, bound, discard, count_zero_runs)
-    ctx_ref, host_ref = make_kernel_host(trace, policy, bound, discard, count_zero_runs)
+    ctx_new, host_new = make_kernel_host(trace, policy, bound, count_zero_runs)
+    ctx_ref, host_ref = make_kernel_host(trace, policy, bound, count_zero_runs)
     index = trace.index()
     cursor = SpanCursor(index)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -854,15 +852,14 @@ def random_cuts(trace, seed: int, count: int):
 
 
 @pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive"])
-@pytest.mark.parametrize("discard", [True, False])
-def test_span_kernel_matches_per_key_reference(policy: str, discard: bool) -> None:
+def test_span_kernel_matches_per_key_reference(policy: str) -> None:
     """Seeded traces, arbitrary cuts: misses with span writes on both sides of
     the first read, stale misses, and entries old enough to violate the bound
     (so the exact per-read fallback runs) all occur and all match."""
     for seed in (0, 1):
         trace = random_trace(20 + seed, requests=4_000, num_keys=30, read_ratio=0.6)
         seen = assert_span_kernel_matches_reference(
-            trace, random_cuts(trace, 200 + seed, 20), policy, discard=discard, seed=seed
+            trace, random_cuts(trace, 200 + seed, 20), policy, seed=seed
         )
         assert seen["straddled_misses"] > 0
         assert seen["stale_misses"] > 0
@@ -2085,7 +2082,7 @@ def drive_flushes(node_class, channel_class, policy: str, channel: str, variant:
         node.deliver_until(interval + 1.0)
         node.flush(interval + 1.0)
         states.append(flush_observables(node))
-    node.finalize(FLUSH_INTERVALS + 0.5, True)
+    node.finalize(FLUSH_INTERVALS + 0.5)
     states.append(flush_observables(node))
     if journal is not None:
         journal.sync()

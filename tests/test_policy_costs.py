@@ -116,11 +116,6 @@ class TestUpdatePath:
         assert result.updates_wasted == 1
         assert result.freshness_cost == pytest.approx(C_U)
 
-    def test_final_flush_can_be_disabled(self) -> None:
-        result = run([write(0.5)], AlwaysUpdatePolicy(), final_flush=False)
-        assert result.updates_sent == 0
-        assert result.freshness_cost == 0.0
-
 
 class TestFlushDecisions:
     """``FreshnessPolicy.decisions``: the flush's actions, one per dirty key."""

@@ -4,20 +4,18 @@
 entry is the one whose TTL state settles and the one the read is classified
 on.  These
 tests pin the shape of that path — how many Python frames a hit costs, which
-callables observe a read — and that an unbounded cache never calls its
-eviction policy on any engine, so none of them can depend on an order
-nothing reads.
+callables observe a read — and that an unbounded cache keeps no LRU order on
+any engine, so none of them can depend on an order nothing reads.
 """
 
 import json
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 import pytest
 
 from repro.backend.datastore import DataStore
 from repro.cache.cache import Cache
-from repro.cache.eviction import EvictionPolicy
 from repro.cluster import ClusterSimulation, ReplicationConfig, VectorClusterSimulation
 from repro.cluster.results import NodeResult
 from repro.concurrency.config import ConcurrencyConfig
@@ -35,25 +33,12 @@ from repro.workload.poisson import PoissonZipfWorkload
 
 POLICIES = ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive", "adaptive+cs"]
 DURATION = 4.0
-
-
-class RaisingEviction(EvictionPolicy):
-    """An eviction policy no call may reach."""
-
-    name = "raising"
-
-    def _called(self, *args: object) -> None:
-        raise AssertionError("an unbounded cache called its eviction policy")
-
-    on_insert = on_access = on_remove = choose_victim = recency_order = _called
-
-    def __len__(self) -> int:
-        raise AssertionError("an unbounded cache called its eviction policy")
+NUM_KEYS = 40
 
 
 @pytest.fixture(scope="module")
 def trace():
-    workload = PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, read_ratio=0.8, seed=5)
+    workload = PoissonZipfWorkload(num_keys=NUM_KEYS, rate_per_key=10.0, read_ratio=0.8, seed=5)
     return compile_workload(workload, DURATION)
 
 
@@ -67,40 +52,54 @@ def row(result) -> str:
     + [("scalar", "optimal")],
 )
 def test_an_unbounded_single_cache_never_calls_its_eviction_policy(trace, engine, policy):
-    def replay(eviction: Optional[EvictionPolicy]):
+    """An unbounded cache keeps no LRU order, and its row equals that of a
+    cache big enough never to evict, which keeps one."""
+
+    def replay(capacity: Optional[int]):
         driver = VectorSimulation if engine == "vector" else Simulation
-        return driver(
+        simulation = driver(
             trace,
             policy=make_policy(policy),
             staleness_bound=0.5,
             duration=DURATION,
-            eviction=eviction,
+            cache_capacity=capacity,
             concurrency=(
                 ConcurrencyConfig(mean=0.02, capacity=2, policy="early-expiry")
                 if engine == "concurrent"
                 else None
             ),
-        ).run()
+        )
+        return simulation.cache, simulation.run()
 
-    assert row(replay(RaisingEviction())) == row(replay(None))
+    unbounded, unbounded_result = replay(None)
+    roomy, roomy_result = replay(NUM_KEYS)
+    assert unbounded.recency is None
+    assert sorted(roomy.recency) == sorted(roomy.keys())
+    assert row(unbounded_result) == row(roomy_result)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("tier", [None, "write-through", "write-back"])
 def test_an_unbounded_fleet_never_calls_its_eviction_policy(trace, policy, tier):
-    def replay(eviction_factory: Optional[Callable[[], EvictionPolicy]]):
-        return ClusterSimulation(
+    def replay(capacity: Optional[int]):
+        simulation = ClusterSimulation(
             trace,
             policy=policy,
             num_nodes=3,
             staleness_bound=0.5,
             duration=DURATION,
             replication=ReplicationConfig(factor=2, read_policy="round-robin"),
-            eviction_factory=eviction_factory,
+            cache_capacity=capacity,
             tier=TierConfig(l1_capacity=4, mode=tier) if tier is not None else None,
-        ).run()
+        )
+        return simulation, simulation.run()
 
-    assert row(replay(RaisingEviction)) == row(replay(None))
+    unbounded, unbounded_result = replay(None)
+    _, roomy_result = replay(NUM_KEYS)
+    for node in unbounded.nodes():
+        assert node.cache.recency is None
+        assert node.l1 is None or len(node.l1.cache.recency) == len(node.l1.cache)
+    assert row(unbounded_result) == row(roomy_result)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -111,10 +110,10 @@ def test_an_unbounded_vector_fleet_never_calls_its_eviction_policy(trace, policy
         num_nodes=3,
         staleness_bound=0.5,
         duration=DURATION,
-        eviction_factory=RaisingEviction,
     )
     result = simulation.run()
     assert simulation.used_vector_path
+    assert all(node.cache.recency is None for node in simulation.nodes())
     reference = ClusterSimulation(
         trace, policy=policy, num_nodes=3, staleness_bound=0.5, duration=DURATION
     ).run()
@@ -124,17 +123,16 @@ def test_an_unbounded_vector_fleet_never_calls_its_eviction_policy(trace, policy
 def test_only_a_bounded_cache_keeps_an_eviction_order() -> None:
     unbounded, bounded = Cache(), Cache(capacity=4)
     assert unbounded.recency is None
-    assert bounded.recency is bounded.eviction
     for cache in (unbounded, bounded):
         for key in "abc":
             cache.fill(key, version=1, time=0.0)
         cache.lookup("a", 1.0)
-    assert unbounded.eviction.recency_order() == []
-    assert bounded.eviction.recency_order() == ["b", "c", "a"]
+    assert unbounded.recency is None
+    assert list(bounded.recency) == ["b", "c", "a"]
     bounded.reorder(["c", "a", "b"])
-    assert bounded.eviction.recency_order() == ["c", "a", "b"]
+    assert list(bounded.recency) == ["c", "a", "b"]
     bounded.clear()
-    assert len(bounded.eviction) == 0 and len(bounded) == 0
+    assert len(bounded.recency) == 0 and len(bounded) == 0
 
 
 # --------------------------------------------------------------------- #

@@ -667,7 +667,6 @@ def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
         tracker=simulation.tracker,
         estimator=simulation.policy.estimator if policy == "adaptive" else None,
         reacts=True,
-        discard_on_miss_fill=True,
     )
     return ctx, host
 
