@@ -365,21 +365,17 @@ def _fleet_axes(args: argparse.Namespace) -> Dict[str, Any]:
             "--scenario-param applies to every scenario; with several scenarios "
             "on the axis their constructors differ — sweep one scenario at a time"
         )
-    channel = None
-    if (
-        args.channel_loss > 0
-        or args.channel_delay > 0
-        or args.channel_jitter > 0
-        or args.channel_retries > 0
-    ):
-        channel = ChannelSpec(
-            loss_probability=args.channel_loss,
-            delay=args.channel_delay,
-            jitter=args.channel_jitter,
-            retries=args.channel_retries,
-            retry_timeout=args.channel_retry_timeout,
-            retry_backoff=args.channel_retry_backoff,
-        )
+    # Any flag off its default makes a channel spec; the experiment spec checks it.
+    channel = ChannelSpec(
+        loss_probability=args.channel_loss,
+        delay=args.channel_delay,
+        jitter=args.channel_jitter,
+        retries=args.channel_retries,
+        retry_timeout=args.channel_retry_timeout,
+        retry_backoff=args.channel_retry_backoff,
+    )
+    if channel == ChannelSpec():
+        channel = None
     chaos = None
     if args.chaos_seed is not None:
         from repro.resilience.chaos import ChaosSpec

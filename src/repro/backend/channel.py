@@ -194,8 +194,3 @@ class Channel:
         if deliver_at is None:
             return DeliveryRecord(message=message, delivered=False, deliver_at=float("inf"))
         return DeliveryRecord(message=message, delivered=True, deliver_at=deliver_at)
-
-    @property
-    def loss_ratio(self) -> float:
-        """Observed fraction of sent messages that were dropped."""
-        return self.dropped / self.sent if self.sent else 0.0

@@ -6,17 +6,10 @@ simulator to answer the central freshness question of the paper: *does the
 version a cache entry holds reflect every write committed at least T seconds
 before the read?* (the bounded-staleness definition from §1/§2.2).
 
-Two optional extensions keep long runs practical:
-
-* a **journal hook** (:mod:`repro.store`) mirrors every committed write into
-  an append-only write-ahead log so the store can be rebuilt byte-for-byte
-  after a crash, and
-* a **retention watermark** prunes per-key write history below
-  ``now - retention``; version numbers stay exact (a pruned-count offset is
-  retained), and ``version_at`` / ``writes_between`` stay exact for any
-  query time at or above the watermark, so a retention comfortably larger
-  than the staleness bound plus the longest cache residency keeps multi-hour
-  runs flat-RSS without perturbing a single freshness decision.
+The history is kept whole, so every freshness query is exact.  An optional
+**journal hook** (:mod:`repro.store`) mirrors every committed write into an
+append-only write-ahead log so the store can be rebuilt byte-for-byte after a
+crash.
 """
 
 from __future__ import annotations
@@ -24,8 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
-
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.wal import Journal
@@ -35,49 +26,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class KeyHistory:
     """Write history of a single key.
 
-    ``write_times[i]`` is the commit time of version ``pruned + i + 1``;
-    version 0 is the state before any write (every key logically exists with
-    an initial value, matching a cache-aside deployment where reads can
-    always be served by the backend).  ``pruned`` counts writes dropped below
-    the retention watermark; they still count toward version numbers, so
-    pruning never renumbers anything.
+    ``write_times[i]`` is the commit time of version ``i + 1``; version 0 is
+    the state before any write (every key logically exists with an initial
+    value, matching a cache-aside deployment where reads can always be served
+    by the backend).
     """
 
     key: str
     write_times: List[float] = field(default_factory=list)
     value_size: int = 128
-    pruned: int = 0
 
     @property
     def latest_version(self) -> int:
-        """The current (highest) version number (exact under pruning)."""
-        return self.pruned + len(self.write_times)
+        """The current (highest) version number."""
+        return len(self.write_times)
 
     def version_at(self, time: float) -> int:
-        """Return the version visible at ``time`` (writes at exactly ``time`` included).
-
-        Exact for any ``time`` at or above the retention watermark; below it,
-        pruned writes are all counted as visible (an upper bound).
-        """
-        return self.pruned + bisect_right(self.write_times, time)
+        """Return the version visible at ``time`` (writes at exactly ``time`` included)."""
+        return bisect_right(self.write_times, time)
 
     def writes_between(self, start: float, end: float) -> int:
-        """Count writes committed in the half-open interval ``(start, end]``.
-
-        Exact whenever ``start`` is at or above the retention watermark (the
-        pruned-count offsets cancel).
-        """
+        """Count writes committed in the half-open interval ``(start, end]``."""
         if end < start:
             return 0
         return bisect_right(self.write_times, end) - bisect_right(self.write_times, start)
-
-    def prune_before(self, watermark: float) -> int:
-        """Drop write times at or below ``watermark``; return how many."""
-        index = bisect_right(self.write_times, watermark)
-        if index:
-            del self.write_times[:index]
-            self.pruned += index
-        return index
 
 
 class DataStore:
@@ -86,24 +58,13 @@ class DataStore:
     Args:
         default_value_size: Value size assumed for keys that have never been
             written (reads can still populate the cache with them).
-        retention: Optional history-retention window in seconds.  On each
-            write, history older than ``time - retention`` is pruned (the
-            version counter stays exact).  Must comfortably exceed the
-            staleness bound plus the longest time an entry can sit in a cache
-            unrefreshed, or freshness queries start touching the watermark.
     """
 
-    def __init__(
-        self, default_value_size: int = 128, retention: Optional[float] = None
-    ) -> None:
-        if retention is not None and retention <= 0:
-            raise ConfigurationError(f"retention must be positive, got {retention}")
+    def __init__(self, default_value_size: int = 128) -> None:
         self.default_value_size = int(default_value_size)
-        self.retention = float(retention) if retention is not None else None
         self._histories: Dict[str, KeyHistory] = {}
         self.total_writes = 0
         self.total_reads = 0
-        self.pruned_writes = 0
         #: Optional write-ahead-log hook (see :mod:`repro.store`); ``None``
         #: keeps the store purely in-memory.
         self.journal: Optional["Journal"] = None
@@ -131,10 +92,6 @@ class DataStore:
         self.total_writes += 1
         if self.journal is not None:
             self.journal.log_write(key, float(time), history.value_size)
-        if self.retention is not None:
-            watermark = time - self.retention
-            if history.write_times[0] <= watermark:
-                self.pruned_writes += history.prune_before(watermark)
         return history.latest_version
 
     # ------------------------------------------------------------------ #
@@ -198,7 +155,3 @@ class DataStore:
     def history(self, key: str) -> Optional[KeyHistory]:
         """Return the write history of ``key`` (``None`` if never written)."""
         return self._histories.get(key)
-
-    def retained_write_times(self) -> int:
-        """Total write timestamps currently held (the pruning target)."""
-        return sum(len(history.write_times) for history in self._histories.values())

@@ -2,36 +2,20 @@
 
 Section 3.1 of the paper assumes the backend can remember which keys it has
 invalidated so it does not send a second invalidate before the cache re-fetches
-the key.  Tracking is cheap because only keys (not values) are stored; the
-paper also suggests tracking only hot keys, which this implementation supports
-via an optional capacity bound with LRU-style forgetting (a forgotten key may
-receive a redundant invalidate, which is safe but slightly wasteful — exactly
-the trade-off the paper describes).
+the key.  Tracking is cheap because only keys (not values) are stored, and
+tracking is exact: every invalidated key is remembered until it is re-fetched.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
-
-from repro.errors import ConfigurationError
+from typing import Dict
 
 
 class InvalidationTracker:
-    """Remembers keys whose cached copy is known to be invalidated.
+    """Remembers keys whose cached copy is known to be invalidated."""
 
-    Args:
-        capacity: Maximum number of keys remembered; ``None`` means unbounded
-            (exact tracking).  When the bound is hit, the least recently
-            touched key is forgotten.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
-        self._invalidated: OrderedDict[str, float] = OrderedDict()
-        self.forgotten = 0
+    def __init__(self) -> None:
+        self._invalidated: Dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self._invalidated)
@@ -41,19 +25,11 @@ class InvalidationTracker:
 
     def is_invalidated(self, key: str) -> bool:
         """Whether the backend believes ``key`` is currently invalidated."""
-        if key in self._invalidated:
-            self._invalidated.move_to_end(key)
-            return True
-        return False
+        return key in self._invalidated
 
     def mark_invalidated(self, key: str, time: float) -> None:
         """Record that an invalidate for ``key`` was sent at ``time``."""
         self._invalidated[key] = time
-        self._invalidated.move_to_end(key)
-        if self.capacity is not None:
-            while len(self._invalidated) > self.capacity:
-                self._invalidated.popitem(last=False)
-                self.forgotten += 1
 
     def mark_refetched(self, key: str) -> None:
         """Record that the cache re-fetched ``key`` (it is valid again)."""

@@ -43,11 +43,6 @@ class Message:
 
     kind: MessageKind = MessageKind.INVALIDATE
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes the message occupies on the wire."""
-        return self.key_size + self.value_size
-
 
 @dataclass(frozen=True, slots=True)
 class InvalidateMessage(Message):

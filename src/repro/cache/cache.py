@@ -94,11 +94,6 @@ class Cache:
         """
         return self._entries.get
 
-    def contains_valid(self, key: str) -> bool:
-        """Whether ``key`` is cached *and* currently valid."""
-        entry = self._entries.get(key)
-        return entry is not None and entry.is_valid
-
     # ------------------------------------------------------------------ #
     # Read path
     # ------------------------------------------------------------------ #
@@ -245,15 +240,6 @@ class Cache:
         for key in keys:
             recency.pop(key, None)
             recency[key] = None
-
-    def delete(self, key: str) -> bool:
-        """Remove ``key`` from the cache entirely (no eviction callback)."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        if self.recency is not None:
-            self.recency.pop(key, None)
-        return True
 
     def clear(self) -> None:
         """Remove every entry (statistics are preserved)."""

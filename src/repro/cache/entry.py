@@ -80,7 +80,3 @@ class CacheEntry:
         self.state = EntryState.VALID
         if value_size is not None:
             self.value_size = value_size
-
-    def total_size(self) -> int:
-        """Approximate in-memory footprint of the entry in bytes."""
-        return self.key_size + self.value_size

@@ -198,7 +198,6 @@ class ClusterSimulation(ReplayDriver):
             :class:`~repro.experiments.spec.ChannelSpec`; each node's channel
             is built from it (:meth:`~repro.experiments.spec.ChannelSpec.build`)
             with a seed derived from ``seed`` and the node's index.
-        tracker_capacity: Per-node invalidated-key tracker capacity.
         scenario: Scenario script (``None`` = steady state).
         hotkey: Hot-key detection config (``None`` disables detection).
         duration: Simulated horizon (positive and finite); defaults to the
@@ -212,8 +211,6 @@ class ClusterSimulation(ReplayDriver):
             snapshotted at ``snapshot_interval`` — enabling ``run(stop_at=…)``
             crash points, :meth:`restore_from_store` resume, warm node
             rejoin, and the ``kill-at-t`` scenario's warm restart.
-        history_retention: Optional retention window for the datastore's
-            per-key write history.
         tier: Optional :class:`~repro.tier.TierConfig` placing a small L1 in
             front of every node's cache (the node cache then acts as the
             sharded L2).  A disabled config (``l1_capacity=0``) is normalised
@@ -261,7 +258,6 @@ class ClusterSimulation(ReplayDriver):
         replication: Union[int, ReplicationConfig, None] = None,
         cache_capacity: Optional[int] = None,
         channel: Optional[Any] = None,
-        tracker_capacity: Optional[int] = None,
         scenario: Optional[Scenario] = None,
         hotkey: Optional[HotKeyConfig] = None,
         duration: Optional[float] = None,
@@ -269,7 +265,6 @@ class ClusterSimulation(ReplayDriver):
         vnodes: int = 64,
         seed: int = 0,
         store: Optional[StoreConfig] = None,
-        history_retention: Optional[float] = None,
         tier: Optional[TierConfig] = None,
         obs: Optional[Any] = None,
         concurrency: Optional[Any] = None,
@@ -327,7 +322,7 @@ class ClusterSimulation(ReplayDriver):
             concurrency=self.concurrency is not None,
         )
 
-        self._open(store, history_retention, obs)
+        self._open(store, obs)
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.router = ReplicaRouter(replication)
         nodes: List[CacheNode] = []
@@ -352,7 +347,6 @@ class ClusterSimulation(ReplayDriver):
                     channel=(
                         channel.build(node_seed) if channel is not None else Channel(seed=node_seed)
                     ),
-                    tracker_capacity=tracker_capacity,
                     hot_policy=hot_factory() if hot_factory is not None else None,
                     detector=(
                         HotKeyDetector(hotkey, seed=node_seed ^ 0x5BF03635)
@@ -616,7 +610,7 @@ class ClusterSimulation(ReplayDriver):
             },
             extra_fn=lambda: {
                 "time": time,
-                "next_flush": self._next_flush,
+                "next_flush": self._next_flush if math.isfinite(self._next_flush) else None,
                 "rebalances": self._rebalances,
                 "event_log": [[when, label] for when, label in self.event_log],
                 # Round-robin read routing is per-key volatile state too.
@@ -684,7 +678,8 @@ class ClusterSimulation(ReplayDriver):
             elif not node.in_ring and on_ring:
                 self.ring.remove_node(node.node_id)
         extra = checkpoint.extra
-        self._next_flush = float(extra["next_flush"])
+        next_flush = extra["next_flush"]
+        self._next_flush = float(next_flush) if next_flush is not None else math.inf
         self._rebalances = int(extra["rebalances"])
         self.event_log = [(when, label) for when, label in extra["event_log"]]
         # In place: a read callable bound before the restore holds this dict.

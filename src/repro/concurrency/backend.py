@@ -55,8 +55,3 @@ class BackendServer:
         if capacity < 1:
             raise ConfigurationError(f"backend capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-
-    @property
-    def busy_slots(self) -> int:
-        """Number of slots currently tracked as busy (monitoring only)."""
-        return len(self._busy)

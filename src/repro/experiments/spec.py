@@ -418,15 +418,18 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"l1_capacities entries must be >= 0, got {capacity}"
                 )
-        # What the cells hand the cache, the ring and the hot-key detector
-        # unchanged: each component checks its own argument, here rather than
-        # in the first worker that builds a cell.
+        # What the cells hand the cache, the channel, the ring and the
+        # hot-key detector unchanged: each component checks its own argument,
+        # here rather than in the first worker that builds a cell.
         from repro.cache.cache import Cache
         from repro.cluster.hashring import ConsistentHashRing
         from repro.cluster.hotkey import HotKeyConfig
 
         for capacity in self.cache_capacities:
             Cache(capacity)
+        for channel in self.channels:
+            if channel is not None:
+                channel.build(0)
         try:
             ConsistentHashRing(self.vnodes)
             HotKeyConfig(hot_fraction=self.hot_fraction)

@@ -107,13 +107,11 @@ class ReplayDriver:
         self._resume_from: Optional[float] = None
         self._has_run = False
 
-    def _open(
-        self, store: Optional[StoreConfig], history_retention: Optional[float], obs: Any
-    ) -> None:
+    def _open(self, store: Optional[StoreConfig], obs: Any) -> None:
         """The recorder, the datastore and its store runtime: the first side
         effect (a store opens its log)."""
         self.obs = as_recorder(obs)
-        self.datastore = DataStore(retention=history_retention)
+        self.datastore = DataStore()
         self._store: Optional[StoreRuntime] = None
         if store is not None:
             self._store = StoreRuntime(store, self.costs)
@@ -149,7 +147,18 @@ class ReplayDriver:
         self._has_run = True
 
     def _start(self, engine: str) -> None:
-        """Settle the schedule and start the recorder, right before the replay."""
+        """Settle the schedule and start the recorder, right before the replay.
+
+        A flush is work only for a node that buffers writes, decays an L1's
+        admission or rotates a hot-key detector, or for an interval hook;
+        without any of them the next flush is never, so a run takes no
+        no-op flush per interval however small the bound.
+        """
+        if self._interval_hook is None and not any(
+            node.reacts_to_writes or node.l1 is not None or node.detector is not None
+            for node in self._node_list
+        ):
+            self._next_flush = math.inf
         self._refresh_next_due()
         if self.obs is None:
             return

@@ -140,8 +140,6 @@ class CacheNode:
         channel: Backend-to-cache message channel; ``None`` means ideal
             (instantaneous and lossless).  The node always holds a channel
             object so scenarios can impose outages on it.
-        tracker_capacity: Capacity of this node's invalidated-key tracker
-            (``None`` = exact tracking).
         hot_policy: Optional policy instance applied to keys the detector
             currently flags hot on this shard.
         detector: Optional per-shard hot-key detector
@@ -169,7 +167,6 @@ class CacheNode:
         result: SimulationResult,
         cache_capacity: Optional[int] = None,
         channel: Optional[Channel] = None,
-        tracker_capacity: Optional[int] = None,
         hot_policy: Optional[FreshnessPolicy] = None,
         detector: Optional[Any] = None,
         pending_registry: Optional[set] = None,
@@ -201,7 +198,7 @@ class CacheNode:
             ),
         )
         self.buffer = WriteBuffer()
-        self.tracker = InvalidationTracker(capacity=tracker_capacity)
+        self.tracker = InvalidationTracker()
         self.result = result
         #: The per-node L1 in front of ``cache`` (``None`` = single-tier).
         self.l1: Optional[L1Tier] = (

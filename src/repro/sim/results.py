@@ -167,11 +167,6 @@ class SimulationResult:
             return 0.0
         return self.stale_misses / self.reads
 
-    @property
-    def freshness_messages(self) -> int:
-        """Total number of invalidate/update messages emitted by the backend."""
-        return self.invalidates_sent + self.updates_sent
-
     def read_latency_percentile(self, quantile: float) -> float:
         """Latency quantile from the HDR buckets (0.0 when no samples).
 

@@ -14,7 +14,6 @@ future index, and its :class:`~repro.sim.results.SimulationResult`.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, List, Optional
 
 from repro.backend.channel import Channel
@@ -52,8 +51,6 @@ class Simulation(ReplayDriver):
             unbounded); a bounded cache evicts its least recently used key.
         channel: Backend-to-cache message channel; ``None`` means ideal
             (instantaneous and lossless).
-        tracker_capacity: Capacity of the backend's invalidated-key tracker
-            (``None`` = exact tracking).
         duration: Simulated horizon ``T'`` (positive and finite); defaults
             to the time of the last request.
         workload_name: Label recorded in the result (for reports).
@@ -62,8 +59,6 @@ class Simulation(ReplayDriver):
             and the datastore is snapshotted at ``snapshot_interval`` plus
             once at the end of the run, so the backend can be rebuilt
             byte-for-byte by :func:`repro.store.recover_datastore`.
-        history_retention: Optional retention window for the datastore's
-            per-key write history (see :class:`~repro.backend.datastore.DataStore`).
         obs: Optional observability settings — an
             :class:`~repro.obs.ObsConfig` (or a pre-built
             :class:`~repro.obs.ObsRecorder`).  When set, the run records
@@ -90,11 +85,9 @@ class Simulation(ReplayDriver):
         costs: Optional[CostModel] = None,
         cache_capacity: Optional[int] = None,
         channel: Optional[Channel] = None,
-        tracker_capacity: Optional[int] = None,
         duration: Optional[float] = None,
         workload_name: str = "",
         store: Optional[StoreConfig] = None,
-        history_retention: Optional[float] = None,
         obs: Optional[Any] = None,
         concurrency: Optional[Any] = None,
     ) -> None:
@@ -113,7 +106,7 @@ class Simulation(ReplayDriver):
         self._stream: Iterable[Request] = self.requests if self.requests is not None else workload
         if duration is None and self.requests:
             self.duration = float(self.requests[-1].time)
-        self._open(store, history_retention, obs)
+        self._open(store, obs)
         self.result = SimulationResult(
             policy_name=policy.name,
             workload_name=workload_name,
@@ -128,7 +121,6 @@ class Simulation(ReplayDriver):
             result=self.result,
             cache_capacity=cache_capacity,
             channel=channel,
-            tracker_capacity=tracker_capacity,
             future=(
                 FutureIndex.from_requests(self.requests) if self.requests is not None else None
             ),
@@ -137,9 +129,6 @@ class Simulation(ReplayDriver):
         self.cache = self.node.cache
         self.buffer = self.node.buffer
         self.tracker = self.node.tracker
-        # Only write-reactive policies flush; a TTL policy's next flush is never.
-        if not self.node.reacts_to_writes:
-            self._next_flush = math.inf
 
     def run(self) -> SimulationResult:
         """Replay the whole request stream and return the accumulated result."""

@@ -170,11 +170,6 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         lambda engine: engine.costs.breakdown is not None,
     ),
     EnvelopeRow(
-        "history-retention", "driver",
-        "a retention window trims write history as time passes; the kernels pre-apply span writes",
-        lambda engine: engine.datastore.retention is not None,
-    ),
-    EnvelopeRow(
         "policy", "node",
         "no kernel for the policy class (exact types only: a subclass may override any hook)",
         lambda node, trace: type(node.policy) not in _VECTOR_POLICIES,
@@ -210,11 +205,6 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         "bounded-cache", "node",
         "a bounded cache evicts in request order; the kernels assume every fill stays",
         lambda node, trace: node.cache.capacity is not None,
-    ),
-    EnvelopeRow(
-        "bounded-tracker", "node",
-        "a bounded invalidation tracker forgets keys; the kernels assume exact tracking",
-        lambda node, trace: node.tracker.capacity is not None,
     ),
     EnvelopeRow(
         "membership", "node",

@@ -95,14 +95,8 @@ def replay_wal(
     return report
 
 
-def recover_datastore(
-    root: str | Path, retention: Optional[float] = None
-) -> Tuple[DataStore, RecoveryReport]:
+def recover_datastore(root: str | Path) -> Tuple[DataStore, RecoveryReport]:
     """Rebuild a datastore from the snapshots and WAL under ``root``.
-
-    The retention window is restored from the snapshot (so WAL-tail replay
-    prunes exactly like the original run did, keeping the rebuild
-    byte-for-byte); pass ``retention`` only to override it.
 
     Returns:
         The recovered store and a report.  An empty store directory recovers
@@ -116,8 +110,6 @@ def recover_datastore(
     if snapshot is not None:
         restore_datastore(datastore, snapshot.datastore)
         after_lsn = snapshot.wal_lsn
-    if retention is not None:
-        datastore.retention = float(retention)
     report = replay_wal(datastore, StoreConfig(root=str(root)).wal_path, after_lsn)
     if snapshot is not None:
         report.snapshot_seq = snapshot.seq

@@ -99,13 +99,10 @@ def serialize_datastore(datastore: DataStore) -> Dict[str, Any]:
     """Flatten a datastore — full versioned histories included."""
     return {
         "default_value_size": datastore.default_value_size,
-        "retention": datastore.retention,
         "total_writes": datastore.total_writes,
         "total_reads": datastore.total_reads,
-        "pruned_writes": datastore.pruned_writes,
         "histories": {
             key: {
-                "pruned": history.pruned,
                 "value_size": history.value_size,
                 "write_times": list(history.write_times),
             }
@@ -114,21 +111,36 @@ def serialize_datastore(datastore: DataStore) -> Dict[str, Any]:
     }
 
 
+def _refuse_inexact(name: str, value: Any) -> None:
+    """Refuse a field of an older snapshot that recorded inexact backend state.
+
+    Snapshots once carried a history-retention window (``retention``, the
+    ``pruned_writes`` total, each history's ``pruned`` count) and a bounded
+    tracker's ``forgotten`` count.  The backend's state is exact now: null or
+    zero, the exact configuration, restores as it always did; anything else
+    is state that can no longer be rebuilt, so it is an error, never dropped.
+    """
+    if value:
+        raise StoreError(
+            f"snapshot field {name} is {value!r}: pruned write history and "
+            "bounded trackers are no longer supported; only exact state restores"
+        )
+
+
 def restore_datastore(datastore: DataStore, data: Dict[str, Any]) -> None:
     """Rebuild a datastore's state in place from :func:`serialize_datastore`."""
+    _refuse_inexact("retention", data.get("retention"))
+    _refuse_inexact("pruned_writes", data.get("pruned_writes"))
     datastore.default_value_size = int(data["default_value_size"])
-    retention = data.get("retention")
-    datastore.retention = float(retention) if retention is not None else None
     datastore.total_writes = int(data["total_writes"])
     datastore.total_reads = int(data["total_reads"])
-    datastore.pruned_writes = int(data.get("pruned_writes", 0))
     datastore._histories.clear()
     for key, state in data["histories"].items():
+        _refuse_inexact(f"histories[{key}].pruned", state.get("pruned"))
         datastore._histories[key] = KeyHistory(
             key=key,
             write_times=[float(t) for t in state["write_times"]],
             value_size=int(state["value_size"]),
-            pruned=int(state.get("pruned", 0)),
         )
 
 
@@ -291,7 +303,6 @@ def serialize_node(node: Any) -> Dict[str, Any]:
         "buffer_total": node.buffer.total_buffered,
         "tracker": {
             "keys": [[key, time] for key, time in node.tracker._invalidated.items()],
-            "forgotten": node.tracker.forgotten,
         },
         "pending": [
             {
@@ -333,12 +344,14 @@ def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
     therefore exact for unbounded and bounded caches and every policy on the
     exact tracker; what stays approximate (sketch estimators) is listed in
     the recovery guide.  A snapshot written before these fields existed
-    restores as it always did.
+    restores as it always did, and one from a bounded tracker that forgot
+    keys is refused.
 
     A stub record (``partial``, from :func:`serialize_node_stub`) restores
     only counters and flags: the node's volatile state died with the crash,
     exactly as it had already died with the node's own failure.
     """
+    _refuse_inexact("tracker.forgotten", data.get("tracker", {}).get("forgotten"))
     node.reachable = bool(data["reachable"])
     node.in_ring = bool(data["in_ring"])
     if data.get("partial"):
@@ -368,7 +381,6 @@ def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
     node.tracker.clear()
     for key, marked_at in data["tracker"]["keys"]:
         node.tracker._invalidated[key] = marked_at
-    node.tracker.forgotten = int(data["tracker"]["forgotten"])
     node._pending.clear()
     for item in data["pending"]:
         message_cls = _MESSAGE_CLASSES[item["kind"]]

@@ -452,11 +452,6 @@ class CompiledTrace:
                 column.flags.writeable = False
         return self._index
 
-    @property
-    def num_requests(self) -> int:
-        """Number of requests in the trace."""
-        return int(self.times.size)
-
     def _slices(self) -> Iterator[Columns]:
         columns = (self.times, self.key_ids, self.is_read, self.key_sizes, self.value_sizes)
         for start in range(0, len(self), STREAM_CHUNK_SIZE):

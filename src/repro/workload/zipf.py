@@ -101,14 +101,6 @@ class ZipfSampler:
         """Per-rank probabilities, most popular first (rank 0 is hottest)."""
         return self._probabilities.copy()
 
-    def probability_of(self, rank: int) -> float:
-        """Return the sampling probability of the key at ``rank`` (0-based)."""
-        if not 0 <= rank < self.num_keys:
-            raise ConfigurationError(
-                f"rank must be in [0, {self.num_keys}), got {rank}"
-            )
-        return float(self._probabilities[rank])
-
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` key ranks (0-based) according to the distribution."""
         return self.sample_using(self._rng, count)
@@ -139,10 +131,6 @@ class ZipfSampler:
         self.draws += count
         self.searched += searched.size
         return ranks
-
-    def sample_one(self) -> int:
-        """Draw a single key rank (0-based)."""
-        return int(self.sample(1)[0])
 
     def expected_rates(self, total_rate: float) -> np.ndarray:
         """Split an aggregate request rate across keys by popularity.

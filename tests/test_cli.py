@@ -3,6 +3,8 @@
 import argparse
 import json
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +172,29 @@ def test_cluster_sweep_refuses_an_unrunnable_cell_before_the_sweep_starts(monkey
     assert str(excinfo.value.code).startswith("node_index 5 out of range for 2 nodes")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--channel-delay", "-1", "delay and jitter must be non-negative"),
+        ("--channel-retries", "-1", "retries must be >= 0, got -1"),
+        ("--channel-loss", "1.5", "loss_probability must be in [0, 1], got 1.5"),
+    ],
+)
+def test_a_channel_flag_the_channel_refuses_fails_before_the_sweep(
+    monkeypatch, flag, value, message
+) -> None:
+    """A negative delay or retry count used to run an ideal channel and exit
+    0; a loss above 1 failed inside a worker.  Each is the channel's error."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("repro.__main__.run_experiment", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cluster", "--nodes", "2", "--policies", "invalidate", flag, value])
+    assert excinfo.value.code == message
+
+
 def test_tier_sweep_sweeps_l1_capacities_and_modes(tmp_path, capsys) -> None:
     json_path = tmp_path / "tier.json"
     exit_code = main(
@@ -288,6 +313,19 @@ def test_store_recover_resumes_a_run_config_written_before_the_tier(tmp_path, ca
     assert output["verify"]["matches"] is True
     assert output["result"]["l1_capacity"] == 0
     assert output["result"]["tier_mode"] == "write-through"
+
+
+def test_store_recover_resumes_a_store_written_before_exact_backend_state(
+    tmp_path, capsys
+) -> None:
+    """Its snapshots still carry the retention and bounded-tracker fields,
+    null or zero: they restore and the resume matches an uninterrupted run."""
+    store_dir = tmp_path / "store"
+    shutil.copytree(Path(__file__).parent / "data" / "legacy-store", store_dir)
+    assert main(["store", "recover", "--dir", str(store_dir), "--resume", "--verify"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert output["recovery"]["snapshot_seq"] == 2
+    assert output["verify"] == {"matches": True, "mismatches": {}}
 
 
 @pytest.mark.parametrize(

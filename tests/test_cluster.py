@@ -53,12 +53,9 @@ def test_one_node_cluster_matches_single_cache_simulation(policy: str) -> None:
 POLICIES = ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
 
 #: What the one driver does beside the plain replay, each a path both the
-#: single cache and the fleet take: eviction, a forgetting tracker, history
-#: trimming and a store with a snapshot cadence.
+#: single cache and the fleet take: eviction and a store with a snapshot cadence.
 ONE_NODE_CONFIGS = {
     "capacity": lambda root: dict(cache_capacity=20),
-    "bounded-tracker": lambda root: dict(tracker_capacity=5),
-    "retention": lambda root: dict(history_retention=1.0),
     "store": lambda root: dict(store=StoreConfig(str(root), snapshot_interval=1.0)),
 }
 

@@ -247,7 +247,7 @@ def draw_tight_config(index: int) -> Dict[str, Any]:
 @paired
 def draw_single_config(index: int) -> Dict[str, Any]:
     """The ``index``-th single-cache configuration: one node, steady state,
-    no tier or chaos; capacity, tracker, channel and concurrency drawn."""
+    no tier or chaos; capacity, channel and concurrency drawn."""
     rng = random.Random(SINGLE_SEED + index)
     config: Dict[str, Any] = {
         "index": index,
@@ -262,7 +262,6 @@ def draw_single_config(index: int) -> Dict[str, Any]:
         "bound": rng.choice(SINGLE_BOUNDS),
         "seed": rng.randint(0, 2**16),
         "cache_capacity": rng.choice((None, 10, 20, 40)),
-        "tracker_capacity": rng.choice((None, None, 8)),
         "channel": None,
         "concurrency": None,
     }
@@ -354,7 +353,6 @@ def run_single_cache_engines(config: Dict[str, Any]) -> Dict[str, str]:
         duration=SINGLE_DURATION,
         workload_name="diffcheck",
         cache_capacity=config["cache_capacity"],
-        tracker_capacity=config["tracker_capacity"],
     )
     fleet = ClusterSimulation(
         workload=make_workload(config).iter_requests(SINGLE_DURATION),
@@ -518,7 +516,6 @@ def test_single_generator_is_deterministic_and_covers_its_space() -> None:
     assert any(_non_ideal(config) and not config["concurrency"] for config in configs)
     assert any(not _non_ideal(config) and not config["concurrency"] for config in configs)
     assert any(config["cache_capacity"] for config in configs)
-    assert any(config["tracker_capacity"] for config in configs)
     assert any(
         config["channel"] and config["channel"]["loss_probability"] > 0 for config in configs
     )

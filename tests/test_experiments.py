@@ -456,6 +456,12 @@ def test_an_empty_axis_is_refused_whatever_the_axis(axis) -> None:
         (dict(cache_capacities=[-3]), "capacity must be >= 1 or None, got -3"),
         (dict(vnodes=0), "vnodes must be >= 1, got 0"),
         (dict(hot_fraction=0.0), r"hot_fraction must be in \(0, 1\], got 0.0"),
+        (dict(channels=[None, ChannelSpec(delay=-1.0)]), "delay and jitter must be non-negative"),
+        (dict(channels=[ChannelSpec(retries=-1)]), "retries must be >= 0, got -1"),
+        (
+            dict(channels=[ChannelSpec(loss_probability=1.5)]),
+            r"loss_probability must be in \[0, 1\], got 1.5",
+        ),
     ],
 )
 def test_a_pass_through_value_its_component_refuses_is_refused_by_the_spec(

@@ -1248,7 +1248,7 @@ def replay_leftovers(trace, policy: str, bound: float, shape: str):
         "row": json.dumps(result.as_dict(), sort_keys=True),
         "hosts": [host_state(host) for host in hosts],
         "histories": [
-            (name, list(history.write_times), history.value_size, history.pruned)
+            (name, list(history.write_times), history.value_size)
             for name, history in simulation.datastore._histories.items()
         ],
         "datastore": (simulation.datastore.total_writes, simulation.datastore.total_reads),
@@ -1290,7 +1290,7 @@ def test_replays_on_a_shared_trace_equal_replays_on_fresh_traces(workload, monke
             row = json.dumps(scalar.run().as_dict(), sort_keys=True)
             assert fresh[policy, bound, "single"]["row"] == row
             assert fresh[policy, bound, "single"]["histories"] == [
-                (name, history.write_times, history.value_size, history.pruned)
+                (name, history.write_times, history.value_size)
                 for name, history in scalar.datastore._histories.items()
             ]
     shared = compile_workload(workload, TABLE_DURATION)
@@ -2004,7 +2004,7 @@ FLUSH_CHANNELS = {
 #: name -> CacheNode arguments (built afresh per node)
 FLUSH_VARIANTS = {
     "plain": lambda: dict(),
-    "bounded-tracker": lambda: dict(tracker_capacity=4),
+    "bounded-cache": lambda: dict(cache_capacity=6),
     "l1-write-through": lambda: dict(tier=TierConfig(l1_capacity=8, admission="always")),
     "l1-write-back": lambda: dict(
         tier=TierConfig(l1_capacity=8, mode="write-back", admission="always")
@@ -2028,8 +2028,9 @@ def flush_observables(node: CacheNode) -> dict:
     return {
         "result": dataclasses.asdict(node.result),
         "cache": entries(node.cache),
+        "cache_stats": dataclasses.asdict(node.cache.stats),
         "l1": None if node.l1 is None else (entries(node.l1.cache), sorted(node.l1.dirty)),
-        "tracker": (list(node.tracker._invalidated.items()), node.tracker.forgotten),
+        "tracker": list(node.tracker._invalidated.items()),
         "buffer": len(node.buffer),
         "pending": [
             (type(pending.message).__name__, dataclasses.astuple(pending.message), pending.deliver_at)
@@ -2123,7 +2124,8 @@ def test_the_flush_reference_drive_reaches_every_branch(tmp_path) -> None:
     lossy = final("invalidate", "loss+retries", "plain")[-1]
     assert lossy["result"]["messages_dropped"] > 0 and lossy["channel"][3] > 0 < lossy["channel"][4]
     assert final("invalidate", "outage", "plain")[-1]["result"]["messages_dropped"] > 0
-    assert final("invalidate", "ideal", "bounded-tracker")[-1]["tracker"][1] > 0
+    bounded = final("update", "ideal", "bounded-cache")[-1]
+    assert len(bounded["cache"]) == 6 and bounded["cache_stats"]["evictions"] > 0
     assert final("invalidate", "ideal", "hot-key")[-1]["result"]["hot_decisions"] > 0
     assert final("update", "ideal", "l1-write-back")[-1]["result"]["l1_writebacks"] > 0
     records, logged, _ = final("adaptive", "delay+jitter", "journal")[-1]

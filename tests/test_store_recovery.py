@@ -1,6 +1,8 @@
 """Crash recovery: byte-identical datastore rebuild and exact run resume."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,70 @@ def make_cluster(root, num_nodes=3, snapshot_interval=2.0, **kwargs):
         store=StoreConfig(str(root), snapshot_interval=snapshot_interval),
         **kwargs,
     )
+
+
+#: A one-node store killed at t=3 (``store snapshot --duration 4
+#: --snapshot-interval 2 --kill-at 3 --param num_keys=50``), written while
+#: snapshots still carried the retention and bounded-tracker fields, all null
+#: or zero.
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy-store"
+
+
+def legacy_store(tmp_path, tamper=None) -> Path:
+    """A copy of :data:`LEGACY_STORE`; ``tamper(snapshot)`` edits its newest snapshot."""
+    root = tmp_path / "legacy-store"
+    shutil.copytree(LEGACY_STORE, root)
+    if tamper is not None:
+        path = sorted(root.glob("snapshot-*.json"))[-1]
+        snapshot = json.loads(path.read_text())
+        tamper(snapshot)
+        path.write_text(json.dumps(snapshot, sort_keys=True))
+    return root
+
+
+def _first_history(snapshot) -> dict:
+    return next(iter(snapshot["datastore"]["histories"].values()))
+
+
+def _only_node(snapshot) -> dict:
+    (node,) = snapshot["nodes"].values()
+    return node
+
+
+def test_the_legacy_store_carries_the_old_fields_null_or_zero(tmp_path) -> None:
+    snapshot = json.loads(sorted(LEGACY_STORE.glob("snapshot-*.json"))[-1].read_text())
+    assert snapshot["datastore"]["retention"] is None
+    assert snapshot["datastore"]["pruned_writes"] == 0
+    assert {history["pruned"] for history in snapshot["datastore"]["histories"].values()} == {0}
+    assert _only_node(snapshot)["tracker"]["forgotten"] == 0
+    recovered, report = recover_datastore(legacy_store(tmp_path))
+    assert report.snapshot_seq == 2
+    assert recovered.total_writes == snapshot["datastore"]["total_writes"] > 0
+
+
+@pytest.mark.parametrize(
+    "field, tamper",
+    [
+        ("retention", lambda snapshot: snapshot["datastore"].update(retention=2.0)),
+        ("pruned_writes", lambda snapshot: snapshot["datastore"].update(pruned_writes=3)),
+        ("pruned", lambda snapshot: _first_history(snapshot).update(pruned=1)),
+    ],
+    ids=["retention", "pruned_writes", "history-pruned"],
+)
+def test_a_snapshot_of_pruned_history_is_refused_naming_the_field(
+    tmp_path, field, tamper
+) -> None:
+    with pytest.raises(StoreError, match=rf"snapshot field \S*\b{field} is "):
+        recover_datastore(legacy_store(tmp_path, tamper))
+
+
+def test_a_snapshot_of_a_tracker_that_forgot_keys_is_refused(tmp_path) -> None:
+    root = legacy_store(
+        tmp_path, lambda snapshot: _only_node(snapshot)["tracker"].update(forgotten=2)
+    )
+    cluster = make_cluster(root, num_nodes=1)
+    with pytest.raises(StoreError, match=r"snapshot field tracker\.forgotten is 2"):
+        cluster.restore_from_store()
 
 
 def test_simulation_datastore_recovers_byte_for_byte(tmp_path) -> None:
@@ -83,29 +149,6 @@ def test_wal_tail_replays_past_the_last_snapshot(tmp_path) -> None:
     recovered, report = recover_datastore(root)
     assert report.snapshot_time == pytest.approx(4.0)
     assert report.writes_replayed > 0
-    assert canonical_datastore_bytes(recovered) == canonical_datastore_bytes(
-        simulation.datastore
-    )
-
-
-def test_wal_replay_under_retention_prunes_like_the_original_run(tmp_path) -> None:
-    """Retention travels with the snapshot, so tail replay stays byte-exact."""
-    root = tmp_path / "store"
-    workload = PoissonZipfWorkload(num_keys=30, rate_per_key=30.0, seed=5)
-    simulation = Simulation(
-        workload=workload.iter_requests(9.0),
-        policy=AlwaysInvalidatePolicy(),
-        staleness_bound=BOUND,
-        duration=9.0,
-        history_retention=2.0,
-        store=StoreConfig(str(root), snapshot_interval=3.0, compact=False, flush_every=1),
-    )
-    simulation.run()
-    sorted(root.glob("snapshot-*.json"))[-1].unlink()  # force a tail replay
-    recovered, report = recover_datastore(root)
-    assert report.writes_replayed > 0
-    assert recovered.retention == 2.0
-    assert recovered.pruned_writes == simulation.datastore.pruned_writes
     assert canonical_datastore_bytes(recovered) == canonical_datastore_bytes(
         simulation.datastore
     )
@@ -384,42 +427,3 @@ def test_boundary_coinciding_final_flush_leaves_a_resumable_store(tmp_path) -> N
     cluster.run()
     _recovered, report = recover_datastore(tmp_path / "s")
     assert report.wal_records == 0  # nothing past the last snapshot's watermark
-
-
-def test_history_pruning_keeps_versions_exact_above_the_watermark() -> None:
-    from repro.backend.datastore import DataStore
-
-    pruned = DataStore(retention=5.0)
-    exact = DataStore()
-    for i in range(2000):
-        time = i * 0.01
-        pruned.write("hot", time)
-        exact.write("hot", time)
-    assert pruned.total_writes == exact.total_writes == 2000
-    # Version numbers never renumber...
-    assert pruned.latest_version("hot") == exact.latest_version("hot") == 2000
-    # ...and queries at or above the watermark stay exact.
-    now = 19.99
-    for probe in (now, now - 1.0, now - 4.9):
-        assert pruned.version_at("hot", probe) == exact.version_at("hot", probe)
-    assert pruned.writes_between("hot", now - 4.0, now) == exact.writes_between(
-        "hot", now - 4.0, now
-    )
-    assert pruned.is_fresh("hot", now - 0.005, now, 0.5) == exact.is_fresh(
-        "hot", now - 0.005, now, 0.5
-    )
-    # The RSS win: retained timestamps stay bounded by the window.
-    assert pruned.pruned_writes > 0
-    assert pruned.retained_write_times() <= 5.0 / 0.01 + 1
-    assert exact.retained_write_times() == 2000
-
-
-def test_long_run_history_stays_flat_with_retention() -> None:
-    """A multi-interval run under retention holds a bounded history."""
-    from repro.backend.datastore import DataStore
-
-    store = DataStore(retention=2.0)
-    for i in range(50_000):
-        store.write(f"k{i % 20}", i * 0.001)
-    assert store.retained_write_times() <= 20 * (2.0 / 0.02 + 2)
-    assert store.latest_version("k0") == 2500

@@ -356,7 +356,6 @@ ENVELOPE_WALK = {
     "cost-breakdown": WalkCase(
         "cost-breakdown", lambda kind, scratch: dict(costs=make_cost_model("cpu"))
     ),
-    "history-retention": WalkCase("history-retention", _config(history_retention=2.0)),
     "policy": WalkCase("policy", _policy(_HookedInvalidate)),
     "estimator": WalkCase(
         "estimator", _policy(lambda: AdaptivePolicy(estimator=CountMinEWSketch()))
@@ -366,7 +365,6 @@ ENVELOPE_WALK = {
     "hot-key": WalkCase("hot-key", _config(hotkey=HotKeyConfig(hot_policy="update")), FLEET),
     "l1-tier": WalkCase("l1-tier", _config(tier=TierConfig(l1_capacity=16)), FLEET),
     "bounded-cache": WalkCase("bounded-cache", _config(cache_capacity=16)),
-    "bounded-tracker": WalkCase("bounded-tracker", _config(tracker_capacity=8)),
     "channel": WalkCase(
         "channel",
         lambda kind, scratch: dict(
