@@ -14,6 +14,7 @@ crash.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -35,6 +36,29 @@ class KeyHistory:
     key: str
     write_times: List[float] = field(default_factory=list)
     value_size: int = 128
+    # What :meth:`write_times_json` rendered last, and how many writes that was.
+    _times_json: str = field(default="[]", init=False, repr=False, compare=False)
+    _times_rendered: int = field(default=0, init=False, repr=False, compare=False)
+
+    def write_times_json(self) -> str:
+        """``json.dumps(self.write_times)``, rendering only the writes since the last call.
+
+        A history only grows (:meth:`DataStore.write` appends, the columnar
+        engine extends), so the text of the writes already rendered stays
+        right and each snapshot extends it by the new ones.  A history that
+        shrank is rendered again whole.
+        """
+        times = self.write_times
+        count = len(times)
+        rendered = self._times_rendered
+        if count != rendered:
+            if 0 < rendered < count:
+                tail = json.dumps(times[rendered:])
+                self._times_json = f"{self._times_json[:-1]}, {tail[1:]}"
+            else:
+                self._times_json = json.dumps(times)
+            self._times_rendered = count
+        return self._times_json
 
     @property
     def latest_version(self) -> int:
@@ -82,17 +106,19 @@ class DataStore:
         if history is None:
             history = KeyHistory(key=key, value_size=self.default_value_size)
             self._histories[key] = history
-        if history.write_times and time < history.write_times[-1]:
+        times = history.write_times
+        if times and time < times[-1]:
             # The store is driven by a time-ordered simulator; tolerate exact
             # ties but never allow the history to become unsorted.
-            time = history.write_times[-1]
-        history.write_times.append(float(time))
+            time = times[-1]
+        time = float(time)
+        times.append(time)
         if value_size is not None:
             history.value_size = int(value_size)
         self.total_writes += 1
         if self.journal is not None:
-            self.journal.log_write(key, float(time), history.value_size)
-        return history.latest_version
+            self.journal.log_write(key, time, history.value_size)
+        return len(times)
 
     # ------------------------------------------------------------------ #
     # Read path

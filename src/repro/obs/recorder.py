@@ -122,14 +122,27 @@ def obs_process_read(
     """A replay driver's ``_process_read`` with the recorder wrapped around it.
 
     The replay driver binds it as ``_obs_process_read``, *instead of* the
-    plain handler and only when a recorder is attached.
+    plain handler and only when a recorder is attached.  It is called once
+    per request, so it counts the span countdown down itself while no span
+    is due, and binds the ``read_cost`` histogram at its first read.
     """
     obs = driver.obs
     if time >= obs.next_boundary:
         obs.roll(time)
-    token = obs.read_begin()
+    cost_before = obs._cost_now()
+    countdown = obs._span_countdown
+    if countdown > 1:
+        obs._span_countdown = countdown - 1
+        span = None
+    else:
+        span = obs._span_snapshot()
     driver._process_read(time, key, key_size, value_size)
-    obs.read_end(time, key, token)
+    read_cost = obs._read_cost
+    if read_cost is None:
+        read_cost = obs._read_cost = obs.registry.histogram("read_cost")
+    read_cost.observe(obs._cost_now() - cost_before)
+    if span is not None:
+        obs.record_read_span(time, key, span)
 
 
 def obs_process_write(
@@ -139,9 +152,15 @@ def obs_process_write(
     obs = driver.obs
     if time >= obs.next_boundary:
         obs.roll(time)
-    span = obs.write_begin()
+    countdown = obs._span_countdown
+    if countdown > 1:
+        obs._span_countdown = countdown - 1
+        span = None
+    else:
+        span = obs._span_snapshot()
     driver._process_write(time, key, key_size, value_size)
-    obs.write_end(time, key, span)
+    if span is not None:
+        obs.record_write_span(time, key, span)
 
 
 class ObsRecorder:
@@ -159,6 +178,7 @@ class ObsRecorder:
         "_last",
         "_last_latency",
         "_span_countdown",
+        "_read_cost",
         "_meta",
         "_extra_totals",
     )
@@ -176,6 +196,8 @@ class ObsRecorder:
         self._last_latency: Dict[str, Dict[int, int]] = {}
         # Countdown of 1 samples the very first request, then every N-th.
         self._span_countdown = 1 if self.config.span_every else 0
+        # The ``read_cost`` histogram, once the first read has created it.
+        self._read_cost: Optional[Histogram] = None
         self._meta: Dict[str, Any] = {}
         self._extra_totals: Dict[str, float] = {}
 
@@ -319,7 +341,11 @@ class ObsRecorder:
     # -- per-request hooks (enabled mode only) -------------------------------
 
     def span_due(self) -> bool:
-        """Deterministic every-N-th sampling decision (no RNG consulted)."""
+        """Deterministic every-N-th sampling decision (no RNG consulted).
+
+        The per-request hooks count down inline while the countdown is above
+        1 and call this only for the request that may be due.
+        """
         if self._span_countdown == 0:
             return False
         self._span_countdown -= 1
@@ -343,32 +369,6 @@ class ObsRecorder:
              self._snapshot(result, stats))
             for node_id, result, stats in self._hosts
         ]
-
-    def read_begin(self) -> Tuple[float, Optional[List[Tuple[str, float, Dict[str, float]]]]]:
-        return self._cost_now(), self._span_snapshot()
-
-    def read_end(
-        self,
-        time: float,
-        key: Any,
-        token: Tuple[float, Optional[List[Tuple[str, float, Dict[str, float]]]]],
-    ) -> None:
-        cost_before, span = token
-        self.registry.histogram("read_cost").observe(self._cost_now() - cost_before)
-        if span is not None:
-            self.record_read_span(time, key, span)
-
-    def write_begin(self) -> Optional[List[Tuple[str, float, Dict[str, float]]]]:
-        return self._span_snapshot()
-
-    def write_end(
-        self,
-        time: float,
-        key: Any,
-        span: Optional[List[Tuple[str, float, Dict[str, float]]]],
-    ) -> None:
-        if span is not None:
-            self.record_write_span(time, key, span)
 
     def record_read_span(
         self, time: float, key: Any, before: List[Tuple[str, float, Dict[str, float]]]

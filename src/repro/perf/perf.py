@@ -75,8 +75,10 @@ def _profiler_active() -> bool:
     )
 
 
-def _counted_calls(requests: int, replay: Callable[[str], Any]) -> Dict[str, float]:
-    """Function calls per request of ``replay(policy).run()``, per built-in policy.
+def _counted_calls(
+    requests: int, replay: Callable[[str], Any], policies: Sequence[str] = POLICIES
+) -> Dict[str, float]:
+    """Function calls per request of ``replay(policy).run()``, per policy.
 
     Python and built-in calls as cProfile counts them.  A count, not a
     timing: every run of one interpreter gives the same numbers.  Summed per
@@ -87,7 +89,7 @@ def _counted_calls(requests: int, replay: Callable[[str], Any]) -> Dict[str, flo
     """
     counts = {}
     watched = _profiler_active()
-    for policy in POLICIES:
+    for policy in policies:
         run = replay(policy).run
         if watched:
             run()
@@ -162,6 +164,54 @@ def fleet_calls_per_request(scale: float = 1.0) -> Dict[str, float]:
     return _counted_calls(len(trace), replay)
 
 
+def stateful_calls_per_request(scale: float = 1.0) -> Dict[str, float]:
+    """Calls per request of the fleet loop with a store, a recorder and
+    in-flight fetches.
+
+    ``ClusterSimulation`` replays the ``stateful-writes`` benchmark's shape:
+    4 nodes under ``invalidate`` at bound 0.5 s, single-flight fetches, an obs
+    window of 0.25 s and a store snapshotting every 0.5 s into a temporary
+    directory, over 1 s of 1 000 keys at 100 req/s each at scale 1, half of
+    them writes (the rate scales, so both snapshots stay inside the run).
+    """
+    import tempfile
+
+    from repro.cluster.cluster import ClusterSimulation
+    from repro.concurrency.config import ConcurrencyConfig
+    from repro.obs.recorder import ObsConfig
+    from repro.store.snapshot import StoreConfig
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    duration = 1.0
+    workload = PoissonZipfWorkload(
+        num_keys=1000, rate_per_key=100.0 * scale, read_ratio=0.5, seed=0
+    )
+    trace = compile_workload(workload, duration)
+    concurrency = ConcurrencyConfig(
+        service_time="exponential", mean=0.002, capacity=8, policy="single-flight"
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-perf-store-") as root:
+
+        def replay(policy: str) -> ClusterSimulation:
+            return ClusterSimulation(
+                trace,
+                policy=policy,
+                num_nodes=4,
+                staleness_bound=0.5,
+                duration=duration,
+                seed=0,
+                concurrency=concurrency,
+                obs=ObsConfig(window=0.25),
+                store=StoreConfig(tempfile.mkdtemp(dir=root), snapshot_interval=0.5),
+            )
+
+        # As for the fleet row: one replay outside the count warms the
+        # process-wide fingerprint memo.
+        replay("invalidate").run()
+        return _counted_calls(len(trace), replay, ("invalidate",))
+
+
 def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
     """The single cache's :func:`calls_per_request` for each built-in policy."""
     return {"calls_per_request": calls_per_request(scale)}
@@ -170,6 +220,11 @@ def bench_replay_single(scale: float = 1.0) -> Dict[str, Any]:
 def bench_replay_cluster(scale: float = 1.0) -> Dict[str, Any]:
     """The fleet's :func:`fleet_calls_per_request` for each built-in policy."""
     return {"calls_per_request": fleet_calls_per_request(scale)}
+
+
+def bench_replay_stateful(scale: float = 1.0) -> Dict[str, Any]:
+    """The stateful fleet's :func:`stateful_calls_per_request` under ``invalidate``."""
+    return {"calls_per_request": stateful_calls_per_request(scale)}
 
 
 def _kernel_trace(scale: float):
@@ -454,6 +509,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "workload-generation": bench_workload_generation,
     "replay-single": bench_replay_single,
     "replay-cluster": bench_replay_cluster,
+    "replay-stateful": bench_replay_stateful,
     "span-kernel-tight": bench_span_kernel_tight,
     "ttl-kernels": bench_ttl_kernels,
     "flush": bench_flush,

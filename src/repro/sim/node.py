@@ -75,7 +75,7 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.cost_model import CostModel
 from repro.core.policy import Action, FreshnessPolicy, FutureIndex, PolicyContext
 from repro.core.ttl import TTLPollingPolicy, account_entry_polls
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, bucket_index
 from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.tier.config import TierConfig
@@ -908,6 +908,10 @@ class CacheNode:
             self.result.l1_stats = self.l1.cache.stats.as_dict()
 
 
+#: The latency histogram's bucket of a read served without a fetch.
+_ZERO_LATENCY_BUCKET = bucket_index(0.0)
+
+
 class ConcurrentCacheNode(CacheNode):
     """A :class:`CacheNode` under the in-flight fetch model: misses occupy
     ``server`` (in a fleet all nodes queue on one) for a service time drawn
@@ -951,7 +955,10 @@ class ConcurrentCacheNode(CacheNode):
         entry = self._l2_peek(key) if fetches.early_expiry else None
         super().handle_read(time, key, key_size, value_size)
         if latency.count == samples:
-            latency.observe(0.0)
+            # ``latency.observe(0.0)``: adding 0.0 to the sum changes no bit.
+            counts = latency.counts
+            counts[_ZERO_LATENCY_BUCKET] = counts.get(_ZERO_LATENCY_BUCKET, 0) + 1
+            latency.count = samples + 1
         if (
             entry is not None
             and self._l2_stats.hits > hits

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.backend.datastore import DataStore
 from repro.core.cost_model import CostModel
-from repro.store.snapshot import SnapshotManager, StoreConfig, serialize_datastore
+from repro.store.snapshot import SnapshotManager, StoreConfig
 from repro.store.wal import Journal, WriteAheadLog
 
 _LOG = logging.getLogger(__name__)
@@ -100,7 +100,7 @@ class StoreRuntime:
         self.manager.take(
             time=time,
             wal_lsn=self.wal.last_lsn,
-            datastore=serialize_datastore(datastore),
+            datastore=datastore,
             nodes=nodes or {},
             extra=extra,
             journal=self.journal.state(),

@@ -21,6 +21,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -31,6 +32,7 @@ from repro.cache.entry import CacheEntry, EntryState
 from repro.errors import StoreError
 from repro.sim.events import PendingDelivery
 from repro.sketch.exact import ExactEWTracker
+from repro.store.wal import fsync_directory
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 
@@ -45,7 +47,9 @@ class StoreConfig:
             only the final checkpoint at the end of the run).
         flush_every: WAL records per group commit.
         compact: Whether each snapshot truncates the WAL at its watermark.
-        fsync: Whether WAL flushes call ``os.fsync``.
+        fsync: Whether the store calls ``os.fsync``: at every WAL flush, on
+            each snapshot file and its directory before the log is compacted,
+            and on the compacted log.
     """
 
     root: str
@@ -109,6 +113,32 @@ def serialize_datastore(datastore: DataStore) -> Dict[str, Any]:
             for key, history in datastore._histories.items()
         },
     }
+
+
+def _json_int(value: Any) -> str:
+    return f"{value}" if type(value) is int else json.dumps(value)
+
+
+def datastore_json(datastore: DataStore) -> str:
+    """``json.dumps(serialize_datastore(datastore), sort_keys=True)``, written faster.
+
+    The same text, with every history's write times taken from
+    :meth:`~repro.backend.datastore.KeyHistory.write_times_json`: over a run
+    each write is rendered into JSON once, by the first snapshot that holds
+    it, not again by every later one.
+    """
+    quote = encode_basestring_ascii
+    histories = ", ".join(
+        f'{quote(key)}: {{"value_size": {_json_int(history.value_size)}, '
+        f'"write_times": {history.write_times_json()}}}'
+        for key, history in sorted(datastore._histories.items())
+    )
+    return (
+        f'{{"default_value_size": {_json_int(datastore.default_value_size)}, '
+        f'"histories": {{{histories}}}, '
+        f'"total_reads": {_json_int(datastore.total_reads)}, '
+        f'"total_writes": {_json_int(datastore.total_writes)}}}'
+    )
 
 
 def _refuse_inexact(name: str, value: Any) -> None:
@@ -467,25 +497,41 @@ class SnapshotManager:
         self,
         time: float,
         wal_lsn: int,
-        datastore: Dict[str, Any],
+        datastore: DataStore,
         nodes: Dict[str, Any],
         extra: Dict[str, Any],
         journal: Dict[str, Any],
     ) -> Path:
-        """Write the next snapshot atomically and return its path."""
+        """Write the next snapshot of ``datastore`` atomically and return its path.
+
+        The file is ``json.dumps(snapshot.as_dict(), sort_keys=True)`` byte
+        for byte.  ``"datastore"`` sorts first among the snapshot's keys, so
+        the file opens with :func:`datastore_json`'s text and goes on with
+        the rest.  With ``fsync`` configured, the file is synced before it
+        is renamed into place and its directory after, so the snapshot is
+        durable before the caller compacts the log it replaces.
+        """
         self._seq += 1
-        snapshot = Snapshot(
+        rest = Snapshot(
             seq=self._seq,
             time=time,
             wal_lsn=wal_lsn,
-            datastore=datastore,
+            datastore={},
             nodes=nodes,
             extra=extra,
             journal=journal,
-        )
+        ).as_dict()
+        del rest["datastore"]
+        text = f'{{"datastore": {datastore_json(datastore)}, {json.dumps(rest, sort_keys=True)[1:]}'
         path = snapshot_path(self.config.root, self._seq)
         tmp_path = path.with_suffix(".tmp")
-        tmp_path.write_text(json.dumps(snapshot.as_dict(), sort_keys=True))
+        with tmp_path.open("w") as handle:
+            handle.write(text)
+            if self.config.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        if self.config.fsync:
+            fsync_directory(path.parent)
         self.snapshots_taken += 1
         return path

@@ -1,8 +1,9 @@
 """The append-only write-ahead log and the datastore journal built on it.
 
 :class:`WriteAheadLog` is the durability primitive, and it works a group
-commit at a time.  ``append`` assigns the LSN, stages a snapshot of the
-record's values and counts it; the flush that ends the group (every
+commit at a time.  ``append`` (and ``append_write``, the journal's call for
+a backend write) assigns the LSN, stages a snapshot of the record's values
+and counts it; the flush that ends the group (every
 ``flush_every`` appends, and at ``Journal.sync``, ``compact`` and ``close``)
 renders, checksums and frames the whole batch in one pass, charges every
 record and then the commit to the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -42,6 +44,15 @@ from repro.store.format import (
     scan_wal,
     stage_record,
 )
+
+
+def fsync_directory(path: str | Path) -> None:
+    """``os.fsync`` a directory, making a rename or a new file in it durable."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 @dataclass(slots=True)
@@ -82,9 +93,10 @@ class WriteAheadLog:
             durable immediately.
         costs: Cost model charged per record and per flush, both at the
             flush (``None`` skips cost accounting).
-        fsync: Whether to actually ``os.fsync`` on flush.  Defaults off — the
-            simulator models durability cost through the cost model, and the
-            OS-level sync only matters when the host itself may lose power.
+        fsync: Whether to actually ``os.fsync`` on flush and compaction.
+            Defaults off — the simulator models durability cost through the
+            cost model, and the OS-level sync only matters when the host
+            itself may lose power.
     """
 
     def __init__(
@@ -145,6 +157,34 @@ class WriteAheadLog:
             self.flush()
         return lsn
 
+    def append_write(self, key: str, time: float, value_size: int) -> int:
+        """Stage one backend write and return its LSN.
+
+        The record is the one ``append(KIND_WRITE, {"key": key, "t": time,
+        "vs": value_size})`` stages, but the journal's one call per write
+        builds the template's tuple directly, with no dict for
+        :func:`stage_record` to unpack.  The checks are the same: a ``str``
+        key, a finite ``float`` time and an ``int`` size, not ``bool``, not a
+        numpy scalar.  Other values go through :func:`stage_record`.
+        """
+        if self._handle.closed:
+            raise StoreError(f"{self.path}: append to a closed write-ahead log")
+        self._last_lsn = lsn = self._last_lsn + 1
+        staged = self._staged
+        if (
+            type(key) is str
+            and type(time) is float
+            and type(value_size) is int
+            and isfinite(time)
+        ):
+            staged.append((KIND_WRITE, lsn, key, time, value_size))
+        else:
+            staged.append(stage_record(lsn, KIND_WRITE, {"key": key, "t": time, "vs": value_size}))
+        self.stats.appends += 1
+        if len(staged) >= self.flush_every:
+            self.flush()
+        return lsn
+
     def flush(self) -> None:
         """Group-commit the staged records (no-op when nothing is pending)."""
         if self._handle.closed:
@@ -165,11 +205,17 @@ class WriteAheadLog:
         costs = self.costs
         if costs is not None:
             # One addition per record, then the commit: the same float sum an
-            # append-by-append charge arrives at, to the last bit.
+            # append-by-append charge arrives at, to the last bit.  Without a
+            # breakdown every record costs the same constant.
             cost = stats.persistence_cost
-            append_cost = costs.wal_append_cost
-            for record in records:
-                cost += append_cost(len(record))
+            if costs.breakdown is None:
+                append_cost = costs.wal_append_cost()
+                for _ in records:
+                    cost += append_cost
+            else:
+                sized_cost = costs.wal_append_cost
+                for record in records:
+                    cost += sized_cost(len(record))
             stats.persistence_cost = cost + costs.wal_flush_cost()
 
     # ------------------------------------------------------------------ #
@@ -190,6 +236,8 @@ class WriteAheadLog:
 
         The log is rewritten to a sibling file and atomically swapped in, so
         a crash mid-compaction leaves either the old or the new log intact.
+        With ``fsync`` on, the compacted log is synced (and, when swapped in,
+        its directory too).
 
         Returns:
             The number of records dropped.
@@ -200,7 +248,11 @@ class WriteAheadLog:
             # The common checkpoint case drops the whole log: truncate to the
             # header instead of decoding and re-encoding every record.
             dropped = self._records_in_file
-            self.path.write_bytes(MAGIC)
+            with self.path.open("wb") as log:
+                log.write(MAGIC)
+                if self.fsync:
+                    log.flush()
+                    os.fsync(log.fileno())
             self._records_in_file = 0
         else:
             tmp_path = self.path.with_suffix(self.path.suffix + ".compact")
@@ -212,7 +264,12 @@ class WriteAheadLog:
                         continue
                     tmp.write(encode_record(record))
                     kept += 1
+                if self.fsync:
+                    tmp.flush()
+                    os.fsync(tmp.fileno())
             os.replace(tmp_path, self.path)
+            if self.fsync:
+                fsync_directory(self.path.parent)
             dropped = self._records_in_file - kept
             self._records_in_file = kept
         self._handle = self.path.open("ab")
@@ -251,8 +308,9 @@ class Journal:
     # ------------------------------------------------------------------ #
     def log_write(self, key: str, time: float, value_size: int) -> None:
         """Record one committed backend write."""
-        self._drain_reads()
-        self.wal.append(KIND_WRITE, {"key": key, "t": time, "vs": value_size})
+        if self._reads_pending:
+            self._drain_reads()
+        self.wal.append_write(key, time, value_size)
         self.writes_logged += 1
 
     def note_read(self) -> None:
@@ -261,19 +319,20 @@ class Journal:
 
     def log_message(self, kind: str, key: str, time: float, version: int) -> None:
         """Record one freshness message (invalidate/update) sent by the backend."""
-        self._drain_reads()
+        if self._reads_pending:
+            self._drain_reads()
         self.wal.append(KIND_MESSAGE, {"mk": kind, "key": key, "t": time, "v": version})
         self.messages_logged += 1
 
     def _drain_reads(self) -> None:
-        if self._reads_pending:
-            self.wal.append(KIND_READS, {"n": self._reads_pending})
-            self.reads_logged += self._reads_pending
-            self._reads_pending = 0
+        self.wal.append(KIND_READS, {"n": self._reads_pending})
+        self.reads_logged += self._reads_pending
+        self._reads_pending = 0
 
     def sync(self) -> None:
         """Make everything logged so far durable (checkpoint barrier)."""
-        self._drain_reads()
+        if self._reads_pending:
+            self._drain_reads()
         self.wal.flush()
 
     # ------------------------------------------------------------------ #

@@ -191,6 +191,9 @@ class PerRecordWal(WriteAheadLog):
             self.flush()
         return self._last_lsn
 
+    def append_write(self, key, time, value_size):
+        return self.append(KIND_WRITE, {"key": key, "t": time, "vs": value_size})
+
     def flush(self):
         if not self._batch:
             return
@@ -355,6 +358,66 @@ def test_journal_writes_the_same_log_through_either_writer(tmp_path) -> None:
         journal.sync()
         wal.close()
         logs.append((wal.path.read_bytes(), journal.state()))
+    assert logs[0] == logs[1]
+
+
+def drive_journal(tmp_path, cls, writes):
+    """Log ``writes`` between two plain ones through a journal on a ``cls`` log:
+    the log's bytes, the journal's state and the exception types raised."""
+    wal = cls(tmp_path / f"{cls.__name__}.log", flush_every=2, costs=SIZED_COSTS)
+    journal = Journal(wal)
+    journal.note_read()
+    journal.log_write("before", 0.25, 7)
+    raised = []
+    for key, time, size in writes:
+        journal.note_read()
+        try:
+            journal.log_write(key, time, size)
+        except TypeError as exc:
+            raised.append(type(exc))
+    journal.log_write("after", 2.0, 9)
+    journal.sync()
+    wal.close()
+    return wal.path.read_bytes(), journal.state(), raised
+
+
+#: Writes a journal may be handed whose values the write template must not
+#: format (or, for the key, must escape): each must log what the per-record
+#: writer logged, and the numpy size must fail the same way.
+UNUSUAL_WRITES = {
+    "numpy-float-time": ("k", numpy.float64(0.1), 3),
+    "nan-time": ("k", float("nan"), 3),
+    "inf-time": ("k", float("inf"), 3),
+    "bool-size": ("k", 1.0, True),
+    "numpy-int-size": ("k", 1.0, numpy.int64(3)),
+    "non-ascii-key": ('caf\u00e9-\u4e2d-"q"-\U0001f600', 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("write", UNUSUAL_WRITES.values(), ids=UNUSUAL_WRITES.keys())
+def test_journal_logs_unusual_write_values_like_the_per_record_writer(tmp_path, write) -> None:
+    staged = drive_journal(tmp_path, WriteAheadLog, [write])
+    assert staged == drive_journal(tmp_path, PerRecordWal, [write])
+    assert staged[2] == ([TypeError] if write is UNUSUAL_WRITES["numpy-int-size"] else [])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [fields for kind, fields in TEMPLATE_FIELDS + FALLBACK_FIELDS
+     if kind == KIND_WRITE and sorted(fields) == ["key", "t", "vs"]],
+)
+def test_append_write_stages_what_append_stages(tmp_path, fields) -> None:
+    """``append_write`` repeats :func:`stage_record`'s checks for a write:
+    whatever it is handed, the log is the one ``append`` writes."""
+    logs = []
+    for name, append in [
+        ("append", lambda wal: wal.append(KIND_WRITE, fields)),
+        ("append_write", lambda wal: wal.append_write(fields["key"], fields["t"], fields["vs"])),
+    ]:
+        wal = make_wal(tmp_path / name, flush_every=2, costs=SIZED_COSTS)
+        lsns = [append(wal) for _ in range(3)]
+        wal.close()
+        logs.append((lsns, wal.path.read_bytes(), wal.stats.as_dict()))
     assert logs[0] == logs[1]
 
 
