@@ -10,6 +10,9 @@ a compiled trace instead: one with a cell for every worker (every policy and
 staleness bound of one workload share it) is compiled and indexed once by the
 caller, at most a worker count of them at a time, and the workers it then
 forks inherit it; one with fewer is compiled by each worker that replays it.
+The vector-engine cells that differ only in a write-reacting policy replay
+in lockstep, one cut each in turn, so each cut of the trace they share is
+built once for all of them.
 
 Results come back as plain dictionaries (cell coordinates merged with the
 :meth:`~repro.sim.results.SimulationResult.as_dict` counters), sorted by cell
@@ -24,7 +27,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.cluster import (
     ClusterSimulation,
@@ -39,7 +42,7 @@ from repro.experiments.spec import ExperimentSpec, RunCell
 from repro.fanout import fork_each
 from repro.obs.recorder import ObsConfig
 from repro.sim.simulation import Simulation
-from repro.sim.vector import VectorSimulation
+from repro.sim.vector import VectorSimulation, replay_in_lockstep
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.base import Workload
@@ -91,14 +94,28 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
     missing from it is compiled here, and the row is the same."""
     with _cell_store(cell) as store:
         simulation = build_simulation(cell, store, traces)
-        row = dict(cell.describe())
-        row.update(simulation.run().as_dict())
-        if cell.num_nodes is None:
-            # A fleet's result carries its store counters and obs payload itself.
-            if store is not None:
-                row["store"] = simulation.store_stats()
-            if simulation.obs is not None:
-                row["obs"] = simulation.obs.payload()
+        return _row(cell, simulation, simulation.run(), store)
+
+
+def _replay_cell(cell: RunCell, traces: _Traces) -> Generator[None, None, Dict[str, Any]]:
+    """:func:`run_cell` of a vector-engine cell as a
+    :func:`~repro.sim.vector.replay_in_lockstep` replay: it yields after each
+    cut and returns the same row; a failure is logged under the cell's id."""
+    with _named(cell), _cell_store(cell) as store:
+        simulation = build_simulation(cell, store, traces)
+        return _row(cell, simulation, (yield from simulation.replay()), store)
+
+
+def _row(cell: RunCell, simulation, result, store: Optional[StoreConfig]) -> Dict[str, Any]:
+    """The cell's coordinates and its replay's result, flattened."""
+    row = dict(cell.describe())
+    row.update(result.as_dict())
+    if cell.num_nodes is None:
+        # A fleet's result carries its store counters and obs payload itself.
+        if store is not None:
+            row["store"] = simulation.store_stats()
+        if simulation.obs is not None:
+            row["obs"] = simulation.obs.payload()
     if cell.slo_rules is not None:
         # Strictly post-hoc: the obs payload is read, never mutated, and the
         # evaluation is deterministic, so verdicts are identical across any
@@ -107,6 +124,16 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
 
         row["slo"] = evaluate_slo(row["obs"], json.loads(cell.slo_rules))
     return row
+
+
+@contextmanager
+def _named(cell: RunCell) -> Iterator[None]:
+    """Log a failure of ``cell`` by its id, where it ran, and let it propagate."""
+    try:
+        yield
+    except Exception:
+        _LOG.error("cell %d failed: %s", cell.cell_id, cell.describe())
+        raise
 
 
 def build_simulation(
@@ -207,6 +234,38 @@ def _rounds(cells: List[RunCell], workers: int) -> Iterator[List[List[RunCell]]]
         yield batch
 
 
+def _units(cells: List[RunCell]) -> List[List[RunCell]]:
+    """The cells cut into units, in expand order: the vector-engine cells that
+    differ only in a policy reacting to writes are one unit, replayed in
+    lockstep (they cut the trace in the same places); every other cell is a
+    unit of its own."""
+    units: Dict[Any, List[RunCell]] = {}
+    for cell in cells:
+        lockstep = cell.engine == "vector" and make_policy(cell.policy).reacts_to_writes
+        key = replace(cell, cell_id=-1, policy="") if lockstep else cell.cell_id
+        units.setdefault(key, []).append(cell)
+    return list(units.values())
+
+
+def _deal(units: List[List[RunCell]], workers: int) -> List[List[List[RunCell]]]:
+    """Each worker's units: dealt in order, strided, each worker holding at
+    most the cells a strided deal of the cells gives it; the cells of a unit
+    that do not fit go to the next worker with room, as a unit of their own."""
+    total = sum(len(unit) for unit in units)
+    room = [len(range(offset, total, workers)) for offset in range(min(workers, total))]
+    shares: List[List[List[RunCell]]] = [[] for _ in room]
+    worker = 0
+    for unit in units:
+        while unit:
+            while not room[worker]:
+                worker = (worker + 1) % len(room)
+            piece, unit = unit[: room[worker]], unit[room[worker] :]
+            shares[worker].append(piece)
+            room[worker] -= len(piece)
+            worker = (worker + 1) % len(room)
+    return shares
+
+
 def _run_round(groups: List[List[RunCell]], workers: int) -> List[Dict[str, Any]]:
     """Run one round's cells on ``workers`` processes, the caller among them.
 
@@ -219,26 +278,27 @@ def _run_round(groups: List[List[RunCell]], workers: int) -> List[Dict[str, Any]
     for group in groups:
         if _shared(group, workers):
             _compiled(group[0], _workload(group[0]), traces).index()
-    cells = [cell for group in groups for cell in group]
     results = fork_each(
-        lambda share: _run_cells(share, traces),
-        [cells[offset::workers] for offset in range(min(workers, len(cells)))],
-        lambda share: f"the sweep worker running cells {[cell.cell_id for cell in share]}",
+        lambda share: _run_units(share, traces),
+        _deal(_units([cell for group in groups for cell in group]), workers),
+        lambda share: "the sweep worker running cells "
+        f"{[cell.cell_id for unit in share for cell in unit]}",
         SimulationError,
     )
     return [row for rows in results for row in rows]
 
 
-def _run_cells(cells: List[RunCell], shared: _Traces) -> List[Dict[str, Any]]:
+def _run_units(units: List[List[RunCell]], shared: _Traces) -> List[Dict[str, Any]]:
     """One worker's share of a round; a failing cell is named where it ran."""
     rows = []
-    for cell in cells:
-        try:
-            # A copy: a trace the cell compiles for itself dies with the cell.
-            rows.append(run_cell(cell, dict(shared)))
-        except Exception:
-            _LOG.error("cell %d failed: %s", cell.cell_id, cell.describe())
-            raise
+    for unit in units:
+        # A copy: a trace the unit compiles for itself dies with the unit.
+        traces = dict(shared)
+        if len(unit) == 1:
+            with _named(unit[0]):
+                rows.append(run_cell(unit[0], traces))
+        else:
+            rows.extend(replay_in_lockstep([_replay_cell(cell, traces) for cell in unit]))
     return rows
 
 

@@ -26,7 +26,7 @@ import platform
 import pstats
 import sys
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: The built-in policies a calls-per-request row counts, in report order.
 POLICIES = ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive")
@@ -422,13 +422,15 @@ def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
 
 
 def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
-    """The trace index and its span table over two 30-span walks.
+    """The trace index and its span table over two 30-span walks, and the
+    table's share of a sweep.
 
     The policy-independent share of a columnar replay: bytes per request of
     the key-major index (span table included) and of the table alone, after
     a first walk builds each cut's facts.  ``table_hits`` counts the cuts
     the second walk finds in the table — 30 when the table holds the whole
     walk, fewer when a walk outgrows it and the oldest cuts are evicted.
+    ``sweep_cut_lookups`` / ``sweep_table_hits`` are :func:`_sweep_lookups`.
     """
     from repro.workload.compiled import SpanCursor
 
@@ -447,11 +449,52 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     walk()
     hits = walk()
     requests = max(len(trace), 1)
+    lookups, sweep_hits = _sweep_lookups(scale)
     return {
         "index_bytes_per_request": index.nbytes / requests,
         "table_bytes_per_request": index.table_bytes / requests,
         "table_hits": hits,
+        "sweep_cut_lookups": lookups,
+        "sweep_table_hits": sweep_hits,
     }
+
+
+def _sweep_lookups(scale: float) -> Tuple[int, int]:
+    """Span-table lookups of a serial vector sweep, and how many found their cut.
+
+    Three write-reacting policies at two bounds on one trace (200 keys at
+    20 req/s each, 4 s; the key count scales): the policies of a bound step
+    through its cuts in lockstep, so the first builds each cut and the other
+    two find it — two thirds of the lookups hit.  ``TraceIndex.span`` is
+    wrapped for the sweep to count them.
+    """
+    from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
+    from repro.workload.compiled import TraceIndex
+
+    counts = [0, 0]
+    span = TraceIndex.span
+
+    def counted(index, start, end, cursor=None):
+        counts[0] += 1
+        counts[1] += (start, end) in index.table
+        return span(index, start, end, cursor)
+
+    spec = ExperimentSpec(
+        name="perf-sweep",
+        policies=["invalidate", "update", "adaptive"],
+        workloads=[
+            WorkloadSpec.of("poisson", {"num_keys": _scaled(200, scale), "rate_per_key": 20.0})
+        ],
+        staleness_bounds=[0.25, 1.0],
+        duration=4.0,
+        engine="vector",
+    )
+    TraceIndex.span = counted
+    try:
+        run_experiment(spec, processes=1)
+    finally:
+        TraceIndex.span = span
+    return counts[0], counts[1]
 
 
 def _wal_records(scale: float) -> List[Any]:

@@ -89,7 +89,7 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import islice, repeat
 from operator import add
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +101,7 @@ from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import ConfigurationError, WorkloadError
 from repro.sim.node import CacheNode
+from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
 from repro.workload.compiled import CompiledTrace, SpanCursor, SpanFacts, TraceIndex
@@ -1311,6 +1312,30 @@ def _walk_spans(engine, reacts: bool) -> Iterator[SpanFacts]:
         engine._advance(float(times[start]))
 
 
+def replay_in_lockstep(replays: Sequence[Generator[None, None, Any]]) -> List[Any]:
+    """Step ``replays`` (:meth:`SpanReplay.replay` generators) round-robin,
+    one cut each in turn, until every one has returned; their results, in order.
+
+    Replays of one trace under one bound cut it in the same places, so
+    policies that step together find each cut in the trace's span table, built
+    by the first of them a moment ago: its facts, routing and kernel prelude
+    are built once for all of them, whatever else the table has evicted.  A
+    replay's state is its own, so the order of the steps changes no result.
+    """
+    results: List[Any] = [None] * len(replays)
+    live = list(enumerate(replays))
+    while live:
+        stepping, live = live, []
+        for position, replay in stepping:
+            try:
+                next(replay)
+            except StopIteration as done:
+                results[position] = done.value
+            else:
+                live.append((position, replay))
+    return results
+
+
 class SpanReplay:
     """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
@@ -1350,7 +1375,15 @@ class SpanReplay:
         return envelope_exit(self._envelope, self, self._node_list) is None
 
     def run(self, *args, **kwargs):
-        """Replay the trace; vectorized inside the envelope, scalar otherwise."""
+        """Replay the trace; vectorized inside the envelope, scalar otherwise.
+        Takes what :meth:`replay` takes."""
+        return replay_in_lockstep([self.replay(*args, **kwargs)])[0]
+
+    def replay(self, *args, **kwargs) -> Generator[None, None, Any]:
+        """:meth:`run`, one cut at a time: a generator that yields after each
+        cut and returns the result.  The arguments are the scalar driver's
+        ``run()``'s; outside the envelope that ``run()`` replays the whole
+        trace at the first step."""
         row = envelope_exit(self._envelope, self, self._node_list, *args, **kwargs)
         if row is not None:
             self._fallback_reason = row.name
@@ -1358,12 +1391,13 @@ class SpanReplay:
         self._spend()
         self.used_vector_path = True
         self._start("vector")
-        self._run_spans()
+        yield from self._run_spans()
         return self._finalize()
 
-    def _run_spans(self) -> None:
-        """Replay the trace span by span; the driver's due work runs at each
-        boundary, exactly where the scalar loop would run it."""
+    def _run_spans(self) -> Iterator[None]:
+        """Replay the trace span by span, yielding after each; the driver's
+        due work runs at each boundary, exactly where the scalar loop would
+        run it."""
         trace = self.trace
         if len(trace) == 0:
             return
@@ -1386,6 +1420,7 @@ class SpanReplay:
                 if span_start >= obs.next_boundary:
                     obs.roll(span_start)
             replay(facts)
+            yield
         self.clock.advance_to(float(times[-1]))
 
     def _route_trace(self) -> None:
@@ -1438,3 +1473,8 @@ class VectorSimulation(SpanReplay, Simulation):
     column chunks through the scalar loop — either way the results are
     byte-identical to the scalar engine.
     """
+
+    def replay(self) -> Generator[None, None, SimulationResult]:
+        """:meth:`SpanReplay.replay`, and so ``run()``, take what
+        :meth:`Simulation.run` takes: nothing (a kill point is the fleet's)."""
+        return super().replay()

@@ -30,6 +30,7 @@ from repro.experiments import (
     write_results_json,
 )
 from repro.experiments.spec import AXES, PASS_THROUGH, Axis
+from repro.sim.vector import SpanReplay
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -107,6 +108,74 @@ def test_rows_are_identical_for_any_process_count_and_engine() -> None:
             assert dumped == reference, (engine, processes)
 
 
+def lockstep_cells():
+    """Every kind of unit the runner cuts a grid into, renumbered in order.
+
+    The five policies at two bounds on the single cache and on a 3-node fleet
+    with replication 2 and round-robin reads (each coordinate a unit of three
+    write-reacting policies and two TTL cells of their own), then units of
+    the three at one bound with a recorder, with a store and with a bounded
+    cache (these two fall back to the scalar loop inside the unit), and one
+    scalar-engine cell.
+    """
+    base = small_spec(
+        policies=["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"],
+        engine="vector",
+        duration=3.0,
+    ).expand()
+    fleet = [
+        dataclasses.replace(cell, num_nodes=3, replication=2, read_policy="round-robin")
+        for cell in base
+    ]
+    reactive = [
+        cell for cell in base if cell.staleness_bound == 0.5 and not cell.policy.startswith("ttl")
+    ]
+    cells = (
+        base
+        + fleet
+        + [dataclasses.replace(cell, obs_window=1.0) for cell in reactive]
+        + [dataclasses.replace(cell, persistence=True, snapshot_interval=1.0) for cell in reactive]
+        + [dataclasses.replace(cell, cache_capacity=5) for cell in reactive]
+        + [dataclasses.replace(reactive[0], engine="scalar")]
+    )
+    return [dataclasses.replace(cell, cell_id=cell_id) for cell_id, cell in enumerate(cells)]
+
+
+def run_cells(cells, processes):
+    """``run_experiment``'s rounds, over a list of cells no single spec expands to."""
+    rows = [
+        row
+        for groups in runner._rounds(cells, processes)
+        for row in runner._run_round(groups, processes)
+    ]
+    return sorted(rows, key=lambda row: row["cell_id"])
+
+
+def test_units_in_lockstep_give_every_cell_its_own_row() -> None:
+    cells = lockstep_cells()
+    assert sorted(len(unit) for unit in runner._units(cells)) == [1] * 9 + [3] * 7
+    reference = json.dumps([runner.run_cell(cell) for cell in cells])
+    for processes in (1, 2, 3):
+        assert json.dumps(run_cells(cells, processes)) == reference, processes
+
+
+def test_a_unit_that_spills_over_a_worker_keeps_its_cells_in_order() -> None:
+    """Units are dealt strided; a worker is never given more cells than a
+    strided deal of the cells gives it, and a unit's cells that do not fit
+    go, in order, to the next worker with room."""
+    cells = small_spec(
+        policies=["invalidate", "update", "adaptive"], staleness_bounds=[0.25, 0.5, 1.0, 2.0],
+        engine="vector",
+    ).expand()
+    shares = runner._deal(runner._units(cells), 3)
+    ids = [[[cell.cell_id for cell in unit] for unit in share] for share in shares]
+    assert ids == [[[0, 1, 2], [9]], [[3, 4, 5], [10]], [[6, 7, 8], [11]]]
+    dealt = runner._deal(runner._units(dataclasses.replace(c, engine="scalar") for c in cells), 3)
+    assert [[unit[0].cell_id for unit in share] for share in dealt] == [
+        list(range(offset, 12, 3)) for offset in range(3)
+    ]
+
+
 def event_log(log_path):
     """``record(word)`` appends ``pid word`` to a file and ``events()`` reads
     the pairs back, in order: a log forked workers can write to as well."""
@@ -153,6 +222,21 @@ def recording_cells(monkeypatch, log_path, before=lambda cell: None):
     return events
 
 
+def recording_builds(monkeypatch, log_path):
+    """Log ``pid cell_id`` per ``build_simulation`` call, forked workers
+    included: every cell builds one engine, whether ``run_cell`` runs it
+    alone or a unit steps it in lockstep with its other policies."""
+    build_simulation = runner.build_simulation
+    record, events = event_log(log_path)
+
+    def recorded(cell, *args):
+        record(cell.cell_id)
+        return build_simulation(cell, *args)
+
+    monkeypatch.setattr(runner, "build_simulation", recorded)
+    return events
+
+
 def test_serial_sweep_compiles_each_distinct_trace_once(monkeypatch, tmp_path) -> None:
     calls = counting_compiles(monkeypatch, tmp_path / "compiles.log")
     rows = run_experiment(mixed_spec("vector"), processes=1)
@@ -171,7 +255,7 @@ def test_one_trace_grid_still_occupies_every_worker(monkeypatch, tmp_path) -> No
     dealt across all workers, the caller among them, and the trace they all
     replay is compiled once — by the caller, before it forks."""
     compiles = counting_compiles(monkeypatch, tmp_path / "compiles.log")
-    cells = recording_cells(monkeypatch, tmp_path / "cells.log")
+    cells = recording_builds(monkeypatch, tmp_path / "cells.log")
     spec = small_spec(
         policies=["invalidate", "update", "adaptive"],
         workloads=[WorkloadSpec.of("poisson", {"num_keys": 200, "rate_per_key": 50.0})],
@@ -742,3 +826,33 @@ def test_table_driven_expansion_equals_the_hand_written_one_on_random_specs() ->
     )
     assert any(spec["stampede_policies"] and spec["service_times"] for spec in drawn)
     assert any(spec["hot_policy"] for spec in drawn)
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_an_engine_failing_mid_walk_in_a_unit_is_named_by_its_own_cell(
+    monkeypatch, tmp_path, wall_clock_limit, processes
+) -> None:
+    """Lockstep steps a unit's engines in turn: the one that raises at its
+    second cut is the one logged, and the sweep raises what it raised."""
+    cells = lockstep_cells()
+    (victim,) = [
+        cell
+        for cell in cells
+        if (cell.policy, cell.staleness_bound, cell.num_nodes) == ("update", 0.5, 3)
+    ]
+    replay_span = SpanReplay._replay_reactive_span
+
+    def failing(engine, facts):
+        if (engine.policy_name, engine.staleness_bound, len(engine._node_list)) == (
+            "update", 0.5, 3
+        ) and facts.cut[0] > 0:
+            raise SimulationError("update stops at its second cut")
+        return replay_span(engine, facts)
+
+    monkeypatch.setattr(SpanReplay, "_replay_reactive_span", failing)
+    record, logged = event_log(tmp_path / "errors.log")
+    monkeypatch.setattr(runner._LOG, "error", lambda message, *args: record(message % args))
+    with wall_clock_limit(60.0), pytest.raises(SimulationError, match="second cut"):
+        run_cells(cells, processes)
+    assert multiprocessing.active_children() == [], "a sweep worker outlived the sweep"
+    assert [line for _, line in logged()] == [f"cell {victim.cell_id} failed: {victim.describe()}"]

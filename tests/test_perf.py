@@ -85,6 +85,15 @@ def test_trace_index_table_holds_a_whole_walk() -> None:
     assert 0 < row["table_bytes_per_request"] <= 33
 
 
+def test_a_sweep_builds_each_cut_once_per_bound() -> None:
+    """Three write-reacting policies step through a bound's 16 or 4 cuts in
+    lockstep: the first builds each cut, the other two find it in the table
+    (8 of the 60 hit when each policy walked the whole trace in turn)."""
+    [row] = run_perf(names=["trace-index"], scale=0.05)["results"]
+    assert row["sweep_cut_lookups"] == 60
+    assert row["sweep_table_hits"] == 40
+
+
 def test_replay_single_counts_calls_per_request_exactly() -> None:
     """A count, not a timing: the same figures on every run, one per policy."""
     first, second = calls_per_request(0.01), calls_per_request(0.01)

@@ -255,6 +255,29 @@ def test_ineligible_configs_fall_back_to_the_scalar_loop() -> None:
     assert_identical(scalar.as_dict(), vector.as_dict())
 
 
+@pytest.mark.parametrize("capacity", [None, 16], ids=["kernels", "scalar-fallback"])
+def test_the_single_cache_run_takes_no_kill_point_on_either_path(capacity) -> None:
+    """``Simulation.run`` takes no ``stop_at``; the columnar single cache took
+    one on its kernel path, ignored it and replayed the whole trace."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=60, rate_per_key=30.0, seed=7), 10.0)
+
+    def simulation():
+        return VectorSimulation(
+            trace, policy=make_policy("invalidate"), staleness_bound=1.0,
+            cache_capacity=capacity, duration=10.0,
+        )
+
+    with pytest.raises(TypeError):
+        Simulation(trace, policy=make_policy("invalidate"), duration=10.0).run(stop_at=5.0)
+    for call in (lambda sim: sim.run(stop_at=5.0), lambda sim: sim.run(5.0)):
+        engine = simulation()
+        with pytest.raises(TypeError):
+            call(engine)
+        # Refused before the replay started: the engine can still run once.
+        assert engine.run().duration == 10.0
+        assert engine.used_vector_path == (capacity is None)
+
+
 @pytest.mark.parametrize(
     "policy_class, symptom",
     [(TTLExpiryPolicy, "stale_misses"), (TTLPollingPolicy, "polls")],
