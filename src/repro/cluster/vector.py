@@ -10,29 +10,31 @@ into **one** table of groups per cut, ordered by (node, key) with per-node
 bounds — built with array operations over every (key, replica) pair at once
 and stride arithmetic — and hands it to **one** call of the same span kernel
 the single cache uses (the single cache is the one-node table).  The kernel
-does its numpy work once for the whole fleet and walks the table node
-segment by node segment only for the object work, into each node's own
-tally.  Every node's cache, buffer, tracker, and estimator are real objects,
-and all simulation *events* (interval flushes, freshness message fan-out,
-delivery, finalisation) run through the one driver's due work and the
-unmodified :class:`~repro.sim.node.CacheNode` machinery between spans.
+does its numpy work once for the whole fleet, into each node's own tally.
+Under a write-reactive policy every node's cache, buffer, tracker and
+estimator live in the rows of one column table (row ``key * nodes + node``,
+:class:`~repro.sim.vector._HostColumns`) from the first cut to the last
+boundary flush, and the driver's interval flush drains, decides and applies
+for every node at once on those columns; then the objects are written back
+and the driver's unmodified finalize and
+:class:`~repro.sim.node.CacheNode` machinery run on them.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared
 datastore, the hash ring, and the read router:
 
-* a node's observable inputs are the global write stream (identical once the
-  span's writes are pre-applied) plus the subsequence of reads routed to it,
-  and routing is deterministic and independent of node-local cache state;
+* a node's observable inputs are the global write stream (positions in the
+  global write columns) plus the subsequence of reads routed to it, and
+  routing is deterministic and independent of node-local cache state;
 * within one (node, key) group the single-cache kernel invariants hold
-  unchanged — spans never outlive a staleness interval, miss versions are
-  positional against the *global* write columns, and per-node tallies replay
-  order-sensitive effects position-sorted;
-* the kernels only mutate node-local state plus two order-free global
-  accumulators (``DataStore.total_writes``/``total_reads``), so doing every
-  node's object work before any node's tally is folded changes nothing; the
-  tallies still fold node by node, so rows, dict orders and float
-  accumulation orders are each node's own.
+  unchanged — spans never outlive a staleness interval, miss and update
+  versions are positional against the *global* write columns, and each
+  node's dict orders are the stream positions its rows record;
+* the kernels and the columnar flush only mutate node-local rows plus
+  order-free global accumulators (``DataStore.total_reads``), so doing every
+  node's work at once changes nothing; counters and costs still fold node by
+  node, and each node's dict orders are positions in its own rows, so rows,
+  dict orders and float accumulation orders are each node's own.
 
 A fleet replays in one process.  Splitting its nodes over worker processes
 splits only the per-node kernels — every worker would still commit every

@@ -68,15 +68,6 @@ def update_preferred(
     return update_cost < threshold
 
 
-def update_preferred_small_t(
-    read_ratio: float, miss_cost: float, invalidate_cost: float, update_cost: float
-) -> bool:
-    """The ``T -> 0`` limit of :func:`update_preferred`: ``c_u < r (c_m + c_i)``."""
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ConfigurationError(f"read_ratio must be in [0, 1], got {read_ratio}")
-    return update_cost < read_ratio * (miss_cost + invalidate_cost)
-
-
 def ew_decision(
     expected_writes_between_reads: float,
     miss_cost: float,
@@ -210,11 +201,3 @@ class DecisionRule:
             invalidate_cost=self.invalidate_cost,
             update_cost=self.update_cost,
         )
-
-    def from_probabilities(self, p_read: float, p_write: float) -> Action:
-        """Decide from interval read/write probabilities (§3.2 rule)."""
-        if update_preferred(
-            p_read, p_write, self.miss_cost, self.invalidate_cost, self.update_cost
-        ):
-            return Action.UPDATE
-        return Action.INVALIDATE

@@ -43,12 +43,6 @@ def expected_reads(rate: float, read_ratio: float, horizon: float) -> float:
     return rate * read_ratio * horizon
 
 
-def expected_writes(rate: float, read_ratio: float, horizon: float) -> float:
-    """Expected number of writes to the key over a horizon ``T'``."""
-    _validate(rate, read_ratio, horizon)
-    return rate * (1.0 - read_ratio) * horizon
-
-
 def expected_writes_between_reads(read_ratio: float) -> float:
     """``E[W]``: expected number of writes between consecutive reads.
 

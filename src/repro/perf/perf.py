@@ -295,6 +295,61 @@ def non_empty_spans(times: Any, bound: float) -> int:
     return spans
 
 
+def _span_objects(replay: Callable[[], Any]) -> int:
+    """The state objects ``replay()`` constructs from the start of its first
+    reactive cut to the end of its last boundary flush.
+
+    Counts the constructions of cache entries, buffered writes, key
+    histories and E[W] counter rows (wrapped with ``mock.patch``, as
+    :func:`bench_flush` counts ``objects_built``), in every module that
+    builds one, taking the counts when the first cut starts and after each
+    boundary flush of the replay.
+    """
+    from contextlib import ExitStack
+    from unittest import mock
+
+    from repro.backend import buffer, datastore
+    from repro.cache import cache
+    from repro.sim import vector
+    from repro.sketch import exact
+
+    built = [
+        (vector, "CacheEntry"),
+        (vector, "BufferedWrite"),
+        (vector, "KeyHistory"),
+        (cache, "CacheEntry"),
+        (buffer, "BufferedWrite"),
+        (datastore, "KeyHistory"),
+        (exact, "_KeyCounters"),
+    ]
+    marks: List[int] = []
+    with ExitStack() as stack:
+        counters = [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module, name in built
+        ]
+
+        def count() -> int:
+            return sum(counter.call_count for counter in counters)
+
+        replay_span = vector.SpanReplay._replay_reactive_span
+        flush_nodes = vector.SpanReplay._flush_nodes
+
+        def first_cut(engine: Any, facts: Any) -> None:
+            if not marks:
+                marks.append(count())
+            replay_span(engine, facts)
+
+        def boundary(engine: Any, time: float) -> None:
+            flush_nodes(engine, time)
+            marks[1:] = [count()]
+
+        stack.enter_context(mock.patch.object(vector.SpanReplay, "_replay_reactive_span", first_cut))
+        stack.enter_context(mock.patch.object(vector.SpanReplay, "_flush_nodes", boundary))
+        replay()
+    return marks[-1] - marks[0]
+
+
 def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     """The kernel trace replayed at a tight bound (``T = 0.01``).
 
@@ -304,7 +359,10 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     call per span, whatever the key count — and so must
     ``fleet_kernel_calls``, the same trace on a 3-node fleet: one call per
     span, whatever the node count.  ``key_spans`` sums the keys of every
-    span's groups, the rows the kernel works through.
+    span's groups, the rows the kernel works through.  ``span_objects`` /
+    ``fleet_span_objects`` are :func:`_span_objects` of the two replays: 0,
+    as the hosts' state lives in columns from the first cut to the last
+    boundary flush.
     """
     bound = 0.01
     workload, duration, trace = _kernel_trace(scale)
@@ -314,20 +372,21 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
         nonlocal key_spans
         key_spans += int(prelude.groups.keys.size)
 
-    calls = _kernel_calls(
-        "_kernel_reactive_span",
-        lambda: _replay_vector(workload, duration, trace, bound),
-        count_key_spans,
-    )
-    fleet_calls = _kernel_calls(
-        "_kernel_reactive_span",
-        lambda: _replay_vector(workload, duration, trace, bound, nodes=3),
-    )
+    def single() -> None:
+        _replay_vector(workload, duration, trace, bound)
+
+    def fleet() -> None:
+        _replay_vector(workload, duration, trace, bound, nodes=3)
+
+    calls = _kernel_calls("_kernel_reactive_span", single, count_key_spans)
+    fleet_calls = _kernel_calls("_kernel_reactive_span", fleet)
     return {
         "spans": non_empty_spans(trace.times, bound),
         "kernel_calls": calls,
         "fleet_kernel_calls": fleet_calls,
         "key_spans": key_spans,
+        "span_objects": _span_objects(single),
+        "fleet_span_objects": _span_objects(fleet),
     }
 
 

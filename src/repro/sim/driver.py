@@ -224,15 +224,14 @@ class ReplayDriver:
 
         On a tie the flush goes first (a snapshot observes the flushed state
         of its instant) and an event last.  At a flush every node takes its
-        due deliveries and flushes, then the interval hook runs; at the end
+        due deliveries and flushes (:meth:`_flush_nodes`), then the interval
+        hook runs; at the end
         the nodes with messages in flight take those due by ``until``.
         """
         while self._next_due <= until:
             due = self._next_due
             if due == self._next_flush:
-                for node in self._node_list:
-                    node.deliver_until(due)
-                    node.flush(due)
+                self._flush_nodes(due)
                 self._next_flush += self.staleness_bound
                 if self._interval_hook is not None:
                     self._interval_hook(self, due)
@@ -242,6 +241,13 @@ class ReplayDriver:
                 self._apply_event()
             self._refresh_next_due()
         self._deliver(until)
+
+    def _flush_nodes(self, time: float) -> None:
+        """The interval boundary at ``time``: every node, in creation order,
+        takes its due deliveries and flushes its write buffer."""
+        for node in self._node_list:
+            node.deliver_until(time)
+            node.flush(time)
 
     def _deliver(self, until: float) -> None:
         """Apply the freshness messages due by ``until``, nodes in id order."""

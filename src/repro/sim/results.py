@@ -155,18 +155,6 @@ class SimulationResult:
             return 0.0
         return self.stale_misses / present
 
-    @property
-    def stale_miss_ratio_of_all_reads(self) -> float:
-        """:math:`C_S / N_R`: stale-induced misses over *all* reads.
-
-        This is the normalisation the closed-form model uses; it coincides
-        with :attr:`normalized_staleness_cost` when the cache is large enough
-        that cold misses are rare.
-        """
-        if self.reads == 0:
-            return 0.0
-        return self.stale_misses / self.reads
-
     def read_latency_percentile(self, quantile: float) -> float:
         """Latency quantile from the HDR buckets (0.0 when no samples).
 

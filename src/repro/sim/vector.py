@@ -10,46 +10,53 @@ reads, the first and the last one, the first and the last write.
 
 :class:`VectorSimulation` exploits exactly that.  It consumes a
 :class:`~repro.workload.compiled.CompiledTrace` and replays each span between
-flush boundaries with **one kernel call**: the write-reactive kernel gathers
-every key's endpoints with a fixed number of numpy operations over the span's
-key columns and leaves only the unavoidable object work (an entry lookup and
-hit bump per key, an entry fill per miss, a buffered write per written key)
-to a Python loop over plain columns.  The cost of a replay is therefore
-O(requests) of numpy, plus O(keys touched) of object work and a fixed charge
-per span — not O(keys x spans) kernel calls, which is what made a tight
-staleness bound (many short spans) the slow case.  The TTL policies never
-react to writes and have no flush boundaries, so their whole trace is one
-span and one kernel call: TTL-polling is a closed form over the read rows,
-taken a fixed block of rows at a time, and TTL-expiry bisects every key's
-next epoch at once.  A fleet's nodes share each call: a cut's groups are one
-table ordered by (host, key) (:class:`Groups`), every kernel does its numpy
-work once for all hosts and walks the table host segment by host segment
-only for the object work, into each host's own tally.  Every simulation
-*event* — the interval flush, policy decisions, message sends and
-deliveries, finalisation — runs through the one driver's unmodified due
-work and finalize (:class:`~repro.sim.driver.ReplayDriver`) and its
-:class:`~repro.sim.node.CacheNode` s, against real :class:`Cache` / :class:`DataStore` /
-:class:`WriteBuffer` objects that the kernels keep in sync at span ends.  The
-result is byte-for-byte identical to the scalar engine: same counters, same
-float accumulation order, same dict insertion orders, same
-:class:`DataStore` history (the equivalence suite pins this for every
-policy/workload combination).
+flush boundaries with **one kernel call**.  A write-reactive replay keeps
+every host's state — cache entries, invalidation tracker, write buffer, E[W]
+counters — in numpy columns indexed by (host, key id) (:class:`_HostColumns`)
+from its first cut to its last boundary flush.  The kernel gathers every
+key's endpoints with a fixed number of numpy operations over the span's key
+columns and applies them to the host columns with gathers and scatters at
+the groups' rows; the interval flush at each boundary
+(:func:`_flush_columns`, through the driver's
+:meth:`~repro.sim.driver.ReplayDriver._flush_nodes`) drains, decides and
+applies on the same columns.  Neither builds or walks an object per key, so
+a replay costs O(requests) of numpy plus a fixed charge per span and per
+flush — not O(keys x spans) of Python, which is what made a tight staleness
+bound (many short spans) the slow case.  The columns are loaded from the
+hosts' objects when the span loop starts (a caller may hand in prepared
+state) and written back after the last boundary flush, each dict in the
+scalar engine's insertion order, with the datastore's histories; the one
+driver's unmodified finalize (:class:`~repro.sim.driver.ReplayDriver`) and
+its :class:`~repro.sim.node.CacheNode` s then run on real objects.  The TTL
+policies never react to writes and have no flush boundaries, so their whole
+trace is one span and one kernel call that builds each entry object once:
+TTL-polling is a closed form over the read rows, taken a fixed block of rows
+at a time, and TTL-expiry bisects every key's next epoch at once.  A fleet's
+nodes share each call: a cut's groups are one table ordered by (host, key)
+(:class:`Groups`) whose rows index the host columns directly, and every kernel
+does its numpy work once for all hosts.  The result is byte-for-byte
+identical to the scalar engine: same counters, same float accumulation
+order, same dict insertion orders, same :class:`DataStore` history (the
+equivalence suite pins this for every policy/workload combination).
 
 Why byte-identity is achievable at all:
 
-* **Span writes are safe to pre-apply.**  A span never outlives one staleness
+* **No kernel reads the datastore.**  A span never outlives one staleness
   interval ``T``, so any in-span hit's staleness horizon ``t - T`` lies before
-  the span start — freshness checks only ever consult writes from *earlier*
-  spans, which are all applied in both engines.
-* **Miss versions are positional.**  ``DataStore.read`` at a scalar read sees
+  the span start, and the freshness check counts the key's earlier writes in
+  the index.  A reactive replay therefore commits the trace's writes once,
+  after its last flush, and a TTL replay once, before its one cut.
+* **Versions are positional.**  ``DataStore.read`` at a scalar read sees
   exactly the writes that precede the read in stream order, so the version a
   miss fetches equals the count of that key's writes with smaller stream
-  position — computable from the compiled columns regardless of pre-applied
-  writes (and robust to timestamp ties).
+  position — computable from the compiled columns (and robust to timestamp
+  ties); an update carries the count of the key's writes before the cut's
+  end.
 * **Uniform-cost folds are order-free.**  With a fixed cost preset the per-read
   serve cost and the per-miss cost are constants; accumulating ``n`` of them
   left-to-right gives the same float regardless of which keys they came from.
-  Varying-order sums (TTL poll charges) are replayed in global stream order.
+  Varying-order sums (TTL poll charges, a flush's message costs) fold in
+  stream or drain order with a seeded ``cumsum``.
 * **Per-key span groups are slices, not sorts.**  A stable key sort of the
   whole trace, restricted to a span's position range, *is* the stable key
   sort of that span, so the trace's memoised
@@ -97,6 +104,7 @@ from repro.backend.buffer import BufferedWrite
 from repro.backend.datastore import DataStore, KeyHistory
 from repro.cache.entry import CacheEntry, EntryState
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
+from repro.core.policy import Action
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import ConfigurationError, WorkloadError
@@ -253,6 +261,8 @@ class _ReplayContext:
         "ttl",
         "serve_const",
         "miss_const",
+        "invalidate_const",
+        "update_const",
         "default_value_size",
     )
 
@@ -265,6 +275,8 @@ class _ReplayContext:
         ttl: float,
         serve_const: float,
         miss_const: float,
+        invalidate_const: Optional[float] = None,
+        update_const: Optional[float] = None,
     ) -> None:
         self.trace = trace
         self.index = index
@@ -273,6 +285,8 @@ class _ReplayContext:
         self.ttl = ttl
         self.serve_const = serve_const
         self.miss_const = miss_const
+        self.invalidate_const = invalidate_const
+        self.update_const = update_const
         self.default_value_size = datastore.default_value_size
 
     @classmethod
@@ -289,14 +303,19 @@ class _ReplayContext:
             ttl=node._ttl_value,
             serve_const=node._serve_cost_const,
             miss_const=node._miss_cost_const,
+            invalidate_const=node.costs.invalidate_cost(),
+            update_const=node.costs.update_cost(),
         )
 
 
 class _HostState:
-    """One cache's mutable replay state (the single cache, or one cluster node).
+    """One cache's objects as the replay sees them (the single cache, or one
+    cluster node).
 
-    The kernels take a list of these, one per host of the cut's
-    :class:`Groups`; for :class:`VectorSimulation` there is exactly one.
+    The TTL kernels fill ``entries`` directly; a write-reactive replay loads
+    its :class:`_HostColumns` from these objects, flushes with ``policy``'s
+    rule and ``channel``'s counters, and writes the objects back after its
+    last flush.  :class:`VectorSimulation` has exactly one.
     """
 
     __slots__ = (
@@ -306,7 +325,8 @@ class _HostState:
         "buffer",
         "tracker",
         "estimator",
-        "reacts",
+        "policy",
+        "channel",
     )
 
     def __init__(
@@ -316,7 +336,8 @@ class _HostState:
         buffer,
         tracker,
         estimator: Optional[ExactEWTracker],
-        reacts: bool,
+        policy,
+        channel,
     ) -> None:
         self.result = result
         self.cache = cache
@@ -324,7 +345,8 @@ class _HostState:
         self.buffer = buffer
         self.tracker = tracker
         self.estimator = estimator
-        self.reacts = reacts
+        self.policy = policy
+        self.channel = channel
 
     @classmethod
     def of(cls, node: CacheNode) -> "_HostState":
@@ -336,7 +358,8 @@ class _HostState:
             buffer=node.buffer,
             tracker=node.tracker,
             estimator=policy.estimator if isinstance(policy, AdaptivePolicy) else None,
-            reacts=node._reacts,
+            policy=policy,
+            channel=node.channel,
         )
 
 
@@ -347,13 +370,9 @@ _NO_POLLS.flags.writeable = False
 
 
 class _SpanTally:
-    """Deferred per-span effects for one host.
-
-    Counter deltas are applied in bulk; order-sensitive effects (new cache
-    entries, buffer entries, estimator folds, poll charges) are collected with
-    their stream positions and replayed position-sorted, which reproduces the
-    scalar engine's dict insertion orders and float accumulation order.
-    """
+    """One host's counter deltas of one span, folded into its result and
+    cache stats in bulk by :func:`_flush_tally`, plus the TTL-polling
+    charges, which fold in stream order."""
 
     __slots__ = (
         "reads",
@@ -364,9 +383,6 @@ class _SpanTally:
         "expirations",
         "writes",
         "buffered_writes",
-        "new_fills",
-        "buffer_entries",
-        "estimator_ops",
         "poll_positions",
         "poll_counts",
     )
@@ -380,64 +396,45 @@ class _SpanTally:
         self.expirations = 0
         self.writes = writes
         self.buffered_writes = 0
-        self.new_fills: List[Tuple[int, CacheEntry]] = []
-        self.buffer_entries: List[Tuple[int, BufferedWrite]] = []
-        self.estimator_ops: List[Tuple[int, str, int, int, int, int, int]] = []
         # TTL-polling charges, as two aligned columns: the stream position
         # of each read that settles polls, and how many it settles.
         self.poll_positions = self.poll_counts = _NO_POLLS
 
 
-def _apply_span_writes(ctx: _ReplayContext, facts: SpanFacts) -> int:
-    """Commit a span's writes to the datastore, byte-identical to the scalar loop.
+def _commit_trace_writes(ctx: _ReplayContext) -> int:
+    """Commit every write of the trace to the datastore, byte-identical to
+    the scalar loop.
 
-    The cut's write batch comes in first-write order (the scalar engine's
-    history insertion order); each history copies the key's span write times
-    out of the index's shared list and ends at the key's last span value
-    size.  Returns the number of writes committed.
+    Histories are created in first-write order (the scalar engine's
+    insertion order); each copies its key's write times out of the index's
+    shared list and ends at the key's last value size.  A replay commits
+    once — a write-reactive one after its last flush, a TTL one before its
+    one cut: no kernel reads a history (miss and update versions are
+    positions in the index).  Returns the number of writes committed.
     """
+    index = ctx.index
+    offsets = index.write_offsets
+    written = np.diff(offsets).nonzero()[0]
+    written = written[np.argsort(index.write_pos[offsets[written]], kind="stable")]
+    ends = offsets[written + 1]
     histories = ctx.datastore._histories
     names = ctx.trace.key_names
-    write_times = ctx.index.write_time_list
-    for key_id, lo, hi, value_size in zip(*facts.writes):
+    write_times = index.listed_write_times()
+    for key_id, lo, hi, value_size in zip(
+        written.tolist(),
+        offsets[written].tolist(),
+        ends.tolist(),
+        index.write_value_sizes[ends - 1].tolist(),
+    ):
         name = names[key_id]
         history = histories.get(name)
         if history is None:
-            history = histories[name] = KeyHistory(key=name, value_size=ctx.default_value_size)
-        history.write_times.extend(write_times[lo:hi])
-        history.value_size = value_size
-    ctx.datastore.total_writes += facts.total_writes
-    return facts.total_writes
-
-
-def _fold_estimator(
-    estimator: ExactEWTracker,
-    name: str,
-    reads: int,
-    writes: int,
-    before_first: int,
-    before_last: int,
-    runs_closed: int,
-) -> None:
-    """Fold one key's span of interleaved observations into the E[W] counters.
-
-    Closed form of replaying ``observe_read`` / ``observe_write`` in stream
-    order: each read closes the run of writes since the previous read, the
-    first run absorbing the carried ``writes_since_read``.  Of the span's
-    ``writes``, ``before_first`` precede the first read and ``before_last``
-    the last one; ``runs_closed`` later reads close a non-empty run.
-    """
-    counters = estimator._counters_for(name)
-    if reads == 0:
-        counters.writes_since_read += writes
-        return
-    carry = counters.writes_since_read
-    counters.sample_sum += before_last + carry
-    if estimator.count_zero_runs:
-        counters.sample_count += reads
-    else:
-        counters.sample_count += runs_closed + (1 if before_first + carry > 0 else 0)
-    counters.writes_since_read = writes - before_last
+            histories[name] = KeyHistory(name, write_times[lo:hi], value_size)
+        else:
+            history.write_times.extend(write_times[lo:hi])
+            history.value_size = value_size
+    ctx.datastore.total_writes += index.write_pos.size
+    return index.write_pos.size
 
 
 class Groups(NamedTuple):
@@ -462,8 +459,7 @@ class Groups(NamedTuple):
 
     @property
     def host(self) -> np.ndarray:
-        """The host of each group, derived from :attr:`bounds` (few
-        replays ask: estimator folds and suspected staleness violations)."""
+        """The host of each group, derived from :attr:`bounds`."""
         return np.repeat(np.arange(len(self.bounds) - 1), _lengths(self.bounds))
 
 
@@ -482,6 +478,13 @@ def _segment_sums(values: List[int], segments: List[int]) -> List[int]:
     """Per host, the sum of its segment of ``values``."""
     rows = iter(values)
     return [sum(islice(rows, length)) for length in _lengths(segments)]
+
+
+def _host_counts(groups: np.ndarray, bounds: List[int]) -> List[int]:
+    """Per host, how many of ``groups`` (ascending group indices) are its."""
+    if len(bounds) == 2:
+        return [int(groups.size)]
+    return _lengths(np.searchsorted(groups, bounds).tolist())
 
 
 def _write_runs(
@@ -519,11 +522,191 @@ def _write_runs(
     return before_first, before_last, runs_closed
 
 
-#: Table bytes charged per group of a :class:`_SpanPrelude`, fold columns and
-#: write runs included whether or not a replay has asked for them yet: eight
-#: 8-byte array slots, eleven list slots and a few boxed integers (measured:
-#: 150-220 bytes on the benchmark traces).
-_PRELUDE_GROUP_BYTES = 256
+#: A row's entry state in :class:`_HostColumns`: the key is not cached, or
+#: cached in the :class:`EntryState` at that index of :data:`_ENTRY_STATES`.
+_ABSENT, _VALID, _INVALIDATED = 0, 1, 2
+_ENTRY_STATES = (None, EntryState.VALID, EntryState.INVALIDATED, EntryState.EXPIRED)
+
+#: The order position of a row nothing has put in its dict yet.
+_UNSEEN = np.iinfo(np.int64).max
+
+
+class _HostColumns:
+    """Every host's write-reactive replay state as columns, one row per (host, key id).
+
+    Row ``k * len(hosts) + h`` is key ``k`` on host ``h``: a cut's groups
+    index it directly (:attr:`_SpanPrelude.rows`), and host ``h``'s rows are
+    the strided view ``column[h::len(hosts)]``, indexed by key id.  The key
+    ids are the trace's key table, then any name a host held at load that
+    the trace never mentions (``names``).  The columns stand for the four
+    dicts the scalar engine keeps per cache:
+
+    * the cache's entries — ``state`` (:data:`_ABSENT` or an entry state),
+      ``version``, ``as_of``, ``fetched_at``, ``accounted``
+      (``last_poll_accounted``), ``key_size``, ``value_size``, ``hits``;
+    * the invalidation tracker — ``tracked`` and ``tracked_at``;
+    * the write buffer — ``dirty``, ``first_write_time``,
+      ``last_write_time``, ``write_count``, ``write_key_size``,
+      ``write_value_size``;
+    * the E[W] counters — ``sample_sum``, ``sample_count``,
+      ``writes_since_read``.
+
+    Each dict's insertion order is a position per row — ``filled`` (the
+    first fill), ``tracked_seq`` (the invalidation), ``first_write`` (the
+    first surviving write) and ``seen`` (the first observation) — and rows
+    loaded from the hosts' objects take negative positions in their dict's
+    order, ahead of everything the replay adds.  ``written`` is per key id:
+    the writes committed up to the last cut, the version an update carries
+    (the backend's ``latest_version``).  ``hosts`` are the
+    :class:`_HostState` s the columns were loaded from and write back to;
+    ``folds`` says whether they fold an E[W] estimator (``zero_runs``: one
+    that counts zero-length runs), ``sequence`` numbers the tracker's next
+    insertion.
+    """
+
+    __slots__ = (
+        "hosts", "names", "folds", "zero_runs", "sequence",
+        "state", "version", "as_of", "fetched_at", "accounted",
+        "key_size", "value_size", "hits", "filled",
+        "tracked", "tracked_at", "tracked_seq",
+        "dirty", "first_write", "first_write_time", "last_write_time",
+        "write_count", "write_key_size", "write_value_size",
+        "sample_sum", "sample_count", "writes_since_read", "seen",
+        "written",
+    )
+
+    def __init__(self, hosts: Sequence[_HostState], names: List[str]) -> None:
+        """Load the hosts' objects: cache entries, tracker, buffer and E[W]
+        counters, each in its dict's order."""
+        held = [
+            (
+                host.entries,
+                host.tracker._invalidated,
+                host.buffer._pending,
+                {} if host.estimator is None else host.estimator._counters,
+            )
+            for host in hosts
+        ]
+        ids: dict = {}
+        if any(table for tables in held for table in tables):
+            ids = {name: key for key, name in enumerate(names)}
+            foreign = [
+                name for tables in held for table in tables for name in table if name not in ids
+            ]
+            if foreign:
+                names = names + list(dict.fromkeys(foreign))
+                ids = {name: key for key, name in enumerate(names)}
+        estimator = hosts[0].estimator if hosts else None
+        self.hosts = list(hosts)
+        self.names = names
+        self.folds = estimator is not None
+        self.zero_runs = self.folds and estimator.count_zero_runs
+        self.sequence = 0
+        size = len(hosts) * len(names)
+        self.state = np.zeros(size, dtype=np.int8)
+        self.tracked = np.zeros(size, dtype=np.bool_)
+        self.dirty = np.zeros(size, dtype=np.bool_)
+        for name in ("as_of", "fetched_at", "accounted", "tracked_at",
+                     "first_write_time", "last_write_time"):
+            setattr(self, name, np.zeros(size, dtype=np.float64))
+        for name in ("version", "key_size", "value_size", "hits", "filled", "tracked_seq",
+                     "first_write", "write_count", "write_key_size", "write_value_size",
+                     "sample_sum", "sample_count", "writes_since_read"):
+            setattr(self, name, np.zeros(size, dtype=np.int64))
+        self.seen = np.full(size, _UNSEEN, dtype=np.int64)
+        self.written = np.zeros(len(names), dtype=np.int64)
+        stride = len(hosts)
+        for host, (entries, invalidated, pending, counters) in enumerate(held):
+            if entries:
+                rows = self._rows(host, stride, ids, entries, self.filled)
+                loaded = entries.values()
+                self.state[rows] = [_ENTRY_STATES.index(entry.state) for entry in loaded]
+                for column in ("version", "as_of", "fetched_at", "key_size", "value_size", "hits"):
+                    getattr(self, column)[rows] = [getattr(entry, column) for entry in loaded]
+                self.accounted[rows] = [entry.last_poll_accounted for entry in loaded]
+            if invalidated:
+                rows = self._rows(host, stride, ids, invalidated, self.tracked_seq)
+                self.tracked[rows] = True
+                self.tracked_at[rows] = list(invalidated.values())
+            if pending:
+                rows = self._rows(host, stride, ids, pending, self.first_write)
+                loaded = pending.values()
+                self.dirty[rows] = True
+                for column in ("first_write_time", "last_write_time", "write_count"):
+                    getattr(self, column)[rows] = [getattr(write, column) for write in loaded]
+                self.write_key_size[rows] = [write.key_size for write in loaded]
+                self.write_value_size[rows] = [write.value_size for write in loaded]
+            if counters:
+                rows = self._rows(host, stride, ids, counters, self.seen)
+                loaded = counters.values()
+                for column in ("sample_sum", "sample_count", "writes_since_read"):
+                    getattr(self, column)[rows] = [getattr(row, column) for row in loaded]
+
+    @staticmethod
+    def _rows(host: int, stride: int, ids: dict, table: dict, order: np.ndarray) -> np.ndarray:
+        """Host ``host``'s rows of ``table``'s keys, their dict order written
+        into ``order``."""
+        rows = np.array([ids[name] * stride + host for name in table], dtype=np.int64)
+        order[rows] = np.arange(-rows.size, 0)
+        return rows
+
+    def write_back(self) -> None:
+        """Rebuild the objects of the hosts the columns were loaded from, each
+        dict in the scalar engine's insertion order.  The columns stay as
+        they are."""
+        names, stride = self.names, len(self.hosts)
+        for host, objects in enumerate(self.hosts):
+            mine = slice(host, None, stride)
+
+            def rows_of(held: np.ndarray, order: np.ndarray):
+                """The host's rows where ``held``, in ``order``, and their key names."""
+                keys = np.flatnonzero(held[mine])
+                keys = keys[np.argsort(order[mine][keys], kind="stable")]
+                return keys * stride + host, list(map(names.__getitem__, keys.tolist()))
+
+            rows, cached = rows_of(self.state != _ABSENT, self.filled)
+            entries = map(
+                CacheEntry,
+                cached,
+                *_gather(rows, self.version, self.as_of, self.fetched_at, self.key_size,
+                         self.value_size),
+                map(_ENTRY_STATES.__getitem__, self.state[rows].tolist()),
+                *_gather(rows, self.accounted, self.hits),
+            )
+            objects.entries.clear()
+            objects.entries.update(zip(cached, entries))
+            rows, invalidated = rows_of(self.tracked, self.tracked_seq)
+            objects.tracker._invalidated.clear()
+            objects.tracker._invalidated.update(zip(invalidated, *_gather(rows, self.tracked_at)))
+            rows, dirty = rows_of(self.dirty, self.first_write)
+            writes = map(
+                BufferedWrite,
+                dirty,
+                *_gather(rows, self.first_write_time, self.last_write_time, self.write_count,
+                         self.write_key_size, self.write_value_size),
+            )
+            objects.buffer._pending.clear()
+            objects.buffer._pending.update(zip(dirty, writes))
+            if objects.estimator is not None:
+                rows, observed = rows_of(self.seen != _UNSEEN, self.seen)
+                objects.estimator.load_state(
+                    zip(observed, *_gather(rows, self.sample_sum, self.sample_count,
+                                           self.writes_since_read))
+                )
+
+
+def _gather(rows: np.ndarray, *columns: np.ndarray) -> List[list]:
+    """``columns`` at ``rows``, as lists."""
+    return [column[rows].tolist() for column in columns]
+
+
+#: Table bytes charged per group of a :class:`_SpanPrelude`, write runs and
+#: first observations included whether or not a replay has asked for them
+#: yet: up to fourteen 8-byte array slots a group plus each array's header
+#: (measured: 103-119 bytes a group on cuts of a hundred groups or more, on
+#: the single cache and a 3-node fleet; ~280 on cuts of nine, where the
+#: headers dominate).
+_PRELUDE_GROUP_BYTES = 160
 
 
 class _SpanPrelude:
@@ -536,44 +719,46 @@ class _SpanPrelude:
 
     Attributes:
         groups: The hosts' :class:`Groups`.
-        names: Key name of each group.
+        rows: Each group's row of :class:`_HostColumns` (``key * hosts +
+            host``).
+        versions: Each group's key's writes up to the cut's end.
         num_writes / writing: Span writes per group and the groups that
             have any.
-        reading / read_counts: The groups with span reads and their read
-            counts (lists, host after host).
-        host_groups / host_reading / host_reads / host_writes: Per host, its
-            groups, its reading groups, its span reads and its span writes.
-        last_read: Time of each reading group's last span read.
+        reading / read_rows / read_counts: The groups with span reads, their
+            rows and read counts.
+        first_read / last_read: Position of each reading group's first span
+            read, and time of its last.
+        host_reads / host_writes: Per host, its span reads and its span writes.
 
-    The write runs and the estimator's fold rows are made by the first replay
-    that needs them (a miss on a key written in the span, an adaptive policy):
-    a span of a few requests per key mostly needs neither.
+    The write runs and the first observations are made by the first replay
+    that needs them (a miss on a key written in the span, an adaptive
+    policy): a span of a few requests per key mostly needs neither.
     """
 
     __slots__ = (
-        "groups", "names", "num_writes", "writing", "reading", "read_counts",
-        "host_groups", "host_reading", "host_reads", "host_writes", "last_read",
-        "_write_runs", "_fold_columns",
+        "groups", "rows", "versions", "num_writes", "writing", "reading", "read_rows",
+        "read_counts", "first_read", "last_read", "host_reads", "host_writes",
+        "_write_runs", "_first_seen",
     )
 
     def __init__(self, trace: CompiledTrace, index: TraceIndex, groups: Groups) -> None:
         keys, first, count, stride, write_lo, write_hi, bounds = groups
         self.groups = groups
-        self.names = list(map(trace.key_names.__getitem__, keys.tolist()))
+        self.rows = rows = keys * (len(bounds) - 1) + groups.host
+        self.versions = write_hi - index.write_offsets[keys]
         self.num_writes = num_writes = write_hi - write_lo
         self.writing = num_writes.nonzero()[0]
-        reading = count.nonzero()[0]
-        read_first, read_count = first[reading], count[reading]
-        self.reading = reading.tolist()
-        self.read_counts = read_count.tolist()
-        segments = _segments(self.reading, bounds)
-        self.host_groups = _lengths(bounds)
-        self.host_reading = _lengths(segments)
-        self.host_reads = _segment_sums(self.read_counts, segments)
-        self.host_writes = _segment_sums(num_writes.tolist(), bounds)
+        self.reading = reading = count.nonzero()[0]
+        self.read_rows = rows[reading]
+        self.read_counts = read_count = count[reading]
+        read_first = first[reading]
+        self.first_read = index.read_pos[read_first].astype(np.int64)
         self.last_read = trace.times[index.read_pos[read_first + (read_count - 1) * stride]]
+        segments = np.searchsorted(reading, bounds).tolist()
+        self.host_reads = _segment_sums(read_count.tolist(), segments)
+        self.host_writes = _segment_sums(num_writes.tolist(), bounds)
         self._write_runs: Optional[np.ndarray] = None
-        self._fold_columns: Optional[Tuple[list, ...]] = None
+        self._first_seen: Optional[np.ndarray] = None
 
     def write_runs(self, index: TraceIndex) -> np.ndarray:
         """``(before_first, before_last, runs_closed)``: :func:`_write_runs` of
@@ -591,28 +776,21 @@ class _SpanPrelude:
             self._write_runs = runs
         return self._write_runs
 
-    def fold_rows(self, index: TraceIndex) -> Iterator[Tuple[int, str, int, int, int, int, int]]:
-        """The :func:`_fold_estimator` rows of the span, one per group, host
-        after host and within a host sorted by first observation: the order
-        the scalar engine creates the host's counter rows in."""
-        if self._fold_columns is None:
-            keys, first, count, _, write_lo, _, _ = self.groups
-            reading, writing = count.nonzero()[0], self.writing
-            # A group is first seen at its first read or write, whichever
-            # comes first in the stream.  (The position columns may be
-            # unsigned: the sentinel for "no read" goes into a signed array
-            # they are then copied into.)
-            first_seen = np.full(keys.size, index.key_ids.size, dtype=np.int64)
-            first_seen[reading] = index.read_pos[first[reading]]
-            first_seen[writing] = np.minimum(
-                first_seen[writing], index.write_pos[write_lo[writing]]
+    def first_seen(self, index: TraceIndex) -> np.ndarray:
+        """Each group's first observation: its first read or write, whichever
+        comes first in the stream — where the scalar engine creates the
+        host's counter row for the key."""
+        if self._first_seen is None:
+            # The position columns may be unsigned: the "no read" sentinel
+            # goes into a signed array they are then copied into.
+            seen = np.full(self.rows.size, _UNSEEN, dtype=np.int64)
+            seen[self.reading] = self.first_read
+            writing = self.writing
+            seen[writing] = np.minimum(
+                seen[writing], index.write_pos[self.groups.write_lo[writing]]
             )
-            order = np.lexsort((first_seen, self.groups.host))
-            observed = (first_seen, count, self.num_writes, *self.write_runs(index))
-            seen, *observed = (column[order].tolist() for column in observed)
-            names = list(map(self.names.__getitem__, order.tolist()))
-            self._fold_columns = (seen, names, *observed)
-        return zip(*self._fold_columns)
+            self._first_seen = seen
+        return self._first_seen
 
 
 def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, shape, groups: Groups) -> _SpanPrelude:
@@ -630,7 +808,7 @@ def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, shape, groups: Groups) 
 
 def _kernel_reactive_span(
     ctx: _ReplayContext,
-    hosts: Sequence[_HostState],
+    columns: _HostColumns,
     tallies: Sequence[_SpanTally],
     prelude: _SpanPrelude,
 ) -> None:
@@ -643,158 +821,238 @@ def _kernel_reactive_span(
     follows from *endpoints* — read count, first and last read, first and
     last surviving write — which the cut's :class:`_SpanPrelude` holds for
     all keys of all hosts; what is left per replay is the part that depends
-    on the cache.  The numpy work runs once for the whole fleet; only the
-    object work (entry lookup and hit bump, entry fill, buffered write) walks
-    the plain Python columns host segment by segment, into ``hosts[h]`` and
-    ``tallies[h]``.  Every host of a replay runs one policy configuration,
-    so whether hosts react or fold an estimator is read off the first.
+    on the cache, and that is gathers and scatters on the hosts'
+    :class:`_HostColumns` at the groups' rows: a fixed number of array calls
+    for the whole fleet, no object and no per-key loop.  Each host's counter
+    deltas go into ``tallies[h]``.
     """
-    keys, first, count, stride, write_lo, write_hi, bounds = prelude.groups
+    keys, _, _, _, write_lo, write_hi, bounds = prelude.groups
     index, trace = ctx.index, ctx.trace
-    times = trace.times
-    names = prelude.names
-    config = hosts[0]
+    rows, state = prelude.rows, columns.state
+    columns.written[keys] = prelude.versions
 
-    missed: List[int] = []
-    missed_entries: List[Optional[CacheEntry]] = []
-    host_missed: List[int] = []
-    late: List[int] = []
-    late_as_of: List[float] = []
-    late_horizon: List[float] = []
-    valid = EntryState.VALID
-    rows = zip(prelude.reading, prelude.read_counts, (prelude.last_read - ctx.bound).tolist())
-    for host, tally, reading, reads_total in zip(
-        hosts, tallies, prelude.host_reading, prelude.host_reads
-    ):
-        lookup = host.entries.get
-        missed_before = len(missed)
-        for g, reads, horizon in islice(rows, reading):
-            entry = lookup(names[g])
-            if entry is not None and entry.state is valid:
-                entry.hits += reads
-                if horizon > entry.as_of:
-                    late.append(g)
-                    late_as_of.append(entry.as_of)
-                    late_horizon.append(horizon)
-            else:
-                missed.append(g)
-                missed_entries.append(entry)
-        misses = len(missed) - missed_before
-        host_missed.append(misses)
-        tally.reads += reads_total
-        tally.hits += reads_total - misses
-    if late:
+    # A valid entry serves every read of its group.
+    reading, read_rows = prelude.reading, prelude.read_rows
+    hit = state[read_rows] == _VALID
+    served = read_rows[hit]
+    columns.hits[served] += prelude.read_counts[hit]
+    horizon = prelude.last_read[hit] - ctx.bound
+    as_of = columns.as_of[served]
+    late = (horizon > as_of).nonzero()[0]
+    if late.size:
         _count_violations(
-            ctx,
-            tallies,
-            prelude.groups,
-            np.array(late),
-            np.array(late_as_of),
-            np.array(late_horizon),
+            ctx, tallies, prelude.groups, reading[hit][late], as_of[late], horizon[late]
         )
 
-    if missed:
-        miss = np.array(missed, dtype=np.int64)
-        position = index.read_pos[first[miss]]
+    # Anything else misses at the first read, re-fetches and serves the rest.
+    miss = (~hit).nonzero()[0]
+    missed = reading[miss]
+    host_misses = _host_counts(missed, bounds)
+    host_cold = [0] * len(tallies)
+    before_miss = None
+    if missed.size:
+        miss_rows = read_rows[miss]
+        position = prelude.first_read[miss]
         # Exactly the writes preceding the read in stream order are visible:
         # the key's pre-span writes plus the span writes before the miss.
-        before_miss = (
-            prelude.write_runs(index)[0][miss] if prelude.num_writes[miss].any() else 0
-        )
-        visible = write_lo[miss] + before_miss
-        version = visible - index.write_offsets[keys[miss]]
+        visible = write_lo[missed]
+        if prelude.num_writes[missed].any():
+            before_miss = prelude.write_runs(index)[0][missed]
+            visible = visible + before_miss
+        version = visible - index.write_offsets[keys[missed]]
         value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
         written = version.nonzero()[0]
         value_size[written] = index.write_value_sizes[visible[written] - 1]
-        rows = zip(
-            missed,
-            missed_entries,
-            position.tolist(),
-            times[position].tolist(),
-            trace.key_sizes[position].tolist(),
-            version.tolist(),
-            value_size.tolist(),
-            count[miss].tolist(),
-        )
-        for host, tally, misses in zip(hosts, tallies, host_missed):
-            if not misses:
-                continue
-            mark_refetched = host.tracker.mark_refetched
-            new_fills = tally.new_fills
-            cold = 0
-            for g, entry, miss_position, miss_time, key_size, miss_version, size, reads in islice(
-                rows, misses
-            ):
-                name = names[g]
-                if entry is None:
-                    entry = CacheEntry(
-                        key=name,
-                        version=miss_version,
-                        as_of=miss_time,
-                        fetched_at=miss_time,
-                        key_size=key_size,
-                        value_size=size,
-                        last_poll_accounted=miss_time,
-                    )
-                    new_fills.append((miss_position, entry))
-                    cold += 1
-                else:
-                    entry.refresh(version=miss_version, time=miss_time, value_size=size)
-                    entry.last_poll_accounted = miss_time
-                entry.hits += reads - 1
-                mark_refetched(name)
-            tally.cold_misses += cold
-            tally.stale_misses += misses - cold
+        cold = (state[miss_rows] == _ABSENT).nonzero()[0]
+        host_cold = _host_counts(missed[cold], bounds)
+        fills = miss_rows[cold]
+        columns.filled[fills] = position[cold]
+        columns.key_size[fills] = trace.key_sizes[position[cold]]
+        columns.hits[fills] = 0
+        columns.hits[miss_rows] += prelude.read_counts[miss] - 1
+        state[miss_rows] = _VALID
+        columns.version[miss_rows] = version
+        columns.value_size[miss_rows] = value_size
+        time = trace.times[position]
+        columns.as_of[miss_rows] = time
+        columns.fetched_at[miss_rows] = time
+        columns.accounted[miss_rows] = time
+        columns.tracked[miss_rows] = False
+        # A miss fill drops what the key had buffered before it.
+        columns.dirty[miss_rows] = False
+    for tally, reads, misses, colds in zip(tallies, prelude.host_reads, host_misses, host_cold):
+        tally.reads += reads
+        tally.hits += reads - misses
+        tally.cold_misses += colds
+        tally.stale_misses += misses - colds
 
+    # The writes after a key's miss (all of them, without one) are buffered.
     writing = prelude.writing
-    if config.reacts and writing.size:
-        start = write_lo
-        if missed:
-            # A miss fill drops what the key had buffered before it.
-            start = write_lo.copy()
-            start[miss] += before_miss
-        start = start[writing]
-        surviving = start < write_hi[writing]
-        buffered, start = writing[surviving], start[surviving]
-        last = write_hi[buffered] - 1
-        first_write = index.write_pos[start]
-        buffered = buffered.tolist()
-        rows = zip(
-            buffered,
-            first_write.tolist(),
-            index.write_times[start].tolist(),
-            index.write_times[last].tolist(),
-            (last - start + 1).tolist(),
-            trace.key_sizes[first_write].tolist(),
-            index.write_value_sizes[last].tolist(),
-        )
-        host_buffered = _lengths(_segments(buffered, bounds))
-        for tally, span_writes, buffered_count in zip(
-            tallies, prelude.host_writes, host_buffered
-        ):
-            tally.buffered_writes += span_writes
-            buffer_entries = tally.buffer_entries
-            for g, position, first_time, last_time, writes, key_size, size in islice(
-                rows, buffered_count
-            ):
-                buffer_entries.append(
-                    (
-                        position,
-                        BufferedWrite(
-                            key=names[g],
-                            first_write_time=first_time,
-                            last_write_time=last_time,
-                            write_count=writes,
-                            key_size=key_size,
-                            value_size=size,
-                        ),
-                    )
-                )
+    if writing.size:
+        start = write_lo[writing]
+        if before_miss is not None:
+            skipped = np.zeros(keys.size, dtype=np.int64)
+            skipped[missed] = before_miss
+            start = start + skipped[writing]
+        end = write_hi[writing]
+        surviving = start < end
+        buffered = rows[writing[surviving]]
+        start, last = start[surviving], end[surviving] - 1
+        count = last - start + 1
+        merged = columns.dirty[buffered]
+        if merged.any():
+            # Only a buffer handed in at load is dirty at a cut's start:
+            # its entries grow, the others start.
+            columns.write_count[buffered] = np.where(
+                merged, columns.write_count[buffered] + count, count
+            )
+            fresh = ~merged
+            buffered_fresh, start_fresh = buffered[fresh], start[fresh]
+        else:
+            columns.write_count[buffered] = count
+            buffered_fresh, start_fresh = buffered, start
+        first_position = index.write_pos[start_fresh]
+        columns.dirty[buffered] = True
+        columns.first_write[buffered_fresh] = first_position
+        columns.first_write_time[buffered_fresh] = index.write_times[start_fresh]
+        columns.write_key_size[buffered_fresh] = trace.key_sizes[first_position]
+        columns.last_write_time[buffered] = index.write_times[last]
+        columns.write_value_size[buffered] = index.write_value_sizes[last]
+        for tally, writes in zip(tallies, prelude.host_writes):
+            tally.buffered_writes += writes
 
-    if config.estimator is not None:
-        rows = prelude.fold_rows(index)
-        for tally, groups in zip(tallies, prelude.host_groups):
-            tally.estimator_ops.extend(islice(rows, groups))
+    # E[W]: the closed form of replaying observe_read / observe_write in
+    # stream order — each read closes the run of writes since the previous
+    # read, the first run absorbing the carried ``writes_since_read``.
+    if columns.folds:
+        before_first, before_last, runs_closed = prelude.write_runs(index)
+        count, writes = prelude.groups.count, prelude.num_writes
+        observed = count > 0
+        carry = columns.writes_since_read[rows]
+        columns.sample_sum[rows] += np.where(observed, before_last + carry, 0)
+        if columns.zero_runs:
+            columns.sample_count[rows] += count
+        else:
+            columns.sample_count[rows] += np.where(
+                observed, runs_closed + (before_first + carry > 0), 0
+            )
+        columns.writes_since_read[rows] = np.where(observed, writes - before_last, carry + writes)
+        columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen(index))
+
+
+def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> None:
+    """The interval flush at ``time`` of every host of ``columns``.
+
+    :meth:`CacheNode.flush <repro.sim.node.CacheNode.flush>` on an instant
+    channel, for all hosts at once: each host drains its dirty keys in
+    buffer order (first surviving write), takes the policy's action for each
+    — an adaptive policy's own rule is asked once per distinct E[W] among
+    them, and ``adaptive+cs`` passes over keys it holds no valid entry of —
+    suppresses invalidates the tracker already holds, and applies the
+    messages to its entries.  The message costs fold onto the running
+    ``freshness_cost`` in drain order with the seeded ``cumsum`` of
+    :func:`_flush_tally`.  No message, entry or buffered write is built.
+    """
+    dirty = columns.dirty.nonzero()[0]
+    if not dirty.size:
+        return
+    hosts = columns.hosts
+    stride = len(hosts)
+    host_of = dirty % stride
+    order = np.lexsort((columns.first_write[dirty], host_of))
+    rows, host_of = dirty[order], host_of[order]
+    columns.dirty[rows] = False
+    bounds = np.searchsorted(host_of, np.arange(len(hosts) + 1)).tolist()
+    state = columns.state[rows]
+    policy = hosts[0].policy
+    kind = type(policy)
+    update = np.full(rows.size, kind is AlwaysUpdatePolicy)
+    decided = state == _VALID if kind is CacheStateAdaptivePolicy else None
+    if isinstance(policy, AdaptivePolicy):
+        for host, lo, hi in zip(hosts, bounds, bounds[1:]):
+            mine = np.arange(lo, hi) if decided is None else decided[lo:hi].nonzero()[0] + lo
+            if not mine.size:
+                continue
+            # estimate(): C1 / C2, or the prior before the first sample.
+            samples = columns.sample_count[rows[mine]]
+            estimate = np.where(
+                samples > 0,
+                columns.sample_sum[rows[mine]] / np.maximum(samples, 1),
+                host.estimator.default_estimate,
+            )
+            values, which = np.unique(estimate, return_inverse=True)
+            rule = host.policy._decision_rule_for(columns.names[rows[mine[0]] // stride])
+            picks = np.array([rule.from_ew(value) is Action.UPDATE for value in values.tolist()])
+            update[mine] = picks[which]
+            updates = int(np.count_nonzero(update[mine]))
+            host.policy.decisions_update += updates
+            host.policy.decisions_invalidate += mine.size - updates
+    invalidate = ~update if decided is None else decided & ~update
+    tracked = columns.tracked[rows]
+    suppressed = invalidate & tracked
+    invalidate &= ~tracked
+    absent = state == _ABSENT
+    wasted = update & absent
+    dropped = invalidate & (state == _VALID)
+
+    # Updates refresh every entry they find (invalid ones too) with the
+    # latest version; invalidates drop the valid ones.
+    columns.tracked[rows[update]] = False
+    refreshed = rows[update & ~absent]
+    if refreshed.size:
+        keys = refreshed // stride
+        version = columns.written[keys]
+        value_size = np.full(refreshed.size, ctx.default_value_size, dtype=np.int64)
+        written = version.nonzero()[0]
+        index = ctx.index
+        value_size[written] = index.write_value_sizes[
+            index.write_offsets[keys[written]] + version[written] - 1
+        ]
+        columns.state[refreshed] = _VALID
+        columns.version[refreshed] = version
+        columns.value_size[refreshed] = value_size
+        columns.as_of[refreshed] = time
+        columns.fetched_at[refreshed] = time
+        columns.accounted[refreshed] = time
+    sent_invalidates = rows[invalidate]
+    columns.tracked[sent_invalidates] = True
+    columns.tracked_at[sent_invalidates] = time
+    columns.tracked_seq[sent_invalidates] = np.arange(
+        columns.sequence, columns.sequence + sent_invalidates.size
+    )
+    columns.sequence += sent_invalidates.size
+    columns.state[rows[dropped]] = _INVALIDATED
+
+    flags = [update, invalidate, suppressed, wasted, dropped]
+    if decided is not None:
+        flags.append(~decided)
+    running = np.zeros((len(flags), rows.size + 1), dtype=np.int64)
+    np.cumsum(flags, axis=1, out=running[:, 1:])
+    counts = (running[:, bounds[1:]] - running[:, bounds[:-1]]).T.tolist()
+    sent = update | invalidate
+    charge = np.where(update, ctx.update_const, ctx.invalidate_const)
+    for host, lo, hi, (updates, invalidates, suppressions, ignored, invalidations, *nothing) in zip(
+        hosts, bounds, bounds[1:], counts
+    ):
+        result, stats = host.result, host.cache.stats
+        result.updates_sent += updates
+        result.invalidates_sent += invalidates
+        result.suppressed_invalidates += suppressions
+        result.updates_wasted += ignored
+        if nothing:
+            result.decisions_nothing += nothing[0]
+        stats.updates_applied += updates - ignored
+        stats.updates_ignored += ignored
+        stats.invalidations += invalidations
+        carried = updates + invalidates
+        host.channel.sent += carried
+        host.channel.delivered += carried
+        if carried:
+            # ``cumsum`` adds left to right: seeded with the running total,
+            # its last element is the scalar engine's one-by-one ``+=``.
+            cost = charge[lo:hi][sent[lo:hi]]
+            cost[0] += result.freshness_cost
+            result.freshness_cost = float(np.cumsum(cost, out=cost)[-1])
 
 
 def _count_violations(
@@ -922,46 +1180,48 @@ def _backend_reads(
 
 def _fill_cold(
     ctx: _ReplayContext,
+    hosts: Sequence[_HostState],
     tallies: Sequence[_SpanTally],
     segments: List[int],
     keys: np.ndarray,
     position: np.ndarray,
     *state: np.ndarray,
 ) -> None:
-    """Record each key's cold fill at stream ``position`` as the entry its
+    """Insert each key's cold fill at stream ``position`` as the entry its
     whole trace leaves behind: ``state`` is the ``(version, value_size,
     as_of, fetched_at, last_poll_accounted, hits)`` columns of those entries,
-    host ``h``'s in rows ``[segments[h], segments[h + 1])``.
+    host ``h``'s in rows ``[segments[h], segments[h + 1])``.  Each host's
+    entries go in in stream order of their fill, the scalar engine's cache
+    dict order (which TTL-polling finalisation and result serialisation
+    observe).
 
     A TTL host starts the trace empty and never drops an entry, so every key
     it reads is filled cold exactly once, wherever its later fetches fall.
     """
     names = ctx.trace.key_names
+    lengths = _lengths(segments)
+    order = np.lexsort((position, np.repeat(np.arange(len(lengths)), lengths)))
+    position = position[order]
     rows = zip(
-        keys.tolist(),
+        keys[order].tolist(),
         position.tolist(),
         ctx.trace.key_sizes[position].tolist(),
-        *(column.tolist() for column in state),
+        *(column[order].tolist() for column in state),
     )
-    for tally, fills in zip(tallies, _lengths(segments)):
-        new_fills = tally.new_fills
-        for key_id, cold, key_size, version, size, as_of, fetched_at, accounted, hits in islice(
+    for host, tally, fills in zip(hosts, tallies, lengths):
+        entries = host.entries
+        for key_id, _, key_size, version, size, as_of, fetched_at, accounted, hits in islice(
             rows, fills
         ):
-            new_fills.append(
-                (
-                    cold,
-                    CacheEntry(
-                        key=names[key_id],
-                        version=version,
-                        as_of=as_of,
-                        fetched_at=fetched_at,
-                        key_size=key_size,
-                        value_size=size,
-                        last_poll_accounted=accounted,
-                        hits=hits,
-                    ),
-                )
+            entries[names[key_id]] = CacheEntry(
+                key=names[key_id],
+                version=version,
+                as_of=as_of,
+                fetched_at=fetched_at,
+                key_size=key_size,
+                value_size=size,
+                last_poll_accounted=accounted,
+                hits=hits,
             )
         tally.cold_misses += fills
 
@@ -1026,7 +1286,7 @@ def _kernel_ttl_expiry(
     hits = count - 1 - refetches
     version, value_size = _backend_reads(ctx, keys, read_pos[first + fill * stride])
     _fill_cold(
-        ctx, tallies, segments, keys, cold_position,
+        ctx, hosts, tallies, segments, keys, cold_position,
         version, value_size, fetch_time, fetch_time, fetch_time, hits,
     )
     for tally, reads, host_hits, expirations in zip(
@@ -1146,7 +1406,7 @@ def _kernel_ttl_polling(
     )
     hits = count - 1
     _fill_cold(
-        ctx, tallies, segments, keys, cold_position,
+        ctx, hosts, tallies, segments, keys, cold_position,
         np.maximum(version, polled_version), value_size,
         np.maximum(anchor, last_poll), anchor, last_poll, hits,
     )
@@ -1220,7 +1480,9 @@ def _fold_constant(acc: float, c: float, n: int) -> float:
 
 
 def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> None:
-    """Apply a span's deferred effects to the host, in scalar-identical order."""
+    """Fold one span's counter deltas and poll charges into the host's result
+    and cache stats, in scalar-identical float order.  Every cold miss is
+    one insertion: the envelope's caches never evict."""
     result = host.result
     stats = host.cache.stats
     result.reads += tally.reads
@@ -1245,31 +1507,9 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
     result.cold_miss_cost = _fold_constant(
         result.cold_miss_cost, ctx.miss_const, tally.cold_misses
     )
-    if tally.new_fills:
-        # Insert new entries in stream order of their cold fill: the scalar
-        # engine's cache dict insertion order, which TTL-polling finalisation
-        # (and result serialisation) observe.
-        tally.new_fills.sort(key=lambda item: item[0])
-        entries = host.entries
-        for _, entry in tally.new_fills:
-            entries[entry.key] = entry
-        stats.insertions += len(tally.new_fills)
-    if tally.buffer_entries:
-        # Same story for the write buffer: drain order at the flush is the
-        # order keys (re-)established their buffered entry.
-        tally.buffer_entries.sort(key=lambda item: item[0])
-        pending = host.buffer._pending
-        for _, buffered in tally.buffer_entries:
-            pending[buffered.key] = buffered
+    stats.insertions += tally.cold_misses
     if tally.buffered_writes:
         host.buffer.total_buffered += tally.buffered_writes
-    if tally.estimator_ops:
-        # Fold in first-observation order so new counter rows are created in
-        # the scalar engine's dict order.
-        tally.estimator_ops.sort(key=lambda item: item[0])
-        estimator = host.estimator
-        for _, *observed in tally.estimator_ops:
-            _fold_estimator(estimator, *observed)
     if tally.poll_counts.size:
         # Poll charges are the one varying-order float sum: fold them in
         # global stream order onto the running accumulator.  ``cumsum`` adds
@@ -1339,12 +1579,15 @@ def replay_in_lockstep(replays: Sequence[Generator[None, None, Any]]) -> List[An
 class SpanReplay:
     """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
-    Inside the engine's envelope (``_envelope``) each cut commits its writes
-    and runs one kernel call for every host, with the driver's due work at
-    every boundary and its finalize at the end; outside it the driver's own
-    ``run()`` replays.  The defaults are the single cache's (one host, the
-    whole cut, unrouted); the fleet supplies ``_route_trace`` /
-    ``_node_groups``.
+    Inside the engine's envelope (``_envelope``) each cut runs one kernel
+    call for every host, with the driver's due work at every boundary and
+    its finalize at the end; outside it the driver's own ``run()`` replays.
+    A write-reactive replay keeps its hosts' state in :class:`_HostColumns`
+    from the first cut to the last boundary flush — the interval flush
+    (:meth:`_flush_nodes`) runs on them too — and then writes the objects
+    back and commits the trace's writes, so the driver's finalize runs on
+    objects.  The defaults are the single cache's (one host, the whole cut,
+    unrouted); the fleet supplies ``_route_trace`` / ``_node_groups``.
     """
 
     _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
@@ -1362,6 +1605,8 @@ class SpanReplay:
         super().__init__(trace, *args, **kwargs)
         self.used_vector_path = False
         self._fallback_reason: Optional[str] = None
+        #: The hosts' state while a write-reactive replay keeps it in columns.
+        self._columns: Optional[_HostColumns] = None
 
     @property
     def fallback_reason(self) -> Optional[str]:
@@ -1412,6 +1657,8 @@ class SpanReplay:
         reacts = node._reacts
         replay = self._replay_reactive_span if reacts else self._replay_ttl_trace
         times, obs = trace.times, self.obs
+        if reacts:
+            self._columns = _HostColumns(self._hosts, trace.key_names)
         for facts in _walk_spans(self, reacts):
             if reacts and obs is not None:
                 # Kernel stats fold into the window containing the span's
@@ -1422,6 +1669,22 @@ class SpanReplay:
             replay(facts)
             yield
         self.clock.advance_to(float(times[-1]))
+        if reacts:
+            # The flushes up to the horizon (finalize's first step) still
+            # run on the columns; then the objects come back, with the
+            # datastore's histories.
+            self._advance(max(self.duration, self.clock.now))
+            columns, self._columns = self._columns, None
+            columns.write_back()
+            _commit_trace_writes(self._ctx)
+
+    def _flush_nodes(self, time: float) -> None:
+        """The interval boundary: on the columns while they hold the hosts'
+        state, the nodes' own flush otherwise."""
+        if self._columns is None:
+            super()._flush_nodes(time)
+        else:
+            _flush_columns(self._ctx, self._columns, time)
 
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""
@@ -1435,31 +1698,30 @@ class SpanReplay:
         return groups, [facts.total_writes]
 
     def _replay_span(self, facts: SpanFacts, kernel) -> None:
-        """One cut on every host: one ``kernel(hosts, tallies, groups)`` call
-        after the datastore took the writes, then each host's tally flushed
-        in host order."""
+        """One cut on every host: one ``kernel(tallies, groups)`` call, then
+        each host's tally flushed in host order."""
         ctx, hosts = self._ctx, self._hosts
-        _apply_span_writes(ctx, facts)
         groups, writes = self._node_groups(facts)
         tallies = [_SpanTally(count) for count in writes]
-        kernel(hosts, tallies, groups)
+        kernel(tallies, groups)
         for host, tally in zip(hosts, tallies):
             _flush_tally(ctx, host, tally)
 
     def _replay_reactive_span(self, facts: SpanFacts) -> None:
-        ctx, shape = self._ctx, self._shape
+        ctx, shape, columns = self._ctx, self._shape, self._columns
         self._replay_span(
             facts,
-            lambda hosts, tallies, groups: _kernel_reactive_span(
-                ctx, hosts, tallies, _span_prelude(ctx, facts, shape, groups)
+            lambda tallies, groups: _kernel_reactive_span(
+                ctx, columns, tallies, _span_prelude(ctx, facts, shape, groups)
             ),
         )
 
     def _replay_ttl_trace(self, facts: SpanFacts) -> None:
         # The whole trace is one span (see _walk_spans): one call in all.
-        ctx = self._ctx
+        ctx, hosts = self._ctx, self._hosts
+        _commit_trace_writes(ctx)
         kernel = _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
-        self._replay_span(facts, lambda hosts, tallies, groups: kernel(ctx, hosts, tallies, groups))
+        self._replay_span(facts, lambda tallies, groups: kernel(ctx, hosts, tallies, groups))
 
 
 class VectorSimulation(SpanReplay, Simulation):

@@ -102,11 +102,6 @@ class Request:
         """Return ``True`` when the request is a read."""
         return self.op is OpType.READ
 
-    @property
-    def is_write(self) -> bool:
-        """Return ``True`` when the request is a write."""
-        return self.op is OpType.WRITE
-
 
 class Workload(ABC):
     """A reproducible generator of request streams.

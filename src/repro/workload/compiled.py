@@ -91,9 +91,10 @@ class TraceIndex:
         plans: Memo for trace-wide artefacts that depend on configuration
             but not on replay state (the fleet routing plan), keyed by that
             configuration: one entry per fleet shape.
-        write_time_list: ``write_times`` as Python floats, made with the
-            first cut and charged to the table: every replay's histories
-            copy slices of this one list instead of boxing the floats anew.
+        write_time_list: ``write_times`` as Python floats, made by the
+            first write commit (:meth:`listed_write_times`) and charged to
+            the table: every replay's histories copy slices of this one list
+            instead of boxing the floats anew.
         table: The span table — :meth:`span`'s memo of :class:`SpanFacts`,
             keyed by cut ``(start, end)``, oldest first.
         table_bytes: Bytes the table holds; never above ``table_cap``, the
@@ -196,14 +197,18 @@ class TraceIndex:
         """
         facts = self.table.get((start, end))
         if facts is None:
-            if self.write_time_list is None:
-                self.write_time_list = self.write_times.tolist()
-                self.table_bytes += _WRITE_BYTES * self.write_times.size
             cursor = cursor or SpanCursor(self)
             cursor.seek(start)
-            facts = self.table[start, end] = SpanFacts(self, (start, end), cursor.advance(end))
+            facts = self.table[start, end] = SpanFacts((start, end), cursor.advance(end))
             self._charge(facts.nbytes)
         return facts
+
+    def listed_write_times(self) -> List[float]:
+        """:attr:`write_time_list`, made on first use and charged to the table."""
+        if self.write_time_list is None:
+            self.write_time_list = self.write_times.tolist()
+            self.table_bytes += _WRITE_BYTES * self.write_times.size
+        return self.write_time_list
 
     def routed(self, facts: "SpanFacts", key: Hashable, build: Callable[[], Tuple[Any, int]]):
         """``facts.routed[key]``, built on first use by ``build() -> (value,
@@ -239,10 +244,9 @@ def _offsets(key_ids: np.ndarray, num_keys: int) -> np.ndarray:
 Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-#: Table bytes charged per write of the trace (a float and its slot in
-#: ``write_time_list``) and per written key of a cut (four boxed integers and
-#: their list slots).
-_WRITE_BYTES, _WRITTEN_KEY_BYTES = 32, 144
+#: Table bytes charged per write of the trace: a float and its slot in
+#: ``write_time_list``.
+_WRITE_BYTES = 32
 
 
 class SpanFacts:
@@ -250,46 +254,27 @@ class SpanFacts:
 
     A pure function of the trace and the two cut positions, so every policy,
     and sweep cell that replays the cut shares one object — read-only:
-    the columns are frozen, and replays copy out of the lists, never alias
-    them into their own state.  Holds no reference to the trace.
+    the columns are frozen.  Holds no reference to the trace.
 
     Attributes:
         cut: ``(start, end)``.
         columns: The cut's :data:`Span` columns.
-        writes: The cut's write batch as four aligned lists, one entry per
-            written key in first-write order (the order the scalar loop
-            creates histories in): ``(key_ids, write_lo, write_hi,
-            last_value_sizes)``; the key's span write times are
-            ``index.write_time_list[write_lo:write_hi]``.
         total_writes: Number of writes in the cut.
         routed: Memo filled through :meth:`TraceIndex.routed`.
         nbytes: Table bytes charged for this cut.
     """
 
-    __slots__ = ("cut", "columns", "writes", "total_writes", "routed", "nbytes")
+    __slots__ = ("cut", "columns", "total_writes", "routed", "nbytes")
 
-    def __init__(self, index: TraceIndex, cut: Tuple[int, int], columns: Span) -> None:
+    def __init__(self, cut: Tuple[int, int], columns: Span) -> None:
         for column in columns:
             column.flags.writeable = False
         self.cut = cut
         self.columns = columns
-        keys, _, _, write_lo, write_hi = columns
-        written = write_hi > write_lo
-        # First-write order, not key-id order.
-        written = written.nonzero()[0][
-            np.argsort(index.write_pos[write_lo[written]], kind="stable")
-        ]
-        self.writes = (
-            keys[written].tolist(),
-            write_lo[written].tolist(),
-            write_hi[written].tolist(),
-            index.write_value_sizes[write_hi[written] - 1].tolist(),
-        )
+        _, _, _, write_lo, write_hi = columns
         self.total_writes = int((write_hi - write_lo).sum())
         self.routed: Dict[Hashable, Any] = {}
-        self.nbytes = (
-            sum(column.nbytes for column in columns) + _WRITTEN_KEY_BYTES * written.size
-        )
+        self.nbytes = sum(column.nbytes for column in columns)
 
 
 class SpanCursor:

@@ -63,6 +63,16 @@ def test_two_runs_write_the_same_record(tmp_path) -> None:
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_reactive_cuts_build_no_state_objects() -> None:
+    """From the first cut to the last boundary flush a write-reactive replay
+    keeps its hosts' state in columns: no cache entry, buffered write, key
+    history or E[W] counter row is built, on the single cache or the 3-node
+    fleet (at scale 1 the per-key objects numbered 5 399 on each)."""
+    [row] = run_perf(names=["span-kernel-tight"], scale=0.1)["results"]
+    assert row["spans"] == 20
+    assert row["span_objects"] == row["fleet_span_objects"] == 0
+
+
 def test_ttl_kernels_microbench_counts_charging_reads() -> None:
     """A 2 s trace at ``T = 1 s``: every key that lives past its first poll
     charges, and a read charges at most once."""

@@ -45,8 +45,10 @@ from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     Groups,
     VectorSimulation,
-    _apply_span_writes,
+    _commit_trace_writes,
+    _flush_columns,
     _flush_tally,
+    _HostColumns,
     _HostState,
     _kernel_reactive_span,
     _kernel_ttl_expiry,
@@ -397,21 +399,15 @@ def naive_group_by_key(key_ids: np.ndarray, positions: np.ndarray):
 
 
 def naive_span(trace: CompiledTrace, start: int, end: int):
-    """``(groups, creation)`` of one span, the way the engines used to derive it.
-
-    ``groups`` is the ``(key, reads, writes)`` sequence in ascending key
-    order; ``creation`` lists the written keys in first-write order, the
-    order the datastore histories must be created in.
-    """
+    """The ``(key, reads, writes)`` groups of one span in ascending key
+    order, the way the engines used to derive them."""
     is_read = trace.is_read[start:end]
     reads = naive_group_by_key(trace.key_ids, np.flatnonzero(is_read) + start)
     writes = naive_group_by_key(trace.key_ids, np.flatnonzero(~is_read) + start)
-    groups = [
+    return [
         (key, reads.get(key, []), writes.get(key, []))
         for key in sorted(set(reads) | set(writes))
     ]
-    creation = sorted(writes, key=lambda key: writes[key][0])
-    return groups, creation
 
 
 def random_trace(
@@ -438,7 +434,6 @@ def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
     cursor = SpanCursor(index)
     datastore = DataStore()
     ctx = _ReplayContext(trace, index, datastore, 1.0, 1.0, 1.0, 1.0)
-    expected_histories = []
     start = 0
     for end in cuts:
         facts = index.span(start, end, cursor)
@@ -447,18 +442,17 @@ def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
             (key, index.read_pos[r_lo:r_hi].tolist(), index.write_pos[w_lo:w_hi].tolist())
             for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span))
         ]
-        groups, creation = naive_span(trace, start, end)
+        groups = naive_span(trace, start, end)
         assert got == groups, (start, end)
-        _apply_span_writes(ctx, facts)
-        for key in creation:
-            name = trace.key_names[key]
-            if name not in expected_histories:
-                expected_histories.append(name)
-        assert list(datastore._histories) == expected_histories, (start, end)
+        assert facts.total_writes == sum(len(writes) for _, _, writes in groups)
         start = end
+    assert _commit_trace_writes(ctx) == datastore.total_writes
     writes = np.flatnonzero(~trace.is_read)
     assert datastore.total_writes == writes.size
-    for key, positions in naive_group_by_key(trace.key_ids, writes).items():
+    by_key = naive_group_by_key(trace.key_ids, writes)
+    creation = sorted(by_key, key=lambda key: by_key[key][0])
+    assert list(datastore._histories) == [trace.key_names[key] for key in creation]
+    for key, positions in by_key.items():
         history = datastore._histories[trace.key_names[key]]
         assert history.write_times == trace.times[positions].tolist()
         assert history.value_size == int(trace.value_sizes[positions[-1]])
@@ -578,14 +572,19 @@ def _miss_version(ctx, key_id: int, position: int):
 
 
 class ReferenceTally(_SpanTally):
-    """A tally for the per-key kernels: poll charges as the ``(position,
-    polls)`` tuple list they appended to, folded by :func:`reference_flush`."""
+    """A tally for the per-key kernels: the objects they build with their
+    stream positions — new entries, buffered writes, estimator ops — and poll
+    charges as the ``(position, polls)`` tuple list they appended to, all
+    applied by :func:`reference_flush`."""
 
-    __slots__ = ("poll_events",)
+    __slots__ = ("poll_events", "new_fills", "buffer_entries", "estimator_ops")
 
     def __init__(self) -> None:
         super().__init__()
         self.poll_events = []
+        self.new_fills = []
+        self.buffer_entries = []
+        self.estimator_ops = []
 
 
 def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> None:
@@ -637,7 +636,7 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
             tally.hits += hits
             entry.hits += hits
             host.tracker.mark_refetched(name)
-    if writes.size and host.reacts:
+    if writes.size:
         tally.buffered_writes += int(writes.size)
         if miss_position >= 0:
             surviving = writes[writes > miss_position]
@@ -667,9 +666,16 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
 
 
 def reference_flush(ctx, host, tally) -> None:
-    ops, tally.estimator_ops = tally.estimator_ops, []
+    """Apply a reference tally the way the engine once did: new entries and
+    buffered writes inserted in stream order of their position (the scalar
+    engine's dict orders), the counters, then the estimator folds in
+    first-observation order and the poll charges one by one."""
+    for _, entry in sorted(tally.new_fills, key=lambda item: item[0]):
+        host.entries[entry.key] = entry
+    for _, buffered in sorted(tally.buffer_entries, key=lambda item: item[0]):
+        host.buffer._pending[buffered.key] = buffered
     _flush_tally(ctx, host, tally)
-    for _, name, reads, writes in sorted(ops, key=lambda op: op[0]):
+    for _, name, reads, writes in sorted(tally.estimator_ops, key=lambda op: op[0]):
         reference_fold_estimator(host.estimator, name, reads, writes)
     if tally.poll_events:
         # The tuple fold: poll charges replayed one by one, in global stream
@@ -686,26 +692,6 @@ def reference_flush(ctx, host, tally) -> None:
         result.freshness_cost = freshness
 
 
-def counted_estimator_op(first_obs, name, reads, writes):
-    """A reference estimator op as the counts the span kernel records."""
-    reads, writes = reads.tolist(), writes.tolist()
-    if not reads:
-        return (first_obs, name, 0, len(writes), 0, 0, 0)
-    runs_closed = sum(
-        any(earlier < write < later for write in writes)
-        for earlier, later in zip(reads, reads[1:])
-    )
-    return (
-        first_obs,
-        name,
-        len(reads),
-        len(writes),
-        sum(write < reads[0] for write in writes),
-        sum(write < reads[-1] for write in writes),
-        runs_closed,
-    )
-
-
 TALLY_COUNTERS = (
     "reads", "hits", "stale_misses", "cold_misses", "violations", "expirations",
     "writes", "buffered_writes",
@@ -713,19 +699,10 @@ TALLY_COUNTERS = (
 
 
 def tally_state(tally, reference: bool = False):
-    """A tally as plain data, effects in the position order the flush uses."""
-    ops = tally.estimator_ops
-    if reference:
-        ops = [counted_estimator_op(*op) for op in ops]
+    """A tally's counters and poll charges as plain data (what a kernel
+    builds or changes on its hosts is compared on the hosts)."""
     return {
         "counters": {name: getattr(tally, name) for name in TALLY_COUNTERS},
-        "new_fills": sorted(
-            (position, dataclasses.asdict(entry)) for position, entry in tally.new_fills
-        ),
-        "buffer_entries": sorted(
-            (position, dataclasses.asdict(write)) for position, write in tally.buffer_entries
-        ),
-        "estimator_ops": sorted(ops),
         "poll_events": sorted(
             tally.poll_events
             if reference
@@ -766,15 +743,7 @@ def make_kernel_host(trace, policy, bound, count_zero_runs):
     if estimator is not None:
         estimator.count_zero_runs = count_zero_runs
     ctx = _ReplayContext(trace, trace.index(), simulation.datastore, bound, bound, 1.0, 3.0)
-    host = _HostState(
-        result=simulation.result,
-        cache=simulation.cache,
-        buffer=simulation.buffer,
-        tracker=simulation.tracker,
-        estimator=estimator,
-        reacts=True,
-    )
-    return ctx, host
+    return ctx, _HostState.of(simulation.node)
 
 
 def disturb(host, rng, now: float) -> None:
@@ -796,7 +765,12 @@ def assert_span_kernel_matches_reference(
 ):
     """Walk ``trace`` over ``cuts`` on two identical hosts, one per kernel.
 
-    After every span the tallies and, once flushed, the hosts must be equal.
+    The span kernel runs on the new host's columns, the per-key reference on
+    the other host's objects.  After every span the tallies and, once the
+    columns are written back and the reference tally flushed, the hosts must
+    be equal.  Between spans both hosts drain their buffers; every other
+    time they are also disturbed, and the columns reloaded from the new
+    host's objects — otherwise the columns carry on into the next span.
     Returns what the walk exercised, so callers can insist on their case.
     """
     ctx_new, host_new = make_kernel_host(trace, policy, bound, count_zero_runs)
@@ -805,15 +779,15 @@ def assert_span_kernel_matches_reference(
     cursor = SpanCursor(index)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     seen = {"violations": 0, "straddled_misses": 0, "stale_misses": 0, "key_spans": 0}
+    columns = _HostColumns([host_new], trace.key_names)
     start = 0
-    for end in cuts:
+    for span_number, end in enumerate(cuts):
         facts = index.span(start, end, cursor)
         start = end
         span = facts.columns
         keys, read_lo, read_hi, write_lo, write_hi = span
-        new, ref = _SpanTally(), ReferenceTally()
-        new.writes = _apply_span_writes(ctx_new, facts)
-        ref.writes = _apply_span_writes(ctx_ref, facts)
+        new, ref = _SpanTally(facts.total_writes), ReferenceTally()
+        ref.writes = facts.total_writes
         groups = Groups(
             keys,
             read_lo,
@@ -823,7 +797,7 @@ def assert_span_kernel_matches_reference(
             write_hi,
             [0, keys.size],
         )
-        _kernel_reactive_span(ctx_new, [host_new], [new], _SpanPrelude(trace, index, groups))
+        _kernel_reactive_span(ctx_new, columns, [new], _SpanPrelude(trace, index, groups))
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
             missing = host_ref.entries.get(trace.key_names[key])
@@ -838,11 +812,17 @@ def assert_span_kernel_matches_reference(
         seen["stale_misses"] += ref.stale_misses
         seen["key_spans"] += keys.size
         _flush_tally(ctx_new, host_new, new)
+        columns.write_back()
         reference_flush(ctx_ref, host_ref, ref)
         assert host_state(host_new) == host_state(host_ref), end
         now = float(trace.times[end - 1])
-        disturb(host_new, rng_new, now)
-        disturb(host_ref, rng_ref, now)
+        if span_number % 2:
+            columns.dirty[:] = False
+            host_ref.buffer.drain()
+        else:
+            disturb(host_new, rng_new, now)
+            disturb(host_ref, rng_ref, now)
+            columns = _HostColumns([host_new], trace.key_names)
     return seen
 
 
@@ -935,7 +915,10 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
     """The fleet engine with per-read routing and the per-key kernel on the
     ``referenced`` nodes (default: all of them), the production kernel on
     the others.  Nodes are independent within a span, so any mix must give
-    the rows of the production engine."""
+    the rows of the production engine.  A referenced node keeps its state in
+    its objects and flushes with :meth:`CacheNode.flush`, against a
+    datastore of its own that takes every cut's writes; the others keep
+    theirs in columns of their own."""
 
     def __init__(self, trace, referenced=None, **fleet) -> None:
         super().__init__(trace, **fleet)
@@ -943,10 +926,39 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
             tuple(range(fleet["num_nodes"])) if referenced is None else tuple(referenced)
         )
         self.span_tallies = []
+        self._cut_store = None
+
+    def _others(self):
+        return [node for node in range(len(self._hosts)) if node not in self.referenced]
+
+    def _flush_nodes(self, time: float) -> None:
+        if self._columns is None:
+            super()._flush_nodes(time)
+            return
+        for node in self.referenced:
+            self._node_list[node].deliver_until(time)
+            self._node_list[node].flush(time)
+        _flush_columns(self._ctx, self._columns, time)
 
     def _replay_reactive_span(self, facts) -> None:
         ctx, index = self._ctx, self._ctx.index
-        _apply_span_writes(ctx, facts)
+        trace = ctx.trace
+        if self._cut_store is None:
+            self._columns = _HostColumns(
+                [self._hosts[node] for node in self._others()], trace.key_names
+            )
+            self._cut_store = DataStore()
+            for node in self.referenced:
+                self._node_list[node].datastore = self._cut_store
+        # The referenced nodes' flushes read the latest versions off their
+        # own datastore, which takes each write as the scalar loop does.
+        for position in range(*facts.cut):
+            if not trace.is_read[position]:
+                self._cut_store.write(
+                    trace.key_names[trace.key_ids[position]],
+                    float(trace.times[position]),
+                    int(trace.value_sizes[position]),
+                )
         tallies = [ReferenceTally() for _ in self._hosts]
         names = ctx.trace.key_names
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in facts.columns)):
@@ -968,7 +980,7 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         self._kernel_the_others(
             facts,
             lambda hosts, tallies, groups: _kernel_reactive_span(
-                ctx, hosts, tallies, _SpanPrelude(ctx.trace, index, groups)
+                ctx, self._columns, tallies, _SpanPrelude(ctx.trace, index, groups)
             ),
         )
         self._record_and_flush(tallies)
@@ -976,7 +988,7 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
     def _replay_ttl_trace(self, facts) -> None:
         """The per-(node, key) walk: one kernel call per key a node reads."""
         ctx = self._ctx
-        _apply_span_writes(ctx, facts)
+        _commit_trace_writes(ctx)
         hosts = self._hosts
         tallies = [ReferenceTally() for _ in hosts]
         names = ctx.trace.key_names
@@ -1541,7 +1553,7 @@ def make_ttl_host(trace, policy_class, ttl, bound=1.0):
     )
     assert simulation.vector_eligible()
     ctx = _ReplayContext.for_node(trace, trace.index(), simulation.node)
-    _apply_span_writes(ctx, ctx.index.span(0, len(trace)))
+    _commit_trace_writes(ctx)
     return ctx, _HostState.of(simulation.node)
 
 
@@ -1549,9 +1561,10 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
     """Replay ``trace`` on two identical hosts per TTL policy: one call of the
     batched kernel against one per-key kernel call per read key.
 
-    The tallies — counters, ``new_fills`` with their entries, poll positions
-    and counts — and, once flushed, the hosts (entry fields, dict order,
-    ``polls``, ``freshness_cost``) must be equal.  Returns the polling
+    The tallies — counters, poll positions and counts — and, once flushed,
+    the hosts (entry fields, dict order, ``polls``, ``freshness_cost``) must
+    be equal: the batched kernel inserts its entries itself, the reference
+    flush inserts the per-key kernel's.  Returns the polling
     tally's poll events and the expiry tally's refetch count, so callers can
     insist their case occurred.
     """
@@ -1637,7 +1650,7 @@ def test_batched_ttl_kernels_match_on_single_read_and_write_only_keys() -> None:
     ctx, host = make_ttl_host(trace, TTLPollingPolicy, 0.7)
     tally = _SpanTally()
     _kernel_ttl_polling(ctx, [host], [tally], whole_trace_groups(trace))
-    filled = {entry.key: entry for _, entry in tally.new_fills}
+    filled = host.entries
     assert "key-000000" not in filled
     assert filled["key-000001"].hits == 0 and filled["key-000001"].version > 0
     assert filled["key-000002"].version == 0
@@ -1755,7 +1768,7 @@ def test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_e
         tally = _SpanTally()
         _kernel_ttl_polling(ctx, [host], [tally], groups)
         got = dict(zip(tally.poll_positions.tolist(), tally.poll_counts.tolist()))
-        entries = {entry.key: entry for _, entry in tally.new_fills}
+        entries = host.entries
         for key, lo, reads in zip(*(column.tolist() for column in groups[:3])):
             positions = index.read_pos[lo : lo + reads]
             read_times = times[positions].tolist()

@@ -203,3 +203,62 @@ class TestFlushDecisions:
             == [policy.decide("small", 1.0), policy.decide("large", 1.0)]
             == [Action.UPDATE, Action.INVALIDATE]
         )
+
+
+# --------------------------------------------------------------------- #
+# The §3.2 tie: E[W] * c_u == c_i + c_m invalidates
+# --------------------------------------------------------------------- #
+
+#: Costs under which ``E[W] = 2`` is exactly the break-even point.
+TIE_M, TIE_I, TIE_U = 1.5, 0.5, 1.0
+
+
+def test_ew_decision_invalidates_at_the_tie() -> None:
+    """The comparison is strict: at ``E[W] * c_u == c_i + c_m`` an update
+    costs what an invalidate and a miss cost, and the rule invalidates."""
+    from repro.core.decision import DecisionRule, ew_decision
+
+    assert 2.0 * TIE_U == TIE_I + TIE_M
+    assert ew_decision(2.0, TIE_M, TIE_I, TIE_U) is Action.INVALIDATE
+    assert ew_decision(1.999, TIE_M, TIE_I, TIE_U) is Action.UPDATE
+    assert ew_decision(2.001, TIE_M, TIE_I, TIE_U) is Action.INVALIDATE
+    assert DecisionRule(TIE_M, TIE_I, TIE_U).from_ew(2.0) is Action.INVALIDATE
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_adaptive_replay_invalidates_at_the_tie(engine: str) -> None:
+    """One key, runs of two writes between reads: at the first flush its
+    E[W] is exactly 2, the tie, and its buffered write draws an invalidate
+    on either engine."""
+    import numpy as np
+
+    from repro.experiments.registry import make_policy
+    from repro.sim.vector import VectorSimulation
+    from repro.workload.compiled import CompiledTrace
+
+    #        w    w    r    w    w    r    w
+    ops = [False, False, True, False, False, True, False]
+    trace = CompiledTrace(
+        times=np.arange(1, 8, dtype=np.float64) / 10.0,
+        key_ids=np.zeros(7, dtype=np.int64),
+        is_read=np.array(ops),
+        key_sizes=np.full(7, 16, dtype=np.int64),
+        value_sizes=np.full(7, 64, dtype=np.int64),
+        key_names=["k"],
+    )
+    policy = make_policy("adaptive")
+    config = dict(
+        policy=policy,
+        staleness_bound=1.0,
+        duration=1.5,
+        costs=CostModel(miss=TIE_M, invalidate=TIE_I, update=TIE_U),
+    )
+    if engine == "vector":
+        simulation = VectorSimulation(trace, **config)
+    else:
+        simulation = Simulation(trace.iter_requests(), **config)
+    result = simulation.run()
+    assert engine == "scalar" or simulation.used_vector_path
+    assert policy.estimator.state() == [["k", 4, 2, 1]]
+    assert (policy.decisions_invalidate, policy.decisions_update) == (1, 0)
+    assert (result.invalidates_sent, result.updates_sent) == (1, 0)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.backend.channel import Channel
+from repro.cache.entry import CacheEntry, EntryState
 from repro.cluster import (
     ClusterSimulation,
     HotKeyConfig,
@@ -44,6 +45,7 @@ from repro.sim.vector import (
     ENVELOPE,
     Groups,
     VectorSimulation,
+    _HostColumns,
     _HostState,
     _kernel_reactive_span,
     _ReplayContext,
@@ -677,19 +679,13 @@ def hand_trace(ops: str, keys) -> CompiledTrace:
 
 
 def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
+    """A replay context, a fresh single-cache host and its columns."""
     simulation = VectorSimulation(
         trace, policy=make_policy(policy), staleness_bound=100.0, duration=100.0
     )
     ctx = _ReplayContext(trace, trace.index(), simulation.datastore, 100.0, 100.0, 1.0, 1.0)
-    host = _HostState(
-        result=simulation.result,
-        cache=simulation.cache,
-        buffer=simulation.buffer,
-        tracker=simulation.tracker,
-        estimator=simulation.policy.estimator if policy == "adaptive" else None,
-        reacts=True,
-    )
-    return ctx, host
+    host = _HostState.of(simulation.node)
+    return ctx, host, _HostColumns([host], trace.key_names)
 
 
 def whole_trace_groups(trace: CompiledTrace) -> Groups:
@@ -713,20 +709,25 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     trace = hand_trace("wrrwrw", [2, 0, 1, 1, 1, 0])
     index = trace.index()
     assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
-    ctx, host = kernel_host(trace)
+    ctx, host, columns = kernel_host(trace)
     tally = _SpanTally()
     _kernel_reactive_span(
-        ctx, [host], [tally], _SpanPrelude(trace, index, whole_trace_groups(trace))
+        ctx, columns, [tally], _SpanPrelude(trace, index, whole_trace_groups(trace))
     )
-    assert sorted(tally.estimator_ops) == [
-        (0, "key-2", 0, 1, 0, 0, 0),  # write-only: first seen at its write
-        (1, "key-0", 1, 1, 0, 0, 0),
-        (2, "key-1", 2, 1, 0, 1, 1),
-    ]
-    assert sorted(position for position, _ in tally.new_fills) == [1, 2]
-    assert sorted(position for position, _ in tally.buffer_entries) == [0, 3, 5]
+    # Rows are key ids: first observation, first fill, first surviving write.
+    assert columns.seen.tolist() == [1, 2, 0]  # write-only key 2: seen at its write
+    assert columns.filled[:2].tolist() == [1, 2]
+    assert columns.first_write.tolist() == [5, 3, 0]
     for value in (tally.reads, tally.hits, tally.cold_misses, tally.buffered_writes):
         assert type(value) is int
+    columns.write_back()
+    assert host.estimator.state() == [
+        ["key-2", 0, 0, 1],
+        ["key-0", 0, 0, 1],
+        ["key-1", 1, 1, 0],
+    ]
+    assert list(host.entries) == ["key-0", "key-1"]
+    assert list(host.buffer._pending) == ["key-2", "key-1", "key-0"]
 
 
 def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
@@ -734,7 +735,7 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     ``first`` past the key's run — past the column, for the last key."""
     trace = hand_trace("rrw", [0, 0, 0])
     index = trace.index()
-    ctx, host = kernel_host(trace, "invalidate")
+    ctx, host, columns = kernel_host(trace, "invalidate")
     tally = _SpanTally()
     groups = Groups(
         np.array([0]),
@@ -745,10 +746,83 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
         np.array([1]),
         [0, 1],
     )
-    _kernel_reactive_span(ctx, [host], [tally], _SpanPrelude(trace, index, groups))
-    assert (tally.reads, tally.buffered_writes, tally.new_fills) == (0, 1, [])
-    [(position, buffered)] = tally.buffer_entries
-    assert (position, buffered.write_count, buffered.first_write_time) == (2, 1, 0.2)
+    _kernel_reactive_span(ctx, columns, [tally], _SpanPrelude(trace, index, groups))
+    assert (tally.reads, tally.buffered_writes, columns.state.tolist()) == (0, 1, [0])
+    columns.write_back()
+    assert host.entries == {}
+    [buffered] = host.buffer._pending.values()
+    assert (columns.first_write[0], buffered.write_count, buffered.first_write_time) == (
+        2, 1, 0.2
+    )
+
+
+def prepare_node(node) -> None:
+    """Hand a node state before its run: a valid entry whose key is also
+    dirty (its first cut's write joins the buffered one), an invalidated
+    entry the tracker holds, an entry, a tracker row, a buffered write and
+    an E[W] row of keys the trace never names."""
+    entries = node.cache._entries
+    for name, version, state in (
+        ("ghost", 4, EntryState.VALID),
+        ("key-1", 0, EntryState.INVALIDATED),
+        ("key-0", 0, EntryState.VALID),
+    ):
+        entries[name] = CacheEntry(
+            key=name, version=version, as_of=0.0, fetched_at=0.0, state=state, hits=3
+        )
+    node.tracker.mark_invalidated("phantom", 0.0)
+    node.tracker.mark_invalidated("key-1", 0.0)
+    node.buffer.record_write("phantom", 0.0, key_size=16, value_size=32)
+    node.buffer.record_write("key-0", 0.0, key_size=16, value_size=32)
+    estimator = getattr(node.policy, "estimator", None)
+    if estimator is not None:
+        estimator.observe_write("spectre")
+        estimator.observe_write("key-3")
+        estimator.observe_read("key-3")
+
+
+def node_state(node) -> dict:
+    """What a run leaves on a node, dict orders included."""
+    estimator = getattr(node.policy, "estimator", None)
+    return {
+        "entries": [(key, repr(entry)) for key, entry in node.cache._entries.items()],
+        "invalidated": list(node.tracker._invalidated.items()),
+        "pending": [repr(write) for write in node.buffer._pending.values()],
+        "total_buffered": node.buffer.total_buffered,
+        "counters": None if estimator is None else estimator.state(),
+        "decisions": [getattr(node.policy, name, None)
+                      for name in ("decisions_update", "decisions_invalidate")],
+    }
+
+
+@pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet"])
+@pytest.mark.parametrize("policy", ["invalidate", "update", "adaptive", "adaptive+cs"])
+def test_state_handed_in_loads_into_the_columns_and_comes_back(policy: str, fleet: bool) -> None:
+    """A reactive replay loads the hosts' objects into its columns when its
+    span loop starts and writes them back after its last flush: state a
+    caller prepared — names the trace never mentions included — comes back
+    in the scalar engine's dict orders, with the scalar engine's rows, on
+    the single cache and on every node of a fleet (RF 2, round-robin)."""
+    trace = hand_trace("rwrwwrrwrw" * 3, [0, 1, 2, 0, 1, 3, 1, 2, 0, 3] * 3)
+    config = dict(staleness_bound=0.5, duration=3.5)
+    if fleet:
+        config.update(
+            policy=policy,
+            num_nodes=3,
+            replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+        )
+        scalar = ClusterSimulation(trace.iter_requests(), **config)
+        vector = VectorClusterSimulation(trace, **config)
+    else:
+        scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
+        vector = VectorSimulation(trace, policy=make_policy(policy), **config)
+    for node in scalar._node_list + vector._node_list:
+        prepare_node(node)
+    assert_identical(scalar.run().as_dict(), vector.run().as_dict())
+    assert vector.used_vector_path
+    for vector_node, scalar_node in zip(vector._node_list, scalar._node_list, strict=True):
+        assert node_state(vector_node) == node_state(scalar_node)
+        assert list(vector_node.cache._entries)[0] == "ghost"
 
 
 @pytest.mark.parametrize("ops", ["rrrrrrrr", "wwwwwwww"], ids=["read-only", "write-only"])
