@@ -10,9 +10,11 @@ a compiled trace instead: one with a cell for every worker (every policy and
 staleness bound of one workload share it) is compiled and indexed once by the
 caller, at most a worker count of them at a time, and the workers it then
 forks inherit it; one with fewer is compiled by each worker that replays it.
-The vector-engine cells that differ only in a write-reacting policy replay
-in lockstep, one cut each in turn, so each cut of the trace they share is
-built once for all of them.
+The vector-engine cells that differ only in a write-reacting policy are one
+unit: their engines step in lockstep, one cut each in turn, as one replay of
+their stacked hosts (:func:`~repro.sim.vector.replay_in_lockstep`), so each
+cut of the trace they share is built once and replayed by one kernel call,
+and each interval flush is one flush, for all of them.
 
 Results come back as plain dictionaries (cell coordinates merged with the
 :meth:`~repro.sim.results.SimulationResult.as_dict` counters), sorted by cell
@@ -97,10 +99,11 @@ def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
         return _row(cell, simulation, simulation.run(), store)
 
 
-def _replay_cell(cell: RunCell, traces: _Traces) -> Generator[None, None, Dict[str, Any]]:
+def _replay_cell(cell: RunCell, traces: _Traces) -> Generator[Any, None, Dict[str, Any]]:
     """:func:`run_cell` of a vector-engine cell as a
-    :func:`~repro.sim.vector.replay_in_lockstep` replay: it yields after each
-    cut and returns the same row; a failure is logged under the cell's id."""
+    :func:`~repro.sim.vector.replay_in_lockstep` replay: it yields what its
+    engine's replay yields (the engine, to join the unit, then once per cut)
+    and returns the same row; a failure is logged under the cell's id."""
     with _named(cell), _cell_store(cell) as store:
         simulation = build_simulation(cell, store, traces)
         return _row(cell, simulation, (yield from simulation.replay()), store)
@@ -289,7 +292,11 @@ def _run_round(groups: List[List[RunCell]], workers: int) -> List[Dict[str, Any]
 
 
 def _run_units(units: List[List[RunCell]], shared: _Traces) -> List[Dict[str, Any]]:
-    """One worker's share of a round; a failing cell is named where it ran."""
+    """One worker's share of a round; a failing cell is named where it ran.
+
+    A unit of one runs through :func:`run_cell`; a bigger unit hands its
+    cells' replays to :func:`~repro.sim.vector.replay_in_lockstep`, which
+    stacks their engines into one replay."""
     rows = []
     for unit in units:
         # A copy: a trace the unit compiles for itself dies with the unit.

@@ -489,7 +489,8 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     a first walk builds each cut's facts.  ``table_hits`` counts the cuts
     the second walk finds in the table — 30 when the table holds the whole
     walk, fewer when a walk outgrows it and the oldest cuts are evicted.
-    ``sweep_cut_lookups`` / ``sweep_table_hits`` are :func:`_sweep_lookups`.
+    ``sweep_cut_lookups`` / ``sweep_table_hits`` / ``sweep_kernel_calls`` /
+    ``sweep_flush_calls`` are :func:`_sweep_lookups`.
     """
     from repro.workload.compiled import SpanCursor
 
@@ -508,35 +509,50 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     walk()
     hits = walk()
     requests = max(len(trace), 1)
-    lookups, sweep_hits = _sweep_lookups(scale)
+    lookups, sweep_hits, kernel_calls, flush_calls = _sweep_lookups(scale)
     return {
         "index_bytes_per_request": index.nbytes / requests,
         "table_bytes_per_request": index.table_bytes / requests,
         "table_hits": hits,
         "sweep_cut_lookups": lookups,
         "sweep_table_hits": sweep_hits,
+        "sweep_kernel_calls": kernel_calls,
+        "sweep_flush_calls": flush_calls,
     }
 
 
-def _sweep_lookups(scale: float) -> Tuple[int, int]:
-    """Span-table lookups of a serial vector sweep, and how many found their cut.
+def _sweep_lookups(scale: float) -> Tuple[int, int, int, int]:
+    """Span-table lookups of a serial vector sweep, how many found their cut,
+    and the sweep's reactive kernel calls and columnar flushes.
 
     Three write-reacting policies at two bounds on one trace (200 keys at
     20 req/s each, 4 s; the key count scales): the policies of a bound step
     through its cuts in lockstep, so the first builds each cut and the other
-    two find it — two thirds of the lookups hit.  ``TraceIndex.span`` is
-    wrapped for the sweep to count them.
+    two find it — two thirds of the lookups hit — and as one unit, so each
+    of the bound's 16 or 4 cuts and flushes is one kernel call and one flush
+    for all three.  ``TraceIndex.span``, ``_kernel_reactive_span`` and
+    ``_flush_columns`` are wrapped for the sweep to count them.
     """
     from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
+    from repro.sim import vector
     from repro.workload.compiled import TraceIndex
 
-    counts = [0, 0]
+    counts = [0, 0, 0, 0]
     span = TraceIndex.span
+    kernel, flush = vector._kernel_reactive_span, vector._flush_columns
 
     def counted(index, start, end, cursor=None):
         counts[0] += 1
         counts[1] += (start, end) in index.table
         return span(index, start, end, cursor)
+
+    def counted_kernel(*args: Any) -> None:
+        counts[2] += 1
+        kernel(*args)
+
+    def counted_flush(*args: Any) -> None:
+        counts[3] += 1
+        flush(*args)
 
     spec = ExperimentSpec(
         name="perf-sweep",
@@ -549,11 +565,13 @@ def _sweep_lookups(scale: float) -> Tuple[int, int]:
         engine="vector",
     )
     TraceIndex.span = counted
+    vector._kernel_reactive_span, vector._flush_columns = counted_kernel, counted_flush
     try:
         run_experiment(spec, processes=1)
     finally:
         TraceIndex.span = span
-    return counts[0], counts[1]
+        vector._kernel_reactive_span, vector._flush_columns = kernel, flush
+    return counts[0], counts[1], counts[2], counts[3]
 
 
 def _wal_records(scale: float) -> List[Any]:

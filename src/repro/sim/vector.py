@@ -10,10 +10,14 @@ reads, the first and the last one, the first and the last write.
 
 :class:`VectorSimulation` exploits exactly that.  It consumes a
 :class:`~repro.workload.compiled.CompiledTrace` and replays each span between
-flush boundaries with **one kernel call**.  A write-reactive replay keeps
-every host's state — cache entries, invalidation tracker, write buffer, E[W]
-counters — in numpy columns indexed by (host, key id) (:class:`_HostColumns`)
-from its first cut to its last boundary flush.  The kernel gathers every
+flush boundaries with **one kernel call**.  A write-reactive replay is a
+member of a lockstep unit (:class:`_Lockstep`; a unit of one when it runs
+alone), which keeps every member's hosts' state — cache entries,
+invalidation tracker, write buffer, E[W] counters — in one set of numpy
+columns indexed by (stacked host, key id) (:class:`_HostColumns`) from the
+first cut to the last boundary flush, each host under its own policy: the
+write-reactive policies a sweep compares on one trace and bound take one
+kernel call and one flush per cut between them.  The kernel gathers every
 key's endpoints with a fixed number of numpy operations over the span's key
 columns and applies them to the host columns with gathers and scatters at
 the groups' rows; the interval flush at each boundary
@@ -76,6 +80,12 @@ Why byte-identity is achievable at all:
   fetches, the buffered writes a miss fill discards) or fall between two of
   its reads (the runs the E[W] estimator folds) is computed for all keys of a
   span from the span's writes alone, never from its reads.
+* **A unit's members never meet.**  Stacked hosts own disjoint rows, the
+  flush decides each row under its own host's policy, and each member's
+  tallies fold into its own results, so one kernel call or flush for all
+  members does what one per member did — provided each member still sees
+  its own order of flush, obs roll, kernel and fold, which
+  :class:`_Lockstep` keeps.
 
 Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
 their scalar driver: it owns ``run()``, the span loop and the envelope
@@ -96,7 +106,9 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import islice, repeat
 from operator import add
-from typing import Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Generator, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -114,16 +126,19 @@ from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
 from repro.workload.compiled import CompiledTrace, SpanCursor, SpanFacts, TraceIndex
 
-#: Policy classes with a vectorized kernel.  Exact types only: a subclass may
-#: override hooks in ways the kernels would not reproduce.
-_VECTOR_POLICIES = (
+#: The write-reacting policy classes the columnar flush decides for, in the
+#: order of their codes in :attr:`_HostColumns.kinds`.
+_REACTIVE_KINDS = (
     AlwaysInvalidatePolicy,
     AlwaysUpdatePolicy,
     AdaptivePolicy,
     CacheStateAdaptivePolicy,
-    TTLExpiryPolicy,
-    TTLPollingPolicy,
 )
+_UPDATE, _ADAPTIVE, _CACHE_STATE = 1, 2, 3
+
+#: Policy classes with a vectorized kernel.  Exact types only: a subclass may
+#: override hooks in ways the kernels would not reproduce.
+_VECTOR_POLICIES = _REACTIVE_KINDS + (TTLExpiryPolicy, TTLPollingPolicy)
 
 
 def _ttl_resolvable(node: CacheNode, trace: CompiledTrace) -> bool:
@@ -558,14 +573,18 @@ class _HostColumns:
     order, ahead of everything the replay adds.  ``written`` is per key id:
     the writes committed up to the last cut, the version an update carries
     (the backend's ``latest_version``).  ``hosts`` are the
-    :class:`_HostState` s the columns were loaded from and write back to;
-    ``folds`` says whether they fold an E[W] estimator (``zero_runs``: one
-    that counts zero-length runs), ``sequence`` numbers the tracker's next
-    insertion.
+    :class:`_HostState` s the columns were loaded from and write back to —
+    a lockstep unit's members' hosts, stacked — and each keeps its own
+    policy: ``kinds`` is each host's policy class as an index into
+    :data:`_REACTIVE_KINDS`, ``prior`` its estimator's E[W] before the first
+    sample and ``zero_runs`` whether that estimator counts zero-length runs.
+    ``folds`` says whether any host folds an E[W] estimator (the kernel then
+    folds every row; only a host with an estimator writes its rows back),
+    ``sequence`` numbers the trackers' next insertion.
     """
 
     __slots__ = (
-        "hosts", "names", "folds", "zero_runs", "sequence",
+        "hosts", "names", "kinds", "prior", "zero_runs", "folds", "sequence",
         "state", "version", "as_of", "fetched_at", "accounted",
         "key_size", "value_size", "hits", "filled",
         "tracked", "tracked_at", "tracked_seq",
@@ -596,11 +615,19 @@ class _HostColumns:
             if foreign:
                 names = names + list(dict.fromkeys(foreign))
                 ids = {name: key for key, name in enumerate(names)}
-        estimator = hosts[0].estimator if hosts else None
+        estimators = [host.estimator for host in hosts]
         self.hosts = list(hosts)
         self.names = names
-        self.folds = estimator is not None
-        self.zero_runs = self.folds and estimator.count_zero_runs
+        self.kinds = np.array(
+            [_REACTIVE_KINDS.index(type(host.policy)) for host in hosts], dtype=np.int8
+        )
+        self.prior = np.array(
+            [math.nan if each is None else each.default_estimate for each in estimators]
+        )
+        self.zero_runs = np.array(
+            [each is not None and each.count_zero_runs for each in estimators], dtype=np.bool_
+        )
+        self.folds = any(each is not None for each in estimators)
         self.sequence = 0
         size = len(hosts) * len(names)
         self.state = np.zeros(size, dtype=np.int8)
@@ -806,6 +833,61 @@ def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, shape, groups: Groups) 
     )
 
 
+class _StackedPrelude(_SpanPrelude):
+    """A cut's :class:`_SpanPrelude` for the ``members`` replays of a lockstep
+    unit, whose hosts are stacked in one :class:`_HostColumns`.
+
+    Member ``m``'s host ``h`` is stacked host ``m * hosts + h`` and its
+    groups are the cut's groups shifted by ``m`` times their count, so the
+    table stays ordered by (stacked host, key) and every group's row is
+    ``key * members * hosts + m * hosts + h``.  Built with arithmetic from
+    the memoised prelude at each kernel call and never memoised itself; its
+    write runs and first observations are the memoised prelude's, tiled.
+    """
+
+    __slots__ = ("base", "members")
+
+    def __init__(self, base: _SpanPrelude, members: int) -> None:
+        keys, first, count, stride, write_lo, write_hi, bounds = base.groups
+        size, hosts = keys.size, len(bounds) - 1
+        self.base, self.members = base, members
+
+        def tiled(column: np.ndarray) -> np.ndarray:
+            return np.concatenate((column,) * members)
+
+        def shifted(column: np.ndarray, step: int) -> np.ndarray:
+            return np.concatenate([column + member * step for member in range(members)])
+
+        self.groups = Groups(
+            tiled(keys), tiled(first), tiled(count), stride, tiled(write_lo), tiled(write_hi),
+            [bound + member * size for member in range(members) for bound in bounds[:-1]]
+            + [members * size],
+        )
+        self.rows = shifted(keys * (members * hosts) + (base.rows - keys * hosts), hosts)
+        self.versions = tiled(base.versions)
+        self.num_writes = tiled(base.num_writes)
+        self.writing = shifted(base.writing, size)
+        self.reading = shifted(base.reading, size)
+        self.read_rows = self.rows[self.reading]
+        self.read_counts = tiled(base.read_counts)
+        self.first_read = tiled(base.first_read)
+        self.last_read = tiled(base.last_read)
+        self.host_reads = base.host_reads * members
+        self.host_writes = base.host_writes * members
+        self._write_runs: Optional[np.ndarray] = None
+        self._first_seen: Optional[np.ndarray] = None
+
+    def write_runs(self, index: TraceIndex) -> np.ndarray:
+        if self._write_runs is None:
+            self._write_runs = np.concatenate((self.base.write_runs(index),) * self.members, 1)
+        return self._write_runs
+
+    def first_seen(self, index: TraceIndex) -> np.ndarray:
+        if self._first_seen is None:
+            self._first_seen = np.concatenate((self.base.first_seen(index),) * self.members)
+        return self._first_seen
+
+
 def _kernel_reactive_span(
     ctx: _ReplayContext,
     columns: _HostColumns,
@@ -930,12 +1012,11 @@ def _kernel_reactive_span(
         observed = count > 0
         carry = columns.writes_since_read[rows]
         columns.sample_sum[rows] += np.where(observed, before_last + carry, 0)
-        if columns.zero_runs:
-            columns.sample_count[rows] += count
-        else:
-            columns.sample_count[rows] += np.where(
-                observed, runs_closed + (before_first + carry > 0), 0
-            )
+        closed = np.where(observed, runs_closed + (before_first + carry > 0), 0)
+        if columns.zero_runs.any():
+            # Every read closes a run on a host that counts the empty ones.
+            closed = np.where(columns.zero_runs[prelude.groups.host], count, closed)
+        columns.sample_count[rows] += closed
         columns.writes_since_read[rows] = np.where(observed, writes - before_last, carry + writes)
         columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen(index))
 
@@ -944,14 +1025,15 @@ def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> N
     """The interval flush at ``time`` of every host of ``columns``.
 
     :meth:`CacheNode.flush <repro.sim.node.CacheNode.flush>` on an instant
-    channel, for all hosts at once: each host drains its dirty keys in
-    buffer order (first surviving write), takes the policy's action for each
-    — an adaptive policy's own rule is asked once per distinct E[W] among
-    them, and ``adaptive+cs`` passes over keys it holds no valid entry of —
-    suppresses invalidates the tracker already holds, and applies the
-    messages to its entries.  The message costs fold onto the running
-    ``freshness_cost`` in drain order with the seeded ``cumsum`` of
-    :func:`_flush_tally`.  No message, entry or buffered write is built.
+    channel, for all hosts at once, each under its own policy: each host
+    drains its dirty keys in buffer order (first surviving write), takes
+    its policy's action for each — ``adaptive+cs`` passes over keys it
+    holds no valid entry of, and the adaptive hosts' choices are made by
+    :func:`_adaptive_updates` — suppresses invalidates the tracker already
+    holds, and applies the messages to its entries.  The message costs fold
+    onto each host's running ``freshness_cost`` in drain order with the
+    seeded ``cumsum`` of :func:`_flush_tally`.  No message, entry or
+    buffered write is built.
     """
     dirty = columns.dirty.nonzero()[0]
     if not dirty.size:
@@ -962,32 +1044,16 @@ def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> N
     order = np.lexsort((columns.first_write[dirty], host_of))
     rows, host_of = dirty[order], host_of[order]
     columns.dirty[rows] = False
-    bounds = np.searchsorted(host_of, np.arange(len(hosts) + 1)).tolist()
+    bounds = np.searchsorted(host_of, np.arange(stride + 1)).tolist()
     state = columns.state[rows]
-    policy = hosts[0].policy
-    kind = type(policy)
-    update = np.full(rows.size, kind is AlwaysUpdatePolicy)
-    decided = state == _VALID if kind is CacheStateAdaptivePolicy else None
-    if isinstance(policy, AdaptivePolicy):
-        for host, lo, hi in zip(hosts, bounds, bounds[1:]):
-            mine = np.arange(lo, hi) if decided is None else decided[lo:hi].nonzero()[0] + lo
-            if not mine.size:
-                continue
-            # estimate(): C1 / C2, or the prior before the first sample.
-            samples = columns.sample_count[rows[mine]]
-            estimate = np.where(
-                samples > 0,
-                columns.sample_sum[rows[mine]] / np.maximum(samples, 1),
-                host.estimator.default_estimate,
-            )
-            values, which = np.unique(estimate, return_inverse=True)
-            rule = host.policy._decision_rule_for(columns.names[rows[mine[0]] // stride])
-            picks = np.array([rule.from_ew(value) is Action.UPDATE for value in values.tolist()])
-            update[mine] = picks[which]
-            updates = int(np.count_nonzero(update[mine]))
-            host.policy.decisions_update += updates
-            host.policy.decisions_invalidate += mine.size - updates
-    invalidate = ~update if decided is None else decided & ~update
+    kind = columns.kinds[host_of]
+    update = kind == _UPDATE
+    decided = (kind != _CACHE_STATE) | (state == _VALID)
+    adaptive = (kind >= _ADAPTIVE) & decided
+    chosen = adaptive.nonzero()[0]
+    if chosen.size:
+        update[chosen] = _adaptive_updates(columns, rows[chosen], host_of[chosen])
+    invalidate = decided & ~update
     tracked = columns.tracked[rows]
     suppressed = invalidate & tracked
     invalidate &= ~tracked
@@ -1023,24 +1089,28 @@ def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> N
     columns.sequence += sent_invalidates.size
     columns.state[rows[dropped]] = _INVALIDATED
 
-    flags = [update, invalidate, suppressed, wasted, dropped]
-    if decided is not None:
-        flags.append(~decided)
-    running = np.zeros((len(flags), rows.size + 1), dtype=np.int64)
-    np.cumsum(flags, axis=1, out=running[:, 1:])
-    counts = (running[:, bounds[1:]] - running[:, bounds[:-1]]).T.tolist()
-    sent = update | invalidate
+    # Per host with dirty rows, each flag's count; the hosts' rows are
+    # consecutive segments in drain order, and so are their messages.
+    flags = [update, invalidate, suppressed, wasted, dropped, ~decided, adaptive, adaptive & update]
+    draining = [(host, lo) for host, lo, hi in zip(hosts, bounds, bounds[1:]) if hi > lo]
+    counts = np.add.reduceat(
+        np.array(flags), [lo for _, lo in draining], axis=1, dtype=np.int64
+    ).T.tolist()
     charge = np.where(update, ctx.update_const, ctx.invalidate_const)
-    for host, lo, hi, (updates, invalidates, suppressions, ignored, invalidations, *nothing) in zip(
-        hosts, bounds, bounds[1:], counts
-    ):
+    charges = iter(charge[update | invalidate].tolist())
+    for (host, _), (
+        updates, invalidates, suppressions, ignored, invalidations, nothing, choices, chose_update
+    ) in zip(draining, counts):
         result, stats = host.result, host.cache.stats
         result.updates_sent += updates
         result.invalidates_sent += invalidates
         result.suppressed_invalidates += suppressions
         result.updates_wasted += ignored
         if nothing:
-            result.decisions_nothing += nothing[0]
+            result.decisions_nothing += nothing
+        if choices:
+            host.policy.decisions_update += chose_update
+            host.policy.decisions_invalidate += choices - chose_update
         stats.updates_applied += updates - ignored
         stats.updates_ignored += ignored
         stats.invalidations += invalidations
@@ -1048,11 +1118,49 @@ def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> N
         host.channel.sent += carried
         host.channel.delivered += carried
         if carried:
-            # ``cumsum`` adds left to right: seeded with the running total,
-            # its last element is the scalar engine's one-by-one ``+=``.
-            cost = charge[lo:hi][sent[lo:hi]]
-            cost[0] += result.freshness_cost
-            result.freshness_cost = float(np.cumsum(cost, out=cost)[-1])
+            # The scalar engine's one-by-one ``+=``, in drain order.
+            result.freshness_cost = _left_fold(result.freshness_cost, islice(charges, carried))
+
+
+def _adaptive_updates(columns: _HostColumns, rows: np.ndarray, host_of: np.ndarray) -> np.ndarray:
+    """Whether each of ``rows`` — dirty rows the adaptive hosts ``host_of``
+    decide, in drain order — gets an update rather than an invalidate.
+
+    A row's E[W] is ``C1 / C2``, or its host's prior before the first
+    sample.  Each host's policy builds its own rule (for its first key
+    decided, as :meth:`AdaptivePolicy.decisions` does), and each distinct
+    (rule, E[W]) pair across all hosts is asked of that rule once.
+    """
+    samples = columns.sample_count[rows]
+    estimate = np.where(
+        samples > 0,
+        columns.sample_sum[rows] / np.maximum(samples, 1),
+        columns.prior[host_of],
+    )
+    values, which = np.unique(estimate, return_inverse=True)
+    # Rows come host by host: each host's first row is where the host changes.
+    starts = np.ones(host_of.size, dtype=np.bool_)
+    np.not_equal(host_of[1:], host_of[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
+    rules: dict = {}
+    for host, row in zip(host_of[starts].tolist(), rows[starts].tolist()):
+        rule = columns.hosts[host].policy._decision_rule_for(
+            columns.names[row // len(columns.hosts)]
+        )
+        rules.setdefault(rule, []).append(host)
+    pairs = range(values.size)
+    if len(rules) > 1:
+        rule_of = np.zeros(len(columns.hosts), dtype=np.int64)
+        for number, hosts in enumerate(rules.values()):
+            rule_of[hosts] = number
+        pairs, which = np.unique(rule_of[host_of] * values.size + which, return_inverse=True)
+        pairs = pairs.tolist()
+    asked, values = list(rules), values.tolist()
+    picks = [
+        asked[pair // len(values)].from_ew(values[pair % len(values)]) is Action.UPDATE
+        for pair in pairs
+    ]
+    return np.array(picks)[which]
 
 
 def _count_violations(
@@ -1431,11 +1539,16 @@ _FOLD_CLOSED_FORM_FROM = 1000
 _SUM_IS_PLAIN = sys.version_info < (3, 12)
 
 
+def _left_fold(acc: float, values: Iterable[float]) -> float:
+    """``acc += value`` for each of ``values``, one addition at a time."""
+    if _SUM_IS_PLAIN:
+        return sum(values, acc)
+    return reduce(add, values, acc)
+
+
 def _plain_fold(acc: float, c: float, n: int) -> float:
     """``acc += c``, ``n`` times, one addition at a time."""
-    if _SUM_IS_PLAIN:
-        return sum(repeat(c, n), acc)
-    return reduce(add, repeat(c, n), acc)
+    return _left_fold(acc, repeat(c, n))
 
 
 def _fold_constant(acc: float, c: float, n: int) -> float:
@@ -1552,27 +1665,109 @@ def _walk_spans(engine, reacts: bool) -> Iterator[SpanFacts]:
         engine._advance(float(times[start]))
 
 
-def replay_in_lockstep(replays: Sequence[Generator[None, None, Any]]) -> List[Any]:
+class _Lockstep:
+    """The write-reactive replays of one lockstep unit, as one replay of their
+    stacked hosts.
+
+    Replays of one trace under one flush schedule cut it in the same places,
+    so a unit keeps every member's hosts in one :class:`_HostColumns` —
+    member ``m``'s host ``h`` is stacked host ``m * hosts + h`` — and takes
+    one kernel call and one flush per cut for all of them.  Each member
+    still steps its own cuts, and its own sequence is unchanged — the
+    flushes due before a cut, its obs roll, the cut's kernel, its tally
+    fold — because the members' states are disjoint and two rules keep the
+    order: the unit's flush at a time runs when the first member reaches
+    it (:meth:`flush`), and the unit's kernel for a cut when the last member
+    has come to the cut, its obs window rolled (:meth:`cut`).  Each member's
+    tallies fold into its own results.  The last member to finish its walk
+    writes every member's objects back (:meth:`finish`).
+    """
+
+    __slots__ = ("members", "columns", "flushed", "arrived", "finished")
+
+    def __init__(self, members: List["SpanReplay"]) -> None:
+        self.members = members
+        self.columns = _HostColumns(
+            [host for member in members for host in member._hosts], members[0].trace.key_names
+        )
+        self.flushed = -math.inf
+        self.arrived = self.finished = 0
+        for member in members:
+            member._unit = self
+
+    def flush(self, time: float) -> None:
+        """Every member's interval flush at ``time``, once."""
+        if time > self.flushed:
+            self.flushed = time
+            _flush_columns(self.members[0]._ctx, self.columns, time)
+
+    def cut(self, member: "SpanReplay", facts: SpanFacts) -> None:
+        """``member`` has come to the cut ``facts``: once every member has,
+        one kernel call replays it for all of them."""
+        self.arrived += 1
+        if self.arrived < len(self.members):
+            return
+        self.arrived = 0
+        ctx = member._ctx
+        groups, writes = member._node_groups(facts)
+        prelude = _span_prelude(ctx, facts, member._shape, groups)
+        if len(self.members) > 1:
+            prelude = _StackedPrelude(prelude, len(self.members))
+        tallies = [_SpanTally(count) for _ in self.members for count in writes]
+        _kernel_reactive_span(ctx, self.columns, tallies, prelude)
+        folding = iter(tallies)
+        for each in self.members:
+            for host, tally in zip(each._hosts, folding):
+                _flush_tally(each._ctx, host, tally)
+
+    def finish(self) -> None:
+        """A member has run its flushes up to the horizon; the last one to
+        do so writes every member's objects back."""
+        self.finished += 1
+        if self.finished == len(self.members):
+            self.columns.write_back()
+
+    @staticmethod
+    def key(member: "SpanReplay") -> Tuple[Any, ...]:
+        """What replays must share to be one unit: the trace's index, the
+        flush schedule and horizon, the fleet shape and the cost constants."""
+        ctx = member._ctx
+        return (
+            id(ctx.index), ctx.bound, member.duration, member._shape, ctx.serve_const,
+            ctx.miss_const, ctx.invalidate_const, ctx.update_const, ctx.default_value_size,
+        )
+
+
+def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any]:
     """Step ``replays`` (:meth:`SpanReplay.replay` generators) round-robin,
     one cut each in turn, until every one has returned; their results, in order.
 
-    Replays of one trace under one bound cut it in the same places, so
-    policies that step together find each cut in the trace's span table, built
-    by the first of them a moment ago: its facts, routing and kernel prelude
-    are built once for all of them, whatever else the table has evicted.  A
-    replay's state is its own, so the order of the steps changes no result.
+    A write-reactive columnar replay's first step offers its engine; the
+    engines offered that replay one trace under one flush schedule are
+    stacked into one unit (:class:`_Lockstep`), whose kernel call and flush
+    per cut serve all of them.  Policies that step together also find each
+    cut in the trace's span table, built by the first of them a moment ago:
+    its facts, routing and kernel prelude are built once for all of them.
+    A replay that leaves the envelope replays scalar at its first step and
+    joins no unit, and a TTL replay is a unit of its own.  The members'
+    states are disjoint, so the order of the steps changes no result.
     """
     results: List[Any] = [None] * len(replays)
     live = list(enumerate(replays))
     while live:
         stepping, live = live, []
+        units: dict = {}
         for position, replay in stepping:
             try:
-                next(replay)
+                offered = next(replay)
             except StopIteration as done:
                 results[position] = done.value
             else:
                 live.append((position, replay))
+                if offered is not None:
+                    units.setdefault(_Lockstep.key(offered), []).append(offered)
+        for members in units.values():
+            _Lockstep(members)
     return results
 
 
@@ -1582,12 +1777,14 @@ class SpanReplay:
     Inside the engine's envelope (``_envelope``) each cut runs one kernel
     call for every host, with the driver's due work at every boundary and
     its finalize at the end; outside it the driver's own ``run()`` replays.
-    A write-reactive replay keeps its hosts' state in :class:`_HostColumns`
-    from the first cut to the last boundary flush — the interval flush
-    (:meth:`_flush_nodes`) runs on them too — and then writes the objects
-    back and commits the trace's writes, so the driver's finalize runs on
-    objects.  The defaults are the single cache's (one host, the whole cut,
-    unrouted); the fleet supplies ``_route_trace`` / ``_node_groups``.
+    A write-reactive replay is a member of a lockstep unit (:class:`_Lockstep`,
+    a unit of one when stepped alone), which keeps its hosts' state in
+    :class:`_HostColumns` from the first cut to the last boundary flush —
+    the interval flush (:meth:`_flush_nodes`) runs on them too — and then
+    writes the objects back; the replay commits the trace's writes, so the
+    driver's finalize runs on objects.  The defaults are the single cache's
+    (one host, the whole cut, unrouted); the fleet supplies ``_route_trace``
+    / ``_node_groups``.
     """
 
     _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
@@ -1605,8 +1802,8 @@ class SpanReplay:
         super().__init__(trace, *args, **kwargs)
         self.used_vector_path = False
         self._fallback_reason: Optional[str] = None
-        #: The hosts' state while a write-reactive replay keeps it in columns.
-        self._columns: Optional[_HostColumns] = None
+        #: The lockstep unit whose columns hold the hosts' state, while they do.
+        self._unit: Optional[_Lockstep] = None
 
     @property
     def fallback_reason(self) -> Optional[str]:
@@ -1624,11 +1821,12 @@ class SpanReplay:
         Takes what :meth:`replay` takes."""
         return replay_in_lockstep([self.replay(*args, **kwargs)])[0]
 
-    def replay(self, *args, **kwargs) -> Generator[None, None, Any]:
+    def replay(self, *args, **kwargs) -> Generator[Any, None, Any]:
         """:meth:`run`, one cut at a time: a generator that yields after each
-        cut and returns the result.  The arguments are the scalar driver's
-        ``run()``'s; outside the envelope that ``run()`` replays the whole
-        trace at the first step."""
+        cut and returns the result.  A write-reactive replay's first step
+        yields the engine, offering it to :func:`replay_in_lockstep`'s unit.
+        The arguments are the scalar driver's ``run()``'s; outside the
+        envelope that ``run()`` replays the whole trace at the first step."""
         row = envelope_exit(self._envelope, self, self._node_list, *args, **kwargs)
         if row is not None:
             self._fallback_reason = row.name
@@ -1639,7 +1837,7 @@ class SpanReplay:
         yield from self._run_spans()
         return self._finalize()
 
-    def _run_spans(self) -> Iterator[None]:
+    def _run_spans(self) -> Iterator[Any]:
         """Replay the trace span by span, yielding after each; the driver's
         due work runs at each boundary, exactly where the scalar loop would
         run it."""
@@ -1655,10 +1853,12 @@ class SpanReplay:
         self._ctx = _ReplayContext.for_node(trace, index, node)
         self._hosts = [_HostState.of(host) for host in self._node_list]
         reacts = node._reacts
+        if reacts:
+            yield self
+            if self._unit is None:
+                _Lockstep([self])
         replay = self._replay_reactive_span if reacts else self._replay_ttl_trace
         times, obs = trace.times, self.obs
-        if reacts:
-            self._columns = _HostColumns(self._hosts, trace.key_names)
         for facts in _walk_spans(self, reacts):
             if reacts and obs is not None:
                 # Kernel stats fold into the window containing the span's
@@ -1671,20 +1871,23 @@ class SpanReplay:
         self.clock.advance_to(float(times[-1]))
         if reacts:
             # The flushes up to the horizon (finalize's first step) still
-            # run on the columns; then the objects come back, with the
-            # datastore's histories.
+            # run on the columns; once every member has run them, the
+            # objects come back, and then the datastore's histories.
             self._advance(max(self.duration, self.clock.now))
-            columns, self._columns = self._columns, None
-            columns.write_back()
+            unit = self._unit
+            unit.finish()
+            while unit.finished < len(unit.members):
+                yield
+            self._unit = None
             _commit_trace_writes(self._ctx)
 
     def _flush_nodes(self, time: float) -> None:
-        """The interval boundary: on the columns while they hold the hosts'
-        state, the nodes' own flush otherwise."""
-        if self._columns is None:
+        """The interval boundary: on the unit's columns while they hold the
+        hosts' state, the nodes' own flush otherwise."""
+        if self._unit is None:
             super()._flush_nodes(time)
         else:
-            _flush_columns(self._ctx, self._columns, time)
+            self._unit.flush(time)
 
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""
@@ -1697,31 +1900,22 @@ class SpanReplay:
         groups = Groups(keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi, [0, keys.size])
         return groups, [facts.total_writes]
 
-    def _replay_span(self, facts: SpanFacts, kernel) -> None:
-        """One cut on every host: one ``kernel(tallies, groups)`` call, then
-        each host's tally flushed in host order."""
-        ctx, hosts = self._ctx, self._hosts
-        groups, writes = self._node_groups(facts)
-        tallies = [_SpanTally(count) for count in writes]
-        kernel(tallies, groups)
-        for host, tally in zip(hosts, tallies):
-            _flush_tally(ctx, host, tally)
-
     def _replay_reactive_span(self, facts: SpanFacts) -> None:
-        ctx, shape, columns = self._ctx, self._shape, self._columns
-        self._replay_span(
-            facts,
-            lambda tallies, groups: _kernel_reactive_span(
-                ctx, columns, tallies, _span_prelude(ctx, facts, shape, groups)
-            ),
-        )
+        """One cut: this replay has come to it; the unit replays it once all
+        its members have."""
+        self._unit.cut(self, facts)
 
     def _replay_ttl_trace(self, facts: SpanFacts) -> None:
-        # The whole trace is one span (see _walk_spans): one call in all.
+        """The whole trace, one span (see :func:`_walk_spans`): one kernel
+        call for every host, then each host's tally flushed in host order."""
         ctx, hosts = self._ctx, self._hosts
         _commit_trace_writes(ctx)
         kernel = _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
-        self._replay_span(facts, lambda tallies, groups: kernel(ctx, hosts, tallies, groups))
+        groups, writes = self._node_groups(facts)
+        tallies = [_SpanTally(count) for count in writes]
+        kernel(ctx, hosts, tallies, groups)
+        for host, tally in zip(hosts, tallies):
+            _flush_tally(ctx, host, tally)
 
 
 class VectorSimulation(SpanReplay, Simulation):
@@ -1736,7 +1930,7 @@ class VectorSimulation(SpanReplay, Simulation):
     byte-identical to the scalar engine.
     """
 
-    def replay(self) -> Generator[None, None, SimulationResult]:
+    def replay(self) -> Generator[Any, None, SimulationResult]:
         """:meth:`SpanReplay.replay`, and so ``run()``, take what
         :meth:`Simulation.run` takes: nothing (a kill point is the fleet's)."""
         return super().replay()

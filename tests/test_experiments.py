@@ -30,6 +30,7 @@ from repro.experiments import (
     write_results_json,
 )
 from repro.experiments.spec import AXES, PASS_THROUGH, Axis
+from repro.sim import vector as sim_vector
 from repro.sim.vector import SpanReplay
 
 
@@ -157,6 +158,60 @@ def test_units_in_lockstep_give_every_cell_its_own_row() -> None:
     reference = json.dumps([runner.run_cell(cell) for cell in cells])
     for processes in (1, 2, 3):
         assert json.dumps(run_cells(cells, processes)) == reference, processes
+
+
+#: The write-reacting policies a sweep cell's unit stacks.
+REACTIVE_POLICIES = ["invalidate", "update", "adaptive", "adaptive+cs"]
+
+
+@pytest.mark.parametrize("bound", [0.01, 0.5])
+@pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet-3-rf2-rr"])
+def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
+    monkeypatch, fleet: bool, bound: float
+) -> None:
+    """A unit's write-reacting policies share one column table, one kernel
+    call per cut and one flush per boundary: for every subset of two or
+    more of the four policies, each cell's row — obs payload included, on a
+    0.3 s window that is no multiple of the bound — equals its row alone."""
+    cells = small_spec(
+        policies=REACTIVE_POLICIES,
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
+        staleness_bounds=[bound],
+        engine="vector",
+        obs_window=0.3,
+    ).expand()
+    if fleet:
+        cells = [
+            dataclasses.replace(cell, num_nodes=3, replication=2, read_policy="round-robin")
+            for cell in cells
+        ]
+    calls = {"_kernel_reactive_span": 0, "_flush_columns": 0}
+    for name in calls:
+
+        def counted(*args, name=name, call=getattr(sim_vector, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(sim_vector, name, counted)
+    alone = {}
+    for cell in cells:
+        calls.update(dict.fromkeys(calls, 0))
+        row = runner.run_cell(cell)
+        assert "obs" in row
+        alone[cell.cell_id] = json.dumps(row, sort_keys=True)
+    per_replay = dict(calls)
+    assert per_replay["_kernel_reactive_span"] > 0 and per_replay["_flush_columns"] > 0
+    units = [
+        list(unit) for size in (2, 3, 4) for unit in itertools.combinations(cells, size)
+    ]
+    assert len(units) == 11
+    for unit in units:
+        calls.update(dict.fromkeys(calls, 0))
+        rows = runner._run_units([unit], {})
+        assert [json.dumps(row, sort_keys=True) for row in rows] == [
+            alone[cell.cell_id] for cell in unit
+        ], [cell.policy for cell in unit]
+        assert calls == per_replay
 
 
 def test_a_unit_that_spills_over_a_worker_keeps_its_cells_in_order() -> None:

@@ -918,7 +918,8 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
     the rows of the production engine.  A referenced node keeps its state in
     its objects and flushes with :meth:`CacheNode.flush`, against a
     datastore of its own that takes every cut's writes; the others keep
-    theirs in columns of their own."""
+    theirs in its lockstep unit's columns, reloaded with those nodes alone
+    at the first cut."""
 
     def __init__(self, trace, referenced=None, **fleet) -> None:
         super().__init__(trace, **fleet)
@@ -932,19 +933,19 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         return [node for node in range(len(self._hosts)) if node not in self.referenced]
 
     def _flush_nodes(self, time: float) -> None:
-        if self._columns is None:
+        if self._unit is None:
             super()._flush_nodes(time)
             return
         for node in self.referenced:
             self._node_list[node].deliver_until(time)
             self._node_list[node].flush(time)
-        _flush_columns(self._ctx, self._columns, time)
+        _flush_columns(self._ctx, self._unit.columns, time)
 
     def _replay_reactive_span(self, facts) -> None:
         ctx, index = self._ctx, self._ctx.index
         trace = ctx.trace
         if self._cut_store is None:
-            self._columns = _HostColumns(
+            self._unit.columns = _HostColumns(
                 [self._hosts[node] for node in self._others()], trace.key_names
             )
             self._cut_store = DataStore()
@@ -980,7 +981,7 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         self._kernel_the_others(
             facts,
             lambda hosts, tallies, groups: _kernel_reactive_span(
-                ctx, self._columns, tallies, _SpanPrelude(ctx.trace, index, groups)
+                ctx, self._unit.columns, tallies, _SpanPrelude(ctx.trace, index, groups)
             ),
         )
         self._record_and_flush(tallies)

@@ -262,3 +262,150 @@ def test_adaptive_replay_invalidates_at_the_tie(engine: str) -> None:
     assert policy.estimator.state() == [["k", 4, 2, 1]]
     assert (policy.decisions_invalidate, policy.decisions_update) == (1, 0)
     assert (result.invalidates_sent, result.updates_sent) == (1, 0)
+
+
+# --------------------------------------------------------------------- #
+# Table 1: the breakdown, and per-size pricing through a replay
+# --------------------------------------------------------------------- #
+
+
+def test_breakdown_costs_follow_table_1() -> None:
+    """``c_m``, ``c_i`` and ``c_u`` are Table 1's sums of the cache's and the
+    store's work, on primitive costs (powers of two, so every sum is exact)
+    chosen so that no term of any cost can be dropped or swapped unseen."""
+    from repro.core.cost_model import CostBreakdown
+
+    breakdown = CostBreakdown(
+        serialize_per_byte=0.25, deserialize_per_byte=0.5, read_op=8.0, update_op=16.0,
+        delete_op=32.0,
+    )
+    key, value = 4, 12
+    ser = lambda size: 0.25 * size  # noqa: E731
+    deser = lambda size: 0.5 * size  # noqa: E731
+    # c_m: cache ser(K) + deser(K+V) + update; store deser(K) + read + ser(K+V).
+    miss = (ser(key) + deser(key + value) + 16.0) + (deser(key) + 8.0 + ser(key + value))
+    # c_i: cache deser(K) + delete; store ser(K).
+    invalidate = (deser(key) + 32.0) + ser(key)
+    # c_u: cache deser(K+V) + update; store ser(K+V).
+    update = (deser(key + value) + 16.0) + ser(key + value)
+    assert (miss, invalidate, update) == (39.0, 35.0, 28.0)
+    assert breakdown.miss_cost(key, value) == miss
+    assert breakdown.invalidate_cost(key) == invalidate
+    assert breakdown.update_cost(key, value) == update
+    model = CostModel(breakdown=breakdown)
+    assert model.miss_cost(key_size=key, value_size=value) == miss
+    assert model.invalidate_cost(key_size=key) == invalidate
+    assert model.update_cost(key_size=key, value_size=value) == update
+
+
+#: A hand trace of three keys whose requests all carry 40-byte keys (the
+#: presets' fixed fallbacks assume 16) and whose writes vary the value size.
+SIZED_OPS = [
+    # time, key, op, value size
+    (0.05, "a", "r", 0), (0.10, "a", "w", 64), (0.20, "b", "w", 900), (0.30, "b", "r", 0),
+    (0.40, "c", "r", 0), (0.55, "a", "r", 0), (0.60, "b", "w", 33), (0.70, "a", "w", 4000),
+    (0.80, "c", "w", 250), (0.90, "a", "w", 12), (1.10, "b", "r", 0), (1.20, "c", "r", 0),
+    (1.30, "a", "r", 0), (1.40, "c", "w", 77), (1.45, "b", "w", 2048), (1.70, "c", "r", 0),
+    (1.80, "a", "w", 500), (1.90, "a", "r", 0), (2.20, "b", "r", 0), (2.30, "c", "w", 8),
+]
+SIZED_KEY = 40
+
+
+def sized_requests():
+    return [
+        Request(time=time, key=key, op=OpType.READ if op == "r" else OpType.WRITE,
+                key_size=SIZED_KEY, value_size=size or 128)
+        for time, key, op, size in SIZED_OPS
+    ]
+
+
+def per_size_reference(policy: str, bound: float, end: float, costs: CostModel):
+    """The single cache's ``(freshness_cost, cold_miss_cost)``, key by key: a
+    miss priced at the read's key size and the key's latest value size, an
+    interval flush's messages at the buffered write's key size (and, for an
+    update, the latest value size), on an ideal channel."""
+    latest, valid, tracked, buffered = {}, {}, set(), {}
+    freshness = cold = 0.0
+    flush_at = bound
+
+    def flush() -> None:
+        nonlocal freshness
+        for key, key_size in buffered.items():
+            if policy == "update":
+                freshness += costs.update_cost(key_size=key_size, value_size=latest[key])
+                tracked.discard(key)
+                if key in valid:
+                    valid[key] = True
+            elif key not in tracked:
+                freshness += costs.invalidate_cost(key_size=key_size)
+                tracked.add(key)
+                if key in valid:
+                    valid[key] = False
+        buffered.clear()
+
+    for request in sized_requests():
+        while request.time >= flush_at:
+            flush()
+            flush_at += bound
+        key = request.key
+        if request.op is OpType.WRITE:
+            latest[key] = request.value_size
+            buffered.setdefault(key, request.key_size)
+        elif not valid.get(key, False):
+            miss = costs.miss_cost(key_size=request.key_size, value_size=latest.get(key, 128))
+            if key in valid:
+                freshness += miss
+            else:
+                cold += miss
+            valid[key] = True
+            tracked.discard(key)
+            buffered.pop(key, None)
+    while flush_at <= end:
+        flush()
+        flush_at += bound
+    flush()
+    return freshness, cold
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("policy", ["invalidate", "update"])
+def test_per_size_costs_match_a_key_by_key_reference(policy: str, engine: str) -> None:
+    """Under the ``cpu`` preset every miss and every message is priced at its
+    own sizes (§3.3): the replay's freshness and cold-miss costs equal a
+    brute-force reference on a trace of 40-byte keys and varying values.
+    The vector engine replays it on the scalar loop (``cost-breakdown``)."""
+    import numpy as np
+
+    from repro.experiments.registry import make_cost_model, make_policy
+    from repro.sim.vector import VectorSimulation
+    from repro.workload.compiled import CompiledTrace
+
+    costs = make_cost_model("cpu", {})
+    assert costs.breakdown is not None
+    config = dict(policy=make_policy(policy), staleness_bound=0.5, duration=2.5, costs=costs)
+    if engine == "vector":
+        requests = sized_requests()
+        names = sorted({request.key for request in requests})
+        trace = CompiledTrace(
+            times=np.array([request.time for request in requests]),
+            key_ids=np.array([names.index(request.key) for request in requests]),
+            is_read=np.array([request.op is OpType.READ for request in requests]),
+            key_sizes=np.array([request.key_size for request in requests]),
+            value_sizes=np.array([request.value_size for request in requests]),
+            key_names=names,
+        )
+        simulation = VectorSimulation(trace, **config)
+    else:
+        simulation = Simulation(sized_requests(), **config)
+    result = simulation.run()
+    if engine == "vector":
+        assert simulation.fallback_reason == "cost-breakdown"
+    freshness, cold = per_size_reference(policy, 0.5, 2.5, costs)
+    assert result.cold_misses == 3
+    if policy == "invalidate":
+        assert result.invalidates_sent > 3 and result.stale_misses > 3
+    else:
+        assert result.updates_sent > 3
+    assert result.freshness_cost == pytest.approx(freshness, rel=1e-12)
+    assert result.cold_miss_cost == pytest.approx(cold, rel=1e-12)
+    assert np.isfinite(freshness) and freshness > 0

@@ -52,8 +52,10 @@ from repro.sim.vector import (
     _SpanPrelude,
     _SpanTally,
     envelope_exit,
+    replay_in_lockstep,
 )
 from repro.sketch.countmin import CountMinEWSketch
+from repro.sketch.exact import ExactEWTracker
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.base import constant_column
@@ -823,6 +825,109 @@ def test_state_handed_in_loads_into_the_columns_and_comes_back(policy: str, flee
     for vector_node, scalar_node in zip(vector._node_list, scalar._node_list, strict=True):
         assert node_state(vector_node) == node_state(scalar_node)
         assert list(vector_node.cache._entries)[0] == "ghost"
+
+
+#: Four adaptive-family and write-reactive policies no two of which decide
+#: alike: zero-length runs counted, another prior, cache-state knowledge.
+STACKED_POLICIES = (
+    lambda: AdaptivePolicy(ExactEWTracker(count_zero_runs=True)),
+    lambda: AdaptivePolicy(ExactEWTracker(default_estimate=3.0)),
+    lambda: make_policy("adaptive+cs"),
+    lambda: make_policy("invalidate"),
+)
+
+
+@pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet"])
+def test_a_unit_stacks_members_with_their_own_policies_and_handed_in_state(
+    monkeypatch, fleet: bool
+) -> None:
+    """Each stacked host keeps its own policy and estimator: one unit of four
+    members with different rules, priors and run counting, each handed
+    state with names the trace never has, gives every member the rows and
+    node state of its replay alone, with one kernel call per cut."""
+    trace = hand_trace("rwrwwrrwrw" * 3, [0, 1, 2, 0, 1, 3, 1, 2, 0, 3] * 3)
+    config = dict(staleness_bound=0.5, duration=3.5)
+
+    def engines():
+        if fleet:
+            built = [
+                VectorClusterSimulation(
+                    trace,
+                    policy=policy,
+                    num_nodes=3,
+                    replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+                    **config,
+                )
+                for policy in STACKED_POLICIES
+            ]
+        else:
+            built = [
+                VectorSimulation(trace, policy=policy(), **config) for policy in STACKED_POLICIES
+            ]
+        for engine in built:
+            for node in engine._node_list:
+                prepare_node(node)
+        return built
+
+    alone = engines()
+    rows = [engine.run().as_dict() for engine in alone]
+    calls = []
+    kernel = sim_vector._kernel_reactive_span
+
+    def counted(*args):
+        calls.append(len(args[3].groups.bounds) - 1)
+        kernel(*args)
+
+    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
+    unit = engines()
+    results = replay_in_lockstep([engine.replay() for engine in unit])
+    hosts = len(unit[0]._node_list)
+    assert calls == [len(STACKED_POLICIES) * hosts] * non_empty_spans(trace.times, 0.5)
+    for engine, result, row, reference in zip(unit, results, rows, alone, strict=True):
+        assert engine.used_vector_path
+        assert_identical(row, result.as_dict())
+        for node, reference_node in zip(engine._node_list, reference._node_list, strict=True):
+            assert node_state(node) == node_state(reference_node)
+
+
+def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch) -> None:
+    """The seam stacks only replays that can share one: a bounded cache leaves
+    the envelope at its first step and replays scalar, a replay under
+    another bound cuts the trace elsewhere and is a unit of its own, and so
+    is a TTL replay.  Every result equals the replay's alone, and each unit
+    takes one kernel call per cut."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 3.0)
+
+    def engines():
+        return [
+            VectorSimulation(trace, policy=make_policy(policy), staleness_bound=bound,
+                             duration=3.0, cache_capacity=capacity)
+            for policy, bound, capacity in (
+                ("invalidate", 0.2, None),
+                ("adaptive", 0.2, 5),
+                ("update", 0.2, None),
+                ("adaptive+cs", 0.5, None),
+                ("ttl-polling", 0.2, None),
+            )
+        ]
+
+    rows = [engine.run().as_dict() for engine in engines()]
+    calls = []
+    kernel = sim_vector._kernel_reactive_span
+
+    def counted(*args):
+        calls.append(len(args[3].groups.bounds) - 1)
+        kernel(*args)
+
+    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
+    unit = engines()
+    results = replay_in_lockstep([engine.replay() for engine in unit])
+    for row, result in zip(rows, results, strict=True):
+        assert_identical(row, result.as_dict())
+    assert [engine.fallback_reason for engine in unit] == [None, "bounded-cache", None, None, None]
+    assert sorted(calls) == sorted(
+        [2] * non_empty_spans(trace.times, 0.2) + [1] * non_empty_spans(trace.times, 0.5)
+    )
 
 
 @pytest.mark.parametrize("ops", ["rrrrrrrr", "wwwwwwww"], ids=["read-only", "write-only"])
