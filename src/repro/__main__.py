@@ -105,6 +105,7 @@ from repro.store import (
     recover_datastore,
     scan_wal,
 )
+from repro.store.migrate import RUN_CONFIG_FORMAT, upgrade
 from repro.tier.config import ADMISSION_POLICIES, TIER_MODES
 
 _LOG = logging.getLogger("repro.cli")
@@ -455,6 +456,11 @@ _STORE_BOOKKEEPING_KEYS = frozenset(
 )
 
 _RUN_CONFIG_NAME = "RUN.json"
+#: The fields of a run config, in the order ``store snapshot`` writes them.
+_RUN_CONFIG_FIELDS = (
+    "format", "workload", "workload_params", "policy", "bound", "duration", "nodes",
+    "replication", "snapshot_interval", "kill_at", "l1_capacity", "tier_mode", "cell_seed",
+)
 
 
 def _store_cluster(config: Dict[str, Any], store: StoreConfig) -> ClusterSimulation:
@@ -473,9 +479,8 @@ def _store_cluster(config: Dict[str, Any], store: StoreConfig) -> ClusterSimulat
         seed=config["cell_seed"],
         num_nodes=config["nodes"],
         replication=config["replication"],
-        # Older RUN.json files predate the tier; they ran single-tier.
-        l1_capacity=config.get("l1_capacity", 0),
-        tier_mode=config.get("tier_mode", "write-through"),
+        l1_capacity=config["l1_capacity"],
+        tier_mode=config["tier_mode"],
     )
     return build_simulation(cell, store)
 
@@ -492,6 +497,7 @@ def _cmd_store_snapshot(args: argparse.Namespace) -> int:
         )
     params = _parse_params(args.param)
     config = {
+        "format": RUN_CONFIG_FORMAT,
         "workload": args.workload,
         "workload_params": params,
         "policy": args.policy,
@@ -536,6 +542,12 @@ def _load_run_config(root: Path) -> Dict[str, Any]:
         raise SystemExit(
             f"{path} is not a valid run config: expected a JSON object, "
             f"got a {type(config).__name__}"
+        )
+    config = upgrade(config, path)
+    missing = [name for name in _RUN_CONFIG_FIELDS if name not in config]
+    if missing:
+        raise SystemExit(
+            f"{path} is not a valid run config: missing {', '.join(map(repr, missing))}"
         )
     return config
 
@@ -606,6 +618,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         snapshots.append(
             {
                 "seq": snapshot.seq,
+                "format": snapshot.format,
                 "time": snapshot.time,
                 "wal_lsn": snapshot.wal_lsn,
                 "nodes": sorted(snapshot.nodes),

@@ -48,17 +48,17 @@ from repro.resilience.chaos import ChaosPlan, as_chaos_plan
 from repro.sim.driver import ReplayDriver
 from repro.sim.node import CacheNode
 from repro.sim.results import SimulationResult
+from repro.store.migrate import malformed
 from repro.store.recovery import (
     RecoveryReport,
     load_checkpoint,
     recover_datastore,
-    replay_wal,
+    restore_checkpoint,
     warm_state,
 )
 from repro.store.runtime import StoreRuntime
 from repro.store.snapshot import (
     StoreConfig,
-    restore_datastore,
     restore_node,
     serialize_node,
     serialize_node_stub,
@@ -651,10 +651,7 @@ class ClusterSimulation(ReplayDriver):
         if any(node.detector is not None for node in self._node_list):
             raise ClusterError("resume with hot-key detection is not supported")
         checkpoint = load_checkpoint(self._store.config.root)
-        restore_datastore(self.datastore, checkpoint.datastore)
-        report = replay_wal(
-            self.datastore, self._store.config.wal_path, checkpoint.wal_lsn
-        )
+        report = restore_checkpoint(self.datastore, self._store.config.root, checkpoint)
         if report.wal_records:
             # Any tail past the watermark — writes, read deltas, or even
             # message audit records — means the run advanced beyond the last
@@ -668,8 +665,9 @@ class ClusterSimulation(ReplayDriver):
         for node_id, node_data in checkpoint.nodes.items():
             node = self._nodes.get(node_id)
             if node is None:
-                raise StoreError(f"checkpoint references unknown node {node_id!r}")
-            restore_node(node, node_data, checkpoint.time)
+                raise StoreError(f"{checkpoint.path} references unknown node {node_id!r}")
+            with malformed(checkpoint.path, f"node {node_id!r}"):
+                restore_node(node, node_data, checkpoint.time)
         # Ring membership follows the restored in_ring flags.
         for node in self._node_list:
             on_ring = node.node_id in self.ring
@@ -678,24 +676,21 @@ class ClusterSimulation(ReplayDriver):
             elif not node.in_ring and on_ring:
                 self.ring.remove_node(node.node_id)
         extra = checkpoint.extra
-        next_flush = extra["next_flush"]
-        self._next_flush = float(next_flush) if next_flush is not None else math.inf
-        self._rebalances = int(extra["rebalances"])
-        self.event_log = [(when, label) for when, label in extra["event_log"]]
-        # In place: a read callable bound before the restore holds this dict.
-        self.router._round_robin.clear()
-        self.router._round_robin.update(
-            (key, int(count)) for key, count in extra.get("router", {}).items()
-        )
+        with malformed(checkpoint.path, "extra"):
+            next_flush = extra["next_flush"]
+            self._next_flush = float(next_flush) if next_flush is not None else math.inf
+            self._rebalances = int(extra["rebalances"])
+            self.event_log = [(when, label) for when, label in extra["event_log"]]
+            # In place: a read callable bound before the restore holds this dict.
+            self.router._round_robin.clear()
+            self.router._round_robin.update(
+                (key, int(count)) for key, count in extra["router"].items()
+            )
+            next_snapshot = extra["next_snapshot"]
         self.clock.advance_to(checkpoint.time)
         self._resume_from = checkpoint.time
-        self._store.restore(
-            checkpoint.journal, extra.get("next_snapshot"), checkpoint.wal_lsn
-        )
-        report.snapshot_seq = checkpoint.seq
-        report.snapshot_time = checkpoint.time
-        report.recovered_keys = len(self.datastore.known_keys())
-        report.recovered_versions = self.datastore.total_writes
+        with malformed(checkpoint.path, "journal"):
+            self._store.restore(checkpoint.journal, next_snapshot, checkpoint.wal_lsn)
         if self.obs is not None:
             self.obs.event(
                 checkpoint.time,

@@ -11,6 +11,8 @@ append-only transaction log was the direct inspiration):
 * :mod:`repro.store.snapshot` — full-state checkpoints (datastore histories
   plus per-node cache/buffer/tracker state) and WAL compaction at the
   snapshot watermark,
+* :mod:`repro.store.migrate` — the format numbers of snapshots and
+  ``RUN.json``, and the one table of steps that upgrades an older file,
 * :mod:`repro.store.recovery` — snapshot restore + WAL tail replay, and the
   warm-rejoin state a returning cache node restores, and
 * :mod:`repro.store.runtime` — the :class:`StoreRuntime` a simulator embeds

@@ -24,6 +24,7 @@ from repro.backend.datastore import DataStore
 from repro.cache.entry import CacheEntry, EntryState
 from repro.errors import StoreError
 from repro.store.format import KIND_MESSAGE, KIND_READS, KIND_WRITE, WalScan, scan_wal
+from repro.store.migrate import malformed
 from repro.store.snapshot import (
     Snapshot,
     StoreConfig,
@@ -95,6 +96,29 @@ def replay_wal(
     return report
 
 
+def restore_checkpoint(
+    datastore: DataStore, root: str | Path, snapshot: Optional[Snapshot]
+) -> RecoveryReport:
+    """Restore ``snapshot``'s datastore in place, then replay the WAL after it.
+
+    The one recovery pass behind :func:`recover_datastore` and a cluster's
+    ``restore_from_store``.  Without a snapshot the whole log is replayed
+    into ``datastore`` as it is.
+    """
+    after_lsn = 0
+    if snapshot is not None:
+        with malformed(snapshot.path, "datastore"):
+            restore_datastore(datastore, snapshot.datastore)
+        after_lsn = snapshot.wal_lsn
+    report = replay_wal(datastore, StoreConfig(root=str(root)).wal_path, after_lsn)
+    if snapshot is not None:
+        report.snapshot_seq = snapshot.seq
+        report.snapshot_time = snapshot.time
+    report.recovered_keys = len(datastore.known_keys())
+    report.recovered_versions = datastore.total_writes
+    return report
+
+
 def recover_datastore(root: str | Path) -> Tuple[DataStore, RecoveryReport]:
     """Rebuild a datastore from the snapshots and WAL under ``root``.
 
@@ -103,19 +127,8 @@ def recover_datastore(root: str | Path) -> Tuple[DataStore, RecoveryReport]:
         to an empty datastore (zero snapshots, zero records) rather than
         erroring: that is what a crash before the first flush leaves behind.
     """
-    root = Path(root)
     datastore = DataStore()
-    snapshot = latest_snapshot(root)
-    after_lsn = 0
-    if snapshot is not None:
-        restore_datastore(datastore, snapshot.datastore)
-        after_lsn = snapshot.wal_lsn
-    report = replay_wal(datastore, StoreConfig(root=str(root)).wal_path, after_lsn)
-    if snapshot is not None:
-        report.snapshot_seq = snapshot.seq
-        report.snapshot_time = snapshot.time
-    report.recovered_keys = len(datastore.known_keys())
-    report.recovered_versions = datastore.total_writes
+    report = restore_checkpoint(datastore, root, latest_snapshot(root))
     return datastore, report
 
 

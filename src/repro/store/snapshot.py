@@ -32,6 +32,7 @@ from repro.cache.entry import CacheEntry, EntryState
 from repro.errors import StoreError
 from repro.sim.events import PendingDelivery
 from repro.sketch.exact import ExactEWTracker
+from repro.store.migrate import SNAPSHOT_FORMAT, file_format, malformed, upgrade
 from repro.store.wal import fsync_directory
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
@@ -72,7 +73,13 @@ class StoreConfig:
 
 @dataclass(slots=True)
 class Snapshot:
-    """One full-state checkpoint (in-memory form of a snapshot file)."""
+    """One full-state checkpoint (in-memory form of a snapshot file).
+
+    It is always held, and written, at the current format.  ``path`` and
+    ``format`` say where it was read from and in which format that file is
+    (``None`` and the current format for one built in memory); neither takes
+    part in equality.
+    """
 
     seq: int
     time: float
@@ -81,11 +88,14 @@ class Snapshot:
     nodes: Dict[str, Any] = field(default_factory=dict)
     extra: Dict[str, Any] = field(default_factory=dict)
     journal: Dict[str, Any] = field(default_factory=dict)
+    path: Optional[Path] = field(default=None, compare=False)
+    format: int = field(default=SNAPSHOT_FORMAT, compare=False)
 
     def as_dict(self) -> Dict[str, Any]:
         """Flatten for the JSON file."""
         return {
             "kind": "repro-snapshot",
+            "format": SNAPSHOT_FORMAT,
             "seq": self.seq,
             "time": self.time,
             "wal_lsn": self.wal_lsn,
@@ -141,32 +151,13 @@ def datastore_json(datastore: DataStore) -> str:
     )
 
 
-def _refuse_inexact(name: str, value: Any) -> None:
-    """Refuse a field of an older snapshot that recorded inexact backend state.
-
-    Snapshots once carried a history-retention window (``retention``, the
-    ``pruned_writes`` total, each history's ``pruned`` count) and a bounded
-    tracker's ``forgotten`` count.  The backend's state is exact now: null or
-    zero, the exact configuration, restores as it always did; anything else
-    is state that can no longer be rebuilt, so it is an error, never dropped.
-    """
-    if value:
-        raise StoreError(
-            f"snapshot field {name} is {value!r}: pruned write history and "
-            "bounded trackers are no longer supported; only exact state restores"
-        )
-
-
 def restore_datastore(datastore: DataStore, data: Dict[str, Any]) -> None:
     """Rebuild a datastore's state in place from :func:`serialize_datastore`."""
-    _refuse_inexact("retention", data.get("retention"))
-    _refuse_inexact("pruned_writes", data.get("pruned_writes"))
     datastore.default_value_size = int(data["default_value_size"])
     datastore.total_writes = int(data["total_writes"])
     datastore.total_reads = int(data["total_reads"])
     datastore._histories.clear()
     for key, state in data["histories"].items():
-        _refuse_inexact(f"histories[{key}].pruned", state.get("pruned"))
         datastore._histories[key] = KeyHistory(
             key=key,
             write_times=[float(t) for t in state["write_times"]],
@@ -225,9 +216,11 @@ def _serialize_result(result: Any) -> Dict[str, Any]:
 
 
 def _restore_result(result: Any, data: Dict[str, Any]) -> None:
+    names = {spec.name for spec in dataclasses.fields(result)}
     for name, value in data.items():
-        if hasattr(result, name):
-            setattr(result, name, value)
+        if name not in names:
+            raise StoreError(f"{type(result).__name__} has no counter {name!r}")
+        setattr(result, name, value)
 
 
 def _serialize_channel(channel: Any) -> Dict[str, Any]:
@@ -306,7 +299,7 @@ def restore_l1(l1: Any, data: Dict[str, Any], time: float) -> None:
     for entry_data in data["entries"]:
         l1.cache.restore_entry(entry_from_dict(entry_data), time)
     l1.dirty = set(data["dirty"])
-    l1.outage = bool(data.get("outage", False))
+    l1.outage = bool(data["outage"])
     _restore_result(l1.cache.stats, data["stats"])
     l1.admission.load_state(data["admission"])
 
@@ -373,15 +366,12 @@ def restore_node(node: Any, data: Dict[str, Any], time: float) -> None:
     exact E[W] tracker gets its counters back from ``estimator``.  Resume is
     therefore exact for unbounded and bounded caches and every policy on the
     exact tracker; what stays approximate (sketch estimators) is listed in
-    the recovery guide.  A snapshot written before these fields existed
-    restores as it always did, and one from a bounded tracker that forgot
-    keys is refused.
+    the recovery guide.
 
     A stub record (``partial``, from :func:`serialize_node_stub`) restores
     only counters and flags: the node's volatile state died with the crash,
     exactly as it had already died with the node's own failure.
     """
-    _refuse_inexact("tracker.forgotten", data.get("tracker", {}).get("forgotten"))
     node.reachable = bool(data["reachable"])
     node.in_ring = bool(data["in_ring"])
     if data.get("partial"):
@@ -447,27 +437,41 @@ def list_snapshots(root: str | Path) -> List[Path]:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Load one snapshot file.
+    """Load one snapshot file, upgraded to the current format.
 
     Raises:
-        StoreError: If the file is not a repro snapshot.
+        StoreError: Naming the file, if it is not a repro snapshot, has a
+            format this build does not read, or lacks a top-level field.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StoreError(f"cannot read snapshot {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise StoreError(
+            f"{path} is not a repro snapshot: expected a JSON object, "
+            f"got a {type(data).__name__}"
+        )
     if data.get("kind") != "repro-snapshot":
         raise StoreError(f"{path} is not a repro snapshot")
-    return Snapshot(
-        seq=int(data["seq"]),
-        time=float(data["time"]),
-        wal_lsn=int(data["wal_lsn"]),
-        datastore=data["datastore"],
-        nodes=data.get("nodes", {}),
-        extra=data.get("extra", {}),
-        journal=data.get("journal", {}),
-    )
+    current = upgrade(data, path)
+    with malformed(path, "snapshot"):
+        snapshot = Snapshot(
+            seq=int(current["seq"]),
+            time=float(current["time"]),
+            wal_lsn=int(current["wal_lsn"]),
+            datastore=current["datastore"],
+            nodes=current["nodes"],
+            extra=current["extra"],
+            journal=current["journal"],
+            path=path,
+            format=file_format(data),
+        )
+        for part in ("datastore", "nodes", "extra", "journal"):
+            if not isinstance(getattr(snapshot, part), dict):
+                raise TypeError(f"{part} is not a JSON object")
+    return snapshot
 
 
 def latest_snapshot(root: str | Path) -> Optional[Snapshot]:

@@ -78,9 +78,11 @@ class WalStats:
 
     def load(self, data: Dict[str, Any]) -> None:
         """Restore the counters from a snapshot (crash-resume path)."""
+        names = self.as_dict()
         for name, value in data.items():
-            if hasattr(self, name):
-                setattr(self, name, value)
+            if name not in names:
+                raise StoreError(f"WalStats has no counter {name!r}")
+            setattr(self, name, value)
 
 
 class WriteAheadLog:
@@ -349,7 +351,7 @@ class Journal:
 
     def load_state(self, data: Dict[str, Any]) -> None:
         """Restore the counters from a snapshot (crash-resume path)."""
-        self.writes_logged = int(data.get("writes_logged", 0))
-        self.reads_logged = int(data.get("reads_logged", 0))
-        self.messages_logged = int(data.get("messages_logged", 0))
-        self.wal.stats.load(data.get("wal", {}))
+        self.writes_logged = int(data["writes_logged"])
+        self.reads_logged = int(data["reads_logged"])
+        self.messages_logged = int(data["messages_logged"])
+        self.wal.stats.load(data["wal"])

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.__main__ import _cmd_grid, build_parser, main
+from repro.__main__ import _RUN_CONFIG_FIELDS, _cmd_grid, build_parser, main
+from repro.store.migrate import RUN_CONFIG_FORMAT, SNAPSHOT_FORMAT
+
+#: Committed stores, one per format this build reads.
+STORES = Path(__file__).parent / "data" / "stores"
 
 
 def test_help_lists_every_subcommand(capsys) -> None:
@@ -290,8 +294,9 @@ def test_store_snapshot_crash_recover_resume_verify(tmp_path, capsys) -> None:
 
 
 def test_store_recover_resumes_a_run_config_written_before_the_tier(tmp_path, capsys) -> None:
-    """A RUN.json from before the tier has no l1_capacity / tier_mode: it ran
-    single-tier, and resumes single-tier through the runner's cell mapping."""
+    """A RUN.json from before the tier has no l1_capacity / tier_mode (and no
+    format key, which came later still): it ran single-tier, and the format
+    0 -> 1 step resumes it single-tier."""
     store_dir = tmp_path / "store"
     main(
         [
@@ -306,6 +311,7 @@ def test_store_recover_resumes_a_run_config_written_before_the_tier(tmp_path, ca
     config_path = store_dir / "RUN.json"
     config = json.loads(config_path.read_text())
     assert (config.pop("l1_capacity"), config.pop("tier_mode")) == (0, "write-through")
+    assert config.pop("format") == RUN_CONFIG_FORMAT
     config_path.write_text(json.dumps(config))
     capsys.readouterr()
     assert main(["store", "recover", "--dir", str(store_dir), "--resume", "--verify"]) == 0
@@ -321,11 +327,16 @@ def test_store_recover_resumes_a_store_written_before_exact_backend_state(
     """Its snapshots still carry the retention and bounded-tracker fields,
     null or zero: they restore and the resume matches an uninterrupted run."""
     store_dir = tmp_path / "store"
-    shutil.copytree(Path(__file__).parent / "data" / "legacy-store", store_dir)
+    shutil.copytree(STORES / "format-0", store_dir)
     assert main(["store", "recover", "--dir", str(store_dir), "--resume", "--verify"]) == 0
     output = json.loads(capsys.readouterr().out)
     assert output["recovery"]["snapshot_seq"] == 2
     assert output["verify"] == {"matches": True, "mismatches": {}}
+
+
+def _run_config_without(*names: str) -> str:
+    config = json.loads((STORES / "format-1" / "RUN.json").read_text())
+    return json.dumps({name: value for name, value in config.items() if name not in names})
 
 
 @pytest.mark.parametrize(
@@ -334,8 +345,10 @@ def test_store_recover_resumes_a_store_written_before_exact_backend_state(
         ("not json at all\n", "Expecting value"),
         ('{"workload": "poisson", "duration": 8.0, "snapsh', "Unterminated string"),
         ('[{"workload": "poisson"}]\n', "expected a JSON object, got a list"),
+        (_run_config_without("policy"), "missing 'policy'"),
+        (_run_config_without("bound", "cell_seed"), "missing 'bound', 'cell_seed'"),
     ],
-    ids=["not-json", "truncated", "list"],
+    ids=["not-json", "truncated", "list", "no-policy", "no-bound-no-seed"],
 )
 def test_store_recover_names_a_broken_run_config(tmp_path, text: str, reason: str) -> None:
     """A hostile RUN.json is a one-line exit naming the file, not a traceback."""
@@ -345,6 +358,141 @@ def test_store_recover_names_a_broken_run_config(tmp_path, text: str, reason: st
     message = str(excinfo.value.code)
     assert message.startswith(f"{tmp_path / 'RUN.json'} is not a valid run config: ")
     assert reason in message and "\n" not in message
+
+
+def _store_copy(tmp_path, name="format-1", tamper=None) -> Path:
+    """A copy of a committed store; ``tamper(snapshot)`` returns the new
+    content of its newest snapshot."""
+    root = tmp_path / name
+    shutil.copytree(STORES / name, root)
+    if tamper is not None:
+        path = _newest_snapshot(root)
+        path.write_text(json.dumps(tamper(json.loads(path.read_text())), sort_keys=True))
+    return root
+
+
+def _newest_snapshot(root: Path) -> Path:
+    return sorted(root.glob("snapshot-*.json"))[-1]
+
+
+def _drop(*keys: str):
+    def tamper(snapshot):
+        *parents, last = keys
+        part = snapshot
+        for key in parents:
+            part = part[key]
+        del part[last]
+        return snapshot
+
+    return tamper
+
+
+def _add_to_result(snapshot):
+    snapshot["nodes"]["node-000"]["result"]["bogus"] = 1
+    return snapshot
+
+
+@pytest.mark.parametrize("version", [RUN_CONFIG_FORMAT + 1, -1, "1", 1.0, True])
+def test_store_recover_refuses_a_run_config_format_it_cannot_read(
+    tmp_path, capsys, version
+) -> None:
+    root = _store_copy(tmp_path)
+    config = json.loads((root / "RUN.json").read_text())
+    (root / "RUN.json").write_text(json.dumps({**config, "format": version}))
+    assert main(["store", "recover", "--dir", str(root), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / 'RUN.json'}: run config format {version!r} ")
+    assert err.count("\n") == 1
+
+
+RECOVER = ("store", "recover")
+RESUME = ("store", "recover", "--resume", "--verify")
+INSPECT = ("store", "inspect")
+
+
+@pytest.mark.parametrize(
+    "tamper, command, reason",
+    [
+        (lambda snapshot: [snapshot], command,
+         " is not a repro snapshot: expected a JSON object, got a list")
+        for command in (RECOVER, RESUME, INSPECT)
+    ]
+    + [
+        (_drop("seq"), command, ": snapshot has no field 'seq'")
+        for command in (RECOVER, RESUME, INSPECT)
+    ]
+    + [
+        (_drop("datastore", "histories"), command, ": datastore has no field 'histories'")
+        for command in (RECOVER, RESUME)
+    ]
+    + [
+        (_drop("nodes", "node-000", "reachable"), RESUME,
+         ": node 'node-000' has no field 'reachable'"),
+        (_add_to_result, RESUME,
+         ": node 'node-000': NodeResult has no counter 'bogus'"),
+        (_drop("journal", "writes_logged"), RESUME, ": journal has no field 'writes_logged'"),
+        (_drop("extra", "router"), RESUME, ": extra has no field 'router'"),
+    ]
+    + [
+        (lambda snapshot: {**snapshot, "format": 99}, command,
+         ": snapshot format 99 is not one this build reads")
+        for command in (RECOVER, RESUME, INSPECT)
+    ],
+    ids=[
+        "list-recover", "list-resume", "list-inspect",
+        "no-seq-recover", "no-seq-resume", "no-seq-inspect",
+        "no-histories-recover", "no-histories-resume",
+        "no-reachable", "unknown-counter", "no-journal-count", "no-router",
+        "format-99-recover", "format-99-resume", "format-99-inspect",
+    ],
+)
+def test_store_commands_name_a_broken_snapshot(
+    tmp_path, capsys, tamper, command, reason
+) -> None:
+    """A malformed newest snapshot is one error line naming the file and the
+    field: never a traceback, never a silent resume."""
+    root = _store_copy(tmp_path, tamper=tamper)
+    assert main([*command, "--dir", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {_newest_snapshot(root)}{reason}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["format-0", "format-1"])
+def test_every_committed_store_format_resumes_identical(tmp_path, capsys, name) -> None:
+    """Each format this build reads has a committed store that resumes to the
+    uninterrupted run; the same store one format too new is refused."""
+    assert main(["store", "recover", "--dir", str(_store_copy(tmp_path, name)),
+                 "--resume", "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"] == {"matches": True, "mismatches": {}}
+    too_new = SNAPSHOT_FORMAT + 1
+    root = _store_copy(tmp_path / "too-new", name, lambda snapshot: {**snapshot, "format": too_new})
+    assert main(["store", "recover", "--dir", str(root), "--resume", "--verify"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {_newest_snapshot(root)}: snapshot format {too_new} is not one this "
+        f"build reads (0 to {SNAPSHOT_FORMAT})\n"
+    )
+
+
+def test_store_files_say_their_format(tmp_path, capsys) -> None:
+    """This build writes the current format into every snapshot and RUN.json;
+    the committed format-0 store has no key, and inspect shows both."""
+    root = tmp_path / "store"
+    assert main(["store", "snapshot", "--dir", str(root), "--duration", "2",
+                 "--snapshot-interval", "1", "--param", "num_keys=20"]) == 0
+    config = json.loads((root / "RUN.json").read_text())
+    assert tuple(config) == _RUN_CONFIG_FIELDS
+    assert config["format"] == RUN_CONFIG_FORMAT
+    snapshots = sorted(root.glob("snapshot-*.json"))
+    assert len(snapshots) == 2
+    assert {json.loads(path.read_text())["format"] for path in snapshots} == {SNAPSHOT_FORMAT}
+    assert "format" not in json.loads((STORES / "format-0" / "RUN.json").read_text())
+    for name, expected in ((root, SNAPSHOT_FORMAT), (STORES / "format-0", 0)):
+        capsys.readouterr()
+        assert main(["store", "inspect", "--dir", str(name)]) == 0
+        listed = json.loads(capsys.readouterr().out)["snapshots"]
+        assert [snapshot["format"] for snapshot in listed] == [expected, expected]
 
 
 def test_store_snapshot_refuses_a_non_empty_directory(tmp_path, capsys) -> None:

@@ -12,6 +12,7 @@ from repro.errors import ClusterError, StoreError
 from repro.sim.simulation import Simulation
 from repro.store import (
     StoreConfig,
+    WalStats,
     canonical_datastore_bytes,
     latest_snapshot,
     recover_datastore,
@@ -41,10 +42,10 @@ def make_cluster(root, num_nodes=3, snapshot_interval=2.0, **kwargs):
 
 
 #: A one-node store killed at t=3 (``store snapshot --duration 4
-#: --snapshot-interval 2 --kill-at 3 --param num_keys=50``), written while
-#: snapshots still carried the retention and bounded-tracker fields, all null
-#: or zero.
-LEGACY_STORE = Path(__file__).parent / "data" / "legacy-store"
+#: --snapshot-interval 2 --kill-at 3 --param num_keys=50``), written in
+#: format 0: its snapshots still carry the retention and bounded-tracker
+#: fields, all null or zero.
+LEGACY_STORE = Path(__file__).parent / "data" / "stores" / "format-0"
 
 
 def legacy_store(tmp_path, tamper=None) -> Path:
@@ -174,6 +175,26 @@ def test_recovered_cluster_finishes_with_identical_counters(tmp_path, num_nodes)
         uninterrupted.as_dict(), sort_keys=True
     )
     assert final.totals.as_dict() == uninterrupted.totals.as_dict()
+
+
+def test_a_resume_recovers_the_datastore_as_recover_datastore_does(tmp_path) -> None:
+    """One recovery pass: a resume's report and datastore are the ones a
+    datastore-only recovery of the same store gives."""
+    root = tmp_path / "store"
+    make_cluster(root).run(stop_at=6.0)
+    recovered, report = recover_datastore(root)
+    resumed = make_cluster(root)
+    assert resumed.restore_from_store().as_dict() == report.as_dict()
+    assert report.snapshot_seq > 0 and report.recovered_versions > 0
+    assert canonical_datastore_bytes(resumed.datastore) == canonical_datastore_bytes(recovered)
+
+
+def test_wal_counters_refuse_a_name_they_do_not_have() -> None:
+    stats = WalStats()
+    stats.load({"appends": 3, "flushes": 1})
+    assert (stats.appends, stats.flushes) == (3, 1)
+    with pytest.raises(StoreError, match="WalStats has no counter 'bogus'"):
+        stats.load({"bogus": 1})
 
 
 RESUME_POLICIES = ["ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive"]
