@@ -7,9 +7,10 @@
 routes each span's reads to replicas with the exact scalar routing rules
 (primary / hash / round-robin, including the per-key round-robin counters)
 into **one** table of groups per cut, ordered by (node, key) with per-node
-bounds — built with array operations over every (key, replica) pair at once
-and stride arithmetic — and hands it to **one** call of the same span kernel
-the single cache uses (the single cache is the one-node table).  The kernel
+bounds — built for a whole batch of cuts at once with array operations over
+every (cut, key, replica) triple and stride arithmetic — and hands it to
+**one** call of the same span kernel the single cache uses (the single cache
+is the one-node table).  The kernel
 does its numpy work once for the whole fleet, into each node's own tally.
 Under a write-reactive policy every node's cache, buffer, tracker and
 estimator live in the rows of one column table (row ``key * nodes + node``,
@@ -60,9 +61,9 @@ from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
 from repro.errors import ClusterError
-from repro.sim.vector import ENVELOPE, EnvelopeRow, Groups, SpanReplay
+from repro.sim.vector import ENVELOPE, EnvelopeRow, SpanReplay, _GroupBlock
 from repro.sketch.hashing import stable_fingerprint
-from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex
+from repro.workload.compiled import CompiledTrace, CutBatch, TraceIndex
 
 
 #: The fleet engine's envelope: the rows only a fleet can trip, asked before
@@ -194,14 +195,15 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
     # ------------------------------------------------------------------ #
     def _route_trace(self) -> None:
         plan = self._plan = self.build_plan()
+        self._stride = plan.replicas.shape[1] if plan.rotates else 1
         # The vector path never consults the read router mid-run (there are
         # no checkpoints without a store); leave it where the scalar loop
         # would.
         self.router._round_robin.update(plan.round_robin)
 
-    def _node_groups(self, facts: SpanFacts) -> Tuple[Groups, List[int]]:
-        """Route one cut: the fleet's :class:`~repro.sim.vector.Groups` and
-        each node's primary writes, from the span table.
+    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, List[int]]:
+        """Route every cut of a batch at once: the fleet's groups of each cut
+        and each node's primary writes, with each cut's table bytes.
 
         A node's groups are the span keys it is a replica of and serves
         reads of or receives writes for — a (node, key) with both is ONE
@@ -211,14 +213,14 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         replica's reads are a stride of the key's run.  A node counts the
         span writes of the keys it is primary of: only the primary counts a
         write in its result, like ``observe_write(owner=True)``.  Routing
-        knows no policy, so one entry per fleet shape serves every replay.
+        knows no policy, so one entry per batch and fleet shape serves every
+        replay.
         """
-        return self._ctx.index.routed(facts, self._shape, lambda: self._route_span(facts))
-
-    def _route_span(self, facts: SpanFacts) -> Tuple[Tuple[Groups, List[int]], int]:
-        keys, read_lo, read_hi, write_lo, write_hi = facts.columns
+        keys, read_lo, read_hi, write_lo, write_hi = batch.columns
         plan = self._plan
         nodes = len(self._node_list)
+        cuts = len(batch.cuts)
+        cut = np.repeat(np.arange(cuts), np.diff(batch.offsets))
         # Every (key, replica column) pair at once: a key's replicas are
         # distinct nodes, so each pair is one candidate (node, key) group.
         replicas = plan.replicas[keys]
@@ -228,33 +230,44 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         num_writes = write_hi - write_lo
         if plan.rotates:
             # A replica's first span read is ``offset`` reads into the key's run.
-            stride = width
             rank = read_lo - self._ctx.index.read_offsets[keys]
             offset = (column - rank[:, None]) % width
             count = (num_reads[:, None] - offset + (width - 1)) // width
         else:
-            stride = 1
             count = np.where(column == plan.read_slot[keys][:, None], num_reads[:, None], 0)
         pairs = ((count > 0) | (num_writes > 0)[:, None]).ravel().nonzero()[0]
         node = replicas.ravel()[pairs]
-        # Key-major pairs, stably sorted by node: (node, key) order.
-        order = np.argsort(node.astype(np.min_scalar_type(nodes)), kind="stable")
+        row = pairs // width
+        # Cut-major, key-major pairs, stably sorted by (cut, node): (cut,
+        # node, key) order.
+        cell = cut[row] * nodes + node
+        order = np.argsort(cell.astype(np.min_scalar_type(cuts * nodes)), kind="stable")
         row, column = np.divmod(pairs[order], width)
         first = read_lo[row]
         if plan.rotates:
             first += offset[row, column]
-        bounds = [0, *np.cumsum(np.bincount(node, minlength=nodes)).tolist()]
-        groups = Groups(
+        bounds = np.zeros((cuts, nodes + 1), dtype=np.int64)
+        np.cumsum(
+            np.bincount(cell, minlength=cuts * nodes).reshape(cuts, nodes), axis=1,
+            out=bounds[:, 1:],
+        )
+        primary_writes = np.bincount(
+            cut * nodes + replicas[:, 0], weights=num_writes, minlength=cuts * nodes
+        )
+        block = _GroupBlock(
             keys[row],
             first,
             count[row, column],
-            stride,
+            self._stride,
             write_lo[row],
             write_hi[row],
+            node[order],
+            nodes,
+            [0, *np.cumsum(bounds[:, -1]).tolist()],
             bounds,
+            primary_writes.astype(np.int64).reshape(cuts, nodes),
         )
-        primary_writes = np.bincount(replicas[:, 0], weights=num_writes, minlength=nodes)
-        return (groups, primary_writes.astype(np.int64).tolist()), 5 * pairs.nbytes
+        return block, (48 * bounds[:, -1]).tolist()
 
 
 def replay_cluster_parallel(

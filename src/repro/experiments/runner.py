@@ -10,11 +10,14 @@ a compiled trace instead: one with a cell for every worker (every policy and
 staleness bound of one workload share it) is compiled and indexed once by the
 caller, at most a worker count of them at a time, and the workers it then
 forks inherit it; one with fewer is compiled by each worker that replays it.
-The vector-engine cells that differ only in a write-reacting policy are one
-unit: their engines step in lockstep, one cut each in turn, as one replay of
-their stacked hosts (:func:`~repro.sim.vector.replay_in_lockstep`), so each
-cut of the trace they share is built once and replayed by one kernel call,
-and each interval flush is one flush, for all of them.
+The vector-engine cells of one trace and bound whose policy reacts to writes
+are one unit, single cache and fleets alike: their engines step in lockstep,
+one cut each in turn, as one replay of their stacked hosts
+(:func:`~repro.sim.vector.replay_in_lockstep`), so each cut of the trace
+they share is built once, in a batch with the cuts after it, and replayed by
+one kernel call, and each interval flush is one flush, for all of them.
+Units are dealt to the workers by weight — their cuts times the hosts they
+stack — heaviest first (:func:`_deal`).
 
 Results come back as plain dictionaries (cell coordinates merged with the
 :meth:`~repro.sim.results.SimulationResult.as_dict` counters), sorted by cell
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -238,34 +242,58 @@ def _rounds(cells: List[RunCell], workers: int) -> Iterator[List[List[RunCell]]]
 
 
 def _units(cells: List[RunCell]) -> List[List[RunCell]]:
-    """The cells cut into units, in expand order: the vector-engine cells that
-    differ only in a policy reacting to writes are one unit, replayed in
-    lockstep (they cut the trace in the same places); every other cell is a
-    unit of its own."""
+    """The cells cut into units, in expand order: the vector-engine cells
+    of one trace and bound whose policy reacts to writes are one unit,
+    whatever their fleet shape, replayed in lockstep (they cut the trace in
+    the same places); every other cell is a unit of its own."""
     units: Dict[Any, List[RunCell]] = {}
     for cell in cells:
         lockstep = cell.engine == "vector" and make_policy(cell.policy).reacts_to_writes
-        key = replace(cell, cell_id=-1, policy="") if lockstep else cell.cell_id
+        key = (
+            replace(
+                cell, cell_id=-1, policy="", num_nodes=None, replication=1,
+                read_policy="primary", vnodes=64, zones=1,
+            )
+            if lockstep
+            else cell.cell_id
+        )
         units.setdefault(key, []).append(cell)
     return list(units.values())
 
 
+def _weight(cells: List[RunCell]) -> int:
+    """What a unit's cells cost to replay, in host cuts: the cuts of their
+    flush schedule (one for a policy that never flushes) times the hosts
+    they stack."""
+    cell = cells[0]
+    cuts = (
+        math.ceil(cell.duration / cell.staleness_bound)
+        if make_policy(cell.policy).reacts_to_writes
+        else 1
+    )
+    return cuts * sum(each.num_nodes or 1 for each in cells)
+
+
 def _deal(units: List[List[RunCell]], workers: int) -> List[List[List[RunCell]]]:
-    """Each worker's units: dealt in order, strided, each worker holding at
-    most the cells a strided deal of the cells gives it; the cells of a unit
-    that do not fit go to the next worker with room, as a unit of their own."""
+    """Each worker's units, weighed (:func:`_weight`): each worker holds at
+    most the cells a strided deal of the cells gives it, and the units,
+    heaviest first, each go whole to the lightest worker with room for
+    them.  A unit no worker has room for fills the lightest worker with
+    room, and its cells that do not fit go on, in order, as a unit of
+    their own."""
     total = sum(len(unit) for unit in units)
     room = [len(range(offset, total, workers)) for offset in range(min(workers, total))]
     shares: List[List[List[RunCell]]] = [[] for _ in room]
-    worker = 0
-    for unit in units:
+    load = [0] * len(room)
+    for unit in sorted(units, key=_weight, reverse=True):
         while unit:
-            while not room[worker]:
-                worker = (worker + 1) % len(room)
+            fits = [each for each in range(len(room)) if room[each] >= len(unit)]
+            worker = min(fits or [each for each in range(len(room)) if room[each]],
+                         key=load.__getitem__)
             piece, unit = unit[: room[worker]], unit[room[worker] :]
             shares[worker].append(piece)
             room[worker] -= len(piece)
-            worker = (worker + 1) % len(room)
+            load[worker] += _weight(piece)
     return shares
 
 

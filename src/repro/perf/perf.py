@@ -489,69 +489,73 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
     a first walk builds each cut's facts.  ``table_hits`` counts the cuts
     the second walk finds in the table — 30 when the table holds the whole
     walk, fewer when a walk outgrows it and the oldest cuts are evicted.
-    ``sweep_cut_lookups`` / ``sweep_table_hits`` / ``sweep_kernel_calls`` /
-    ``sweep_flush_calls`` are :func:`_sweep_lookups`.
+    ``sweep_cut_lookups`` / ``sweep_table_hits`` / ``sweep_cut_builds`` /
+    ``sweep_kernel_calls`` / ``sweep_flush_calls`` are :func:`_sweep_lookups`.
     """
-    from repro.workload.compiled import SpanCursor
-
     _, _, trace = _kernel_trace(scale)
     index = trace.index()
     ends = [len(trace) * span // 30 for span in range(1, 31)]
 
     def walk() -> int:
-        cursor, hits, start = SpanCursor(index), 0, 0
+        hits, start = 0, 0
         for end in ends:
             hits += (start, end) in index.table
-            index.span(start, end, cursor)
+            index.span(start, end)
             start = end
         return hits
 
     walk()
     hits = walk()
     requests = max(len(trace), 1)
-    lookups, sweep_hits, kernel_calls, flush_calls = _sweep_lookups(scale)
+    lookups, sweep_hits, builds, kernel_calls, flush_calls = _sweep_lookups(scale)
     return {
         "index_bytes_per_request": index.nbytes / requests,
         "table_bytes_per_request": index.table_bytes / requests,
         "table_hits": hits,
         "sweep_cut_lookups": lookups,
         "sweep_table_hits": sweep_hits,
+        "sweep_cut_builds": builds,
         "sweep_kernel_calls": kernel_calls,
         "sweep_flush_calls": flush_calls,
     }
 
 
-def _sweep_lookups(scale: float) -> Tuple[int, int, int, int]:
+def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
     """Span-table lookups of a serial vector sweep, how many found their cut,
-    and the sweep's reactive kernel calls and columnar flushes.
+    the builder's calls, and the sweep's reactive kernel calls and columnar
+    flushes.
 
     Three write-reacting policies at two bounds on one trace (200 keys at
-    20 req/s each, 4 s; the key count scales): the policies of a bound step
-    through its cuts in lockstep, so the first builds each cut and the other
-    two find it — two thirds of the lookups hit — and as one unit, so each
-    of the bound's 16 or 4 cuts and flushes is one kernel call and one flush
-    for all three.  ``TraceIndex.span``, ``_kernel_reactive_span`` and
+    20 req/s each, 4 s; the key count scales): the policies of a bound are
+    one unit, whose first lookup builds the bound's 16 or 4 cuts in one
+    batch while the table has room for them, so every later lookup hits;
+    and each cut and flush is one kernel call and one flush for all three.
+    ``TraceIndex.span``, ``TraceIndex.cuts``, ``_kernel_reactive_span`` and
     ``_flush_columns`` are wrapped for the sweep to count them.
     """
     from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
     from repro.sim import vector
     from repro.workload.compiled import TraceIndex
 
-    counts = [0, 0, 0, 0]
-    span = TraceIndex.span
+    counts = [0, 0, 0, 0, 0]
+    span, cuts = TraceIndex.span, TraceIndex.cuts
     kernel, flush = vector._kernel_reactive_span, vector._flush_columns
 
-    def counted(index, start, end, cursor=None):
+    def counted(index, start, end, schedule=None):
         counts[0] += 1
         counts[1] += (start, end) in index.table
-        return span(index, start, end, cursor)
+        return span(index, start, end, schedule)
+
+    def counted_cuts(index, start, ends):
+        counts[2] += 1
+        return cuts(index, start, ends)
 
     def counted_kernel(*args: Any) -> None:
-        counts[2] += 1
+        counts[3] += 1
         kernel(*args)
 
     def counted_flush(*args: Any) -> None:
-        counts[3] += 1
+        counts[4] += 1
         flush(*args)
 
     spec = ExperimentSpec(
@@ -564,14 +568,14 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int]:
         duration=4.0,
         engine="vector",
     )
-    TraceIndex.span = counted
+    TraceIndex.span, TraceIndex.cuts = counted, counted_cuts
     vector._kernel_reactive_span, vector._flush_columns = counted_kernel, counted_flush
     try:
         run_experiment(spec, processes=1)
     finally:
-        TraceIndex.span = span
+        TraceIndex.span, TraceIndex.cuts = span, cuts
         vector._kernel_reactive_span, vector._flush_columns = kernel, flush
-    return counts[0], counts[1], counts[2], counts[3]
+    return counts[0], counts[1], counts[2], counts[3], counts[4]
 
 
 def _wal_records(scale: float) -> List[Any]:

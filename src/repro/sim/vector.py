@@ -16,8 +16,9 @@ alone), which keeps every member's hosts' state — cache entries,
 invalidation tracker, write buffer, E[W] counters — in one set of numpy
 columns indexed by (stacked host, key id) (:class:`_HostColumns`) from the
 first cut to the last boundary flush, each host under its own policy: the
-write-reactive policies a sweep compares on one trace and bound take one
-kernel call and one flush per cut between them.  The kernel gathers every
+write-reactive replays a sweep makes of one trace and bound, single cache
+and fleets alike, take one kernel call and one flush per cut between them.
+The kernel gathers every
 key's endpoints with a fixed number of numpy operations over the span's key
 columns and applies them to the host columns with gathers and scatters at
 the groups' rows; the interval flush at each boundary
@@ -72,8 +73,12 @@ Why byte-identity is achievable at all:
   commits, the hosts' groups and the policy-independent prelude of the
   reactive kernel (:class:`_SpanPrelude`) — depends on the trace and the two
   cut positions only, so it lives in the index's span table
-  (:class:`~repro.workload.compiled.SpanFacts`), built by the first replay
-  that asks for the cut and read, never written, by all the others.
+  (:class:`~repro.workload.compiled.SpanFacts`), read, never written, by
+  every replay.  The first replay of a bound builds its flush schedule's
+  cuts a batch at a time (:meth:`~repro.workload.compiled.TraceIndex.cuts`),
+  and each fleet shape's groups (:class:`_GroupBlock`) and preludes
+  (:class:`_PreludeBlock`) once per batch: a fixed number of numpy calls
+  per batch, not per cut.
 * **A write's place among the reads is arithmetic.**  The index stores, per
   write, where in the key-major read column the key's next read sits, so how
   many of a span's writes precede a key's first read (the version a miss
@@ -83,15 +88,15 @@ Why byte-identity is achievable at all:
 * **A unit's members never meet.**  Stacked hosts own disjoint rows, the
   flush decides each row under its own host's policy, and each member's
   tallies fold into its own results, so one kernel call or flush for all
-  members does what one per member did — provided each member still sees
-  its own order of flush, obs roll, kernel and fold, which
-  :class:`_Lockstep` keeps.
+  members — whatever each one's fleet shape — does what one per member
+  did, provided each member still sees its own order of flush, obs roll,
+  kernel and fold, which :class:`_Lockstep` keeps.
 
 Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
 their scalar driver: it owns ``run()``, the span loop and the envelope
 members, :class:`VectorSimulation` is its one-host, unrouted case, and the
 fleet twin (:class:`~repro.cluster.vector.VectorClusterSimulation`) adds
-routing: each cut's groups of every node, in one table.  When a
+routing: each batch's groups of every node, in one table.  When a
 configuration falls outside the vectorizable envelope — a row of
 :data:`ENVELOPE` holds for it — ``run()`` transparently falls back to the
 scalar driver's request loop over the trace's column chunks — identical by
@@ -124,7 +129,9 @@ from repro.sim.node import CacheNode
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
-from repro.workload.compiled import CompiledTrace, SpanCursor, SpanFacts, TraceIndex
+from repro.workload.compiled import (
+    CompiledTrace, CutBatch, SpanFacts, TraceIndex, bisect_groups,
+)
 
 #: The write-reacting policy classes the columnar flush decides for, in the
 #: order of their codes in :attr:`_HostColumns.kinds`.
@@ -727,25 +734,101 @@ def _gather(rows: np.ndarray, *columns: np.ndarray) -> List[list]:
     return [column[rows].tolist() for column in columns]
 
 
-#: Table bytes charged per group of a :class:`_SpanPrelude`, write runs and
-#: first observations included whether or not a replay has asked for them
-#: yet: up to fourteen 8-byte array slots a group plus each array's header
-#: (measured: 103-119 bytes a group on cuts of a hundred groups or more, on
-#: the single cache and a 3-node fleet; ~280 on cuts of nine, where the
-#: headers dominate).
-_PRELUDE_GROUP_BYTES = 160
+class _GroupBlock(NamedTuple):
+    """Every host's :class:`Groups` of each cut of a batch, as one table of
+    columns ordered by (cut, host, key).
+
+    Cut ``j``'s groups are rows ``[offsets[j], offsets[j + 1])`` — its
+    :class:`Groups`, as views, are :meth:`cut` — and ``host`` is each
+    group's host among ``hosts``.  ``bounds[j]`` are cut ``j``'s host bounds
+    relative to its first group and ``writes[j]`` the writes each host
+    counts in it (``cuts x (hosts + 1)`` and ``cuts x hosts`` integer
+    matrices).  Built once per batch and fleet shape (the single cache is
+    the one-host shape), or stacked for a lockstep unit (:func:`_stack_groups`).
+    """
+
+    keys: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    stride: int
+    write_lo: np.ndarray
+    write_hi: np.ndarray
+    host: np.ndarray
+    hosts: int
+    offsets: List[int]
+    bounds: np.ndarray
+    writes: np.ndarray
+
+    def cut(self, position: int) -> Tuple[Groups, List[int]]:
+        """Cut ``position``'s :class:`Groups` and the writes each host counts."""
+        lo, hi = self.offsets[position], self.offsets[position + 1]
+        return (
+            Groups(
+                self.keys[lo:hi], self.first[lo:hi], self.count[lo:hi], self.stride,
+                self.write_lo[lo:hi], self.write_hi[lo:hi], self.bounds[position].tolist(),
+            ),
+            self.writes[position].tolist(),
+        )
+
+
+def _stack_groups(blocks: Sequence[_GroupBlock], lo: int, hi: int) -> _GroupBlock:
+    """The members' group blocks of one batch, cuts ``lo`` to ``hi``, as one
+    block of their stacked hosts: member ``m``'s host ``h`` is ``h`` plus
+    the hosts of the members before it, and each cut's groups are every
+    member's groups of the cut, member after member — still ordered by
+    (cut, stacked host, key)."""
+    cuts = hi - lo
+    members = len(blocks)
+    shift = np.cumsum([0] + [block.hosts for block in blocks])
+    rows = [slice(block.offsets[lo], block.offsets[hi]) for block in blocks]
+    order = np.argsort(
+        np.concatenate([
+            np.repeat(np.arange(cuts) * members + member, np.diff(block.offsets[lo : hi + 1]))
+            for member, block in enumerate(blocks)
+        ]),
+        kind="stable",
+    )
+
+    def stacked(name: str) -> np.ndarray:
+        return np.concatenate(
+            [getattr(block, name)[mine] for block, mine in zip(blocks, rows)]
+        )[order]
+
+    counts = np.hstack([np.diff(block.bounds[lo:hi], axis=1) for block in blocks])
+    bounds = np.zeros((cuts, counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=bounds[:, 1:])
+    return _GroupBlock(
+        stacked("keys"), stacked("first"), stacked("count"), blocks[0].stride,
+        stacked("write_lo"), stacked("write_hi"),
+        np.concatenate(
+            [block.host[mine] + base for block, mine, base in zip(blocks, rows, shift)]
+        )[order],
+        int(shift[-1]),
+        [0, *np.cumsum(bounds[:, -1]).tolist()],
+        bounds,
+        np.hstack([block.writes[lo:hi] for block in blocks]),
+    )
+
+
+#: Table bytes charged per group of a :class:`_PreludeBlock`, write runs and
+#: first observations included: up to fourteen 8-byte slots a group.
+_PRELUDE_GROUP_BYTES = 112
+
+#: Most stacked groups a lockstep unit builds one prelude for: with their
+#: group columns, about 200 bytes a group — under 2 MiB a window of cuts.
+_STACKED_GROUPS = 1 << 12
 
 
 class _SpanPrelude:
-    """The policy-independent half of :func:`_kernel_reactive_span`.
+    """The policy-independent half of :func:`_kernel_reactive_span` for one cut.
 
     What the hosts' groups of one cut are under *any* write-reactive policy,
-    bound and cache state — built once per cut and fleet shape, memoised on
-    the cut's :class:`~repro.workload.compiled.SpanFacts`, shared by every
-    replay.  Arrays and lists are read, never written.
+    bound and cache state: views of a :class:`_PreludeBlock`'s columns
+    (:meth:`_PreludeBlock.cut`), read, never written.
 
     Attributes:
         groups: The hosts' :class:`Groups`.
+        counted: Per host, the span writes it counts in its result.
         rows: Each group's row of :class:`_HostColumns` (``key * hosts +
             host``).
         versions: Each group's key's writes up to the cut's end.
@@ -756,136 +839,92 @@ class _SpanPrelude:
         first_read / last_read: Position of each reading group's first span
             read, and time of its last.
         host_reads / host_writes: Per host, its span reads and its span writes.
-
-    The write runs and the first observations are made by the first replay
-    that needs them (a miss on a key written in the span, an adaptive
-    policy): a span of a few requests per key mostly needs neither.
+        write_runs: ``(before_first, before_last, runs_closed)``:
+            :func:`_write_runs` of every group that reads and writes, zero
+            elsewhere.  A miss fetches the version as of its position, and
+            the estimator folds runs.
+        first_seen: Each group's first observation: its first read or write,
+            whichever comes first in the stream — where the scalar engine
+            creates the host's counter row for the key.
     """
 
     __slots__ = (
-        "groups", "rows", "versions", "num_writes", "writing", "reading", "read_rows",
-        "read_counts", "first_read", "last_read", "host_reads", "host_writes",
-        "_write_runs", "_first_seen",
+        "groups", "counted", "rows", "versions", "num_writes", "writing", "reading",
+        "read_rows", "read_counts", "first_read", "last_read", "host_reads", "host_writes",
+        "write_runs", "first_seen",
     )
 
-    def __init__(self, trace: CompiledTrace, index: TraceIndex, groups: Groups) -> None:
-        keys, first, count, stride, write_lo, write_hi, bounds = groups
-        self.groups = groups
-        self.rows = rows = keys * (len(bounds) - 1) + groups.host
+
+class _PreludeBlock:
+    """The :class:`_SpanPrelude` of every cut of a :class:`_GroupBlock`, as
+    flat columns computed once for the whole block; :meth:`cut` slices one
+    cut's out.  Built once per batch and fleet shape — memoised in the span
+    table and shared by every replay — or once per window of a batch's cuts
+    for a lockstep unit's stacked hosts."""
+
+    __slots__ = (
+        "block", "rows", "versions", "num_writes", "writing", "reading", "read_rows",
+        "read_counts", "first_read", "last_read", "host_reads", "host_writes",
+        "write_runs", "first_seen", "reading_at", "writing_at",
+    )
+
+    def __init__(self, trace: CompiledTrace, index: TraceIndex, block: _GroupBlock) -> None:
+        keys, first, count, stride, write_lo, write_hi, host, hosts, offsets, _, _ = block
+        self.block = block
+        self.rows = rows = keys * hosts + host
         self.versions = write_hi - index.write_offsets[keys]
         self.num_writes = num_writes = write_hi - write_lo
-        self.writing = num_writes.nonzero()[0]
+        self.writing = writing = num_writes.nonzero()[0]
         self.reading = reading = count.nonzero()[0]
         self.read_rows = rows[reading]
         self.read_counts = read_count = count[reading]
         read_first = first[reading]
-        self.first_read = index.read_pos[read_first].astype(np.int64)
+        self.first_read = first_read = index.read_pos[read_first].astype(np.int64)
         self.last_read = trace.times[index.read_pos[read_first + (read_count - 1) * stride]]
-        segments = np.searchsorted(reading, bounds).tolist()
-        self.host_reads = _segment_sums(read_count.tolist(), segments)
-        self.host_writes = _segment_sums(num_writes.tolist(), bounds)
-        self._write_runs: Optional[np.ndarray] = None
-        self._first_seen: Optional[np.ndarray] = None
-
-    def write_runs(self, index: TraceIndex) -> np.ndarray:
-        """``(before_first, before_last, runs_closed)``: :func:`_write_runs` of
-        every group that reads and writes, zero elsewhere.  A miss fetches
-        the version as of its position, and the estimator folds runs."""
-        if self._write_runs is None:
-            keys, first, count, stride, write_lo, _, _ = self.groups
-            num_writes = self.num_writes
-            runs = np.zeros((3, keys.size), dtype=np.int64)
-            mixed = (count * num_writes).nonzero()[0]
-            if mixed.size:
-                runs[:, mixed] = _write_runs(
-                    index, first[mixed], count[mixed], stride, write_lo[mixed], num_writes[mixed]
-                )
-            self._write_runs = runs
-        return self._write_runs
-
-    def first_seen(self, index: TraceIndex) -> np.ndarray:
-        """Each group's first observation: its first read or write, whichever
-        comes first in the stream — where the scalar engine creates the
-        host's counter row for the key."""
-        if self._first_seen is None:
-            # The position columns may be unsigned: the "no read" sentinel
-            # goes into a signed array they are then copied into.
-            seen = np.full(self.rows.size, _UNSEEN, dtype=np.int64)
-            seen[self.reading] = self.first_read
-            writing = self.writing
-            seen[writing] = np.minimum(
-                seen[writing], index.write_pos[self.groups.write_lo[writing]]
-            )
-            self._first_seen = seen
-        return self._first_seen
-
-
-def _span_prelude(ctx: _ReplayContext, facts: SpanFacts, shape, groups: Groups) -> _SpanPrelude:
-    """The prelude of ``groups`` — the cut on the fleet ``shape`` — from the
-    span table."""
-    return ctx.index.routed(
-        facts,
-        ("prelude", shape),
-        lambda: (
-            _SpanPrelude(ctx.trace, ctx.index, groups),
-            _PRELUDE_GROUP_BYTES * groups.keys.size,
-        ),
-    )
-
-
-class _StackedPrelude(_SpanPrelude):
-    """A cut's :class:`_SpanPrelude` for the ``members`` replays of a lockstep
-    unit, whose hosts are stacked in one :class:`_HostColumns`.
-
-    Member ``m``'s host ``h`` is stacked host ``m * hosts + h`` and its
-    groups are the cut's groups shifted by ``m`` times their count, so the
-    table stays ordered by (stacked host, key) and every group's row is
-    ``key * members * hosts + m * hosts + h``.  Built with arithmetic from
-    the memoised prelude at each kernel call and never memoised itself; its
-    write runs and first observations are the memoised prelude's, tiled.
-    """
-
-    __slots__ = ("base", "members")
-
-    def __init__(self, base: _SpanPrelude, members: int) -> None:
-        keys, first, count, stride, write_lo, write_hi, bounds = base.groups
-        size, hosts = keys.size, len(bounds) - 1
-        self.base, self.members = base, members
-
-        def tiled(column: np.ndarray) -> np.ndarray:
-            return np.concatenate((column,) * members)
-
-        def shifted(column: np.ndarray, step: int) -> np.ndarray:
-            return np.concatenate([column + member * step for member in range(members)])
-
-        self.groups = Groups(
-            tiled(keys), tiled(first), tiled(count), stride, tiled(write_lo), tiled(write_hi),
-            [bound + member * size for member in range(members) for bound in bounds[:-1]]
-            + [members * size],
+        self.reading_at = np.searchsorted(reading, offsets).tolist()
+        self.writing_at = np.searchsorted(writing, offsets).tolist()
+        cuts = len(offsets) - 1
+        cell = np.repeat(np.arange(cuts) * hosts, np.diff(offsets)) + host
+        self.host_reads, self.host_writes = (
+            np.bincount(cell, weights=column, minlength=cuts * hosts)
+            .astype(np.int64).reshape(cuts, hosts).tolist()
+            for column in (count, num_writes)
         )
-        self.rows = shifted(keys * (members * hosts) + (base.rows - keys * hosts), hosts)
-        self.versions = tiled(base.versions)
-        self.num_writes = tiled(base.num_writes)
-        self.writing = shifted(base.writing, size)
-        self.reading = shifted(base.reading, size)
-        self.read_rows = self.rows[self.reading]
-        self.read_counts = tiled(base.read_counts)
-        self.first_read = tiled(base.first_read)
-        self.last_read = tiled(base.last_read)
-        self.host_reads = base.host_reads * members
-        self.host_writes = base.host_writes * members
-        self._write_runs: Optional[np.ndarray] = None
-        self._first_seen: Optional[np.ndarray] = None
+        runs = np.zeros((3, keys.size), dtype=np.int64)
+        mixed = (count * num_writes).nonzero()[0]
+        if mixed.size:
+            runs[:, mixed] = _write_runs(
+                index, first[mixed], count[mixed], stride, write_lo[mixed], num_writes[mixed]
+            )
+        self.write_runs = runs
+        # The position columns may be unsigned: the "no read" sentinel goes
+        # into a signed array they are then copied into.
+        seen = np.full(keys.size, _UNSEEN, dtype=np.int64)
+        seen[reading] = first_read
+        seen[writing] = np.minimum(seen[writing], index.write_pos[write_lo[writing]])
+        self.first_seen = seen
 
-    def write_runs(self, index: TraceIndex) -> np.ndarray:
-        if self._write_runs is None:
-            self._write_runs = np.concatenate((self.base.write_runs(index),) * self.members, 1)
-        return self._write_runs
-
-    def first_seen(self, index: TraceIndex) -> np.ndarray:
-        if self._first_seen is None:
-            self._first_seen = np.concatenate((self.base.first_seen(index),) * self.members)
-        return self._first_seen
+    def cut(self, position: int) -> _SpanPrelude:
+        """Cut ``position``'s prelude: views of the block's columns."""
+        lo, hi = self.block.offsets[position], self.block.offsets[position + 1]
+        read = slice(*self.reading_at[position : position + 2])
+        write = slice(*self.writing_at[position : position + 2])
+        prelude = _SpanPrelude()
+        prelude.groups, prelude.counted = self.block.cut(position)
+        prelude.rows = self.rows[lo:hi]
+        prelude.versions = self.versions[lo:hi]
+        prelude.num_writes = self.num_writes[lo:hi]
+        prelude.writing = self.writing[write] - lo
+        prelude.reading = self.reading[read] - lo
+        prelude.read_rows = self.read_rows[read]
+        prelude.read_counts = self.read_counts[read]
+        prelude.first_read = self.first_read[read]
+        prelude.last_read = self.last_read[read]
+        prelude.host_reads = self.host_reads[position]
+        prelude.host_writes = self.host_writes[position]
+        prelude.write_runs = self.write_runs[:, lo:hi]
+        prelude.first_seen = self.first_seen[lo:hi]
+        return prelude
 
 
 def _kernel_reactive_span(
@@ -939,7 +978,7 @@ def _kernel_reactive_span(
         # the key's pre-span writes plus the span writes before the miss.
         visible = write_lo[missed]
         if prelude.num_writes[missed].any():
-            before_miss = prelude.write_runs(index)[0][missed]
+            before_miss = prelude.write_runs[0][missed]
             visible = visible + before_miss
         version = visible - index.write_offsets[keys[missed]]
         value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
@@ -1007,7 +1046,7 @@ def _kernel_reactive_span(
     # stream order — each read closes the run of writes since the previous
     # read, the first run absorbing the carried ``writes_since_read``.
     if columns.folds:
-        before_first, before_last, runs_closed = prelude.write_runs(index)
+        before_first, before_last, runs_closed = prelude.write_runs
         count, writes = prelude.groups.count, prelude.num_writes
         observed = count > 0
         carry = columns.writes_since_read[rows]
@@ -1018,7 +1057,7 @@ def _kernel_reactive_span(
             closed = np.where(columns.zero_runs[prelude.groups.host], count, closed)
         columns.sample_count[rows] += closed
         columns.writes_since_read[rows] = np.where(observed, writes - before_last, carry + writes)
-        columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen(index))
+        columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen)
 
 
 def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> None:
@@ -1229,29 +1268,6 @@ _TTL_BLOCK_ROWS = 16_384
 _TTL_EXPIRY_BATCH = 128
 
 
-def _bisect_groups(value_at, lo, hi, needle, right: bool = False) -> np.ndarray:
-    """Segmented bisection: one binary search per group, all groups at once.
-
-    Group ``g`` owns an ascending run of values; ``value_at(groups, ranks)``
-    gathers element ``ranks[i]`` of group ``groups[i]``.  Returns, per group,
-    the first rank in ``[lo[g], hi[g])`` whose value is at or above
-    ``needle[g]`` (above it when ``right``), or ``hi[g]`` when there is none:
-    ``searchsorted`` for every group in ``O(log(longest run))`` numpy steps.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    pending = np.flatnonzero(lo < hi)
-    while pending.size:
-        low, high = lo[pending], hi[pending]
-        middle = (low + high) >> 1
-        value = value_at(pending, middle)
-        below = value <= needle[pending] if right else value < needle[pending]
-        low = np.where(below, middle + 1, low)
-        high = np.where(below, high, middle)
-        lo[pending], hi[pending] = low, high
-        pending = pending[low < high]
-    return lo
-
-
 def _versions_before(
     ctx: _ReplayContext, keys: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
@@ -1262,7 +1278,7 @@ def _versions_before(
     """
     index = ctx.index
     write_lo = index.write_offsets[keys]
-    return _bisect_groups(
+    return bisect_groups(
         lambda groups, rank: index.write_pos[write_lo[groups] + rank],
         np.zeros(keys.size, dtype=np.int64),
         index.write_offsets[keys + 1] - write_lo,
@@ -1367,7 +1383,7 @@ def _kernel_ttl_expiry(
     live = np.arange(keys.size)
     while live.size >= _TTL_EXPIRY_BATCH:
         run = first[live]
-        expired = _bisect_groups(
+        expired = bisect_groups(
             lambda groups, rank: times[read_pos[run[groups] + rank * stride]],
             fill[live] + 1,
             count[live],
@@ -1505,7 +1521,7 @@ def _kernel_ttl_polling(
     # version is the shorter prefix (for a key that never charged, no longer
     # than the fill's).
     write_lo = ctx.index.write_offsets[keys]
-    polled_version = _bisect_groups(
+    polled_version = bisect_groups(
         lambda groups, rank: ctx.index.write_times[write_lo[groups] + rank],
         np.zeros(keys.size, dtype=np.int64),
         _versions_before(ctx, keys, settled_position),
@@ -1613,13 +1629,16 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
     misses = tally.stale_misses + tally.cold_misses
     ctx.datastore.total_reads += misses
     # Constant-cost accumulations: the scalar engine's n in-order additions.
-    result.useful_work = _fold_constant(result.useful_work, ctx.serve_const, tally.reads)
-    result.freshness_cost = _fold_constant(
-        result.freshness_cost, ctx.miss_const, tally.stale_misses
-    )
-    result.cold_miss_cost = _fold_constant(
-        result.cold_miss_cost, ctx.miss_const, tally.cold_misses
-    )
+    if tally.reads:
+        result.useful_work = _fold_constant(result.useful_work, ctx.serve_const, tally.reads)
+    if tally.stale_misses:
+        result.freshness_cost = _fold_constant(
+            result.freshness_cost, ctx.miss_const, tally.stale_misses
+        )
+    if tally.cold_misses:
+        result.cold_miss_cost = _fold_constant(
+            result.cold_miss_cost, ctx.miss_const, tally.cold_misses
+        )
     stats.insertions += tally.cold_misses
     if tally.buffered_writes:
         host.buffer.total_buffered += tally.buffered_writes
@@ -1639,24 +1658,26 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
 def _walk_spans(engine, reacts: bool) -> Iterator[SpanFacts]:
     """The cuts of a replay of ``engine.trace``, each where its next flush falls.
 
-    Takes every cut's facts from the trace's span table — a cursor builds the
-    ones no earlier replay asked for — and between two cuts runs the driver's
-    due work (which moves the live ``engine._next_flush``) exactly where the
-    scalar loop would.  A non-reacting policy has no flush boundaries, so its
-    whole trace is one span.
+    Takes every cut's facts from the trace's span table — a miss builds the
+    cut with the next ones of the replay's flush schedule, in one batch —
+    and between two cuts runs the due work of ``ReplayDriver._advance``
+    (which moves the live ``engine._next_flush``) exactly where the scalar
+    loop would.  A
+    non-reacting policy has no flush boundaries, so its whole trace is one
+    span.
     """
     times = engine.trace.times
     total = len(times)
     index = engine.trace.index()
-    cursor = SpanCursor(index)
     if not reacts:
-        yield index.span(0, total, cursor)
+        yield index.span(0, total)
         return
+    schedule = index.cut_ends(times, engine.staleness_bound)
     start = 0
     while start < total:
         end = int(np.searchsorted(times, engine._next_flush, side="left"))
         if end > start:
-            yield index.span(start, end, cursor)
+            yield index.span(start, end, schedule)
             start = end
             if start >= total:
                 break
@@ -1670,20 +1691,28 @@ class _Lockstep:
     stacked hosts.
 
     Replays of one trace under one flush schedule cut it in the same places,
-    so a unit keeps every member's hosts in one :class:`_HostColumns` —
-    member ``m``'s host ``h`` is stacked host ``m * hosts + h`` — and takes
-    one kernel call and one flush per cut for all of them.  Each member
-    still steps its own cuts, and its own sequence is unchanged — the
-    flushes due before a cut, its obs roll, the cut's kernel, its tally
-    fold — because the members' states are disjoint and two rules keep the
-    order: the unit's flush at a time runs when the first member reaches
-    it (:meth:`flush`), and the unit's kernel for a cut when the last member
-    has come to the cut, its obs window rolled (:meth:`cut`).  Each member's
-    tallies fold into its own results.  The last member to finish its walk
-    writes every member's objects back (:meth:`finish`).
+    whatever their fleet shape, so a unit keeps every member's hosts in one
+    :class:`_HostColumns` — member ``m``'s hosts follow those of the members
+    before it — and takes one kernel call and one flush per cut for all of
+    them.  Each member still steps its own cuts, and its own sequence is
+    unchanged — the flushes due before a cut, its obs roll, the cut's
+    kernel, its tally fold — because the members' states are disjoint and
+    two rules keep the order: the unit's flush at a time runs when the
+    first member reaches it (:meth:`flush`), and the unit's kernel for a cut
+    when the last member has come to the cut, its obs window rolled
+    (:meth:`cut`).  The unit stacks its members' groups once per window of
+    a batch's cuts (:func:`_stack_groups`) and builds the window's stacked
+    prelude then; each cut's kernel call takes views of it.  Members stack
+    whatever their fleet shape, as long as their groups read with one
+    stride.  Each member's tallies fold into its own results.  The last
+    member to finish its walk writes every member's objects back
+    (:meth:`finish`).
     """
 
-    __slots__ = ("members", "columns", "flushed", "arrived", "finished")
+    __slots__ = (
+        "members", "columns", "flushed", "arrived", "finished", "batch", "first", "last",
+        "prelude",
+    )
 
     def __init__(self, members: List["SpanReplay"]) -> None:
         self.members = members
@@ -1692,6 +1721,10 @@ class _Lockstep:
         )
         self.flushed = -math.inf
         self.arrived = self.finished = 0
+        #: The stacked prelude of cuts ``first`` to ``last`` of ``batch``.
+        self.batch: Optional[CutBatch] = None
+        self.first = self.last = 0
+        self.prelude: Optional[_PreludeBlock] = None
         for member in members:
             member._unit = self
 
@@ -1708,17 +1741,35 @@ class _Lockstep:
         if self.arrived < len(self.members):
             return
         self.arrived = 0
-        ctx = member._ctx
-        groups, writes = member._node_groups(facts)
-        prelude = _span_prelude(ctx, facts, member._shape, groups)
-        if len(self.members) > 1:
-            prelude = _StackedPrelude(prelude, len(self.members))
-        tallies = [_SpanTally(count) for _ in self.members for count in writes]
-        _kernel_reactive_span(ctx, self.columns, tallies, prelude)
+        if facts.batch is not self.batch or not self.first <= facts.position < self.last:
+            self._stack(facts)
+        prelude = self.prelude.cut(facts.position - self.first)
+        tallies = [_SpanTally(count) for count in prelude.counted]
+        _kernel_reactive_span(member._ctx, self.columns, tallies, prelude)
         folding = iter(tallies)
         for each in self.members:
             for host, tally in zip(each._hosts, folding):
                 _flush_tally(each._ctx, host, tally)
+
+    def _stack(self, facts: SpanFacts) -> None:
+        """The prelude of the cuts of ``facts``' batch from ``facts`` on: a
+        unit of one takes its shape's from the span table; a bigger unit
+        stacks its members' groups of as many of those cuts as
+        :data:`_STACKED_GROUPS` stacked groups hold (at least one cut) and
+        builds their prelude once."""
+        members, batch = self.members, facts.batch
+        self.batch = batch
+        if len(members) == 1:
+            self.prelude = members[0]._prelude_block(facts)
+            self.first, self.last = 0, len(batch.cuts)
+            return
+        ctx = members[0]._ctx
+        blocks = [each._group_block(facts) for each in members]
+        first = facts.position
+        stacked = np.cumsum(sum(np.diff(block.offsets[first:]) for block in blocks))
+        last = first + max(1, int(np.searchsorted(stacked, _STACKED_GROUPS, side="right")))
+        self.first, self.last = first, last
+        self.prelude = _PreludeBlock(ctx.trace, ctx.index, _stack_groups(blocks, first, last))
 
     def finish(self) -> None:
         """A member has run its flushes up to the horizon; the last one to
@@ -1726,14 +1777,16 @@ class _Lockstep:
         self.finished += 1
         if self.finished == len(self.members):
             self.columns.write_back()
+            self.batch = self.prelude = None
 
     @staticmethod
     def key(member: "SpanReplay") -> Tuple[Any, ...]:
         """What replays must share to be one unit: the trace's index, the
-        flush schedule and horizon, the fleet shape and the cost constants."""
+        flush schedule and horizon, the read stride of their groups and the
+        cost constants."""
         ctx = member._ctx
         return (
-            id(ctx.index), ctx.bound, member.duration, member._shape, ctx.serve_const,
+            id(ctx.index), ctx.bound, member.duration, member._stride, ctx.serve_const,
             ctx.miss_const, ctx.invalidate_const, ctx.update_const, ctx.default_value_size,
         )
 
@@ -1743,11 +1796,12 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
     one cut each in turn, until every one has returned; their results, in order.
 
     A write-reactive columnar replay's first step offers its engine; the
-    engines offered that replay one trace under one flush schedule are
-    stacked into one unit (:class:`_Lockstep`), whose kernel call and flush
-    per cut serve all of them.  Policies that step together also find each
-    cut in the trace's span table, built by the first of them a moment ago:
-    its facts, routing and kernel prelude are built once for all of them.
+    engines offered that replay one trace under one flush schedule, with
+    one read stride, are stacked into one unit (:class:`_Lockstep`), whose
+    kernel call and flush per cut serve all of them.  Replays that step
+    together also find each cut in the trace's span table, built in a batch
+    by the first lookup: its facts and each fleet shape's routing are built
+    once for all of them.
     A replay that leaves the envelope replays scalar at its first step and
     joins no unit, and a TTL replay is a unit of its own.  The members'
     states are disjoint, so the order of the steps changes no result.
@@ -1784,13 +1838,15 @@ class SpanReplay:
     writes the objects back; the replay commits the trace's writes, so the
     driver's finalize runs on objects.  The defaults are the single cache's
     (one host, the whole cut, unrouted); the fleet supplies ``_route_trace``
-    / ``_node_groups``.
+    / ``_route_batch``.
     """
 
     _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
-    #: The fleet shape a cut's kernel prelude is memoised under (``None``:
-    #: the single cache's, unrouted).
+    #: The fleet shape a cut's groups and kernel prelude are memoised under
+    #: (``None``: the single cache's, unrouted).
     _shape = None
+    #: How far apart a group's reads lie in the key's read column.
+    _stride = 1
 
     def __init__(self, trace: CompiledTrace, *args, **kwargs) -> None:
         if not isinstance(trace, CompiledTrace):
@@ -1893,12 +1949,38 @@ class SpanReplay:
         """Route the trace before the first span (the single cache: nothing to route)."""
 
     def _node_groups(self, facts: SpanFacts) -> Tuple[Groups, List[int]]:
-        """The hosts' :class:`Groups` of one cut and the writes each counts:
-        the single cache's one host has every key with all its reads, and it
-        counts every write."""
-        keys, read_lo, read_hi, write_lo, write_hi = facts.columns
-        groups = Groups(keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi, [0, keys.size])
-        return groups, [facts.total_writes]
+        """The hosts' :class:`Groups` of one cut and the writes each counts."""
+        return self._group_block(facts).cut(facts.position)
+
+    def _group_block(self, facts: SpanFacts) -> _GroupBlock:
+        """The hosts' groups of every cut of ``facts``' batch, from the span
+        table (built for the whole batch on first use)."""
+        return self._ctx.index.routed(facts, ("groups", self._shape), self._route_batch)
+
+    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, List[int]]:
+        """Group a batch's cuts by host, with each cut's table bytes.  The
+        single cache's one host has every key of a cut with all its reads,
+        and it counts every write."""
+        keys, read_lo, read_hi, write_lo, write_hi = batch.columns
+        sizes = np.diff(batch.offsets)
+        block = _GroupBlock(
+            keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi,
+            np.zeros(keys.size, dtype=np.int64), 1, batch.offsets,
+            np.stack((np.zeros_like(sizes), sizes), axis=1), np.array(batch.writes)[:, None],
+        )
+        return block, (16 * sizes).tolist()
+
+    def _prelude_block(self, facts: SpanFacts) -> _PreludeBlock:
+        """The kernel prelude of every cut of ``facts``' batch on this
+        replay's hosts, from the span table."""
+        ctx = self._ctx
+
+        def build(batch: CutBatch) -> Tuple[_PreludeBlock, List[int]]:
+            block = self._group_block(facts)
+            sizes = _PRELUDE_GROUP_BYTES * np.diff(block.offsets)
+            return _PreludeBlock(ctx.trace, ctx.index, block), sizes.tolist()
+
+        return ctx.index.routed(facts, ("prelude", self._shape), build)
 
     def _replay_reactive_span(self, facts: SpanFacts) -> None:
         """One cut: this replay has come to it; the unit replays it once all

@@ -220,15 +220,21 @@ def warm_state(
         entry.state = EntryState.VALID
         return entry, False
 
-    for entry_data in node_data["entries"]:
-        entry, stale = validate(entry_data)
-        state.invalidated += stale
-        state.entries.append(entry)
-    l1_data = node_data.get("l1", {})
-    for entry_data in l1_data.get("entries", []):
-        entry, stale = validate(entry_data)
-        state.l1_invalidated += stale
-        state.l1_entries.append(entry)
-    restored_keys = {entry.key for entry in state.l1_entries}
-    state.l1_dirty = [key for key in l1_data.get("dirty", []) if key in restored_keys]
+    with malformed(snapshot.path, f"node {node_id!r}"):
+        l1_data = node_data.get("l1", {})
+        for field_name, listed in (
+            ("entries", node_data["entries"]), ("l1 entries", l1_data.get("entries", []))
+        ):
+            if not isinstance(listed, list):
+                raise StoreError(f"{field_name} is {type(listed).__name__}, not a list")
+        for entry_data in node_data["entries"]:
+            entry, stale = validate(entry_data)
+            state.invalidated += stale
+            state.entries.append(entry)
+        for entry_data in l1_data.get("entries", []):
+            entry, stale = validate(entry_data)
+            state.l1_invalidated += stale
+            state.l1_entries.append(entry)
+        restored_keys = {entry.key for entry in state.l1_entries}
+        state.l1_dirty = [key for key in l1_data.get("dirty", []) if key in restored_keys]
     return state

@@ -5,7 +5,11 @@ A :class:`CompiledTrace` is a whole stream laid out as parallel arrays
 vectorized engine (``repro.sim.vector``) replays it in spans, and what a span
 is — its per-key slices, its write batch, each host's share — is a fact of
 the trace: the :class:`TraceIndex` keeps a bounded table of
-:class:`SpanFacts`, computed once per cut and shared by every replay.  The
+:class:`SpanFacts`, shared by every replay.  A replay's flush schedule cuts
+the trace at ends the index works out once per bound (:meth:`TraceIndex.cut_ends`),
+and the table's one builder (:meth:`TraceIndex.cuts`) makes a whole run of
+those cuts — a :class:`CutBatch` — with a fixed number of segmented searches
+over keys x cuts, whatever the cuts hold.  The
 scalar drivers take the trace :data:`~repro.workload.base.STREAM_CHUNK_SIZE`
 rows at a time through :meth:`CompiledTrace.chunks`, without building a
 request object.
@@ -88,9 +92,11 @@ class TraceIndex:
             key's read bound when none follows): ``read_pos[i]`` precedes
             the write in the stream exactly when ``i`` is below it, so a
             write's rank among any run of the key's reads is arithmetic.
+        occurring: The ids of the keys with at least one request, ascending.
         plans: Memo for trace-wide artefacts that depend on configuration
             but not on replay state (the fleet routing plan), keyed by that
             configuration: one entry per fleet shape.
+        schedules: :meth:`cut_ends`'s memo, by staleness bound.
         write_time_list: ``write_times`` as Python floats, made by the
             first write commit (:meth:`listed_write_times`) and charged to
             the table: every replay's histories copy slices of this one list
@@ -112,7 +118,9 @@ class TraceIndex:
         "write_times",
         "write_value_sizes",
         "write_read_rank",
+        "occurring",
         "plans",
+        "schedules",
         "write_time_list",
         "table",
         "table_bytes",
@@ -146,11 +154,18 @@ class TraceIndex:
         self.write_read_rank = (write_slots - np.arange(write_slots.size)).astype(
             order.dtype
         )
-        self.read_offsets = _offsets(key_ids[is_read], num_keys)
-        self.write_offsets = _offsets(key_ids[~is_read], num_keys)
+        # Key ``k``'s requests are the slots from ``requests[k]`` on, so its
+        # writes are the write slots from the first one at or past it.
+        counts = np.bincount(key_ids, minlength=num_keys)
+        requests = np.zeros(num_keys + 1, dtype=np.int64)
+        np.cumsum(counts, out=requests[1:])
+        self.write_offsets = np.searchsorted(write_slots, requests).astype(np.int64)
+        self.read_offsets = requests - self.write_offsets
         self.write_times = times[self.write_pos]
         self.write_value_sizes = value_sizes[self.write_pos]
+        self.occurring = np.flatnonzero(counts)
         self.plans: Dict[Hashable, Any] = {}
+        self.schedules: Dict[float, np.ndarray] = {}
         self.write_time_list: Optional[List[float]] = None
         self.table: Dict[Tuple[int, int], SpanFacts] = {}
         self.table_bytes = 0
@@ -169,6 +184,7 @@ class TraceIndex:
                 self.write_times,
                 self.write_value_sizes,
                 self.write_read_rank,
+                self.occurring,
             )
         )
 
@@ -186,22 +202,108 @@ class TraceIndex:
             self.write_value_sizes[start:end],
         )
 
-    def span(self, start: int, end: int, cursor: Optional["SpanCursor"] = None) -> "SpanFacts":
-        """The facts of the cut ``[start, end)``, built once per cut.
+    def cut_ends(self, times: np.ndarray, bound: float) -> np.ndarray:
+        """Where a replay flushing every ``bound`` cuts the trace: the ends of
+        its cuts, ascending, the last one the trace's length.
 
-        A cut that is not in the table is built by ``cursor`` (a fresh one
-        when the caller walks none), which first catches up to ``start``.
-        The key is the cut itself, so whichever cuts a replay asks for — a
-        wrong guess of another replay's boundaries, an evicted entry — it
-        gets that cut's facts: the table saves time and never changes a row.
+        ``ReplayDriver._advance`` flushes at ``bound`` and then ``+=
+        bound``; each cut ends at the first request at or past a flush, and
+        flushes that pass between two requests end the same cut.  Worked out
+        once per bound (the float sums are an exact ``cumsum``, a block of
+        flushes at a time) and memoised on the index.
+        """
+        ends = self.schedules.get(bound)
+        if ends is None:
+            ends = self.schedules[bound] = _flush_cut_ends(times, bound)
+        return ends
+
+    def span(
+        self, start: int, end: int, schedule: Optional[np.ndarray] = None
+    ) -> "SpanFacts":
+        """The facts of the cut ``[start, end)``, from the table.
+
+        A cut that is not in the table is built by :meth:`cuts` — with the
+        cuts of ``schedule`` (:meth:`cut_ends`) that follow it, as many as
+        the table holds, when the caller walks one.  The key is the cut
+        itself, so whichever cuts a replay asks for — a wrong guess of
+        another replay's boundaries, an evicted entry — it gets that cut's
+        facts: the table saves time and never changes a row.
         """
         facts = self.table.get((start, end))
         if facts is None:
-            cursor = cursor or SpanCursor(self)
-            cursor.seek(start)
-            facts = self.table[start, end] = SpanFacts((start, end), cursor.advance(end))
-            self._charge(facts.nbytes)
+            facts = self.cuts(start, self._batch_ends(start, end, schedule))[0]
         return facts
+
+    def _batch_ends(
+        self, start: int, end: int, schedule: Optional[np.ndarray]
+    ) -> List[int]:
+        """``end`` and the ends of ``schedule`` after it that one batch may
+        search: no more than :data:`_CUT_GRID` cells of keys x cut edges,
+        nor requests (the first cut alone may have more), and none past the
+        first cut the table holds."""
+        if schedule is None:
+            return [end]
+        later = schedule[np.searchsorted(schedule, end, side="right") :]
+        taken = min(
+            int(np.searchsorted(later, start + _CUT_GRID, side="right")),
+            max(0, _CUT_GRID // max(self.occurring.size, 1) - 2),
+        )
+        ends = [end]
+        for later_end in later[:taken].tolist():
+            if (ends[-1], later_end) in self.table:
+                break
+            ends.append(later_end)
+        return ends
+
+    def _batch_keys(self) -> int:
+        """Most keys the cuts of one batch hold together: the table's room —
+        the cap, short of the write list — at :data:`_CUT_KEY_BYTES` a key."""
+        listed = 0 if self.write_time_list is None else _WRITE_BYTES * self.write_times.size
+        return (self.table_cap - listed) // _CUT_KEY_BYTES
+
+    def cuts(self, start: int, ends: List[int]) -> List["SpanFacts"]:
+        """The one builder of cuts: the facts of ``[start, ends[0])``,
+        ``[ends[0], ends[1])`` ..., built in one pass and put in the table —
+        the first cut, and as many of the next ones as the table has room
+        for at :data:`_CUT_KEY_BYTES` a key.
+
+        For every key that occurs in the trace and every cut edge, where the
+        key's reads and writes stand at the edge is a segmented search
+        (:func:`_search_runs`) on the key-major columns, so the build is a
+        fixed number of numpy calls over keys x cuts, and its temporaries
+        hold keys x cuts cells and, for more than one cut, the batch's
+        requests — never one per request of the trace.  A key's span
+        requests are the slice between two edges; the keys with any are the
+        cut's, ascending.  The cuts are one :class:`CutBatch`: their columns
+        are views of its flat columns.
+        """
+        edges = np.array([start, *ends], dtype=np.int64)
+        keys = self.occurring
+        total = self.key_ids.size
+        read_at = _search_runs(self.read_pos, self.read_offsets, keys, edges, total)
+        write_at = _search_runs(self.write_pos, self.write_offsets, keys, edges, total)
+        read_lo, read_hi = read_at[:, :-1].T, read_at[:, 1:].T
+        write_lo, write_hi = write_at[:, :-1].T, write_at[:, 1:].T
+        # Cut-major, keys ascending within a cut.
+        active = (read_hi > read_lo) | (write_hi > write_lo)
+        sizes = np.cumsum(active.sum(axis=1))
+        taken = max(1, int(np.searchsorted(sizes, self._batch_keys(), side="right")))
+        if taken < len(ends):
+            edges, active = edges[: taken + 1], active[:taken]
+            read_lo, read_hi = read_lo[:taken], read_hi[:taken]
+            write_lo, write_hi = write_lo[:taken], write_hi[:taken]
+        _, key_of = active.nonzero()
+        batch = CutBatch(
+            list(zip(edges[:-1].tolist(), edges[1:].tolist())),
+            (keys[key_of], read_lo[active], read_hi[active], write_lo[active], write_hi[active]),
+            [0, *sizes[:taken].tolist()],
+            (write_hi - write_lo).sum(axis=1).tolist(),
+        )
+        built = [SpanFacts(batch, position) for position in range(taken)]
+        for facts in built:
+            self.table[facts.cut] = facts
+        self._charge(sum(facts.nbytes for facts in built))
+        return built
 
     def listed_write_times(self) -> List[float]:
         """:attr:`write_time_list`, made on first use and charged to the table."""
@@ -210,18 +312,31 @@ class TraceIndex:
             self.table_bytes += _WRITE_BYTES * self.write_times.size
         return self.write_time_list
 
-    def routed(self, facts: "SpanFacts", key: Hashable, build: Callable[[], Tuple[Any, int]]):
-        """``facts.routed[key]``, built on first use by ``build() -> (value,
-        nbytes)``: what a cut is under one configuration (a fleet shape's
-        per-node groups, a host's kernel prelude) but still under no policy,
-        bound or cache state."""
+    def routed(
+        self,
+        facts: "SpanFacts",
+        key: Hashable,
+        build: Callable[["CutBatch"], Tuple[Any, List[int]]],
+    ):
+        """``facts.routed[key]``, built on first use by ``build(facts.batch)
+        -> (value, nbytes)`` for every cut of the batch at once: what the
+        cuts are under one configuration (a fleet shape's groups, their
+        kernel prelude) but still under no policy, bound or cache state.
+        ``value`` serves every cut of the batch; ``nbytes`` is each cut's
+        share of it, charged for the cuts the table holds."""
         value = facts.routed.get(key)
         if value is None:
-            value, nbytes = build()
+            batch = facts.batch
+            value, nbytes = build(batch)
             facts.routed[key] = value
-            facts.nbytes += nbytes
-            if self.table.get(facts.cut) is facts:
-                self._charge(nbytes)
+            charged = 0
+            for cut, share in zip(batch.cuts, nbytes):
+                held = self.table.get(cut)
+                if held is not None and held.batch is batch:
+                    held.routed[key] = value
+                    held.nbytes += share
+                    charged += share
+            self._charge(charged)
         return value
 
     def _charge(self, nbytes: int) -> None:
@@ -231,16 +346,116 @@ class TraceIndex:
             self.table_bytes -= self.table.pop(next(iter(self.table))).nbytes
 
 
-def _offsets(key_ids: np.ndarray, num_keys: int) -> np.ndarray:
-    offsets = np.zeros(num_keys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key_ids, minlength=num_keys), out=offsets[1:])
-    return offsets
+#: Flushes :func:`_flush_cut_ends` sums at a time.
+_FLUSH_BLOCK = 1 << 16
 
 
-#: One span of a :class:`SpanCursor` walk: ``(keys, read_lo, read_hi, write_lo,
-#: write_hi)`` — the ids of the keys that occur in the span, ascending, and for
-#: each the bounds of its span reads in ``read_pos`` and of its span writes in
-#: the write columns.
+def _flush_cut_ends(times: np.ndarray, bound: float) -> np.ndarray:
+    """:meth:`TraceIndex.cut_ends` of ``times``, worked out.
+
+    ``cumsum`` adds strictly left to right, so seeding the first addend of a
+    block with the last flush of the one before gives ``ReplayDriver``'s
+    floats.
+    Each block keeps only the ends it adds, so the memory is the cuts'.
+    """
+    if times.size == 0:
+        return np.empty(0, dtype=np.int64)
+    last, flush, end = float(times[-1]), 0.0, 0
+    parts = []
+    while flush <= last:
+        steps = np.full(int(min((last - flush) / bound, _FLUSH_BLOCK)) + 2, bound)
+        steps[0] += flush
+        flushes = np.cumsum(steps)
+        found = np.searchsorted(times, flushes, side="left")
+        # Ascending: the first of each run of equal ends, past the last kept.
+        parts.append(found[found > np.concatenate(([end], found[:-1]))])
+        end = int(found[-1])
+        if flushes[-1] <= flush:
+            # A bound below the clock's resolution: the flush never moves.
+            break
+        flush = float(flushes[-1])
+    if end < times.size:
+        # The flush past the last request ends the last cut at the trace's end.
+        parts.append(np.array([times.size]))
+    return np.concatenate(parts)
+
+
+def _search_runs(
+    values: np.ndarray, offsets: np.ndarray, keys: np.ndarray, edges: np.ndarray, total: int
+) -> np.ndarray:
+    """A ``keys x edges`` grid of segmented ``searchsorted`` calls: for key
+    ``k`` (its ascending run ``values[offsets[k]:offsets[k + 1]]`` of stream
+    positions below ``total``) and each edge, the index of the run's first
+    value at or past the edge — the run's end when there is none.
+
+    The outer edges are bisected in every key's run; between them, each
+    key's run is a slice, and a key's rank at an inner edge counts the
+    slice's values below it: one ``searchsorted`` of the slices' values
+    into the inner edges and one ``bincount``.  So the temporaries hold
+    keys x edges cells and the requests between the outer edges, never one
+    per request of the trace.
+    """
+    lo, hi = offsets[keys], offsets[keys + 1]
+
+    def bisect(start: np.ndarray, edge: int) -> np.ndarray:
+        return bisect_groups(lambda _, rank: values[rank], start, hi, np.full(keys.size, edge))
+
+    first = lo if edges[0] <= 0 else bisect(lo, edges[0])
+    last = hi if edges[-1] >= total else bisect(first, edges[-1])
+    grid = np.repeat(first, edges.size).reshape(keys.size, edges.size)
+    grid[:, -1] = last
+    if edges.size > 2:
+        cuts = edges.size - 1
+        live = (last > first).nonzero()[0]
+        lengths = (last - first)[live]
+        slot = np.repeat(np.arange(live.size) * cuts, lengths)
+        at = np.arange(slot.size) + np.repeat(first[live] - (np.cumsum(lengths) - lengths), lengths)
+        slot += np.searchsorted(edges[1:-1], values[at], side="right")
+        counts = np.bincount(slot, minlength=live.size * cuts).reshape(live.size, cuts)
+        grid[live, 1:] = first[live, None] + np.cumsum(counts, axis=1)
+    return grid
+
+
+def bisect_groups(value_at, lo, hi, needle, right: bool = False) -> np.ndarray:
+    """Segmented bisection: one binary search per group, all groups at once.
+
+    Group ``g`` owns an ascending run of values; ``value_at(groups, ranks)``
+    gathers element ``ranks[i]`` of group ``groups[i]``.  Returns, per group,
+    the first rank in ``[lo[g], hi[g])`` whose value is at or above
+    ``needle[g]`` (above it when ``right``), or ``hi[g]`` when there is none:
+    ``searchsorted`` for every group in ``O(log(longest run))`` numpy steps.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    pending = np.flatnonzero(lo < hi)
+    while pending.size:
+        low, high = lo[pending], hi[pending]
+        middle = (low + high) >> 1
+        value = value_at(pending, middle)
+        below = value <= needle[pending] if right else value < needle[pending]
+        low = np.where(below, middle + 1, low)
+        high = np.where(below, high, middle)
+        lo[pending], hi[pending] = low, high
+        pending = pending[low < high]
+    return lo
+
+
+#: Table bytes a batch is sized for, per key of each of its cuts: the cut's
+#: five 8-byte fact columns and the groups of the single cache and of a
+#: fleet shape (40 + 16 + 48, what a sweep's lockstep units charge).  A
+#: replay that also memoises its kernel prelude (112 more) makes the table
+#: evict some of the batch's cuts again; its walk rebuilds them, unchanged.
+_CUT_KEY_BYTES = 128
+
+#: Most cells of keys x cut edges, and most requests past its first cut, one
+#: batch searches: with the search's handful of 8-byte temporaries a cell or
+#: request, a few MiB at most, whatever the trace.
+_CUT_GRID = 1 << 15
+
+
+#: One span of a trace: ``(keys, read_lo, read_hi, write_lo, write_hi)`` —
+#: the ids of the keys that occur in the span, ascending, and for each the
+#: bounds of its span reads in ``read_pos`` and of its span writes in the
+#: write columns.
 Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -249,82 +464,59 @@ Span = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _WRITE_BYTES = 32
 
 
+class CutBatch:
+    """Consecutive cuts built in one pass by :meth:`TraceIndex.cuts`.
+
+    Attributes:
+        cuts: The cuts ``(start, end)``, in stream order.
+        columns: Their :data:`Span` columns, flat: cut ``j``'s rows are
+            ``[offsets[j], offsets[j + 1])``, keys ascending.  Read-only.
+        offsets: Per cut, where its rows start, and the total (ints).
+        writes: Per cut, its number of writes (ints).
+    """
+
+    __slots__ = ("cuts", "columns", "offsets", "writes")
+
+    def __init__(
+        self, cuts: List[Tuple[int, int]], columns: Span, offsets: List[int], writes: List[int]
+    ) -> None:
+        for column in columns:
+            column.flags.writeable = False
+        self.cuts = cuts
+        self.columns = columns
+        self.offsets = offsets
+        self.writes = writes
+
+
 class SpanFacts:
     """What one cut ``[start, end)`` of a trace is, whoever replays it.
 
     A pure function of the trace and the two cut positions, so every policy,
     and sweep cell that replays the cut shares one object — read-only:
-    the columns are frozen.  Holds no reference to the trace.
+    the columns are views of its batch's frozen ones.  Holds no reference
+    to the trace.
 
     Attributes:
         cut: ``(start, end)``.
+        batch: The :class:`CutBatch` the cut was built in.
+        position: The cut's place in its batch.
         columns: The cut's :data:`Span` columns.
         total_writes: Number of writes in the cut.
         routed: Memo filled through :meth:`TraceIndex.routed`.
         nbytes: Table bytes charged for this cut.
     """
 
-    __slots__ = ("cut", "columns", "total_writes", "routed", "nbytes")
+    __slots__ = ("cut", "batch", "position", "columns", "total_writes", "routed", "nbytes")
 
-    def __init__(self, cut: Tuple[int, int], columns: Span) -> None:
-        for column in columns:
-            column.flags.writeable = False
-        self.cut = cut
-        self.columns = columns
-        _, _, _, write_lo, write_hi = columns
-        self.total_writes = int((write_hi - write_lo).sum())
+    def __init__(self, batch: CutBatch, position: int) -> None:
+        lo, hi = batch.offsets[position], batch.offsets[position + 1]
+        self.cut = batch.cuts[position]
+        self.batch = batch
+        self.position = position
+        self.columns = columns = tuple(column[lo:hi] for column in batch.columns)
+        self.total_writes = batch.writes[position]
         self.routed: Dict[Hashable, Any] = {}
         self.nbytes = sum(column.nbytes for column in columns)
-
-
-class SpanCursor:
-    """The builder of cuts that are not in the span table yet.
-
-    Holds the per-key read/write cursors into the key-major columns.  Spans
-    are consecutive position ranges, so advancing to ``end`` moves each
-    active key's cursor by its request count in the span (one ``bincount``),
-    and the key's span requests are the slice between the old and the new
-    cursor.  A replay served from the table leaves its cursor behind;
-    :meth:`seek` catches up in one step when a cut has to be built after all.
-    """
-
-    __slots__ = ("_index", "_position", "_reads", "_writes")
-
-    def __init__(self, index: TraceIndex) -> None:
-        self._index = index
-        self._position = 0
-        self._reads = index.read_offsets[:-1].copy()
-        self._writes = index.write_offsets[:-1].copy()
-
-    def seek(self, start: int) -> None:
-        """Move to stream position ``start`` (restarting when it lies behind)."""
-        if start < self._position:
-            self.__init__(self._index)
-        if start > self._position:
-            self.advance(start)
-
-    def advance(self, end: int) -> Span:
-        """Consume stream positions up to ``end`` and return them as a span."""
-        index = self._index
-        if self._position == 0 and end == index.key_ids.size:
-            # The whole trace: the index's own offsets, no pass over requests.
-            read_counts = np.diff(index.read_offsets)
-            write_counts = np.diff(index.write_offsets)
-        else:
-            keys = index.key_ids[self._position : end]
-            is_read = index.is_read[self._position : end]
-            num_keys = self._reads.size
-            read_counts = np.bincount(keys[is_read], minlength=num_keys)
-            write_counts = np.bincount(keys[~is_read], minlength=num_keys)
-        self._position = end
-        active = np.flatnonzero(read_counts + write_counts)
-        read_lo = self._reads[active]
-        read_hi = read_lo + read_counts[active]
-        write_lo = self._writes[active]
-        write_hi = write_lo + write_counts[active]
-        self._reads[active] = read_hi
-        self._writes[active] = write_hi
-        return active, read_lo, read_hi, write_lo, write_hi
 
 
 #: What each column of a :class:`CompiledTrace` holds: ``(field, numpy kind,

@@ -154,7 +154,7 @@ def run_cells(cells, processes):
 
 def test_units_in_lockstep_give_every_cell_its_own_row() -> None:
     cells = lockstep_cells()
-    assert sorted(len(unit) for unit in runner._units(cells)) == [1] * 9 + [3] * 7
+    assert sorted(len(unit) for unit in runner._units(cells)) == [1] * 9 + [3] * 3 + [6] * 2
     reference = json.dumps([runner.run_cell(cell) for cell in cells])
     for processes in (1, 2, 3):
         assert json.dumps(run_cells(cells, processes)) == reference, processes
@@ -214,17 +214,63 @@ def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
         assert calls == per_replay
 
 
+def test_a_mixed_shape_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch) -> None:
+    """The single-cache and 3-node cells of a trace and bound are one unit:
+    every cell's row — obs payload included — is the one ``run_cell`` gives
+    it alone, at 1, 2 and 3 processes, and a serial sweep takes one kernel
+    call per cut and one flush per boundary for each (trace, bound)."""
+    spec = small_spec(
+        policies=REACTIVE_POLICIES,
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
+        staleness_bounds=[0.05, 0.5],
+        num_nodes=[None, 3],
+        engine="vector",
+        obs_window=0.3,
+    )
+    cells = spec.expand()
+    assert sorted(len(unit) for unit in runner._units(cells)) == [8, 8]
+    calls = {"_kernel_reactive_span": 0, "_flush_columns": 0}
+    for name in calls:
+
+        def counted(*args, name=name, call=getattr(sim_vector, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(sim_vector, name, counted)
+    alone, per_bound = [], {}
+    for cell in cells:
+        calls.update(dict.fromkeys(calls, 0))
+        alone.append(json.dumps(runner.run_cell(cell), sort_keys=True))
+        # Each cell alone: a kernel call per cut and a flush per boundary.
+        assert per_bound.setdefault(cell.staleness_bound, dict(calls)) == calls
+    for processes in (1, 2, 3):
+        calls.update(dict.fromkeys(calls, 0))
+        rows = run_experiment(spec, processes=processes)
+        assert [json.dumps(row, sort_keys=True) for row in rows] == alone, processes
+        if processes == 1:
+            trace = runner._compiled(cells[0], runner._workload(cells[0]), {})
+            assert calls["_kernel_reactive_span"] == sum(
+                len(trace.index().cut_ends(trace.times, bound)) for bound in per_bound
+            )
+            assert calls == {
+                name: sum(counts[name] for counts in per_bound.values()) for name in calls
+            }
+
+
 def test_a_unit_that_spills_over_a_worker_keeps_its_cells_in_order() -> None:
-    """Units are dealt strided; a worker is never given more cells than a
-    strided deal of the cells gives it, and a unit's cells that do not fit
-    go, in order, to the next worker with room."""
+    """Units are dealt by weight, heaviest first, each to the lightest
+    worker with room; a worker is never given more cells than a strided
+    deal of the cells gives it, and a unit's cells that do not fit go, in
+    order, to the next lightest worker with room: the 2 s unit (2 cuts a
+    cell) tops up the worker of the 1 s unit first, then the 0.5 s one's,
+    then the 0.25 s one's.  Equal weights deal strided."""
     cells = small_spec(
         policies=["invalidate", "update", "adaptive"], staleness_bounds=[0.25, 0.5, 1.0, 2.0],
         engine="vector",
     ).expand()
     shares = runner._deal(runner._units(cells), 3)
     ids = [[[cell.cell_id for cell in unit] for unit in share] for share in shares]
-    assert ids == [[[0, 1, 2], [9]], [[3, 4, 5], [10]], [[6, 7, 8], [11]]]
+    assert ids == [[[0, 1, 2], [11]], [[3, 4, 5], [10]], [[6, 7, 8], [9]]]
     dealt = runner._deal(runner._units(dataclasses.replace(c, engine="scalar") for c in cells), 3)
     assert [[unit[0].cell_id for unit in share] for share in dealt] == [
         list(range(offset, 12, 3)) for offset in range(3)
@@ -370,8 +416,10 @@ def test_a_many_trace_grid_shares_a_worker_count_of_traces_at_a_time(monkeypatch
     me = os.getpid()
     assert events() == [(me, "compile"), (me, "compile"), (me, "fork-2")] * 2
     ran = cells()
-    assert [cell_id for pid, cell_id in ran if pid == me] == ["0", "2", "4", "6"]
-    assert sorted(cell_id for pid, cell_id in ran if pid != me) == ["1", "3", "5", "7"]
+    # Dealt by weight, heaviest first: the two 0.5 s cells (6 cuts each) go
+    # to one worker each, then the first trace's 1.0 s cell to the caller.
+    assert [cell_id for pid, cell_id in ran if pid == me] == ["0", "1", "4", "5"]
+    assert sorted(cell_id for pid, cell_id in ran if pid != me) == ["2", "3", "6", "7"]
     monkeypatch.undo()
     assert rows == run_experiment(spec, processes=1)
 

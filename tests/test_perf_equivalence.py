@@ -39,6 +39,7 @@ from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
 from repro.sim import node as node_module
 from repro.sim import vector as sim_vector
+from repro.workload import compiled as compiled_module
 from repro.sim.events import PendingDelivery
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
@@ -54,6 +55,8 @@ from repro.sim.vector import (
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
+    _GroupBlock,
+    _PreludeBlock,
     _SpanPrelude,
     _SpanTally,
     _ttl_resolvable,
@@ -70,10 +73,22 @@ from repro.sketch.hashing import (
 from repro.store.wal import Journal, WriteAheadLog, scan_wal
 from repro.tier.config import TierConfig
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
-from repro.workload.compiled import CompiledTrace, SpanCursor, TraceIndex, compile_workload
+from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
+
+
+def prelude_of(trace: CompiledTrace, index: TraceIndex, groups: Groups) -> _SpanPrelude:
+    """The kernel prelude of one cut's ``groups``: a one-cut group block
+    through the batch builder."""
+    hosts = len(groups.bounds) - 1
+    num_writes = (groups.write_hi - groups.write_lo).tolist()
+    block = _GroupBlock(
+        *groups[:6], groups.host, hosts, [0, groups.keys.size], np.array([groups.bounds]),
+        np.array([[sum(num_writes[lo:hi]) for lo, hi in zip(groups.bounds, groups.bounds[1:])]]),
+    )
+    return _PreludeBlock(trace, index, block).cut(0)
 
 
 def as_tuples(requests):
@@ -431,12 +446,11 @@ def random_trace(
 def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
     """Walk ``trace`` span by span; every slice must equal the naive grouping."""
     index = trace.index()
-    cursor = SpanCursor(index)
     datastore = DataStore()
     ctx = _ReplayContext(trace, index, datastore, 1.0, 1.0, 1.0, 1.0)
     start = 0
     for end in cuts:
-        facts = index.span(start, end, cursor)
+        facts = index.span(start, end)
         span = facts.columns
         got = [
             (key, index.read_pos[r_lo:r_hi].tolist(), index.write_pos[w_lo:w_hi].tolist())
@@ -495,7 +509,7 @@ def test_index_one_request_spans_and_the_empty_trace() -> None:
     index = empty.index()
     assert index.time_ordered
     assert index.read_pos.size == index.write_pos.size == 0
-    assert [column.size for column in SpanCursor(index).advance(0)] == [0] * 5
+    assert [column.size for column in index.span(0, 0).columns] == [0] * 5
     result = VectorSimulation(
         empty, policy=make_policy("invalidate"), staleness_bound=1.0, duration=1.0
     ).run()
@@ -507,6 +521,140 @@ def test_index_rejects_key_ids_outside_the_key_table() -> None:
     trace.key_ids[7] = 4
     with pytest.raises(WorkloadError, match="key table"):
         trace.index()
+
+
+def reference_offsets(trace: CompiledTrace):
+    """The offsets as two masked ``bincount`` s over every request."""
+
+    def offsets(ids):
+        counts = np.zeros(len(trace.key_names) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=len(trace.key_names)), out=counts[1:])
+        return counts
+
+    return offsets(trace.key_ids[trace.is_read]), offsets(trace.key_ids[~trace.is_read])
+
+
+@pytest.mark.parametrize(
+    "case", ["random-0", "random-1", "random-2", "empty", "one-key", "all-reads", "all-writes"]
+)
+def test_index_offsets_from_the_sort_equal_two_masked_bincounts(case: str) -> None:
+    """``read_offsets`` / ``write_offsets`` come from one ``bincount`` of the
+    sorted ids and a ``searchsorted`` of the write slots: every array equals
+    the per-op ``bincount`` s, on seeded random traces and the corners."""
+    seed = int(case.rsplit("-", 1)[1]) if case.startswith("random") else 7
+    trace = random_trace(
+        seed,
+        requests=0 if case == "empty" else 2_000,
+        num_keys=1 if case == "one-key" else 50,
+        read_ratio={"all-reads": 1.0, "all-writes": -1.0}.get(case, 0.7),
+    )
+    index = trace.index()
+    reads, writes = reference_offsets(trace)
+    assert index.read_offsets.dtype == index.write_offsets.dtype == np.int64
+    assert index.read_offsets.tolist() == reads.tolist()
+    assert index.write_offsets.tolist() == writes.tolist()
+    assert index.occurring.tolist() == np.flatnonzero(np.diff(reads) + np.diff(writes)).tolist()
+
+
+def reference_cut_ends(times: np.ndarray, bound: float):
+    """The cut ends of a replay's walk, one flush at a time as
+    ``ReplayDriver._advance`` takes them — ``T``, then ``+= T`` — a cut
+    ending at the first request at or past a flush."""
+    ends, flush, start = [], bound, 0
+    while start < times.size:
+        end = int(np.searchsorted(times, flush, side="left"))
+        if end > start:
+            ends.append(end)
+            start = end
+        while start < times.size and flush <= times[start]:
+            flush += bound
+    return ends
+
+
+def boundary_trace(seed: int, bound: float) -> CompiledTrace:
+    """A trace with the awkward cuts: requests tied on flush times, intervals
+    with no request, gaps several bounds long, the last request exactly on a
+    flush."""
+    rng = np.random.default_rng(seed)
+    flushes = np.cumsum(np.full(40, bound))
+    times = np.concatenate([
+        rng.random(300) * flushes[9],
+        np.repeat(flushes[[3, 4, 12]], 4),  # ties at a flush time
+        flushes[20] + rng.random(100) * bound * 0.5,  # then a gap of many bounds
+        [flushes[30]] * 3,  # the last requests on a flush
+    ])
+    times.sort(kind="stable")
+    requests = times.size
+    return CompiledTrace(
+        times=times,
+        key_ids=rng.integers(0, 25, size=requests),
+        is_read=rng.random(requests) < 0.7,
+        key_sizes=np.full(requests, 16, dtype=np.int64),
+        value_sizes=rng.integers(8, 512, size=requests),
+        key_names=[f"key-{index:06d}" for index in range(25)],
+    )
+
+
+def _prelude_state(prelude) -> list:
+    return [
+        (name, np.asarray(getattr(prelude, name)).tolist())
+        for name in _SpanPrelude.__slots__
+        if name != "groups"
+    ] + [("groups", _groups_state(prelude.groups))]
+
+
+def _groups_state(groups: Groups) -> list:
+    return [np.asarray(column).tolist() for column in groups]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("bound", [0.05, 0.3])
+@pytest.mark.parametrize("shape", ["single", "fleet-3-rf2-rr"])
+def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
+    monkeypatch, seed: int, bound: float, shape: str
+) -> None:
+    """The builder's batch of a whole flush schedule against the same builder
+    with one end per call: every cut's facts, its hosts' groups and its
+    kernel prelude are equal; and the schedule's ends are the ones the
+    ``ReplayDriver._advance`` flushes cut, one at a time.  (The table is told every cut is
+    tiny, so one batch holds the schedule.)"""
+    monkeypatch.setattr(compiled_module, "_CUT_KEY_BYTES", 1)
+    built = {}
+    for way in ("batch", "one-by-one"):
+        trace = boundary_trace(seed, bound)
+        index = trace.index()
+        schedule = index.cut_ends(trace.times, bound)
+        assert schedule.tolist() == reference_cut_ends(trace.times, bound)
+        if shape == "single":
+            engine = VectorSimulation(
+                trace, policy=make_policy("invalidate"), staleness_bound=bound, duration=5.0
+            )
+        else:
+            engine = VectorClusterSimulation(
+                trace, policy="invalidate", num_nodes=3, staleness_bound=bound, duration=5.0,
+                replication=ReplicationConfig(factor=2, read_policy="round-robin"),
+            )
+        engine._route_trace()
+        engine._ctx = _ReplayContext.for_node(trace, index, engine._node_list[0])
+        cuts, start, ends, calls = [], 0, schedule.tolist(), 0
+        while ends:
+            batch = index.cuts(start, ends if way == "batch" else ends[:1])
+            cuts, calls = cuts + batch, calls + 1
+            start, ends = batch[-1].cut[1], ends[len(batch):]
+        assert calls == (1 if way == "batch" else len(schedule))
+        built[way] = [
+            (
+                facts.cut,
+                [column.tolist() for column in facts.columns],
+                facts.total_writes,
+                _groups_state(engine._node_groups(facts)[0]),
+                engine._node_groups(facts)[1],
+                _prelude_state(engine._prelude_block(facts).cut(facts.position)),
+            )
+            for facts in cuts
+        ]
+    assert built["batch"] == built["one-by-one"]
+    assert len(built["batch"]) == len(schedule)
 
 
 def test_unsorted_trace_is_refused_on_every_run_of_both_vector_engines() -> None:
@@ -776,13 +924,12 @@ def assert_span_kernel_matches_reference(
     ctx_new, host_new = make_kernel_host(trace, policy, bound, count_zero_runs)
     ctx_ref, host_ref = make_kernel_host(trace, policy, bound, count_zero_runs)
     index = trace.index()
-    cursor = SpanCursor(index)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     seen = {"violations": 0, "straddled_misses": 0, "stale_misses": 0, "key_spans": 0}
     columns = _HostColumns([host_new], trace.key_names)
     start = 0
     for span_number, end in enumerate(cuts):
-        facts = index.span(start, end, cursor)
+        facts = index.span(start, end)
         start = end
         span = facts.columns
         keys, read_lo, read_hi, write_lo, write_hi = span
@@ -797,7 +944,7 @@ def assert_span_kernel_matches_reference(
             write_hi,
             [0, keys.size],
         )
-        _kernel_reactive_span(ctx_new, columns, [new], _SpanPrelude(trace, index, groups))
+        _kernel_reactive_span(ctx_new, columns, [new], prelude_of(trace, index, groups))
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
             missing = host_ref.entries.get(trace.key_names[key])
@@ -981,7 +1128,7 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
         self._kernel_the_others(
             facts,
             lambda hosts, tallies, groups: _kernel_reactive_span(
-                ctx, self._unit.columns, tallies, _SpanPrelude(ctx.trace, index, groups)
+                ctx, self._unit.columns, tallies, prelude_of(ctx.trace, index, groups)
             ),
         )
         self._record_and_flush(tallies)
@@ -1226,7 +1373,7 @@ TABLE_DURATION = 4.0
 def table_workloads():
     return [
         PoissonZipfWorkload(num_keys=30, rate_per_key=300.0, read_ratio=0.85, seed=23),
-        TwitterWorkload(num_keys=30, total_rate=16000.0, seed=23),
+        TwitterWorkload(num_keys=60, total_rate=16000.0, seed=23),
     ]
 
 
@@ -1280,8 +1427,8 @@ def test_replays_on_a_shared_trace_equal_replays_on_fresh_traces(workload, monke
     span = TraceIndex.span
     served = []  # every facts object a lookup returned, kept alive
 
-    def recording_span(self, start, end, cursor=None):
-        served.append(span(self, start, end, cursor))
+    def recording_span(self, start, end, schedule=None):
+        served.append(span(self, start, end, schedule))
         return served[-1]
 
     cells = [
@@ -1531,7 +1678,7 @@ def reference_kernel_ttl_polling(
 
 def whole_trace_groups(trace) -> Groups:
     """The single cache's groups for a TTL replay: every key, all its reads."""
-    keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
+    keys, read_lo, read_hi, write_lo, write_hi = trace.index().span(0, len(trace)).columns
     return Groups(
         keys,
         read_lo,

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,35 @@ def test_a_malformed_format_0_snapshot_names_the_file_and_the_field(tmp_path) ->
         StoreError, match=r"^x\.json: format-0 snapshot: snapshot field retention is 2\.0: "
     ):
         upgrade(data, "x.json")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda node: node["entries"][0].pop("as_of"), "has no field 'as_of'"),
+        (lambda node: node.update(entries={"key-000019": {}}), "entries is dict, not a list"),
+        (lambda node: node.update(entries=7), "entries is int, not a list"),
+    ],
+    ids=["entry-without-as_of", "entries-a-dict", "entries-an-int"],
+)
+def test_a_warm_rejoin_from_a_hostile_snapshot_names_the_file_and_the_field(
+    tmp_path, edit, field
+) -> None:
+    """A warm rejoin reads a node's cache entries off its newest snapshot: a
+    malformed one ends in one ``StoreError`` line naming the snapshot and
+    the field, never a bare ``KeyError`` or ``TypeError``."""
+    from repro.store import warm_state
+
+    store = tmp_path / "store"
+    shutil.copytree(STORES / "format-1", store)
+    path = store / "snapshot-00000002.json"
+    data = json.loads(path.read_text())
+    edit(data["nodes"]["node-000"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(StoreError) as raised:
+        warm_state(store, "node-000", 5.0)
+    message = str(raised.value)
+    assert "\n" not in message
+    assert message.startswith(f"{path}: node 'node-000'") and message.endswith(field), message
+    # The untouched node still rejoins warm.
+    assert warm_state(store, "node-001", 5.0).entries

@@ -49,6 +49,8 @@ from repro.sim.vector import (
     _HostState,
     _kernel_reactive_span,
     _ReplayContext,
+    _GroupBlock,
+    _PreludeBlock,
     _SpanPrelude,
     _SpanTally,
     envelope_exit,
@@ -59,7 +61,7 @@ from repro.sketch.exact import ExactEWTracker
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.base import constant_column
-from repro.workload.compiled import CompiledTrace, SpanCursor, compile_workload
+from repro.workload.compiled import CompiledTrace, compile_workload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
@@ -74,6 +76,18 @@ KERNEL_POLICIES = [
     "adaptive",
     "adaptive+cs",
 ]
+
+
+def prelude_of(trace: CompiledTrace, index, groups: Groups) -> _SpanPrelude:
+    """The kernel prelude of one cut's ``groups``: a one-cut group block
+    through the batch builder."""
+    hosts = len(groups.bounds) - 1
+    num_writes = (groups.write_hi - groups.write_lo).tolist()
+    block = _GroupBlock(
+        *groups[:6], groups.host, hosts, [0, groups.keys.size], np.array([groups.bounds]),
+        np.array([[sum(num_writes[lo:hi]) for lo, hi in zip(groups.bounds, groups.bounds[1:])]]),
+    )
+    return _PreludeBlock(trace, index, block).cut(0)
 
 
 def assert_identical(scalar, vector) -> None:
@@ -691,7 +705,7 @@ def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
 
 
 def whole_trace_groups(trace: CompiledTrace) -> Groups:
-    keys, read_lo, read_hi, write_lo, write_hi = SpanCursor(trace.index()).advance(len(trace))
+    keys, read_lo, read_hi, write_lo, write_hi = trace.index().span(0, len(trace)).columns
     return Groups(
         keys,
         read_lo,
@@ -714,7 +728,7 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     ctx, host, columns = kernel_host(trace)
     tally = _SpanTally()
     _kernel_reactive_span(
-        ctx, columns, [tally], _SpanPrelude(trace, index, whole_trace_groups(trace))
+        ctx, columns, [tally], prelude_of(trace, index, whole_trace_groups(trace))
     )
     # Rows are key ids: first observation, first fill, first surviving write.
     assert columns.seen.tolist() == [1, 2, 0]  # write-only key 2: seen at its write
@@ -748,7 +762,7 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
         np.array([1]),
         [0, 1],
     )
-    _kernel_reactive_span(ctx, columns, [tally], _SpanPrelude(trace, index, groups))
+    _kernel_reactive_span(ctx, columns, [tally], prelude_of(trace, index, groups))
     assert (tally.reads, tally.buffered_writes, columns.state.tolist()) == (0, 1, [0])
     columns.write_back()
     assert host.entries == {}
