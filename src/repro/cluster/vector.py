@@ -9,16 +9,16 @@ routes each span's reads to replicas with the exact scalar routing rules
 into **one** table of groups per cut, ordered by (node, key) with per-node
 bounds — built for a whole batch of cuts at once with array operations over
 every (cut, key, replica) triple and stride arithmetic — and hands it to
-**one** call of the same span kernel the single cache uses (the single cache
-is the one-node table).  The kernel
-does its numpy work once for the whole fleet, into each node's own tally.
-Under a write-reactive policy every node's cache, buffer, tracker and
-estimator live in the rows of one column table (row ``key * nodes + node``,
-:class:`~repro.sim.vector._HostColumns`) from the first cut to the last
-boundary flush, and the driver's interval flush drains, decides and applies
-for every node at once on those columns; then the objects are written back
-and the driver's unmodified finalize and
-:class:`~repro.sim.node.CacheNode` machinery run on them.
+**one** call of the same kernel the single cache uses (the single cache is
+the one-node table): the span kernel per cut, or a TTL kernel once for the
+whole trace.  The kernel does its numpy work once for the whole fleet, into
+each node's own tally.  Under every policy each node's cache, buffer,
+tracker and estimator live in the rows of one column table (row ``key *
+nodes + node``, :class:`~repro.sim.vector._HostColumns`) from the first cut
+to the last boundary flush, and under a write-reactive one the driver's
+interval flush drains, decides and applies for every node at once on those
+columns; then the objects are written back and the driver's unmodified
+finalize and :class:`~repro.sim.node.CacheNode` machinery run on them.
 
 The byte-identity argument carries over from the single-cache engine because
 nodes never talk to each other — they interact only through the shared

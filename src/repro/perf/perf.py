@@ -297,13 +297,14 @@ def non_empty_spans(times: Any, bound: float) -> int:
 
 def _span_objects(replay: Callable[[], Any]) -> int:
     """The state objects ``replay()`` constructs from the start of its first
-    reactive cut to the end of its last boundary flush.
+    cut to the start of its write-back, which follows its last boundary
+    flush.
 
     Counts the constructions of cache entries, buffered writes, key
     histories and E[W] counter rows (wrapped with ``mock.patch``, as
     :func:`bench_flush` counts ``objects_built``), in every module that
-    builds one, taking the counts when the first cut starts and after each
-    boundary flush of the replay.
+    builds one, taking the counts when the lockstep unit's first cut starts
+    and when its columns start writing the objects back.
     """
     from contextlib import ExitStack
     from unittest import mock
@@ -332,20 +333,20 @@ def _span_objects(replay: Callable[[], Any]) -> int:
         def count() -> int:
             return sum(counter.call_count for counter in counters)
 
-        replay_span = vector.SpanReplay._replay_reactive_span
-        flush_nodes = vector.SpanReplay._flush_nodes
+        cut = vector._Lockstep.cut
+        write_back = vector._HostColumns.write_back
 
-        def first_cut(engine: Any, facts: Any) -> None:
+        def first_cut(unit: Any, engine: Any, facts: Any) -> None:
             if not marks:
                 marks.append(count())
-            replay_span(engine, facts)
+            cut(unit, engine, facts)
 
-        def boundary(engine: Any, time: float) -> None:
-            flush_nodes(engine, time)
+        def writing_back(columns: Any) -> None:
             marks[1:] = [count()]
+            write_back(columns)
 
-        stack.enter_context(mock.patch.object(vector.SpanReplay, "_replay_reactive_span", first_cut))
-        stack.enter_context(mock.patch.object(vector.SpanReplay, "_flush_nodes", boundary))
+        stack.enter_context(mock.patch.object(vector._Lockstep, "cut", first_cut))
+        stack.enter_context(mock.patch.object(vector._HostColumns, "write_back", writing_back))
         replay()
     return marks[-1] - marks[0]
 
@@ -396,7 +397,10 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     ``kernel_calls`` is one per trace, whatever the key count, and
     ``fleet_kernel_calls`` the same on a 3-node fleet: one call for every
     node's keys.  ``charging_reads`` are the reads that settle at least one
-    poll — the rows the flush sorts and folds.
+    poll — the rows the flush sorts and folds.  ``ttl_objects`` is
+    :func:`_span_objects` of the single-cache replay: 0, as the kernel
+    scatters its entries into the unit's columns and the write-back builds
+    them.
     """
     workload, duration, trace = _kernel_trace(scale)
     charging_reads = 0
@@ -405,11 +409,10 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
         nonlocal charging_reads
         charging_reads += sum(int(tally.poll_counts.size) for tally in tallies)
 
-    calls = _kernel_calls(
-        "_kernel_ttl_polling",
-        lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling"),
-        count_charging_reads,
-    )
+    def single() -> None:
+        _replay_vector(workload, duration, trace, 1.0, "ttl-polling")
+
+    calls = _kernel_calls("_kernel_ttl_polling", single, count_charging_reads)
     fleet_calls = _kernel_calls(
         "_kernel_ttl_polling",
         lambda: _replay_vector(workload, duration, trace, 1.0, "ttl-polling", nodes=3),
@@ -418,6 +421,7 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
         "kernel_calls": calls,
         "fleet_kernel_calls": fleet_calls,
         "charging_reads": charging_reads,
+        "ttl_objects": _span_objects(single),
     }
 
 

@@ -32,11 +32,13 @@ hosts' objects when the span loop starts (a caller may hand in prepared
 state) and written back after the last boundary flush, each dict in the
 scalar engine's insertion order, with the datastore's histories; the one
 driver's unmodified finalize (:class:`~repro.sim.driver.ReplayDriver`) and
-its :class:`~repro.sim.node.CacheNode` s then run on real objects.  The TTL
-policies never react to writes and have no flush boundaries, so their whole
-trace is one span and one kernel call that builds each entry object once:
+its :class:`~repro.sim.node.CacheNode` s then run on real objects.  A TTL
+replay is a unit of its own on the same columns: the TTL policies never react
+to writes and have no flush boundaries, so its whole trace is one span and
+one kernel call that scatters each key's final entry into its row —
 TTL-polling is a closed form over the read rows, taken a fixed block of rows
-at a time, and TTL-expiry bisects every key's next epoch at once.  A fleet's
+at a time, and TTL-expiry bisects every key's next epoch at once — and the
+same write-back builds the entry objects.  A fleet's
 nodes share each call: a cut's groups are one table ordered by (host, key)
 (:class:`Groups`) whose rows index the host columns directly, and every kernel
 does its numpy work once for all hosts.  The result is byte-for-byte
@@ -49,8 +51,8 @@ Why byte-identity is achievable at all:
 * **No kernel reads the datastore.**  A span never outlives one staleness
   interval ``T``, so any in-span hit's staleness horizon ``t - T`` lies before
   the span start, and the freshness check counts the key's earlier writes in
-  the index.  A reactive replay therefore commits the trace's writes once,
-  after its last flush, and a TTL replay once, before its one cut.
+  the index.  Every replay therefore commits the trace's writes once, after
+  its walk and before the driver's finalize.
 * **Versions are positional.**  ``DataStore.read`` at a scalar read sees
   exactly the writes that precede the read in stream order, so the version a
   miss fetches equals the count of that key's writes with smaller stream
@@ -134,7 +136,8 @@ from repro.workload.compiled import (
 )
 
 #: The write-reacting policy classes the columnar flush decides for, in the
-#: order of their codes in :attr:`_HostColumns.kinds`.
+#: order of their codes in :attr:`_HostColumns.kinds` (the TTL classes of
+#: :data:`_VECTOR_POLICIES` follow them).
 _REACTIVE_KINDS = (
     AlwaysInvalidatePolicy,
     AlwaysUpdatePolicy,
@@ -221,6 +224,11 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         "ttl-resolution", "node",
         "a TTL below the resolution of the trace's clock: fetched_at + ttl rounds to fetched_at",
         lambda node, trace: not _ttl_resolvable(node, trace),
+    ),
+    EnvelopeRow(
+        "ttl-warm", "node",
+        "a TTL host handed cached entries; the TTL kernels fill every key cold",
+        lambda node, trace: node.policy.ttl_mode is not None and len(node.cache) > 0,
     ),
     EnvelopeRow(
         "hot-key", "node",
@@ -330,61 +338,6 @@ class _ReplayContext:
         )
 
 
-class _HostState:
-    """One cache's objects as the replay sees them (the single cache, or one
-    cluster node).
-
-    The TTL kernels fill ``entries`` directly; a write-reactive replay loads
-    its :class:`_HostColumns` from these objects, flushes with ``policy``'s
-    rule and ``channel``'s counters, and writes the objects back after its
-    last flush.  :class:`VectorSimulation` has exactly one.
-    """
-
-    __slots__ = (
-        "result",
-        "cache",
-        "entries",
-        "buffer",
-        "tracker",
-        "estimator",
-        "policy",
-        "channel",
-    )
-
-    def __init__(
-        self,
-        result,
-        cache,
-        buffer,
-        tracker,
-        estimator: Optional[ExactEWTracker],
-        policy,
-        channel,
-    ) -> None:
-        self.result = result
-        self.cache = cache
-        self.entries = cache._entries
-        self.buffer = buffer
-        self.tracker = tracker
-        self.estimator = estimator
-        self.policy = policy
-        self.channel = channel
-
-    @classmethod
-    def of(cls, node: CacheNode) -> "_HostState":
-        """The kernels' view of ``node`` (any node inside the envelope)."""
-        policy = node.policy
-        return cls(
-            result=node.result,
-            cache=node.cache,
-            buffer=node.buffer,
-            tracker=node.tracker,
-            estimator=policy.estimator if isinstance(policy, AdaptivePolicy) else None,
-            policy=policy,
-            channel=node.channel,
-        )
-
-
 #: The poll columns of a tally no polling kernel has written to (every
 #: reactive span's): shared, never mutated.
 _NO_POLLS = np.empty(0, dtype=np.int64)
@@ -430,9 +383,9 @@ def _commit_trace_writes(ctx: _ReplayContext) -> int:
     Histories are created in first-write order (the scalar engine's
     insertion order); each copies its key's write times out of the index's
     shared list and ends at the key's last value size.  A replay commits
-    once — a write-reactive one after its last flush, a TTL one before its
-    one cut: no kernel reads a history (miss and update versions are
-    positions in the index).  Returns the number of writes committed.
+    once, after its walk and before the driver's finalize: no kernel reads a
+    history (miss and update versions are positions in the index).  Returns
+    the number of writes committed.
     """
     index = ctx.index
     offsets = index.write_offsets
@@ -554,7 +507,7 @@ _UNSEEN = np.iinfo(np.int64).max
 
 
 class _HostColumns:
-    """Every host's write-reactive replay state as columns, one row per (host, key id).
+    """Every host's columnar replay state as columns, one row per (host, key id).
 
     Row ``k * len(hosts) + h`` is key ``k`` on host ``h``: a cut's groups
     index it directly (:attr:`_SpanPrelude.rows`), and host ``h``'s rows are
@@ -580,11 +533,13 @@ class _HostColumns:
     order, ahead of everything the replay adds.  ``written`` is per key id:
     the writes committed up to the last cut, the version an update carries
     (the backend's ``latest_version``).  ``hosts`` are the
-    :class:`_HostState` s the columns were loaded from and write back to —
-    a lockstep unit's members' hosts, stacked — and each keeps its own
-    policy: ``kinds`` is each host's policy class as an index into
-    :data:`_REACTIVE_KINDS`, ``prior`` its estimator's E[W] before the first
-    sample and ``zero_runs`` whether that estimator counts zero-length runs.
+    :class:`~repro.sim.node.CacheNode` s the columns were loaded from and
+    write back to — a lockstep unit's members' nodes, stacked — and each
+    keeps its own policy: ``kinds`` is each host's policy class as an index
+    into :data:`_VECTOR_POLICIES` (a TTL replay never flushes, so the flush
+    never decides for a TTL host), ``prior`` its estimator's E[W] before
+    the first sample and ``zero_runs`` whether that estimator counts
+    zero-length runs.
     ``folds`` says whether any host folds an E[W] estimator (the kernel then
     folds every row; only a host with an estimator writes its rows back),
     ``sequence`` numbers the trackers' next insertion.
@@ -601,17 +556,18 @@ class _HostColumns:
         "written",
     )
 
-    def __init__(self, hosts: Sequence[_HostState], names: List[str]) -> None:
+    def __init__(self, hosts: Sequence[CacheNode], names: List[str]) -> None:
         """Load the hosts' objects: cache entries, tracker, buffer and E[W]
         counters, each in its dict's order."""
+        estimators = [_estimator(host) for host in hosts]
         held = [
             (
-                host.entries,
+                host.cache._entries,
                 host.tracker._invalidated,
                 host.buffer._pending,
-                {} if host.estimator is None else host.estimator._counters,
+                {} if estimator is None else estimator._counters,
             )
-            for host in hosts
+            for host, estimator in zip(hosts, estimators)
         ]
         ids: dict = {}
         if any(table for tables in held for table in tables):
@@ -622,11 +578,10 @@ class _HostColumns:
             if foreign:
                 names = names + list(dict.fromkeys(foreign))
                 ids = {name: key for key, name in enumerate(names)}
-        estimators = [host.estimator for host in hosts]
         self.hosts = list(hosts)
         self.names = names
         self.kinds = np.array(
-            [_REACTIVE_KINDS.index(type(host.policy)) for host in hosts], dtype=np.int8
+            [_VECTOR_POLICIES.index(type(host.policy)) for host in hosts], dtype=np.int8
         )
         self.prior = np.array(
             [math.nan if each is None else each.default_estimate for each in estimators]
@@ -689,7 +644,7 @@ class _HostColumns:
         dict in the scalar engine's insertion order.  The columns stay as
         they are."""
         names, stride = self.names, len(self.hosts)
-        for host, objects in enumerate(self.hosts):
+        for host, node in enumerate(self.hosts):
             mine = slice(host, None, stride)
 
             def rows_of(held: np.ndarray, order: np.ndarray):
@@ -707,11 +662,11 @@ class _HostColumns:
                 map(_ENTRY_STATES.__getitem__, self.state[rows].tolist()),
                 *_gather(rows, self.accounted, self.hits),
             )
-            objects.entries.clear()
-            objects.entries.update(zip(cached, entries))
+            node.cache._entries.clear()
+            node.cache._entries.update(zip(cached, entries))
             rows, invalidated = rows_of(self.tracked, self.tracked_seq)
-            objects.tracker._invalidated.clear()
-            objects.tracker._invalidated.update(zip(invalidated, *_gather(rows, self.tracked_at)))
+            node.tracker._invalidated.clear()
+            node.tracker._invalidated.update(zip(invalidated, *_gather(rows, self.tracked_at)))
             rows, dirty = rows_of(self.dirty, self.first_write)
             writes = map(
                 BufferedWrite,
@@ -719,14 +674,21 @@ class _HostColumns:
                 *_gather(rows, self.first_write_time, self.last_write_time, self.write_count,
                          self.write_key_size, self.write_value_size),
             )
-            objects.buffer._pending.clear()
-            objects.buffer._pending.update(zip(dirty, writes))
-            if objects.estimator is not None:
+            node.buffer._pending.clear()
+            node.buffer._pending.update(zip(dirty, writes))
+            estimator = _estimator(node)
+            if estimator is not None:
                 rows, observed = rows_of(self.seen != _UNSEEN, self.seen)
-                objects.estimator.load_state(
+                estimator.load_state(
                     zip(observed, *_gather(rows, self.sample_sum, self.sample_count,
                                            self.writes_since_read))
                 )
+
+
+def _estimator(node: CacheNode) -> Optional[ExactEWTracker]:
+    """The E[W] estimator ``node``'s policy folds; ``None`` if it folds none."""
+    policy = node.policy
+    return policy.estimator if isinstance(policy, AdaptivePolicy) else None
 
 
 def _gather(rows: np.ndarray, *columns: np.ndarray) -> List[list]:
@@ -1302,61 +1264,45 @@ def _backend_reads(
     return version, value_size
 
 
-def _fill_cold(
+def _fill_ttl_rows(
     ctx: _ReplayContext,
-    hosts: Sequence[_HostState],
-    tallies: Sequence[_SpanTally],
-    segments: List[int],
-    keys: np.ndarray,
+    columns: _HostColumns,
+    groups: Groups,
+    reading: np.ndarray,
     position: np.ndarray,
     *state: np.ndarray,
 ) -> None:
-    """Insert each key's cold fill at stream ``position`` as the entry its
-    whole trace leaves behind: ``state`` is the ``(version, value_size,
-    as_of, fetched_at, last_poll_accounted, hits)`` columns of those entries,
-    host ``h``'s in rows ``[segments[h], segments[h + 1])``.  Each host's
-    entries go in in stream order of their fill, the scalar engine's cache
-    dict order (which TTL-polling finalisation and result serialisation
-    observe).
+    """Scatter the entry each reading group's whole trace leaves behind into
+    its row of ``columns``: ``reading`` are the groups, ``position`` their
+    cold fills' stream positions and ``state`` the ``(version, value_size,
+    as_of, fetched_at, accounted, hits)`` of their entries.  The fill
+    position is the row's ``filled`` order, the scalar engine's cache dict
+    order (which TTL-polling finalisation and result serialisation observe).
 
-    A TTL host starts the trace empty and never drops an entry, so every key
-    it reads is filled cold exactly once, wherever its later fetches fall.
+    A TTL host starts the trace empty (the ``ttl-warm`` row of the
+    envelope) and never drops an entry, so every key it reads is filled cold
+    exactly once, wherever its later fetches fall.
     """
-    names = ctx.trace.key_names
-    lengths = _lengths(segments)
-    order = np.lexsort((position, np.repeat(np.arange(len(lengths)), lengths)))
-    position = position[order]
-    rows = zip(
-        keys[order].tolist(),
-        position.tolist(),
-        ctx.trace.key_sizes[position].tolist(),
-        *(column[order].tolist() for column in state),
-    )
-    for host, tally, fills in zip(hosts, tallies, lengths):
-        entries = host.entries
-        for key_id, _, key_size, version, size, as_of, fetched_at, accounted, hits in islice(
-            rows, fills
-        ):
-            entries[names[key_id]] = CacheEntry(
-                key=names[key_id],
-                version=version,
-                as_of=as_of,
-                fetched_at=fetched_at,
-                key_size=key_size,
-                value_size=size,
-                last_poll_accounted=accounted,
-                hits=hits,
-            )
-        tally.cold_misses += fills
+    rows = groups.keys[reading] * len(columns.hosts) + groups.host[reading]
+    columns.state[rows] = _VALID
+    columns.filled[rows] = position
+    columns.key_size[rows] = ctx.trace.key_sizes[position]
+    for column, values in zip(
+        (columns.version, columns.value_size, columns.as_of, columns.fetched_at,
+         columns.accounted, columns.hits),
+        state,
+    ):
+        column[rows] = values
 
 
 def _kernel_ttl_expiry(
     ctx: _ReplayContext,
-    hosts: Sequence[_HostState],
+    columns: _HostColumns,
     tallies: Sequence[_SpanTally],
     groups: Groups,
 ) -> None:
-    """Every host's whole trace under TTL-expiry (the policy never reacts).
+    """Every host's whole trace under TTL-expiry (the policy never reacts),
+    each key's final entry scattered into its row of ``columns``.
 
     An entry's life is a sequence of epochs: a fill anchors a timer, the
     first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
@@ -1409,29 +1355,32 @@ def _kernel_ttl_expiry(
         refetches[group] += epochs
     hits = count - 1 - refetches
     version, value_size = _backend_reads(ctx, keys, read_pos[first + fill * stride])
-    _fill_cold(
-        ctx, hosts, tallies, segments, keys, cold_position,
+    _fill_ttl_rows(
+        ctx, columns, groups, reading, cold_position,
         version, value_size, fetch_time, fetch_time, fetch_time, hits,
     )
-    for tally, reads, host_hits, expirations in zip(
+    for tally, fills, reads, host_hits, expirations in zip(
         tallies,
+        _lengths(segments),
         _segment_sums(count.tolist(), segments),
         _segment_sums(hits.tolist(), segments),
         _segment_sums(refetches.tolist(), segments),
     ):
         tally.reads += reads
         tally.hits += host_hits
+        tally.cold_misses += fills
         tally.stale_misses += expirations
         tally.expirations += expirations
 
 
 def _kernel_ttl_polling(
     ctx: _ReplayContext,
-    hosts: Sequence[_HostState],
+    columns: _HostColumns,
     tallies: Sequence[_SpanTally],
     groups: Groups,
 ) -> None:
-    """Every host's whole trace under TTL-polling (the policy never reacts).
+    """Every host's whole trace under TTL-polling (the policy never reacts),
+    each key's final entry scattered into its row of ``columns``.
 
     A key's cold fill anchors its poll timer at ``a``; every later read
     settles the polls since the last accounting point with the scalar
@@ -1529,16 +1478,20 @@ def _kernel_ttl_polling(
         right=True,
     )
     hits = count - 1
-    _fill_cold(
-        ctx, hosts, tallies, segments, keys, cold_position,
+    _fill_ttl_rows(
+        ctx, columns, groups, reading, cold_position,
         np.maximum(version, polled_version), value_size,
         np.maximum(anchor, last_poll), anchor, last_poll, hits,
     )
-    for tally, reads, host_hits in zip(
-        tallies, _segment_sums(count.tolist(), segments), _segment_sums(hits.tolist(), segments)
+    for tally, fills, reads, host_hits in zip(
+        tallies,
+        _lengths(segments),
+        _segment_sums(count.tolist(), segments),
+        _segment_sums(hits.tolist(), segments),
     ):
         tally.reads += reads
         tally.hits += host_hits
+        tally.cold_misses += fills
 
 
 #: Fewest additions :func:`_fold_constant` takes in closed form.  Measured on
@@ -1608,12 +1561,12 @@ def _fold_constant(acc: float, c: float, n: int) -> float:
     return acc
 
 
-def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> None:
-    """Fold one span's counter deltas and poll charges into the host's result
+def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> None:
+    """Fold one span's counter deltas and poll charges into the node's result
     and cache stats, in scalar-identical float order.  Every cold miss is
     one insertion: the envelope's caches never evict."""
-    result = host.result
-    stats = host.cache.stats
+    result = node.result
+    stats = node.cache.stats
     result.reads += tally.reads
     result.writes += tally.writes
     result.hits += tally.hits
@@ -1641,7 +1594,7 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         )
     stats.insertions += tally.cold_misses
     if tally.buffered_writes:
-        host.buffer.total_buffered += tally.buffered_writes
+        node.buffer.total_buffered += tally.buffered_writes
     if tally.poll_counts.size:
         # Poll charges are the one varying-order float sum: fold them in
         # global stream order onto the running accumulator.  ``cumsum`` adds
@@ -1655,28 +1608,34 @@ def _flush_tally(ctx: _ReplayContext, host: _HostState, tally: _SpanTally) -> No
         result.polls += int(tally.poll_counts.sum())
 
 
-def _walk_spans(engine, reacts: bool) -> Iterator[SpanFacts]:
+def _walk_spans(engine) -> Iterator[SpanFacts]:
     """The cuts of a replay of ``engine.trace``, each where its next flush falls.
 
     Takes every cut's facts from the trace's span table — a miss builds the
     cut with the next ones of the replay's flush schedule, in one batch —
     and between two cuts runs the due work of ``ReplayDriver._advance``
     (which moves the live ``engine._next_flush``) exactly where the scalar
-    loop would.  A
-    non-reacting policy has no flush boundaries, so its whole trace is one
-    span.
+    loop would.  Before each cut the obs window rolls to the cut's first
+    request: the kernel's stats fold into the window containing it
+    (span-granularity attribution).  A replay with no flush work (the TTL
+    policies: its next flush is never) is one cut of the whole trace; it
+    asks for no flush schedule, which at a tiny bound would hold an end per
+    interval, and rolls no window, so its stats fold into the one open at
+    the start.
     """
     times = engine.trace.times
     total = len(times)
     index = engine.trace.index()
-    if not reacts:
-        yield index.span(0, total)
-        return
-    schedule = index.cut_ends(times, engine.staleness_bound)
+    schedule = obs = None
+    if engine._next_flush < math.inf:
+        schedule = index.cut_ends(times, engine.staleness_bound)
+        obs = engine.obs
     start = 0
     while start < total:
         end = int(np.searchsorted(times, engine._next_flush, side="left"))
         if end > start:
+            if obs is not None and times[start] >= obs.next_boundary:
+                obs.roll(float(times[start]))
             yield index.span(start, end, schedule)
             start = end
             if start >= total:
@@ -1706,7 +1665,8 @@ class _Lockstep:
     whatever their fleet shape, as long as their groups read with one
     stride.  Each member's tallies fold into its own results.  The last
     member to finish its walk writes every member's objects back
-    (:meth:`finish`).
+    (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
+    one cut is one call of its policy's TTL kernel on the same columns.
     """
 
     __slots__ = (
@@ -1717,7 +1677,8 @@ class _Lockstep:
     def __init__(self, members: List["SpanReplay"]) -> None:
         self.members = members
         self.columns = _HostColumns(
-            [host for member in members for host in member._hosts], members[0].trace.key_names
+            [node for member in members for node in member._node_list],
+            members[0].trace.key_names,
         )
         self.flushed = -math.inf
         self.arrived = self.finished = 0
@@ -1736,20 +1697,29 @@ class _Lockstep:
 
     def cut(self, member: "SpanReplay", facts: SpanFacts) -> None:
         """``member`` has come to the cut ``facts``: once every member has,
-        one kernel call replays it for all of them."""
+        one kernel call replays it for all of them — the span kernel on the
+        cut's prelude, or a TTL kernel on the groups of a TTL replay's one
+        cut."""
         self.arrived += 1
         if self.arrived < len(self.members):
             return
         self.arrived = 0
-        if facts.batch is not self.batch or not self.first <= facts.position < self.last:
-            self._stack(facts)
-        prelude = self.prelude.cut(facts.position - self.first)
-        tallies = [_SpanTally(count) for count in prelude.counted]
-        _kernel_reactive_span(member._ctx, self.columns, tallies, prelude)
+        node = member._node_list[0]
+        if node._reacts:
+            if facts.batch is not self.batch or not self.first <= facts.position < self.last:
+                self._stack(facts)
+            prelude = self.prelude.cut(facts.position - self.first)
+            tallies = [_SpanTally(count) for count in prelude.counted]
+            _kernel_reactive_span(member._ctx, self.columns, tallies, prelude)
+        else:
+            groups, counted = member._group_block(facts).cut(facts.position)
+            tallies = [_SpanTally(count) for count in counted]
+            kernel = _kernel_ttl_expiry if node._ttl_expiry else _kernel_ttl_polling
+            kernel(member._ctx, self.columns, tallies, groups)
         folding = iter(tallies)
         for each in self.members:
-            for host, tally in zip(each._hosts, folding):
-                _flush_tally(each._ctx, host, tally)
+            for node, tally in zip(each._node_list, folding):
+                _flush_tally(each._ctx, node, tally)
 
     def _stack(self, facts: SpanFacts) -> None:
         """The prelude of the cuts of ``facts``' batch from ``facts`` on: a
@@ -1783,7 +1753,10 @@ class _Lockstep:
     def key(member: "SpanReplay") -> Tuple[Any, ...]:
         """What replays must share to be one unit: the trace's index, the
         flush schedule and horizon, the read stride of their groups and the
-        cost constants."""
+        cost constants.  A TTL replay's key is its engine: it stacks with
+        no other."""
+        if not member._node_list[0]._reacts:
+            return member
         ctx = member._ctx
         return (
             id(ctx.index), ctx.bound, member.duration, member._stride, ctx.serve_const,
@@ -1795,16 +1768,16 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
     """Step ``replays`` (:meth:`SpanReplay.replay` generators) round-robin,
     one cut each in turn, until every one has returned; their results, in order.
 
-    A write-reactive columnar replay's first step offers its engine; the
+    A columnar replay's first step offers its engine; the write-reactive
     engines offered that replay one trace under one flush schedule, with
     one read stride, are stacked into one unit (:class:`_Lockstep`), whose
-    kernel call and flush per cut serve all of them.  Replays that step
-    together also find each cut in the trace's span table, built in a batch
-    by the first lookup: its facts and each fleet shape's routing are built
-    once for all of them.
+    kernel call and flush per cut serve all of them, and a TTL engine is a
+    unit of its own.  Replays that step together also find each cut in the
+    trace's span table, built in a batch by the first lookup: its facts and
+    each fleet shape's routing are built once for all of them.
     A replay that leaves the envelope replays scalar at its first step and
-    joins no unit, and a TTL replay is a unit of its own.  The members'
-    states are disjoint, so the order of the steps changes no result.
+    joins no unit.  The members' states are disjoint, so the order of the
+    steps changes no result.
     """
     results: List[Any] = [None] * len(replays)
     live = list(enumerate(replays))
@@ -1831,14 +1804,14 @@ class SpanReplay:
     Inside the engine's envelope (``_envelope``) each cut runs one kernel
     call for every host, with the driver's due work at every boundary and
     its finalize at the end; outside it the driver's own ``run()`` replays.
-    A write-reactive replay is a member of a lockstep unit (:class:`_Lockstep`,
-    a unit of one when stepped alone), which keeps its hosts' state in
-    :class:`_HostColumns` from the first cut to the last boundary flush —
-    the interval flush (:meth:`_flush_nodes`) runs on them too — and then
-    writes the objects back; the replay commits the trace's writes, so the
-    driver's finalize runs on objects.  The defaults are the single cache's
-    (one host, the whole cut, unrouted); the fleet supplies ``_route_trace``
-    / ``_route_batch``.
+    Every columnar replay is a member of a lockstep unit (:class:`_Lockstep`,
+    a unit of one when stepped alone or under a TTL policy), which keeps its
+    hosts' state in :class:`_HostColumns` from the first cut to the last
+    boundary flush — the interval flush (:meth:`_flush_nodes`) runs on them
+    too — and then writes the objects back; the replay then commits the
+    trace's writes, so the driver's finalize runs on objects.  The defaults
+    are the single cache's (one host, the whole cut, unrouted); the fleet
+    supplies ``_route_trace`` / ``_route_batch``.
     """
 
     _envelope: Tuple[EnvelopeRow, ...] = ENVELOPE
@@ -1879,8 +1852,8 @@ class SpanReplay:
 
     def replay(self, *args, **kwargs) -> Generator[Any, None, Any]:
         """:meth:`run`, one cut at a time: a generator that yields after each
-        cut and returns the result.  A write-reactive replay's first step
-        yields the engine, offering it to :func:`replay_in_lockstep`'s unit.
+        cut and returns the result.  Its first step yields the engine,
+        offering it to :func:`replay_in_lockstep`'s unit.
         The arguments are the scalar driver's ``run()``'s; outside the
         envelope that ``run()`` replays the whole trace at the first step."""
         row = envelope_exit(self._envelope, self, self._node_list, *args, **kwargs)
@@ -1905,37 +1878,24 @@ class SpanReplay:
             # Same contract as the scalar loop's ordering check.
             raise WorkloadError("request stream is not sorted by time")
         self._route_trace()
-        node = self._node_list[0]
-        self._ctx = _ReplayContext.for_node(trace, index, node)
-        self._hosts = [_HostState.of(host) for host in self._node_list]
-        reacts = node._reacts
-        if reacts:
-            yield self
-            if self._unit is None:
-                _Lockstep([self])
-        replay = self._replay_reactive_span if reacts else self._replay_ttl_trace
-        times, obs = trace.times, self.obs
-        for facts in _walk_spans(self, reacts):
-            if reacts and obs is not None:
-                # Kernel stats fold into the window containing the span's
-                # first request (span-granularity attribution).
-                span_start = float(times[facts.cut[0]])
-                if span_start >= obs.next_boundary:
-                    obs.roll(span_start)
-            replay(facts)
+        self._ctx = _ReplayContext.for_node(trace, index, self._node_list[0])
+        yield self
+        if self._unit is None:
+            _Lockstep([self])
+        unit = self._unit
+        for facts in _walk_spans(self):
+            unit.cut(self, facts)
             yield
-        self.clock.advance_to(float(times[-1]))
-        if reacts:
-            # The flushes up to the horizon (finalize's first step) still
-            # run on the columns; once every member has run them, the
-            # objects come back, and then the datastore's histories.
-            self._advance(max(self.duration, self.clock.now))
-            unit = self._unit
-            unit.finish()
-            while unit.finished < len(unit.members):
-                yield
-            self._unit = None
-            _commit_trace_writes(self._ctx)
+        self.clock.advance_to(float(trace.times[-1]))
+        # The flushes up to the horizon (finalize's first step) still run on
+        # the columns; once every member has run them, the objects come
+        # back, and then the datastore's histories.
+        self._advance(max(self.duration, self.clock.now))
+        unit.finish()
+        while unit.finished < len(unit.members):
+            yield
+        self._unit = None
+        _commit_trace_writes(self._ctx)
 
     def _flush_nodes(self, time: float) -> None:
         """The interval boundary: on the unit's columns while they hold the
@@ -1947,10 +1907,6 @@ class SpanReplay:
 
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""
-
-    def _node_groups(self, facts: SpanFacts) -> Tuple[Groups, List[int]]:
-        """The hosts' :class:`Groups` of one cut and the writes each counts."""
-        return self._group_block(facts).cut(facts.position)
 
     def _group_block(self, facts: SpanFacts) -> _GroupBlock:
         """The hosts' groups of every cut of ``facts``' batch, from the span
@@ -1981,23 +1937,6 @@ class SpanReplay:
             return _PreludeBlock(ctx.trace, ctx.index, block), sizes.tolist()
 
         return ctx.index.routed(facts, ("prelude", self._shape), build)
-
-    def _replay_reactive_span(self, facts: SpanFacts) -> None:
-        """One cut: this replay has come to it; the unit replays it once all
-        its members have."""
-        self._unit.cut(self, facts)
-
-    def _replay_ttl_trace(self, facts: SpanFacts) -> None:
-        """The whole trace, one span (see :func:`_walk_spans`): one kernel
-        call for every host, then each host's tally flushed in host order."""
-        ctx, hosts = self._ctx, self._hosts
-        _commit_trace_writes(ctx)
-        kernel = _kernel_ttl_expiry if self._node_list[0]._ttl_expiry else _kernel_ttl_polling
-        groups, writes = self._node_groups(facts)
-        tallies = [_SpanTally(count) for count in writes]
-        kernel(ctx, hosts, tallies, groups)
-        for host, tally in zip(hosts, tallies):
-            _flush_tally(ctx, host, tally)
 
 
 class VectorSimulation(SpanReplay, Simulation):

@@ -31,7 +31,7 @@ from repro.experiments import (
 )
 from repro.experiments.spec import AXES, PASS_THROUGH, Axis
 from repro.sim import vector as sim_vector
-from repro.sim.vector import SpanReplay
+from repro.sim.vector import _Lockstep
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -943,16 +943,16 @@ def test_an_engine_failing_mid_walk_in_a_unit_is_named_by_its_own_cell(
         for cell in cells
         if (cell.policy, cell.staleness_bound, cell.num_nodes) == ("update", 0.5, 3)
     ]
-    replay_span = SpanReplay._replay_reactive_span
+    cut = _Lockstep.cut
 
-    def failing(engine, facts):
+    def failing(unit, engine, facts):
         if (engine.policy_name, engine.staleness_bound, len(engine._node_list)) == (
             "update", 0.5, 3
         ) and facts.cut[0] > 0:
             raise SimulationError("update stops at its second cut")
-        return replay_span(engine, facts)
+        return cut(unit, engine, facts)
 
-    monkeypatch.setattr(SpanReplay, "_replay_reactive_span", failing)
+    monkeypatch.setattr(_Lockstep, "cut", failing)
     record, logged = event_log(tmp_path / "errors.log")
     monkeypatch.setattr(runner._LOG, "error", lambda message, *args: record(message % args))
     with wall_clock_limit(60.0), pytest.raises(SimulationError, match="second cut"):

@@ -73,6 +73,16 @@ def test_reactive_cuts_build_no_state_objects() -> None:
     assert row["span_objects"] == row["fleet_span_objects"] == 0
 
 
+def test_the_ttl_cut_builds_no_state_objects() -> None:
+    """A TTL replay's kernel scatters its entries into its unit's columns:
+    from the cut's start to the write-back no cache entry, buffered write,
+    key history or E[W] counter row is built (at scale 1 the kernel built
+    500 entries and the cut committed 428 histories)."""
+    [row] = run_perf(names=["ttl-kernels"], scale=0.1)["results"]
+    assert row["kernel_calls"] == 1
+    assert row["ttl_objects"] == 0
+
+
 def test_ttl_kernels_microbench_counts_charging_reads() -> None:
     """A 2 s trace at ``T = 1 s``: every key that lives past its first poll
     charges, and a read charges at most once."""

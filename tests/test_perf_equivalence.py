@@ -49,13 +49,14 @@ from repro.sim.vector import (
     _commit_trace_writes,
     _flush_columns,
     _flush_tally,
+    _estimator,
     _HostColumns,
-    _HostState,
     _kernel_reactive_span,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
     _GroupBlock,
+    _Lockstep,
     _PreludeBlock,
     _SpanPrelude,
     _SpanTally,
@@ -647,8 +648,8 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
                 facts.cut,
                 [column.tolist() for column in facts.columns],
                 facts.total_writes,
-                _groups_state(engine._node_groups(facts)[0]),
-                engine._node_groups(facts)[1],
+                _groups_state(engine._group_block(facts).cut(facts.position)[0]),
+                engine._group_block(facts).cut(facts.position)[1],
                 _prelude_state(engine._prelude_block(facts).cut(facts.position)),
             )
             for facts in cuts
@@ -735,8 +736,9 @@ class ReferenceTally(_SpanTally):
         self.estimator_ops = []
 
 
-def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> None:
-    """The per-(key, span) kernel: one call per key, on its position slices.
+def reference_kernel_reactive(ctx, node, tally, key_id, name, reads, writes) -> None:
+    """The per-(key, span) kernel: one call per key, on its position slices,
+    on ``node``'s objects.
 
     ``tally.estimator_ops`` collects ``(first_obs, name, reads, writes)`` for
     :func:`reference_flush` to fold.
@@ -745,7 +747,7 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
     miss_position = -1
     if reads.size:
         tally.reads += int(reads.size)
-        entry = host.entries.get(name)
+        entry = node.cache._entries.get(name)
         if entry is not None and entry.state is EntryState.VALID:
             hits = int(reads.size)
             tally.hits += hits
@@ -783,7 +785,7 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
             hits = int(reads.size) - 1
             tally.hits += hits
             entry.hits += hits
-            host.tracker.mark_refetched(name)
+            node.tracker.mark_refetched(name)
     if writes.size:
         tally.buffered_writes += int(writes.size)
         if miss_position >= 0:
@@ -806,29 +808,29 @@ def reference_kernel_reactive(ctx, host, tally, key_id, name, reads, writes) -> 
                     ),
                 )
             )
-    if host.estimator is not None and (reads.size or writes.size):
+    if _estimator(node) is not None and (reads.size or writes.size):
         first_obs = int(reads[0]) if reads.size else int(writes[0])
         if writes.size and (not reads.size or int(writes[0]) < first_obs):
             first_obs = int(writes[0])
         tally.estimator_ops.append((first_obs, name, reads, writes))
 
 
-def reference_flush(ctx, host, tally) -> None:
+def reference_flush(ctx, node, tally) -> None:
     """Apply a reference tally the way the engine once did: new entries and
     buffered writes inserted in stream order of their position (the scalar
     engine's dict orders), the counters, then the estimator folds in
     first-observation order and the poll charges one by one."""
     for _, entry in sorted(tally.new_fills, key=lambda item: item[0]):
-        host.entries[entry.key] = entry
+        node.cache._entries[entry.key] = entry
     for _, buffered in sorted(tally.buffer_entries, key=lambda item: item[0]):
-        host.buffer._pending[buffered.key] = buffered
-    _flush_tally(ctx, host, tally)
+        node.buffer._pending[buffered.key] = buffered
+    _flush_tally(ctx, node, tally)
     for _, name, reads, writes in sorted(tally.estimator_ops, key=lambda op: op[0]):
-        reference_fold_estimator(host.estimator, name, reads, writes)
+        reference_fold_estimator(_estimator(node), name, reads, writes)
     if tally.poll_events:
         # The tuple fold: poll charges replayed one by one, in global stream
         # order, against a running accumulator.
-        result = host.result
+        result = node.result
         tally.poll_events.sort()
         freshness = result.freshness_cost
         miss_const = ctx.miss_const
@@ -859,28 +861,31 @@ def tally_state(tally, reference: bool = False):
     }
 
 
-def host_state(host):
-    """Everything a span leaves behind on a host, dict orders included."""
-    estimator = host.estimator
+def host_state(node):
+    """Everything a span leaves behind on a node's objects, dict orders included."""
+    estimator = _estimator(node)
     return {
-        "entries": [(key, dataclasses.asdict(entry)) for key, entry in host.entries.items()],
-        "stats": dataclasses.asdict(host.cache.stats),
-        "pending": [
-            (key, dataclasses.asdict(write)) for key, write in host.buffer._pending.items()
+        "entries": [
+            (key, dataclasses.asdict(entry)) for key, entry in node.cache._entries.items()
         ],
-        "total_buffered": host.buffer.total_buffered,
-        "invalidated": list(host.tracker._invalidated.items()),
+        "stats": dataclasses.asdict(node.cache.stats),
+        "pending": [
+            (key, dataclasses.asdict(write)) for key, write in node.buffer._pending.items()
+        ],
+        "total_buffered": node.buffer.total_buffered,
+        "invalidated": list(node.tracker._invalidated.items()),
         "counters": None if estimator is None else [
             (key, dataclasses.asdict(counters))
             for key, counters in estimator._counters.items()
         ],
-        "result": json.dumps(host.result.as_dict(), sort_keys=True),
+        "result": json.dumps(node.result.as_dict(), sort_keys=True),
     }
 
 
 def make_kernel_host(trace, policy, bound, count_zero_runs):
-    """A replay context and a fresh single-cache host, the way ``_run_spans``
-    wires them."""
+    """A replay context and a fresh single-cache node, the way ``_run_spans``
+    wires them: the span kernel runs on columns loaded from the node, the
+    per-key reference on the node's objects."""
     simulation = VectorSimulation(
         trace,
         policy=make_policy(policy),
@@ -891,19 +896,19 @@ def make_kernel_host(trace, policy, bound, count_zero_runs):
     if estimator is not None:
         estimator.count_zero_runs = count_zero_runs
     ctx = _ReplayContext(trace, trace.index(), simulation.datastore, bound, bound, 1.0, 3.0)
-    return ctx, _HostState.of(simulation.node)
+    return ctx, simulation.node
 
 
-def disturb(host, rng, now: float) -> None:
+def disturb(node, rng, now: float) -> None:
     """Stand in for the background work between two spans: drain the buffer,
     then invalidate some cached entries and refresh others, leaving the rest
     with an ``as_of`` that falls ever further behind the key's writes."""
-    host.buffer.drain()
-    for name, entry in host.entries.items():
+    node.buffer.drain()
+    for name, entry in node.cache._entries.items():
         draw = rng.random()
         if draw < 0.3:
             entry.mark_invalidated()
-            host.tracker.mark_invalidated(name, now)
+            node.tracker.mark_invalidated(name, now)
         elif draw < 0.5:
             entry.refresh(version=entry.version + 1, time=now)
 
@@ -947,7 +952,7 @@ def assert_span_kernel_matches_reference(
         _kernel_reactive_span(ctx_new, columns, [new], prelude_of(trace, index, groups))
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
-            missing = host_ref.entries.get(trace.key_names[key])
+            missing = host_ref.cache._entries.get(trace.key_names[key])
             missing = missing is None or missing.state is not EntryState.VALID
             if missing and reads.size and writes.size and writes[0] < reads[0] < writes[-1]:
                 seen["straddled_misses"] += 1
@@ -1058,15 +1063,118 @@ def groups_of_hosts(groups: Groups, hosts) -> Groups:
     )
 
 
+class ReferenceUnit(_Lockstep):
+    """The lockstep unit of a :class:`ReferenceClusterSimulation`: per-read
+    routing and the per-key kernels on the engine's ``referenced`` nodes, the
+    production kernels on the others.  A referenced node keeps its state in
+    its objects and flushes with :meth:`CacheNode.flush`, against a
+    datastore of its own that takes every reactive cut's writes; the others
+    keep theirs in the unit's columns, loaded with those nodes alone."""
+
+    def __init__(self, engine) -> None:
+        super().__init__([engine])
+        self.columns = _HostColumns(
+            [engine._node_list[node] for node in engine._others()], engine.trace.key_names
+        )
+        self.cut_store = None
+        if engine._node_list[0]._reacts:
+            self.cut_store = DataStore()
+            for node in engine.referenced:
+                engine._node_list[node].datastore = self.cut_store
+
+    def flush(self, time: float) -> None:
+        engine = self.members[0]
+        for node in engine.referenced:
+            engine._node_list[node].deliver_until(time)
+            engine._node_list[node].flush(time)
+        _flush_columns(engine._ctx, self.columns, time)
+
+    def cut(self, engine, facts) -> None:
+        ctx, index = engine._ctx, engine._ctx.index
+        trace, nodes = ctx.trace, engine._node_list
+        names = trace.key_names
+        tallies = [ReferenceTally() for _ in nodes]
+        if self.cut_store is not None:
+            # The referenced nodes' flushes read the latest versions off
+            # their own datastore, which takes each write as the scalar loop
+            # does.
+            for position in range(*facts.cut):
+                if not trace.is_read[position]:
+                    self.cut_store.write(
+                        names[trace.key_ids[position]],
+                        float(trace.times[position]),
+                        int(trace.value_sizes[position]),
+                    )
+            for key, r_lo, r_hi, w_lo, w_hi in zip(
+                *(column.tolist() for column in facts.columns)
+            ):
+                writes = index.write_pos[w_lo:w_hi]
+                primary = int(engine._plan.replicas[key, 0])
+                if primary in engine.referenced:
+                    tallies[primary].writes += int(writes.size)
+                for node, reads in naive_node_reads(engine, key, r_lo, r_hi).items():
+                    if node in engine.referenced and (reads or writes.size):
+                        reference_kernel_reactive(
+                            ctx, nodes[node], tallies[node], key, names[key],
+                            np.array(reads, dtype=np.int64), writes,
+                        )
+            self._kernel_the_others(
+                engine,
+                facts,
+                lambda tallies, groups: _kernel_reactive_span(
+                    ctx, self.columns, tallies, prelude_of(trace, index, groups)
+                ),
+            )
+        else:
+            # The per-(node, key) walk: one kernel call per key a node reads.
+            expiry = nodes[0]._ttl_expiry
+            kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
+            groups, writes = engine._group_block(facts).cut(facts.position)
+            stride = groups.stride
+            for node in engine.referenced:
+                tallies[node].writes = writes[node]
+                mine = slice(*groups.bounds[node : node + 2])
+                for key_id, lo, reads in zip(
+                    groups.keys[mine].tolist(),
+                    groups.first[mine].tolist(),
+                    groups.count[mine].tolist(),
+                ):
+                    if reads:
+                        kernel(
+                            ctx, nodes[node], tallies[node], key_id, names[key_id],
+                            index.read_pos[lo : lo + reads * stride : stride],
+                        )
+            production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
+            self._kernel_the_others(
+                engine,
+                facts,
+                lambda tallies, groups: production(ctx, self.columns, tallies, groups),
+            )
+        engine.span_tallies.append(
+            [tally_state(tallies[node], reference=True) for node in engine.referenced]
+        )
+        for node in engine.referenced:
+            reference_flush(ctx, nodes[node], tallies[node])
+
+    def _kernel_the_others(self, engine, facts, kernel) -> None:
+        """The production replay of the cut on every node the reference does
+        not replay: their groups in one kernel call on the unit's columns."""
+        others = engine._others()
+        if not others:
+            return
+        groups, writes = engine._group_block(facts).cut(facts.position)
+        tallies = [_SpanTally(writes[node]) for node in others]
+        kernel(tallies, groups_of_hosts(groups, others))
+        for node, tally in zip(others, tallies):
+            _flush_tally(engine._ctx, engine._node_list[node], tally)
+
+
 class ReferenceClusterSimulation(VectorClusterSimulation):
     """The fleet engine with per-read routing and the per-key kernel on the
     ``referenced`` nodes (default: all of them), the production kernel on
-    the others.  Nodes are independent within a span, so any mix must give
-    the rows of the production engine.  A referenced node keeps its state in
-    its objects and flushes with :meth:`CacheNode.flush`, against a
-    datastore of its own that takes every cut's writes; the others keep
-    theirs in its lockstep unit's columns, reloaded with those nodes alone
-    at the first cut."""
+    the others, through its own lockstep unit (:class:`ReferenceUnit`).
+    Nodes are independent within a span, so any mix must give the rows of
+    the production engine."""
 
     def __init__(self, trace, referenced=None, **fleet) -> None:
         super().__init__(trace, **fleet)
@@ -1074,118 +1182,15 @@ class ReferenceClusterSimulation(VectorClusterSimulation):
             tuple(range(fleet["num_nodes"])) if referenced is None else tuple(referenced)
         )
         self.span_tallies = []
-        self._cut_store = None
 
     def _others(self):
-        return [node for node in range(len(self._hosts)) if node not in self.referenced]
+        return [node for node in range(len(self._node_list)) if node not in self.referenced]
 
-    def _flush_nodes(self, time: float) -> None:
-        if self._unit is None:
-            super()._flush_nodes(time)
-            return
-        for node in self.referenced:
-            self._node_list[node].deliver_until(time)
-            self._node_list[node].flush(time)
-        _flush_columns(self._ctx, self._unit.columns, time)
-
-    def _replay_reactive_span(self, facts) -> None:
-        ctx, index = self._ctx, self._ctx.index
-        trace = ctx.trace
-        if self._cut_store is None:
-            self._unit.columns = _HostColumns(
-                [self._hosts[node] for node in self._others()], trace.key_names
-            )
-            self._cut_store = DataStore()
-            for node in self.referenced:
-                self._node_list[node].datastore = self._cut_store
-        # The referenced nodes' flushes read the latest versions off their
-        # own datastore, which takes each write as the scalar loop does.
-        for position in range(*facts.cut):
-            if not trace.is_read[position]:
-                self._cut_store.write(
-                    trace.key_names[trace.key_ids[position]],
-                    float(trace.times[position]),
-                    int(trace.value_sizes[position]),
-                )
-        tallies = [ReferenceTally() for _ in self._hosts]
-        names = ctx.trace.key_names
-        for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in facts.columns)):
-            writes = index.write_pos[w_lo:w_hi]
-            primary = int(self._plan.replicas[key, 0])
-            if primary in self.referenced:
-                tallies[primary].writes += int(writes.size)
-            for node, reads in naive_node_reads(self, key, r_lo, r_hi).items():
-                if node in self.referenced and (reads or writes.size):
-                    reference_kernel_reactive(
-                        ctx,
-                        self._hosts[node],
-                        tallies[node],
-                        key,
-                        names[key],
-                        np.array(reads, dtype=np.int64),
-                        writes,
-                    )
-        self._kernel_the_others(
-            facts,
-            lambda hosts, tallies, groups: _kernel_reactive_span(
-                ctx, self._unit.columns, tallies, prelude_of(ctx.trace, index, groups)
-            ),
-        )
-        self._record_and_flush(tallies)
-
-    def _replay_ttl_trace(self, facts) -> None:
-        """The per-(node, key) walk: one kernel call per key a node reads."""
-        ctx = self._ctx
-        _commit_trace_writes(ctx)
-        hosts = self._hosts
-        tallies = [ReferenceTally() for _ in hosts]
-        names = ctx.trace.key_names
-        read_pos = ctx.index.read_pos
-        expiry = self._node_list[0]._ttl_expiry
-        kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
-        groups, writes = self._node_groups(facts)
-        for node_idx in self.referenced:
-            host, tally = hosts[node_idx], tallies[node_idx]
-            tally.writes = writes[node_idx]
-            mine = slice(*groups.bounds[node_idx : node_idx + 2])
-            stride = groups.stride
-            for key_id, lo, reads in zip(
-                groups.keys[mine].tolist(), groups.first[mine].tolist(), groups.count[mine].tolist()
-            ):
-                if reads:
-                    kernel(
-                        ctx,
-                        host,
-                        tally,
-                        key_id,
-                        names[key_id],
-                        read_pos[lo : lo + reads * stride : stride],
-                    )
-        production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
-        self._kernel_the_others(
-            facts, lambda hosts, tallies, groups: production(ctx, hosts, tallies, groups)
-        )
-        self._record_and_flush(tallies)
-
-    def _kernel_the_others(self, facts, kernel) -> None:
-        """The production span replay of every node the reference does not
-        replay — their groups in one kernel call — writes already applied."""
-        groups, writes = self._node_groups(facts)
-        others = [node for node in range(len(self._hosts)) if node not in self.referenced]
-        if not others:
-            return
-        hosts = [self._hosts[node] for node in others]
-        tallies = [_SpanTally(writes[node]) for node in others]
-        kernel(hosts, tallies, groups_of_hosts(groups, others))
-        for host, tally in zip(hosts, tallies):
-            _flush_tally(self._ctx, host, tally)
-
-    def _record_and_flush(self, tallies) -> None:
-        self.span_tallies.append(
-            [tally_state(tallies[node], reference=True) for node in self.referenced]
-        )
-        for node in self.referenced:
-            reference_flush(self._ctx, self._hosts[node], tallies[node])
+    def replay(self, *args, **kwargs):
+        replay = super().replay(*args, **kwargs)
+        assert next(replay) is self  # the engine, offered for a unit: take it
+        ReferenceUnit(self)
+        return (yield from replay)
 
 
 @pytest.mark.parametrize("policy", ["invalidate", "adaptive"])
@@ -1222,18 +1227,16 @@ def test_fleet_span_routing_matches_per_read_routing(
         recorded[-1].append(tally_state(tally))
         flush_tally(ctx, host, tally)
 
-    span_replay = VectorClusterSimulation._replay_reactive_span
+    cut = _Lockstep.cut
 
-    def recording_span_replay(self, facts):
+    def recording_cut(unit, engine, facts):
         recorded.append([])
-        span_replay(self, facts)
+        cut(unit, engine, facts)
 
     reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
     monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
-    monkeypatch.setattr(
-        VectorClusterSimulation, "_replay_reactive_span", recording_span_replay
-    )
+    monkeypatch.setattr(_Lockstep, "cut", recording_cut)
     simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
@@ -1244,8 +1247,8 @@ def test_fleet_span_routing_matches_per_read_routing(
     assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
     )
-    for host, reference_host in zip(simulation._hosts, reference._hosts):
-        assert host_state(host) == host_state(reference_host)
+    for node, reference_node in zip(simulation._node_list, reference._node_list):
+        assert host_state(node) == host_state(reference_node)
     if read_policy == "round-robin":
         carried = simulation._ctx.index.read_offsets
         assert simulation.router._round_robin == {
@@ -1304,8 +1307,8 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
     assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
     )
-    for host, reference_host in zip(simulation._hosts, reference._hosts):
-        assert host_state(host) == host_state(reference_host)
+    for node, reference_node in zip(simulation._node_list, reference._node_list):
+        assert host_state(node) == host_state(reference_node)
     if owned is None:
         parallel = replay_cluster_parallel(trace, workers=2, **fleet)
         assert json.dumps(parallel.as_dict(), sort_keys=True) == json.dumps(
@@ -1392,7 +1395,7 @@ def replay_leftovers(trace, policy: str, bound: float, shape: str):
             trace, policy=make_policy(policy), staleness_bound=bound, duration=TABLE_DURATION
         )
         result = simulation.run()
-        hosts = simulation._hosts
+        hosts = simulation._node_list
     else:
         if shape == "fleet-3":
             fleet.update(num_nodes=3)
@@ -1402,7 +1405,7 @@ def replay_leftovers(trace, policy: str, bound: float, shape: str):
             )
         simulation = VectorClusterSimulation(trace, **fleet)
         result = simulation.run()
-        hosts = simulation._hosts
+        hosts = simulation._node_list
     assert simulation.used_vector_path
     return {
         "row": json.dumps(result.as_dict(), sort_keys=True),
@@ -1547,7 +1550,7 @@ def test_the_span_table_never_outgrows_the_trace_columns() -> None:
 
 def reference_kernel_ttl_expiry(
     ctx: _ReplayContext,
-    host: _HostState,
+    node: CacheNode,
     tally: _SpanTally,
     key_id: int,
     name: str,
@@ -1598,7 +1601,7 @@ def reference_kernel_ttl_expiry(
 
 def reference_kernel_ttl_polling(
     ctx: _ReplayContext,
-    host: _HostState,
+    node: CacheNode,
     tally: _SpanTally,
     key_id: int,
     name: str,
@@ -1691,8 +1694,10 @@ def whole_trace_groups(trace) -> Groups:
 
 
 def make_ttl_host(trace, policy_class, ttl, bound=1.0):
-    """A replay context and a fresh single-cache TTL host, wired the way
-    ``_run_spans`` wires them, with the trace's writes already committed."""
+    """A replay context, a fresh single-cache TTL node and the columns loaded
+    from it, wired the way a TTL unit wires them, with the trace's writes
+    already committed.  The kernels run on the columns; ``write_back()``
+    puts their entries on the node."""
     simulation = VectorSimulation(
         trace,
         policy=policy_class(ttl=ttl),
@@ -1702,7 +1707,7 @@ def make_ttl_host(trace, policy_class, ttl, bound=1.0):
     assert simulation.vector_eligible()
     ctx = _ReplayContext.for_node(trace, trace.index(), simulation.node)
     _commit_trace_writes(ctx)
-    return ctx, _HostState.of(simulation.node)
+    return ctx, simulation.node, _HostColumns([simulation.node], trace.key_names)
 
 
 def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
@@ -1711,8 +1716,9 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
 
     The tallies — counters, poll positions and counts — and, once flushed,
     the hosts (entry fields, dict order, ``polls``, ``freshness_cost``) must
-    be equal: the batched kernel inserts its entries itself, the reference
-    flush inserts the per-key kernel's.  Returns the polling
+    be equal: the batched kernel's entries come from its columns'
+    ``write_back()``, the per-key kernel's from the reference flush.
+    Returns the polling
     tally's poll events and the expiry tally's refetch count, so callers can
     insist their case occurred.
     """
@@ -1729,13 +1735,13 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
         (TTLExpiryPolicy, _kernel_ttl_expiry, reference_kernel_ttl_expiry, None),
         (TTLPollingPolicy, _kernel_ttl_polling, reference_kernel_ttl_polling, None),
     ):
-        ctx_new, host_new = make_ttl_host(trace, policy_class, ttl, bound)
-        ctx_ref, host_ref = make_ttl_host(trace, policy_class, ttl, bound)
+        ctx_new, host_new, columns = make_ttl_host(trace, policy_class, ttl, bound)
+        ctx_ref, host_ref, _ = make_ttl_host(trace, policy_class, ttl, bound)
         new, ref = _SpanTally(), ReferenceTally()
         with pytest.MonkeyPatch.context() as patch:
             if expiry_batch is not None:
                 patch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
-            batched(ctx_new, [host_new], [new], groups)
+            batched(ctx_new, columns, [new], groups)
         for key, lo, reads in zip(keys.tolist(), read_lo.tolist(), read_count.tolist()):
             if reads:
                 per_key(
@@ -1747,6 +1753,7 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
             assert type(value) is int
         seen[policy_class.name] = (ref.stale_misses, sorted(ref.poll_events))
         _flush_tally(ctx_new, host_new, new)
+        columns.write_back()
         reference_flush(ctx_ref, host_ref, ref)
         assert host_state(host_new) == host_state(host_ref), policy_class.name
         assert host_new.result.polls == host_ref.result.polls
@@ -1795,10 +1802,11 @@ def test_batched_ttl_kernels_match_on_single_read_and_write_only_keys() -> None:
     index = trace.index()
     assert np.diff(index.read_offsets)[:2].tolist() == [0, 1]
     assert index.write_offsets[2] == index.write_offsets[3]
-    ctx, host = make_ttl_host(trace, TTLPollingPolicy, 0.7)
+    ctx, node, columns = make_ttl_host(trace, TTLPollingPolicy, 0.7)
     tally = _SpanTally()
-    _kernel_ttl_polling(ctx, [host], [tally], whole_trace_groups(trace))
-    filled = host.entries
+    _kernel_ttl_polling(ctx, columns, [tally], whole_trace_groups(trace))
+    columns.write_back()
+    filled = node.cache._entries
     assert "key-000000" not in filled
     assert filled["key-000001"].hits == 0 and filled["key-000001"].version > 0
     assert filled["key-000002"].version == 0
@@ -1833,13 +1841,13 @@ def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
     scalar = Simulation(
         trace.iter_requests(), policy=policy, staleness_bound=1.0, duration=10.0
     ).run()
-    ctx, host = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
+    ctx, _, columns = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
     ctx.ttl = 1e-19
     for expiry_batch in (1, 128):  # stepped together / walked one by one
         monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
         tally = _SpanTally()
         with wall_clock_limit(5.0):
-            _kernel_ttl_expiry(ctx, [host], [tally], whole_trace_groups(trace))
+            _kernel_ttl_expiry(ctx, columns, [tally], whole_trace_groups(trace))
         # (Reads tied with a fill at t = 0, where 1e-19 does resolve, still hit.)
         assert (tally.hits, tally.stale_misses) == (scalar.hits, scalar.stale_misses)
         assert tally.expirations == tally.stale_misses > 0.9 * tally.reads
@@ -1850,17 +1858,17 @@ def test_cumsum_poll_fold_is_the_scalar_left_fold() -> None:
     produce the float a one-by-one ``+=`` does, on top of a running total."""
     rng = np.random.default_rng(8)
     trace = random_trace(43, requests=10, num_keys=2)
-    ctx, host = make_ttl_host(trace, TTLPollingPolicy, None)
+    ctx, node, _ = make_ttl_host(trace, TTLPollingPolicy, None)
     ctx.miss_const = 2.7
-    host.result.freshness_cost = expected = 0.1 + 0.2
+    node.result.freshness_cost = expected = 0.1 + 0.2
     tally = _SpanTally()
     tally.poll_positions = rng.permutation(5_000)
     tally.poll_counts = rng.integers(1, 9, size=5_000)
     for polls in tally.poll_counts[np.argsort(tally.poll_positions)].tolist():
         expected += polls * 2.7
-    _flush_tally(ctx, host, tally)
-    assert host.result.freshness_cost == expected
-    assert host.result.polls == int(tally.poll_counts.sum())
+    _flush_tally(ctx, node, tally)
+    assert node.result.freshness_cost == expected
+    assert node.result.polls == int(tally.poll_counts.sum())
 
 
 def scalar_poll_walk(anchor: float, ttl: float, read_times, miss_const: float):
@@ -1910,13 +1918,14 @@ def test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_e
             value_sizes=np.full(times.size, 64, dtype=np.int64),
             key_names=[f"key-{index:06d}" for index in range(anchors_per_ttl)],
         )
-        ctx, host = make_ttl_host(trace, TTLPollingPolicy, ttl, bound=max(ttl, 1.0))
+        ctx, node, columns = make_ttl_host(trace, TTLPollingPolicy, ttl, bound=max(ttl, 1.0))
         index = trace.index()
         groups = whole_trace_groups(trace)
         tally = _SpanTally()
-        _kernel_ttl_polling(ctx, [host], [tally], groups)
+        _kernel_ttl_polling(ctx, columns, [tally], groups)
+        columns.write_back()
         got = dict(zip(tally.poll_positions.tolist(), tally.poll_counts.tolist()))
-        entries = host.entries
+        entries = node.cache._entries
         for key, lo, reads in zip(*(column.tolist() for column in groups[:3])):
             positions = index.read_pos[lo : lo + reads]
             read_times = times[positions].tolist()

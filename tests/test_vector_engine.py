@@ -46,7 +46,6 @@ from repro.sim.vector import (
     Groups,
     VectorSimulation,
     _HostColumns,
-    _HostState,
     _kernel_reactive_span,
     _ReplayContext,
     _GroupBlock,
@@ -61,7 +60,7 @@ from repro.sketch.exact import ExactEWTracker
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.base import constant_column
-from repro.workload.compiled import CompiledTrace, compile_workload
+from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
 from repro.workload.mixed import PoissonMixWorkload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
@@ -390,6 +389,12 @@ def _first_channel(simulation) -> Channel:
     return node.channel
 
 
+def _warm(simulation, name: str = "key-000000") -> None:
+    """Hand every node of ``simulation`` a cached entry of ``name``, fetched at 0."""
+    for node in simulation.nodes() if hasattr(simulation, "nodes") else [simulation.node]:
+        node.cache._entries[name] = CacheEntry(key=name, version=0, as_of=0.0, fetched_at=0.0)
+
+
 FLEET = ("fleet",)
 ENVELOPE_WALK = {
     "store": WalkCase("store", lambda kind, scratch: dict(store=StoreConfig(root=scratch()))),
@@ -403,6 +408,7 @@ ENVELOPE_WALK = {
     ),
     "ttl-above-bound": WalkCase("ttl-above-bound", _policy(lambda: TTLExpiryPolicy(ttl=2.0))),
     "ttl-resolution": WalkCase("ttl-resolution", _policy(lambda: TTLExpiryPolicy(ttl=1e-19))),
+    "ttl-warm": WalkCase("ttl-warm", _policy(TTLPollingPolicy), prepare=_warm),
     "hot-key": WalkCase("hot-key", _config(hotkey=HotKeyConfig(hot_policy="update")), FLEET),
     "l1-tier": WalkCase("l1-tier", _config(tier=TierConfig(l1_capacity=16)), FLEET),
     "bounded-cache": WalkCase("bounded-cache", _config(cache_capacity=16)),
@@ -525,6 +531,29 @@ def test_inside_the_envelope_the_kernels_run_and_no_reason_is_given(kind: str, t
     with pytest.raises(AttributeError):
         columnar.fallback_reason = "store"
     assert_identical(scalar.run().as_dict(), result.as_dict())
+
+
+@pytest.mark.parametrize("nodes", [0, 3], ids=["single", "fleet-3"])
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(policy: str, nodes: int) -> None:
+    """One entry in every node's cache before ``run()``: the TTL kernels fill
+    every key cold, so the vector path used to take the entry's first read
+    for a miss (604 hits against the scalar loop's 605 under ttl-expiry, 214
+    polls against 171 under ttl-polling) and still report the vector path.
+    Such a replay now takes the scalar loop and says why."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=20, rate_per_key=10.0, seed=1), 4.0)
+    config = dict(staleness_bound=0.5, duration=4.0)
+    if nodes:
+        scalar = ClusterSimulation(trace.iter_requests(), policy=policy, num_nodes=nodes, **config)
+        columnar = VectorClusterSimulation(trace, policy=policy, num_nodes=nodes, **config)
+    else:
+        scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
+        columnar = VectorSimulation(trace, policy=make_policy(policy), **config)
+    for simulation in (scalar, columnar):
+        _warm(simulation, trace.key_names[0])
+    expected, result = scalar.run(), columnar.run()
+    assert (columnar.used_vector_path, columnar.fallback_reason) == (False, "ttl-warm")
+    assert_identical(expected.as_dict(), result.as_dict())
 
 
 def test_vector_simulation_requires_a_compiled_trace() -> None:
@@ -695,13 +724,12 @@ def hand_trace(ops: str, keys) -> CompiledTrace:
 
 
 def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
-    """A replay context, a fresh single-cache host and its columns."""
+    """A replay context, a fresh single-cache node and the columns loaded from it."""
     simulation = VectorSimulation(
         trace, policy=make_policy(policy), staleness_bound=100.0, duration=100.0
     )
     ctx = _ReplayContext(trace, trace.index(), simulation.datastore, 100.0, 100.0, 1.0, 1.0)
-    host = _HostState.of(simulation.node)
-    return ctx, host, _HostColumns([host], trace.key_names)
+    return ctx, simulation.node, _HostColumns([simulation.node], trace.key_names)
 
 
 def whole_trace_groups(trace: CompiledTrace) -> Groups:
@@ -725,7 +753,7 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     trace = hand_trace("wrrwrw", [2, 0, 1, 1, 1, 0])
     index = trace.index()
     assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
-    ctx, host, columns = kernel_host(trace)
+    ctx, node, columns = kernel_host(trace)
     tally = _SpanTally()
     _kernel_reactive_span(
         ctx, columns, [tally], prelude_of(trace, index, whole_trace_groups(trace))
@@ -737,13 +765,13 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     for value in (tally.reads, tally.hits, tally.cold_misses, tally.buffered_writes):
         assert type(value) is int
     columns.write_back()
-    assert host.estimator.state() == [
+    assert node.policy.estimator.state() == [
         ["key-2", 0, 0, 1],
         ["key-0", 0, 0, 1],
         ["key-1", 1, 1, 0],
     ]
-    assert list(host.entries) == ["key-0", "key-1"]
-    assert list(host.buffer._pending) == ["key-2", "key-1", "key-0"]
+    assert list(node.cache._entries) == ["key-0", "key-1"]
+    assert list(node.buffer._pending) == ["key-2", "key-1", "key-0"]
 
 
 def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
@@ -751,7 +779,7 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     ``first`` past the key's run — past the column, for the last key."""
     trace = hand_trace("rrw", [0, 0, 0])
     index = trace.index()
-    ctx, host, columns = kernel_host(trace, "invalidate")
+    ctx, node, columns = kernel_host(trace, "invalidate")
     tally = _SpanTally()
     groups = Groups(
         np.array([0]),
@@ -765,8 +793,8 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     _kernel_reactive_span(ctx, columns, [tally], prelude_of(trace, index, groups))
     assert (tally.reads, tally.buffered_writes, columns.state.tolist()) == (0, 1, [0])
     columns.write_back()
-    assert host.entries == {}
-    [buffered] = host.buffer._pending.values()
+    assert node.cache._entries == {}
+    [buffered] = node.buffer._pending.values()
     assert (columns.first_write[0], buffered.write_count, buffered.first_write_time) == (
         2, 1, 0.2
     )
@@ -942,6 +970,76 @@ def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch
     assert sorted(calls) == sorted(
         [2] * non_empty_spans(trace.times, 0.2) + [1] * non_empty_spans(trace.times, 0.5)
     )
+
+
+def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypatch) -> None:
+    """TTL replays of the trace and bound a reactive unit replays, stepped
+    with it, single cache and fleet: each TTL engine is a unit of its own —
+    one TTL kernel call on its own columns, never stacked with the reactive
+    members or another TTL replay — and every replay returns the row and
+    leaves the node state it does alone."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 3.0)
+    config = dict(staleness_bound=0.2, duration=3.0)
+    members = ("invalidate", "ttl-expiry", "update", "ttl-polling", "adaptive")
+
+    def engines():
+        single = [VectorSimulation(trace, policy=make_policy(name), **config) for name in members]
+        fleet = [
+            VectorClusterSimulation(trace, policy=name, num_nodes=3, **config)
+            for name in ("ttl-polling", "invalidate")
+        ]
+        return single + fleet
+
+    alone = engines()
+    rows = [engine.run().as_dict() for engine in alone]
+    calls = []
+    for name in ("_kernel_reactive_span", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
+
+        def counted(ctx, columns, tallies, groups, kernel=getattr(sim_vector, name), name=name):
+            calls.append((name, len(columns.hosts)))
+            kernel(ctx, columns, tallies, groups)
+
+        monkeypatch.setattr(sim_vector, name, counted)
+    unit = engines()
+    results = replay_in_lockstep([engine.replay() for engine in unit])
+    for engine, result, row, reference in zip(unit, results, rows, alone, strict=True):
+        assert engine.used_vector_path
+        assert_identical(row, result.as_dict())
+        for node, reference_node in zip(engine._node_list, reference._node_list, strict=True):
+            assert node_state(node) == node_state(reference_node)
+    ttl = sorted(call for call in calls if call[0] != "_kernel_reactive_span")
+    assert ttl == [
+        ("_kernel_ttl_expiry", 1), ("_kernel_ttl_polling", 1), ("_kernel_ttl_polling", 3)
+    ]
+    reactive = [hosts for name, hosts in calls if name == "_kernel_reactive_span"]
+    assert reactive == [3 + 3] * non_empty_spans(trace.times, 0.2)
+
+
+@pytest.mark.parametrize("kind", ["single", "fleet"])
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+def test_a_ttl_replay_at_a_tiny_bound_asks_for_no_flush_schedule(
+    monkeypatch, wall_clock_limit, policy: str, kind: str
+) -> None:
+    """A TTL replay has no flush work, so its one cut never asks the index
+    for the bound's flush schedule: at ``T = 1e-9`` that would hold about 10**9
+    cut ends.  The replay finishes at once with the scalar loop's rows."""
+    trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 1.0)
+    config = dict(staleness_bound=1e-9, duration=1.0)
+    if kind == "fleet":
+        scalar = ClusterSimulation(trace.iter_requests(), policy=policy, num_nodes=2, **config)
+        columnar = VectorClusterSimulation(trace, policy=policy, num_nodes=2, **config)
+    else:
+        scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
+        columnar = VectorSimulation(trace, policy=make_policy(policy), **config)
+
+    def no_schedule(*args):
+        raise AssertionError("a TTL replay asked for a flush schedule")
+
+    monkeypatch.setattr(TraceIndex, "cut_ends", no_schedule)
+    with wall_clock_limit(30.0):
+        result = columnar.run()
+    assert columnar.used_vector_path
+    assert_identical(scalar.run().as_dict(), result.as_dict())
 
 
 @pytest.mark.parametrize("ops", ["rrrrrrrr", "wwwwwwww"], ids=["read-only", "write-only"])
