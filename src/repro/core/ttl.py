@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.core.policy import FreshnessPolicy
 from repro.errors import ConfigurationError
 
@@ -85,37 +87,51 @@ class TTLPollingPolicy(_TTLPolicy):
     name = "ttl-polling"
     ttl_mode = "polling"
 
-    def polls_between(self, anchor: float, accounted_until: float, now: float) -> int:
-        """Number of polls for an entry between two accounting points.
 
-        Polls occur at ``anchor + k * ttl`` for ``k = 1, 2, ...``.  The
-        simulator accounts for them lazily (there is no need to simulate each
-        poll as an event since polling cost does not depend on the request
-        stream), so this returns how many polls fall in
-        ``(accounted_until, now]``.
+def poll_count(anchor: float, t: float, ttl: float) -> int:
+    """Polls an entry anchored at ``anchor`` has performed by ``t``: ``int((t
+    - anchor) / ttl)``, or 0 when ``t <= anchor``.
 
-        Example — three polls in the first 3.5 seconds, none of them re-counted:
+    Polls occur at :func:`poll_instant` ``(anchor, k, ttl)`` for ``k = 1, 2,
+    ...``.  The simulator accounts for them lazily (polling cost does not
+    depend on the request stream, so no poll is simulated as an event): the
+    polls in ``(accounted, t]`` are ``poll_count(anchor, t, ttl) -
+    poll_count(anchor, accounted, ttl)``.  This is the per-read definition;
+    :func:`poll_counts` is the same count over arrays.
 
-            >>> policy = TTLPollingPolicy(ttl=1.0)
-            >>> policy.polls_between(anchor=0.0, accounted_until=0.0, now=3.5)
-            3
-            >>> policy.polls_between(anchor=0.0, accounted_until=3.5, now=4.5)
-            1
-        """
-        if now <= anchor:
-            return 0
-        ttl = self.ttl
-        total_by_now = int((now - anchor) / ttl)
-        total_by_accounted = int(max(accounted_until - anchor, 0.0) / ttl) if accounted_until > anchor else 0
-        return max(total_by_now - total_by_accounted, 0)
+    Example — three polls in the first 3.5 seconds, none of them re-counted:
 
-    def last_poll_at_or_before(self, anchor: float, now: float) -> float:
-        """Time of the most recent poll at or before ``now`` (or the anchor)."""
-        if now <= anchor:
-            return anchor
-        ttl = self.ttl
-        k = int((now - anchor) / ttl)
-        return anchor + k * ttl
+        >>> poll_count(anchor=0.0, t=3.5, ttl=1.0)
+        3
+        >>> poll_count(0.0, 4.5, 1.0) - poll_count(0.0, 3.5, 1.0)
+        1
+        >>> poll_count(anchor=2.0, t=1.5, ttl=1.0)
+        0
+    """
+    return int((t - anchor) / ttl) if t > anchor else 0
+
+
+def poll_counts(anchor: np.ndarray, t: np.ndarray, ttl: float) -> np.ndarray:
+    """:func:`poll_count` over arrays, element by element and bit for bit.
+
+    ``astype`` truncates toward zero like ``int``, and where ``t <= anchor``
+    the quotient is not positive, so clamping at 0 is the scalar guard.
+
+        >>> poll_counts(np.array([0.0, 0.0, 2.0]), np.array([3.5, 4.5, 1.5]), 1.0).tolist()
+        [3, 4, 0]
+    """
+    counts = ((t - anchor) / ttl).astype(np.int64)
+    return np.maximum(counts, 0, out=counts)
+
+
+def poll_instant(anchor, k, ttl: float):
+    """The instant of an entry's ``k``-th poll, ``anchor + k * ttl``: a float
+    for a scalar ``k``, a column for an array of them.
+
+        >>> poll_instant(anchor=0.5, k=poll_count(0.5, 4.0, 1.0), ttl=1.0)
+        3.5
+    """
+    return anchor + k * ttl
 
 
 def account_entry_polls(
@@ -123,13 +139,12 @@ def account_entry_polls(
 ) -> Optional[float]:
     """Settle one entry's lazily-accounted polls (the replay hot path).
 
-    The single shared implementation of the arithmetic in
-    :meth:`TTLPollingPolicy.polls_between` and
-    :meth:`TTLPollingPolicy.last_poll_at_or_before`, specialised for a TTL
-    resolved once at bind time — both the single-cache simulator and every
-    cluster node call this once per read under TTL-polling, so it avoids the
-    ``ttl`` property and ``isinstance`` checks of the policy methods.  The
-    equivalence with those methods is pinned by the tests.
+    Both the single-cache simulator and every cluster node call this once
+    per read under TTL-polling, against a TTL resolved once at bind time.
+    It is the hot path's copy of :func:`poll_count` and :func:`poll_instant`,
+    inlined: a call per read is a Python frame the read-path pins
+    (``tests/test_read_probe.py``, ``tests/test_perf.py``) do not allow.
+    The tests pin it to the pair on a grid.
 
     Args:
         entry: The cache entry being settled (mutated in place).

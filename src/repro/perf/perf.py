@@ -407,7 +407,7 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
 
     def count_charging_reads(tallies: Any, groups: Any) -> None:
         nonlocal charging_reads
-        charging_reads += sum(int(tally.poll_counts.size) for tally in tallies)
+        charging_reads += sum(int(tally.charge_counts.size) for tally in tallies)
 
     def single() -> None:
         _replay_vector(workload, duration, trace, 1.0, "ttl-polling")

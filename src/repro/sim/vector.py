@@ -124,7 +124,7 @@ from repro.backend.datastore import DataStore, KeyHistory
 from repro.cache.entry import CacheEntry, EntryState
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.policy import Action
-from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
+from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, poll_counts, poll_instant
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import ConfigurationError, WorkloadError
 from repro.sim.node import CacheNode
@@ -224,11 +224,6 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         "ttl-resolution", "node",
         "a TTL below the resolution of the trace's clock: fetched_at + ttl rounds to fetched_at",
         lambda node, trace: not _ttl_resolvable(node, trace),
-    ),
-    EnvelopeRow(
-        "ttl-warm", "node",
-        "a TTL host handed cached entries; the TTL kernels fill every key cold",
-        lambda node, trace: node.policy.ttl_mode is not None and len(node.cache) > 0,
     ),
     EnvelopeRow(
         "hot-key", "node",
@@ -338,16 +333,21 @@ class _ReplayContext:
         )
 
 
-#: The poll columns of a tally no polling kernel has written to (every
+#: The charge columns of a tally no polling kernel has written to (every
 #: reactive span's): shared, never mutated.
-_NO_POLLS = np.empty(0, dtype=np.int64)
-_NO_POLLS.flags.writeable = False
+_NO_CHARGES = np.empty(0, dtype=np.int64)
+_NO_CHARGES.flags.writeable = False
 
 
 class _SpanTally:
     """One host's counter deltas of one span, folded into its result and
     cache stats in bulk by :func:`_flush_tally`, plus the TTL-polling
-    charges, which fold in stream order."""
+    freshness charges, which fold in stream order.
+
+    A kernel that streams its charges streams every one of them: its stale
+    misses are among them, one miss's worth each, and fold in stream order
+    with its polls instead of as one constant.
+    """
 
     __slots__ = (
         "reads",
@@ -358,8 +358,9 @@ class _SpanTally:
         "expirations",
         "writes",
         "buffered_writes",
-        "poll_positions",
-        "poll_counts",
+        "polls",
+        "charge_positions",
+        "charge_counts",
     )
 
     def __init__(self, writes: int = 0) -> None:
@@ -371,9 +372,11 @@ class _SpanTally:
         self.expirations = 0
         self.writes = writes
         self.buffered_writes = 0
+        self.polls = 0
         # TTL-polling charges, as two aligned columns: the stream position
-        # of each read that settles polls, and how many it settles.
-        self.poll_positions = self.poll_counts = _NO_POLLS
+        # of each charging read, and how many misses' worth it charges (the
+        # polls it settles, or 1 for its stale miss).
+        self.charge_positions = self.charge_counts = _NO_CHARGES
 
 
 def _commit_trace_writes(ctx: _ReplayContext) -> int:
@@ -1264,35 +1267,64 @@ def _backend_reads(
     return version, value_size
 
 
-def _fill_ttl_rows(
+def _ttl_start(
+    columns: _HostColumns, groups: Groups, reading: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each reading group's entry starts the trace: its row of
+    ``columns``, whether that row holds a ``VALID`` entry (the first read
+    may hit it) and whether it holds none (the first read is a cold miss).
+    Any other row's first read is a stale miss that refetches."""
+    rows = groups.keys[reading] * len(columns.hosts) + groups.host[reading]
+    state = columns.state[rows]
+    return rows, state == _VALID, state == _ABSENT
+
+
+def _fetch_ttl_rows(
     ctx: _ReplayContext,
     columns: _HostColumns,
-    groups: Groups,
-    reading: np.ndarray,
-    position: np.ndarray,
-    *state: np.ndarray,
+    rows: np.ndarray,
+    keys: np.ndarray,
+    positions: np.ndarray,
 ) -> None:
-    """Scatter the entry each reading group's whole trace leaves behind into
-    its row of ``columns``: ``reading`` are the groups, ``position`` their
-    cold fills' stream positions and ``state`` the ``(version, value_size,
-    as_of, fetched_at, accounted, hits)`` of their entries.  The fill
-    position is the row's ``filled`` order, the scalar engine's cache dict
-    order (which TTL-polling finalisation and result serialisation observe).
+    """Refresh each of ``rows`` with a backend read of its key, ``keys``, by
+    the read at stream position ``positions``: version and value size as
+    that read saw them, fetched (and accounted) at its time."""
+    columns.version[rows], columns.value_size[rows] = _backend_reads(ctx, keys, positions)
+    when = ctx.trace.times[positions]
+    for column in (columns.as_of, columns.fetched_at, columns.accounted):
+        column[rows] = when
 
-    A TTL host starts the trace empty (the ``ttl-warm`` row of the
-    envelope) and never drops an entry, so every key it reads is filled cold
-    exactly once, wherever its later fetches fall.
-    """
-    rows = groups.keys[reading] * len(columns.hosts) + groups.host[reading]
+
+def _close_ttl_rows(
+    ctx: _ReplayContext,
+    columns: _HostColumns,
+    tallies: Sequence[_SpanTally],
+    segments: List[int],
+    rows: np.ndarray,
+    cold: np.ndarray,
+    position: np.ndarray,
+    count: np.ndarray,
+    hits: np.ndarray,
+    stale: np.ndarray,
+) -> None:
+    """What every reading row keeps across the trace, and each host's
+    counts.  The row ends ``VALID`` (a TTL host never drops an entry) with
+    ``hits`` more hits.  A ``cold`` row was filled at its first read, stream
+    position ``position``: that is its ``filled`` order, the scalar engine's
+    cache dict order, and its key size; a loaded row keeps both (a refetch
+    refreshes an entry in place).  Each host's tally gains its rows' reads
+    (``count``), hits, cold fills and ``stale`` misses."""
     columns.state[rows] = _VALID
-    columns.filled[rows] = position
-    columns.key_size[rows] = ctx.trace.key_sizes[position]
-    for column, values in zip(
-        (columns.version, columns.value_size, columns.as_of, columns.fetched_at,
-         columns.accounted, columns.hits),
-        state,
-    ):
-        column[rows] = values
+    columns.hits[rows] += hits
+    filled = position[cold]
+    columns.filled[rows[cold]] = filled
+    columns.key_size[rows[cold]] = ctx.trace.key_sizes[filled]
+    sums = (_segment_sums(column.tolist(), segments) for column in (count, hits, cold, stale))
+    for tally, reads, host_hits, fills, misses in zip(tallies, *sums):
+        tally.reads += reads
+        tally.hits += host_hits
+        tally.cold_misses += fills
+        tally.stale_misses += misses
 
 
 def _kernel_ttl_expiry(
@@ -1302,29 +1334,35 @@ def _kernel_ttl_expiry(
     groups: Groups,
 ) -> None:
     """Every host's whole trace under TTL-expiry (the policy never reacts),
-    each key's final entry scattered into its row of ``columns``.
+    from the entries in ``columns`` to each key's final entry, scattered
+    into its row.
 
-    An entry's life is a sequence of epochs: a fill anchors a timer, the
-    first read at or past ``fetched_at + ttl`` expires and re-fetches.  With
-    ``ttl <= bound`` no hit can violate the staleness bound, so only the
-    epoch boundaries matter, and every key's next one is bisected out of its
-    read run at once, on every host: ``O(keys x epochs x log reads)``, no
-    pass over the reads.  The search starts after the current fill, so it
-    advances even where ``fetched_at + ttl`` rounds back to ``fetched_at``.
-    Keys leave the batch as their runs end; the last
-    :data:`_TTL_EXPIRY_BATCH` of them — typically the hot keys, with the
-    most epochs — finish one at a time.
+    An entry's life is a sequence of epochs: a fetch anchors a timer, the
+    first read at or past ``fetched_at + ttl`` expires and re-fetches.  A
+    loaded ``VALID`` entry's epoch runs from its own ``fetched_at`` (its
+    fetch ranks before the first read, which may already expire it); any
+    other row's first read fetches, cold or stale.  With ``ttl <= bound`` no
+    hit can violate the staleness bound, so only the epoch boundaries
+    matter, and every key's next one is bisected out of its read run at
+    once, on every host: ``O(keys x epochs x log reads)``, no pass over the
+    reads.  The search starts after the current fetch, so it advances even
+    where ``fetched_at + ttl`` rounds back to ``fetched_at``.  Keys leave
+    the batch as their runs end; the last :data:`_TTL_EXPIRY_BATCH` of them
+    — typically the hot keys, with the most epochs — finish one at a time.
     """
     keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
     segments = _segments(reading.tolist(), bounds)
+    rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
-    cold_position = read_pos[first]
-    fill = np.zeros(keys.size, dtype=np.int64)  # rank of the latest fetch in the run
-    fetch_time = times[cold_position]
+    first_position = read_pos[first]
+    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.
+    start = -valid.astype(np.int64)
+    fill = start.copy()
+    fetch_time = np.where(valid, columns.fetched_at[rows], times[first_position])
     refetches = np.zeros(keys.size, dtype=np.int64)
     live = np.arange(keys.size)
     while live.size >= _TTL_EXPIRY_BATCH:
@@ -1353,23 +1391,19 @@ def _kernel_ttl_expiry(
             rank, fetched, epochs = expired, run_times[expired], epochs + 1
         fill[group], fetch_time[group] = rank, fetched
         refetches[group] += epochs
-    hits = count - 1 - refetches
-    version, value_size = _backend_reads(ctx, keys, read_pos[first + fill * stride])
-    _fill_ttl_rows(
-        ctx, columns, groups, reading, cold_position,
-        version, value_size, fetch_time, fetch_time, fetch_time, hits,
+    hits = count - 1 - start - refetches
+    # A row the trace fetched holds the last fetch; a loaded entry that
+    # never expired is as it was.
+    fetched = (fill >= 0).nonzero()[0]
+    _fetch_ttl_rows(
+        ctx, columns, rows[fetched], keys[fetched],
+        read_pos[first[fetched] + fill[fetched] * stride],
     )
-    for tally, fills, reads, host_hits, expirations in zip(
-        tallies,
-        _lengths(segments),
-        _segment_sums(count.tolist(), segments),
-        _segment_sums(hits.tolist(), segments),
-        _segment_sums(refetches.tolist(), segments),
-    ):
-        tally.reads += reads
-        tally.hits += host_hits
-        tally.cold_misses += fills
-        tally.stale_misses += expirations
+    _close_ttl_rows(
+        ctx, columns, tallies, segments, rows, cold, first_position, count, hits,
+        refetches + ~(valid | cold),
+    )
+    for tally, expirations in zip(tallies, _segment_sums(refetches.tolist(), segments)):
         tally.expirations += expirations
 
 
@@ -1380,40 +1414,59 @@ def _kernel_ttl_polling(
     groups: Groups,
 ) -> None:
     """Every host's whole trace under TTL-polling (the policy never reacts),
-    each key's final entry scattered into its row of ``columns``.
+    from the entries in ``columns`` to each key's final entry, scattered
+    into its row.
 
-    A key's cold fill anchors its poll timer at ``a``; every later read
-    settles the polls since the last accounting point with the scalar
-    engine's exact arithmetic (:func:`repro.core.ttl.account_entry_polls`).
-    A read at ``t`` has seen ``k = int((t - a) / ttl)`` polls, and once it
-    settles them the accounting point is ``a + k * ttl``, which the next read
-    counts back as ``s = int(((a + k * ttl) - a) / ttl)`` — *not* always
-    ``k``: float rounding can land it one lower, and the closed form
-    reproduces that.  ``k`` never decreases along a key's reads and
-    ``s <= k`` for a TTL the trace's clock resolves (:func:`_ttl_resolvable`),
-    so a read that settles nothing leaves ``s`` where the previous read's
-    ``k`` puts it, and read ``i`` charges ``k[i] - s[i - 1]`` polls whether or
-    not read ``i - 1`` charged any.  That is a fixed number of float64 column
-    operations per read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.
+    A key's poll timer is anchored at ``a``: a loaded ``VALID`` entry's
+    ``fetched_at``, else the first read's time (a cold fill, or the stale
+    miss that refetches a loaded entry, which first settles the polls owed
+    on its old anchor).  Every read of an entry settles the polls since the
+    last accounting point with the scalar engine's arithmetic, the pair
+    :func:`~repro.core.ttl.poll_count` / :func:`~repro.core.ttl.poll_instant`
+    (the array half here).  A read at ``t`` has seen ``k = poll_count(a, t)``
+    polls, and once it settles them the accounting point is
+    ``poll_instant(a, k)``, which the next read counts back as
+    ``s = poll_count(a, poll_instant(a, k))`` — *not* always ``k``: float
+    rounding can land it one lower, and the closed form reproduces that.  A
+    loaded entry's first read counts back from its own accounting point.
+    ``k`` never decreases along a key's reads and ``s <= k`` for a TTL the
+    trace's clock resolves (:func:`_ttl_resolvable`), so a read that settles
+    nothing leaves ``s`` where the previous read's ``k`` puts it, and read
+    ``i`` charges ``k[i] - s[i - 1]`` polls whether or not read ``i - 1``
+    charged any.  That is a fixed number of float64 column operations per
+    read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.  The loaded
+    entries are ones a replay leaves: fetched, and accounted on their poll
+    grid, at or before their key's first read.
     """
     keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
     segments = _segments(reading.tolist(), bounds)
+    rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
-    cold_position = read_pos[first]
-    anchor = times[cold_position]
+    first_position = read_pos[first]
+    first_time = times[first_position]
+    loaded_anchor = columns.fetched_at[rows]
+    anchor = np.where(valid, loaded_anchor, first_time)
+    # What each first read charges: a loaded entry's polls since its
+    # accounting point, on its own anchor; nothing at a cold fill.
+    owed = poll_counts(loaded_anchor, first_time, ttl) - poll_counts(
+        loaded_anchor, columns.accounted[rows], ttl
+    )
+    owed[cold] = 0
+    np.maximum(owed, 0, out=owed)
+    refetching = ~(valid | cold)
     # The hosts' reads as one table of rows, group after group: row ``r`` of
     # group ``g`` is the read ``read_pos[slot[g] + r * stride]``.
     ends = np.cumsum(count)
     starts = ends - count
     slot = first - starts * stride
-    # Each key's last charging read: how many polls it had seen, and where it
-    # sits in the stream.  A key that never charges stays at its fill.
-    settled_polls = np.zeros(keys.size, dtype=np.int64)
-    settled_position = cold_position.copy()
+    # Each key's last charging read: how many polls it had seen (-1: none),
+    # and where it sits in the stream.
+    settled_polls = np.full(keys.size, -1, dtype=np.int64)
+    settled_position = np.zeros(keys.size, dtype=np.int64)
     positions: List[np.ndarray] = []
     charges: List[np.ndarray] = []
     # Rows run group after group, so each host's rows — and its charging
@@ -1433,17 +1486,15 @@ def _kernel_ttl_polling(
         )
         position = read_pos[slot[group] + np.arange(lo, hi) * stride]
         base = anchor[group]
-        seen = ((times[position] - base) / ttl).astype(np.int64)
-        # ``account_entry_polls`` guards the division with ``accounted >
-        # anchor``; the only other case here is equality, which divides to 0.
-        counted = (((base + seen * ttl) - base) / ttl).astype(np.int64)
+        seen = poll_counts(base, times[position], ttl)
+        counted = poll_counts(base, poll_instant(base, seen, ttl), ttl)
         charge = seen.copy()
         charge[1:] -= counted[:-1]
         charge[0] -= carried
         carried = counted[-1]
-        # The fill read itself never settles (no entry existed yet).
-        fills = starts[members]
-        charge[fills[fills >= lo] - lo] = 0
+        opened = np.arange(head, tail + 1)
+        opened = opened[starts[opened] >= lo]
+        charge[starts[opened] - lo] = owed[opened]
         charging = charge.nonzero()[0]
         if charging.size:
             owner = group[charging]
@@ -1453,45 +1504,53 @@ def _kernel_ttl_polling(
             positions.append(position[charging])
             charges.append(charge[charging])
             charged_before += np.searchsorted(charging + lo, host_rows)
-    if positions:
-        position, charge = np.concatenate(positions), np.concatenate(charges)
+    # Each host's freshness charges in stream order: its polls, then the
+    # stale miss of each refetching first read, which lands after that
+    # read's polls (the flush's sort is stable).
+    missed = first_position[refetching]
+    if positions or missed.size:
+        position = np.concatenate(positions) if positions else _NO_CHARGES
+        charge = np.concatenate(charges) if charges else _NO_CHARGES
         split = charged_before.tolist()
-        for tally, lo, hi in zip(tallies, split, split[1:]):
-            if hi > lo:
-                tally.poll_positions = position[lo:hi]
-                tally.poll_counts = charge[lo:hi]
-    # Only a key's *final* settled state is observable after the trace: polls
-    # refresh the entry monotonically, so the scalar engine's per-read entry
-    # updates collapse into the last one.
-    last_poll = anchor + settled_polls * ttl
-    version, value_size = _backend_reads(ctx, keys, cold_position)
+        miss_split = np.searchsorted(refetching.nonzero()[0], segments).tolist()
+        for tally, lo, hi, miss_lo, miss_hi in zip(
+            tallies, split, split[1:], miss_split, miss_split[1:]
+        ):
+            if hi > lo or miss_hi > miss_lo:
+                tally.charge_positions = np.concatenate(
+                    (position[lo:hi], missed[miss_lo:miss_hi])
+                )
+                tally.charge_counts = np.concatenate(
+                    (charge[lo:hi], np.ones(miss_hi - miss_lo, dtype=np.int64))
+                )
+                tally.polls += int(charge[lo:hi].sum())
+    # A row the trace fetched was fetched at its first read.  Only a key's
+    # *final* settled state is observable after the trace: polls refresh the
+    # entry monotonically, so the scalar engine's per-read entry updates
+    # collapse into the last one.
+    fetched = (~valid).nonzero()[0]
+    _fetch_ttl_rows(ctx, columns, rows[fetched], keys[fetched], first_position[fetched])
+    _close_ttl_rows(
+        ctx, columns, tallies, segments, rows, cold, first_position, count, count - 1 + valid,
+        refetching,
+    )
+    charged = (settled_polls >= 0).nonzero()[0]
+    keys, rows = keys[charged], rows[charged]
+    last_poll = poll_instant(anchor[charged], settled_polls[charged], ttl)
     # version_at(last_poll) over the writes applied before the settling read:
     # both constraints are prefixes of the key's writes, so the refreshed
-    # version is the shorter prefix (for a key that never charged, no longer
-    # than the fill's).
+    # version is the shorter prefix.
     write_lo = ctx.index.write_offsets[keys]
     polled_version = bisect_groups(
         lambda groups, rank: ctx.index.write_times[write_lo[groups] + rank],
         np.zeros(keys.size, dtype=np.int64),
-        _versions_before(ctx, keys, settled_position),
+        _versions_before(ctx, keys, settled_position[charged]),
         last_poll,
         right=True,
     )
-    hits = count - 1
-    _fill_ttl_rows(
-        ctx, columns, groups, reading, cold_position,
-        np.maximum(version, polled_version), value_size,
-        np.maximum(anchor, last_poll), anchor, last_poll, hits,
-    )
-    for tally, fills, reads, host_hits in zip(
-        tallies,
-        _lengths(segments),
-        _segment_sums(count.tolist(), segments),
-        _segment_sums(hits.tolist(), segments),
-    ):
-        tally.reads += reads
-        tally.hits += host_hits
-        tally.cold_misses += fills
+    columns.version[rows] = np.maximum(columns.version[rows], polled_version)
+    columns.as_of[rows] = np.maximum(columns.as_of[rows], last_poll)
+    columns.accounted[rows] = last_poll
 
 
 #: Fewest additions :func:`_fold_constant` takes in closed form.  Measured on
@@ -1574,6 +1633,7 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
     result.stale_refetches += tally.stale_misses
     result.cold_misses += tally.cold_misses
     result.staleness_violations += tally.violations
+    result.polls += tally.polls
     stats.lookups += tally.reads
     stats.hits += tally.hits
     stats.stale_misses += tally.stale_misses
@@ -1584,7 +1644,8 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
     # Constant-cost accumulations: the scalar engine's n in-order additions.
     if tally.reads:
         result.useful_work = _fold_constant(result.useful_work, ctx.serve_const, tally.reads)
-    if tally.stale_misses:
+    streamed = tally.charge_counts.size
+    if tally.stale_misses and not streamed:
         result.freshness_cost = _fold_constant(
             result.freshness_cost, ctx.miss_const, tally.stale_misses
         )
@@ -1595,17 +1656,17 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
     stats.insertions += tally.cold_misses
     if tally.buffered_writes:
         node.buffer.total_buffered += tally.buffered_writes
-    if tally.poll_counts.size:
-        # Poll charges are the one varying-order float sum: fold them in
-        # global stream order onto the running accumulator.  ``cumsum`` adds
-        # strictly left to right, so seeding its first addend gives the float
-        # the scalar engine's one-by-one ``+=`` does (the per-entry state
-        # those charges refresh was already settled by the kernel).
-        order = np.argsort(tally.poll_positions, kind="stable")
-        charge = tally.poll_counts[order] * ctx.miss_const
+    if streamed:
+        # Poll charges are the one varying-order float sum: fold every
+        # charge in global stream order onto the running accumulator.
+        # ``cumsum`` adds strictly left to right, so seeding its first addend
+        # gives the float the scalar engine's one-by-one ``+=`` does (the
+        # per-entry state those charges refresh was already settled by the
+        # kernel).
+        order = np.argsort(tally.charge_positions, kind="stable")
+        charge = tally.charge_counts[order] * ctx.miss_const
         charge[0] += result.freshness_cost
         result.freshness_cost = float(np.cumsum(charge, out=charge)[-1])
-        result.polls += int(tally.poll_counts.sum())
 
 
 def _walk_spans(engine) -> Iterator[SpanFacts]:

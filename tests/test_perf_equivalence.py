@@ -33,7 +33,14 @@ from repro.cluster.vector import VectorClusterSimulation
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.cost_model import CostModel
 from repro.core.policy import Action, FreshnessPolicy
-from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, account_entry_polls
+from repro.core.ttl import (
+    TTLExpiryPolicy,
+    TTLPollingPolicy,
+    account_entry_polls,
+    poll_count,
+    poll_counts,
+    poll_instant,
+)
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
@@ -366,31 +373,68 @@ def test_countmin_add_many_matches_repeated_add() -> None:
 # Inlined TTL poll arithmetic vs the policy methods
 # --------------------------------------------------------------------- #
 
+class NaivePollMethods:
+    """The poll arithmetic as ``TTLPollingPolicy`` once spelled it, method by
+    method: the independent reference the shared pair is checked against."""
+
+    def __init__(self, ttl: float) -> None:
+        self.ttl = ttl
+
+    def polls_between(self, anchor: float, accounted_until: float, now: float) -> int:
+        if now <= anchor:
+            return 0
+        ttl = self.ttl
+        total_by_now = int((now - anchor) / ttl)
+        total_by_accounted = (
+            int(max(accounted_until - anchor, 0.0) / ttl) if accounted_until > anchor else 0
+        )
+        return max(total_by_now - total_by_accounted, 0)
+
+    def last_poll_at_or_before(self, anchor: float, now: float) -> float:
+        if now <= anchor:
+            return anchor
+        ttl = self.ttl
+        k = int((now - anchor) / ttl)
+        return anchor + k * ttl
+
+
 def test_inlined_poll_arithmetic_matches_policy_methods() -> None:
-    """The simulator inlines polls_between/last_poll_at_or_before against a
-    bind-time TTL; the arithmetic must agree on every grid point."""
-    policy = TTLPollingPolicy(ttl=0.75)
+    """Polls are counted by one pair, ``poll_count`` / ``poll_counts`` and
+    ``poll_instant``, against a bind-time TTL, and inlined on the scalar
+    engine's per-read path (``account_entry_polls``): on every grid point
+    both halves and the inlined copy agree with the naive per-method
+    reference."""
     ttl = 0.75
+    naive = NaivePollMethods(ttl)
     anchors = [0.0, 0.3, 1.0]
+
+    class Sink:
+        polls = 0
+        freshness_cost = 0.0
+
     for anchor in anchors:
         for accounted in np.arange(anchor, anchor + 4.0, 0.19):
-            for now in np.arange(accounted, accounted + 3.0, 0.23):
-                accounted_f, now_f = float(accounted), float(now)
-                expected = policy.polls_between(anchor, accounted_f, now_f)
-                if now_f <= anchor:
-                    inlined = 0
-                else:
-                    k_now = int((now_f - anchor) / ttl)
-                    k_acc = (
-                        int((accounted_f - anchor) / ttl) if accounted_f > anchor else 0
-                    )
-                    inlined = max(k_now - k_acc, 0)
-                assert inlined == expected, (anchor, accounted_f, now_f)
+            nows = np.arange(accounted, accounted + 3.0, 0.23)
+            accounted_f = float(accounted)
+            counted = poll_counts(np.full(nows.size, anchor), nows, ttl).tolist()
+            for now, count in zip(nows.tolist(), counted):
+                expected = naive.polls_between(anchor, accounted_f, now)
+                pair = max(poll_count(anchor, now, ttl) - poll_count(anchor, accounted_f, ttl), 0)
+                assert pair == expected, (anchor, accounted_f, now)
+                assert count == poll_count(anchor, now, ttl), (anchor, now)
+                entry = CacheEntry(
+                    key="k", version=0, as_of=accounted_f, fetched_at=anchor,
+                    last_poll_accounted=accounted_f,
+                )
+                before = Sink.polls
+                last_poll = account_entry_polls(entry, now, ttl, Sink, None, 1.0)
+                assert Sink.polls - before == expected, (anchor, accounted_f, now)
                 if expected > 0:
-                    k_now = int((now_f - anchor) / ttl)
-                    assert anchor + k_now * ttl == policy.last_poll_at_or_before(
-                        anchor, now_f
-                    )
+                    assert last_poll == entry.last_poll_accounted == poll_instant(
+                        anchor, poll_count(anchor, now, ttl), ttl
+                    ) == naive.last_poll_at_or_before(anchor, now)
+                else:
+                    assert last_poll is None
 
 
 # --------------------------------------------------------------------- #
@@ -856,7 +900,7 @@ def tally_state(tally, reference: bool = False):
         "poll_events": sorted(
             tally.poll_events
             if reference
-            else zip(tally.poll_positions.tolist(), tally.poll_counts.tolist())
+            else zip(tally.charge_positions.tolist(), tally.charge_counts.tolist())
         ),
     }
 
@@ -1640,7 +1684,7 @@ def reference_kernel_ttl_polling(
         return
     ttl = ctx.ttl
     read_times = trace.times[reads]
-    poll_counts = ((read_times - anchor) / ttl).astype(np.int64)
+    seen = poll_counts(np.full(read_times.size, anchor), read_times, ttl)
     baseline = 0
     cursor = 1  # the fill read itself never settles (no entry existed yet)
     total = int(reads.size)
@@ -1648,17 +1692,17 @@ def reference_kernel_ttl_polling(
     last_poll = anchor
     events = tally.poll_events
     while True:
-        jump = int(poll_counts.searchsorted(baseline, side="right"))
+        jump = int(seen.searchsorted(baseline, side="right"))
         cursor = jump if jump > cursor else cursor
         if cursor >= total:
             break
-        k_now = int(poll_counts[cursor])
+        k_now = int(seen[cursor])
         polls = k_now - baseline
         if polls > 0:
-            last_poll = anchor + k_now * ttl
+            last_poll = poll_instant(anchor, k_now, ttl)
             last_position = int(reads[cursor])
             events.append((last_position, polls))
-            baseline = int((last_poll - anchor) / ttl) if last_poll > anchor else 0
+            baseline = poll_count(anchor, last_poll, ttl)
         cursor += 1
     if last_position >= 0:
         # Only the key's *final* settled state is observable between spans —
@@ -1841,9 +1885,10 @@ def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
     scalar = Simulation(
         trace.iter_requests(), policy=policy, staleness_bound=1.0, duration=10.0
     ).run()
-    ctx, _, columns = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
-    ctx.ttl = 1e-19
     for expiry_batch in (1, 128):  # stepped together / walked one by one
+        # A fresh host each time: the kernel starts from the rows it is handed.
+        ctx, _, columns = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
+        ctx.ttl = 1e-19
         monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
         tally = _SpanTally()
         with wall_clock_limit(5.0):
@@ -1862,13 +1907,14 @@ def test_cumsum_poll_fold_is_the_scalar_left_fold() -> None:
     ctx.miss_const = 2.7
     node.result.freshness_cost = expected = 0.1 + 0.2
     tally = _SpanTally()
-    tally.poll_positions = rng.permutation(5_000)
-    tally.poll_counts = rng.integers(1, 9, size=5_000)
-    for polls in tally.poll_counts[np.argsort(tally.poll_positions)].tolist():
+    tally.charge_positions = rng.permutation(5_000)
+    tally.charge_counts = rng.integers(1, 9, size=5_000)
+    tally.polls = int(tally.charge_counts.sum())
+    for polls in tally.charge_counts[np.argsort(tally.charge_positions)].tolist():
         expected += polls * 2.7
     _flush_tally(ctx, node, tally)
     assert node.result.freshness_cost == expected
-    assert node.result.polls == int(tally.poll_counts.sum())
+    assert node.result.polls == tally.polls
 
 
 def scalar_poll_walk(anchor: float, ttl: float, read_times, miss_const: float):
@@ -1888,8 +1934,8 @@ def scalar_poll_walk(anchor: float, ttl: float, read_times, miss_const: float):
         account_entry_polls(entry, now, ttl, Sink, None, miss_const)
         if Sink.polls != before:
             charges.append((rank, Sink.polls - before))
-            slipped += int((entry.last_poll_accounted - anchor) / ttl) < int(
-                (now - anchor) / ttl
+            slipped += poll_count(anchor, entry.last_poll_accounted, ttl) < poll_count(
+                anchor, now, ttl
             )
     return charges, entry.last_poll_accounted, entry.as_of, slipped
 
@@ -1924,7 +1970,7 @@ def test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_e
         tally = _SpanTally()
         _kernel_ttl_polling(ctx, columns, [tally], groups)
         columns.write_back()
-        got = dict(zip(tally.poll_positions.tolist(), tally.poll_counts.tolist()))
+        got = dict(zip(tally.charge_positions.tolist(), tally.charge_counts.tolist()))
         entries = node.cache._entries
         for key, lo, reads in zip(*(column.tolist() for column in groups[:3])):
             positions = index.read_pos[lo : lo + reads]

@@ -7,6 +7,7 @@ serialised row must match the scalar engine exactly.  These tests compare
 (which would leak into exported artifacts) fail too.
 """
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -31,7 +32,8 @@ from repro.cluster import (
 from repro.cluster.vector import FLEET_ENVELOPE
 from repro.concurrency.config import ConcurrencyConfig
 from repro.core.adaptive import AdaptivePolicy
-from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
+from repro.core.cost_model import CostModel
+from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, poll_count, poll_instant
 from repro.core.write_reactive import AlwaysInvalidatePolicy
 from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments.registry import make_cost_model, make_policy
@@ -389,12 +391,6 @@ def _first_channel(simulation) -> Channel:
     return node.channel
 
 
-def _warm(simulation, name: str = "key-000000") -> None:
-    """Hand every node of ``simulation`` a cached entry of ``name``, fetched at 0."""
-    for node in simulation.nodes() if hasattr(simulation, "nodes") else [simulation.node]:
-        node.cache._entries[name] = CacheEntry(key=name, version=0, as_of=0.0, fetched_at=0.0)
-
-
 FLEET = ("fleet",)
 ENVELOPE_WALK = {
     "store": WalkCase("store", lambda kind, scratch: dict(store=StoreConfig(root=scratch()))),
@@ -408,7 +404,6 @@ ENVELOPE_WALK = {
     ),
     "ttl-above-bound": WalkCase("ttl-above-bound", _policy(lambda: TTLExpiryPolicy(ttl=2.0))),
     "ttl-resolution": WalkCase("ttl-resolution", _policy(lambda: TTLExpiryPolicy(ttl=1e-19))),
-    "ttl-warm": WalkCase("ttl-warm", _policy(TTLPollingPolicy), prepare=_warm),
     "hot-key": WalkCase("hot-key", _config(hotkey=HotKeyConfig(hot_policy="update")), FLEET),
     "l1-tier": WalkCase("l1-tier", _config(tier=TierConfig(l1_capacity=16)), FLEET),
     "bounded-cache": WalkCase("bounded-cache", _config(cache_capacity=16)),
@@ -533,16 +528,58 @@ def test_inside_the_envelope_the_kernels_run_and_no_reason_is_given(kind: str, t
     assert_identical(scalar.run().as_dict(), result.as_dict())
 
 
+def _warm_ttl_entries(simulation, trace: CompiledTrace, policy: str, state: EntryState) -> None:
+    """Hand every node of ``simulation`` entries a replay under ``policy``
+    could have left, in ``state``: every key the trace reads and one it
+    never mentions, each fetched at or before its key's first read and — under
+    polling — accounted on its poll grid as of a read between the two."""
+    rng = np.random.default_rng(11)
+    ttl = 0.5  # the bound the test replays at
+    index = trace.index()
+    first_read = {
+        trace.key_names[key]: float(trace.times[index.read_pos[lo]])
+        for key, (lo, hi) in enumerate(zip(index.read_offsets[:-1].tolist(),
+                                           index.read_offsets[1:].tolist()))
+        if hi > lo
+    }
+    names = [*first_read, "held-nowhere"]
+    nodes = simulation.nodes() if hasattr(simulation, "nodes") else [simulation.node]
+    for node in nodes:
+        for name in names:
+            first = first_read.get(name, float(trace.times[-1]))
+            fetched_at = float(rng.uniform(0.0, first))
+            accounted = fetched_at
+            if policy == "ttl-polling":
+                settled_at = float(rng.uniform(fetched_at, first))
+                accounted = poll_instant(fetched_at, poll_count(fetched_at, settled_at, ttl), ttl)
+            node.cache._entries[name] = CacheEntry(
+                key=name, version=0, as_of=accounted, fetched_at=fetched_at, key_size=24,
+                value_size=96, state=state, last_poll_accounted=accounted, hits=3,
+            )
+
+
+@pytest.mark.parametrize("state", list(EntryState), ids=lambda state: state.name)
 @pytest.mark.parametrize("nodes", [0, 3], ids=["single", "fleet-3"])
 @pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
-def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(policy: str, nodes: int) -> None:
-    """One entry in every node's cache before ``run()``: the TTL kernels fill
-    every key cold, so the vector path used to take the entry's first read
-    for a miss (604 hits against the scalar loop's 605 under ttl-expiry, 214
-    polls against 171 under ttl-polling) and still report the vector path.
-    Such a replay now takes the scalar loop and says why."""
-    trace = compile_workload(PoissonZipfWorkload(num_keys=20, rate_per_key=10.0, seed=1), 4.0)
-    config = dict(staleness_bound=0.5, duration=4.0)
+def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(
+    policy: str, nodes: int, state: EntryState
+) -> None:
+    """Entries in every node's cache before ``run()``, the trace starting 3 s
+    later at a bound of 0.5: a valid entry's first read may hit, expire or
+    settle the polls it owes; an invalidated or expired one's is a stale
+    miss (after those polls).  The TTL kernels start from the loaded rows and
+    reproduce the scalar loop's rows and entries; at ``c_m = 0.3`` the poll
+    and stale-miss charges must fold in stream order to match to the bit."""
+    compiled = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, seed=1), 6.0)
+    trace = CompiledTrace(
+        times=compiled.times + 3.0,
+        key_ids=compiled.key_ids,
+        is_read=compiled.is_read,
+        key_sizes=compiled.key_sizes,
+        value_sizes=compiled.value_sizes,
+        key_names=compiled.key_names,
+    )
+    config = dict(staleness_bound=0.5, duration=9.0, costs=CostModel(miss=0.3))
     if nodes:
         scalar = ClusterSimulation(trace.iter_requests(), policy=policy, num_nodes=nodes, **config)
         columnar = VectorClusterSimulation(trace, policy=policy, num_nodes=nodes, **config)
@@ -550,10 +587,19 @@ def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(policy: str, n
         scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
         columnar = VectorSimulation(trace, policy=make_policy(policy), **config)
     for simulation in (scalar, columnar):
-        _warm(simulation, trace.key_names[0])
+        _warm_ttl_entries(simulation, trace, policy, state)
     expected, result = scalar.run(), columnar.run()
-    assert (columnar.used_vector_path, columnar.fallback_reason) == (False, "ttl-warm")
+    assert (columnar.used_vector_path, columnar.fallback_reason) == (True, None)
     assert_identical(expected.as_dict(), result.as_dict())
+    for node, scalar_node in zip(
+        *(engine.nodes() if nodes else [engine.node] for engine in (columnar, scalar))
+    ):
+        assert [
+            (name, dataclasses.asdict(entry)) for name, entry in node.cache._entries.items()
+        ] == [
+            (name, dataclasses.asdict(entry))
+            for name, entry in scalar_node.cache._entries.items()
+        ]
 
 
 def test_vector_simulation_requires_a_compiled_trace() -> None:
