@@ -17,11 +17,10 @@ directory, where tier-1 runs with ``-x``:
 
 Usage::
 
-    python scripts/mutants.py                 # every family
-    python scripts/mutants.py --family ttl    # one family
+    python scripts/mutants.py
 
-It prints one line per mutant and writes ``MUTANTS.json`` at the
-repository root.
+It prints one line per mutant and writes ``MUTANTS.json`` (untracked) at
+the repository root.
 Exit status: 0 when no mutant survives, 1 when one does, 2 when a mutant
 no longer applies to HEAD or tier-1 could not run in a copy.  Standard
 library only: it needs git, and pytest in the running interpreter.
@@ -29,7 +28,6 @@ library only: it needs git, and pytest in the running interpreter.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -49,86 +47,84 @@ Mutant = Tuple[str, str, Edit, Edit, str]
 VECTOR = "src/repro/sim/vector.py"
 TTL = "src/repro/core/ttl.py"
 
-#: The mutants, by family.
-FAMILIES: Dict[str, Tuple[Mutant, ...]] = {
-    "ttl": (
-        (
-            "poll-count-round-scalar",
-            TTL,
-            "return int((t - anchor) / ttl) if t > anchor else 0",
-            "return round((t - anchor) / ttl) if t > anchor else 0",
-            "the scalar half of the poll-count pair rounds: the scalar engine "
-            "charges polls the kernels do not",
-        ),
-        (
-            "poll-count-round-array",
-            TTL,
-            "counts = ((t - anchor) / ttl).astype(np.int64)",
-            "counts = np.round((t - anchor) / ttl).astype(np.int64)",
-            "the array half of the pair rounds: the kernels charge polls the "
-            "scalar engine does not",
-        ),
-        (
-            "expiry-kernel-all-cold",
-            VECTOR,
-            "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
-            "    valid, cold = valid & False, cold | True\n"
-            "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
-            "the TTL-expiry kernel fills every key cold, handed entries or not "
-            "(the wrong row an envelope row once fenced off)",
-        ),
-        (
-            "polling-kernel-all-cold",
-            VECTOR,
-            "    first_time = times[first_position]\n",
-            "    first_time = times[first_position]\n"
-            "    valid, cold = valid & False, cold | True\n",
-            "the TTL-polling kernel fills every key cold, handed entries or not",
-        ),
-        (
-            "stale-miss-constant-fold",
-            VECTOR,
-            (
-                "    if tally.stale_misses and not streamed:\n",
-                "    missed = first_position[refetching]\n",
-            ),
-            (
-                "    if tally.stale_misses:\n",
-                "    missed = first_position[refetching & False]\n",
-            ),
-            "a polling span's stale misses fold as one constant ahead of its "
-            "poll charges instead of in stream order among them (visible at "
-            "c_m != 1 only)",
-        ),
-        (
-            "warm-polling-baseline-zero",
-            VECTOR,
-            "    owed = poll_counts(loaded_anchor, first_time, ttl) - poll_counts(\n",
-            "    owed = poll_counts(loaded_anchor, first_time, ttl) - 0 * poll_counts(\n",
-            "a loaded polling entry's first read counts its polls from its "
-            "anchor, not from its accounting point: polls charged twice",
-        ),
-        (
-            "slip-fixed",
-            TTL,
-            (
-                "return int((t - anchor) / ttl) if t > anchor else 0",
-                "counts = ((t - anchor) / ttl).astype(np.int64)",
-                "    k_now = int((now - anchor) / ttl)\n",
-                "(int((accounted - anchor) / ttl) if accounted > anchor else 0)",
-            ),
-            (
-                "return round((t - anchor) / ttl) if t > anchor else 0",
-                "counts = np.round((t - anchor) / ttl).astype(np.int64)",
-                "    k_now = round((now - anchor) / ttl)\n",
-                "(round((accounted - anchor) / ttl) if accounted > anchor else 0)",
-            ),
-            "the row change of the TTL-polling debt: every poll count rounds, both "
-            "halves of the pair and the hot path's inlined copy alike; only the "
-            "slip's pins can tell",
-        ),
+#: The mutants: the TTL kernels and the poll-count pair.
+MUTANTS: Tuple[Mutant, ...] = (
+    (
+        "poll-count-round-scalar",
+        TTL,
+        "return int((t - anchor) / ttl) if t > anchor else 0",
+        "return round((t - anchor) / ttl) if t > anchor else 0",
+        "the scalar half of the poll-count pair rounds: the scalar engine "
+        "charges polls the kernels do not",
     ),
-}
+    (
+        "poll-count-round-array",
+        TTL,
+        "counts = ((t - anchor) / ttl).astype(np.int64)",
+        "counts = np.round((t - anchor) / ttl).astype(np.int64)",
+        "the array half of the pair rounds: the kernels charge polls the "
+        "scalar engine does not",
+    ),
+    (
+        "expiry-kernel-all-cold",
+        VECTOR,
+        "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
+        "    valid, cold = valid & False, cold | True\n"
+        "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
+        "the TTL-expiry kernel fills every key cold, handed entries or not "
+        "(the wrong row an envelope row once fenced off)",
+    ),
+    (
+        "polling-kernel-all-cold",
+        VECTOR,
+        "    first_time = times[first_position]\n",
+        "    first_time = times[first_position]\n"
+        "    valid, cold = valid & False, cold | True\n",
+        "the TTL-polling kernel fills every key cold, handed entries or not",
+    ),
+    (
+        "stale-miss-constant-fold",
+        VECTOR,
+        (
+            "    if tally.stale_misses and not streamed:\n",
+            "    missed = first_position[refetching]\n",
+        ),
+        (
+            "    if tally.stale_misses:\n",
+            "    missed = first_position[refetching & False]\n",
+        ),
+        "a polling span's stale misses fold as one constant ahead of its "
+        "poll charges instead of in stream order among them (visible at "
+        "c_m != 1 only)",
+    ),
+    (
+        "warm-polling-baseline-zero",
+        VECTOR,
+        "    paid = poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
+        "    paid = 0 * poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
+        "a loaded polling entry's first read counts its polls from its "
+        "anchor, not from its accounting point: polls charged twice",
+    ),
+    (
+        "slip-fixed",
+        TTL,
+        (
+            "return int((t - anchor) / ttl) if t > anchor else 0",
+            "counts = ((t - anchor) / ttl).astype(np.int64)",
+            "    k_now = int((now - anchor) / ttl)\n",
+            "(int((accounted - anchor) / ttl) if accounted > anchor else 0)",
+        ),
+        (
+            "return round((t - anchor) / ttl) if t > anchor else 0",
+            "counts = np.round((t - anchor) / ttl).astype(np.int64)",
+            "    k_now = round((now - anchor) / ttl)\n",
+            "(round((accounted - anchor) / ttl) if accounted > anchor else 0)",
+        ),
+        "the row change of the TTL-polling debt: every poll count rounds, both "
+        "halves of the pair and the hot path's inlined copy alike; only the "
+        "slip's pins can tell",
+    ),
+)
 
 #: Mutants that cannot change any output, by name, with the reason.
 EQUIVALENT: Dict[str, str] = {}
@@ -196,11 +192,6 @@ def _verdict(copy: Path) -> Tuple[str, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=sorted(FAMILIES), action="append",
-                        help="run this family (repeatable; default: all)")
-    args = parser.parse_args()
-    mutants = [mutant for family in args.family or sorted(FAMILIES) for mutant in FAMILIES[family]]
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -213,7 +204,7 @@ def main() -> int:
             ["git", "archive", "HEAD"], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(pristine)], input=archive, check=True)
-        for mutant in mutants:
+        for mutant in MUTANTS:
             name, file, _, _, why = mutant
             clock = time.perf_counter()
             if name in EQUIVALENT:

@@ -216,7 +216,8 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
     ),
     EnvelopeRow(
         "ttl-above-bound", "node",
-        "a TTL above the staleness bound lets hits violate it; the TTL kernels count no violations",
+        "a TTL above the staleness bound lets hits violate it after a fetch or a poll; the TTL "
+        "kernels count none there",
         lambda node, trace: node.policy.ttl_mode is not None
         and node._ttl_value > node.staleness_bound,
     ),
@@ -1218,6 +1219,30 @@ def _count_violations(
         tallies[host].violations += int(np.count_nonzero(stale_writes))
 
 
+def _held_violations(
+    ctx: _ReplayContext,
+    tallies: Sequence[_SpanTally],
+    groups: Groups,
+    held: np.ndarray,
+    served: np.ndarray,
+    as_of: np.ndarray,
+) -> None:
+    """Staleness violations among the reads loaded entries serve as they
+    were handed: the first ``served[i]`` reads of group ``held[i]``, against
+    the entry's ``as_of[i]``."""
+    some = served.nonzero()[0]
+    held, served, as_of = held[some], served[some], as_of[some]
+    last = ctx.index.read_pos[groups.first[held] + (served - 1) * groups.stride]
+    horizon = ctx.trace.times[last] - ctx.bound
+    late = (horizon > as_of).nonzero()[0]
+    if late.size:
+        count = np.zeros_like(groups.count)
+        count[held] = served
+        _count_violations(
+            ctx, tallies, groups._replace(count=count), held[late], as_of[late], horizon[late]
+        )
+
+
 #: Read rows the TTL-polling kernel settles at a time.  It makes about a
 #: dozen 8-byte temporaries per row, so a block holds them near 2 MiB however
 #: many reads the trace — or one hot key — has; the block-size note in
@@ -1342,13 +1367,15 @@ def _kernel_ttl_expiry(
     loaded ``VALID`` entry's epoch runs from its own ``fetched_at`` (its
     fetch ranks before the first read, which may already expire it); any
     other row's first read fetches, cold or stale.  With ``ttl <= bound`` no
-    hit can violate the staleness bound, so only the epoch boundaries
-    matter, and every key's next one is bisected out of its read run at
-    once, on every host: ``O(keys x epochs x log reads)``, no pass over the
-    reads.  The search starts after the current fetch, so it advances even
-    where ``fetched_at + ttl`` rounds back to ``fetched_at``.  Keys leave
-    the batch as their runs end; the last :data:`_TTL_EXPIRY_BATCH` of them
-    — typically the hot keys, with the most epochs — finish one at a time.
+    hit can violate the staleness bound (an entry's ``as_of`` is at or after
+    its ``fetched_at``: a fetch sets both, and only a poll moves ``as_of``),
+    so only the epoch boundaries matter, and every key's next one is
+    bisected out of its read run at once, on every host: ``O(keys x epochs x
+    log reads)``, no pass over the reads.  The search starts after the
+    current fetch, so it advances even where ``fetched_at + ttl`` rounds
+    back to ``fetched_at``.  Keys leave the batch as their runs end; the
+    last :data:`_TTL_EXPIRY_BATCH` of them — typically the hot keys, with
+    the most epochs — finish one at a time.
     """
     keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
@@ -1427,16 +1454,22 @@ def _kernel_ttl_polling(
     polls, and once it settles them the accounting point is
     ``poll_instant(a, k)``, which the next read counts back as
     ``s = poll_count(a, poll_instant(a, k))`` — *not* always ``k``: float
-    rounding can land it one lower, and the closed form reproduces that.  A
-    loaded entry's first read counts back from its own accounting point.
+    rounding can land it one lower, and the closed form reproduces that.
     ``k`` never decreases along a key's reads and ``s <= k`` for a TTL the
     trace's clock resolves (:func:`_ttl_resolvable`), so a read that settles
     nothing leaves ``s`` where the previous read's ``k`` puts it, and read
     ``i`` charges ``k[i] - s[i - 1]`` polls whether or not read ``i - 1``
     charged any.  That is a fixed number of float64 column operations per
-    read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.  The loaded
-    entries are ones a replay leaves: fetched, and accounted on their poll
-    grid, at or before their key's first read.
+    read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.
+
+    A loaded ``VALID`` entry counts back from ``paid = poll_count(a,
+    accounted)`` until one of its reads charges: the reads with ``k <=
+    paid`` are served by the entry as it was handed, and the first read past
+    them charges ``k - paid``.  Its accounting point may sit off the poll
+    grid, with ``as_of`` behind it — a warm rejoin or a partition's end moves
+    the point over polls nobody performed — so those served reads are
+    checked against the staleness bound.  Every later hit is on an entry a
+    poll refreshed less than ``ttl <= bound`` ago and cannot violate it.
     """
     keys, first, count, stride, _, _, bounds = groups
     reading = count.nonzero()[0]
@@ -1450,13 +1483,32 @@ def _kernel_ttl_polling(
     first_time = times[first_position]
     loaded_anchor = columns.fetched_at[rows]
     anchor = np.where(valid, loaded_anchor, first_time)
-    # What each first read charges: a loaded entry's polls since its
-    # accounting point, on its own anchor; nothing at a cold fill.
-    owed = poll_counts(loaded_anchor, first_time, ttl) - poll_counts(
-        loaded_anchor, columns.accounted[rows], ttl
-    )
+    # The polls a loaded entry has settled, and what each first read
+    # charges: a loaded entry's polls since then, on its own anchor; nothing
+    # at a cold fill.
+    paid = poll_counts(loaded_anchor, columns.accounted[rows], ttl)
+    owed = poll_counts(loaded_anchor, first_time, ttl) - paid
     owed[cold] = 0
     np.maximum(owed, 0, out=owed)
+    # How many reads each loaded valid entry serves before one charges.
+    served = np.zeros(keys.size, dtype=np.int64)
+    held = valid.nonzero()[0]
+    if held.size:
+        served[held] = bisect_groups(
+            lambda groups, rank: poll_counts(
+                loaded_anchor[held[groups]],
+                times[read_pos[first[held[groups]] + rank * stride]],
+                ttl,
+            ),
+            np.zeros(held.size, dtype=np.int64),
+            count[held],
+            paid[held],
+            right=True,
+        )
+        _held_violations(
+            ctx, tallies, groups, reading[held], served[held], columns.as_of[rows[held]]
+        )
+    holding = bool(served.any())
     refetching = ~(valid | cold)
     # The hosts' reads as one table of rows, group after group: row ``r`` of
     # group ``g`` is the read ``read_pos[slot[g] + r * stride]``.
@@ -1495,6 +1547,12 @@ def _kernel_ttl_polling(
         opened = np.arange(head, tail + 1)
         opened = opened[starts[opened] >= lo]
         charge[starts[opened] - lo] = owed[opened]
+        if holding and served[members].any():
+            # A loaded entry's reads up to its first charging one count back
+            # from its own accounting point.
+            rank = np.arange(lo, hi) - starts[group]
+            settling = ((rank > 0) & (rank <= served[group])).nonzero()[0]
+            charge[settling] = np.maximum(seen[settling] - paid[group[settling]], 0)
         charging = charge.nonzero()[0]
         if charging.size:
             owner = group[charging]

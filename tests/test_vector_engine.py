@@ -528,11 +528,18 @@ def test_inside_the_envelope_the_kernels_run_and_no_reason_is_given(kind: str, t
     assert_identical(scalar.run().as_dict(), result.as_dict())
 
 
-def _warm_ttl_entries(simulation, trace: CompiledTrace, policy: str, state: EntryState) -> None:
+def _warm_ttl_entries(
+    simulation, trace: CompiledTrace, policy: str, state: EntryState, skipped: bool
+) -> None:
     """Hand every node of ``simulation`` entries a replay under ``policy``
-    could have left, in ``state``: every key the trace reads and one it
-    never mentions, each fetched at or before its key's first read and — under
-    polling — accounted on its poll grid as of a read between the two."""
+    could have left, in ``state``: two of every three keys the trace reads
+    (the third starts absent on the same host) and one it never mentions,
+    each fetched at or before its key's first read and — under polling —
+    accounted on its poll grid as of a read between the two.  When
+    ``skipped``, the accounting point then jumped to an instant off the grid
+    just before the first read, ``as_of`` left behind, as a warm rejoin
+    (:meth:`CacheNode.restore_warm`) or a partition's end leaves it: the
+    polls in between were never performed."""
     rng = np.random.default_rng(11)
     ttl = 0.5  # the bound the test replays at
     index = trace.index()
@@ -542,7 +549,7 @@ def _warm_ttl_entries(simulation, trace: CompiledTrace, policy: str, state: Entr
                                            index.read_offsets[1:].tolist()))
         if hi > lo
     }
-    names = [*first_read, "held-nowhere"]
+    names = [name for rank, name in enumerate(first_read) if rank % 3] + ["held-nowhere"]
     nodes = simulation.nodes() if hasattr(simulation, "nodes") else [simulation.node]
     for node in nodes:
         for name in names:
@@ -552,25 +559,35 @@ def _warm_ttl_entries(simulation, trace: CompiledTrace, policy: str, state: Entr
             if policy == "ttl-polling":
                 settled_at = float(rng.uniform(fetched_at, first))
                 accounted = poll_instant(fetched_at, poll_count(fetched_at, settled_at, ttl), ttl)
+            as_of = accounted
+            if skipped:
+                accounted = float(rng.uniform(max(accounted, first - 0.4), first))
             node.cache._entries[name] = CacheEntry(
-                key=name, version=0, as_of=accounted, fetched_at=fetched_at, key_size=24,
+                key=name, version=0, as_of=as_of, fetched_at=fetched_at, key_size=24,
                 value_size=96, state=state, last_poll_accounted=accounted, hits=3,
             )
 
 
 @pytest.mark.parametrize("state", list(EntryState), ids=lambda state: state.name)
 @pytest.mark.parametrize("nodes", [0, 3], ids=["single", "fleet-3"])
-@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+@pytest.mark.parametrize(
+    "policy, skipped",
+    [("ttl-expiry", False), ("ttl-polling", False), ("ttl-polling", True)],
+    ids=["ttl-expiry", "ttl-polling", "ttl-polling-skipped"],
+)
 def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(
-    policy: str, nodes: int, state: EntryState
+    policy: str, skipped: bool, nodes: int, state: EntryState
 ) -> None:
     """Entries in every node's cache before ``run()``, the trace starting 3 s
     later at a bound of 0.5: a valid entry's first read may hit, expire or
     settle the polls it owes; an invalidated or expired one's is a stale
-    miss (after those polls).  The TTL kernels start from the loaded rows and
-    reproduce the scalar loop's rows and entries; at ``c_m = 0.3`` the poll
-    and stale-miss charges must fold in stream order to match to the bit."""
-    compiled = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, seed=1), 6.0)
+    miss (after those polls); an absent key's is a cold fill.  The TTL
+    kernels start from the loaded rows and reproduce the scalar loop's rows
+    and entries; at ``c_m = 0.3`` the poll and stale-miss charges must fold
+    in stream order to match to the bit.  An entry whose accounting skipped
+    polls serves its reads up to the next poll with its old ``as_of``, and
+    those hits can violate the bound."""
+    compiled = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, read_ratio=0.5, seed=1), 6.0)
     trace = CompiledTrace(
         times=compiled.times + 3.0,
         key_ids=compiled.key_ids,
@@ -587,10 +604,12 @@ def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(
         scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
         columnar = VectorSimulation(trace, policy=make_policy(policy), **config)
     for simulation in (scalar, columnar):
-        _warm_ttl_entries(simulation, trace, policy, state)
+        _warm_ttl_entries(simulation, trace, policy, state, skipped)
     expected, result = scalar.run(), columnar.run()
     assert (columnar.used_vector_path, columnar.fallback_reason) == (True, None)
     assert_identical(expected.as_dict(), result.as_dict())
+    violations = (expected.totals if nodes else expected).staleness_violations
+    assert (violations > 0) == (skipped and state is EntryState.VALID)
     for node, scalar_node in zip(
         *(engine.nodes() if nodes else [engine.node] for engine in (columnar, scalar))
     ):
