@@ -561,7 +561,7 @@ def _warm_ttl_entries(
                 accounted = poll_instant(fetched_at, poll_count(fetched_at, settled_at, ttl), ttl)
             as_of = accounted
             if skipped:
-                accounted = float(rng.uniform(max(accounted, first - 0.4), first))
+                accounted = max(accounted, float(rng.uniform(first - 0.4, first)))
             node.cache._entries[name] = CacheEntry(
                 key=name, version=0, as_of=as_of, fetched_at=fetched_at, key_size=24,
                 value_size=96, state=state, last_poll_accounted=accounted, hits=3,
