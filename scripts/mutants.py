@@ -45,9 +45,11 @@ Edit = Union[str, Tuple[str, ...]]
 Mutant = Tuple[str, str, Edit, Edit, str]
 
 VECTOR = "src/repro/sim/vector.py"
+POLLING = "src/repro/sim/polling.py"
 TTL = "src/repro/core/ttl.py"
 
-#: The mutants: the TTL kernels and the poll-count pair.
+#: The mutants: the TTL kernels, the polling kernel's run table and the
+#: poll-count pair.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -104,6 +106,24 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    paid = 0 * poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
         "a loaded polling entry's first read counts its polls from its "
         "anchor, not from its accounting point: polls charged twice",
+    ),
+    (
+        "run-lead-counts-own",
+        POLLING,
+        "        lead = seen - np.append(carried, counted[:-1])\n",
+        "        lead = seen - counted\n",
+        "a poll-count run's first read charges its polls past its own "
+        "accounting point, not the previous run's: a run after a slip "
+        "charges one poll short",
+    ),
+    (
+        "slip-run-first-read-only",
+        POLLING,
+        "        emitted = leads + np.where(again != 0, length - 1, 0)\n",
+        "        emitted = leads + np.where(again != 0, 0, 0)\n",
+        "a run whose accounting point rounds back a poll charges its first "
+        "read only, not the re-charged poll of every later read (the slip "
+        "fixed in one engine only)",
     ),
     (
         "slip-fixed",

@@ -8,6 +8,11 @@ drive the decision rules of §3.2.
 """
 
 from repro.model.arrivals import p_read, p_write
+from repro.model.capacity import (
+    che_characteristic_time,
+    che_hit_ratio,
+    che_per_content_hit_ratio,
+)
 from repro.model.analytical import (
     InvalidationModel,
     KeyParameters,
@@ -27,6 +32,9 @@ __all__ = [
     "TTLPollingModel",
     "UpdateModel",
     "aggregate_normalized_costs",
+    "che_characteristic_time",
+    "che_hit_ratio",
+    "che_per_content_hit_ratio",
     "p_read",
     "p_write",
     "steady_state_invalidated_probability",

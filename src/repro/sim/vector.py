@@ -36,9 +36,9 @@ its :class:`~repro.sim.node.CacheNode` s then run on real objects.  A TTL
 replay is a unit of its own on the same columns: the TTL policies never react
 to writes and have no flush boundaries, so its whole trace is one span and
 one kernel call that scatters each key's final entry into its row —
-TTL-polling is a closed form over the read rows, taken a fixed block of rows
-at a time, and TTL-expiry bisects every key's next epoch at once — and the
-same write-back builds the entry objects.  A fleet's
+TTL-polling charges each key's runs of reads of equal poll count, bisecting
+where every poll a hot key spans starts, and TTL-expiry bisects every key's
+next epoch at once — and the same write-back builds the entry objects.  A fleet's
 nodes share each call: a cut's groups are one table ordered by (host, key)
 (:class:`Groups`) whose rows index the host columns directly, and every kernel
 does its numpy work once for all hosts.  The result is byte-for-byte
@@ -126,11 +126,13 @@ from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.policy import Action
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, poll_counts, poll_instant
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.sim.node import CacheNode
+from repro.sim.polling import PollingGroups, polling_charges
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
+from repro.workload.base import order_error
 from repro.workload.compiled import (
     CompiledTrace, CutBatch, SpanFacts, TraceIndex, bisect_groups,
 )
@@ -1243,13 +1245,6 @@ def _held_violations(
         )
 
 
-#: Read rows the TTL-polling kernel settles at a time.  It makes about a
-#: dozen 8-byte temporaries per row, so a block holds them near 2 MiB however
-#: many reads the trace — or one hot key — has; the block-size note in
-#: docs/guides/performance.md has the peak RSS measured with and without it.
-_TTL_BLOCK_ROWS = 16_384
-
-
 #: Keys the TTL-expiry kernel steps together.  A batched step finds every
 #: live key's next epoch with a few hundred numpy calls (~0.3 ms) however few
 #: keys are live; a scalar ``searchsorted`` on one key costs ~2 µs, so below
@@ -1459,8 +1454,12 @@ def _kernel_ttl_polling(
     trace's clock resolves (:func:`_ttl_resolvable`), so a read that settles
     nothing leaves ``s`` where the previous read's ``k`` puts it, and read
     ``i`` charges ``k[i] - s[i - 1]`` polls whether or not read ``i - 1``
-    charged any.  That is a fixed number of float64 column operations per
-    read row, taken :data:`_TTL_BLOCK_ROWS` rows at a time.
+    charged any.
+
+    So a key's reads fall into runs of equal ``k``, and
+    :func:`~repro.sim.polling.polling_charges` finds the charging reads of
+    every group from its runs: ``O(polls x log reads + charges)`` for a key
+    with many reads a poll, a pass over its reads for any other.
 
     A loaded ``VALID`` entry counts back from ``paid = poll_count(a,
     accounted)`` until one of its reads charges: the reads with ``k <=
@@ -1508,68 +1507,16 @@ def _kernel_ttl_polling(
         _held_violations(
             ctx, tallies, groups, reading[held], served[held], columns.as_of[rows[held]]
         )
-    holding = bool(served.any())
     refetching = ~(valid | cold)
-    # The hosts' reads as one table of rows, group after group: row ``r`` of
-    # group ``g`` is the read ``read_pos[slot[g] + r * stride]``.
-    ends = np.cumsum(count)
-    starts = ends - count
-    slot = first - starts * stride
-    # Each key's last charging read: how many polls it had seen (-1: none),
-    # and where it sits in the stream.
-    settled_polls = np.full(keys.size, -1, dtype=np.int64)
-    settled_position = np.zeros(keys.size, dtype=np.int64)
-    positions: List[np.ndarray] = []
-    charges: List[np.ndarray] = []
-    # Rows run group after group, so each host's rows — and its charging
-    # rows — are one run: count the charging rows before each host's first.
-    host_rows = np.concatenate(([0], ends))[segments]
-    charged_before = np.zeros(host_rows.size, dtype=np.int64)
-    total = int(ends[-1])
-    carried = 0  # ``s`` of the row before the block
-    for lo in range(0, total, _TTL_BLOCK_ROWS):
-        hi = min(lo + _TTL_BLOCK_ROWS, total)
-        # The groups with a row in the block, and how many each has there.
-        head, tail = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
-        members = slice(head, tail + 1)
-        group = np.repeat(
-            np.arange(head, tail + 1),
-            np.minimum(ends[members], hi) - np.maximum(starts[members], lo),
-        )
-        position = read_pos[slot[group] + np.arange(lo, hi) * stride]
-        base = anchor[group]
-        seen = poll_counts(base, times[position], ttl)
-        counted = poll_counts(base, poll_instant(base, seen, ttl), ttl)
-        charge = seen.copy()
-        charge[1:] -= counted[:-1]
-        charge[0] -= carried
-        carried = counted[-1]
-        opened = np.arange(head, tail + 1)
-        opened = opened[starts[opened] >= lo]
-        charge[starts[opened] - lo] = owed[opened]
-        if holding and served[members].any():
-            # A loaded entry's reads up to its first charging one count back
-            # from its own accounting point.
-            rank = np.arange(lo, hi) - starts[group]
-            settling = ((rank > 0) & (rank <= served[group])).nonzero()[0]
-            charge[settling] = np.maximum(seen[settling] - paid[group[settling]], 0)
-        charging = charge.nonzero()[0]
-        if charging.size:
-            owner = group[charging]
-            final = np.append(owner[1:] != owner[:-1], True)
-            settled_polls[owner[final]] = seen[charging[final]]
-            settled_position[owner[final]] = position[charging[final]]
-            positions.append(position[charging])
-            charges.append(charge[charging])
-            charged_before += np.searchsorted(charging + lo, host_rows)
+    position, charge, split, settled_polls, settled_position = polling_charges(
+        PollingGroups(times, read_pos, ttl, stride, first, count, anchor, owed, served, paid),
+        segments,
+    )
     # Each host's freshness charges in stream order: its polls, then the
     # stale miss of each refetching first read, which lands after that
     # read's polls (the flush's sort is stable).
     missed = first_position[refetching]
-    if positions or missed.size:
-        position = np.concatenate(positions) if positions else _NO_CHARGES
-        charge = np.concatenate(charges) if charges else _NO_CHARGES
-        split = charged_before.tolist()
+    if position.size or missed.size:
         miss_split = np.searchsorted(refetching.nonzero()[0], segments).tolist()
         for tally, lo, hi, miss_lo, miss_hi in zip(
             tallies, split, split[1:], miss_split, miss_split[1:]
@@ -1995,7 +1942,7 @@ class SpanReplay:
         index = trace.index()
         if not index.time_ordered:
             # Same contract as the scalar loop's ordering check.
-            raise WorkloadError("request stream is not sorted by time")
+            raise order_error(trace.times)
         self._route_trace()
         self._ctx = _ReplayContext.for_node(trace, index, self._node_list[0])
         yield self

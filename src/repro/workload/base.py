@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -182,9 +183,38 @@ def constant_column(value: int, count: int) -> np.ndarray:
     return np.broadcast_to(np.int64(value), (count,))
 
 
+#: What a stream's first time is checked against: every finite float is at
+#: or above it, and ``-inf`` is not.
+_EARLIEST = -sys.float_info.max
+
+
 def _not_sorted(index: int, time: float, previous: float) -> WorkloadError:
+    if math.isinf(time):
+        # A replay cannot reach the end of a stream at infinity: its flush
+        # schedule would step towards it for ever.
+        return WorkloadError(f"request stream has an infinite time at index {index}: {time}")
     return WorkloadError(
         f"request stream is not sorted by time at index {index}: {time} < {previous}"
+    )
+
+
+def order_error(
+    times: np.ndarray, previous: float = _EARLIEST, emitted: int = 0
+) -> WorkloadError:
+    """The error of the first row of ``times`` (drawn after a row at
+    ``previous``, ``emitted`` rows into the stream) that is below its
+    predecessor, NaN or infinite: ``times`` must hold one."""
+    before = np.concatenate(([previous], times[:-1]))
+    offset = int(np.flatnonzero(~((times >= before) & (times < math.inf)))[0])
+    return _not_sorted(emitted + offset, float(times[offset]), float(before[offset]))
+
+
+def in_order(times: np.ndarray, previous: float = _EARLIEST) -> bool:
+    """Whether ``times``, drawn after a row at ``previous``, is ascending and
+    finite.  A NaN compares false with everything, and in an ascending
+    array only the ends can be infinite."""
+    return bool(
+        times[0] >= previous and times[-1] < math.inf and (times[1:] >= times[:-1]).all()
     )
 
 
@@ -193,16 +223,17 @@ def ensure_sorted(requests: Iterable[Request]) -> Iterator[Request]:
 
     Wrap a lazily produced stream to validate time-ordering as it is
     consumed, without materializing.  A NaN time compares false with
-    everything, so the test is ``not time >= previous``: NaN is refused
-    instead of silently resetting the order.
+    everything, so the test is ``not previous <= time < inf``: NaN is
+    refused instead of silently resetting the order, and so is an infinite
+    time (the first time is checked against the least finite float).
 
     Raises:
         WorkloadError: As soon as a request arrives out of order.
     """
-    previous = -math.inf
+    previous = _EARLIEST
     for index, request in enumerate(requests):
         time = request.time
-        if not time >= previous:
+        if not previous <= time < math.inf:
             raise _not_sorted(index, time, previous)
         previous = time
         yield request
@@ -245,17 +276,13 @@ class ChunkStream:
         # lookup into one too); the time order is checked on the whole drawn
         # array first.
         table = np.array(names, dtype=object)
-        previous = -math.inf
+        previous = _EARLIEST
         emitted = 0
         for times, key_ids, is_read, key_sizes, value_sizes in columns:
             if not times.size:
                 continue
-            if not (times[0] >= previous and (times[1:] >= times[:-1]).all()):
-                before = np.concatenate(([previous], times[:-1]))
-                offset = int(np.flatnonzero(~(times >= before))[0])
-                raise _not_sorted(
-                    emitted + offset, float(times[offset]), float(before[offset])
-                )
+            if not in_order(times, previous):
+                raise order_error(times, previous, emitted)
             previous = times[-1]
             emitted += times.size
             for start in range(0, times.size, CHUNK_ROWS):
@@ -304,7 +331,7 @@ def _batched(requests: Iterable[Request]) -> Iterator[Chunk]:
     """Batch a stream of request objects into chunks (the drivers' adapter)."""
     iterator = iter(requests)
     write_op = OpType.WRITE
-    previous = -math.inf
+    previous = _EARLIEST
     emitted = 0
     while True:
         batch = list(islice(iterator, CHUNK_ROWS))
@@ -312,10 +339,15 @@ def _batched(requests: Iterable[Request]) -> Iterator[Chunk]:
             return
         times = [request.time for request in batch]
         # ``le`` over adjacent pairs runs in C; only a batch that fails it is
-        # walked in Python, to name the offending index.
-        if not (times[0] >= previous and all(map(le, times, islice(times, 1, None)))):
+        # walked in Python, to name the offending index.  In an ascending
+        # batch only the ends can be infinite.
+        if not (
+            times[0] >= previous
+            and times[-1] < math.inf
+            and all(map(le, times, islice(times, 1, None)))
+        ):
             for offset, time in enumerate(times):
-                if not time >= previous:
+                if not previous <= time < math.inf:
                     raise _not_sorted(emitted + offset, time, previous)
                 previous = time
         previous = times[-1]

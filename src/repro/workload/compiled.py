@@ -40,6 +40,7 @@ from repro.workload.base import (
     Request,
     Workload,
     constant_column,
+    in_order,
     validate_duration,
 )
 from repro.workload.mixed import PoissonMixWorkload
@@ -140,7 +141,7 @@ class TraceIndex:
         self.key_ids = key_ids
         self.is_read = is_read
         # ``>=`` so that a NaN time, which compares false, counts as disorder.
-        self.time_ordered = bool((times[1:] >= times[:-1]).all())
+        self.time_ordered = in_order(times) if times.size else True
         # Narrow ids sort by radix (16-bit and below) instead of by merging.
         order = np.argsort(key_ids.astype(np.min_scalar_type(num_keys)), kind="stable")
         if key_ids.size <= np.iinfo(np.uint32).max:

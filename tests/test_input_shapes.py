@@ -246,6 +246,54 @@ def test_nan_time_is_refused_by_the_sorted_checks_and_the_vector_engine() -> Non
         vector.run()
 
 
+#: An infinite time at the end of a stream, and one at its start.
+INFINITE = {"inf-last": ([0.1, 0.2, math.inf], 2), "-inf-first": ([-math.inf, 0.1, 0.2], 0)}
+
+
+@pytest.mark.parametrize("case", INFINITE)
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling", "invalidate"])
+@pytest.mark.parametrize(
+    ("engine", "shape"),
+    [(engine, shape) for engine in ("single", "fleet") for shape in SHAPES]
+    + [("vector", "compiled"), ("vector-fleet", "compiled")],
+)
+def test_an_infinite_time_is_refused_by_every_engine_and_shape(
+    engine, shape, policy, case, wall_clock_limit
+) -> None:
+    # A replay used to flush at ``inf`` for ever (``_next_flush += bound``
+    # stays ``inf``), and a reactive vector replay to spin cutting spans.
+    times, index = INFINITE[case]
+    source = SHAPES[shape](requests_at(times))
+    kwargs = dict(policy=make_policy(policy), staleness_bound=0.5, duration=1.0)
+    if engine == "single":
+        simulation = Simulation(source, **kwargs)
+    elif engine == "vector":
+        simulation = VectorSimulation(source, **kwargs)
+    else:
+        kwargs.update(policy=policy, num_nodes=2)
+        fleet_class = VectorClusterSimulation if engine == "vector-fleet" else ClusterSimulation
+        simulation = fleet_class(source, **kwargs)
+    with wall_clock_limit(10.0), pytest.raises(WorkloadError) as raised:
+        simulation.run()
+    assert str(raised.value) == (
+        f"request stream has an infinite time at index {index}: {times[index]}"
+    )
+
+
+def test_an_infinite_time_is_refused_by_the_sorted_checks_and_the_index() -> None:
+    for times, index in INFINITE.values():
+        requests = requests_at(times)
+        with pytest.raises(WorkloadError, match=f"infinite time at index {index}"):
+            check_sorted(requests)
+        with pytest.raises(WorkloadError, match=f"infinite time at index {index}"):
+            list(ensure_sorted(iter(requests)))
+        assert not as_trace(requests).index().time_ordered
+    # The largest finite times are times like any other.
+    finite = requests_at([-np.finfo(float).max, 0.0, np.finfo(float).max])
+    check_sorted(finite)
+    assert as_trace(finite).index().time_ordered
+
+
 ENGINES = {
     "single": lambda trace: Simulation(trace, policy=make_policy("invalidate"), staleness_bound=1.0),
     "fleet": lambda trace: ClusterSimulation(

@@ -45,6 +45,7 @@ from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
 from repro.sim import node as node_module
+from repro.sim import polling
 from repro.sim import vector as sim_vector
 from repro.workload import compiled as compiled_module
 from repro.sim.events import PendingDelivery
@@ -1859,9 +1860,12 @@ def test_batched_ttl_kernels_match_on_single_read_and_write_only_keys() -> None:
 @pytest.mark.parametrize("block", [7, 64])
 def test_batched_polling_kernel_is_blind_to_its_row_block(monkeypatch, block: int) -> None:
     """Groups straddle block edges (a block of 7 rows is shorter than every
-    key's run, one of 64 than the hot keys'): the carried accounting point
-    crosses them unchanged."""
-    monkeypatch.setattr(sim_vector, "_TTL_BLOCK_ROWS", block)
+    key's run, one of 64 than the hot keys'), in the table of keys that take
+    their reads as candidates and in the table of those that take their
+    polls, which the hot keys do: the carried accounting points cross the
+    edges unchanged."""
+    monkeypatch.setattr(polling, "_TTL_BLOCK_ROWS", block)
+    tables = spy_polling_tables(monkeypatch)
     trace = compile_workload(
         PoissonZipfWorkload(num_keys=30, rate_per_key=30.0, read_ratio=0.85, seed=5), 5.0
     )
@@ -1869,8 +1873,118 @@ def test_batched_polling_kernel_is_blind_to_its_row_block(monkeypatch, block: in
     assert (runs.min() if block == 7 else runs.max()) > block
     _, poll_events = assert_ttl_kernels_match_reference(trace)
     assert poll_events
+    # Six candidates a hot key (five polls): a block of 7 cuts through them.
+    assert tables["reads"][0] > 0 and tables["runs"][0] > 7
+    assert tables["searches"] > 1 if block == 7 else tables["searches"] >= 1
     tied = random_trace(42, requests=2_000, num_keys=9, ties=True)
     assert_ttl_kernels_match_reference(tied, ttl=0.25)
+
+
+def spy_polling_tables(monkeypatch) -> dict:
+    """Record, per call, how many groups the polling kernel hands each of its
+    two tables, and how many blocks search the run table."""
+    seen = {"reads": [], "runs": [], "searches": 0}
+    for name, label in (("_charge_reads", "reads"), ("_charge_runs", "runs")):
+        def table(groups, which, *args, original=getattr(polling, name), label=label):
+            seen[label].append(int(which.size))
+            return original(groups, which, *args)
+
+        monkeypatch.setattr(polling, name, table)
+    first_reads = polling._first_reads
+
+    def search(*args):
+        seen["searches"] += 1
+        return first_reads(*args)
+
+    monkeypatch.setattr(polling, "_first_reads", search)
+    return seen
+
+
+def run_table_trace(seed: int = 46) -> CompiledTrace:
+    """A second of requests from t = 3, quantised to 0.1 ms (timestamp ties),
+    for a TTL of 0.01 (100 polls): keys 0 and 4 dense (thousands of reads;
+    key 0's skip three polls, which no read sees), key 1 between (more reads
+    than polls, too few to search), key 2 sparse (fewer reads than polls),
+    key 3 one read, key 5 a burst of reads inside one poll interval; writes
+    on every key."""
+    rng = np.random.default_rng(seed)
+    reads = {0: 4000, 1: 600, 2: 30, 3: 1, 4: 3000}
+    writes = 300
+    times = [rng.random(n) for n in reads.values()]
+    gap = (times[0] >= 0.3) & (times[0] < 0.33)
+    times[0][gap] -= 0.05
+    times += [0.5 + 0.004 * rng.random(20), rng.random(writes)]
+    keys = [np.full(n, key) for key, n in reads.items()]
+    keys += [np.full(20, 5), rng.integers(0, 6, size=writes)]
+    times, keys = np.round(np.concatenate(times), 4), np.concatenate(keys)
+    order = np.argsort(times, kind="stable")
+    return CompiledTrace(
+        times=3.0 + times[order],
+        key_ids=keys[order],
+        is_read=(np.arange(times.size) < times.size - writes)[order],
+        key_sizes=np.full(times.size, 16, dtype=np.int64),
+        value_sizes=rng.integers(8, 512, size=times.size),
+        key_names=[f"key-{index:06d}" for index in range(6)],
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_polling_run_table_matches_the_reference_and_the_scalar_engine(
+    monkeypatch, block
+) -> None:
+    """Keys that take their polls as candidates and keys that take their
+    reads, blocks that cut through both tables' groups (1 and 7 candidates),
+    timestamp ties and slip runs: the cold kernel equals the per-key
+    reference, and with a loaded ``VALID`` entry the replay equals the scalar
+    engine's, rows, entries and float folds (``c_m = 0.3``) alike.  The
+    loaded entry's accounting point skipped into the interval of its first
+    reads' poll count, a poll count whose accounting point rounds back one
+    poll: those reads are served as handed, charging nothing, where a run
+    of a cold key would charge one poll on each of its later reads."""
+    if block is not None:
+        monkeypatch.setattr(polling, "_TTL_BLOCK_ROWS", block)
+    tables = spy_polling_tables(monkeypatch)
+    trace, ttl = run_table_trace(), 0.01
+    index = trace.index()
+    counts = np.diff(index.read_offsets).tolist()
+    assert counts[2] < 100 < counts[1] < counts[4] < counts[0] and counts[3] == 1
+    assert np.count_nonzero(np.diff(trace.times) == 0) > 1_000
+    # Slip runs on the dense cold key: several reads share a poll count
+    # whose accounting point counts back a poll short.
+    reads = index.read_pos[index.read_offsets[0] : index.read_offsets[1]]
+    anchor = float(trace.times[reads[0]])
+    seen = poll_counts(np.full(reads.size, anchor), trace.times[reads], ttl)
+    slipped = poll_counts(np.full(reads.size, anchor), poll_instant(anchor, seen, ttl), ttl)
+    repeats = seen[1:] == seen[:-1]
+    assert np.count_nonzero(repeats & (slipped[1:] == seen[1:] - 1)) > 50
+    _, poll_events = assert_ttl_kernels_match_reference(trace, ttl=ttl, bound=0.5)
+    assert poll_events
+    assert tables["reads"] and tables["runs"] and min(tables["reads"] + tables["runs"]) > 0
+    assert tables["searches"] > (1 if block else 0)
+    # A loaded valid entry of key 4.
+    reads = index.read_pos[index.read_offsets[4] : index.read_offsets[5]]
+    first = float(trace.times[reads[0]])
+    for polls in range(20, 200):
+        anchor = first - (polls + 0.5) * ttl
+        if poll_count(anchor, poll_instant(anchor, polls, ttl), ttl) == polls - 1:
+            break
+    served = poll_counts(np.full(reads.size, anchor), trace.times[reads], ttl) == polls
+    assert served[:3].all()
+    engines = []
+    for engine in (Simulation, VectorSimulation):
+        simulation = engine(
+            trace, policy=TTLPollingPolicy(ttl=ttl), staleness_bound=0.5, duration=4.0,
+            costs=CostModel(miss=0.3),
+        )
+        simulation.node.cache._entries["key-000004"] = CacheEntry(
+            key="key-000004", version=0, as_of=poll_instant(anchor, polls - 1, ttl),
+            fetched_at=anchor, key_size=16, value_size=64, state=EntryState.VALID,
+            last_poll_accounted=poll_instant(anchor, polls, ttl) + 0.3 * ttl, hits=2,
+        )
+        row = simulation.run().as_dict()
+        engines.append((row, json.dumps(row, sort_keys=True), host_state(simulation.node)))
+    assert simulation.used_vector_path
+    assert engines[0] == engines[1]
 
 
 def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
