@@ -4,9 +4,9 @@ The columnar TTL-polling kernel (:func:`repro.sim.vector._kernel_ttl_polling`)
 replays every host's whole trace in one call.  What it has to find is a
 column question: for every group (one key on one host) and every one of its
 reads, the polls that read settles.  This module answers it for all groups
-at once and hands back the charging reads only, in group order
-(:class:`PollingCharges`); the kernel keeps everything that touches entries,
-tallies and the staleness bound.
+at once and hands back the charging reads only (:class:`PollingCharges`);
+the kernel keeps everything that touches entries, tallies and the staleness
+bound.
 
 A key's poll timer is anchored at ``a``.  A read at ``t`` has seen ``k =
 poll_count(a, t)`` polls, and once it settles them the accounting point is
@@ -22,8 +22,7 @@ it has reads takes its polls as candidates (:func:`_charge_runs`,
 ``O(polls x log reads + charges)``), and any other key takes its reads
 (:func:`_charge_reads`, a fixed number of column operations a read): no key
 costs more than a pass over its reads.  Each table runs group after group,
-:data:`_TTL_BLOCK_ROWS` candidates at a time, and their charges merge back
-into group order.
+:data:`_TTL_BLOCK_ROWS` candidates at a time.
 """
 
 from __future__ import annotations
@@ -68,15 +67,14 @@ class PollingGroups(NamedTuple):
 
 
 class PollingCharges(NamedTuple):
-    """Every charging read of every group, group after group and in stream
-    order within a group: its stream ``position`` and the polls it charges
-    (``charge``); host ``h``'s are ``[split[h], split[h + 1])``.  Per group,
-    the polls its last charging read had seen (-1 where none charges) and
-    that read's stream position (``settled_polls``, ``settled_position``)."""
+    """Every charging read of every group: per table, its stream
+    ``position`` s and the polls each ``charge`` s, group after group and in
+    stream order within a group, with host ``h``'s charges at ``[split[h],
+    split[h + 1])``.  Per group, the polls its last charging read had seen
+    (-1 where none charges) and that read's stream position
+    (``settled_polls``, ``settled_position``)."""
 
-    position: np.ndarray
-    charge: np.ndarray
-    split: List[int]
+    tables: List[Tuple[np.ndarray, np.ndarray, List[int]]]
     settled_polls: np.ndarray
     settled_position: np.ndarray
 
@@ -88,17 +86,28 @@ _Charges = Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]
 
 def polling_charges(groups: PollingGroups, segments: List[int]) -> PollingCharges:
     """The charges of ``groups``, whose host ``h`` holds the groups
-    ``[segments[h], segments[h + 1])``."""
+    ``[segments[h], segments[h + 1])``.
+
+    The two tables are handed over as they are, not merged back into one
+    group order: a host's charges are its reads table's, then its runs
+    table's, and the flush sorts them by stream position anyway (a merge
+    costs two more arrays the size of the charges, which showed in the
+    peak RSS of a replay)."""
     times, read_pos, ttl, stride, first, count, anchor = groups[:7]
     seen_first = poll_counts(anchor, times[read_pos[first]], ttl)
     last_time = times[read_pos[first + (count - 1) * stride]]
     spanned = poll_counts(anchor, last_time, ttl) - seen_first
     by_polls = (spanned + 1) * np.frexp(count)[1] < count
     settled = (np.full(count.size, -1, dtype=np.int64), np.zeros(count.size, dtype=np.int64))
-    reads = _charge_reads(groups, (~by_polls).nonzero()[0], settled)
-    runs = _charge_runs(groups, by_polls.nonzero()[0], seen_first, spanned, settled)
-    split = np.searchsorted(reads[0], segments) + np.searchsorted(runs[0], segments)
-    return PollingCharges(*_merge_groups(reads, runs), split.tolist(), *settled)
+    tables = [
+        _charge_reads(groups, (~by_polls).nonzero()[0], settled),
+        _charge_runs(groups, by_polls.nonzero()[0], seen_first, spanned, settled),
+    ]
+    return PollingCharges(
+        [(position, charge, np.searchsorted(owner, segments).tolist())
+         for owner, position, charge in tables],
+        *settled,
+    )
 
 
 def _settle(
@@ -123,26 +132,6 @@ def _settle(
 def _stacked(table: _Charges) -> List[np.ndarray]:
     """A table's blocks as one array per column."""
     return [np.concatenate(column) if column else _NONE for column in table]
-
-
-def _merge_groups(one: List[np.ndarray], other: List[np.ndarray]) -> List[np.ndarray]:
-    """Two tables of charges, each in group order over groups the other does
-    not hold, as one in group order: the columns after the group column."""
-    if not other[0].size:
-        return one[1:]
-    if not one[0].size:
-        return other[1:]
-    slots = (
-        np.arange(one[0].size) + np.searchsorted(other[0], one[0]),
-        np.arange(other[0].size) + np.searchsorted(one[0], other[0]),
-    )
-    merged = []
-    for mine, theirs in zip(one[1:], other[1:]):
-        column = np.empty(mine.size + theirs.size, dtype=np.int64)
-        column[slots[0]] = mine
-        column[slots[1]] = theirs
-        merged.append(column)
-    return merged
 
 
 def _first_reads(groups: PollingGroups, group: np.ndarray, polls: np.ndarray) -> np.ndarray:

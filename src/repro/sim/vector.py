@@ -1508,27 +1508,23 @@ def _kernel_ttl_polling(
             ctx, tallies, groups, reading[held], served[held], columns.as_of[rows[held]]
         )
     refetching = ~(valid | cold)
-    position, charge, split, settled_polls, settled_position = polling_charges(
+    tables, settled_polls, settled_position = polling_charges(
         PollingGroups(times, read_pos, ttl, stride, first, count, anchor, owed, served, paid),
         segments,
     )
-    # Each host's freshness charges in stream order: its polls, then the
-    # stale miss of each refetching first read, which lands after that
-    # read's polls (the flush's sort is stable).
+    # Each host's freshness charges: its polls, then the stale miss of each
+    # refetching first read, which lands after that read's polls (the
+    # flush's sort by stream position is stable).
     missed = first_position[refetching]
-    if position.size or missed.size:
-        miss_split = np.searchsorted(refetching.nonzero()[0], segments).tolist()
-        for tally, lo, hi, miss_lo, miss_hi in zip(
-            tallies, split, split[1:], miss_split, miss_split[1:]
-        ):
-            if hi > lo or miss_hi > miss_lo:
-                tally.charge_positions = np.concatenate(
-                    (position[lo:hi], missed[miss_lo:miss_hi])
-                )
-                tally.charge_counts = np.concatenate(
-                    (charge[lo:hi], np.ones(miss_hi - miss_lo, dtype=np.int64))
-                )
-                tally.polls += int(charge[lo:hi].sum())
+    miss_split = np.searchsorted(refetching.nonzero()[0], segments).tolist()
+    for host, tally in enumerate(tallies):
+        lo, hi = miss_split[host], miss_split[host + 1]
+        positions = [position[split[host] : split[host + 1]] for position, _, split in tables]
+        counts = [charge[split[host] : split[host + 1]] for _, charge, split in tables]
+        if hi > lo or any(piece.size for piece in positions):
+            tally.charge_positions = np.concatenate(positions + [missed[lo:hi]])
+            tally.charge_counts = np.concatenate(counts + [np.ones(hi - lo, dtype=np.int64)])
+            tally.polls += int(tally.charge_counts.sum()) - (hi - lo)
     # A row the trace fetched was fetched at its first read.  Only a key's
     # *final* settled state is observable after the trace: polls refresh the
     # entry monotonically, so the scalar engine's per-read entry updates
