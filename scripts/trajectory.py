@@ -25,7 +25,8 @@ Usage::
 ``append`` reads ``benchmarks/run.py`` result files: the ``results.json`` of
 a full run, or the record a ``--workload W`` run prints last (then give
 ``--workload W``).  The i-th parent file and the i-th change file are one
-pair.  ``check`` exits 1 on a malformed line, a missing or unknown field or
+pair; a metric that reads 0 in every run (a layer the workload does not
+have) gets no line.  ``check`` exits 1 on a malformed line, a missing or unknown field or
 a duplicate (PR, workload, metric).  Standard library only.
 """
 
@@ -180,6 +181,8 @@ def pair_lines(
                 continue
             before = [run[name][metric] for run in parent_runs]
             after = [run[name][metric] for run in change_runs]
+            if not any(before + after):
+                continue  # a layer this workload does not have
             sign = 1 if directions[metric] == "higher" else -1
             parent_median, parent_iqr = _quartiles(before)
             change_median, change_iqr = _quartiles(after)
