@@ -32,6 +32,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from repro.core.ttl import poll_counts, poll_instant
+from repro.workload.compiled import bisect_groups
 
 #: Candidates (read rows, or polls) a table settles at a time.  A block makes
 #: about a dozen 8-byte temporaries per candidate, so it holds them near 2 MiB
@@ -135,26 +136,20 @@ def _stacked(table: _Charges) -> List[np.ndarray]:
 
 
 def _first_reads(groups: PollingGroups, group: np.ndarray, polls: np.ndarray) -> np.ndarray:
-    """Where each of ``group`` reaches a poll count, every candidate at once.
-
-    Candidate ``i``'s first read has seen fewer than ``polls[i]`` polls and
-    its last read all of them.  Returns the rank of the first read that has
-    seen them, by a segmented bisection of a fixed number of steps.
-    ``poll_count`` truncates its quotient, so a read at ``t`` has seen ``k
-    >= 1`` polls exactly when ``(t - a) / ttl >= k``; a step clamped onto the
-    last read is never taken.
-    """
+    """Where each of ``group`` reaches a poll count: the rank of its first
+    read that has seen ``polls`` polls, a read past its first one and at or
+    before its last (``poll_counts`` grows with ``t``, so one segmented
+    bisection finds every candidate's at once)."""
     times, read_pos, ttl, stride = groups[:4]
-    start, last, anchor = groups.first[group], groups.count[group] - 1, groups.anchor[group]
-    need = polls.astype(np.float64)
-    short = np.zeros(polls.size, dtype=np.int64)  # a read that has seen fewer
-    step = 1 << max(int(last.max()).bit_length() - 1, 0)
-    while step:
-        probe = np.minimum(short + step, last)
-        fewer = (times[read_pos[start + probe * stride]] - anchor) / ttl < need
-        np.add(short, step, out=short, where=fewer)
-        step >>= 1
-    return short + 1
+    start, anchor = groups.first[group], groups.anchor[group]
+    return bisect_groups(
+        lambda pending, rank: poll_counts(
+            anchor[pending], times[read_pos[start[pending] + rank * stride]], ttl
+        ),
+        np.ones(group.size, dtype=np.int64),
+        groups.count[group],
+        polls,
+    )
 
 
 def _charge_reads(
