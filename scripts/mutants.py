@@ -163,6 +163,13 @@ SLIP_PINS: Tuple[str, ...] = (
     "test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_edge",
     "tests/test_tier.py::test_polling_is_not_double_charged_after_an_l2_eviction",
     "tests/test_tier.py::test_l1_eviction_settles_polls_of_l1_only_victims",
+    # The run-table test insists on slipping runs, and hands a loaded entry
+    # a slipping poll count.
+    *(
+        "tests/test_perf_equivalence.py::"
+        f"test_polling_run_table_matches_the_reference_and_the_scalar_engine[{block}]"
+        for block in ("1", "7", "None")
+    ),
 )
 
 

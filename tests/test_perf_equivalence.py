@@ -1873,9 +1873,10 @@ def test_batched_polling_kernel_is_blind_to_its_row_block(monkeypatch, block: in
     assert (runs.min() if block == 7 else runs.max()) > block
     _, poll_events = assert_ttl_kernels_match_reference(trace)
     assert poll_events
-    # Six candidates a hot key (five polls): a block of 7 cuts through them.
+    # Six candidates a hot key (five polls), more than seven hot keys: a
+    # block of 7 cuts through their candidates, one search a block.
     assert tables["reads"][0] > 0 and tables["runs"][0] > 7
-    assert tables["searches"] > 1 if block == 7 else tables["searches"] >= 1
+    assert tables["searches"] >= (2 if block == 7 else 1)
     tied = random_trace(42, requests=2_000, num_keys=9, ties=True)
     assert_ttl_kernels_match_reference(tied, ttl=0.25)
 
