@@ -9,9 +9,10 @@ line, one line per (PR, workload, metric)::
      "change_median": 4.4e7, "change_iqr": 6.0e5, "won": 10, "pairs": 10,
      "box": "x86_64, 2 CPUs, Python 3.11.7", "source": "benchmarks/run.py"}
 
-``commit`` is the PR's commit where it is known (a line written with its
-change cannot name the commit it lands in), ``won`` counts the pairs in which
-the change was better in the metric's direction (``BENCHMARK.json``), and
+``commit`` is ``null``: a line written with its change cannot name the
+commit it lands in.  ``box`` is the machine ``append`` ran on, ``won``
+counts the pairs in which the change was better in the metric's direction
+(``BENCHMARK.json``), and
 ``source`` says where the figures come from: ``benchmarks/run.py`` for lines
 made by ``append``, ``CHANGES.md`` for lines copied from its prose.  A field
 the source does not give is ``null``.
@@ -19,7 +20,7 @@ the source does not give is ``null``.
 Usage::
 
     python scripts/trajectory.py append --pr N --parent A.json... --change B.json...
-    python scripts/trajectory.py show [--workload W] [--metric M]
+    python scripts/trajectory.py show
     python scripts/trajectory.py check
 
 ``append`` reads ``benchmarks/run.py`` result files: the ``results.json`` of
@@ -165,8 +166,6 @@ def pair_lines(
     changes: List[str],
     workload: Optional[str] = None,
     seed: Optional[int] = None,
-    commit: Optional[str] = None,
-    box: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """The trajectory lines of one PR's alternating parent/change runs."""
     if not parents or len(parents) != len(changes):
@@ -187,12 +186,12 @@ def pair_lines(
             parent_median, parent_iqr = _quartiles(before)
             change_median, change_iqr = _quartiles(after)
             lines.append(dict(
-                pr=pr, workload=name, metric=metric, commit=commit, seed=seed,
+                pr=pr, workload=name, metric=metric, commit=None, seed=seed,
                 parent_median=parent_median, parent_iqr=parent_iqr,
                 change_median=change_median, change_iqr=change_iqr,
                 won=sum(sign * (new - old) > 0 for old, new in zip(before, after)),
                 pairs=len(before),
-                box=box or f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                box=f"{platform.machine()}, {os.cpu_count()} CPUs, "
                 f"Python {platform.python_version()}",
                 source="benchmarks/run.py",
             ))
@@ -218,12 +217,11 @@ def _figure(value: Optional[float]) -> str:
     return f"{value / 1e6:.2f}M" if abs(value) >= 1e6 else f"{value:.4g}"
 
 
-def show(workload: Optional[str], metric: Optional[str]) -> None:
+def show() -> None:
     """Each workload's series, one metric after another, PR by PR."""
     series: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
     for line in read_lines():
-        if workload in (None, line["workload"]) and metric in (None, line["metric"]):
-            series.setdefault((line["workload"], line["metric"]), []).append(line)
+        series.setdefault((line["workload"], line["metric"]), []).append(line)
     for (name, measure), lines in sorted(series.items()):
         print(f"{name} {measure}")
         for line in sorted(lines, key=lambda line: line["pr"]):
@@ -245,20 +243,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     append.add_argument("--change", nargs="+", required=True, metavar="B.json")
     append.add_argument("--workload", help="the workload of one-workload records")
     append.add_argument("--seed", type=int, help="the seed the runs used")
-    append.add_argument("--commit", help="the PR's commit, where it is known")
-    append.add_argument("--box", help="the machine (default: this one's)")
-    shown = commands.add_parser("show", help="print each workload's series")
-    shown.add_argument("--workload")
-    shown.add_argument("--metric")
+    commands.add_parser("show", help="print each workload's series")
     commands.add_parser("check", help="exit 1 on a malformed, incomplete or duplicate line")
     args = parser.parse_args(argv)
     if args.command == "append":
-        write_lines(pair_lines(
-            args.pr, args.parent, args.change, args.workload, args.seed, args.commit, args.box
-        ))
+        write_lines(pair_lines(args.pr, args.parent, args.change, args.workload, args.seed))
         return 0
     if args.command == "show":
-        show(args.workload, args.metric)
+        show()
         return 0
     if not TRAJECTORY.exists():
         print(f"{TRAJECTORY.name} is missing", file=sys.stderr)

@@ -20,9 +20,12 @@ back (the slip, reproduced).  Where a key has many reads a poll, most of them
 charge nothing.  So a key whose runs a bisection finds in fewer probes than
 it has reads takes its polls as candidates (:func:`_charge_runs`,
 ``O(polls x log reads + charges)``), and any other key takes its reads
-(:func:`_charge_reads`, a fixed number of column operations a read): no key
-costs more than a pass over its reads.  Each table runs group after group,
-:data:`_TTL_BLOCK_ROWS` candidates at a time.
+(:func:`_charge_reads`, a fixed number of column operations a read).  The
+rule weighs a key's probes against its reads only: the run table's fixed
+cost, some ten rounds of numpy calls a block, is not in it, so where only a
+few keys take their polls (a sweep's Twitter cell at T = 1) the kernel is
+slower than one pass over every read would be.  Each table runs group after
+group, :data:`_TTL_BLOCK_ROWS` candidates at a time.
 """
 
 from __future__ import annotations

@@ -1459,7 +1459,9 @@ def _kernel_ttl_polling(
     So a key's reads fall into runs of equal ``k``, and
     :func:`~repro.sim.polling.polling_charges` finds the charging reads of
     every group from its runs: ``O(polls x log reads + charges)`` for a key
-    with many reads a poll, a pass over its reads for any other.
+    with many reads a poll, a pass over its reads for any other (plus the
+    bisection's fixed rounds of numpy calls, whenever any key takes its
+    polls).
 
     A loaded ``VALID`` entry counts back from ``paid = poll_count(a,
     accounted)`` until one of its reads charges: the reads with ``k <=

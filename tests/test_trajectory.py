@@ -71,7 +71,7 @@ def test_append_reads_result_files_and_refuses_a_second_copy(tmp_path) -> None:
             path.write_text(json.dumps(record(value)))
             paths[side].append(str(path))
     lines = trajectory.pair_lines(
-        7, paths["parent"], paths["change"], workload="steady-vector", seed=0, box="box"
+        7, paths["parent"], paths["change"], workload="steady-vector", seed=0
     )
     speed = next(entry for entry in lines if entry["metric"] == "replay_req_per_s")
     assert (speed["parent_median"], speed["change_median"]) == (11.0, 13.0)
