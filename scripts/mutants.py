@@ -47,9 +47,10 @@ Mutant = Tuple[str, str, Edit, Edit, str]
 VECTOR = "src/repro/sim/vector.py"
 POLLING = "src/repro/sim/polling.py"
 TTL = "src/repro/core/ttl.py"
+COMPILED = "src/repro/workload/compiled.py"
 
-#: The mutants: the TTL kernels, the polling kernel's run table and the
-#: poll-count pair.
+#: The mutants: the TTL kernels, the polling kernel's run table, the
+#: poll-count pair, and the batches of big cuts.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -144,6 +145,22 @@ MUTANTS: Tuple[Mutant, ...] = (
         "halves of the pair and the hot path's inlined copy alike; only the "
         "slip's pins can tell",
     ),
+    (
+        "inner-edges-bisected-right",
+        COMPILED,
+        "            np.tile(edges[1:-1], keys.size),\n",
+        "            np.tile(edges[1:-1], keys.size),\n            right=True,\n",
+        "a batch that starts with a big cut bisects its inner edges past the "
+        "request on each edge: that request lands in the cut before it",
+    ),
+    (
+        "write-run-block-splits-a-group",
+        VECTOR,
+        "stride, write_lo[block], num_writes[block]\n",
+        "stride, write_lo[block], np.minimum(num_writes[block], _CUT_GRID)\n",
+        "a write-run block ends inside a group with more writes than the "
+        "block holds: the group's writes past the boundary go uncounted",
+    ),
 )
 
 #: Mutants that cannot change any output, by name, with the reason.
@@ -156,8 +173,6 @@ SLIP_PINS: Tuple[str, ...] = (
     "src/repro/core/ttl.py::repro.core.ttl.poll_count",
     "src/repro/core/ttl.py::repro.core.ttl.poll_counts",
     "src/repro/core/ttl.py::repro.core.ttl.poll_instant",
-    "tests/test_perf.py::test_calls_per_request_stay_under_their_ceilings[single]",
-    "tests/test_perf.py::test_calls_per_request_stay_under_their_ceilings[fleet]",
     "tests/test_perf_equivalence.py::test_inlined_poll_arithmetic_matches_policy_methods",
     "tests/test_perf_equivalence.py::"
     "test_polling_closed_form_matches_scalar_arithmetic_up_to_the_resolvability_edge",

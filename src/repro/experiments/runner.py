@@ -56,8 +56,9 @@ from repro.workload.compiled import CompiledTrace, compile_workload
 
 _LOG = logging.getLogger(__name__)
 
-#: Compiled traces of one round of cells, by :func:`_trace_key`.
-_Traces = Dict[Tuple[Any, ...], CompiledTrace]
+#: Compiled traces of one round of cells and their workloads' names, by
+#: :func:`_trace_key`.
+_Traces = Dict[Tuple[Any, ...], Tuple[CompiledTrace, str]]
 
 
 @contextmanager
@@ -84,12 +85,15 @@ def _workload(cell: RunCell) -> Workload:
     return make_workload(cell.workload, seed=cell.seed, params=dict(cell.workload_params))
 
 
-def _compiled(cell: RunCell, workload: Workload, traces: _Traces) -> CompiledTrace:
+def _compiled(cell: RunCell, traces: _Traces) -> Tuple[CompiledTrace, str]:
+    """The cell's compiled trace and its workload's name, from ``traces``:
+    the workload is built and compiled only when they are not there yet."""
     key = _trace_key(cell)
-    trace = traces.get(key)
-    if trace is None:
-        trace = traces[key] = compile_workload(workload, cell.duration)
-    return trace
+    compiled = traces.get(key)
+    if compiled is None:
+        workload = _workload(cell)
+        compiled = traces[key] = (compile_workload(workload, cell.duration), workload.name)
+    return compiled
 
 
 def run_cell(cell: RunCell, traces: Optional[_Traces] = None) -> Dict[str, Any]:
@@ -150,16 +154,21 @@ def build_simulation(
     place a :class:`RunCell` becomes a run.  Cells with ``num_nodes`` set run
     a fleet (:class:`ClusterSimulation`), the rest the single cache;
     ``engine="vector"`` hands either one's columnar twin the compiled trace
-    (from ``traces`` when it holds it), whose rows equal a scalar sweep's."""
+    (from ``traces`` when it holds it, and then no workload is built), whose
+    rows equal a scalar sweep's."""
     fleet = cell.num_nodes is not None
-    workload = _workload(cell)
+    if cell.engine == "vector":
+        requests, name = _compiled(cell, traces if traces is not None else {})
+    else:
+        workload = _workload(cell)
+        requests, name = workload.iter_requests(cell.duration), workload.name
     arguments = _fleet_arguments(cell) if fleet else _single_cache_arguments(cell)
     arguments.update(
         staleness_bound=cell.staleness_bound,
         costs=make_cost_model(cell.cost_preset, dict(cell.cost_params)),
         cache_capacity=cell.cache_capacity,
         duration=cell.duration,
-        workload_name=workload.name,
+        workload_name=name,
         store=store,
         obs=ObsConfig(window=cell.obs_window) if cell.obs_window is not None else None,
         # Seeded here (not in the spec): the axis value stays hashable and
@@ -173,9 +182,9 @@ def build_simulation(
     # call time: benchmarks/layers.py swaps them for tracing ones.
     if cell.engine == "vector":
         engine = VectorClusterSimulation if fleet else VectorSimulation
-        return engine(_compiled(cell, workload, traces if traces is not None else {}), **arguments)
-    engine = ClusterSimulation if fleet else Simulation
-    return engine(workload.iter_requests(cell.duration), **arguments)
+    else:
+        engine = ClusterSimulation if fleet else Simulation
+    return engine(requests, **arguments)
 
 
 def _single_cache_arguments(cell: RunCell) -> Dict[str, Any]:
@@ -308,7 +317,7 @@ def _run_round(groups: List[List[RunCell]], workers: int) -> List[Dict[str, Any]
     traces: _Traces = {}
     for group in groups:
         if _shared(group, workers):
-            _compiled(group[0], _workload(group[0]), traces).index()
+            _compiled(group[0], traces)[0].index()
     results = fork_each(
         lambda share: _run_units(share, traces),
         _deal(_units([cell for group in groups for cell in group]), workers),

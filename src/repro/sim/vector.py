@@ -134,7 +134,7 @@ from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
 from repro.workload.base import order_error
 from repro.workload.compiled import (
-    CompiledTrace, CutBatch, SpanFacts, TraceIndex, bisect_groups,
+    _CUT_GRID, CompiledTrace, CutBatch, SpanFacts, TraceIndex, bisect_groups,
 )
 
 #: The write-reacting policy classes the columnar flush decides for, in the
@@ -475,15 +475,42 @@ def _write_runs(
     stride: int,
     write_lo: np.ndarray,
     num_writes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Where each group's span writes fall among its span reads.
 
-    For groups that have both: the number of writes before the first read,
-    the number before the last read, and the number of reads after the first
-    that have a write since the previous read.  A write's rank among the
-    group's reads is arithmetic on ``write_read_rank``, so this touches the
-    span's writes once and no read at all.
+    For groups that have both, one row each: the number of writes before
+    the first read, the number before the last read, and the number of reads
+    after the first that have a write since the previous read.  A write's
+    rank among the group's reads is arithmetic on ``write_read_rank``, so
+    this touches the span's writes once and no read at all.  The groups go
+    in blocks of at most :data:`~repro.workload.compiled._CUT_GRID` writes
+    (a group with more is a block alone; no block splits a group), so the
+    temporaries stay bounded however many cuts the groups cover.
     """
+    runs = np.empty((3, num_writes.size), dtype=np.int64)
+    ends = np.cumsum(num_writes)
+    lo = 0
+    while lo < num_writes.size:
+        # The groups whose writes end within the grid of the block's first write.
+        room = ends[lo] - num_writes[lo] + _CUT_GRID
+        hi = max(lo + 1, int(np.searchsorted(ends, room, side="right")))
+        block = slice(lo, hi)
+        runs[:, block] = _block_write_runs(
+            index, first[block], count[block], stride, write_lo[block], num_writes[block]
+        )
+        lo = hi
+    return runs
+
+
+def _block_write_runs(
+    index: TraceIndex,
+    first: np.ndarray,
+    count: np.ndarray,
+    stride: int,
+    write_lo: np.ndarray,
+    num_writes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_write_runs` of one block of groups, in one pass over their writes."""
     starts = np.cumsum(num_writes) - num_writes
     group = np.repeat(np.arange(num_writes.size), num_writes)
     flat = np.arange(group.size) + (write_lo - starts)[group]

@@ -240,15 +240,17 @@ class TraceIndex:
     ) -> List[int]:
         """``end`` and the ends of ``schedule`` after it that one batch may
         search: no more than :data:`_CUT_GRID` cells of keys x cut edges,
-        nor requests (the first cut alone may have more), and none past the
-        first cut the table holds."""
+        and none past the first cut the table holds.  A batch of small cuts,
+        whose inner edges :func:`_search_runs` counts request by request,
+        also holds no more than :data:`_CUT_GRID` requests; a batch whose
+        first cut alone holds more (a big cut) has its inner edges bisected,
+        and its cells bound it alone."""
         if schedule is None:
             return [end]
         later = schedule[np.searchsorted(schedule, end, side="right") :]
-        taken = min(
-            int(np.searchsorted(later, start + _CUT_GRID, side="right")),
-            max(0, _CUT_GRID // max(self.occurring.size, 1) - 2),
-        )
+        taken = max(0, _CUT_GRID // max(self.occurring.size, 1) - 2)
+        if end - start <= _CUT_GRID:
+            taken = min(taken, int(np.searchsorted(later, start + _CUT_GRID, side="right")))
         ends = [end]
         for later_end in later[:taken].tolist():
             if (ends[-1], later_end) in self.table:
@@ -272,7 +274,7 @@ class TraceIndex:
         key's reads and writes stand at the edge is a segmented search
         (:func:`_search_runs`) on the key-major columns, so the build is a
         fixed number of numpy calls over keys x cuts, and its temporaries
-        hold keys x cuts cells and, for more than one cut, the batch's
+        hold keys x cuts cells and, for a batch of small cuts, the batch's
         requests — never one per request of the trace.  A key's span
         requests are the slice between two edges; the keys with any are the
         cut's, ascending.  The cuts are one :class:`CutBatch`: their columns
@@ -390,11 +392,15 @@ def _search_runs(
     value at or past the edge — the run's end when there is none.
 
     The outer edges are bisected in every key's run; between them, each
-    key's run is a slice, and a key's rank at an inner edge counts the
-    slice's values below it: one ``searchsorted`` of the slices' values
-    into the inner edges and one ``bincount``.  So the temporaries hold
-    keys x edges cells and the requests between the outer edges, never one
-    per request of the trace.
+    key's run is a slice.  When the first cut is big (more than
+    :data:`_CUT_GRID` requests), the inner edges are one more bisection
+    over the keys x inner edges grid, each cell within its key's slice;
+    otherwise a key's rank at an inner edge counts the slice's values below
+    it: one ``searchsorted`` of the slices' values into the inner edges and
+    one ``bincount``.  So the temporaries hold keys x edges cells and, for
+    a batch of small cuts, the requests between the outer edges (at most
+    :data:`_CUT_GRID`, :meth:`TraceIndex._batch_ends`), never one per
+    request of the trace.
     """
     lo, hi = offsets[keys], offsets[keys + 1]
 
@@ -405,7 +411,15 @@ def _search_runs(
     last = hi if edges[-1] >= total else bisect(first, edges[-1])
     grid = np.repeat(first, edges.size).reshape(keys.size, edges.size)
     grid[:, -1] = last
-    if edges.size > 2:
+    if edges.size > 2 and edges[1] - edges[0] > _CUT_GRID:
+        inner = edges.size - 2
+        grid[:, 1:-1] = bisect_groups(
+            lambda _, rank: values[rank],
+            np.repeat(first, inner),
+            np.repeat(last, inner),
+            np.tile(edges[1:-1], keys.size),
+        ).reshape(keys.size, inner)
+    elif edges.size > 2:
         cuts = edges.size - 1
         live = (last > first).nonzero()[0]
         lengths = (last - first)[live]
@@ -447,9 +461,12 @@ def bisect_groups(value_at, lo, hi, needle, right: bool = False) -> np.ndarray:
 #: evict some of the batch's cuts again; its walk rebuilds them, unchanged.
 _CUT_KEY_BYTES = 128
 
-#: Most cells of keys x cut edges, and most requests past its first cut, one
-#: batch searches: with the search's handful of 8-byte temporaries a cell or
-#: request, a few MiB at most, whatever the trace.
+#: Most cells of keys x cut edges one batch searches, and most requests a
+#: batch of small cuts holds (a cut of more is big: a batch it starts
+#: bisects its inner edges instead of counting them); also the most writes
+#: a kernel prelude's write-run pass takes at a time.  With the passes'
+#: handful of 8-byte temporaries a cell, request or write, a few MiB at
+#: most, whatever the trace.
 _CUT_GRID = 1 << 15
 
 

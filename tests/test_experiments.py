@@ -248,7 +248,7 @@ def test_a_mixed_shape_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch) -
         rows = run_experiment(spec, processes=processes)
         assert [json.dumps(row, sort_keys=True) for row in rows] == alone, processes
         if processes == 1:
-            trace = runner._compiled(cells[0], runner._workload(cells[0]), {})
+            trace, _ = runner._compiled(cells[0], {})
             assert calls["_kernel_reactive_span"] == sum(
                 len(trace.index().cut_ends(trace.times, bound)) for bound in per_bound
             )

@@ -82,7 +82,7 @@ from repro.sketch.hashing import (
 from repro.store.wal import Journal, WriteAheadLog, scan_wal
 from repro.tier.config import TierConfig
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
-from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
+from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
@@ -653,24 +653,52 @@ def _groups_state(groups: Groups) -> list:
     return [np.asarray(column).tolist() for column in groups]
 
 
+def _cut_state(engine, facts: SpanFacts) -> tuple:
+    """A cut's facts, its hosts' groups and its kernel prelude, as lists."""
+    groups, counted = engine._group_block(facts).cut(facts.position)
+    return (
+        facts.cut,
+        [column.tolist() for column in facts.columns],
+        facts.total_writes,
+        _groups_state(groups),
+        counted,
+        _prelude_state(engine._prelude_block(facts).cut(facts.position)),
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("bound", [0.05, 0.3])
 @pytest.mark.parametrize("shape", ["single", "fleet-3-rf2-rr"])
 def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
     monkeypatch, seed: int, bound: float, shape: str
 ) -> None:
-    """The builder's batch of a whole flush schedule against the same builder
+    """The builder's batches of a flush schedule against the same builder
     with one end per call: every cut's facts, its hosts' groups and its
     kernel prelude are equal; and the schedule's ends are the ones the
-    ``ReplayDriver._advance`` flushes cut, one at a time.  (The table is told every cut is
-    tiny, so one batch holds the schedule.)"""
+    ``ReplayDriver._advance`` flushes cut, one at a time.  (The table is told
+    every cut is tiny, so one batch holds the rest of the schedule.)
+
+    Under the default ``_CUT_GRID`` every cut is small: a batch counts its
+    inner edges.  Under a grid of the median cut's requests some cuts are
+    big, and a batch is built from every cut of the schedule on, so there
+    are batches that bisect their inner edges (a big first cut) and
+    batches that count them (a small one), each holding cuts of both
+    sizes; the grid also cuts the preludes' write-run pass into blocks,
+    and a grid of one write leaves groups with more, each a block alone.
+    Every edge is the position of a request the cut after it holds, and
+    cuts hold keys with writes and no read."""
     monkeypatch.setattr(compiled_module, "_CUT_KEY_BYTES", 1)
-    built = {}
-    for way in ("batch", "one-by-one"):
-        trace = boundary_trace(seed, bound)
+    blocks = [0]
+    block_write_runs = sim_vector._block_write_runs
+
+    def counted_blocks(*args):
+        blocks[0] += 1
+        return block_write_runs(*args)
+
+    monkeypatch.setattr(sim_vector, "_block_write_runs", counted_blocks)
+
+    def engine_of(trace: CompiledTrace):
         index = trace.index()
-        schedule = index.cut_ends(trace.times, bound)
-        assert schedule.tolist() == reference_cut_ends(trace.times, bound)
         if shape == "single":
             engine = VectorSimulation(
                 trace, policy=make_policy("invalidate"), staleness_bound=bound, duration=5.0
@@ -682,25 +710,84 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
             )
         engine._route_trace()
         engine._ctx = _ReplayContext.for_node(trace, index, engine._node_list[0])
-        cuts, start, ends, calls = [], 0, schedule.tolist(), 0
-        while ends:
-            batch = index.cuts(start, ends if way == "batch" else ends[:1])
-            cuts, calls = cuts + batch, calls + 1
-            start, ends = batch[-1].cut[1], ends[len(batch):]
-        assert calls == (1 if way == "batch" else len(schedule))
-        built[way] = [
-            (
-                facts.cut,
-                [column.tolist() for column in facts.columns],
-                facts.total_writes,
-                _groups_state(engine._group_block(facts).cut(facts.position)[0]),
-                engine._group_block(facts).cut(facts.position)[1],
-                _prelude_state(engine._prelude_block(facts).cut(facts.position)),
-            )
-            for facts in cuts
-        ]
-    assert built["batch"] == built["one-by-one"]
-    assert len(built["batch"]) == len(schedule)
+        return engine, index
+
+    trace = boundary_trace(seed, bound)
+    schedule = trace.index().cut_ends(trace.times, bound)
+    assert schedule.tolist() == reference_cut_ends(trace.times, bound)
+    edges = [0, *schedule.tolist()]
+    sizes = np.diff(edges)
+    engine, index = engine_of(trace)
+    alone = [_cut_state(engine, index.cuts(start, [end])[0])
+             for start, end in zip(edges, edges[1:])]
+    # A key with writes and no read in the cut.
+    assert any(lo == hi for state in alone for lo, hi in zip(*state[1][1:3]))
+    default, median = compiled_module._CUT_GRID, int(np.median(sizes))
+    for grid, runs_grid in ((default, default), (median, median), (median, 1)):
+        monkeypatch.setattr(compiled_module, "_CUT_GRID", grid)
+        monkeypatch.setattr(sim_vector, "_CUT_GRID", runs_grid)
+        engine, index = engine_of(boundary_trace(seed, bound))
+        kinds, most_blocks = set(), 0
+        for first in range(len(alone)):
+            batch = index.cuts(edges[first], edges[first + 1 :])
+            assert len(batch) == len(alone) - first
+            blocks[0] = 0
+            assert [_cut_state(engine, facts) for facts in batch] == alone[first:]
+            most_blocks = max(most_blocks, blocks[0])
+            big = sizes[first:] > grid
+            kinds.add((bool(big[0]), len(set(big[1:].tolist()))))
+        if grid == default:
+            assert sizes.max() <= grid
+        else:
+            # Bisected and counted batches, each with big and small cuts
+            # after the first; and batches whose write runs take blocks.
+            assert {(True, 2), (False, 2)} <= kinds
+            assert most_blocks > 1
+
+
+def test_a_schedule_of_big_cuts_is_built_in_one_batch(monkeypatch) -> None:
+    """A flush schedule of big cuts — PoissonZipf over 1 000 keys at T = 1,
+    ten cuts of ~100 k requests each — is one call of the builder.  A
+    schedule of small cuts on the same trace (T = 0.1) still takes a
+    batch per ``_CUT_GRID`` requests, as its counting pass needs."""
+    trace = compile_workload(
+        PoissonZipfWorkload(num_keys=1000, rate_per_key=100, read_ratio=0.9, seed=0), 10.0
+    )
+    calls = []
+    cuts = TraceIndex.cuts
+
+    def spy(self, start, ends):
+        calls.append(len(ends))
+        return cuts(self, start, ends)
+
+    monkeypatch.setattr(TraceIndex, "cuts", spy)
+    index = trace.index()
+    grid = compiled_module._CUT_GRID
+    for bound in (1.0, 0.1):
+        ends = index.cut_ends(trace.times, bound)
+        calls.clear()
+        start = 0
+        for end in ends.tolist():
+            assert index.span(start, end, ends).cut == (start, end)
+            start = end
+        schedule = ends.tolist()
+        sizes = np.diff([0, *schedule])
+        if bound == 1.0:
+            assert len(schedule) == 10 and sizes.min() > grid
+            assert calls == [10]
+        else:
+            # Each batch of small cuts: the cuts that end within the grid
+            # of its start.
+            assert sizes.max() <= grid
+            taken, first = [], 0
+            while first < len(schedule):
+                start = schedule[first - 1] if first else 0
+                last = first + 1
+                while last < len(schedule) and schedule[last] <= start + grid:
+                    last += 1
+                taken.append(last - first)
+                first = last
+            assert calls == taken and len(calls) > 1
 
 
 def test_unsorted_trace_is_refused_on_every_run_of_both_vector_engines() -> None:
