@@ -50,7 +50,8 @@ TTL = "src/repro/core/ttl.py"
 COMPILED = "src/repro/workload/compiled.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
-#: poll-count pair, and the batches of big cuts.
+#: poll-count pair, the batches of big cuts, and a replay's end on its
+#: columns (the deferred histories, the settle at the horizon).
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -160,6 +161,23 @@ MUTANTS: Tuple[Mutant, ...] = (
         "stride, write_lo[block], np.minimum(num_writes[block], _CUT_GRID)\n",
         "a write-run block ends inside a group with more writes than the "
         "block holds: the group's writes past the boundary go uncounted",
+    ),
+    (
+        "histories-in-key-order",
+        VECTOR,
+        '    written = written[np.argsort(index.write_pos[offsets[written]], kind="stable")]\n',
+        "    written = np.sort(written)\n",
+        "the deferred build creates the datastore's histories in key-id order, "
+        "not in first-write order: the store's key order is not the scalar "
+        "engine's",
+    ),
+    (
+        "settle-folds-in-key-order",
+        VECTOR,
+        "result.freshness_cost, columns.filled[rows[mine]], polls[mine], ctx.miss_const\n",
+        "result.freshness_cost, rows[mine], polls[mine], ctx.miss_const\n",
+        "the end-of-run poll charges fold in key-id order, not in the cache's "
+        "order: a different float at c_m != 1",
     ),
 )
 

@@ -10,6 +10,11 @@ The history is kept whole, so every freshness query is exact.  An optional
 **journal hook** (:mod:`repro.store`) mirrors every committed write into an
 append-only write-ahead log so the store can be rebuilt byte-for-byte after a
 crash.
+
+The columnar engine commits a whole trace's writes at once, and most of its
+callers read no history afterwards: it hands the store a deferred build
+(:meth:`DataStore.defer_histories`) that makes the histories on their first
+read.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.wal import Journal
@@ -79,6 +85,15 @@ class KeyHistory:
 class DataStore:
     """The backend store holding the authoritative copy of every object.
 
+    The per-key histories live in ``_histories``, a dict in first-write
+    order.  A store built here holds that dict from the start, and every
+    read of it is a plain attribute read.  A columnar replay instead adds
+    its trace's writes to :attr:`total_writes` at once and leaves the
+    histories to a deferred build (:meth:`defer_histories`): the first read
+    of ``_histories`` runs it, so a replay whose caller reads no history
+    never makes one.  Copying or pickling a store runs a pending build
+    first, so no two stores share one.
+
     Args:
         default_value_size: Value size assumed for keys that have never been
             written (reads can still populate the cache with them).
@@ -86,6 +101,7 @@ class DataStore:
 
     def __init__(self, default_value_size: int = 128) -> None:
         self.default_value_size = int(default_value_size)
+        # An instance attribute: it shadows the deferred build below.
         self._histories: Dict[str, KeyHistory] = {}
         self.total_writes = 0
         self.total_reads = 0
@@ -96,6 +112,35 @@ class DataStore:
     def attach_journal(self, journal: "Journal") -> None:
         """Start mirroring writes and read counts into ``journal``."""
         self.journal = journal
+
+    # ------------------------------------------------------------------ #
+    # Deferred histories
+    # ------------------------------------------------------------------ #
+    def defer_histories(self, build: Callable[[Dict[str, KeyHistory]], None]) -> None:
+        """Leave the histories to ``build``, which adds to them, in place,
+        on their first read.
+
+        ``build`` must add what the writes already counted in
+        :attr:`total_writes` left out of the histories.  A build still
+        pending runs first, so builds run in the order they were handed in.
+        """
+        histories = self._histories
+        del self._histories
+        self._pending_build = (histories, build)
+
+    @cached_property
+    def _histories(self) -> Dict[str, KeyHistory]:
+        """The histories of a store with a pending build: it runs once, on
+        the first read, and its dict then shadows this property."""
+        histories, build = self.__dict__.pop("_pending_build")
+        build(histories)
+        return histories
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """What :mod:`copy` and :mod:`pickle` take: the attributes, after a
+        pending build has run."""
+        self._histories  # the read runs a pending build
+        return self.__dict__
 
     # ------------------------------------------------------------------ #
     # Mutation

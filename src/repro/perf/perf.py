@@ -26,7 +26,8 @@ import platform
 import pstats
 import sys
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: The built-in policies a calls-per-request row counts, in report order.
 POLICIES = ("ttl-expiry", "ttl-polling", "invalidate", "update", "adaptive")
@@ -295,18 +296,31 @@ def non_empty_spans(times: Any, bound: float) -> int:
     return spans
 
 
+@contextmanager
+def _constructions(built: Sequence[Tuple[Any, str]]) -> Iterator[Callable[[], int]]:
+    """Count the constructions of the classes ``built`` names — ``(module,
+    name)`` pairs, each wrapped with ``mock.patch``, as :func:`bench_flush`
+    counts ``objects_built`` — while the block runs; yields the count so far."""
+    from unittest import mock
+
+    with ExitStack() as stack:
+        counters = [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module, name in built
+        ]
+        yield lambda: sum(counter.call_count for counter in counters)
+
+
 def _span_objects(replay: Callable[[], Any]) -> int:
     """The state objects ``replay()`` constructs from the start of its first
     cut to the start of its write-back, which follows its last boundary
     flush.
 
     Counts the constructions of cache entries, buffered writes, key
-    histories and E[W] counter rows (wrapped with ``mock.patch``, as
-    :func:`bench_flush` counts ``objects_built``), in every module that
-    builds one, taking the counts when the lockstep unit's first cut starts
-    and when its columns start writing the objects back.
+    histories and E[W] counter rows (:func:`_constructions`), in every
+    module that builds one, taking the counts when the lockstep unit's
+    first cut starts and when its columns start writing the objects back.
     """
-    from contextlib import ExitStack
     from unittest import mock
 
     from repro.backend import buffer, datastore
@@ -324,15 +338,7 @@ def _span_objects(replay: Callable[[], Any]) -> int:
         (exact, "_KeyCounters"),
     ]
     marks: List[int] = []
-    with ExitStack() as stack:
-        counters = [
-            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
-            for module, name in built
-        ]
-
-        def count() -> int:
-            return sum(counter.call_count for counter in counters)
-
+    with _constructions(built) as count, ExitStack() as stack:
         cut = vector._Lockstep.cut
         write_back = vector._HostColumns.write_back
 
@@ -351,6 +357,18 @@ def _span_objects(replay: Callable[[], Any]) -> int:
     return marks[-1] - marks[0]
 
 
+def _histories_built(replay: Callable[[], Any]) -> int:
+    """The key histories ``replay()`` constructs (:func:`_constructions`),
+    in every module that builds one: what a replay's end costs a caller that
+    reads no history."""
+    from repro.backend import datastore
+    from repro.sim import vector
+
+    with _constructions([(vector, "KeyHistory"), (datastore, "KeyHistory")]) as count:
+        replay()
+        return count()
+
+
 def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     """The kernel trace replayed at a tight bound (``T = 0.01``).
 
@@ -363,7 +381,10 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     span's groups, the rows the kernel works through.  ``span_objects`` /
     ``fleet_span_objects`` are :func:`_span_objects` of the two replays: 0,
     as the hosts' state lives in columns from the first cut to the last
-    boundary flush.
+    boundary flush.  ``histories_built`` / ``fleet_histories_built`` are
+    :func:`_histories_built` of one ``run()`` of each, per policy: 0, as a
+    columnar replay defers its datastore histories until one is read (one
+    per written key when every replay built them).
     """
     bound = 0.01
     workload, duration, trace = _kernel_trace(scale)
@@ -388,6 +409,18 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
         "key_spans": key_spans,
         "span_objects": _span_objects(single),
         "fleet_span_objects": _span_objects(fleet),
+        "histories_built": {
+            policy: _histories_built(
+                lambda: _replay_vector(workload, duration, trace, bound, policy)
+            )
+            for policy in POLICIES
+        },
+        "fleet_histories_built": {
+            policy: _histories_built(
+                lambda: _replay_vector(workload, duration, trace, bound, policy, nodes=3)
+            )
+            for policy in POLICIES
+        },
     }
 
 
@@ -436,8 +469,6 @@ def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
     them, which an instant channel never needs.
     """
     import random
-    from contextlib import ExitStack
-    from unittest import mock
 
     from repro.backend import channel
     from repro.backend.channel import Channel
@@ -457,11 +488,7 @@ def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
     keys = [f"perf-key-{index:06d}" for index in range(_scaled(2_000, scale))]
     rng = random.Random(7)
     datastore = DataStore()
-    with ExitStack() as stack:
-        counters = [
-            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
-            for module, name in built
-        ]
+    with _constructions(built) as count:
         node = CacheNode(
             "perf", make_policy("update"), 1.0, CostModel(), datastore, SimulationResult(),
             channel=Channel(seed=7),
@@ -477,10 +504,11 @@ def bench_flush(scale: float = 1.0) -> Dict[str, Any]:
                     node.handle_read(interval - 0.25, key, 16, 128)
             decisions += len(node.buffer)
             node.flush(float(interval))
+        objects_built = count()
     return {
         "decisions": decisions,
         "messages": node.channel.sent,
-        "objects_built": sum(counter.call_count for counter in counters),
+        "objects_built": objects_built,
     }
 
 

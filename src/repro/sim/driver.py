@@ -255,6 +255,12 @@ class ReplayDriver:
             for node_id in sorted(self._pending):
                 self._nodes[node_id].deliver_until(until)
 
+    def _settle_nodes(self, end_time: float) -> None:
+        """The run's end at the horizon: every node, in creation order,
+        settles and records it (:meth:`~repro.sim.node.CacheNode.finalize`)."""
+        for node in self._node_list:
+            node.finalize(end_time)
+
     def _checkpoint(self, time: float) -> None:
         """One durable snapshot (the single cache's: the datastore alone)."""
         self._store.checkpoint(time, self.datastore)
@@ -273,8 +279,7 @@ class ReplayDriver:
         self._advance(end_time)
         self.clock.advance_to(end_time)
         if stop_at is None:
-            for node in self._node_list:
-                node.finalize(end_time)
+            self._settle_nodes(end_time)
         stats = None
         if self._store is not None:
             self._checkpoint(end_time)

@@ -892,7 +892,8 @@ class CacheNode:
     # End of run
     # ------------------------------------------------------------------ #
     def finalize(self, end_time: float) -> None:
-        """Settle trailing deliveries, flushes, and lazy polling costs."""
+        """Settle trailing deliveries, flushes, and lazy polling costs, then
+        record the end (:meth:`record_end`)."""
         if self.reacts_to_writes and len(self.buffer):
             self.flush(end_time)
         self.deliver_until(end_time)
@@ -900,6 +901,11 @@ class CacheNode:
             for entry in list(self.cache.entries()):
                 self.account_polls(entry, end_time)
             self._account_l1_only_polls(end_time)
+        self.record_end(end_time)
+
+    def record_end(self, end_time: float) -> None:
+        """Record the end of the run on the result: its duration, the hot
+        keys flagged and the cache statistics.  It settles nothing."""
         self.result.duration = end_time
         if self.detector is not None:
             self.result.hot_keys_flagged = len(self.detector.flagged)

@@ -29,10 +29,13 @@ a replay costs O(requests) of numpy plus a fixed charge per span and per
 flush — not O(keys x spans) of Python, which is what made a tight staleness
 bound (many short spans) the slow case.  The columns are loaded from the
 hosts' objects when the span loop starts (a caller may hand in prepared
-state) and written back after the last boundary flush, each dict in the
-scalar engine's insertion order, with the datastore's histories; the one
-driver's unmodified finalize (:class:`~repro.sim.driver.ReplayDriver`) and
-its :class:`~repro.sim.node.CacheNode` s then run on real objects.  A TTL
+state) and written back after the nodes' end of run — the trailing flush at
+the horizon, TTL-polling's settle — has run on them too, each dict in the
+scalar engine's insertion order; the trace's writes then reach the
+datastore as a deferred build of its histories, which runs on their first
+read.  The one driver's finalize (:class:`~repro.sim.driver.ReplayDriver`)
+then finds nothing to settle, and its
+:class:`~repro.sim.node.CacheNode` s only record the run's end.  A TTL
 replay is a unit of its own on the same columns: the TTL policies never react
 to writes and have no flush boundaries, so its whole trace is one span and
 one kernel call that scatters each key's final entry into its row —
@@ -51,8 +54,9 @@ Why byte-identity is achievable at all:
 * **No kernel reads the datastore.**  A span never outlives one staleness
   interval ``T``, so any in-span hit's staleness horizon ``t - T`` lies before
   the span start, and the freshness check counts the key's earlier writes in
-  the index.  Every replay therefore commits the trace's writes once, after
-  its walk and before the driver's finalize.
+  the index, and neither does a flush, a poll settle or the finalize.
+  Every replay therefore commits the trace's writes once, after its walk,
+  and defers their histories to the first caller that reads one.
 * **Versions are positional.**  ``DataStore.read`` at a scalar read sees
   exactly the writes that precede the read in stream order, so the version a
   miss fetches equals the count of that key's writes with smaller stream
@@ -110,7 +114,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice, repeat
 from operator import add
 from typing import (
@@ -384,22 +388,36 @@ class _SpanTally:
 
 def _commit_trace_writes(ctx: _ReplayContext) -> int:
     """Commit every write of the trace to the datastore, byte-identical to
-    the scalar loop.
+    the scalar loop: count them in ``total_writes`` now and hand the store
+    the deferred build of their histories (:func:`_build_histories`), which
+    runs on the first read of ``DataStore._histories``.
 
-    Histories are created in first-write order (the scalar engine's
-    insertion order); each copies its key's write times out of the index's
-    shared list and ends at the key's last value size.  A replay commits
-    once, after its walk and before the driver's finalize: no kernel reads a
-    history (miss and update versions are positions in the index).  Returns
-    the number of writes committed.
+    A replay commits once, after its unit's write-back and before the
+    driver's finalize: no kernel, flush or settle reads a history (miss,
+    update and poll versions are positions in the index), and neither does
+    the finalize of a columnar replay, so a caller that reads none — a
+    sweep, a benchmark — never builds one.  Returns the number of writes
+    committed.
     """
-    index = ctx.index
+    ctx.datastore.total_writes += ctx.index.write_pos.size
+    ctx.datastore.defer_histories(partial(_build_histories, ctx.trace.key_names, ctx.index))
+    return ctx.index.write_pos.size
+
+
+def _build_histories(names: List[str], index: TraceIndex, histories: dict) -> None:
+    """Add every write of ``index``'s trace to ``histories``, as the scalar
+    loop's ``DataStore.write`` calls would.
+
+    A history is created per written key in first-write order (the scalar
+    engine's insertion order), copies its key's write times out of the
+    index's shared list (:meth:`~repro.workload.compiled.TraceIndex.listed_write_times`)
+    and ends at the key's last value size; a key the dict already holds
+    extends its history.
+    """
     offsets = index.write_offsets
     written = np.diff(offsets).nonzero()[0]
     written = written[np.argsort(index.write_pos[offsets[written]], kind="stable")]
     ends = offsets[written + 1]
-    histories = ctx.datastore._histories
-    names = ctx.trace.key_names
     write_times = index.listed_write_times()
     for key_id, lo, hi, value_size in zip(
         written.tolist(),
@@ -414,8 +432,6 @@ def _commit_trace_writes(ctx: _ReplayContext) -> int:
         else:
             history.write_times.extend(write_times[lo:hi])
             history.value_size = value_size
-    ctx.datastore.total_writes += index.write_pos.size
-    return index.write_pos.size
 
 
 class Groups(NamedTuple):
@@ -1583,6 +1599,54 @@ def _kernel_ttl_polling(
     columns.accounted[rows] = last_poll
 
 
+def _settle_polls(ctx: _ReplayContext, columns: _HostColumns, horizon: float) -> None:
+    """TTL-polling's end of run on the columns: every host's
+    :meth:`CacheNode.account_polls <repro.sim.node.CacheNode.account_polls>`
+    at ``horizon`` for each cached entry, as the node's finalize makes it.
+
+    An entry anchored at ``a = fetched_at`` owes the polls it has seen by
+    the horizon less those counted back from its accounting point,
+    ``poll_count(a, horizon) - poll_count(a, accounted)``
+    (:func:`~repro.core.ttl.poll_counts`).  One that owes any ends
+    accounted at its last poll, ``poll_instant(a, k)``, with ``as_of`` at
+    least that and its version at least the key's writes up to it — from
+    the index's write columns, which hold every write of the trace.  The
+    charges fold onto each host's ``freshness_cost`` in the host's cache
+    dict order (``filled``), as :func:`_flush_tally` folds a span's (:func:`_fold_charges`).
+    """
+    rows = (columns.state != _ABSENT).nonzero()[0]
+    anchor = columns.fetched_at[rows]
+    seen = poll_counts(anchor, horizon, ctx.ttl)
+    polls = seen - poll_counts(anchor, columns.accounted[rows], ctx.ttl)
+    charged = (polls > 0).nonzero()[0]
+    if not charged.size:
+        return
+    rows, polls = rows[charged], polls[charged]
+    last_poll = poll_instant(anchor[charged], seen[charged], ctx.ttl)
+    stride = len(columns.hosts)
+    index = ctx.index
+    # A name the trace never mentions (a loaded entry's) has no write: its
+    # bounds are the empty run past the last key's.
+    keys = np.minimum(rows // stride, index.write_offsets.size - 1)
+    lo = index.write_offsets[keys]
+    hi = index.write_offsets[np.minimum(keys + 1, index.write_offsets.size - 1)]
+    polled_version = bisect_groups(
+        lambda _, rank: index.write_times[rank], lo, hi, last_poll, right=True
+    ) - lo
+    columns.version[rows] = np.maximum(columns.version[rows], polled_version)
+    columns.as_of[rows] = np.maximum(columns.as_of[rows], last_poll)
+    columns.accounted[rows] = last_poll
+    host_of = rows % stride
+    for host, node in enumerate(columns.hosts):
+        mine = (host_of == host).nonzero()[0]
+        if mine.size:
+            result = node.result
+            result.polls += int(polls[mine].sum())
+            result.freshness_cost = _fold_charges(
+                result.freshness_cost, columns.filled[rows[mine]], polls[mine], ctx.miss_const
+            )
+
+
 #: Fewest additions :func:`_fold_constant` takes in closed form.  Measured on
 #: a 2-vCPU x86 container under CPython 3.11: the plain ``sum`` costs 0.2 µs
 #: plus 3.6 ns an addend (3.7 µs for 1 000), the closed form 1.1 µs inside
@@ -1688,15 +1752,23 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
         node.buffer.total_buffered += tally.buffered_writes
     if streamed:
         # Poll charges are the one varying-order float sum: fold every
-        # charge in global stream order onto the running accumulator.
-        # ``cumsum`` adds strictly left to right, so seeding its first addend
-        # gives the float the scalar engine's one-by-one ``+=`` does (the
+        # charge in global stream order onto the running accumulator (the
         # per-entry state those charges refresh was already settled by the
         # kernel).
-        order = np.argsort(tally.charge_positions, kind="stable")
-        charge = tally.charge_counts[order] * ctx.miss_const
-        charge[0] += result.freshness_cost
-        result.freshness_cost = float(np.cumsum(charge, out=charge)[-1])
+        result.freshness_cost = _fold_charges(
+            result.freshness_cost, tally.charge_positions, tally.charge_counts, ctx.miss_const
+        )
+
+
+def _fold_charges(acc: float, positions: np.ndarray, counts: np.ndarray, miss: float) -> float:
+    """``acc`` after ``acc += count * miss`` for each charge, in ascending
+    ``positions`` (ties in their given order).  ``cumsum`` adds strictly
+    left to right, so seeding its first addend gives the float the scalar
+    engine's one-by-one ``+=`` does."""
+    order = np.argsort(positions, kind="stable")
+    charge = counts[order] * miss
+    charge[0] += acc
+    return float(np.cumsum(charge, out=charge)[-1])
 
 
 def _walk_spans(engine) -> Iterator[SpanFacts]:
@@ -1832,11 +1904,22 @@ class _Lockstep:
         self.first, self.last = first, last
         self.prelude = _PreludeBlock(ctx.trace, ctx.index, _stack_groups(blocks, first, last))
 
-    def finish(self) -> None:
-        """A member has run its flushes up to the horizon; the last one to
-        do so writes every member's objects back."""
+    def finish(self, horizon: float) -> None:
+        """A member has run its flushes up to ``horizon``; the last one to
+        do so ends the run on the columns — the nodes' own end-of-run steps
+        (:meth:`CacheNode.finalize <repro.sim.node.CacheNode.finalize>`)
+        that act on state: a reactive unit's trailing flush at the horizon
+        (a no-op when the last interval flush fell on it), or TTL-polling's
+        settle (:func:`_settle_polls`) — and writes every member's objects
+        back."""
         self.finished += 1
         if self.finished == len(self.members):
+            member = self.members[0]
+            node = member._node_list[0]
+            if node._reacts:
+                self.flush(horizon)
+            elif node._poll_ttl is not None:
+                _settle_polls(member._ctx, self.columns, horizon)
             self.columns.write_back()
             self.batch = self.prelude = None
 
@@ -1897,10 +1980,13 @@ class SpanReplay:
     its finalize at the end; outside it the driver's own ``run()`` replays.
     Every columnar replay is a member of a lockstep unit (:class:`_Lockstep`,
     a unit of one when stepped alone or under a TTL policy), which keeps its
-    hosts' state in :class:`_HostColumns` from the first cut to the last
-    boundary flush — the interval flush (:meth:`_flush_nodes`) runs on them
-    too — and then writes the objects back; the replay then commits the
-    trace's writes, so the driver's finalize runs on objects.  The defaults
+    hosts' state in :class:`_HostColumns` from the first cut to the nodes'
+    end of run — the interval flush (:meth:`_flush_nodes`), the trailing
+    flush at the horizon and TTL-polling's settle run on them too
+    (:meth:`_Lockstep.finish`) — and then writes the objects back; the
+    replay then commits the trace's writes, their histories deferred
+    (:func:`_commit_trace_writes`), and the driver's finalize only records
+    the end on each node (:meth:`_settle_nodes`).  The defaults
     are the single cache's (one host, the whole cut, unrouted); the fleet
     supplies ``_route_trace`` / ``_route_batch``.
     """
@@ -1978,11 +2064,13 @@ class SpanReplay:
             unit.cut(self, facts)
             yield
         self.clock.advance_to(float(trace.times[-1]))
-        # The flushes up to the horizon (finalize's first step) still run on
-        # the columns; once every member has run them, the objects come
-        # back, and then the datastore's histories.
-        self._advance(max(self.duration, self.clock.now))
-        unit.finish()
+        # The flushes up to the horizon (finalize's first step) and the
+        # nodes' end of run still run on the columns; once every member has
+        # run its flushes, the objects come back, and then the trace's
+        # writes are committed, their histories deferred.
+        horizon = max(self.duration, self.clock.now)
+        self._advance(horizon)
+        unit.finish(horizon)
         while unit.finished < len(unit.members):
             yield
         self._unit = None
@@ -1995,6 +2083,16 @@ class SpanReplay:
             super()._flush_nodes(time)
         else:
             self._unit.flush(time)
+
+    def _settle_nodes(self, end_time: float) -> None:
+        """The nodes' end of run.  After a columnar replay the unit has
+        flushed and settled its hosts at the horizon on its columns
+        (:meth:`_Lockstep.finish`), so each node only records the end."""
+        if not self.used_vector_path:
+            super()._settle_nodes(end_time)
+            return
+        for node in self._node_list:
+            node.record_end(end_time)
 
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""

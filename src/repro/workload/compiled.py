@@ -99,9 +99,11 @@ class TraceIndex:
             configuration: one entry per fleet shape.
         schedules: :meth:`cut_ends`'s memo, by staleness bound.
         write_time_list: ``write_times`` as Python floats, made by the
-            first write commit (:meth:`listed_write_times`) and charged to
-            the table: every replay's histories copy slices of this one list
-            instead of boxing the floats anew.
+            first deferred history build that runs — when a caller first
+            reads a columnar replay's datastore histories
+            (:meth:`listed_write_times`) — and charged to the table from
+            then on: every such build copies slices of this one list instead
+            of boxing the floats anew.  ``None`` while no build has run.
         table: The span table — :meth:`span`'s memo of :class:`SpanFacts`,
             keyed by cut ``(start, end)``, oldest first.
         table_bytes: Bytes the table holds; never above ``table_cap``, the
@@ -240,17 +242,24 @@ class TraceIndex:
     ) -> List[int]:
         """``end`` and the ends of ``schedule`` after it that one batch may
         search: no more than :data:`_CUT_GRID` cells of keys x cut edges,
-        and none past the first cut the table holds.  A batch of small cuts,
-        whose inner edges :func:`_search_runs` counts request by request,
-        also holds no more than :data:`_CUT_GRID` requests; a batch whose
-        first cut alone holds more (a big cut) has its inner edges bisected,
-        and its cells bound it alone."""
+        no more cuts than the table has room for, and none past the first
+        cut the table holds.  A batch of small cuts, whose inner edges
+        :func:`_search_runs` counts request by request, also holds no more
+        than :data:`_CUT_GRID` requests; a batch whose first cut alone holds
+        more (a big cut) has its inner edges bisected, and its cells bound
+        it alone.  The room (:meth:`_batch_keys`) is asked of each cut's
+        most keys — its requests, or the trace's keys if fewer — so the
+        builder keeps every cut it is offered."""
         if schedule is None:
             return [end]
         later = schedule[np.searchsorted(schedule, end, side="right") :]
-        taken = max(0, _CUT_GRID // max(self.occurring.size, 1) - 2)
+        keys = self.occurring.size
+        taken = max(0, _CUT_GRID // max(keys, 1) - 2)
         if end - start <= _CUT_GRID:
             taken = min(taken, int(np.searchsorted(later, start + _CUT_GRID, side="right")))
+        most = np.minimum(np.diff(later[:taken], prepend=end), keys)
+        room = self._batch_keys() - min(end - start, keys)
+        taken = min(taken, int(np.searchsorted(np.cumsum(most), room, side="right")))
         ends = [end]
         for later_end in later[:taken].tolist():
             if (ends[-1], later_end) in self.table:
@@ -260,15 +269,16 @@ class TraceIndex:
 
     def _batch_keys(self) -> int:
         """Most keys the cuts of one batch hold together: the table's room —
-        the cap, short of the write list — at :data:`_CUT_KEY_BYTES` a key."""
+        the cap, short of the write list once one is made — at
+        :data:`_CUT_KEY_BYTES` a key."""
         listed = 0 if self.write_time_list is None else _WRITE_BYTES * self.write_times.size
         return (self.table_cap - listed) // _CUT_KEY_BYTES
 
     def cuts(self, start: int, ends: List[int]) -> List["SpanFacts"]:
         """The one builder of cuts: the facts of ``[start, ends[0])``,
-        ``[ends[0], ends[1])`` ..., built in one pass and put in the table —
-        the first cut, and as many of the next ones as the table has room
-        for at :data:`_CUT_KEY_BYTES` a key.
+        ``[ends[0], ends[1])`` ..., built in one pass and put in the table
+        (:meth:`span` offers as many as the table has room for, at
+        :data:`_CUT_KEY_BYTES` a key).
 
         For every key that occurs in the trace and every cut edge, where the
         key's reads and writes stand at the edge is a segmented search
@@ -289,27 +299,26 @@ class TraceIndex:
         write_lo, write_hi = write_at[:, :-1].T, write_at[:, 1:].T
         # Cut-major, keys ascending within a cut.
         active = (read_hi > read_lo) | (write_hi > write_lo)
-        sizes = np.cumsum(active.sum(axis=1))
-        taken = max(1, int(np.searchsorted(sizes, self._batch_keys(), side="right")))
-        if taken < len(ends):
-            edges, active = edges[: taken + 1], active[:taken]
-            read_lo, read_hi = read_lo[:taken], read_hi[:taken]
-            write_lo, write_hi = write_lo[:taken], write_hi[:taken]
         _, key_of = active.nonzero()
         batch = CutBatch(
             list(zip(edges[:-1].tolist(), edges[1:].tolist())),
             (keys[key_of], read_lo[active], read_hi[active], write_lo[active], write_hi[active]),
-            [0, *sizes[:taken].tolist()],
+            [0, *np.cumsum(active.sum(axis=1)).tolist()],
             (write_hi - write_lo).sum(axis=1).tolist(),
         )
-        built = [SpanFacts(batch, position) for position in range(taken)]
+        built = [SpanFacts(batch, position) for position in range(len(ends))]
         for facts in built:
             self.table[facts.cut] = facts
         self._charge(sum(facts.nbytes for facts in built))
         return built
 
     def listed_write_times(self) -> List[float]:
-        """:attr:`write_time_list`, made on first use and charged to the table."""
+        """:attr:`write_time_list`, made on first use and charged to the table.
+
+        Its one user is the deferred build of a replay's datastore histories
+        (``repro.sim.vector._build_histories``), which runs on the first
+        read of them: a sweep or a benchmark that reads none never makes the
+        list, and its table keeps the room."""
         if self.write_time_list is None:
             self.write_time_list = self.write_times.tolist()
             self.table_bytes += _WRITE_BYTES * self.write_times.size

@@ -106,16 +106,18 @@ def test_trace_index_table_holds_a_whole_walk() -> None:
 
 def test_a_sweep_builds_each_cut_once_per_bound() -> None:
     """Three write-reacting policies step through a bound's 16 or 4 cuts as
-    one unit: the first lookup of a bound builds its whole flush schedule in
-    one batch, so that is the builder's one call per bound and every other
-    lookup hits (40 of the 60 hit when the first policy built each cut
-    alone, 8 when each policy walked the whole trace in turn); and each cut
-    is one kernel call and each boundary one flush for all three (60 each
-    when every policy made its own)."""
+    one unit: a lookup that misses builds as much of the bound's flush
+    schedule as the table has room for at each cut's most keys (here 15 of
+    the 16 cuts of T = 0.25 at 10 keys a cut, then the last one; all 4 of
+    T = 1), so each cut is built once and every other lookup hits (40 of the
+    60 hit when the first policy built each cut alone, 8 when each policy
+    walked the whole trace in turn); and each cut is one kernel call and
+    each boundary one flush for all three (60 each when every policy made
+    its own)."""
     [row] = run_perf(names=["trace-index"], scale=0.05)["results"]
     assert row["sweep_cut_lookups"] == 60
-    assert row["sweep_cut_builds"] == 2
-    assert row["sweep_table_hits"] == 58
+    assert row["sweep_cut_builds"] == 3
+    assert row["sweep_table_hits"] == 57
     assert row["sweep_kernel_calls"] == row["sweep_flush_calls"] == 20
 
 

@@ -1288,6 +1288,26 @@ class ReferenceUnit(_Lockstep):
         for node in engine.referenced:
             reference_flush(ctx, nodes[node], tallies[node])
 
+    def finish(self, horizon) -> None:
+        """The referenced nodes end the run on their objects, as
+        :meth:`CacheNode.finalize` does, against a store that holds every
+        write of the trace (the engine's commits them after the unit ends);
+        the others on the unit's columns."""
+        engine = self.members[0]
+        trace, store = engine.trace, DataStore()
+        for position in np.flatnonzero(~trace.is_read).tolist():
+            store.write(
+                trace.key_names[trace.key_ids[position]],
+                float(trace.times[position]),
+                int(trace.value_sizes[position]),
+            )
+        for node in engine.referenced:
+            node = engine._node_list[node]
+            datastore, node.datastore = node.datastore, store
+            node.finalize(horizon)
+            node.datastore = datastore
+        super().finish(horizon)
+
     def _kernel_the_others(self, engine, facts, kernel) -> None:
         """The production replay of the cut on every node the reference does
         not replay: their groups in one kernel call on the unit's columns."""

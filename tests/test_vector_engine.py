@@ -7,6 +7,7 @@ serialised row must match the scalar engine exactly.  These tests compare
 (which would leak into exported artifacts) fail too.
 """
 
+import copy
 import dataclasses
 import gc
 import itertools
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.backend.channel import Channel
+from repro.backend.datastore import DataStore
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cluster import (
     ClusterSimulation,
@@ -42,6 +44,7 @@ from repro.cluster import replay_cluster_parallel
 from repro.perf.perf import non_empty_spans
 from repro.resilience import ChaosSpec
 from repro.sim import vector as sim_vector
+from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     ENVELOPE,
@@ -59,7 +62,7 @@ from repro.sim.vector import (
 )
 from repro.sketch.countmin import CountMinEWSketch
 from repro.sketch.exact import ExactEWTracker
-from repro.store.snapshot import StoreConfig
+from repro.store.snapshot import StoreConfig, canonical_datastore_bytes
 from repro.tier.config import TierConfig
 from repro.workload.base import constant_column
 from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
@@ -1242,3 +1245,192 @@ def test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet(
     simulation = VectorClusterSimulation(FLEET_SHAPE_TRACE, **fleet)
     assert_identical(scalar.as_dict(), simulation.run().as_dict())
     assert simulation.used_vector_path
+
+
+# --------------------------------------------------------------------- #
+# The end of a columnar replay
+# --------------------------------------------------------------------- #
+
+END_TRACE = compile_workload(PoissonZipfWorkload(num_keys=60, rate_per_key=5.0, seed=21), 8.0)
+END_FLEET = dict(num_nodes=3, replication=ReplicationConfig(factor=2, read_policy="round-robin"))
+
+
+def pending(store: DataStore) -> bool:
+    """Whether ``store`` still holds its histories' deferred build."""
+    return "_pending_build" in vars(store) and "_histories" not in vars(store)
+
+
+def end_engines(shape: str, bound: float, columnar: bool) -> list:
+    """Every kernel policy's replay of :data:`END_TRACE` for 8 s at ``bound``:
+    on the single cache, on a 3-node fleet (RF 2, round-robin), or — the
+    ``lockstep`` shape — both, as one sweep steps them."""
+    config = dict(staleness_bound=bound, duration=8.0)
+
+    def source():
+        return END_TRACE if columnar else END_TRACE.iter_requests()
+
+    single = VectorSimulation if columnar else Simulation
+    fleet = VectorClusterSimulation if columnar else ClusterSimulation
+    engines = []
+    if shape in ("single", "lockstep"):
+        engines += [single(source(), policy=make_policy(name), **config) for name in KERNEL_POLICIES]
+    if shape in ("fleet", "lockstep"):
+        engines += [
+            fleet(source(), policy=name, **END_FLEET, **config) for name in KERNEL_POLICIES
+        ]
+    return engines
+
+
+@pytest.mark.parametrize("shape", ["single", "fleet", "lockstep"])
+@pytest.mark.parametrize("bound", [0.1, 3.0, 10.0])
+def test_a_replay_ends_on_its_columns_and_defers_the_histories(shape: str, bound: float) -> None:
+    """An 8 s run at T = 0.1 (the float flushes fall short of 8), 3 and 10
+    (the horizon is no flush instant) ends with a trailing flush or a poll
+    settle at 8: on the columns, before the write-back.  Every policy's
+    replay, alone or stepped with the others as a sweep steps them, returns
+    the scalar row and leaves every node's entries, tracker, buffer and
+    E[W] rows as the scalar engine does; its datastore holds the deferred
+    build until a history is read, and then the scalar store's bytes, in
+    the scalar store's key order."""
+    scalar = end_engines(shape, bound, columnar=False)
+    columnar = end_engines(shape, bound, columnar=True)
+    expected = [engine.run().as_dict() for engine in scalar]
+    if shape == "lockstep":
+        results = replay_in_lockstep([engine.replay() for engine in columnar])
+    else:
+        results = [engine.run() for engine in columnar]
+    for engine, result, row, reference in zip(columnar, results, expected, scalar, strict=True):
+        assert engine.used_vector_path
+        assert_identical(row, result.as_dict())
+        for node, scalar_node in zip(engine._node_list, reference._node_list, strict=True):
+            assert node_state(node) == node_state(scalar_node)
+            assert not node.buffer._pending
+        store = engine.datastore
+        assert pending(store)
+        assert store.total_writes == reference.datastore.total_writes
+        assert store.known_keys() == reference.datastore.known_keys()
+        assert not pending(store)
+        assert canonical_datastore_bytes(store) == canonical_datastore_bytes(reference.datastore)
+
+
+@pytest.mark.parametrize("nodes", [0, 3], ids=["single", "fleet-3"])
+def test_an_off_grid_polling_entry_settles_at_the_horizon_on_the_columns(
+    monkeypatch, nodes: int
+) -> None:
+    """Valid TTL-polling entries accounted off their poll grid (the
+    ``handed_cached`` skipped shapes, one under a name the trace never
+    mentions), replayed to a horizon 3 s past the last request at
+    ``c_m = 0.3``: the settle at the horizon charges every entry's owed
+    polls on the columns — no ``account_polls`` call, no history read —
+    and the row, ``freshness_cost`` to the bit, and the entries equal the
+    scalar engine's."""
+    trace = CompiledTrace(
+        times=END_TRACE.times[END_TRACE.times < 6.0] + 3.0,
+        key_ids=END_TRACE.key_ids[END_TRACE.times < 6.0],
+        is_read=END_TRACE.is_read[END_TRACE.times < 6.0],
+        key_sizes=END_TRACE.key_sizes[END_TRACE.times < 6.0],
+        value_sizes=END_TRACE.value_sizes[END_TRACE.times < 6.0],
+        key_names=END_TRACE.key_names,
+    )
+    config = dict(staleness_bound=0.5, duration=12.0, costs=CostModel(miss=0.3))
+    if nodes:
+        scalar = ClusterSimulation(trace.iter_requests(), policy="ttl-polling", num_nodes=nodes,
+                                   **config)
+        columnar = VectorClusterSimulation(trace, policy="ttl-polling", num_nodes=nodes, **config)
+    else:
+        scalar = Simulation(trace.iter_requests(), policy=make_policy("ttl-polling"), **config)
+        columnar = VectorSimulation(trace, policy=make_policy("ttl-polling"), **config)
+    for simulation in (scalar, columnar):
+        _warm_ttl_entries(simulation, trace, "ttl-polling", EntryState.VALID, skipped=True)
+    expected = scalar.run()
+    settled = []
+    account_polls = CacheNode.account_polls
+
+    def counted(node, entry, now):
+        settled.append(now)
+        account_polls(node, entry, now)
+
+    monkeypatch.setattr(CacheNode, "account_polls", counted)
+    result = columnar.run()
+    assert columnar.used_vector_path and not settled and pending(columnar.datastore)
+    assert_identical(expected.as_dict(), result.as_dict())
+    totals = [(result.totals, expected.totals)] if nodes else [(result, expected)]
+    for got, want in totals:
+        assert float.hex(got.freshness_cost) == float.hex(want.freshness_cost)
+        assert got.polls == want.polls > 0
+    for node, scalar_node in zip(columnar._node_list, scalar._node_list, strict=True):
+        assert node.cache._entries["held-nowhere"].last_poll_accounted > 11.0
+        assert [(name, dataclasses.asdict(entry)) for name, entry in node.cache._entries.items()] == [
+            (name, dataclasses.asdict(entry)) for name, entry in scalar_node.cache._entries.items()
+        ]
+
+
+def deferred_store() -> DataStore:
+    """The datastore of a finished columnar replay, its histories deferred."""
+    engine = VectorSimulation(END_TRACE, policy=make_policy("update"), staleness_bound=1.0,
+                              duration=8.0)
+    engine.run()
+    assert pending(engine.datastore)
+    return engine.datastore
+
+
+def eager_store() -> DataStore:
+    engine = Simulation(END_TRACE.iter_requests(), policy=make_policy("update"),
+                        staleness_bound=1.0, duration=8.0)
+    engine.run()
+    return engine.datastore
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_a_deferred_store_copies_and_pickles_as_an_eager_one(how: str) -> None:
+    """Copying or pickling a store whose histories are deferred runs the
+    build first: neither store keeps a pending build, both equal the scalar
+    engine's eager store byte for byte, and a deep copy or an unpickled
+    store shares no history with the original — a write to one leaves the
+    other as it was.  A shallow copy shares the histories dict, as a shallow
+    copy of an eager store does."""
+    store, eager = deferred_store(), eager_store()
+    clone = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda store: pickle.loads(pickle.dumps(store)),
+    }[how](store)
+    assert not pending(store) and not pending(clone)
+    reference = canonical_datastore_bytes(eager)
+    assert canonical_datastore_bytes(store) == canonical_datastore_bytes(clone) == reference
+    assert clone.known_keys() == store.known_keys() == eager.known_keys()
+    if how == "copy":
+        assert clone._histories is store._histories
+        assert copy.copy(eager)._histories is eager._histories
+        return
+    assert clone._histories is not store._histories
+    assert not {id(history) for history in clone._histories.values()} & {
+        id(history) for history in store._histories.values()
+    }
+    key = store.known_keys()[0]
+    clone.write(key, 100.0, 7)
+    assert canonical_datastore_bytes(store) == reference
+    assert store.latest_version(key) + 1 == clone.latest_version(key)
+
+
+def test_the_scalar_engines_never_defer_the_histories(monkeypatch) -> None:
+    """The scalar loop writes each history as it goes: the single cache, the
+    fleet and a columnar engine on its scalar fallback never hand their
+    store a deferred build."""
+
+    def refused(store, build):
+        raise AssertionError("a scalar replay deferred its histories")
+
+    monkeypatch.setattr(DataStore, "defer_histories", refused)
+    config = dict(policy=make_policy("adaptive"), staleness_bound=0.5, duration=8.0)
+    engines = [
+        Simulation(END_TRACE.iter_requests(), **config),
+        ClusterSimulation(END_TRACE.iter_requests(), policy="adaptive", num_nodes=3,
+                          staleness_bound=0.5, duration=8.0),
+        VectorSimulation(END_TRACE, cache_capacity=10, **config),
+    ]
+    for engine in engines:
+        engine.run()
+        assert "_histories" in vars(engine.datastore) and not pending(engine.datastore)
+        assert engine.datastore.total_writes == int((~END_TRACE.is_read).sum())
+    assert engines[-1].fallback_reason == "bounded-cache"
