@@ -1581,16 +1581,32 @@ def _kernel_ttl_polling(
         refetching,
     )
     charged = (settled_polls >= 0).nonzero()[0]
-    keys, rows = keys[charged], rows[charged]
-    last_poll = poll_instant(anchor[charged], settled_polls[charged], ttl)
+    keys = keys[charged]
     # version_at(last_poll) over the writes applied before the settling read:
     # both constraints are prefixes of the key's writes, so the refreshed
     # version is the shorter prefix.
+    _refresh_polled(
+        ctx, columns, rows[charged], keys, _versions_before(ctx, keys, settled_position[charged]),
+        poll_instant(anchor[charged], settled_polls[charged], ttl),
+    )
+
+
+def _refresh_polled(
+    ctx: _ReplayContext,
+    columns: _HostColumns,
+    rows: np.ndarray,
+    keys: np.ndarray,
+    writes: np.ndarray,
+    last_poll: np.ndarray,
+) -> None:
+    """Each of ``rows`` (key ``keys``) as its last poll, at ``last_poll``,
+    leaves it: accounted there, ``as_of`` at least that, and its version at
+    least ``version_at(last_poll)`` over the key's first ``writes`` writes."""
     write_lo = ctx.index.write_offsets[keys]
     polled_version = bisect_groups(
         lambda groups, rank: ctx.index.write_times[write_lo[groups] + rank],
         np.zeros(keys.size, dtype=np.int64),
-        _versions_before(ctx, keys, settled_position[charged]),
+        writes,
         last_poll,
         right=True,
     )
@@ -1619,24 +1635,16 @@ def _settle_polls(ctx: _ReplayContext, columns: _HostColumns, horizon: float) ->
     seen = poll_counts(anchor, horizon, ctx.ttl)
     polls = seen - poll_counts(anchor, columns.accounted[rows], ctx.ttl)
     charged = (polls > 0).nonzero()[0]
-    if not charged.size:
-        return
     rows, polls = rows[charged], polls[charged]
-    last_poll = poll_instant(anchor[charged], seen[charged], ctx.ttl)
-    stride = len(columns.hosts)
-    index = ctx.index
-    # A name the trace never mentions (a loaded entry's) has no write: its
-    # bounds are the empty run past the last key's.
-    keys = np.minimum(rows // stride, index.write_offsets.size - 1)
-    lo = index.write_offsets[keys]
-    hi = index.write_offsets[np.minimum(keys + 1, index.write_offsets.size - 1)]
-    polled_version = bisect_groups(
-        lambda _, rank: index.write_times[rank], lo, hi, last_poll, right=True
-    ) - lo
-    columns.version[rows] = np.maximum(columns.version[rows], polled_version)
-    columns.as_of[rows] = np.maximum(columns.as_of[rows], last_poll)
-    columns.accounted[rows] = last_poll
-    host_of = rows % stride
+    offsets = ctx.index.write_offsets
+    # A name the trace never mentions (a loaded entry's) reads as the key
+    # past the last one, which has no write.
+    keys = np.minimum(rows // len(columns.hosts), offsets.size - 1)
+    _refresh_polled(
+        ctx, columns, rows, keys, np.append(np.diff(offsets), 0)[keys],
+        poll_instant(anchor[charged], seen[charged], ctx.ttl),
+    )
+    host_of = rows % len(columns.hosts)
     for host, node in enumerate(columns.hosts):
         mine = (host_of == host).nonzero()[0]
         if mine.size:

@@ -1324,12 +1324,13 @@ def test_an_off_grid_polling_entry_settles_at_the_horizon_on_the_columns(
     polls on the columns — no ``account_polls`` call, no history read —
     and the row, ``freshness_cost`` to the bit, and the entries equal the
     scalar engine's."""
+    kept = END_TRACE.times < 6.0
     trace = CompiledTrace(
-        times=END_TRACE.times[END_TRACE.times < 6.0] + 3.0,
-        key_ids=END_TRACE.key_ids[END_TRACE.times < 6.0],
-        is_read=END_TRACE.is_read[END_TRACE.times < 6.0],
-        key_sizes=END_TRACE.key_sizes[END_TRACE.times < 6.0],
-        value_sizes=END_TRACE.value_sizes[END_TRACE.times < 6.0],
+        times=END_TRACE.times[kept] + 3.0,
+        key_ids=END_TRACE.key_ids[kept],
+        is_read=END_TRACE.is_read[kept],
+        key_sizes=END_TRACE.key_sizes[kept],
+        value_sizes=END_TRACE.value_sizes[kept],
         key_names=END_TRACE.key_names,
     )
     config = dict(staleness_bound=0.5, duration=12.0, costs=CostModel(miss=0.3))
