@@ -299,8 +299,8 @@ def non_empty_spans(times: Any, bound: float) -> int:
 @contextmanager
 def _constructions(built: Sequence[Tuple[Any, str]]) -> Iterator[Callable[[], int]]:
     """Count the constructions of the classes ``built`` names — ``(module,
-    name)`` pairs, each wrapped with ``mock.patch``, as :func:`bench_flush`
-    counts ``objects_built`` — while the block runs; yields the count so far."""
+    name)`` pairs, each wrapped with ``mock.patch`` — while the block runs;
+    yields a function that returns the count so far."""
     from unittest import mock
 
     with ExitStack() as stack:
