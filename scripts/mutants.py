@@ -48,10 +48,12 @@ VECTOR = "src/repro/sim/vector.py"
 POLLING = "src/repro/sim/polling.py"
 TTL = "src/repro/core/ttl.py"
 COMPILED = "src/repro/workload/compiled.py"
+FLEET = "src/repro/cluster/vector.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
-#: poll-count pair, the batches of big cuts, and a replay's end on its
-#: columns (the deferred histories, the settle at the horizon).
+#: poll-count pair, the batches of big cuts, a replay's end on its columns
+#: (the deferred histories, the settle at the horizon), the span table's
+#: whole batches, and the shipped bugs (the ignored kill point).
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -178,6 +180,30 @@ MUTANTS: Tuple[Mutant, ...] = (
         "result.freshness_cost, rows[mine], polls[mine], ctx.miss_const\n",
         "the end-of-run poll charges fold in key-id order, not in the cache's "
         "order: a different float at c_m != 1",
+    ),
+    (
+        "evicted-batch-keeps-its-cuts",
+        COMPILED,
+        "            self._drop(self.table[next(iter(self.table))][0])\n",
+        "            self.table_bytes -= self.table[next(iter(self.table))][0].nbytes\n",
+        "the span table uncharges its oldest batch but keeps its cut entries: "
+        "the table holds more than its cap says",
+    ),
+    (
+        "one-cut-block-takes-the-next-writes",
+        VECTOR,
+        "[0, hi - lo], self.bounds[cut], self.writes[cut],\n",
+        "[0, hi - lo], self.bounds[cut], self.writes[(position + 1) % len(self.writes)][None],\n",
+        "a cut's groups count the writes of the batch's next cut: each host's "
+        "result counts another cut's writes",
+    ),
+    (
+        "fleet-kill-point-ignored",
+        FLEET,
+        "        lambda engine, stop_at: stop_at is not None,\n",
+        "        lambda engine, stop_at: False,\n",
+        "the fleet envelope lets a replay with a kill point onto the kernels, "
+        "which replay to the end of the trace instead of stopping there",
     ),
 )
 

@@ -53,7 +53,7 @@ slower — and ``fallback_reason`` names the row.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -201,9 +201,9 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
         # would.
         self.router._round_robin.update(plan.round_robin)
 
-    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, List[int]]:
+    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, int]:
         """Route every cut of a batch at once: the fleet's groups of each cut
-        and each node's primary writes, with each cut's table bytes.
+        and each node's primary writes, with the table bytes of the groups.
 
         A node's groups are the span keys it is a replica of and serves
         reads of or receives writes for — a (node, key) with both is ONE
@@ -267,7 +267,7 @@ class VectorClusterSimulation(SpanReplay, ClusterSimulation):
             bounds,
             primary_writes.astype(np.int64).reshape(cuts, nodes),
         )
-        return block, (48 * bounds[:, -1]).tolist()
+        return block, 48 * row.size
 
 
 def replay_cluster_parallel(

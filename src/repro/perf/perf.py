@@ -342,10 +342,10 @@ def _span_objects(replay: Callable[[], Any]) -> int:
         cut = vector._Lockstep.cut
         write_back = vector._HostColumns.write_back
 
-        def first_cut(unit: Any, engine: Any, facts: Any) -> None:
+        def first_cut(unit: Any, engine: Any, batch: Any, position: int) -> None:
             if not marks:
                 marks.append(count())
-            cut(unit, engine, facts)
+            cut(unit, engine, batch, position)
 
         def writing_back(columns: Any) -> None:
             marks[1:] = [count()]
@@ -392,7 +392,7 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
 
     def count_key_spans(tallies: Any, prelude: Any) -> None:
         nonlocal key_spans
-        key_spans += int(prelude.groups.keys.size)
+        key_spans += int(prelude.block.keys.size)
 
     def single() -> None:
         _replay_vector(workload, duration, trace, bound)
@@ -518,9 +518,10 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
 
     The policy-independent share of a columnar replay: bytes per request of
     the key-major index (span table included) and of the table alone, after
-    a first walk builds each cut's facts.  ``table_hits`` counts the cuts
-    the second walk finds in the table — 30 when the table holds the whole
-    walk, fewer when a walk outgrows it and the oldest cuts are evicted.
+    a first walk builds each cut.  ``table_hits`` counts the cuts the second
+    walk finds in the table — 30 when the table holds the whole walk, fewer
+    when a walk outgrows it and the oldest batches, each with every cut
+    built with it, are evicted.
     ``sweep_cut_lookups`` / ``sweep_table_hits`` / ``sweep_cut_builds`` /
     ``sweep_kernel_calls`` / ``sweep_flush_calls`` are :func:`_sweep_lookups`.
     """

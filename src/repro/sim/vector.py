@@ -43,7 +43,7 @@ TTL-polling charges each key's runs of reads of equal poll count, bisecting
 where every poll a hot key spans starts, and TTL-expiry bisects every key's
 next epoch at once — and the same write-back builds the entry objects.  A fleet's
 nodes share each call: a cut's groups are one table ordered by (host, key)
-(:class:`Groups`) whose rows index the host columns directly, and every kernel
+(a one-cut :class:`_GroupBlock`) whose rows index the host columns directly, and every kernel
 does its numpy work once for all hosts.  The result is byte-for-byte
 identical to the scalar engine: same counters, same float accumulation
 order, same dict insertion orders, same :class:`DataStore` history (the
@@ -77,14 +77,15 @@ Why byte-identity is achievable at all:
 * **A span is a fact of the trace.**  Where a replay cuts depends on its
   bound; what the cut holds — those bounds, the write batch the datastore
   commits, the hosts' groups and the policy-independent prelude of the
-  reactive kernel (:class:`_SpanPrelude`) — depends on the trace and the two
-  cut positions only, so it lives in the index's span table
-  (:class:`~repro.workload.compiled.SpanFacts`), read, never written, by
-  every replay.  The first replay of a bound builds its flush schedule's
-  cuts a batch at a time (:meth:`~repro.workload.compiled.TraceIndex.cuts`),
-  and each fleet shape's groups (:class:`_GroupBlock`) and preludes
-  (:class:`_PreludeBlock`) once per batch: a fixed number of numpy calls
-  per batch, not per cut.
+  reactive kernel — depends on the trace and the two cut positions only,
+  so it lives in the index's span table, read, never written, by every
+  replay.  The first replay of a bound builds its flush schedule's cuts a
+  batch at a time (:meth:`~repro.workload.compiled.TraceIndex.cuts`, a
+  :class:`~repro.workload.compiled.CutBatch`), and each fleet shape's
+  groups (:class:`_GroupBlock`) and preludes (:class:`_PreludeBlock`) once
+  per batch: a fixed number of numpy calls per batch, not per cut.  A cut
+  is ``(batch, position)``, and its groups and prelude are one-cut blocks
+  of views (:meth:`_GroupBlock.cut`, :meth:`_PreludeBlock.cut`).
 * **A write's place among the reads is arithmetic.**  The index stores, per
   write, where in the key-major read column the key's next read sits, so how
   many of a span's writes precede a key's first read (the version a miss
@@ -138,7 +139,7 @@ from repro.sim.simulation import Simulation
 from repro.sketch.exact import ExactEWTracker
 from repro.workload.base import order_error
 from repro.workload.compiled import (
-    _CUT_GRID, CompiledTrace, CutBatch, SpanFacts, TraceIndex, bisect_groups,
+    _CUT_GRID, CompiledTrace, CutBatch, TraceIndex, bisect_groups,
 )
 
 #: The write-reacting policy classes the columnar flush decides for, in the
@@ -434,32 +435,6 @@ def _build_histories(names: List[str], index: TraceIndex, histories: dict) -> No
             history.value_size = value_size
 
 
-class Groups(NamedTuple):
-    """Every host's share of a span, as one table of columns ordered by (host, key).
-
-    Group ``g`` is key ``keys[g]`` on host ``host[g]``; its reads are
-    ``read_pos[first[g] + j * stride]`` for ``j < count[g]`` and its writes
-    the slice ``[write_lo[g], write_hi[g])`` of the write columns.  Host
-    ``h``'s groups are ``[bounds[h], bounds[h + 1])`` (a list of ints), keys
-    ascending; a host may have none.  Every group has at least one read or
-    one write.  The single cache is the one-host table, ``bounds == [0,
-    groups]``.
-    """
-
-    keys: np.ndarray
-    first: np.ndarray
-    count: np.ndarray
-    stride: int
-    write_lo: np.ndarray
-    write_hi: np.ndarray
-    bounds: List[int]
-
-    @property
-    def host(self) -> np.ndarray:
-        """The host of each group, derived from :attr:`bounds`."""
-        return np.repeat(np.arange(len(self.bounds) - 1), _lengths(self.bounds))
-
-
 def _segments(groups: List[int], bounds: List[int]) -> List[int]:
     """Per-host bounds into ``groups``, an ascending list of group indices:
     one bisection per host bound."""
@@ -559,7 +534,7 @@ class _HostColumns:
     """Every host's columnar replay state as columns, one row per (host, key id).
 
     Row ``k * len(hosts) + h`` is key ``k`` on host ``h``: a cut's groups
-    index it directly (:attr:`_SpanPrelude.rows`), and host ``h``'s rows are
+    index it directly (:attr:`_PreludeBlock.rows`), and host ``h``'s rows are
     the strided view ``column[h::len(hosts)]``, indexed by key id.  The key
     ids are the trace's key table, then any name a host held at load that
     the trace never mentions (``names``).  The columns stand for the four
@@ -746,16 +721,20 @@ def _gather(rows: np.ndarray, *columns: np.ndarray) -> List[list]:
 
 
 class _GroupBlock(NamedTuple):
-    """Every host's :class:`Groups` of each cut of a batch, as one table of
-    columns ordered by (cut, host, key).
+    """Every host's share of each cut of a batch, as one table of columns
+    ordered by (cut, host, key).
 
-    Cut ``j``'s groups are rows ``[offsets[j], offsets[j + 1])`` — its
-    :class:`Groups`, as views, are :meth:`cut` — and ``host`` is each
-    group's host among ``hosts``.  ``bounds[j]`` are cut ``j``'s host bounds
-    relative to its first group and ``writes[j]`` the writes each host
-    counts in it (``cuts x (hosts + 1)`` and ``cuts x hosts`` integer
-    matrices).  Built once per batch and fleet shape (the single cache is
-    the one-host shape), or stacked for a lockstep unit (:func:`_stack_groups`).
+    Group ``g`` is key ``keys[g]`` on host ``host[g]`` (among ``hosts``);
+    its reads are ``read_pos[first[g] + j * stride]`` for ``j < count[g]``
+    and its writes the slice ``[write_lo[g], write_hi[g])`` of the write
+    columns.  Every group has at least one read or one write.  Cut ``j``'s
+    groups are rows ``[offsets[j], offsets[j + 1])``, keys ascending within
+    a host; ``bounds[j]`` are its host bounds relative to its first group
+    (a host may have none) and ``writes[j]`` the writes each host counts in
+    it (``cuts x (hosts + 1)`` and ``cuts x hosts`` integer matrices).  A
+    kernel takes one cut's block (:meth:`cut`).  Built once per batch and
+    fleet shape (the single cache is the one-host shape), or stacked for a
+    lockstep unit (:func:`_stack_groups`).
     """
 
     keys: np.ndarray
@@ -770,15 +749,14 @@ class _GroupBlock(NamedTuple):
     bounds: np.ndarray
     writes: np.ndarray
 
-    def cut(self, position: int) -> Tuple[Groups, List[int]]:
-        """Cut ``position``'s :class:`Groups` and the writes each host counts."""
+    def cut(self, position: int) -> "_GroupBlock":
+        """Cut ``position``'s block: views of this one's rows and matrices."""
         lo, hi = self.offsets[position], self.offsets[position + 1]
-        return (
-            Groups(
-                self.keys[lo:hi], self.first[lo:hi], self.count[lo:hi], self.stride,
-                self.write_lo[lo:hi], self.write_hi[lo:hi], self.bounds[position].tolist(),
-            ),
-            self.writes[position].tolist(),
+        cut = slice(position, position + 1)
+        return _GroupBlock(
+            self.keys[lo:hi], self.first[lo:hi], self.count[lo:hi], self.stride,
+            self.write_lo[lo:hi], self.write_hi[lo:hi], self.host[lo:hi], self.hosts,
+            [0, hi - lo], self.bounds[cut], self.writes[cut],
         )
 
 
@@ -830,26 +808,28 @@ _PRELUDE_GROUP_BYTES = 112
 _STACKED_GROUPS = 1 << 12
 
 
-class _SpanPrelude:
-    """The policy-independent half of :func:`_kernel_reactive_span` for one cut.
-
-    What the hosts' groups of one cut are under *any* write-reactive policy,
-    bound and cache state: views of a :class:`_PreludeBlock`'s columns
-    (:meth:`_PreludeBlock.cut`), read, never written.
+class _PreludeBlock:
+    """The policy-independent half of :func:`_kernel_reactive_span` for
+    every cut of a :class:`_GroupBlock`: what its groups are under *any*
+    write-reactive policy, bound and cache state, as flat columns computed
+    once for the whole block; :meth:`cut` takes one cut's out, as views.
+    Built once per batch and fleet shape — memoised in the span table and
+    shared by every replay, read, never written — or once per window of a
+    batch's cuts for a lockstep unit's stacked hosts.
 
     Attributes:
-        groups: The hosts' :class:`Groups`.
-        counted: Per host, the span writes it counts in its result.
+        block: The hosts' :class:`_GroupBlock`.
         rows: Each group's row of :class:`_HostColumns` (``key * hosts +
             host``).
-        versions: Each group's key's writes up to the cut's end.
+        versions: Each group's key's writes up to its cut's end.
         num_writes / writing: Span writes per group and the groups that
-            have any.
+            have any (ascending group indices).
         reading / read_rows / read_counts: The groups with span reads, their
             rows and read counts.
         first_read / last_read: Position of each reading group's first span
             read, and time of its last.
-        host_reads / host_writes: Per host, its span reads and its span writes.
+        host_reads / host_writes: Per cut, per host, its span reads and its
+            span writes (lists of lists).
         write_runs: ``(before_first, before_last, runs_closed)``:
             :func:`_write_runs` of every group that reads and writes, zero
             elsewhere.  A miss fetches the version as of its position, and
@@ -857,21 +837,9 @@ class _SpanPrelude:
         first_seen: Each group's first observation: its first read or write,
             whichever comes first in the stream — where the scalar engine
             creates the host's counter row for the key.
+        reading_at / writing_at: Per cut, where its groups start in
+            ``reading`` and ``writing``, and the total (ints).
     """
-
-    __slots__ = (
-        "groups", "counted", "rows", "versions", "num_writes", "writing", "reading",
-        "read_rows", "read_counts", "first_read", "last_read", "host_reads", "host_writes",
-        "write_runs", "first_seen",
-    )
-
-
-class _PreludeBlock:
-    """The :class:`_SpanPrelude` of every cut of a :class:`_GroupBlock`, as
-    flat columns computed once for the whole block; :meth:`cut` slices one
-    cut's out.  Built once per batch and fleet shape — memoised in the span
-    table and shared by every replay — or once per window of a batch's cuts
-    for a lockstep unit's stacked hosts."""
 
     __slots__ = (
         "block", "rows", "versions", "num_writes", "writing", "reading", "read_rows",
@@ -915,13 +883,15 @@ class _PreludeBlock:
         seen[writing] = np.minimum(seen[writing], index.write_pos[write_lo[writing]])
         self.first_seen = seen
 
-    def cut(self, position: int) -> _SpanPrelude:
-        """Cut ``position``'s prelude: views of the block's columns."""
+    def cut(self, position: int) -> "_PreludeBlock":
+        """Cut ``position``'s prelude: a one-cut block of views of this one's
+        columns."""
         lo, hi = self.block.offsets[position], self.block.offsets[position + 1]
         read = slice(*self.reading_at[position : position + 2])
         write = slice(*self.writing_at[position : position + 2])
-        prelude = _SpanPrelude()
-        prelude.groups, prelude.counted = self.block.cut(position)
+        cut = slice(position, position + 1)
+        prelude = _PreludeBlock.__new__(_PreludeBlock)
+        prelude.block = self.block.cut(position)
         prelude.rows = self.rows[lo:hi]
         prelude.versions = self.versions[lo:hi]
         prelude.num_writes = self.num_writes[lo:hi]
@@ -931,10 +901,12 @@ class _PreludeBlock:
         prelude.read_counts = self.read_counts[read]
         prelude.first_read = self.first_read[read]
         prelude.last_read = self.last_read[read]
-        prelude.host_reads = self.host_reads[position]
-        prelude.host_writes = self.host_writes[position]
+        prelude.host_reads = self.host_reads[cut]
+        prelude.host_writes = self.host_writes[cut]
         prelude.write_runs = self.write_runs[:, lo:hi]
         prelude.first_seen = self.first_seen[lo:hi]
+        prelude.reading_at = [0, read.stop - read.start]
+        prelude.writing_at = [0, write.stop - write.start]
         return prelude
 
 
@@ -942,7 +914,7 @@ def _kernel_reactive_span(
     ctx: _ReplayContext,
     columns: _HostColumns,
     tallies: Sequence[_SpanTally],
-    prelude: _SpanPrelude,
+    prelude: _PreludeBlock,
 ) -> None:
     """Every host's whole span under a write-reactive policy, in one call.
 
@@ -951,14 +923,16 @@ def _kernel_reactive_span(
     misses and re-fetches, after which every read is a hit; a key valid at
     span start serves only hits.  Everything the span does to a key therefore
     follows from *endpoints* — read count, first and last read, first and
-    last surviving write — which the cut's :class:`_SpanPrelude` holds for
-    all keys of all hosts; what is left per replay is the part that depends
-    on the cache, and that is gathers and scatters on the hosts'
-    :class:`_HostColumns` at the groups' rows: a fixed number of array calls
-    for the whole fleet, no object and no per-key loop.  Each host's counter
-    deltas go into ``tallies[h]``.
+    last surviving write — which the cut's one-cut :class:`_PreludeBlock`
+    holds for all keys of all hosts; what is left per replay is the part
+    that depends on the cache, and that is gathers and scatters on the
+    hosts' :class:`_HostColumns` at the groups' rows: a fixed number of
+    array calls for the whole fleet, no object and no per-key loop.  Each
+    host's counter deltas go into ``tallies[h]``.
     """
-    keys, _, _, _, write_lo, write_hi, bounds = prelude.groups
+    groups = prelude.block
+    keys, write_lo, write_hi = groups.keys, groups.write_lo, groups.write_hi
+    bounds = groups.bounds[0].tolist()
     index, trace = ctx.index, ctx.trace
     rows, state = prelude.rows, columns.state
     columns.written[keys] = prelude.versions
@@ -973,7 +947,7 @@ def _kernel_reactive_span(
     late = (horizon > as_of).nonzero()[0]
     if late.size:
         _count_violations(
-            ctx, tallies, prelude.groups, reading[hit][late], as_of[late], horizon[late]
+            ctx, tallies, groups, reading[hit][late], as_of[late], horizon[late]
         )
 
     # Anything else misses at the first read, re-fetches and serves the rest.
@@ -1012,7 +986,7 @@ def _kernel_reactive_span(
         columns.tracked[miss_rows] = False
         # A miss fill drops what the key had buffered before it.
         columns.dirty[miss_rows] = False
-    for tally, reads, misses, colds in zip(tallies, prelude.host_reads, host_misses, host_cold):
+    for tally, reads, misses, colds in zip(tallies, prelude.host_reads[0], host_misses, host_cold):
         tally.reads += reads
         tally.hits += reads - misses
         tally.cold_misses += colds
@@ -1050,7 +1024,7 @@ def _kernel_reactive_span(
         columns.write_key_size[buffered_fresh] = trace.key_sizes[first_position]
         columns.last_write_time[buffered] = index.write_times[last]
         columns.write_value_size[buffered] = index.write_value_sizes[last]
-        for tally, writes in zip(tallies, prelude.host_writes):
+        for tally, writes in zip(tallies, prelude.host_writes[0]):
             tally.buffered_writes += writes
 
     # E[W]: the closed form of replaying observe_read / observe_write in
@@ -1058,14 +1032,14 @@ def _kernel_reactive_span(
     # read, the first run absorbing the carried ``writes_since_read``.
     if columns.folds:
         before_first, before_last, runs_closed = prelude.write_runs
-        count, writes = prelude.groups.count, prelude.num_writes
+        count, writes = groups.count, prelude.num_writes
         observed = count > 0
         carry = columns.writes_since_read[rows]
         columns.sample_sum[rows] += np.where(observed, before_last + carry, 0)
         closed = np.where(observed, runs_closed + (before_first + carry > 0), 0)
         if columns.zero_runs.any():
             # Every read closes a run on a host that counts the empty ones.
-            closed = np.where(columns.zero_runs[prelude.groups.host], count, closed)
+            closed = np.where(columns.zero_runs[groups.host], count, closed)
         columns.sample_count[rows] += closed
         columns.writes_since_read[rows] = np.where(observed, writes - before_last, carry + writes)
         columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen)
@@ -1216,7 +1190,7 @@ def _adaptive_updates(columns: _HostColumns, rows: np.ndarray, host_of: np.ndarr
 def _count_violations(
     ctx: _ReplayContext,
     tallies: Sequence[_SpanTally],
-    groups: Groups,
+    groups: _GroupBlock,
     late: np.ndarray,
     as_of: np.ndarray,
     horizon: np.ndarray,
@@ -1231,7 +1205,7 @@ def _count_violations(
     which with ideal channels it never is — only groups passing that check
     pay for the per-read count, into their own host's tally.
     """
-    keys, first, count, stride, write_lo, _, _ = groups
+    keys, first, count, stride, write_lo = groups[:5]
     index = ctx.index
     write_times = index.write_times
     if write_times.size == 0:
@@ -1267,7 +1241,7 @@ def _count_violations(
 def _held_violations(
     ctx: _ReplayContext,
     tallies: Sequence[_SpanTally],
-    groups: Groups,
+    groups: _GroupBlock,
     held: np.ndarray,
     served: np.ndarray,
     as_of: np.ndarray,
@@ -1331,7 +1305,7 @@ def _backend_reads(
 
 
 def _ttl_start(
-    columns: _HostColumns, groups: Groups, reading: np.ndarray
+    columns: _HostColumns, groups: _GroupBlock, reading: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each reading group's entry starts the trace: its row of
     ``columns``, whether that row holds a ``VALID`` entry (the first read
@@ -1394,7 +1368,7 @@ def _kernel_ttl_expiry(
     ctx: _ReplayContext,
     columns: _HostColumns,
     tallies: Sequence[_SpanTally],
-    groups: Groups,
+    groups: _GroupBlock,
 ) -> None:
     """Every host's whole trace under TTL-expiry (the policy never reacts),
     from the entries in ``columns`` to each key's final entry, scattered
@@ -1415,11 +1389,11 @@ def _kernel_ttl_expiry(
     last :data:`_TTL_EXPIRY_BATCH` of them — typically the hot keys, with
     the most epochs — finish one at a time.
     """
-    keys, first, count, stride, _, _, bounds = groups
+    keys, first, count, stride = groups[:4]
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
-    segments = _segments(reading.tolist(), bounds)
+    segments = _segments(reading.tolist(), groups.bounds[0].tolist())
     rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
@@ -1476,7 +1450,7 @@ def _kernel_ttl_polling(
     ctx: _ReplayContext,
     columns: _HostColumns,
     tallies: Sequence[_SpanTally],
-    groups: Groups,
+    groups: _GroupBlock,
 ) -> None:
     """Every host's whole trace under TTL-polling (the policy never reacts),
     from the entries in ``columns`` to each key's final entry, scattered
@@ -1515,11 +1489,11 @@ def _kernel_ttl_polling(
     checked against the staleness bound.  Every later hit is on an entry a
     poll refreshed less than ``ttl <= bound`` ago and cannot violate it.
     """
-    keys, first, count, stride, _, _, bounds = groups
+    keys, first, count, stride = groups[:4]
     reading = count.nonzero()[0]
     if reading.size == 0:
         return
-    segments = _segments(reading.tolist(), bounds)
+    segments = _segments(reading.tolist(), groups.bounds[0].tolist())
     rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
     times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
@@ -1779,10 +1753,11 @@ def _fold_charges(acc: float, positions: np.ndarray, counts: np.ndarray, miss: f
     return float(np.cumsum(charge, out=charge)[-1])
 
 
-def _walk_spans(engine) -> Iterator[SpanFacts]:
-    """The cuts of a replay of ``engine.trace``, each where its next flush falls.
+def _walk_spans(engine) -> Iterator[Tuple[CutBatch, int]]:
+    """The cuts of a replay of ``engine.trace``, each where its next flush
+    falls, as ``(batch, position)``.
 
-    Takes every cut's facts from the trace's span table — a miss builds the
+    Takes every cut from the trace's span table — a miss builds the
     cut with the next ones of the replay's flush schedule, in one batch —
     and between two cuts runs the due work of ``ReplayDriver._advance``
     (which moves the live ``engine._next_flush``) exactly where the scalar
@@ -1866,25 +1841,25 @@ class _Lockstep:
             self.flushed = time
             _flush_columns(self.members[0]._ctx, self.columns, time)
 
-    def cut(self, member: "SpanReplay", facts: SpanFacts) -> None:
-        """``member`` has come to the cut ``facts``: once every member has,
-        one kernel call replays it for all of them — the span kernel on the
-        cut's prelude, or a TTL kernel on the groups of a TTL replay's one
-        cut."""
+    def cut(self, member: "SpanReplay", batch: CutBatch, position: int) -> None:
+        """``member`` has come to cut ``position`` of ``batch``: once every
+        member has, one kernel call replays it for all of them — the span
+        kernel on the cut's prelude, or a TTL kernel on the groups of a TTL
+        replay's one cut."""
         self.arrived += 1
         if self.arrived < len(self.members):
             return
         self.arrived = 0
         node = member._node_list[0]
         if node._reacts:
-            if facts.batch is not self.batch or not self.first <= facts.position < self.last:
-                self._stack(facts)
-            prelude = self.prelude.cut(facts.position - self.first)
-            tallies = [_SpanTally(count) for count in prelude.counted]
+            if batch is not self.batch or not self.first <= position < self.last:
+                self._stack(batch, position)
+            prelude = self.prelude.cut(position - self.first)
+            tallies = [_SpanTally(count) for count in prelude.block.writes[0].tolist()]
             _kernel_reactive_span(member._ctx, self.columns, tallies, prelude)
         else:
-            groups, counted = member._group_block(facts).cut(facts.position)
-            tallies = [_SpanTally(count) for count in counted]
+            groups = member._group_block(batch).cut(position)
+            tallies = [_SpanTally(count) for count in groups.writes[0].tolist()]
             kernel = _kernel_ttl_expiry if node._ttl_expiry else _kernel_ttl_polling
             kernel(member._ctx, self.columns, tallies, groups)
         folding = iter(tallies)
@@ -1892,21 +1867,20 @@ class _Lockstep:
             for node, tally in zip(each._node_list, folding):
                 _flush_tally(each._ctx, node, tally)
 
-    def _stack(self, facts: SpanFacts) -> None:
-        """The prelude of the cuts of ``facts``' batch from ``facts`` on: a
-        unit of one takes its shape's from the span table; a bigger unit
-        stacks its members' groups of as many of those cuts as
-        :data:`_STACKED_GROUPS` stacked groups hold (at least one cut) and
-        builds their prelude once."""
-        members, batch = self.members, facts.batch
+    def _stack(self, batch: CutBatch, first: int) -> None:
+        """The prelude of the cuts of ``batch`` from ``first`` on: a unit of
+        one takes its shape's from the span table; a bigger unit stacks its
+        members' groups of as many of those cuts as :data:`_STACKED_GROUPS`
+        stacked groups hold (at least one cut) and builds their prelude
+        once."""
+        members = self.members
         self.batch = batch
         if len(members) == 1:
-            self.prelude = members[0]._prelude_block(facts)
+            self.prelude = members[0]._prelude_block(batch)
             self.first, self.last = 0, len(batch.cuts)
             return
         ctx = members[0]._ctx
-        blocks = [each._group_block(facts) for each in members]
-        first = facts.position
+        blocks = [each._group_block(batch) for each in members]
         stacked = np.cumsum(sum(np.diff(block.offsets[first:]) for block in blocks))
         last = first + max(1, int(np.searchsorted(stacked, _STACKED_GROUPS, side="right")))
         self.first, self.last = first, last
@@ -1955,7 +1929,7 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
     one read stride, are stacked into one unit (:class:`_Lockstep`), whose
     kernel call and flush per cut serve all of them, and a TTL engine is a
     unit of its own.  Replays that step together also find each cut in the
-    trace's span table, built in a batch by the first lookup: its facts and
+    trace's span table, built in a batch by the first lookup: the batch and
     each fleet shape's routing are built once for all of them.
     A replay that leaves the envelope replays scalar at its first step and
     joins no unit.  The members' states are disjoint, so the order of the
@@ -2068,8 +2042,8 @@ class SpanReplay:
         if self._unit is None:
             _Lockstep([self])
         unit = self._unit
-        for facts in _walk_spans(self):
-            unit.cut(self, facts)
+        for batch, position in _walk_spans(self):
+            unit.cut(self, batch, position)
             yield
         self.clock.advance_to(float(trace.times[-1]))
         # The flushes up to the horizon (finalize's first step) and the
@@ -2105,15 +2079,15 @@ class SpanReplay:
     def _route_trace(self) -> None:
         """Route the trace before the first span (the single cache: nothing to route)."""
 
-    def _group_block(self, facts: SpanFacts) -> _GroupBlock:
-        """The hosts' groups of every cut of ``facts``' batch, from the span
-        table (built for the whole batch on first use)."""
-        return self._ctx.index.routed(facts, ("groups", self._shape), self._route_batch)
+    def _group_block(self, batch: CutBatch) -> _GroupBlock:
+        """The hosts' groups of every cut of ``batch``, from the span table
+        (built for the whole batch on first use)."""
+        return self._ctx.index.routed(batch, ("groups", self._shape), self._route_batch)
 
-    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, List[int]]:
-        """Group a batch's cuts by host, with each cut's table bytes.  The
-        single cache's one host has every key of a cut with all its reads,
-        and it counts every write."""
+    def _route_batch(self, batch: CutBatch) -> Tuple[_GroupBlock, int]:
+        """Group a batch's cuts by host, with the table bytes of the groups.
+        The single cache's one host has every key of a cut with all its
+        reads, and it counts every write."""
         keys, read_lo, read_hi, write_lo, write_hi = batch.columns
         sizes = np.diff(batch.offsets)
         block = _GroupBlock(
@@ -2121,19 +2095,19 @@ class SpanReplay:
             np.zeros(keys.size, dtype=np.int64), 1, batch.offsets,
             np.stack((np.zeros_like(sizes), sizes), axis=1), np.array(batch.writes)[:, None],
         )
-        return block, (16 * sizes).tolist()
+        return block, 16 * keys.size
 
-    def _prelude_block(self, facts: SpanFacts) -> _PreludeBlock:
-        """The kernel prelude of every cut of ``facts``' batch on this
-        replay's hosts, from the span table."""
+    def _prelude_block(self, batch: CutBatch) -> _PreludeBlock:
+        """The kernel prelude of every cut of ``batch`` on this replay's
+        hosts, from the span table."""
         ctx = self._ctx
 
-        def build(batch: CutBatch) -> Tuple[_PreludeBlock, List[int]]:
-            block = self._group_block(facts)
-            sizes = _PRELUDE_GROUP_BYTES * np.diff(block.offsets)
-            return _PreludeBlock(ctx.trace, ctx.index, block), sizes.tolist()
+        def build(batch: CutBatch) -> Tuple[_PreludeBlock, int]:
+            block = self._group_block(batch)
+            prelude = _PreludeBlock(ctx.trace, ctx.index, block)
+            return prelude, _PRELUDE_GROUP_BYTES * block.keys.size
 
-        return ctx.index.routed(facts, ("prelude", self._shape), build)
+        return ctx.index.routed(batch, ("prelude", self._shape), build)
 
 
 class VectorSimulation(SpanReplay, Simulation):

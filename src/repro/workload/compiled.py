@@ -4,12 +4,12 @@ A :class:`CompiledTrace` is a whole stream laid out as parallel arrays
 (timestamps, key ids, op flags, sizes) plus a key-id -> key-name table.  The
 vectorized engine (``repro.sim.vector``) replays it in spans, and what a span
 is — its per-key slices, its write batch, each host's share — is a fact of
-the trace: the :class:`TraceIndex` keeps a bounded table of
-:class:`SpanFacts`, shared by every replay.  A replay's flush schedule cuts
+the trace: the :class:`TraceIndex` keeps a bounded table of cut batches
+(:class:`CutBatch`), shared by every replay.  A replay's flush schedule cuts
 the trace at ends the index works out once per bound (:meth:`TraceIndex.cut_ends`),
 and the table's one builder (:meth:`TraceIndex.cuts`) makes a whole run of
-those cuts — a :class:`CutBatch` — with a fixed number of segmented searches
-over keys x cuts, whatever the cuts hold.  The
+those cuts — a batch — with a fixed number of segmented searches over keys
+x cuts, whatever the cuts hold; a cut is its batch and its place in it.  The
 scalar drivers take the trace :data:`~repro.workload.base.STREAM_CHUNK_SIZE`
 rows at a time through :meth:`CompiledTrace.chunks`, without building a
 request object.
@@ -104,9 +104,14 @@ class TraceIndex:
             (:meth:`listed_write_times`) — and charged to the table from
             then on: every such build copies slices of this one list instead
             of boxing the floats anew.  ``None`` while no build has run.
-        table: The span table — :meth:`span`'s memo of :class:`SpanFacts`,
-            keyed by cut ``(start, end)``, oldest first.
-        table_bytes: Bytes the table holds; never above ``table_cap``, the
+        table: The span table — :meth:`span`'s memo: each cut ``(start,
+            end)`` the table holds, mapped to ``(batch, position)``, its
+            :class:`CutBatch` and its place in it.  The table holds whole
+            batches, oldest first: a batch's cuts enter together
+            (:meth:`cuts`) and leave together (:meth:`_drop`).
+        table_bytes: Bytes the table holds — each held batch's
+            :attr:`CutBatch.nbytes` (its columns and its ``routed`` memo),
+            and the write list once made; never above ``table_cap``, the
             bytes of the four trace columns the index is derived from.
     """
 
@@ -170,7 +175,7 @@ class TraceIndex:
         self.plans: Dict[Hashable, Any] = {}
         self.schedules: Dict[float, np.ndarray] = {}
         self.write_time_list: Optional[List[float]] = None
-        self.table: Dict[Tuple[int, int], SpanFacts] = {}
+        self.table: Dict[Tuple[int, int], Tuple[CutBatch, int]] = {}
         self.table_bytes = 0
         self.table_cap = sum(c.nbytes for c in (times, key_ids, is_read, value_sizes))
 
@@ -222,20 +227,20 @@ class TraceIndex:
 
     def span(
         self, start: int, end: int, schedule: Optional[np.ndarray] = None
-    ) -> "SpanFacts":
-        """The facts of the cut ``[start, end)``, from the table.
+    ) -> Tuple["CutBatch", int]:
+        """The cut ``[start, end)`` as ``(batch, position)``, from the table.
 
         A cut that is not in the table is built by :meth:`cuts` — with the
         cuts of ``schedule`` (:meth:`cut_ends`) that follow it, as many as
         the table holds, when the caller walks one.  The key is the cut
         itself, so whichever cuts a replay asks for — a wrong guess of
-        another replay's boundaries, an evicted entry — it gets that cut's
-        facts: the table saves time and never changes a row.
+        another replay's boundaries, an evicted batch — it gets that cut:
+        the table saves time and never changes a row.
         """
-        facts = self.table.get((start, end))
-        if facts is None:
-            facts = self.cuts(start, self._batch_ends(start, end, schedule))[0]
-        return facts
+        cut = self.table.get((start, end))
+        if cut is None:
+            cut = self.cuts(start, self._batch_ends(start, end, schedule)), 0
+        return cut
 
     def _batch_ends(
         self, start: int, end: int, schedule: Optional[np.ndarray]
@@ -274,8 +279,8 @@ class TraceIndex:
         listed = 0 if self.write_time_list is None else _WRITE_BYTES * self.write_times.size
         return (self.table_cap - listed) // _CUT_KEY_BYTES
 
-    def cuts(self, start: int, ends: List[int]) -> List["SpanFacts"]:
-        """The one builder of cuts: the facts of ``[start, ends[0])``,
+    def cuts(self, start: int, ends: List[int]) -> "CutBatch":
+        """The one builder of cuts: the batch of ``[start, ends[0])``,
         ``[ends[0], ends[1])`` ..., built in one pass and put in the table
         (:meth:`span` offers as many as the table has room for, at
         :data:`_CUT_KEY_BYTES` a key).
@@ -287,8 +292,8 @@ class TraceIndex:
         hold keys x cuts cells and, for a batch of small cuts, the batch's
         requests — never one per request of the trace.  A key's span
         requests are the slice between two edges; the keys with any are the
-        cut's, ascending.  The cuts are one :class:`CutBatch`: their columns
-        are views of its flat columns.
+        cut's, ascending.  A held batch that shares a cut with the new one
+        leaves the table first, so a cut is in one batch only.
         """
         edges = np.array([start, *ends], dtype=np.int64)
         keys = self.occurring
@@ -306,11 +311,13 @@ class TraceIndex:
             [0, *np.cumsum(active.sum(axis=1)).tolist()],
             (write_hi - write_lo).sum(axis=1).tolist(),
         )
-        built = [SpanFacts(batch, position) for position in range(len(ends))]
-        for facts in built:
-            self.table[facts.cut] = facts
-        self._charge(sum(facts.nbytes for facts in built))
-        return built
+        for position, cut in enumerate(batch.cuts):
+            held = self.table.get(cut)
+            if held is not None:
+                self._drop(held[0])
+            self.table[cut] = batch, position
+        self._charge(batch.nbytes)
+        return batch
 
     def listed_write_times(self) -> List[float]:
         """:attr:`write_time_list`, made on first use and charged to the table.
@@ -325,37 +332,34 @@ class TraceIndex:
         return self.write_time_list
 
     def routed(
-        self,
-        facts: "SpanFacts",
-        key: Hashable,
-        build: Callable[["CutBatch"], Tuple[Any, List[int]]],
+        self, batch: "CutBatch", key: Hashable, build: Callable[["CutBatch"], Tuple[Any, int]]
     ):
-        """``facts.routed[key]``, built on first use by ``build(facts.batch)
-        -> (value, nbytes)`` for every cut of the batch at once: what the
-        cuts are under one configuration (a fleet shape's groups, their
-        kernel prelude) but still under no policy, bound or cache state.
-        ``value`` serves every cut of the batch; ``nbytes`` is each cut's
-        share of it, charged for the cuts the table holds."""
-        value = facts.routed.get(key)
+        """``batch.routed[key]``, built on first use by ``build(batch) ->
+        (value, nbytes)`` for every cut of the batch at once: what the cuts
+        are under one configuration (a fleet shape's groups, their kernel
+        prelude) but still under no policy, bound or cache state.  The
+        batch's charge grows by ``nbytes`` while the table holds it; a
+        batch already evicted keeps its memo for the walk that holds it."""
+        value = batch.routed.get(key)
         if value is None:
-            batch = facts.batch
             value, nbytes = build(batch)
-            facts.routed[key] = value
-            charged = 0
-            for cut, share in zip(batch.cuts, nbytes):
-                held = self.table.get(cut)
-                if held is not None and held.batch is batch:
-                    held.routed[key] = value
-                    held.nbytes += share
-                    charged += share
-            self._charge(charged)
+            batch.routed[key] = value
+            if self.table.get(batch.cuts[0]) == (batch, 0):
+                batch.nbytes += nbytes
+                self._charge(nbytes)
         return value
 
     def _charge(self, nbytes: int) -> None:
-        """Account ``nbytes`` more in the table; the oldest cuts make room."""
+        """Account ``nbytes`` more in the table; the oldest batches make room."""
         self.table_bytes += nbytes
         while self.table_bytes > self.table_cap and self.table:
-            self.table_bytes -= self.table.pop(next(iter(self.table))).nbytes
+            self._drop(self.table[next(iter(self.table))][0])
+
+    def _drop(self, batch: "CutBatch") -> None:
+        """Take ``batch`` — every cut of it — out of the table."""
+        for cut in batch.cuts:
+            del self.table[cut]
+        self.table_bytes -= batch.nbytes
 
 
 #: Flushes :func:`_flush_cut_ends` sums at a time.
@@ -465,9 +469,12 @@ def bisect_groups(value_at, lo, hi, needle, right: bool = False) -> np.ndarray:
 
 #: Table bytes a batch is sized for, per key of each of its cuts: the cut's
 #: five 8-byte fact columns and the groups of the single cache and of a
-#: fleet shape (40 + 16 + 48, what a sweep's lockstep units charge).  A
-#: replay that also memoises its kernel prelude (112 more) makes the table
-#: evict some of the batch's cuts again; its walk rebuilds them, unchanged.
+#: fleet shape (40 + 16 + 48, what a sweep's lockstep units build).  An
+#: estimate for :meth:`TraceIndex._batch_ends`, never charged: the table
+#: charges what a batch holds.  A replay that also memoises its kernel
+#: prelude (up to 112 more) may outgrow the estimate, and the table then
+#: evicts its oldest batches; a walk rebuilds what it asks for again,
+#: unchanged.
 _CUT_KEY_BYTES = 128
 
 #: Most cells of keys x cut edges one batch searches, and most requests a
@@ -494,15 +501,23 @@ _WRITE_BYTES = 32
 class CutBatch:
     """Consecutive cuts built in one pass by :meth:`TraceIndex.cuts`.
 
+    What the cuts are, whoever replays them: a pure function of the trace
+    and the cut positions, so every policy and sweep cell that replays a
+    cut shares its batch — read-only.  Holds no reference to the trace.
+    A cut is ``(batch, position)``, its place in :attr:`cuts`.
+
     Attributes:
         cuts: The cuts ``(start, end)``, in stream order.
         columns: Their :data:`Span` columns, flat: cut ``j``'s rows are
             ``[offsets[j], offsets[j + 1])``, keys ascending.  Read-only.
         offsets: Per cut, where its rows start, and the total (ints).
         writes: Per cut, its number of writes (ints).
+        routed: Memo filled through :meth:`TraceIndex.routed`.
+        nbytes: Table bytes charged for the batch: its columns, and the
+            memo values built while the table held it.
     """
 
-    __slots__ = ("cuts", "columns", "offsets", "writes")
+    __slots__ = ("cuts", "columns", "offsets", "writes", "routed", "nbytes")
 
     def __init__(
         self, cuts: List[Tuple[int, int]], columns: Span, offsets: List[int], writes: List[int]
@@ -513,35 +528,6 @@ class CutBatch:
         self.columns = columns
         self.offsets = offsets
         self.writes = writes
-
-
-class SpanFacts:
-    """What one cut ``[start, end)`` of a trace is, whoever replays it.
-
-    A pure function of the trace and the two cut positions, so every policy,
-    and sweep cell that replays the cut shares one object — read-only:
-    the columns are views of its batch's frozen ones.  Holds no reference
-    to the trace.
-
-    Attributes:
-        cut: ``(start, end)``.
-        batch: The :class:`CutBatch` the cut was built in.
-        position: The cut's place in its batch.
-        columns: The cut's :data:`Span` columns.
-        total_writes: Number of writes in the cut.
-        routed: Memo filled through :meth:`TraceIndex.routed`.
-        nbytes: Table bytes charged for this cut.
-    """
-
-    __slots__ = ("cut", "batch", "position", "columns", "total_writes", "routed", "nbytes")
-
-    def __init__(self, batch: CutBatch, position: int) -> None:
-        lo, hi = batch.offsets[position], batch.offsets[position + 1]
-        self.cut = batch.cuts[position]
-        self.batch = batch
-        self.position = position
-        self.columns = columns = tuple(column[lo:hi] for column in batch.columns)
-        self.total_writes = batch.writes[position]
         self.routed: Dict[Hashable, Any] = {}
         self.nbytes = sum(column.nbytes for column in columns)
 

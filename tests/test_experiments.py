@@ -945,12 +945,12 @@ def test_an_engine_failing_mid_walk_in_a_unit_is_named_by_its_own_cell(
     ]
     cut = _Lockstep.cut
 
-    def failing(unit, engine, facts):
+    def failing(unit, engine, batch, position):
         if (engine.policy_name, engine.staleness_bound, len(engine._node_list)) == (
             "update", 0.5, 3
-        ) and facts.cut[0] > 0:
+        ) and batch.cuts[position][0] > 0:
             raise SimulationError("update stops at its second cut")
-        return cut(unit, engine, facts)
+        return cut(unit, engine, batch, position)
 
     monkeypatch.setattr(_Lockstep, "cut", failing)
     record, logged = event_log(tmp_path / "errors.log")

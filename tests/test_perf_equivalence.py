@@ -52,7 +52,6 @@ from repro.sim.events import PendingDelivery
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
-    Groups,
     VectorSimulation,
     _commit_trace_writes,
     _flush_columns,
@@ -66,7 +65,6 @@ from repro.sim.vector import (
     _GroupBlock,
     _Lockstep,
     _PreludeBlock,
-    _SpanPrelude,
     _SpanTally,
     _ttl_resolvable,
 )
@@ -82,22 +80,27 @@ from repro.sketch.hashing import (
 from repro.store.wal import Journal, WriteAheadLog, scan_wal
 from repro.tier.config import TierConfig
 from repro.workload.base import STREAM_CHUNK_SIZE, OpType, Request
-from repro.workload.compiled import CompiledTrace, SpanFacts, TraceIndex, compile_workload
+from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
 
 
-def prelude_of(trace: CompiledTrace, index: TraceIndex, groups: Groups) -> _SpanPrelude:
-    """The kernel prelude of one cut's ``groups``: a one-cut group block
-    through the batch builder."""
-    hosts = len(groups.bounds) - 1
-    num_writes = (groups.write_hi - groups.write_lo).tolist()
-    block = _GroupBlock(
-        *groups[:6], groups.host, hosts, [0, groups.keys.size], np.array([groups.bounds]),
-        np.array([[sum(num_writes[lo:hi]) for lo, hi in zip(groups.bounds, groups.bounds[1:])]]),
+def single_cut_block(span, stride: int = 1) -> _GroupBlock:
+    """The single cache's one-cut group block of a cut's :data:`Span`
+    columns: every key on the one host, all its reads."""
+    keys, read_lo, read_hi, write_lo, write_hi = span
+    return _GroupBlock(
+        keys, read_lo, read_hi - read_lo, stride, write_lo, write_hi,
+        np.zeros(keys.size, dtype=np.int64), 1, [0, keys.size],
+        np.array([[0, keys.size]]), np.array([[int((write_hi - write_lo).sum())]]),
     )
-    return _PreludeBlock(trace, index, block).cut(0)
+
+
+def cut_columns(batch, position: int):
+    """Cut ``position``'s :data:`Span` columns: views of its batch's."""
+    lo, hi = batch.offsets[position], batch.offsets[position + 1]
+    return tuple(column[lo:hi] for column in batch.columns)
 
 
 def as_tuples(requests):
@@ -496,15 +499,15 @@ def assert_spans_match_reference(trace: CompiledTrace, cuts) -> None:
     ctx = _ReplayContext(trace, index, datastore, 1.0, 1.0, 1.0, 1.0)
     start = 0
     for end in cuts:
-        facts = index.span(start, end)
-        span = facts.columns
+        batch, position = index.span(start, end)
+        span = cut_columns(batch, position)
         got = [
             (key, index.read_pos[r_lo:r_hi].tolist(), index.write_pos[w_lo:w_hi].tolist())
             for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span))
         ]
         groups = naive_span(trace, start, end)
         assert got == groups, (start, end)
-        assert facts.total_writes == sum(len(writes) for _, _, writes in groups)
+        assert batch.writes[position] == sum(len(writes) for _, _, writes in groups)
         start = end
     assert _commit_trace_writes(ctx) == datastore.total_writes
     writes = np.flatnonzero(~trace.is_read)
@@ -555,7 +558,7 @@ def test_index_one_request_spans_and_the_empty_trace() -> None:
     index = empty.index()
     assert index.time_ordered
     assert index.read_pos.size == index.write_pos.size == 0
-    assert [column.size for column in index.span(0, 0).columns] == [0] * 5
+    assert [column.size for column in cut_columns(*index.span(0, 0))] == [0] * 5
     result = VectorSimulation(
         empty, policy=make_policy("invalidate"), staleness_bound=1.0, duration=1.0
     ).run()
@@ -641,28 +644,26 @@ def boundary_trace(seed: int, bound: float) -> CompiledTrace:
     )
 
 
-def _prelude_state(prelude) -> list:
+def _prelude_state(prelude: _PreludeBlock) -> list:
     return [
         (name, np.asarray(getattr(prelude, name)).tolist())
-        for name in _SpanPrelude.__slots__
-        if name != "groups"
-    ] + [("groups", _groups_state(prelude.groups))]
+        for name in _PreludeBlock.__slots__
+        if name != "block"
+    ] + [("block", _groups_state(prelude.block))]
 
 
-def _groups_state(groups: Groups) -> list:
+def _groups_state(groups: _GroupBlock) -> list:
     return [np.asarray(column).tolist() for column in groups]
 
 
-def _cut_state(engine, facts: SpanFacts) -> tuple:
-    """A cut's facts, its hosts' groups and its kernel prelude, as lists."""
-    groups, counted = engine._group_block(facts).cut(facts.position)
+def _cut_state(engine, batch, position: int) -> tuple:
+    """A cut, its columns, its hosts' groups and its kernel prelude, as lists."""
     return (
-        facts.cut,
-        [column.tolist() for column in facts.columns],
-        facts.total_writes,
-        _groups_state(groups),
-        counted,
-        _prelude_state(engine._prelude_block(facts).cut(facts.position)),
+        batch.cuts[position],
+        [column.tolist() for column in cut_columns(batch, position)],
+        batch.writes[position],
+        _groups_state(engine._group_block(batch).cut(position)),
+        _prelude_state(engine._prelude_block(batch).cut(position)),
     )
 
 
@@ -673,7 +674,7 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
     monkeypatch, seed: int, bound: float, shape: str
 ) -> None:
     """The builder's batches of a flush schedule against the same builder
-    with one end per call: every cut's facts, its hosts' groups and its
+    with one end per call: every cut's columns, its hosts' groups and its
     kernel prelude are equal; and the schedule's ends are the ones the
     ``ReplayDriver._advance`` flushes cut, one at a time.  (The table is told
     every cut is tiny, so one batch holds the rest of the schedule.)
@@ -718,7 +719,7 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
     edges = [0, *schedule.tolist()]
     sizes = np.diff(edges)
     engine, index = engine_of(trace)
-    alone = [_cut_state(engine, index.cuts(start, [end])[0])
+    alone = [_cut_state(engine, index.cuts(start, [end]), 0)
              for start, end in zip(edges, edges[1:])]
     # A key with writes and no read in the cut.
     assert any(lo == hi for state in alone for lo, hi in zip(*state[1][1:3]))
@@ -730,9 +731,11 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
         kinds, most_blocks = set(), 0
         for first in range(len(alone)):
             batch = index.cuts(edges[first], edges[first + 1 :])
-            assert len(batch) == len(alone) - first
+            assert len(batch.cuts) == len(alone) - first
             blocks[0] = 0
-            assert [_cut_state(engine, facts) for facts in batch] == alone[first:]
+            assert [
+                _cut_state(engine, batch, position) for position in range(len(batch.cuts))
+            ] == alone[first:]
             most_blocks = max(most_blocks, blocks[0])
             big = sizes[first:] > grid
             kinds.add((bool(big[0]), len(set(big[1:].tolist()))))
@@ -768,7 +771,8 @@ def test_a_schedule_of_big_cuts_is_built_in_one_batch(monkeypatch) -> None:
         calls.clear()
         start = 0
         for end in ends.tolist():
-            assert index.span(start, end, ends).cut == (start, end)
+            batch, position = index.span(start, end, ends)
+            assert batch.cuts[position] == (start, end)
             start = end
         schedule = ends.tolist()
         sizes = np.diff([0, *schedule])
@@ -1066,22 +1070,14 @@ def assert_span_kernel_matches_reference(
     columns = _HostColumns([host_new], trace.key_names)
     start = 0
     for span_number, end in enumerate(cuts):
-        facts = index.span(start, end)
+        batch, position = index.span(start, end)
         start = end
-        span = facts.columns
-        keys, read_lo, read_hi, write_lo, write_hi = span
-        new, ref = _SpanTally(facts.total_writes), ReferenceTally()
-        ref.writes = facts.total_writes
-        groups = Groups(
-            keys,
-            read_lo,
-            read_hi - read_lo,
-            1,
-            write_lo,
-            write_hi,
-            [0, keys.size],
-        )
-        _kernel_reactive_span(ctx_new, columns, [new], prelude_of(trace, index, groups))
+        span = cut_columns(batch, position)
+        keys = span[0]
+        new, ref = _SpanTally(batch.writes[position]), ReferenceTally()
+        ref.writes = batch.writes[position]
+        prelude = _PreludeBlock(trace, index, single_cut_block(span))
+        _kernel_reactive_span(ctx_new, columns, [new], prelude)
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
             missing = host_ref.cache._entries.get(trace.key_names[key])
@@ -1176,22 +1172,26 @@ def naive_node_reads(simulation, key: int, read_lo: int, read_hi: int):
     return served
 
 
-def groups_of_hosts(groups: Groups, hosts) -> Groups:
-    """The rows of ``groups`` that belong to ``hosts`` (ascending), as the
-    table of those hosts alone."""
-    bounds = groups.bounds
+def groups_of_hosts(groups: _GroupBlock, hosts) -> _GroupBlock:
+    """The rows of the one-cut block ``groups`` that belong to ``hosts``
+    (ascending), as the block of those hosts alone."""
+    bounds = groups.bounds[0].tolist()
     rows = np.array(
         [row for host in hosts for row in range(bounds[host], bounds[host + 1])], dtype=np.int64
     )
     sizes = [bounds[host + 1] - bounds[host] for host in hosts]
-    return Groups(
+    return _GroupBlock(
         groups.keys[rows],
         groups.first[rows],
         groups.count[rows],
         groups.stride,
         groups.write_lo[rows],
         groups.write_hi[rows],
-        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))).tolist(),
+        np.repeat(np.arange(len(hosts)), sizes),
+        len(hosts),
+        [0, rows.size],
+        np.array([[0, *np.cumsum(sizes).tolist()]]),
+        groups.writes[:, hosts],
     )
 
 
@@ -1221,7 +1221,7 @@ class ReferenceUnit(_Lockstep):
             engine._node_list[node].flush(time)
         _flush_columns(engine._ctx, self.columns, time)
 
-    def cut(self, engine, facts) -> None:
+    def cut(self, engine, batch, position) -> None:
         ctx, index = engine._ctx, engine._ctx.index
         trace, nodes = ctx.trace, engine._node_list
         names = trace.key_names
@@ -1230,15 +1230,15 @@ class ReferenceUnit(_Lockstep):
             # The referenced nodes' flushes read the latest versions off
             # their own datastore, which takes each write as the scalar loop
             # does.
-            for position in range(*facts.cut):
-                if not trace.is_read[position]:
+            for at in range(*batch.cuts[position]):
+                if not trace.is_read[at]:
                     self.cut_store.write(
-                        names[trace.key_ids[position]],
-                        float(trace.times[position]),
-                        int(trace.value_sizes[position]),
+                        names[trace.key_ids[at]],
+                        float(trace.times[at]),
+                        int(trace.value_sizes[at]),
                     )
             for key, r_lo, r_hi, w_lo, w_hi in zip(
-                *(column.tolist() for column in facts.columns)
+                *(column.tolist() for column in cut_columns(batch, position))
             ):
                 writes = index.write_pos[w_lo:w_hi]
                 primary = int(engine._plan.replicas[key, 0])
@@ -1252,20 +1252,21 @@ class ReferenceUnit(_Lockstep):
                         )
             self._kernel_the_others(
                 engine,
-                facts,
+                batch,
+                position,
                 lambda tallies, groups: _kernel_reactive_span(
-                    ctx, self.columns, tallies, prelude_of(trace, index, groups)
+                    ctx, self.columns, tallies, _PreludeBlock(trace, index, groups)
                 ),
             )
         else:
             # The per-(node, key) walk: one kernel call per key a node reads.
             expiry = nodes[0]._ttl_expiry
             kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
-            groups, writes = engine._group_block(facts).cut(facts.position)
+            groups = engine._group_block(batch).cut(position)
             stride = groups.stride
             for node in engine.referenced:
-                tallies[node].writes = writes[node]
-                mine = slice(*groups.bounds[node : node + 2])
+                tallies[node].writes = int(groups.writes[0, node])
+                mine = slice(*groups.bounds[0, node : node + 2].tolist())
                 for key_id, lo, reads in zip(
                     groups.keys[mine].tolist(),
                     groups.first[mine].tolist(),
@@ -1279,7 +1280,8 @@ class ReferenceUnit(_Lockstep):
             production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
             self._kernel_the_others(
                 engine,
-                facts,
+                batch,
+                position,
                 lambda tallies, groups: production(ctx, self.columns, tallies, groups),
             )
         engine.span_tallies.append(
@@ -1308,14 +1310,14 @@ class ReferenceUnit(_Lockstep):
             node.datastore = datastore
         super().finish(horizon)
 
-    def _kernel_the_others(self, engine, facts, kernel) -> None:
+    def _kernel_the_others(self, engine, batch, position, kernel) -> None:
         """The production replay of the cut on every node the reference does
         not replay: their groups in one kernel call on the unit's columns."""
         others = engine._others()
         if not others:
             return
-        groups, writes = engine._group_block(facts).cut(facts.position)
-        tallies = [_SpanTally(writes[node]) for node in others]
+        groups = engine._group_block(batch).cut(position)
+        tallies = [_SpanTally(int(groups.writes[0, node])) for node in others]
         kernel(tallies, groups_of_hosts(groups, others))
         for node, tally in zip(others, tallies):
             _flush_tally(engine._ctx, engine._node_list[node], tally)
@@ -1381,9 +1383,9 @@ def test_fleet_span_routing_matches_per_read_routing(
 
     cut = _Lockstep.cut
 
-    def recording_cut(unit, engine, facts):
+    def recording_cut(unit, engine, batch, position):
         recorded.append([])
-        cut(unit, engine, facts)
+        cut(unit, engine, batch, position)
 
     reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
@@ -1580,7 +1582,7 @@ def test_replays_on_a_shared_trace_equal_replays_on_fresh_traces(workload, monke
     object (so each replay finds whatever the ones before it left in the span
     table, hits and evictions alike) and each once on its own fresh trace."""
     span = TraceIndex.span
-    served = []  # every facts object a lookup returned, kept alive
+    served = []  # every (batch, position) a lookup returned, kept alive
 
     def recording_span(self, start, end, schedule=None):
         served.append(span(self, start, end, schedule))
@@ -1617,7 +1619,9 @@ def test_replays_on_a_shared_trace_equal_replays_on_fresh_traces(workload, monke
     index = shared.index()
     built = set(served)
     assert len(served) > 2 * len(built), "most lookups should have been hits"
-    assert len(built) > len({facts.cut for facts in built}), "no evicted cut was ever asked for again"
+    assert len(built) > len(
+        {batch.cuts[position] for batch, position in built}
+    ), "no evicted cut was ever asked for again"
     assert 0 < index.table_bytes <= index.table_cap
     assert len(index.plans) == 2  # one per fleet shape: the table is not a plan
 
@@ -1629,8 +1633,8 @@ def test_span_facts_are_read_only_and_never_aliased_into_a_replay() -> None:
     first, simulation = replay_leftovers(trace, "invalidate", 1.0, "single")
     assert first == expected
     index = trace.index()
-    for facts in index.table.values():
-        for column in facts.columns:
+    for batch, _ in index.table.values():
+        for column in batch.columns:
             if column.size:
                 with pytest.raises(ValueError, match="read-only"):
                     column[0] = 0
@@ -1668,9 +1672,35 @@ def test_a_table_warmed_for_another_bound_changes_no_row() -> None:
     assert asked in table
 
 
+def held_buffers(table) -> int:
+    """Bytes of the distinct numpy buffers the span table reaches: its
+    batches' columns and the values of their ``routed`` memos, each buffer
+    counted once however many views reach it."""
+    buffers = {}
+
+    def visit(value) -> None:
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            buffers[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            for each in value:
+                visit(each)
+        elif hasattr(value, "__slots__"):
+            for name in value.__slots__:
+                visit(getattr(value, name))
+
+    for batch, _ in table.values():
+        visit(batch.columns)
+        visit(list(batch.routed.values()))
+    return sum(buffers.values())
+
+
 def test_the_span_table_never_outgrows_the_trace_columns() -> None:
-    """Forty bounds on one trace: the oldest cuts make room, the accounting
-    stays exact, and a replay whose cuts were evicted is still the same replay."""
+    """Forty bounds on one trace: the oldest batches make room, the
+    accounting stays exact — per batch, whole batches held — the buffers
+    the table reaches stay under the cap, and a replay whose cuts were
+    evicted is still the same replay."""
     workload = PoissonZipfWorkload(num_keys=40, rate_per_key=50.0, read_ratio=0.85, seed=29)
     trace = compile_workload(workload, TABLE_DURATION)
     column_bytes = sum(
@@ -1683,8 +1713,15 @@ def test_the_span_table_never_outgrows_the_trace_columns() -> None:
         leftovers(trace, "invalidate", bound, "single")
         index = trace.index()
         assert index.table_bytes <= index.table_cap <= column_bytes, bound
+        assert held_buffers(index.table) <= index.table_cap, bound
+        held = {id(batch): batch for batch, _ in index.table.values()}.values()
         assert index.table_bytes == 32 * index.write_times.size + sum(
-            facts.nbytes for facts in index.table.values()
+            batch.nbytes for batch in held
+        ), bound
+        assert all(
+            index.table[cut] == (batch, position)
+            for batch in held
+            for position, cut in enumerate(batch.cuts)
         ), bound
         assert index.nbytes >= index.table_bytes
         evicted = evicted or (0, int(np.searchsorted(trace.times, bounds[0]))) not in index.table
@@ -1831,18 +1868,10 @@ def reference_kernel_ttl_polling(
             entry.version = refreshed
 
 
-def whole_trace_groups(trace) -> Groups:
+def whole_trace_groups(trace) -> _GroupBlock:
     """The single cache's groups for a TTL replay: every key, all its reads."""
-    keys, read_lo, read_hi, write_lo, write_hi = trace.index().span(0, len(trace)).columns
-    return Groups(
-        keys,
-        read_lo,
-        read_hi - read_lo,
-        1,
-        write_lo,
-        write_hi,
-        [0, keys.size],
-    )
+    batch, _ = trace.index().span(0, len(trace))
+    return single_cut_block(batch.columns)
 
 
 def make_ttl_host(trace, policy_class, ttl, bound=1.0):

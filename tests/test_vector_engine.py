@@ -48,14 +48,12 @@ from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     ENVELOPE,
-    Groups,
     VectorSimulation,
     _HostColumns,
     _kernel_reactive_span,
     _ReplayContext,
     _GroupBlock,
     _PreludeBlock,
-    _SpanPrelude,
     _SpanTally,
     envelope_exit,
     replay_in_lockstep,
@@ -82,16 +80,13 @@ KERNEL_POLICIES = [
 ]
 
 
-def prelude_of(trace: CompiledTrace, index, groups: Groups) -> _SpanPrelude:
-    """The kernel prelude of one cut's ``groups``: a one-cut group block
-    through the batch builder."""
-    hosts = len(groups.bounds) - 1
-    num_writes = (groups.write_hi - groups.write_lo).tolist()
-    block = _GroupBlock(
-        *groups[:6], groups.host, hosts, [0, groups.keys.size], np.array([groups.bounds]),
-        np.array([[sum(num_writes[lo:hi]) for lo, hi in zip(groups.bounds, groups.bounds[1:])]]),
+def single_cut_block(keys, first, count, stride, write_lo, write_hi) -> _GroupBlock:
+    """The single cache's one-cut group block of these groups."""
+    return _GroupBlock(
+        keys, first, count, stride, write_lo, write_hi,
+        np.zeros(keys.size, dtype=np.int64), 1, [0, keys.size],
+        np.array([[0, keys.size]]), np.array([[int((write_hi - write_lo).sum())]]),
     )
-    return _PreludeBlock(trace, index, block).cut(0)
 
 
 def assert_identical(scalar, vector) -> None:
@@ -800,17 +795,10 @@ def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
     return ctx, simulation.node, _HostColumns([simulation.node], trace.key_names)
 
 
-def whole_trace_groups(trace: CompiledTrace) -> Groups:
-    keys, read_lo, read_hi, write_lo, write_hi = trace.index().span(0, len(trace)).columns
-    return Groups(
-        keys,
-        read_lo,
-        read_hi - read_lo,
-        1,
-        write_lo,
-        write_hi,
-        [0, keys.size],
-    )
+def whole_trace_groups(trace: CompiledTrace) -> _GroupBlock:
+    batch, _ = trace.index().span(0, len(trace))
+    keys, read_lo, read_hi, write_lo, write_hi = batch.columns
+    return single_cut_block(keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi)
 
 
 def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
@@ -824,7 +812,7 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     ctx, node, columns = kernel_host(trace)
     tally = _SpanTally()
     _kernel_reactive_span(
-        ctx, columns, [tally], prelude_of(trace, index, whole_trace_groups(trace))
+        ctx, columns, [tally], _PreludeBlock(trace, index, whole_trace_groups(trace))
     )
     # Rows are key ids: first observation, first fill, first surviving write.
     assert columns.seen.tolist() == [1, 2, 0]  # write-only key 2: seen at its write
@@ -849,16 +837,15 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     index = trace.index()
     ctx, node, columns = kernel_host(trace, "invalidate")
     tally = _SpanTally()
-    groups = Groups(
+    groups = single_cut_block(
         np.array([0]),
         np.array([index.read_pos.size + 1]),
         np.array([0]),
         2,
         np.array([0]),
         np.array([1]),
-        [0, 1],
     )
-    _kernel_reactive_span(ctx, columns, [tally], prelude_of(trace, index, groups))
+    _kernel_reactive_span(ctx, columns, [tally], _PreludeBlock(trace, index, groups))
     assert (tally.reads, tally.buffered_writes, columns.state.tolist()) == (0, 1, [0])
     columns.write_back()
     assert node.cache._entries == {}
@@ -985,7 +972,7 @@ def test_a_unit_stacks_members_with_their_own_policies_and_handed_in_state(
     kernel = sim_vector._kernel_reactive_span
 
     def counted(*args):
-        calls.append(len(args[3].groups.bounds) - 1)
+        calls.append(args[3].block.hosts)
         kernel(*args)
 
     monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
@@ -1026,7 +1013,7 @@ def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch
     kernel = sim_vector._kernel_reactive_span
 
     def counted(*args):
-        calls.append(len(args[3].groups.bounds) - 1)
+        calls.append(args[3].block.hosts)
         kernel(*args)
 
     monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
