@@ -86,12 +86,12 @@ from repro.workload.twitter import TwitterWorkload
 from repro.workload.zipf import ZipfSampler
 
 
-def single_cut_block(span, stride: int = 1) -> _GroupBlock:
+def single_cut_block(span) -> _GroupBlock:
     """The single cache's one-cut group block of a cut's :data:`Span`
     columns: every key on the one host, all its reads."""
     keys, read_lo, read_hi, write_lo, write_hi = span
     return _GroupBlock(
-        keys, read_lo, read_hi - read_lo, stride, write_lo, write_hi,
+        keys, read_lo, read_hi - read_lo, 1, write_lo, write_hi,
         np.zeros(keys.size, dtype=np.int64), 1, [0, keys.size],
         np.array([[0, keys.size]]), np.array([[int((write_hi - write_lo).sum())]]),
     )
