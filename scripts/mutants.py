@@ -6,7 +6,11 @@ Each mutant is ``(name, file, old, new, why)``: an exact-string edit of
 once in the file; a mutant that has to change several places of one file
 gives ``old`` and ``new`` as equal-length tuples, applied pair by pair.
 Every mutant is applied to a fresh ``git archive HEAD`` copy in a temporary
-directory, where tier-1 runs with ``-x``:
+directory.  Its known killer (:data:`KILLERS`: the test that killed it last)
+runs there first; only when that test passes, or names no test any more,
+does all of tier-1 run with ``-x``.  A killer outside :data:`SLIP_PINS` that
+fails is a ``killed`` verdict a full run would also reach, so the selection
+cannot let a mutant survive:
 
 * ``killed`` — a test outside :data:`SLIP_PINS` fails;
 * ``killed-by-pin`` — only a pin of the TTL-polling slip fails (the pins
@@ -17,10 +21,12 @@ directory, where tier-1 runs with ``-x``:
 
 Usage::
 
-    python scripts/mutants.py
+    python scripts/mutants.py          # each mutant's killer first
+    python scripts/mutants.py --full   # all of tier-1 for every mutant
 
-It prints one line per mutant and writes ``MUTANTS.json`` (untracked) at
-the repository root.
+It prints one line per mutant (``*`` marks a killer that no longer kills:
+update :data:`KILLERS` from ``MUTANTS.json``'s ``by``) and writes
+``MUTANTS.json`` (untracked) at the repository root.
 Exit status: 0 when no mutant survives, 1 when one does, 2 when a mutant
 no longer applies to HEAD or tier-1 could not run in a copy.  Standard
 library only: it needs git, and pytest in the running interpreter.
@@ -49,11 +55,13 @@ POLLING = "src/repro/sim/polling.py"
 TTL = "src/repro/core/ttl.py"
 COMPILED = "src/repro/workload/compiled.py"
 FLEET = "src/repro/cluster/vector.py"
+SCENARIOS = "src/repro/cluster/scenarios.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
 #: poll-count pair, the batches of big cuts, a replay's end on its columns
 #: (the deferred histories, the settle at the horizon), the span table's
-#: whole batches, and the shipped bugs (the ignored kill point).
+#: whole batches, the shipped bugs (the ignored kill point), and the three
+#: scenario timelines.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -205,7 +213,68 @@ MUTANTS: Tuple[Mutant, ...] = (
         "the fleet envelope lets a replay with a kill point onto the kernels, "
         "which replay to the end of the trace instead of stopping there",
     ),
+    (
+        "instant-ignores-its-time",
+        SCENARIOS,
+        "self.at = _time(self.at_param, self._at_arg, self.at_fraction * duration)",
+        "self.at = self.at_fraction * duration",
+        "an instant scenario fires at its default fraction of the run whatever "
+        "time it was given",
+    ),
+    (
+        "window-end-never-fires",
+        SCENARIOS,
+        "            ScenarioEvent(time=self.end, label=end, apply=self.finish),\n",
+        "",
+        "a window scenario starts and never ends: the partition, outage, squeeze "
+        "or gray spell lasts to the end of the run",
+    ),
+    (
+        "outage-rejoins-cold",
+        SCENARIOS,
+        '        warm = self.rejoin == "warm"\n',
+        "        warm = False\n",
+        "a failed node or zone rejoins cold under rejoin=\"warm\": the snapshot "
+        "it was made to restore from is never read",
+    ),
 )
+
+#: The test that killed each mutant last, run first on its copy.
+KILLERS: Dict[str, str] = {
+    "poll-count-round-scalar": "tests/test_perf_equivalence.py::"
+    "test_fleet_ttl_replay_matches_per_node_key_reference[2-round-robin-None-ttl-polling]",
+    "poll-count-round-array": "tests/test_cluster_parallel.py::"
+    "test_vector_cluster_replay_matches_scalar_fleet",
+    "expiry-kernel-all-cold": "tests/test_vector_engine.py::"
+    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-expiry-single-VALID]",
+    "polling-kernel-all-cold": "tests/test_vector_engine.py::"
+    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
+    "stale-miss-constant-fold": "tests/test_vector_engine.py::"
+    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
+    "[ttl-polling-single-INVALIDATED]",
+    "warm-polling-baseline-zero": "tests/test_vector_engine.py::"
+    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
+    "run-lead-counts-own": "tests/test_cluster_parallel.py::"
+    "test_vector_cluster_replay_matches_scalar_fleet",
+    "slip-run-first-read-only": "tests/test_cluster_parallel.py::"
+    "test_vector_cluster_replay_matches_scalar_fleet",
+    "slip-fixed": "src/repro/core/ttl.py::repro.core.ttl.poll_count",
+    "inner-edges-bisected-right": "tests/test_perf_equivalence.py::"
+    "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
+    "write-run-block-splits-a-group": "tests/test_perf_equivalence.py::"
+    "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
+    "histories-in-key-order": "tests/test_perf_equivalence.py::"
+    "test_index_span_slices_match_per_span_stable_sort[0]",
+    "settle-folds-in-key-order": "tests/test_vector_engine.py::"
+    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
+    "[ttl-polling-skipped-single-VALID]",
+    "evicted-batch-keeps-its-cuts": "tests/test_perf_equivalence.py::"
+    "test_replays_on_a_shared_trace_equal_replays_on_fresh_traces[poisson]",
+    "one-cut-block-takes-the-next-writes": "tests/test_experiments.py::"
+    "test_rows_are_identical_for_any_process_count_and_engine",
+    "fleet-kill-point-ignored": "tests/test_vector_engine.py::"
+    "test_every_envelope_row_replays_scalar_rows_under_its_own_name[stop-at-fleet]",
+}
 
 #: Mutants that cannot change any output, by name, with the reason.
 EQUIVALENT: Dict[str, str] = {}
@@ -262,8 +331,14 @@ def _pytest(copy: Path, args: Sequence[str]) -> Tuple[int, str]:
     return done.returncode, failed.group(1) if failed else ""
 
 
-def _verdict(copy: Path) -> Tuple[str, str]:
-    """Tier-1 on a mutated copy: ``(status, first failing test)``."""
+def _verdict(copy: Path, killer: str) -> Tuple[str, str]:
+    """The killer, then if need be tier-1, on a mutated copy: ``(status,
+    first failing test)``.  A pin is no killer to try first: only all of
+    tier-1 passing makes its failure ``killed-by-pin``."""
+    if killer and killer not in SLIP_PINS:
+        code, _ = _pytest(copy, [killer])
+        if code == 1:
+            return "killed", killer
     deselect = [arg for pin in SLIP_PINS for arg in ("--deselect", pin)]
     code, failed = _pytest(copy, deselect)
     if code == 1:
@@ -277,7 +352,8 @@ def _verdict(copy: Path) -> Tuple[str, str]:
     raise RuntimeError(f"pytest exited {code} on a mutated copy")
 
 
-def main() -> int:
+def main(argv: Sequence[str]) -> int:
+    full = "--full" in argv
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -300,20 +376,22 @@ def main() -> int:
                 shutil.copytree(pristine, copy)
                 try:
                     _apply(copy, mutant)
-                    status, failed = _verdict(copy)
+                    killer = "" if full else KILLERS.get(name, "")
+                    status, failed = _verdict(copy, killer)
                 except (LookupError, RuntimeError) as error:
                     print(f"error      {name}: {error}", flush=True)
                     return 2
                 finally:
                     shutil.rmtree(copy)
             seconds = round(time.perf_counter() - clock, 1)
-            print(f"{status:<14} {name}  {failed}  ({seconds} s)", flush=True)
+            moved = "*" if failed != KILLERS.get(name) and status != "equivalent" else " "
+            print(f"{status:<14}{moved}{name}  {failed}  ({seconds} s)", flush=True)
             rows.append(dict(name=name, file=file, status=status, by=failed,
                              seconds=seconds, why=why))
     wall = round(time.perf_counter() - started, 1)
     survivors = [row["name"] for row in rows if row["status"] == "survived"]
     (ROOT / "MUTANTS.json").write_text(
-        json.dumps(dict(head=head, wall_s=wall, mutants=rows), indent=2) + "\n"
+        json.dumps(dict(head=head, full=full, wall_s=wall, mutants=rows), indent=2) + "\n"
     )
     print(f"{len(rows) - len(survivors)} of {len(rows)} not surviving, {wall} s; "
           f"survivors: {', '.join(survivors) or 'none'}")
@@ -321,4 +399,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,4 @@
-"""Cluster failure and load scenarios.
+"""Cluster failure and load scenarios: the one catalog.
 
 A scenario is a deterministic script of timed control-plane events (node
 failures, ring rebalances, partitions) plus an optional request transform
@@ -6,54 +6,28 @@ failures, ring rebalances, partitions) plus an optional request transform
 scenario cell replays identically for a fixed seed regardless of the worker
 schedule.
 
-Three scenarios ship, matching the fleet-scale questions the paper's single
-cache cannot ask:
+Every scripted scenario has one of three timeline shapes.  The shape resolves
+the default times (fractions of the run), the order checks and the node-index
+checks; a scenario keeps only its parameters, its event labels and what its
+events do:
 
-* ``node-failure`` — a node fails silently: it stops receiving freshness
-  messages and can no longer re-fetch, but keeps serving its local cache
-  until the failure detector fires and the ring rebalances around it; later
-  it rejoins cold.  The detection window is where stale serves spike — the
-  §5 lost-invalidate problem compounded by replication.
-* ``flash-crowd`` — at a shift point, a slice of the traffic stampedes onto
-  a handful of brand-new event keys (think a breaking-news object), moving
-  the hot set onto shards that have never seen those keys.
-* ``partition`` — the freshness channel to a subset of nodes turns lossy (or
-  fully drops) for a window; fetches still work, so the nodes serve and fill
-  normally while silently missing invalidates.
-* ``kill-at-t`` — the whole fleet crashes at a point in time and restarts
-  immediately: every node's volatile state (cache, buffers, in-flight
-  messages) is lost.  With ``mode="warm"`` and a configured store
-  (:mod:`repro.store`) each node rebuilds its cache from its last snapshot
-  plus WAL-replayed validation; ``mode="cold"`` restarts empty — the pair
-  quantifies what durability buys.
-* ``l2-outage`` — the shared tier is partitioned away from a subset of nodes
-  for a window: reads are served *degraded* straight from each node's L1
-  (stale entries included — availability over freshness), L1 misses fail
-  outright, and freshness messages are lost.  Requires the fleet to run with
-  a tier (:class:`~repro.tier.TierConfig`).
-* ``cold-l1`` — the fleet restarts with a warm L2 but empty L1s (a rolling
-  binary deploy: the process-local tier dies, the shared tier survives),
-  measuring the L1 warming transient.  Requires a tier as well.
+* :class:`InstantScenario`, one event: ``kill-at-t``, ``cold-l1``,
+  ``stampede``, ``flash-crowd``;
+* :class:`WindowScenario`, a start and an end: ``partition``,
+  ``l2-outage``, ``backend-saturation``, ``gray-failure``, and the bounds of
+  ``flapping``;
+* :class:`OutageScenario`, fail → detect → recover: ``node-failure``, and
+  ``zone-outage`` as the same timeline over one zone's members.
 
-``node-failure`` additionally accepts ``rejoin="warm"``: instead of coming
-back cold, the recovered node restores its cache from the last snapshot its
-local disk completed before the failure, invalidating exactly the keys the
-backend wrote while it was away.
-
-Two scenarios target the in-flight fetch model (:mod:`repro.concurrency`):
-
-* ``stampede`` — at a point in time, a deterministic slice of every node's
-  resident entries expires at once (a deploy flushing TTLs, a mass
-  invalidation): the next wave of reads all miss together and, without a
-  mitigation policy, dogpiles the backend.
-* ``backend-saturation`` — the shared backend's fetch capacity is squeezed
-  to a fraction of its configured slots for a window, then restored; misses
-  queue, latency tails grow, and stale-serving policies show their value.
-  Requires the fleet to run with ``concurrency=ConcurrencyConfig(...)``.
+``autoscale`` (:mod:`repro.resilience.autoscale`) is a control loop rather
+than a timeline; its factory imports it on first use.  ``docs/scenarios.md``
+tabulates each scenario's shape and default times.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -151,32 +125,220 @@ class Scenario:
         """
         return key
 
-    def describe(self) -> Dict[str, Any]:
-        """Scenario coordinates recorded next to the results."""
-        return {"name": self.name}
+
+def _time(name: str, value: Any, default: Any) -> Any:
+    """A scenario time parameter: ``value``, or ``default`` when it is ``None``."""
+    if value is None:
+        return default
+    if not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ClusterError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
-class NodeFailureScenario(Scenario):
-    """Fail-silent node loss with delayed detection, rebalance, and rejoin.
+def _after(later: str, later_at: float, earlier: str, earlier_at: float) -> None:
+    if not earlier_at < later_at:
+        raise ClusterError(f"{later} must be after {earlier}")
 
-    Timeline (defaults as fractions of the run):
 
-    * ``fail_at`` (default ``0.4 * duration``) — the node loses its backend
-      connection: in-flight freshness messages are dropped, new ones bounce,
-      misses cannot re-fetch, but reads routed to it are still served from
-      its cache.
+def _check_nodes(what: str, indices: Sequence[int], num_nodes: int) -> None:
+    """Refuse a node index outside the fleet, or one named twice (its
+    second start would save the first start's state as the original)."""
+    for position, index in enumerate(indices):
+        if not 0 <= index < num_nodes:
+            raise ClusterError(f"{what} {index} out of range for {num_nodes} nodes")
+        if index in indices[:position]:
+            raise ClusterError(f"{what} {index} is named twice")
+
+
+class InstantScenario(Scenario):
+    """One event at one instant of the run.
+
+    A subclass names the instant's parameter (:attr:`at_param`) and its
+    default fraction of the run (:attr:`at_fraction`), says whether the instant
+    must fall strictly inside the run (:attr:`inside`), and gives the
+    event's :attr:`label` and what it does (:meth:`fire`).  The resolved
+    instant is :attr:`at`.
+    """
+
+    at_param: str
+    at_fraction = 0.5
+    inside = True
+    label: str
+
+    def __init__(self, at: Optional[float]) -> None:
+        super().__init__()
+        self._at_arg = at
+        self.at: float = 0.0
+
+    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
+        super().bind(duration, staleness_bound, num_nodes)
+        self.at = _time(self.at_param, self._at_arg, self.at_fraction * duration)
+        if self.inside and not 0.0 < self.at < duration:
+            raise ClusterError(
+                f"{self.at_param} must fall inside the run (0, {duration}), got {self.at}"
+            )
+
+    def events(self) -> List[ScenarioEvent]:
+        return [ScenarioEvent(time=self.at, label=self.label, apply=self.fire)]
+
+    def fire(self, cluster: "ClusterSimulation", time: float) -> None:
+        """Apply the event."""
+
+
+class WindowScenario(Scenario):
+    """Something starts on a set of nodes and later ends.
+
+    A subclass names the window's two parameters (:attr:`bounds`) and their
+    default fractions of the run (:attr:`fractions`), says whether the
+    window must fall inside the run (:attr:`inside`), and gives the two
+    event :attr:`labels` and what they do (:meth:`begin`, :meth:`finish`).
+    The resolved window is :attr:`start` to :attr:`end`; the nodes it acts
+    on are :attr:`nodes` (``node_indices=None`` is the whole fleet).
+    """
+
+    bounds = ("start_at", "end_at")
+    fractions = (0.3, 0.7)
+    inside = False
+    labels: Tuple[str, str]
+
+    def __init__(
+        self,
+        start_at: Optional[float],
+        end_at: Optional[float],
+        node_indices: Optional[Sequence[int]] = None,
+    ) -> None:
+        super().__init__()
+        if node_indices is not None and not node_indices:
+            raise ClusterError(f"{self.name} needs at least one node index")
+        self.node_indices = (
+            tuple(int(index) for index in node_indices) if node_indices is not None else None
+        )
+        self._window_args = (start_at, end_at)
+        self.start: float = 0.0
+        self.end: float = 0.0
+        self.nodes: Sequence[int] = ()
+
+    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
+        super().bind(duration, staleness_bound, num_nodes)
+        _check_nodes("node index", self.node_indices or (), num_nodes)
+        self.nodes = self.node_indices if self.node_indices is not None else range(num_nodes)
+        (start_param, end_param), (start_at, end_at) = self.bounds, self._window_args
+        self.start = _time(start_param, start_at, self.fractions[0] * duration)
+        self.end = _time(end_param, end_at, self.fractions[1] * duration)
+        _after(end_param, self.end, start_param, self.start)
+        if self.inside and (not 0.0 <= self.start or not self.end <= duration):
+            raise ClusterError(
+                f"{self.name} window must fall inside the run [0, {duration}], "
+                f"got [{self.start}, {self.end}]"
+            )
+
+    def events(self) -> List[ScenarioEvent]:
+        start, end = self.labels
+        return [
+            ScenarioEvent(time=self.start, label=start, apply=self.begin),
+            ScenarioEvent(time=self.end, label=end, apply=self.finish),
+        ]
+
+    def begin(self, cluster: "ClusterSimulation", time: float) -> None:
+        """Apply the window's start."""
+
+    def finish(self, cluster: "ClusterSimulation", time: float) -> None:
+        """Apply the window's end."""
+
+
+class OutageScenario(Scenario):
+    """Fail → detect → recover over a set of member nodes.
+
+    * ``fail_at`` (default ``0.4 * duration``) — the members lose their
+      backend connection: in-flight freshness messages are dropped, new ones
+      bounce, misses cannot re-fetch, but reads routed to them are still
+      served from their caches.
     * ``detect_at`` (default ``fail_at + max(4 * T, 0.05 * duration)``) — the
-      failure detector fires: the node leaves the ring (its cache is purged)
-      and its keys move to the surviving nodes.
-    * ``recover_at`` (default ``0.75 * duration``; ``None`` disables) — the
-      node rejoins the ring: cold by default, or warm (restoring its cache
-      from its last pre-failure snapshot, with keys written during the
-      outage invalidated) when ``rejoin="warm"``.
+      failure detector fires: the members leave the ring (their caches are
+      purged) and their keys move to the surviving nodes.
+    * ``recover_at`` (default ``"auto"``: ``max(0.75 * duration, detect_at +
+      T)``; ``None`` keeps them out for good) — the members rejoin the ring:
+      cold, or warm (restoring each cache from its last pre-failure snapshot,
+      with keys written during the outage invalidated) when
+      ``rejoin="warm"``.
+
+    A subclass says who the :attr:`members` are and gives the three event
+    :attr:`labels`.
+    """
+
+    _AUTO = "auto"
+    labels: Tuple[str, str, str]
+
+    def __init__(
+        self,
+        fail_at: Optional[float],
+        detect_at: Optional[float],
+        recover_at: Optional[float] | str,
+        rejoin: str,
+    ) -> None:
+        super().__init__()
+        if rejoin not in ("cold", "warm"):
+            raise ClusterError(f"rejoin must be 'cold' or 'warm', got {rejoin!r}")
+        self.rejoin = rejoin
+        self._timeline_args = (fail_at, detect_at, recover_at)
+        self.fail_at: float = 0.0
+        self.detect_at: float = 0.0
+        self.recover_at: Optional[float] = None
+        self.members: Sequence[int] = ()
+
+    @property
+    def requires_persistence(self) -> bool:
+        return self.rejoin == "warm"
+
+    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
+        super().bind(duration, staleness_bound, num_nodes)
+        fail_at, detect_at, recover_at = self._timeline_args
+        self.fail_at = _time("fail_at", fail_at, 0.4 * duration)
+        self.detect_at = _time(
+            "detect_at", detect_at, self.fail_at + max(4.0 * staleness_bound, 0.05 * duration)
+        )
+        self.recover_at = (
+            max(0.75 * duration, self.detect_at + staleness_bound)
+            if recover_at == self._AUTO
+            else _time("recover_at", recover_at, None)
+        )
+        _after("detect_at", self.detect_at, "fail_at", self.fail_at)
+        if self.recover_at is not None:
+            _after("recover_at", self.recover_at, "detect_at", self.detect_at)
+
+    def events(self) -> List[ScenarioEvent]:
+        fail, detect, recover = self.labels
+        events = [
+            ScenarioEvent(time=self.fail_at, label=fail, apply=self._fail),
+            ScenarioEvent(time=self.detect_at, label=detect, apply=self._detect),
+        ]
+        if self.recover_at is not None:
+            events.append(ScenarioEvent(time=self.recover_at, label=recover, apply=self._recover))
+        return events
+
+    def _fail(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.members:
+            cluster.fail_node(index)
+
+    def _detect(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.members:
+            cluster.remove_node(index, time)
+
+    def _recover(self, cluster: "ClusterSimulation", time: float) -> None:
+        warm = self.rejoin == "warm"
+        for index in self.members:
+            cluster.rejoin_node(index, warm=warm, time=time)
+
+
+class NodeFailureScenario(OutageScenario):
+    """Fail-silent loss of one node with delayed detection, rebalance, and rejoin.
+
+    The :class:`OutageScenario` timeline over one node.
 
     Args:
         node_index: Index of the node to fail (default 0).
         fail_at / detect_at / recover_at: Absolute times overriding the
-            defaults above (``recover_at=None`` keeps the node out for good).
+            defaults (``recover_at=None`` keeps the node out for good).
         rejoin: ``"cold"`` (empty cache) or ``"warm"`` (restore from the
             node's durable snapshot; requires the cluster to run with a
             :class:`~repro.store.StoreConfig`).
@@ -184,92 +346,84 @@ class NodeFailureScenario(Scenario):
 
     name = "node-failure"
 
-    _AUTO = "auto"
-
     def __init__(
         self,
         node_index: int = 0,
         fail_at: Optional[float] = None,
         detect_at: Optional[float] = None,
-        recover_at: Optional[float] | str = _AUTO,
+        recover_at: Optional[float] | str = OutageScenario._AUTO,
         rejoin: str = "cold",
     ) -> None:
-        super().__init__()
         if node_index < 0:
             raise ClusterError(f"node_index must be >= 0, got {node_index}")
-        if rejoin not in ("cold", "warm"):
-            raise ClusterError(f"rejoin must be 'cold' or 'warm', got {rejoin!r}")
-        self.rejoin = rejoin
+        super().__init__(fail_at, detect_at, recover_at, rejoin)
         self.node_index = int(node_index)
-        # Constructor arguments stay untouched; bind() resolves them into the
-        # ``fail_at``/``detect_at``/``recover_at`` timeline, so the same
-        # scenario instance can be re-bound to a different run.
-        self._fail_at_arg = fail_at
-        self._detect_at_arg = detect_at
-        self._recover_at_arg = recover_at
-        self.fail_at: float = 0.0
-        self.detect_at: float = 0.0
-        self.recover_at: Optional[float] = None
-
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        if self.node_index >= num_nodes:
-            raise ClusterError(
-                f"node_index {self.node_index} out of range for {num_nodes} nodes"
-            )
-        self.fail_at = 0.4 * duration if self._fail_at_arg is None else self._fail_at_arg
-        self.detect_at = (
-            self.fail_at + max(4.0 * staleness_bound, 0.05 * duration)
-            if self._detect_at_arg is None
-            else self._detect_at_arg
-        )
-        if self._recover_at_arg == self._AUTO:
-            self.recover_at = max(0.75 * duration, self.detect_at + staleness_bound)
-        else:
-            self.recover_at = self._recover_at_arg
-        if self.recover_at is not None and self.recover_at <= self.detect_at:
-            raise ClusterError("recover_at must be after detect_at")
-        if not self.fail_at < self.detect_at:
-            raise ClusterError("detect_at must be after fail_at")
+        self.members = (self.node_index,)
 
     @property
-    def requires_persistence(self) -> bool:
-        return self.rejoin == "warm"
+    def labels(self) -> Tuple[str, str, str]:
+        return ("fail", "detect", "recover-warm" if self.rejoin == "warm" else "recover")
 
-    def events(self) -> List[ScenarioEvent]:
-        index = self.node_index
-        warm = self.rejoin == "warm"
+    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
+        _check_nodes("node_index", self.members, num_nodes)
+        super().bind(duration, staleness_bound, num_nodes)
 
-        def fail(cluster: "ClusterSimulation", time: float) -> None:
-            cluster.fail_node(index)
 
-        def detect(cluster: "ClusterSimulation", time: float) -> None:
-            cluster.remove_node(index, time)
+class ZoneOutageScenario(OutageScenario):
+    """Correlated failure of every node in one failure domain.
 
-        def recover(cluster: "ClusterSimulation", time: float) -> None:
-            cluster.rejoin_node(index, warm=warm, time=time)
+    The fleet must be constructed with ``zones >= 2`` (nodes are labeled
+    ``zone-{index % zones}`` on the ring).  The :class:`OutageScenario`
+    timeline over every member of ``zone``: they fail silently together, are
+    detected together (one correlated rebalance), and rejoin together.
 
-        label = "recover-warm" if warm else "recover"
-        events = [
-            ScenarioEvent(time=self.fail_at, label="fail", apply=fail),
-            ScenarioEvent(time=self.detect_at, label="detect", apply=detect),
+    Args:
+        zone: Zone label (``"zone-1"``) or index (``1``) to fail.
+        fail_at / detect_at / recover_at: As for ``node-failure``.
+        rejoin: ``"cold"`` or ``"warm"`` (warm requires a configured store).
+    """
+
+    name = "zone-outage"
+
+    def __init__(
+        self,
+        zone: Any = 0,
+        fail_at: Optional[float] = None,
+        detect_at: Optional[float] = None,
+        recover_at: Optional[float] | str = OutageScenario._AUTO,
+        rejoin: str = "cold",
+    ) -> None:
+        super().__init__(fail_at, detect_at, recover_at, rejoin)
+        self.zone = f"zone-{zone}" if isinstance(zone, int) else str(zone)
+
+    @property
+    def min_zones(self) -> int:
+        return 2
+
+    @property
+    def labels(self) -> Tuple[str, str, str]:
+        return (f"zone-fail:{self.zone}", f"zone-detect:{self.zone}", f"zone-recover:{self.zone}")
+
+    def check(self, cluster: "ClusterSimulation") -> None:
+        ring = cluster.ring
+        members = [
+            index
+            for index, node in enumerate(cluster.nodes())
+            if ring.zone_of(node.node_id) == self.zone
         ]
-        if self.recover_at is not None:
-            events.append(ScenarioEvent(time=self.recover_at, label=label, apply=recover))
-        return events
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "node_index": self.node_index,
-            "fail_at": self.fail_at,
-            "detect_at": self.detect_at,
-            "recover_at": self.recover_at,
-            "rejoin": self.rejoin,
-        }
+        if not members:
+            raise ClusterError(
+                f"zone {self.zone!r} has no members; fleet zones are {ring.zones}"
+            )
+        if len(members) == len(cluster.nodes()):
+            raise ClusterError(
+                f"zone {self.zone!r} covers the whole fleet; an outage would "
+                "empty the ring"
+            )
+        self.members = members
 
 
-class FlashCrowdScenario(Scenario):
+class FlashCrowdScenario(InstantScenario):
     """Sudden traffic concentration onto a few brand-new keys.
 
     After ``shift_at`` (default ``0.5 * duration``), each request is
@@ -278,7 +432,8 @@ class FlashCrowdScenario(Scenario):
     the same trace shifts the same way in every run.  The event keys are new
     to every shard: the crowd lands cold, concentrates load on the owning
     shards, and — because redirected writes come with the crowd — gives the
-    per-shard hot-key detectors something real to catch.
+    per-shard hot-key detectors something real to catch.  The ``shift`` event
+    only marks the shift in the event log; the transform does the work.
 
     Args:
         shift_at: Absolute shift time (default half the run).
@@ -287,6 +442,9 @@ class FlashCrowdScenario(Scenario):
     """
 
     name = "flash-crowd"
+    at_param = "shift_at"
+    inside = False
+    label = "shift"
 
     def __init__(
         self,
@@ -294,131 +452,25 @@ class FlashCrowdScenario(Scenario):
         fraction: float = 0.3,
         hot_keys: int = 4,
     ) -> None:
-        super().__init__()
+        super().__init__(shift_at)
         if not 0.0 < fraction <= 1.0:
             raise ClusterError(f"fraction must be in (0, 1], got {fraction}")
         if hot_keys < 1:
             raise ClusterError(f"hot_keys must be >= 1, got {hot_keys}")
-        self._shift_at_arg = shift_at
-        self.shift_at: float = 0.0
         self.fraction = float(fraction)
         self.hot_keys = int(hot_keys)
         self._threshold = int(self.fraction * 2**32)
 
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        self.shift_at = 0.5 * duration if self._shift_at_arg is None else self._shift_at_arg
-
-    def events(self) -> List[ScenarioEvent]:
-        def note(cluster: "ClusterSimulation", time: float) -> None:
-            # The transform does the work; the event only marks the shift in
-            # the event log for debuggability.
-            pass
-
-        return [ScenarioEvent(time=self.shift_at, label="shift", apply=note)]
-
     def transform_request(self, time: float, key: str, key_size: int, value_size: int) -> str:
-        if time < self.shift_at:
+        if time < self.at:
             return key
         fingerprint = stable_fingerprint(key + "#crowd")
         if (fingerprint & 0xFFFFFFFF) >= self._threshold:
             return key
         return f"flash-{fingerprint % self.hot_keys}"
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "shift_at": self.shift_at,
-            "fraction": self.fraction,
-            "hot_keys": self.hot_keys,
-        }
 
-
-class PartitionScenario(Scenario):
-    """Lossy freshness channel to a subset of nodes for a time window.
-
-    Between ``start_at`` and ``end_at`` the channel from the backend to each
-    affected node drops messages with probability ``loss`` (1.0 = total
-    outage).  Unlike ``node-failure``, fetches keep working: the nodes serve
-    and fill normally while silently missing invalidates and updates — the
-    paper's §5 guaranteed-delivery problem, scoped to part of the fleet.
-
-    Args:
-        node_indices: Indices of the affected nodes (default: node 0).
-        start_at: Window start (default ``0.3 * duration``).
-        end_at: Window end (default ``0.7 * duration``).
-        loss: Message loss probability inside the window.
-    """
-
-    name = "partition"
-
-    def __init__(
-        self,
-        node_indices: Sequence[int] = (0,),
-        start_at: Optional[float] = None,
-        end_at: Optional[float] = None,
-        loss: float = 1.0,
-    ) -> None:
-        super().__init__()
-        if not node_indices:
-            raise ClusterError("partition needs at least one node index")
-        if not 0.0 < loss <= 1.0:
-            raise ClusterError(f"loss must be in (0, 1], got {loss}")
-        self.node_indices = tuple(int(index) for index in node_indices)
-        self._start_at_arg = start_at
-        self._end_at_arg = end_at
-        self.start_at: float = 0.0
-        self.end_at: float = 0.0
-        self.loss = float(loss)
-        self._saved_loss: Dict[int, float] = {}
-
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        for index in self.node_indices:
-            if not 0 <= index < num_nodes:
-                raise ClusterError(f"node index {index} out of range for {num_nodes} nodes")
-        self.start_at = 0.3 * duration if self._start_at_arg is None else self._start_at_arg
-        self.end_at = 0.7 * duration if self._end_at_arg is None else self._end_at_arg
-        if not self.start_at < self.end_at:
-            raise ClusterError("partition end_at must be after start_at")
-        self._saved_loss.clear()
-
-    def events(self) -> List[ScenarioEvent]:
-        indices = self.node_indices
-
-        def start(cluster: "ClusterSimulation", time: float) -> None:
-            for index in indices:
-                channel = cluster.node_at(index).channel
-                if self.loss >= 1.0:
-                    channel.outage = True
-                else:
-                    self._saved_loss[index] = channel.loss_probability
-                    channel.loss_probability = self.loss
-
-        def end(cluster: "ClusterSimulation", time: float) -> None:
-            for index in indices:
-                channel = cluster.node_at(index).channel
-                if self.loss >= 1.0:
-                    channel.outage = False
-                else:
-                    channel.loss_probability = self._saved_loss.pop(index, 0.0)
-
-        return [
-            ScenarioEvent(time=self.start_at, label="partition-start", apply=start),
-            ScenarioEvent(time=self.end_at, label="partition-end", apply=end),
-        ]
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "node_indices": list(self.node_indices),
-            "start_at": self.start_at,
-            "end_at": self.end_at,
-            "loss": self.loss,
-        }
-
-
-class CrashRestartScenario(Scenario):
+class CrashRestartScenario(InstantScenario):
     """Mid-run fleet crash with immediate restart (``kill-at-t``).
 
     At ``kill_at`` (default half the run) every node loses its volatile
@@ -435,131 +487,27 @@ class CrashRestartScenario(Scenario):
     """
 
     name = "kill-at-t"
+    at_param = "kill_at"
 
     def __init__(self, kill_at: Optional[float] = None, mode: str = "warm") -> None:
-        super().__init__()
+        super().__init__(kill_at)
         if mode not in ("warm", "cold"):
             raise ClusterError(f"mode must be 'warm' or 'cold', got {mode!r}")
-        self._kill_at_arg = kill_at
-        self.kill_at: float = 0.0
         self.mode = mode
 
     @property
     def requires_persistence(self) -> bool:
         return self.mode == "warm"
 
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        self.kill_at = 0.5 * duration if self._kill_at_arg is None else self._kill_at_arg
-        if not 0.0 < self.kill_at < duration:
-            raise ClusterError(
-                f"kill_at must fall inside the run (0, {duration}), got {self.kill_at}"
-            )
-
-    def events(self) -> List[ScenarioEvent]:
-        warm = self.mode == "warm"
-
-        def crash(cluster: "ClusterSimulation", time: float) -> None:
-            cluster.crash_restart(time, warm=warm)
-
-        return [
-            ScenarioEvent(time=self.kill_at, label=f"crash-restart-{self.mode}", apply=crash)
-        ]
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "kill_at": self.kill_at, "mode": self.mode}
-
-
-class L2OutageScenario(Scenario):
-    """Partition the shared tier away from a subset of nodes for a window.
-
-    Between ``start_at`` and ``end_at`` the affected nodes cannot reach the
-    shared L2/backend: reads are answered *degraded* straight from the
-    per-node L1 — stale entries included, counted honestly as staleness
-    violations — L1 misses fail outright (``failed_fetches``), and freshness
-    messages are lost at the channel.  This is the survivability question
-    tiering exists to answer: how much of the traffic does the fast tier
-    carry when the fleet behind it goes dark?
-
-    Requires the cluster to run with an L1
-    (:class:`~repro.tier.TierConfig` with ``l1_capacity > 0``).
-
-    Args:
-        node_indices: Indices of the partitioned nodes (``None`` = the whole
-            fleet, the default — a shared-tier outage hits everyone).
-        start_at: Window start (default ``0.4 * duration``).
-        end_at: Window end (default ``0.7 * duration``).
-    """
-
-    name = "l2-outage"
-
-    def __init__(
-        self,
-        node_indices: Optional[Sequence[int]] = None,
-        start_at: Optional[float] = None,
-        end_at: Optional[float] = None,
-    ) -> None:
-        super().__init__()
-        if node_indices is not None and not node_indices:
-            raise ClusterError("l2-outage needs at least one node index (or None for all)")
-        self.node_indices = (
-            tuple(int(index) for index in node_indices) if node_indices is not None else None
-        )
-        self._start_at_arg = start_at
-        self._end_at_arg = end_at
-        self.start_at: float = 0.0
-        self.end_at: float = 0.0
-
     @property
-    def requires_tier(self) -> bool:
-        return True
+    def label(self) -> str:
+        return f"crash-restart-{self.mode}"
 
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        for index in self.node_indices or ():
-            if not 0 <= index < num_nodes:
-                raise ClusterError(f"node index {index} out of range for {num_nodes} nodes")
-        self.start_at = 0.4 * duration if self._start_at_arg is None else self._start_at_arg
-        self.end_at = 0.7 * duration if self._end_at_arg is None else self._end_at_arg
-        if not self.start_at < self.end_at:
-            raise ClusterError("l2-outage end_at must be after start_at")
-        if not 0.0 <= self.start_at or not self.end_at <= duration:
-            # The end event must fire inside the run: the outage's no-charge
-            # poll accounting depends on it.
-            raise ClusterError(
-                f"l2-outage window must fall inside the run [0, {duration}], "
-                f"got [{self.start_at}, {self.end_at}]"
-            )
-
-    def _indices(self, cluster: "ClusterSimulation") -> Sequence[int]:
-        if self.node_indices is not None:
-            return self.node_indices
-        return range(self.num_nodes)
-
-    def events(self) -> List[ScenarioEvent]:
-        def start(cluster: "ClusterSimulation", time: float) -> None:
-            for index in self._indices(cluster):
-                cluster.node_at(index).set_l2_outage(True, time)
-
-        def end(cluster: "ClusterSimulation", time: float) -> None:
-            for index in self._indices(cluster):
-                cluster.node_at(index).set_l2_outage(False, time)
-
-        return [
-            ScenarioEvent(time=self.start_at, label="l2-outage-start", apply=start),
-            ScenarioEvent(time=self.end_at, label="l2-outage-end", apply=end),
-        ]
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "node_indices": list(self.node_indices) if self.node_indices is not None else None,
-            "start_at": self.start_at,
-            "end_at": self.end_at,
-        }
+    def fire(self, cluster: "ClusterSimulation", time: float) -> None:
+        cluster.crash_restart(time, warm=self.mode == "warm")
 
 
-class ColdL1Scenario(Scenario):
+class ColdL1Scenario(InstantScenario):
     """Fleet restart with a warm L2 but empty L1s (the deploy transient).
 
     At ``restart_at`` every node drops its L1 — a rolling binary deploy
@@ -575,38 +523,22 @@ class ColdL1Scenario(Scenario):
     """
 
     name = "cold-l1"
+    at_param = "restart_at"
+    label = "cold-l1-restart"
 
     def __init__(self, restart_at: Optional[float] = None) -> None:
-        super().__init__()
-        self._restart_at_arg = restart_at
-        self.restart_at: float = 0.0
+        super().__init__(restart_at)
 
     @property
     def requires_tier(self) -> bool:
         return True
 
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        self.restart_at = (
-            0.5 * duration if self._restart_at_arg is None else self._restart_at_arg
-        )
-        if not 0.0 < self.restart_at < duration:
-            raise ClusterError(
-                f"restart_at must fall inside the run (0, {duration}), got {self.restart_at}"
-            )
-
-    def events(self) -> List[ScenarioEvent]:
-        def restart(cluster: "ClusterSimulation", time: float) -> None:
-            for node in cluster.nodes():
-                node.clear_l1(time)
-
-        return [ScenarioEvent(time=self.restart_at, label="cold-l1-restart", apply=restart)]
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "restart_at": self.restart_at}
+    def fire(self, cluster: "ClusterSimulation", time: float) -> None:
+        for node in cluster.nodes():
+            node.clear_l1(time)
 
 
-class StampedeScenario(Scenario):
+class StampedeScenario(InstantScenario):
     """Mass simultaneous expiry: a hot slice of the cache dies at once.
 
     At ``expire_at`` (default ``0.5 * duration``) every node walks its
@@ -628,51 +560,133 @@ class StampedeScenario(Scenario):
     """
 
     name = "stampede"
+    at_param = "expire_at"
+    label = "stampede-expire"
 
     def __init__(self, expire_at: Optional[float] = None, fraction: float = 0.8) -> None:
-        super().__init__()
+        super().__init__(expire_at)
         if not 0.0 < fraction <= 1.0:
             raise ClusterError(f"fraction must be in (0, 1], got {fraction}")
-        self._expire_at_arg = expire_at
-        self.expire_at: float = 0.0
         self.fraction = float(fraction)
         self._threshold = int(self.fraction * 2**32)
-
-    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
-        super().bind(duration, staleness_bound, num_nodes)
-        self.expire_at = (
-            0.5 * duration if self._expire_at_arg is None else self._expire_at_arg
-        )
-        if not 0.0 < self.expire_at < duration:
-            raise ClusterError(
-                f"expire_at must fall inside the run (0, {duration}), got {self.expire_at}"
-            )
 
     def _selects(self, key: str) -> bool:
         return (stable_fingerprint(key + "#stampede") & 0xFFFFFFFF) < self._threshold
 
-    def events(self) -> List[ScenarioEvent]:
-        def expire(cluster: "ClusterSimulation", time: float) -> None:
-            selects = self._selects
-            for node in cluster.nodes():
-                for cache in (
-                    (node.cache,) if node.l1 is None else (node.cache, node.l1.cache)
-                ):
-                    for entry in list(cache.entries()):
-                        if entry.state is EntryState.VALID and selects(entry.key):
-                            cache.expire(entry.key)
-
-        return [ScenarioEvent(time=self.expire_at, label="stampede-expire", apply=expire)]
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "expire_at": self.expire_at,
-            "fraction": self.fraction,
-        }
+    def fire(self, cluster: "ClusterSimulation", time: float) -> None:
+        selects = self._selects
+        for node in cluster.nodes():
+            for cache in (node.cache,) if node.l1 is None else (node.cache, node.l1.cache):
+                for entry in list(cache.entries()):
+                    if entry.state is EntryState.VALID and selects(entry.key):
+                        cache.expire(entry.key)
 
 
-class BackendSaturationScenario(Scenario):
+class PartitionScenario(WindowScenario):
+    """Lossy freshness channel to a subset of nodes for a time window.
+
+    Between ``start_at`` and ``end_at`` the channel from the backend to each
+    affected node drops messages with probability ``loss`` (1.0 = total
+    outage).  Unlike ``node-failure``, fetches keep working: the nodes serve
+    and fill normally while silently missing invalidates and updates — the
+    paper's §5 guaranteed-delivery problem, scoped to part of the fleet.
+
+    Args:
+        node_indices: Indices of the affected nodes (default: node 0), each
+            named once.
+        start_at: Window start (default ``0.3 * duration``).
+        end_at: Window end (default ``0.7 * duration``).
+        loss: Message loss probability inside the window.
+    """
+
+    name = "partition"
+    labels = ("partition-start", "partition-end")
+
+    def __init__(
+        self,
+        node_indices: Sequence[int] = (0,),
+        start_at: Optional[float] = None,
+        end_at: Optional[float] = None,
+        loss: float = 1.0,
+    ) -> None:
+        super().__init__(start_at, end_at, node_indices)
+        if not 0.0 < loss <= 1.0:
+            raise ClusterError(f"loss must be in (0, 1], got {loss}")
+        self.loss = float(loss)
+        self._saved_loss: Dict[int, float] = {}
+
+    def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
+        super().bind(duration, staleness_bound, num_nodes)
+        self._saved_loss.clear()
+
+    def begin(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            channel = cluster.node_at(index).channel
+            if self.loss >= 1.0:
+                channel.outage = True
+            else:
+                self._saved_loss[index] = channel.loss_probability
+                channel.loss_probability = self.loss
+
+    def finish(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            channel = cluster.node_at(index).channel
+            if self.loss >= 1.0:
+                channel.outage = False
+            else:
+                channel.loss_probability = self._saved_loss.pop(index, 0.0)
+
+
+class L2OutageScenario(WindowScenario):
+    """Partition the shared tier away from a subset of nodes for a window.
+
+    Between ``start_at`` and ``end_at`` the affected nodes cannot reach the
+    shared L2/backend: reads are answered *degraded* straight from the
+    per-node L1 — stale entries included, counted honestly as staleness
+    violations — L1 misses fail outright (``failed_fetches``), and freshness
+    messages are lost at the channel.  This is the survivability question
+    tiering exists to answer: how much of the traffic does the fast tier
+    carry when the fleet behind it goes dark?
+
+    Requires the cluster to run with an L1
+    (:class:`~repro.tier.TierConfig` with ``l1_capacity > 0``).  The window
+    must fall inside the run: the outage's no-charge poll accounting depends
+    on the end event firing.
+
+    Args:
+        node_indices: Indices of the partitioned nodes (``None`` = the whole
+            fleet, the default — a shared-tier outage hits everyone).
+        start_at: Window start (default ``0.4 * duration``).
+        end_at: Window end (default ``0.7 * duration``).
+    """
+
+    name = "l2-outage"
+    fractions = (0.4, 0.7)
+    inside = True
+    labels = ("l2-outage-start", "l2-outage-end")
+
+    def __init__(
+        self,
+        node_indices: Optional[Sequence[int]] = None,
+        start_at: Optional[float] = None,
+        end_at: Optional[float] = None,
+    ) -> None:
+        super().__init__(start_at, end_at, node_indices)
+
+    @property
+    def requires_tier(self) -> bool:
+        return True
+
+    def begin(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            cluster.node_at(index).set_l2_outage(True, time)
+
+    def finish(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            cluster.node_at(index).set_l2_outage(False, time)
+
+
+class BackendSaturationScenario(WindowScenario):
     """Squeeze the shared backend's fetch capacity for a window.
 
     Between ``squeeze_at`` (default ``0.4 * duration``) and ``recover_at``
@@ -693,6 +707,10 @@ class BackendSaturationScenario(Scenario):
     """
 
     name = "backend-saturation"
+    bounds = ("squeeze_at", "recover_at")
+    fractions = (0.4, 0.8)
+    inside = True
+    labels = ("saturation-start", "saturation-end")
 
     def __init__(
         self,
@@ -700,56 +718,195 @@ class BackendSaturationScenario(Scenario):
         squeeze_at: Optional[float] = None,
         recover_at: Optional[float] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(squeeze_at, recover_at)
         if capacity < 1:
             raise ClusterError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._squeeze_at_arg = squeeze_at
-        self._recover_at_arg = recover_at
-        self.squeeze_at: float = 0.0
-        self.recover_at: float = 0.0
         self._saved_capacity: int = 0
 
     @property
     def requires_concurrency(self) -> bool:
         return True
 
+    def begin(self, cluster: "ClusterSimulation", time: float) -> None:
+        self._saved_capacity = cluster.backend.capacity
+        cluster.backend.set_capacity(self.capacity)
+
+    def finish(self, cluster: "ClusterSimulation", time: float) -> None:
+        cluster.backend.set_capacity(self._saved_capacity)
+
+
+class GrayFailureScenario(WindowScenario):
+    """Slow-but-alive nodes serving stale past the bound.
+
+    Between ``degrade_at`` and ``recover_at`` each affected node's backend
+    fetches take ``slowdown`` times their sampled service time and its
+    freshness channel drops messages with probability ``loss`` (plus
+    ``delay`` seconds of extra latency).  The node never leaves the ring:
+    reads keep landing on it, stale-serving policies keep answering from the
+    aging cache, and missed invalidates push those serves past the bound —
+    the defining signature of a gray failure versus a detected fail-silent
+    one.
+
+    Args:
+        node_indices: Indices of the gray nodes (default: node 0), each named
+            once.
+        degrade_at: Window start (default ``0.3 * duration``).
+        recover_at: Window end (default ``0.85 * duration``).
+        slowdown: Service-time multiplier inside the window (>= 1).
+        loss: Freshness-message loss rate inside the window.
+        delay: Extra freshness-message delay inside the window, seconds.
+    """
+
+    name = "gray-failure"
+    bounds = ("degrade_at", "recover_at")
+    fractions = (0.3, 0.85)
+    labels = ("gray-start", "gray-end")
+
+    def __init__(
+        self,
+        node_indices: Sequence[int] = (0,),
+        degrade_at: Optional[float] = None,
+        recover_at: Optional[float] = None,
+        slowdown: float = 8.0,
+        loss: float = 0.5,
+        delay: float = 0.0,
+    ) -> None:
+        super().__init__(degrade_at, recover_at, node_indices)
+        if slowdown < 1.0:
+            raise ClusterError(f"slowdown must be >= 1, got {slowdown}")
+        if not 0.0 <= loss <= 1.0:
+            raise ClusterError(f"loss must be in [0, 1], got {loss}")
+        if delay < 0:
+            raise ClusterError(f"delay must be >= 0, got {delay}")
+        self.slowdown = float(slowdown)
+        self.loss = float(loss)
+        self.delay = float(delay)
+
+    @property
+    def requires_concurrency(self) -> bool:
+        # Slowness is service time, and service time only exists under the
+        # in-flight fetch model.
+        return True
+
+    def begin(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            node = cluster.node_at(index)
+            node.fetches.slowdown = self.slowdown
+            node.channel.set_degraded(loss=self.loss, delay=self.delay)
+
+    def finish(self, cluster: "ClusterSimulation", time: float) -> None:
+        for index in self.nodes:
+            node = cluster.node_at(index)
+            node.fetches.slowdown = 1.0
+            node.channel.clear_degraded()
+
+
+class FlappingScenario(WindowScenario):
+    """A node leaving and rejoining faster than detection converges.
+
+    Between ``start_at`` and ``end_at`` the node cycles ``flaps`` times:
+    down for the first half of each cycle, back for the second half — and
+    every return is behind a degraded link (``degraded_loss`` /
+    ``degraded_delay``) until the flapping ends.
+
+    Two flavors:
+
+    * ``mode="silent"`` (default) — each down-phase is a fail-silent window
+      (unreachable, still serving its aging cache, still on the ring): the
+      cycles are shorter than any detection timeout, so the ring never
+      converges on removing it.
+    * ``mode="ring"`` — each cycle is a real departure and cold rejoin: the
+      ring rebalances twice per flap, churning exactly the flapper's keys
+      each time (the minimal-movement property the tests pin).
+
+    Args:
+        node_index: The flapping node (default 0).
+        flaps: Number of down/up cycles (>= 1).
+        start_at: Default ``0.3 * duration``.
+        end_at: Default ``0.9 * duration``.
+        mode: ``"silent"`` or ``"ring"``.
+        degraded_loss: Freshness-message loss rate while back-but-degraded.
+        degraded_delay: Extra freshness-message delay while degraded.
+    """
+
+    name = "flapping"
+    fractions = (0.3, 0.9)
+
+    def __init__(
+        self,
+        node_index: int = 0,
+        flaps: int = 3,
+        start_at: Optional[float] = None,
+        end_at: Optional[float] = None,
+        mode: str = "silent",
+        degraded_loss: float = 0.2,
+        degraded_delay: float = 0.0,
+    ) -> None:
+        if node_index < 0:
+            raise ClusterError(f"node_index must be >= 0, got {node_index}")
+        super().__init__(start_at, end_at, (node_index,))
+        if flaps < 1:
+            raise ClusterError(f"flaps must be >= 1, got {flaps}")
+        if mode not in ("silent", "ring"):
+            raise ClusterError(f"mode must be 'silent' or 'ring', got {mode!r}")
+        if not 0.0 <= degraded_loss <= 1.0:
+            raise ClusterError(f"degraded_loss must be in [0, 1], got {degraded_loss}")
+        if degraded_delay < 0:
+            raise ClusterError(f"degraded_delay must be >= 0, got {degraded_delay}")
+        self.node_index = int(node_index)
+        self.flaps = int(flaps)
+        self.mode = mode
+        self.degraded_loss = float(degraded_loss)
+        self.degraded_delay = float(degraded_delay)
+
     def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
         super().bind(duration, staleness_bound, num_nodes)
-        self.squeeze_at = (
-            0.4 * duration if self._squeeze_at_arg is None else self._squeeze_at_arg
-        )
-        self.recover_at = (
-            0.8 * duration if self._recover_at_arg is None else self._recover_at_arg
-        )
-        if not self.squeeze_at < self.recover_at:
-            raise ClusterError("recover_at must be after squeeze_at")
-        if not 0.0 <= self.squeeze_at or not self.recover_at <= duration:
+        if self.mode == "ring" and num_nodes < 2:
             raise ClusterError(
-                f"saturation window must fall inside the run [0, {duration}], "
-                f"got [{self.squeeze_at}, {self.recover_at}]"
+                "flapping mode='ring' needs at least 2 nodes: the flapper "
+                "cannot be the only node on the ring"
             )
 
     def events(self) -> List[ScenarioEvent]:
-        def squeeze(cluster: "ClusterSimulation", time: float) -> None:
-            self._saved_capacity = cluster.backend.capacity
-            cluster.backend.set_capacity(self.capacity)
+        cycle = (self.end - self.start) / self.flaps
+        events: List[ScenarioEvent] = []
+        for flap in range(self.flaps):
+            down_at = self.start + flap * cycle
+            events.append(ScenarioEvent(time=down_at, label=f"flap-down:{flap}", apply=self._down))
+            events.append(
+                ScenarioEvent(time=down_at + cycle / 2, label=f"flap-back:{flap}", apply=self._back)
+            )
+        events.append(ScenarioEvent(time=self.end, label="flap-settle", apply=self._settle))
+        return events
 
-        def recover(cluster: "ClusterSimulation", time: float) -> None:
-            cluster.backend.set_capacity(self._saved_capacity)
+    def _down(self, cluster: "ClusterSimulation", time: float) -> None:
+        cluster.node_at(self.node_index).channel.clear_degraded()
+        if self.mode == "ring":
+            cluster.remove_node(self.node_index, time)
+        else:
+            cluster.fail_node(self.node_index)
 
-        return [
-            ScenarioEvent(time=self.squeeze_at, label="saturation-start", apply=squeeze),
-            ScenarioEvent(time=self.recover_at, label="saturation-end", apply=recover),
-        ]
+    def _back(self, cluster: "ClusterSimulation", time: float) -> None:
+        node = cluster.node_at(self.node_index)
+        if self.mode == "ring":
+            cluster.rejoin_node(self.node_index, warm=False, time=time)
+        else:
+            node.reachable = True
+            node.channel.outage = False
+        node.channel.set_degraded(loss=self.degraded_loss, delay=self.degraded_delay)
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "squeeze_at": self.squeeze_at,
-            "recover_at": self.recover_at,
-        }
+    def _settle(self, cluster: "ClusterSimulation", time: float) -> None:
+        cluster.node_at(self.node_index).channel.clear_degraded()
+
+
+def _make_autoscale(**kwargs: Any) -> Scenario:
+    """The autoscaler, imported on first use: its module subclasses
+    :class:`Scenario` and embeds :class:`FlashCrowdScenario`, so it imports
+    this one."""
+    from repro.resilience.autoscale import AutoscaleScenario
+
+    return AutoscaleScenario(**kwargs)
 
 
 SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {
@@ -761,22 +918,11 @@ SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {
     "cold-l1": ColdL1Scenario,
     "stampede": StampedeScenario,
     "backend-saturation": BackendSaturationScenario,
+    "gray-failure": GrayFailureScenario,
+    "zone-outage": ZoneOutageScenario,
+    "flapping": FlappingScenario,
+    "autoscale": _make_autoscale,
 }
-
-# The resilience package (autoscaler, gray failures, zone outages, flapping)
-# registers its scenarios into the same factory table so `make_scenario` and
-# the CLI see one namespace.  Imported at the bottom because the resilience
-# module subclasses `Scenario`.  When *this* module is reached through an
-# import of `repro.resilience.scenarios` itself, the re-entrant import below
-# raises ImportError against the half-initialized module — that is fine: the
-# resilience module self-registers at its own bottom, so the table is always
-# complete once either import finishes.
-try:
-    from repro.resilience.scenarios import RESILIENCE_SCENARIOS  # noqa: E402
-except ImportError:  # pragma: no cover - re-entrant import order
-    pass
-else:
-    SCENARIO_FACTORIES.update(RESILIENCE_SCENARIOS)
 
 
 def make_scenario(

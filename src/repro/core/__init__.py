@@ -15,13 +15,7 @@ This package contains:
 
 from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.policy import Action, FreshnessPolicy, PolicyContext
-from repro.core.decision import (
-    DecisionRule,
-    decide_with_slo,
-    ew_decision,
-    optimal_update_probability,
-    update_preferred,
-)
+from repro.core.decision import DecisionRule, decide_with_slo, ew_decision
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
@@ -43,6 +37,4 @@ __all__ = [
     "TTLPollingPolicy",
     "decide_with_slo",
     "ew_decision",
-    "optimal_update_probability",
-    "update_preferred",
 ]

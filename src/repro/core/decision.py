@@ -1,11 +1,7 @@
 """Update-vs-invalidate decision rules (§3.2 and §3.3 of the paper).
 
-Three related rules are implemented:
+Two rules are implemented:
 
-* :func:`update_preferred` — the throughput-optimal rule derived from the
-  online-gap formulation: send updates when
-  ``c_u < P_R(T) / (P_R(T) + P_W(T)) * (c_m + c_i)``, which reduces to
-  ``c_u < r * (c_m + c_i)`` as ``T -> 0``.
 * :func:`ew_decision` — the pragmatic per-key approximation that uses
   ``E[W]``, the expected number of writes between reads: a run of ``E[W]``
   writes followed by a read costs ``E[W] * c_u`` under updates versus
@@ -20,6 +16,8 @@ Three related rules are implemented:
 * :func:`decide_with_slo` — the throughput rule augmented with a staleness
   SLO: updates are chosen either when they are cheaper or when invalidation
   would violate the allowed stale-read ratio (``1 - r > C`` as ``T -> 0``).
+
+:class:`DecisionRule` bundles the costs and picks between the two.
 """
 
 from __future__ import annotations
@@ -28,44 +26,6 @@ from dataclasses import dataclass
 
 from repro.core.policy import Action
 from repro.errors import ConfigurationError
-
-
-def update_preferred(
-    p_read: float,
-    p_write: float,
-    miss_cost: float,
-    invalidate_cost: float,
-    update_cost: float,
-) -> bool:
-    """Return whether updates minimise throughput overhead (§3.2).
-
-    Args:
-        p_read: ``P_R(T)``, probability of at least one read in an interval.
-        p_write: ``P_W(T)``, probability of at least one write in an interval.
-        miss_cost: ``c_m``.
-        invalidate_cost: ``c_i``.
-        update_cost: ``c_u``.
-
-    Returns:
-        ``True`` when ``c_u < P_R / (P_R + P_W) * (c_m + c_i)``.  If both
-        probabilities are zero (no traffic), invalidation is (vacuously)
-        preferred since an update can never pay off.
-
-    Example — read-heavy keys prefer updates, write-heavy keys do not:
-
-        >>> update_preferred(0.9, 0.1, miss_cost=1.0, invalidate_cost=0.1, update_cost=0.6)
-        True
-        >>> update_preferred(0.1, 0.9, miss_cost=1.0, invalidate_cost=0.1, update_cost=0.6)
-        False
-    """
-    for name, value in (("p_read", p_read), ("p_write", p_write)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-    total = p_read + p_write
-    if total == 0.0:
-        return False
-    threshold = p_read / total * (miss_cost + invalidate_cost)
-    return update_cost < threshold
 
 
 def ew_decision(
@@ -143,22 +103,6 @@ def decide_with_slo(
     if cheaper_to_update or slo_requires_update:
         return Action.UPDATE
     return Action.INVALIDATE
-
-
-def optimal_update_probability(
-    p_read: float,
-    p_write: float,
-    miss_cost: float,
-    invalidate_cost: float,
-    update_cost: float,
-) -> float:
-    """Return the gap-minimising update probability ``k`` (§3.2).
-
-    The expected gap ``G`` is linear in ``k``, so the optimum is at an
-    endpoint: ``k = 1`` (always update) when the coefficient of ``k`` is
-    negative, ``k = 0`` (always invalidate) otherwise.
-    """
-    return 1.0 if update_preferred(p_read, p_write, miss_cost, invalidate_cost, update_cost) else 0.0
 
 
 @dataclass(frozen=True, slots=True)

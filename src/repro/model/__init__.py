@@ -4,10 +4,12 @@ Closed-form expressions for the freshness cost :math:`C_F` and the staleness
 cost :math:`C_S` of every policy, assuming per-key Poisson arrivals with rate
 ``lambda`` and read probability ``r``.  These formulas produce the
 "Theoretical" curves overlaid on the simulation results in Figures 2 and 3 and
-drive the decision rules of §3.2.
+drive the decision rules of §3.2.  :mod:`repro.model.exact` holds exact forms
+for the same model where the paper's are approximations.
 """
 
 from repro.model.arrivals import p_read, p_write
+from repro.model.exact import ttl_expiry_miss_rate
 from repro.model.capacity import (
     che_characteristic_time,
     che_hit_ratio,
@@ -38,4 +40,5 @@ __all__ = [
     "p_read",
     "p_write",
     "steady_state_invalidated_probability",
+    "ttl_expiry_miss_rate",
 ]

@@ -5,10 +5,10 @@ This package closes ROADMAP item 5 on top of the cluster substrate:
 * :mod:`repro.resilience.autoscale` — a deterministic autoscaler scenario
   that grows/shrinks the fleet mid-run from load and hot-key pressure,
   measured against the ideal-elasticity baseline (instant, free scaling).
-* :mod:`repro.resilience.scenarios` — the richer failure taxonomy:
-  ``gray-failure`` (slow-but-alive nodes), ``zone-outage`` (correlated loss
-  of a failure domain), ``flapping`` (membership churn faster than
-  detection).
+* the richer failure taxonomy, re-exported from the one scenario catalog
+  (:mod:`repro.cluster.scenarios`): ``gray-failure`` (slow-but-alive
+  nodes), ``zone-outage`` (correlated loss of a failure domain),
+  ``flapping`` (membership churn faster than detection).
 * :mod:`repro.resilience.chaos` — seeded, composable fault plans (delay,
   drop, slow-node, crash) injected alongside any scenario, plus the
   retry/timeout/backoff knobs on :class:`~repro.backend.channel.Channel`.
@@ -18,14 +18,9 @@ from their own seeded stream, scenarios script timed events, and replays are
 byte-identical across engines and worker counts.
 """
 
+from repro.cluster.scenarios import FlappingScenario, GrayFailureScenario, ZoneOutageScenario
 from repro.resilience.autoscale import AutoscaleScenario
 from repro.resilience.chaos import ChaosPlan, ChaosSpec, as_chaos_plan
-from repro.resilience.scenarios import (
-    RESILIENCE_SCENARIOS,
-    FlappingScenario,
-    GrayFailureScenario,
-    ZoneOutageScenario,
-)
 
 __all__ = [
     "AutoscaleScenario",
@@ -33,7 +28,6 @@ __all__ = [
     "ChaosSpec",
     "FlappingScenario",
     "GrayFailureScenario",
-    "RESILIENCE_SCENARIOS",
     "ZoneOutageScenario",
     "as_chaos_plan",
 ]

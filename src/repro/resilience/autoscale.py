@@ -258,18 +258,3 @@ class AutoscaleScenario(Scenario):
             "elasticity_cost": self._cost,
             "elasticity_staleness": self._staleness,
         }
-
-    def describe(self) -> Dict[str, Any]:
-        described: Dict[str, Any] = {
-            "name": self.name,
-            "min_nodes": self.min_nodes,
-            "high_load": self.high_load,
-            "low_load": self.low_load,
-            "pressure_high": self.pressure_high,
-            "cooldown": self.cooldown,
-            "warm": self.warm,
-            "action_cost": self.action_cost,
-        }
-        if self._flash is not None:
-            described["flash"] = self._flash.describe()
-        return described

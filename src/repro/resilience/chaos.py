@@ -238,10 +238,6 @@ class ChaosPlan:
             )
         return events
 
-    def describe(self) -> Dict[str, Any]:
-        """Spec coordinates (the drawn schedule is implied by them)."""
-        return self.spec.describe()
-
 
 def _boundaries(faults: List[_Fault]) -> List[Tuple[_Fault, float, bool]]:
     """Window start/end boundaries in application order.

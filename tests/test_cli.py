@@ -152,6 +152,49 @@ def test_cluster_sweep_runs_scenarios_and_exports(tmp_path, capsys) -> None:
     assert row["reads"] + row["writes"] > 0
 
 
+def test_zone_outage_recovers_at_auto_from_the_command_line(tmp_path) -> None:
+    """``recover_at=auto`` arrives as a string built at run time, not the
+    interned literal; zone-outage used to compare it by identity and crash."""
+    json_path = tmp_path / "zone.json"
+    exit_code = main(
+        [
+            "cluster",
+            "--nodes", "4",
+            "--zones", "2",
+            "--scenario", "zone-outage",
+            "--scenario-param", "recover_at=auto",
+            "--policies", "invalidate",
+            "--bounds", "0.5",
+            "--duration", "5",
+            "--param", "num_keys=50",
+            "--processes", "1",
+            "--json", str(json_path),
+        ]
+    )
+    assert exit_code == 0
+    (row,) = json.loads(json_path.read_text())["results"]
+    assert row["scenario_params"] == {"recover_at": "auto"}
+    # zone-0 of four nodes over two zones is two nodes: out once, back once.
+    assert row["rebalances"] == 4
+
+
+def test_a_scenario_time_that_is_not_a_number_is_a_clean_refusal(monkeypatch) -> None:
+    monkeypatch.setattr("repro.__main__.run_experiment", None)
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "cluster",
+                "--nodes", "4",
+                "--scenario", "partition",
+                "--scenario-param", "start_at=soon",
+                "--policies", "invalidate",
+                "--bounds", "0.5",
+                "--duration", "5",
+            ]
+        )
+    assert str(excinfo.value.code).startswith("start_at must be a real number, got 'soon'")
+
+
 def test_cluster_sweep_refuses_an_unrunnable_cell_before_the_sweep_starts(monkeypatch) -> None:
     """node_index=5 fits the 8-node cells and not the 2-node ones: the sweep
     used to replay the former, then lose its rows to the latter's error."""

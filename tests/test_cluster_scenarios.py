@@ -133,13 +133,82 @@ def test_warm_scenarios_require_a_store() -> None:
 def test_scenario_instances_can_be_rebound_to_a_different_run() -> None:
     scenario = make_scenario("node-failure")
     scenario.bind(duration=20.0, staleness_bound=0.5, num_nodes=4)
-    first = scenario.describe()
+    first_fail_at = scenario.fail_at
     scenario.bind(duration=5.0, staleness_bound=0.5, num_nodes=4)
-    second = scenario.describe()
     # Relative defaults are recomputed from the new horizon, not baked in.
-    assert first["fail_at"] == pytest.approx(8.0)
-    assert second["fail_at"] == pytest.approx(2.0)
-    assert second["detect_at"] < 5.0
+    assert first_fail_at == pytest.approx(8.0)
+    assert scenario.fail_at == pytest.approx(2.0)
+    assert scenario.detect_at < 5.0
+
+
+@pytest.mark.parametrize("name", ["node-failure", "zone-outage"])
+def test_recover_at_auto_is_compared_by_value(name) -> None:
+    # Built at run time, as the command line builds it: not the interned
+    # literal, so a comparison by identity would miss it.
+    auto = "".join(["au", "to"])
+    scenario = make_scenario(name, {"recover_at": auto})
+    scenario.bind(duration=10.0, staleness_bound=0.5, num_nodes=4)
+    assert scenario.recover_at == 7.5
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("partition", "start_at"),
+        ("backend-saturation", "recover_at"),
+        ("node-failure", "detect_at"),
+        ("zone-outage", "recover_at"),
+        ("kill-at-t", "kill_at"),
+        ("flash-crowd", "shift_at"),
+    ],
+)
+@pytest.mark.parametrize("value", ["soon", float("nan")])
+def test_a_scenario_time_that_is_not_a_real_number_is_refused_by_name(name, param, value) -> None:
+    scenario = make_scenario(name, {param: value})
+    with pytest.raises(ClusterError, match=f"^{param} must be a real number, got {value!r}$"):
+        scenario.bind(duration=10.0, staleness_bound=0.5, num_nodes=4)
+
+
+@pytest.mark.parametrize("name", ["partition", "l2-outage", "gray-failure"])
+def test_a_node_named_twice_is_refused(name) -> None:
+    """A partition over [0, 0] saved the channel's loss twice, the second
+    time over the first start's value, and restored the wrong loss."""
+    scenario = make_scenario(name, {"node_indices": [0, 0]})
+    with pytest.raises(ClusterError, match="^node index 0 is named twice$"):
+        scenario.bind(duration=10.0, staleness_bound=0.5, num_nodes=4)
+
+
+def test_registry_is_one_table_whatever_is_imported_first() -> None:
+    import ast
+    import subprocess
+    import sys
+
+    registries = []
+    for first in ("repro.resilience", "repro.cluster"):
+        probe = (
+            f"import {first}\n"
+            "from repro.cluster.scenarios import SCENARIO_FACTORIES\n"
+            "print(sorted((name, factory.__qualname__) for name, factory"
+            " in SCENARIO_FACTORIES.items()))"
+        )
+        registries.append(
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            ).stdout
+        )
+    assert registries[0] == registries[1]
+    assert len(ast.literal_eval(registries[0])) == 12
+
+
+def test_no_scenario_describes_itself() -> None:
+    """Rows carry the scenario's name and parameters (``RunCell.describe``);
+    a scenario's resolved coordinates are its attributes."""
+    from repro.cluster.scenarios import SCENARIO_FACTORIES, Scenario
+    from repro.resilience import AutoscaleScenario, ChaosPlan
+
+    classes = [Scenario, AutoscaleScenario, ChaosPlan]
+    classes += [factory for factory in SCENARIO_FACTORIES.values() if isinstance(factory, type)]
+    assert [cls.__name__ for cls in classes if hasattr(cls, "describe")] == []
 
 
 def test_fleet_cache_stats_ratios_are_recomputed_not_summed() -> None:
