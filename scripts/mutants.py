@@ -274,6 +274,12 @@ KILLERS: Dict[str, str] = {
     "test_rows_are_identical_for_any_process_count_and_engine",
     "fleet-kill-point-ignored": "tests/test_vector_engine.py::"
     "test_every_envelope_row_replays_scalar_rows_under_its_own_name[stop-at-fleet]",
+    "instant-ignores-its-time": "tests/test_cluster_scenarios.py::"
+    "test_a_scenario_time_that_is_not_a_real_number_is_refused_by_name[soon-kill-at-t-kill_at]",
+    "window-end-never-fires": "tests/test_scenario_catalog.py::"
+    "test_scenario_events_are_pinned_time_for_time[backend-saturation-1]",
+    "outage-rejoins-cold": "tests/test_cluster_scenarios.py::"
+    "test_warm_rejoin_cuts_the_miss_spike_versus_cold_rejoin",
 }
 
 #: Mutants that cannot change any output, by name, with the reason.

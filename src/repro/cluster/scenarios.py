@@ -941,11 +941,7 @@ def make_scenario(
         raise ClusterError(
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIO_FACTORIES)}"
         ) from exc
-    kwargs = dict(params or {})
-    # Scenario parameters arriving from JSON/CLI use lists for sequences.
-    if "node_indices" in kwargs and isinstance(kwargs["node_indices"], list):
-        kwargs["node_indices"] = tuple(kwargs["node_indices"])
     try:
-        return factory(**kwargs)
+        return factory(**dict(params or {}))
     except TypeError as exc:
         raise ClusterError(f"invalid parameters for scenario {name!r}: {exc}") from exc
