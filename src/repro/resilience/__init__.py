@@ -1,6 +1,6 @@
 """Fleet resilience: elastic scaling, gray failures, and chaos injection.
 
-This package closes ROADMAP item 5 on top of the cluster substrate:
+This package builds on the cluster substrate:
 
 * :mod:`repro.resilience.autoscale` — a deterministic autoscaler scenario
   that grows/shrinks the fleet mid-run from load and hot-key pressure,

@@ -1,6 +1,11 @@
 """Scenario engine: node failure, partition, flash crowd, and the grid axes."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,10 +184,7 @@ def test_a_node_named_twice_is_refused(name) -> None:
 
 
 def test_registry_is_one_table_whatever_is_imported_first() -> None:
-    import ast
-    import subprocess
-    import sys
-
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     registries = []
     for first in ("repro.resilience", "repro.cluster"):
         probe = (
@@ -193,7 +195,8 @@ def test_registry_is_one_table_whatever_is_imported_first() -> None:
         )
         registries.append(
             subprocess.run(
-                [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                check=True,
             ).stdout
         )
     assert registries[0] == registries[1]
