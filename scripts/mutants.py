@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Mutation score: does tier-1 kill the bugs this code could ship?
 
-Each mutant is ``(name, file, old, new, why)``: an exact-string edit of
-``file`` (a path under the repository root).  ``old`` must occur exactly
-once in the file; a mutant that has to change several places of one file
-gives ``old`` and ``new`` as equal-length tuples, applied pair by pair.
-Every mutant is applied to a fresh ``git archive HEAD`` copy in a temporary
-directory.  Its known killer (:data:`KILLERS`: the test that killed it last)
-runs there first; only when that test passes, or names no test any more,
-does all of tier-1 run with ``-x``.  A killer outside :data:`SLIP_PINS` that
+Each mutant is ``(name, file, old, new, why, killer)``: an exact-string
+edit of ``file`` (a path under the repository root), and the test that
+killed it last.  ``old`` must occur exactly once in the file; a mutant that
+has to change several places of one file gives ``old`` and ``new`` as
+equal-length tuples, applied pair by pair.  Every mutant is applied to a
+fresh ``git archive HEAD`` copy in a temporary directory.  Its killer runs
+there first; only when that test passes, or names no test any more, does
+all of tier-1 run with ``-x``.  A killer outside :data:`SLIP_PINS` that
 fails is a ``killed`` verdict a full run would also reach, so the selection
 cannot let a mutant survive:
 
@@ -21,11 +21,10 @@ cannot let a mutant survive:
 
 Usage::
 
-    python scripts/mutants.py          # each mutant's killer first
-    python scripts/mutants.py --full   # all of tier-1 for every mutant
+    python scripts/mutants.py
 
 It prints one line per mutant (``*`` marks a killer that no longer kills:
-update :data:`KILLERS` from ``MUTANTS.json``'s ``by``) and writes
+copy ``MUTANTS.json``'s ``by`` into the mutant's entry) and writes
 ``MUTANTS.json`` (untracked) at the repository root.
 Exit status: 0 when no mutant survives, 1 when one does, 2 when a mutant
 no longer applies to HEAD or tier-1 could not run in a copy.  Standard
@@ -48,7 +47,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 ROOT = Path(__file__).resolve().parent.parent
 
 Edit = Union[str, Tuple[str, ...]]
-Mutant = Tuple[str, str, Edit, Edit, str]
+Mutant = Tuple[str, str, Edit, Edit, str, str]
 
 VECTOR = "src/repro/sim/vector.py"
 POLLING = "src/repro/sim/polling.py"
@@ -61,7 +60,8 @@ SCENARIOS = "src/repro/cluster/scenarios.py"
 #: poll-count pair, the batches of big cuts, a replay's end on its columns
 #: (the deferred histories, the settle at the horizon), the span table's
 #: whole batches, the shipped bugs (the ignored kill point), and the three
-#: scenario timelines.
+#: scenario timelines.  The last field of each is the test that killed it
+#: last, run first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -70,6 +70,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "return round((t - anchor) / ttl) if t > anchor else 0",
         "the scalar half of the poll-count pair rounds: the scalar engine "
         "charges polls the kernels do not",
+        "tests/test_perf_equivalence.py::"
+        "test_fleet_ttl_replay_matches_per_node_key_reference[2-round-robin-None-ttl-polling]",
     ),
     (
         "poll-count-round-array",
@@ -78,6 +80,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "counts = np.round((t - anchor) / ttl).astype(np.int64)",
         "the array half of the pair rounds: the kernels charge polls the "
         "scalar engine does not",
+        "tests/test_cluster_parallel.py::"
+        "test_vector_cluster_replay_matches_scalar_fleet",
     ),
     (
         "expiry-kernel-all-cold",
@@ -87,6 +91,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
         "the TTL-expiry kernel fills every key cold, handed entries or not "
         "(the wrong row an envelope row once fenced off)",
+        "tests/test_vector_engine.py::"
+        "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-expiry-single-VALID]",
     ),
     (
         "polling-kernel-all-cold",
@@ -95,6 +101,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    first_time = times[first_position]\n"
         "    valid, cold = valid & False, cold | True\n",
         "the TTL-polling kernel fills every key cold, handed entries or not",
+        "tests/test_vector_engine.py::"
+        "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
     ),
     (
         "stale-miss-constant-fold",
@@ -110,6 +118,9 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a polling span's stale misses fold as one constant ahead of its "
         "poll charges instead of in stream order among them (visible at "
         "c_m != 1 only)",
+        "tests/test_vector_engine.py::"
+        "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
+        "[ttl-polling-single-INVALIDATED]",
     ),
     (
         "warm-polling-baseline-zero",
@@ -118,6 +129,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    paid = 0 * poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
         "a loaded polling entry's first read counts its polls from its "
         "anchor, not from its accounting point: polls charged twice",
+        "tests/test_vector_engine.py::"
+        "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
     ),
     (
         "run-lead-counts-own",
@@ -127,6 +140,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a poll-count run's first read charges its polls past its own "
         "accounting point, not the previous run's: a run after a slip "
         "charges one poll short",
+        "tests/test_cluster_parallel.py::"
+        "test_vector_cluster_replay_matches_scalar_fleet",
     ),
     (
         "slip-run-first-read-only",
@@ -136,6 +151,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a run whose accounting point rounds back a poll charges its first "
         "read only, not the re-charged poll of every later read (the slip "
         "fixed in one engine only)",
+        "tests/test_cluster_parallel.py::"
+        "test_vector_cluster_replay_matches_scalar_fleet",
     ),
     (
         "slip-fixed",
@@ -155,6 +172,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "the row change of the TTL-polling debt: every poll count rounds, both "
         "halves of the pair and the hot path's inlined copy alike; only the "
         "slip's pins can tell",
+        "src/repro/core/ttl.py::repro.core.ttl.poll_count",
     ),
     (
         "inner-edges-bisected-right",
@@ -163,6 +181,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            np.tile(edges[1:-1], keys.size),\n            right=True,\n",
         "a batch that starts with a big cut bisects its inner edges past the "
         "request on each edge: that request lands in the cut before it",
+        "tests/test_perf_equivalence.py::"
+        "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
     ),
     (
         "write-run-block-splits-a-group",
@@ -171,6 +191,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "stride, write_lo[block], np.minimum(num_writes[block], _CUT_GRID)\n",
         "a write-run block ends inside a group with more writes than the "
         "block holds: the group's writes past the boundary go uncounted",
+        "tests/test_perf_equivalence.py::"
+        "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
     ),
     (
         "histories-in-key-order",
@@ -180,6 +202,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "the deferred build creates the datastore's histories in key-id order, "
         "not in first-write order: the store's key order is not the scalar "
         "engine's",
+        "tests/test_perf_equivalence.py::"
+        "test_index_span_slices_match_per_span_stable_sort[0]",
     ),
     (
         "settle-folds-in-key-order",
@@ -188,6 +212,9 @@ MUTANTS: Tuple[Mutant, ...] = (
         "result.freshness_cost, rows[mine], polls[mine], ctx.miss_const\n",
         "the end-of-run poll charges fold in key-id order, not in the cache's "
         "order: a different float at c_m != 1",
+        "tests/test_vector_engine.py::"
+        "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
+        "[ttl-polling-skipped-single-VALID]",
     ),
     (
         "evicted-batch-keeps-its-cuts",
@@ -196,6 +223,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            self.table_bytes -= self.table[next(iter(self.table))][0].nbytes\n",
         "the span table uncharges its oldest batch but keeps its cut entries: "
         "the table holds more than its cap says",
+        "tests/test_perf_equivalence.py::"
+        "test_replays_on_a_shared_trace_equal_replays_on_fresh_traces[poisson]",
     ),
     (
         "one-cut-block-takes-the-next-writes",
@@ -204,6 +233,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "[0, hi - lo], self.bounds[cut], self.writes[(position + 1) % len(self.writes)][None],\n",
         "a cut's groups count the writes of the batch's next cut: each host's "
         "result counts another cut's writes",
+        "tests/test_experiments.py::"
+        "test_rows_are_identical_for_any_process_count_and_engine",
     ),
     (
         "fleet-kill-point-ignored",
@@ -212,6 +243,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        lambda engine, stop_at: False,\n",
         "the fleet envelope lets a replay with a kill point onto the kernels, "
         "which replay to the end of the trace instead of stopping there",
+        "tests/test_vector_engine.py::"
+        "test_every_envelope_row_replays_scalar_rows_under_its_own_name[stop-at-fleet]",
     ),
     (
         "instant-ignores-its-time",
@@ -220,6 +253,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "self.at = self.at_fraction * duration",
         "an instant scenario fires at its default fraction of the run whatever "
         "time it was given",
+        "tests/test_cluster_scenarios.py::"
+        "test_a_scenario_time_that_is_not_a_real_number_is_refused_by_name[soon-kill-at-t-kill_at]",
     ),
     (
         "window-end-never-fires",
@@ -228,6 +263,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "",
         "a window scenario starts and never ends: the partition, outage, squeeze "
         "or gray spell lasts to the end of the run",
+        "tests/test_scenario_catalog.py::"
+        "test_scenario_events_are_pinned_time_for_time[backend-saturation-1]",
     ),
     (
         "outage-rejoins-cold",
@@ -236,51 +273,10 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        warm = False\n",
         "a failed node or zone rejoins cold under rejoin=\"warm\": the snapshot "
         "it was made to restore from is never read",
+        "tests/test_cluster_scenarios.py::"
+        "test_warm_rejoin_cuts_the_miss_spike_versus_cold_rejoin",
     ),
 )
-
-#: The test that killed each mutant last, run first on its copy.
-KILLERS: Dict[str, str] = {
-    "poll-count-round-scalar": "tests/test_perf_equivalence.py::"
-    "test_fleet_ttl_replay_matches_per_node_key_reference[2-round-robin-None-ttl-polling]",
-    "poll-count-round-array": "tests/test_cluster_parallel.py::"
-    "test_vector_cluster_replay_matches_scalar_fleet",
-    "expiry-kernel-all-cold": "tests/test_vector_engine.py::"
-    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-expiry-single-VALID]",
-    "polling-kernel-all-cold": "tests/test_vector_engine.py::"
-    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
-    "stale-miss-constant-fold": "tests/test_vector_engine.py::"
-    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
-    "[ttl-polling-single-INVALIDATED]",
-    "warm-polling-baseline-zero": "tests/test_vector_engine.py::"
-    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows[ttl-polling-single-VALID]",
-    "run-lead-counts-own": "tests/test_cluster_parallel.py::"
-    "test_vector_cluster_replay_matches_scalar_fleet",
-    "slip-run-first-read-only": "tests/test_cluster_parallel.py::"
-    "test_vector_cluster_replay_matches_scalar_fleet",
-    "slip-fixed": "src/repro/core/ttl.py::repro.core.ttl.poll_count",
-    "inner-edges-bisected-right": "tests/test_perf_equivalence.py::"
-    "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
-    "write-run-block-splits-a-group": "tests/test_perf_equivalence.py::"
-    "test_a_batch_of_cuts_equals_its_cuts_built_one_by_one[single-0.05-0]",
-    "histories-in-key-order": "tests/test_perf_equivalence.py::"
-    "test_index_span_slices_match_per_span_stable_sort[0]",
-    "settle-folds-in-key-order": "tests/test_vector_engine.py::"
-    "test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows"
-    "[ttl-polling-skipped-single-VALID]",
-    "evicted-batch-keeps-its-cuts": "tests/test_perf_equivalence.py::"
-    "test_replays_on_a_shared_trace_equal_replays_on_fresh_traces[poisson]",
-    "one-cut-block-takes-the-next-writes": "tests/test_experiments.py::"
-    "test_rows_are_identical_for_any_process_count_and_engine",
-    "fleet-kill-point-ignored": "tests/test_vector_engine.py::"
-    "test_every_envelope_row_replays_scalar_rows_under_its_own_name[stop-at-fleet]",
-    "instant-ignores-its-time": "tests/test_cluster_scenarios.py::"
-    "test_a_scenario_time_that_is_not_a_real_number_is_refused_by_name[soon-kill-at-t-kill_at]",
-    "window-end-never-fires": "tests/test_scenario_catalog.py::"
-    "test_scenario_events_are_pinned_time_for_time[backend-saturation-1]",
-    "outage-rejoins-cold": "tests/test_cluster_scenarios.py::"
-    "test_warm_rejoin_cuts_the_miss_spike_versus_cold_rejoin",
-}
 
 #: Mutants that cannot change any output, by name, with the reason.
 EQUIVALENT: Dict[str, str] = {}
@@ -314,7 +310,7 @@ def _edits(old: Edit, new: Edit) -> List[Tuple[str, str]]:
 
 
 def _apply(copy: Path, mutant: Mutant) -> None:
-    name, file, old, new, _ = mutant
+    name, file, old, new, _, _ = mutant
     path = copy / file
     text = path.read_text()
     for before, after in _edits(old, new):
@@ -341,7 +337,7 @@ def _verdict(copy: Path, killer: str) -> Tuple[str, str]:
     """The killer, then if need be tier-1, on a mutated copy: ``(status,
     first failing test)``.  A pin is no killer to try first: only all of
     tier-1 passing makes its failure ``killed-by-pin``."""
-    if killer and killer not in SLIP_PINS:
+    if killer not in SLIP_PINS:
         code, _ = _pytest(copy, [killer])
         if code == 1:
             return "killed", killer
@@ -358,8 +354,7 @@ def _verdict(copy: Path, killer: str) -> Tuple[str, str]:
     raise RuntimeError(f"pytest exited {code} on a mutated copy")
 
 
-def main(argv: Sequence[str]) -> int:
-    full = "--full" in argv
+def main() -> int:
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -373,7 +368,7 @@ def main(argv: Sequence[str]) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(pristine)], input=archive, check=True)
         for mutant in MUTANTS:
-            name, file, _, _, why = mutant
+            name, file, _, _, why, killer = mutant
             clock = time.perf_counter()
             if name in EQUIVALENT:
                 status, failed = "equivalent", EQUIVALENT[name]
@@ -382,7 +377,6 @@ def main(argv: Sequence[str]) -> int:
                 shutil.copytree(pristine, copy)
                 try:
                     _apply(copy, mutant)
-                    killer = "" if full else KILLERS.get(name, "")
                     status, failed = _verdict(copy, killer)
                 except (LookupError, RuntimeError) as error:
                     print(f"error      {name}: {error}", flush=True)
@@ -390,14 +384,14 @@ def main(argv: Sequence[str]) -> int:
                 finally:
                     shutil.rmtree(copy)
             seconds = round(time.perf_counter() - clock, 1)
-            moved = "*" if failed != KILLERS.get(name) and status != "equivalent" else " "
+            moved = "*" if failed != killer and status != "equivalent" else " "
             print(f"{status:<14}{moved}{name}  {failed}  ({seconds} s)", flush=True)
             rows.append(dict(name=name, file=file, status=status, by=failed,
                              seconds=seconds, why=why))
     wall = round(time.perf_counter() - started, 1)
     survivors = [row["name"] for row in rows if row["status"] == "survived"]
     (ROOT / "MUTANTS.json").write_text(
-        json.dumps(dict(head=head, full=full, wall_s=wall, mutants=rows), indent=2) + "\n"
+        json.dumps(dict(head=head, wall_s=wall, mutants=rows), indent=2) + "\n"
     )
     print(f"{len(rows) - len(survivors)} of {len(rows)} not surviving, {wall} s; "
           f"survivors: {', '.join(survivors) or 'none'}")
@@ -405,4 +399,4 @@ def main(argv: Sequence[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
