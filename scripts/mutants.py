@@ -53,14 +53,16 @@ VECTOR = "src/repro/sim/vector.py"
 POLLING = "src/repro/sim/polling.py"
 TTL = "src/repro/core/ttl.py"
 COMPILED = "src/repro/workload/compiled.py"
+POISSON = "src/repro/workload/poisson.py"
 FLEET = "src/repro/cluster/vector.py"
 SCENARIOS = "src/repro/cluster/scenarios.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
 #: poll-count pair, the batches of big cuts, a replay's end on its columns
 #: (the deferred histories, the settle at the horizon), the span table's
-#: whole batches, the shipped bugs (the ignored kill point), and the three
-#: scenario timelines.  The last field of each is the test that killed it
+#: whole batches, the shipped bugs (the ignored kill point), the three
+#: scenario timelines, and trace preparation (the index's composite sort,
+#: the in-place draw).  The last field of each is the test that killed it
 #: last, run first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
@@ -276,10 +278,54 @@ MUTANTS: Tuple[Mutant, ...] = (
         "tests/test_cluster_scenarios.py::"
         "test_warm_rejoin_cuts_the_miss_spike_versus_cold_rejoin",
     ),
+    (
+        "index-position-field-short",
+        COMPILED,
+        "        position_bits = max(total - 1, 0).bit_length()\n",
+        "        position_bits = max(total - 2, 0).bit_length()\n",
+        "the index's composite key gives positions one bit too few at 2^k + 1 "
+        "requests: the last position spills into the key field",
+        "tests/test_trace_prep.py::"
+        "test_the_composite_sort_lays_out_the_argsort_index[1025-1-mixed]",
+    ),
+    (
+        "write-rank-searched-right",
+        COMPILED,
+        "np.searchsorted(composite[:reads], composite[reads:]).astype(",
+        'np.searchsorted(composite[:reads], composite[reads:], side="right").astype(',
+        "a write's rank among its key's reads is searched past equal keys",
+        "tests/test_trace_prep.py::"
+        "test_the_composite_sort_lays_out_the_argsort_index[1025-65-mixed]",
+    ),
+    (
+        "write-rank-needle-flagged",
+        COMPILED,
+        "np.searchsorted(composite[:reads], composite[reads:]).astype(",
+        "np.searchsorted(composite[:reads], composite[reads:] | (1 << write_shift)).astype(",
+        "a write's rank is searched with its write flag still set: every write "
+        "ranks past every read",
+        "tests/test_trace_prep.py::"
+        "test_the_composite_sort_lays_out_the_argsort_index[1025-65-mixed]",
+    ),
+    (
+        "exponential-draw-unscaled",
+        POISSON,
+        "            times *= mean_gap\n",
+        "",
+        "the Poisson draw loop keeps its standard exponentials unscaled: every "
+        "gap is drawn at rate 1, not at the aggregate rate",
+        "tests/test_trace_prep.py::"
+        "test_the_poisson_draw_pins_its_first_chunks_to_fresh_draws",
+    ),
 )
 
 #: Mutants that cannot change any output, by name, with the reason.
-EQUIVALENT: Dict[str, str] = {}
+EQUIVALENT: Dict[str, str] = {
+    "write-rank-searched-right": (
+        "a write's needle and every read key end in distinct stream positions, "
+        "so no needle equals a read and both sides of the search agree"
+    ),
+}
 
 #: Tests that pin the TTL-polling slip's exact figures (``int`` where the
 #: poll count would round): they fail on the row change the slip's fix is,

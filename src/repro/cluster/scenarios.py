@@ -154,15 +154,14 @@ class InstantScenario(Scenario):
     """One event at one instant of the run.
 
     A subclass names the instant's parameter (:attr:`at_param`) and its
-    default fraction of the run (:attr:`at_fraction`), says whether the instant
-    must fall strictly inside the run (:attr:`inside`), and gives the
+    default fraction of the run (:attr:`at_fraction`), and gives the
     event's :attr:`label` and what it does (:meth:`fire`).  The resolved
-    instant is :attr:`at`.
+    instant is :attr:`at`, strictly inside the run: an instant at or past
+    either end would label a row with an event that never acted.
     """
 
     at_param: str
     at_fraction = 0.5
-    inside = True
     label: str
 
     def __init__(self, at: Optional[float]) -> None:
@@ -173,7 +172,7 @@ class InstantScenario(Scenario):
     def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
         super().bind(duration, staleness_bound, num_nodes)
         self.at = _time(self.at_param, self._at_arg, self.at_fraction * duration)
-        if self.inside and not 0.0 < self.at < duration:
+        if not 0.0 < self.at < duration:
             raise ClusterError(
                 f"{self.at_param} must fall inside the run (0, {duration}), got {self.at}"
             )
@@ -189,16 +188,16 @@ class WindowScenario(Scenario):
     """Something starts on a set of nodes and later ends.
 
     A subclass names the window's two parameters (:attr:`bounds`) and their
-    default fractions of the run (:attr:`fractions`), says whether the
-    window must fall inside the run (:attr:`inside`), and gives the two
+    default fractions of the run (:attr:`fractions`), and gives the two
     event :attr:`labels` and what they do (:meth:`begin`, :meth:`finish`).
-    The resolved window is :attr:`start` to :attr:`end`; the nodes it acts
-    on are :attr:`nodes` (``node_indices=None`` is the whole fleet).
+    The resolved window is :attr:`start` to :attr:`end`, inside the run
+    (a window that never ends, or starts before the run, is refused); the
+    nodes it acts on are :attr:`nodes` (``node_indices=None`` is the whole
+    fleet).
     """
 
     bounds = ("start_at", "end_at")
     fractions = (0.3, 0.7)
-    inside = False
     labels: Tuple[str, str]
 
     def __init__(
@@ -226,7 +225,7 @@ class WindowScenario(Scenario):
         self.start = _time(start_param, start_at, self.fractions[0] * duration)
         self.end = _time(end_param, end_at, self.fractions[1] * duration)
         _after(end_param, self.end, start_param, self.start)
-        if self.inside and (not 0.0 <= self.start or not self.end <= duration):
+        if not 0.0 <= self.start or not self.end <= duration:
             raise ClusterError(
                 f"{self.name} window must fall inside the run [0, {duration}], "
                 f"got [{self.start}, {self.end}]"
@@ -443,7 +442,6 @@ class FlashCrowdScenario(InstantScenario):
 
     name = "flash-crowd"
     at_param = "shift_at"
-    inside = False
     label = "shift"
 
     def __init__(
@@ -649,9 +647,9 @@ class L2OutageScenario(WindowScenario):
     carry when the fleet behind it goes dark?
 
     Requires the cluster to run with an L1
-    (:class:`~repro.tier.TierConfig` with ``l1_capacity > 0``).  The window
-    must fall inside the run: the outage's no-charge poll accounting depends
-    on the end event firing.
+    (:class:`~repro.tier.TierConfig` with ``l1_capacity > 0``).  Like every
+    window it must fall inside the run, and here a row depends on it: the
+    outage's no-charge poll accounting needs the end event to fire.
 
     Args:
         node_indices: Indices of the partitioned nodes (``None`` = the whole
@@ -662,7 +660,6 @@ class L2OutageScenario(WindowScenario):
 
     name = "l2-outage"
     fractions = (0.4, 0.7)
-    inside = True
     labels = ("l2-outage-start", "l2-outage-end")
 
     def __init__(
@@ -709,7 +706,6 @@ class BackendSaturationScenario(WindowScenario):
     name = "backend-saturation"
     bounds = ("squeeze_at", "recover_at")
     fractions = (0.4, 0.8)
-    inside = True
     labels = ("saturation-start", "saturation-end")
 
     def __init__(

@@ -9,7 +9,11 @@ for the same model where the paper's are approximations.
 """
 
 from repro.model.arrivals import p_read, p_write
-from repro.model.exact import ttl_expiry_miss_rate
+from repro.model.exact import (
+    invalidate_chain,
+    invalidate_miss_rate,
+    ttl_expiry_miss_rate,
+)
 from repro.model.capacity import (
     che_characteristic_time,
     che_hit_ratio,
@@ -37,6 +41,8 @@ __all__ = [
     "che_characteristic_time",
     "che_hit_ratio",
     "che_per_content_hit_ratio",
+    "invalidate_chain",
+    "invalidate_miss_rate",
     "p_read",
     "p_write",
     "steady_state_invalidated_probability",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from operator import attrgetter, le
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,20 @@ CHUNK_ROWS = 1024
 #: One chunk as a generator draws it: ``(times, key_ids, is_read, key_sizes,
 #: value_sizes)`` arrays of equal length, keys as indices into a name table.
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Where a native generator's draw loop writes a chunk: ``take(rows)`` hands
+#: writable views of ``rows`` rows, one per column the generator draws (its
+#: ``_DRAWN`` dtypes), and the loop yields the leading views it kept.  A
+#: stream passes :func:`fresh_chunks`; ``compile_workload`` passes slices of
+#: whole-trace columns at its cursor, so a compiled trace is drawn in place.
+Take = Callable[[int], Tuple[np.ndarray, ...]]
+
+
+def fresh_chunks(dtypes: Sequence[type]) -> Take:
+    """A :data:`Take` that allocates every chunk anew: what a stream hands on,
+    one chunk at a time."""
+    return lambda rows: tuple(np.empty(rows, dtype) for dtype in dtypes)
+
 
 #: One chunk as a driver replays it: the same five columns as Python lists of
 #: up to :data:`CHUNK_ROWS` rows, keys resolved to their names.

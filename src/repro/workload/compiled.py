@@ -14,17 +14,19 @@ scalar drivers take the trace :data:`~repro.workload.base.STREAM_CHUNK_SIZE`
 rows at a time through :meth:`CompiledTrace.chunks`, without building a
 request object.
 
-The native generators' primitive is their chunk generator
-(``iter_columns``), and a compiled Poisson or Twitter trace is nothing but
-its chunks concatenated — the draw loop is not repeated here — so
-``compile_workload(w, d).iter_requests()`` yields a stream byte-identical to
-``w.iter_requests(d)`` by construction.  Workloads without a chunk generator
-fall back to batching their object stream, which is slower to compile but
-just as identical.
+A native generator has one draw loop, which writes each chunk into views
+its caller hands it: its chunk generator (``iter_columns``) hands fresh
+chunk arrays, and a compiled Poisson or Twitter trace is the same loop
+drawing into slices of whole-trace columns — the draw loop is not repeated
+here — so ``compile_workload(w, d).iter_requests()`` yields a stream
+byte-identical to ``w.iter_requests(d)`` by construction.  Workloads
+without a draw loop fall back to batching their object stream, which is
+slower to compile but just as identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
@@ -39,7 +41,6 @@ from repro.workload.base import (
     OpType,
     Request,
     Workload,
-    constant_column,
     in_order,
     validate_duration,
 )
@@ -68,11 +69,12 @@ class TraceIndex:
     (each policy of a comparison, each cell of a sweep) shares one index
     instead of re-sorting its spans.
 
-    One stable argsort of the key ids lays the stream positions out
-    key-major; within a key they stay ascending.  A stable key sort
-    restricted to any position range ``[start, end)`` is therefore a
-    contiguous *slice* of each key's run, which is what :meth:`span` hands
-    the span kernels: bounds into the columns, never sorted copies.
+    One sort of a composite key per request (write flag, key id, stream
+    position) lays the reads out key-major, then the writes; within a key
+    the positions ascend.  A key's reads (or writes) restricted to any
+    position range ``[start, end)`` are therefore a contiguous *slice* of
+    its run, which is what :meth:`span` hands the span kernels: bounds into
+    the columns, never sorted copies.
 
     The index holds arrays only — never the trace — so it cannot keep its
     owner alive, and it lives exactly as long as the trace object does.
@@ -149,29 +151,39 @@ class TraceIndex:
         self.is_read = is_read
         # ``>=`` so that a NaN time, which compares false, counts as disorder.
         self.time_ordered = in_order(times) if times.size else True
-        # Narrow ids sort by radix (16-bit and below) instead of by merging.
-        order = np.argsort(key_ids.astype(np.min_scalar_type(num_keys)), kind="stable")
-        if key_ids.size <= np.iinfo(np.uint32).max:
-            order = order.astype(np.uint32)
-        reads_first = is_read[order]
-        self.read_pos = order[reads_first]
-        # Key-major slot of each write: slot minus write index counts the
-        # reads laid out before it.
-        write_slots = np.flatnonzero(~reads_first)
-        self.write_pos = order[write_slots]
-        self.write_read_rank = (write_slots - np.arange(write_slots.size)).astype(
-            order.dtype
+        # One composite key a request — the write flag, the key id and the
+        # stream position, from the high bit down — built in place and
+        # sorted: all reads key-major, then all writes key-major, positions
+        # ascending within a key.
+        total, reads = key_ids.size, int(np.count_nonzero(is_read))
+        position_bits = max(total - 1, 0).bit_length()
+        write_shift = max(num_keys - 1, 0).bit_length() + position_bits
+        width = np.uint32 if write_shift < 32 else np.uint64
+        composite = key_ids.astype(width)
+        composite <<= width(position_bits)
+        composite |= np.arange(total, dtype=width)
+        writes = np.logical_not(is_read).astype(width)
+        writes <<= width(write_shift)
+        composite |= writes
+        del writes
+        composite.sort()
+        # Without the flag both halves are ``key << position_bits | position``:
+        # key ``k``'s run starts at ``k << position_bits`` in either, and a
+        # write's rank among the reads counts the reads below it.
+        composite[reads:] ^= width(1 << write_shift)
+        starts = np.arange(num_keys + 1, dtype=width) << width(position_bits)
+        self.read_offsets = np.searchsorted(composite[:reads], starts)
+        self.write_offsets = np.searchsorted(composite[reads:], starts)
+        self.occurring = np.flatnonzero(np.diff(self.read_offsets + self.write_offsets))
+        positions = np.uint32 if total <= np.iinfo(np.uint32).max else np.int64
+        self.write_read_rank = np.searchsorted(composite[:reads], composite[reads:]).astype(
+            positions
         )
-        # Key ``k``'s requests are the slots from ``requests[k]`` on, so its
-        # writes are the write slots from the first one at or past it.
-        counts = np.bincount(key_ids, minlength=num_keys)
-        requests = np.zeros(num_keys + 1, dtype=np.int64)
-        np.cumsum(counts, out=requests[1:])
-        self.write_offsets = np.searchsorted(write_slots, requests).astype(np.int64)
-        self.read_offsets = requests - self.write_offsets
+        composite &= width((1 << position_bits) - 1)
+        self.read_pos = composite[:reads].astype(positions, copy=False)
+        self.write_pos = composite[reads:].astype(positions, copy=False)
         self.write_times = times[self.write_pos]
         self.write_value_sizes = value_sizes[self.write_pos]
-        self.occurring = np.flatnonzero(counts)
         self.plans: Dict[Hashable, Any] = {}
         self.schedules: Dict[float, np.ndarray] = {}
         self.write_time_list: Optional[List[float]] = None
@@ -670,23 +682,53 @@ class CompiledTrace:
         return self.iter_requests().chunks()
 
 
+def _capacity(workload: PoissonZipfWorkload | TwitterWorkload, duration: float) -> int:
+    """Rows to lay out for a native compile: the arrivals expected over
+    ``duration`` and four standard deviations more.  Twitter's loop writes
+    its accepted arrivals only, whose rate integrates the diurnal envelope;
+    Poisson's draws each chunk whole before it drops the tail past the
+    horizon, so its rows round up to whole chunks.  :func:`_compile_native`
+    grows the columns should a draw outrun them anyway."""
+    if isinstance(workload, TwitterWorkload):
+        turn = 2.0 * math.pi / workload.diurnal_period
+        swing = workload.diurnal_amplitude * (1.0 - math.cos(turn * duration)) / turn
+        expected = workload.total_rate * (duration + swing)
+        return int(expected + 4.0 * math.sqrt(expected)) + 1
+    expected = workload.rate_per_key * workload.num_keys * duration
+    chunks = int(expected + 4.0 * math.sqrt(expected)) // STREAM_CHUNK_SIZE + 1
+    return chunks * STREAM_CHUNK_SIZE
+
+
 def _compile_native(
     workload: PoissonZipfWorkload | TwitterWorkload, duration: float
 ) -> CompiledTrace:
-    """Concatenate the chunks of a native generator's ``iter_columns``."""
-    columns = zip(*workload.iter_columns(duration))
-    return CompiledTrace(*map(_concatenate, columns), key_names=list(workload.key_names()))
+    """Run a native generator's draw loop into whole-trace columns.
 
+    The loop writes each chunk into the slices of the columns at the cursor
+    that ``take`` hands it, so the trace is drawn in place, never held as
+    chunks and a copy.  Columns that would overflow are grown to twice
+    their size (or to what the chunk needs) with their drawn rows copied,
+    and the rows past the last one drawn are given back at the end.
+    """
+    columns = [np.empty(_capacity(workload, duration), dtype) for dtype in workload._DRAWN]
+    filled = 0
 
-def _concatenate(parts: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """One column from its chunks; a column that every chunk hands out as one
-    :func:`~repro.workload.base.constant_column` stays one, storing its value
-    once (its ``nbytes`` still counts every row)."""
-    if all(part.strides == (0,) and part.dtype == np.int64 for part in parts):
-        values = {int(part[0]) for part in parts if part.size}
-        if len(values) == 1:
-            return constant_column(values.pop(), sum(part.size for part in parts))
-    return np.concatenate(parts)
+    def take(rows: int) -> Tuple[np.ndarray, ...]:
+        if filled + rows > columns[0].size:
+            size = max(2 * columns[0].size, filled + rows)
+            for i, column in enumerate(columns):
+                columns[i] = np.empty(size, column.dtype)
+                columns[i][:filled] = column[:filled]
+        return tuple(column[filled : filled + rows] for column in columns)
+
+    for drawn in workload._draw(duration, take):
+        filled += drawn[0].size
+    del drawn
+    for column in columns:
+        # Hand the rows never drawn back to the allocator, in place: the
+        # loop has ended, so no view of the column is left to move.
+        column.resize(filled, refcheck=False)
+    return CompiledTrace(*workload._columns(columns), key_names=list(workload.key_names()))
 
 
 def _compile_mix(workload: PoissonMixWorkload, duration: float) -> CompiledTrace:
@@ -750,8 +792,8 @@ def _compile_generic(workload: Workload, duration: float) -> CompiledTrace:
 def compile_workload(workload: Workload, duration: float) -> CompiledTrace:
     """Compile a workload's request stream into columnar arrays.
 
-    Concatenates the generator's own chunks when the workload type has a
-    chunk generator (the synthetic Poisson, mixture, and Twitter generators),
+    Runs the generator's own draw loop into the trace's columns when the
+    workload type has one (the synthetic Poisson, mixture, and Twitter generators),
     otherwise batches the scalar stream.  Either way the result decompiles to
     a stream byte-identical to ``workload.iter_requests(duration)``.
 

@@ -9,15 +9,16 @@ per-key arrival rates follow a Zipf distribution across the key population
 Generation is incremental: arrivals are drawn as exponential inter-arrival
 gaps in vectorised chunks, so iterating a multi-hour trace holds only one
 chunk (:data:`~repro.workload.base.STREAM_CHUNK_SIZE` requests) in memory at
-a time.  The draw loop exists once, as the column generator
-:meth:`PoissonZipfWorkload.iter_columns`; the object stream and the compiled
-trace are both made from its chunks.
+a time.  The draw loop exists once, as ``PoissonZipfWorkload._draw``: it
+writes each chunk into views its caller hands it, fresh chunk arrays for the
+stream (:meth:`PoissonZipfWorkload.iter_columns`, and the object stream made
+from it) and slices of whole-trace columns for ``compile_workload``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from repro.workload.base import (
     ChunkStream,
     Columns,
     Request,
+    Take,
     Workload,
     constant_column,
+    fresh_chunks,
     validate_duration,
 )
 from repro.workload.zipf import ZipfSampler
@@ -125,8 +128,29 @@ class PoissonZipfWorkload(Workload):
         """
         return ChunkStream(self.iter_columns(validate_duration(duration)), self.key_names())
 
+    #: The columns the draw loop writes: times, key ranks, read flags.
+    _DRAWN = (np.float64, np.int64, np.bool_)
+
     def iter_columns(self, duration: float) -> Iterator[Columns]:
-        """Draw the stream a chunk at a time (key ids are popularity ranks).
+        """Draw the stream a chunk at a time (key ids are popularity ranks),
+        each chunk into arrays of its own."""
+        return map(self._columns, self._draw(duration, fresh_chunks(self._DRAWN)))
+
+    def _columns(self, drawn: Tuple[np.ndarray, ...]) -> Columns:
+        """The drawn columns of a chunk, or of a whole compiled trace, with
+        the constant size columns beside them."""
+        times, ranks, is_read = drawn
+        return (
+            times,
+            ranks,
+            is_read,
+            constant_column(self.key_size, times.size),
+            constant_column(self.value_size, times.size),
+        )
+
+    def _draw(self, duration: float, take: Take) -> Iterator[Tuple[np.ndarray, ...]]:
+        """The draw loop: each chunk into the views ``take`` hands it, and
+        the in-horizon prefix of those views yielded.
 
         The per-chunk draw sequence (exponential gaps, Zipf ranks, read coin
         flips — in that order, always STREAM_CHUNK_SIZE wide) is pinned by
@@ -135,22 +159,23 @@ class PoissonZipfWorkload(Workload):
         rng = np.random.default_rng(self.seed)
         mean_gap = 1.0 / (self.rate_per_key * self.num_keys)
         sampler = self._sampler
+        uniform = np.empty(STREAM_CHUNK_SIZE)
         now = 0.0
         while now < duration:
-            gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
-            times = now + np.cumsum(gaps)
+            times, ranks, is_read = take(STREAM_CHUNK_SIZE)
+            # ``rng.exponential(mean_gap, size)`` scales standard exponentials
+            # by ``mean_gap``: the same floats, drawn in place.
+            rng.standard_exponential(out=times)
+            times *= mean_gap
+            np.cumsum(times, out=times)
+            times += now
             now = float(times[-1])
-            ranks = sampler.sample_using(rng, STREAM_CHUNK_SIZE)
-            is_read = rng.random(STREAM_CHUNK_SIZE) < self.read_ratio
+            sampler._draw_into(rng, ranks, uniform)
+            rng.random(out=uniform)
+            np.less(uniform, self.read_ratio, out=is_read)
+            keep = STREAM_CHUNK_SIZE
             if now >= duration:
                 # ``times`` ascends (gaps are non-negative), so the in-horizon
                 # subset is exactly the prefix before ``duration``.
                 keep = int(np.searchsorted(times, duration, side="left"))
-                times, ranks, is_read = times[:keep], ranks[:keep], is_read[:keep]
-            yield (
-                times,
-                ranks,
-                is_read,
-                constant_column(self.key_size, times.size),
-                constant_column(self.value_size, times.size),
-            )
+            yield times[:keep], ranks[:keep], is_read[:keep]

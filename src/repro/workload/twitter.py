@@ -16,7 +16,7 @@ See DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from repro.workload.base import (
     ChunkStream,
     Columns,
     Request,
+    Take,
     Workload,
     constant_column,
+    fresh_chunks,
     validate_duration,
 )
 from repro.workload.zipf import ZipfSampler
@@ -145,38 +147,60 @@ class TwitterWorkload(Workload):
         """
         return ChunkStream(self.iter_columns(validate_duration(duration)), self.key_names())
 
+    #: The columns the draw loop writes: times, key ranks, read flags, value
+    #: sizes.
+    _DRAWN = (np.float64, np.int64, np.bool_, np.int64)
+
     def iter_columns(self, duration: float) -> Iterator[Columns]:
-        """Draw the stream a chunk at a time (key ids are popularity ranks).
+        """Draw the stream a chunk at a time (key ids are popularity ranks),
+        each chunk into arrays of its own."""
+        return map(self._columns, self._draw(duration, fresh_chunks(self._DRAWN)))
+
+    def _columns(self, drawn: Tuple[np.ndarray, ...]) -> Columns:
+        """The drawn columns of a chunk, or of a whole compiled trace, with
+        the constant key-size column beside them."""
+        times, ranks, is_read, value_sizes = drawn
+        return times, ranks, is_read, constant_column(self.key_size, times.size), value_sizes
+
+    def _draw(self, duration: float, take: Take) -> Iterator[Tuple[np.ndarray, ...]]:
+        """The draw loop: each chunk's accepted arrivals into the views
+        ``take`` hands it, yielded whole.
 
         The draw sequence (gaps, accept flips, ranks, read flips, value
         sizes — in that order) is pinned by the equivalence tests; this is
-        its only copy.
+        its only copy.  The candidates and their flips live in buffers of
+        the loop's own, one chunk wide.
         """
         rng = np.random.default_rng(self.seed)
         peak_rate = self.total_rate * (1.0 + self.diurnal_amplitude)
         mean_gap = 1.0 / peak_rate
+        candidate = np.empty(STREAM_CHUNK_SIZE)
+        uniform = np.empty(STREAM_CHUNK_SIZE)
+        accept = np.empty(STREAM_CHUNK_SIZE, dtype=np.bool_)
         now = 0.0
         while now < duration:
-            gaps = rng.exponential(mean_gap, size=STREAM_CHUNK_SIZE)
-            candidate = now + np.cumsum(gaps)
+            # ``rng.exponential(mean_gap, size)``'s floats, drawn in place.
+            rng.standard_exponential(out=candidate)
+            candidate *= mean_gap
+            np.cumsum(candidate, out=candidate)
+            candidate += now
             now = float(candidate[-1])
             envelope = 1.0 + self.diurnal_amplitude * np.sin(
                 2.0 * np.pi * candidate / self.diurnal_period
             )
-            accept = rng.random(STREAM_CHUNK_SIZE) < (self.total_rate * envelope) / peak_rate
+            rng.random(out=uniform)
+            np.less(uniform, (self.total_rate * envelope) / peak_rate, out=accept)
             if now >= duration:
                 accept &= candidate < duration
-            times = candidate[accept]
-            count = times.size
-            ranks = self._sampler.sample_using(rng, count)
-            is_read = rng.random(count) < self._read_probabilities(ranks)
-            value_sizes = np.maximum(
+            count = int(np.count_nonzero(accept))
+            times, ranks, is_read, value_sizes = take(count)
+            np.compress(accept, candidate, out=times)
+            drawn = uniform[:count]
+            self._sampler._draw_into(rng, ranks, drawn)
+            rng.random(out=drawn)
+            np.less(drawn, self._read_probabilities(ranks), out=is_read)
+            # Float to int64 truncates, as ``astype`` does.
+            value_sizes[...] = np.maximum(
                 8, rng.lognormal(mean=np.log(self.value_size), sigma=0.6, size=count)
-            ).astype(np.int64)
-            yield (
-                times,
-                ranks,
-                is_read,
-                constant_column(self.key_size, count),
-                value_sizes,
             )
+            yield times, ranks, is_read, value_sizes

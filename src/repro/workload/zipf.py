@@ -115,22 +115,32 @@ class ZipfSampler:
         """
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        uniform = rng.random(count)
-        # Two buffers, like the plain search: the bucket of each uniform is
-        # cast straight into the rank column (scaling by a power of two is
-        # exact, and truncation is floor on [0, 1)), the guide entry
-        # overwrites it in place (``take`` reads each slot before writing
-        # it), and only the -1 entries are searched.
         ranks = np.empty(count, dtype=np.int64)
+        self._draw_into(rng, ranks, np.empty(count))
+        return ranks
+
+    def _draw_into(
+        self, rng: np.random.Generator, ranks: np.ndarray, uniform: np.ndarray
+    ) -> None:
+        """Draw ``ranks.size`` ranks into ``ranks`` (``int64``), with
+        ``uniform`` (``float64``, as long) as the buffer of their uniforms:
+        the draw loops hand views of their own columns, so no draw allocates
+        a rank column of its own.
+
+        The bucket of each uniform is cast straight into the rank column
+        (scaling by a power of two is exact, and truncation is floor on
+        [0, 1)), the guide entry overwrites it in place (``take`` reads each
+        slot before writing it), and only the -1 entries are searched.
+        """
+        if ranks.size == 0:
+            return
+        rng.random(out=uniform)
         np.multiply(uniform, self._buckets, out=ranks, casting="unsafe")
         np.take(self._guide, ranks, out=ranks, mode="clip")
         searched = np.flatnonzero(ranks < 0)
         ranks[searched] = np.searchsorted(self._cdf, uniform[searched], side="left")
-        self.draws += count
+        self.draws += ranks.size
         self.searched += searched.size
-        return ranks
 
     def expected_rates(self, total_rate: float) -> np.ndarray:
         """Split an aggregate request rate across keys by popularity.

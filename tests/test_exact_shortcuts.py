@@ -58,9 +58,15 @@ class FixedUniforms:
     def __init__(self, uniform) -> None:
         self.uniform = np.asarray(uniform, dtype=np.float64)
 
-    def random(self, count: int) -> np.ndarray:
-        assert count == self.uniform.size
-        return self.uniform.copy()
+    def random(self, count: int | None = None, *, out: np.ndarray | None = None) -> np.ndarray:
+        """``Generator.random``'s two forms: ``count`` floats, or as many
+        as ``out`` holds, written into it."""
+        if out is None:
+            assert count == self.uniform.size
+            return self.uniform.copy()
+        assert count is None and out.size == self.uniform.size
+        out[...] = self.uniform
+        return out
 
 
 def with_neighbours(points: np.ndarray) -> np.ndarray:

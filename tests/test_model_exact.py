@@ -1,4 +1,5 @@
-"""The exact TTL-expiry form against both engines, on one-key Poisson traces.
+"""The exact forms against both engines, on one-key Poisson traces: the
+TTL-expiry renewal form, then invalidate's ordered two-state chain.
 
 A key's misses under TTL-expiry form a renewal process (cycles of
 ``T + Exp(λ_r)``; :mod:`repro.model.exact`).  Over a horizon ``H`` the
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.registry import make_policy
-from repro.model.exact import ttl_expiry_miss_rate
+from repro.model.arrivals import p_read, p_write
+from repro.model.exact import invalidate_chain, invalidate_miss_rate, ttl_expiry_miss_rate
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
 from repro.workload.compiled import compile_workload
@@ -28,17 +31,17 @@ READ_RATIO = 0.9
 CELLS = [(1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (2.0, 0.1)]
 
 
-def one_key_trace(rate: float, seed: int = 0):
-    workload = PoissonZipfWorkload(num_keys=1, rate_per_key=rate, read_ratio=READ_RATIO, seed=seed)
+def one_key_trace(rate: float, seed: int = 0, read_ratio: float = READ_RATIO):
+    workload = PoissonZipfWorkload(num_keys=1, rate_per_key=rate, read_ratio=read_ratio, seed=seed)
     return compile_workload(workload, HORIZON)
 
 
-def replay(trace, ttl: float, engine: str):
+def replay(trace, ttl: float, engine: str, policy: str = "ttl-expiry"):
     config = dict(staleness_bound=ttl, duration=HORIZON, workload_name="poisson")
     if engine == "vector":
-        simulation = VectorSimulation(trace, policy=make_policy("ttl-expiry"), **config)
+        simulation = VectorSimulation(trace, policy=make_policy(policy), **config)
     else:
-        simulation = Simulation(trace.iter_requests(), policy=make_policy("ttl-expiry"), **config)
+        simulation = Simulation(trace.iter_requests(), policy=make_policy(policy), **config)
     return simulation.run()
 
 
@@ -85,3 +88,124 @@ def test_the_paper_form_overcharges_between_the_extremes() -> None:
     rate, ttl = 2.0, 1.0
     grid = p_read(rate, READ_RATIO, ttl) / ttl
     assert grid / ttl_expiry_miss_rate(rate, READ_RATIO, ttl) == pytest.approx(1.298, abs=1e-3)
+
+
+# --------------------------------------------------------------------- #
+# Invalidate: the ordered two-state chain
+# --------------------------------------------------------------------- #
+
+#: (λ, r, T): equal read and write rates (the chain's ``x = 0`` limit) at
+#: two bounds, and a read-heavy key flushed twice a second.
+CHAIN_CELLS = [(5.0, 0.5, 1.0), (2.0, 0.5, 2.0), (20.0, 0.9, 0.5)]
+
+
+def interval_outcomes(rate: float, read_ratio: float, bound: float):
+    """The chain refined to what an interval does, so that its miss is a
+    function of the state: from I, no read (→ I), a read then a write
+    (a miss, → I) or a read and no write after it (a miss, → V); from V, a
+    write (→ I) or none (→ V).  Returns the outcomes' transition matrix and
+    their misses."""
+    stay, leave = invalidate_chain(rate, read_ratio, bound)
+    quiet = 1.0 - p_read(rate, read_ratio, bound)
+    starts = {
+        "I": np.array([quiet, stay - quiet, 1.0 - stay, 0.0, 0.0]),
+        "V": np.array([0.0, 0.0, 0.0, leave, 1.0 - leave]),
+    }
+    ends_in = ["I", "I", "V", "I", "V"]
+    matrix = np.array([starts[state] for state in ends_in])
+    return matrix, np.array([0.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def miss_count_law(rate: float, read_ratio: float, bound: float, intervals: int):
+    """Mean and a tolerance for the misses over ``intervals`` intervals, by
+    the Markov chain central limit theorem on the outcome chain: variance
+    ``n (2 <g, Z g>_π - <g, g>_π)`` for the centred misses ``g`` and the
+    fundamental matrix ``Z = (I - P + 1 π)^{-1}`` (Kemeny and Snell), four
+    standard deviations of it, and the largest gap a start in I rather than
+    in the stationary law leaves: ``P_R / (1 - |λ₂|)``, ``λ₂ = P(I→I) - P(V→I)``
+    the chain's second eigenvalue."""
+    matrix, misses = interval_outcomes(rate, read_ratio, bound)
+    values, vectors = np.linalg.eig(matrix.T)
+    stationary = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+    stationary /= stationary.sum()
+    mean = float(stationary @ misses)
+    centred = misses - mean
+    fundamental = np.linalg.inv(np.eye(5) - matrix + np.outer(np.ones(5), stationary))
+    variance = 2.0 * stationary @ (centred * (fundamental @ centred)) - stationary @ centred**2
+    stay, leave = invalidate_chain(rate, read_ratio, bound)
+    start_gap = p_read(rate, read_ratio, bound) / (1.0 - abs(stay - leave))
+    return intervals * mean, 4.0 * math.sqrt(intervals * variance) + start_gap
+
+
+def brute_force_invalidate(times, is_read, bound: float):
+    """``(stale misses, invalidates sent)`` by walking the requests, flushing
+    at ``bound``, ``2 bound`` ... as the replay driver adds them: a write
+    dirties the key, a flush invalidates a dirty key unless it is already
+    invalidated, and a miss re-fetches and forgets the writes before it."""
+    valid = invalidated = dirty = fetched = False
+    stale = sent = 0
+    flush = bound
+
+    def flush_due() -> None:
+        nonlocal valid, invalidated, dirty, sent
+        if dirty and not invalidated:
+            sent += 1
+            valid, invalidated = False, True
+        dirty = False
+
+    for time, read in zip(times, is_read):
+        while flush <= time:
+            flush_due()
+            flush += bound
+        if not read:
+            dirty = True
+        elif not valid:
+            stale += fetched
+            valid = fetched = True
+            invalidated = dirty = False
+    while flush <= HORIZON:
+        flush_due()
+        flush += bound
+    return stale, sent
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("rate, read_ratio, bound", CHAIN_CELLS)
+def test_invalidate_misses_follow_the_ordered_chain(
+    rate: float, read_ratio: float, bound: float, engine: str
+) -> None:
+    trace = one_key_trace(rate, read_ratio=read_ratio)
+    result = replay(trace, bound, engine, policy="invalidate")
+    intervals = round(HORIZON / bound)
+    expected, tolerance = miss_count_law(rate, read_ratio, bound, intervals)
+    assert expected == pytest.approx(invalidate_miss_rate(rate, read_ratio, bound) * HORIZON)
+    assert result.cold_misses == 1
+    assert abs(result.stale_misses + 1 - expected) <= tolerance
+    # Each fill is invalidated once before the next miss: the invalidates
+    # sent count the misses, give or take the first or the last.
+    assert abs(result.invalidates_sent - (result.stale_misses + 1)) <= 1
+
+
+@pytest.mark.parametrize("rate, read_ratio, bound", CHAIN_CELLS)
+def test_a_brute_force_invalidate_walk_equals_both_engines(
+    rate: float, read_ratio: float, bound: float
+) -> None:
+    trace = one_key_trace(rate, seed=1, read_ratio=read_ratio)
+    walked = brute_force_invalidate(trace.times.tolist(), trace.is_read.tolist(), bound)
+    for engine in ("scalar", "vector"):
+        result = replay(trace, bound, engine, policy="invalidate")
+        assert (result.stale_misses, result.invalidates_sent) == walked
+
+
+def test_the_paper_recurrence_drops_the_reads_a_write_follows() -> None:
+    """At ``λ = 5, r = 0.5, T = 1`` the paper's ``p P_R`` is 39 % below the
+    chain's ``π_I P_R``; with no writes after any read (reads only) the two
+    agree at zero."""
+    from repro.model.analytical import steady_state_invalidated_probability
+
+    rate, read_ratio, bound = 5.0, 0.5, 1.0
+    reads, writes = p_read(rate, read_ratio, bound), p_write(rate, read_ratio, bound)
+    paper = steady_state_invalidated_probability(reads, writes) * reads / bound
+    exact = invalidate_miss_rate(rate, read_ratio, bound)
+    assert 1.0 - paper / exact == pytest.approx(0.388, abs=1e-3)
+    assert invalidate_miss_rate(rate, 1.0, bound) == 0.0

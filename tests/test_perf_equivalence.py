@@ -535,7 +535,7 @@ def test_index_span_slices_match_per_span_stable_sort(seed: int) -> None:
 
 
 def test_index_handles_wide_key_tables_and_one_sided_keys() -> None:
-    """> 65 535 names takes the wider sort dtype; keys with only reads or
+    """> 65 535 names (a key field past 16 bits); keys with only reads or
     only writes get an empty slice on the other side."""
     trace = random_trace(3, requests=5_000, num_keys=70_000, read_ratio=0.5)
     # Pin one key to reads only and one to writes only.
@@ -587,9 +587,9 @@ def reference_offsets(trace: CompiledTrace):
     "case", ["random-0", "random-1", "random-2", "empty", "one-key", "all-reads", "all-writes"]
 )
 def test_index_offsets_from_the_sort_equal_two_masked_bincounts(case: str) -> None:
-    """``read_offsets`` / ``write_offsets`` come from one ``bincount`` of the
-    sorted ids and a ``searchsorted`` of the write slots: every array equals
-    the per-op ``bincount`` s, on seeded random traces and the corners."""
+    """``read_offsets`` / ``write_offsets`` come from a ``searchsorted`` of
+    each half of the sorted composite keys: every array equals the per-op
+    ``bincount`` s, on seeded random traces and the corners."""
     seed = int(case.rsplit("-", 1)[1]) if case.startswith("random") else 7
     trace = random_trace(
         seed,

@@ -133,7 +133,7 @@ PARAMETER_SETS = [
     ("partition", {"node_indices": []}, True),
     ("partition", {"start_at": 8.0, "end_at": 2.0}, True),
     ("partition", {"start_at": 5.0, "end_at": 5.0}, True),
-    ("partition", {"start_at": -3.0, "end_at": 30.0}, False),
+    ("partition", {"start_at": -3.0, "end_at": 30.0}, True),
     ("partition", {"loss": 0.0}, True),
     ("partition", {"loss": 0.5}, False),
     ("partition", {"loss": 1.5}, True),
@@ -166,7 +166,7 @@ PARAMETER_SETS = [
     ("gray-failure", {"node_indices": []}, True),
     ("gray-failure", {"degrade_at": 5.0, "recover_at": 2.0}, True),
     ("gray-failure", {"degrade_at": 5.0, "recover_at": 5.0}, True),
-    ("gray-failure", {"degrade_at": -2.0, "recover_at": 40.0}, False),
+    ("gray-failure", {"degrade_at": -2.0, "recover_at": 40.0}, True),
     ("gray-failure", {"slowdown": 0.5}, True),
     ("gray-failure", {"slowdown": 1.0}, False),
     ("gray-failure", {"loss": 0.0}, False),
@@ -184,7 +184,7 @@ PARAMETER_SETS = [
     ("flapping", {"mode": "loud"}, True),
     ("flapping", {"start_at": 6.0, "end_at": 2.0}, True),
     ("flapping", {"start_at": 5.0, "end_at": 5.0}, True),
-    ("flapping", {"start_at": -1.0, "end_at": 20.0}, False),
+    ("flapping", {"start_at": -1.0, "end_at": 20.0}, True),
     ("flapping", {"degraded_loss": 1.5}, True),
     ("flapping", {"degraded_delay": -0.1}, True),
     ("flapping", {"degraded_loss": 1.0, "degraded_delay": 0.5}, False),
@@ -212,8 +212,8 @@ PARAMETER_SETS = [
     ("stampede", {"fraction": 1.1}, True),
     # flash-crowd
     ("flash-crowd", {}, False),
-    ("flash-crowd", {"shift_at": -5.0}, False),
-    ("flash-crowd", {"shift_at": 50.0}, False),
+    ("flash-crowd", {"shift_at": -5.0}, True),
+    ("flash-crowd", {"shift_at": 50.0}, True),
     ("flash-crowd", {"fraction": 0.0}, True),
     ("flash-crowd", {"fraction": 1.0}, False),
     ("flash-crowd", {"hot_keys": 0}, True),
