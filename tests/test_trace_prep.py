@@ -194,15 +194,13 @@ def test_the_twitter_draw_pins_its_first_chunk_to_fresh_draws() -> None:
     times, ranks, is_read, value_sizes = twitter_reference_chunk(workload)
     first = next(workload.iter_columns(60.0))
     trace = compile_workload(workload, 60.0)
-    rows = slice(0, times.size)
-    for got in (
-        first,
-        (trace.times[rows], trace.key_ids[rows], trace.is_read[rows], None, trace.value_sizes[rows]),
-    ):
+    head = slice(0, times.size)
+    streamed = (first[0], first[1], first[2], first[4])
+    compiled = (trace.times[head], trace.key_ids[head], trace.is_read[head], trace.value_sizes[head])
+    for got in (streamed, compiled):
         assert got[0].tobytes() == times.tobytes()
-        np.testing.assert_array_equal(got[1], ranks)
-        np.testing.assert_array_equal(got[2], is_read)
-        np.testing.assert_array_equal(got[4], value_sizes)
+        for column, want in zip(got[1:], (ranks, is_read, value_sizes), strict=True):
+            np.testing.assert_array_equal(column, want)
 
 
 def streamed_trace(workload, duration: float) -> CompiledTrace:
