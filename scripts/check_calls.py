@@ -10,7 +10,8 @@ A fresh ``repro perf`` run at the committed scale is compared, count by
 count, with ``PERF_CALLS.json``: the profiled calls per request of the
 single cache, the fleet and the stateful fleet (one per policy), the state
 objects the reactive cuts and the TTL cut build, the datastore histories
-a columnar ``run()`` builds (single cache and fleet, one per policy), and
+and the node state objects a columnar ``run()`` builds (single cache and
+fleet, one per policy), and
 a sweep's cut lookups, cut builds, table hits, kernel calls and flushes.  They are
 counts, not clocks, so a run on the interpreter they were recorded with
 (CPython 3.11; 3.12's cProfile counts on ``sys.monitoring``) gives them
@@ -53,6 +54,7 @@ FIELDS: Dict[str, tuple] = {
     "replay-stateful": ("calls_per_request",),
     "span-kernel-tight": (
         "span_objects", "fleet_span_objects", "histories_built", "fleet_histories_built",
+        "objects_built", "fleet_objects_built",
     ),
     "ttl-kernels": ("ttl_objects",),
     "trace-index": (

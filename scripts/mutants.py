@@ -56,13 +56,15 @@ COMPILED = "src/repro/workload/compiled.py"
 POISSON = "src/repro/workload/poisson.py"
 FLEET = "src/repro/cluster/vector.py"
 SCENARIOS = "src/repro/cluster/scenarios.py"
+DEFERRED = "src/repro/deferred.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
 #: poll-count pair, the batches of big cuts, a replay's end on its columns
 #: (the deferred histories, the settle at the horizon), the span table's
 #: whole batches, the shipped bugs (the ignored kill point), the three
-#: scenario timelines, and trace preparation (the index's composite sort,
-#: the in-place draw).  The last field of each is the test that killed it
+#: scenario timelines, trace preparation (the index's composite sort,
+#: the in-place draw), and the node state a replay leaves to a build on its
+#: first read.  The last field of each is the test that killed it
 #: last, run first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
@@ -316,6 +318,37 @@ MUTANTS: Tuple[Mutant, ...] = (
         "gap is drawn at rate 1, not at the aggregate rate",
         "tests/test_trace_prep.py::"
         "test_the_poisson_draw_pins_its_first_chunks_to_fresh_draws",
+    ),
+    (
+        "deferred-build-never-runs",
+        DEFERRED,
+        "            owner.__class__ = cls\n            build()\n",
+        "            owner.__class__ = cls\n",
+        "the first read of a node's state turns its owners back without building: "
+        "a columnar replay's nodes read empty",
+        "tests/test_deferred_state.py::"
+        "test_the_first_read_finds_what_the_eager_write_back_built[single-owners]",
+    ),
+    (
+        "deferred-build-writes-the-next-host",
+        VECTOR,
+        "            entries, invalidated, pending, counters = self.tables[host]\n",
+        "            entries, invalidated, pending, counters = self.tables[(host + 1) % stride]\n",
+        "a host's write-back fills the next host's dicts: every fleet node reads "
+        "its neighbour's state",
+        "tests/test_deferred_state.py::"
+        "test_the_first_read_finds_what_the_eager_write_back_built[fleet-owners]",
+    ),
+    (
+        "pickle-drops-the-pending-build",
+        DEFERRED,
+        "        def reduce_ex(owner: Deferrable, protocol: int):\n            settle(owner)\n",
+        "        def reduce_ex(owner: Deferrable, protocol: int):\n"
+        "            del owner._build\n            owner.__class__ = cls\n",
+        "copying or pickling an owner whose build is pending drops the build: the "
+        "copy and the original both read empty",
+        "tests/test_deferred_state.py::"
+        "test_the_first_read_finds_what_the_eager_write_back_built[single-pickle]",
     ),
 )
 

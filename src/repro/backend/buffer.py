@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.deferred import Deferrable
+
 
 @dataclass(slots=True)
 class BufferedWrite:
@@ -26,8 +28,14 @@ class BufferedWrite:
 
 
 @dataclass(slots=True)
-class WriteBuffer:
-    """Accumulates writes between interval flushes."""
+class WriteBuffer(Deferrable):
+    """Accumulates writes between interval flushes.
+
+    A columnar replay may leave the buffered writes to a pending build that
+    runs on their first read (:class:`~repro.deferred.Deferrable`).
+    """
+
+    _state = "_pending"
 
     _pending: Dict[str, BufferedWrite] = field(default_factory=dict)
     total_buffered: int = 0

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.deferred import Deferrable
 
-class InvalidationTracker:
-    """Remembers keys whose cached copy is known to be invalidated."""
+
+class InvalidationTracker(Deferrable):
+    """Remembers keys whose cached copy is known to be invalidated.
+
+    A columnar replay may leave the tracked keys to a pending build that
+    runs on their first read (:class:`~repro.deferred.Deferrable`).
+    """
+
+    _state = "_invalidated"
 
     def __init__(self) -> None:
         self._invalidated: Dict[str, float] = {}

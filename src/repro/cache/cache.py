@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.cache.entry import CacheEntry, EntryState
 from repro.cache.stats import CacheStats
+from repro.deferred import Deferrable
 from repro.errors import ConfigurationError
 
 EvictionCallback = Callable[[CacheEntry, float], None]
@@ -33,8 +34,11 @@ def weak_callback(method: EvictionCallback) -> EvictionCallback:
     return lambda entry, time: function(owner(), entry, time)
 
 
-class Cache:
+class Cache(Deferrable):
     """A capacity-limited, cache-aside key-value cache with LRU eviction.
+
+    A columnar replay may leave the entries to a pending build that runs on
+    their first read (:class:`~repro.deferred.Deferrable`).
 
     Args:
         capacity: Maximum number of objects held at once.  ``None`` means
@@ -46,6 +50,7 @@ class Cache:
     """
 
     __slots__ = ("capacity", "recency", "on_evict", "stats", "_entries")
+    _state = "_entries"
 
     def __init__(
         self,
@@ -89,8 +94,13 @@ class Cache:
     def raw_getter(self):
         """Bound ``dict.get`` over the live entry map (a hot-path ``peek``).
 
-        The returned callable must be used read-only; the dict object is
-        stable for the cache's lifetime, so the alias never goes stale.
+        The returned callable must be used read-only.  The dict object is
+        stable for the cache's lifetime, but its contents can be stale: after
+        a columnar replay the entries wait for their pending build, which
+        fills this dict in place on the first read through the cache (any
+        method, or ``_entries``), a copy or a pickle of it, or the next
+        replay's load.  Until then the alias reads the entries the cache
+        held before that replay.
         """
         return self._entries.get
 

@@ -262,7 +262,9 @@ class OutageScenario(Scenario):
       ``rejoin="warm"``.
 
     A subclass says who the :attr:`members` are and gives the three event
-    :attr:`labels`.
+    :attr:`labels`.  A time given explicitly must fall inside the run,
+    ``[0, D]``, as a window's bounds must; a default detect time or an
+    ``"auto"`` recovery may land past the run's end, where it never fires.
     """
 
     _AUTO = "auto"
@@ -292,6 +294,13 @@ class OutageScenario(Scenario):
     def bind(self, duration: float, staleness_bound: float, num_nodes: int) -> None:
         super().bind(duration, staleness_bound, num_nodes)
         fail_at, detect_at, recover_at = self._timeline_args
+        for name, value in zip(("fail_at", "detect_at", "recover_at"), self._timeline_args):
+            if value is not None and value != self._AUTO:
+                value = _time(name, value, None)
+                if not 0.0 <= value <= duration:
+                    raise ClusterError(
+                        f"{name} must fall inside the run [0, {duration}], got {value}"
+                    )
         self.fail_at = _time("fail_at", fail_at, 0.4 * duration)
         self.detect_at = _time(
             "detect_at", detect_at, self.fail_at + max(4.0 * staleness_bound, 0.05 * duration)

@@ -65,7 +65,15 @@ from repro.model.arrivals import _validate, p_read, p_write
 
 
 def ttl_expiry_miss_rate(rate: float, read_ratio: float, ttl: float) -> float:
-    """Misses per unit time of one key under TTL-expiry: ``λ_r / (1 + λ_r T)``.
+    """Misses per unit time of one key under TTL-expiry: ``λ_r / (1 + λ_r T)``
+    (Jung, Berger and Balakrishnan, INFOCOM 2003).
+
+    A miss anchors the TTL at its fetch, so a cycle between misses is ``T``
+    plus the wait for the first read after the expiry, ``Exp(λ_r)``: mean
+    ``μ = T + 1/λ_r``, and ``1/μ`` misses per unit time.  The paper's
+    ``(T'/T)·P_R(T)`` (conf/hotnets/MaoISS24) counts one miss per interval
+    of a fixed grid of width ``T`` that holds a read: it drops that wait,
+    the ``1/λ_r`` of each cycle, by starting every TTL at a grid line.
 
     Args:
         rate: The key's request rate ``λ``.

@@ -241,17 +241,20 @@ def _kernel_trace(scale: float):
 
 def _replay_vector(
     workload, duration: float, trace, bound: float, policy: str = "invalidate", nodes: int = 0
-) -> None:
-    """One columnar replay of ``trace``: the single cache, or a ``nodes``-node fleet."""
+) -> Any:
+    """One columnar replay of ``trace``: the single cache, or a ``nodes``-node
+    fleet.  Returns the finished engine."""
     from repro.cluster.vector import VectorClusterSimulation
     from repro.experiments.registry import make_policy
     from repro.sim.vector import VectorSimulation
 
     config = dict(staleness_bound=bound, duration=duration, workload_name=workload.name)
     if nodes:
-        VectorClusterSimulation(trace, policy=policy, num_nodes=nodes, **config).run()
+        engine = VectorClusterSimulation(trace, policy=policy, num_nodes=nodes, **config)
     else:
-        VectorSimulation(trace, policy=make_policy(policy), **config).run()
+        engine = VectorSimulation(trace, policy=make_policy(policy), **config)
+    engine.run()
+    return engine
 
 
 def _kernel_calls(
@@ -311,50 +314,65 @@ def _constructions(built: Sequence[Tuple[Any, str]]) -> Iterator[Callable[[], in
         yield lambda: sum(counter.call_count for counter in counters)
 
 
-def _span_objects(replay: Callable[[], Any]) -> int:
-    """The state objects ``replay()`` constructs from the start of its first
-    cut to the start of its write-back, which follows its last boundary
-    flush.
-
-    Counts the constructions of cache entries, buffered writes, key
-    histories and E[W] counter rows (:func:`_constructions`), in every
-    module that builds one, taking the counts when the lockstep unit's
-    first cut starts and when its columns start writing the objects back.
-    """
-    from unittest import mock
-
-    from repro.backend import buffer, datastore
+def _state_classes() -> List[Tuple[Any, str]]:
+    """Every ``(module, name)`` through which a replay constructs a cache
+    entry, a buffered write or an E[W] counter row."""
+    from repro.backend import buffer
     from repro.cache import cache
     from repro.sim import vector
     from repro.sketch import exact
 
-    built = [
+    return [
         (vector, "CacheEntry"),
         (vector, "BufferedWrite"),
-        (vector, "KeyHistory"),
+        (vector, "_KeyCounters"),
         (cache, "CacheEntry"),
         (buffer, "BufferedWrite"),
-        (datastore, "KeyHistory"),
         (exact, "_KeyCounters"),
     ]
+
+
+def _span_objects(replay: Callable[[], Any]) -> int:
+    """The state objects ``replay()`` constructs from the start of its first
+    cut to its return.
+
+    Counts the constructions of cache entries, buffered writes, E[W] counter
+    rows (:func:`_state_classes`) and key histories, in every module that
+    builds one (:func:`_constructions`), taking the counts when the
+    lockstep unit's first cut starts and when ``replay()`` returns.
+    """
+    from unittest import mock
+
+    from repro.backend import datastore
+    from repro.sim import vector
+
+    built = _state_classes() + [(vector, "KeyHistory"), (datastore, "KeyHistory")]
     marks: List[int] = []
     with _constructions(built) as count, ExitStack() as stack:
         cut = vector._Lockstep.cut
-        write_back = vector._HostColumns.write_back
 
         def first_cut(unit: Any, engine: Any, batch: Any, position: int) -> None:
             if not marks:
                 marks.append(count())
             cut(unit, engine, batch, position)
 
-        def writing_back(columns: Any) -> None:
-            marks[1:] = [count()]
-            write_back(columns)
-
         stack.enter_context(mock.patch.object(vector._Lockstep, "cut", first_cut))
-        stack.enter_context(mock.patch.object(vector._HostColumns, "write_back", writing_back))
         replay()
+        marks.append(count())
     return marks[-1] - marks[0]
+
+
+def _objects_built(replay: Callable[[], Any]) -> int:
+    """The node state objects ``replay()`` builds when nothing reads its
+    nodes: the cache entries, buffered writes and E[W] counter rows it
+    constructs (:func:`_state_classes`), and the rows its nodes'
+    invalidation trackers hold when it returns (read from each tracker's
+    ``__dict__``, so a pending build stays pending).  ``replay()`` returns
+    the finished engine, whose nodes start empty."""
+    with _constructions(_state_classes()) as count:
+        engine = replay()
+        built = count()
+    return built + sum(len(vars(node.tracker)["_invalidated"]) for node in engine._node_list)
 
 
 def _histories_built(replay: Callable[[], Any]) -> int:
@@ -380,11 +398,15 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     span, whatever the node count.  ``key_spans`` sums the keys of every
     span's groups, the rows the kernel works through.  ``span_objects`` /
     ``fleet_span_objects`` are :func:`_span_objects` of the two replays: 0,
-    as the hosts' state lives in columns from the first cut to the last
-    boundary flush.  ``histories_built`` / ``fleet_histories_built`` are
+    as the hosts' state lives in columns from the first cut to the end
+    of the replay.  ``histories_built`` / ``fleet_histories_built`` are
     :func:`_histories_built` of one ``run()`` of each, per policy: 0, as a
     columnar replay defers its datastore histories until one is read (one
-    per written key when every replay built them).
+    per written key when every replay built them).  ``objects_built`` /
+    ``fleet_objects_built`` are :func:`_objects_built` of one ``run()`` of
+    each, per policy: 0, as a columnar replay leaves its nodes' objects to
+    a build on their first read (one per cached entry, tracked key,
+    buffered write and E[W] row when every replay built them).
     """
     bound = 0.01
     workload, duration, trace = _kernel_trace(scale)
@@ -421,6 +443,18 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
             )
             for policy in POLICIES
         },
+        "objects_built": {
+            policy: _objects_built(
+                lambda: _replay_vector(workload, duration, trace, bound, policy)
+            )
+            for policy in POLICIES
+        },
+        "fleet_objects_built": {
+            policy: _objects_built(
+                lambda: _replay_vector(workload, duration, trace, bound, policy, nodes=3)
+            )
+            for policy in POLICIES
+        },
     }
 
 
@@ -432,8 +466,8 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     node's keys.  ``charging_reads`` are the reads that settle at least one
     poll — the rows the flush sorts and folds.  ``ttl_objects`` is
     :func:`_span_objects` of the single-cache replay: 0, as the kernel
-    scatters its entries into the unit's columns and the write-back builds
-    them.
+    scatters its entries into the unit's columns and the write-back that
+    builds them waits for their first read.
     """
     workload, duration, trace = _kernel_trace(scale)
     charging_reads = 0

@@ -29,11 +29,12 @@ a replay costs O(requests) of numpy plus a fixed charge per span and per
 flush — not O(keys x spans) of Python, which is what made a tight staleness
 bound (many short spans) the slow case.  The columns are loaded from the
 hosts' objects when the span loop starts (a caller may hand in prepared
-state) and written back after the nodes' end of run — the trailing flush at
-the horizon, TTL-polling's settle — has run on them too, each dict in the
-scalar engine's insertion order; the trace's writes then reach the
-datastore as a deferred build of its histories, which runs on their first
-read.  The one driver's finalize (:class:`~repro.sim.driver.ReplayDriver`)
+state).  After the nodes' end of run — the trailing flush at the horizon,
+TTL-polling's settle — has run on them too, each host's objects are left to
+a build that writes them back, each dict in the scalar engine's insertion
+order, on the first read of any of them; the trace's writes likewise reach
+the datastore as a deferred build of its histories, which runs on their
+first read.  The one driver's finalize (:class:`~repro.sim.driver.ReplayDriver`)
 then finds nothing to settle, and its
 :class:`~repro.sim.node.CacheNode` s only record the run's end.  A TTL
 replay is a unit of its own on the same columns: the TTL policies never react
@@ -41,7 +42,7 @@ to writes and have no flush boundaries, so its whole trace is one span and
 one kernel call that scatters each key's final entry into its row —
 TTL-polling charges each key's runs of reads of equal poll count, bisecting
 where every poll a hot key spans starts, and TTL-expiry bisects every key's
-next epoch at once — and the same write-back builds the entry objects.  A fleet's
+next epoch at once — and the same deferred write-back builds the entry objects.  A fleet's
 nodes share each call: a cut's groups are one table ordered by (host, key)
 (a one-cut :class:`_GroupBlock`) whose rows index the host columns directly, and every kernel
 does its numpy work once for all hosts.  The result is byte-for-byte
@@ -131,12 +132,13 @@ from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
 from repro.core.policy import Action
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, poll_counts, poll_instant
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
+from repro.deferred import settled_class
 from repro.errors import ConfigurationError
 from repro.sim.node import CacheNode
 from repro.sim.polling import PollingGroups, polling_charges
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation
-from repro.sketch.exact import ExactEWTracker
+from repro.sketch.exact import ExactEWTracker, _KeyCounters
 from repro.workload.base import order_error
 from repro.workload.compiled import (
     _CUT_GRID, CompiledTrace, CutBatch, TraceIndex, bisect_groups,
@@ -219,7 +221,7 @@ ENVELOPE: Tuple[EnvelopeRow, ...] = (
         "estimator", "node",
         "an adaptive policy on a sketch estimator; the kernels fold E[W] on the exact tracker",
         lambda node, trace: isinstance(node.policy, AdaptivePolicy)
-        and type(node.policy.estimator) is not ExactEWTracker,
+        and settled_class(node.policy.estimator) is not ExactEWTracker,
     ),
     EnvelopeRow(
         "ttl-above-bound", "node",
@@ -393,8 +395,8 @@ def _commit_trace_writes(ctx: _ReplayContext) -> int:
     the deferred build of their histories (:func:`_build_histories`), which
     runs on the first read of ``DataStore._histories``.
 
-    A replay commits once, after its unit's write-back and before the
-    driver's finalize: no kernel, flush or settle reads a history (miss,
+    A replay commits once, after its unit's end and before the driver's
+    finalize: no kernel, flush or settle reads a history (miss,
     update and poll versions are positions in the index), and neither does
     the finalize of a columnar replay, so a caller that reads none — a
     sweep, a benchmark — never builds one.  Returns the number of writes
@@ -557,9 +559,11 @@ class _HostColumns:
     order, ahead of everything the replay adds.  ``written`` is per key id:
     the writes committed up to the last cut, the version an update carries
     (the backend's ``latest_version``).  ``hosts`` are the
-    :class:`~repro.sim.node.CacheNode` s the columns were loaded from and
-    write back to — a lockstep unit's members' nodes, stacked — and each
-    keeps its own policy: ``kinds`` is each host's policy class as an index
+    :class:`~repro.sim.node.CacheNode` s the columns were loaded from — a
+    lockstep unit's members' nodes, stacked — and ``tables`` each host's
+    four dicts (the E[W] counters ``None`` without an estimator), which the
+    write-back fills.  Each host keeps its own policy: ``kinds`` is each
+    host's policy class as an index
     into :data:`_VECTOR_POLICIES` (a TTL replay never flushes, so the flush
     never decides for a TTL host), ``prior`` its estimator's E[W] before
     the first sample and ``zero_runs`` whether that estimator counts
@@ -570,7 +574,7 @@ class _HostColumns:
     """
 
     __slots__ = (
-        "hosts", "names", "kinds", "prior", "zero_runs", "folds", "sequence",
+        "hosts", "tables", "names", "kinds", "prior", "zero_runs", "folds", "sequence",
         "state", "version", "as_of", "fetched_at", "accounted",
         "key_size", "value_size", "hits", "filled",
         "tracked", "tracked_at", "tracked_seq",
@@ -584,12 +588,14 @@ class _HostColumns:
         """Load the hosts' objects: cache entries, tracker, buffer and E[W]
         counters, each in its dict's order."""
         estimators = [_estimator(host) for host in hosts]
+        # Reading the dicts through their owners runs any build a replay
+        # before this one left pending.
         held = [
             (
                 host.cache._entries,
                 host.tracker._invalidated,
                 host.buffer._pending,
-                {} if estimator is None else estimator._counters,
+                None if estimator is None else estimator._counters,
             )
             for host, estimator in zip(hosts, estimators)
         ]
@@ -597,12 +603,14 @@ class _HostColumns:
         if any(table for tables in held for table in tables):
             ids = {name: key for key, name in enumerate(names)}
             foreign = [
-                name for tables in held for table in tables for name in table if name not in ids
+                name for tables in held for table in tables if table for name in table
+                if name not in ids
             ]
             if foreign:
                 names = names + list(dict.fromkeys(foreign))
                 ids = {name: key for key, name in enumerate(names)}
         self.hosts = list(hosts)
+        self.tables = held
         self.names = names
         self.kinds = np.array(
             [_VECTOR_POLICIES.index(type(host.policy)) for host in hosts], dtype=np.int8
@@ -663,12 +671,13 @@ class _HostColumns:
         order[rows] = np.arange(-rows.size, 0)
         return rows
 
-    def write_back(self) -> None:
-        """Rebuild the objects of the hosts the columns were loaded from, each
-        dict in the scalar engine's insertion order.  The columns stay as
-        they are."""
-        names, stride = self.names, len(self.hosts)
-        for host, node in enumerate(self.hosts):
+    def write_back(self, host: Optional[int] = None) -> None:
+        """Rebuild host ``host``'s objects — every host's when ``None`` — in
+        the dicts they were loaded from, each in the scalar engine's
+        insertion order.  The columns stay as they are."""
+        names, stride = self.names, len(self.tables)
+        for host in range(stride) if host is None else (host,):
+            entries, invalidated, pending, counters = self.tables[host]
             mine = slice(host, None, stride)
 
             def rows_of(held: np.ndarray, order: np.ndarray):
@@ -678,7 +687,7 @@ class _HostColumns:
                 return keys * stride + host, list(map(names.__getitem__, keys.tolist()))
 
             rows, cached = rows_of(self.state != _ABSENT, self.filled)
-            entries = map(
+            built = map(
                 CacheEntry,
                 cached,
                 *_gather(rows, self.version, self.as_of, self.fetched_at, self.key_size,
@@ -686,11 +695,11 @@ class _HostColumns:
                 map(_ENTRY_STATES.__getitem__, self.state[rows].tolist()),
                 *_gather(rows, self.accounted, self.hits),
             )
-            node.cache._entries.clear()
-            node.cache._entries.update(zip(cached, entries))
-            rows, invalidated = rows_of(self.tracked, self.tracked_seq)
-            node.tracker._invalidated.clear()
-            node.tracker._invalidated.update(zip(invalidated, *_gather(rows, self.tracked_at)))
+            entries.clear()
+            entries.update(zip(cached, built))
+            rows, tracked = rows_of(self.tracked, self.tracked_seq)
+            invalidated.clear()
+            invalidated.update(zip(tracked, *_gather(rows, self.tracked_at)))
             rows, dirty = rows_of(self.dirty, self.first_write)
             writes = map(
                 BufferedWrite,
@@ -698,15 +707,46 @@ class _HostColumns:
                 *_gather(rows, self.first_write_time, self.last_write_time, self.write_count,
                          self.write_key_size, self.write_value_size),
             )
-            node.buffer._pending.clear()
-            node.buffer._pending.update(zip(dirty, writes))
-            estimator = _estimator(node)
-            if estimator is not None:
+            pending.clear()
+            pending.update(zip(dirty, writes))
+            if counters is not None:
                 rows, observed = rows_of(self.seen != _UNSEEN, self.seen)
-                estimator.load_state(
-                    zip(observed, *_gather(rows, self.sample_sum, self.sample_count,
-                                           self.writes_since_read))
+                folded = map(
+                    _KeyCounters,
+                    *_gather(rows, self.sample_sum, self.sample_count, self.writes_since_read),
                 )
+                counters.clear()
+                counters.update(zip(observed, folded))
+
+    def defer(self) -> None:
+        """Leave each host's objects to a build on their first read: every
+        state owner of host ``h`` — cache, tracker, buffer, E[W] tracker —
+        gets the one pending :meth:`write_back` of ``h``
+        (:meth:`Deferrable.defer <repro.deferred.Deferrable.defer>`).  The
+        columns then let go of their hosts, so a node nothing reads dies
+        by reference count, its pending build and the columns with it."""
+        for host, node in enumerate(self.hosts):
+            build = _HostBuild(self, host)
+            for owner in (node.cache, node.tracker, node.buffer, _estimator(node)):
+                if owner is not None:
+                    owner.defer(build)
+        self.hosts = []
+
+
+class _HostBuild:
+    """Host ``host``'s pending :meth:`_HostColumns.write_back`: the first of
+    its owners to be read runs it, and the others find it done."""
+
+    __slots__ = ("columns", "host")
+
+    def __init__(self, columns: _HostColumns, host: int) -> None:
+        self.columns: Optional[_HostColumns] = columns
+        self.host = host
+
+    def __call__(self) -> None:
+        columns, self.columns = self.columns, None
+        if columns is not None:
+            columns.write_back(self.host)
 
 
 def _estimator(node: CacheNode) -> Optional[ExactEWTracker]:
@@ -1810,8 +1850,8 @@ class _Lockstep:
     prelude then; each cut's kernel call takes views of it.  Members stack
     whatever their fleet shape, as long as their groups read with one
     stride.  Each member's tallies fold into its own results.  The last
-    member to finish its walk writes every member's objects back
-    (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
+    member to finish its walk leaves every member's objects to a build on
+    their first read (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
     one cut is one call of its policy's TTL kernel on the same columns.
     """
 
@@ -1892,8 +1932,9 @@ class _Lockstep:
         (:meth:`CacheNode.finalize <repro.sim.node.CacheNode.finalize>`)
         that act on state: a reactive unit's trailing flush at the horizon
         (a no-op when the last interval flush fell on it), or TTL-polling's
-        settle (:func:`_settle_polls`) — and writes every member's objects
-        back."""
+        settle (:func:`_settle_polls`) — and leaves every member's objects
+        to a build on their first read (:meth:`_HostColumns.defer`): a
+        caller that reads no node never builds one."""
         self.finished += 1
         if self.finished == len(self.members):
             member = self.members[0]
@@ -1902,7 +1943,7 @@ class _Lockstep:
                 self.flush(horizon)
             elif node._poll_ttl is not None:
                 _settle_polls(member._ctx, self.columns, horizon)
-            self.columns.write_back()
+            self.columns.defer()
             self.batch = self.prelude = None
 
     @staticmethod
@@ -1965,8 +2006,8 @@ class SpanReplay:
     hosts' state in :class:`_HostColumns` from the first cut to the nodes'
     end of run — the interval flush (:meth:`_flush_nodes`), the trailing
     flush at the horizon and TTL-polling's settle run on them too
-    (:meth:`_Lockstep.finish`) — and then writes the objects back; the
-    replay then commits the trace's writes, their histories deferred
+    (:meth:`_Lockstep.finish`) — and then leaves the objects to a build on
+    their first read; the replay then commits the trace's writes, their histories deferred
     (:func:`_commit_trace_writes`), and the driver's finalize only records
     the end on each node (:meth:`_settle_nodes`).  The defaults
     are the single cache's (one host, the whole cut, unrouted); the fleet
@@ -2048,8 +2089,9 @@ class SpanReplay:
         self.clock.advance_to(float(trace.times[-1]))
         # The flushes up to the horizon (finalize's first step) and the
         # nodes' end of run still run on the columns; once every member has
-        # run its flushes, the objects come back, and then the trace's
-        # writes are committed, their histories deferred.
+        # run its flushes, the objects are left to a build on their first
+        # read, and then the trace's writes are committed, their histories
+        # deferred.
         horizon = max(self.duration, self.clock.now)
         self._advance(horizon)
         unit.finish(horizon)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
+from repro.deferred import Deferrable
 from repro.sketch.base import EWEstimator
 
 
@@ -28,8 +29,11 @@ class _KeyCounters:
     writes_since_read: int = 0  # C3
 
 
-class ExactEWTracker(EWEstimator):
+class ExactEWTracker(EWEstimator, Deferrable):
     """Exact E[W] tracking using three counters per key.
+
+    A columnar replay may leave the counters to a pending build that runs
+    on their first read (:class:`~repro.deferred.Deferrable`).
 
     Args:
         default_estimate: E[W] returned for keys with no completed sample yet.
@@ -39,6 +43,7 @@ class ExactEWTracker(EWEstimator):
     """
 
     name = "exact"
+    _state = "_counters"
 
     #: Approximate per-key storage: three 8-byte counters plus a key
     #: reference (pointer-sized); key bytes themselves are accounted

@@ -81,6 +81,29 @@ def test_a_brute_force_walk_equals_both_engines(rate: float, ttl: float) -> None
     assert replay(trace, ttl, "vector").stale_misses == walked
 
 
+#: (λ, r, T): the read ratio moves too.  Writes never touch a TTL-expiry
+#: entry, so only ``λ_r = r λ`` matters: ``λ_r T`` = 1, 1 and 3.
+RENEWAL_CELLS = [(4.0, 0.5, 0.5), (20.0, 0.25, 0.2), (1.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("rate, read_ratio, ttl", RENEWAL_CELLS)
+def test_ttl_expiry_misses_follow_the_renewal_form_at_any_read_ratio(
+    rate: float, read_ratio: float, ttl: float
+) -> None:
+    """Both engines and a walk written without ``CacheNode`` count the same
+    misses, within 4 renewal-CLT standard deviations (plus the first,
+    partial cycle) of ``H λ_r / (1 + λ_r T)``."""
+    trace = one_key_trace(rate, seed=2, read_ratio=read_ratio)
+    walked = brute_force_stale_misses(trace.times.tolist(), trace.is_read.tolist(), ttl)
+    reads = rate * read_ratio
+    mean = ttl + 1.0 / reads
+    tolerance = 4.0 * math.sqrt(HORIZON * (1.0 / reads**2) / mean**3) + 1.0
+    assert abs(walked + 1 - HORIZON * ttl_expiry_miss_rate(rate, read_ratio, ttl)) <= tolerance
+    for engine in ("scalar", "vector"):
+        result = replay(trace, ttl, engine)
+        assert (result.cold_misses, result.stale_misses) == (1, walked), engine
+
+
 def test_the_paper_form_overcharges_between_the_extremes() -> None:
     """At ``λ_r T ≈ 1.8`` the grid form ``P_R(T)/T`` is 30 % above the renewal one."""
     from repro.model.arrivals import p_read

@@ -108,7 +108,7 @@ PARAMETER_SETS = [
     ("node-failure", {"fail_at": 1.0, "recover_at": 2.0}, True),
     ("node-failure", {"recover_at": 7.0, "detect_at": 7.0}, True),
     ("node-failure", {"fail_at": 0.0, "detect_at": 0.5, "recover_at": 0.6}, False),
-    ("node-failure", {"fail_at": 12.0, "recover_at": None}, False),
+    ("node-failure", {"fail_at": 12.0, "recover_at": None}, True),
     ("node-failure", {"rejoin": "warm"}, False),
     ("node-failure", {"rejoin": "tepid"}, True),
     ("node-failure", {"loss": 0.5}, True),
@@ -121,7 +121,7 @@ PARAMETER_SETS = [
     ("zone-outage", {"detect_at": 9.0, "recover_at": None}, False),
     ("zone-outage", {"fail_at": 1.0, "recover_at": 2.0}, True),
     ("zone-outage", {"recover_at": 7.0, "detect_at": 7.0}, True),
-    ("zone-outage", {"fail_at": 12.0, "recover_at": None}, False),
+    ("zone-outage", {"fail_at": 12.0, "recover_at": None}, True),
     ("zone-outage", {"rejoin": "warm"}, False),
     ("zone-outage", {"rejoin": "tepid"}, True),
     ("zone-outage", {"node_index": 0}, True),
@@ -242,3 +242,37 @@ def test_each_scenario_accepts_and_refuses_the_same_parameters(name, params, ref
         assert refused, f"{name} refused {params}"
     else:
         assert not refused, f"{name} accepted {params}"
+
+
+#: (parameters, refused, events) of ``node-failure`` and ``zone-outage`` on
+#: a 10-second run at T = 0.5 over four nodes: an explicit time outside
+#: [0, 10] is refused; a derived detect time or an ``auto`` recovery past
+#: the run's end is kept, and never fires.
+OUTAGE_TIMES = [
+    ({"fail_at": -3.0}, True, None),
+    ({"fail_at": 50.0}, True, None),
+    ({"fail_at": 10.5, "detect_at": 11.0, "recover_at": None}, True, None),
+    ({"detect_at": 40.0}, True, None),
+    ({"detect_at": -0.5, "fail_at": -1.0}, True, None),
+    ({"recover_at": 10.5}, True, None),
+    ({"fail_at": 0.0, "detect_at": 10.0, "recover_at": None}, False, [0.0, 10.0]),
+    ({"detect_at": 9.0, "recover_at": 10.0}, False, [4.0, 9.0, 10.0]),
+    ({"fail_at": 9.0}, False, [9.0, 11.0, 11.5]),
+    ({"fail_at": 10.0, "recover_at": None}, False, [10.0, 12.0]),
+]
+
+
+@pytest.mark.parametrize("name", ["node-failure", "zone-outage"])
+@pytest.mark.parametrize(
+    "params, refused, times", OUTAGE_TIMES, ids=[str(index) for index in range(len(OUTAGE_TIMES))]
+)
+def test_an_outage_refuses_an_explicit_time_outside_the_run(name, params, refused, times) -> None:
+    """``fail_at=-3`` used to detect at -1 s, and ``detect_at=40`` to push the
+    recovery to 40.5 s; a time past the run that only the defaults put
+    there is allowed, as a window's or an instant's never is."""
+    if refused:
+        with pytest.raises(ClusterError, match="must fall inside the run"):
+            _bound(name, params, duration=10.0, bound=0.5)
+        return
+    scenario = _bound(name, params, duration=10.0, bound=0.5)
+    assert [event.time for event in scenario.events()] == times
