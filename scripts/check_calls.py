@@ -53,6 +53,7 @@ FIELDS: Dict[str, tuple] = {
     "replay-cluster": ("calls_per_request",),
     "replay-stateful": ("calls_per_request",),
     "span-kernel-tight": (
+        "batches", "kernel_calls", "fleet_kernel_calls",
         "span_objects", "fleet_span_objects", "histories_built", "fleet_histories_built",
         "objects_built", "fleet_objects_built",
     ),

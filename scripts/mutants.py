@@ -64,8 +64,9 @@ DEFERRED = "src/repro/deferred.py"
 #: whole batches, the shipped bugs (the ignored kill point), the three
 #: scenario timelines, trace preparation (the index's composite sort,
 #: the in-place draw), and the node state a replay leaves to a build on its
-#: first read.  The last field of each is the test that killed it
-#: last, run first on its copy.
+#: first read, and the reactive window kernel's state carried from cut to
+#: cut.  The last field of each is the test that killed it last, run first
+#: on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -112,11 +113,11 @@ MUTANTS: Tuple[Mutant, ...] = (
         "stale-miss-constant-fold",
         VECTOR,
         (
-            "    if tally.stale_misses and not streamed:\n",
+            "    if tally.stale_misses and not streamed and tally.charges is None:\n",
             "    missed = first_position[refetching]\n",
         ),
         (
-            "    if tally.stale_misses:\n",
+            "    if tally.stale_misses and tally.charges is None:\n",
             "    missed = first_position[refetching & False]\n",
         ),
         "a polling span's stale misses fold as one constant ahead of its "
@@ -233,9 +234,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     (
         "one-cut-block-takes-the-next-writes",
         VECTOR,
-        "[0, hi - lo], self.bounds[cut], self.writes[cut],\n",
-        "[0, hi - lo], self.bounds[cut], self.writes[(position + 1) % len(self.writes)][None],\n",
-        "a cut's groups count the writes of the batch's next cut: each host's "
+        "            self.writes[lo:hi],\n",
+        "            np.roll(self.writes, -1, axis=0)[lo:hi],\n",
+        "a block of cuts counts the writes of the batch's next cuts: each host's "
         "result counts another cut's writes",
         "tests/test_experiments.py::"
         "test_rows_are_identical_for_any_process_count_and_engine",
@@ -349,6 +350,36 @@ MUTANTS: Tuple[Mutant, ...] = (
         "copy and the original both read empty",
         "tests/test_deferred_state.py::"
         "test_the_first_read_finds_what_the_eager_write_back_built[single-pickle]",
+    ),
+    (
+        "window-flush-forgets-tracked",
+        VECTOR,
+        "        tracked[mine] = (holds | send) & ~update\n",
+        "        tracked[mine] = holds & ~update\n",
+        "a window's flush leaves the invalidates it sends out of the tracker's "
+        "column: the next cut's flush sends a repeat invalidate instead of "
+        "suppressing it",
+        "tests/test_perf_equivalence.py::test_span_kernel_matches_per_key_reference[invalidate]",
+    ),
+    (
+        "window-miss-keeps-earlier-writes",
+        VECTOR,
+        "        drains = np.where(miss, kept[lo:hi], written[lo:hi])\n",
+        "        drains = written[lo:hi].copy()\n",
+        "a miss in a window leaves the writes before it buffered: the flush "
+        "drains a key whose every write the fill already saw",
+        "tests/test_perf_equivalence.py::test_span_kernel_matches_per_key_reference[invalidate]",
+    ),
+    (
+        "window-ew-carry-resets-per-cut",
+        VECTOR,
+        "    resumed[1:] = observed[:-1] & ~starts[1:]\n",
+        "    resumed[1:] = ~starts[1:]\n",
+        "the E[W] carry of a row restarts at each cut of a window: writes since "
+        "the last read in an earlier cut drop out of the next run, and the "
+        "adaptive hosts decide on a wrong E[W]",
+        "tests/test_vector_engine.py::"
+        "test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet[2-rf2-round-robin-adaptive-0.05]",
     ),
 )
 

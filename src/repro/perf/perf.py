@@ -261,18 +261,19 @@ def _kernel_calls(
     name: str, replay: Callable[[], Any], counts: Optional[Callable[[Any, Any], None]] = None
 ) -> int:
     """How many times ``replay()`` calls the kernel ``repro.sim.vector.<name>``;
-    ``counts(tallies, groups)`` runs after each call when given."""
+    ``counts(*args)`` runs after each call, on its arguments, when given."""
     from repro.sim import vector
 
     kernel = getattr(vector, name)
     calls = 0
 
-    def counted(ctx: Any, hosts: Any, tallies: Any, groups: Any) -> None:
+    def counted(*args: Any) -> Any:
         nonlocal calls
         calls += 1
-        kernel(ctx, hosts, tallies, groups)
+        done = kernel(*args)
         if counts is not None:
-            counts(tallies, groups)
+            counts(*args)
+        return done
 
     setattr(vector, name, counted)
     try:
@@ -280,6 +281,21 @@ def _kernel_calls(
     finally:
         setattr(vector, name, kernel)
     return calls
+
+
+def _builder_calls(trace: Any) -> Callable[[], int]:
+    """Build every cut of a walk of ``trace`` at ``T = 0.01`` into its span
+    table, a batch at a time, as a replay's first lookup of each does; a
+    function returning how many batches that took."""
+    index = trace.index()
+    schedule = index.cut_ends(trace.times, 0.01)
+    batches, start = 0, 0
+    for end in schedule.tolist():
+        if (start, end) not in index.table:
+            batches += 1
+        index.span(start, end, schedule)
+        start = end
+    return lambda: batches
 
 
 def non_empty_spans(times: Any, bound: float) -> int:
@@ -349,14 +365,14 @@ def _span_objects(replay: Callable[[], Any]) -> int:
     built = _state_classes() + [(vector, "KeyHistory"), (datastore, "KeyHistory")]
     marks: List[int] = []
     with _constructions(built) as count, ExitStack() as stack:
-        cut = vector._Lockstep.cut
+        window = vector._Lockstep.window
 
-        def first_cut(unit: Any, engine: Any, batch: Any, position: int) -> None:
+        def first_window(unit: Any, engine: Any, *cut: Any) -> None:
             if not marks:
                 marks.append(count())
-            cut(unit, engine, batch, position)
+            window(unit, engine, *cut)
 
-        stack.enter_context(mock.patch.object(vector._Lockstep, "cut", first_cut))
+        stack.enter_context(mock.patch.object(vector._Lockstep, "window", first_window))
         replay()
         marks.append(count())
     return marks[-1] - marks[0]
@@ -392,11 +408,13 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
 
     A hundred times as many spans as at ``T = 1``, each of about one request
     per key: the regime where per-span cost, not per-request cost, decides
-    the speed.  ``kernel_calls`` must equal ``spans`` — one reactive kernel
-    call per span, whatever the key count — and so must
-    ``fleet_kernel_calls``, the same trace on a 3-node fleet: one call per
-    span, whatever the node count.  ``key_spans`` sums the keys of every
-    span's groups, the rows the kernel works through.  ``span_objects`` /
+    the speed.  ``kernel_calls`` counts the reactive kernel's calls — one
+    per window of cuts, whatever the key count; a replay alone with no obs
+    window to roll takes a window per batch of cuts, so it must equal
+    ``batches``, the span table's builds of the replay's schedule — and so
+    must ``fleet_kernel_calls``, the same trace on a 3-node fleet: one call
+    per window, whatever the node count.  ``key_spans`` sums the keys of
+    every span's groups, the rows the kernel works through.  ``span_objects`` /
     ``fleet_span_objects`` are :func:`_span_objects` of the two replays: 0,
     as the hosts' state lives in columns from the first cut to the end
     of the replay.  ``histories_built`` / ``fleet_histories_built`` are
@@ -412,7 +430,7 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     workload, duration, trace = _kernel_trace(scale)
     key_spans = 0
 
-    def count_key_spans(tallies: Any, prelude: Any) -> None:
+    def count_key_spans(ctx: Any, columns: Any, prelude: Any, flushes: Any) -> None:
         nonlocal key_spans
         key_spans += int(prelude.block.keys.size)
 
@@ -422,10 +440,12 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     def fleet() -> None:
         _replay_vector(workload, duration, trace, bound, nodes=3)
 
-    calls = _kernel_calls("_kernel_reactive_span", single, count_key_spans)
-    fleet_calls = _kernel_calls("_kernel_reactive_span", fleet)
+    builds = _builder_calls(trace)
+    calls = _kernel_calls("_kernel_reactive_window", single, count_key_spans)
+    fleet_calls = _kernel_calls("_kernel_reactive_window", fleet)
     return {
         "spans": non_empty_spans(trace.times, bound),
+        "batches": builds(),
         "kernel_calls": calls,
         "fleet_kernel_calls": fleet_calls,
         "key_spans": key_spans,
@@ -472,7 +492,7 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     workload, duration, trace = _kernel_trace(scale)
     charging_reads = 0
 
-    def count_charging_reads(tallies: Any, groups: Any) -> None:
+    def count_charging_reads(ctx: Any, columns: Any, tallies: Any, groups: Any) -> None:
         nonlocal charging_reads
         charging_reads += sum(int(tally.charge_counts.size) for tally in tallies)
 
@@ -589,16 +609,16 @@ def bench_trace_index(scale: float = 1.0) -> Dict[str, Any]:
 
 def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
     """Span-table lookups of a serial vector sweep, how many found their cut,
-    the builder's calls, and the sweep's reactive kernel calls and columnar
-    flushes.
+    the builder's calls, and the sweep's reactive kernel calls and the
+    interval flushes they ran.
 
     Three write-reacting policies at two bounds on one trace (200 keys at
     20 req/s each, 4 s; the key count scales): the policies of a bound are
-    one unit, whose first lookup builds the bound's 16 or 4 cuts in one
-    batch while the table has room for them, so every later lookup hits;
-    and each cut and flush is one kernel call and one flush for all three.
-    ``TraceIndex.span``, ``TraceIndex.cuts``, ``_kernel_reactive_span`` and
-    ``_flush_columns`` are wrapped for the sweep to count them.
+    one unit, whose first lookup builds as much of the bound's 16 or 4 cuts
+    in one batch as the table has room for; each member looks up the cut a
+    window starts at, and each window of cuts is one kernel call for all
+    three, with a flush per cut.  ``TraceIndex.span``, ``TraceIndex.cuts``
+    and ``_kernel_reactive_window`` are wrapped for the sweep to count them.
     """
     from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
     from repro.sim import vector
@@ -606,7 +626,7 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
 
     counts = [0, 0, 0, 0, 0]
     span, cuts = TraceIndex.span, TraceIndex.cuts
-    kernel, flush = vector._kernel_reactive_span, vector._flush_columns
+    kernel = vector._kernel_reactive_window
 
     def counted(index, start, end, schedule=None):
         counts[0] += 1
@@ -617,13 +637,10 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
         counts[2] += 1
         return cuts(index, start, ends)
 
-    def counted_kernel(*args: Any) -> None:
+    def counted_kernel(ctx: Any, columns: Any, prelude: Any, flushes: Any) -> Any:
         counts[3] += 1
-        kernel(*args)
-
-    def counted_flush(*args: Any) -> None:
-        counts[4] += 1
-        flush(*args)
+        counts[4] += len(flushes)
+        return kernel(ctx, columns, prelude, flushes)
 
     spec = ExperimentSpec(
         name="perf-sweep",
@@ -636,12 +653,12 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
         engine="vector",
     )
     TraceIndex.span, TraceIndex.cuts = counted, counted_cuts
-    vector._kernel_reactive_span, vector._flush_columns = counted_kernel, counted_flush
+    vector._kernel_reactive_window = counted_kernel
     try:
         run_experiment(spec, processes=1)
     finally:
         TraceIndex.span, TraceIndex.cuts = span, cuts
-        vector._kernel_reactive_span, vector._flush_columns = kernel, flush
+        vector._kernel_reactive_window = kernel
     return counts[0], counts[1], counts[2], counts[3], counts[4]
 
 

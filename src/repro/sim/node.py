@@ -56,6 +56,7 @@ that can route flush decisions to a different policy for hot keys.
 
 from __future__ import annotations
 
+import copy
 import math
 from itertools import repeat
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -268,6 +269,16 @@ class CacheNode:
         self._miss_cost_const = (
             self.costs.miss_cost() if self.costs.breakdown is None else None
         )
+        self._bind_caches()
+        if self.l1 is not None:
+            self._l1_hit_cost_const = (
+                self.costs.l1_hit_cost() if self.costs.breakdown is None else None
+            )
+
+    def _bind_caches(self) -> None:
+        """Bind the read path's aliases of the caches' dicts: each cache's
+        ``peek`` (:meth:`Cache.raw_getter`) and stats, and a bounded
+        cache's ``touch``."""
         self._l2_peek = self.cache.raw_getter()
         self._l2_stats = self.cache.stats
         # A bounded cache's LRU order holds every key of its map: a hit moves
@@ -278,9 +289,18 @@ class CacheNode:
             self._l1_peek = self.l1.cache.raw_getter()
             self._l1_stats = self.l1.cache.stats
             self._l1_touch = self.l1.cache.recency.move_to_end
-            self._l1_hit_cost_const = (
-                self.costs.l1_hit_cost() if self.costs.breakdown is None else None
-            )
+
+    def __deepcopy__(self, memo: dict) -> "CacheNode":
+        """A deep copy that reads its own caches: ``copy`` takes a built-in
+        bound method — the caches' ``dict.get`` and ``move_to_end`` aliases
+        — as an atom, so the copy binds them again to its copied caches.
+        Copying a cache left to a pending build runs the build first."""
+        clone = type(self).__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        clone._bind_caches()
+        return clone
 
     @property
     def reacts_to_writes(self) -> bool:

@@ -350,13 +350,15 @@ _NO_CHARGES.flags.writeable = False
 
 
 class _SpanTally:
-    """One host's counter deltas of one span, folded into its result and
-    cache stats in bulk by :func:`_flush_tally`, plus the TTL-polling
-    freshness charges, which fold in stream order.
+    """One host's counter deltas of one kernel call, folded into its result
+    and cache stats in bulk by :func:`_flush_tally`, plus the freshness
+    charges that fold in order: TTL-polling's, in stream order, and a
+    reactive window's (``charges``), with its flushes' message counts
+    (``messages``).
 
     A kernel that streams its charges streams every one of them: its stale
-    misses are among them, one miss's worth each, and fold in stream order
-    with its polls instead of as one constant.
+    misses are among them, one miss's worth each, and fold in order with
+    its polls or messages instead of as one constant.
     """
 
     __slots__ = (
@@ -371,6 +373,8 @@ class _SpanTally:
         "polls",
         "charge_positions",
         "charge_counts",
+        "charges",
+        "messages",
     )
 
     def __init__(self, writes: int = 0) -> None:
@@ -387,6 +391,11 @@ class _SpanTally:
         # of each charging read, and how many misses' worth it charges (the
         # polls it settles, or 1 for its stale miss).
         self.charge_positions = self.charge_counts = _NO_CHARGES
+        # A reactive window's freshness addends of a host that sent a
+        # message, in the scalar engine's order; its flushes' counts
+        # (:func:`_fold_messages`).
+        self.charges: Optional[np.ndarray] = None
+        self.messages: Optional[List[int]] = None
 
 
 def _commit_trace_writes(ctx: _ReplayContext) -> int:
@@ -452,13 +461,6 @@ def _segment_sums(values: List[int], segments: List[int]) -> List[int]:
     """Per host, the sum of its segment of ``values``."""
     rows = iter(values)
     return [sum(islice(rows, length)) for length in _lengths(segments)]
-
-
-def _host_counts(groups: np.ndarray, bounds: List[int]) -> List[int]:
-    """Per host, how many of ``groups`` (ascending group indices) are its."""
-    if len(bounds) == 2:
-        return [int(groups.size)]
-    return _lengths(np.searchsorted(groups, bounds).tolist())
 
 
 def _write_runs(
@@ -556,9 +558,7 @@ class _HostColumns:
     first fill), ``tracked_seq`` (the invalidation), ``first_write`` (the
     first surviving write) and ``seen`` (the first observation) — and rows
     loaded from the hosts' objects take negative positions in their dict's
-    order, ahead of everything the replay adds.  ``written`` is per key id:
-    the writes committed up to the last cut, the version an update carries
-    (the backend's ``latest_version``).  ``hosts`` are the
+    order, ahead of everything the replay adds.  ``hosts`` are the
     :class:`~repro.sim.node.CacheNode` s the columns were loaded from — a
     lockstep unit's members' nodes, stacked — and ``tables`` each host's
     four dicts (the E[W] counters ``None`` without an estimator), which the
@@ -568,9 +568,9 @@ class _HostColumns:
     never decides for a TTL host), ``prior`` its estimator's E[W] before
     the first sample and ``zero_runs`` whether that estimator counts
     zero-length runs.
-    ``folds`` says whether any host folds an E[W] estimator (the kernel then
-    folds every row; only a host with an estimator writes its rows back),
-    ``sequence`` numbers the trackers' next insertion.
+    ``folds`` says whether each host folds an E[W] estimator (the kernel
+    folds its rows, and only its rows write back), ``sequence`` numbers the
+    trackers' next insertion.
     """
 
     __slots__ = (
@@ -581,7 +581,6 @@ class _HostColumns:
         "dirty", "first_write", "first_write_time", "last_write_time",
         "write_count", "write_key_size", "write_value_size",
         "sample_sum", "sample_count", "writes_since_read", "seen",
-        "written",
     )
 
     def __init__(self, hosts: Sequence[CacheNode], names: List[str]) -> None:
@@ -621,7 +620,7 @@ class _HostColumns:
         self.zero_runs = np.array(
             [each is not None and each.count_zero_runs for each in estimators], dtype=np.bool_
         )
-        self.folds = any(each is not None for each in estimators)
+        self.folds = np.array([each is not None for each in estimators], dtype=np.bool_)
         self.sequence = 0
         size = len(hosts) * len(names)
         self.state = np.zeros(size, dtype=np.int8)
@@ -635,7 +634,6 @@ class _HostColumns:
                      "sample_sum", "sample_count", "writes_since_read"):
             setattr(self, name, np.zeros(size, dtype=np.int64))
         self.seen = np.full(size, _UNSEEN, dtype=np.int64)
-        self.written = np.zeros(len(names), dtype=np.int64)
         stride = len(hosts)
         for host, (entries, invalidated, pending, counters) in enumerate(held):
             if entries:
@@ -772,7 +770,7 @@ class _GroupBlock(NamedTuple):
     a host; ``bounds[j]`` are its host bounds relative to its first group
     (a host may have none) and ``writes[j]`` the writes each host counts in
     it (``cuts x (hosts + 1)`` and ``cuts x hosts`` integer matrices).  A
-    kernel takes one cut's block (:meth:`cut`).  Built once per batch and
+    kernel takes a block of the cuts it replays (:meth:`cuts`).  Built once per batch and
     fleet shape (the single cache is the one-host shape), or stacked for a
     lockstep unit (:func:`_stack_groups`).
     """
@@ -789,14 +787,14 @@ class _GroupBlock(NamedTuple):
     bounds: np.ndarray
     writes: np.ndarray
 
-    def cut(self, position: int) -> "_GroupBlock":
-        """Cut ``position``'s block: views of this one's rows and matrices."""
-        lo, hi = self.offsets[position], self.offsets[position + 1]
-        cut = slice(position, position + 1)
+    def cuts(self, lo: int, hi: int) -> "_GroupBlock":
+        """Cuts ``lo`` to ``hi``: views of this block's rows and matrices."""
+        start, stop = self.offsets[lo], self.offsets[hi]
         return _GroupBlock(
-            self.keys[lo:hi], self.first[lo:hi], self.count[lo:hi], self.stride,
-            self.write_lo[lo:hi], self.write_hi[lo:hi], self.host[lo:hi], self.hosts,
-            [0, hi - lo], self.bounds[cut], self.writes[cut],
+            self.keys[start:stop], self.first[start:stop], self.count[start:stop], self.stride,
+            self.write_lo[start:stop], self.write_hi[start:stop], self.host[start:stop],
+            self.hosts, [at - start for at in self.offsets[lo : hi + 1]], self.bounds[lo:hi],
+            self.writes[lo:hi],
         )
 
 
@@ -844,32 +842,30 @@ def _stack_groups(blocks: Sequence[_GroupBlock], lo: int, hi: int) -> _GroupBloc
 _PRELUDE_GROUP_BYTES = 112
 
 #: Most stacked groups a lockstep unit builds one prelude for: with their
-#: group columns, about 200 bytes a group — under 2 MiB a window of cuts.
-_STACKED_GROUPS = 1 << 12
+#: group columns, about 200 bytes a group.
+_STACKED_GROUPS = 1 << 13
 
 
 class _PreludeBlock:
-    """The policy-independent half of :func:`_kernel_reactive_span` for
+    """The policy-independent half of :func:`_kernel_reactive_window` for
     every cut of a :class:`_GroupBlock`: what its groups are under *any*
     write-reactive policy, bound and cache state, as flat columns computed
-    once for the whole block; :meth:`cut` takes one cut's out, as views.
-    Built once per batch and fleet shape — memoised in the span table and
-    shared by every replay, read, never written — or once per window of a
-    batch's cuts for a lockstep unit's stacked hosts.
+    once for the whole block; :meth:`cuts` takes a window of cuts out, as
+    views.  Built once per batch and fleet shape — memoised in the span
+    table and shared by every replay, read, never written — or once per
+    stretch of a batch's cuts for a lockstep unit's stacked hosts.
 
     Attributes:
         block: The hosts' :class:`_GroupBlock`.
         rows: Each group's row of :class:`_HostColumns` (``key * hosts +
             host``).
         versions: Each group's key's writes up to its cut's end.
-        num_writes / writing: Span writes per group and the groups that
-            have any (ascending group indices).
-        reading / read_rows / read_counts: The groups with span reads, their
-            rows and read counts.
-        first_read / last_read: Position of each reading group's first span
-            read, and time of its last.
+        num_writes: Span writes per group.
+        reading / first_read / last_read: The groups with span reads
+            (ascending group indices), the position of each one's first
+            span read and the time of its last.
         host_reads / host_writes: Per cut, per host, its span reads and its
-            span writes (lists of lists).
+            span writes (``cuts x hosts`` integer matrices).
         write_runs: ``(before_first, before_last, runs_closed)``:
             :func:`_write_runs` of every group that reads and writes, zero
             elsewhere.  A miss fetches the version as of its position, and
@@ -877,36 +873,31 @@ class _PreludeBlock:
         first_seen: Each group's first observation: its first read or write,
             whichever comes first in the stream — where the scalar engine
             creates the host's counter row for the key.
-        reading_at / writing_at: Per cut, where its groups start in
-            ``reading`` and ``writing``, and the total (ints).
+        reading_at: Per cut, where its groups start in ``reading``, and the
+            total (ints).
     """
 
     __slots__ = (
-        "block", "rows", "versions", "num_writes", "writing", "reading", "read_rows",
-        "read_counts", "first_read", "last_read", "host_reads", "host_writes",
-        "write_runs", "first_seen", "reading_at", "writing_at",
+        "block", "rows", "versions", "num_writes", "reading", "first_read", "last_read",
+        "host_reads", "host_writes", "write_runs", "first_seen", "reading_at",
     )
 
     def __init__(self, trace: CompiledTrace, index: TraceIndex, block: _GroupBlock) -> None:
         keys, first, count, stride, write_lo, write_hi, host, hosts, offsets, _, _ = block
         self.block = block
-        self.rows = rows = keys * hosts + host
+        self.rows = keys * hosts + host
         self.versions = write_hi - index.write_offsets[keys]
         self.num_writes = num_writes = write_hi - write_lo
-        self.writing = writing = num_writes.nonzero()[0]
         self.reading = reading = count.nonzero()[0]
-        self.read_rows = rows[reading]
-        self.read_counts = read_count = count[reading]
-        read_first = first[reading]
+        read_first, read_count = first[reading], count[reading]
         self.first_read = first_read = index.read_pos[read_first].astype(np.int64)
         self.last_read = trace.times[index.read_pos[read_first + (read_count - 1) * stride]]
         self.reading_at = np.searchsorted(reading, offsets).tolist()
-        self.writing_at = np.searchsorted(writing, offsets).tolist()
         cuts = len(offsets) - 1
         cell = np.repeat(np.arange(cuts) * hosts, np.diff(offsets)) + host
         self.host_reads, self.host_writes = (
             np.bincount(cell, weights=column, minlength=cuts * hosts)
-            .astype(np.int64).reshape(cuts, hosts).tolist()
+            .astype(np.int64).reshape(cuts, hosts)
             for column in (count, num_writes)
         )
         runs = np.zeros((3, keys.size), dtype=np.int64)
@@ -920,292 +911,371 @@ class _PreludeBlock:
         # into a signed array they are then copied into.
         seen = np.full(keys.size, _UNSEEN, dtype=np.int64)
         seen[reading] = first_read
+        writing = num_writes.nonzero()[0]
         seen[writing] = np.minimum(seen[writing], index.write_pos[write_lo[writing]])
         self.first_seen = seen
 
-    def cut(self, position: int) -> "_PreludeBlock":
-        """Cut ``position``'s prelude: a one-cut block of views of this one's
-        columns."""
-        lo, hi = self.block.offsets[position], self.block.offsets[position + 1]
-        read = slice(*self.reading_at[position : position + 2])
-        write = slice(*self.writing_at[position : position + 2])
-        cut = slice(position, position + 1)
+    def cuts(self, lo: int, hi: int) -> "_PreludeBlock":
+        """Cuts ``lo`` to ``hi``: a block of views of this one's columns."""
+        group = slice(self.block.offsets[lo], self.block.offsets[hi])
+        read = slice(self.reading_at[lo], self.reading_at[hi])
         prelude = _PreludeBlock.__new__(_PreludeBlock)
-        prelude.block = self.block.cut(position)
-        prelude.rows = self.rows[lo:hi]
-        prelude.versions = self.versions[lo:hi]
-        prelude.num_writes = self.num_writes[lo:hi]
-        prelude.writing = self.writing[write] - lo
-        prelude.reading = self.reading[read] - lo
-        prelude.read_rows = self.read_rows[read]
-        prelude.read_counts = self.read_counts[read]
+        prelude.block = self.block.cuts(lo, hi)
+        prelude.rows = self.rows[group]
+        prelude.versions = self.versions[group]
+        prelude.num_writes = self.num_writes[group]
+        prelude.reading = self.reading[read] - group.start
         prelude.first_read = self.first_read[read]
         prelude.last_read = self.last_read[read]
-        prelude.host_reads = self.host_reads[cut]
-        prelude.host_writes = self.host_writes[cut]
-        prelude.write_runs = self.write_runs[:, lo:hi]
-        prelude.first_seen = self.first_seen[lo:hi]
-        prelude.reading_at = [0, read.stop - read.start]
-        prelude.writing_at = [0, write.stop - write.start]
+        prelude.host_reads = self.host_reads[lo:hi]
+        prelude.host_writes = self.host_writes[lo:hi]
+        prelude.write_runs = self.write_runs[:, group]
+        prelude.first_seen = self.first_seen[group]
+        prelude.reading_at = [at - read.start for at in self.reading_at[lo : hi + 1]]
         return prelude
 
 
-def _kernel_reactive_span(
+def _kernel_reactive_window(
     ctx: _ReplayContext,
     columns: _HostColumns,
-    tallies: Sequence[_SpanTally],
     prelude: _PreludeBlock,
-) -> None:
-    """Every host's whole span under a write-reactive policy, in one call.
+    flushes: Sequence[float],
+) -> List[_SpanTally]:
+    """A window of cuts of every host under its write-reactive policy, in
+    one call: cut ``j`` of ``prelude``, then the interval flush at
+    ``flushes[j]``, for each ``j``.  Returns each host's tally of the
+    window, its flushes' counts and charges in it.
 
-    Within a span no messages arrive and nothing expires, so a key's entry
+    Within a cut no messages arrive and nothing expires, so a key's entry
     changes state at most once: the first read of an absent/invalid entry
     misses and re-fetches, after which every read is a hit; a key valid at
-    span start serves only hits.  Everything the span does to a key therefore
-    follows from *endpoints* — read count, first and last read, first and
-    last surviving write — which the cut's one-cut :class:`_PreludeBlock`
-    holds for all keys of all hosts; what is left per replay is the part
-    that depends on the cache, and that is gathers and scatters on the
-    hosts' :class:`_HostColumns` at the groups' rows: a fixed number of
-    array calls for the whole fleet, no object and no per-key loop.  Each
-    host's counter deltas go into ``tallies[h]``.
-    """
-    groups = prelude.block
-    keys, write_lo, write_hi = groups.keys, groups.write_lo, groups.write_hi
-    bounds = groups.bounds[0].tolist()
-    index, trace = ctx.index, ctx.trace
-    rows, state = prelude.rows, columns.state
-    columns.written[keys] = prelude.versions
+    the cut's start serves only hits.  What a cut does to a key therefore
+    follows from *endpoints* — read count, first and last read, the writes
+    before the first read — which the :class:`_PreludeBlock` holds for all
+    keys of all hosts.  From cut to cut only a row's cache state feeds
+    back — whether its entry is valid (a hit or a miss), whether the
+    tracker holds it (a suppressed invalidate), its ``as_of`` (a late hit's
+    violations) — and the flush after each cut changes it again: each host
+    drains the rows its cut left dirty and takes its policy's action for
+    each (:meth:`CacheNode.flush <repro.sim.node.CacheNode.flush>` on an
+    instant channel).  :func:`_step_cuts` carries that state from cut to
+    cut with a fixed number of column operations per cut and records what
+    each group found.  Everything else is done once for the window, from
+    those records: the E[W] folds and the adaptive hosts' choices, which no
+    cache state feeds (:func:`_fold_estimators`, :func:`_adaptive_updates`),
+    the counts, fills, versions and violations, the trackers' sequence
+    numbers, and each host's freshness charges — its message costs in drain
+    order (first surviving write first) after each cut's stale misses, for
+    one seeded ``cumsum``.  No entry, message or buffered write is built.
 
-    # A valid entry serves every read of its group.
-    reading, read_rows = prelude.reading, prelude.read_rows
-    hit = state[read_rows] == _VALID
-    served = read_rows[hit]
-    columns.hits[served] += prelude.read_counts[hit]
-    horizon = prelude.last_read[hit] - ctx.bound
-    as_of = columns.as_of[served]
-    late = (horizon > as_of).nonzero()[0]
+    A buffer handed in at load drains at the replay's first flush: its rows
+    the first cut does not hold join it ahead of its groups as groups
+    without requests, and a first-cut group keeps its loaded writes unless
+    it misses.  A window of one empty cut is a flush alone.
+    """
+    hosts = len(columns.kinds)
+    groups = prelude.block
+    loaded = columns.dirty.nonzero()[0]
+    extra = loaded
+    if loaded.size:
+        extra = loaded[~np.isin(loaded, prelude.rows[: groups.offsets[1]])]
+    ahead = extra.size
+    rows, host, count, writes, runs, first_seen = _records(prelude, extra, hosts)
+    offsets = [0, *(ahead + at for at in groups.offsets[1:])]
+    cut = np.repeat(np.arange(len(flushes)), np.diff(offsets))
+    reads = count > 0
+    reading = prelude.reading + ahead
+    position = np.zeros(rows.size, dtype=np.int64)
+    position[reading] = prelude.first_read
+    kinds = columns.kinds[host]
+    held = np.zeros(rows.size, dtype=np.bool_)
+    if loaded.size:
+        held[: offsets[1]] = columns.dirty[rows[: offsets[1]]]
+        columns.dirty[loaded] = False
+    prefers = kinds == _UPDATE
+    if columns.folds.any():
+        # The rows of the hosts that fold an estimator (all of them, or a
+        # gather of theirs), and the adaptive ones a flush may decide.
+        mine = slice(None) if columns.folds.all() else columns.folds[host].nonzero()[0]
+        estimate = _fold_estimators(
+            columns, rows[mine], host[mine], count[mine], writes[mine], runs[:, mine],
+            first_seen[mine],
+        )
+        chosen = (kinds[mine] >= _ADAPTIVE) & ((writes[mine] > 0) | held[mine])
+        picked = np.arange(rows.size)[mine][chosen]
+        if picked.size:
+            prefers[picked] = _adaptive_updates(
+                columns, rows[picked], host[picked], estimate[chosen]
+            )
+    state_in, as_of_in, tracked, dirty = _step_cuts(
+        columns, rows, offsets, flushes, reads, writes > runs[0], writes > 0, prefers,
+        kinds == _CACHE_STATE, ctx.trace.times[position], held if loaded.size else None,
+    )
+
+    # The reads: hits, misses and cold fills, and the late hits' violations.
+    miss = reads & (state_in != _VALID)
+    cold = miss & (state_in == _ABSENT)
+    tallies = [_SpanTally(count) for count in groups.writes.sum(axis=0).tolist()]
+    horizon = prelude.last_read - ctx.bound
+    late = ((state_in[reading] == _VALID) & (horizon > as_of_in[reading])).nonzero()[0]
     if late.size:
         _count_violations(
-            ctx, tallies, groups, reading[hit][late], as_of[late], horizon[late]
+            ctx, tallies, groups, prelude.reading[late], as_of_in[reading[late]], horizon[late]
+        )
+    fills = rows[cold]
+    columns.filled[fills] = position[cold]
+    columns.key_size[fills] = ctx.trace.key_sizes[position[cold]]
+    columns.hits[fills] = 0
+    np.add.at(columns.hits, rows[reading], count[reading] - miss[reading])
+
+    # The flushes: what each drained row's host did with it.
+    drained = dirty.nonzero()[0]
+    drain_host = host[drained]
+    valid = reads[drained] | (state_in[drained] == _VALID)
+    absent = ~reads[drained] & (state_in[drained] == _ABSENT)
+    decided = valid | (kinds[drained] != _CACHE_STATE)
+    update = decided & prefers[drained]
+    invalidate = decided & ~prefers[drained]
+    suppressed = invalidate & tracked[drained]
+    invalidate &= ~tracked[drained]
+    adaptive = decided & (kinds[drained] >= _ADAPTIVE)
+    flags = [
+        update, invalidate, suppressed, update & absent, invalidate & valid, ~decided,
+        adaptive, adaptive & update,
+    ]
+    counts = np.array(
+        [np.bincount(drain_host, weights=flag, minlength=hosts) for flag in flags]
+    ).astype(np.int64).T.tolist()
+    for tally, messages in zip(tallies, counts):
+        tally.messages = messages
+    # Drain order: flush by flush, host by host, each host's rows by first
+    # surviving write — a loaded buffer's in its own order, ahead of the trace's.
+    own = held[drained] & ~miss[drained]
+    first_write = np.empty(drained.size, dtype=np.int64)
+    first_write[own] = columns.first_write[rows[drained[own]]]
+    traced = drained[~own] - ahead
+    skipped = np.where(miss[drained[~own]], prelude.write_runs[0][traced], 0)
+    first_write[~own] = ctx.index.write_pos[groups.write_lo[traced] + skipped]
+    order = np.lexsort((first_write, drain_host, cut[drained]))
+
+    # The invalidates sent number the trackers' rows in drain order; a row
+    # keeps its last.
+    sent = order[invalidate[order]]
+    if sent.size:
+        sent_rows = rows[drained[sent]]
+        base = columns.sequence
+        np.maximum.at(columns.tracked_seq, sent_rows, base + np.arange(sent.size))
+        sent_at = np.asarray(flushes)[cut[drained[sent]]]
+        columns.tracked_at[sent_rows] = sent_at[columns.tracked_seq[sent_rows] - base]
+        columns.sequence += sent.size
+
+    # A row's version, value size and fetch times are its last fetch's: a
+    # miss's, as of its read, or an update's, as of its cut's end.
+    refreshed = np.zeros(rows.size, dtype=np.bool_)
+    refreshed[drained[update & ~absent]] = True
+    fetched = (miss | refreshed).nonzero()[0]
+    if fetched.size:
+        fetched_rows, last = np.unique(rows[fetched[::-1]], return_index=True)
+        last = fetched[::-1][last]
+        version = np.zeros(last.size, dtype=np.int64)
+        keys = rows[last] // hosts
+        traced = last >= ahead
+        group = last[traced] - ahead
+        version[traced] = np.where(
+            refreshed[last[traced]],
+            prelude.versions[group],
+            groups.write_lo[group] + prelude.write_runs[0][group]
+            - ctx.index.write_offsets[keys[traced]],
+        )
+        held_rows = (~traced).nonzero()[0]
+        if held_rows.size:
+            # A loaded row's update carries its key's writes up to the first
+            # cut's end, as every group of the key in that cut counts them.
+            first = slice(0, groups.offsets[1])
+            carried = dict(zip(groups.keys[first].tolist(), prelude.versions[first].tolist()))
+            version[held_rows] = [carried.get(key, 0) for key in keys[held_rows].tolist()]
+        value_size = np.full(last.size, ctx.default_value_size, dtype=np.int64)
+        written = version.nonzero()[0]
+        value_size[written] = ctx.index.write_value_sizes[
+            ctx.index.write_offsets[keys[written]] + version[written] - 1
+        ]
+        columns.version[fetched_rows] = version
+        columns.value_size[fetched_rows] = value_size
+        columns.fetched_at[fetched_rows] = columns.accounted[fetched_rows] = (
+            columns.as_of[fetched_rows]
         )
 
-    # Anything else misses at the first read, re-fetches and serves the rest.
-    miss = (~hit).nonzero()[0]
-    missed = reading[miss]
-    host_misses = _host_counts(missed, bounds)
-    host_cold = [0] * len(tallies)
-    before_miss = None
-    if missed.size:
-        miss_rows = read_rows[miss]
-        position = prelude.first_read[miss]
-        # Exactly the writes preceding the read in stream order are visible:
-        # the key's pre-span writes plus the span writes before the miss.
-        visible = write_lo[missed]
-        if prelude.num_writes[missed].any():
-            before_miss = prelude.write_runs[0][missed]
-            visible = visible + before_miss
-        version = visible - index.write_offsets[keys[missed]]
-        value_size = np.full(miss.size, ctx.default_value_size, dtype=np.int64)
-        written = version.nonzero()[0]
-        value_size[written] = index.write_value_sizes[visible[written] - 1]
-        cold = (state[miss_rows] == _ABSENT).nonzero()[0]
-        host_cold = _host_counts(missed[cold], bounds)
-        fills = miss_rows[cold]
-        columns.filled[fills] = position[cold]
-        columns.key_size[fills] = trace.key_sizes[position[cold]]
-        columns.hits[fills] = 0
-        columns.hits[miss_rows] += prelude.read_counts[miss] - 1
-        state[miss_rows] = _VALID
-        columns.version[miss_rows] = version
-        columns.value_size[miss_rows] = value_size
-        time = trace.times[position]
-        columns.as_of[miss_rows] = time
-        columns.fetched_at[miss_rows] = time
-        columns.accounted[miss_rows] = time
-        columns.tracked[miss_rows] = False
-        # A miss fill drops what the key had buffered before it.
-        columns.dirty[miss_rows] = False
-    for tally, reads, misses, colds in zip(tallies, prelude.host_reads[0], host_misses, host_cold):
-        tally.reads += reads
-        tally.hits += reads - misses
-        tally.cold_misses += colds
-        tally.stale_misses += misses - colds
-
-    # The writes after a key's miss (all of them, without one) are buffered.
-    writing = prelude.writing
-    if writing.size:
-        start = write_lo[writing]
-        if before_miss is not None:
-            skipped = np.zeros(keys.size, dtype=np.int64)
-            skipped[missed] = before_miss
-            start = start + skipped[writing]
-        end = write_hi[writing]
-        surviving = start < end
-        buffered = rows[writing[surviving]]
-        start, last = start[surviving], end[surviving] - 1
-        count = last - start + 1
-        merged = columns.dirty[buffered]
-        if merged.any():
-            # Only a buffer handed in at load is dirty at a cut's start:
-            # its entries grow, the others start.
-            columns.write_count[buffered] = np.where(
-                merged, columns.write_count[buffered] + count, count
-            )
-            fresh = ~merged
-            buffered_fresh, start_fresh = buffered[fresh], start[fresh]
-        else:
-            columns.write_count[buffered] = count
-            buffered_fresh, start_fresh = buffered, start
-        first_position = index.write_pos[start_fresh]
-        columns.dirty[buffered] = True
-        columns.first_write[buffered_fresh] = first_position
-        columns.first_write_time[buffered_fresh] = index.write_times[start_fresh]
-        columns.write_key_size[buffered_fresh] = trace.key_sizes[first_position]
-        columns.last_write_time[buffered] = index.write_times[last]
-        columns.write_value_size[buffered] = index.write_value_sizes[last]
-        for tally, writes in zip(tallies, prelude.host_writes[0]):
-            tally.buffered_writes += writes
-
-    # E[W]: the closed form of replaying observe_read / observe_write in
-    # stream order — each read closes the run of writes since the previous
-    # read, the first run absorbing the carried ``writes_since_read``.
-    if columns.folds:
-        before_first, before_last, runs_closed = prelude.write_runs
-        count, writes = groups.count, prelude.num_writes
-        observed = count > 0
-        carry = columns.writes_since_read[rows]
-        columns.sample_sum[rows] += np.where(observed, before_last + carry, 0)
-        closed = np.where(observed, runs_closed + (before_first + carry > 0), 0)
-        if columns.zero_runs.any():
-            # Every read closes a run on a host that counts the empty ones.
-            closed = np.where(columns.zero_runs[groups.host], count, closed)
-        columns.sample_count[rows] += closed
-        columns.writes_since_read[rows] = np.where(observed, writes - before_last, carry + writes)
-        columns.seen[rows] = np.minimum(columns.seen[rows], prelude.first_seen)
+    # Each host's reads, then its freshness charges: every cut's stale
+    # misses, then its flush's messages in drain order.
+    misses = np.bincount(host[miss], minlength=hosts).tolist()
+    colds = np.bincount(host[cold], minlength=hosts).tolist()
+    for tally, host_reads, host_writes, host_misses, host_colds in zip(
+        tallies, prelude.host_reads.sum(axis=0).tolist(),
+        prelude.host_writes.sum(axis=0).tolist(), misses, colds,
+    ):
+        tally.reads = host_reads
+        tally.hits = host_reads - host_misses
+        tally.cold_misses = host_colds
+        tally.stale_misses = host_misses - host_colds
+        tally.buffered_writes = host_writes
+    charged = order[(update | invalidate)[order]]
+    if charged.size:
+        _charge_hosts(ctx, tallies, host, cut, miss & ~cold, len(flushes),
+                      drain_host[charged], cut[drained[charged]], update[charged])
+    return tallies
 
 
-def _flush_columns(ctx: _ReplayContext, columns: _HostColumns, time: float) -> None:
-    """The interval flush at ``time`` of every host of ``columns``.
-
-    :meth:`CacheNode.flush <repro.sim.node.CacheNode.flush>` on an instant
-    channel, for all hosts at once, each under its own policy: each host
-    drains its dirty keys in buffer order (first surviving write), takes
-    its policy's action for each — ``adaptive+cs`` passes over keys it
-    holds no valid entry of, and the adaptive hosts' choices are made by
-    :func:`_adaptive_updates` — suppresses invalidates the tracker already
-    holds, and applies the messages to its entries.  The message costs fold
-    onto each host's running ``freshness_cost`` in drain order with the
-    seeded ``cumsum`` of :func:`_flush_tally`.  No message, entry or
-    buffered write is built.
-    """
-    dirty = columns.dirty.nonzero()[0]
-    if not dirty.size:
-        return
-    hosts = columns.hosts
-    stride = len(hosts)
-    host_of = dirty % stride
-    order = np.lexsort((columns.first_write[dirty], host_of))
-    rows, host_of = dirty[order], host_of[order]
-    columns.dirty[rows] = False
-    bounds = np.searchsorted(host_of, np.arange(stride + 1)).tolist()
-    state = columns.state[rows]
-    kind = columns.kinds[host_of]
-    update = kind == _UPDATE
-    decided = (kind != _CACHE_STATE) | (state == _VALID)
-    adaptive = (kind >= _ADAPTIVE) & decided
-    chosen = adaptive.nonzero()[0]
-    if chosen.size:
-        update[chosen] = _adaptive_updates(columns, rows[chosen], host_of[chosen])
-    invalidate = decided & ~update
-    tracked = columns.tracked[rows]
-    suppressed = invalidate & tracked
-    invalidate &= ~tracked
-    absent = state == _ABSENT
-    wasted = update & absent
-    dropped = invalidate & (state == _VALID)
-
-    # Updates refresh every entry they find (invalid ones too) with the
-    # latest version; invalidates drop the valid ones.
-    columns.tracked[rows[update]] = False
-    refreshed = rows[update & ~absent]
-    if refreshed.size:
-        keys = refreshed // stride
-        version = columns.written[keys]
-        value_size = np.full(refreshed.size, ctx.default_value_size, dtype=np.int64)
-        written = version.nonzero()[0]
-        index = ctx.index
-        value_size[written] = index.write_value_sizes[
-            index.write_offsets[keys[written]] + version[written] - 1
-        ]
-        columns.state[refreshed] = _VALID
-        columns.version[refreshed] = version
-        columns.value_size[refreshed] = value_size
-        columns.as_of[refreshed] = time
-        columns.fetched_at[refreshed] = time
-        columns.accounted[refreshed] = time
-    sent_invalidates = rows[invalidate]
-    columns.tracked[sent_invalidates] = True
-    columns.tracked_at[sent_invalidates] = time
-    columns.tracked_seq[sent_invalidates] = np.arange(
-        columns.sequence, columns.sequence + sent_invalidates.size
+def _records(prelude: _PreludeBlock, extra: np.ndarray, hosts: int) -> Tuple[np.ndarray, ...]:
+    """A window's groups — rows, hosts, read counts, writes, write runs and
+    first observations — with the rows of ``extra`` ahead of them, as groups
+    without requests."""
+    groups = prelude.block
+    records = (
+        prelude.rows, groups.host, groups.count, prelude.num_writes, prelude.write_runs,
+        prelude.first_seen,
     )
-    columns.sequence += sent_invalidates.size
-    columns.state[rows[dropped]] = _INVALIDATED
-
-    # Per host with dirty rows, each flag's count; the hosts' rows are
-    # consecutive segments in drain order, and so are their messages.
-    flags = [update, invalidate, suppressed, wasted, dropped, ~decided, adaptive, adaptive & update]
-    draining = [(host, lo) for host, lo, hi in zip(hosts, bounds, bounds[1:]) if hi > lo]
-    counts = np.add.reduceat(
-        np.array(flags), [lo for _, lo in draining], axis=1, dtype=np.int64
-    ).T.tolist()
-    charge = np.where(update, ctx.update_const, ctx.invalidate_const)
-    charges = iter(charge[update | invalidate].tolist())
-    for (host, _), (
-        updates, invalidates, suppressions, ignored, invalidations, nothing, choices, chose_update
-    ) in zip(draining, counts):
-        result, stats = host.result, host.cache.stats
-        result.updates_sent += updates
-        result.invalidates_sent += invalidates
-        result.suppressed_invalidates += suppressions
-        result.updates_wasted += ignored
-        if nothing:
-            result.decisions_nothing += nothing
-        if choices:
-            host.policy.decisions_update += chose_update
-            host.policy.decisions_invalidate += choices - chose_update
-        stats.updates_applied += updates - ignored
-        stats.updates_ignored += ignored
-        stats.invalidations += invalidations
-        carried = updates + invalidates
-        host.channel.sent += carried
-        host.channel.delivered += carried
-        if carried:
-            # The scalar engine's one-by-one ``+=``, in drain order.
-            result.freshness_cost = _left_fold(result.freshness_cost, islice(charges, carried))
+    if not extra.size:
+        return records
+    none = np.zeros(extra.size, dtype=np.int64)
+    ahead = (extra, extra % hosts, none, none, np.zeros((3, extra.size), dtype=np.int64),
+             np.full(extra.size, _UNSEEN, dtype=np.int64))
+    return tuple(np.concatenate(pair, axis=-1) for pair in zip(ahead, records))
 
 
-def _adaptive_updates(columns: _HostColumns, rows: np.ndarray, host_of: np.ndarray) -> np.ndarray:
-    """Whether each of ``rows`` — dirty rows the adaptive hosts ``host_of``
-    decide, in drain order — gets an update rather than an invalidate.
+def _step_cuts(
+    columns: _HostColumns,
+    rows: np.ndarray,
+    offsets: List[int],
+    flushes: Sequence[float],
+    reads: np.ndarray,
+    kept: np.ndarray,
+    written: np.ndarray,
+    prefers: np.ndarray,
+    cache_state: np.ndarray,
+    fetched: np.ndarray,
+    held: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Carry the columns' ``state``, ``tracked`` and ``as_of`` through each
+    cut of a window (groups ``offsets[j]`` to ``offsets[j + 1]``) and the
+    flush after it, at ``flushes[j]``.
 
-    A row's E[W] is ``C1 / C2``, or its host's prior before the first
-    sample.  Each host's policy builds its own rule (for its first key
-    decided, as :meth:`AdaptivePolicy.decisions` does), and each distinct
-    (rule, E[W]) pair across all hosts is asked of that rule once.
+    Each group reads (``reads``), misses if its row's entry is not valid,
+    which fetches at ``fetched`` and drops the writes before the read, and
+    leaves its row dirty if writes survive: ``kept`` after a miss,
+    ``written`` otherwise, or a loaded buffer (``held``, first cut only)
+    without a miss.  The flush then decides each dirty row — an update if
+    ``prefers``, an invalidate otherwise, nothing on a ``cache_state`` host
+    without a valid entry.  Returns, per group, the state and ``as_of`` its
+    row starts the cut with, whether the tracker holds the row at the
+    flush, and whether the flush drains it.
     """
-    samples = columns.sample_count[rows]
-    estimate = np.where(
-        samples > 0,
-        columns.sample_sum[rows] / np.maximum(samples, 1),
-        columns.prior[host_of],
+    state, tracked, as_of = columns.state, columns.tracked, columns.as_of
+    state_in = np.empty(rows.size, dtype=np.int8)
+    as_of_in = np.empty(rows.size, dtype=np.float64)
+    tracked_in = np.empty(rows.size, dtype=np.bool_)
+    dirty = np.empty(rows.size, dtype=np.bool_)
+    for lo, hi, flush in zip(offsets, offsets[1:], flushes):
+        mine = rows[lo:hi]
+        read = reads[lo:hi]
+        start, since = state[mine], as_of[mine]
+        valid = start == _VALID
+        miss = read & ~valid
+        drains = np.where(miss, kept[lo:hi], written[lo:hi])
+        if held is not None and lo == 0:
+            drains |= held[lo:hi] & ~miss
+        holds = tracked[mine] & ~miss
+        valid |= read
+        prefer = prefers[lo:hi]
+        decided = drains & (valid | ~cache_state[lo:hi])
+        update = decided & prefer
+        send = decided & ~prefer & ~holds
+        refresh = update & (read | (start != _ABSENT))
+        state[mine] = np.where(send & valid, _INVALIDATED, np.where(refresh | read, _VALID, start))
+        tracked[mine] = (holds | send) & ~update
+        as_of[mine] = np.where(refresh, flush, np.where(miss, fetched[lo:hi], since))
+        state_in[lo:hi] = start
+        as_of_in[lo:hi] = since
+        tracked_in[lo:hi] = holds
+        dirty[lo:hi] = drains
+    return state_in, as_of_in, tracked_in, dirty
+
+
+def _fold_estimators(
+    columns: _HostColumns,
+    rows: np.ndarray,
+    host: np.ndarray,
+    count: np.ndarray,
+    writes: np.ndarray,
+    runs: np.ndarray,
+    first_seen: np.ndarray,
+) -> np.ndarray:
+    """Fold a window's groups into the E[W] columns; each group's row's E[W]
+    after it — ``C1 / C2``, or its host's prior before the first sample.
+
+    The closed form of replaying observe_read / observe_write in stream
+    order: each read closes the run of writes since the previous read, the
+    first run absorbing the carried ``writes_since_read``.  No cache state
+    feeds it, so a row's groups fold in one pass, cut after cut: sorted by
+    row, a group's carry is the writes since its row's last read — counted
+    from the row's first group, less the loaded carry, or from the group
+    after its last read — and the sums are prefix sums.
+    """
+    by_row = np.argsort(rows.astype(np.min_scalar_type(columns.state.size)), kind="stable")
+    row = rows[by_row]
+    size = row.size
+    starts = np.ones(size, dtype=np.bool_)
+    np.not_equal(row[1:], row[:-1], out=starts[1:])
+    reads, added = count[by_row], writes[by_row]
+    before_first, before_last, runs_closed = runs[:, by_row]
+    observed = reads > 0
+    spent = np.cumsum(added) - added
+    anchor = np.where(starts, spent - columns.writes_since_read[row], 0)
+    resumed = np.zeros(size, dtype=np.bool_)
+    resumed[1:] = observed[:-1] & ~starts[1:]
+    anchor[1:] = np.where(resumed[1:], spent[:-1] + before_last[:-1], anchor[1:])
+    places = np.arange(size)
+    carry = spent - anchor[np.maximum.accumulate(np.where(starts | resumed, places, 0))]
+    sums = np.where(observed, before_last + carry, 0)
+    closed = np.where(observed, runs_closed + (before_first + carry > 0), 0)
+    if columns.zero_runs.any():
+        # Every read closes a run on a host that counts the empty ones.
+        closed = np.where(columns.zero_runs[host[by_row]], reads, closed)
+    first = np.maximum.accumulate(np.where(starts, places, 0))
+    sample_sum, sample_count = (
+        getattr(columns, name)[row] + np.cumsum(delta) - (np.cumsum(delta) - delta)[first]
+        for name, delta in (("sample_sum", sums), ("sample_count", closed))
     )
+    last = np.append(starts[1:], True).nonzero()[0]
+    rows_of = row[last]
+    columns.sample_sum[rows_of] = sample_sum[last]
+    columns.sample_count[rows_of] = sample_count[last]
+    columns.writes_since_read[rows_of] = np.where(observed, added - before_last, carry + added)[last]
+    firsts = row[starts]
+    columns.seen[firsts] = np.minimum(columns.seen[firsts], first_seen[by_row][starts])
+    estimate = np.empty(size, dtype=np.float64)
+    estimate[by_row] = np.where(
+        sample_count > 0,
+        sample_sum / np.maximum(sample_count, 1),
+        columns.prior[host[by_row]],
+    )
+    return estimate
+
+
+def _adaptive_updates(
+    columns: _HostColumns, rows: np.ndarray, host_of: np.ndarray, estimate: np.ndarray
+) -> np.ndarray:
+    """Whether each of ``rows`` — rows of the adaptive hosts ``host_of``,
+    whose E[W] is ``estimate`` — gets an update rather than an invalidate.
+
+    Each host's policy builds its own rule (for the first of its keys, as
+    :meth:`AdaptivePolicy.decisions` does), and each distinct (rule, E[W])
+    pair across all hosts is asked of that rule once.
+    """
     values, which = np.unique(estimate, return_inverse=True)
-    # Rows come host by host: each host's first row is where the host changes.
-    starts = np.ones(host_of.size, dtype=np.bool_)
-    np.not_equal(host_of[1:], host_of[:-1], out=starts[1:])
-    starts = starts.nonzero()[0]
+    by_host = np.argsort(host_of, kind="stable")
+    starts = np.ones(by_host.size, dtype=np.bool_)
+    np.not_equal(host_of[by_host[1:]], host_of[by_host[:-1]], out=starts[1:])
+    starts = by_host[starts]
     rules: dict = {}
     for host, row in zip(host_of[starts].tolist(), rows[starts].tolist()):
         rule = columns.hosts[host].policy._decision_rule_for(
@@ -1225,6 +1295,42 @@ def _adaptive_updates(columns: _HostColumns, rows: np.ndarray, host_of: np.ndarr
         for pair in pairs
     ]
     return np.array(picks)[which]
+
+
+def _charge_hosts(
+    ctx: _ReplayContext,
+    tallies: Sequence[_SpanTally],
+    host: np.ndarray,
+    cut: np.ndarray,
+    stale: np.ndarray,
+    cuts: int,
+    charge_host: np.ndarray,
+    charge_cut: np.ndarray,
+    update: np.ndarray,
+) -> None:
+    """Hand each host that sent a message in a window its freshness
+    charges, in the order the scalar engine adds them: each cut's stale
+    misses, then the messages of the flush after it, in the order given
+    (drain order); the other hosts fold their stale misses as one constant."""
+    hosts = len(tallies)
+    charging = np.bincount(charge_host, minlength=hosts) > 0
+    stale_host = host[stale]
+    mine = charging[stale_host]
+    cells = np.bincount(
+        stale_host[mine] * cuts + cut[stale][mine], minlength=hosts * cuts
+    )
+    keys = np.concatenate([
+        np.repeat(np.arange(hosts * cuts) * 2, cells), (charge_host * cuts + charge_cut) * 2 + 1
+    ])
+    addends = np.concatenate([
+        np.full(int(cells.sum()), ctx.miss_const),
+        np.where(update, ctx.update_const, ctx.invalidate_const),
+    ])
+    order = np.argsort(keys, kind="stable")
+    ends = np.searchsorted(keys[order], np.arange(hosts + 1) * (cuts * 2)).tolist()
+    addends = addends[order]
+    for host_id in charging.nonzero()[0].tolist():
+        tallies[host_id].charges = addends[ends[host_id] : ends[host_id + 1]]
 
 
 def _count_violations(
@@ -1737,9 +1843,10 @@ def _fold_constant(acc: float, c: float, n: int) -> float:
 
 
 def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> None:
-    """Fold one span's counter deltas and poll charges into the node's result
-    and cache stats, in scalar-identical float order.  Every cold miss is
-    one insertion: the envelope's caches never evict."""
+    """Fold one kernel call's counter deltas, charges and flush counts into
+    the node's result, cache stats and channel, in scalar-identical float
+    order.  Every cold miss is one insertion: the envelope's caches never
+    evict."""
     result = node.result
     stats = node.cache.stats
     result.reads += tally.reads
@@ -1761,7 +1868,7 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
     if tally.reads:
         result.useful_work = _fold_constant(result.useful_work, ctx.serve_const, tally.reads)
     streamed = tally.charge_counts.size
-    if tally.stale_misses and not streamed:
+    if tally.stale_misses and not streamed and tally.charges is None:
         result.freshness_cost = _fold_constant(
             result.freshness_cost, ctx.miss_const, tally.stale_misses
         )
@@ -1780,34 +1887,78 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
         result.freshness_cost = _fold_charges(
             result.freshness_cost, tally.charge_positions, tally.charge_counts, ctx.miss_const
         )
+    elif tally.charges is not None:
+        result.freshness_cost = _seeded_sum(result.freshness_cost, tally.charges)
+    if tally.messages is not None:
+        _fold_messages(node, *tally.messages)
+
+
+def _fold_messages(
+    node: CacheNode,
+    updates: int,
+    invalidates: int,
+    suppressions: int,
+    ignored: int,
+    invalidations: int,
+    nothing: int,
+    choices: int,
+    chose_update: int,
+) -> None:
+    """A reactive window's flush counts on ``node``: the messages it sent
+    (each delivered), suppressed and wasted, the entries they refreshed or
+    dropped, and its policy's decisions."""
+    result, stats = node.result, node.cache.stats
+    result.updates_sent += updates
+    result.invalidates_sent += invalidates
+    result.suppressed_invalidates += suppressions
+    result.updates_wasted += ignored
+    if nothing:
+        result.decisions_nothing += nothing
+    if choices:
+        node.policy.decisions_update += chose_update
+        node.policy.decisions_invalidate += choices - chose_update
+    stats.updates_applied += updates - ignored
+    stats.updates_ignored += ignored
+    stats.invalidations += invalidations
+    node.channel.sent += updates + invalidates
+    node.channel.delivered += updates + invalidates
 
 
 def _fold_charges(acc: float, positions: np.ndarray, counts: np.ndarray, miss: float) -> float:
     """``acc`` after ``acc += count * miss`` for each charge, in ascending
-    ``positions`` (ties in their given order).  ``cumsum`` adds strictly
-    left to right, so seeding its first addend gives the float the scalar
-    engine's one-by-one ``+=`` does."""
+    ``positions`` (ties in their given order)."""
     order = np.argsort(positions, kind="stable")
-    charge = counts[order] * miss
-    charge[0] += acc
-    return float(np.cumsum(charge, out=charge)[-1])
+    return _seeded_sum(acc, counts[order] * miss)
 
 
-def _walk_spans(engine) -> Iterator[Tuple[CutBatch, int]]:
-    """The cuts of a replay of ``engine.trace``, each where its next flush
-    falls, as ``(batch, position)``.
+def _seeded_sum(acc: float, addends: np.ndarray) -> float:
+    """``acc`` after ``acc += addend`` for each of ``addends`` in order.
+    ``cumsum`` adds strictly left to right, so seeding its first addend
+    gives the float the scalar engine's one-by-one ``+=`` does.  Takes
+    ``addends`` over."""
+    addends[0] += acc
+    return float(np.cumsum(addends, out=addends)[-1])
 
-    Takes every cut from the trace's span table — a miss builds the
-    cut with the next ones of the replay's flush schedule, in one batch —
-    and between two cuts runs the due work of ``ReplayDriver._advance``
-    (which moves the live ``engine._next_flush``) exactly where the scalar
-    loop would.  Before each cut the obs window rolls to the cut's first
-    request: the kernel's stats fold into the window containing it
-    (span-granularity attribution).  A replay with no flush work (the TTL
-    policies: its next flush is never) is one cut of the whole trace; it
-    asks for no flush schedule, which at a tiny bound would hold an end per
-    interval, and rolls no window, so its stats fold into the one open at
-    the start.
+
+def _walk_spans(engine, unit: "_Lockstep") -> Iterator[None]:
+    """Walk ``engine``'s replay of its trace through ``unit``, a window of
+    cuts at a time, yielding after each.
+
+    Each cut ends where its next flush falls; the walk takes the cut it is
+    at from the trace's span table — a miss builds the cut with the next
+    ones of the replay's flush schedule, in one batch — and hands it to the
+    unit (:meth:`_Lockstep.window`), which replays from it every cut before
+    the next due work that is not an interval flush: the first request at
+    or past ``until``, where the obs window rolls.  After the window the
+    walk runs the due work of ``ReplayDriver._advance`` (which moves the
+    live ``engine._next_flush``) exactly where the scalar loop would; the
+    window has run its flushes, so they find nothing to do.  Before each
+    window the obs window rolls to its first request: the kernel's stats
+    fold into the window containing it (span-granularity attribution).  A
+    replay with no flush work (the TTL policies: its next flush is never)
+    is one cut of the whole trace; it asks for no flush schedule, which at
+    a tiny bound would hold an end per interval, and rolls no window, so
+    its stats fold into the one open at the start.
     """
     times = engine.trace.times
     total = len(times)
@@ -1820,10 +1971,14 @@ def _walk_spans(engine) -> Iterator[Tuple[CutBatch, int]]:
     while start < total:
         end = int(np.searchsorted(times, engine._next_flush, side="left"))
         if end > start:
-            if obs is not None and times[start] >= obs.next_boundary:
-                obs.roll(float(times[start]))
-            yield index.span(start, end, schedule)
-            start = end
+            until = math.inf
+            if obs is not None:
+                if times[start] >= obs.next_boundary:
+                    obs.roll(float(times[start]))
+                until = obs.next_boundary
+            unit.window(engine, *index.span(start, end, schedule), until)
+            yield
+            start = unit.reach
             if start >= total:
                 break
         # The next request is at or past the flush boundary: run the due
@@ -1838,26 +1993,28 @@ class _Lockstep:
     Replays of one trace under one flush schedule cut it in the same places,
     whatever their fleet shape, so a unit keeps every member's hosts in one
     :class:`_HostColumns` — member ``m``'s hosts follow those of the members
-    before it — and takes one kernel call and one flush per cut for all of
-    them.  Each member still steps its own cuts, and its own sequence is
-    unchanged — the flushes due before a cut, its obs roll, the cut's
-    kernel, its tally fold — because the members' states are disjoint and
-    two rules keep the order: the unit's flush at a time runs when the
-    first member reaches it (:meth:`flush`), and the unit's kernel for a cut
-    when the last member has come to the cut, its obs window rolled
-    (:meth:`cut`).  The unit stacks its members' groups once per window of
-    a batch's cuts (:func:`_stack_groups`) and builds the window's stacked
-    prelude then; each cut's kernel call takes views of it.  Members stack
-    whatever their fleet shape, as long as their groups read with one
-    stride.  Each member's tallies fold into its own results.  The last
-    member to finish its walk leaves every member's objects to a build on
-    their first read (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
+    before it — and replays a window of cuts, each with the interval flush
+    after it, in one kernel call for all of them
+    (:func:`_kernel_reactive_window`).  Each member still walks its own
+    windows, and its own sequence is unchanged — its obs roll, the window's
+    cuts and flushes, its tally fold, the due work after it — because the
+    members' states are disjoint and the window runs when the last member
+    has come to it (:meth:`window`): it ends before the first cut any
+    member has other work due at.  A flush outside any window runs when
+    the first member reaches it (:meth:`flush`).  The unit stacks its
+    members' groups once per stretch of a batch's cuts
+    (:func:`_stack_groups`) and builds the stretch's stacked prelude then;
+    each window's kernel call takes views of it.  Members stack whatever
+    their fleet shape, as long as their groups read with one stride.  Each
+    member's tallies fold into its own results.  The last member to finish
+    its walk leaves every member's objects to a build on their first read
+    (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
     one cut is one call of its policy's TTL kernel on the same columns.
     """
 
     __slots__ = (
-        "members", "columns", "flushed", "arrived", "finished", "batch", "first", "last",
-        "prelude",
+        "members", "columns", "flushed", "arrived", "finished", "until", "reach", "batch",
+        "first", "last", "prelude",
     )
 
     def __init__(self, members: List["SpanReplay"]) -> None:
@@ -1868,6 +2025,10 @@ class _Lockstep:
         )
         self.flushed = -math.inf
         self.arrived = self.finished = 0
+        #: The earliest time a member arriving at the next window has other
+        #: work due; where the last window ended, in stream positions.
+        self.until = math.inf
+        self.reach = 0
         #: The stacked prelude of cuts ``first`` to ``last`` of ``batch``.
         self.batch: Optional[CutBatch] = None
         self.first = self.last = 0
@@ -1876,32 +2037,82 @@ class _Lockstep:
             member._unit = self
 
     def flush(self, time: float) -> None:
-        """Every member's interval flush at ``time``, once."""
+        """Every member's interval flush at ``time``, once.  A window runs
+        the flush after each of its cuts, so the flushes between windows
+        drain only a buffer handed in at load — a flush alone, as the
+        window kernel's window of one empty cut."""
         if time > self.flushed:
             self.flushed = time
-            _flush_columns(self.members[0]._ctx, self.columns, time)
+            if self.columns.dirty.any():
+                ctx = self.members[0]._ctx
+                hosts, none = len(self.columns.kinds), np.zeros(0, dtype=np.int64)
+                empty = _GroupBlock(
+                    none, none, none, 1, none, none, none, hosts, [0, 0],
+                    np.zeros((1, hosts + 1), dtype=np.int64), np.zeros((1, hosts), dtype=np.int64),
+                )
+                prelude = _PreludeBlock(ctx.trace, ctx.index, empty)
+                self._fold(_kernel_reactive_window(ctx, self.columns, prelude, [time]))
 
-    def cut(self, member: "SpanReplay", batch: CutBatch, position: int) -> None:
-        """``member`` has come to cut ``position`` of ``batch``: once every
-        member has, one kernel call replays it for all of them — the span
-        kernel on the cut's prelude, or a TTL kernel on the groups of a TTL
-        replay's one cut."""
+    def window(
+        self, member: "SpanReplay", batch: CutBatch, position: int, until: float
+    ) -> None:
+        """``member`` has come to cut ``position`` of ``batch``, with no work
+        but interval flushes due before its first request at or past
+        ``until``: once every member has, one kernel call replays a window
+        of cuts from it for all of them — the reactive window kernel with
+        each cut's flush, or a TTL kernel on the groups of a TTL replay's
+        one cut — and ``reach`` says where the window ended."""
         self.arrived += 1
+        self.until = min(self.until, until)
         if self.arrived < len(self.members):
             return
-        self.arrived = 0
+        until, self.arrived, self.until = self.until, 0, math.inf
+        ctx = member._ctx
         node = member._node_list[0]
-        if node._reacts:
-            if batch is not self.batch or not self.first <= position < self.last:
-                self._stack(batch, position)
-            prelude = self.prelude.cut(position - self.first)
-            tallies = [_SpanTally(count) for count in prelude.block.writes[0].tolist()]
-            _kernel_reactive_span(member._ctx, self.columns, tallies, prelude)
-        else:
-            groups = member._group_block(batch).cut(position)
+        if not node._reacts:
+            groups = member._group_block(batch).cuts(position, position + 1)
             tallies = [_SpanTally(count) for count in groups.writes[0].tolist()]
             kernel = _kernel_ttl_expiry if node._ttl_expiry else _kernel_ttl_polling
-            kernel(member._ctx, self.columns, tallies, groups)
+            kernel(ctx, self.columns, tallies, groups)
+            self._fold(tallies)
+            self.reach = batch.cuts[position][1]
+            return
+        if batch is not self.batch or not self.first <= position < self.last:
+            self._stack(batch, position)
+        flushes = self._flushes(member, batch.cuts[position : self.last], until)
+        lo = position - self.first
+        prelude = self.prelude.cuts(lo, lo + len(flushes))
+        self._fold(_kernel_reactive_window(ctx, self.columns, prelude, flushes))
+        self.flushed = flushes[-1]
+        self.reach = batch.cuts[position + len(flushes) - 1][1]
+
+    @staticmethod
+    def _flushes(member: "SpanReplay", cuts: List[Tuple[int, int]], until: float) -> List[float]:
+        """The flush after each cut of a window from the first of ``cuts``,
+        where ``member`` is: its next flush, then the next of each later
+        cut, as ``ReplayDriver._advance`` steps them, for as long as each
+        cut is the one the member's walk takes next — a batch built for
+        another schedule holds other cuts — and starts before ``until``.
+        The trace's last cut flushes at the horizon when its next flush
+        falls past it."""
+        times = member.trace.times
+        total, bound = times.size, member.staleness_bound
+        flush = member._next_flush
+        flushes = [flush]
+        for start, end in cuts[1:]:
+            if times[start] >= until:
+                break
+            while flush <= times[start]:
+                flush += bound
+            if not times[end - 1] < flush <= (times[end] if end < total else math.inf):
+                break
+            flushes.append(flush)
+        if cuts[len(flushes) - 1][1] == total:
+            flushes[-1] = min(flushes[-1], max(member.duration, float(times[-1])))
+        return flushes
+
+    def _fold(self, tallies: List[_SpanTally]) -> None:
+        """Each member's hosts' tallies into their results, on its own context."""
         folding = iter(tallies)
         for each in self.members:
             for node, tally in zip(each._node_list, folding):
@@ -1931,10 +2142,11 @@ class _Lockstep:
         do so ends the run on the columns — the nodes' own end-of-run steps
         (:meth:`CacheNode.finalize <repro.sim.node.CacheNode.finalize>`)
         that act on state: a reactive unit's trailing flush at the horizon
-        (a no-op when the last interval flush fell on it), or TTL-polling's
-        settle (:func:`_settle_polls`) — and leaves every member's objects
-        to a build on their first read (:meth:`_HostColumns.defer`): a
-        caller that reads no node never builds one."""
+        (the last window's, unless a handed-in buffer is still held), or
+        TTL-polling's settle (:func:`_settle_polls`) — and leaves every
+        member's objects to a build on their first read
+        (:meth:`_HostColumns.defer`): a caller that reads no node never
+        builds one."""
         self.finished += 1
         if self.finished == len(self.members):
             member = self.members[0]
@@ -2083,9 +2295,7 @@ class SpanReplay:
         if self._unit is None:
             _Lockstep([self])
         unit = self._unit
-        for batch, position in _walk_spans(self):
-            unit.cut(self, batch, position)
-            yield
+        yield from _walk_spans(self, unit)
         self.clock.advance_to(float(trace.times[-1]))
         # The flushes up to the horizon (finalize's first step) and the
         # nodes' end of run still run on the columns; once every member has

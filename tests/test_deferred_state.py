@@ -21,6 +21,7 @@ from repro.cluster.vector import VectorClusterSimulation
 from repro.deferred import settled_class
 from repro.experiments.registry import make_policy
 from repro.sim import vector as sim_vector
+from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation, _HostColumns, replay_in_lockstep
 from repro.workload.compiled import CompiledTrace, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
@@ -270,3 +271,34 @@ def test_the_later_load_and_an_eager_write_back_round_trip(write_backs: list) ->
     columns.write_back()
     assert [[table(owner) for owner in owners(node)] for node in nodes] == before
     assert np.count_nonzero(columns.state) > 0
+
+
+@pytest.mark.parametrize("engine", ["scalar", "columnar-pending"])
+def test_a_deep_copied_node_reads_its_own_cache(engine: str) -> None:
+    """``copy`` takes a built-in bound method as an atom, so a node's read
+    path aliases — its cache's ``dict.get`` — would still read the original's
+    entries in a deep copy.  After a scalar replay, and after a columnar one
+    whose owners are still pending, deleting a key from the copy's cache
+    makes the copy's read of it miss while the original still hits."""
+    config = dict(policy=make_policy("invalidate"), staleness_bound=0.5, duration=8.0)
+    if engine == "scalar":
+        simulation = Simulation(TRACE.iter_requests(), **config)
+    else:
+        simulation = VectorSimulation(TRACE, **config)
+    simulation.run()
+    node = simulation._node_list[0]
+    if engine != "scalar":
+        assert type(node.cache) is not settled_class(node.cache)  # still pending
+    clone = copy.deepcopy(node)
+    assert clone._l2_peek.__self__ is clone.cache._entries
+    assert clone._l2_peek.__self__ is not node.cache._entries
+    key, entry = next(
+        (key, entry) for key, entry in node.cache._entries.items() if entry.state.value == "valid"
+    )
+    del clone.cache._entries[key]
+    time = entry.as_of + 1e-3  # within the bound: a valid entry serves the read
+    misses, hits = clone.result.cold_misses, node.result.hits
+    clone.handle_read(time, key, 16, 64)
+    node.handle_read(time, key, 16, 64)
+    assert clone.result.cold_misses == misses + 1
+    assert node.result.hits == hits + 1

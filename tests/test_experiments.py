@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -109,6 +110,21 @@ def test_rows_are_identical_for_any_process_count_and_engine() -> None:
             assert dumped == reference, (engine, processes)
 
 
+def count_windows(monkeypatch) -> dict:
+    """Count the reactive window kernel's calls and the interval flushes
+    they run, in the returned dict (``windows``, ``flushes``)."""
+    calls = {"windows": 0, "flushes": 0}
+    kernel = sim_vector._kernel_reactive_window
+
+    def counted(ctx, columns, prelude, flushes):
+        calls["windows"] += 1
+        calls["flushes"] += len(flushes)
+        return kernel(ctx, columns, prelude, flushes)
+
+    monkeypatch.setattr(sim_vector, "_kernel_reactive_window", counted)
+    return calls
+
+
 def lockstep_cells():
     """Every kind of unit the runner cuts a grid into, renumbered in order.
 
@@ -169,10 +185,14 @@ REACTIVE_POLICIES = ["invalidate", "update", "adaptive", "adaptive+cs"]
 def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
     monkeypatch, fleet: bool, bound: float
 ) -> None:
-    """A unit's write-reacting policies share one column table, one kernel
-    call per cut and one flush per boundary: for every subset of two or
-    more of the four policies, each cell's row — obs payload included, on a
-    0.3 s window that is no multiple of the bound — equals its row alone."""
+    """A unit's write-reacting policies share one column table and one
+    kernel call per window of cuts, with a flush per cut: for every subset
+    of two or more of the four policies, each cell's row — obs payload
+    included, on a 0.3 s window that is no multiple of the bound, where
+    every window ends — equals its row alone, with a flush for each of its
+    cuts, and every unit takes the same windows whatever its size (the
+    stacking budget set out of reach, so that it ends none; a replay alone
+    may end others, where its batches end in the span table)."""
     cells = small_spec(
         policies=REACTIVE_POLICIES,
         workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
@@ -185,14 +205,8 @@ def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
             dataclasses.replace(cell, num_nodes=3, replication=2, read_policy="round-robin")
             for cell in cells
         ]
-    calls = {"_kernel_reactive_span": 0, "_flush_columns": 0}
-    for name in calls:
-
-        def counted(*args, name=name, call=getattr(sim_vector, name)):
-            calls[name] += 1
-            return call(*args)
-
-        monkeypatch.setattr(sim_vector, name, counted)
+    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 1 << 40)
+    calls = count_windows(monkeypatch)
     alone = {}
     for cell in cells:
         calls.update(dict.fromkeys(calls, 0))
@@ -200,7 +214,8 @@ def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
         assert "obs" in row
         alone[cell.cell_id] = json.dumps(row, sort_keys=True)
     per_replay = dict(calls)
-    assert per_replay["_kernel_reactive_span"] > 0 and per_replay["_flush_columns"] > 0
+    assert 0 < per_replay["windows"] <= per_replay["flushes"]
+    per_unit = None
     units = [
         list(unit) for size in (2, 3, 4) for unit in itertools.combinations(cells, size)
     ]
@@ -211,14 +226,17 @@ def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
         assert [json.dumps(row, sort_keys=True) for row in rows] == [
             alone[cell.cell_id] for cell in unit
         ], [cell.policy for cell in unit]
-        assert calls == per_replay
+        assert calls["flushes"] == per_replay["flushes"]
+        per_unit = per_unit or dict(calls)
+        assert calls == per_unit
 
 
 def test_a_mixed_shape_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch) -> None:
     """The single-cache and 3-node cells of a trace and bound are one unit:
     every cell's row — obs payload included — is the one ``run_cell`` gives
     it alone, at 1, 2 and 3 processes, and a serial sweep takes one kernel
-    call per cut and one flush per boundary for each (trace, bound)."""
+    call per window, with a flush per cut, for each (trace, bound) — fewer
+    calls than cuts where the bound is below the obs window."""
     spec = small_spec(
         policies=REACTIVE_POLICIES,
         workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
@@ -229,32 +247,63 @@ def test_a_mixed_shape_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch) -
     )
     cells = spec.expand()
     assert sorted(len(unit) for unit in runner._units(cells)) == [8, 8]
-    calls = {"_kernel_reactive_span": 0, "_flush_columns": 0}
-    for name in calls:
-
-        def counted(*args, name=name, call=getattr(sim_vector, name)):
-            calls[name] += 1
-            return call(*args)
-
-        monkeypatch.setattr(sim_vector, name, counted)
+    calls = count_windows(monkeypatch)
     alone, per_bound = [], {}
     for cell in cells:
         calls.update(dict.fromkeys(calls, 0))
         alone.append(json.dumps(runner.run_cell(cell), sort_keys=True))
-        # Each cell alone: a kernel call per cut and a flush per boundary.
-        assert per_bound.setdefault(cell.staleness_bound, dict(calls)) == calls
+        # Each cell alone: a kernel call per window, a flush per cut.
+        assert per_bound.setdefault(cell.staleness_bound, dict(calls))["flushes"] == calls[
+            "flushes"
+        ]
     for processes in (1, 2, 3):
         calls.update(dict.fromkeys(calls, 0))
         rows = run_experiment(spec, processes=processes)
         assert [json.dumps(row, sort_keys=True) for row in rows] == alone, processes
         if processes == 1:
             trace, _ = runner._compiled(cells[0], {})
-            assert calls["_kernel_reactive_span"] == sum(
+            assert calls["flushes"] == sum(
                 len(trace.index().cut_ends(trace.times, bound)) for bound in per_bound
             )
-            assert calls == {
-                name: sum(counts[name] for counts in per_bound.values()) for name in calls
-            }
+            assert calls["flushes"] == sum(counts["flushes"] for counts in per_bound.values())
+            assert calls["windows"] < calls["flushes"]
+
+
+#: The obs payloads of :func:`test_an_obs_on_columnar_fleet_unit_keeps_its_payload`'s
+#: cells, as the engine that replayed each cut in a kernel call of its own
+#: and each boundary in a flush of its own recorded them (sha256 of the
+#: sorted-key JSON).
+OBS_PAYLOADS = {
+    "invalidate": "133d2094782e5dd82907aa83127553fec85c53b90d329d163ed7815696d6fc91",
+    "update": "250114171fd6670d070ea7341cfc9a6c3c189f84413e3af87c10d9d7a9deaf55",
+    "adaptive": "ceb851fc4d604bd18769927e4b28f5ef64245910c7a125fb3812757aa0ee666c",
+}
+
+
+def test_an_obs_on_columnar_fleet_unit_keeps_its_payload(monkeypatch) -> None:
+    """A recorder sees a window's cuts and flushes at once: a window ends
+    where an obs window rolls, so every obs window still closes on exactly
+    the counts it did when each cut was a kernel call and each boundary a
+    flush.  Three policies on a 3-node fleet at T = 0.05 under a 0.3 s obs
+    window, as one unit: payloads pinned, windows of several cuts."""
+    spec = ExperimentSpec(
+        name="obs-pin",
+        policies=list(OBS_PAYLOADS),
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 40, "rate_per_key": 10.0})],
+        staleness_bounds=[0.05],
+        num_nodes=[3],
+        duration=3.0,
+        base_seed=7,
+        engine="vector",
+        obs_window=0.3,
+    )
+    calls = count_windows(monkeypatch)
+    rows = runner._run_units([spec.expand()], {})
+    assert {
+        row["policy"]: hashlib.sha256(json.dumps(row["obs"], sort_keys=True).encode()).hexdigest()
+        for row in rows
+    } == OBS_PAYLOADS
+    assert calls["flushes"] > 2 * calls["windows"] > 0
 
 
 def test_a_unit_that_spills_over_a_worker_keeps_its_cells_in_order() -> None:
@@ -935,27 +984,28 @@ def test_table_driven_expansion_equals_the_hand_written_one_on_random_specs() ->
 def test_an_engine_failing_mid_walk_in_a_unit_is_named_by_its_own_cell(
     monkeypatch, tmp_path, wall_clock_limit, processes
 ) -> None:
-    """Lockstep steps a unit's engines in turn: the one that raises at its
-    second cut is the one logged, and the sweep raises what it raised."""
+    """Lockstep steps a unit's engines in turn: the one that raises as it
+    comes to a window (after the step that offered it to the unit) is the
+    one logged, and the sweep raises what it raised."""
     cells = lockstep_cells()
     (victim,) = [
         cell
         for cell in cells
         if (cell.policy, cell.staleness_bound, cell.num_nodes) == ("update", 0.5, 3)
     ]
-    cut = _Lockstep.cut
+    window = _Lockstep.window
 
-    def failing(unit, engine, batch, position):
+    def failing(unit, engine, *cut):
         if (engine.policy_name, engine.staleness_bound, len(engine._node_list)) == (
             "update", 0.5, 3
-        ) and batch.cuts[position][0] > 0:
-            raise SimulationError("update stops at its second cut")
-        return cut(unit, engine, batch, position)
+        ):
+            raise SimulationError("update stops at its first window")
+        return window(unit, engine, *cut)
 
-    monkeypatch.setattr(_Lockstep, "cut", failing)
+    monkeypatch.setattr(_Lockstep, "window", failing)
     record, logged = event_log(tmp_path / "errors.log")
     monkeypatch.setattr(runner._LOG, "error", lambda message, *args: record(message % args))
-    with wall_clock_limit(60.0), pytest.raises(SimulationError, match="second cut"):
+    with wall_clock_limit(60.0), pytest.raises(SimulationError, match="first window"):
         run_cells(cells, processes)
     assert multiprocessing.active_children() == [], "a sweep worker outlived the sweep"
     assert [line for _, line in logged()] == [f"cell {victim.cell_id} failed: {victim.describe()}"]

@@ -43,9 +43,11 @@ def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     assert "created" not in record
     rows = {row["name"]: row for row in record["results"]}
     tight = rows["span-kernel-tight"]
-    # One reactive kernel call per span, for the single cache and for a
-    # 3-node fleet alike.
-    assert tight["kernel_calls"] == tight["fleet_kernel_calls"] == tight["spans"] > 0
+    # One reactive kernel call per window of spans — a replay alone takes a
+    # window per batch of its cuts — for the single cache and for a 3-node
+    # fleet alike.
+    assert tight["kernel_calls"] == tight["fleet_kernel_calls"] == tight["batches"] > 0
+    assert tight["spans"] >= tight["batches"]
     assert tight["key_spans"] >= tight["spans"]
     # One TTL kernel call per trace, however many keys and nodes read it.
     assert rows["ttl-kernels"]["kernel_calls"] == rows["ttl-kernels"]["fleet_kernel_calls"] == 1
@@ -109,16 +111,19 @@ def test_a_sweep_builds_each_cut_once_per_bound() -> None:
     one unit: a lookup that misses builds as much of the bound's flush
     schedule as the table has room for at each cut's most keys (here 15 of
     the 16 cuts of T = 0.25 at 10 keys a cut, then the last one; all 4 of
-    T = 1), so each cut is built once and every other lookup hits (40 of the
-    60 hit when the first policy built each cut alone, 8 when each policy
-    walked the whole trace in turn); and each cut is one kernel call and
-    each boundary one flush for all three (60 each when every policy made
+    T = 1), so each cut is built once.  Each member looks up only the cut a
+    window starts at — 3 windows, one per batch, so 9 lookups, 6 of them
+    hits (60 lookups, 57 hits when each cut was a kernel call of its own) —
+    and each window is one kernel call for all three, with a flush per cut:
+    3 calls, 20 flushes (20 kernel calls and 20 flushes when each cut was
+    one call and each boundary one flush; 60 each when every policy made
     its own)."""
     [row] = run_perf(names=["trace-index"], scale=0.05)["results"]
-    assert row["sweep_cut_lookups"] == 60
+    assert row["sweep_cut_lookups"] == 9
     assert row["sweep_cut_builds"] == 3
-    assert row["sweep_table_hits"] == 57
-    assert row["sweep_kernel_calls"] == row["sweep_flush_calls"] == 20
+    assert row["sweep_table_hits"] == 6
+    assert row["sweep_kernel_calls"] == row["sweep_cut_builds"] == 3
+    assert row["sweep_flush_calls"] == 20
 
 
 def test_replay_single_counts_calls_per_request_exactly() -> None:

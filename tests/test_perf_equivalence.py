@@ -54,11 +54,10 @@ from repro.sim.simulation import Simulation
 from repro.sim.vector import (
     VectorSimulation,
     _commit_trace_writes,
-    _flush_columns,
     _flush_tally,
     _estimator,
     _HostColumns,
-    _kernel_reactive_span,
+    _kernel_reactive_window,
     _kernel_ttl_expiry,
     _kernel_ttl_polling,
     _ReplayContext,
@@ -662,8 +661,8 @@ def _cut_state(engine, batch, position: int) -> tuple:
         batch.cuts[position],
         [column.tolist() for column in cut_columns(batch, position)],
         batch.writes[position],
-        _groups_state(engine._group_block(batch).cut(position)),
-        _prelude_state(engine._prelude_block(batch).cut(position)),
+        _groups_state(engine._group_block(batch).cuts(position, position + 1)),
+        _prelude_state(engine._prelude_block(batch).cuts(position, position + 1)),
     )
 
 
@@ -997,6 +996,18 @@ def tally_state(tally, reference: bool = False):
     }
 
 
+def summed_tallies(states) -> dict:
+    """:func:`tally_state` s of consecutive cuts as one: counters added,
+    poll charges merged."""
+    states = list(states)
+    return {
+        "counters": {
+            name: sum(state["counters"][name] for state in states) for name in TALLY_COUNTERS
+        },
+        "poll_events": sorted(event for state in states for event in state["poll_events"]),
+    }
+
+
 def host_state(node):
     """Everything a span leaves behind on a node's objects, dict orders included."""
     estimator = _estimator(node)
@@ -1031,8 +1042,12 @@ def make_kernel_host(trace, policy, bound, count_zero_runs):
     estimator = simulation.policy.estimator if policy == "adaptive" else None
     if estimator is not None:
         estimator.count_zero_runs = count_zero_runs
-    ctx = _ReplayContext(trace, trace.index(), simulation.datastore, bound, bound, 1.0, 3.0)
-    return ctx, simulation.node
+    node = simulation.node
+    ctx = _ReplayContext(
+        trace, trace.index(), simulation.datastore, bound, bound, 1.0, 3.0,
+        node.costs.invalidate_cost(), node.costs.update_cost(),
+    )
+    return ctx, node
 
 
 def disturb(node, rng, now: float) -> None:
@@ -1054,13 +1069,16 @@ def assert_span_kernel_matches_reference(
 ):
     """Walk ``trace`` over ``cuts`` on two identical hosts, one per kernel.
 
-    The span kernel runs on the new host's columns, the per-key reference on
-    the other host's objects.  After every span the tallies and, once the
-    columns are written back and the reference tally flushed, the hosts must
-    be equal.  Between spans both hosts drain their buffers; every other
-    time they are also disturbed, and the columns reloaded from the new
-    host's objects — otherwise the columns carry on into the next span.
-    Returns what the walk exercised, so callers can insist on their case.
+    The window kernel replays each cut and the flush after it (at the cut's
+    last request) on the new host's columns, a window of one cut at a time;
+    the per-key reference replays the cut on the other host's objects, then
+    the node's own flush, against the node's datastore, which takes the
+    cut's writes.  After every cut the tallies and, once the columns are
+    written back and the reference tally flushed, the hosts must be equal.
+    Every other time both hosts are also disturbed, and the columns
+    reloaded from the new host's objects — otherwise the columns carry on
+    into the next cut.  Returns what the walk exercised, so callers can
+    insist on their case.
     """
     ctx_new, host_new = make_kernel_host(trace, policy, bound, count_zero_runs)
     ctx_ref, host_ref = make_kernel_host(trace, policy, bound, count_zero_runs)
@@ -1071,13 +1089,13 @@ def assert_span_kernel_matches_reference(
     start = 0
     for span_number, end in enumerate(cuts):
         batch, position = index.span(start, end)
-        start = end
         span = cut_columns(batch, position)
         keys = span[0]
-        new, ref = _SpanTally(batch.writes[position]), ReferenceTally()
+        ref = ReferenceTally()
         ref.writes = batch.writes[position]
+        now = float(trace.times[end - 1])
         prelude = _PreludeBlock(trace, index, single_cut_block(span))
-        _kernel_reactive_span(ctx_new, columns, [new], prelude)
+        [new] = _kernel_reactive_window(ctx_new, columns, prelude, [now])
         for key, r_lo, r_hi, w_lo, w_hi in zip(*(column.tolist() for column in span)):
             reads, writes = index.read_pos[r_lo:r_hi], index.write_pos[w_lo:w_hi]
             missing = host_ref.cache._entries.get(trace.key_names[key])
@@ -1094,12 +1112,17 @@ def assert_span_kernel_matches_reference(
         _flush_tally(ctx_new, host_new, new)
         columns.write_back()
         reference_flush(ctx_ref, host_ref, ref)
+        for at in range(start, end):
+            if not trace.is_read[at]:
+                host_ref.datastore.write(
+                    trace.key_names[trace.key_ids[at]],
+                    float(trace.times[at]),
+                    int(trace.value_sizes[at]),
+                )
+        host_ref.flush(now)
         assert host_state(host_new) == host_state(host_ref), end
-        now = float(trace.times[end - 1])
-        if span_number % 2:
-            columns.dirty[:] = False
-            host_ref.buffer.drain()
-        else:
+        start = end
+        if span_number % 2 == 0:
             disturb(host_new, rng_new, now)
             disturb(host_ref, rng_ref, now)
             columns = _HostColumns([host_new], trace.key_names)
@@ -1198,10 +1221,11 @@ def groups_of_hosts(groups: _GroupBlock, hosts) -> _GroupBlock:
 class ReferenceUnit(_Lockstep):
     """The lockstep unit of a :class:`ReferenceClusterSimulation`: per-read
     routing and the per-key kernels on the engine's ``referenced`` nodes, the
-    production kernels on the others.  A referenced node keeps its state in
-    its objects and flushes with :meth:`CacheNode.flush`, against a
-    datastore of its own that takes every reactive cut's writes; the others
-    keep theirs in the unit's columns, loaded with those nodes alone."""
+    production kernels on the others, a window of one cut at a time.  A
+    referenced node keeps its state in its objects and flushes with
+    :meth:`CacheNode.flush`, against a datastore of its own that takes every
+    reactive cut's writes; the others keep theirs in the unit's columns,
+    loaded with those nodes alone."""
 
     def __init__(self, engine) -> None:
         super().__init__([engine])
@@ -1215,17 +1239,19 @@ class ReferenceUnit(_Lockstep):
                 engine._node_list[node].datastore = self.cut_store
 
     def flush(self, time: float) -> None:
-        engine = self.members[0]
-        for node in engine.referenced:
-            engine._node_list[node].deliver_until(time)
-            engine._node_list[node].flush(time)
-        _flush_columns(engine._ctx, self.columns, time)
+        if time > self.flushed:
+            engine = self.members[0]
+            for node in engine.referenced:
+                engine._node_list[node].deliver_until(time)
+                engine._node_list[node].flush(time)
+        super().flush(time)
 
-    def cut(self, engine, batch, position) -> None:
+    def window(self, engine, batch, position, until) -> None:
         ctx, index = engine._ctx, engine._ctx.index
         trace, nodes = ctx.trace, engine._node_list
         names = trace.key_names
         tallies = [ReferenceTally() for _ in nodes]
+        flush = None
         if self.cut_store is not None:
             # The referenced nodes' flushes read the latest versions off
             # their own datastore, which takes each write as the scalar loop
@@ -1250,19 +1276,20 @@ class ReferenceUnit(_Lockstep):
                             ctx, nodes[node], tallies[node], key, names[key],
                             np.array(reads, dtype=np.int64), writes,
                         )
+            [flush] = self._flushes(engine, batch.cuts[position : position + 1], until)
             self._kernel_the_others(
                 engine,
                 batch,
                 position,
-                lambda tallies, groups: _kernel_reactive_span(
-                    ctx, self.columns, tallies, _PreludeBlock(trace, index, groups)
+                lambda groups: _kernel_reactive_window(
+                    ctx, self.columns, _PreludeBlock(trace, index, groups), [flush]
                 ),
             )
         else:
             # The per-(node, key) walk: one kernel call per key a node reads.
             expiry = nodes[0]._ttl_expiry
             kernel = reference_kernel_ttl_expiry if expiry else reference_kernel_ttl_polling
-            groups = engine._group_block(batch).cut(position)
+            groups = engine._group_block(batch).cuts(position, position + 1)
             stride = groups.stride
             for node in engine.referenced:
                 tallies[node].writes = int(groups.writes[0, node])
@@ -1278,17 +1305,23 @@ class ReferenceUnit(_Lockstep):
                             index.read_pos[lo : lo + reads * stride : stride],
                         )
             production = _kernel_ttl_expiry if expiry else _kernel_ttl_polling
-            self._kernel_the_others(
-                engine,
-                batch,
-                position,
-                lambda tallies, groups: production(ctx, self.columns, tallies, groups),
-            )
+
+            def ttl(groups):
+                produced = [_SpanTally(count) for count in groups.writes[0].tolist()]
+                production(ctx, self.columns, produced, groups)
+                return produced
+
+            self._kernel_the_others(engine, batch, position, ttl)
         engine.span_tallies.append(
             [tally_state(tallies[node], reference=True) for node in engine.referenced]
         )
         for node in engine.referenced:
             reference_flush(ctx, nodes[node], tallies[node])
+        if flush is not None:
+            for node in engine.referenced:
+                nodes[node].flush(flush)
+            self.flushed = flush
+        self.reach = batch.cuts[position][1]
 
     def finish(self, horizon) -> None:
         """The referenced nodes end the run on their objects, as
@@ -1312,13 +1345,13 @@ class ReferenceUnit(_Lockstep):
 
     def _kernel_the_others(self, engine, batch, position, kernel) -> None:
         """The production replay of the cut on every node the reference does
-        not replay: their groups in one kernel call on the unit's columns."""
+        not replay: their groups in one kernel call on the unit's columns,
+        ``kernel(groups)`` returning their tallies."""
         others = engine._others()
         if not others:
             return
-        groups = engine._group_block(batch).cut(position)
-        tallies = [_SpanTally(int(groups.writes[0, node])) for node in others]
-        kernel(tallies, groups_of_hosts(groups, others))
+        groups = engine._group_block(batch).cuts(position, position + 1)
+        tallies = kernel(groups_of_hosts(groups, others))
         for node, tally in zip(others, tallies):
             _flush_tally(engine._ctx, engine._node_list[node], tally)
 
@@ -1364,7 +1397,9 @@ def test_fleet_span_routing_matches_per_read_routing(
 ) -> None:
     """Strided round-robin runs carry each key's read rank from span to span;
     the reference replays the ``owned`` nodes (``None``: all four) and the
-    production kernel the others, with the production engine's rows."""
+    production kernel the others, with the production engine's rows.  The
+    production engine takes windows of cuts: each window's tallies are the
+    reference's of its cuts, summed."""
     workload = PoissonZipfWorkload(num_keys=60, rate_per_key=20.0, seed=9)
     trace = compile_workload(workload, 4.0)
     fleet = dict(
@@ -1374,30 +1409,36 @@ def test_fleet_span_routing_matches_per_read_routing(
         staleness_bound=0.5,
         duration=4.0,
     )
-    recorded = []
+    recorded, sizes = [], []
     flush_tally = sim_vector._flush_tally
+    kernel = sim_vector._kernel_reactive_window
 
     def recording_flush(ctx, host, tally):
         recorded[-1].append(tally_state(tally))
         flush_tally(ctx, host, tally)
 
-    cut = _Lockstep.cut
-
-    def recording_cut(unit, engine, batch, position):
+    def recording_kernel(ctx, columns, prelude, flushes):
         recorded.append([])
-        cut(unit, engine, batch, position)
+        sizes.append(len(flushes))
+        return kernel(ctx, columns, prelude, flushes)
 
     reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
     monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
-    monkeypatch.setattr(_Lockstep, "cut", recording_cut)
+    monkeypatch.setattr(sim_vector, "_kernel_reactive_window", recording_kernel)
     simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
-    assert len(recorded) == 8 and len(recorded[0]) == 4
+    assert sum(sizes) == len(reference.span_tallies) == 8 and len(sizes) < 8
+    assert all(len(window) == 4 for window in recorded)
+    ends = np.cumsum(sizes).tolist()
     assert [
-        [span[node] for node in reference.referenced] for span in recorded
-    ] == reference.span_tallies
+        [window[node] for node in reference.referenced] for window in recorded
+    ] == [
+        [summed_tallies(span[node] for span in reference.span_tallies[end - size : end])
+         for node in range(len(reference.referenced))]
+        for size, end in zip(sizes, ends)
+    ]
     assert json.dumps(result.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
     )

@@ -50,7 +50,7 @@ from repro.sim.vector import (
     ENVELOPE,
     VectorSimulation,
     _HostColumns,
-    _kernel_reactive_span,
+    _kernel_reactive_window,
     _ReplayContext,
     _GroupBlock,
     _PreludeBlock,
@@ -795,6 +795,52 @@ def kernel_host(trace: CompiledTrace, policy: str = "adaptive"):
     return ctx, simulation.node, _HostColumns([simulation.node], trace.key_names)
 
 
+class WindowLog:
+    """Spy on the reactive window kernel and the span table while replays
+    run: each call's stacked hosts and cuts (its flushes) by bound, and the
+    batches the walks looked their windows up in, by bound.  Without an obs
+    window to roll or a stacking budget to reach, a unit's window is the
+    rest of the batch its cut is in, so its kernel calls are those
+    batches."""
+
+    def __init__(self, monkeypatch) -> None:
+        kernel, span = sim_vector._kernel_reactive_window, TraceIndex.span
+        self.reset()
+
+        def counted(ctx, columns, prelude, flushes):
+            self.hosts.append(prelude.block.hosts)
+            self.flushes.append((ctx.bound, len(flushes)))
+            return kernel(ctx, columns, prelude, flushes)
+
+        def looked_up(index, start, end, schedule=None):
+            found = span(index, start, end, schedule)
+            if schedule is not None:
+                [bound] = [bound for bound, ends in index.schedules.items() if ends is schedule]
+                self.looked_up.setdefault(bound, []).append(found[0])
+            return found
+
+        monkeypatch.setattr(sim_vector, "_kernel_reactive_window", counted)
+        monkeypatch.setattr(TraceIndex, "span", looked_up)
+
+    def reset(self) -> None:
+        self.hosts, self.flushes, self.looked_up = [], [], {}
+
+    def cuts(self) -> dict:
+        """Cuts the kernel calls replayed, by bound."""
+        cuts: dict = {}
+        for bound, flushes in self.flushes:
+            cuts[bound] = cuts.get(bound, 0) + flushes
+        return cuts
+
+    def batches(self, bound: Optional[float] = None) -> int:
+        """The distinct batches the walks looked windows up in, under one
+        bound's schedule or all."""
+        return sum(
+            len(set(map(id, seen))) for of, seen in self.looked_up.items()
+            if bound is None or of == bound
+        )
+
+
 def whole_trace_groups(trace: CompiledTrace) -> _GroupBlock:
     batch, _ = trace.index().span(0, len(trace))
     keys, read_lo, read_hi, write_lo, write_hi = batch.columns
@@ -804,20 +850,18 @@ def whole_trace_groups(trace: CompiledTrace) -> _GroupBlock:
 def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
     """``read_pos``/``write_pos`` are uint32: a ``-1`` mixed into a gather of
     them wraps to 4 294 967 295 and would sort a write-only key's first
-    observation (and its counter row) after everything else."""
+    observation (and its counter row) after everything else, or its first
+    surviving write (where the flush drains it) behind the others."""
     #              0    1    2    3    4    5
     trace = hand_trace("wrrwrw", [2, 0, 1, 1, 1, 0])
     index = trace.index()
     assert index.read_pos.dtype == index.write_pos.dtype == np.uint32
+    prelude = _PreludeBlock(trace, index, whole_trace_groups(trace))
     ctx, node, columns = kernel_host(trace)
-    tally = _SpanTally()
-    _kernel_reactive_span(
-        ctx, columns, [tally], _PreludeBlock(trace, index, whole_trace_groups(trace))
-    )
-    # Rows are key ids: first observation, first fill, first surviving write.
+    [tally] = _kernel_reactive_window(ctx, columns, prelude, [100.0])
+    # Rows are key ids: first observation, first fill.
     assert columns.seen.tolist() == [1, 2, 0]  # write-only key 2: seen at its write
     assert columns.filled[:2].tolist() == [1, 2]
-    assert columns.first_write.tolist() == [5, 3, 0]
     for value in (tally.reads, tally.hits, tally.cold_misses, tally.buffered_writes):
         assert type(value) is int
     columns.write_back()
@@ -827,7 +871,12 @@ def test_span_kernel_never_lets_an_unsigned_position_meet_a_sentinel() -> None:
         ["key-1", 1, 1, 0],
     ]
     assert list(node.cache._entries) == ["key-0", "key-1"]
-    assert list(node.buffer._pending) == ["key-2", "key-1", "key-0"]
+    # The flush drains in first-surviving-write order (key 2 at 0, key 1 at
+    # 3, key 0 at 5): the order its invalidates enter the tracker.
+    ctx, node, columns = kernel_host(trace, "invalidate")
+    _kernel_reactive_window(ctx, columns, prelude, [100.0])
+    columns.write_back()
+    assert list(node.tracker._invalidated) == ["key-2", "key-1", "key-0"]
 
 
 def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
@@ -836,7 +885,6 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
     trace = hand_trace("rrw", [0, 0, 0])
     index = trace.index()
     ctx, node, columns = kernel_host(trace, "invalidate")
-    tally = _SpanTally()
     groups = single_cut_block(
         np.array([0]),
         np.array([index.read_pos.size + 1]),
@@ -845,14 +893,12 @@ def test_span_kernel_skips_every_read_gather_for_groups_without_reads() -> None:
         np.array([0]),
         np.array([1]),
     )
-    _kernel_reactive_span(ctx, columns, [tally], _PreludeBlock(trace, index, groups))
+    [tally] = _kernel_reactive_window(ctx, columns, _PreludeBlock(trace, index, groups), [100.0])
     assert (tally.reads, tally.buffered_writes, columns.state.tolist()) == (0, 1, [0])
+    assert tally.messages[:2] == [0, 1]  # the write's invalidate, at the flush
     columns.write_back()
     assert node.cache._entries == {}
-    [buffered] = node.buffer._pending.values()
-    assert (columns.first_write[0], buffered.write_count, buffered.first_write_time) == (
-        2, 1, 0.2
-    )
+    assert node.tracker._invalidated == {"key-0": 100.0}
 
 
 def prepare_node(node) -> None:
@@ -941,7 +987,8 @@ def test_a_unit_stacks_members_with_their_own_policies_and_handed_in_state(
     """Each stacked host keeps its own policy and estimator: one unit of four
     members with different rules, priors and run counting, each handed
     state with names the trace never has, gives every member the rows and
-    node state of its replay alone, with one kernel call per cut."""
+    node state of its replay alone, with one kernel call per window of
+    cuts."""
     trace = hand_trace("rwrwwrrwrw" * 3, [0, 1, 2, 0, 1, 3, 1, 2, 0, 3] * 3)
     config = dict(staleness_bound=0.5, duration=3.5)
 
@@ -968,18 +1015,12 @@ def test_a_unit_stacks_members_with_their_own_policies_and_handed_in_state(
 
     alone = engines()
     rows = [engine.run().as_dict() for engine in alone]
-    calls = []
-    kernel = sim_vector._kernel_reactive_span
-
-    def counted(*args):
-        calls.append(args[3].block.hosts)
-        kernel(*args)
-
-    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
+    windows = WindowLog(monkeypatch)
     unit = engines()
     results = replay_in_lockstep([engine.replay() for engine in unit])
     hosts = len(unit[0]._node_list)
-    assert calls == [len(STACKED_POLICIES) * hosts] * non_empty_spans(trace.times, 0.5)
+    assert windows.hosts == [len(STACKED_POLICIES) * hosts] * windows.batches()
+    assert windows.cuts() == {0.5: non_empty_spans(trace.times, 0.5)}
     for engine, result, row, reference in zip(unit, results, rows, alone, strict=True):
         assert engine.used_vector_path
         assert_identical(row, result.as_dict())
@@ -992,7 +1033,7 @@ def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch
     the envelope at its first step and replays scalar, a replay under
     another bound cuts the trace elsewhere and is a unit of its own, and so
     is a TTL replay.  Every result equals the replay's alone, and each unit
-    takes one kernel call per cut."""
+    takes one kernel call per window of cuts."""
     trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 3.0)
 
     def engines():
@@ -1009,21 +1050,17 @@ def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch
         ]
 
     rows = [engine.run().as_dict() for engine in engines()]
-    calls = []
-    kernel = sim_vector._kernel_reactive_span
-
-    def counted(*args):
-        calls.append(args[3].block.hosts)
-        kernel(*args)
-
-    monkeypatch.setattr(sim_vector, "_kernel_reactive_span", counted)
+    windows = WindowLog(monkeypatch)
     unit = engines()
     results = replay_in_lockstep([engine.replay() for engine in unit])
     for row, result in zip(rows, results, strict=True):
         assert_identical(row, result.as_dict())
     assert [engine.fallback_reason for engine in unit] == [None, "bounded-cache", None, None, None]
-    assert sorted(calls) == sorted(
-        [2] * non_empty_spans(trace.times, 0.2) + [1] * non_empty_spans(trace.times, 0.5)
+    assert windows.cuts() == {
+        0.2: non_empty_spans(trace.times, 0.2), 0.5: non_empty_spans(trace.times, 0.5)
+    }
+    assert sorted(windows.hosts) == sorted(
+        [2] * windows.batches(0.2) + [1] * windows.batches(0.5)
     )
 
 
@@ -1048,13 +1085,14 @@ def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypat
     alone = engines()
     rows = [engine.run().as_dict() for engine in alone]
     calls = []
-    for name in ("_kernel_reactive_span", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
+    for name in ("_kernel_reactive_window", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
 
-        def counted(ctx, columns, tallies, groups, kernel=getattr(sim_vector, name), name=name):
+        def counted(ctx, columns, *args, kernel=getattr(sim_vector, name), name=name):
             calls.append((name, len(columns.hosts)))
-            kernel(ctx, columns, tallies, groups)
+            return kernel(ctx, columns, *args)
 
         monkeypatch.setattr(sim_vector, name, counted)
+    windows = WindowLog(monkeypatch)
     unit = engines()
     results = replay_in_lockstep([engine.replay() for engine in unit])
     for engine, result, row, reference in zip(unit, results, rows, alone, strict=True):
@@ -1062,12 +1100,13 @@ def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypat
         assert_identical(row, result.as_dict())
         for node, reference_node in zip(engine._node_list, reference._node_list, strict=True):
             assert node_state(node) == node_state(reference_node)
-    ttl = sorted(call for call in calls if call[0] != "_kernel_reactive_span")
+    ttl = sorted(call for call in calls if call[0] != "_kernel_reactive_window")
     assert ttl == [
         ("_kernel_ttl_expiry", 1), ("_kernel_ttl_polling", 1), ("_kernel_ttl_polling", 3)
     ]
-    reactive = [hosts for name, hosts in calls if name == "_kernel_reactive_span"]
-    assert reactive == [3 + 3] * non_empty_spans(trace.times, 0.2)
+    reactive = [hosts for name, hosts in calls if name == "_kernel_reactive_window"]
+    assert reactive == [3 + 3] * windows.batches()
+    assert windows.cuts() == {0.2: non_empty_spans(trace.times, 0.2)}
 
 
 @pytest.mark.parametrize("kind", ["single", "fleet"])
@@ -1126,33 +1165,37 @@ def test_one_sided_traces_replay_identically_on_every_engine(ops: str, policy: s
     "policy", ["invalidate", "update", "adaptive", "ttl-expiry", "ttl-polling"]
 )
 def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: str) -> None:
-    """The cost model, counted: a reactive replay calls the span kernel once
-    per non-empty span, however many keys the span touches and however many
-    nodes share it (3 or 8, one replica or two); a TTL replay has no flush
-    boundaries, so its whole trace is one span — one kernel call in all.
-    The one process replaying the fleet owns every node, whatever
-    ``workers`` says."""
+    """The cost model, counted: a reactive replay calls the window kernel
+    once per window of non-empty spans — here a batch of them — however many
+    keys the spans touch and however many nodes share them (3 or 8, one
+    replica or two); a TTL replay has no flush boundaries, so its whole
+    trace is one span — one kernel call in all.  The one process replaying
+    the fleet owns every node, whatever ``workers`` says."""
     log = tmp_path / "kernel_calls.log"
     log.touch()
 
     def counted(kernel):
-        def counting(ctx, host, tally, groups):
+        def counting(*args):
             # A file, so that a call in any process would be counted.
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()}\n")
-            kernel(ctx, host, tally, groups)
+            return kernel(*args)
 
         return counting
 
-    for name in ("_kernel_reactive_span", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
+    for name in ("_kernel_reactive_window", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
         kernel = counted(getattr(sim_vector, name))
         monkeypatch.setattr(sim_vector, name, kernel)
+    windows = WindowLog(monkeypatch)
 
     def calls_of(replay) -> int:
         log.write_text("")
+        windows.reset()
         replay()
         pids = log.read_text().split()
         assert set(pids) <= {str(os.getpid())}
+        if not policy.startswith("ttl-"):
+            assert windows.cuts() == {bound: spans} and len(pids) == windows.batches()
         return len(pids)
 
     bound, duration = 0.05, 2.0
@@ -1161,24 +1204,23 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
     )
     spans = non_empty_spans(trace.times, bound)
     assert spans == 40
-    if policy.startswith("ttl-"):
-        spans = 1
+    calls = 1 if policy.startswith("ttl-") else 3
     fleet = dict(policy=policy, num_nodes=3, staleness_bound=bound, duration=duration)
     assert calls_of(
         VectorSimulation(
             trace, policy=make_policy(policy), staleness_bound=bound, duration=duration
         ).run
-    ) == spans
-    assert calls_of(VectorClusterSimulation(trace, **fleet).run) == spans
+    ) == calls
+    assert calls_of(VectorClusterSimulation(trace, **fleet).run) == calls
     for workers in (2, 8):
-        assert calls_of(lambda: replay_cluster_parallel(trace, workers=workers, **fleet)) == spans
+        assert calls_of(lambda: replay_cluster_parallel(trace, workers=workers, **fleet)) == calls
     wide = dict(
         fleet,
         num_nodes=8,
         replication=ReplicationConfig(factor=2, read_policy="round-robin"),
     )
     simulation = VectorClusterSimulation(trace, **wide)
-    assert calls_of(simulation.run) == spans
+    assert calls_of(simulation.run) == calls
     assert simulation.used_vector_path
 
 
