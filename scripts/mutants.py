@@ -239,7 +239,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a block of cuts counts the writes of the batch's next cuts: each host's "
         "result counts another cut's writes",
         "tests/test_experiments.py::"
-        "test_rows_are_identical_for_any_process_count_and_engine",
+        "test_a_fused_unit_gives_each_cell_the_row_it_gets_alone[single-0.01]",
     ),
     (
         "fleet-kill-point-ignored",

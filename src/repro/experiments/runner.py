@@ -12,10 +12,11 @@ caller, at most a worker count of them at a time, and the workers it then
 forks inherit it; one with fewer is compiled by each worker that replays it.
 The vector-engine cells of one trace and bound whose policy reacts to writes
 are one unit, single cache and fleets alike: their engines step in lockstep,
-one cut each in turn, as one replay of their stacked hosts
+one window of cuts each in turn, as one replay of their stacked hosts
 (:func:`~repro.sim.vector.replay_in_lockstep`), so each cut of the trace
-they share is built once, in a batch with the cuts after it, and replayed by
-one kernel call, and each interval flush is one flush, for all of them.
+they share is built once, in a batch with the cuts after it, and each
+window of cuts, its interval flushes included, is replayed by one kernel
+call for all of them.
 Units are dealt to the workers by weight — their cuts times the hosts they
 stack — heaviest first (:func:`_deal`).
 

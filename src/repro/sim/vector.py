@@ -9,25 +9,25 @@ span of requests follow from each key's *endpoints* in the span — how many
 reads, the first and the last one, the first and the last write.
 
 :class:`VectorSimulation` exploits exactly that.  It consumes a
-:class:`~repro.workload.compiled.CompiledTrace` and replays each span between
-flush boundaries with **one kernel call**.  A write-reactive replay is a
-member of a lockstep unit (:class:`_Lockstep`; a unit of one when it runs
-alone), which keeps every member's hosts' state — cache entries,
-invalidation tracker, write buffer, E[W] counters — in one set of numpy
-columns indexed by (stacked host, key id) (:class:`_HostColumns`) from the
-first cut to the last boundary flush, each host under its own policy: the
-write-reactive replays a sweep makes of one trace and bound, single cache
-and fleets alike, take one kernel call and one flush per cut between them.
-The kernel gathers every
-key's endpoints with a fixed number of numpy operations over the span's key
-columns and applies them to the host columns with gathers and scatters at
-the groups' rows; the interval flush at each boundary
-(:func:`_flush_columns`, through the driver's
-:meth:`~repro.sim.driver.ReplayDriver._flush_nodes`) drains, decides and
-applies on the same columns.  Neither builds or walks an object per key, so
-a replay costs O(requests) of numpy plus a fixed charge per span and per
-flush — not O(keys x spans) of Python, which is what made a tight staleness
-bound (many short spans) the slow case.  The columns are loaded from the
+:class:`~repro.workload.compiled.CompiledTrace` and replays a *window* of
+spans — every span between flush boundaries up to the next due work that is
+not an interval flush — with **one kernel call**, each span's flush
+included.  A write-reactive replay is a member of a lockstep unit
+(:class:`_Lockstep`; a unit of one when it runs alone), which keeps every
+member's hosts' state — cache entries, invalidation tracker, write buffer,
+E[W] counters — in one set of numpy columns indexed by (stacked host, key
+id) (:class:`_HostColumns`) from the first cut to the last boundary flush,
+each host under its own policy: the write-reactive replays a sweep makes of
+one trace and bound, single cache and fleets alike, take one kernel call
+per window between them.  The kernel (:func:`_kernel_reactive_window`)
+gathers every key's endpoints with a fixed number of numpy operations over
+the window's key columns, steps the rows' cache state from cut to cut and
+flush to flush with a few gathers and scatters per cut, and does everything
+else — E[W] folds, decisions, counts, message costs — once per window.  It
+builds or walks no object per key, so a replay costs O(requests) of numpy
+plus a small fixed charge per span and a larger one per window — not
+O(keys x spans) of Python, which is what made a tight staleness bound (many
+short spans) the slow case.  The columns are loaded from the
 hosts' objects when the span loop starts (a caller may hand in prepared
 state).  After the nodes' end of run — the trailing flush at the horizon,
 TTL-polling's settle — has run on them too, each host's objects are left to
@@ -85,8 +85,8 @@ Why byte-identity is achievable at all:
   :class:`~repro.workload.compiled.CutBatch`), and each fleet shape's
   groups (:class:`_GroupBlock`) and preludes (:class:`_PreludeBlock`) once
   per batch: a fixed number of numpy calls per batch, not per cut.  A cut
-  is ``(batch, position)``, and its groups and prelude are one-cut blocks
-  of views (:meth:`_GroupBlock.cut`, :meth:`_PreludeBlock.cut`).
+  is ``(batch, position)``, and a window's groups and prelude are blocks
+  of views of its cuts (:meth:`_GroupBlock.cuts`, :meth:`_PreludeBlock.cuts`).
 * **A write's place among the reads is arithmetic.**  The index stores, per
   write, where in the key-major read column the key's next read sits, so how
   many of a span's writes precede a key's first read (the version a miss
@@ -95,10 +95,15 @@ Why byte-identity is achievable at all:
   span from the span's writes alone, never from its reads.
 * **A unit's members never meet.**  Stacked hosts own disjoint rows, the
   flush decides each row under its own host's policy, and each member's
-  tallies fold into its own results, so one kernel call or flush for all
-  members — whatever each one's fleet shape — does what one per member
-  did, provided each member still sees its own order of flush, obs roll,
-  kernel and fold, which :class:`_Lockstep` keeps.
+  tallies fold into its own results, so one kernel call for all members —
+  whatever each one's fleet shape — does what one per member did, provided
+  each member still sees its own order of obs roll, window and fold, which
+  :class:`_Lockstep` keeps.
+* **Between a window's cuts only the cache state feeds back.**  A window
+  ends before any due work but an interval flush, so nothing outside the
+  columns looks at them in between; within it, whether a row's entry is
+  valid, whether the tracker holds it and its ``as_of`` are all a cut needs
+  of the ones before, and the E[W] counters follow from the stream alone.
 
 Both columnar engines are one class, :class:`SpanReplay`, mixed in front of
 their scalar driver: it owns ``run()``, the span loop and the envelope
@@ -982,11 +987,11 @@ def _kernel_reactive_window(
     ahead = extra.size
     rows, host, count, writes, runs, first_seen = _records(prelude, extra, hosts)
     offsets = [0, *(ahead + at for at in groups.offsets[1:])]
-    cut = np.repeat(np.arange(len(flushes)), np.diff(offsets))
+    edges = np.asarray(offsets)
     reads = count > 0
-    reading = prelude.reading + ahead
-    position = np.zeros(rows.size, dtype=np.int64)
-    position[reading] = prelude.first_read
+    reading = prelude.reading + ahead if ahead else prelude.reading
+    fetched = np.zeros(rows.size, dtype=np.float64)
+    fetched[reading] = ctx.trace.times[prelude.first_read]
     kinds = columns.kinds[host]
     held = np.zeros(rows.size, dtype=np.bool_)
     if loaded.size:
@@ -997,19 +1002,17 @@ def _kernel_reactive_window(
         # The rows of the hosts that fold an estimator (all of them, or a
         # gather of theirs), and the adaptive ones a flush may decide.
         mine = slice(None) if columns.folds.all() else columns.folds[host].nonzero()[0]
+        chosen = (kinds[mine] >= _ADAPTIVE) & ((writes[mine] > 0) | held[mine])
         estimate = _fold_estimators(
             columns, rows[mine], host[mine], count[mine], writes[mine], runs[:, mine],
-            first_seen[mine],
+            first_seen[mine], chosen,
         )
-        chosen = (kinds[mine] >= _ADAPTIVE) & ((writes[mine] > 0) | held[mine])
         picked = np.arange(rows.size)[mine][chosen]
         if picked.size:
-            prefers[picked] = _adaptive_updates(
-                columns, rows[picked], host[picked], estimate[chosen]
-            )
+            prefers[picked] = _adaptive_updates(columns, rows[picked], host[picked], estimate)
     state_in, as_of_in, tracked, dirty = _step_cuts(
         columns, rows, offsets, flushes, reads, writes > runs[0], writes > 0, prefers,
-        kinds == _CACHE_STATE, ctx.trace.times[position], held if loaded.size else None,
+        kinds == _CACHE_STATE, fetched, held if loaded.size else None,
     )
 
     # The reads: hits, misses and cold fills, and the late hits' violations.
@@ -1023,8 +1026,9 @@ def _kernel_reactive_window(
             ctx, tallies, groups, prelude.reading[late], as_of_in[reading[late]], horizon[late]
         )
     fills = rows[cold]
-    columns.filled[fills] = position[cold]
-    columns.key_size[fills] = ctx.trace.key_sizes[position[cold]]
+    filled = prelude.first_read[cold[reading]]
+    columns.filled[fills] = filled
+    columns.key_size[fills] = ctx.trace.key_sizes[filled]
     columns.hits[fills] = 0
     np.add.at(columns.hits, rows[reading], count[reading] - miss[reading])
 
@@ -1056,7 +1060,8 @@ def _kernel_reactive_window(
     traced = drained[~own] - ahead
     skipped = np.where(miss[drained[~own]], prelude.write_runs[0][traced], 0)
     first_write[~own] = ctx.index.write_pos[groups.write_lo[traced] + skipped]
-    order = np.lexsort((first_write, drain_host, cut[drained]))
+    drain_cut = np.searchsorted(edges, drained, side="right") - 1
+    order = np.lexsort((first_write, drain_host, drain_cut))
 
     # The invalidates sent number the trackers' rows in drain order; a row
     # keeps its last.
@@ -1065,7 +1070,7 @@ def _kernel_reactive_window(
         sent_rows = rows[drained[sent]]
         base = columns.sequence
         np.maximum.at(columns.tracked_seq, sent_rows, base + np.arange(sent.size))
-        sent_at = np.asarray(flushes)[cut[drained[sent]]]
+        sent_at = np.asarray(flushes)[drain_cut[sent]]
         columns.tracked_at[sent_rows] = sent_at[columns.tracked_seq[sent_rows] - base]
         columns.sequence += sent.size
 
@@ -1120,8 +1125,11 @@ def _kernel_reactive_window(
         tally.buffered_writes = host_writes
     charged = order[(update | invalidate)[order]]
     if charged.size:
-        _charge_hosts(ctx, tallies, host, cut, miss & ~cold, len(flushes),
-                      drain_host[charged], cut[drained[charged]], update[charged])
+        stale = (miss & ~cold).nonzero()[0]
+        _charge_hosts(
+            ctx, tallies, host[stale], np.searchsorted(edges, stale, side="right") - 1,
+            len(flushes), drain_host[charged], drain_cut[charged], update[charged],
+        )
     return tallies
 
 
@@ -1208,9 +1216,11 @@ def _fold_estimators(
     writes: np.ndarray,
     runs: np.ndarray,
     first_seen: np.ndarray,
+    asked: np.ndarray,
 ) -> np.ndarray:
-    """Fold a window's groups into the E[W] columns; each group's row's E[W]
-    after it — ``C1 / C2``, or its host's prior before the first sample.
+    """Fold a window's groups into the E[W] columns; the E[W] of each
+    ``asked`` group's row after it — ``C1 / C2``, or its host's prior
+    before the first sample — in group order.
 
     The closed form of replaying observe_read / observe_write in stream
     order: each read closes the run of writes since the previous read, the
@@ -1228,7 +1238,8 @@ def _fold_estimators(
     reads, added = count[by_row], writes[by_row]
     before_first, before_last, runs_closed = runs[:, by_row]
     observed = reads > 0
-    spent = np.cumsum(added) - added
+    spent = np.cumsum(added)
+    spent -= added
     anchor = np.where(starts, spent - columns.writes_since_read[row], 0)
     resumed = np.zeros(size, dtype=np.bool_)
     resumed[1:] = observed[:-1] & ~starts[1:]
@@ -1241,24 +1252,29 @@ def _fold_estimators(
         # Every read closes a run on a host that counts the empty ones.
         closed = np.where(columns.zero_runs[host[by_row]], reads, closed)
     first = np.maximum.accumulate(np.where(starts, places, 0))
-    sample_sum, sample_count = (
-        getattr(columns, name)[row] + np.cumsum(delta) - (np.cumsum(delta) - delta)[first]
-        for name, delta in (("sample_sum", sums), ("sample_count", closed))
-    )
     last = np.append(starts[1:], True).nonzero()[0]
     rows_of = row[last]
-    columns.sample_sum[rows_of] = sample_sum[last]
-    columns.sample_count[rows_of] = sample_count[last]
     columns.writes_since_read[rows_of] = np.where(observed, added - before_last, carry + added)[last]
     firsts = row[starts]
     columns.seen[firsts] = np.minimum(columns.seen[firsts], first_seen[by_row][starts])
-    estimate = np.empty(size, dtype=np.float64)
-    estimate[by_row] = np.where(
-        sample_count > 0,
-        sample_sum / np.maximum(sample_count, 1),
-        columns.prior[host[by_row]],
+
+    def totals(column: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Each group's ``column`` after it: its row's loaded value plus the
+        prefix of the row's deltas; each row's last written back."""
+        total = np.cumsum(delta)
+        total -= (total - delta)[first]
+        total += column[row]
+        column[rows_of] = total[last]
+        return total
+
+    sums, closed = totals(columns.sample_sum, sums), totals(columns.sample_count, closed)
+    wanted = asked[by_row].nonzero()[0]
+    estimate = np.where(
+        closed[wanted] > 0,
+        sums[wanted] / np.maximum(closed[wanted], 1),
+        columns.prior[host[by_row[wanted]]],
     )
-    return estimate
+    return estimate[np.argsort(by_row[wanted], kind="stable")]
 
 
 def _adaptive_updates(
@@ -1300,9 +1316,8 @@ def _adaptive_updates(
 def _charge_hosts(
     ctx: _ReplayContext,
     tallies: Sequence[_SpanTally],
-    host: np.ndarray,
-    cut: np.ndarray,
-    stale: np.ndarray,
+    stale_host: np.ndarray,
+    stale_cut: np.ndarray,
     cuts: int,
     charge_host: np.ndarray,
     charge_cut: np.ndarray,
@@ -1310,15 +1325,13 @@ def _charge_hosts(
 ) -> None:
     """Hand each host that sent a message in a window its freshness
     charges, in the order the scalar engine adds them: each cut's stale
-    misses, then the messages of the flush after it, in the order given
-    (drain order); the other hosts fold their stale misses as one constant."""
+    misses (one per group at ``stale_host`` / ``stale_cut``), then the
+    messages of the flush after it, in the order given (drain order); the
+    other hosts fold their stale misses as one constant."""
     hosts = len(tallies)
     charging = np.bincount(charge_host, minlength=hosts) > 0
-    stale_host = host[stale]
     mine = charging[stale_host]
-    cells = np.bincount(
-        stale_host[mine] * cuts + cut[stale][mine], minlength=hosts * cuts
-    )
+    cells = np.bincount(stale_host[mine] * cuts + stale_cut[mine], minlength=hosts * cuts)
     keys = np.concatenate([
         np.repeat(np.arange(hosts * cuts) * 2, cells), (charge_host * cuts + charge_cut) * 2 + 1
     ])
@@ -2125,7 +2138,8 @@ class _Lockstep:
         stacked groups hold (at least one cut) and builds their prelude
         once."""
         members = self.members
-        self.batch = batch
+        # The stretch before lets go first: two are never held at once.
+        self.batch, self.prelude = batch, None
         if len(members) == 1:
             self.prelude = members[0]._prelude_block(batch)
             self.first, self.last = 0, len(batch.cuts)
@@ -2175,13 +2189,14 @@ class _Lockstep:
 
 def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any]:
     """Step ``replays`` (:meth:`SpanReplay.replay` generators) round-robin,
-    one cut each in turn, until every one has returned; their results, in order.
+    one window of cuts each in turn, until every one has returned; their
+    results, in order.
 
     A columnar replay's first step offers its engine; the write-reactive
     engines offered that replay one trace under one flush schedule, with
     one read stride, are stacked into one unit (:class:`_Lockstep`), whose
-    kernel call and flush per cut serve all of them, and a TTL engine is a
-    unit of its own.  Replays that step together also find each cut in the
+    kernel call per window serves all of them, and a TTL engine is a unit
+    of its own.  Replays that step together also find each cut in the
     trace's span table, built in a batch by the first lookup: the batch and
     each fleet shape's routing are built once for all of them.
     A replay that leaves the envelope replays scalar at its first step and
@@ -2210,8 +2225,8 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
 class SpanReplay:
     """The columnar ``run()`` of both engines, mixed in front of a scalar driver.
 
-    Inside the engine's envelope (``_envelope``) each cut runs one kernel
-    call for every host, with the driver's due work at every boundary and
+    Inside the engine's envelope (``_envelope``) each window of cuts runs
+    one kernel call for every host, with the driver's due work after it and
     its finalize at the end; outside it the driver's own ``run()`` replays.
     Every columnar replay is a member of a lockstep unit (:class:`_Lockstep`,
     a unit of one when stepped alone or under a TTL policy), which keeps its
@@ -2263,8 +2278,8 @@ class SpanReplay:
         return replay_in_lockstep([self.replay(*args, **kwargs)])[0]
 
     def replay(self, *args, **kwargs) -> Generator[Any, None, Any]:
-        """:meth:`run`, one cut at a time: a generator that yields after each
-        cut and returns the result.  Its first step yields the engine,
+        """:meth:`run`, one window of cuts at a time: a generator that yields
+        after each window and returns the result.  Its first step yields the engine,
         offering it to :func:`replay_in_lockstep`'s unit.
         The arguments are the scalar driver's ``run()``'s; outside the
         envelope that ``run()`` replays the whole trace at the first step."""
@@ -2279,9 +2294,9 @@ class SpanReplay:
         return self._finalize()
 
     def _run_spans(self) -> Iterator[Any]:
-        """Replay the trace span by span, yielding after each; the driver's
-        due work runs at each boundary, exactly where the scalar loop would
-        run it."""
+        """Replay the trace a window of spans at a time, yielding after each;
+        the driver's due work runs after each window, exactly where the
+        scalar loop would run it."""
         trace = self.trace
         if len(trace) == 0:
             return
