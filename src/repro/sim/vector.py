@@ -990,8 +990,8 @@ def _kernel_reactive_window(
     edges = np.asarray(offsets)
     reads = count > 0
     reading = prelude.reading + ahead if ahead else prelude.reading
-    fetched = np.zeros(rows.size, dtype=np.float64)
-    fetched[reading] = ctx.trace.times[prelude.first_read]
+    fetch_time = np.zeros(rows.size, dtype=np.float64)
+    fetch_time[reading] = ctx.trace.times[prelude.first_read]
     kinds = columns.kinds[host]
     held = np.zeros(rows.size, dtype=np.bool_)
     if loaded.size:
@@ -1012,7 +1012,7 @@ def _kernel_reactive_window(
             prefers[picked] = _adaptive_updates(columns, rows[picked], host[picked], estimate)
     state_in, as_of_in, tracked, dirty = _step_cuts(
         columns, rows, offsets, flushes, reads, writes > runs[0], writes > 0, prefers,
-        kinds == _CACHE_STATE, fetched, held if loaded.size else None,
+        kinds == _CACHE_STATE, fetch_time, held if loaded.size else None,
     )
 
     # The reads: hits, misses and cold fills, and the late hits' violations.
@@ -1080,7 +1080,9 @@ def _kernel_reactive_window(
     refreshed[drained[update & ~absent]] = True
     fetched = (miss | refreshed).nonzero()[0]
     if fetched.size:
-        fetched_rows, last = np.unique(rows[fetched[::-1]], return_index=True)
+        fetched_rows, last = np.unique(
+            rows[fetched[::-1]].astype(np.min_scalar_type(columns.state.size)), return_index=True
+        )
         last = fetched[::-1][last]
         version = np.zeros(last.size, dtype=np.int64)
         keys = rows[last] // hosts
