@@ -378,8 +378,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         "the E[W] carry of a row restarts at each cut of a window: writes since "
         "the last read in an earlier cut drop out of the next run, and the "
         "adaptive hosts decide on a wrong E[W]",
-        "tests/test_vector_engine.py::"
-        "test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet[2-rf2-round-robin-adaptive-0.05]",
+        "tests/test_vector_engine.py::test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet"
+        "[2-rf2-round-robin-adaptive-0.05]",
     ),
 )
 

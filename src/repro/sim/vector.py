@@ -397,8 +397,7 @@ class _SpanTally:
         # polls it settles, or 1 for its stale miss).
         self.charge_positions = self.charge_counts = _NO_CHARGES
         # A reactive window's freshness addends of a host that sent a
-        # message, in the scalar engine's order; its flushes' counts
-        # (:func:`_fold_messages`).
+        # message, in the scalar engine's order; its flushes' counts.
         self.charges: Optional[np.ndarray] = None
         self.messages: Optional[List[int]] = None
 
@@ -1256,7 +1255,8 @@ def _fold_estimators(
     first = np.maximum.accumulate(np.where(starts, places, 0))
     last = np.append(starts[1:], True).nonzero()[0]
     rows_of = row[last]
-    columns.writes_since_read[rows_of] = np.where(observed, added - before_last, carry + added)[last]
+    since_read = np.where(observed, added - before_last, carry + added)
+    columns.writes_since_read[rows_of] = since_read[last]
     firsts = row[starts]
     columns.seen[firsts] = np.minimum(columns.seen[firsts], first_seen[by_row][starts])
 
@@ -1905,38 +1905,26 @@ def _flush_tally(ctx: _ReplayContext, node: CacheNode, tally: _SpanTally) -> Non
     elif tally.charges is not None:
         result.freshness_cost = _seeded_sum(result.freshness_cost, tally.charges)
     if tally.messages is not None:
-        _fold_messages(node, *tally.messages)
-
-
-def _fold_messages(
-    node: CacheNode,
-    updates: int,
-    invalidates: int,
-    suppressions: int,
-    ignored: int,
-    invalidations: int,
-    nothing: int,
-    choices: int,
-    chose_update: int,
-) -> None:
-    """A reactive window's flush counts on ``node``: the messages it sent
-    (each delivered), suppressed and wasted, the entries they refreshed or
-    dropped, and its policy's decisions."""
-    result, stats = node.result, node.cache.stats
-    result.updates_sent += updates
-    result.invalidates_sent += invalidates
-    result.suppressed_invalidates += suppressions
-    result.updates_wasted += ignored
-    if nothing:
-        result.decisions_nothing += nothing
-    if choices:
-        node.policy.decisions_update += chose_update
-        node.policy.decisions_invalidate += choices - chose_update
-    stats.updates_applied += updates - ignored
-    stats.updates_ignored += ignored
-    stats.invalidations += invalidations
-    node.channel.sent += updates + invalidates
-    node.channel.delivered += updates + invalidates
+        # A reactive window's flushes: the messages sent (each delivered),
+        # suppressed and wasted, the entries they refreshed or dropped, and
+        # the policy's decisions.
+        updates, invalidates, suppressions, ignored, dropped, nothing, choices, chose_update = (
+            tally.messages
+        )
+        result.updates_sent += updates
+        result.invalidates_sent += invalidates
+        result.suppressed_invalidates += suppressions
+        result.updates_wasted += ignored
+        if nothing:
+            result.decisions_nothing += nothing
+        if choices:
+            node.policy.decisions_update += chose_update
+            node.policy.decisions_invalidate += choices - chose_update
+        stats.updates_applied += updates - ignored
+        stats.updates_ignored += ignored
+        stats.invalidations += dropped
+        node.channel.sent += updates + invalidates
+        node.channel.delivered += updates + invalidates
 
 
 def _fold_charges(acc: float, positions: np.ndarray, counts: np.ndarray, miss: float) -> float:

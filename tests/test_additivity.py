@@ -51,7 +51,8 @@ def counters(engine: str, trace: CompiledTrace, policy: str, bound: float) -> di
     row = simulation.run().as_dict()
     assert engine == "scalar" or simulation.used_vector_path
     row["decisions"] = sum(
-        getattr(simulation.policy, name, 0) for name in ("decisions_update", "decisions_invalidate")
+        getattr(simulation.policy, name, 0)
+        for name in ("decisions_update", "decisions_invalidate")
     )
     return row
 

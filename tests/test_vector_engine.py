@@ -54,7 +54,6 @@ from repro.sim.vector import (
     _ReplayContext,
     _GroupBlock,
     _PreludeBlock,
-    _SpanTally,
     envelope_exit,
     replay_in_lockstep,
 )
