@@ -283,19 +283,19 @@ def _kernel_calls(
     return calls
 
 
-def _builder_calls(trace: Any) -> Callable[[], int]:
-    """Build every cut of a walk of ``trace`` at ``T = 0.01`` into its span
-    table, a batch at a time, as a replay's first lookup of each does; a
-    function returning how many batches that took."""
+def _schedule_batches(trace: Any, bound: float) -> int:
+    """Build every cut of a walk of ``trace`` at ``bound`` into its span
+    table, a batch at a time, as a replay's first lookup of each does; how
+    many batches that took."""
     index = trace.index()
-    schedule = index.cut_ends(trace.times, 0.01)
+    schedule = index.cut_ends(trace.times, bound)
     batches, start = 0, 0
     for end in schedule.tolist():
         if (start, end) not in index.table:
             batches += 1
         index.span(start, end, schedule)
         start = end
-    return lambda: batches
+    return batches
 
 
 def non_empty_spans(times: Any, bound: float) -> int:
@@ -440,12 +440,12 @@ def bench_span_kernel_tight(scale: float = 1.0) -> Dict[str, Any]:
     def fleet() -> None:
         _replay_vector(workload, duration, trace, bound, nodes=3)
 
-    builds = _builder_calls(trace)
+    batches = _schedule_batches(trace, bound)
     calls = _kernel_calls("_kernel_reactive_window", single, count_key_spans)
     fleet_calls = _kernel_calls("_kernel_reactive_window", fleet)
     return {
         "spans": non_empty_spans(trace.times, bound),
-        "batches": builds(),
+        "batches": batches,
         "kernel_calls": calls,
         "fleet_kernel_calls": fleet_calls,
         "key_spans": key_spans,
