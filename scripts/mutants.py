@@ -371,6 +371,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         "tests/test_perf_equivalence.py::test_span_kernel_matches_per_key_reference[invalidate]",
     ),
     (
+        "window-passes-a-members-roll",
+        VECTOR,
+        "        self.until = min(self.until, until)\n",
+        "        self.until = max(self.until, until)\n",
+        "a unit's window runs on past the first obs roll of a member that rolls "
+        "before the others: that member's obs windows close on the wrong counts",
+        "tests/test_vector_engine.py::"
+        "test_a_unit_ends_each_window_at_its_members_earliest_obs_roll",
+    ),
+    (
         "window-ew-carry-resets-per-cut",
         VECTOR,
         "    resumed[1:] = observed[:-1] & ~starts[1:]\n",

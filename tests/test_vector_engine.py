@@ -1463,3 +1463,42 @@ def test_the_scalar_engines_never_defer_the_histories(monkeypatch) -> None:
         assert "_histories" in vars(engine.datastore) and not pending(engine.datastore)
         assert engine.datastore.total_writes == int((~END_TRACE.is_read).sum())
     assert engines[-1].fallback_reason == "bounded-cache"
+
+
+def test_a_unit_ends_each_window_at_its_members_earliest_obs_roll(monkeypatch) -> None:
+    """Members of one unit may roll obs windows at different times, or
+    none: a window ends before the first cut any member rolls at, so each
+    member's payload and row are the ones it records alone, and the unit
+    takes a window per roll of either member (and no more)."""
+    from repro.obs.recorder import ObsConfig
+
+    trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 3.0)
+    config = dict(staleness_bound=0.05, duration=3.0)
+    obs_windows = (0.3, 0.7, None)
+
+    def engines():
+        return [
+            VectorSimulation(
+                trace, policy=make_policy(policy),
+                obs=None if window is None else ObsConfig(window=window), **config,
+            )
+            for policy, window in zip(("invalidate", "update", "adaptive"), obs_windows)
+        ]
+
+    alone = []
+    for engine in engines():
+        result = engine.run()
+        alone.append((result.as_dict(), engine.obs and engine.obs.payload()))
+    windows = WindowLog(monkeypatch)
+    unit = engines()
+    results = replay_in_lockstep([engine.replay() for engine in unit])
+    for engine, result, (row, payload) in zip(unit, results, alone, strict=True):
+        assert_identical(row, result.as_dict())
+        assert (engine.obs and engine.obs.payload()) == payload
+    assert windows.cuts() == {0.05: non_empty_spans(trace.times, 0.05)}
+    # Windows split at either member's rolls — more than the 0.3 s member's
+    # alone — and at batch ends, never elsewhere.
+    times = trace.times.tolist()
+    spans = len({(int(time // 0.3), int(time // 0.7)) for time in times})
+    assert len({int(time // 0.3) for time in times}) < len(windows.hosts)
+    assert len(windows.hosts) <= spans + windows.batches()
