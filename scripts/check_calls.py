@@ -57,7 +57,7 @@ FIELDS: Dict[str, tuple] = {
         "span_objects", "fleet_span_objects", "histories_built", "fleet_histories_built",
         "objects_built", "fleet_objects_built",
     ),
-    "ttl-kernels": ("ttl_objects",),
+    "ttl-kernels": ("ttl_objects", "sweep_kernel_calls"),
     "trace-index": (
         "sweep_cut_lookups", "sweep_cut_builds", "sweep_table_hits",
         "sweep_kernel_calls", "sweep_flush_calls",

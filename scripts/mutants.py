@@ -65,8 +65,9 @@ DEFERRED = "src/repro/deferred.py"
 #: scenario timelines, trace preparation (the index's composite sort,
 #: the in-place draw), and the node state a replay leaves to a build on its
 #: first read, and the reactive window kernel's state carried from cut to
-#: cut.  The last field of each is the test that killed it last, run first
-#: on its copy.
+#: cut, and the TTL units' members (each its own TTL, tallies, settle and
+#: stride).  The last field of each is the test that killed it last, run
+#: first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -390,6 +391,51 @@ MUTANTS: Tuple[Mutant, ...] = (
         "adaptive hosts decide on a wrong E[W]",
         "tests/test_vector_engine.py::test_fleet_cut_in_one_kernel_call_matches_the_scalar_fleet"
         "[2-rf2-round-robin-adaptive-0.05]",
+    ),
+    (
+        "ttl-unit-takes-the-first-members-ttl",
+        VECTOR,
+        "        self.ttl = np.array([host._ttl_value for host in hosts], dtype=np.float64)\n",
+        "        self.ttl = np.array([hosts[0]._ttl_value for host in hosts], dtype=np.float64)\n",
+        "every member of a TTL unit expires or polls at the first member's TTL: "
+        "the other bounds' cells replay with the wrong timer",
+        "tests/test_experiments.py::"
+        "test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone[ttl-expiry]",
+    ),
+    (
+        "ttl-unit-folds-into-the-next-member",
+        VECTOR,
+        "        folding = iter(tallies)\n",
+        "        folding = iter(tallies[-1:] + tallies[:-1])\n",
+        "each stacked host's tallies fold into the host after it: a member's "
+        "counts land on the next member's result",
+        "tests/test_experiments.py::"
+        "test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone[ttl-expiry]",
+    ),
+    (
+        "ttl-unit-settles-once-at-the-first-finish",
+        VECTOR,
+        (
+            "        if node._poll_ttl is not None:\n",
+            "            _settle_polls(member._ctx, self.columns, horizon, hosts)\n",
+        ),
+        (
+            "        if node._poll_ttl is not None and not self.finished:\n",
+            "            _settle_polls(member._ctx, self.columns, horizon, slice(None))\n",
+        ),
+        "TTL-polling's settle runs once, for every member's hosts, when the first "
+        "member finishes, on that member's context: the others settle at its TTL",
+        "tests/test_experiments.py::"
+        "test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone[ttl-polling]",
+    ),
+    (
+        "ttl-unit-ignores-the-read-stride",
+        VECTOR,
+        "            id(ctx.index), schedule, member.duration, member._stride, ctx.serve_const,\n",
+        "            id(ctx.index), schedule, member.duration, 1, ctx.serve_const,\n",
+        "replays whose groups read with different strides stack into one unit: "
+        "a round-robin fleet's groups read every other read of their key",
+        "tests/test_experiments.py::test_units_in_lockstep_give_every_cell_its_own_row",
     ),
 )
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.backend.channel import Channel
@@ -70,6 +71,25 @@ PolicyLike = Union[str, Callable[[], FreshnessPolicy]]
 
 #: Multiplier decorrelating per-node channel/detector seeds from the cell seed.
 _NODE_SEED_STRIDE = 0x9E3779B1
+
+
+@lru_cache(maxsize=16)
+def _shape_ring(num_nodes: int, vnodes: int, zones: int) -> ConsistentHashRing:
+    """The ring a fresh fleet of this shape starts on: nodes ``node-000``,
+    ``node-001``, ... at ``vnodes`` points each, labelled ``zone-{i %
+    zones}`` when there is more than one zone.  It is a function of the
+    shape alone, so it is built once per shape; never handed out itself,
+    since membership changes mutate a fleet's ring in place: each fleet
+    takes a :meth:`~ConsistentHashRing.copy`."""
+    ring = ConsistentHashRing(vnodes=vnodes)
+    for index in range(num_nodes):
+        ring.add_node(_node_id(index), zone=f"zone-{index % zones}" if zones > 1 else None)
+    return ring
+
+
+def _node_id(index: int) -> str:
+    """The id of the node a fleet creates at ``index``."""
+    return f"node-{index:03d}"
 
 
 def _resolve_policy_factory(policy: PolicyLike) -> Callable[[], FreshnessPolicy]:
@@ -323,11 +343,11 @@ class ClusterSimulation(ReplayDriver):
         )
 
         self._open(store, obs)
-        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.ring = _shape_ring(num_nodes, vnodes, self.zones).copy()
         self.router = ReplicaRouter(replication)
         nodes: List[CacheNode] = []
         for index in range(num_nodes):
-            node_id = f"node-{index:03d}"
+            node_id = _node_id(index)
             node_seed = (self.seed + _NODE_SEED_STRIDE * (index + 1)) % 2**32
             # The probe instance seeds node 0 so its construction is not
             # wasted; every other node gets a fresh instance.
@@ -356,9 +376,6 @@ class ClusterSimulation(ReplayDriver):
                     tier=self.tier,
                     tier_seed=node_seed ^ 0x1F123BB5,
                 )
-            )
-            self.ring.add_node(
-                node_id, zone=f"zone-{index % self.zones}" if self.zones > 1 else None
             )
         self._adopt(nodes)
 

@@ -112,6 +112,20 @@ class ConsistentHashRing:
         self._points = [pair for pair in self._points if pair[1] != node_id]
         self._membership_changed()
 
+    def copy(self) -> "ConsistentHashRing":
+        """An independent ring with the same nodes, points and zones, and
+        no cached routes: what building it node by node gives, without
+        hashing or sorting a point."""
+        ring = ConsistentHashRing.__new__(ConsistentHashRing)
+        ring.vnodes = self.vnodes
+        ring._points = list(self._points)
+        ring._nodes = {node: list(points) for node, points in self._nodes.items()}
+        ring._point_hashes = list(self._point_hashes)
+        ring._point_owners = list(self._point_owners)
+        ring._route_caches = {}
+        ring._zones = dict(self._zones)
+        return ring
+
     def zone_of(self, node_id: str) -> Optional[str]:
         """Failure-domain label of ``node_id``, or ``None`` if unlabeled."""
         return self._zones.get(node_id)

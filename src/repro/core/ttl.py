@@ -111,8 +111,9 @@ def poll_count(anchor: float, t: float, ttl: float) -> int:
     return int((t - anchor) / ttl) if t > anchor else 0
 
 
-def poll_counts(anchor: np.ndarray, t: np.ndarray, ttl: float) -> np.ndarray:
-    """:func:`poll_count` over arrays, element by element and bit for bit.
+def poll_counts(anchor: np.ndarray, t: np.ndarray, ttl) -> np.ndarray:
+    """:func:`poll_count` over arrays, element by element and bit for bit;
+    ``ttl`` is one TTL or a column of them.
 
     ``astype`` truncates toward zero like ``int``, and where ``t <= anchor``
     the quotient is not positive, so clamping at 0 is the scalar guard.
@@ -124,9 +125,10 @@ def poll_counts(anchor: np.ndarray, t: np.ndarray, ttl: float) -> np.ndarray:
     return np.maximum(counts, 0, out=counts)
 
 
-def poll_instant(anchor, k, ttl: float):
+def poll_instant(anchor, k, ttl):
     """The instant of an entry's ``k``-th poll, ``anchor + k * ttl``: a float
-    for a scalar ``k``, a column for an array of them.
+    for a scalar ``k``, a column for an array of them (``ttl`` one TTL or a
+    column of them).
 
         >>> poll_instant(anchor=0.5, k=poll_count(0.5, 4.0, 1.0), ttl=1.0)
         3.5

@@ -16,7 +16,9 @@ one window of cuts each in turn, as one replay of their stacked hosts
 (:func:`~repro.sim.vector.replay_in_lockstep`), so each cut of the trace
 they share is built once, in a batch with the cuts after it, and each
 window of cuts, its interval flushes included, is replayed by one kernel
-call for all of them.
+call for all of them.  The vector-engine cells of one trace and TTL policy
+are one unit at every bound: a TTL replay's one cut is the whole trace, so
+one kernel call replays it for all of them.
 Units are dealt to the workers by weight — their cuts times the hosts they
 stack — heaviest first (:func:`_deal`).
 
@@ -252,21 +254,26 @@ def _rounds(cells: List[RunCell], workers: int) -> Iterator[List[List[RunCell]]]
 
 
 def _units(cells: List[RunCell]) -> List[List[RunCell]]:
-    """The cells cut into units, in expand order: the vector-engine cells
-    of one trace and bound whose policy reacts to writes are one unit,
-    whatever their fleet shape, replayed in lockstep (they cut the trace in
-    the same places); every other cell is a unit of its own."""
+    """The cells cut into units, in expand order, whatever their fleet
+    shape, replayed in lockstep: the vector-engine cells of one trace and
+    bound whose policy reacts to writes are one unit (they cut the trace in
+    the same places), and so are those of one trace and TTL policy, at any
+    bound (each replays the whole trace as one cut); a scalar-engine cell
+    is a unit of its own, as is a vector-engine cell under any other
+    policy."""
     units: Dict[Any, List[RunCell]] = {}
     for cell in cells:
-        lockstep = cell.engine == "vector" and make_policy(cell.policy).reacts_to_writes
-        key = (
-            replace(
-                cell, cell_id=-1, policy="", num_nodes=None, replication=1,
-                read_policy="primary", vnodes=64, zones=1,
+        key: Any = cell.cell_id
+        if cell.engine == "vector":
+            policy = make_policy(cell.policy)
+            shape = dict(
+                cell_id=-1, num_nodes=None, replication=1, read_policy="primary", vnodes=64,
+                zones=1,
             )
-            if lockstep
-            else cell.cell_id
-        )
+            if policy.reacts_to_writes:
+                key = replace(cell, policy="", **shape)
+            elif policy.ttl_mode is not None:
+                key = replace(cell, staleness_bound=0.0, **shape)
         units.setdefault(key, []).append(cell)
     return list(units.values())
 

@@ -487,7 +487,8 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
     poll — the rows the flush sorts and folds.  ``ttl_objects`` is
     :func:`_span_objects` of the single-cache replay: 0, as the kernel
     scatters its entries into the unit's columns and the write-back that
-    builds them waits for their first read.
+    builds them waits for their first read.  ``sweep_kernel_calls`` is
+    :func:`_ttl_sweep_calls`.
     """
     workload, duration, trace = _kernel_trace(scale)
     charging_reads = 0
@@ -509,7 +510,39 @@ def bench_ttl_kernels(scale: float = 1.0) -> Dict[str, Any]:
         "fleet_kernel_calls": fleet_calls,
         "charging_reads": charging_reads,
         "ttl_objects": _span_objects(single),
+        "sweep_kernel_calls": _ttl_sweep_calls(scale),
     }
+
+
+def _ttl_sweep_calls(scale: float) -> int:
+    """TTL kernel calls of a serial vector sweep: ``ttl-expiry`` and
+    ``ttl-polling`` at two bounds on the single cache and a 3-node fleet
+    (one replica a key) of one trace (200 keys at 20 req/s each, 4 s; the
+    key count scales).  Each TTL policy's cells replay the whole trace as
+    one cut, with one read stride, so they are one unit and one kernel
+    call, whatever their bound and fleet shape."""
+    from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
+
+    spec = ExperimentSpec(
+        name="perf-ttl-sweep",
+        policies=["ttl-expiry", "ttl-polling"],
+        workloads=[
+            WorkloadSpec.of("poisson", {"num_keys": _scaled(200, scale), "rate_per_key": 20.0})
+        ],
+        staleness_bounds=[0.25, 1.0],
+        num_nodes=[None, 3],
+        duration=4.0,
+        engine="vector",
+    )
+    polling = 0
+
+    def sweep() -> None:
+        nonlocal polling
+        polling = _kernel_calls(
+            "_kernel_ttl_polling", lambda: run_experiment(spec, processes=1)
+        )
+
+    return _kernel_calls("_kernel_ttl_expiry", sweep) + polling
 
 
 def bench_flush(scale: float = 1.0) -> Dict[str, Any]:

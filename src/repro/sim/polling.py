@@ -38,10 +38,11 @@ from repro.core.ttl import poll_counts, poll_instant
 from repro.workload.compiled import bisect_groups
 
 #: Candidates (read rows, or polls) a table settles at a time.  A block makes
-#: about a dozen 8-byte temporaries per candidate, so it holds them near 2 MiB
-#: however many reads the trace — or one hot key — has; the block-size note
-#: in docs/guides/performance.md has the peak RSS measured with and without it.
-_TTL_BLOCK_ROWS = 16_384
+#: about a dozen 8-byte temporaries per candidate, so it holds them near 1 MiB
+#: however many reads the trace — or one hot key, or a TTL unit's stacked
+#: members — has; the block-size note in docs/guides/performance.md has the
+#: peak RSS and the kernel's time measured at other sizes.
+_TTL_BLOCK_ROWS = 8_192
 
 _NONE = np.empty(0, dtype=np.int64)
 _NONE.flags.writeable = False
@@ -52,7 +53,8 @@ class PollingGroups(NamedTuple):
 
     Group ``g``'s reads are ``read_pos[first[g] + r * stride]`` for ``r <
     count[g]``, at ``times`` of those stream positions.  Its poll timer is
-    anchored at ``anchor[g]`` and runs every ``ttl``; its first read charges
+    anchored at ``anchor[g]`` and runs every ``ttl[g]`` — its host's TTL: the
+    groups of a TTL unit's members each keep their own; its first read charges
     ``owed[g]`` polls.  A loaded ``VALID`` entry serves its first
     ``served[g]`` reads as it was handed and has ``paid[g]`` polls settled;
     the read after them charges the polls past ``paid[g]``.
@@ -60,7 +62,7 @@ class PollingGroups(NamedTuple):
 
     times: np.ndarray
     read_pos: np.ndarray
-    ttl: float
+    ttl: np.ndarray
     stride: int
     first: np.ndarray
     count: np.ndarray
@@ -144,10 +146,10 @@ def _first_reads(groups: PollingGroups, group: np.ndarray, polls: np.ndarray) ->
     before its last (``poll_counts`` grows with ``t``, so one segmented
     bisection finds every candidate's at once)."""
     times, read_pos, ttl, stride = groups[:4]
-    start, anchor = groups.first[group], groups.anchor[group]
+    start, anchor, ttl = groups.first[group], groups.anchor[group], ttl[group]
     return bisect_groups(
         lambda pending, rank: poll_counts(
-            anchor[pending], times[read_pos[start[pending] + rank * stride]], ttl
+            anchor[pending], times[read_pos[start[pending] + rank * stride]], ttl[pending]
         ),
         np.ones(group.size, dtype=np.int64),
         groups.count[group],
@@ -170,6 +172,7 @@ def _charge_reads(
     starts = ends - count
     slot = groups.first[which] - starts * stride
     anchor, owed, served = groups.anchor[which], groups.owed[which], groups.served[which]
+    ttl = ttl[which]
     holding = bool(served.any())
     table: _Charges = ([], [], [])
     carried = 0  # ``s`` of the row before the block
@@ -183,9 +186,9 @@ def _charge_reads(
             np.minimum(ends[members], hi) - np.maximum(starts[members], lo),
         )
         position = read_pos[slot[group] + np.arange(lo, hi) * stride]
-        base = anchor[group]
-        seen = poll_counts(base, times[position], ttl)
-        counted = poll_counts(base, poll_instant(base, seen, ttl), ttl)
+        base, life = anchor[group], ttl[group]
+        seen = poll_counts(base, times[position], life)
+        counted = poll_counts(base, poll_instant(base, seen, life), life)
         charge = seen.copy()
         charge[1:] -= counted[:-1]
         charge[0] -= carried
@@ -262,8 +265,8 @@ def _charge_runs(
             continue
         group, rank, length = group[run], rank[run], length[run]
         seen = seen_first[group] + j[run]
-        base = anchor[group]
-        counted = poll_counts(base, poll_instant(base, seen, ttl), ttl)
+        base, life = anchor[group], ttl[group]
+        counted = poll_counts(base, poll_instant(base, seen, life), life)
         lead = seen - np.append(carried, counted[:-1])
         carried = counted[-1]
         again = seen - counted

@@ -36,10 +36,11 @@ order, on the first read of any of them; the trace's writes likewise reach
 the datastore as a deferred build of its histories, which runs on their
 first read.  The one driver's finalize (:class:`~repro.sim.driver.ReplayDriver`)
 then finds nothing to settle, and its
-:class:`~repro.sim.node.CacheNode` s only record the run's end.  A TTL
-replay is a unit of its own on the same columns: the TTL policies never react
-to writes and have no flush boundaries, so its whole trace is one span and
-one kernel call that scatters each key's final entry into its row —
+:class:`~repro.sim.node.CacheNode` s only record the run's end.  The TTL
+policies never react to writes and have no flush boundaries, so a TTL
+replay's whole trace is one span, whatever its bound: the TTL replays of one
+trace and policy are one unit on the same columns, and one kernel call — each
+group at its own host's TTL — scatters each key's final entry into its row —
 TTL-polling charges each key's runs of reads of equal poll count, bisecting
 where every poll a hot key spans starts, and TTL-expiry bisects every key's
 next epoch at once — and the same deferred write-back builds the entry objects.  A fleet's
@@ -134,6 +135,7 @@ from repro.backend.buffer import BufferedWrite
 from repro.backend.datastore import DataStore, KeyHistory
 from repro.cache.entry import CacheEntry, EntryState
 from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
+from repro.core.decision import DecisionRule
 from repro.core.policy import Action
 from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy, poll_counts, poll_instant
 from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
@@ -574,11 +576,14 @@ class _HostColumns:
     zero-length runs.
     ``folds`` says whether each host folds an E[W] estimator (the kernel
     folds its rows, and only its rows write back), ``sequence`` numbers the
-    trackers' next insertion.
+    trackers' next insertion.  ``ttl`` and ``bound`` are each host's TTL
+    (``inf`` without a TTL timer) and staleness bound: the members of a TTL
+    unit each keep their own, and the TTL kernels read them per group.
     """
 
     __slots__ = (
         "hosts", "tables", "names", "kinds", "prior", "zero_runs", "folds", "sequence",
+        "ttl", "bound",
         "state", "version", "as_of", "fetched_at", "accounted",
         "key_size", "value_size", "hits", "filled",
         "tracked", "tracked_at", "tracked_seq",
@@ -625,6 +630,8 @@ class _HostColumns:
             [each is not None and each.count_zero_runs for each in estimators], dtype=np.bool_
         )
         self.folds = np.array([each is not None for each in estimators], dtype=np.bool_)
+        self.ttl = np.array([host._ttl_value for host in hosts], dtype=np.float64)
+        self.bound = np.array([host.staleness_bound for host in hosts], dtype=np.float64)
         self.sequence = 0
         size = len(hosts) * len(names)
         self.state = np.zeros(size, dtype=np.int8)
@@ -1025,7 +1032,8 @@ def _kernel_reactive_window(
     late = ((state_in[reading] == _VALID) & (horizon > as_of_in[reading])).nonzero()[0]
     if late.size:
         _count_violations(
-            ctx, tallies, groups, prelude.reading[late], as_of_in[reading[late]], horizon[late]
+            ctx, tallies, groups, prelude.reading[late], as_of_in[reading[late]], horizon[late],
+            ctx.bound,
         )
     fills = rows[cold]
     filled = prelude.first_read[cold[reading]]
@@ -1290,7 +1298,7 @@ def _adaptive_updates(
 
     Each host's policy builds its own rule (for the first of its keys, as
     :meth:`AdaptivePolicy.decisions` does), and each distinct (rule, E[W])
-    pair across all hosts is asked of that rule once.
+    pair across all hosts is asked of that rule once (:func:`_ew_updates`).
     """
     values, which = np.unique(estimate, return_inverse=True)
     by_host = np.argsort(host_of, kind="stable")
@@ -1303,19 +1311,36 @@ def _adaptive_updates(
             columns.names[row // len(columns.hosts)]
         )
         rules.setdefault(rule, []).append(host)
-    pairs = range(values.size)
-    if len(rules) > 1:
-        rule_of = np.zeros(len(columns.hosts), dtype=np.int64)
-        for number, hosts in enumerate(rules.values()):
-            rule_of[hosts] = number
-        pairs, which = np.unique(rule_of[host_of] * values.size + which, return_inverse=True)
-        pairs = pairs.tolist()
-    asked, values = list(rules), values.tolist()
-    picks = [
-        asked[pair // len(values)].from_ew(values[pair % len(values)]) is Action.UPDATE
-        for pair in pairs
-    ]
-    return np.array(picks)[which]
+    if len(rules) == 1:
+        return _ew_updates(next(iter(rules)), values)[which]
+    rule_of = np.zeros(len(columns.hosts), dtype=np.int64)
+    for number, hosts in enumerate(rules.values()):
+        rule_of[hosts] = number
+    pairs, which = np.unique(rule_of[host_of] * values.size + which, return_inverse=True)
+    picks = np.empty(pairs.size, dtype=np.bool_)
+    for number, rule in enumerate(rules):
+        mine = pairs // values.size == number
+        picks[mine] = _ew_updates(rule, values[pairs[mine] % values.size])
+    return picks[which]
+
+
+def _ew_updates(rule: DecisionRule, values: np.ndarray) -> np.ndarray:
+    """Whether ``rule`` picks an update for each of ``values``, ascending
+    E[W] estimates.  A flat rule — exactly a :class:`DecisionRule`, with no
+    staleness SLO — is :func:`~repro.core.decision.ew_decision`'s own float
+    comparison, ``E[W] * c_u < c_i + c_m``, over the whole column (a
+    negative estimate raises its error); any other rule is asked value by
+    value."""
+    if type(rule) is DecisionRule and rule.staleness_slo is None:
+        negative = values < 0
+        if negative.any():
+            rule.from_ew(float(values[negative][0]))
+        # ``inf * 0`` is NaN, which picks no update, as in Python, unwarned.
+        with np.errstate(invalid="ignore"):
+            return values * rule.update_cost < rule.invalidate_cost + rule.miss_cost
+    return np.array(
+        [rule.from_ew(value) is Action.UPDATE for value in values.tolist()], dtype=np.bool_
+    )
 
 
 def _charge_hosts(
@@ -1358,11 +1383,13 @@ def _count_violations(
     late: np.ndarray,
     as_of: np.ndarray,
     horizon: np.ndarray,
+    bound,
 ) -> None:
     """Staleness violations among hits on entries older than the bound.
 
     ``late`` are the groups served from a valid entry whose last read's
-    ``horizon`` ``t - T`` lies past the entry's ``as_of``.  A hit violates the
+    ``horizon`` ``t - T`` lies past the entry's ``as_of``, ``T`` their
+    host's ``bound`` (one for all, or one per group).  A hit violates the
     bound when the key was written in ``(as_of, t - T]``; that needs the
     key's last write before the span to be newer than the entry (or, at a
     float-rounding edge, its first span write to reach back to the horizon),
@@ -1385,15 +1412,17 @@ def _count_violations(
     )
     if not suspect.any():
         return
+    bounds = np.broadcast_to(bound, late.shape)[suspect]
     late = late[suspect]
-    for g, host, key_id, entry_as_of in zip(
+    for g, host, key_id, entry_as_of, group_bound in zip(
         late.tolist(),
         groups.host[late].tolist(),
         key_ids[suspect].tolist(),
         as_of[suspect].tolist(),
+        bounds.tolist(),
     ):
         reads = index.read_pos[first[g] : first[g] + count[g] * stride : stride]
-        horizons = ctx.trace.times[reads] - ctx.bound
+        horizons = ctx.trace.times[reads] - group_bound
         candidates = horizons > entry_as_of
         key_write_times, _, _ = index.writes_of(key_id)
         stale_writes = key_write_times.searchsorted(
@@ -1409,20 +1438,22 @@ def _held_violations(
     held: np.ndarray,
     served: np.ndarray,
     as_of: np.ndarray,
+    bound: np.ndarray,
 ) -> None:
     """Staleness violations among the reads loaded entries serve as they
     were handed: the first ``served[i]`` reads of group ``held[i]``, against
-    the entry's ``as_of[i]``."""
+    the entry's ``as_of[i]`` and its host's staleness ``bound[i]``."""
     some = served.nonzero()[0]
-    held, served, as_of = held[some], served[some], as_of[some]
+    held, served, as_of, bound = held[some], served[some], as_of[some], bound[some]
     last = ctx.index.read_pos[groups.first[held] + (served - 1) * groups.stride]
-    horizon = ctx.trace.times[last] - ctx.bound
+    horizon = ctx.trace.times[last] - bound
     late = (horizon > as_of).nonzero()[0]
     if late.size:
         count = np.zeros_like(groups.count)
         count[held] = served
         _count_violations(
-            ctx, tallies, groups._replace(count=count), held[late], as_of[late], horizon[late]
+            ctx, tallies, groups._replace(count=count), held[late], as_of[late], horizon[late],
+            bound[late],
         )
 
 
@@ -1560,7 +1591,8 @@ def _kernel_ttl_expiry(
     segments = _segments(reading.tolist(), groups.bounds[0].tolist())
     rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
-    times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
+    times, read_pos = ctx.trace.times, ctx.index.read_pos
+    ttl = columns.ttl[groups.host[reading]]
     first_position = read_pos[first]
     # Rank of the latest fetch in the run: -1 is a loaded valid entry's.
     start = -valid.astype(np.int64)
@@ -1574,7 +1606,7 @@ def _kernel_ttl_expiry(
             lambda groups, rank: times[read_pos[run[groups] + rank * stride]],
             fill[live] + 1,
             count[live],
-            fetch_time[live] + ttl,
+            fetch_time[live] + ttl[live],
         )
         refetched = expired < count[live]
         live, expired = live[refetched], expired[refetched]
@@ -1586,9 +1618,9 @@ def _kernel_ttl_expiry(
     # ``searchsorted`` per epoch on the key's own read times.
     for group in live.tolist():
         run_times = times[read_pos[first[group] : first[group] + count[group] * stride : stride]]
-        rank, fetched, epochs = int(fill[group]), fetch_time[group], 0
+        rank, fetched, epochs, life = int(fill[group]), fetch_time[group], 0, ttl[group]
         while True:
-            expired = max(int(run_times.searchsorted(fetched + ttl, side="left")), rank + 1)
+            expired = max(int(run_times.searchsorted(fetched + life, side="left")), rank + 1)
             if expired >= run_times.size:
                 break
             rank, fetched, epochs = expired, run_times[expired], epochs + 1
@@ -1660,7 +1692,8 @@ def _kernel_ttl_polling(
     segments = _segments(reading.tolist(), groups.bounds[0].tolist())
     rows, valid, cold = _ttl_start(columns, groups, reading)
     keys, first, count = keys[reading], first[reading], count[reading]
-    times, read_pos, ttl = ctx.trace.times, ctx.index.read_pos, ctx.ttl
+    times, read_pos = ctx.trace.times, ctx.index.read_pos
+    ttl = columns.ttl[groups.host[reading]]
     first_position = read_pos[first]
     first_time = times[first_position]
     loaded_anchor = columns.fetched_at[rows]
@@ -1680,7 +1713,7 @@ def _kernel_ttl_polling(
             lambda groups, rank: poll_counts(
                 loaded_anchor[held[groups]],
                 times[read_pos[first[held[groups]] + rank * stride]],
-                ttl,
+                ttl[held[groups]],
             ),
             np.zeros(held.size, dtype=np.int64),
             count[held],
@@ -1688,7 +1721,8 @@ def _kernel_ttl_polling(
             right=True,
         )
         _held_violations(
-            ctx, tallies, groups, reading[held], served[held], columns.as_of[rows[held]]
+            ctx, tallies, groups, reading[held], served[held], columns.as_of[rows[held]],
+            columns.bound[groups.host[reading[held]]],
         )
     refetching = ~(valid | cold)
     tables, settled_polls, settled_position = polling_charges(
@@ -1725,7 +1759,7 @@ def _kernel_ttl_polling(
     # version is the shorter prefix.
     _refresh_polled(
         ctx, columns, rows[charged], keys, _versions_before(ctx, keys, settled_position[charged]),
-        poll_instant(anchor[charged], settled_polls[charged], ttl),
+        poll_instant(anchor[charged], settled_polls[charged], ttl[charged]),
     )
 
 
@@ -1753,8 +1787,11 @@ def _refresh_polled(
     columns.accounted[rows] = last_poll
 
 
-def _settle_polls(ctx: _ReplayContext, columns: _HostColumns, horizon: float) -> None:
-    """TTL-polling's end of run on the columns: every host's
+def _settle_polls(
+    ctx: _ReplayContext, columns: _HostColumns, horizon: float, hosts: slice
+) -> None:
+    """TTL-polling's end of run on the columns: each of ``hosts``' (one
+    member's stacked hosts, replayed under ``ctx``)
     :meth:`CacheNode.account_polls <repro.sim.node.CacheNode.account_polls>`
     at ``horizon`` for each cached entry, as the node's finalize makes it.
 
@@ -1768,7 +1805,11 @@ def _settle_polls(ctx: _ReplayContext, columns: _HostColumns, horizon: float) ->
     charges fold onto each host's ``freshness_cost`` in the host's cache
     dict order (``filled``), as :func:`_flush_tally` folds a span's (:func:`_fold_charges`).
     """
+    stride = len(columns.hosts)
+    lo, hi, _ = hosts.indices(stride)
     rows = (columns.state != _ABSENT).nonzero()[0]
+    host_of = rows % stride
+    rows = rows[(host_of >= lo) & (host_of < hi)]
     anchor = columns.fetched_at[rows]
     seen = poll_counts(anchor, horizon, ctx.ttl)
     polls = seen - poll_counts(anchor, columns.accounted[rows], ctx.ttl)
@@ -1777,13 +1818,14 @@ def _settle_polls(ctx: _ReplayContext, columns: _HostColumns, horizon: float) ->
     offsets = ctx.index.write_offsets
     # A name the trace never mentions (a loaded entry's) reads as the key
     # past the last one, which has no write.
-    keys = np.minimum(rows // len(columns.hosts), offsets.size - 1)
+    keys = np.minimum(rows // stride, offsets.size - 1)
     _refresh_polled(
         ctx, columns, rows, keys, np.append(np.diff(offsets), 0)[keys],
         poll_instant(anchor[charged], seen[charged], ctx.ttl),
     )
-    host_of = rows % len(columns.hosts)
-    for host, node in enumerate(columns.hosts):
+    host_of = rows % stride
+    for host in range(lo, hi):
+        node = columns.hosts[host]
         mine = (host_of == host).nonzero()[0]
         if mine.size:
             result = node.result
@@ -1993,8 +2035,8 @@ def _walk_spans(engine, unit: "_Lockstep") -> Iterator[None]:
 
 
 class _Lockstep:
-    """The write-reactive replays of one lockstep unit, as one replay of their
-    stacked hosts.
+    """The replays of one lockstep unit, as one replay of their stacked
+    hosts.
 
     Replays of one trace under one flush schedule cut it in the same places,
     whatever their fleet shape, so a unit keeps every member's hosts in one
@@ -2014,8 +2056,15 @@ class _Lockstep:
     their fleet shape, as long as their groups read with one stride.  Each
     member's tallies fold into its own results.  The last member to finish
     its walk leaves every member's objects to a build on their first read
-    (:meth:`finish`).  A TTL replay is a unit of its own (:meth:`key`): its
-    one cut is one call of its policy's TTL kernel on the same columns.
+    (:meth:`finish`).  TTL replays have no flush schedule: each one's walk
+    is one cut, the whole trace, whatever its bound, so the TTL replays of
+    one trace and policy stack too (:meth:`key`), and the cut is one call of
+    the policy's TTL kernel for all of them on their stacked groups, each
+    group at its own host's TTL (:attr:`_HostColumns.ttl`).  Each member's
+    tallies fold into its own results, and TTL-polling's settle runs on
+    each member's hosts at its horizon, on its context (:meth:`finish`).
+    One cut cannot be cut into windows, so a TTL unit over the stacking
+    budget splits by members (:meth:`parts`).
     """
 
     __slots__ = (
@@ -2076,7 +2125,9 @@ class _Lockstep:
         ctx = member._ctx
         node = member._node_list[0]
         if not node._reacts:
-            groups = member._group_block(batch).cuts(position, position + 1)
+            groups = _stack_groups(
+                [each._group_block(batch) for each in self.members], position, position + 1
+            )
             tallies = [_SpanTally(count) for count in groups.writes[0].tolist()]
             kernel = _kernel_ttl_expiry if node._ttl_expiry else _kernel_ttl_polling
             kernel(ctx, self.columns, tallies, groups)
@@ -2144,24 +2195,26 @@ class _Lockstep:
         self.first, self.last = first, last
         self.prelude = _PreludeBlock(ctx.trace, ctx.index, _stack_groups(blocks, first, last))
 
-    def finish(self, horizon: float) -> None:
-        """A member has run its flushes up to ``horizon``; the last one to
-        do so ends the run on the columns — the nodes' own end-of-run steps
-        (:meth:`CacheNode.finalize <repro.sim.node.CacheNode.finalize>`)
-        that act on state: a reactive unit's trailing flush at the horizon
-        (the last window's, unless a handed-in buffer is still held), or
-        TTL-polling's settle (:func:`_settle_polls`) — and leaves every
-        member's objects to a build on their first read
-        (:meth:`_HostColumns.defer`): a caller that reads no node never
-        builds one."""
+    def finish(self, member: "SpanReplay", horizon: float) -> None:
+        """``member`` has run its flushes up to ``horizon``: the nodes' own
+        end-of-run steps (:meth:`CacheNode.finalize
+        <repro.sim.node.CacheNode.finalize>`) that act on state run on the
+        columns.  TTL-polling's settle (:func:`_settle_polls`) runs on the
+        member's own hosts, at its horizon and on its context; the last
+        member to finish runs a reactive unit's trailing flush at the
+        horizon (the last window's, unless a handed-in buffer is still
+        held) and leaves every member's objects to a build on their first
+        read (:meth:`_HostColumns.defer`): a caller that reads no node
+        never builds one."""
+        node = member._node_list[0]
+        if node._poll_ttl is not None:
+            first = sum(len(each._node_list) for each in self.members[: self.members.index(member)])
+            hosts = slice(first, first + len(member._node_list))
+            _settle_polls(member._ctx, self.columns, horizon, hosts)
         self.finished += 1
         if self.finished == len(self.members):
-            member = self.members[0]
-            node = member._node_list[0]
             if node._reacts:
                 self.flush(horizon)
-            elif node._poll_ttl is not None:
-                _settle_polls(member._ctx, self.columns, horizon)
             self.columns.defer()
             self.batch = self.prelude = None
 
@@ -2169,15 +2222,37 @@ class _Lockstep:
     def key(member: "SpanReplay") -> Tuple[Any, ...]:
         """What replays must share to be one unit: the trace's index, the
         flush schedule and horizon, the read stride of their groups and the
-        cost constants.  A TTL replay's key is its engine: it stacks with
-        no other."""
-        if not member._node_list[0]._reacts:
-            return member
+        cost constants.  Reactive replays share a flush schedule by their
+        bound; a TTL replay has none — its one cut is the whole trace — so
+        TTL replays of any bound share their policy's kernel instead."""
         ctx = member._ctx
+        node = member._node_list[0]
+        schedule = ctx.bound if node._reacts else type(node.policy)
         return (
-            id(ctx.index), ctx.bound, member.duration, member._stride, ctx.serve_const,
+            id(ctx.index), schedule, member.duration, member._stride, ctx.serve_const,
             ctx.miss_const, ctx.invalidate_const, ctx.update_const, ctx.default_value_size,
         )
+
+    @staticmethod
+    def parts(members: List["SpanReplay"]) -> List[List["SpanReplay"]]:
+        """The units ``members`` of one key form.  A reactive unit bounds
+        what it holds by its windows of cuts; a TTL unit has one cut, so it
+        splits by members instead: each part stacks at most
+        :data:`_STACKED_GROUPS` rows of the key table times its hosts (and
+        at least one member)."""
+        if members[0]._node_list[0]._reacts:
+            return [members]
+        keys = len(members[0].trace.key_names)
+        parts: List[List["SpanReplay"]] = [[]]
+        hosts = 0
+        for member in members:
+            size = len(member._node_list)
+            if parts[-1] and (hosts + size) * keys > _STACKED_GROUPS:
+                parts.append([])
+                hosts = 0
+            parts[-1].append(member)
+            hosts += size
+        return parts
 
 
 def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any]:
@@ -2188,8 +2263,11 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
     A columnar replay's first step offers its engine; the write-reactive
     engines offered that replay one trace under one flush schedule, with
     one read stride, are stacked into one unit (:class:`_Lockstep`), whose
-    kernel call per window serves all of them, and a TTL engine is a unit
-    of its own.  Replays that step together also find each cut in the
+    kernel call per window serves all of them, and so are the TTL engines
+    of one trace, policy and read stride, at any bound, whose one kernel
+    call replays the whole trace for all of them (split by members past
+    the stacking budget: :meth:`_Lockstep.parts`).  Replays that step
+    together also find each cut in the
     trace's span table, built in a batch by the first lookup: the batch and
     each fleet shape's routing are built once for all of them.
     A replay that leaves the envelope replays scalar at its first step and
@@ -2211,7 +2289,8 @@ def replay_in_lockstep(replays: Sequence[Generator[Any, None, Any]]) -> List[Any
                 if offered is not None:
                     units.setdefault(_Lockstep.key(offered), []).append(offered)
         for members in units.values():
-            _Lockstep(members)
+            for part in _Lockstep.parts(members):
+                _Lockstep(part)
     return results
 
 
@@ -2222,7 +2301,7 @@ class SpanReplay:
     one kernel call for every host, with the driver's due work after it and
     its finalize at the end; outside it the driver's own ``run()`` replays.
     Every columnar replay is a member of a lockstep unit (:class:`_Lockstep`,
-    a unit of one when stepped alone or under a TTL policy), which keeps its
+    a unit of one when stepped alone), which keeps its
     hosts' state in :class:`_HostColumns` from the first cut to the nodes'
     end of run — the interval flush (:meth:`_flush_nodes`), the trailing
     flush at the horizon and TTL-polling's settle run on them too
@@ -2312,7 +2391,7 @@ class SpanReplay:
         # deferred.
         horizon = max(self.duration, self.clock.now)
         self._advance(horizon)
-        unit.finish(horizon)
+        unit.finish(self, horizon)
         while unit.finished < len(unit.members):
             yield
         self._unit = None

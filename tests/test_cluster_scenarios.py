@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterSimulation, ReplicationConfig, make_scenario
+from repro.cluster.hashring import ConsistentHashRing
 from repro.errors import ClusterError
 from repro.experiments import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.store import StoreConfig
@@ -56,6 +57,49 @@ def test_node_failure_produces_stale_serve_spike_vs_ideal_baseline() -> None:
     assert failure.totals.messages_dropped > 0
     assert failure.failed_fetches > 0
     assert failure.rebalances == 2
+
+
+def ring_state(ring) -> tuple:
+    """Everything a ring holds but its route caches, dict orders included."""
+    return (
+        ring.vnodes, ring._points, list(ring._nodes.items()), list(ring._zones.items()),
+        ring._point_hashes, ring._point_owners,
+    )
+
+
+def test_a_fleet_that_loses_a_node_leaves_the_next_of_its_shape_a_fresh_ring() -> None:
+    """Fleets of one shape start on copies of one ring: a node-failure cell
+    takes a node off its copy and puts it back (last, in the ring's node
+    order), and the next fleet of the shape starts on a ring equal to one
+    built node by node — its node-failure run rebalances as the first did."""
+    def fleet(scenario):
+        workload = PoissonZipfWorkload(num_keys=100, rate_per_key=10.0, seed=3)
+        return ClusterSimulation(
+            workload=workload.iter_requests(DURATION),
+            policy="invalidate",
+            num_nodes=4,
+            zones=2,
+            vnodes=16,
+            staleness_bound=BOUND,
+            replication=ReplicationConfig(factor=2),
+            scenario=scenario,
+            duration=DURATION,
+            seed=3,
+        )
+
+    fresh = ConsistentHashRing(vnodes=16)
+    for index in range(4):
+        fresh.add_node(f"node-{index:03d}", zone=f"zone-{index % 2}")
+    first = fleet(make_scenario("node-failure", {}))
+    first_result = first.run()
+    assert first_result.rebalances == 2
+    assert list(first.ring._nodes) == ["node-001", "node-002", "node-003", "node-000"]
+    assert ring_state(first.ring) != ring_state(fresh)
+    second = fleet(make_scenario("node-failure", {}))
+    assert ring_state(second.ring) == ring_state(fresh)
+    assert not any(second.ring._route_caches.values())
+    assert second.ring is not first.ring
+    assert second.run().as_dict() == first_result.as_dict()
 
 
 def test_node_failure_concentrates_staleness_on_the_failed_node() -> None:

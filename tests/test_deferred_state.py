@@ -45,7 +45,8 @@ FLEET = dict(num_nodes=3, replication=ReplicationConfig(factor=1))
 def engines(shape: str, trace: CompiledTrace = TRACE, duration: float = 8.0) -> list:
     """Every kernel policy's replay at T = 0.5: on the single cache, on a
     3-node fleet, or — ``lockstep`` — both, stepped as a sweep steps them
-    (the six reactive replays then form one unit)."""
+    (the six reactive replays then form one unit, and each TTL policy's two
+    replays another)."""
     config = dict(staleness_bound=0.5, duration=duration)
     built = []
     if shape in ("single", "lockstep"):
@@ -129,7 +130,7 @@ def test_the_unit_of_the_lockstep_shape_has_six_members(monkeypatch) -> None:
 
     monkeypatch.setattr(sim_vector._Lockstep, "__init__", counted)
     replay(engines("lockstep"))
-    assert sorted(sizes) == [1, 1, 1, 1, 6]
+    assert sorted(sizes) == [2, 2, 6]
 
 
 @pytest.mark.parametrize("shape", ["single", "fleet", "lockstep"])

@@ -129,8 +129,10 @@ def lockstep_cells():
     """Every kind of unit the runner cuts a grid into, renumbered in order.
 
     The five policies at two bounds on the single cache and on a 3-node fleet
-    with replication 2 and round-robin reads (each coordinate a unit of three
-    write-reacting policies and two TTL cells of their own), then units of
+    with replication 2 and round-robin reads (each bound a unit of the three
+    write-reacting policies on both shapes, each TTL policy a unit of its
+    four cells, whose read strides differ: the unit's replays stack as two
+    units of two), then units of
     the three at one bound with a recorder, with a store and with a bounded
     cache (these two fall back to the scalar loop inside the unit), and one
     scalar-engine cell.
@@ -170,7 +172,7 @@ def run_cells(cells, processes):
 
 def test_units_in_lockstep_give_every_cell_its_own_row() -> None:
     cells = lockstep_cells()
-    assert sorted(len(unit) for unit in runner._units(cells)) == [1] * 9 + [3] * 3 + [6] * 2
+    assert sorted(len(unit) for unit in runner._units(cells)) == [1] + [3] * 3 + [4] * 2 + [6] * 2
     reference = json.dumps([runner.run_cell(cell) for cell in cells])
     for processes in (1, 2, 3):
         assert json.dumps(run_cells(cells, processes)) == reference, processes
@@ -267,6 +269,75 @@ def test_a_mixed_shape_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch) -
             )
             assert calls["flushes"] == sum(counts["flushes"] for counts in per_bound.values())
             assert calls["windows"] < calls["flushes"]
+
+
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+def test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch, policy) -> None:
+    """A TTL policy's cells of one trace are one unit at every bound and on
+    both fleet shapes with one read stride (single cache, 3-node RF 1): one
+    TTL kernel call for all six, each group at its own host's TTL, each
+    member's tallies and settle its own.  Every cell's row — obs payload
+    included, on a 0.3 s window — is the one ``run_cell`` gives it alone,
+    in one process and with the unit split across two or three workers."""
+    spec = small_spec(
+        policies=[policy],
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
+        staleness_bounds=[0.01, 0.5, 5.0],
+        num_nodes=[None, 3],
+        duration=3.0,
+        engine="vector",
+        obs_window=0.3,
+    )
+    cells = spec.expand()
+    assert [len(unit) for unit in runner._units(cells)] == [6]
+    name = "_kernel_ttl_expiry" if policy == "ttl-expiry" else "_kernel_ttl_polling"
+    kernel, calls = getattr(sim_vector, name), []
+
+    def counted(ctx, columns, tallies, groups):
+        calls.append(len(columns.hosts))
+        return kernel(ctx, columns, tallies, groups)
+
+    monkeypatch.setattr(sim_vector, name, counted)
+    alone = [json.dumps(runner.run_cell(cell), sort_keys=True) for cell in cells]
+    assert calls == [1, 3] * 3 or sorted(calls) == [1, 1, 1, 3, 3, 3]
+    assert len(set(alone)) == len(alone)
+    for processes in (1, 2, 3):
+        calls.clear()
+        rows = run_experiment(spec, processes=processes)
+        assert [json.dumps(row, sort_keys=True) for row in rows] == alone, processes
+        if processes == 1:
+            assert calls == [3 * (1 + 3)]
+
+
+def test_a_ttl_unit_over_the_stacking_budget_splits_by_members(monkeypatch) -> None:
+    """A TTL unit holds the key table times its stacked hosts at once (its
+    one cut has no windows to end early): past the budget it splits by
+    members, each part at most the budget (a member alone may exceed it),
+    and every row stays the one the cell gets alone."""
+    spec = small_spec(
+        policies=["ttl-polling"],
+        workloads=[WorkloadSpec.of("poisson", {"num_keys": 30, "rate_per_key": 8.0})],
+        staleness_bounds=[0.5, 5.0],
+        num_nodes=[None, 3],
+        duration=3.0,
+        engine="vector",
+    )
+    cells = spec.expand()
+    alone = [runner.run_cell(cell) for cell in cells]
+    kernel, calls = sim_vector._kernel_ttl_polling, []
+
+    def counted(ctx, columns, tallies, groups):
+        calls.append((len(columns.hosts), len(columns.names)))
+        return kernel(ctx, columns, tallies, groups)
+
+    monkeypatch.setattr(sim_vector, "_kernel_ttl_polling", counted)
+    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 30 * 4)
+    assert run_experiment(spec, processes=1) == alone
+    assert sorted(calls) == [(4, 30), (4, 30)]
+    calls.clear()
+    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 1)
+    assert run_experiment(spec, processes=1) == alone
+    assert sorted(calls) == [(1, 30), (1, 30), (3, 30), (3, 30)]
 
 
 #: The obs payloads of :func:`test_an_obs_on_columnar_fleet_unit_keeps_its_payload`'s

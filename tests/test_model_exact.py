@@ -147,6 +147,15 @@ def miss_count_law(rate: float, read_ratio: float, bound: float, intervals: int)
     standard deviations of it, and the largest gap a start in I rather than
     in the stationary law leaves: ``P_R / (1 - |λ₂|)``, ``λ₂ = P(I→I) - P(V→I)``
     the chain's second eigenvalue."""
+    mean, variance = interval_miss_law(rate, read_ratio, bound)
+    stay, leave = invalidate_chain(rate, read_ratio, bound)
+    start_gap = p_read(rate, read_ratio, bound) / (1.0 - abs(stay - leave))
+    return intervals * mean, 4.0 * math.sqrt(intervals * variance) + start_gap
+
+
+def interval_miss_law(rate: float, read_ratio: float, bound: float):
+    """The stationary misses per interval of the outcome chain and their
+    asymptotic variance per interval (:func:`miss_count_law`)."""
     matrix, misses = interval_outcomes(rate, read_ratio, bound)
     values, vectors = np.linalg.eig(matrix.T)
     stationary = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
@@ -155,9 +164,7 @@ def miss_count_law(rate: float, read_ratio: float, bound: float, intervals: int)
     centred = misses - mean
     fundamental = np.linalg.inv(np.eye(5) - matrix + np.outer(np.ones(5), stationary))
     variance = 2.0 * stationary @ (centred * (fundamental @ centred)) - stationary @ centred**2
-    stay, leave = invalidate_chain(rate, read_ratio, bound)
-    start_gap = p_read(rate, read_ratio, bound) / (1.0 - abs(stay - leave))
-    return intervals * mean, 4.0 * math.sqrt(intervals * variance) + start_gap
+    return mean, float(variance)
 
 
 def brute_force_invalidate(times, is_read, bound: float):
@@ -232,3 +239,71 @@ def test_the_paper_recurrence_drops_the_reads_a_write_follows() -> None:
     exact = invalidate_miss_rate(rate, read_ratio, bound)
     assert 1.0 - paper / exact == pytest.approx(0.388, abs=1e-3)
     assert invalidate_miss_rate(rate, 1.0, bound) == 0.0
+
+
+# --------------------------------------------------------------------- #
+# Summed over Zipf: the per-key forms at PoissonZipfWorkload's rates
+# --------------------------------------------------------------------- #
+
+#: A small PoissonZipf trace whose coldest key still reads about once a
+#: second, so every key's count is many cycles long.
+ZIPF = dict(num_keys=30, rate_per_key=10.0, read_ratio=0.8)
+ZIPF_HORIZON = 60.0
+
+
+def ttl_expiry_law(rate: float, read_ratio: float, ttl: float):
+    """One key's TTL-expiry miss count over the horizon, first miss
+    included: its mean and variance.  The first miss is the first read, an
+    ``Exp(λ_r)`` wait, so the misses are a renewal process whose first cycle
+    is ``T`` short: ``N(H + T)`` of the ordinary one, whose mean is ``(H +
+    T)/μ + (σ²/μ² - 1)/2`` (the renewal function's second-order term) and
+    whose variance is ``H σ²/μ³`` (renewal CLT)."""
+    miss_rate = ttl_expiry_miss_rate(rate, read_ratio, ttl)
+    mu, sigma2 = 1.0 / miss_rate, 1.0 / (rate * read_ratio) ** 2
+    start = ttl * miss_rate + (sigma2 / mu**2 - 1.0) / 2.0
+    return ZIPF_HORIZON * miss_rate + start, ZIPF_HORIZON * sigma2 / mu**3
+
+
+def invalidate_law(rate: float, read_ratio: float, bound: float):
+    """One key's invalidate miss count over the horizon's intervals, first
+    miss included: its mean and variance.  An empty cache misses the first
+    read as an invalidated entry does, so the chain starts in I: the mean
+    is the stationary ``π_I P_R`` per interval plus the exact excess of that
+    start, summed interval by interval over the outcome chain; the variance
+    is the Markov chain CLT's."""
+    intervals = round(ZIPF_HORIZON / bound)
+    miss_rate = invalidate_miss_rate(rate, read_ratio, bound)
+    per_interval, variance = interval_miss_law(rate, read_ratio, bound)
+    assert per_interval == pytest.approx(miss_rate * bound)
+    matrix, misses = interval_outcomes(rate, read_ratio, bound)
+    outcomes, start = matrix[0], 0.0  # after an outcome that ends in I
+    for _ in range(intervals):
+        start += outcomes @ misses - per_interval
+        outcomes = outcomes @ matrix
+    return ZIPF_HORIZON * miss_rate + start, intervals * variance
+
+
+@pytest.mark.parametrize("bound", [0.1, 1.0])
+@pytest.mark.parametrize(
+    "policy, law", [("ttl-expiry", ttl_expiry_law), ("invalidate", invalidate_law)]
+)
+def test_summed_exact_forms_reproduce_a_zipf_trace(policy: str, law, bound: float) -> None:
+    """Each key of a PoissonZipf trace is its own Poisson process, at the
+    rate :meth:`~PoissonZipfWorkload.key_profiles` gives it, and under
+    either policy keys never interact: the trace's misses, cold and stale,
+    lie within four standard deviations of the per-key exact forms summed,
+    the variance the per-key CLT variances summed.  Both engines count the
+    same misses."""
+    workload = PoissonZipfWorkload(seed=11, **ZIPF)
+    trace = compile_workload(workload, ZIPF_HORIZON)
+    laws = [law(key.rate, key.read_ratio, bound) for key in workload.key_profiles()]
+    expected = sum(mean for mean, _ in laws)
+    tolerance = 4.0 * math.sqrt(sum(variance for _, variance in laws))
+    config = dict(staleness_bound=bound, duration=ZIPF_HORIZON, workload_name="poisson")
+    vector = VectorSimulation(trace, policy=make_policy(policy), **config).run()
+    scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config).run()
+    misses = [(run.cold_misses, run.stale_misses) for run in (vector, scalar)]
+    assert misses[0] == misses[1]
+    cold, stale = misses[0]
+    assert cold == ZIPF["num_keys"]
+    assert abs(cold + stale - expected) <= tolerance

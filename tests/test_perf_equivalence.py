@@ -1323,7 +1323,7 @@ class ReferenceUnit(_Lockstep):
             self.flushed = flush
         self.reach = batch.cuts[position][1]
 
-    def finish(self, horizon) -> None:
+    def finish(self, member, horizon) -> None:
         """The referenced nodes end the run on their objects, as
         :meth:`CacheNode.finalize` does, against a store that holds every
         write of the trace (the engine's commits them after the unit ends);
@@ -1341,7 +1341,7 @@ class ReferenceUnit(_Lockstep):
             datastore, node.datastore = node.datastore, store
             node.finalize(horizon)
             node.datastore = datastore
-        super().finish(horizon)
+        super().finish(member, horizon)
 
     def _kernel_the_others(self, engine, batch, position, kernel) -> None:
         """The production replay of the cut on every node the reference does
@@ -2180,7 +2180,7 @@ def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
     for expiry_batch in (1, 128):  # stepped together / walked one by one
         # A fresh host each time: the kernel starts from the rows it is handed.
         ctx, _, columns = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
-        ctx.ttl = 1e-19
+        columns.ttl[:] = 1e-19  # the kernel reads each host's TTL off the columns
         monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
         tally = _SpanTally()
         with wall_clock_limit(5.0):

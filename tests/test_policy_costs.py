@@ -225,6 +225,41 @@ def test_ew_decision_invalidates_at_the_tie() -> None:
     assert DecisionRule(TIE_M, TIE_I, TIE_U).from_ew(2.0) is Action.INVALIDATE
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [(TIE_M, TIE_I, TIE_U), (1.0, 0.1, 0.6), (0.3, 0.7, 0.11), (1.0, 0.1, 0.0)],
+    ids=["tie", "default", "inexact-threshold", "free-updates"],
+)
+@pytest.mark.parametrize("slo", [None, 0.2], ids=["flat", "slo"])
+def test_vector_ew_decisions_are_from_ew_value_by_value(costs, slo) -> None:
+    """The columnar flush decides a window's distinct E[W] estimates as one
+    comparison under a flat rule, and asks an SLO rule value by value:
+    either way, each pick is ``from_ew``'s, at 0, one ulp either side of
+    the break-even point and on it, far past it and at infinity; a negative
+    estimate raises ``from_ew``'s error."""
+    import numpy as np
+
+    from repro.core.decision import DecisionRule
+    from repro.errors import ConfigurationError
+    from repro.sim.vector import _ew_updates
+
+    miss, invalidate, update = costs
+    rule = DecisionRule(miss, invalidate, update, staleness_slo=slo)
+    threshold = (invalidate + miss) / update if update else 1.0
+    values = np.unique([
+        0.0, np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf),
+        0.5, 3.0, 1e12, 1e300, np.inf,
+    ])
+    picks = _ew_updates(rule, values)
+    assert picks.dtype == np.bool_
+    assert picks.tolist() == [rule.from_ew(value) is Action.UPDATE for value in values.tolist()]
+    if slo is None:
+        # Both picks occur at the break-even point whenever updates cost anything.
+        assert not update or picks.any() and not picks.all()
+        with pytest.raises(ConfigurationError, match="E\\[W\\] must be non-negative, got -0.5"):
+            _ew_updates(rule, np.array([-0.5, -0.25, 1.0]))
+
+
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_adaptive_replay_invalidates_at_the_tie(engine: str) -> None:
     """One key, runs of two writes between reads: at the first flush its

@@ -1065,10 +1065,11 @@ def test_a_member_leaving_the_envelope_replays_alone_beside_its_unit(monkeypatch
 
 def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypatch) -> None:
     """TTL replays of the trace and bound a reactive unit replays, stepped
-    with it, single cache and fleet: each TTL engine is a unit of its own —
-    one TTL kernel call on its own columns, never stacked with the reactive
-    members or another TTL replay — and every replay returns the row and
-    leaves the node state it does alone."""
+    with it, single cache and fleet: each TTL policy's engines are a unit of
+    their own — one TTL kernel call on their stacked columns, the single
+    cache's host and the fleet's three, never stacked with the reactive
+    members — and every replay returns the row and leaves the node state it
+    does alone."""
     trace = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=10.0, seed=4), 3.0)
     config = dict(staleness_bound=0.2, duration=3.0)
     members = ("invalidate", "ttl-expiry", "update", "ttl-polling", "adaptive")
@@ -1100,9 +1101,7 @@ def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypat
         for node, reference_node in zip(engine._node_list, reference._node_list, strict=True):
             assert node_state(node) == node_state(reference_node)
     ttl = sorted(call for call in calls if call[0] != "_kernel_reactive_window")
-    assert ttl == [
-        ("_kernel_ttl_expiry", 1), ("_kernel_ttl_polling", 1), ("_kernel_ttl_polling", 3)
-    ]
+    assert ttl == [("_kernel_ttl_expiry", 1), ("_kernel_ttl_polling", 4)]
     reactive = [hosts for name, hosts in calls if name == "_kernel_reactive_window"]
     assert reactive == [3 + 3] * windows.batches()
     assert windows.cuts() == {0.2: non_empty_spans(trace.times, 0.2)}
