@@ -429,6 +429,35 @@ MUTANTS: Tuple[Mutant, ...] = (
         "test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone[ttl-polling]",
     ),
     (
+        "ttl-unit-held-violations-at-the-first-bound",
+        VECTOR,
+        "            columns.bound[groups.host[reading[held]]],\n",
+        "            np.full(held.size, columns.bound[0]),\n",
+        "a TTL unit counts every member's handed-in entries' violations against "
+        "the first member's staleness bound",
+        "tests/test_vector_engine.py::"
+        "test_ttl_hosts_handed_cached_entries_replay_the_scalar_rows_as_one_unit[ttl-polling]",
+    ),
+    (
+        "flat-rule-updates-at-the-tie",
+        VECTOR,
+        "        return values * rule.update_cost < rule.invalidate_cost + rule.miss_cost\n",
+        "        return values * rule.update_cost <= rule.invalidate_cost + rule.miss_cost\n",
+        "the columnar flush's flat-cost E[W] comparison updates at the break-even "
+        "point, where ew_decision invalidates",
+        "tests/test_policy_costs.py::test_vector_ew_decisions_are_from_ew_value_by_value[flat-tie]",
+    ),
+    (
+        "fleets-share-their-shapes-ring",
+        "src/repro/cluster/cluster.py",
+        "        self.ring = _shape_ring(num_nodes, vnodes, self.zones).copy()\n",
+        "        self.ring = _shape_ring(num_nodes, vnodes, self.zones)\n",
+        "every fleet of a shape routes on one ring: a node a scenario removes is "
+        "gone from the next fleet of that shape too",
+        "tests/test_cluster_scenarios.py::"
+        "test_a_fleet_that_loses_a_node_leaves_the_next_of_its_shape_a_fresh_ring",
+    ),
+    (
         "ttl-unit-ignores-the-read-stride",
         VECTOR,
         "            id(ctx.index), schedule, member.duration, member._stride, ctx.serve_const,\n",

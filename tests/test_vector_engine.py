@@ -618,6 +618,70 @@ def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(
         ]
 
 
+@pytest.mark.parametrize("policy", ["ttl-expiry", "ttl-polling"])
+def test_ttl_hosts_handed_cached_entries_replay_the_scalar_rows_as_one_unit(
+    monkeypatch, policy: str
+) -> None:
+    """The handed-in case of a stacked unit: replays at bounds 0.5 and 0.25,
+    single cache and 3-node fleet, every node handed valid entries whose
+    polling accounting skipped polls, stepped as one unit — one kernel call
+    for all eight hosts.  Each member's rows and entries are its scalar
+    twin's: each host expires or polls at its own TTL and counts the
+    violations of its handed entries against its own bound."""
+    compiled = compile_workload(
+        PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, read_ratio=0.5, seed=1), 6.0
+    )
+    trace = CompiledTrace(
+        times=compiled.times + 3.0,
+        key_ids=compiled.key_ids,
+        is_read=compiled.is_read,
+        key_sizes=compiled.key_sizes,
+        value_sizes=compiled.value_sizes,
+        key_names=compiled.key_names,
+    )
+    pairs = []
+    for bound in (0.5, 0.25):
+        config = dict(staleness_bound=bound, duration=9.0, costs=CostModel(miss=0.3))
+        pairs += [
+            (
+                Simulation(trace.iter_requests(), policy=make_policy(policy), **config),
+                VectorSimulation(trace, policy=make_policy(policy), **config),
+            ),
+            (
+                ClusterSimulation(trace.iter_requests(), policy=policy, num_nodes=3, **config),
+                VectorClusterSimulation(trace, policy=policy, num_nodes=3, **config),
+            ),
+        ]
+    for pair in pairs:
+        for simulation in pair:
+            _warm_ttl_entries(
+                simulation, trace, policy, EntryState.VALID, policy == "ttl-polling"
+            )
+    name = "_kernel_ttl_expiry" if policy == "ttl-expiry" else "_kernel_ttl_polling"
+    kernel, calls = getattr(sim_vector, name), []
+
+    def counted(ctx, columns, tallies, groups):
+        calls.append(len(columns.hosts))
+        return kernel(ctx, columns, tallies, groups)
+
+    monkeypatch.setattr(sim_vector, name, counted)
+    results = replay_in_lockstep([columnar.replay() for _, columnar in pairs])
+    assert calls == [8]
+    violations = []
+    for (scalar, columnar), result in zip(pairs, results):
+        expected = scalar.run()
+        assert_identical(expected.as_dict(), result.as_dict())
+        nodes = columnar.nodes() if hasattr(columnar, "nodes") else [columnar.node]
+        scalar_nodes = scalar.nodes() if hasattr(scalar, "nodes") else [scalar.node]
+        for node, scalar_node in zip(nodes, scalar_nodes, strict=True):
+            assert list(node.cache._entries.items()) == list(scalar_node.cache._entries.items())
+        violations.append(
+            (expected.totals if hasattr(expected, "totals") else expected).staleness_violations
+        )
+    if policy == "ttl-polling":
+        assert all(violations) and violations[0] != violations[2]
+
+
 def test_vector_simulation_requires_a_compiled_trace() -> None:
     workload = PoissonZipfWorkload(num_keys=10, rate_per_key=10.0, seed=0)
     with pytest.raises(ConfigurationError):
