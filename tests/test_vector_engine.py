@@ -565,6 +565,22 @@ def _warm_ttl_entries(
             )
 
 
+def _late_trace() -> CompiledTrace:
+    """A 6 s PoissonZipf trace that starts 3 s in: room for entries handed
+    in before its first request."""
+    compiled = compile_workload(
+        PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, read_ratio=0.5, seed=1), 6.0
+    )
+    return CompiledTrace(
+        times=compiled.times + 3.0,
+        key_ids=compiled.key_ids,
+        is_read=compiled.is_read,
+        key_sizes=compiled.key_sizes,
+        value_sizes=compiled.value_sizes,
+        key_names=compiled.key_names,
+    )
+
+
 @pytest.mark.parametrize("state", list(EntryState), ids=lambda state: state.name)
 @pytest.mark.parametrize("nodes", [0, 3], ids=["single", "fleet-3"])
 @pytest.mark.parametrize(
@@ -584,15 +600,7 @@ def test_a_ttl_host_handed_cached_entries_replays_the_scalar_rows(
     in stream order to match to the bit.  An entry whose accounting skipped
     polls serves its reads up to the next poll with its old ``as_of``, and
     those hits can violate the bound."""
-    compiled = compile_workload(PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, read_ratio=0.5, seed=1), 6.0)
-    trace = CompiledTrace(
-        times=compiled.times + 3.0,
-        key_ids=compiled.key_ids,
-        is_read=compiled.is_read,
-        key_sizes=compiled.key_sizes,
-        value_sizes=compiled.value_sizes,
-        key_names=compiled.key_names,
-    )
+    trace = _late_trace()
     config = dict(staleness_bound=0.5, duration=9.0, costs=CostModel(miss=0.3))
     if nodes:
         scalar = ClusterSimulation(trace.iter_requests(), policy=policy, num_nodes=nodes, **config)
@@ -628,17 +636,7 @@ def test_ttl_hosts_handed_cached_entries_replay_the_scalar_rows_as_one_unit(
     for all eight hosts.  Each member's rows and entries are its scalar
     twin's: each host expires or polls at its own TTL and counts the
     violations of its handed entries against its own bound."""
-    compiled = compile_workload(
-        PoissonZipfWorkload(num_keys=40, rate_per_key=2.0, read_ratio=0.5, seed=1), 6.0
-    )
-    trace = CompiledTrace(
-        times=compiled.times + 3.0,
-        key_ids=compiled.key_ids,
-        is_read=compiled.is_read,
-        key_sizes=compiled.key_sizes,
-        value_sizes=compiled.value_sizes,
-        key_names=compiled.key_names,
-    )
+    trace = _late_trace()
     pairs = []
     for bound in (0.5, 0.25):
         config = dict(staleness_bound=bound, duration=9.0, costs=CostModel(miss=0.3))
