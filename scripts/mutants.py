@@ -57,6 +57,8 @@ POISSON = "src/repro/workload/poisson.py"
 FLEET = "src/repro/cluster/vector.py"
 SCENARIOS = "src/repro/cluster/scenarios.py"
 DEFERRED = "src/repro/deferred.py"
+RECORDER = "src/repro/obs/recorder.py"
+COORDINATOR = "src/repro/concurrency/coordinator.py"
 
 #: The mutants: the TTL kernels, the polling kernel's run table, the
 #: poll-count pair, the batches of big cuts, a replay's end on its columns
@@ -66,8 +68,9 @@ DEFERRED = "src/repro/deferred.py"
 #: the in-place draw), and the node state a replay leaves to a build on its
 #: first read, and the reactive window kernel's state carried from cut to
 #: cut, and the TTL units' members (each its own TTL, tallies, settle and
-#: stride).  The last field of each is the test that killed it last, run
-#: first on its copy.
+#: stride), and the stateful fleet's per-request fast paths (the recorder's
+#: zero read cost, the coordinator's ``next_done`` slot).  The last field of
+#: each is the test that killed it last, run first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -465,6 +468,55 @@ MUTANTS: Tuple[Mutant, ...] = (
         "replays whose groups read with different strides stack into one unit: "
         "a round-robin fleet's groups read every other read of their key",
         "tests/test_experiments.py::test_units_in_lockstep_give_every_cell_its_own_row",
+    ),
+    (
+        "zero-read-cost-in-the-next-bucket",
+        RECORDER,
+        "        counts[ZERO_BUCKET] = counts.get(ZERO_BUCKET, 0) + 1\n",
+        "        counts[ZERO_BUCKET + 1] = counts.get(ZERO_BUCKET + 1, 0) + 1\n",
+        "a read that costs nothing lands in the bucket above zero: the read-cost "
+        "histogram's percentiles rise off zero",
+        "tests/test_obs.py::"
+        "test_stateful_fleet_read_cost_equals_the_reference_wrappers[invalidate]",
+    ),
+    (
+        "zero-read-cost-uncounted",
+        RECORDER,
+        "        read_cost.count += 1\n",
+        "",
+        "a read that costs nothing takes its bucket but not the histogram's count: "
+        "the count and the mean stop covering every read",
+        "tests/test_obs.py::"
+        "test_stateful_fleet_read_cost_equals_the_reference_wrappers[invalidate]",
+    ),
+    (
+        "read-cost-after-sum-is-the-before-sum",
+        RECORDER,
+        "    cost = 0.0\n    for fresh, cold in sources:\n"
+        "        cost += fresh.freshness_cost + cold.cold_miss_cost\n",
+        "    cost = cost_before\n",
+        "the fleet's cost after a read is not summed again: every read records "
+        "a zero cost, misses and polls included",
+        "tests/test_obs.py::"
+        "test_stateful_fleet_read_cost_equals_the_reference_wrappers[invalidate]",
+    ),
+    (
+        "drain-keeps-next-done",
+        COORDINATOR,
+        "            self.next_done = completions[0].done if completions else math.inf\n",
+        "",
+        "a drain pops completions but leaves next_done at the earliest one it "
+        "popped: every read and write calls the drain again until the next issue",
+        "tests/test_concurrency.py::test_next_done_is_the_earliest_outstanding_completion[0]",
+    ),
+    (
+        "discard-keeps-next-done",
+        COORDINATOR,
+        "        self._inflight.clear()\n        self.next_done = math.inf\n",
+        "        self._inflight.clear()\n",
+        "a crash drops the outstanding fetches but keeps their earliest completion "
+        "as next_done",
+        "tests/test_concurrency.py::test_next_done_is_the_earliest_outstanding_completion[0]",
     ),
 )
 

@@ -85,6 +85,7 @@ class FetchCoordinator:
         "_inflight",
         "_completions",
         "_seq",
+        "next_done",
     )
 
     def __init__(self, config: ConcurrencyConfig, server: BackendServer, seed: int) -> None:
@@ -106,6 +107,9 @@ class FetchCoordinator:
         self._inflight: Dict[str, InFlightFetch] = {}
         self._completions: List[FetchCompletion] = []
         self._seq = 0
+        #: Completion time of the earliest outstanding fetch (inf if none):
+        #: the heap's top, kept beside it by every push, pop and clear.
+        self.next_done = math.inf
 
     def lookup(self, key: str) -> Optional[InFlightFetch]:
         """The in-flight fetch for ``key``, if the policy coalesces."""
@@ -138,15 +142,12 @@ class FetchCoordinator:
             key_size=key_size,
         )
         self._seq += 1
-        heapq.heappush(self._completions, FetchCompletion(done=done, seq=self._seq, fetch=fetch))
+        completions = self._completions
+        heapq.heappush(completions, FetchCompletion(done=done, seq=self._seq, fetch=fetch))
+        self.next_done = completions[0].done
         if self.coalesces:
             self._inflight[key] = fetch
         return fetch
-
-    @property
-    def next_done(self) -> float:
-        """Completion time of the earliest outstanding fetch (inf if none)."""
-        return self._completions[0].done if self._completions else math.inf
 
     @property
     def pending(self) -> int:
@@ -158,6 +159,7 @@ class FetchCoordinator:
         completions = self._completions
         while completions and completions[0].done <= until:
             fetch = heapq.heappop(completions).fetch
+            self.next_done = completions[0].done if completions else math.inf
             if self._inflight.get(fetch.key) is fetch:
                 del self._inflight[fetch.key]
             yield fetch
@@ -171,6 +173,7 @@ class FetchCoordinator:
         """
         self._completions.clear()
         self._inflight.clear()
+        self.next_done = math.inf
 
     def should_refresh_early(self, now: float, as_of: float, bound: float) -> bool:
         """XFetch coin: refresh a *hit* early as its freshness budget drains.

@@ -24,7 +24,9 @@ MIN_EXPONENT = -20
 MAX_EXPONENT = 30
 SUB_BUCKETS = 4
 
-_ZERO_BUCKET = 0
+#: The bucket of every sample at or below the smallest octave, 0.0 included.
+#: A hot path that knows its sample is 0.0 increments it directly.
+ZERO_BUCKET = 0
 _FIRST_BUCKET = 1
 _NUM_OCTAVES = MAX_EXPONENT - MIN_EXPONENT
 _OVERFLOW_BUCKET = _FIRST_BUCKET + _NUM_OCTAVES * SUB_BUCKETS
@@ -34,11 +36,11 @@ NUM_BUCKETS = _OVERFLOW_BUCKET + 1
 def bucket_index(value: float) -> int:
     """Map a non-negative sample to its fixed bucket index."""
     if value <= 0.0:
-        return _ZERO_BUCKET
+        return ZERO_BUCKET
     mantissa, exponent = math.frexp(value)  # value = mantissa * 2**exponent, mantissa in [0.5, 1)
     octave = exponent - 1 - MIN_EXPONENT
     if octave < 0:
-        return _ZERO_BUCKET
+        return ZERO_BUCKET
     if octave >= _NUM_OCTAVES:
         return _OVERFLOW_BUCKET
     sub = int((mantissa * 2.0 - 1.0) * SUB_BUCKETS)
@@ -49,7 +51,7 @@ def bucket_index(value: float) -> int:
 
 def bucket_upper_bound(index: int) -> float:
     """Inclusive upper bound of a bucket (``inf`` for the overflow bucket)."""
-    if index <= _ZERO_BUCKET:
+    if index <= ZERO_BUCKET:
         return 0.0
     if index >= _OVERFLOW_BUCKET:
         return math.inf

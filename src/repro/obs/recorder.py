@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import ZERO_BUCKET, Histogram, MetricsRegistry
 from repro.obs.trace import TraceBuffer
 from repro.obs.windows import WindowSampler
 
@@ -129,7 +129,12 @@ def obs_process_read(
     obs = driver.obs
     if time >= obs.next_boundary:
         obs.roll(time)
-    cost_before = obs._cost_now()
+    # The fleet's cost before and after the read: the same sum, in the same
+    # order, both times, so equal totals give an exact zero delta.
+    sources = obs._cost_sources
+    cost_before = 0.0
+    for fresh, cold in sources:
+        cost_before += fresh.freshness_cost + cold.cold_miss_cost
     countdown = obs._span_countdown
     if countdown > 1:
         obs._span_countdown = countdown - 1
@@ -137,10 +142,20 @@ def obs_process_read(
     else:
         span = obs._span_snapshot()
     driver._process_read(time, key, key_size, value_size)
+    cost = 0.0
+    for fresh, cold in sources:
+        cost += fresh.freshness_cost + cold.cold_miss_cost
     read_cost = obs._read_cost
     if read_cost is None:
         read_cost = obs._read_cost = obs.registry.histogram("read_cost")
-    read_cost.observe(obs._cost_now() - cost_before)
+    delta = cost - cost_before
+    if delta:
+        read_cost.observe(delta)
+    else:
+        # ``read_cost.observe(0.0)``: adding 0.0 to the sum changes no bit.
+        counts = read_cost.counts
+        counts[ZERO_BUCKET] = counts.get(ZERO_BUCKET, 0) + 1
+        read_cost.count += 1
     if span is not None:
         obs.record_read_span(time, key, span)
 
@@ -210,8 +225,8 @@ class ObsRecorder:
         cache.
         """
         self._hosts = tuple(hosts)
-        # Where `_cost_now` reads each host's two cost fields: the result
-        # itself, or `_NO_COST` for a field the result does not carry.
+        # Where `obs_process_read` reads each host's two cost fields: the
+        # result itself, or `_NO_COST` for a field the result does not carry.
         self._cost_sources = tuple(
             (
                 result if hasattr(result, "freshness_cost") else _NO_COST,
@@ -353,12 +368,6 @@ class ObsRecorder:
             self._span_countdown = self.config.span_every
             return True
         return False
-
-    def _cost_now(self) -> float:
-        total = 0.0
-        for fresh, cold in self._cost_sources:
-            total += fresh.freshness_cost + cold.cold_miss_cost
-        return total
 
     def _span_snapshot(self) -> Optional[List[Tuple[str, float, Dict[str, float]]]]:
         """Pre-request snapshot for span diffing (None when not sampled)."""

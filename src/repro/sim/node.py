@@ -76,7 +76,7 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.cost_model import CostModel
 from repro.core.policy import Action, FreshnessPolicy, FutureIndex, PolicyContext
 from repro.core.ttl import TTLPollingPolicy, account_entry_polls
-from repro.obs.metrics import Histogram, bucket_index
+from repro.obs.metrics import ZERO_BUCKET, Histogram
 from repro.sim.events import PendingDelivery
 from repro.sim.results import SimulationResult
 from repro.tier.config import TierConfig
@@ -934,16 +934,15 @@ class CacheNode:
             self.result.l1_stats = self.l1.cache.stats.as_dict()
 
 
-#: The latency histogram's bucket of a read served without a fetch.
-_ZERO_LATENCY_BUCKET = bucket_index(0.0)
-
-
 class ConcurrentCacheNode(CacheNode):
     """A :class:`CacheNode` under the in-flight fetch model: misses occupy
     ``server`` (in a fleet all nodes queue on one) for a service time drawn
     from ``concurrency`` with the node's own ``seed``, and fills land at
     completion.  The driver builds it instead of the plain node, so the
-    instant-fetch paths carry no concurrency branch."""
+    instant-fetch paths carry no concurrency branch.  The per-request paths
+    (:meth:`handle_read`, :meth:`observe_write`, :meth:`flush`) call the
+    plain node's by class name, not through ``super()``, which builds a
+    proxy object on every call."""
 
     def __init__(
         self,
@@ -979,11 +978,11 @@ class ConcurrentCacheNode(CacheNode):
         # (nothing moves it before the read's own probe), since an L1
         # promotion may demote another key into a bounded L2 and evict it.
         entry = self._l2_peek(key) if fetches.early_expiry else None
-        super().handle_read(time, key, key_size, value_size)
+        CacheNode.handle_read(self, time, key, key_size, value_size)
         if latency.count == samples:
             # ``latency.observe(0.0)``: adding 0.0 to the sum changes no bit.
             counts = latency.counts
-            counts[_ZERO_LATENCY_BUCKET] = counts.get(_ZERO_LATENCY_BUCKET, 0) + 1
+            counts[ZERO_BUCKET] = counts.get(ZERO_BUCKET, 0) + 1
             latency.count = samples + 1
         if (
             entry is not None
@@ -1069,7 +1068,7 @@ class ConcurrentCacheNode(CacheNode):
         """Drain due fetch completions, then run the plain write observer."""
         if self.fetches.next_done <= time:
             self._apply_fetch_completions(time)
-        super().observe_write(time, key, key_size, value_size, owner)
+        CacheNode.observe_write(self, time, key, key_size, value_size, owner)
 
     def flush(self, flush_time: float) -> None:
         """Drain completions due by the flush instant, then flush normally.
@@ -1079,7 +1078,7 @@ class ConcurrentCacheNode(CacheNode):
         """
         if self.fetches.next_done <= flush_time:
             self._apply_fetch_completions(flush_time)
-        super().flush(flush_time)
+        CacheNode.flush(self, flush_time)
 
     def lose_volatile_state(self, time: float) -> None:
         """Crash semantics under the fetch model: outstanding fetches die.

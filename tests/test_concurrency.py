@@ -15,7 +15,10 @@ Three families of pins:
   (checkpoints, mid-run stops) raise instead of approximating.
 """
 
+import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -25,11 +28,13 @@ from repro.cluster import (
     make_scenario,
     replay_cluster_parallel,
 )
+from repro.concurrency.backend import BackendServer
 from repro.concurrency.config import (
     STAMPEDE_POLICIES,
     ConcurrencyConfig,
     as_concurrency,
 )
+from repro.concurrency.coordinator import FetchCoordinator
 from repro.errors import ClusterError, ConfigurationError
 from repro.experiments.registry import make_policy
 from repro.sim.simulation import Simulation
@@ -263,6 +268,42 @@ def test_results_report_latency_percentiles() -> None:
     row = stampede_row("none")
     assert row["read_latency_p50"] <= row["read_latency_p99"] <= row["read_latency_p999"]
     assert row["read_latency_p999"] > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_next_done_is_the_earliest_outstanding_completion(seed: int) -> None:
+    """``next_done`` is a slot the coordinator keeps, not a look at its heap:
+    after every issue, every completion a drain yields (drains are cut short
+    at random) and every discard it equals the smallest ``done`` of the
+    fetches still outstanding, ``inf`` when there are none."""
+    rng = random.Random(seed)
+    fetches = FetchCoordinator(
+        concurrency("single-flight", mean=0.02, capacity=2), BackendServer(2), seed
+    )
+    outstanding = []
+
+    def check() -> None:
+        assert fetches.next_done == min(outstanding, default=math.inf)
+        assert fetches.pending == len(outstanding)
+
+    check()
+    now = 0.0
+    for _ in range(400):
+        step = rng.random()
+        if step < 0.5:
+            now += rng.expovariate(50.0)
+            fetch = fetches.issue(f"k{rng.randrange(5)}", now, 0, 1, 1)
+            outstanding.append(fetch.done)
+        elif step < 0.95:
+            now += rng.uniform(0.0, 0.05)
+            for fetch in itertools.islice(fetches.drain(now), rng.randrange(4)):
+                assert fetch.done == min(outstanding) <= now
+                outstanding.remove(fetch.done)
+                check()
+        else:
+            fetches.discard_pending()
+            outstanding.clear()
+        check()
 
 
 # --------------------------------------------------------------------- #

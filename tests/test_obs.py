@@ -15,6 +15,7 @@ import re
 import pytest
 
 from repro.cluster.cluster import ClusterSimulation
+from repro.concurrency.config import ConcurrencyConfig
 from repro.cluster.vector import replay_cluster_parallel
 from repro.cluster.scenarios import SCENARIO_FACTORIES
 from repro.errors import ConfigurationError
@@ -29,12 +30,19 @@ from repro.obs.export import (
     summarize,
     write_run,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry, bucket_index, bucket_upper_bound
+from repro.obs.metrics import (
+    ZERO_BUCKET,
+    Histogram,
+    MetricsRegistry,
+    bucket_index,
+    bucket_upper_bound,
+)
 from repro.obs.recorder import WINDOW_FIELDS, ObsConfig, ObsRecorder, as_recorder
 from repro.obs.trace import TraceBuffer
 from repro.obs.windows import WindowSampler, window_rows
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
+from repro.store.snapshot import StoreConfig
 from repro.workload.compiled import compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 
@@ -326,6 +334,73 @@ class TestZeroCostDisabled:
         control = calls()
         assert control > 0
         assert calls(obs=None) == control
+
+
+def _reference_obs_process_read(driver, time, key, key_size, value_size) -> None:
+    """The recorder's read wrapper as a plain reference: the fleet's cost
+    summed by a call before and after the read, and every delta, zeros
+    included, through :meth:`Histogram.observe`."""
+    obs = driver.obs
+    if time >= obs.next_boundary:
+        obs.roll(time)
+
+    def cost_now() -> float:
+        total = 0.0
+        for fresh, cold in obs._cost_sources:
+            total += fresh.freshness_cost + cold.cold_miss_cost
+        return total
+
+    cost_before = cost_now()
+    countdown = obs._span_countdown
+    if countdown > 1:
+        obs._span_countdown = countdown - 1
+        span = None
+    else:
+        span = obs._span_snapshot()
+    driver._process_read(time, key, key_size, value_size)
+    read_cost = obs._read_cost
+    if read_cost is None:
+        read_cost = obs._read_cost = obs.registry.histogram("read_cost")
+    read_cost.observe(cost_now() - cost_before)
+    if span is not None:
+        obs.record_read_span(time, key, span)
+
+
+@pytest.mark.parametrize("policy", ["invalidate", "ttl-polling"])
+def test_stateful_fleet_read_cost_equals_the_reference_wrappers(
+    policy, tmp_path, monkeypatch
+) -> None:
+    """A 4-node fleet with single-flight fetches, a store and obs windows of
+    0.25 s records the same ``read_cost`` histogram, to the last bit of its
+    sum, as a replay through the reference wrapper.  Under ttl-polling a hit
+    that accounts polls has a non-zero cost, so both buckets are hit."""
+    def read_cost(run: str) -> Histogram:
+        workload = PoissonZipfWorkload(num_keys=300, rate_per_key=10.0, read_ratio=0.5, seed=4)
+        simulation = ClusterSimulation(
+            workload=workload.iter_requests(4.0),
+            policy=policy,
+            num_nodes=4,
+            staleness_bound=0.5,
+            duration=4.0,
+            workload_name=workload.name,
+            seed=4,
+            concurrency=ConcurrencyConfig(
+                service_time="exponential", mean=0.002, capacity=8, policy="single-flight"
+            ),
+            obs=ObsConfig(window=0.25),
+            store=StoreConfig(str(tmp_path / run), snapshot_interval=0.5),
+        )
+        result = simulation.run()
+        assert result.as_dict()["coalesced_reads"] > 0
+        return simulation.obs.registry.histogram("read_cost")
+
+    fast = read_cost("fast")
+    monkeypatch.setattr(ClusterSimulation, "_obs_process_read", _reference_obs_process_read)
+    reference = read_cost("reference")
+    assert 0 < fast.counts[ZERO_BUCKET] < fast.count
+    assert list(fast.counts.items()) == list(reference.counts.items())
+    assert fast.count == reference.count
+    assert float.hex(fast.sum) == float.hex(reference.sum)
 
 
 # --------------------------------------------------------------------- #
