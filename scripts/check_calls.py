@@ -11,8 +11,9 @@ count, with ``PERF_CALLS.json``: the profiled calls per request of the
 single cache, the fleet and the stateful fleet (one per policy), the state
 objects the reactive cuts and the TTL cut build, the datastore histories
 and the node state objects a columnar ``run()`` builds (single cache and
-fleet, one per policy), and
-a sweep's cut lookups, cut builds, table hits, kernel calls and flushes.  They are
+fleet, one per policy),
+a sweep's cut lookups, cut builds, table hits, kernel calls and flushes, and
+the census's requests per envelope row (and on the kernels).  They are
 counts, not clocks, so a run on the interpreter they were recorded with
 (CPython 3.11; 3.12's cProfile counts on ``sys.monitoring``) gives them
 exactly, and any count that moves — up or down — is a change to say
@@ -62,12 +63,13 @@ FIELDS: Dict[str, tuple] = {
         "sweep_cut_lookups", "sweep_cut_builds", "sweep_table_hits",
         "sweep_kernel_calls", "sweep_flush_calls",
     ),
+    "census": ("requests",),
 }
 
 
 def fresh_counts() -> Dict[str, float]:
     """The gated counts of a fresh run, flat: ``row.field`` or, for a
-    per-policy field, ``row.field.policy``."""
+    per-policy (per-row) field, ``row.field.policy`` (``row.field.row``)."""
     counts: Dict[str, float] = {}
     for row in run_perf(names=list(FIELDS), scale=SCALE)["results"]:
         for field in FIELDS[row["name"]]:

@@ -69,8 +69,9 @@ COORDINATOR = "src/repro/concurrency/coordinator.py"
 #: first read, and the reactive window kernel's state carried from cut to
 #: cut, and the TTL units' members (each its own TTL, tallies, settle and
 #: stride), and the stateful fleet's per-request fast paths (the recorder's
-#: zero read cost, the coordinator's ``next_done`` slot).  The last field of
-#: each is the test that killed it last, run first on its copy.
+#: zero read cost, the coordinator's ``next_done`` slot), and the refusals
+#: of an infinite bound, horizon or request time.  The last field of each
+#: is the test that killed it last, run first on its copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -517,6 +518,27 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a crash drops the outstanding fetches but keeps their earliest completion "
         "as next_done",
         "tests/test_concurrency.py::test_next_done_is_the_earliest_outstanding_completion[0]",
+    ),
+    (
+        "infinite-bound-accepted",
+        "src/repro/sim/driver.py",
+        "    if not (math.isfinite(number) and number > 0):\n",
+        "    if not (number > 0):\n",
+        "an infinite staleness bound or horizon is accepted: a replay flushes at "
+        "inf for ever (the refusal a shipped bug once lacked)",
+        "tests/test_driver.py::"
+        "test_engines_refuse_a_bound_or_horizon_that_is_not_positive_and_finite[Simulation-inf]",
+    ),
+    (
+        "infinite-request-time-in-order",
+        "src/repro/workload/base.py",
+        "        times[0] >= previous and times[-1] < math.inf"
+        " and (times[1:] >= times[:-1]).all()\n",
+        "        times[0] >= previous and (times[1:] >= times[:-1]).all()\n",
+        "a chunk or a trace ending at an infinite time is in order: the replay "
+        "flushes at inf for ever (the refusal a shipped bug once lacked)",
+        "tests/test_input_shapes.py::"
+        "test_an_infinite_time_is_refused_by_the_sorted_checks_and_the_index",
     ),
 )
 

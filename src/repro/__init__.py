@@ -20,7 +20,7 @@ detection, SLO gating, and HTML reports) in ``obs``.
 The pipeline streams end-to-end: workloads yield requests lazily via
 ``iter_requests`` and the simulator consumes the stream without copying it,
 so arbitrarily long traces replay in constant memory.  The most common entry
-points are re-exported here so that downstream users can write::
+points are exported here so that downstream users can write::
 
     from repro import Simulation, PoissonZipfWorkload, AdaptivePolicy, CostModel
 
@@ -38,112 +38,81 @@ Single runs, grids and the component microbenchmarks are also available from
 the command line via ``python -m repro`` (``run``, ``sweep``, ``cluster``,
 ``tier``, ``perf``, ``store`` and ``obs`` subcommands); end-to-end replay
 throughput is measured by ``benchmarks/run.py``.
+
+Every package of it is a façade of the same shape (:func:`_facade`): one
+table names each export once, by the module that defines it, and a name is
+imported on first use, so ``import repro`` imports no other module of the
+package and a run loads only the modules it uses.
 """
 
-from repro.core.cost_model import CostBreakdown, CostModel
-from repro.core.policy import Action, FreshnessPolicy
-from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
-from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
-from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
-from repro.core.optimal import OptimalPolicy
-from repro.cache.cache import Cache
-from repro.backend.datastore import DataStore
-from repro.sim.simulation import Simulation
-from repro.sim.results import SimulationResult
-from repro.workload.base import OpType, Request
-from repro.workload.poisson import PoissonZipfWorkload
-from repro.workload.mixed import PoissonMixWorkload
-from repro.workload.meta import MetaWorkload
-from repro.workload.twitter import TwitterWorkload
-from repro.sketch.exact import ExactEWTracker
-from repro.sketch.countmin import CountMinEWSketch, CountMinSketch
-from repro.sketch.topk import TopKEWSketch
-from repro.sketch.memory import estimator_memory_bytes, storage_saving
-from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.hashring import ConsistentHashRing
-from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
-from repro.cluster.replication import ReplicationConfig
-from repro.cluster.results import ClusterResult
-from repro.cluster.scenarios import make_scenario
-from repro.experiments.spec import ChannelSpec, ExperimentSpec, ScenarioSpec, WorkloadSpec
-from repro.experiments.runner import run_experiment
-from repro.obs.analyze import detect_anomalies, diff_payloads
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import ObsConfig, ObsRecorder
-from repro.obs.report import render_report
-from repro.obs.slo import evaluate_slo
-from repro.resilience import AutoscaleScenario, ChaosPlan, ChaosSpec
-from repro.store.wal import Journal, WriteAheadLog
-from repro.store.snapshot import Snapshot, SnapshotManager, StoreConfig
-from repro.store.recovery import RecoveryReport, recover_datastore, warm_state
-from repro.store.runtime import StoreRuntime
-from repro.tier.config import TierConfig
-from repro.tier.l1 import L1Tier
-from repro.tier.admission import AdmissionPolicy, make_admission
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __version__ = "4.0.0"
 
-__all__ = [
-    "Action",
-    "AdaptivePolicy",
-    "AdmissionPolicy",
-    "AutoscaleScenario",
-    "ChannelSpec",
-    "ChaosPlan",
-    "ChaosSpec",
-    "ClusterResult",
-    "ClusterSimulation",
-    "ConsistentHashRing",
-    "ExperimentSpec",
-    "HotKeyConfig",
-    "HotKeyDetector",
-    "Journal",
-    "L1Tier",
-    "MetricsRegistry",
-    "ObsConfig",
-    "ObsRecorder",
-    "RecoveryReport",
-    "ReplicationConfig",
-    "ScenarioSpec",
-    "Snapshot",
-    "SnapshotManager",
-    "StoreConfig",
-    "StoreRuntime",
-    "TierConfig",
-    "WorkloadSpec",
-    "WriteAheadLog",
-    "detect_anomalies",
-    "diff_payloads",
-    "estimator_memory_bytes",
-    "evaluate_slo",
-    "make_admission",
-    "make_scenario",
-    "recover_datastore",
-    "render_report",
-    "run_experiment",
-    "storage_saving",
-    "warm_state",
-    "AlwaysInvalidatePolicy",
-    "AlwaysUpdatePolicy",
-    "Cache",
-    "CacheStateAdaptivePolicy",
-    "CostBreakdown",
-    "CostModel",
-    "CountMinEWSketch",
-    "CountMinSketch",
-    "DataStore",
-    "ExactEWTracker",
-    "FreshnessPolicy",
-    "MetaWorkload",
-    "OpType",
-    "OptimalPolicy",
-    "PoissonMixWorkload",
-    "PoissonZipfWorkload",
-    "Request",
-    "Simulation",
-    "SimulationResult",
-    "TTLExpiryPolicy",
-    "TTLPollingPolicy",
-    "TopKEWSketch",
-    "TwitterWorkload",
-]
+
+def _facade(
+    namespace: Dict[str, Any], table: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """The ``__all__``, ``__getattr__`` and ``__dir__`` of a module whose
+    ``table`` maps each defining module to the names it exports from there.
+    A name is imported from its module on first access (PEP 562) and kept
+    in the ``namespace`` of the module, so every later access is a plain
+    attribute read."""
+    owners = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in owners:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(owners[name]), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *owners})
+
+    return list(owners), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.core.cost_model": ("CostBreakdown", "CostModel"),
+    "repro.core.policy": ("Action", "FreshnessPolicy"),
+    "repro.core.ttl": ("TTLExpiryPolicy", "TTLPollingPolicy"),
+    "repro.core.write_reactive": ("AlwaysInvalidatePolicy", "AlwaysUpdatePolicy"),
+    "repro.core.adaptive": ("AdaptivePolicy", "CacheStateAdaptivePolicy"),
+    "repro.core.optimal": ("OptimalPolicy",),
+    "repro.cache.cache": ("Cache",),
+    "repro.backend.datastore": ("DataStore",),
+    "repro.sim.simulation": ("Simulation",),
+    "repro.sim.results": ("SimulationResult",),
+    "repro.workload.base": ("OpType", "Request"),
+    "repro.workload.poisson": ("PoissonZipfWorkload",),
+    "repro.workload.mixed": ("PoissonMixWorkload",),
+    "repro.workload.meta": ("MetaWorkload",),
+    "repro.workload.twitter": ("TwitterWorkload",),
+    "repro.sketch.exact": ("ExactEWTracker",),
+    "repro.sketch.countmin": ("CountMinEWSketch", "CountMinSketch"),
+    "repro.sketch.topk": ("TopKEWSketch",),
+    "repro.sketch.memory": ("estimator_memory_bytes", "storage_saving"),
+    "repro.cluster.cluster": ("ClusterSimulation",),
+    "repro.cluster.hashring": ("ConsistentHashRing",),
+    "repro.cluster.hotkey": ("HotKeyConfig", "HotKeyDetector"),
+    "repro.cluster.replication": ("ReplicationConfig",),
+    "repro.cluster.results": ("ClusterResult",),
+    "repro.cluster.scenarios": ("make_scenario",),
+    "repro.experiments.spec": ("ChannelSpec", "ExperimentSpec", "ScenarioSpec", "WorkloadSpec"),
+    "repro.experiments.runner": ("run_experiment",),
+    "repro.obs.analyze": ("detect_anomalies", "diff_payloads"),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.recorder": ("ObsConfig", "ObsRecorder"),
+    "repro.obs.report": ("render_report",),
+    "repro.obs.slo": ("evaluate_slo",),
+    "repro.resilience.autoscale": ("AutoscaleScenario",),
+    "repro.resilience.chaos": ("ChaosPlan", "ChaosSpec"),
+    "repro.store.wal": ("Journal", "WriteAheadLog"),
+    "repro.store.snapshot": ("Snapshot", "SnapshotManager", "StoreConfig"),
+    "repro.store.recovery": ("RecoveryReport", "recover_datastore", "warm_state"),
+    "repro.store.runtime": ("StoreRuntime",),
+    "repro.tier.config": ("TierConfig",),
+    "repro.tier.l1": ("L1Tier",),
+    "repro.tier.admission": ("AdmissionPolicy", "make_admission"),
+})

@@ -77,7 +77,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.log import configure_logging
-from repro.cluster import ClusterSimulation
+from repro.cluster.cluster import ClusterSimulation
 from repro.concurrency.config import (
     SERVICE_TIME_DISTRIBUTIONS,
     STAMPEDE_POLICIES,
@@ -86,26 +86,22 @@ from repro.concurrency.config import (
 from repro.cluster.replication import READ_POLICIES
 from repro.cluster.scenarios import SCENARIO_FACTORIES
 from repro.errors import ClusterError, ConfigurationError, ReproError
-from repro.experiments import (
+from repro.experiments.export import write_results_csv, write_results_json
+from repro.experiments.registry import POLICY_FACTORIES, WORKLOAD_FACTORIES
+from repro.experiments.runner import build_simulation, run_cell, run_experiment
+from repro.experiments.spec import (
+    ENGINES,
+    ChannelSpec,
     ExperimentSpec,
+    RunCell,
     ScenarioSpec,
     WorkloadSpec,
-    run_experiment,
-    write_results_csv,
-    write_results_json,
+    stable_cell_seed,
 )
-from repro.experiments.registry import POLICY_FACTORIES, WORKLOAD_FACTORIES
-from repro.experiments.runner import build_simulation, run_cell
-from repro.experiments.spec import ENGINES, ChannelSpec, RunCell, stable_cell_seed
-from repro.store import (
-    StoreConfig,
-    WalScan,
-    list_snapshots,
-    load_snapshot,
-    recover_datastore,
-    scan_wal,
-)
+from repro.store.format import WalScan, scan_wal
 from repro.store.migrate import RUN_CONFIG_FORMAT, upgrade
+from repro.store.recovery import recover_datastore
+from repro.store.snapshot import StoreConfig, list_snapshots, load_snapshot
 from repro.tier.config import ADMISSION_POLICIES, TIER_MODES
 
 _LOG = logging.getLogger("repro.cli")
@@ -408,7 +404,7 @@ def _fleet_axes(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import MICROBENCHES, profile_call, run_perf
+    from repro.perf.perf import MICROBENCHES, profile_call, run_perf
 
     if (args.json or args.only) and (args.list or args.profile):
         raise SystemExit(

@@ -9,20 +9,12 @@ buffer (Figure 4), a tracker of already-invalidated keys (§3.1), and a message
 channel to the cache that can model delay, loss, and reordering (§5).
 """
 
-from repro.backend.datastore import DataStore, KeyHistory
-from repro.backend.buffer import WriteBuffer
-from repro.backend.messages import InvalidateMessage, Message, UpdateMessage
-from repro.backend.channel import Channel, DeliveryRecord
-from repro.backend.invalidation_tracker import InvalidationTracker
+from repro import _facade
 
-__all__ = [
-    "Channel",
-    "DataStore",
-    "DeliveryRecord",
-    "InvalidateMessage",
-    "InvalidationTracker",
-    "KeyHistory",
-    "Message",
-    "UpdateMessage",
-    "WriteBuffer",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.backend.datastore": ("DataStore", "KeyHistory"),
+    "repro.backend.buffer": ("WriteBuffer",),
+    "repro.backend.messages": ("InvalidateMessage", "Message", "UpdateMessage"),
+    "repro.backend.channel": ("Channel", "DeliveryRecord"),
+    "repro.backend.invalidation_tracker": ("InvalidationTracker",),
+})

@@ -7,13 +7,10 @@ Freshness is *not* guaranteed by the cache itself — that is the job of the
 policies in :mod:`repro.core`.
 """
 
-from repro.cache.entry import CacheEntry, EntryState
-from repro.cache.cache import Cache
-from repro.cache.stats import CacheStats
+from repro import _facade
 
-__all__ = [
-    "Cache",
-    "CacheEntry",
-    "CacheStats",
-    "EntryState",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.cache.entry": ("CacheEntry", "EntryState"),
+    "repro.cache.cache": ("Cache",),
+    "repro.cache.stats": ("CacheStats",),
+})

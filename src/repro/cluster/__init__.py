@@ -48,44 +48,18 @@ Run one from Python::
 or from the command line via ``python -m repro cluster``.
 """
 
-from repro.cluster.cluster import ClusterSimulation
-from repro.cluster.hashring import ConsistentHashRing
-from repro.cluster.hotkey import HotKeyConfig, HotKeyDetector
-from repro.cluster.replication import ReplicaRouter, ReplicationConfig
-from repro.cluster.results import ClusterResult, NodeResult
-from repro.cluster.scenarios import (
-    SCENARIO_FACTORIES,
-    ColdL1Scenario,
-    CrashRestartScenario,
-    FlashCrowdScenario,
-    L2OutageScenario,
-    NodeFailureScenario,
-    PartitionScenario,
-    Scenario,
-    make_scenario,
-)
-from repro.cluster.vector import VectorClusterSimulation, replay_cluster_parallel
-from repro.sim.node import CacheNode
+from repro import _facade
 
-__all__ = [
-    "CacheNode",
-    "ClusterResult",
-    "ClusterSimulation",
-    "ColdL1Scenario",
-    "ConsistentHashRing",
-    "CrashRestartScenario",
-    "FlashCrowdScenario",
-    "HotKeyConfig",
-    "HotKeyDetector",
-    "L2OutageScenario",
-    "NodeFailureScenario",
-    "NodeResult",
-    "PartitionScenario",
-    "ReplicaRouter",
-    "ReplicationConfig",
-    "SCENARIO_FACTORIES",
-    "Scenario",
-    "VectorClusterSimulation",
-    "make_scenario",
-    "replay_cluster_parallel",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.cluster.cluster": ("ClusterSimulation",),
+    "repro.cluster.hashring": ("ConsistentHashRing",),
+    "repro.cluster.hotkey": ("HotKeyConfig", "HotKeyDetector"),
+    "repro.cluster.replication": ("ReplicaRouter", "ReplicationConfig"),
+    "repro.cluster.results": ("ClusterResult", "NodeResult"),
+    "repro.cluster.scenarios": (
+        "SCENARIO_FACTORIES", "ColdL1Scenario", "CrashRestartScenario", "FlashCrowdScenario",
+        "L2OutageScenario", "NodeFailureScenario", "PartitionScenario", "Scenario", "make_scenario",
+    ),
+    "repro.cluster.vector": ("VectorClusterSimulation", "replay_cluster_parallel"),
+    "repro.sim.node": ("CacheNode",),
+})

@@ -14,23 +14,13 @@ byte-identical to the classic instant-fetch model — that invariant is
 test-pinned across the scalar and vector pipelines and any worker count.
 """
 
-from repro.concurrency.backend import BackendServer
-from repro.concurrency.config import (
-    SERVICE_TIME_DISTRIBUTIONS,
-    STAMPEDE_POLICIES,
-    ConcurrencyConfig,
-    as_concurrency,
-)
-from repro.concurrency.coordinator import FetchCoordinator, InFlightFetch
-from repro.concurrency.service import ServiceTimeSampler
+from repro import _facade
 
-__all__ = [
-    "BackendServer",
-    "ConcurrencyConfig",
-    "FetchCoordinator",
-    "InFlightFetch",
-    "SERVICE_TIME_DISTRIBUTIONS",
-    "STAMPEDE_POLICIES",
-    "ServiceTimeSampler",
-    "as_concurrency",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.concurrency.backend": ("BackendServer",),
+    "repro.concurrency.config": (
+        "SERVICE_TIME_DISTRIBUTIONS", "STAMPEDE_POLICIES", "ConcurrencyConfig", "as_concurrency",
+    ),
+    "repro.concurrency.coordinator": ("FetchCoordinator", "InFlightFetch"),
+    "repro.concurrency.service": ("ServiceTimeSampler",),
+})

@@ -13,28 +13,14 @@ This package contains:
 * the omniscient optimal policy used as the upper bound in Figure 5.
 """
 
-from repro.core.cost_model import CostBreakdown, CostModel
-from repro.core.policy import Action, FreshnessPolicy, PolicyContext
-from repro.core.decision import DecisionRule, decide_with_slo, ew_decision
-from repro.core.ttl import TTLExpiryPolicy, TTLPollingPolicy
-from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
-from repro.core.adaptive import AdaptivePolicy, CacheStateAdaptivePolicy
-from repro.core.optimal import OptimalPolicy
+from repro import _facade
 
-__all__ = [
-    "Action",
-    "AdaptivePolicy",
-    "AlwaysInvalidatePolicy",
-    "AlwaysUpdatePolicy",
-    "CacheStateAdaptivePolicy",
-    "CostBreakdown",
-    "CostModel",
-    "DecisionRule",
-    "FreshnessPolicy",
-    "OptimalPolicy",
-    "PolicyContext",
-    "TTLExpiryPolicy",
-    "TTLPollingPolicy",
-    "decide_with_slo",
-    "ew_decision",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.core.cost_model": ("CostBreakdown", "CostModel"),
+    "repro.core.policy": ("Action", "FreshnessPolicy", "PolicyContext"),
+    "repro.core.decision": ("DecisionRule", "decide_with_slo", "ew_decision"),
+    "repro.core.ttl": ("TTLExpiryPolicy", "TTLPollingPolicy"),
+    "repro.core.write_reactive": ("AlwaysInvalidatePolicy", "AlwaysUpdatePolicy"),
+    "repro.core.adaptive": ("AdaptivePolicy", "CacheStateAdaptivePolicy"),
+    "repro.core.optimal": ("OptimalPolicy",),
+})

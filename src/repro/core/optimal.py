@@ -13,8 +13,21 @@ throughput-optimal choice for each dirty key:
   nothing needs to be sent until a read is actually coming, and the key will
   re-enter the dirty set at its next write.
 
-No deployable system can implement this policy; it exists to lower-bound the
-achievable freshness cost in Figure 5.
+No deployable system can implement this policy.  It is the paper's baseline
+for Figure 5, and a lower bound only in part:
+
+* it bounds the reactive policies (invalidate, update, adaptive): their
+  choices at a flush are among the ones it weighs;
+* it bounds the TTL policies only while an update costs no more than a miss
+  (``c_u <= c_m``).  An expiry is an invalidate that costs nothing, so with
+  a dearer update a TTL timer can undercut even the exact optimum over
+  reactive choices: at ``CostModel(update=1.5)`` ttl-expiry's C_F is 14.0
+  against that optimum's 14.3 on one seeded one-key trace
+  (``tests/test_optimal_bound.py``);
+* today it can serve a read beyond the staleness bound: the deferral above
+  holds until the flush after the next write, and a read can fall before
+  that flush.  Its C_F then undercuts what any policy within the bound pays
+  (the strict xfails in ``tests/test_optimal_bound.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +36,8 @@ from repro.core.policy import Action, FreshnessPolicy
 
 
 class OptimalPolicy(FreshnessPolicy):
-    """Omniscient lower bound on freshness cost."""
+    """Omniscient baseline for freshness cost (see the module docstring for
+    what it bounds)."""
 
     name = "optimal"
     reacts_to_writes = True

@@ -22,40 +22,17 @@ Typical usage::
     write_results_csv(rows, "figure5.csv")
 """
 
-from repro.experiments.export import write_results_csv, write_results_json
-from repro.experiments.registry import (
-    COST_PRESETS,
-    POLICY_FACTORIES,
-    WORKLOAD_FACTORIES,
-    make_cost_model,
-    make_policy,
-    make_workload,
-)
-from repro.experiments.runner import run_cell, run_experiment
-from repro.experiments.spec import (
-    ChannelSpec,
-    ExperimentSpec,
-    RunCell,
-    ScenarioSpec,
-    WorkloadSpec,
-    stable_cell_seed,
-)
+from repro import _facade
 
-__all__ = [
-    "COST_PRESETS",
-    "ChannelSpec",
-    "ExperimentSpec",
-    "POLICY_FACTORIES",
-    "RunCell",
-    "ScenarioSpec",
-    "WORKLOAD_FACTORIES",
-    "WorkloadSpec",
-    "make_cost_model",
-    "make_policy",
-    "make_workload",
-    "run_cell",
-    "run_experiment",
-    "stable_cell_seed",
-    "write_results_csv",
-    "write_results_json",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.experiments.export": ("write_results_csv", "write_results_json"),
+    "repro.experiments.registry": (
+        "COST_PRESETS", "POLICY_FACTORIES", "WORKLOAD_FACTORIES", "make_cost_model", "make_policy",
+        "make_workload",
+    ),
+    "repro.experiments.runner": ("run_cell", "run_experiment"),
+    "repro.experiments.spec": (
+        "ChannelSpec", "ExperimentSpec", "RunCell", "ScenarioSpec", "WorkloadSpec",
+        "stable_cell_seed",
+    ),
+})

@@ -33,31 +33,36 @@ import json
 import logging
 import math
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
-from repro.cluster import (
-    ClusterSimulation,
-    HotKeyConfig,
-    ReplicationConfig,
-    VectorClusterSimulation,
-    make_scenario,
-)
+from repro import _facade
+from repro.cluster.cluster import ClusterSimulation
+from repro.cluster.hotkey import HotKeyConfig
+from repro.cluster.replication import ReplicationConfig
+from repro.cluster.scenarios import make_scenario
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.registry import make_cost_model, make_policy, make_workload
 from repro.experiments.spec import ExperimentSpec, RunCell
 from repro.fanout import fork_each
 from repro.obs.recorder import ObsConfig
 from repro.sim.simulation import Simulation
-from repro.sim.vector import VectorSimulation, replay_in_lockstep
 from repro.store.snapshot import StoreConfig
 from repro.tier.config import TierConfig
 from repro.workload.base import Workload
 from repro.workload.compiled import CompiledTrace, compile_workload
 
 _LOG = logging.getLogger(__name__)
+
+#: The columnar engines, imported on their first read (:func:`_engine`).
+__getattr__ = _facade(globals(), {
+    "repro.sim.vector": ("VectorSimulation",),
+    "repro.cluster.vector": ("VectorClusterSimulation",),
+})[1]
+_RUNNER = sys.modules[__name__]
 
 #: Compiled traces of one round of cells and their workloads' names, by
 #: :func:`_trace_key`.
@@ -181,13 +186,17 @@ def build_simulation(
             replace(cell.concurrency, seed=cell.seed) if cell.concurrency is not None else None
         ),
     )
-    # The engine classes and compile_workload are read from the module at
-    # call time: benchmarks/layers.py swaps them for tracing ones.
+    return _engine(cell)(requests, **arguments)
+
+
+def _engine(cell: RunCell):
+    """The class that replays ``cell``, read from the module at call time
+    (benchmarks/layers.py swaps the columnar ones, and compile_workload, for
+    tracing ones); the first read of a columnar one imports it."""
+    fleet = cell.num_nodes is not None
     if cell.engine == "vector":
-        engine = VectorClusterSimulation if fleet else VectorSimulation
-    else:
-        engine = ClusterSimulation if fleet else Simulation
-    return engine(requests, **arguments)
+        return getattr(_RUNNER, "VectorClusterSimulation" if fleet else "VectorSimulation")
+    return ClusterSimulation if fleet else Simulation
 
 
 def _single_cache_arguments(cell: RunCell) -> Dict[str, Any]:
@@ -350,6 +359,8 @@ def _run_units(units: List[List[RunCell]], shared: _Traces) -> List[Dict[str, An
             with _named(unit[0]):
                 rows.append(run_cell(unit[0], traces))
         else:
+            from repro.sim.vector import replay_in_lockstep
+
             rows.extend(replay_in_lockstep([_replay_cell(cell, traces) for cell in unit]))
     return rows
 
@@ -379,6 +390,10 @@ def run_experiment(
     workers = max(processes, 1)
     _LOG.debug("experiment '%s': %d cells on %d process(es)",
                spec.name, len(cells), workers)
+    # Every engine the grid runs is imported here, before any fork: with no
+    # bytecode cache, each worker would compile the columnar ones again.
+    for cell in cells:
+        _engine(cell)
     rows: List[Dict[str, Any]] = []
     for groups in _rounds(cells, workers):
         rows.extend(_run_round(groups, workers))

@@ -8,43 +8,16 @@ drive the decision rules of §3.2.  :mod:`repro.model.exact` holds exact forms
 for the same model where the paper's are approximations.
 """
 
-from repro.model.arrivals import p_read, p_write
-from repro.model.exact import (
-    invalidate_chain,
-    invalidate_miss_rate,
-    ttl_expiry_miss_rate,
-)
-from repro.model.capacity import (
-    che_characteristic_time,
-    che_hit_ratio,
-    che_per_content_hit_ratio,
-)
-from repro.model.analytical import (
-    InvalidationModel,
-    KeyParameters,
-    PolicyModel,
-    TTLExpiryModel,
-    TTLPollingModel,
-    UpdateModel,
-    aggregate_normalized_costs,
-    steady_state_invalidated_probability,
-)
+from repro import _facade
 
-__all__ = [
-    "InvalidationModel",
-    "KeyParameters",
-    "PolicyModel",
-    "TTLExpiryModel",
-    "TTLPollingModel",
-    "UpdateModel",
-    "aggregate_normalized_costs",
-    "che_characteristic_time",
-    "che_hit_ratio",
-    "che_per_content_hit_ratio",
-    "invalidate_chain",
-    "invalidate_miss_rate",
-    "p_read",
-    "p_write",
-    "steady_state_invalidated_probability",
-    "ttl_expiry_miss_rate",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.model.arrivals": ("p_read", "p_write"),
+    "repro.model.exact": ("invalidate_chain", "invalidate_miss_rate", "ttl_expiry_miss_rate"),
+    "repro.model.capacity": (
+        "che_characteristic_time", "che_hit_ratio", "che_per_content_hit_ratio",
+    ),
+    "repro.model.analytical": (
+        "InvalidationModel", "KeyParameters", "PolicyModel", "TTLExpiryModel", "TTLPollingModel",
+        "UpdateModel", "aggregate_normalized_costs", "steady_state_invalidated_probability",
+    ),
+})

@@ -35,30 +35,14 @@ mode is null-object zero cost — the replay loops bind their plain,
 un-instrumented hot-path methods when no recorder is attached.
 """
 
-from repro.obs.analyze import detect_anomalies, diff_payloads
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.recorder import WINDOW_FIELDS, ObsConfig, ObsRecorder, as_recorder
-from repro.obs.report import render_report
-from repro.obs.slo import canonical_rules, evaluate_slo, load_rules, validate_rules
-from repro.obs.trace import TraceBuffer
-from repro.obs.windows import WindowSampler
+from repro import _facade
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObsConfig",
-    "ObsRecorder",
-    "TraceBuffer",
-    "WindowSampler",
-    "WINDOW_FIELDS",
-    "as_recorder",
-    "canonical_rules",
-    "detect_anomalies",
-    "diff_payloads",
-    "evaluate_slo",
-    "load_rules",
-    "render_report",
-    "validate_rules",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.obs.analyze": ("detect_anomalies", "diff_payloads"),
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.recorder": ("WINDOW_FIELDS", "ObsConfig", "ObsRecorder", "as_recorder"),
+    "repro.obs.report": ("render_report",),
+    "repro.obs.slo": ("canonical_rules", "evaluate_slo", "load_rules", "validate_rules"),
+    "repro.obs.trace": ("TraceBuffer",),
+    "repro.obs.windows": ("WindowSampler",),
+})

@@ -8,6 +8,8 @@ built per flush — and a cProfile hook, so a layer that starts doing more
 work shows up as a number that repeats exactly.
 """
 
-from repro.perf.perf import MICROBENCHES, profile_call, run_perf
+from repro import _facade
 
-__all__ = ["MICROBENCHES", "profile_call", "run_perf"]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.perf.perf": ("MICROBENCHES", "profile_call", "run_perf"),
+})

@@ -521,7 +521,8 @@ def _ttl_sweep_calls(scale: float) -> int:
     key count scales).  Each TTL policy's cells replay the whole trace as
     one cut, with one read stride, so they are one unit and one kernel
     call, whatever their bound and fleet shape."""
-    from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.spec import ExperimentSpec, WorkloadSpec
 
     spec = ExperimentSpec(
         name="perf-ttl-sweep",
@@ -653,7 +654,8 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
     three, with a flush per cut.  ``TraceIndex.span``, ``TraceIndex.cuts``
     and ``_kernel_reactive_window`` are wrapped for the sweep to count them.
     """
-    from repro.experiments import ExperimentSpec, WorkloadSpec, run_experiment
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.spec import ExperimentSpec, WorkloadSpec
     from repro.sim import vector
     from repro.workload.compiled import TraceIndex
 
@@ -693,6 +695,84 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
         TraceIndex.span, TraceIndex.cuts = span, cuts
         vector._kernel_reactive_window = kernel
     return counts[0], counts[1], counts[2], counts[3], counts[4]
+
+
+def bench_census(scale: float = 1.0) -> Dict[str, Any]:
+    """The census of what runs where: the requests each envelope row sends
+    to the scalar loop, and the requests the kernels replay.
+
+    Each configuration of the grid below replays one trace (60 keys for 4 s,
+    12 000 requests at scale 1; the rate scales) on a columnar engine, and
+    its requests count toward the row its ``fallback_reason`` names, or
+    toward ``kernels``.  One configuration trips each of the 15 rows of
+    ``repro.cluster.vector.FLEET_ENVELOPE`` (``membership`` by the public
+    ``remove_node`` before the run, ``stop-at`` by ``run(stop_at=)`` into
+    a store), and the controls run the five kernel policies and
+    ``adaptive+cs`` inside it, on the single cache and on a 3-node fleet.
+    A change that widens the envelope moves requests from a row to
+    ``kernels``; ``scripts/check_calls.py`` gates each count exactly.
+    """
+    import tempfile
+    from operator import methodcaller
+
+    from repro.backend.channel import Channel
+    from repro.cluster.hotkey import HotKeyConfig
+    from repro.cluster.scenarios import make_scenario
+    from repro.cluster.vector import FLEET_ENVELOPE, VectorClusterSimulation
+    from repro.concurrency.config import ConcurrencyConfig
+    from repro.core.adaptive import AdaptivePolicy
+    from repro.core.ttl import TTLExpiryPolicy
+    from repro.experiments.registry import make_cost_model, make_policy
+    from repro.experiments.spec import ChannelSpec
+    from repro.resilience.chaos import ChaosSpec
+    from repro.sim.vector import VectorSimulation
+    from repro.sketch.countmin import CountMinEWSketch
+    from repro.store.snapshot import StoreConfig
+    from repro.tier.config import TierConfig
+    from repro.workload.compiled import compile_workload
+    from repro.workload.poisson import PoissonZipfWorkload
+
+    keys, duration = 60, 4.0
+    rate = _scaled(12_000, scale) / (keys * duration)
+    workload = PoissonZipfWorkload(num_keys=keys, rate_per_key=rate, seed=0)
+    trace = compile_workload(workload, duration)
+    requests = {"kernels": 0, **{row.name: 0 for row in FLEET_ENVELOPE}}
+    with tempfile.TemporaryDirectory(prefix="repro-perf-census-") as root:
+        run = methodcaller("run")
+        # (engine, policy: a name or a factory, options, how it runs): the
+        # controls, then the rows in FLEET_ENVELOPE's order (channel twice).
+        grid = [
+            *[("single", policy, {}, run) for policy in POLICIES + ("adaptive+cs",)],
+            *[("fleet", policy, {}, run) for policy in POLICIES + ("adaptive+cs",)],
+            ("fleet", "invalidate", dict(scenario=make_scenario("node-failure")), run),
+            ("fleet", "invalidate", dict(chaos=ChaosSpec(seed=1, kinds=("delay",))), run),
+            ("fleet", "invalidate", dict(store=StoreConfig(f"{root}/stop-at")),
+             lambda fleet: fleet.run(stop_at=duration / 2)),
+            ("single", "invalidate", dict(store=StoreConfig(f"{root}/store")), run),
+            ("single", "invalidate", dict(concurrency=ConcurrencyConfig(mean=0.02)), run),
+            ("single", "invalidate", dict(costs=make_cost_model("cpu")), run),
+            ("single", "optimal", {}, run),
+            ("single", lambda: AdaptivePolicy(estimator=CountMinEWSketch()), {}, run),
+            ("single", lambda: TTLExpiryPolicy(ttl=2.0), {}, run),
+            ("single", lambda: TTLExpiryPolicy(ttl=1e-19), {}, run),
+            ("fleet", "invalidate", dict(hotkey=HotKeyConfig(hot_policy="update")), run),
+            ("fleet", "invalidate", dict(tier=TierConfig(l1_capacity=16)), run),
+            ("single", "invalidate", dict(cache_capacity=16), run),
+            ("fleet", "invalidate", {}, lambda fleet: (fleet.remove_node(0, 0.0), fleet.run())[1]),
+            ("single", "invalidate", dict(channel=Channel(delay=0.05, seed=1)), run),
+            ("fleet", "invalidate", dict(channel=ChannelSpec(delay=0.05)), run),
+        ]
+        for engine, policy, options, replay in grid:
+            config = dict(staleness_bound=0.5, duration=duration, **options)
+            if engine == "fleet":
+                simulation = VectorClusterSimulation(trace, policy=policy, num_nodes=3, **config)
+            else:
+                built = make_policy(policy) if isinstance(policy, str) else policy()
+                simulation = VectorSimulation(trace, policy=built, **config)
+            result = replay(simulation)
+            totals = getattr(result, "totals", result)
+            requests[simulation.fallback_reason or "kernels"] += totals.reads + totals.writes
+    return {"requests": requests}
 
 
 def _wal_records(scale: float) -> List[Any]:
@@ -756,6 +836,7 @@ MICROBENCHES: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "flush": bench_flush,
     "trace-index": bench_trace_index,
     "wal": bench_wal,
+    "census": bench_census,
 }
 
 

@@ -18,16 +18,10 @@ from their own seeded stream, scenarios script timed events, and replays are
 byte-identical across engines and worker counts.
 """
 
-from repro.cluster.scenarios import FlappingScenario, GrayFailureScenario, ZoneOutageScenario
-from repro.resilience.autoscale import AutoscaleScenario
-from repro.resilience.chaos import ChaosPlan, ChaosSpec, as_chaos_plan
+from repro import _facade
 
-__all__ = [
-    "AutoscaleScenario",
-    "ChaosPlan",
-    "ChaosSpec",
-    "FlappingScenario",
-    "GrayFailureScenario",
-    "ZoneOutageScenario",
-    "as_chaos_plan",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.cluster.scenarios": ("FlappingScenario", "GrayFailureScenario", "ZoneOutageScenario"),
+    "repro.resilience.autoscale": ("AutoscaleScenario",),
+    "repro.resilience.chaos": ("ChaosPlan", "ChaosSpec", "as_chaos_plan"),
+})

@@ -7,16 +7,12 @@ defines them in §2.1.  It is the substrate on which Figures 2, 3, and 5 are
 regenerated.
 """
 
-from repro.sim.clock import SimulationClock
-from repro.sim.events import PendingDelivery
-from repro.sim.results import SimulationResult
-from repro.sim.simulation import Simulation
-from repro.sim.vector import VectorSimulation
+from repro import _facade
 
-__all__ = [
-    "PendingDelivery",
-    "Simulation",
-    "SimulationClock",
-    "SimulationResult",
-    "VectorSimulation",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.sim.clock": ("SimulationClock",),
+    "repro.sim.events": ("PendingDelivery",),
+    "repro.sim.results": ("SimulationResult",),
+    "repro.sim.simulation": ("Simulation",),
+    "repro.sim.vector": ("VectorSimulation",),
+})

@@ -8,19 +8,13 @@ Count-min sketch and improving accuracy with a Top-K sketch that keeps exact
 counters only for the hottest keys.
 """
 
-from repro.sketch.base import EWEstimator
-from repro.sketch.hashing import HashFamily
-from repro.sketch.exact import ExactEWTracker
-from repro.sketch.countmin import CountMinEWSketch, CountMinSketch
-from repro.sketch.topk import TopKEWSketch
-from repro.sketch.memory import estimator_memory_bytes
+from repro import _facade
 
-__all__ = [
-    "CountMinEWSketch",
-    "CountMinSketch",
-    "EWEstimator",
-    "ExactEWTracker",
-    "HashFamily",
-    "TopKEWSketch",
-    "estimator_memory_bytes",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.sketch.base": ("EWEstimator",),
+    "repro.sketch.hashing": ("HashFamily",),
+    "repro.sketch.exact": ("ExactEWTracker",),
+    "repro.sketch.countmin": ("CountMinEWSketch", "CountMinSketch"),
+    "repro.sketch.topk": ("TopKEWSketch",),
+    "repro.sketch.memory": ("estimator_memory_bytes",),
+})

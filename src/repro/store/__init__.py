@@ -29,48 +29,18 @@ Typical use::
     datastore, report = recover_datastore("run-store")   # byte-identical
 """
 
-from repro.store.format import WalScan, encode_record, scan_wal
-from repro.store.recovery import (
-    RecoveryReport,
-    WarmState,
-    load_checkpoint,
-    recover_datastore,
-    replay_wal,
-    warm_state,
-)
-from repro.store.runtime import StoreRuntime
-from repro.store.snapshot import (
-    Snapshot,
-    SnapshotManager,
-    StoreConfig,
-    canonical_datastore_bytes,
-    latest_snapshot,
-    list_snapshots,
-    load_snapshot,
-    serialize_datastore,
-)
-from repro.store.wal import Journal, WalStats, WriteAheadLog
+from repro import _facade
 
-__all__ = [
-    "Journal",
-    "RecoveryReport",
-    "Snapshot",
-    "SnapshotManager",
-    "StoreConfig",
-    "StoreRuntime",
-    "WalScan",
-    "WalStats",
-    "WarmState",
-    "WriteAheadLog",
-    "canonical_datastore_bytes",
-    "encode_record",
-    "latest_snapshot",
-    "list_snapshots",
-    "load_checkpoint",
-    "load_snapshot",
-    "recover_datastore",
-    "replay_wal",
-    "scan_wal",
-    "serialize_datastore",
-    "warm_state",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.store.format": ("WalScan", "encode_record", "scan_wal"),
+    "repro.store.recovery": (
+        "RecoveryReport", "WarmState", "load_checkpoint", "recover_datastore", "replay_wal",
+        "warm_state",
+    ),
+    "repro.store.runtime": ("StoreRuntime",),
+    "repro.store.snapshot": (
+        "Snapshot", "SnapshotManager", "StoreConfig", "canonical_datastore_bytes",
+        "latest_snapshot", "list_snapshots", "load_snapshot", "serialize_datastore",
+    ),
+    "repro.store.wal": ("Journal", "WalStats", "WriteAheadLog"),
+})

@@ -21,22 +21,12 @@ Pass ``tier=TierConfig(l1_capacity=...)`` to
 ``python -m repro tier`` from the command line.
 """
 
-from repro.tier.admission import (
-    AdmissionPolicy,
-    SecondHitAdmission,
-    SizeTTLAdmission,
-    make_admission,
-)
-from repro.tier.config import ADMISSION_POLICIES, TIER_MODES, TierConfig
-from repro.tier.l1 import L1Tier
+from repro import _facade
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionPolicy",
-    "L1Tier",
-    "SecondHitAdmission",
-    "SizeTTLAdmission",
-    "TIER_MODES",
-    "TierConfig",
-    "make_admission",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.tier.admission": (
+        "AdmissionPolicy", "SecondHitAdmission", "SizeTTLAdmission", "make_admission",
+    ),
+    "repro.tier.config": ("ADMISSION_POLICIES", "TIER_MODES", "TierConfig"),
+    "repro.tier.l1": ("L1Tier",),
+})

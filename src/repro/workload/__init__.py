@@ -10,39 +10,17 @@ read/write mix, and per-key request interleaving).  See ``DESIGN.md`` for the
 substitution rationale.
 """
 
-from repro.workload.base import (
-    OpType,
-    Request,
-    Workload,
-    check_sorted,
-    ensure_sorted,
-    merge_streams,
-)
-from repro.workload.zipf import ZipfSampler
-from repro.workload.compiled import CompiledTrace, TraceIndex, compile_workload
-from repro.workload.poisson import PoissonZipfWorkload
-from repro.workload.mixed import PoissonMixWorkload
-from repro.workload.meta import MetaWorkload
-from repro.workload.twitter import TwitterWorkload
-from repro.workload.trace import TraceWorkload, iter_trace, read_trace, write_trace
+from repro import _facade
 
-__all__ = [
-    "CompiledTrace",
-    "MetaWorkload",
-    "OpType",
-    "PoissonMixWorkload",
-    "PoissonZipfWorkload",
-    "Request",
-    "TraceIndex",
-    "TraceWorkload",
-    "TwitterWorkload",
-    "Workload",
-    "ZipfSampler",
-    "check_sorted",
-    "compile_workload",
-    "ensure_sorted",
-    "iter_trace",
-    "merge_streams",
-    "read_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = _facade(globals(), {
+    "repro.workload.base": (
+        "OpType", "Request", "Workload", "check_sorted", "ensure_sorted", "merge_streams",
+    ),
+    "repro.workload.zipf": ("ZipfSampler",),
+    "repro.workload.compiled": ("CompiledTrace", "TraceIndex", "compile_workload"),
+    "repro.workload.poisson": ("PoissonZipfWorkload",),
+    "repro.workload.mixed": ("PoissonMixWorkload",),
+    "repro.workload.meta": ("MetaWorkload",),
+    "repro.workload.twitter": ("TwitterWorkload",),
+    "repro.workload.trace": ("TraceWorkload", "iter_trace", "read_trace", "write_trace"),
+})

@@ -34,10 +34,11 @@ def test_every_public_export_has_a_docstring() -> None:
 
 
 def test_api_reference_covers_every_public_export() -> None:
-    """Each repro.__all__ symbol appears on exactly one api/ page."""
+    """Each repro.__all__ symbol appears on exactly one api/ page (under the
+    path of the module that defines it)."""
     directives: list[str] = []
     for page in sorted((DOCS / "api").glob("*.md")):
-        directives += re.findall(r"^::: repro\.(\w+)$", page.read_text(), re.MULTILINE)
+        directives += re.findall(r"^::: repro\.[\w.]*?(\w+)$", page.read_text(), re.MULTILINE)
     exported = set(repro.__all__)
     documented = set(directives)
     assert documented == exported, (
@@ -49,20 +50,30 @@ def test_api_reference_covers_every_public_export() -> None:
 
 
 def test_mkdocstrings_identifiers_resolve_to_real_objects() -> None:
-    """Every ``::: dotted.path`` directive in docs/ imports cleanly.
+    """Every ``::: dotted.path`` directive in docs/ imports cleanly, and is
+    the object's own path.
 
     ``mkdocs build --strict`` would fail on an unresolvable identifier in
     CI; this catches the same class of breakage without mkdocs installed.
+    mkdocstrings resolves a directive statically, and a package imports its
+    exports on first use (a module ``__getattr__``), which it cannot follow:
+    so a directive names the module that defines the object, as
+    ``obj.__module__ + "." + obj.__qualname__`` — or a module by its name.
     """
     pattern = re.compile(r"^::: ([\w.]+)$", re.MULTILINE)
+    targets = []
     for page in sorted(DOCS.rglob("*.md")):
         for dotted in pattern.findall(page.read_text()):
             module_path, _, attribute = dotted.rpartition(".")
-            if not module_path:
-                importlib.import_module(dotted)
-                continue
-            module = importlib.import_module(module_path)
-            assert hasattr(module, attribute), f"{page.name}: {dotted} does not resolve"
+            try:
+                obj = importlib.import_module(dotted)
+                path = obj.__name__
+            except ModuleNotFoundError:
+                obj = getattr(importlib.import_module(module_path), attribute)
+                path = f"{obj.__module__}.{obj.__qualname__}"
+            assert dotted == path, f"{page.name}: {dotted} is defined as {path}"
+            targets.append(dotted)
+    assert len(targets) == len(repro.__all__) + 1  # and the package itself
 
 
 def test_scenario_catalog_documents_every_registered_scenario() -> None:

@@ -214,3 +214,41 @@ def test_optimal_costs_what_the_optimum_costs(traced, bound, engine) -> None:
     trace, duration = traced
     result = run(engine, trace, "optimal", bound, duration, CostModel())
     assert result.freshness_cost == pytest.approx(_optimum(traced, bound, CostModel()), rel=1e-12)
+
+
+#: A many-key single-cache trace: the bound summed over its keys.
+MANY_KEYS = dict(num_keys=30, rate_per_key=5.0, read_ratio=0.7, seed=SEED)
+MANY_KEYS_DURATION = 20.0
+SUMMED_POLICIES = ["invalidate", "update", "adaptive", "adaptive+cs"]
+
+
+@pytest.fixture(scope="module")
+def many_keys():
+    return compile_workload(PoissonZipfWorkload(**MANY_KEYS), MANY_KEYS_DURATION)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_the_optimum_summed_over_keys_bounds_the_reactive_policies(many_keys, bound) -> None:
+    """An unbounded single cache keeps no state across keys, so its optimum
+    is the sum of its one-key traces' (``tests/test_additivity.py``).  Each
+    policy's C_F is a float sum of ~10^3 charges, within ``n * eps`` of the
+    sum of its per-key C_F, so the bound holds to a 1e-9 relative slack."""
+    times, keys, reads = (
+        many_keys.times.tolist(), many_keys.key_ids.tolist(), many_keys.is_read.tolist()
+    )
+    per_key: Dict[int, Tuple[List[float], List[bool]]] = {}
+    for time, key, read in zip(times, keys, reads):
+        key_times, key_reads = per_key.setdefault(key, ([], []))
+        key_times.append(time)
+        key_reads.append(read)
+    assert len(per_key) > 20
+    best = sum(
+        optimum(key_times, key_reads, bound, MANY_KEYS_DURATION, CostModel())
+        for key_times, key_reads in per_key.values()
+    )
+    assert 0.0 < best < math.inf
+    for policy in SUMMED_POLICIES:
+        for engine in ("scalar", "vector"):
+            result = run(engine, many_keys, policy, bound, MANY_KEYS_DURATION, CostModel())
+            assert result.staleness_violations == 0, (policy, engine)
+            assert best <= result.freshness_cost * (1 + 1e-9), (policy, engine)

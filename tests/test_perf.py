@@ -36,7 +36,7 @@ def test_run_perf_runs_selected_benches_and_rejects_unknown() -> None:
 def test_every_registered_microbench_runs_at_tiny_scale() -> None:
     record = run_perf(scale=0.002)
     assert [row["name"] for row in record["results"]] == list(MICROBENCHES)
-    assert len(MICROBENCHES) <= 9
+    assert len(MICROBENCHES) <= 10
     # Counts only: no row carries a clock, and neither does the record.
     fields = {field for row in record["results"] for field in row} | set(record)
     assert not [field for field in fields if field.endswith(("_per_sec", "_seconds"))]
@@ -157,6 +157,21 @@ def test_wal_row_counts_records_and_record_size() -> None:
     assert row["records"] == row["replayed"] == 1200
     # Frame header plus the smallest payload the journal writes.
     assert row["bytes_per_record"] > 8 + len('{"k":"r","lsn":1,"n":1}')
+
+
+def test_the_census_sends_requests_through_every_envelope_row() -> None:
+    """Each of the 15 rows is some configuration's ``fallback_reason``, and
+    the controls replay on the kernels: six policies on two engines."""
+    from repro.cluster.vector import FLEET_ENVELOPE
+
+    [row] = run_perf(names=["census"], scale=0.01)["results"]
+    requests = row["requests"]
+    assert list(requests) == ["kernels"] + [each.name for each in FLEET_ENVELOPE]
+    assert all(count > 0 for count in requests.values()), requests
+    per_replay = requests["policy"]
+    assert requests["kernels"] == 12 * per_replay
+    assert requests["channel"] == 2 * per_replay
+    assert 0 < requests["stop-at"] < per_replay
 
 
 # --------------------------------------------------------------------- #
