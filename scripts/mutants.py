@@ -4,8 +4,9 @@
 Each mutant is ``(name, file, old, new, why, killer)``: an exact-string
 edit of ``file`` (a path under the repository root), and the test that
 killed it last.  ``old`` must occur exactly once in the file; a mutant that
-has to change several places of one file gives ``old`` and ``new`` as
-equal-length tuples, applied pair by pair.  Every mutant is applied to a
+has to change several places gives ``old`` and ``new`` as equal-length
+tuples, applied pair by pair, and ``file`` as one path or a tuple of one
+path per pair.  Every mutant is applied to a
 fresh ``git archive HEAD`` copy in a temporary directory.  Its killer runs
 there first; only when that test passes, or names no test any more, does
 all of tier-1 run with ``-x``.  A killer outside :data:`SLIP_PINS` that
@@ -47,10 +48,12 @@ from typing import Dict, List, Sequence, Tuple, Union
 ROOT = Path(__file__).resolve().parent.parent
 
 Edit = Union[str, Tuple[str, ...]]
-Mutant = Tuple[str, str, Edit, Edit, str, str]
+Mutant = Tuple[str, Edit, Edit, Edit, str, str]
 
-VECTOR = "src/repro/sim/vector.py"
-POLLING = "src/repro/sim/polling.py"
+VECTOR_COLUMNS = "src/repro/sim/vector/columns.py"
+VECTOR_REACTIVE = "src/repro/sim/vector/reactive.py"
+VECTOR_TTL = "src/repro/sim/vector/ttl.py"
+VECTOR_LOCKSTEP = "src/repro/sim/vector/lockstep.py"
 TTL = "src/repro/core/ttl.py"
 COMPILED = "src/repro/workload/compiled.py"
 POISSON = "src/repro/workload/poisson.py"
@@ -70,8 +73,10 @@ COORDINATOR = "src/repro/concurrency/coordinator.py"
 #: cut, and the TTL units' members (each its own TTL, tallies, settle and
 #: stride), and the stateful fleet's per-request fast paths (the recorder's
 #: zero read cost, the coordinator's ``next_done`` slot), and the refusals
-#: of an infinite bound, horizon or request time.  The last field of each
-#: is the test that killed it last, run first on its copy.
+#: of an infinite bound, horizon or request time, and the state objects a
+#: columnar replay must not build (no row changes: only a count can tell).
+#: The last field of each is the test that killed it last, run first on its
+#: copy.
 MUTANTS: Tuple[Mutant, ...] = (
     (
         "poll-count-round-scalar",
@@ -95,7 +100,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "expiry-kernel-all-cold",
-        VECTOR,
+        VECTOR_TTL,
         "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
         "    valid, cold = valid & False, cold | True\n"
         "    # Rank of the latest fetch in the run: -1 is a loaded valid entry's.\n",
@@ -106,7 +111,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "polling-kernel-all-cold",
-        VECTOR,
+        VECTOR_TTL,
         "    first_time = times[first_position]\n",
         "    first_time = times[first_position]\n"
         "    valid, cold = valid & False, cold | True\n",
@@ -116,7 +121,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "stale-miss-constant-fold",
-        VECTOR,
+        (VECTOR_COLUMNS, VECTOR_TTL),
         (
             "    if tally.stale_misses and not streamed and tally.charges is None:\n",
             "    missed = first_position[refetching]\n",
@@ -134,7 +139,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "warm-polling-baseline-zero",
-        VECTOR,
+        VECTOR_TTL,
         "    paid = poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
         "    paid = 0 * poll_counts(loaded_anchor, columns.accounted[rows], ttl)\n",
         "a loaded polling entry's first read counts its polls from its "
@@ -144,7 +149,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "run-lead-counts-own",
-        POLLING,
+        VECTOR_TTL,
         "        lead = seen - np.append(carried, counted[:-1])\n",
         "        lead = seen - counted\n",
         "a poll-count run's first read charges its polls past its own "
@@ -155,7 +160,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "slip-run-first-read-only",
-        POLLING,
+        VECTOR_TTL,
         "        emitted = leads + np.where(again != 0, length - 1, 0)\n",
         "        emitted = leads + np.where(again != 0, 0, 0)\n",
         "a run whose accounting point rounds back a poll charges its first "
@@ -196,7 +201,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "write-run-block-splits-a-group",
-        VECTOR,
+        VECTOR_COLUMNS,
         "stride, write_lo[block], num_writes[block]\n",
         "stride, write_lo[block], np.minimum(num_writes[block], _CUT_GRID)\n",
         "a write-run block ends inside a group with more writes than the "
@@ -206,7 +211,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "histories-in-key-order",
-        VECTOR,
+        VECTOR_COLUMNS,
         '    written = written[np.argsort(index.write_pos[offsets[written]], kind="stable")]\n',
         "    written = np.sort(written)\n",
         "the deferred build creates the datastore's histories in key-id order, "
@@ -217,7 +222,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "settle-folds-in-key-order",
-        VECTOR,
+        VECTOR_TTL,
         "result.freshness_cost, columns.filled[rows[mine]], polls[mine], ctx.miss_const\n",
         "result.freshness_cost, rows[mine], polls[mine], ctx.miss_const\n",
         "the end-of-run poll charges fold in key-id order, not in the cache's "
@@ -238,7 +243,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "one-cut-block-takes-the-next-writes",
-        VECTOR,
+        VECTOR_COLUMNS,
         "            self.writes[lo:hi],\n",
         "            np.roll(self.writes, -1, axis=0)[lo:hi],\n",
         "a block of cuts counts the writes of the batch's next cuts: each host's "
@@ -337,7 +342,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "deferred-build-writes-the-next-host",
-        VECTOR,
+        VECTOR_COLUMNS,
         "            entries, invalidated, pending, counters = self.tables[host]\n",
         "            entries, invalidated, pending, counters = self.tables[(host + 1) % stride]\n",
         "a host's write-back fills the next host's dicts: every fleet node reads "
@@ -358,7 +363,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "window-flush-forgets-tracked",
-        VECTOR,
+        VECTOR_REACTIVE,
         "        tracked[mine] = (holds | send) & ~update\n",
         "        tracked[mine] = holds & ~update\n",
         "a window's flush leaves the invalidates it sends out of the tracker's "
@@ -368,7 +373,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "window-miss-keeps-earlier-writes",
-        VECTOR,
+        VECTOR_REACTIVE,
         "        drains = np.where(miss, kept[lo:hi], written[lo:hi])\n",
         "        drains = written[lo:hi].copy()\n",
         "a miss in a window leaves the writes before it buffered: the flush "
@@ -377,7 +382,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "window-passes-a-members-roll",
-        VECTOR,
+        VECTOR_LOCKSTEP,
         "        self.until = min(self.until, until)\n",
         "        self.until = max(self.until, until)\n",
         "a unit's window runs on past the first obs roll of a member that rolls "
@@ -387,7 +392,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "window-ew-carry-resets-per-cut",
-        VECTOR,
+        VECTOR_REACTIVE,
         "    resumed[1:] = observed[:-1] & ~starts[1:]\n",
         "    resumed[1:] = ~starts[1:]\n",
         "the E[W] carry of a row restarts at each cut of a window: writes since "
@@ -398,7 +403,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "ttl-unit-takes-the-first-members-ttl",
-        VECTOR,
+        VECTOR_COLUMNS,
         "        self.ttl = np.array([host._ttl_value for host in hosts], dtype=np.float64)\n",
         "        self.ttl = np.array([hosts[0]._ttl_value for host in hosts], dtype=np.float64)\n",
         "every member of a TTL unit expires or polls at the first member's TTL: "
@@ -408,7 +413,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "ttl-unit-folds-into-the-next-member",
-        VECTOR,
+        VECTOR_LOCKSTEP,
         "        folding = iter(tallies)\n",
         "        folding = iter(tallies[-1:] + tallies[:-1])\n",
         "each stacked host's tallies fold into the host after it: a member's "
@@ -418,7 +423,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "ttl-unit-settles-once-at-the-first-finish",
-        VECTOR,
+        VECTOR_LOCKSTEP,
         (
             "        if node._poll_ttl is not None:\n",
             "            _settle_polls(member._ctx, self.columns, horizon, hosts)\n",
@@ -434,7 +439,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "ttl-unit-held-violations-at-the-first-bound",
-        VECTOR,
+        VECTOR_TTL,
         "            columns.bound[groups.host[reading[held]]],\n",
         "            np.full(held.size, columns.bound[0]),\n",
         "a TTL unit counts every member's handed-in entries' violations against "
@@ -444,7 +449,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "flat-rule-updates-at-the-tie",
-        VECTOR,
+        VECTOR_REACTIVE,
         "        return values * rule.update_cost < rule.invalidate_cost + rule.miss_cost\n",
         "        return values * rule.update_cost <= rule.invalidate_cost + rule.miss_cost\n",
         "the columnar flush's flat-cost E[W] comparison updates at the break-even "
@@ -463,12 +468,41 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     (
         "ttl-unit-ignores-the-read-stride",
-        VECTOR,
+        VECTOR_LOCKSTEP,
         "            id(ctx.index), schedule, member.duration, member._stride, ctx.serve_const,\n",
         "            id(ctx.index), schedule, member.duration, 1, ctx.serve_const,\n",
         "replays whose groups read with different strides stack into one unit: "
         "a round-robin fleet's groups read every other read of their key",
         "tests/test_experiments.py::test_units_in_lockstep_give_every_cell_its_own_row",
+    ),
+    (
+        "window-writes-back-before-the-kernel",
+        VECTOR_LOCKSTEP,
+        "        self._fold(_kernel_reactive_window(ctx, self.columns, prelude, flushes))\n",
+        "        self.columns.write_back()\n"
+        "        self._fold(_kernel_reactive_window(ctx, self.columns, prelude, flushes))\n",
+        "each reactive window first writes its hosts' objects back from the columns: "
+        "every window after the first builds the entries the columns hold",
+        "tests/test_perf.py::test_reactive_cuts_build_no_state_objects",
+    ),
+    (
+        "ttl-cut-writes-back-after-the-kernel",
+        VECTOR_LOCKSTEP,
+        "            kernel(ctx, self.columns, tallies, groups)\n",
+        "            kernel(ctx, self.columns, tallies, groups)\n"
+        "            self.columns.write_back()\n",
+        "a TTL unit's one kernel call writes its hosts' objects back at once: "
+        "every cached entry is built whether or not a caller reads it",
+        "tests/test_perf.py::test_the_ttl_cut_builds_no_state_objects",
+    ),
+    (
+        "histories-built-eagerly",
+        VECTOR_COLUMNS,
+        "    ctx.datastore.defer_histories(partial(_build_histories, ctx.trace.key_names, ctx.index))\n",
+        "    _build_histories(ctx.trace.key_names, ctx.index, ctx.datastore._histories)\n",
+        "a replay's end builds the datastore's histories at once instead of on "
+        "their first read: a sweep that reads none pays for every written key",
+        "tests/test_perf.py::test_a_columnar_replay_builds_no_history_nobody_reads",
     ),
     (
         "zero-read-cost-in-the-next-bucket",
@@ -579,15 +613,17 @@ def _edits(old: Edit, new: Edit) -> List[Tuple[str, str]]:
 
 
 def _apply(copy: Path, mutant: Mutant) -> None:
-    name, file, old, new, _, _ = mutant
-    path = copy / file
-    text = path.read_text()
-    for before, after in _edits(old, new):
+    name, files, old, new, _, _ = mutant
+    edits = _edits(old, new)
+    if isinstance(files, str):
+        files = (files,) * len(edits)
+    for file, (before, after) in zip(files, edits, strict=True):
+        path = copy / file
+        text = path.read_text()
         found = text.count(before)
         if found != 1:
             raise LookupError(f"{name}: {file} holds {found} copies of {before!r}, not 1")
-        text = text.replace(before, after)
-    path.write_text(text)
+        path.write_text(text.replace(before, after))
 
 
 def _pytest(copy: Path, args: Sequence[str]) -> Tuple[int, str]:

@@ -14,7 +14,7 @@ the one-node table): the span kernel per cut, or a TTL kernel once for the
 whole trace.  The kernel does its numpy work once for the whole fleet, into
 each node's own tally.  Under every policy each node's cache, buffer,
 tracker and estimator live in the rows of one column table (row ``key *
-nodes + node``, :class:`~repro.sim.vector._HostColumns`) from the first cut
+nodes + node``, :class:`~repro.sim.vector.columns._HostColumns`) from the first cut
 to the last boundary flush, and under a write-reactive one the driver's
 interval flush drains, decides and applies for every node at once on those
 columns; then the objects are written back and the driver's unmodified
@@ -61,7 +61,8 @@ from repro.cluster.cluster import ClusterSimulation
 from repro.cluster.results import ClusterResult
 from repro.cluster.scenarios import Scenario
 from repro.errors import ClusterError
-from repro.sim.vector import ENVELOPE, EnvelopeRow, SpanReplay, _GroupBlock
+from repro.sim.vector import ENVELOPE, EnvelopeRow, SpanReplay
+from repro.sim.vector.columns import _GroupBlock
 from repro.sketch.hashing import stable_fingerprint
 from repro.workload.compiled import CompiledTrace, CutBatch, TraceIndex
 

@@ -59,7 +59,7 @@ _LOG = logging.getLogger(__name__)
 
 #: The columnar engines, imported on their first read (:func:`_engine`).
 __getattr__ = _facade(globals(), {
-    "repro.sim.vector": ("VectorSimulation",),
+    "repro.sim.vector.engine": ("VectorSimulation",),
     "repro.cluster.vector": ("VectorClusterSimulation",),
 })[1]
 _RUNNER = sys.modules[__name__]
@@ -359,7 +359,7 @@ def _run_units(units: List[List[RunCell]], shared: _Traces) -> List[Dict[str, An
             with _named(unit[0]):
                 rows.append(run_cell(unit[0], traces))
         else:
-            from repro.sim.vector import replay_in_lockstep
+            from repro.sim.vector.lockstep import replay_in_lockstep
 
             rows.extend(replay_in_lockstep([_replay_cell(cell, traces) for cell in unit]))
     return rows

@@ -54,6 +54,26 @@ read in an invalidated interval make the key valid for good: it drops the
 term ``P_R - D``, the reads followed by a write in the same interval, whose
 fill the flush invalidates again.  Its fixed point ``P_W / (P_R + P_W)``
 therefore lies below ``π_I``, the further the more writes fall within ``T``.
+
+**Update messages: one per interval a write survives into.**  Under update
+the backend buffers a key's writes as under invalidate and, at the end of
+each interval, sends one update if a buffered write survives; the update
+refreshes the cached copy, so the key misses once, at its first read (the
+cold fill, charged ``c_m``), and never again.  Which intervals send is a
+question of the buffer, not of the cache: an interval before the first read
+sends its update too — it reaches no entry and is wasted, but it is sent and
+charged ``c_u`` — and the cold fill discards the writes buffered before it,
+so the interval of the first read sends only if a write *follows* that read.
+Given the reads, the intervals' writes are independent.  Every other
+interval sends with ``P_W = 1 - e^{-λ_w T}``, the paper's ``P_W c_u`` per
+interval.  The first read sits at ``u`` in its interval, with the density
+``λ_r e^{-λ_r u} / P_R`` on ``[0, T)`` whichever interval it falls in
+(memorylessness), so that interval sends with ``1 - E[e^{-λ_w (T - u)}] =
+1 - D / P_R``, ``D`` the chain's ``P(I→V)`` above.  Over ``n`` intervals
+that hold the first read the updates are a sum of independent Bernoulli
+counts: mean ``n P_W - δ`` with ``δ = D / P_R - e^{-λ_w T}``, the writes the
+cold fill absorbs, and variance ``(n - 1) P_W (1 - P_W) + (D / P_R)(1 - D /
+P_R)``.
 """
 
 from __future__ import annotations
@@ -105,11 +125,17 @@ def invalidate_chain(rate: float, read_ratio: float, bound: float) -> Tuple[floa
         0.0
     """
     _validate(rate, read_ratio, bound)
+    return 1.0 - _read_then_quiet(rate, read_ratio, bound), p_write(rate, read_ratio, bound)
+
+
+def _read_then_quiet(rate: float, read_ratio: float, bound: float) -> float:
+    """``D``: the chance that an interval of width ``bound`` holds a read and
+    no write after its first one, ``λ_r T e^{-λ_w T} (1 - e^{-x}) / x`` with
+    ``x = (λ_r - λ_w) T``."""
     reads, writes = rate * read_ratio, rate * (1.0 - read_ratio)
     x = (reads - writes) * bound
     spread = 1.0 if x == 0.0 else -math.expm1(-x) / x
-    read_then_quiet = reads * bound * math.exp(-writes * bound) * spread
-    return 1.0 - read_then_quiet, p_write(rate, read_ratio, bound)
+    return reads * bound * math.exp(-writes * bound) * spread
 
 
 def invalidate_miss_rate(rate: float, read_ratio: float, bound: float) -> float:
@@ -127,3 +153,25 @@ def invalidate_miss_rate(rate: float, read_ratio: float, bound: float) -> float:
         return 0.0
     invalidated = leave / (leave + 1.0 - stay)
     return invalidated * p_read(rate, read_ratio, bound) / bound
+
+
+def update_messages(
+    rate: float, read_ratio: float, bound: float, intervals: int
+) -> Tuple[float, float]:
+    """Mean and variance of the updates one key is sent under update over
+    ``intervals`` flush intervals of width ``bound`` that start with an
+    empty cache and hold the key's first read: ``n P_W - δ`` and ``(n - 1)
+    P_W (1 - P_W) + (D / P_R)(1 - D / P_R)`` (the module docstring derives
+    both).  Each costs ``c_u``; the key's one miss is the cold fill.
+
+    Example — a key that is only read is sent no update:
+
+        >>> update_messages(rate=2.0, read_ratio=1.0, bound=0.5, intervals=10)
+        (0.0, 0.0)
+    """
+    _validate(rate, read_ratio, bound)
+    sends = p_write(rate, read_ratio, bound)
+    quiet = _read_then_quiet(rate, read_ratio, bound) / p_read(rate, read_ratio, bound)
+    absorbed = quiet - (1.0 - sends)
+    variance = (intervals - 1) * sends * (1.0 - sends) + quiet * (1.0 - quiet)
+    return intervals * sends - absorbed, variance

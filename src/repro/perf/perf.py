@@ -260,11 +260,12 @@ def _replay_vector(
 def _kernel_calls(
     name: str, replay: Callable[[], Any], counts: Optional[Callable[[Any, Any], None]] = None
 ) -> int:
-    """How many times ``replay()`` calls the kernel ``repro.sim.vector.<name>``;
-    ``counts(*args)`` runs after each call, on its arguments, when given."""
-    from repro.sim import vector
+    """How many times ``replay()`` calls the kernel ``name``, which the
+    lockstep unit (``repro.sim.vector.lockstep``) calls; ``counts(*args)``
+    runs after each call, on its arguments, when given."""
+    from repro.sim.vector import lockstep
 
-    kernel = getattr(vector, name)
+    kernel = getattr(lockstep, name)
     calls = 0
 
     def counted(*args: Any) -> Any:
@@ -275,11 +276,11 @@ def _kernel_calls(
             counts(*args)
         return done
 
-    setattr(vector, name, counted)
+    setattr(lockstep, name, counted)
     try:
         replay()
     finally:
-        setattr(vector, name, kernel)
+        setattr(lockstep, name, kernel)
     return calls
 
 
@@ -335,13 +336,13 @@ def _state_classes() -> List[Tuple[Any, str]]:
     entry, a buffered write or an E[W] counter row."""
     from repro.backend import buffer
     from repro.cache import cache
-    from repro.sim import vector
+    from repro.sim.vector import columns
     from repro.sketch import exact
 
     return [
-        (vector, "CacheEntry"),
-        (vector, "BufferedWrite"),
-        (vector, "_KeyCounters"),
+        (columns, "CacheEntry"),
+        (columns, "BufferedWrite"),
+        (columns, "_KeyCounters"),
         (cache, "CacheEntry"),
         (buffer, "BufferedWrite"),
         (exact, "_KeyCounters"),
@@ -360,19 +361,19 @@ def _span_objects(replay: Callable[[], Any]) -> int:
     from unittest import mock
 
     from repro.backend import datastore
-    from repro.sim import vector
+    from repro.sim.vector import columns, lockstep
 
-    built = _state_classes() + [(vector, "KeyHistory"), (datastore, "KeyHistory")]
+    built = _state_classes() + [(columns, "KeyHistory"), (datastore, "KeyHistory")]
     marks: List[int] = []
     with _constructions(built) as count, ExitStack() as stack:
-        window = vector._Lockstep.window
+        window = lockstep._Lockstep.window
 
         def first_window(unit: Any, engine: Any, *cut: Any) -> None:
             if not marks:
                 marks.append(count())
             window(unit, engine, *cut)
 
-        stack.enter_context(mock.patch.object(vector._Lockstep, "window", first_window))
+        stack.enter_context(mock.patch.object(lockstep._Lockstep, "window", first_window))
         replay()
         marks.append(count())
     return marks[-1] - marks[0]
@@ -396,9 +397,9 @@ def _histories_built(replay: Callable[[], Any]) -> int:
     in every module that builds one: what a replay's end costs a caller that
     reads no history."""
     from repro.backend import datastore
-    from repro.sim import vector
+    from repro.sim.vector import columns
 
-    with _constructions([(vector, "KeyHistory"), (datastore, "KeyHistory")]) as count:
+    with _constructions([(columns, "KeyHistory"), (datastore, "KeyHistory")]) as count:
         replay()
         return count()
 
@@ -656,12 +657,12 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
     """
     from repro.experiments.runner import run_experiment
     from repro.experiments.spec import ExperimentSpec, WorkloadSpec
-    from repro.sim import vector
+    from repro.sim.vector import lockstep
     from repro.workload.compiled import TraceIndex
 
     counts = [0, 0, 0, 0, 0]
     span, cuts = TraceIndex.span, TraceIndex.cuts
-    kernel = vector._kernel_reactive_window
+    kernel = lockstep._kernel_reactive_window
 
     def counted(index, start, end, schedule=None):
         counts[0] += 1
@@ -688,12 +689,12 @@ def _sweep_lookups(scale: float) -> Tuple[int, int, int, int, int]:
         engine="vector",
     )
     TraceIndex.span, TraceIndex.cuts = counted, counted_cuts
-    vector._kernel_reactive_window = counted_kernel
+    lockstep._kernel_reactive_window = counted_kernel
     try:
         run_experiment(spec, processes=1)
     finally:
         TraceIndex.span, TraceIndex.cuts = span, cuts
-        vector._kernel_reactive_window = kernel
+        lockstep._kernel_reactive_window = kernel
     return counts[0], counts[1], counts[2], counts[3], counts[4]
 
 

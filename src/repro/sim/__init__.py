@@ -14,5 +14,5 @@ __all__, __getattr__, __dir__ = _facade(globals(), {
     "repro.sim.events": ("PendingDelivery",),
     "repro.sim.results": ("SimulationResult",),
     "repro.sim.simulation": ("Simulation",),
-    "repro.sim.vector": ("VectorSimulation",),
+    "repro.sim.vector.engine": ("VectorSimulation",),
 })

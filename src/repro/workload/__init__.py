@@ -22,5 +22,5 @@ __all__, __getattr__, __dir__ = _facade(globals(), {
     "repro.workload.mixed": ("PoissonMixWorkload",),
     "repro.workload.meta": ("MetaWorkload",),
     "repro.workload.twitter": ("TwitterWorkload",),
-    "repro.workload.trace": ("TraceWorkload", "iter_trace", "read_trace", "write_trace"),
+    "repro.workload.trace": ("TraceWorkload", "iter_trace", "write_trace"),
 })

@@ -335,7 +335,7 @@ class TraceIndex:
         """:attr:`write_time_list`, made on first use and charged to the table.
 
         Its one user is the deferred build of a replay's datastore histories
-        (``repro.sim.vector._build_histories``), which runs on the first
+        (``repro.sim.vector.columns._build_histories``), which runs on the first
         read of them: a sweep or a benchmark that reads none never makes the
         list, and its table keeps the room."""
         if self.write_time_list is None:

@@ -118,11 +118,6 @@ def iter_trace(path: str | Path) -> Iterator[Request]:
             yield request
 
 
-def read_trace(path: str | Path) -> List[Request]:
-    """Load a whole trace file into memory (materializing :func:`iter_trace`)."""
-    return list(iter_trace(path))
-
-
 class TraceWorkload(Workload):
     """A workload backed by a pre-recorded trace.
 

@@ -20,9 +20,10 @@ from repro.cluster.replication import ReplicationConfig
 from repro.cluster.vector import VectorClusterSimulation
 from repro.deferred import settled_class
 from repro.experiments.registry import make_policy
-from repro.sim import vector as sim_vector
 from repro.sim.simulation import Simulation
-from repro.sim.vector import VectorSimulation, _HostColumns, replay_in_lockstep
+from repro.sim.vector import VectorSimulation, replay_in_lockstep
+from repro.sim.vector.columns import _HostColumns
+from repro.sim.vector.lockstep import _Lockstep
 from repro.workload.compiled import CompiledTrace, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 
@@ -122,13 +123,13 @@ def continue_on(first: list, shape: str) -> list:
 
 def test_the_unit_of_the_lockstep_shape_has_six_members(monkeypatch) -> None:
     sizes = []
-    init = sim_vector._Lockstep.__init__
+    init = _Lockstep.__init__
 
     def counted(unit, members):
         sizes.append(len(members))
         init(unit, members)
 
-    monkeypatch.setattr(sim_vector._Lockstep, "__init__", counted)
+    monkeypatch.setattr(_Lockstep, "__init__", counted)
     replay(engines("lockstep"))
     assert sorted(sizes) == [2, 2, 6]
 

@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.registry import COST_PRESETS, make_policy
-from repro.sim import vector as sim_vector
-from repro.sim.vector import VectorSimulation, _fold_constant
+from repro.sim.vector import VectorSimulation
+from repro.sim.vector import columns as vector_columns
+from repro.sim.vector.columns import _fold_constant
 from repro.workload.compiled import CompiledTrace, compile_workload
 from repro.workload.poisson import PoissonZipfWorkload
 from repro.workload.twitter import TwitterWorkload
@@ -161,7 +162,7 @@ def test_sampler_counts_the_draws_it_searched() -> None:
 # Constant-cost folds: closed form vs n in-order additions
 # --------------------------------------------------------------------- #
 
-CROSSOVER = sim_vector._FOLD_CLOSED_FORM_FROM
+CROSSOVER = vector_columns._FOLD_CLOSED_FORM_FROM
 
 
 def plain_fold(acc: float, c: float, n: int) -> float:
@@ -212,7 +213,7 @@ def fold_cases(count: int, seed: int):
 @pytest.mark.parametrize("closed_from", (CROSSOVER, 0), ids=("crossover", "closed-form-only"))
 def test_fold_constant_equals_in_order_additions(monkeypatch, closed_from: int) -> None:
     """At the real crossover, and with the closed form taking every fold."""
-    monkeypatch.setattr(sim_vector, "_FOLD_CLOSED_FORM_FROM", closed_from)
+    monkeypatch.setattr(vector_columns, "_FOLD_CLOSED_FORM_FROM", closed_from)
     for acc, c, n in fold_cases(12_000, seed=closed_from):
         expected = plain_fold(acc, c, n)
         assert _fold_constant(acc, c, n).hex() == expected.hex(), (acc, c, n)

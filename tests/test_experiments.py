@@ -31,8 +31,8 @@ from repro.experiments import (
     write_results_json,
 )
 from repro.experiments.spec import AXES, PASS_THROUGH, Axis
-from repro.sim import vector as sim_vector
-from repro.sim.vector import _Lockstep
+from repro.sim.vector import lockstep
+from repro.sim.vector.lockstep import _Lockstep
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -114,14 +114,14 @@ def count_windows(monkeypatch) -> dict:
     """Count the reactive window kernel's calls and the interval flushes
     they run, in the returned dict (``windows``, ``flushes``)."""
     calls = {"windows": 0, "flushes": 0}
-    kernel = sim_vector._kernel_reactive_window
+    kernel = lockstep._kernel_reactive_window
 
     def counted(ctx, columns, prelude, flushes):
         calls["windows"] += 1
         calls["flushes"] += len(flushes)
         return kernel(ctx, columns, prelude, flushes)
 
-    monkeypatch.setattr(sim_vector, "_kernel_reactive_window", counted)
+    monkeypatch.setattr(lockstep, "_kernel_reactive_window", counted)
     return calls
 
 
@@ -207,7 +207,7 @@ def test_a_fused_unit_gives_each_cell_the_row_it_gets_alone(
             dataclasses.replace(cell, num_nodes=3, replication=2, read_policy="round-robin")
             for cell in cells
         ]
-    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 1 << 40)
+    monkeypatch.setattr(lockstep, "_STACKED_GROUPS", 1 << 40)
     calls = count_windows(monkeypatch)
     alone = {}
     for cell in cells:
@@ -291,13 +291,13 @@ def test_a_fused_ttl_unit_gives_each_cell_the_row_it_gets_alone(monkeypatch, pol
     cells = spec.expand()
     assert [len(unit) for unit in runner._units(cells)] == [6]
     name = "_kernel_ttl_expiry" if policy == "ttl-expiry" else "_kernel_ttl_polling"
-    kernel, calls = getattr(sim_vector, name), []
+    kernel, calls = getattr(lockstep, name), []
 
     def counted(ctx, columns, tallies, groups):
         calls.append(len(columns.hosts))
         return kernel(ctx, columns, tallies, groups)
 
-    monkeypatch.setattr(sim_vector, name, counted)
+    monkeypatch.setattr(lockstep, name, counted)
     alone = [json.dumps(runner.run_cell(cell), sort_keys=True) for cell in cells]
     assert calls == [1, 3] * 3 or sorted(calls) == [1, 1, 1, 3, 3, 3]
     assert len(set(alone)) == len(alone)
@@ -324,18 +324,18 @@ def test_a_ttl_unit_over_the_stacking_budget_splits_by_members(monkeypatch) -> N
     )
     cells = spec.expand()
     alone = [runner.run_cell(cell) for cell in cells]
-    kernel, calls = sim_vector._kernel_ttl_polling, []
+    kernel, calls = lockstep._kernel_ttl_polling, []
 
     def counted(ctx, columns, tallies, groups):
         calls.append((len(columns.hosts), len(columns.names)))
         return kernel(ctx, columns, tallies, groups)
 
-    monkeypatch.setattr(sim_vector, "_kernel_ttl_polling", counted)
-    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 30 * 4)
+    monkeypatch.setattr(lockstep, "_kernel_ttl_polling", counted)
+    monkeypatch.setattr(lockstep, "_STACKED_GROUPS", 30 * 4)
     assert run_experiment(spec, processes=1) == alone
     assert sorted(calls) == [(4, 30), (4, 30)]
     calls.clear()
-    monkeypatch.setattr(sim_vector, "_STACKED_GROUPS", 1)
+    monkeypatch.setattr(lockstep, "_STACKED_GROUPS", 1)
     assert run_experiment(spec, processes=1) == alone
     assert sorted(calls) == [(1, 30), (1, 30), (3, 30), (3, 30)]
 

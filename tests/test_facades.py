@@ -25,13 +25,20 @@ FACADES = ["repro"] + [
     f"repro.{name}"
     for name in (
         "backend", "cache", "cluster", "concurrency", "core", "experiments", "model", "obs",
-        "perf", "resilience", "sim", "sketch", "store", "tier", "workload",
+        "perf", "resilience", "sim", "sim.vector", "sketch", "store", "tier", "workload",
     )
 ]
 
 #: The columnar engines and the post-hoc obs analysis: what a scalar replay
 #: never runs.
-COLUMNAR = ("repro.sim.vector", "repro.sim.polling", "repro.cluster")
+COLUMNAR = ("repro.sim.vector", "repro.cluster")
+#: Every module of the columnar engine's package, which resolving
+#: ``VectorSimulation`` loads.
+VECTOR_MODULES = sorted(
+    f"repro.sim.vector.{path.stem}"
+    for path in (SRC / "repro" / "sim" / "vector").glob("*.py")
+    if path.stem != "__init__"
+)
 ANALYSIS = ("repro.obs.analyze", "repro.obs.report", "repro.obs.slo")
 
 README_SCALAR = """
@@ -88,7 +95,7 @@ def test_a_columnar_run_loads_the_columnar_engine() -> None:
         "engine.run()\n"
         "assert engine.used_vector_path\n"
     )
-    assert {"repro.sim.vector", "repro.sim.polling"} <= set(modules)
+    assert under(modules, ("repro.sim.vector",)) == ["repro.sim.vector", *VECTOR_MODULES]
     assert under(modules, ("repro.cluster",) + ANALYSIS) == []
 
 
@@ -96,8 +103,9 @@ def test_a_columnar_run_loads_the_columnar_engine() -> None:
 def test_a_sweep_imports_the_columnar_engine_before_the_fork_only_for_vector_cells(
     engine: str, loads: bool
 ) -> None:
-    """The caller imports it ahead of ``fork_each``, so the workers inherit
-    it rather than each compiling it again."""
+    """The caller imports every module of it ahead of ``fork_each``, so the
+    workers inherit them rather than each compiling them again."""
+    loaded = ["repro.sim.vector", *VECTOR_MODULES] if loads else []
     modules = loaded_after(
         "import sys\n"
         "import repro.experiments.runner as runner\n"
@@ -105,19 +113,16 @@ def test_a_sweep_imports_the_columnar_engine_before_the_fork_only_for_vector_cel
         "fork_each = runner.fork_each\n"
         "seen = []\n"
         "def spy(*args):\n"
-        "    seen.append('repro.sim.vector' in sys.modules)\n"
+        "    seen.append(sorted(m for m in sys.modules if m.startswith('repro.sim.vector')))\n"
         "    return fork_each(*args)\n"
         "runner.fork_each = spy\n"
         "spec = ExperimentSpec(name='lazy', policies=['invalidate', 'update'],\n"
         "    workloads=[WorkloadSpec.of('poisson', {'num_keys': 20})],\n"
         f"    staleness_bounds=[0.5], duration=2.0, engine={engine!r})\n"
         "run_experiment(spec, processes=2)\n"
-        f"assert seen == [{loads}], seen\n"
+        f"assert seen == [{loaded!r}], seen\n"
     )
-    assert ("repro.sim.vector" in modules) is loads
-    assert under(modules, ("repro.sim.polling", "repro.cluster.vector")) == (
-        ["repro.sim.polling"] if loads else []
-    )
+    assert under(modules, ("repro.sim.vector", "repro.cluster.vector")) == loaded
 
 
 @pytest.mark.parametrize("name", FACADES)

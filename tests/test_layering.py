@@ -24,6 +24,12 @@ package that imports :mod:`multiprocessing`, nothing names a ``Pool``, and
 the sweep runner is the only module that imports :mod:`repro.fanout` — a
 fleet replays in one process.
 
+And the columnar engine is one package whose modules import each other
+along one chain, envelope → columns → reactive → ttl → lockstep → engine,
+each only the ones before it and only at module level: resolving
+``VectorSimulation`` loads them all, once, where the sweep runner reads it
+before its fork.
+
 And there is one replay driver: :mod:`repro.sim.driver` is the only module
 that runs the request loop over ``iter_chunks``, schedules flushes beside
 snapshots, and puts the store's counters on a result; neither columnar
@@ -69,7 +75,7 @@ def test_audit_scans_the_core_and_would_catch_a_back_edge() -> None:
     # Guard the audit itself: if the tree moves, an empty scan would pass
     # vacuously, and a regex that matches nothing would too.
     scanned = {path.name for path in SIM_ROOT.rglob("*.py")}
-    assert {"node.py", "simulation.py", "vector.py"} <= scanned
+    assert {"node.py", "simulation.py", "engine.py"} <= scanned
     for line in (
         "from repro.cluster.results import NodeResult",
         "    from repro.cluster import ClusterSimulation",
@@ -325,7 +331,7 @@ def test_fanout_audit_would_catch_every_spelling() -> None:
 #: ``run`` of their own.
 DRIVER = "src/repro/sim/driver.py"
 VECTOR_CLASSES = (
-    ("src/repro/sim/vector.py", "VectorSimulation"),
+    ("src/repro/sim/vector/engine.py", "VectorSimulation"),
     ("src/repro/cluster/vector.py", "VectorClusterSimulation"),
 )
 
@@ -392,3 +398,81 @@ def test_driver_audit_would_catch_a_second_copy() -> None:
         assert driver_sites(snippet) == set(), snippet
     twin = "class VectorSimulation(SpanReplay, Simulation):\n    def run(self):\n        pass"
     assert methods_of(twin, "VectorSimulation") == {"run"}
+
+
+#: The columnar engine's modules in import order.
+VECTOR_PACKAGE = "repro.sim.vector"
+VECTOR_CHAIN = ("envelope", "columns", "reactive", "ttl", "lockstep", "engine")
+
+
+def imported_names(node: ast.AST) -> "list[str] | None":
+    """What ``node`` imports, as dotted names (``from P import x`` is
+    ``P.x``, a relative import resolved inside the package); ``None`` when
+    it is no import."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        if node.level:
+            base = ".".join(filter(None, [VECTOR_PACKAGE.rsplit(".", node.level - 1)[0], base]))
+        return [f"{base}.{alias.name}" for alias in node.names]
+    called = getattr(node, "func", None)
+    if isinstance(node, ast.Call) and (
+        getattr(called, "id", None) or getattr(called, "attr", None)
+    ) in ("import_module", "__import__"):
+        return [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+    return None
+
+
+def chain_violations(module: str, source: str) -> "list[str]":
+    """How ``source``, the package's module ``module``, breaks the chain:
+    an import anywhere but at module level, or of a package module (or of
+    the package's façade) that is not before ``module`` in the chain."""
+    earlier = VECTOR_CHAIN[: VECTOR_CHAIN.index(module)]
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        names = imported_names(node)
+        if names is None:
+            continue
+        if node not in tree.body:
+            found.append(f"{module}.py:{node.lineno}: an import below module level")
+        for name in names:
+            if name == VECTOR_PACKAGE or name.startswith(VECTOR_PACKAGE + "."):
+                if name[len(VECTOR_PACKAGE) + 1 :].split(".")[0] not in earlier:
+                    found.append(f"{module}.py:{node.lineno}: imports {name}")
+    return found
+
+
+def test_the_columnar_package_imports_along_one_chain() -> None:
+    root = SIM_ROOT / "vector"
+    assert sorted(path.stem for path in root.glob("*.py")) == sorted(VECTOR_CHAIN + ("__init__",))
+    found = [
+        violation for module in VECTOR_CHAIN
+        for violation in chain_violations(module, (root / f"{module}.py").read_text())
+    ]
+    assert found == [], "\n".join(found)
+
+
+def test_the_chain_audit_would_catch_a_back_edge() -> None:
+    for module, snippet in (
+        ("columns", "from repro.sim.vector.lockstep import _Lockstep"),
+        ("envelope", "from repro.sim.vector import columns"),
+        ("ttl", "import repro.sim.vector.engine"),
+        ("reactive", "from .ttl import _settle_polls"),
+        ("reactive", "from . import reactive"),
+        ("engine", "from repro.sim.vector import VectorSimulation"),
+        ("engine", "from repro.sim import vector"),
+        ("engine", "def run():\n    from repro.sim.vector.columns import _SpanTally"),
+        ("lockstep", "if TYPE_CHECKING:\n    from repro.sim.vector.engine import SpanReplay"),
+        ("ttl", "def fold():\n    import numpy"),
+        ("lockstep", "engine = importlib.import_module('repro.sim.vector.engine')"),
+    ):
+        assert chain_violations(module, snippet), (module, snippet)
+    for module, snippet in (
+        ("engine", "from repro.sim.vector.lockstep import _Lockstep"),
+        ("ttl", "from repro.sim.vector.columns import _SpanTally\nfrom .reactive import _ew_updates"),
+        ("columns", "import numpy as np\nfrom repro.workload.compiled import CutBatch"),
+        ("envelope", '"""Prose may say repro.sim.vector.engine."""\nimport math'),
+    ):
+        assert chain_violations(module, snippet) == [], (module, snippet)

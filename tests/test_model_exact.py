@@ -1,5 +1,6 @@
 """The exact forms against both engines, on one-key Poisson traces: the
-TTL-expiry renewal form, then invalidate's ordered two-state chain.
+TTL-expiry renewal form, invalidate's ordered two-state chain, then
+update's messages, one per interval a write survives into.
 
 A key's misses under TTL-expiry form a renewal process (cycles of
 ``T + Exp(λ_r)``; :mod:`repro.model.exact`).  Over a horizon ``H`` the
@@ -18,9 +19,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.cost_model import CostModel
 from repro.experiments.registry import make_policy
 from repro.model.arrivals import p_read, p_write
-from repro.model.exact import invalidate_chain, invalidate_miss_rate, ttl_expiry_miss_rate
+from repro.model.exact import (
+    invalidate_chain, invalidate_miss_rate, ttl_expiry_miss_rate, update_messages,
+)
 from repro.sim.simulation import Simulation
 from repro.sim.vector import VectorSimulation
 from repro.workload.compiled import compile_workload
@@ -242,6 +246,64 @@ def test_the_paper_recurrence_drops_the_reads_a_write_follows() -> None:
 
 
 # --------------------------------------------------------------------- #
+# Update: one message per interval a write survives into
+# --------------------------------------------------------------------- #
+
+
+def brute_force_update(times, is_read, bound: float) -> int:
+    """Updates sent, by walking the requests, flushing at ``bound``, ``2
+    bound`` ... as the replay driver adds them: a write dirties the key, a
+    flush sends an update for a dirty key whether or not it is cached, and
+    the first read's fill forgets the writes before it."""
+    cached = dirty = False
+    sent = 0
+    flush = bound
+    for time, read in zip(times, is_read):
+        while flush <= time:
+            sent += dirty
+            dirty = False
+            flush += bound
+        if not read:
+            dirty = True
+        elif not cached:
+            cached, dirty = True, False
+    while flush <= HORIZON:
+        sent += dirty
+        dirty = False
+        flush += bound
+    return sent
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("rate, read_ratio, bound", CHAIN_CELLS + [(0.5, 0.5, 1.0)])
+def test_update_messages_follow_the_per_interval_form(
+    rate: float, read_ratio: float, bound: float, engine: str
+) -> None:
+    """Within four standard deviations of ``n P_W - δ`` (a sum of
+    independent Bernoulli counts, so the CLT's tolerance is derived, not
+    tuned), each charged ``c_u``; the key's one miss is its cold fill.  The
+    sparse key waits a few intervals for its first read: the updates of
+    those intervals are sent to no entry, and counted."""
+    trace = one_key_trace(rate, read_ratio=read_ratio)
+    result = replay(trace, bound, engine, policy="update")
+    mean, variance = update_messages(rate, read_ratio, bound, round(HORIZON / bound))
+    assert (result.cold_misses, result.stale_misses) == (1, 0)
+    assert abs(result.updates_sent - mean) <= 4.0 * math.sqrt(variance)
+    assert result.freshness_cost == pytest.approx(result.updates_sent * CostModel().update_cost())
+
+
+@pytest.mark.parametrize("rate, read_ratio, bound", CHAIN_CELLS + [(0.5, 0.5, 1.0)])
+def test_a_brute_force_update_walk_equals_both_engines(
+    rate: float, read_ratio: float, bound: float
+) -> None:
+    trace = one_key_trace(rate, seed=1, read_ratio=read_ratio)
+    walked = brute_force_update(trace.times.tolist(), trace.is_read.tolist(), bound)
+    assert walked > 0
+    for engine in ("scalar", "vector"):
+        assert replay(trace, bound, engine, policy="update").updates_sent == walked, engine
+
+
+# --------------------------------------------------------------------- #
 # Summed over Zipf: the per-key forms at PoissonZipfWorkload's rates
 # --------------------------------------------------------------------- #
 
@@ -283,17 +345,25 @@ def invalidate_law(rate: float, read_ratio: float, bound: float):
     return ZIPF_HORIZON * miss_rate + start, intervals * variance
 
 
+def update_law(rate: float, read_ratio: float, bound: float):
+    """One key's cold fill and updates over the horizon's intervals: its
+    mean and variance (:func:`~repro.model.exact.update_messages`)."""
+    mean, variance = update_messages(rate, read_ratio, bound, round(ZIPF_HORIZON / bound))
+    return 1.0 + mean, variance
+
+
 @pytest.mark.parametrize("bound", [0.1, 1.0])
 @pytest.mark.parametrize(
-    "policy, law", [("ttl-expiry", ttl_expiry_law), ("invalidate", invalidate_law)]
+    "policy, law",
+    [("ttl-expiry", ttl_expiry_law), ("invalidate", invalidate_law), ("update", update_law)],
 )
 def test_summed_exact_forms_reproduce_a_zipf_trace(policy: str, law, bound: float) -> None:
     """Each key of a PoissonZipf trace is its own Poisson process, at the
     rate :meth:`~PoissonZipfWorkload.key_profiles` gives it, and under
-    either policy keys never interact: the trace's misses, cold and stale,
-    lie within four standard deviations of the per-key exact forms summed,
-    the variance the per-key CLT variances summed.  Both engines count the
-    same misses."""
+    each policy keys never interact: the trace's misses, cold and stale,
+    and its updates lie within four standard deviations of the per-key
+    exact forms summed, the variance the per-key CLT variances summed.
+    Both engines count the same misses and updates."""
     workload = PoissonZipfWorkload(seed=11, **ZIPF)
     trace = compile_workload(workload, ZIPF_HORIZON)
     laws = [law(key.rate, key.read_ratio, bound) for key in workload.key_profiles()]
@@ -302,8 +372,8 @@ def test_summed_exact_forms_reproduce_a_zipf_trace(policy: str, law, bound: floa
     config = dict(staleness_bound=bound, duration=ZIPF_HORIZON, workload_name="poisson")
     vector = VectorSimulation(trace, policy=make_policy(policy), **config).run()
     scalar = Simulation(trace.iter_requests(), policy=make_policy(policy), **config).run()
-    misses = [(run.cold_misses, run.stale_misses) for run in (vector, scalar)]
+    misses = [(run.cold_misses, run.stale_misses, run.updates_sent) for run in (vector, scalar)]
     assert misses[0] == misses[1]
-    cold, stale = misses[0]
+    cold, stale, updates = misses[0]
     assert cold == ZIPF["num_keys"]
-    assert abs(cold + stale - expected) <= tolerance
+    assert abs(cold + stale + updates - expected) <= tolerance

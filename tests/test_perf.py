@@ -74,6 +74,16 @@ def test_reactive_cuts_build_no_state_objects() -> None:
     assert row["span_objects"] == row["fleet_span_objects"] == 0
 
 
+def test_a_columnar_replay_builds_no_history_nobody_reads() -> None:
+    """A replay commits the trace's writes with their histories left to a
+    build on the first read, so a caller that reads none — a sweep, a
+    benchmark — builds none, under every policy, on the single cache and
+    on the fleet."""
+    [row] = run_perf(names=["span-kernel-tight"], scale=0.1)["results"]
+    built = [*row["histories_built"].values(), *row["fleet_histories_built"].values()]
+    assert built == [0] * 10
+
+
 def test_the_ttl_cut_builds_no_state_objects() -> None:
     """A TTL replay's kernel scatters its entries into its unit's columns:
     from the cut's start to the write-back no cache entry, buffered write,

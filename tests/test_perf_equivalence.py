@@ -45,28 +45,29 @@ from repro.core.write_reactive import AlwaysInvalidatePolicy, AlwaysUpdatePolicy
 from repro.errors import WorkloadError
 from repro.experiments.registry import make_policy
 from repro.sim import node as node_module
-from repro.sim import polling
-from repro.sim import vector as sim_vector
 from repro.workload import compiled as compiled_module
 from repro.sim.events import PendingDelivery
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
-from repro.sim.vector import (
-    VectorSimulation,
+from repro.sim.vector import VectorSimulation
+from repro.sim.vector import columns as vector_columns
+from repro.sim.vector import lockstep as vector_lockstep
+from repro.sim.vector import reactive as vector_reactive
+from repro.sim.vector import ttl as vector_ttl
+from repro.sim.vector.columns import (
     _commit_trace_writes,
     _flush_tally,
     _estimator,
     _HostColumns,
-    _kernel_reactive_window,
-    _kernel_ttl_expiry,
-    _kernel_ttl_polling,
     _ReplayContext,
     _GroupBlock,
-    _Lockstep,
     _PreludeBlock,
     _SpanTally,
-    _ttl_resolvable,
 )
+from repro.sim.vector.envelope import _ttl_resolvable
+from repro.sim.vector.lockstep import _Lockstep
+from repro.sim.vector.reactive import _kernel_reactive_window
+from repro.sim.vector.ttl import _kernel_ttl_expiry, _kernel_ttl_polling
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import (
     DEFAULT_FINGERPRINT_CACHE_SIZE,
@@ -689,13 +690,13 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
     cuts hold keys with writes and no read."""
     monkeypatch.setattr(compiled_module, "_CUT_KEY_BYTES", 1)
     blocks = [0]
-    block_write_runs = sim_vector._block_write_runs
+    block_write_runs = vector_columns._block_write_runs
 
     def counted_blocks(*args):
         blocks[0] += 1
         return block_write_runs(*args)
 
-    monkeypatch.setattr(sim_vector, "_block_write_runs", counted_blocks)
+    monkeypatch.setattr(vector_columns, "_block_write_runs", counted_blocks)
 
     def engine_of(trace: CompiledTrace):
         index = trace.index()
@@ -725,7 +726,7 @@ def test_a_batch_of_cuts_equals_its_cuts_built_one_by_one(
     default, median = compiled_module._CUT_GRID, int(np.median(sizes))
     for grid, runs_grid in ((default, default), (median, median), (median, 1)):
         monkeypatch.setattr(compiled_module, "_CUT_GRID", grid)
-        monkeypatch.setattr(sim_vector, "_CUT_GRID", runs_grid)
+        monkeypatch.setattr(vector_columns, "_CUT_GRID", runs_grid)
         engine, index = engine_of(boundary_trace(seed, bound))
         kinds, most_blocks = set(), 0
         for first in range(len(alone)):
@@ -1410,8 +1411,8 @@ def test_fleet_span_routing_matches_per_read_routing(
         duration=4.0,
     )
     recorded, sizes = [], []
-    flush_tally = sim_vector._flush_tally
-    kernel = sim_vector._kernel_reactive_window
+    flush_tally = vector_lockstep._flush_tally
+    kernel = vector_lockstep._kernel_reactive_window
 
     def recording_flush(ctx, host, tally):
         recorded[-1].append(tally_state(tally))
@@ -1424,8 +1425,8 @@ def test_fleet_span_routing_matches_per_read_routing(
 
     reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
-    monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
-    monkeypatch.setattr(sim_vector, "_kernel_reactive_window", recording_kernel)
+    monkeypatch.setattr(vector_lockstep, "_flush_tally", recording_flush)
+    monkeypatch.setattr(vector_lockstep, "_kernel_reactive_window", recording_kernel)
     simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
@@ -1483,13 +1484,13 @@ def test_fleet_ttl_replay_matches_per_node_key_reference(
     reference = ReferenceClusterSimulation(trace, owned, **fleet)
     expected = reference.run()
     recorded = []
-    flush_tally = sim_vector._flush_tally
+    flush_tally = vector_lockstep._flush_tally
 
     def recording_flush(ctx, host, tally):
         recorded.append(tally_state(tally))
         flush_tally(ctx, host, tally)
 
-    monkeypatch.setattr(sim_vector, "_flush_tally", recording_flush)
+    monkeypatch.setattr(vector_lockstep, "_flush_tally", recording_flush)
     simulation = VectorClusterSimulation(trace, **fleet)
     result = simulation.run()
     assert simulation.used_vector_path and reference.used_vector_path
@@ -1539,7 +1540,7 @@ def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypat
     config = dict(policy=make_policy("invalidate"), staleness_bound=1.0, duration=3.0)
     scalar = prepared(Simulation(trace.iter_requests(), **config)).run()
     calls = []
-    count_violations = sim_vector._count_violations
+    count_violations = vector_reactive._count_violations
 
     def counted(ctx, tallies, *late):
         [tally] = tallies
@@ -1547,7 +1548,7 @@ def test_exact_violation_fallback_counts_what_the_scalar_engine_counts(monkeypat
         count_violations(ctx, tallies, *late)
         calls.append(tally.violations - before)
 
-    monkeypatch.setattr(sim_vector, "_count_violations", counted)
+    monkeypatch.setattr(vector_reactive, "_count_violations", counted)
     simulation = prepared(VectorSimulation(trace, **config))
     vector = simulation.run()
     assert simulation.used_vector_path
@@ -1962,7 +1963,7 @@ def assert_ttl_kernels_match_reference(trace, ttl=None, bound=1.0):
         new, ref = _SpanTally(), ReferenceTally()
         with pytest.MonkeyPatch.context() as patch:
             if expiry_batch is not None:
-                patch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
+                patch.setattr(vector_ttl, "_TTL_EXPIRY_BATCH", expiry_batch)
             batched(ctx_new, columns, [new], groups)
         for key, lo, reads in zip(keys.tolist(), read_lo.tolist(), read_count.tolist()):
             if reads:
@@ -2041,7 +2042,7 @@ def test_batched_polling_kernel_is_blind_to_its_row_block(monkeypatch, block: in
     their reads as candidates and in the table of those that take their
     polls, which the hot keys do: the carried accounting points cross the
     edges unchanged."""
-    monkeypatch.setattr(polling, "_TTL_BLOCK_ROWS", block)
+    monkeypatch.setattr(vector_ttl, "_TTL_BLOCK_ROWS", block)
     tables = spy_polling_tables(monkeypatch)
     trace = compile_workload(
         PoissonZipfWorkload(num_keys=30, rate_per_key=30.0, read_ratio=0.85, seed=5), 5.0
@@ -2063,18 +2064,18 @@ def spy_polling_tables(monkeypatch) -> dict:
     two tables, and how many blocks search the run table."""
     seen = {"reads": [], "runs": [], "searches": 0}
     for name, label in (("_charge_reads", "reads"), ("_charge_runs", "runs")):
-        def table(groups, which, *args, original=getattr(polling, name), label=label):
+        def table(groups, which, *args, original=getattr(vector_ttl, name), label=label):
             seen[label].append(int(which.size))
             return original(groups, which, *args)
 
-        monkeypatch.setattr(polling, name, table)
-    first_reads = polling._first_reads
+        monkeypatch.setattr(vector_ttl, name, table)
+    first_reads = vector_ttl._first_reads
 
     def search(*args):
         seen["searches"] += 1
         return first_reads(*args)
 
-    monkeypatch.setattr(polling, "_first_reads", search)
+    monkeypatch.setattr(vector_ttl, "_first_reads", search)
     return seen
 
 
@@ -2120,7 +2121,7 @@ def test_polling_run_table_matches_the_reference_and_the_scalar_engine(
     poll: those reads are served as handed, charging nothing, where a run
     of a cold key would charge one poll on each of its later reads."""
     if block is not None:
-        monkeypatch.setattr(polling, "_TTL_BLOCK_ROWS", block)
+        monkeypatch.setattr(vector_ttl, "_TTL_BLOCK_ROWS", block)
     tables = spy_polling_tables(monkeypatch)
     trace, ttl = run_table_trace(), 0.01
     index = trace.index()
@@ -2181,7 +2182,7 @@ def test_expiry_kernel_steps_past_a_ttl_the_clock_cannot_resolve(
         # A fresh host each time: the kernel starts from the rows it is handed.
         ctx, _, columns = make_ttl_host(trace, TTLExpiryPolicy, 0.5)
         columns.ttl[:] = 1e-19  # the kernel reads each host's TTL off the columns
-        monkeypatch.setattr(sim_vector, "_TTL_EXPIRY_BATCH", expiry_batch)
+        monkeypatch.setattr(vector_ttl, "_TTL_EXPIRY_BATCH", expiry_batch)
         tally = _SpanTally()
         with wall_clock_limit(5.0):
             _kernel_ttl_expiry(ctx, columns, [tally], whole_trace_groups(trace))

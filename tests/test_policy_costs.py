@@ -241,7 +241,7 @@ def test_vector_ew_decisions_are_from_ew_value_by_value(costs, slo) -> None:
 
     from repro.core.decision import DecisionRule
     from repro.errors import ConfigurationError
-    from repro.sim.vector import _ew_updates
+    from repro.sim.vector.reactive import _ew_updates
 
     miss, invalidate, update = costs
     rule = DecisionRule(miss, invalidate, update, staleness_slo=slo)

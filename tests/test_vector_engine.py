@@ -43,20 +43,11 @@ from repro.experiments.spec import ChannelSpec
 from repro.cluster import replay_cluster_parallel
 from repro.perf.perf import non_empty_spans
 from repro.resilience import ChaosSpec
-from repro.sim import vector as sim_vector
 from repro.sim.node import CacheNode
 from repro.sim.simulation import Simulation
-from repro.sim.vector import (
-    ENVELOPE,
-    VectorSimulation,
-    _HostColumns,
-    _kernel_reactive_window,
-    _ReplayContext,
-    _GroupBlock,
-    _PreludeBlock,
-    envelope_exit,
-    replay_in_lockstep,
-)
+from repro.sim.vector import ENVELOPE, VectorSimulation, envelope_exit, lockstep, replay_in_lockstep
+from repro.sim.vector.columns import _GroupBlock, _HostColumns, _PreludeBlock, _ReplayContext
+from repro.sim.vector.reactive import _kernel_reactive_window
 from repro.sketch.countmin import CountMinEWSketch
 from repro.sketch.exact import ExactEWTracker
 from repro.store.snapshot import StoreConfig, canonical_datastore_bytes
@@ -656,13 +647,13 @@ def test_ttl_hosts_handed_cached_entries_replay_the_scalar_rows_as_one_unit(
                 simulation, trace, policy, EntryState.VALID, policy == "ttl-polling"
             )
     name = "_kernel_ttl_expiry" if policy == "ttl-expiry" else "_kernel_ttl_polling"
-    kernel, calls = getattr(sim_vector, name), []
+    kernel, calls = getattr(lockstep, name), []
 
     def counted(ctx, columns, tallies, groups):
         calls.append(len(columns.hosts))
         return kernel(ctx, columns, tallies, groups)
 
-    monkeypatch.setattr(sim_vector, name, counted)
+    monkeypatch.setattr(lockstep, name, counted)
     results = replay_in_lockstep([columnar.replay() for _, columnar in pairs])
     assert calls == [8]
     violations = []
@@ -865,7 +856,7 @@ class WindowLog:
     batches."""
 
     def __init__(self, monkeypatch) -> None:
-        kernel, span = sim_vector._kernel_reactive_window, TraceIndex.span
+        kernel, span = lockstep._kernel_reactive_window, TraceIndex.span
         self.reset()
 
         def counted(ctx, columns, prelude, flushes):
@@ -880,7 +871,7 @@ class WindowLog:
                 self.looked_up.setdefault(bound, []).append(found[0])
             return found
 
-        monkeypatch.setattr(sim_vector, "_kernel_reactive_window", counted)
+        monkeypatch.setattr(lockstep, "_kernel_reactive_window", counted)
         monkeypatch.setattr(TraceIndex, "span", looked_up)
 
     def reset(self) -> None:
@@ -1149,11 +1140,11 @@ def test_ttl_replays_beside_a_reactive_unit_each_return_their_own_rows(monkeypat
     calls = []
     for name in ("_kernel_reactive_window", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
 
-        def counted(ctx, columns, *args, kernel=getattr(sim_vector, name), name=name):
+        def counted(ctx, columns, *args, kernel=getattr(lockstep, name), name=name):
             calls.append((name, len(columns.hosts)))
             return kernel(ctx, columns, *args)
 
-        monkeypatch.setattr(sim_vector, name, counted)
+        monkeypatch.setattr(lockstep, name, counted)
     windows = WindowLog(monkeypatch)
     unit = engines()
     results = replay_in_lockstep([engine.replay() for engine in unit])
@@ -1244,8 +1235,8 @@ def test_one_kernel_call_per_span_and_owned_node(monkeypatch, tmp_path, policy: 
         return counting
 
     for name in ("_kernel_reactive_window", "_kernel_ttl_expiry", "_kernel_ttl_polling"):
-        kernel = counted(getattr(sim_vector, name))
-        monkeypatch.setattr(sim_vector, name, kernel)
+        kernel = counted(getattr(lockstep, name))
+        monkeypatch.setattr(lockstep, name, kernel)
     windows = WindowLog(monkeypatch)
 
     def calls_of(replay) -> int:
